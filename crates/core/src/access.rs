@@ -1,0 +1,669 @@
+//! The one read path every hexastore variant shares.
+//!
+//! The paper's design is a single structure — header → sorted vector →
+//! terminal list — instantiated for six key permutations, so every access
+//! shape reduces to "pick an ordering, project the pattern's constants to
+//! its `(k1, k2)` keys, then probe a list, walk a division, or scan". This
+//! module owns that reduction once:
+//!
+//! - [`route`] is the only place a pattern [`Shape`] is turned into an
+//!   ordering and a [`Probe`]; [`serving_kind`] is its ordering-only half,
+//!   which the query planner consults so the index it names is the one the
+//!   store really probes.
+//! - [`OrderingRead`] is what one ordering must offer — `list`, `division`,
+//!   `scan` — and is implemented exactly three times: flat slab columns
+//!   ([`SlabOrdering`], borrowed [`IndexView`] + [`ArenaView`]), the mutable
+//!   full store's `(&TwoLevel, &ListArena)`, and the mutable partial
+//!   store's owned three-level map.
+//! - [`contains`], [`for_each`], [`iter`], [`iter_range`], [`count`] and
+//!   `sorted_list` are each written once against [`OrderedStore`] — "a
+//!   store that can hand out the [`OrderingRead`] for a kept
+//!   [`IndexKind`]". The runtime `IndexKind` is matched once per call; the
+//!   per-triple work is monomorphized per ordering.
+//!
+//! The five hexastore variants are storage providers: they implement
+//! [`OrderedStore`] and forward their [`TripleStore`]
+//! read methods here with [`forward_reads!`](crate::forward_reads).
+//!
+//! The slab views clamp instead of panicking. In-memory slabs are
+//! validated when they are built, so clamping never triggers there; the
+//! `hex-disk` crate hands out the same views over memory-mapped columns it
+//! deliberately does not validate, where a corrupt span must degrade to a
+//! short (possibly wrong) answer rather than a crash.
+
+use crate::advisor::{serving_indices, IndexKind, IndexSet};
+use crate::arena::ListArena;
+use crate::partial::OrderingMap;
+use crate::pattern::{IdPattern, Shape};
+use crate::slab::Span;
+use crate::sorted;
+use crate::store::TwoLevel;
+use crate::traits::{TripleIter, TripleStore};
+use hex_dict::{Id, IdTriple};
+use std::ops::Range;
+
+/// Projects a triple into an ordering's `(k1, k2, item)` key order.
+#[inline]
+pub fn project(kind: IndexKind, t: IdTriple) -> (Id, Id, Id) {
+    match kind {
+        IndexKind::Spo => (t.s, t.p, t.o),
+        IndexKind::Sop => (t.s, t.o, t.p),
+        IndexKind::Pso => (t.p, t.s, t.o),
+        IndexKind::Pos => (t.p, t.o, t.s),
+        IndexKind::Osp => (t.o, t.s, t.p),
+        IndexKind::Ops => (t.o, t.p, t.s),
+    }
+}
+
+/// Reassembles a triple from an ordering's `(k1, k2, item)`.
+#[inline]
+pub fn unproject(kind: IndexKind, k1: Id, k2: Id, item: Id) -> IdTriple {
+    match kind {
+        IndexKind::Spo => IdTriple::new(k1, k2, item),
+        IndexKind::Sop => IdTriple::new(k1, item, k2),
+        IndexKind::Pso => IdTriple::new(k2, k1, item),
+        IndexKind::Pos => IdTriple::new(item, k1, k2),
+        IndexKind::Osp => IdTriple::new(k2, item, k1),
+        IndexKind::Ops => IdTriple::new(item, k2, k1),
+    }
+}
+
+/// The kept ordering that answers `shape` with a single probe: the first
+/// member of [`serving_indices`]`(shape)` in canonical
+/// ([`IndexKind::ALL`]) order that `kept` contains, or `None` when every
+/// serving ordering was dropped and the store must filter a scan.
+///
+/// With the full sextuple set this is spo for `(s,p,?)`, `(s,?,?)`,
+/// membership and the full scan; sop for `(s,?,o)`; pos for `(?,p,o)`;
+/// pso for `(?,p,?)`; osp for `(?,?,o)`.
+#[inline]
+pub fn serving_kind(shape: Shape, kept: IndexSet) -> Option<IndexKind> {
+    serving_indices(shape).intersection(kept).first()
+}
+
+/// What to do inside the routed ordering. Keys are already projected to
+/// the ordering's own order: `k1` the header key, `k2` the vector key,
+/// `item` a terminal-list entry.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub enum Probe {
+    /// Three constants `(k1, k2, item)`: binary-search `item` in the
+    /// `(k1, k2)` list.
+    Member(Id, Id, Id),
+    /// Two constants `(k1, k2)` the ordering lists first: one terminal list.
+    List(Id, Id),
+    /// One constant `k1` heading the ordering: every list of its division.
+    Division(Id),
+    /// No constants: the whole ordering.
+    Scan,
+    /// No kept ordering serves the shape: scan and filter — the cost of a
+    /// dropped index, made explicit.
+    FilteredScan,
+}
+
+/// A pattern resolved against a kept ordering set.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub struct Route {
+    /// The ordering to read.
+    pub kind: IndexKind,
+    /// How to read it.
+    pub probe: Probe,
+}
+
+/// Resolves a pattern to the ordering and probe that answer it.
+///
+/// # Panics
+///
+/// If `kept` is empty — every store keeps at least one ordering.
+#[inline(always)]
+pub fn route(pat: IdPattern, kept: IndexSet) -> Route {
+    let (kind, served) = resolve(pat.shape(), kept);
+    Route { kind, probe: probe_in(kind, pat, served) }
+}
+
+/// The ordering to read for `shape` — the serving one, or the first kept
+/// for the filtered-scan fallback — and whether it serves the shape.
+#[inline]
+fn resolve(shape: Shape, kept: IndexSet) -> (IndexKind, bool) {
+    match serving_kind(shape, kept) {
+        Some(kind) => (kind, true),
+        None => (kept.first().expect("a store keeps at least one ordering"), false),
+    }
+}
+
+/// The probe `pat` presents to ordering `kind`. Inlined so that it folds
+/// to a key shuffle wherever `kind` is a constant.
+#[inline(always)]
+fn probe_in(kind: IndexKind, pat: IdPattern, served: bool) -> Probe {
+    if !served {
+        return Probe::FilteredScan;
+    }
+    // Free positions project to a placeholder that the probe never reads:
+    // a serving ordering lists the bound positions first.
+    let free = Id(0);
+    let (k1, k2, item) = project(
+        kind,
+        IdTriple::new(pat.s.unwrap_or(free), pat.p.unwrap_or(free), pat.o.unwrap_or(free)),
+    );
+    match pat.bound_count() {
+        3 => Probe::Member(k1, k2, item),
+        2 => Probe::List(k1, k2),
+        1 => Probe::Division(k1),
+        _ => Probe::Scan,
+    }
+}
+
+/// A span's window clamped to a column of `n` elements.
+#[inline]
+fn clamp(span: Span, n: usize) -> Range<usize> {
+    let lo = (span.off as usize).min(n);
+    let hi = (span.off as usize).saturating_add(span.len as usize).min(n);
+    lo..hi
+}
+
+/// Borrowed columns of one flat two-level ordering: sorted header `keys`
+/// parallel to `spans`, each span windowing the parallel `k2` / `lists`
+/// columns. `Copy`, so cursor closures own it outright.
+#[derive(Clone, Copy, Debug)]
+pub struct IndexView<'a> {
+    /// Sorted header keys.
+    pub keys: &'a [Id],
+    /// Per-header window into `k2` / `lists`.
+    pub spans: &'a [Span],
+    /// Vector keys, sorted within each header's window.
+    pub k2: &'a [Id],
+    /// Terminal-list index per vector key, into the ordering's arena;
+    /// parallel to `k2` and of the same length.
+    pub lists: &'a [u32],
+}
+
+impl<'a> IndexView<'a> {
+    /// The clamped leaf window of header `k1` — an absent header or a
+    /// corrupt span yields a short (possibly empty) window, never a panic.
+    #[inline]
+    fn window(self, k1: Id) -> Range<usize> {
+        let span = self.keys.binary_search(&k1).ok().and_then(|i| self.spans.get(i));
+        span.map_or(0..0, |&span| clamp(span, self.k2.len()))
+    }
+
+    /// The terminal-list index of `(k1, k2)`, by two binary searches.
+    #[inline]
+    pub fn list_idx(self, k1: Id, k2: Id) -> Option<u32> {
+        let window = self.window(k1);
+        self.k2[window.clone()].binary_search(&k2).ok().map(|i| self.lists[window.start + i])
+    }
+}
+
+/// Borrowed columns of one flat terminal-list arena.
+#[derive(Clone, Copy, Debug)]
+pub struct ArenaView<'a> {
+    /// Per-list window into `items`.
+    pub spans: &'a [Span],
+    /// All lists' entries, back to back.
+    pub items: &'a [Id],
+}
+
+impl<'a> ArenaView<'a> {
+    /// The items of list `idx`, clamped to the column — a corrupt index
+    /// or span yields a short (possibly empty) slice, never a panic.
+    #[inline]
+    pub fn get(self, idx: u32) -> &'a [Id] {
+        let Some(&span) = self.spans.get(idx as usize) else { return &[] };
+        // An in-range span — every span of a valid slab — costs one range
+        // check; only a corrupt one takes the clamping path.
+        let lo = span.off as usize;
+        match self.items.get(lo..lo.saturating_add(span.len as usize)) {
+            Some(list) => list,
+            None => &self.items[clamp(span, self.items.len())],
+        }
+    }
+}
+
+/// One slab-backed ordering: its index columns and the arena its list
+/// indices point into.
+pub type SlabOrdering<'a> = (IndexView<'a>, ArenaView<'a>);
+
+/// Read access to one ordering, whatever its representation. Lists are
+/// sorted and duplicate-free; `division` and `scan` yield in key order.
+pub trait OrderingRead<'a>: Copy + 'a {
+    /// The terminal list keyed `(k1, k2)`; empty if absent.
+    fn list(self, k1: Id, k2: Id) -> &'a [Id];
+
+    /// The `(k2, list)` leaves under header `k1`, ascending in `k2`.
+    fn division(self, k1: Id) -> impl Iterator<Item = (Id, &'a [Id])> + 'a;
+
+    /// Every `(k1, k2, list)` leaf, ascending in `(k1, k2)`.
+    fn scan(self) -> impl Iterator<Item = (Id, Id, &'a [Id])> + 'a;
+}
+
+impl<'a> OrderingRead<'a> for SlabOrdering<'a> {
+    #[inline]
+    fn list(self, k1: Id, k2: Id) -> &'a [Id] {
+        let (ix, arena) = self;
+        ix.list_idx(k1, k2).map_or(&[], |l| arena.get(l))
+    }
+
+    fn division(self, k1: Id) -> impl Iterator<Item = (Id, &'a [Id])> + 'a {
+        let (ix, arena) = self;
+        ix.window(k1).map(move |i| (ix.k2[i], arena.get(ix.lists[i])))
+    }
+
+    fn scan(self) -> impl Iterator<Item = (Id, Id, &'a [Id])> + 'a {
+        let (ix, arena) = self;
+        ix.keys.iter().zip(ix.spans).flat_map(move |(&k1, &span)| {
+            clamp(span, ix.k2.len()).map(move |i| (k1, ix.k2[i], arena.get(ix.lists[i])))
+        })
+    }
+}
+
+/// The mutable full store: a nested index plus the arena its pair shares.
+impl<'a> OrderingRead<'a> for (&'a TwoLevel, &'a ListArena) {
+    #[inline]
+    fn list(self, k1: Id, k2: Id) -> &'a [Id] {
+        let (ix, arena) = self;
+        ix.get(&k1).and_then(|vector| vector.get(&k2)).map_or(&[], |&lid| arena.get(lid))
+    }
+
+    fn division(self, k1: Id) -> impl Iterator<Item = (Id, &'a [Id])> + 'a {
+        let (ix, arena) = self;
+        ix.get(&k1)
+            .into_iter()
+            .flat_map(move |vector| vector.iter().map(move |(k2, &lid)| (k2, arena.get(lid))))
+    }
+
+    fn scan(self) -> impl Iterator<Item = (Id, Id, &'a [Id])> + 'a {
+        let (ix, arena) = self;
+        ix.iter().flat_map(move |(k1, vector)| {
+            vector.iter().map(move |(k2, &lid)| (k1, k2, arena.get(lid)))
+        })
+    }
+}
+
+/// The mutable partial store: each kept ordering owns its lists.
+impl<'a> OrderingRead<'a> for &'a OrderingMap {
+    #[inline]
+    fn list(self, k1: Id, k2: Id) -> &'a [Id] {
+        self.get(&k1).and_then(|vector| vector.get(&k2)).map_or(&[], Vec::as_slice)
+    }
+
+    fn division(self, k1: Id) -> impl Iterator<Item = (Id, &'a [Id])> + 'a {
+        self.get(&k1)
+            .into_iter()
+            .flat_map(|vector| vector.iter().map(|(k2, list)| (k2, list.as_slice())))
+    }
+
+    fn scan(self) -> impl Iterator<Item = (Id, Id, &'a [Id])> + 'a {
+        self.iter()
+            .flat_map(|(k1, vector)| vector.iter().map(move |(k2, list)| (k1, k2, list.as_slice())))
+    }
+}
+
+/// A store that can hand out the [`OrderingRead`] of each ordering it
+/// keeps. Everything on the read side of [`TripleStore`] follows from
+/// these two methods and [`TripleStore::len`].
+pub trait OrderedStore: TripleStore {
+    /// The representation of one ordering.
+    type Ordering<'a>: OrderingRead<'a>
+    where
+        Self: 'a;
+
+    /// The orderings this store keeps; never empty.
+    fn kept(&self) -> IndexSet;
+
+    /// The ordering `kind`, which [`Self::kept`] must contain.
+    fn ordering(&self, kind: IndexKind) -> Self::Ordering<'_>;
+}
+
+/// One ordering's key permutation as a type: operations generic over it
+/// are monomorphized per ordering, so [`unproject`]'s match on the kind
+/// constant-folds away instead of running once per triple.
+trait KeyOrder: 'static {
+    const KIND: IndexKind;
+
+    #[inline(always)]
+    fn triple(k1: Id, k2: Id, item: Id) -> IdTriple {
+        unproject(Self::KIND, k1, k2, item)
+    }
+}
+
+/// Matches the runtime [`IndexKind`] once and evaluates `$body` with `$O`
+/// bound to that ordering's [`KeyOrder`] type.
+macro_rules! per_order {
+    ($kind:expr, $O:ident => $body:expr) => {
+        per_order!(@arms $kind, $O, $body, Spo Sop Pso Pos Osp Ops)
+    };
+    (@arms $kind:expr, $O:ident, $body:expr, $($name:ident)*) => {
+        match $kind {
+            $(IndexKind::$name => {
+                struct $O;
+                impl KeyOrder for $O {
+                    const KIND: IndexKind = IndexKind::$name;
+                }
+                $body
+            })*
+        }
+    };
+}
+
+/// Routes `$pat` on `$store`, matches the routed [`IndexKind`] once, and
+/// evaluates `$body` with `$O` bound to its [`KeyOrder`], `$ord` to the
+/// store's ordering and `$probe` to the probe. Inside an arm the kind is
+/// a constant, so the key projection and the store's ordering lookup fold
+/// away: a read pays one dispatch on the ordering and one on the probe.
+macro_rules! routed {
+    ($store:expr, $pat:expr, |$O:ident, $ord:ident, $probe:ident| $body:expr) => {{
+        let (kind, served) = resolve($pat.shape(), $store.kept());
+        per_order!(kind, $O => {
+            let $ord = $store.ordering($O::KIND);
+            let $probe = probe_in($O::KIND, $pat, served);
+            $body
+        })
+    }};
+}
+
+/// Membership test: one list probe in the first kept ordering. Kept a
+/// straight line — with the shape known the route folds to constants on a
+/// full store — because the overlay store asks this once per base triple
+/// it yields.
+#[inline]
+pub fn contains<S: OrderedStore>(store: &S, t: IdTriple) -> bool {
+    let Route { kind, probe: Probe::Member(k1, k2, item) } = route(IdPattern::spo(t), store.kept())
+    else {
+        unreachable!("a fully bound pattern routes to a membership probe")
+    };
+    sorted::contains(store.ordering(kind).list(k1, k2), &item)
+}
+
+/// What a read hands its matches to.
+trait Deliver<'a> {
+    type Out;
+    fn deliver(self, triples: impl Iterator<Item = IdTriple> + 'a) -> Self::Out;
+}
+
+/// Boxed up as a lazy cursor: the caller pulls.
+struct Lazy;
+
+impl<'a> Deliver<'a> for Lazy {
+    type Out = TripleIter<'a>;
+
+    fn deliver(self, triples: impl Iterator<Item = IdTriple> + 'a) -> TripleIter<'a> {
+        Box::new(triples)
+    }
+}
+
+/// Pushed through a visitor. Internal iteration runs the nested adaptors
+/// as plain nested loops: no boxing, and no dynamic dispatch per triple
+/// beyond the callback itself.
+impl<'a> Deliver<'a> for &mut dyn FnMut(IdTriple) {
+    type Out = ();
+
+    fn deliver(self, triples: impl Iterator<Item = IdTriple> + 'a) {
+        triples.for_each(self)
+    }
+}
+
+/// Every triple of an ordering, in its key order.
+fn scan_triples<'a, O: KeyOrder>(
+    ord: impl OrderingRead<'a>,
+) -> impl Iterator<Item = IdTriple> + 'a {
+    ord.scan().flat_map(|(k1, k2, list)| list.iter().map(move |&item| O::triple(k1, k2, item)))
+}
+
+/// The one enumeration of a probe's matches, in the ordering's key order.
+fn matches<'a, O: KeyOrder, D: Deliver<'a>>(
+    ord: impl OrderingRead<'a>,
+    probe: Probe,
+    pat: IdPattern,
+    to: D,
+) -> D::Out {
+    match probe {
+        Probe::Member(k1, k2, item) => {
+            let found = sorted::contains(ord.list(k1, k2), &item);
+            to.deliver(found.then(|| O::triple(k1, k2, item)).into_iter())
+        }
+        Probe::List(k1, k2) => {
+            to.deliver(ord.list(k1, k2).iter().map(move |&item| O::triple(k1, k2, item)))
+        }
+        Probe::Division(k1) => to.deliver(
+            ord.division(k1)
+                .flat_map(move |(k2, list)| list.iter().map(move |&item| O::triple(k1, k2, item))),
+        ),
+        Probe::Scan => to.deliver(scan_triples::<O>(ord)),
+        Probe::FilteredScan => to.deliver(scan_triples::<O>(ord).filter(move |&t| pat.matches(t))),
+    }
+}
+
+/// Visits every matching triple, in the routed ordering's key order.
+pub fn for_each<S: OrderedStore>(store: &S, pat: IdPattern, f: &mut dyn FnMut(IdTriple)) {
+    routed!(store, pat, |O, ord, probe| matches::<O, _>(ord, probe, pat, f))
+}
+
+/// Lazy cursor over the matching triples, in [`for_each`]'s order.
+pub fn iter<S: OrderedStore>(store: &S, pat: IdPattern) -> TripleIter<'_> {
+    routed!(store, pat, |O, ord, probe| matches::<O, _>(ord, probe, pat, Lazy))
+}
+
+/// Yields the `[start, start + len)` window of a concatenation of
+/// terminal lists without constructing the prefix: whole lists ahead of
+/// the window are skipped by length arithmetic alone, then at most one
+/// list is entered mid-way.
+fn window_lists<'a, O: KeyOrder>(
+    leaves: impl Iterator<Item = (Id, Id, &'a [Id])> + 'a,
+    start: usize,
+    len: usize,
+) -> TripleIter<'a> {
+    let mut skip = start;
+    Box::new(
+        leaves
+            .filter_map(move |(k1, k2, list)| {
+                if skip >= list.len() {
+                    skip -= list.len();
+                    None
+                } else {
+                    let from = std::mem::take(&mut skip);
+                    Some((k1, k2, &list[from..]))
+                }
+            })
+            .flat_map(|(k1, k2, list)| list.iter().map(move |&item| O::triple(k1, k2, item)))
+            .take(len),
+    )
+}
+
+/// The `[start, end)` sub-range of the [`iter`] cursor. Served shapes
+/// start by offset arithmetic — a list is sliced, a division or scan
+/// skips whole lists by length — so no triple ahead of `start` is ever
+/// constructed; only the filtered-scan fallback walks its prefix.
+pub fn iter_range<S: OrderedStore>(
+    store: &S,
+    pat: IdPattern,
+    start: usize,
+    end: usize,
+) -> TripleIter<'_> {
+    fn window<'a, O: KeyOrder>(
+        ord: impl OrderingRead<'a>,
+        probe: Probe,
+        pat: IdPattern,
+        start: usize,
+        len: usize,
+    ) -> TripleIter<'a> {
+        match probe {
+            Probe::List(k1, k2) => {
+                let list = ord.list(k1, k2);
+                let hi = start.saturating_add(len).min(list.len());
+                Box::new(list[start.min(hi)..hi].iter().map(move |&item| O::triple(k1, k2, item)))
+            }
+            Probe::Division(k1) => window_lists::<O>(
+                ord.division(k1).map(move |(k2, list)| (k1, k2, list)),
+                start,
+                len,
+            ),
+            Probe::Scan => window_lists::<O>(ord.scan(), start, len),
+            Probe::Member(..) | Probe::FilteredScan => {
+                Box::new(matches::<O, Lazy>(ord, probe, pat, Lazy).skip(start).take(len))
+            }
+        }
+    }
+    let len = end.saturating_sub(start);
+    if len == 0 {
+        return Box::new(std::iter::empty());
+    }
+    routed!(store, pat, |O, ord, probe| window::<O>(ord, probe, pat, start, len))
+}
+
+/// Number of matching triples. Served shapes count by list lengths — no
+/// triple is visited; only the filtered-scan fallback walks.
+pub fn count<S: OrderedStore>(store: &S, pat: IdPattern) -> usize {
+    routed!(store, pat, |O, ord, probe| match probe {
+        Probe::Member(k1, k2, item) => usize::from(sorted::contains(ord.list(k1, k2), &item)),
+        Probe::List(k1, k2) => ord.list(k1, k2).len(),
+        Probe::Division(k1) => ord.division(k1).map(|(_, list)| list.len()).sum(),
+        Probe::Scan => store.len(),
+        // The fallback walks anyway: keep its cursor out of line so the
+        // served arms stay a small function.
+        Probe::FilteredScan => iter(store, pat).count(),
+    })
+}
+
+/// Expands, inside an `impl TripleStore for` block of an [`OrderedStore`],
+/// to the read-side methods — `contains`, `for_each_matching`,
+/// `iter_matching`, `iter_matching_range`, `capabilities`,
+/// `count_matching`, `sorted_lists` — each forwarding to this module. The
+/// store writes only `name`, `len`, `insert`, `remove` and `heap_bytes`
+/// itself. ([`SortedListAccess`](crate::SortedListAccess) comes from a
+/// blanket impl over [`OrderedStore`].) The expansion names
+/// `::hex_dict::IdTriple`, so the invoking crate must depend on `hex_dict`.
+#[macro_export]
+macro_rules! forward_reads {
+    () => {
+        #[inline]
+        fn contains(&self, t: ::hex_dict::IdTriple) -> bool {
+            $crate::access::contains(self, t)
+        }
+
+        fn for_each_matching(
+            &self,
+            pat: $crate::IdPattern,
+            f: &mut dyn FnMut(::hex_dict::IdTriple),
+        ) {
+            $crate::access::for_each(self, pat, f)
+        }
+
+        fn iter_matching(&self, pat: $crate::IdPattern) -> $crate::TripleIter<'_> {
+            $crate::access::iter(self, pat)
+        }
+
+        fn iter_matching_range(
+            &self,
+            pat: $crate::IdPattern,
+            start: usize,
+            end: usize,
+        ) -> $crate::TripleIter<'_> {
+            $crate::access::iter_range(self, pat, start, end)
+        }
+
+        fn capabilities(&self) -> $crate::IndexSet {
+            $crate::access::OrderedStore::kept(self)
+        }
+
+        fn count_matching(&self, pat: $crate::IdPattern) -> usize {
+            $crate::access::count(self, pat)
+        }
+
+        fn sorted_lists(&self) -> Option<&dyn $crate::SortedListAccess> {
+            Some(self)
+        }
+    };
+}
+
+impl<S: OrderedStore> crate::traits::SortedListAccess for S {
+    /// The terminal list behind a two-constant pattern — the values of its
+    /// free position, exactly the [`iter`] cursor's projection — or `None`
+    /// for other shapes and when no kept ordering serves the pair.
+    fn sorted_list(&self, pat: IdPattern) -> Option<&[Id]> {
+        match route(pat, self.kept()) {
+            Route { kind, probe: Probe::List(k1, k2) } => Some(self.ordering(kind).list(k1, k2)),
+            _ => None,
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn set(kinds: &[IndexKind]) -> IndexSet {
+        kinds.iter().fold(IndexSet::EMPTY, |s, &k| s.with(k))
+    }
+
+    #[test]
+    fn full_set_routes_reproduce_the_canonical_table() {
+        let (s, p, o) = (Id(1), Id(2), Id(3));
+        let t = IdTriple::new(s, p, o);
+        let all = IndexSet::all();
+        use IndexKind::*;
+        for (pat, kind, probe) in [
+            (IdPattern::spo(t), Spo, Probe::Member(s, p, o)),
+            (IdPattern::sp(s, p), Spo, Probe::List(s, p)),
+            (IdPattern::so(s, o), Sop, Probe::List(s, o)),
+            (IdPattern::po(p, o), Pos, Probe::List(p, o)),
+            (IdPattern::s(s), Spo, Probe::Division(s)),
+            (IdPattern::p(p), Pso, Probe::Division(p)),
+            (IdPattern::o(o), Osp, Probe::Division(o)),
+            (IdPattern::ALL, Spo, Probe::Scan),
+        ] {
+            assert_eq!(route(pat, all), Route { kind, probe }, "{pat:?}");
+        }
+    }
+
+    #[test]
+    fn mirror_orderings_serve_with_swapped_keys_and_dropped_ones_fall_back() {
+        let (s, p, o) = (Id(1), Id(2), Id(3));
+        use IndexKind::*;
+        // pso reaches the (s, p) list with its keys swapped.
+        assert_eq!(
+            route(IdPattern::sp(s, p), set(&[Pso, Ops])),
+            Route { kind: Pso, probe: Probe::List(p, s) }
+        );
+        // Membership and the full scan use the first kept ordering.
+        assert_eq!(
+            route(IdPattern::spo(IdTriple::new(s, p, o)), set(&[Pos, Ops])),
+            Route { kind: Pos, probe: Probe::Member(p, o, s) }
+        );
+        assert_eq!(route(IdPattern::ALL, set(&[Osp])), Route { kind: Osp, probe: Probe::Scan });
+        // Neither sop nor osp kept: (s, ?, o) filters a scan of the first.
+        assert_eq!(serving_kind(Shape::So, set(&[Pso, Ops])), None);
+        assert_eq!(
+            route(IdPattern::so(s, o), set(&[Pso, Ops])),
+            Route { kind: Pso, probe: Probe::FilteredScan }
+        );
+    }
+
+    #[test]
+    fn project_and_unproject_are_inverse_for_every_ordering() {
+        let t = IdTriple::from((7, 8, 9));
+        for kind in IndexKind::ALL {
+            let (k1, k2, item) = project(kind, t);
+            assert_eq!(unproject(kind, k1, k2, item), t, "{kind:?}");
+        }
+    }
+
+    #[test]
+    fn slab_views_clamp_corrupt_spans_instead_of_panicking() {
+        let keys = [Id(1), Id(2)];
+        // Header 1's span runs past the leaf columns; header 2's starts
+        // beyond them and its length overflows.
+        let spans = [Span { off: 0, len: 9 }, Span { off: u32::MAX, len: u32::MAX }];
+        let k2 = [Id(5), Id(6)];
+        let lists = [0, 7]; // list 7 does not exist
+        let ix = IndexView { keys: &keys, spans: &spans, k2: &k2, lists: &lists };
+        let items = [Id(10), Id(11)];
+        let arena_spans = [Span { off: 1, len: 40 }];
+        let arena = ArenaView { spans: &arena_spans, items: &items };
+        let ord: SlabOrdering<'_> = (ix, arena);
+        assert_eq!(ord.list(Id(1), Id(5)), &[Id(11)], "list span clamped to the column");
+        assert_eq!(ord.list(Id(1), Id(6)), &[] as &[Id], "dangling list index reads empty");
+        assert_eq!(ord.list(Id(2), Id(5)), &[] as &[Id]);
+        assert_eq!(ord.division(Id(1)).count(), 2);
+        assert_eq!(ord.division(Id(2)).count(), 0);
+        assert_eq!(ord.scan().count(), 2);
+    }
+}

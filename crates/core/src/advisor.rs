@@ -114,6 +114,16 @@ impl IndexSet {
         self.0 & other.0 != 0
     }
 
+    /// The orderings both sets contain.
+    pub fn intersection(self, other: IndexSet) -> IndexSet {
+        IndexSet(self.0 & other.0)
+    }
+
+    /// The first member in canonical ([`IndexKind::ALL`]) order.
+    pub fn first(self) -> Option<IndexKind> {
+        IndexKind::ALL.get(self.0.trailing_zeros() as usize).copied()
+    }
+
     /// True if some member ordering answers the access shape with a single
     /// probe (see [`serving_indices`]) — the planner-side servability test.
     pub fn serves(self, shape: Shape) -> bool {
@@ -287,6 +297,13 @@ mod tests {
         assert_eq!(names, vec!["spo", "pos"]);
         assert!(s.intersects(IndexSet::EMPTY.with(IndexKind::Spo)));
         assert!(!s.intersects(IndexSet::EMPTY.with(IndexKind::Ops)));
+        assert_eq!(s.intersection(IndexSet::all()), s);
+        assert_eq!(s.first(), Some(IndexKind::Spo));
+        assert_eq!(
+            s.intersection(IndexSet::EMPTY.with(IndexKind::Pos)).first(),
+            Some(IndexKind::Pos)
+        );
+        assert_eq!(IndexSet::EMPTY.first(), None);
         assert!(s.serves(Shape::Po), "pos serves (?, p, o)");
         assert!(s.serves(Shape::Sp), "spo serves (s, p, ?)");
         assert!(!s.serves(Shape::O), "neither osp nor ops kept");

@@ -170,8 +170,8 @@ pub fn decode_arena(
     FlatArena::from_raw_parts(items, spans)
 }
 
-/// FNV-1a over a byte slice — the checksum sealing compressed snapshot
-/// payloads (and, independently, WAL records). A flipped payload byte
+/// 32-bit FNV-1a over a byte slice — the one checksum of the on-disk
+/// formats: it seals compressed snapshot payloads and every WAL record. A flipped payload byte
 /// must be *detected*, not decoded into a different-but-valid slab:
 /// varint streams are dense enough that many single-byte corruptions
 /// still parse, so structural validation alone cannot catch them.

@@ -22,14 +22,14 @@
 //! stores, which is what makes "open a snapshot into a query-ready
 //! store" a column read instead of a six-index rebuild.
 
+use crate::access::{serving_kind, IndexView, OrderedStore, OrderingRead, SlabOrdering};
 use crate::advisor::{IndexKind, IndexSet};
 use crate::arena::ListArena;
-use crate::partial::{project, unproject, PartialHexastore};
-use crate::pattern::{IdPattern, Shape};
+use crate::partial::PartialHexastore;
+use crate::pattern::Shape;
 use crate::slab::{FlatArena, FlatVecMap, Span};
-use crate::sorted;
 use crate::store::{Hexastore, SpaceStats, TwoLevel};
-use crate::traits::{SortedListAccess, TripleIter, TripleStore};
+use crate::traits::TripleStore;
 use crate::vecmap::VecMap;
 use hex_dict::{Id, IdTriple};
 use std::sync::Arc;
@@ -71,26 +71,14 @@ impl FrozenIndex {
         self.k1.push_sorted(k1, Span { off: start, len });
     }
 
-    /// The terminal-list index of `(k1, k2)`, by two binary searches.
-    fn list_idx(&self, k1: Id, k2: Id) -> Option<u32> {
-        let span = *self.k1.get(&k1)?;
-        let keys = &self.k2[span.range()];
-        keys.binary_search(&k2).ok().map(|i| self.lists[span.off as usize + i])
-    }
-
-    /// The `(k2, list)` leaves of header `k1`, in sorted `k2` order.
-    fn division(&self, k1: Id) -> impl Iterator<Item = (Id, u32)> + '_ {
-        self.k1
-            .get(&k1)
-            .into_iter()
-            .flat_map(move |span| span.range().map(move |i| (self.k2[i], self.lists[i])))
-    }
-
-    /// Every `(k1, k2, list)` entry, in `(k1, k2)` order.
-    fn scan(&self) -> impl Iterator<Item = (Id, Id, u32)> + '_ {
-        self.k1
-            .iter()
-            .flat_map(move |(k1, span)| span.range().map(move |i| (k1, self.k2[i], self.lists[i])))
+    /// The columns as the borrowed view the shared read path walks.
+    pub(crate) fn view(&self) -> IndexView<'_> {
+        IndexView {
+            keys: self.k1.keys(),
+            spans: self.k1.values(),
+            k2: &self.k2,
+            lists: &self.lists,
+        }
     }
 
     fn header_count(&self) -> usize {
@@ -219,20 +207,7 @@ impl FrozenHexastore {
         let (spo, pso, o_lists) = spo_pair;
         let (sop, osp, p_lists) = sop_pair;
         let (pos, ops, s_lists) = pos_pair;
-        FrozenHexastore {
-            inner: Arc::new(FrozenInner {
-                spo,
-                sop,
-                pso,
-                pos,
-                osp,
-                ops,
-                o_lists,
-                p_lists,
-                s_lists,
-                len,
-            }),
-        }
+        Self::from_raw_parts([spo, sop, pso, pos, osp, ops], [o_lists, p_lists, s_lists], len)
     }
 
     /// The six orderings in canonical order (spo, sop, pso, pos, osp,
@@ -277,31 +252,19 @@ impl FrozenHexastore {
         }
     }
 
-    fn list<'a>(&self, ix: &'a FrozenIndex, arena: &'a FlatArena, k1: Id, k2: Id) -> &'a [Id] {
-        ix.list_idx(k1, k2).map_or(&[], |l| arena.get(l))
-    }
-
-    fn division<'a>(
-        ix: &'a FrozenIndex,
-        arena: &'a FlatArena,
-        k1: Id,
-    ) -> impl Iterator<Item = (Id, &'a [Id])> + 'a {
-        ix.division(k1).map(move |(k2, l)| (k2, arena.get(l)))
-    }
-
     /// Sorted objects o with (s, p, o) stored — the spo/pso shared list.
     pub fn objects_for(&self, s: Id, p: Id) -> &[Id] {
-        self.list(&self.inner.spo, &self.inner.o_lists, s, p)
+        self.ordering(IndexKind::Spo).list(s, p)
     }
 
     /// Sorted properties p with (s, p, o) stored — the sop/osp shared list.
     pub fn properties_for(&self, s: Id, o: Id) -> &[Id] {
-        self.list(&self.inner.sop, &self.inner.p_lists, s, o)
+        self.ordering(IndexKind::Sop).list(s, o)
     }
 
     /// Sorted subjects s with (s, p, o) stored — the pos/ops shared list.
     pub fn subjects_for(&self, p: Id, o: Id) -> &[Id] {
-        self.list(&self.inner.pos, &self.inner.s_lists, p, o)
+        self.ordering(IndexKind::Pos).list(p, o)
     }
 
     /// Sorted iterator over all distinct subjects.
@@ -464,32 +427,26 @@ fn thaw_pair(
     (primary, mirror, arena)
 }
 
-/// Yields the `[start, start + len)` window of a concatenation of
-/// terminal lists without constructing the prefix: whole lists ahead of
-/// the window are skipped by length arithmetic alone, then at most one
-/// list is entered mid-way.
-fn window_lists<'a, K, I, F>(groups: I, make: F, start: usize, len: usize) -> TripleIter<'a>
-where
-    K: Copy + 'a,
-    I: Iterator<Item = (K, &'a [Id])> + 'a,
-    F: Fn(K, Id) -> IdTriple + Copy + 'a,
-{
-    let mut skip = start;
-    Box::new(
-        groups
-            .filter_map(move |(k, items)| {
-                if skip >= items.len() {
-                    skip -= items.len();
-                    None
-                } else {
-                    let from = skip;
-                    skip = 0;
-                    Some((k, &items[from..]))
-                }
-            })
-            .flat_map(move |(k, items)| items.iter().map(move |&item| make(k, item)))
-            .take(len),
-    )
+/// All six orderings, paired orderings handing out the same arena.
+impl OrderedStore for FrozenHexastore {
+    type Ordering<'a> = SlabOrdering<'a>;
+
+    fn kept(&self) -> IndexSet {
+        IndexSet::all()
+    }
+
+    fn ordering(&self, kind: IndexKind) -> SlabOrdering<'_> {
+        let f = &*self.inner;
+        let (ix, arena) = match kind {
+            IndexKind::Spo => (&f.spo, &f.o_lists),
+            IndexKind::Sop => (&f.sop, &f.p_lists),
+            IndexKind::Pso => (&f.pso, &f.o_lists),
+            IndexKind::Pos => (&f.pos, &f.s_lists),
+            IndexKind::Osp => (&f.osp, &f.p_lists),
+            IndexKind::Ops => (&f.ops, &f.s_lists),
+        };
+        (ix.view(), arena.view())
+    }
 }
 
 impl TripleStore for FrozenHexastore {
@@ -517,243 +474,12 @@ impl TripleStore for FrozenHexastore {
         panic!("FrozenHexastore is read-only: thaw() to a mutable Hexastore first")
     }
 
-    fn contains(&self, t: IdTriple) -> bool {
-        sorted::contains(self.objects_for(t.s, t.p), &t.o)
-    }
-
-    fn for_each_matching(&self, pat: IdPattern, f: &mut dyn FnMut(IdTriple)) {
-        // Direct loops mirroring the mutable store's dispatch — the
-        // visitor path must not pay the cursor's boxing and per-triple
-        // dynamic dispatch on the store built for fast reads.
-        match pat.shape() {
-            Shape::Spo => {
-                let t = IdTriple::new(pat.s.unwrap(), pat.p.unwrap(), pat.o.unwrap());
-                if self.contains(t) {
-                    f(t);
-                }
-            }
-            Shape::Sp => {
-                let (s, p) = (pat.s.unwrap(), pat.p.unwrap());
-                for &o in self.objects_for(s, p) {
-                    f(IdTriple::new(s, p, o));
-                }
-            }
-            Shape::So => {
-                let (s, o) = (pat.s.unwrap(), pat.o.unwrap());
-                for &p in self.properties_for(s, o) {
-                    f(IdTriple::new(s, p, o));
-                }
-            }
-            Shape::Po => {
-                let (p, o) = (pat.p.unwrap(), pat.o.unwrap());
-                for &s in self.subjects_for(p, o) {
-                    f(IdTriple::new(s, p, o));
-                }
-            }
-            Shape::S => {
-                let s = pat.s.unwrap();
-                for (p, objs) in Self::division(&self.inner.spo, &self.inner.o_lists, s) {
-                    for &o in objs {
-                        f(IdTriple::new(s, p, o));
-                    }
-                }
-            }
-            Shape::P => {
-                let p = pat.p.unwrap();
-                for (s, objs) in Self::division(&self.inner.pso, &self.inner.o_lists, p) {
-                    for &o in objs {
-                        f(IdTriple::new(s, p, o));
-                    }
-                }
-            }
-            Shape::O => {
-                let o = pat.o.unwrap();
-                for (s, props) in Self::division(&self.inner.osp, &self.inner.p_lists, o) {
-                    for &p in props {
-                        f(IdTriple::new(s, p, o));
-                    }
-                }
-            }
-            Shape::None_ => {
-                for (s, p, l) in self.inner.spo.scan() {
-                    for &o in self.inner.o_lists.get(l) {
-                        f(IdTriple::new(s, p, o));
-                    }
-                }
-            }
-        }
-    }
-
-    fn iter_matching(&self, pat: IdPattern) -> TripleIter<'_> {
-        match pat.shape() {
-            Shape::Spo => {
-                let t = IdTriple::new(pat.s.unwrap(), pat.p.unwrap(), pat.o.unwrap());
-                Box::new(self.contains(t).then_some(t).into_iter())
-            }
-            Shape::Sp => {
-                let (s, p) = (pat.s.unwrap(), pat.p.unwrap());
-                Box::new(self.objects_for(s, p).iter().map(move |&o| IdTriple::new(s, p, o)))
-            }
-            Shape::So => {
-                let (s, o) = (pat.s.unwrap(), pat.o.unwrap());
-                Box::new(self.properties_for(s, o).iter().map(move |&p| IdTriple::new(s, p, o)))
-            }
-            Shape::Po => {
-                let (p, o) = (pat.p.unwrap(), pat.o.unwrap());
-                Box::new(self.subjects_for(p, o).iter().map(move |&s| IdTriple::new(s, p, o)))
-            }
-            Shape::S => {
-                let s = pat.s.unwrap();
-                Box::new(
-                    Self::division(&self.inner.spo, &self.inner.o_lists, s).flat_map(
-                        move |(p, objs)| objs.iter().map(move |&o| IdTriple::new(s, p, o)),
-                    ),
-                )
-            }
-            Shape::P => {
-                let p = pat.p.unwrap();
-                Box::new(
-                    Self::division(&self.inner.pso, &self.inner.o_lists, p).flat_map(
-                        move |(s, objs)| objs.iter().map(move |&o| IdTriple::new(s, p, o)),
-                    ),
-                )
-            }
-            Shape::O => {
-                let o = pat.o.unwrap();
-                Box::new(
-                    Self::division(&self.inner.osp, &self.inner.p_lists, o).flat_map(
-                        move |(s, props)| props.iter().map(move |&p| IdTriple::new(s, p, o)),
-                    ),
-                )
-            }
-            Shape::None_ => Box::new(self.inner.spo.scan().flat_map(move |(s, p, l)| {
-                self.inner.o_lists.get(l).iter().map(move |&o| IdTriple::new(s, p, o))
-            })),
-        }
-    }
-
-    /// The flat layout makes a range start an offset computation: bound
-    /// shapes slice their terminal list directly, and division/scan
-    /// shapes skip whole lists by length arithmetic before yielding a
-    /// single partial slice — no triple ahead of `start` is ever
-    /// constructed.
-    fn iter_matching_range(&self, pat: IdPattern, start: usize, end: usize) -> TripleIter<'_> {
-        let len = end.saturating_sub(start);
-        if len == 0 {
-            return Box::new(std::iter::empty());
-        }
-        fn slice(items: &[Id], start: usize, end: usize) -> &[Id] {
-            let hi = end.min(items.len());
-            &items[start.min(hi)..hi]
-        }
-        match pat.shape() {
-            Shape::Spo => Box::new(self.iter_matching(pat).skip(start).take(len)),
-            Shape::Sp => {
-                let (s, p) = (pat.s.unwrap(), pat.p.unwrap());
-                Box::new(
-                    slice(self.objects_for(s, p), start, end)
-                        .iter()
-                        .map(move |&o| IdTriple::new(s, p, o)),
-                )
-            }
-            Shape::So => {
-                let (s, o) = (pat.s.unwrap(), pat.o.unwrap());
-                Box::new(
-                    slice(self.properties_for(s, o), start, end)
-                        .iter()
-                        .map(move |&p| IdTriple::new(s, p, o)),
-                )
-            }
-            Shape::Po => {
-                let (p, o) = (pat.p.unwrap(), pat.o.unwrap());
-                Box::new(
-                    slice(self.subjects_for(p, o), start, end)
-                        .iter()
-                        .map(move |&s| IdTriple::new(s, p, o)),
-                )
-            }
-            Shape::S => {
-                let s = pat.s.unwrap();
-                window_lists(
-                    Self::division(&self.inner.spo, &self.inner.o_lists, s),
-                    move |p, o| IdTriple::new(s, p, o),
-                    start,
-                    len,
-                )
-            }
-            Shape::P => {
-                let p = pat.p.unwrap();
-                window_lists(
-                    Self::division(&self.inner.pso, &self.inner.o_lists, p),
-                    move |s, o| IdTriple::new(s, p, o),
-                    start,
-                    len,
-                )
-            }
-            Shape::O => {
-                let o = pat.o.unwrap();
-                window_lists(
-                    Self::division(&self.inner.osp, &self.inner.p_lists, o),
-                    move |s, p| IdTriple::new(s, p, o),
-                    start,
-                    len,
-                )
-            }
-            Shape::None_ => window_lists(
-                self.inner.spo.scan().map(|(s, p, l)| ((s, p), self.inner.o_lists.get(l))),
-                move |(s, p), o| IdTriple::new(s, p, o),
-                start,
-                len,
-            ),
-        }
-    }
-
-    fn capabilities(&self) -> IndexSet {
-        IndexSet::all()
-    }
-
-    fn count_matching(&self, pat: IdPattern) -> usize {
-        match pat.shape() {
-            Shape::Spo => usize::from(self.contains(IdTriple::new(
-                pat.s.unwrap(),
-                pat.p.unwrap(),
-                pat.o.unwrap(),
-            ))),
-            Shape::Sp => self.objects_for(pat.s.unwrap(), pat.p.unwrap()).len(),
-            Shape::So => self.properties_for(pat.s.unwrap(), pat.o.unwrap()).len(),
-            Shape::Po => self.subjects_for(pat.p.unwrap(), pat.o.unwrap()).len(),
-            Shape::S => Self::division(&self.inner.spo, &self.inner.o_lists, pat.s.unwrap())
-                .map(|(_, l)| l.len())
-                .sum(),
-            Shape::P => Self::division(&self.inner.pso, &self.inner.o_lists, pat.p.unwrap())
-                .map(|(_, l)| l.len())
-                .sum(),
-            Shape::O => Self::division(&self.inner.osp, &self.inner.p_lists, pat.o.unwrap())
-                .map(|(_, l)| l.len())
-                .sum(),
-            Shape::None_ => self.inner.len,
-        }
-    }
-
     fn heap_bytes(&self) -> usize {
         self.orderings().iter().map(|ix| ix.heap_bytes()).sum::<usize>()
             + self.arenas().iter().map(|a| a.heap_bytes()).sum::<usize>()
     }
 
-    fn sorted_lists(&self) -> Option<&dyn SortedListAccess> {
-        Some(self)
-    }
-}
-
-impl SortedListAccess for FrozenHexastore {
-    fn sorted_list(&self, pat: IdPattern) -> Option<&[Id]> {
-        match pat.shape() {
-            Shape::Sp => Some(self.objects_for(pat.s.unwrap(), pat.p.unwrap())),
-            Shape::So => Some(self.properties_for(pat.s.unwrap(), pat.o.unwrap())),
-            Shape::Po => Some(self.subjects_for(pat.p.unwrap(), pat.o.unwrap())),
-            _ => None,
-        }
-    }
+    crate::forward_reads!();
 }
 
 /// The frozen form of a [`PartialHexastore`]: only the kept orderings,
@@ -807,7 +533,7 @@ impl FrozenPartialHexastore {
     /// Whether the shape is answered by a direct probe (vs a fallback
     /// scan-and-filter).
     pub fn serves_directly(&self, shape: Shape) -> bool {
-        crate::advisor::serving_indices(shape).intersects(self.keep)
+        serving_kind(shape, self.keep).is_some()
     }
 
     /// Converts back into a mutable [`PartialHexastore`] (loss-free).
@@ -829,27 +555,20 @@ impl FrozenPartialHexastore {
             .collect();
         PartialHexastore::from_raw_parts(self.keep, indices, self.len)
     }
+}
 
-    /// The first kept ordering able to serve `shape` directly.
-    fn server_for(&self, shape: Shape) -> Option<&(IndexKind, FrozenIndex, FlatArena)> {
-        crate::advisor::serving_indices(shape)
-            .iter()
-            .find(|k| self.keep.contains(*k))
-            .and_then(|k| self.orderings.iter().find(|(kind, _, _)| *kind == k))
+/// Only the kept orderings, each with its own arena.
+impl OrderedStore for FrozenPartialHexastore {
+    type Ordering<'a> = SlabOrdering<'a>;
+
+    fn kept(&self) -> IndexSet {
+        self.keep
     }
 
-    fn any_ordering(&self) -> &(IndexKind, FrozenIndex, FlatArena) {
-        &self.orderings[0]
-    }
-
-    fn scan_ordering<'a>(
-        kind: IndexKind,
-        ix: &'a FrozenIndex,
-        arena: &'a FlatArena,
-    ) -> impl Iterator<Item = IdTriple> + 'a {
-        ix.scan().flat_map(move |(k1, k2, l)| {
-            arena.get(l).iter().map(move |&item| unproject(kind, k1, k2, item))
-        })
+    fn ordering(&self, kind: IndexKind) -> SlabOrdering<'_> {
+        let (_, ix, arena) =
+            self.orderings.iter().find(|(k, _, _)| *k == kind).expect("routed to a kept ordering");
+        (ix.view(), arena.view())
     }
 }
 
@@ -878,100 +597,17 @@ impl TripleStore for FrozenPartialHexastore {
         panic!("FrozenPartialHexastore is read-only: thaw() first")
     }
 
-    fn contains(&self, t: IdTriple) -> bool {
-        let (kind, ix, arena) = self.any_ordering();
-        let (k1, k2, item) = project(*kind, t);
-        sorted::contains(ix.list_idx(k1, k2).map_or(&[], |l| arena.get(l)), &item)
-    }
-
-    fn for_each_matching(&self, pat: IdPattern, f: &mut dyn FnMut(IdTriple)) {
-        // The reduced-index store keeps the single cursor implementation;
-        // its access paths are already indirect (ordering lookup +
-        // project/unproject), so a dedicated visitor buys little here.
-        for t in self.iter_matching(pat) {
-            f(t);
-        }
-    }
-
-    fn iter_matching(&self, pat: IdPattern) -> TripleIter<'_> {
-        let shape = pat.shape();
-        match shape {
-            Shape::Spo => {
-                let t = IdTriple::new(pat.s.unwrap(), pat.p.unwrap(), pat.o.unwrap());
-                Box::new(self.contains(t).then_some(t).into_iter())
-            }
-            Shape::None_ => {
-                let (kind, ix, arena) = self.any_ordering();
-                Box::new(Self::scan_ordering(*kind, ix, arena))
-            }
-            _ => match self.server_for(shape) {
-                Some((kind, ix, arena)) => {
-                    let kind = *kind;
-                    let probe = IdTriple::new(
-                        pat.s.unwrap_or(Id(0)),
-                        pat.p.unwrap_or(Id(0)),
-                        pat.o.unwrap_or(Id(0)),
-                    );
-                    let (k1, k2, _) = project(kind, probe);
-                    match shape {
-                        // Two bound positions: a terminal-list probe.
-                        Shape::Sp | Shape::So | Shape::Po => Box::new(
-                            ix.list_idx(k1, k2)
-                                .map_or(&[][..], |l| arena.get(l))
-                                .iter()
-                                .map(move |&item| unproject(kind, k1, k2, item)),
-                        ),
-                        // One bound position: a division walk.
-                        Shape::S | Shape::P | Shape::O => {
-                            Box::new(ix.division(k1).flat_map(move |(k2, l)| {
-                                arena.get(l).iter().map(move |&item| unproject(kind, k1, k2, item))
-                            }))
-                        }
-                        Shape::Spo | Shape::None_ => unreachable!("handled above"),
-                    }
-                }
-                None => {
-                    // Degraded path: lazily filter a full scan.
-                    let (kind, ix, arena) = self.any_ordering();
-                    Box::new(Self::scan_ordering(*kind, ix, arena).filter(move |&t| pat.matches(t)))
-                }
-            },
-        }
-    }
-
-    fn capabilities(&self) -> IndexSet {
-        self.keep
-    }
-
     fn heap_bytes(&self) -> usize {
         self.orderings.iter().map(|(_, ix, arena)| ix.heap_bytes() + arena.heap_bytes()).sum()
     }
 
-    fn sorted_lists(&self) -> Option<&dyn SortedListAccess> {
-        Some(self)
-    }
-}
-
-impl SortedListAccess for FrozenPartialHexastore {
-    fn sorted_list(&self, pat: IdPattern) -> Option<&[Id]> {
-        let shape = pat.shape();
-        if !matches!(shape, Shape::Sp | Shape::So | Shape::Po) {
-            return None;
-        }
-        // Any kept serving ordering works: a two-bound probe's terminal
-        // list holds the unbound position's values, sorted, whichever of
-        // the shape's serving orderings materialized it.
-        let (kind, ix, arena) = self.server_for(shape)?;
-        let probe =
-            IdTriple::new(pat.s.unwrap_or(Id(0)), pat.p.unwrap_or(Id(0)), pat.o.unwrap_or(Id(0)));
-        let (k1, k2, _) = project(*kind, probe);
-        Some(ix.list_idx(k1, k2).map_or(&[][..], |l| arena.get(l)))
-    }
+    crate::forward_reads!();
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::pattern::IdPattern;
 
     fn t(s: u32, p: u32, o: u32) -> IdTriple {
         IdTriple::from((s, p, o))
@@ -1033,8 +669,8 @@ mod tests {
         // (s=1, p=2) reachable via spo and pso is the same column window.
         let frozen = Hexastore::from_triples(sample()).freeze();
         let via_spo = frozen.objects_for(Id(1), Id(2));
-        let via_pso = frozen.inner.spo.list_idx(Id(1), Id(2)).unwrap();
-        let mirror = frozen.inner.pso.list_idx(Id(2), Id(1)).unwrap();
+        let via_pso = frozen.inner.spo.view().list_idx(Id(1), Id(2)).unwrap();
+        let mirror = frozen.inner.pso.view().list_idx(Id(2), Id(1)).unwrap();
         assert_eq!(via_spo, &[Id(3), Id(4)]);
         assert_eq!(via_pso, mirror, "pair orderings must reference one list");
         // Total items per pair equals the triple count, not double.

@@ -50,6 +50,7 @@
 //! | [`bulk`] | sort-based bulk loader, serial or parallel ([`bulk::Config`]) |
 //! | [`graph`] | [`Dataset`]: any store + dictionary, string-level API |
 //! | [`pattern`] | [`IdPattern`]: the eight access shapes |
+//! | [`access`] | the one read path: shape → ordering route, slab views, every read operation |
 //! | [`traits`] | [`TripleStore`]: the interface shared with the baselines |
 //! | [`compress`] | varint-delta codec for sorted id runs (compressed snapshots) |
 //! | [`hexsnap`] | the `hexsnap` binary on-disk snapshot format |
@@ -60,6 +61,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+pub mod access;
 pub mod advisor;
 pub mod arena;
 pub mod bulk;

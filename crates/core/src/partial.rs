@@ -5,7 +5,7 @@
 //! needs; [`PartialHexastore`] actually maintains only those, trading the
 //! any-pattern-one-probe guarantee for proportionally less memory. Every
 //! pattern still gets answered: shapes without a serving index fall back
-//! to filtering a scan of the best available ordering (exactly the
+//! to filtering a scan of the first kept ordering (exactly the
 //! degradation the paper predicts for reduced-index stores).
 //!
 //! Unlike the full [`crate::Hexastore`], kept orderings own their terminal
@@ -13,8 +13,9 @@
 //! a partial store with e.g. `{spo, pos, osp}` keeps three unshared
 //! indices.
 
+use crate::access::{project, serving_kind, OrderedStore};
 use crate::advisor::{IndexKind, IndexSet};
-use crate::pattern::{IdPattern, Shape};
+use crate::pattern::Shape;
 use crate::sorted;
 use crate::traits::TripleStore;
 use crate::vecmap::VecMap;
@@ -49,20 +50,6 @@ impl OwnedIndex {
             }
         }
         true
-    }
-
-    fn items(&self, k1: Id, k2: Id) -> &[Id] {
-        self.map.get(&k1).and_then(|m| m.get(&k2)).map_or(&[], Vec::as_slice)
-    }
-
-    fn division(&self, k1: Id) -> impl Iterator<Item = (Id, &[Id])> + '_ {
-        self.map.get(&k1).into_iter().flat_map(|m| m.iter().map(|(k2, list)| (k2, list.as_slice())))
-    }
-
-    fn scan(&self) -> impl Iterator<Item = (Id, Id, Id)> + '_ {
-        self.map.iter().flat_map(|(k1, inner)| {
-            inner.iter().flat_map(move |(k2, list)| list.iter().map(move |&item| (k1, k2, item)))
-        })
     }
 
     fn heap_bytes(&self) -> usize {
@@ -104,32 +91,15 @@ impl OwnedIndex {
     }
 }
 
-/// Projects a triple into an ordering's `(k1, k2, item)` key order.
-/// Shared with the frozen partial store, which probes the same way.
-pub(crate) fn project(kind: IndexKind, t: IdTriple) -> (Id, Id, Id) {
-    match kind {
-        IndexKind::Spo => (t.s, t.p, t.o),
-        IndexKind::Sop => (t.s, t.o, t.p),
-        IndexKind::Pso => (t.p, t.s, t.o),
-        IndexKind::Pos => (t.p, t.o, t.s),
-        IndexKind::Osp => (t.o, t.s, t.p),
-        IndexKind::Ops => (t.o, t.p, t.s),
-    }
-}
-
-/// Reassembles a triple from an ordering's `(k1, k2, item)`.
-pub(crate) fn unproject(kind: IndexKind, k1: Id, k2: Id, item: Id) -> IdTriple {
-    match kind {
-        IndexKind::Spo => IdTriple::new(k1, k2, item),
-        IndexKind::Sop => IdTriple::new(k1, item, k2),
-        IndexKind::Pso => IdTriple::new(k2, k1, item),
-        IndexKind::Pos => IdTriple::new(item, k1, k2),
-        IndexKind::Osp => IdTriple::new(k2, item, k1),
-        IndexKind::Ops => IdTriple::new(item, k2, k1),
-    }
-}
-
 /// A triple store maintaining only a chosen subset of the six orderings.
+///
+/// A shape served by a kept ordering is answered exactly as on the full
+/// store: [`TripleStore::count_matching`] adds list lengths and
+/// [`TripleStore::iter_matching_range`] starts by offset arithmetic,
+/// neither visiting a triple outside its answer. A shape whose serving
+/// orderings were all dropped ([`Self::serves_directly`] is `false`)
+/// filters a scan of the first kept ordering — for its cursor, its count
+/// and its range start alike.
 ///
 /// ```
 /// use hexastore::advisor::{recommend, WorkloadProfile};
@@ -184,50 +154,36 @@ impl PartialHexastore {
         let len = triples.len();
         let presize = config.presize;
         let kinds: Vec<IndexKind> = keep.iter().collect();
-        let indices: Vec<(IndexKind, OwnedIndex)> = if threads <= 1 || kinds.len() == 1 {
-            // Serial path: reuse one scratch buffer across the non-spo
-            // orderings instead of copying the batch per index.
+        // Builds a run of orderings one after another, reusing one scratch
+        // buffer across the non-spo ones instead of copying the batch per
+        // index.
+        let build_run = |shared: &[IdTriple], run_kinds: &[IndexKind]| {
             let mut scratch: Option<Vec<IdTriple>> = None;
-            kinds
+            run_kinds
                 .iter()
                 .map(|&kind| {
                     if kind == IndexKind::Spo {
                         // The shared run is already in spo order.
-                        (kind, OwnedIndex::build_from_run(&triples, kind, presize))
+                        (kind, OwnedIndex::build_from_run(shared, kind, presize))
                     } else {
-                        let run = scratch.get_or_insert_with(|| triples.clone());
+                        let run = scratch.get_or_insert_with(|| shared.to_vec());
                         run.sort_unstable_by_key(|t| project(kind, *t));
                         (kind, OwnedIndex::build_from_run(run, kind, presize))
                     }
                 })
-                .collect()
+                .collect::<Vec<_>>()
+        };
+        let indices: Vec<(IndexKind, OwnedIndex)> = if threads <= 1 || kinds.len() == 1 {
+            build_run(&triples, &kinds)
         } else {
             // At most `threads` workers, each building a contiguous chunk
-            // of the kept orderings sequentially with one reused scratch
-            // buffer — bounding both concurrency and the number of live
-            // batch copies at the configured budget.
+            // of the kept orderings — bounding both concurrency and the
+            // number of live batch copies at the configured budget.
             let chunk = kinds.len().div_ceil(threads.min(kinds.len()));
             std::thread::scope(|s| {
                 let tasks: Vec<_> = kinds
                     .chunks(chunk)
-                    .map(|chunk_kinds| {
-                        let shared = &triples;
-                        s.spawn(move || {
-                            let mut scratch: Option<Vec<IdTriple>> = None;
-                            chunk_kinds
-                                .iter()
-                                .map(|&kind| {
-                                    if kind == IndexKind::Spo {
-                                        (kind, OwnedIndex::build_from_run(shared, kind, presize))
-                                    } else {
-                                        let run = scratch.get_or_insert_with(|| shared.clone());
-                                        run.sort_unstable_by_key(|t| project(kind, *t));
-                                        (kind, OwnedIndex::build_from_run(run, kind, presize))
-                                    }
-                                })
-                                .collect::<Vec<_>>()
-                        })
-                    })
+                    .map(|chunk_kinds| s.spawn(|| build_run(&triples, chunk_kinds)))
                     .collect();
                 tasks
                     .into_iter()
@@ -246,24 +202,7 @@ impl PartialHexastore {
     /// Whether the shape is answered by a direct probe (vs a fallback
     /// scan-and-filter).
     pub fn serves_directly(&self, shape: Shape) -> bool {
-        crate::advisor::serving_indices(shape).intersects(self.keep)
-    }
-
-    fn index(&self, kind: IndexKind) -> Option<&OwnedIndex> {
-        self.indices.iter().find(|(k, _)| *k == kind).map(|(_, ix)| ix)
-    }
-
-    /// The first kept index able to serve `shape` directly.
-    fn server_for(&self, shape: Shape) -> Option<(IndexKind, &OwnedIndex)> {
-        crate::advisor::serving_indices(shape)
-            .iter()
-            .find(|k| self.keep.contains(*k))
-            .and_then(|k| self.index(k).map(|ix| (k, ix)))
-    }
-
-    fn any_index(&self) -> (IndexKind, &OwnedIndex) {
-        let (k, ix) = &self.indices[0];
-        (*k, ix)
+        serving_kind(shape, self.keep).is_some()
     }
 
     /// The kept orderings and their three-level maps, in kept order — the
@@ -281,6 +220,21 @@ impl PartialHexastore {
     ) -> Self {
         let indices = indices.into_iter().map(|(kind, map)| (kind, OwnedIndex { map })).collect();
         PartialHexastore { keep, indices, len }
+    }
+}
+
+/// Only the kept orderings, each owning its lists.
+impl OrderedStore for PartialHexastore {
+    type Ordering<'a> = &'a OrderingMap;
+
+    fn kept(&self) -> IndexSet {
+        self.keep
+    }
+
+    fn ordering(&self, kind: IndexKind) -> &OrderingMap {
+        let (_, ix) =
+            self.indices.iter().find(|(k, _)| *k == kind).expect("routed to a kept ordering");
+        &ix.map
     }
 }
 
@@ -319,149 +273,17 @@ impl TripleStore for PartialHexastore {
         removed
     }
 
-    fn contains(&self, t: IdTriple) -> bool {
-        let (kind, ix) = self.any_index();
-        let (k1, k2, item) = project(kind, t);
-        sorted::contains(ix.items(k1, k2), &item)
-    }
-
-    fn for_each_matching(&self, pat: IdPattern, f: &mut dyn FnMut(IdTriple)) {
-        let shape = pat.shape();
-        match shape {
-            Shape::Spo => {
-                let t = IdTriple::new(pat.s.unwrap(), pat.p.unwrap(), pat.o.unwrap());
-                if self.contains(t) {
-                    f(t);
-                }
-            }
-            Shape::None_ => {
-                let (kind, ix) = self.any_index();
-                for (k1, k2, item) in ix.scan() {
-                    f(unproject(kind, k1, k2, item));
-                }
-            }
-            _ => match self.server_for(shape) {
-                Some((kind, ix)) => match shape {
-                    // Two bound positions: a terminal-list probe.
-                    Shape::Sp | Shape::So | Shape::Po => {
-                        let probe = IdTriple::new(
-                            pat.s.unwrap_or(Id(0)),
-                            pat.p.unwrap_or(Id(0)),
-                            pat.o.unwrap_or(Id(0)),
-                        );
-                        let (k1, k2, _) = project(kind, probe);
-                        for &item in ix.items(k1, k2) {
-                            f(unproject(kind, k1, k2, item));
-                        }
-                    }
-                    // One bound position: a division walk.
-                    Shape::S | Shape::P | Shape::O => {
-                        let probe = IdTriple::new(
-                            pat.s.unwrap_or(Id(0)),
-                            pat.p.unwrap_or(Id(0)),
-                            pat.o.unwrap_or(Id(0)),
-                        );
-                        let (k1, _, _) = project(kind, probe);
-                        for (k2, list) in ix.division(k1) {
-                            for &item in list {
-                                f(unproject(kind, k1, k2, item));
-                            }
-                        }
-                    }
-                    Shape::Spo | Shape::None_ => unreachable!("handled above"),
-                },
-                None => {
-                    // Degraded path: filter a full scan — the cost of a
-                    // dropped index, made explicit.
-                    let (kind, ix) = self.any_index();
-                    for (k1, k2, item) in ix.scan() {
-                        let t = unproject(kind, k1, k2, item);
-                        if pat.matches(t) {
-                            f(t);
-                        }
-                    }
-                }
-            },
-        }
-    }
-
-    fn iter_matching(&self, pat: IdPattern) -> crate::traits::TripleIter<'_> {
-        let shape = pat.shape();
-        match shape {
-            Shape::Spo => {
-                let t = IdTriple::new(pat.s.unwrap(), pat.p.unwrap(), pat.o.unwrap());
-                Box::new(self.contains(t).then_some(t).into_iter())
-            }
-            Shape::None_ => {
-                let (kind, ix) = self.any_index();
-                Box::new(ix.scan().map(move |(k1, k2, item)| unproject(kind, k1, k2, item)))
-            }
-            _ => match self.server_for(shape) {
-                Some((kind, ix)) => {
-                    let probe = IdTriple::new(
-                        pat.s.unwrap_or(Id(0)),
-                        pat.p.unwrap_or(Id(0)),
-                        pat.o.unwrap_or(Id(0)),
-                    );
-                    let (k1, k2, _) = project(kind, probe);
-                    match shape {
-                        Shape::Sp | Shape::So | Shape::Po => Box::new(
-                            ix.items(k1, k2).iter().map(move |&item| unproject(kind, k1, k2, item)),
-                        ),
-                        Shape::S | Shape::P | Shape::O => {
-                            Box::new(ix.division(k1).flat_map(move |(k2, list)| {
-                                list.iter().map(move |&item| unproject(kind, k1, k2, item))
-                            }))
-                        }
-                        Shape::Spo | Shape::None_ => unreachable!("handled above"),
-                    }
-                }
-                None => {
-                    // Degraded path: lazily filter a full scan.
-                    let (kind, ix) = self.any_index();
-                    Box::new(
-                        ix.scan()
-                            .map(move |(k1, k2, item)| unproject(kind, k1, k2, item))
-                            .filter(move |&t| pat.matches(t)),
-                    )
-                }
-            },
-        }
-    }
-
-    fn capabilities(&self) -> IndexSet {
-        self.keep
-    }
-
     fn heap_bytes(&self) -> usize {
         self.indices.iter().map(|(_, ix)| ix.heap_bytes()).sum()
     }
 
-    fn sorted_lists(&self) -> Option<&dyn crate::traits::SortedListAccess> {
-        Some(self)
-    }
-}
-
-impl crate::traits::SortedListAccess for PartialHexastore {
-    fn sorted_list(&self, pat: IdPattern) -> Option<&[Id]> {
-        let shape = pat.shape();
-        if !matches!(shape, Shape::Sp | Shape::So | Shape::Po) {
-            return None;
-        }
-        // Any kept serving ordering works: a two-bound probe's terminal
-        // list holds the unbound position's values, sorted, whichever of
-        // the shape's serving orderings materialized it.
-        let (kind, ix) = self.server_for(shape)?;
-        let probe =
-            IdTriple::new(pat.s.unwrap_or(Id(0)), pat.p.unwrap_or(Id(0)), pat.o.unwrap_or(Id(0)));
-        let (k1, k2, _) = project(kind, probe);
-        Some(ix.items(k1, k2))
-    }
+    crate::forward_reads!();
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::pattern::IdPattern;
     use crate::store::Hexastore;
 
     fn t(s: u32, p: u32, o: u32) -> IdTriple {

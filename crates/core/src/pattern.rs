@@ -86,16 +86,21 @@ impl IdPattern {
     }
 
     /// Which of the eight shapes this pattern is.
+    #[inline]
     pub fn shape(&self) -> Shape {
-        match (self.s.is_some(), self.p.is_some(), self.o.is_some()) {
-            (true, true, true) => Shape::Spo,
-            (true, true, false) => Shape::Sp,
-            (true, false, true) => Shape::So,
-            (false, true, true) => Shape::Po,
-            (true, false, false) => Shape::S,
-            (false, true, false) => Shape::P,
-            (false, false, true) => Shape::O,
-            (false, false, false) => Shape::None_,
+        // A dense match on the bound-position bits compiles to a table
+        // lookup, not a branch per position: every store read starts here,
+        // and which positions are bound changes from one probe to the next.
+        let (s, p, o) = (self.s.is_some(), self.p.is_some(), self.o.is_some());
+        match s as u8 | (p as u8) << 1 | (o as u8) << 2 {
+            0 => Shape::None_,
+            1 => Shape::S,
+            2 => Shape::P,
+            3 => Shape::Sp,
+            4 => Shape::O,
+            5 => Shape::So,
+            6 => Shape::Po,
+            _ => Shape::Spo,
         }
     }
 

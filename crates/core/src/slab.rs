@@ -123,6 +123,11 @@ impl FlatArena {
             + self.spans.capacity() * std::mem::size_of::<Span>()
     }
 
+    /// The columns as the borrowed view the shared read path walks.
+    pub fn view(&self) -> crate::access::ArenaView<'_> {
+        crate::access::ArenaView { spans: &self.spans, items: &self.items }
+    }
+
     /// The raw item column, in span order (for serialization).
     pub fn items_raw(&self) -> &[Id] {
         &self.items

@@ -7,10 +7,10 @@
 //! share their terminal lists, bounding worst-case space at five entries
 //! per resource key (two headers, two vectors, one list).
 
+use crate::access::{OrderedStore, OrderingRead};
+use crate::advisor::{IndexKind, IndexSet};
 use crate::arena::{ListArena, ListId};
-use crate::pattern::{IdPattern, Shape};
-use crate::sorted;
-use crate::traits::{SortedListAccess, TripleStore};
+use crate::traits::TripleStore;
 use crate::vecmap::VecMap;
 use hex_dict::{Id, IdTriple};
 
@@ -165,29 +165,20 @@ impl Hexastore {
     /// Sorted objects o such that (s, p, o) is stored — the spo/pso shared
     /// list. Empty slice if none.
     pub fn objects_for(&self, s: Id, p: Id) -> &[Id] {
-        match self.spo.get(&s).and_then(|inner| inner.get(&p)) {
-            Some(&lid) => self.o_lists.get(lid),
-            None => &[],
-        }
+        self.ordering(IndexKind::Spo).list(s, p)
     }
 
     /// Sorted properties p such that (s, p, o) is stored — the sop/osp
     /// shared list.
     pub fn properties_for(&self, s: Id, o: Id) -> &[Id] {
-        match self.sop.get(&s).and_then(|inner| inner.get(&o)) {
-            Some(&lid) => self.p_lists.get(lid),
-            None => &[],
-        }
+        self.ordering(IndexKind::Sop).list(s, o)
     }
 
     /// Sorted subjects s such that (s, p, o) is stored — the pos/ops shared
     /// list. This is the access the paper highlights for object-bound
     /// queries (§2.2.3, §5.2).
     pub fn subjects_for(&self, p: Id, o: Id) -> &[Id] {
-        match self.pos.get(&p).and_then(|inner| inner.get(&o)) {
-            Some(&lid) => self.s_lists.get(lid),
-            None => &[],
-        }
+        self.ordering(IndexKind::Pos).list(p, o)
     }
 
     // ---------------------------------------------------------------
@@ -198,48 +189,37 @@ impl Hexastore {
     /// spo: the sorted property vector of subject `s`, each property with
     /// its sorted object list.
     pub fn spo_vector(&self, s: Id) -> impl Iterator<Item = (Id, &[Id])> + '_ {
-        Self::vector(&self.spo, &self.o_lists, s)
+        self.ordering(IndexKind::Spo).division(s)
     }
 
     /// sop: the sorted object vector of subject `s`, each object with its
     /// sorted property list.
     pub fn sop_vector(&self, s: Id) -> impl Iterator<Item = (Id, &[Id])> + '_ {
-        Self::vector(&self.sop, &self.p_lists, s)
+        self.ordering(IndexKind::Sop).division(s)
     }
 
     /// pso: the sorted subject vector of property `p`, each subject with
     /// its sorted object list. (COVP1's only access path.)
     pub fn pso_vector(&self, p: Id) -> impl Iterator<Item = (Id, &[Id])> + '_ {
-        Self::vector(&self.pso, &self.o_lists, p)
+        self.ordering(IndexKind::Pso).division(p)
     }
 
     /// pos: the sorted object vector of property `p`, each object with its
     /// sorted subject list.
     pub fn pos_vector(&self, p: Id) -> impl Iterator<Item = (Id, &[Id])> + '_ {
-        Self::vector(&self.pos, &self.s_lists, p)
+        self.ordering(IndexKind::Pos).division(p)
     }
 
     /// osp: the sorted subject vector of object `o`, each subject with its
     /// sorted property list.
     pub fn osp_vector(&self, o: Id) -> impl Iterator<Item = (Id, &[Id])> + '_ {
-        Self::vector(&self.osp, &self.p_lists, o)
+        self.ordering(IndexKind::Osp).division(o)
     }
 
     /// ops: the sorted property vector of object `o`, each property with
     /// its sorted subject list.
     pub fn ops_vector(&self, o: Id) -> impl Iterator<Item = (Id, &[Id])> + '_ {
-        Self::vector(&self.ops, &self.s_lists, o)
-    }
-
-    fn vector<'a>(
-        index: &'a TwoLevel,
-        arena: &'a ListArena,
-        header: Id,
-    ) -> impl Iterator<Item = (Id, &'a [Id])> + 'a {
-        index
-            .get(&header)
-            .into_iter()
-            .flat_map(move |inner| inner.iter().map(move |(k, &lid)| (k, arena.get(lid))))
+        self.ordering(IndexKind::Ops).division(o)
     }
 
     /// The sorted second-level keys of `osp[o]` — e.g. "the subject vector
@@ -309,10 +289,7 @@ impl Hexastore {
 
     /// Number of triples with property `p` (size of its pso division).
     pub fn property_cardinality(&self, p: Id) -> usize {
-        self.pso
-            .get(&p)
-            .map(|inner| inner.values().map(|&lid| self.o_lists.get(lid).len()).sum())
-            .unwrap_or(0)
+        self.count_matching(crate::pattern::IdPattern::p(p))
     }
 
     // ---------------------------------------------------------------
@@ -380,6 +357,26 @@ impl Hexastore {
     }
 }
 
+/// All six orderings, paired orderings handing out the same arena.
+impl OrderedStore for Hexastore {
+    type Ordering<'a> = (&'a TwoLevel, &'a ListArena);
+
+    fn kept(&self) -> IndexSet {
+        IndexSet::all()
+    }
+
+    fn ordering(&self, kind: IndexKind) -> Self::Ordering<'_> {
+        match kind {
+            IndexKind::Spo => (&self.spo, &self.o_lists),
+            IndexKind::Sop => (&self.sop, &self.p_lists),
+            IndexKind::Pso => (&self.pso, &self.o_lists),
+            IndexKind::Pos => (&self.pos, &self.s_lists),
+            IndexKind::Osp => (&self.osp, &self.p_lists),
+            IndexKind::Ops => (&self.ops, &self.s_lists),
+        }
+    }
+}
+
 impl crate::traits::MutableStore for Hexastore {}
 
 impl TripleStore for Hexastore {
@@ -415,143 +412,6 @@ impl TripleStore for Hexastore {
         true
     }
 
-    fn contains(&self, t: IdTriple) -> bool {
-        sorted::contains(self.objects_for(t.s, t.p), &t.o)
-    }
-
-    fn for_each_matching(&self, pat: IdPattern, f: &mut dyn FnMut(IdTriple)) {
-        match pat.shape() {
-            Shape::Spo => {
-                let t = IdTriple::new(pat.s.unwrap(), pat.p.unwrap(), pat.o.unwrap());
-                if self.contains(t) {
-                    f(t);
-                }
-            }
-            Shape::Sp => {
-                let (s, p) = (pat.s.unwrap(), pat.p.unwrap());
-                for &o in self.objects_for(s, p) {
-                    f(IdTriple::new(s, p, o));
-                }
-            }
-            Shape::So => {
-                let (s, o) = (pat.s.unwrap(), pat.o.unwrap());
-                for &p in self.properties_for(s, o) {
-                    f(IdTriple::new(s, p, o));
-                }
-            }
-            Shape::Po => {
-                let (p, o) = (pat.p.unwrap(), pat.o.unwrap());
-                for &s in self.subjects_for(p, o) {
-                    f(IdTriple::new(s, p, o));
-                }
-            }
-            Shape::S => {
-                let s = pat.s.unwrap();
-                for (p, objs) in self.spo_vector(s) {
-                    for &o in objs {
-                        f(IdTriple::new(s, p, o));
-                    }
-                }
-            }
-            Shape::P => {
-                let p = pat.p.unwrap();
-                for (s, objs) in self.pso_vector(p) {
-                    for &o in objs {
-                        f(IdTriple::new(s, p, o));
-                    }
-                }
-            }
-            Shape::O => {
-                let o = pat.o.unwrap();
-                for (s, props) in self.osp_vector(o) {
-                    for &p in props {
-                        f(IdTriple::new(s, p, o));
-                    }
-                }
-            }
-            Shape::None_ => {
-                for (s, inner) in self.spo.iter() {
-                    for (p, &lid) in inner.iter() {
-                        for &o in self.o_lists.get(lid) {
-                            f(IdTriple::new(s, p, o));
-                        }
-                    }
-                }
-            }
-        }
-    }
-
-    fn iter_matching(&self, pat: IdPattern) -> crate::traits::TripleIter<'_> {
-        match pat.shape() {
-            Shape::Spo => {
-                let t = IdTriple::new(pat.s.unwrap(), pat.p.unwrap(), pat.o.unwrap());
-                Box::new(self.contains(t).then_some(t).into_iter())
-            }
-            Shape::Sp => {
-                let (s, p) = (pat.s.unwrap(), pat.p.unwrap());
-                Box::new(self.objects_for(s, p).iter().map(move |&o| IdTriple::new(s, p, o)))
-            }
-            Shape::So => {
-                let (s, o) = (pat.s.unwrap(), pat.o.unwrap());
-                Box::new(self.properties_for(s, o).iter().map(move |&p| IdTriple::new(s, p, o)))
-            }
-            Shape::Po => {
-                let (p, o) = (pat.p.unwrap(), pat.o.unwrap());
-                Box::new(self.subjects_for(p, o).iter().map(move |&s| IdTriple::new(s, p, o)))
-            }
-            Shape::S => {
-                let s = pat.s.unwrap();
-                Box::new(
-                    self.spo_vector(s).flat_map(move |(p, objs)| {
-                        objs.iter().map(move |&o| IdTriple::new(s, p, o))
-                    }),
-                )
-            }
-            Shape::P => {
-                let p = pat.p.unwrap();
-                Box::new(
-                    self.pso_vector(p).flat_map(move |(s, objs)| {
-                        objs.iter().map(move |&o| IdTriple::new(s, p, o))
-                    }),
-                )
-            }
-            Shape::O => {
-                let o = pat.o.unwrap();
-                Box::new(
-                    self.osp_vector(o).flat_map(move |(s, props)| {
-                        props.iter().map(move |&p| IdTriple::new(s, p, o))
-                    }),
-                )
-            }
-            Shape::None_ => Box::new(self.spo.iter().flat_map(move |(s, inner)| {
-                inner.iter().flat_map(move |(p, &lid)| {
-                    self.o_lists.get(lid).iter().map(move |&o| IdTriple::new(s, p, o))
-                })
-            })),
-        }
-    }
-
-    fn capabilities(&self) -> crate::advisor::IndexSet {
-        crate::advisor::IndexSet::all()
-    }
-
-    fn count_matching(&self, pat: IdPattern) -> usize {
-        match pat.shape() {
-            Shape::Spo => usize::from(self.contains(IdTriple::new(
-                pat.s.unwrap(),
-                pat.p.unwrap(),
-                pat.o.unwrap(),
-            ))),
-            Shape::Sp => self.objects_for(pat.s.unwrap(), pat.p.unwrap()).len(),
-            Shape::So => self.properties_for(pat.s.unwrap(), pat.o.unwrap()).len(),
-            Shape::Po => self.subjects_for(pat.p.unwrap(), pat.o.unwrap()).len(),
-            Shape::S => self.spo_vector(pat.s.unwrap()).map(|(_, l)| l.len()).sum(),
-            Shape::P => self.pso_vector(pat.p.unwrap()).map(|(_, l)| l.len()).sum(),
-            Shape::O => self.osp_vector(pat.o.unwrap()).map(|(_, l)| l.len()).sum(),
-            Shape::None_ => self.len,
-        }
-    }
-
     fn heap_bytes(&self) -> usize {
         let indices = [&self.spo, &self.sop, &self.pso, &self.pos, &self.osp, &self.ops]
             .iter()
@@ -560,20 +420,7 @@ impl TripleStore for Hexastore {
         indices + self.o_lists.heap_bytes() + self.p_lists.heap_bytes() + self.s_lists.heap_bytes()
     }
 
-    fn sorted_lists(&self) -> Option<&dyn SortedListAccess> {
-        Some(self)
-    }
-}
-
-impl SortedListAccess for Hexastore {
-    fn sorted_list(&self, pat: IdPattern) -> Option<&[Id]> {
-        match pat.shape() {
-            Shape::Sp => Some(self.objects_for(pat.s.unwrap(), pat.p.unwrap())),
-            Shape::So => Some(self.properties_for(pat.s.unwrap(), pat.o.unwrap())),
-            Shape::Po => Some(self.subjects_for(pat.p.unwrap(), pat.o.unwrap())),
-            _ => None,
-        }
-    }
+    crate::forward_reads!();
 }
 
 impl std::fmt::Debug for Hexastore {
@@ -590,6 +437,7 @@ impl std::fmt::Debug for Hexastore {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::pattern::IdPattern;
 
     fn t(s: u32, p: u32, o: u32) -> IdTriple {
         IdTriple::from((s, p, o))

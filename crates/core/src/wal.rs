@@ -26,6 +26,7 @@
 //! truncates the file back to that clean prefix so subsequent appends
 //! start from a consistent state.
 
+use crate::compress::fnv1a;
 use crate::hexsnap::{Error, Result};
 use rdf_model::Triple;
 use std::fs::{File, OpenOptions};
@@ -59,16 +60,6 @@ impl WalOp {
             WalOp::Insert(t) | WalOp::Remove(t) => t,
         }
     }
-}
-
-/// 32-bit FNV-1a over `bytes` — dependency-free record checksum.
-fn fnv1a(bytes: &[u8]) -> u32 {
-    let mut hash = 0x811c_9dc5u32;
-    for &b in bytes {
-        hash ^= u32::from(b);
-        hash = hash.wrapping_mul(0x0100_0193);
-    }
-    hash
 }
 
 /// An open write-ahead log, positioned for appending.

@@ -45,6 +45,7 @@ compile_error!(
     "hex-disk reinterprets little-endian snapshot columns and requires a little-endian target"
 );
 
+mod cursor;
 mod mmap;
 mod store;
 
@@ -131,15 +132,8 @@ pub type Result<T> = std::result::Result<T, Error>;
 /// # Ok::<(), hex_disk::Error>(())
 /// ```
 pub fn open(path: impl AsRef<Path>) -> Result<(Dictionary, MmapFrozenHexastore)> {
-    let file = File::open(path)?;
-    let reader = hexsnap::Reader::new(BufReader::new(&file))?;
-    let froz = frozen_extent(&reader)?;
-    let dict_extent = reader.dict_section_extent();
-    drop(reader);
-    let map = Arc::new(Mmap::map(&file)?);
-    let dict = dict_from(&map, dict_extent)?;
-    let store = store_from(&map, froz)?;
-    Ok((dict, store))
+    let (map, froz, dict) = map_snapshot(path.as_ref())?;
+    Ok((dict_from(&map, dict)?, MmapFrozenHexastore::open_section(&map, froz)?))
 }
 
 /// Opens only the slab section of a `hexsnap` file as an mmap-backed
@@ -155,12 +149,21 @@ pub fn open(path: impl AsRef<Path>) -> Result<(Dictionary, MmapFrozenHexastore)>
 /// # Ok::<(), hex_disk::Error>(())
 /// ```
 pub fn open_store(path: impl AsRef<Path>) -> Result<MmapFrozenHexastore> {
+    let (map, froz, _) = map_snapshot(path.as_ref())?;
+    MmapFrozenHexastore::open_section(&map, froz)
+}
+
+/// A section's `(offset, length)` in the file.
+type Extent = (u64, u64);
+
+/// Reads the section table, checks the slab section is mappable, and maps
+/// the file: the mapping, the `FROZ` extent and the `DICT` extent.
+fn map_snapshot(path: &Path) -> Result<(Arc<Mmap>, Extent, Option<Extent>)> {
     let file = File::open(path)?;
     let reader = hexsnap::Reader::new(BufReader::new(&file))?;
-    let froz = frozen_extent(&reader)?;
+    let (froz, dict) = (frozen_extent(&reader)?, reader.dict_section_extent());
     drop(reader);
-    let map = Arc::new(Mmap::map(&file)?);
-    store_from(&map, froz)
+    Ok((Arc::new(Mmap::map(&file)?), froz, dict))
 }
 
 /// Locates the raw `FROZ` extent and checks mappability, naming the
@@ -193,96 +196,51 @@ fn frozen_extent(reader: &hexsnap::Reader<BufReader<&File>>) -> Result<(u64, u64
     Ok((off, len))
 }
 
-/// Parses the slab column descriptors out of an established mapping.
-fn store_from(map: &Arc<Mmap>, (off, len): (u64, u64)) -> Result<MmapFrozenHexastore> {
-    let sec_off = usize::try_from(off).map_err(|_| {
-        Error::Unmappable("slab section offset exceeds the address space".to_string())
-    })?;
-    let sec_len = usize::try_from(len).map_err(|_| {
-        Error::Unmappable("slab section length exceeds the address space".to_string())
-    })?;
-    let (n, arenas, orderings) =
-        store::parse_frozen_section(map, sec_off, sec_len).map_err(Error::Corrupt)?;
-    Ok(MmapFrozenHexastore::new(Arc::clone(map), n, arenas, orderings))
-}
-
 /// Parses the `DICT` section out of the mapping, keeping the string
 /// arena mapped.
 ///
 /// Mirrors `hexsnap::Reader::dictionary` check for check — same
-/// allocation bounds, same rejection messages — but hands the arena
-/// extent to [`Dictionary::try_from_shared_arena`] instead of copying
-/// the bytes. The constructor validates the offset table against the
-/// mapped bytes (kind bytes, UTF-8, char boundaries, distinctness); a
-/// file mutated after that is the provider's breach of trust and
-/// degrades to missed lookups and `None` decodes, never a panic.
+/// allocation bounds — but hands the arena extent to
+/// [`Dictionary::try_from_shared_arena`] instead of copying the bytes.
+/// The constructor validates the offset table against the mapped bytes
+/// (kind bytes, UTF-8, char boundaries, distinctness); a file mutated
+/// after that is the provider's breach of trust and degrades to missed
+/// lookups and `None` decodes, never a panic.
 fn dict_from(map: &Arc<Mmap>, extent: Option<(u64, u64)>) -> Result<Dictionary> {
-    fn corrupt<T>(msg: impl Into<String>) -> Result<T> {
-        Err(Error::Snapshot(hexsnap::Error::Corrupt(msg.into())))
+    fn corrupt(msg: String) -> Error {
+        Error::Snapshot(hexsnap::Error::Corrupt(msg))
     }
-    let Some((off, len)) = extent else {
-        return corrupt("missing DICT section");
+    let Some(extent) = extent else {
+        return Err(corrupt("missing DICT section".to_string()));
     };
-    let sec_off = usize::try_from(off).map_err(|_| {
-        Error::Unmappable("dictionary section offset exceeds the address space".to_string())
-    })?;
-    let sec_len = usize::try_from(len).map_err(|_| {
-        Error::Unmappable("dictionary section length exceeds the address space".to_string())
-    })?;
-    // The reader validated the section table against the file length,
-    // but re-check before slicing: a short mapping must be a rejection.
-    let Some(sec) = sec_off.checked_add(sec_len).and_then(|end| map.bytes().get(sec_off..end))
-    else {
-        return corrupt("dictionary section extent exceeds the file");
-    };
-    struct Cur<'a> {
-        sec: &'a [u8],
-        pos: usize,
-    }
-    impl<'a> Cur<'a> {
-        fn take(&mut self, n: usize) -> Result<&'a [u8]> {
-            match self.pos.checked_add(n).and_then(|end| self.sec.get(self.pos..end)) {
-                Some(bytes) => {
-                    self.pos += n;
-                    Ok(bytes)
-                }
-                None => corrupt("dictionary section contents overrun the declared extent"),
-            }
-        }
-        fn u32(&mut self) -> Result<usize> {
-            Ok(u32::from_le_bytes(self.take(4)?.try_into().expect("4 bytes taken")) as usize)
-        }
-    }
-    let mut cur = Cur { sec, pos: 0 };
-    let n = cur.u32()?;
+    let mut cur = cursor::Cursor::new(map, extent, "DICT", corrupt)?;
+    let sec_len = cur.section_len();
+    let n = cur.u32("dictionary term count")? as usize;
     // Every declared count must fit in the section: this bounds
     // allocations before they happen, so a flipped count byte cannot
     // balloon memory.
     if n > sec_len {
-        return corrupt("dictionary term count exceeds section size");
+        return cur.corrupt("dictionary term count exceeds section size");
     }
-    let kinds = cur.take(n)?.to_vec();
-    let n_pieces = cur.u32()?;
+    let kinds = cur.take(n, "dictionary kind column")?.to_vec();
+    let n_pieces = cur.u32("dictionary piece count")? as usize;
     if n_pieces.checked_mul(4).is_none_or(|bytes| bytes > sec_len) {
-        return corrupt("dictionary piece count exceeds section size");
+        return cur.corrupt("dictionary piece count exceeds section size");
     }
     let ends: Vec<u32> = cur
-        .take(n_pieces * 4)?
+        .take(n_pieces * 4, "dictionary piece offset table")?
         .chunks_exact(4)
         .map(|c| u32::from_le_bytes(c.try_into().expect("4-byte chunk")))
         .collect();
-    let n_bytes_u64 = u64::from_le_bytes(cur.take(8)?.try_into().expect("8 bytes taken"));
-    let Ok(n_bytes) = usize::try_from(n_bytes_u64) else {
-        return corrupt("dictionary arena size exceeds section size");
-    };
+    let n_bytes = cur.len64("dictionary arena size")?;
     if n_bytes > sec_len {
-        return corrupt("dictionary arena size exceeds section size");
+        return cur.corrupt("dictionary arena size exceeds section size");
     }
-    let arena_off = sec_off + cur.pos;
-    cur.take(n_bytes)?;
+    let arena_off = cur.offset();
+    cur.take(n_bytes, "dictionary string arena")?;
     let bytes: hex_dict::SharedBytes = Arc::clone(map) as hex_dict::SharedBytes;
     Dictionary::try_from_shared_arena(kinds, ends, bytes, arena_off, n_bytes)
-        .map_err(|e| Error::Snapshot(hexsnap::Error::Corrupt(e.to_string())))
+        .map_err(|e| corrupt(e.to_string()))
 }
 
 /// Opens a `hexsnap` file directly as a queryable

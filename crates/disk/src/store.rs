@@ -1,27 +1,13 @@
-//! The mmap-backed frozen store: zero-copy column views over a `FROZ`
-//! section.
+//! The mmap-backed frozen store: a `FROZ` section's columns reinterpreted
+//! in place and handed to the shared [`hexastore::access`] read path.
 
+use crate::cursor::Cursor;
 use crate::mmap::Mmap;
+use crate::{Error, Result};
 use hex_dict::{Id, IdTriple};
-use hexastore::pattern::{IdPattern, Shape};
-use hexastore::traits::{SortedListAccess, TripleIter, TripleStore};
-use hexastore::{IndexSet, Span, StatsSource};
+use hexastore::access::{ArenaView, IndexView, OrderedStore, OrderingRead, SlabOrdering};
+use hexastore::{IndexKind, IndexSet, Span, StatsSource, TripleStore};
 use std::sync::Arc;
-
-/// Canonical ordering positions in the `FROZ` walk.
-const SPO: usize = 0;
-const SOP: usize = 1;
-const PSO: usize = 2;
-const POS: usize = 3;
-const OSP: usize = 4;
-// Position 5 is ops; every query shape it could serve is covered by a
-// paired ordering above, so it is mapped but never walked by name.
-/// Canonical arena positions: object, property, subject lists.
-const O_LISTS: usize = 0;
-const P_LISTS: usize = 1;
-const S_LISTS: usize = 2;
-/// Which arena each ordering's terminal lists live in.
-const ARENA_OF: [usize; 6] = [O_LISTS, P_LISTS, O_LISTS, S_LISTS, P_LISTS, S_LISTS];
 
 /// A column inside the mapping: byte offset and element count. The
 /// element width is implied by the accessor that materializes it.
@@ -48,13 +34,14 @@ pub(crate) struct IxCols {
     lists: Col,
 }
 
-/// A [`hexastore::FrozenHexastore`]-equivalent read path over a mapped
+/// A [`hexastore::FrozenHexastore`]-equivalent store over a mapped
 /// `hexsnap` file: the slab columns are *reinterpreted in place*, so
 /// opening touches only the section headers and cold-query I/O is
 /// driven by page faults on exactly the columns a query walks.
 ///
-/// Obtain one with [`crate::open`] or [`crate::open_dataset`]; it
-/// implements [`TripleStore`] (including `iter_matching_range`), so the
+/// Obtain one with [`crate::open`] or [`crate::open_dataset`]. It runs the
+/// same read code as the in-memory frozen store — both hand
+/// [`hexastore::access`] borrowed views of their columns — so the
 /// planner, `Plan::run_parallel` and `Dataset` machinery work over it
 /// unchanged. Like the in-memory frozen store it is read-only
 /// (`insert`/`remove` panic) and [`Clone`] is a reference-count bump on
@@ -66,10 +53,11 @@ pub(crate) struct IxCols {
 /// and alignment. Data-level invariants (sortedness, span tiling, pair
 /// consistency, ids within the dictionary) are *not* eagerly verified —
 /// walking them would fault in the whole file, which is exactly what
-/// this type exists to avoid. All accessors clamp instead of panicking,
-/// so a corrupt file yields wrong answers, never undefined behavior or
-/// a crash; files from untrusted writers should be opened through
-/// [`hexastore::hexsnap::load_frozen`] instead, which validates fully.
+/// this type exists to avoid. The views' accessors bound every window to its
+/// column instead of panicking, so a corrupt file yields wrong answers, never undefined
+/// behavior or a crash; files from untrusted writers should be opened
+/// through [`hexastore::hexsnap::load_frozen`] instead, which validates
+/// fully.
 #[derive(Clone)]
 pub struct MmapFrozenHexastore {
     map: Arc<Mmap>,
@@ -78,169 +66,63 @@ pub struct MmapFrozenHexastore {
     len: usize,
 }
 
-/// Open-time parse errors for the mapped section (wrapped into
-/// [`crate::Error::Corrupt`] by [`crate::open`]).
-pub(crate) fn parse_frozen_section(
-    map: &Mmap,
-    sec_off: usize,
-    sec_len: usize,
-) -> Result<(usize, [ArCols; 3], [IxCols; 6]), String> {
-    let end = sec_off
-        .checked_add(sec_len)
-        .filter(|&e| e <= map.len())
-        .ok_or_else(|| "FROZ section extends past the file".to_string())?;
-    let mut cur = Cursor { map, pos: sec_off, end };
-    let len = usize::try_from(cur.u64("triple count")?)
-        .map_err(|_| "triple count overflows usize".to_string())?;
-    let mut arenas = Vec::with_capacity(3);
-    for _ in 0..3 {
-        let n_lists = cur.u32("arena list count")? as usize;
-        let n_items = usize::try_from(cur.u64("arena item count")?)
-            .map_err(|_| "arena item count overflows usize".to_string())?;
-        let spans = cur.col(n_lists, 8, "arena span table")?;
-        let items = cur.col(n_items, 4, "arena item column")?;
-        // Every triple contributes one entry to each pair's item column;
-        // a count mismatch is detectable without touching the columns.
-        if n_items != len {
-            return Err("declared triple count disagrees with slab columns".to_string());
+impl MmapFrozenHexastore {
+    /// Parses the column descriptors of the `FROZ` section at `extent` —
+    /// structural checks only, touching nothing but the section's headers
+    /// — into a store over the mapping.
+    pub(crate) fn open_section(map: &Arc<Mmap>, extent: (u64, u64)) -> Result<Self> {
+        let mut cur = Cursor::new(map, extent, "FROZ", Error::Corrupt)?;
+        let len = cur.len64("triple count")?;
+        let mut arenas = Vec::with_capacity(3);
+        for _ in 0..3 {
+            let n_lists = cur.u32("arena list count")? as usize;
+            let n_items = cur.len64("arena item count")?;
+            let spans = col(&mut cur, n_lists, 8, "arena span table")?;
+            let items = col(&mut cur, n_items, 4, "arena item column")?;
+            // Every triple contributes one entry to each pair's item column;
+            // a count mismatch is detectable without touching the columns.
+            if n_items != len {
+                return cur.corrupt("declared triple count disagrees with slab columns");
+            }
+            arenas.push(ArCols { spans, items });
         }
-        arenas.push(ArCols { spans, items });
-    }
-    let mut orderings = Vec::with_capacity(6);
-    for _ in 0..6 {
-        let h = cur.u32("ordering header count")? as usize;
-        let keys = cur.col(h, 4, "ordering key column")?;
-        let spans = cur.col(h, 8, "ordering span table")?;
-        let m = cur.u32("ordering vector count")? as usize;
-        let k2 = cur.col(m, 4, "ordering vector column")?;
-        let lists = cur.col(m, 4, "ordering list column")?;
-        orderings.push(IxCols { keys, spans, k2, lists });
-    }
-    let arenas: [ArCols; 3] = arenas.try_into().expect("exactly three arenas");
-    let orderings: [IxCols; 6] = orderings.try_into().expect("exactly six orderings");
-    Ok((len, arenas, orderings))
-}
-
-/// A bounds-checked walk over the mapped section bytes.
-struct Cursor<'a> {
-    map: &'a Mmap,
-    pos: usize,
-    end: usize,
-}
-
-impl Cursor<'_> {
-    fn take(&mut self, n: usize, what: &str) -> Result<usize, String> {
-        let start = self.pos;
-        let next = start
-            .checked_add(n)
-            .filter(|&e| e <= self.end)
-            .ok_or_else(|| format!("{what} exceeds the FROZ section"))?;
-        self.pos = next;
-        Ok(start)
-    }
-
-    fn u32(&mut self, what: &str) -> Result<u32, String> {
-        let at = self.take(4, what)?;
-        Ok(u32::from_le_bytes(self.map[at..at + 4].try_into().expect("4 bytes taken")))
-    }
-
-    fn u64(&mut self, what: &str) -> Result<u64, String> {
-        let at = self.take(8, what)?;
-        Ok(u64::from_le_bytes(self.map[at..at + 8].try_into().expect("8 bytes taken")))
-    }
-
-    fn col(&mut self, n: usize, width: usize, what: &str) -> Result<Col, String> {
-        let bytes = n.checked_mul(width).ok_or_else(|| format!("{what} count overflows"))?;
-        let off = self.take(bytes, what)?;
-        // The section start is 4-aligned (checked by the opener) and
-        // every preceding field is a 4-byte multiple, so this always
-        // holds for v2 writer output; it is cheap insurance against a
-        // hand-built file whose columns would misalign the casts below.
-        if off % 4 != 0 {
-            return Err(format!("{what} is not 4-byte aligned"));
+        let mut orderings = Vec::with_capacity(6);
+        for _ in 0..6 {
+            let h = cur.u32("ordering header count")? as usize;
+            let keys = col(&mut cur, h, 4, "ordering key column")?;
+            let spans = col(&mut cur, h, 8, "ordering span table")?;
+            let m = cur.u32("ordering vector count")? as usize;
+            let k2 = col(&mut cur, m, 4, "ordering vector column")?;
+            let lists = col(&mut cur, m, 4, "ordering list column")?;
+            orderings.push(IxCols { keys, spans, k2, lists });
         }
-        Ok(Col { off, n })
-    }
-}
-
-/// Borrowed view of one ordering's columns. `Copy` so iterator closures
-/// can own it outright.
-#[derive(Clone, Copy)]
-struct IxView<'a> {
-    keys: &'a [Id],
-    spans: &'a [Span],
-    k2: &'a [Id],
-    lists: &'a [u32],
-}
-
-impl<'a> IxView<'a> {
-    fn header_span(self, k1: Id) -> Option<Span> {
-        self.keys.binary_search(&k1).ok().and_then(|i| self.spans.get(i).copied())
-    }
-
-    /// The clamped `k2`/`lists` window of header `k1` — corrupt spans
-    /// yield a short (possibly empty) window, never a panic.
-    fn window(self, k1: Id) -> std::ops::Range<usize> {
-        match self.header_span(k1) {
-            Some(span) => clamp(span, self.k2.len()),
-            None => 0..0,
-        }
-    }
-
-    fn list_idx(self, k1: Id, k2: Id) -> Option<u32> {
-        let window = self.window(k1);
-        let lo = window.start;
-        self.k2[window].binary_search(&k2).ok().and_then(move |i| self.lists.get(lo + i).copied())
-    }
-
-    /// The `(k2, list)` leaves of header `k1`, in stored order.
-    fn division(self, k1: Id) -> impl Iterator<Item = (Id, u32)> + 'a {
-        self.window(k1).map(move |i| (self.k2[i], self.lists[i]))
-    }
-
-    /// Every `(k1, k2, list)` entry, in `(k1, k2)` order.
-    fn scan(self) -> impl Iterator<Item = (Id, Id, u32)> + 'a {
-        self.keys.iter().copied().zip(self.spans.iter().copied()).flat_map(move |(k1, span)| {
-            clamp(span, self.k2.len()).map(move |i| (k1, self.k2[i], self.lists[i]))
+        Ok(MmapFrozenHexastore {
+            map: Arc::clone(map),
+            arenas: arenas.try_into().expect("exactly three arenas"),
+            orderings: orderings.try_into().expect("exactly six orderings"),
+            len,
         })
     }
 }
 
-/// Borrowed view of one arena's columns.
-#[derive(Clone, Copy)]
-struct ArView<'a> {
-    spans: &'a [Span],
-    items: &'a [Id],
-}
-
-impl<'a> ArView<'a> {
-    /// The items of list `idx`, clamped to the column — corrupt indices
-    /// or spans yield a short (possibly empty) slice, never a panic.
-    fn get(self, idx: u32) -> &'a [Id] {
-        match self.spans.get(idx as usize) {
-            Some(&span) => &self.items[clamp(span, self.items.len())],
-            None => &[],
-        }
+/// Takes a column of `n` `width`-byte elements off the cursor.
+fn col(cur: &mut Cursor<'_>, n: usize, width: usize, what: &str) -> Result<Col> {
+    let Some(bytes) = n.checked_mul(width) else {
+        return cur.corrupt(format!("{what} count overflows"));
+    };
+    let off = cur.offset();
+    cur.take(bytes, what)?;
+    // The section start is 4-aligned (checked by the opener) and every
+    // preceding field is a 4-byte multiple, so this always holds for v2
+    // writer output; it is cheap insurance against a hand-built file
+    // whose columns would misalign the casts below.
+    if off % 4 != 0 {
+        return cur.corrupt(format!("{what} is not 4-byte aligned"));
     }
-}
-
-/// A span's window clamped to a column of `n` elements.
-fn clamp(span: Span, n: usize) -> std::ops::Range<usize> {
-    let lo = (span.off as usize).min(n);
-    let hi = (span.off as usize).saturating_add(span.len as usize).min(n);
-    lo..hi
+    Ok(Col { off, n })
 }
 
 impl MmapFrozenHexastore {
-    pub(crate) fn new(
-        map: Arc<Mmap>,
-        len: usize,
-        arenas: [ArCols; 3],
-        orderings: [IxCols; 6],
-    ) -> Self {
-        MmapFrozenHexastore { map, arenas, orderings, len }
-    }
-
     /// Reinterprets a column as ids.
     ///
     /// SAFETY of the cast: the parser bounds every column inside the
@@ -267,44 +149,19 @@ impl MmapFrozenHexastore {
         unsafe { std::slice::from_raw_parts(bytes.as_ptr() as *const Span, col.n) }
     }
 
-    fn ix(&self, which: usize) -> IxView<'_> {
-        let c = self.orderings[which];
-        IxView {
-            keys: self.ids(c.keys),
-            spans: self.spans(c.spans),
-            k2: self.ids(c.k2),
-            lists: self.u32s(c.lists),
-        }
-    }
-
-    fn ar(&self, which: usize) -> ArView<'_> {
-        let c = self.arenas[which];
-        ArView { spans: self.spans(c.spans), items: self.ids(c.items) }
-    }
-
-    fn list(&self, ixw: usize, k1: Id, k2: Id) -> &[Id] {
-        let ar = self.ar(ARENA_OF[ixw]);
-        self.ix(ixw).list_idx(k1, k2).map_or(&[], move |l| ar.get(l))
-    }
-
-    fn division(&self, ixw: usize, k1: Id) -> impl Iterator<Item = (Id, &[Id])> + '_ {
-        let ar = self.ar(ARENA_OF[ixw]);
-        self.ix(ixw).division(k1).map(move |(k2, l)| (k2, ar.get(l)))
-    }
-
     /// Sorted objects o with (s, p, o) stored — the spo/pso shared list.
     pub fn objects_for(&self, s: Id, p: Id) -> &[Id] {
-        self.list(SPO, s, p)
+        self.ordering(IndexKind::Spo).list(s, p)
     }
 
     /// Sorted properties p with (s, p, o) stored — the sop/osp shared list.
     pub fn properties_for(&self, s: Id, o: Id) -> &[Id] {
-        self.list(SOP, s, o)
+        self.ordering(IndexKind::Sop).list(s, o)
     }
 
     /// Sorted subjects s with (s, p, o) stored — the pos/ops shared list.
     pub fn subjects_for(&self, p: Id, o: Id) -> &[Id] {
-        self.list(POS, p, o)
+        self.ordering(IndexKind::Pos).list(p, o)
     }
 
     /// Bytes of file backing this store — the mapped region. The
@@ -324,31 +181,33 @@ impl std::fmt::Debug for MmapFrozenHexastore {
     }
 }
 
-/// Yields the `[start, start + len)` window of a concatenation of
-/// terminal lists without constructing the prefix (the same length
-/// arithmetic as the in-memory frozen store's range cursor).
-fn window_lists<'a, K, I, F>(groups: I, make: F, start: usize, len: usize) -> TripleIter<'a>
-where
-    K: Copy + 'a,
-    I: Iterator<Item = (K, &'a [Id])> + 'a,
-    F: Fn(K, Id) -> IdTriple + Copy + 'a,
-{
-    let mut skip = start;
-    Box::new(
-        groups
-            .filter_map(move |(k, items)| {
-                if skip >= items.len() {
-                    skip -= items.len();
-                    None
-                } else {
-                    let from = skip;
-                    skip = 0;
-                    Some((k, &items[from..]))
-                }
-            })
-            .flat_map(move |(k, items)| items.iter().map(move |&item| make(k, item)))
-            .take(len),
-    )
+/// All six orderings, as views over the mapped columns. Nothing in them
+/// is validated beyond the open-time structural checks; the views'
+/// panic-free accessors are what keeps a corrupt column from crashing a query.
+impl OrderedStore for MmapFrozenHexastore {
+    type Ordering<'a> = SlabOrdering<'a>;
+
+    fn kept(&self) -> IndexSet {
+        IndexSet::all()
+    }
+
+    fn ordering(&self, kind: IndexKind) -> SlabOrdering<'_> {
+        // The `FROZ` walk stores the orderings in `IndexKind`'s declaration
+        // order and the arenas as object, property, subject lists; paired
+        // orderings (spo/pso, sop/osp, pos/ops) share one arena.
+        const ARENA_OF: [usize; 6] = [0, 1, 0, 2, 1, 2];
+        let ix = self.orderings[kind as usize];
+        let arena = self.arenas[ARENA_OF[kind as usize]];
+        (
+            IndexView {
+                keys: self.ids(ix.keys),
+                spans: self.spans(ix.spans),
+                k2: self.ids(ix.k2),
+                lists: self.u32s(ix.lists),
+            },
+            ArenaView { spans: self.spans(arena.spans), items: self.ids(arena.items) },
+        )
+    }
 }
 
 impl TripleStore for MmapFrozenHexastore {
@@ -374,202 +233,6 @@ impl TripleStore for MmapFrozenHexastore {
         panic!("MmapFrozenHexastore is read-only: load_frozen() and thaw() to mutate")
     }
 
-    fn contains(&self, t: IdTriple) -> bool {
-        hexastore::sorted::contains(self.objects_for(t.s, t.p), &t.o)
-    }
-
-    fn for_each_matching(&self, pat: IdPattern, f: &mut dyn FnMut(IdTriple)) {
-        match pat.shape() {
-            Shape::Spo => {
-                let t = IdTriple::new(pat.s.unwrap(), pat.p.unwrap(), pat.o.unwrap());
-                if self.contains(t) {
-                    f(t);
-                }
-            }
-            Shape::Sp => {
-                let (s, p) = (pat.s.unwrap(), pat.p.unwrap());
-                for &o in self.objects_for(s, p) {
-                    f(IdTriple::new(s, p, o));
-                }
-            }
-            Shape::So => {
-                let (s, o) = (pat.s.unwrap(), pat.o.unwrap());
-                for &p in self.properties_for(s, o) {
-                    f(IdTriple::new(s, p, o));
-                }
-            }
-            Shape::Po => {
-                let (p, o) = (pat.p.unwrap(), pat.o.unwrap());
-                for &s in self.subjects_for(p, o) {
-                    f(IdTriple::new(s, p, o));
-                }
-            }
-            Shape::S => {
-                let s = pat.s.unwrap();
-                for (p, objs) in self.division(SPO, s) {
-                    for &o in objs {
-                        f(IdTriple::new(s, p, o));
-                    }
-                }
-            }
-            Shape::P => {
-                let p = pat.p.unwrap();
-                for (s, objs) in self.division(PSO, p) {
-                    for &o in objs {
-                        f(IdTriple::new(s, p, o));
-                    }
-                }
-            }
-            Shape::O => {
-                let o = pat.o.unwrap();
-                for (s, props) in self.division(OSP, o) {
-                    for &p in props {
-                        f(IdTriple::new(s, p, o));
-                    }
-                }
-            }
-            Shape::None_ => {
-                let ar = self.ar(O_LISTS);
-                for (s, p, l) in self.ix(SPO).scan() {
-                    for &o in ar.get(l) {
-                        f(IdTriple::new(s, p, o));
-                    }
-                }
-            }
-        }
-    }
-
-    fn iter_matching(&self, pat: IdPattern) -> TripleIter<'_> {
-        match pat.shape() {
-            Shape::Spo => {
-                let t = IdTriple::new(pat.s.unwrap(), pat.p.unwrap(), pat.o.unwrap());
-                Box::new(self.contains(t).then_some(t).into_iter())
-            }
-            Shape::Sp => {
-                let (s, p) = (pat.s.unwrap(), pat.p.unwrap());
-                Box::new(self.objects_for(s, p).iter().map(move |&o| IdTriple::new(s, p, o)))
-            }
-            Shape::So => {
-                let (s, o) = (pat.s.unwrap(), pat.o.unwrap());
-                Box::new(self.properties_for(s, o).iter().map(move |&p| IdTriple::new(s, p, o)))
-            }
-            Shape::Po => {
-                let (p, o) = (pat.p.unwrap(), pat.o.unwrap());
-                Box::new(self.subjects_for(p, o).iter().map(move |&s| IdTriple::new(s, p, o)))
-            }
-            Shape::S => {
-                let s = pat.s.unwrap();
-                Box::new(
-                    self.division(SPO, s).flat_map(move |(p, objs)| {
-                        objs.iter().map(move |&o| IdTriple::new(s, p, o))
-                    }),
-                )
-            }
-            Shape::P => {
-                let p = pat.p.unwrap();
-                Box::new(
-                    self.division(PSO, p).flat_map(move |(s, objs)| {
-                        objs.iter().map(move |&o| IdTriple::new(s, p, o))
-                    }),
-                )
-            }
-            Shape::O => {
-                let o = pat.o.unwrap();
-                Box::new(
-                    self.division(OSP, o).flat_map(move |(s, props)| {
-                        props.iter().map(move |&p| IdTriple::new(s, p, o))
-                    }),
-                )
-            }
-            Shape::None_ => {
-                let ar = self.ar(O_LISTS);
-                Box::new(self.ix(SPO).scan().flat_map(move |(s, p, l)| {
-                    ar.get(l).iter().map(move |&o| IdTriple::new(s, p, o))
-                }))
-            }
-        }
-    }
-
-    fn iter_matching_range(&self, pat: IdPattern, start: usize, end: usize) -> TripleIter<'_> {
-        let len = end.saturating_sub(start);
-        if len == 0 {
-            return Box::new(std::iter::empty());
-        }
-        fn slice(items: &[Id], start: usize, end: usize) -> &[Id] {
-            let hi = end.min(items.len());
-            &items[start.min(hi)..hi]
-        }
-        match pat.shape() {
-            Shape::Spo => Box::new(self.iter_matching(pat).skip(start).take(len)),
-            Shape::Sp => {
-                let (s, p) = (pat.s.unwrap(), pat.p.unwrap());
-                Box::new(
-                    slice(self.objects_for(s, p), start, end)
-                        .iter()
-                        .map(move |&o| IdTriple::new(s, p, o)),
-                )
-            }
-            Shape::So => {
-                let (s, o) = (pat.s.unwrap(), pat.o.unwrap());
-                Box::new(
-                    slice(self.properties_for(s, o), start, end)
-                        .iter()
-                        .map(move |&p| IdTriple::new(s, p, o)),
-                )
-            }
-            Shape::Po => {
-                let (p, o) = (pat.p.unwrap(), pat.o.unwrap());
-                Box::new(
-                    slice(self.subjects_for(p, o), start, end)
-                        .iter()
-                        .map(move |&s| IdTriple::new(s, p, o)),
-                )
-            }
-            Shape::S => {
-                let s = pat.s.unwrap();
-                window_lists(self.division(SPO, s), move |p, o| IdTriple::new(s, p, o), start, len)
-            }
-            Shape::P => {
-                let p = pat.p.unwrap();
-                window_lists(self.division(PSO, p), move |s, o| IdTriple::new(s, p, o), start, len)
-            }
-            Shape::O => {
-                let o = pat.o.unwrap();
-                window_lists(self.division(OSP, o), move |s, p| IdTriple::new(s, p, o), start, len)
-            }
-            Shape::None_ => {
-                let ar = self.ar(O_LISTS);
-                window_lists(
-                    self.ix(SPO).scan().map(move |(s, p, l)| ((s, p), ar.get(l))),
-                    move |(s, p), o| IdTriple::new(s, p, o),
-                    start,
-                    len,
-                )
-            }
-        }
-    }
-
-    fn capabilities(&self) -> IndexSet {
-        IndexSet::all()
-    }
-
-    fn count_matching(&self, pat: IdPattern) -> usize {
-        match pat.shape() {
-            Shape::Spo => usize::from(self.contains(IdTriple::new(
-                pat.s.unwrap(),
-                pat.p.unwrap(),
-                pat.o.unwrap(),
-            ))),
-            Shape::Sp => self.objects_for(pat.s.unwrap(), pat.p.unwrap()).len(),
-            Shape::So => self.properties_for(pat.s.unwrap(), pat.o.unwrap()).len(),
-            Shape::Po => self.subjects_for(pat.p.unwrap(), pat.o.unwrap()).len(),
-            Shape::S => self.division(SPO, pat.s.unwrap()).map(|(_, l)| l.len()).sum(),
-            Shape::P => self.division(PSO, pat.p.unwrap()).map(|(_, l)| l.len()).sum(),
-            Shape::O => self.division(OSP, pat.o.unwrap()).map(|(_, l)| l.len()).sum(),
-            Shape::None_ => self.len,
-        }
-    }
-
     /// Near zero by design: the columns live in the page cache behind
     /// the mapping, not on this store's heap. See
     /// [`MmapFrozenHexastore::mapped_bytes`] for the file-backed size.
@@ -577,20 +240,7 @@ impl TripleStore for MmapFrozenHexastore {
         std::mem::size_of::<Self>()
     }
 
-    fn sorted_lists(&self) -> Option<&dyn SortedListAccess> {
-        Some(self)
-    }
-}
-
-impl SortedListAccess for MmapFrozenHexastore {
-    fn sorted_list(&self, pat: IdPattern) -> Option<&[Id]> {
-        match pat.shape() {
-            Shape::Sp => Some(self.objects_for(pat.s.unwrap(), pat.p.unwrap())),
-            Shape::So => Some(self.properties_for(pat.s.unwrap(), pat.o.unwrap())),
-            Shape::Po => Some(self.subjects_for(pat.p.unwrap(), pat.o.unwrap())),
-            _ => None,
-        }
-    }
+    hexastore::forward_reads!();
 }
 
 impl StatsSource for MmapFrozenHexastore {}

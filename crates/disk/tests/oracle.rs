@@ -258,10 +258,26 @@ fn corrupt_bytes_anywhere_never_panic_the_opener() {
     hexsnap::save_frozen(&path, g.dict(), &g.store().freeze()).unwrap();
     let pristine = std::fs::read(&path).unwrap();
 
+    // All eight shapes over the pristine store's constants, plus every
+    // shape again with an id the store never saw.
+    let mut pats = all_patterns(&hex_disk::open_store(&path).unwrap());
+    let absent = hex_dict::Id(9_999);
+    pats.extend([
+        IdPattern::spo(IdTriple::new(absent, absent, absent)),
+        IdPattern::sp(absent, absent),
+        IdPattern::so(absent, absent),
+        IdPattern::po(absent, absent),
+        IdPattern::s(absent),
+        IdPattern::p(absent),
+        IdPattern::o(absent),
+    ]);
+
     // Flip every byte of the file in turn — header, DICT (counts, kinds,
     // offset table, string arena), TRPL, FROZ, trailer. The opener must
     // reject or answer, never panic; when it opens, the dictionary must
-    // still behave (decode may miss, must not crash).
+    // still behave (decode may miss, must not crash) and every read
+    // operation must walk the (possibly corrupt) columns to the end:
+    // answers may be wrong, a panic is a bug in the shared views' accessors.
     for i in 0..pristine.len() {
         let mut bytes = pristine.clone();
         bytes[i] ^= 0xFF;
@@ -270,7 +286,15 @@ fn corrupt_bytes_anywhere_never_panic_the_opener() {
             for id in 0..dict.len() as u32 {
                 let _ = dict.decode(hex_dict::Id(id));
             }
-            let _ = mapped.count_matching(IdPattern::ALL);
+            let sla = mapped.sorted_lists().expect("mmap store serves sorted lists");
+            for &pat in &pats {
+                let n = mapped.iter_matching(pat).count();
+                mapped.for_each_matching(pat, &mut |_| {});
+                let _ = mapped.count_matching(pat);
+                let _ = mapped.iter_matching_range(pat, n / 2, n).count();
+                let _ = mapped.iter_matching_range(pat, 1, usize::MAX).count();
+                let _ = sla.sorted_list(pat);
+            }
         }
     }
     std::fs::remove_file(&path).ok();

@@ -1447,45 +1447,6 @@ mod tests {
         assert_eq!(cache.len(), 1, "stale entries dropped wholesale");
     }
 
-    /// A store wrapper that counts `count_matching` probes — the
-    /// planner's per-pattern estimate cost a [`PlanCache`] hit must skip.
-    struct ProbeCounting {
-        inner: hexastore::Hexastore,
-        probes: std::cell::Cell<usize>,
-    }
-
-    impl TripleStore for ProbeCounting {
-        fn name(&self) -> &'static str {
-            "ProbeCounting"
-        }
-        fn len(&self) -> usize {
-            self.inner.len()
-        }
-        fn insert(&mut self, t: hex_dict::IdTriple) -> bool {
-            self.inner.insert(t)
-        }
-        fn remove(&mut self, t: hex_dict::IdTriple) -> bool {
-            self.inner.remove(t)
-        }
-        fn contains(&self, t: hex_dict::IdTriple) -> bool {
-            self.inner.contains(t)
-        }
-        fn for_each_matching(
-            &self,
-            pat: hexastore::IdPattern,
-            f: &mut dyn FnMut(hex_dict::IdTriple),
-        ) {
-            self.inner.for_each_matching(pat, f)
-        }
-        fn count_matching(&self, pat: hexastore::IdPattern) -> usize {
-            self.probes.set(self.probes.get() + 1);
-            self.inner.count_matching(pat)
-        }
-        fn heap_bytes(&self) -> usize {
-            self.inner.heap_bytes()
-        }
-    }
-
     #[test]
     fn plan_cache_hit_skips_store_probes_and_explains_identically() {
         let g = figure1_graph();
@@ -1493,17 +1454,18 @@ mod tests {
             ?who <http://x/type> <http://x/GradStudent> .
             ?who <http://x/advisor> ?adv .
         }"#;
-        let counting = ProbeCounting { inner: g.store().clone(), probes: std::cell::Cell::new(0) };
-        let spy = Dataset::from_parts(g.dict().clone(), counting);
+        // Every store call the planner makes (its per-pattern estimate
+        // probes included) is counted; a cache hit must make none.
+        let spy = Dataset::from_parts(g.dict().clone(), crate::support::Counting::new(g.store()));
         let mut cache = PlanCache::new();
 
         let miss_explain = cache.prepare(&spy, text).unwrap().explain();
-        let after_miss = spy.store().probes.get();
+        let after_miss = spy.store().probes();
         assert!(after_miss >= 2, "planning probes each of the two patterns");
 
         let hit_explain = cache.prepare(&spy, text).unwrap().explain();
         assert_eq!(
-            spy.store().probes.get(),
+            spy.store().probes(),
             after_miss,
             "a cache hit must not touch the store at preparation time"
         );

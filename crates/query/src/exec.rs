@@ -20,7 +20,7 @@
 
 use crate::algebra::{Bgp, Pattern, PatternTerm};
 use hex_dict::Id;
-use hexastore::{advisor, DatasetStats, IndexKind, Shape, TripleIter, TripleStore};
+use hexastore::{access, DatasetStats, IndexKind, Shape, TripleIter, TripleStore};
 use std::cmp::Ordering;
 
 /// A set of binding rows; `None` marks an unbound slot.
@@ -57,9 +57,10 @@ pub struct PlanStep {
     /// [`DatasetStats`] (see [`plan_steps_with`]); exactly
     /// `estimate as f64` when planning without statistics.
     pub cost: f64,
-    /// The index ordering that serves `shape` with a single probe, if the
-    /// store's [`TripleStore::capabilities`] contain one; `None` means the
-    /// store must fall back to a filtered scan for this step.
+    /// The index ordering that serves `shape` with a single probe, by the
+    /// hexastore family's own routing rule ([`access::serving_kind`] on
+    /// [`TripleStore::capabilities`]); `None` means the store must fall
+    /// back to a filtered scan for this step.
     pub index: Option<IndexKind>,
     /// The join algorithm chosen for this step (see [`JoinStep`]).
     pub join: JoinStep,
@@ -175,7 +176,7 @@ pub fn plan_steps_with(
         for v in bgp.patterns[pi].vars() {
             bound[v.index()] = true;
         }
-        let index = advisor::serving_indices(shape).iter().find(|&k| caps.contains(k));
+        let index = access::serving_kind(shape, caps);
         steps.push(PlanStep {
             pattern: pi,
             shape,
@@ -625,9 +626,9 @@ pub fn distinct(mut rows: Vec<Vec<Id>>) -> Vec<Vec<Id>> {
 mod tests {
     use super::*;
     use crate::algebra::VarId;
+    use crate::support::Counting;
     use hex_dict::IdTriple;
     use hexastore::{Hexastore, IdPattern};
-    use std::cell::Cell;
 
     fn c(v: u32) -> PatternTerm {
         PatternTerm::Const(Id(v))
@@ -888,80 +889,33 @@ mod tests {
         assert_eq!(a, b);
     }
 
-    /// A store wrapper counting how many triples its cursors yield — the
-    /// probe for early-termination claims.
-    struct Counting<'a> {
-        inner: &'a Hexastore,
-        yielded: &'a Cell<usize>,
-    }
-
-    impl hexastore::TripleStore for Counting<'_> {
-        fn name(&self) -> &'static str {
-            "Counting"
-        }
-        fn len(&self) -> usize {
-            self.inner.len()
-        }
-        fn insert(&mut self, _: IdTriple) -> bool {
-            unimplemented!("read-only wrapper")
-        }
-        fn remove(&mut self, _: IdTriple) -> bool {
-            unimplemented!("read-only wrapper")
-        }
-        fn contains(&self, t: IdTriple) -> bool {
-            self.inner.contains(t)
-        }
-        fn for_each_matching(&self, pat: IdPattern, f: &mut dyn FnMut(IdTriple)) {
-            self.inner.for_each_matching(pat, &mut |t| {
-                self.yielded.set(self.yielded.get() + 1);
-                f(t);
-            });
-        }
-        fn iter_matching(&self, pat: IdPattern) -> TripleIter<'_> {
-            Box::new(self.inner.iter_matching(pat).inspect(|_| {
-                self.yielded.set(self.yielded.get() + 1);
-            }))
-        }
-        fn count_matching(&self, pat: IdPattern) -> usize {
-            self.inner.count_matching(pat)
-        }
-        fn capabilities(&self) -> hexastore::IndexSet {
-            self.inner.capabilities()
-        }
-        fn heap_bytes(&self) -> usize {
-            self.inner.heap_bytes()
-        }
-    }
-
     #[test]
     fn cursor_stops_pulling_when_dropped_early() {
         // 1000 advisor triples; taking one row must not visit them all.
         let store = Hexastore::from_triples((0..1000).map(|i| t(i, 100, i + 1000)));
-        let yielded = Cell::new(0);
-        let counting = Counting { inner: &store, yielded: &yielded };
+        let counting = Counting::new(&store);
         let bgp = Bgp::new(vec![Pattern::new(v(0), c(100), v(1))]);
         let order = plan_order(&counting, &bgp);
         let mut cursor = BgpCursor::new(&counting, &bgp, &order);
         assert!(cursor.next().is_some());
-        assert!(yielded.get() <= 2, "one row pulled, {} triples visited", yielded.get());
+        assert!(counting.yielded() <= 2, "one row pulled, {} triples visited", counting.yielded());
         drop(cursor);
-        assert!(yielded.get() <= 2);
+        assert!(counting.yielded() <= 2);
     }
 
     #[test]
     fn demand_stops_the_walk_and_frees_iterators() {
         let store = Hexastore::from_triples((0..1000).map(|i| t(i, 100, i + 1000)));
-        let yielded = Cell::new(0);
-        let counting = Counting { inner: &store, yielded: &yielded };
+        let counting = Counting::new(&store);
         let bgp = Bgp::new(vec![Pattern::new(v(0), c(100), v(1))]);
         let mut cursor = BgpCursor::new(&counting, &bgp, &[0]);
         cursor.set_demand(Some(3));
         let rows: Rows = cursor.collect();
         assert_eq!(rows.len(), 3, "demand caps the row count");
         assert!(
-            yielded.get() <= 4,
+            counting.yielded() <= 4,
             "demand 3 visited {} of 1000 triples; must be O(demand)",
-            yielded.get()
+            counting.yielded()
         );
     }
 
@@ -1133,11 +1087,10 @@ mod tests {
     #[test]
     fn merge_cursor_demand_stops_the_walk() {
         let store = merge_star();
-        let yielded = Cell::new(0);
-        let counting = Counting { inner: &store, yielded: &yielded };
+        let counting = Counting::new(&store);
         let bgp = merge_star_bgp();
-        // Plan against the raw store (the wrapper has no sorted lists);
-        // execute the merge cursor against the wrapper for tail counting.
+        // Intersect the group on the raw store; walk the tail through the
+        // wrapper so its triples are counted.
         let steps = plan_steps(&store, &bgp);
         let order: Vec<usize> = steps.iter().map(|s| s.pattern).collect();
         let (group, var) = merge_group(&bgp, &steps).unwrap();
@@ -1147,19 +1100,20 @@ mod tests {
         let rows: Rows = cursor.collect();
         assert_eq!(rows.len(), 3);
         assert!(
-            yielded.get() <= 4,
+            counting.yielded() <= 4,
             "demand 3 visited {} tail triples; must be O(demand)",
-            yielded.get()
+            counting.yielded()
         );
     }
 
     #[test]
     fn no_merge_group_without_sorted_list_capability() {
-        // The counting wrapper keeps the default `sorted_lists() == None`:
-        // planning through it must stay fully nested.
+        // An overlay's logical lists are merges of base and delta, so it
+        // keeps the default `sorted_lists() == None` (and the wrapper
+        // forwards that): planning through it must stay fully nested.
         let store = merge_star();
-        let yielded = Cell::new(0);
-        let counting = Counting { inner: &store, yielded: &yielded };
+        let layered = hexastore::OverlayHexastore::new(store.freeze());
+        let counting = Counting::new(&layered);
         let bgp = merge_star_bgp();
         let steps = plan_steps(&counting, &bgp);
         assert!(steps.iter().all(|s| s.join == JoinStep::NestedProbe), "{steps:?}");

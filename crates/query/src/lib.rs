@@ -66,6 +66,11 @@ pub mod parallel;
 pub mod parser;
 pub mod path;
 
+/// The counting store adaptor shared with the integration tests.
+#[cfg(test)]
+#[path = "../tests/support/mod.rs"]
+mod support;
+
 pub use algebra::{Bgp, Pattern, PatternTerm, VarId};
 pub use engine::{
     compile, execute, execute_ask, execute_compiled, execute_on, prepare, prepare_on,

@@ -21,7 +21,9 @@ use hexastore::{
 };
 use proptest::prelude::*;
 use rdf_model::Term;
-use std::cell::Cell;
+
+mod support;
+use support::Counting;
 
 /// Terms are minted so that term `i` gets dictionary id `i` (ids are
 /// assigned densely in insertion order).
@@ -251,51 +253,6 @@ proptest! {
     }
 }
 
-/// A read-only store wrapper counting how many triples its cursors and
-/// visitors yield — the measurement behind the early-termination claims.
-struct Counting<'a> {
-    inner: &'a Hexastore,
-    yielded: &'a Cell<usize>,
-}
-
-impl TripleStore for Counting<'_> {
-    fn name(&self) -> &'static str {
-        "Counting"
-    }
-    fn len(&self) -> usize {
-        self.inner.len()
-    }
-    fn insert(&mut self, _: IdTriple) -> bool {
-        unimplemented!("read-only wrapper")
-    }
-    fn remove(&mut self, _: IdTriple) -> bool {
-        unimplemented!("read-only wrapper")
-    }
-    fn contains(&self, t: IdTriple) -> bool {
-        self.inner.contains(t)
-    }
-    fn for_each_matching(&self, pat: IdPattern, f: &mut dyn FnMut(IdTriple)) {
-        self.inner.for_each_matching(pat, &mut |t| {
-            self.yielded.set(self.yielded.get() + 1);
-            f(t);
-        });
-    }
-    fn iter_matching(&self, pat: IdPattern) -> hexastore::TripleIter<'_> {
-        Box::new(self.inner.iter_matching(pat).inspect(|_| {
-            self.yielded.set(self.yielded.get() + 1);
-        }))
-    }
-    fn count_matching(&self, pat: IdPattern) -> usize {
-        self.inner.count_matching(pat)
-    }
-    fn capabilities(&self) -> IndexSet {
-        self.inner.capabilities()
-    }
-    fn heap_bytes(&self) -> usize {
-        self.inner.heap_bytes()
-    }
-}
-
 /// 10k-triple star: subjects 0..10_000 all typed (p=0) as class 1.
 fn big_store_and_dict() -> (Hexastore, Dictionary) {
     let mut dict = Dictionary::new();
@@ -315,8 +272,7 @@ fn big_store_and_dict() -> (Hexastore, Dictionary) {
 #[test]
 fn ask_visits_a_bounded_number_of_rows() {
     let (store, dict) = big_store_and_dict();
-    let yielded = Cell::new(0);
-    let counting = Counting { inner: &store, yielded: &yielded };
+    let counting = Counting::new(&store);
     let plan = hex_query::prepare_on(
         &counting,
         &dict,
@@ -325,17 +281,16 @@ fn ask_visits_a_bounded_number_of_rows() {
     .unwrap();
     assert!(plan.solutions().next().is_some());
     assert!(
-        yielded.get() <= 2,
+        counting.yielded() <= 2,
         "ASK over 10k matches visited {} triples; must stop at the first",
-        yielded.get()
+        counting.yielded()
     );
 }
 
 #[test]
 fn limit_stops_after_offset_plus_limit_rows() {
     let (store, dict) = big_store_and_dict();
-    let yielded = Cell::new(0);
-    let counting = Counting { inner: &store, yielded: &yielded };
+    let counting = Counting::new(&store);
     let plan = hex_query::prepare_on(
         &counting,
         &dict,
@@ -345,9 +300,9 @@ fn limit_stops_after_offset_plus_limit_rows() {
     let rows: Vec<Vec<Term>> = plan.solutions().collect();
     assert_eq!(rows.len(), 10);
     assert!(
-        yielded.get() <= 16,
+        counting.yielded() <= 16,
         "LIMIT 10 OFFSET 5 visited {} triples; must stop near 15",
-        yielded.get()
+        counting.yielded()
     );
 }
 
@@ -374,8 +329,7 @@ fn limit_pushdown_visits_o_k_triples_across_join_levels() {
     // this non-DISTINCT, filter-free query, so a two-level join over 10k
     // matching chains visits O(k) triples for LIMIT k.
     let (store, dict) = chain_store_and_dict();
-    let yielded = Cell::new(0);
-    let counting = Counting { inner: &store, yielded: &yielded };
+    let counting = Counting::new(&store);
     let plan = hex_query::prepare_on(
         &counting,
         &dict,
@@ -390,9 +344,9 @@ fn limit_pushdown_visits_o_k_triples_across_join_levels() {
     let rows: Vec<Vec<Term>> = plan.solutions().collect();
     assert_eq!(rows.len(), 7);
     assert!(
-        yielded.get() <= 2 * 7 + 2,
+        counting.yielded() <= 2 * 7 + 2,
         "LIMIT 7 over 10k chains visited {} triples; must be O(limit)",
-        yielded.get()
+        counting.yielded()
     );
 }
 
@@ -528,8 +482,7 @@ fn distinct_with_total_projection_pushes_the_demand() {
     // the demand (offset + limit) may be pushed into the walk — LIMIT 7
     // visits O(7) of the 10k triples.
     let (store, dict) = grouped_store_and_dict(5);
-    let yielded = Cell::new(0);
-    let counting = Counting { inner: &store, yielded: &yielded };
+    let counting = Counting::new(&store);
     let plan = hex_query::prepare_on(
         &counting,
         &dict,
@@ -539,9 +492,9 @@ fn distinct_with_total_projection_pushes_the_demand() {
     let rows: Vec<Vec<Term>> = plan.solutions().collect();
     assert_eq!(rows.len(), 7);
     assert!(
-        yielded.get() <= 8,
+        counting.yielded() <= 8,
         "DISTINCT with total projection LIMIT 7 visited {} triples; demand must push",
-        yielded.get()
+        counting.yielded()
     );
 }
 
@@ -552,8 +505,7 @@ fn distinct_with_lossy_projection_visits_o_k_dup_triples() {
     // Laziness still bounds the walk: LIMIT k pulls until the seen-set
     // holds k entries — k·dup triples, not 10k.
     let (store, dict) = grouped_store_and_dict(5);
-    let yielded = Cell::new(0);
-    let counting = Counting { inner: &store, yielded: &yielded };
+    let counting = Counting::new(&store);
     let plan = hex_query::prepare_on(
         &counting,
         &dict,
@@ -563,67 +515,10 @@ fn distinct_with_lossy_projection_visits_o_k_dup_triples() {
     let rows: Vec<Vec<Term>> = plan.solutions().collect();
     assert_eq!(rows.len(), 4, "four distinct groups");
     assert!(
-        yielded.get() <= 4 * 5 + 1,
+        counting.yielded() <= 4 * 5 + 1,
         "DISTINCT ?g LIMIT 4 over dup=5 visited {} triples; must be O(k·dup)",
-        yielded.get()
+        counting.yielded()
     );
-}
-
-/// A `Sync` counting wrapper for the parallel executor: workers on other
-/// threads bump an atomic instead of a `Cell`. Forwards
-/// `iter_matching_range` natively so shard starts are seeks, not counted
-/// skip-walks.
-struct AtomicCounting<'a> {
-    inner: &'a Hexastore,
-    yielded: &'a std::sync::atomic::AtomicUsize,
-}
-
-impl TripleStore for AtomicCounting<'_> {
-    fn name(&self) -> &'static str {
-        "AtomicCounting"
-    }
-    fn len(&self) -> usize {
-        self.inner.len()
-    }
-    fn insert(&mut self, _: IdTriple) -> bool {
-        unimplemented!("read-only wrapper")
-    }
-    fn remove(&mut self, _: IdTriple) -> bool {
-        unimplemented!("read-only wrapper")
-    }
-    fn contains(&self, t: IdTriple) -> bool {
-        self.inner.contains(t)
-    }
-    fn for_each_matching(&self, pat: IdPattern, f: &mut dyn FnMut(IdTriple)) {
-        self.inner.for_each_matching(pat, &mut |t| {
-            self.yielded.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-            f(t);
-        });
-    }
-    fn iter_matching(&self, pat: IdPattern) -> hexastore::TripleIter<'_> {
-        Box::new(self.inner.iter_matching(pat).inspect(|_| {
-            self.yielded.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-        }))
-    }
-    fn iter_matching_range(
-        &self,
-        pat: IdPattern,
-        start: usize,
-        end: usize,
-    ) -> hexastore::TripleIter<'_> {
-        Box::new(self.inner.iter_matching_range(pat, start, end).inspect(|_| {
-            self.yielded.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-        }))
-    }
-    fn count_matching(&self, pat: IdPattern) -> usize {
-        self.inner.count_matching(pat)
-    }
-    fn capabilities(&self) -> IndexSet {
-        self.inner.capabilities()
-    }
-    fn heap_bytes(&self) -> usize {
-        self.inner.heap_bytes()
-    }
 }
 
 #[test]
@@ -633,16 +528,15 @@ fn parallel_distinct_limit_caps_each_shard() {
     // triples each, shard-boundary partial runs included) instead of
     // draining its 2500-triple shard.
     let (store, dict) = grouped_store_and_dict(5);
-    let yielded = std::sync::atomic::AtomicUsize::new(0);
-    let counting = AtomicCounting { inner: &store, yielded: &yielded };
+    let counting = Counting::new(&store);
     let query = format!("SELECT DISTINCT ?g WHERE {{ ?x {} ?g . }} LIMIT 4", term_for(0));
     let plan = hex_query::prepare_on(&counting, &dict, &query).unwrap();
     let reference = plan.run();
     assert_eq!(reference.len(), 4);
-    yielded.store(0, std::sync::atomic::Ordering::Relaxed);
+    counting.reset();
     let got = plan.run_parallel(&counting, 4);
     assert_eq!(got, reference, "parallel DISTINCT+LIMIT must stay byte-identical");
-    let visited = yielded.load(std::sync::atomic::Ordering::Relaxed);
+    let visited = counting.yielded();
     assert!(
         visited <= 4 * (4 * 5 + 5) + 4,
         "4 capped workers visited {visited} triples; must be O(threads·k·dup)"
