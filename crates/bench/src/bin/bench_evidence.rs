@@ -294,6 +294,13 @@ fn main() {
     let _ = writeln!(json, "    \"plain_bytes\": {},", cold.plain_bytes);
     let _ = writeln!(json, "    \"compressed_bytes\": {},", cold.compressed_bytes);
     let _ = writeln!(json, "    \"size_ratio\": {},", num(cold.size_ratio()));
+    let _ =
+        writeln!(json, "    \"plain_bytes_per_triple\": {},", num(cold.plain_bytes_per_triple()));
+    let _ = writeln!(
+        json,
+        "    \"compressed_bytes_per_triple\": {},",
+        num(cold.compressed_bytes_per_triple())
+    );
     let _ = writeln!(json, "    \"dict_open_seconds\": {},", num(cold.dict_open.as_secs_f64()));
     let _ = writeln!(json, "    \"eager_open_seconds\": {},", num(cold.eager_open.as_secs_f64()));
     let _ = writeln!(
@@ -524,7 +531,8 @@ fn main() {
         joins.identical && joins_small.identical
     );
     println!(
-        "cold open {} triples: compressed {} B vs plain {} B ({:.2}x); slab open eager {:.3}s, \
+        "cold open {} triples: compressed {} B vs plain {} B ({:.2}x; {:.1} and {:.1} B/triple); \
+         slab open eager {:.3}s, \
          compressed {:.3}s, mmap {:.6}s ({:.0}x faster than eager; dict decode {:.3}s shared by \
          all paths); first query eager {:.4}s vs mmap {:.4}s; twelve warm queries eager {:.4}s \
          vs mmap {:.4}s, identical: {}",
@@ -532,6 +540,8 @@ fn main() {
         cold.compressed_bytes,
         cold.plain_bytes,
         cold.size_ratio(),
+        cold.compressed_bytes_per_triple(),
+        cold.plain_bytes_per_triple(),
         cold.eager_open.as_secs_f64(),
         cold.compressed_open.as_secs_f64(),
         cold.mmap_open.as_secs_f64(),

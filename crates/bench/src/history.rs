@@ -17,7 +17,7 @@ use std::path::{Path, PathBuf};
 /// The headline metrics a trajectory row carries, as (column, JSON
 /// path) pairs into `BENCH_ci.json`. Entries predating a metric render
 /// as empty cells, so the schema can grow without rewriting history.
-pub const TRAJECTORY_COLUMNS: [(&str, &[&str]); 14] = [
+pub const TRAJECTORY_COLUMNS: [(&str, &[&str]); 16] = [
     ("figures_triples", &["figures_triples"]),
     ("load_speedup", &["load", "speedup"]),
     ("load_parallel_triples_per_second", &["load", "parallel_triples_per_second"]),
@@ -32,6 +32,8 @@ pub const TRAJECTORY_COLUMNS: [(&str, &[&str]); 14] = [
     ("dict_mapped_open_seconds", &["dict", "mapped_open_seconds"]),
     ("joins_star_speedup", &["joins", "star_speedup"]),
     ("joins_chain_speedup", &["joins", "chain_speedup"]),
+    ("snapshot_plain_bytes_per_triple", &["cold_open", "plain_bytes_per_triple"]),
+    ("snapshot_compressed_bytes_per_triple", &["cold_open", "compressed_bytes_per_triple"]),
 ];
 
 /// Walks a `.`-free key path through nested JSON objects.

@@ -1132,6 +1132,18 @@ impl ColdOpenRow {
         self.compressed_bytes as f64 / (self.plain_bytes as f64).max(f64::MIN_POSITIVE)
     }
 
+    /// Uncompressed snapshot bytes per stored triple, dictionary included
+    /// — an absolute size, so a format change that shrinks both files
+    /// cannot hide behind their ratio.
+    pub fn plain_bytes_per_triple(&self) -> f64 {
+        self.plain_bytes as f64 / (self.triples as f64).max(1.0)
+    }
+
+    /// Compressed snapshot bytes per stored triple, dictionary included.
+    pub fn compressed_bytes_per_triple(&self) -> f64 {
+        self.compressed_bytes as f64 / (self.triples as f64).max(1.0)
+    }
+
     /// Eager slab-open time over mmap slab-open time (>1: mapping is
     /// faster). The shared dictionary decode is excluded from both
     /// sides (see [`ColdOpenRow::dict_open`]).
@@ -2133,9 +2145,23 @@ pub fn space_report(scale: usize) -> String {
             stats.blowup()
         ));
     };
+    // Where the frozen store's heap bytes go, per triple and by column
+    // kind — the layer table a memory optimisation starts from.
+    let mut heap = String::from(
+        "# frozen store heap, bytes per triple by column kind\n\
+         dataset,triples,items,vector_keys,mirror_list_refs,arena_offsets,headers,total\n",
+    );
     for (name, data) in [("barton", barton_dataset(scale)), ("lubm", lubm_dataset(scale))] {
         let suite = Suite::build(&data);
         line(name, suite.hexastore.space_stats());
+        let frozen = suite.hexastore.freeze();
+        let (b, n) = (frozen.heap_breakdown(), frozen.len().max(1) as f64);
+        let parts = [b.items, b.vector_keys, b.mirror_list_refs, b.arena_offsets, b.headers];
+        heap.push_str(&format!("{name},{}", frozen.len()));
+        for bytes in parts.into_iter().chain([b.total()]) {
+            heap.push_str(&format!(",{:.2}", bytes as f64 / n));
+        }
+        heap.push('\n');
     }
     // Worst case: every resource occurs exactly once → blowup = 5.0.
     let n = scale as u32 / 3;
@@ -2143,7 +2169,7 @@ pub fn space_report(scale: usize) -> String {
         (0..n).map(|i| hex_dict::IdTriple::from((i, n + i, 2 * n + i))).collect();
     let h = hexastore::Hexastore::from_triples(worst);
     line("all-distinct(worst case)", h.space_stats());
-    out
+    out + &heap
 }
 
 /// The §4.3 path-expression experiment: end-to-end time and join counts

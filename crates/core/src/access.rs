@@ -25,17 +25,18 @@
 //! [`OrderedStore`] and forward their [`TripleStore`]
 //! read methods here with [`forward_reads!`](crate::forward_reads).
 //!
-//! The slab views clamp instead of panicking. In-memory slabs are
-//! validated when they are built, so clamping never triggers there; the
-//! `hex-disk` crate hands out the same views over memory-mapped columns it
-//! deliberately does not validate, where a corrupt span must degrade to a
-//! short (possibly wrong) answer rather than a crash.
+//! A slab level is a column windowed by a cumulative offsets column:
+//! window `i` is `offs[i]..offs[i + 1]`. The slab views clamp those
+//! windows instead of panicking. In-memory slabs are validated when they
+//! are built, so clamping never triggers there; the `hex-disk` crate hands
+//! out the same views over memory-mapped columns it deliberately does not
+//! validate, where a corrupt offset must degrade to a short (possibly
+//! wrong, possibly empty) answer rather than a crash.
 
 use crate::advisor::{serving_indices, IndexKind, IndexSet};
 use crate::arena::ListArena;
 use crate::partial::OrderingMap;
 use crate::pattern::{IdPattern, Shape};
-use crate::slab::Span;
 use crate::sorted;
 use crate::store::TwoLevel;
 use crate::traits::{TripleIter, TripleStore};
@@ -152,69 +153,79 @@ fn probe_in(kind: IndexKind, pat: IdPattern, served: bool) -> Probe {
     }
 }
 
-/// A span's window clamped to a column of `n` elements.
+/// Window `i` of a cumulative offsets column, clamped to a column of `n`
+/// elements. A window past the end of `offs` is empty; an end beyond `n`
+/// is cut to `n`; a corrupt, non-monotone pair (`offs[i] > offs[i + 1]`)
+/// is empty — never a `lo > hi` range.
 #[inline]
-fn clamp(span: Span, n: usize) -> Range<usize> {
-    let lo = (span.off as usize).min(n);
-    let hi = (span.off as usize).saturating_add(span.len as usize).min(n);
-    lo..hi
+fn window_of(offs: &[u32], i: usize, n: usize) -> Range<usize> {
+    let (Some(&lo), Some(&hi)) = (offs.get(i), offs.get(i.wrapping_add(1))) else { return 0..0 };
+    let hi = (hi as usize).min(n);
+    (lo as usize).min(hi)..hi
 }
 
-/// Borrowed columns of one flat two-level ordering: sorted header `keys`
-/// parallel to `spans`, each span windowing the parallel `k2` / `lists`
-/// columns. `Copy`, so cursor closures own it outright.
+/// Borrowed columns of one flat two-level ordering: sorted header `keys`,
+/// the cumulative `offs` that window the `k2` column per header (one entry
+/// more than `keys`), and the terminal-list reference of each leaf. `Copy`,
+/// so cursor closures own it outright.
 #[derive(Clone, Copy, Debug)]
 pub struct IndexView<'a> {
     /// Sorted header keys.
     pub keys: &'a [Id],
-    /// Per-header window into `k2` / `lists`.
-    pub spans: &'a [Span],
+    /// Header `i`'s leaves are `offs[i]..offs[i + 1]` of `k2`.
+    pub offs: &'a [u32],
     /// Vector keys, sorted within each header's window.
     pub k2: &'a [Id],
-    /// Terminal-list index per vector key, into the ordering's arena;
-    /// parallel to `k2` and of the same length.
-    pub lists: &'a [u32],
+    /// Terminal-list index per leaf, into the ordering's arena; parallel
+    /// to `k2` and of the same length. `None` for a *primary* ordering —
+    /// the one whose leaf order is the arena's list order — where leaf `i`
+    /// is list `i` and the column would be the identity.
+    pub lists: Option<&'a [u32]>,
 }
 
 impl<'a> IndexView<'a> {
+    /// The clamped leaf window of header number `h`.
+    #[inline]
+    fn window_at(self, h: usize) -> Range<usize> {
+        window_of(self.offs, h, self.k2.len())
+    }
+
     /// The clamped leaf window of header `k1` — an absent header or a
-    /// corrupt span yields a short (possibly empty) window, never a panic.
+    /// corrupt offset yields a short (possibly empty) window, never a panic.
     #[inline]
     fn window(self, k1: Id) -> Range<usize> {
-        let span = self.keys.binary_search(&k1).ok().and_then(|i| self.spans.get(i));
-        span.map_or(0..0, |&span| clamp(span, self.k2.len()))
+        self.keys.binary_search(&k1).map_or(0..0, |h| self.window_at(h))
+    }
+
+    /// The terminal-list index of leaf `i`.
+    #[inline]
+    fn list_at(self, i: usize) -> u32 {
+        self.lists.map_or(i as u32, |lists| lists[i])
     }
 
     /// The terminal-list index of `(k1, k2)`, by two binary searches.
     #[inline]
     pub fn list_idx(self, k1: Id, k2: Id) -> Option<u32> {
         let window = self.window(k1);
-        self.k2[window.clone()].binary_search(&k2).ok().map(|i| self.lists[window.start + i])
+        self.k2[window.clone()].binary_search(&k2).ok().map(|i| self.list_at(window.start + i))
     }
 }
 
 /// Borrowed columns of one flat terminal-list arena.
 #[derive(Clone, Copy, Debug)]
 pub struct ArenaView<'a> {
-    /// Per-list window into `items`.
-    pub spans: &'a [Span],
+    /// List `i` is `offs[i]..offs[i + 1]` of `items`.
+    pub offs: &'a [u32],
     /// All lists' entries, back to back.
     pub items: &'a [Id],
 }
 
 impl<'a> ArenaView<'a> {
     /// The items of list `idx`, clamped to the column — a corrupt index
-    /// or span yields a short (possibly empty) slice, never a panic.
+    /// or offset yields a short (possibly empty) slice, never a panic.
     #[inline]
     pub fn get(self, idx: u32) -> &'a [Id] {
-        let Some(&span) = self.spans.get(idx as usize) else { return &[] };
-        // An in-range span — every span of a valid slab — costs one range
-        // check; only a corrupt one takes the clamping path.
-        let lo = span.off as usize;
-        match self.items.get(lo..lo.saturating_add(span.len as usize)) {
-            Some(list) => list,
-            None => &self.items[clamp(span, self.items.len())],
-        }
+        &self.items[window_of(self.offs, idx as usize, self.items.len())]
     }
 }
 
@@ -244,13 +255,13 @@ impl<'a> OrderingRead<'a> for SlabOrdering<'a> {
 
     fn division(self, k1: Id) -> impl Iterator<Item = (Id, &'a [Id])> + 'a {
         let (ix, arena) = self;
-        ix.window(k1).map(move |i| (ix.k2[i], arena.get(ix.lists[i])))
+        ix.window(k1).map(move |i| (ix.k2[i], arena.get(ix.list_at(i))))
     }
 
     fn scan(self) -> impl Iterator<Item = (Id, Id, &'a [Id])> + 'a {
         let (ix, arena) = self;
-        ix.keys.iter().zip(ix.spans).flat_map(move |(&k1, &span)| {
-            clamp(span, ix.k2.len()).map(move |i| (k1, ix.k2[i], arena.get(ix.lists[i])))
+        ix.keys.iter().enumerate().flat_map(move |(h, &k1)| {
+            ix.window_at(h).map(move |i| (k1, ix.k2[i], arena.get(ix.list_at(i))))
         })
     }
 }
@@ -647,23 +658,30 @@ mod tests {
     }
 
     #[test]
-    fn slab_views_clamp_corrupt_spans_instead_of_panicking() {
-        let keys = [Id(1), Id(2)];
-        // Header 1's span runs past the leaf columns; header 2's starts
-        // beyond them and its length overflows.
-        let spans = [Span { off: 0, len: 9 }, Span { off: u32::MAX, len: u32::MAX }];
+    fn slab_views_clamp_corrupt_offsets_instead_of_panicking() {
+        let keys = [Id(1), Id(2), Id(3)];
+        // Header 1's window runs past the leaf column; header 2's is
+        // backwards (9 > 1); header 3 has no closing offset at all.
+        let offs = [0, 9, 1];
         let k2 = [Id(5), Id(6)];
         let lists = [0, 7]; // list 7 does not exist
-        let ix = IndexView { keys: &keys, spans: &spans, k2: &k2, lists: &lists };
         let items = [Id(10), Id(11)];
-        let arena_spans = [Span { off: 1, len: 40 }];
-        let arena = ArenaView { spans: &arena_spans, items: &items };
+        // List 0 ends beyond the item column; list 1 is backwards.
+        let arena = ArenaView { offs: &[1, 40, 0], items: &items };
+        let ix = IndexView { keys: &keys, offs: &offs, k2: &k2, lists: Some(&lists) };
         let ord: SlabOrdering<'_> = (ix, arena);
-        assert_eq!(ord.list(Id(1), Id(5)), &[Id(11)], "list span clamped to the column");
+        assert_eq!(ord.list(Id(1), Id(5)), &[Id(11)], "list window clamped to the column");
         assert_eq!(ord.list(Id(1), Id(6)), &[] as &[Id], "dangling list index reads empty");
-        assert_eq!(ord.list(Id(2), Id(5)), &[] as &[Id]);
+        assert_eq!(ord.list(Id(2), Id(5)), &[] as &[Id], "backwards header window reads empty");
+        assert_eq!(ord.list(Id(3), Id(5)), &[] as &[Id], "unclosed header window reads empty");
         assert_eq!(ord.division(Id(1)).count(), 2);
         assert_eq!(ord.division(Id(2)).count(), 0);
         assert_eq!(ord.scan().count(), 2);
+        // A primary ordering reads leaf i as list i: leaf 1 is the
+        // backwards list, which reads empty.
+        let primary: SlabOrdering<'_> = (IndexView { lists: None, ..ix }, arena);
+        assert_eq!(primary.list(Id(1), Id(5)), &[Id(11)]);
+        assert_eq!(primary.list(Id(1), Id(6)), &[] as &[Id], "backwards list window reads empty");
+        assert_eq!(primary.scan().map(|(_, _, list)| list.len()).sum::<usize>(), 1);
     }
 }

@@ -69,6 +69,15 @@ impl IndexKind {
             IndexKind::Ops => IndexKind::Pos,
         }
     }
+
+    /// True for the second ordering of each pair (pso, osp, ops). A pair's
+    /// shared terminal lists are laid out in the leaf order of its
+    /// *primary* ordering (spo, sop, pos), so in the flat slab form leaf
+    /// `i` of a primary is list `i` and only a mirror stores list
+    /// references.
+    pub fn is_mirror(self) -> bool {
+        matches!(self, IndexKind::Pso | IndexKind::Osp | IndexKind::Ops)
+    }
 }
 
 /// A set of index orderings, as a tiny bitset.

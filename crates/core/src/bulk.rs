@@ -335,47 +335,42 @@ fn build_pair_frozen(
     let (mut primary, mut arena, mut mirror_entries) = if presize {
         let (headers, pairs) = count_groups(n, &at);
         (
-            FrozenIndex::with_capacity(headers, pairs),
+            FrozenIndex::primary(headers, pairs),
             FlatArena::with_capacity(pairs, n),
             Vec::with_capacity(pairs),
         )
     } else {
-        (FrozenIndex::default(), FlatArena::new(), Vec::new())
+        (FrozenIndex::primary(0, 0), FlatArena::new(), Vec::new())
     };
 
     // Emission walk: every slab append is driven by the shared grouping
     // pass; `at` is the hot projection (a perm indirection plus a key
-    // gather).
+    // gather). Lists enter the arena in the primary's leaf order, which is
+    // why the primary stores no list references.
     let mut current_k1 = Id(0);
-    let mut start = 0u32;
     scan_groups(n, &at, |event| match event {
-        GroupEvent::Header { k1, .. } => {
-            current_k1 = k1;
-            start = primary.begin_k1();
-        }
+        GroupEvent::Header { k1, .. } => current_k1 = k1,
         GroupEvent::Leaf { k2, range } => {
             let lid = arena.push_list(range.map(|x| at(x).2));
             primary.push_leaf(k2, lid);
             mirror_entries.push((k2, current_k1, lid));
         }
-        GroupEvent::EndHeader { k1 } => primary.end_k1(k1, start),
+        GroupEvent::EndHeader { k1 } => primary.end_k1(k1),
     });
 
     // Mirror: group by k2, referencing the already-emitted shared lists.
     mirror_entries.sort_unstable_by_key(|e| (e.0, e.1));
     let m = mirror_entries.len();
-    let mut mirror =
-        FrozenIndex::with_capacity(count_distinct_adjacent(&mirror_entries, |e| e.0), m);
+    let mut mirror = FrozenIndex::mirror(count_distinct_adjacent(&mirror_entries, |e| e.0), m);
     let mut i = 0;
     while i < m {
         let k2 = mirror_entries[i].0;
-        let start = mirror.begin_k1();
         let mut j = i;
         while j < m && mirror_entries[j].0 == k2 {
             mirror.push_leaf(mirror_entries[j].1, mirror_entries[j].2);
             j += 1;
         }
-        mirror.end_k1(k2, start);
+        mirror.end_k1(k2);
         i = j;
     }
     (primary, mirror, arena)

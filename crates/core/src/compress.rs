@@ -110,15 +110,45 @@ pub fn decode_sorted_run(buf: &[u8], pos: &mut usize, n: usize, out: &mut Vec<Id
 
 /// Encodes a [`FlatArena`] as varints: per-list lengths, then each
 /// list's items delta-encoded ([`encode_sorted_run`] — every terminal
-/// list is strictly ascending by construction). The span table is not
-/// stored: offsets are the running sum of the lengths.
+/// list is strictly ascending by construction). Lengths are the gaps of
+/// the arena's offsets column, which is their running sum.
 pub fn encode_arena(out: &mut Vec<u8>, arena: &FlatArena) {
-    for span in arena.spans_raw() {
-        put_uvarint(out, u64::from(span.len));
-    }
+    encode_offsets(out, arena.offsets_raw());
     for idx in 0..arena.list_count() {
         encode_sorted_run(out, arena.get(idx as u32));
     }
+}
+
+/// Encodes a cumulative offsets column as its window lengths, one varint
+/// per window (`offs.len() - 1` of them).
+pub(crate) fn encode_offsets(out: &mut Vec<u8>, offs: &[u32]) {
+    for w in offs.windows(2) {
+        put_uvarint(out, u64::from(w[1] - w[0]));
+    }
+}
+
+/// Decodes `n` window lengths straight into the cumulative offsets column
+/// (`n + 1` entries, starting at 0) of a column of exactly `total`
+/// elements. Returns `None` on truncation, an empty window, or lengths
+/// that do not sum to `total`.
+pub(crate) fn decode_offsets(
+    buf: &[u8],
+    pos: &mut usize,
+    n: usize,
+    total: usize,
+) -> Option<Vec<u32>> {
+    let mut offs = Vec::with_capacity(n + 1);
+    let mut end = 0u32;
+    offs.push(end);
+    for _ in 0..n {
+        let len = get_uvarint32(buf, pos)?;
+        if len == 0 {
+            return None; // terminal lists and header groups are never empty
+        }
+        end = end.checked_add(len).filter(|&e| e as usize <= total)?;
+        offs.push(end);
+    }
+    (end as usize == total).then_some(offs)
 }
 
 /// Decodes a [`FlatArena`] of exactly `n_lists` lists and `n_items`
@@ -136,38 +166,16 @@ pub fn decode_arena(
     n_lists: usize,
     n_items: usize,
 ) -> Option<FlatArena> {
-    let mut lens = Vec::with_capacity(n_lists);
-    let mut total = 0usize;
-    for _ in 0..n_lists {
-        let len = get_uvarint32(buf, pos)? as usize;
-        if len == 0 {
-            return None; // terminal lists are never empty
-        }
-        total = total.checked_add(len)?;
-        if total > n_items {
-            return None;
-        }
-        lens.push(len);
-    }
-    if total != n_items {
-        return None;
-    }
+    let offs = decode_offsets(buf, pos, n_lists, n_items)?;
     let mut items = Vec::with_capacity(n_items);
-    for &len in &lens {
-        decode_sorted_run(buf, pos, len, &mut items)?;
+    for w in offs.windows(2) {
+        decode_sorted_run(buf, pos, (w[1] - w[0]) as usize, &mut items)?;
     }
-    let mut spans = Vec::with_capacity(n_lists);
-    let mut off = 0u32;
-    for &len in &lens {
-        let len = len as u32;
-        spans.push(crate::slab::Span { off, len });
-        off = off.checked_add(len)?;
-    }
-    // from_raw_parts revalidates span extents and per-list sortedness —
-    // the same gate the uncompressed reader path goes through, so a
+    // from_raw_parts revalidates the tiling and per-list sortedness — the
+    // same gate the uncompressed reader path goes through, so a
     // compressed section can never smuggle in a slab the raw one would
     // have rejected.
-    FlatArena::from_raw_parts(items, spans)
+    FlatArena::from_raw_parts(items, offs)
 }
 
 /// 32-bit FNV-1a over a byte slice — the one checksum of the on-disk
@@ -255,7 +263,7 @@ mod tests {
         assert_eq!(pos, buf.len());
         assert_eq!(back, arena);
         assert_eq!(back.items_raw(), arena.items_raw());
-        assert_eq!(back.spans_raw(), arena.spans_raw());
+        assert_eq!(back.offsets_raw(), arena.offsets_raw());
     }
 
     #[test]

@@ -6,13 +6,22 @@
 //! times, snapshotted to disk between restarts — so this module provides
 //! the frozen counterparts:
 //!
-//! - [`FrozenHexastore`]: all six orderings as [`FlatVecMap`] /
-//!   [`FlatArena`] columns, paired orderings still sharing one terminal
-//!   item column, answering every access shape with the same single
-//!   probes as the mutable store but with zero per-list allocations;
+//! - [`FrozenHexastore`]: all six orderings as offset-addressed key
+//!   columns over [`FlatArena`]s, paired orderings still sharing one
+//!   terminal item column, answering every access shape with the same
+//!   single probes as the mutable store but with zero per-list
+//!   allocations;
 //! - [`FrozenPartialHexastore`]: the frozen form of a
 //!   [`PartialHexastore`] — only the kept orderings, each owning its
 //!   lists.
+//!
+//! Only what cannot be derived is stored. A window's length is the next
+//! offset minus its own, so each level keeps one cumulative offsets
+//! column instead of `(offset, length)` pairs. And **leaf *i* of a
+//! primary ordering is list *i***: the builders emit an arena's lists in
+//! its primary ordering's leaf order (spo, sop, pos; every ordering of a
+//! partial store), so only the mirror orderings (pso, osp, ops) keep a
+//! list-reference column.
 //!
 //! Conversions are loss-free both ways ([`Hexastore::freeze`] /
 //! [`FrozenHexastore::thaw`], and likewise for partial stores), and
@@ -27,105 +36,161 @@ use crate::advisor::{IndexKind, IndexSet};
 use crate::arena::ListArena;
 use crate::partial::PartialHexastore;
 use crate::pattern::Shape;
-use crate::slab::{FlatArena, FlatVecMap, Span};
+use crate::slab::{offsets_tile, FlatArena};
+use crate::sorted;
 use crate::store::{Hexastore, SpaceStats, TwoLevel};
 use crate::traits::TripleStore;
 use crate::vecmap::VecMap;
 use hex_dict::{Id, IdTriple};
 use std::sync::Arc;
 
-/// One frozen ordering: a flat two-level index. `k1` maps each header to
-/// a [`Span`] over the parallel `k2`/`lists` columns; `lists` holds the
-/// terminal-list index in the ordering's [`FlatArena`].
-#[derive(Clone, Default, Debug, PartialEq, Eq)]
+/// One frozen ordering: a flat two-level index. Header `h` is `keys[h]`
+/// and its leaves are `offs[h]..offs[h + 1]` of the `k2` column (so `offs`
+/// has one entry more than `keys`). A mirror ordering's `lists` holds each
+/// leaf's terminal-list index in the ordering's [`FlatArena`]; a primary
+/// ordering has none, because its leaf `i` is list `i`.
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub(crate) struct FrozenIndex {
-    pub(crate) k1: FlatVecMap<Id, Span>,
+    pub(crate) keys: Vec<Id>,
+    pub(crate) offs: Vec<u32>,
     pub(crate) k2: Vec<Id>,
-    pub(crate) lists: Vec<u32>,
+    pub(crate) lists: Option<Vec<u32>>,
 }
 
 impl FrozenIndex {
-    pub(crate) fn with_capacity(headers: usize, pairs: usize) -> Self {
+    /// An empty primary ordering with exact room for `headers` headers
+    /// and `pairs` leaves.
+    pub(crate) fn primary(headers: usize, pairs: usize) -> Self {
+        let mut offs = Vec::with_capacity(headers + 1);
+        offs.push(0);
         FrozenIndex {
-            k1: FlatVecMap::with_capacity(headers),
+            keys: Vec::with_capacity(headers),
+            offs,
             k2: Vec::with_capacity(pairs),
-            lists: Vec::with_capacity(pairs),
+            lists: None,
         }
     }
 
-    /// Starts a `k1` group; pass the result to [`Self::end_k1`].
-    pub(crate) fn begin_k1(&self) -> u32 {
-        u32::try_from(self.k2.len()).expect("frozen index overflow: 2^32 vector entries")
+    /// An empty mirror ordering with exact room for `headers` headers and
+    /// `pairs` leaves.
+    pub(crate) fn mirror(headers: usize, pairs: usize) -> Self {
+        FrozenIndex { lists: Some(Vec::with_capacity(pairs)), ..Self::primary(headers, pairs) }
     }
 
-    /// Appends one `(k2, list)` leaf to the open group.
+    /// Appends one `(k2, list)` leaf to the open `k1` group. A primary
+    /// ordering stores no reference: the leaf's position must be `list`.
     pub(crate) fn push_leaf(&mut self, k2: Id, list: u32) {
+        match &mut self.lists {
+            Some(lists) => lists.push(list),
+            None => debug_assert_eq!(list as usize, self.k2.len(), "primary leaf i is list i"),
+        }
         self.k2.push(k2);
-        self.lists.push(list);
     }
 
-    /// Closes a `k1` group started at `start`.
-    pub(crate) fn end_k1(&mut self, k1: Id, start: u32) {
-        let len = u32::try_from(self.k2.len()).expect("frozen index overflow") - start;
-        debug_assert!(len > 0, "index headers never map to empty vectors");
-        self.k1.push_sorted(k1, Span { off: start, len });
+    /// Closes the `k1` group of the leaves pushed since the last close.
+    pub(crate) fn end_k1(&mut self, k1: Id) {
+        let end = u32::try_from(self.k2.len()).expect("frozen index overflow: 2^32 leaves");
+        debug_assert!(self.offs.last().is_some_and(|&start| start < end), "empty k1 group");
+        debug_assert!(self.keys.last().is_none_or(|&last| last < k1));
+        self.keys.push(k1);
+        self.offs.push(end);
+    }
+
+    /// Each header key with its leaf range, in key order.
+    pub(crate) fn groups(&self) -> impl Iterator<Item = (Id, std::ops::Range<usize>)> + '_ {
+        self.keys
+            .iter()
+            .zip(self.offs.windows(2))
+            .map(|(&k1, w)| (k1, w[0] as usize..w[1] as usize))
+    }
+
+    /// The terminal-list index of leaf `i`.
+    pub(crate) fn list_of(&self, i: usize) -> u32 {
+        self.lists.as_ref().map_or(i as u32, |lists| lists[i])
     }
 
     /// The columns as the borrowed view the shared read path walks.
     pub(crate) fn view(&self) -> IndexView<'_> {
-        IndexView {
-            keys: self.k1.keys(),
-            spans: self.k1.values(),
-            k2: &self.k2,
-            lists: &self.lists,
-        }
+        IndexView { keys: &self.keys, offs: &self.offs, k2: &self.k2, lists: self.lists.as_deref() }
     }
 
     fn header_count(&self) -> usize {
-        self.k1.len()
+        self.keys.len()
     }
 
     fn pair_count(&self) -> usize {
         self.k2.len()
     }
 
+    /// Heap bytes of the header level: keys and offsets.
+    fn header_bytes(&self) -> usize {
+        (self.keys.capacity() + self.offs.capacity()) * std::mem::size_of::<u32>()
+    }
+
+    /// Heap bytes of the vector-key column.
+    fn k2_bytes(&self) -> usize {
+        self.k2.capacity() * std::mem::size_of::<Id>()
+    }
+
+    /// Heap bytes of the list-reference column (zero for a primary).
+    fn list_ref_bytes(&self) -> usize {
+        self.lists.as_ref().map_or(0, |lists| lists.capacity() * std::mem::size_of::<u32>())
+    }
+
     fn heap_bytes(&self) -> usize {
-        self.k1.heap_bytes()
-            + self.k2.capacity() * std::mem::size_of::<Id>()
-            + self.lists.capacity() * std::mem::size_of::<u32>()
+        self.header_bytes() + self.k2_bytes() + self.list_ref_bytes()
     }
 
     /// Reassembles an index from deserialized columns, validating the
-    /// structural invariants binary search relies on: spans tile the
-    /// `k2`/`lists` columns exactly in header order, every group's `k2`
-    /// run is strictly ascending, and every list index is in range for
-    /// the `arena_lists`-sized arena. Returns `None` on any violation.
+    /// structural invariants binary search relies on: header keys strictly
+    /// ascending, offsets tiling the `k2` column into non-empty groups in
+    /// header order, every group's `k2` run strictly ascending, and every
+    /// list reference in range for the `arena_lists`-sized arena (a
+    /// primary's implicit references are in range when it has exactly
+    /// `arena_lists` leaves). Returns `None` on any violation.
     pub(crate) fn from_raw_parts(
-        k1: FlatVecMap<Id, Span>,
+        keys: Vec<Id>,
+        offs: Vec<u32>,
         k2: Vec<Id>,
-        lists: Vec<u32>,
+        lists: Option<Vec<u32>>,
         arena_lists: usize,
     ) -> Option<Self> {
-        if k2.len() != lists.len() {
-            return None;
-        }
-        let mut cursor = 0usize;
-        for (_, span) in k1.iter() {
-            if span.len == 0 || span.off as usize != cursor {
-                return None;
+        let refs_valid = match &lists {
+            Some(lists) => {
+                lists.len() == k2.len() && lists.iter().all(|&l| (l as usize) < arena_lists)
             }
-            cursor += span.len();
-            if cursor > k2.len() {
-                return None;
-            }
-            if k2[span.range()].windows(2).any(|w| w[0] >= w[1]) {
-                return None;
-            }
-        }
-        if cursor != k2.len() || lists.iter().any(|&l| (l as usize) >= arena_lists) {
-            return None;
-        }
-        Some(FrozenIndex { k1, k2, lists })
+            None => k2.len() == arena_lists,
+        };
+        let valid = refs_valid
+            && offs.len() == keys.len() + 1
+            && offsets_tile(&offs, k2.len())
+            && sorted::is_sorted_set(&keys)
+            && offs.windows(2).all(|w| sorted::is_sorted_set(&k2[w[0] as usize..w[1] as usize]));
+        valid.then_some(FrozenIndex { keys, offs, k2, lists })
+    }
+}
+
+/// Where a [`FrozenHexastore`]'s heap bytes go, column kind by column
+/// kind — [`FrozenHexastore::heap_breakdown`]. The five parts sum exactly
+/// to [`TripleStore::heap_bytes`].
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct HeapBreakdown {
+    /// Terminal-list entries: the three arenas' item columns.
+    pub items: usize,
+    /// Vector keys: the six orderings' `k2` columns.
+    pub vector_keys: usize,
+    /// List references of the three mirror orderings (primaries store none).
+    pub mirror_list_refs: usize,
+    /// The three arenas' cumulative offsets columns.
+    pub arena_offsets: usize,
+    /// Header keys plus header offsets of the six orderings.
+    pub headers: usize,
+}
+
+impl HeapBreakdown {
+    /// All five parts together.
+    pub fn total(&self) -> usize {
+        self.items + self.vector_keys + self.mirror_list_refs + self.arena_offsets + self.headers
     }
 }
 
@@ -269,17 +334,17 @@ impl FrozenHexastore {
 
     /// Sorted iterator over all distinct subjects.
     pub fn subjects(&self) -> impl Iterator<Item = Id> + '_ {
-        self.inner.spo.k1.keys().iter().copied()
+        self.inner.spo.keys.iter().copied()
     }
 
     /// Sorted iterator over all distinct properties.
     pub fn properties(&self) -> impl Iterator<Item = Id> + '_ {
-        self.inner.pso.k1.keys().iter().copied()
+        self.inner.pso.keys.iter().copied()
     }
 
     /// Sorted iterator over all distinct objects.
     pub fn objects(&self) -> impl Iterator<Item = Id> + '_ {
-        self.inner.osp.k1.keys().iter().copied()
+        self.inner.osp.keys.iter().copied()
     }
 
     /// Number of distinct subjects.
@@ -308,7 +373,7 @@ impl FrozenHexastore {
         };
         for ix in self.orderings() {
             // Header keys are sorted; k2 groups are only locally sorted.
-            update(ix.k1.keys().last().copied());
+            update(ix.keys.last().copied());
             update(ix.k2.iter().max().copied());
         }
         for arena in self.arenas() {
@@ -326,6 +391,19 @@ impl FrozenHexastore {
             header_entries: self.orderings().iter().map(|ix| ix.header_count()).sum(),
             vector_entries: self.orderings().iter().map(|ix| ix.pair_count()).sum(),
             list_entries: self.arenas().iter().map(|a| a.total_items()).sum(),
+        }
+    }
+
+    /// [`TripleStore::heap_bytes`] split by column kind, counting the
+    /// capacity of every owned column.
+    pub fn heap_breakdown(&self) -> HeapBreakdown {
+        let (ixs, arenas) = (self.orderings(), self.arenas());
+        HeapBreakdown {
+            items: arenas.iter().map(|a| a.item_bytes()).sum(),
+            vector_keys: ixs.iter().map(|ix| ix.k2_bytes()).sum(),
+            mirror_list_refs: ixs.iter().map(|ix| ix.list_ref_bytes()).sum(),
+            arena_offsets: arenas.iter().map(|a| a.offset_bytes()).sum(),
+            headers: ixs.iter().map(|ix| ix.header_bytes()).sum(),
         }
     }
 
@@ -372,26 +450,24 @@ impl Hexastore {
 /// mirror walk needs to preserve sharing.
 fn freeze_pair(primary: &TwoLevel, mirror: &TwoLevel, arena: &ListArena) -> FrozenPair {
     let pairs: usize = primary.values().map(VecMap::len).sum();
-    let mut fprimary = FrozenIndex::with_capacity(primary.len(), pairs);
+    let mut fprimary = FrozenIndex::primary(primary.len(), pairs);
     let mut farena = FlatArena::with_capacity(arena.live_lists(), arena.total_items());
     let mut remap = vec![u32::MAX; arena.slot_count()];
     for (k1, inner) in primary.iter() {
-        let start = fprimary.begin_k1();
         for (k2, &lid) in inner.iter() {
             let flat = farena.push_list(arena.get(lid).iter().copied());
             remap[lid.index()] = flat;
             fprimary.push_leaf(k2, flat);
         }
-        fprimary.end_k1(k1, start);
+        fprimary.end_k1(k1);
     }
-    let mut fmirror = FrozenIndex::with_capacity(mirror.len(), pairs);
+    let mut fmirror = FrozenIndex::mirror(mirror.len(), pairs);
     for (k2, inner) in mirror.iter() {
-        let start = fmirror.begin_k1();
         for (k1, &lid) in inner.iter() {
             debug_assert_ne!(remap[lid.index()], u32::MAX, "mirror references unknown list");
             fmirror.push_leaf(k1, remap[lid.index()]);
         }
-        fmirror.end_k1(k2, start);
+        fmirror.end_k1(k2);
     }
     (fprimary, fmirror, farena)
 }
@@ -405,10 +481,10 @@ fn thaw_pair(
     let mut arena = ListArena::with_capacity(farena.list_count());
     let mut remap: Vec<Option<crate::arena::ListId>> = vec![None; farena.list_count()];
     let mut primary = TwoLevel::with_capacity(fprimary.header_count());
-    for (k1, span) in fprimary.k1.iter() {
-        let mut inner = VecMap::with_capacity(span.len());
-        for i in span.range() {
-            let flat = fprimary.lists[i];
+    for (k1, leaves) in fprimary.groups() {
+        let mut inner = VecMap::with_capacity(leaves.len());
+        for i in leaves {
+            let flat = fprimary.list_of(i);
             let lid = arena.alloc_sorted(farena.get(flat).to_vec());
             remap[flat as usize] = Some(lid);
             inner.push_sorted(fprimary.k2[i], lid);
@@ -416,10 +492,10 @@ fn thaw_pair(
         primary.push_sorted(k1, inner);
     }
     let mut mirror = TwoLevel::with_capacity(fmirror.header_count());
-    for (k2, span) in fmirror.k1.iter() {
-        let mut inner = VecMap::with_capacity(span.len());
-        for i in span.range() {
-            let lid = remap[fmirror.lists[i] as usize].expect("mirror references unknown list");
+    for (k2, leaves) in fmirror.groups() {
+        let mut inner = VecMap::with_capacity(leaves.len());
+        for i in leaves {
+            let lid = remap[fmirror.list_of(i) as usize].expect("mirror references unknown list");
             inner.push_sorted(fmirror.k2[i], lid);
         }
         mirror.push_sorted(k2, inner);
@@ -475,15 +551,16 @@ impl TripleStore for FrozenHexastore {
     }
 
     fn heap_bytes(&self) -> usize {
-        self.orderings().iter().map(|ix| ix.heap_bytes()).sum::<usize>()
-            + self.arenas().iter().map(|a| a.heap_bytes()).sum::<usize>()
+        self.heap_breakdown().total()
     }
 
     crate::forward_reads!();
 }
 
 /// The frozen form of a [`PartialHexastore`]: only the kept orderings,
-/// each as one flat two-level index owning its terminal lists.
+/// each as one flat two-level index owning its terminal lists — so every
+/// ordering is the primary of its own arena and none stores list
+/// references.
 ///
 /// Like [`FrozenHexastore`], this is read-only (`insert`/`remove` panic);
 /// [`FrozenPartialHexastore::thaw`] recovers the updatable form. Every
@@ -507,15 +584,14 @@ impl PartialHexastore {
                 let pairs: usize = map.values().map(VecMap::len).sum();
                 let items: usize =
                     map.values().flat_map(|inner| inner.values().map(Vec::len)).sum();
-                let mut ix = FrozenIndex::with_capacity(map.len(), pairs);
+                let mut ix = FrozenIndex::primary(map.len(), pairs);
                 let mut arena = FlatArena::with_capacity(pairs, items);
                 for (k1, inner) in map.iter() {
-                    let start = ix.begin_k1();
                     for (k2, list) in inner.iter() {
                         let flat = arena.push_list(list.iter().copied());
                         ix.push_leaf(k2, flat);
                     }
-                    ix.end_k1(k1, start);
+                    ix.end_k1(k1);
                 }
                 (kind, ix, arena)
             })
@@ -543,10 +619,10 @@ impl FrozenPartialHexastore {
             .iter()
             .map(|(kind, ix, arena)| {
                 let mut map: crate::partial::OrderingMap = VecMap::with_capacity(ix.header_count());
-                for (k1, span) in ix.k1.iter() {
-                    let mut inner = VecMap::with_capacity(span.len());
-                    for i in span.range() {
-                        inner.push_sorted(ix.k2[i], arena.get(ix.lists[i]).to_vec());
+                for (k1, leaves) in ix.groups() {
+                    let mut inner = VecMap::with_capacity(leaves.len());
+                    for i in leaves {
+                        inner.push_sorted(ix.k2[i], arena.get(ix.list_of(i)).to_vec());
                     }
                     map.push_sorted(k1, inner);
                 }

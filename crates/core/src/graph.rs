@@ -370,8 +370,9 @@ impl Dataset<FrozenHexastore> {
     }
 
     /// Opens a `hexsnap` file straight into a query-ready read-only
-    /// dataset: a direct slab read when the file carries `FROZ`
-    /// sections, otherwise a frozen bulk build from the triple column.
+    /// dataset: a direct slab read when the file carries a slab section
+    /// (`FROZ` or `FRZC`), otherwise a frozen bulk build from the triple
+    /// column.
     pub fn load(path: impl AsRef<std::path::Path>) -> crate::hexsnap::Result<FrozenGraphStore> {
         let (dict, store) = crate::hexsnap::load_frozen(path)?;
         Ok(Dataset { dict, store, version: 0, identity: next_identity() })

@@ -15,7 +15,7 @@
 //! ```text
 //! offset   size  field
 //! 0        8     magic "hexsnap\0"
-//! 8        4     format version (u32, currently 2)
+//! 8        4     format version (u32, currently 3)
 //! 12       …     section payloads, back to back
 //! …        var   section table: u32 count, then per section
 //!                [u8; 4] tag · u64 offset · u64 length
@@ -30,16 +30,27 @@
 //!
 //! # Version history
 //!
-//! - **v1** — `DICT`, `TRPL` and `FROZ` sections as below, no alignment
-//!   guarantee. [`Reader`] still opens v1 files, and
-//!   [`Writer::with_version`] can emit them for downgrade paths.
-//! - **v2** (current) — adds the compressed `FRZC` section
+//! - **v1** — `DICT`, `TRPL` and `FROZ` sections, no alignment
+//!   guarantee. `FROZ` stores every window as an `(offset, length)` pair
+//!   and a list-reference column for all six orderings.
+//! - **v2** — adds the compressed `FRZC` section
 //!   ([`Compression::VarintDelta`]) and guarantees the `FROZ` section
 //!   starts on a 4-byte file offset (zero padding *between* sections,
-//!   invisible to the table-driven reader). Every interior field of
-//!   `FROZ` is a 4-byte multiple, so the aligned start makes every slab
-//!   column 4-aligned in the file — the property the `hex-disk` crate
-//!   relies on to reinterpret mapped columns in place.
+//!   invisible to the table-driven reader). Slab columns as in v1.
+//! - **v3** (current) — stores only what cannot be derived. Windows tile
+//!   their column, so `FROZ` keeps one cumulative offsets column per
+//!   level instead of `(offset, length)` pairs; leaf *i* of a primary
+//!   ordering (spo, sop, pos) is list *i*, so only the mirror orderings
+//!   (pso, osp, ops) keep list references, in `FROZ` and `FRZC` alike;
+//!   and [`save_frozen`] no longer writes a `TRPL` column beside the
+//!   slabs, whose spo ordering already encodes it.
+//!
+//! [`Reader`] opens all three (pre-v3 pairs become offsets on read;
+//! spans that do not tile and primary references that are not the
+//! identity are rejected as corrupt), and [`Writer::with_version`] can
+//! still emit v1 and v2 byte-for-byte for downgrade paths. Only a v3
+//! `FROZ` section has the column layout the `hex-disk` crate maps in
+//! place; older files go through [`load_frozen`] and a re-save.
 //!
 //! Defined sections:
 //!
@@ -49,33 +60,41 @@
 //!   literal), `u32 n_pieces`, cumulative `u32` end offsets per string
 //!   piece, `u64 n_bytes`, then the arena bytes. Terms of kind 0–2
 //!   consume one piece; kinds 3–4 consume two (lexical + tag/datatype).
-//! - **`TRPL`** — the triple column: `u64 n_triples`, then chunks of
-//!   `u32 chunk_len` followed by `chunk_len` subject, predicate and
-//!   object ids (three contiguous `u32` runs), terminated by a zero
-//!   chunk. Chunking is what lets [`Reader::for_each_triple_chunk`] feed
-//!   [`crate::bulk::build`] without ever holding string-level triples.
-//! - **`FROZ`** — optional prebuilt slabs: the [`FrozenHexastore`]'s
-//!   three shared arenas and six orderings as raw columns, in canonical
-//!   order. When present, [`load_frozen`] is query-ready on read.
-//! - **`FRZC`** (v2) — the same slabs varint-delta compressed
+//! - **`TRPL`** — the triple column of a slab-less snapshot ([`save`]):
+//!   `u64 n_triples`, then chunks of `u32 chunk_len` followed by
+//!   `chunk_len` subject, predicate and object ids (three contiguous
+//!   `u32` runs), terminated by a zero chunk. A file with slabs and no
+//!   `TRPL` yields the same triples, in the same spo order, from its spo
+//!   ordering ([`Reader::triples`], [`Reader::for_each_triple_chunk`]).
+//! - **`FROZ`** — prebuilt slabs as raw `u32` columns, starting on a
+//!   4-byte file offset, every field a 4-byte multiple — so every column
+//!   is 4-aligned in the file and `hex-disk` reinterprets it in place.
+//!   `u64 n_triples`; then per arena (object, property, subject lists):
+//!   `u32 n_lists`, `u64 n_items`, `n_lists + 1` cumulative offsets,
+//!   `n_items` items; then per ordering (spo, sop, pso, pos, osp, ops):
+//!   `u32 n_headers`, `n_headers` header keys, `n_headers + 1` cumulative
+//!   offsets into the vector column, `u32 n_vector`, `n_vector` vector
+//!   keys and — mirror orderings only — `n_vector` list references.
+//!   When present, [`load_frozen`] is query-ready on read.
+//! - **`FRZC`** (v2+) — the same slabs varint-delta compressed
 //!   ([`crate::compress`]): `u64 n_triples`, `u64 payload_len`,
 //!   `u32` FNV-1a checksum of the payload, then the payload — per arena
-//!   a varint list/item count pair followed by per-list lengths and
-//!   delta-encoded runs; per ordering varint header/vector counts,
-//!   per-header group lengths (offsets are their running sum),
-//!   delta-encoded keys, delta-encoded per-group `k2` runs, and plain
-//!   varint list references. A file carries `FROZ` or `FRZC`, not both;
-//!   a v1 reader skips the unknown `FRZC` tag and falls back to the
-//!   `TRPL` rebuild path.
+//!   a varint list/item count pair followed by per-list lengths (decoded
+//!   straight into the offsets column) and delta-encoded runs; per
+//!   ordering varint header/vector counts, per-header group lengths,
+//!   delta-encoded keys, delta-encoded per-group `k2` runs and — mirror
+//!   orderings only — plain varint list references. A file carries
+//!   `FROZ` or `FRZC`, not both.
 //!
 //! `u32` offsets bound a single string arena and a single slab at 2^32
 //! entries — far above the paper's 61M-triple ceiling and identical to
 //! the [`hex_dict::Id`] width everywhere else.
 
+use crate::advisor::IndexKind;
 use crate::frozen::{FrozenHexastore, FrozenIndex};
 use crate::graph::GraphStore;
 use crate::pattern::IdPattern;
-use crate::slab::{FlatArena, FlatVecMap, Span};
+use crate::slab::FlatArena;
 use crate::traits::TripleStore;
 use hex_dict::{Dictionary, Id, IdTriple};
 use std::fs::File;
@@ -86,10 +105,22 @@ use std::path::Path;
 pub const MAGIC: [u8; 8] = *b"hexsnap\0";
 
 /// The current format version. [`Reader`] accepts `1..=VERSION`.
-pub const VERSION: u32 = 2;
+pub const VERSION: u32 = 3;
 
 /// Triples per chunk in the `TRPL` section (~768 KiB of ids).
 const TRIPLE_CHUNK: usize = 64 * 1024;
+
+/// The arena each ordering's lists live in, in the canonical ordering
+/// walk (spo, sop, pso, pos, osp, ops): spo/pso share arena 0, sop/osp
+/// arena 1, pos/ops arena 2.
+const ARENA_OF: [usize; 6] = [0, 1, 0, 2, 1, 2];
+
+/// True for the format versions whose slab sections spell out what v3
+/// derives: every window as an `(offset, length)` pair, and list
+/// references for the primary orderings too.
+fn spells_out_derivables(version: u32) -> bool {
+    version < 3
+}
 
 /// Maximum sections per file, enforced symmetrically by [`Writer`] (at
 /// write time) and [`Reader`] (as a corruption bound on the table).
@@ -117,10 +148,10 @@ const TAG_FRZC: [u8; 4] = *b"FRZC";
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
 pub enum Compression {
     /// Raw `u32` columns (the `FROZ` section): largest on disk, but
-    /// readable by v1 and mappable in place by `hex-disk`.
+    /// mappable in place by `hex-disk`.
     #[default]
     None,
-    /// Varint-delta encoded sorted runs (the `FRZC` section, v2 only):
+    /// Varint-delta encoded sorted runs (the `FRZC` section, v2 and up):
     /// smallest on disk, decoded through [`crate::compress`] on open.
     VarintDelta,
 }
@@ -256,10 +287,12 @@ impl<W: Write + Seek> Writer<W> {
     }
 
     /// Starts a snapshot under an explicit format version — [`VERSION`]
-    /// for current files, `1` for a downgrade path feeding a version-1
-    /// reader (byte-for-byte the legacy layout: no alignment padding,
-    /// and [`Writer::frozen_with`] refuses compression). Versions
-    /// outside `1..=VERSION` are rejected.
+    /// for current files, an older one for a downgrade path feeding an
+    /// older reader, byte-for-byte that version's layout: before v3 the
+    /// slab sections carry `(offset, length)` pairs and list references
+    /// for every ordering; v1 additionally has no alignment padding and
+    /// [`Writer::frozen_with`] refuses compression. Versions outside
+    /// `1..=VERSION` are rejected.
     pub fn with_version(mut w: W, version: u32) -> Result<Self> {
         if !(1..=VERSION).contains(&version) {
             return Err(Error::Version(version));
@@ -366,43 +399,44 @@ impl<W: Write + Seek> Writer<W> {
 
     /// Writes the `FROZ` section: the store's slabs as raw columns.
     fn frozen_raw(&mut self, store: &FrozenHexastore) -> Result<()> {
-        // v2 pads the stream to a 4-byte boundary *between* sections
-        // before FROZ begins — the table addresses sections explicitly,
-        // so the gap is invisible to every reader, and the aligned start
-        // is what lets hex-disk reinterpret mapped columns in place. v1
-        // output stays byte-for-byte the legacy layout.
+        // From v2 on the stream is padded to a 4-byte boundary *between*
+        // sections before FROZ begins — the table addresses sections
+        // explicitly, so the gap is invisible to every reader, and the
+        // aligned start is what lets hex-disk reinterpret mapped columns
+        // in place. v1 output stays byte-for-byte the legacy layout.
         if self.version >= 2 {
             let pos = self.w.stream_position()?;
             let pad = (4 - (pos % 4) as usize) % 4;
             self.w.write_all(&[0u8; 3][..pad])?;
         }
+        let legacy = spells_out_derivables(self.version);
+        let w_offsets = |w: &mut W, offs: &[u32]| {
+            if legacy {
+                w_u32_run(w, offs.windows(2).flat_map(|p| [p[0], p[1] - p[0]]))
+            } else {
+                w_u32_run(w, offs.iter().copied())
+            }
+        };
+        let count = |n: usize, what: &str| {
+            u32::try_from(n).map_err(|_| Error::Corrupt(format!("2^32 {what}")))
+        };
         let start = self.begin_section()?;
         w_u64(&mut self.w, store.len() as u64)?;
         for arena in store.arenas() {
-            w_u32(
-                &mut self.w,
-                u32::try_from(arena.list_count())
-                    .map_err(|_| Error::Corrupt("arena exceeds 2^32 lists".into()))?,
-            )?;
+            w_u32(&mut self.w, count(arena.list_count(), "arena lists")?)?;
             w_u64(&mut self.w, arena.total_items() as u64)?;
-            w_u32_run(&mut self.w, arena.spans_raw().iter().flat_map(|s| [s.off, s.len]))?;
+            w_offsets(&mut self.w, arena.offsets_raw())?;
             w_u32_run(&mut self.w, arena.items_raw().iter().map(|id| id.0))?;
         }
         for ix in store.orderings() {
-            let h = ix.k1.len();
-            w_u32(
-                &mut self.w,
-                u32::try_from(h).map_err(|_| Error::Corrupt("2^32 headers".into()))?,
-            )?;
-            w_u32_run(&mut self.w, ix.k1.keys().iter().map(|id| id.0))?;
-            w_u32_run(&mut self.w, ix.k1.values().iter().flat_map(|s| [s.off, s.len]))?;
-            let m = ix.k2.len();
-            w_u32(
-                &mut self.w,
-                u32::try_from(m).map_err(|_| Error::Corrupt("2^32 vector entries".into()))?,
-            )?;
+            w_u32(&mut self.w, count(ix.keys.len(), "headers")?)?;
+            w_u32_run(&mut self.w, ix.keys.iter().map(|id| id.0))?;
+            w_offsets(&mut self.w, &ix.offs)?;
+            w_u32(&mut self.w, count(ix.k2.len(), "vector entries")?)?;
             w_u32_run(&mut self.w, ix.k2.iter().map(|id| id.0))?;
-            w_u32_run(&mut self.w, ix.lists.iter().copied())?;
+            if legacy || ix.lists.is_some() {
+                w_u32_run(&mut self.w, (0..ix.k2.len()).map(|i| ix.list_of(i)))?;
+            }
         }
         self.end_section(TAG_FROZ, start)
     }
@@ -413,7 +447,7 @@ impl<W: Write + Seek> Writer<W> {
         if self.version < 2 {
             return corrupt("compressed slab sections require format version 2");
         }
-        let payload = encode_frozen_payload(store);
+        let payload = encode_frozen_payload(store, spells_out_derivables(self.version));
         let start = self.begin_section()?;
         w_u64(&mut self.w, store.len() as u64)?;
         w_u64(&mut self.w, payload.len() as u64)?;
@@ -597,10 +631,26 @@ impl<R: Read + Seek> Reader<R> {
         Dictionary::try_from_arena(kinds, ends, bytes).map_err(|e| Error::Corrupt(e.to_string()))
     }
 
-    /// Streams the `TRPL` section chunk by chunk — the restore path feeds
-    /// these straight into the bulk loader without ever materializing
-    /// string-level triples. Returns the total triple count.
+    /// The triples of a snapshot that stores slabs instead of a `TRPL`
+    /// column, enumerated from its spo ordering — the order a `TRPL`
+    /// column written by [`save`] has. `None` when the file has a `TRPL`
+    /// section (or neither).
+    fn slab_triples(&mut self) -> Result<Option<Vec<IdTriple>>> {
+        if self.sections.iter().any(|(t, _, _)| *t == TAG_TRPL) || !self.has_frozen() {
+            return Ok(None);
+        }
+        Ok(Some(self.frozen()?.matching(IdPattern::ALL)))
+    }
+
+    /// Streams the snapshot's triples chunk by chunk, in `(s, p, o)`
+    /// order for files this crate wrote — from the `TRPL` section, or
+    /// from the slabs' spo ordering when the file stores only those.
+    /// Returns the total triple count.
     pub fn for_each_triple_chunk(&mut self, mut f: impl FnMut(&[IdTriple])) -> Result<u64> {
+        if let Some(triples) = self.slab_triples()? {
+            triples.chunks(TRIPLE_CHUNK).for_each(f);
+            return Ok(triples.len() as u64);
+        }
         let (section_end, _) = self.seek_section(TAG_TRPL)?;
         let declared = r_u64(&mut self.r)?;
         let mut seen = 0u64;
@@ -628,8 +678,12 @@ impl<R: Read + Seek> Reader<R> {
         Ok(seen)
     }
 
-    /// Collects the `TRPL` section into a vector of encoded triples.
+    /// Collects the snapshot's triples — see
+    /// [`Reader::for_each_triple_chunk`] for where they come from.
     pub fn triples(&mut self) -> Result<Vec<IdTriple>> {
+        if let Some(triples) = self.slab_triples()? {
+            return Ok(triples);
+        }
         let (_, section_len) = self.seek_section(TAG_TRPL)?;
         let declared = checked_len(r_u64(&mut self.r)?, "triple")?;
         if (declared as u64).checked_mul(12).is_none_or(|bytes| bytes > section_len) {
@@ -660,48 +714,48 @@ impl<R: Read + Seek> Reader<R> {
         let fits = |count: usize, width: u64| {
             (count as u64).checked_mul(width).is_some_and(|bytes| bytes <= section_len)
         };
+        let legacy = spells_out_derivables(self.version);
+        let offs_width = if legacy { 8 } else { 4 };
+        let r_offsets = |r: &mut R, n: usize| -> Result<Vec<u32>> {
+            if !legacy {
+                return r_u32_run(r, n + 1);
+            }
+            offsets_from_pairs(&r_u32_run(r, n * 2)?)
+                .ok_or_else(|| Error::Corrupt("spans do not tile their column".into()))
+        };
         let len = checked_len(r_u64(&mut self.r)?, "triple")?;
         let mut arenas = Vec::with_capacity(3);
         for _ in 0..3 {
             let n_lists = r_u32(&mut self.r)? as usize;
             let n_items = checked_len(r_u64(&mut self.r)?, "arena item")?;
-            if !fits(n_lists, 8) || !fits(n_items, 4) {
+            if !fits(n_lists, offs_width) || !fits(n_items, 4) {
                 return corrupt("arena counts exceed section size");
             }
-            let raw_spans = r_u32_run(&mut self.r, n_lists * 2)?;
-            let spans: Vec<Span> =
-                raw_spans.chunks_exact(2).map(|c| Span { off: c[0], len: c[1] }).collect();
+            let offs = r_offsets(&mut self.r, n_lists)?;
             let items = r_id_run(&mut self.r, n_items)?;
-            match FlatArena::from_raw_parts(items, spans) {
+            match FlatArena::from_raw_parts(items, offs) {
                 Some(a) => arenas.push(a),
-                None => return corrupt("arena spans out of range"),
+                None => return corrupt("arena offsets do not tile sorted lists"),
             }
         }
         let arenas: [FlatArena; 3] = arenas.try_into().expect("exactly three arenas read");
-        // Each ordering validates against its pair's arena: spo/pso share
-        // arena 0, sop/osp arena 1, pos/ops arena 2.
-        let arena_of = [0usize, 1, 0, 2, 1, 2];
         let mut orderings = Vec::with_capacity(6);
-        for which in 0..6 {
+        for (which, kind) in IndexKind::ALL.into_iter().enumerate() {
             let h = r_u32(&mut self.r)? as usize;
-            if !fits(h, 12) {
+            if !fits(h, 4 + offs_width) {
                 return corrupt("header count exceeds section size");
             }
             let keys = r_id_run(&mut self.r, h)?;
-            let raw_spans = r_u32_run(&mut self.r, h * 2)?;
-            let spans: Vec<Span> =
-                raw_spans.chunks_exact(2).map(|c| Span { off: c[0], len: c[1] }).collect();
-            let Some(k1) = FlatVecMap::from_raw_parts(keys, spans) else {
-                return corrupt("ordering header keys not strictly ascending");
-            };
+            let offs = r_offsets(&mut self.r, h)?;
             let m = r_u32(&mut self.r)? as usize;
-            if !fits(m, 8) {
+            let has_refs = legacy || kind.is_mirror();
+            if !fits(m, if has_refs { 8 } else { 4 }) {
                 return corrupt("vector entry count exceeds section size");
             }
             let k2 = r_id_run(&mut self.r, m)?;
-            let lists = r_u32_run(&mut self.r, m)?;
-            let arena_lists = arenas[arena_of[which]].list_count();
-            match FrozenIndex::from_raw_parts(k1, k2, lists, arena_lists) {
+            let refs = if has_refs { Some(r_u32_run(&mut self.r, m)?) } else { None };
+            let arena_lists = arenas[ARENA_OF[which]].list_count();
+            match FrozenIndex::from_raw_parts(keys, offs, k2, kept_refs(refs, kind)?, arena_lists) {
                 Some(ix) => orderings.push(ix),
                 None => return corrupt("ordering columns are inconsistent"),
             }
@@ -714,7 +768,9 @@ impl<R: Read + Seek> Reader<R> {
     /// Reads the compressed `FRZC` section: checksum-verified varint
     /// payload decoded into the same validated slabs as the raw path.
     fn frozen_compressed(&mut self) -> Result<FrozenHexastore> {
-        use crate::compress::{decode_arena, decode_sorted_run, fnv1a, get_uvarint, get_uvarint32};
+        use crate::compress::{
+            decode_arena, decode_offsets, decode_sorted_run, fnv1a, get_uvarint, get_uvarint32,
+        };
         let (section_end, section_len) = self.seek_section(TAG_FRZC)?;
         let len = checked_len(r_u64(&mut self.r)?, "triple")?;
         let payload_len = checked_len(r_u64(&mut self.r)?, "compressed payload byte")?;
@@ -757,57 +813,38 @@ impl<R: Read + Seek> Reader<R> {
             }
         }
         let arenas: [FlatArena; 3] = arenas.try_into().expect("exactly three arenas read");
-        let arena_of = [0usize, 1, 0, 2, 1, 2];
+        let legacy = spells_out_derivables(self.version);
         let mut orderings = Vec::with_capacity(6);
-        for which in 0..6 {
+        for (which, kind) in IndexKind::ALL.into_iter().enumerate() {
             let h = bounded(get_uvarint(buf, &mut pos), "ordering header")?;
             let m = bounded(get_uvarint(buf, &mut pos), "ordering vector entry")?;
-            let mut lens = Vec::with_capacity(h);
-            let mut total = 0usize;
-            for _ in 0..h {
-                let Some(l) = get_uvarint32(buf, &mut pos) else {
-                    return corrupt("truncated ordering group length");
-                };
-                total = match total.checked_add(l as usize) {
-                    Some(t) if t <= m => t,
-                    _ => return corrupt("ordering group lengths exceed the vector count"),
-                };
-                lens.push(l);
-            }
-            if total != m {
-                return corrupt("ordering group lengths disagree with the vector count");
-            }
+            let Some(offs) = decode_offsets(buf, &mut pos, h, m) else {
+                return corrupt("ordering group lengths do not tile the vector count");
+            };
             let mut keys = Vec::with_capacity(h);
             if decode_sorted_run(buf, &mut pos, h, &mut keys).is_none() {
                 return corrupt("ordering header keys do not decode");
             }
-            let mut spans = Vec::with_capacity(h);
-            let mut off = 0u32;
-            for &l in &lens {
-                spans.push(Span { off, len: l });
-                off = match off.checked_add(l) {
-                    Some(next) => next,
-                    None => return corrupt("ordering group offsets overflow"),
-                };
-            }
-            let Some(k1) = FlatVecMap::from_raw_parts(keys, spans) else {
-                return corrupt("ordering header keys not strictly ascending");
-            };
             let mut k2 = Vec::with_capacity(m);
-            for &l in &lens {
-                if decode_sorted_run(buf, &mut pos, l as usize, &mut k2).is_none() {
+            for w in offs.windows(2) {
+                if decode_sorted_run(buf, &mut pos, (w[1] - w[0]) as usize, &mut k2).is_none() {
                     return corrupt("ordering vector group does not decode");
                 }
             }
-            let mut lists = Vec::with_capacity(m);
-            for _ in 0..m {
-                let Some(l) = get_uvarint32(buf, &mut pos) else {
-                    return corrupt("truncated ordering list reference");
-                };
-                lists.push(l);
-            }
-            let arena_lists = arenas[arena_of[which]].list_count();
-            match FrozenIndex::from_raw_parts(k1, k2, lists, arena_lists) {
+            let refs = if legacy || kind.is_mirror() {
+                let mut refs = Vec::with_capacity(m);
+                for _ in 0..m {
+                    let Some(l) = get_uvarint32(buf, &mut pos) else {
+                        return corrupt("truncated ordering list reference");
+                    };
+                    refs.push(l);
+                }
+                Some(refs)
+            } else {
+                None
+            };
+            let arena_lists = arenas[ARENA_OF[which]].list_count();
+            match FrozenIndex::from_raw_parts(keys, offs, k2, kept_refs(refs, kind)?, arena_lists) {
                 Some(ix) => orderings.push(ix),
                 None => return corrupt("ordering columns are inconsistent"),
             }
@@ -820,10 +857,41 @@ impl<R: Read + Seek> Reader<R> {
     }
 }
 
+/// The cumulative offsets column of a pre-v3 `(offset, length)` span
+/// table, flattened as the writer laid it out. `None` unless the spans
+/// tile: each starts where the previous one ended, the first at 0.
+fn offsets_from_pairs(pairs: &[u32]) -> Option<Vec<u32>> {
+    let mut offs = Vec::with_capacity(pairs.len() / 2 + 1);
+    let mut end = 0u32;
+    offs.push(end);
+    for pair in pairs.chunks_exact(2) {
+        if pair[0] != end {
+            return None;
+        }
+        end = end.checked_add(pair[1])?;
+        offs.push(end);
+    }
+    Some(offs)
+}
+
+/// What ordering `kind` keeps of the list references read for it: a
+/// mirror keeps them all; a primary keeps none — v3 stores none for it,
+/// and the ones a pre-v3 file stored must be the identity.
+fn kept_refs(read: Option<Vec<u32>>, kind: IndexKind) -> Result<Option<Vec<u32>>> {
+    if kind.is_mirror() {
+        return Ok(read);
+    }
+    if read.is_some_and(|refs| refs.iter().enumerate().any(|(i, &l)| l as usize != i)) {
+        return corrupt("a primary ordering's list references are not the identity");
+    }
+    Ok(None)
+}
+
 /// Encodes a store's slabs as the `FRZC` varint payload — the writer
-/// half of [`Reader::frozen_compressed`].
-fn encode_frozen_payload(store: &FrozenHexastore) -> Vec<u8> {
-    use crate::compress::{encode_arena, encode_sorted_run, put_uvarint};
+/// half of [`Reader::frozen_compressed`]. `legacy` is the v2 payload,
+/// which spells out the list references of primary orderings too.
+fn encode_frozen_payload(store: &FrozenHexastore, legacy: bool) -> Vec<u8> {
+    use crate::compress::{encode_arena, encode_offsets, encode_sorted_run, put_uvarint};
     let mut p = Vec::new();
     for arena in store.arenas() {
         put_uvarint(&mut p, arena.list_count() as u64);
@@ -831,17 +899,17 @@ fn encode_frozen_payload(store: &FrozenHexastore) -> Vec<u8> {
         encode_arena(&mut p, arena);
     }
     for ix in store.orderings() {
-        put_uvarint(&mut p, ix.k1.len() as u64);
+        put_uvarint(&mut p, ix.keys.len() as u64);
         put_uvarint(&mut p, ix.k2.len() as u64);
-        for (_, span) in ix.k1.iter() {
-            put_uvarint(&mut p, u64::from(span.len));
+        encode_offsets(&mut p, &ix.offs);
+        encode_sorted_run(&mut p, &ix.keys);
+        for (_, leaves) in ix.groups() {
+            encode_sorted_run(&mut p, &ix.k2[leaves]);
         }
-        encode_sorted_run(&mut p, ix.k1.keys());
-        for (_, span) in ix.k1.iter() {
-            encode_sorted_run(&mut p, &ix.k2[span.range()]);
-        }
-        for &l in &ix.lists {
-            put_uvarint(&mut p, u64::from(l));
+        if legacy || ix.lists.is_some() {
+            for i in 0..ix.k2.len() {
+                put_uvarint(&mut p, u64::from(ix.list_of(i)));
+            }
         }
     }
     p
@@ -878,31 +946,23 @@ fn tag_name(tag: [u8; 4]) -> String {
 }
 
 /// True when `primary` and `mirror` encode the same `(k1, k2) → list`
-/// associations (mirror key-reversed), each of the pair's `lists`
-/// terminal lists referenced exactly once by each ordering. `O(pairs)`
-/// with one side table.
+/// associations (mirror key-reversed) over the pair's `lists` terminal
+/// lists. Leaf `i` of the primary is list `i`, so each list has exactly
+/// one owner there; the mirror must reference each exactly once, under
+/// the reversed key pair. `O(pairs)` with two side tables.
 fn pair_consistent(primary: &FrozenIndex, mirror: &FrozenIndex, lists: usize) -> bool {
-    if primary.k2.len() != lists || mirror.k2.len() != lists {
+    if primary.lists.is_some() || primary.k2.len() != lists || mirror.k2.len() != lists {
         return false;
     }
-    // First walk: record each list's unique (k1, k2) owner in the primary.
-    let mut owner: Vec<Option<(Id, Id)>> = vec![None; lists];
-    for (k1, span) in primary.k1.iter() {
-        for i in span.range() {
-            let slot = &mut owner[primary.lists[i] as usize];
-            if slot.is_some() {
-                return false;
-            }
-            *slot = Some((k1, primary.k2[i]));
-        }
+    let mut owner_k1 = vec![Id(0); lists];
+    for (k1, leaves) in primary.groups() {
+        owner_k1[leaves].fill(k1);
     }
-    // Second walk: every mirror leaf must reference its list under the
-    // reversed key pair, exactly once.
     let mut seen = vec![false; lists];
-    for (k2, span) in mirror.k1.iter() {
-        for i in span.range() {
-            let l = mirror.lists[i] as usize;
-            if seen[l] || owner[l] != Some((mirror.k2[i], k2)) {
+    for (k2, leaves) in mirror.groups() {
+        for i in leaves {
+            let l = mirror.list_of(i) as usize;
+            if seen[l] || (owner_k1[l], primary.k2[l]) != (mirror.k2[i], k2) {
                 return false;
             }
             seen[l] = true;
@@ -925,8 +985,10 @@ pub fn save(path: impl AsRef<Path>, dict: &Dictionary, store: &dyn TripleStore) 
     Ok(())
 }
 
-/// Saves a dictionary and frozen store *with* prebuilt slab sections, so
-/// [`load_frozen`] opens query-ready without rebuilding indices.
+/// Saves a dictionary and frozen store as prebuilt slab sections, so
+/// [`load_frozen`] opens query-ready without rebuilding indices. No
+/// `TRPL` column is written: the slabs' spo ordering is the triple
+/// column, and [`load`] reads it from there.
 pub fn save_frozen(
     path: impl AsRef<Path>,
     dict: &Dictionary,
@@ -959,7 +1021,6 @@ pub fn save_frozen_with(
 ) -> Result<()> {
     let mut w = Writer::new(BufWriter::new(File::create(path)?))?;
     w.dictionary(dict)?;
-    w.triples(store.len() as u64, store.iter_matching(IdPattern::ALL))?;
     w.frozen_with(store, compression)?;
     w.finish()?;
     Ok(())
@@ -975,8 +1036,9 @@ fn check_ids_in_dict(max_id: Option<Id>, dict: &Dictionary) -> Result<()> {
     Ok(())
 }
 
-/// Loads a snapshot into a mutable [`GraphStore`], streaming the triple
-/// column into the bulk loader.
+/// Loads a snapshot into a mutable [`GraphStore`], bulk-building it from
+/// the triple column — or, for a slab-only file, from the slabs' spo
+/// ordering.
 pub fn load(path: impl AsRef<Path>) -> Result<GraphStore> {
     let mut r = Reader::new(BufReader::new(File::open(path)?))?;
     let dict = r.dictionary()?;
@@ -987,29 +1049,17 @@ pub fn load(path: impl AsRef<Path>) -> Result<GraphStore> {
 }
 
 /// Loads a snapshot into a query-ready [`FrozenHexastore`]: a direct
-/// slab read when the file carries `FROZ` sections, otherwise a frozen
-/// bulk build from the streamed triple column.
+/// slab read when the file carries a `FROZ` or `FRZC` section, otherwise
+/// a frozen bulk build from the triple column.
 ///
-/// The `FROZ` slabs are validated structurally (spans, sortedness, pair
-/// consistency, ids within the dictionary); that the slabs and the
-/// `TRPL` column describe the *same* triples is checked only by count —
-/// files from untrusted writers should be opened via [`load`] instead.
+/// The slabs are validated structurally (offsets tiling, sortedness,
+/// pair consistency, ids within the dictionary). A pre-v3 file's `TRPL`
+/// column beside its slabs is ignored, as it always was beyond its
+/// count: the slabs are what is opened.
 pub fn load_frozen(path: impl AsRef<Path>) -> Result<(Dictionary, FrozenHexastore)> {
     let mut r = Reader::new(BufReader::new(File::open(path)?))?;
     let dict = r.dictionary()?;
-    let store = if r.has_frozen() {
-        let store = r.frozen()?;
-        // Cheap TRPL/FROZ agreement check: the declared triple counts
-        // must match (full content equality would cost a rebuild).
-        let (_, _) = r.seek_section(TAG_TRPL)?;
-        let declared = r_u64(&mut r.r)?;
-        if declared != store.len() as u64 {
-            return corrupt("TRPL and FROZ sections disagree on the triple count");
-        }
-        store
-    } else {
-        crate::bulk::build_frozen(r.triples()?)
-    };
+    let store = if r.has_frozen() { r.frozen()? } else { crate::bulk::build_frozen(r.triples()?) };
     check_ids_in_dict(store.max_id(), &dict)?;
     Ok((dict, store))
 }
@@ -1180,17 +1230,53 @@ mod tests {
         let mut r = Reader::new(Cursor::new(&bytes)).unwrap();
         assert_eq!(r.version(), 1);
         assert_eq!(r.frozen().unwrap(), frozen);
-        assert!(matches!(Writer::with_version(Cursor::new(Vec::new()), 3), Err(Error::Version(3))));
+        assert!(matches!(Writer::with_version(Cursor::new(Vec::new()), 4), Err(Error::Version(4))));
         assert!(matches!(Writer::with_version(Cursor::new(Vec::new()), 0), Err(Error::Version(0))));
     }
 
     #[test]
-    fn v2_frozen_section_is_four_byte_aligned() {
+    fn older_versions_spell_out_what_v3_derives() {
+        // The same store under each version: v2 slab sections (raw and
+        // compressed) are strictly larger than v3's and read back equal.
+        let (_, store) = sample_dict_and_store();
+        let frozen = store.freeze();
+        for compression in [Compression::None, Compression::VarintDelta] {
+            let write = |version| {
+                let mut w = Writer::with_version(Cursor::new(Vec::new()), version).unwrap();
+                w.frozen_with(&frozen, compression).unwrap();
+                w.finish().unwrap().into_inner()
+            };
+            let (v2, v3) = (write(2), write(3));
+            assert!(v3.len() < v2.len(), "{compression:?}: {} !< {}", v3.len(), v2.len());
+            for bytes in [v2, v3] {
+                assert_eq!(Reader::new(Cursor::new(&bytes)).unwrap().frozen().unwrap(), frozen);
+            }
+        }
+    }
+
+    #[test]
+    fn legacy_spans_that_do_not_tile_are_rejected() {
+        assert_eq!(offsets_from_pairs(&[]), Some(vec![0]));
+        assert_eq!(offsets_from_pairs(&[0, 2, 2, 1]), Some(vec![0, 2, 3]));
+        assert_eq!(offsets_from_pairs(&[1, 2]), None, "does not start at 0");
+        assert_eq!(offsets_from_pairs(&[0, 2, 3, 1]), None, "gap");
+        assert_eq!(offsets_from_pairs(&[0, 2, 1, 1]), None, "overlap");
+        assert_eq!(offsets_from_pairs(&[0, u32::MAX, u32::MAX, 1]), None, "overflow");
+        // Primary references other than the identity are corrupt; a
+        // mirror's are kept as read.
+        assert!(matches!(kept_refs(Some(vec![0, 1, 2]), IndexKind::Spo), Ok(None)));
+        assert!(matches!(kept_refs(None, IndexKind::Pos), Ok(None)));
+        assert!(matches!(kept_refs(Some(vec![0, 2, 1]), IndexKind::Sop), Err(Error::Corrupt(_))));
+        assert_eq!(kept_refs(Some(vec![1, 0]), IndexKind::Pso).unwrap(), Some(vec![1, 0]));
+    }
+
+    #[test]
+    fn frozen_section_is_four_byte_aligned() {
         let bytes = snapshot_bytes(true);
         let mut r = Reader::new(Cursor::new(&bytes)).unwrap();
         assert_eq!(r.version(), VERSION);
         let (off, _) = r.frozen_section_extent().expect("raw FROZ section present");
-        assert_eq!(off % 4, 0, "v2 FROZ section must start 4-byte aligned");
+        assert_eq!(off % 4, 0, "FROZ section must start 4-byte aligned");
         assert_eq!(r.frozen().unwrap(), sample_dict_and_store().1.freeze());
     }
 
@@ -1287,27 +1373,28 @@ mod tests {
     fn disagreeing_index_pairs_are_detected() {
         use crate::frozen::FrozenIndex;
         // A consistent two-triple pair: (1, 2) → list 0, (3, 4) → list 1.
-        let build = |leaves: [(u32, u32, u32); 2]| {
-            let mut ix = FrozenIndex::with_capacity(2, 2);
+        let build = |mut ix: FrozenIndex, leaves: [(u32, u32, u32); 2]| {
             for (k1, k2, l) in leaves {
-                let start = ix.begin_k1();
                 ix.push_leaf(Id(k2), l);
-                ix.end_k1(Id(k1), start);
+                ix.end_k1(Id(k1));
             }
             ix
         };
-        let primary = build([(1, 2, 0), (3, 4, 1)]);
-        let mirror = build([(2, 1, 0), (4, 3, 1)]);
-        assert!(pair_consistent(&primary, &mirror, 2));
+        let primary = build(FrozenIndex::primary(2, 2), [(1, 2, 0), (3, 4, 1)]);
+        let mirror = |leaves| build(FrozenIndex::mirror(2, 2), leaves);
+        assert!(pair_consistent(&primary, &mirror([(2, 1, 0), (4, 3, 1)]), 2));
         // Mirror referencing the wrong list per key pair is rejected.
-        let bad_lists = build([(2, 1, 1), (4, 3, 0)]);
-        assert!(!pair_consistent(&primary, &bad_lists, 2));
+        assert!(!pair_consistent(&primary, &mirror([(2, 1, 1), (4, 3, 0)]), 2));
         // Mirror with a key that reverses to a pair the primary lacks.
-        let bad_keys = build([(2, 3, 0), (4, 3, 1)]);
-        assert!(!pair_consistent(&primary, &bad_keys, 2));
-        // A primary that references one list twice is rejected.
-        let dup = build([(1, 2, 0), (3, 4, 0)]);
-        assert!(!pair_consistent(&dup, &mirror, 2));
+        assert!(!pair_consistent(&primary, &mirror([(2, 3, 0), (4, 3, 1)]), 2));
+        // A mirror that references one list twice is rejected.
+        assert!(!pair_consistent(&primary, &mirror([(2, 1, 0), (4, 3, 0)]), 2));
+        // A primary with explicit references is not a primary.
+        assert!(!pair_consistent(
+            &mirror([(1, 2, 0), (3, 4, 1)]),
+            &mirror([(2, 1, 0), (4, 3, 1)]),
+            2
+        ));
     }
 
     #[test]

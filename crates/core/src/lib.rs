@@ -44,7 +44,7 @@
 //! | [`sorted`] | linear-time merge-join primitives on sorted id sets |
 //! | [`vecmap`] | the sorted-vector association map backing every index level |
 //! | [`arena`] | shared terminal-list storage (the paper's single-copy lists) |
-//! | [`slab`] | flat offset-addressed columns ([`FlatArena`], [`FlatVecMap`]) |
+//! | [`slab`] | flat offset-addressed columns ([`FlatArena`]) |
 //! | [`store`] | [`Hexastore`]: the six indices over [`hex_dict::IdTriple`]s |
 //! | [`frozen`] | [`FrozenHexastore`]: zero-copy read-only stores over slabs |
 //! | [`bulk`] | sort-based bulk loader, serial or parallel ([`bulk::Config`]) |
@@ -85,7 +85,7 @@ pub mod snapshot;
 
 pub use advisor::{recommend, serving_indices, IndexKind, IndexSet, WorkloadProfile};
 pub use arena::{ListArena, ListId};
-pub use frozen::{FrozenHexastore, FrozenPartialHexastore};
+pub use frozen::{FrozenHexastore, FrozenPartialHexastore, HeapBreakdown};
 pub use graph::{
     Dataset, FrozenGraphStore, FrozenPartialGraphStore, GraphStore, LiveGraphStore,
     OverlayGraphStore, PartialGraphStore, SnapshotHandle,
@@ -93,7 +93,7 @@ pub use graph::{
 pub use overlay::OverlayHexastore;
 pub use partial::PartialHexastore;
 pub use pattern::{IdPattern, Shape};
-pub use slab::{FlatArena, FlatVecMap, Span};
+pub use slab::FlatArena;
 pub use stats::{DatasetStats, StatsSource};
 pub use store::{Hexastore, SpaceStats};
 pub use traits::{extend_store, MutableStore, SortedListAccess, TripleIter, TripleStore};

@@ -165,30 +165,14 @@ proptest! {
     ) {
         let g = graph_from(&picks);
         let mut bytes = compressed_snapshot_bytes(&g);
-        // Flip inside the FRZC section body, skipping the container
-        // header (12 bytes) and the DICT section, aiming at the
-        // compressed section's length/checksum/payload region. Locate it
-        // through the section table of the pristine file: everything
-        // after the dictionary and before the table is FRZC.
-        let table_pos = bytes.len() - 16; // u64 table offset + 8B magic
-        let frzc_start = {
-            // DICT is written first at offset 12; FRZC follows it.
-            // Scan for the section table to find the real extent.
-            let toff = u64::from_le_bytes(bytes[table_pos..table_pos + 8].try_into().unwrap());
-            let toff = usize::try_from(toff).unwrap();
-            let count = u32::from_le_bytes(bytes[toff..toff + 4].try_into().unwrap()) as usize;
-            let mut start = None;
-            for i in 0..count {
-                let e = toff + 4 + i * 20;
-                if &bytes[e..e + 4] == b"FRZC" {
-                    start = Some(u64::from_le_bytes(bytes[e + 4..e + 12].try_into().unwrap()));
-                }
-            }
-            usize::try_from(start.expect("compressed snapshot has a FRZC entry")).unwrap()
-        };
-        let toff = usize::try_from(u64::from_le_bytes(
-            bytes[table_pos..table_pos + 8].try_into().unwrap(),
-        )).unwrap();
+        // Flip inside the FRZC section — its length/checksum/payload
+        // region, located through the section table of the pristine file.
+        let (toff, sections) = section_table(&bytes);
+        let frzc_start = sections
+            .iter()
+            .find(|(tag, _)| tag == "FRZC")
+            .expect("compressed snapshot has a FRZC entry")
+            .1;
         let span = toff - frzc_start;
         let at = frzc_start + (span - 1) * at_permille / 1000;
         bytes[at] ^= mask;
@@ -275,4 +259,120 @@ fn empty_graph_roundtrip() {
     let frozen = r.frozen().unwrap();
     assert!(frozen.is_empty());
     assert_eq!(frozen.matching(IdPattern::ALL), Vec::new());
+}
+
+/// A snapshot's section table: its file offset, and each section's tag
+/// and start offset in file order.
+fn section_table(bytes: &[u8]) -> (usize, Vec<(String, usize)>) {
+    let u64_at = |at: usize| u64::from_le_bytes(bytes[at..at + 8].try_into().unwrap()) as usize;
+    let table = u64_at(bytes.len() - 16);
+    let count = u32::from_le_bytes(bytes[table..table + 4].try_into().unwrap()) as usize;
+    let sections = (0..count)
+        .map(|i| {
+            let entry = table + 4 + i * 20;
+            (String::from_utf8_lossy(&bytes[entry..entry + 4]).into_owned(), u64_at(entry + 4))
+        })
+        .collect();
+    (table, sections)
+}
+
+/// The tags of a snapshot's sections, in file order.
+fn section_tags(bytes: &[u8]) -> Vec<String> {
+    section_table(bytes).1.into_iter().map(|(tag, _)| tag).collect()
+}
+
+#[test]
+fn slab_snapshots_store_no_triple_column_and_still_yield_the_triples() {
+    // Enough triples for more than one 64 Ki chunk of the chunked reader,
+    // built at the id level over a small dictionary.
+    let mut dict = hex_dict::Dictionary::new();
+    let ids: Vec<Id> = (0..130).map(|i| dict.encode(&term(i))).collect();
+    let triples: Vec<IdTriple> = (0..70_000usize)
+        .map(|i| IdTriple::new(ids[i % 50], ids[50 + (i / 50) % 30], ids[80 + i / 1500]))
+        .collect();
+    let g = GraphStore::from_parts(dict, hexastore::bulk::build(triples));
+    assert_eq!(g.len(), 70_000);
+    let frozen = g.store().freeze();
+    let spo_order = g.store().matching(IdPattern::ALL);
+    let dir = std::env::temp_dir();
+    let pid = std::process::id();
+    let with_triples = dir.join(format!("hexsnap_test_trpl_{pid}.hexsnap"));
+    hexsnap::save(&with_triples, g.dict(), g.store()).unwrap();
+    assert_eq!(section_tags(&std::fs::read(&with_triples).unwrap()), ["DICT", "TRPL"]);
+
+    for (compression, slab_tag) in
+        [(hexsnap::Compression::None, "FROZ"), (hexsnap::Compression::VarintDelta, "FRZC")]
+    {
+        let slab_only = dir.join(format!("hexsnap_test_slab_only_{pid}_{slab_tag}.hexsnap"));
+        hexsnap::save_frozen_with(&slab_only, g.dict(), &frozen, compression).unwrap();
+        assert_eq!(section_tags(&std::fs::read(&slab_only).unwrap()), ["DICT", slab_tag]);
+
+        // The chunked stream and the mutable load see the same triples,
+        // in the same spo order, whichever file they read.
+        for path in [&slab_only, &with_triples] {
+            let mut r =
+                hexsnap::Reader::new(std::io::BufReader::new(std::fs::File::open(path).unwrap()))
+                    .unwrap();
+            let (mut streamed, mut chunks) = (Vec::new(), 0);
+            let n = r
+                .for_each_triple_chunk(|chunk| {
+                    streamed.extend_from_slice(chunk);
+                    chunks += 1;
+                })
+                .unwrap();
+            assert_eq!(n as usize, spo_order.len());
+            assert!(chunks >= 2, "{chunks} chunk(s)");
+            assert_eq!(streamed, spo_order);
+            assert_eq!(r.triples().unwrap(), spo_order);
+
+            let loaded = hexsnap::load(path).unwrap();
+            assert_eq!(loaded.dict().len(), g.dict().len());
+            assert_eq!(loaded.store().matching(IdPattern::ALL), spo_order);
+        }
+        std::fs::remove_file(&slab_only).ok();
+    }
+    std::fs::remove_file(&with_triples).ok();
+}
+
+#[test]
+fn a_live_directory_left_at_a_v2_generation_opens_compacts_to_v3_and_recovers() {
+    use hexastore::LiveGraphStore;
+    // What an upgrade finds on disk: the newest generation is a file the
+    // previous format version wrote (pairs, primary list references, a
+    // TRPL column beside the slabs).
+    let g = graph_from(&[(0, 0, 0), (0, 1, 2), (3, 1, 2), (4, 2, 7), (4, 2, 1)]);
+    let dir = std::env::temp_dir().join(format!("hexsnap_test_live_v2_{}", std::process::id()));
+    std::fs::remove_dir_all(&dir).ok();
+    std::fs::create_dir_all(&dir).unwrap();
+    let mut w = hexsnap::Writer::with_version(Cursor::new(Vec::new()), 2).unwrap();
+    w.dictionary(g.dict()).unwrap();
+    w.triples(g.len() as u64, g.store().iter_matching(IdPattern::ALL)).unwrap();
+    w.frozen(&g.store().freeze()).unwrap();
+    let v2 = w.finish().unwrap().into_inner();
+    std::fs::write(hexsnap::generation_path(&dir, 7), &v2).unwrap();
+
+    let mut live = LiveGraphStore::open(&dir).unwrap();
+    assert_eq!(live.generation(), 7);
+    assert_eq!(live.dataset().to_ntriples(), g.to_ntriples());
+    let added = Triple::new(Term::iri("http://x/new"), Term::iri("http://x/p0"), term(2));
+    live.insert(&added).unwrap();
+    live.sync().unwrap();
+    live.compact().unwrap();
+    assert_eq!(live.generation(), 8);
+    let expected = live.dataset().to_ntriples();
+    drop(live);
+
+    // The compaction wrote a v3 generation — smaller than the v2 one it
+    // replaced, despite the extra triple — and pruned the old file.
+    let gen8 = std::fs::read(hexsnap::generation_path(&dir, 8)).unwrap();
+    assert_eq!(hexsnap::Reader::new(Cursor::new(&gen8)).unwrap().version(), hexsnap::VERSION);
+    assert_eq!(section_tags(&gen8), ["DICT", "FROZ"]);
+    assert!(gen8.len() < v2.len(), "{} !< {}", gen8.len(), v2.len());
+    assert!(!hexsnap::generation_path(&dir, 7).exists());
+
+    let recovered = LiveGraphStore::recover(&dir).unwrap();
+    assert_eq!(recovered.generation(), 8);
+    assert!(recovered.contains(&added));
+    assert_eq!(recovered.dataset().to_ntriples(), expected);
+    std::fs::remove_dir_all(&dir).ok();
 }

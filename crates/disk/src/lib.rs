@@ -14,10 +14,12 @@
 //! snapshot serving work over it exactly as over the in-memory frozen
 //! store.
 //!
-//! Only uncompressed version-2 snapshots are mappable: compressed
-//! (`FRZC`) sections and unaligned version-1 files must go through the
-//! decoding [`hexastore::hexsnap::load_frozen`] path, and [`open`] says
-//! so in its error rather than silently falling back.
+//! Only uncompressed snapshots of the current format version are
+//! mappable: compressed (`FRZC`) sections and files written before
+//! version 3 — whose slab columns are laid out differently — must go
+//! through the decoding [`hexastore::hexsnap::load_frozen`] path (and a
+//! re-save), and [`open`] says so in its error rather than silently
+//! falling back.
 //!
 //! ```no_run
 //! use hexastore::hexsnap::save_frozen;
@@ -66,7 +68,7 @@ pub enum Error {
     /// The snapshot container or dictionary failed to parse.
     Snapshot(hexsnap::Error),
     /// The file parsed but cannot be memory-mapped (compressed slabs,
-    /// an unaligned v1 layout, or no slab section at all). The message
+    /// a pre-v3 column layout, or no slab section at all). The message
     /// names the remedy.
     Unmappable(String),
     /// The mapped slab section's interior is structurally invalid.
@@ -121,10 +123,11 @@ pub type Result<T> = std::result::Result<T, Error>;
 /// one `mmap` of the whole file. Open-time work on the arena is one
 /// validating hash pass (UTF-8 + index build), no per-term allocation.
 /// Fails with [`Error::Unmappable`] for snapshots whose slabs were
-/// saved compressed, for pre-v2 files whose slab section is not 4-byte
-/// aligned, and for snapshots carrying no frozen section — re-save
-/// those with [`hexastore::hexsnap::save_frozen`] under the current
-/// format version.
+/// saved compressed, for files written before format version 3 (their
+/// slab columns are not the ones the read path walks), and for
+/// snapshots carrying no frozen section — open those with
+/// [`hexastore::hexsnap::load_frozen`] and re-save them with
+/// [`hexastore::hexsnap::save_frozen`] under the current format version.
 ///
 /// ```no_run
 /// let (dict, store) = hex_disk::open("snapshot.hexsnap")?;
@@ -185,10 +188,13 @@ fn frozen_extent(reader: &hexsnap::Reader<BufReader<&File>>) -> Result<(u64, u64
             ));
         }
     };
-    if off % 4 != 0 {
+    // Older versions store (offset, length) pairs and list references for
+    // every ordering (and v1 does not align the section): not the columns
+    // the shared read path walks.
+    if reader.version() < hexsnap::VERSION {
         return Err(Error::Unmappable(format!(
-            "the slab section starts at unaligned offset {off} (a version-{} file); \
-             re-save under format version {} to align it",
+            "a version-{} file's slab columns predate the mappable layout; open it via \
+             hexsnap::load_frozen and re-save with hexsnap::save_frozen (format version {})",
             reader.version(),
             hexsnap::VERSION,
         )));

@@ -6,7 +6,7 @@ use crate::mmap::Mmap;
 use crate::{Error, Result};
 use hex_dict::{Id, IdTriple};
 use hexastore::access::{ArenaView, IndexView, OrderedStore, OrderingRead, SlabOrdering};
-use hexastore::{IndexKind, IndexSet, Span, StatsSource, TripleStore};
+use hexastore::{IndexKind, IndexSet, StatsSource, TripleStore};
 use std::sync::Arc;
 
 /// A column inside the mapping: byte offset and element count. The
@@ -17,21 +17,22 @@ pub(crate) struct Col {
     n: usize,
 }
 
-/// Column descriptors of one arena: span table + item column.
+/// Column descriptors of one arena: cumulative offsets + item column.
 #[derive(Clone, Copy, Debug)]
 pub(crate) struct ArCols {
-    spans: Col,
+    offs: Col,
     items: Col,
 }
 
-/// Column descriptors of one ordering: header keys and spans, vector
-/// keys, terminal-list references.
+/// Column descriptors of one ordering: header keys and cumulative
+/// offsets, vector keys and — mirror orderings only — terminal-list
+/// references (leaf `i` of a primary ordering is list `i`).
 #[derive(Clone, Copy, Debug)]
 pub(crate) struct IxCols {
     keys: Col,
-    spans: Col,
+    offs: Col,
     k2: Col,
-    lists: Col,
+    lists: Option<Col>,
 }
 
 /// A [`hexastore::FrozenHexastore`]-equivalent store over a mapped
@@ -50,7 +51,7 @@ pub(crate) struct IxCols {
 /// # Trust model
 ///
 /// Open-time validation is structural and O(sections): extents, counts
-/// and alignment. Data-level invariants (sortedness, span tiling, pair
+/// and alignment. Data-level invariants (sortedness, offsets tiling, pair
 /// consistency, ids within the dictionary) are *not* eagerly verified —
 /// walking them would fault in the whole file, which is exactly what
 /// this type exists to avoid. The views' accessors bound every window to its
@@ -77,24 +78,28 @@ impl MmapFrozenHexastore {
         for _ in 0..3 {
             let n_lists = cur.u32("arena list count")? as usize;
             let n_items = cur.len64("arena item count")?;
-            let spans = col(&mut cur, n_lists, 8, "arena span table")?;
-            let items = col(&mut cur, n_items, 4, "arena item column")?;
+            let offs = offsets_col(&mut cur, n_lists, "arena offsets column")?;
+            let items = col(&mut cur, n_items, "arena item column")?;
             // Every triple contributes one entry to each pair's item column;
             // a count mismatch is detectable without touching the columns.
             if n_items != len {
                 return cur.corrupt("declared triple count disagrees with slab columns");
             }
-            arenas.push(ArCols { spans, items });
+            arenas.push(ArCols { offs, items });
         }
         let mut orderings = Vec::with_capacity(6);
-        for _ in 0..6 {
+        for kind in IndexKind::ALL {
             let h = cur.u32("ordering header count")? as usize;
-            let keys = col(&mut cur, h, 4, "ordering key column")?;
-            let spans = col(&mut cur, h, 8, "ordering span table")?;
+            let keys = col(&mut cur, h, "ordering key column")?;
+            let offs = offsets_col(&mut cur, h, "ordering offsets column")?;
             let m = cur.u32("ordering vector count")? as usize;
-            let k2 = col(&mut cur, m, 4, "ordering vector column")?;
-            let lists = col(&mut cur, m, 4, "ordering list column")?;
-            orderings.push(IxCols { keys, spans, k2, lists });
+            let k2 = col(&mut cur, m, "ordering vector column")?;
+            let lists = if kind.is_mirror() {
+                Some(col(&mut cur, m, "ordering list column")?)
+            } else {
+                None
+            };
+            orderings.push(IxCols { keys, offs, k2, lists });
         }
         Ok(MmapFrozenHexastore {
             map: Arc::clone(map),
@@ -105,17 +110,26 @@ impl MmapFrozenHexastore {
     }
 }
 
-/// Takes a column of `n` `width`-byte elements off the cursor.
-fn col(cur: &mut Cursor<'_>, n: usize, width: usize, what: &str) -> Result<Col> {
-    let Some(bytes) = n.checked_mul(width) else {
+/// Takes the cumulative offsets column of `n` windows (`n + 1` entries)
+/// off the cursor.
+fn offsets_col(cur: &mut Cursor<'_>, n: usize, what: &str) -> Result<Col> {
+    match n.checked_add(1) {
+        Some(entries) => col(cur, entries, what),
+        None => cur.corrupt(format!("{what} count overflows")),
+    }
+}
+
+/// Takes a column of `n` four-byte elements off the cursor.
+fn col(cur: &mut Cursor<'_>, n: usize, what: &str) -> Result<Col> {
+    let Some(bytes) = n.checked_mul(4) else {
         return cur.corrupt(format!("{what} count overflows"));
     };
     let off = cur.offset();
     cur.take(bytes, what)?;
-    // The section start is 4-aligned (checked by the opener) and every
-    // preceding field is a 4-byte multiple, so this always holds for v2
-    // writer output; it is cheap insurance against a hand-built file
-    // whose columns would misalign the casts below.
+    // The writer starts the section on a 4-byte file offset and every
+    // preceding field is a 4-byte multiple, so this always holds for its
+    // output; it is what rejects a hand-built file whose columns would
+    // misalign the casts below.
     if off % 4 != 0 {
         return cur.corrupt(format!("{what} is not 4-byte aligned"));
     }
@@ -140,13 +154,6 @@ impl MmapFrozenHexastore {
     fn u32s(&self, col: Col) -> &[u32] {
         let bytes = &self.map[col.off..col.off + col.n * 4];
         unsafe { std::slice::from_raw_parts(bytes.as_ptr() as *const u32, col.n) }
-    }
-
-    /// Reinterprets a span table. `Span` is `repr(C)` `{ off: u32, len:
-    /// u32 }` — exactly the byte pairs the writer emits — and 4-aligned.
-    fn spans(&self, col: Col) -> &[Span] {
-        let bytes = &self.map[col.off..col.off + col.n * 8];
-        unsafe { std::slice::from_raw_parts(bytes.as_ptr() as *const Span, col.n) }
     }
 
     /// Sorted objects o with (s, p, o) stored — the spo/pso shared list.
@@ -201,11 +208,11 @@ impl OrderedStore for MmapFrozenHexastore {
         (
             IndexView {
                 keys: self.ids(ix.keys),
-                spans: self.spans(ix.spans),
+                offs: self.u32s(ix.offs),
                 k2: self.ids(ix.k2),
-                lists: self.u32s(ix.lists),
+                lists: ix.lists.map(|lists| self.u32s(lists)),
             },
-            ArenaView { spans: self.spans(arena.spans), items: self.ids(arena.items) },
+            ArenaView { offs: self.u32s(arena.offs), items: self.ids(arena.items) },
         )
     }
 }

@@ -191,36 +191,53 @@ fn snapshots_without_slabs_are_refused() {
 }
 
 #[test]
-fn unaligned_v1_files_are_refused_when_misaligned() {
+fn pre_v3_files_are_refused_by_version_with_the_upgrade_path() {
     use std::io::Write;
-    // A v1 writer emits no alignment padding; whether the slab section
-    // happens to land 4-aligned depends on the dictionary byte length.
-    // Craft a dictionary whose serialized size forces a misaligned FROZ
-    // offset, then check the opener refuses it by version, not by luck.
-    for extra in 0..4u32 {
-        let mut g = GraphStore::new();
-        g.insert(&Triple::new(
-            Term::iri(format!("e:s{}", "x".repeat(extra as usize + 1))),
-            Term::iri("e:p"),
-            Term::iri("e:o"),
-        ));
-        let path = temp_path(&format!("v1-{extra}"));
-        let file = std::fs::File::create(&path).unwrap();
-        let mut w = hexsnap::Writer::with_version(std::io::BufWriter::new(file), 1).unwrap();
-        w.dictionary(g.dict()).unwrap();
-        w.frozen(&g.store().freeze()).unwrap();
-        w.finish().unwrap().flush().unwrap();
+    // Before v3 the slab columns are (offset, length) pairs plus list
+    // references for every ordering — not what the read path walks — and
+    // a v1 writer does not even align the section. Whether a v1 FROZ
+    // offset happens to land 4-aligned depends on the dictionary's byte
+    // length, so vary it: the opener must refuse by version, not by luck.
+    for version in [1, 2] {
+        for extra in 0..4usize {
+            let mut g = GraphStore::new();
+            g.insert(&Triple::new(
+                Term::iri(format!("e:s{}", "x".repeat(extra + 1))),
+                Term::iri("e:p"),
+                Term::iri("e:o"),
+            ));
+            let path = temp_path(&format!("v{version}-{extra}"));
+            let file = std::fs::File::create(&path).unwrap();
+            let mut w =
+                hexsnap::Writer::with_version(std::io::BufWriter::new(file), version).unwrap();
+            w.dictionary(g.dict()).unwrap();
+            w.frozen(&g.store().freeze()).unwrap();
+            w.finish().unwrap().flush().unwrap();
 
-        match hex_disk::open(&path) {
-            // Aligned by accident: must answer correctly.
-            Ok((_, mapped)) => assert_eq!(mapped.len(), 1),
-            Err(e) => {
-                assert!(matches!(e, hex_disk::Error::Unmappable(_)), "{e}");
-                assert!(e.to_string().contains("version"), "{e}");
-            }
+            let err = hex_disk::open(&path).unwrap_err();
+            let msg = err.to_string();
+            assert!(matches!(err, hex_disk::Error::Unmappable(_)), "{msg}");
+            assert!(msg.contains(&format!("version-{version}")), "{msg}");
+            assert!(msg.contains("load_frozen") && msg.contains("save_frozen"), "{msg}");
+            // The named upgrade path works: load, re-save, map.
+            let (dict, store) = hexsnap::load_frozen(&path).unwrap();
+            hexsnap::save_frozen(&path, &dict, &store).unwrap();
+            assert_oracle_equivalent(&store, &hex_disk::open(&path).unwrap().1);
+            std::fs::remove_file(&path).ok();
         }
-        std::fs::remove_file(&path).ok();
     }
+}
+
+#[test]
+fn the_committed_v2_fixture_is_refused_with_the_upgrade_path() {
+    // A real file from the last v2 build (see hexastore's `v2_compat.rs`):
+    // aligned, uncompressed — and still not the column layout to map.
+    let fixture = concat!(env!("CARGO_MANIFEST_DIR"), "/../core/tests/data/v2_small.hexsnap");
+    let err = hex_disk::open(fixture).unwrap_err();
+    let msg = err.to_string();
+    assert!(matches!(err, hex_disk::Error::Unmappable(_)), "{msg}");
+    assert!(msg.contains("version-2") && msg.contains("load_frozen"), "{msg}");
+    assert!(matches!(hex_disk::open_store(fixture), Err(hex_disk::Error::Unmappable(_))));
 }
 
 #[test]
@@ -251,16 +268,10 @@ fn open_keeps_the_dictionary_arena_mapped() {
     std::fs::remove_file(&path).ok();
 }
 
-#[test]
-fn corrupt_bytes_anywhere_never_panic_the_opener() {
-    let g = graph_from(&[(0, 0, 0), (1, 1, 2), (2, 0, 5)]);
-    let path = temp_path("flip");
-    hexsnap::save_frozen(&path, g.dict(), &g.store().freeze()).unwrap();
-    let pristine = std::fs::read(&path).unwrap();
-
-    // All eight shapes over the pristine store's constants, plus every
-    // shape again with an id the store never saw.
-    let mut pats = all_patterns(&hex_disk::open_store(&path).unwrap());
+/// All eight shapes over the store's own constants, plus every shape
+/// again with an id the store never saw.
+fn probe_patterns(store: &dyn TripleStore) -> Vec<IdPattern> {
+    let mut pats = all_patterns(store);
     let absent = hex_dict::Id(9_999);
     pats.extend([
         IdPattern::spo(IdTriple::new(absent, absent, absent)),
@@ -271,30 +282,103 @@ fn corrupt_bytes_anywhere_never_panic_the_opener() {
         IdPattern::p(absent),
         IdPattern::o(absent),
     ]);
+    pats
+}
+
+/// Opens the (possibly corrupt) file and, if it opens, drives every read
+/// operation over every pattern to the end of the columns. Answers may be
+/// wrong; a panic is a bug in the shared views' accessors.
+fn walk_every_shape_if_it_opens(path: &std::path::Path, pats: &[IdPattern]) {
+    let Ok((dict, mapped)) = hex_disk::open(path) else { return };
+    for id in 0..dict.len() as u32 {
+        let _ = dict.decode(hex_dict::Id(id));
+    }
+    let sla = mapped.sorted_lists().expect("mmap store serves sorted lists");
+    for &pat in pats {
+        let n = mapped.iter_matching(pat).count();
+        mapped.for_each_matching(pat, &mut |_| {});
+        let _ = mapped.count_matching(pat);
+        let _ = mapped.iter_matching_range(pat, n / 2, n).count();
+        let _ = mapped.iter_matching_range(pat, 1, usize::MAX).count();
+        let _ = sla.sorted_list(pat);
+    }
+}
+
+#[test]
+fn corrupt_bytes_anywhere_never_panic_the_opener() {
+    let g = graph_from(&[(0, 0, 0), (1, 1, 2), (2, 0, 5)]);
+    let path = temp_path("flip");
+    hexsnap::save_frozen(&path, g.dict(), &g.store().freeze()).unwrap();
+    let pristine = std::fs::read(&path).unwrap();
+    let pats = probe_patterns(&hex_disk::open_store(&path).unwrap());
 
     // Flip every byte of the file in turn — header, DICT (counts, kinds,
-    // offset table, string arena), TRPL, FROZ, trailer. The opener must
-    // reject or answer, never panic; when it opens, the dictionary must
-    // still behave (decode may miss, must not crash) and every read
-    // operation must walk the (possibly corrupt) columns to the end:
-    // answers may be wrong, a panic is a bug in the shared views' accessors.
+    // offset table, string arena), FROZ, trailer. The opener must reject
+    // or answer, never panic; when it opens, the dictionary must still
+    // behave (decode may miss, must not crash) and every read operation
+    // must walk the (possibly corrupt) columns to the end.
     for i in 0..pristine.len() {
         let mut bytes = pristine.clone();
         bytes[i] ^= 0xFF;
         std::fs::write(&path, &bytes).unwrap();
-        if let Ok((dict, mapped)) = hex_disk::open(&path) {
-            for id in 0..dict.len() as u32 {
-                let _ = dict.decode(hex_dict::Id(id));
-            }
-            let sla = mapped.sorted_lists().expect("mmap store serves sorted lists");
-            for &pat in &pats {
-                let n = mapped.iter_matching(pat).count();
-                mapped.for_each_matching(pat, &mut |_| {});
-                let _ = mapped.count_matching(pat);
-                let _ = mapped.iter_matching_range(pat, n / 2, n).count();
-                let _ = mapped.iter_matching_range(pat, 1, usize::MAX).count();
-                let _ = sla.sorted_list(pat);
-            }
+        walk_every_shape_if_it_opens(&path, &pats);
+    }
+    std::fs::remove_file(&path).ok();
+}
+
+/// File positions of every entry of every cumulative offsets column in
+/// the `FROZ` section (three arenas, six orderings), found by walking the
+/// section's documented layout.
+fn offset_entry_positions(bytes: &[u8]) -> Vec<usize> {
+    let reader = hexsnap::Reader::new(std::io::Cursor::new(bytes)).unwrap();
+    let (start, _) = reader.frozen_section_extent().expect("raw FROZ section");
+    let u32_at = |at: usize| u32::from_le_bytes(bytes[at..at + 4].try_into().unwrap()) as usize;
+    let mut at = start as usize + 8; // n_triples
+    let mut entries = Vec::new();
+    let mut offsets = |at: &mut usize, windows: usize| {
+        entries.extend((0..=windows).map(|i| *at + 4 * i));
+        *at += 4 * (windows + 1);
+    };
+    for _ in 0..3 {
+        let n_lists = u32_at(at);
+        let n_items = u64::from_le_bytes(bytes[at + 4..at + 12].try_into().unwrap()) as usize;
+        at += 12;
+        offsets(&mut at, n_lists);
+        at += 4 * n_items;
+    }
+    for kind in hexastore::IndexKind::ALL {
+        let h = u32_at(at);
+        at += 4 + 4 * h; // count + keys
+        offsets(&mut at, h);
+        let m = u32_at(at);
+        at += 4 + 4 * m * if kind.is_mirror() { 2 } else { 1 }; // count + k2 (+ list refs)
+    }
+    entries
+}
+
+#[test]
+fn corrupt_offsets_degrade_to_short_windows_never_a_panic() {
+    // Offsets are where a window's start and end come from, so a corrupt
+    // one can make `lo > hi`: every entry of every offsets column is
+    // overwritten with values below, at, just past and far past its
+    // neighbours, and every shape is walked to the end each time.
+    let g = graph_from(&[(0, 0, 0), (0, 0, 3), (1, 1, 2), (2, 0, 5), (2, 1, 5), (3, 2, 0)]);
+    let path = temp_path("offsets");
+    hexsnap::save_frozen(&path, g.dict(), &g.store().freeze()).unwrap();
+    let pristine = std::fs::read(&path).unwrap();
+    let pats = probe_patterns(&hex_disk::open_store(&path).unwrap());
+    let entries = offset_entry_positions(&pristine);
+    // 3 arenas + 6 orderings, each with at least its closing entry, and
+    // the arenas' closing entries are the triple count.
+    assert!(entries.len() > 9 + 6 * 3, "{}", entries.len());
+
+    for &at in &entries {
+        let old = u32::from_le_bytes(pristine[at..at + 4].try_into().unwrap());
+        for new in [0, 1, old.wrapping_sub(1), old + 1, old + 2, 1_000, u32::MAX - 1, u32::MAX] {
+            let mut bytes = pristine.clone();
+            bytes[at..at + 4].copy_from_slice(&new.to_le_bytes());
+            std::fs::write(&path, &bytes).unwrap();
+            walk_every_shape_if_it_opens(&path, &pats);
         }
     }
     std::fs::remove_file(&path).ok();

@@ -57,7 +57,7 @@ fn main() {
     let bin_path = std::env::temp_dir().join("hexastore_snapshot_demo.hexsnap");
     g.freeze().save(&bin_path).expect("write binary snapshot");
     let bytes = std::fs::metadata(&bin_path).expect("stat snapshot").len();
-    println!("binary snapshot is {bytes} bytes (dictionary arena + triple column + slabs)");
+    println!("binary snapshot is {bytes} bytes (dictionary arena + slabs)");
 
     let frozen = FrozenGraphStore::load(&bin_path).expect("open binary snapshot");
     std::fs::remove_file(&bin_path).ok();

@@ -124,6 +124,7 @@ proptest! {
         corrupt_at in 12usize..4096,
         xor in 1u8..=255,
     ) {
+        let pats = probe_patterns(&triples);
         let frozen = bulk::build_frozen(triples);
         let mut w = hexsnap::Writer::new(Cursor::new(Vec::new())).unwrap();
         w.dictionary(&hex_dict::Dictionary::new()).unwrap();
@@ -138,8 +139,50 @@ proptest! {
             let _ = r.dictionary();
             let _ = r.triples();
             if r.has_frozen() {
-                let _ = r.frozen();
+                walk_every_shape_if_it_reads(&mut r, &pats);
             }
         }
     }
+}
+
+/// Reads the slab section and, if the reader accepts it, walks every
+/// access shape to the end: whatever passes validation must be safe to
+/// query.
+fn walk_every_shape_if_it_reads(r: &mut hexsnap::Reader<Cursor<Vec<u8>>>, pats: &[IdPattern]) {
+    let Ok(store) = r.frozen() else { return };
+    for &pat in pats {
+        let n = store.iter_matching(pat).count();
+        assert_eq!(store.count_matching(pat), n, "{pat:?}");
+        assert_eq!(store.iter_matching_range(pat, n / 2, usize::MAX).count(), n - n / 2);
+    }
+}
+
+/// Every byte of the raw slab section — the cumulative offsets columns
+/// that every window's start and end come from, the key columns, the
+/// mirror list references — flipped under several masks: the validating
+/// reader rejects the section or hands back a store that is safe to walk.
+#[test]
+fn flipped_slab_section_bytes_are_rejected_or_safe_to_walk() {
+    let triples: Vec<IdTriple> =
+        [(1, 2, 3), (1, 2, 4), (1, 5, 3), (2, 2, 3), (2, 5, 9), (9, 9, 9), (3, 2, 1)]
+            .map(IdTriple::from)
+            .to_vec();
+    let pats = probe_patterns(&triples);
+    let mut w = hexsnap::Writer::new(Cursor::new(Vec::new())).unwrap();
+    w.frozen(&bulk::build_frozen(triples)).unwrap();
+    let pristine = w.finish().unwrap().into_inner();
+    let (start, len) =
+        hexsnap::Reader::new(Cursor::new(&pristine)).unwrap().frozen_section_extent().unwrap();
+    let mut rejected = 0;
+    for at in start as usize..(start + len) as usize {
+        for mask in [0x01, 0x02, 0x80, 0xFF] {
+            let mut bytes = pristine.clone();
+            bytes[at] ^= mask;
+            let mut r = hexsnap::Reader::new(Cursor::new(bytes)).unwrap();
+            rejected += usize::from(r.frozen().is_err());
+            walk_every_shape_if_it_reads(&mut r, &pats);
+        }
+    }
+    // Structure bytes dominate the section, so most flips must be caught.
+    assert!(rejected > 2 * len as usize, "only {rejected} of {} flips rejected", 4 * len);
 }

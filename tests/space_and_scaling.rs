@@ -3,7 +3,7 @@
 
 use hex_bench_queries::Suite;
 use hex_datagen::{barton::BartonConfig, lubm::LubmConfig};
-use hexastore::TripleStore;
+use hexastore::{FrozenHexastore, HeapBreakdown, TripleStore};
 
 #[test]
 fn space_blowup_is_bounded_on_real_workloads() {
@@ -94,4 +94,41 @@ fn incremental_and_bulk_agree_on_generated_data() {
     assert_eq!(bulk.len(), inc.len());
     assert_eq!(bulk.space_stats(), inc.space_stats());
     assert_eq!(bulk.matching(hexastore::IdPattern::ALL), inc.matching(hexastore::IdPattern::ALL));
+}
+
+/// The frozen store's heap is a closed form of the paper's §4.1 entry
+/// counts — four bytes per stored `u32`, nothing derivable stored, no
+/// slack capacity — however the slabs came to be.
+#[test]
+fn frozen_heap_breakdown_is_the_closed_form_of_the_space_stats() {
+    use hexastore::hexsnap::{Compression, Reader, Writer};
+    fn assert_closed_form(frozen: &FrozenHexastore, how: &str) {
+        let stats = frozen.space_stats();
+        let pairs = stats.vector_entries / 2; // each (k1, k2) pair sits in two orderings
+        let expected = HeapBreakdown {
+            items: 4 * stats.list_entries,
+            vector_keys: 4 * stats.vector_entries,
+            mirror_list_refs: 4 * pairs,
+            arena_offsets: 4 * (pairs + 3), // one entry per list, plus one per arena
+            headers: 8 * stats.header_entries + 4 * 6, // key + offset, plus one per ordering
+        };
+        assert_eq!(frozen.heap_breakdown(), expected, "{how}");
+        assert_eq!(frozen.heap_bytes(), expected.total(), "{how}");
+    }
+
+    let triples = hex_datagen::lubm::generate(&LubmConfig::tiny());
+    let suite = Suite::build(&triples);
+    let ids: Vec<hex_dict::IdTriple> =
+        suite.hexastore.iter_matching(hexastore::IdPattern::ALL).collect();
+    let built = hexastore::bulk::build_frozen(ids);
+    assert_closed_form(&built, "bulk::build_frozen");
+    assert_closed_form(&suite.hexastore.freeze(), "Hexastore::freeze");
+    for compression in [Compression::None, Compression::VarintDelta] {
+        let mut w = Writer::new(std::io::Cursor::new(Vec::new())).unwrap();
+        w.frozen_with(&built, compression).unwrap();
+        let bytes = w.finish().unwrap().into_inner();
+        let read = Reader::new(std::io::Cursor::new(bytes)).unwrap().frozen().unwrap();
+        assert_closed_form(&read, &format!("hexsnap read, {compression:?}"));
+    }
+    assert_closed_form(&hexastore::bulk::build_frozen(Vec::new()), "the empty store");
 }
