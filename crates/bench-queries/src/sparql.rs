@@ -204,12 +204,14 @@ mod tests {
         }
     }
 
-    /// The acceptance bar of the sharded dictionary encoder at the query
+    /// The acceptance bar of the batch dictionary encoder at the query
     /// level: a dataset whose dictionary was built by
     /// `encode_triples_parallel` answers all twelve paper queries with
     /// TSV byte-identical to the serially-encoded dataset — at every
-    /// worker count 1–8. The encoded ids are checked identical first, so
-    /// a TSV match can never hide a compensating renumbering.
+    /// worker count 1–8 it may be allowed (it uses one today; the bar is
+    /// for any encoder that uses more). The encoded ids are checked
+    /// identical first, so a TSV match can never hide a compensating
+    /// renumbering.
     #[test]
     fn sharded_dictionary_encode_answers_all_twelve_byte_identically() {
         for (raw, queries) in [

@@ -178,13 +178,12 @@ fn main() {
     );
 
     // Dictionary at the same large scale: the acceptance signal for the
-    // arena interning + sharded encode (serial vs 1/2/4-worker encode,
-    // arena vs legacy heap, eager vs mapped DICT open). The figure
+    // arena interning and its reverse index (encode time, probe
+    // displacement, arena vs legacy heap, eager vs mapped DICT open). The figure
     // asserts internally that the arena heap is strictly smaller and
     // the mapped open keeps the arena shared.
     let dict: DictRow = dict_figure(args.load_triples, args.reps);
     write_file(&args.out, "dict.csv", &dict_to_csv(&dict));
-    assert!(dict.identical, "sharded dictionary encode produced ids differing from serial");
 
     // Merge-join execution at figure scale and at the larger load scale:
     // the acceptance signal for the planner's merge-intersection path
@@ -331,16 +330,11 @@ fn main() {
     let _ = writeln!(json, "    \"identical\": {}", cold.identical);
     let _ = writeln!(json, "  }},");
     let _ = writeln!(json, "  \"dict\": {{");
-    let _ = writeln!(json, "    \"dataset\": \"lubm\",");
+    let _ = writeln!(json, "    \"dataset\": \"barton+lubm\",");
     let _ = writeln!(json, "    \"triples\": {},", dict.triples);
     let _ = writeln!(json, "    \"terms\": {},", dict.terms);
     let _ =
         writeln!(json, "    \"encode_serial_seconds\": {},", num(dict.encode_serial.as_secs_f64()));
-    for (threads, t) in &dict.encode_parallel {
-        let _ =
-            writeln!(json, "    \"encode_parallel_{threads}_seconds\": {},", num(t.as_secs_f64()));
-    }
-    let _ = writeln!(json, "    \"speedup_4\": {},", num(dict.speedup_at(4).unwrap_or(f64::NAN)));
     let _ = writeln!(
         json,
         "    \"serial_triples_per_second\": {},",
@@ -356,7 +350,10 @@ fn main() {
     );
     let _ = writeln!(json, "    \"mapped_open_seconds\": {},", num(dict.mapped_open.as_secs_f64()));
     let _ = writeln!(json, "    \"open_speedup\": {},", num(dict.open_speedup()));
-    let _ = writeln!(json, "    \"identical\": {}", dict.identical);
+    let _ = writeln!(json, "    \"index_slots\": {},", dict.index.slots);
+    let _ =
+        writeln!(json, "    \"index_mean_displacement\": {},", num(dict.index.mean_displacement));
+    let _ = writeln!(json, "    \"index_max_displacement\": {}", dict.index.max_displacement);
     let _ = writeln!(json, "  }},");
     let _ = writeln!(json, "  \"joins\": {{");
     let _ = writeln!(json, "    \"dataset\": \"synthetic star+chain (+barton+lubm identity)\",");
@@ -494,24 +491,19 @@ fn main() {
         snap.open_speedup()
     );
     println!(
-        "dict {} triples ({} terms): serial encode {:.3}s, sharded(4) {:.3}s ({:.2}x); heap \
-         arena {} B vs legacy {} B ({:.2}x); DICT open eager {:.4}s vs mapped {:.6}s ({:.0}x), \
-         ids identical: {}",
+        "dict {} triples ({} terms): encode {:.3}s; index displacement mean {:.2} max {}; heap \
+         arena {} B vs legacy {} B ({:.2}x); DICT open eager {:.4}s vs mapped {:.6}s ({:.0}x)",
         dict.triples,
         dict.terms,
         dict.encode_serial.as_secs_f64(),
-        dict.encode_parallel
-            .iter()
-            .find(|(n, _)| *n == 4)
-            .map_or(f64::NAN, |(_, t)| t.as_secs_f64()),
-        dict.speedup_at(4).unwrap_or(f64::NAN),
+        dict.index.mean_displacement,
+        dict.index.max_displacement,
         dict.arena_heap_bytes,
         dict.legacy_heap_bytes,
         dict.heap_ratio(),
         dict.eager_dict_open.as_secs_f64(),
         dict.mapped_open.as_secs_f64(),
-        dict.open_speedup(),
-        dict.identical
+        dict.open_speedup()
     );
     println!(
         "merge joins {} triples: star nested {:.3e}s vs merge {:.3e}s ({:.2}x, parallel(4) \

@@ -27,7 +27,7 @@ pub const TRAJECTORY_COLUMNS: [(&str, &[&str]); 16] = [
     ("qps", &["qps", "qps"]),
     ("qps_speedup", &["qps", "speedup"]),
     ("qps_p95_seconds", &["qps", "p95_seconds"]),
-    ("dict_encode_speedup_4", &["dict", "speedup_4"]),
+    ("dict_index_mean_displacement", &["dict", "index_mean_displacement"]),
     ("dict_heap_ratio", &["dict", "heap_ratio"]),
     ("dict_mapped_open_seconds", &["dict", "mapped_open_seconds"]),
     ("joins_star_speedup", &["joins", "star_speedup"]),
@@ -312,14 +312,14 @@ mod tests {
         let dir = temp_history("render");
         let a = r#"{"figures_triples": 20000, "load": {"speedup": 1.5}}"#;
         let b = r#"{"figures_triples": 20000, "load": {"speedup": 1.8},
-                    "dict": {"speedup_4": 2.4, "heap_ratio": 0.61,
+                    "dict": {"index_mean_displacement": 2.4, "heap_ratio": 0.61,
                              "mapped_open_seconds": 0.004}}"#;
         append_run(&dir, a, "first").unwrap();
         append_run(&dir, b, "second").unwrap();
 
         let md = trajectory_markdown(&dir).unwrap();
         assert!(md.contains("| run |"));
-        assert!(md.contains("dict_encode_speedup_4"));
+        assert!(md.contains("dict_index_mean_displacement"));
         assert!(md.contains("| 0001-first |"));
         assert!(md.contains("| 0002-second |"));
         assert!(md.contains("2.400"), "{md}");

@@ -185,7 +185,7 @@ pub const FIGURES: [(&str, &str); 23] = [
     ("live_write", "Live write path: sustained WAL inserts while querying + recovery + compaction"),
     ("qps", "Concurrent serving: client threads over published snapshots vs one client (qps)"),
     ("cold_open", "Cold open: hex-disk mmap vs eager slab read vs compressed decode"),
-    ("dict", "Dictionary at scale: serial vs sharded encode, arena vs legacy heap, mapped DICT"),
+    ("dict", "Dictionary at scale: encode, index displacement, arena vs legacy heap, mapped DICT"),
     (
         "joins",
         "Merge joins: sorted-list intersection vs nested probes (star/chain + paper queries)",
@@ -660,9 +660,8 @@ pub fn load_to_csv(dataset: &str, rows: &[LoadRow]) -> String {
     out
 }
 
-/// One dictionary-at-scale measurement: the same string-level batch
-/// interned serially and by the sharded parallel encoder, plus the heap
-/// footprint of the arena layout against an exact model of the replaced
+/// One dictionary-at-scale measurement: a string-level batch interned
+/// by the serial loop, plus the heap footprint of the arena layout against an exact model of the replaced
 /// `Vec<Term>` + `HashMap<Term, Id>` layout, and the DICT open paths
 /// (eager decode vs `hex-disk` mapped arena).
 #[derive(Clone, Debug)]
@@ -673,9 +672,6 @@ pub struct DictRow {
     pub terms: usize,
     /// Wall-clock of the serial `encode_triple` loop, fresh dictionary.
     pub encode_serial: Duration,
-    /// Wall-clock of `encode_triples_parallel` per worker count, fresh
-    /// dictionary each rep.
-    pub encode_parallel: Vec<(usize, Duration)>,
     /// Exact heap footprint of the arena dictionary after the encode.
     pub arena_heap_bytes: usize,
     /// Exact heap footprint the replaced layout would have paid for the
@@ -687,18 +683,12 @@ pub struct DictRow {
     /// Mapped DICT open: `hex_disk::open` (arena stays behind the
     /// mapping; includes the slab-header parse, which is O(headers)).
     pub mapped_open: Duration,
-    /// True when every parallel worker count produced ids byte-identical
-    /// to the serial loop.
-    pub identical: bool,
+    /// Reverse-index health after the encode: slots, load factor and how
+    /// far probing displaced entries — counts, repeatable on any host.
+    pub index: hex_dict::IndexStats,
 }
 
 impl DictRow {
-    /// Serial encode time over parallel encode time at `threads` workers.
-    pub fn speedup_at(&self, threads: usize) -> Option<f64> {
-        let (_, t) = self.encode_parallel.iter().find(|(n, _)| *n == threads)?;
-        Some(self.encode_serial.as_secs_f64() / t.as_secs_f64().max(f64::MIN_POSITIVE))
-    }
-
     /// Arena heap over legacy heap (<1: the arena layout is smaller).
     pub fn heap_ratio(&self) -> f64 {
         self.arena_heap_bytes as f64 / (self.legacy_heap_bytes as f64).max(f64::MIN_POSITIVE)
@@ -759,10 +749,11 @@ pub fn legacy_dict_heap_bytes(terms: &[rdf_model::Term]) -> usize {
     strings + vec + map
 }
 
-/// Measures the dictionary figure on a LUBM dataset of `scale` triples:
-/// serial vs sharded encode wall-clock (1/2/4 workers), arena-vs-legacy
-/// heap footprint, and eager-vs-mapped DICT open time, verifying along
-/// the way that every parallel encode produced byte-identical ids.
+/// Measures the dictionary figure on `scale` triples, half Barton and
+/// half LUBM (the two term styles probe very differently under a weak
+/// hash, so a LUBM-only figure cannot see a clustering index): encode
+/// wall-clock, reverse-index probe displacement, arena-vs-legacy heap
+/// footprint, and eager-vs-mapped DICT open time.
 ///
 /// Panics if the arena dictionary's heap is not strictly smaller than
 /// the legacy layout's — that inequality is this refactor's acceptance
@@ -770,7 +761,8 @@ pub fn legacy_dict_heap_bytes(terms: &[rdf_model::Term]) -> usize {
 pub fn dict_figure(scale: usize, reps: usize) -> DictRow {
     use hexastore::hexsnap;
 
-    let data = lubm_dataset(scale);
+    let mut data = barton_dataset(scale / 2);
+    data.extend(lubm_dataset(scale - scale / 2));
     let mut dict = hex_dict::Dictionary::new();
     let serial_ids: Vec<hex_dict::IdTriple> = data.iter().map(|t| dict.encode_triple(t)).collect();
 
@@ -783,19 +775,6 @@ pub fn dict_figure(scale: usize, reps: usize) -> DictRow {
         }
         count
     });
-    let mut identical = true;
-    let encode_parallel: Vec<(usize, Duration)> = [1usize, 2, 4]
-        .into_iter()
-        .map(|threads| {
-            let mut d = hex_dict::Dictionary::new();
-            identical &= d.encode_triples_parallel(&data, threads) == serial_ids;
-            let t = time_op(reps, || {
-                let mut d = hex_dict::Dictionary::new();
-                d.encode_triples_parallel(&data, threads).len()
-            });
-            (threads, t)
-        })
-        .collect();
 
     let arena_heap_bytes = dict.heap_bytes();
     let legacy_heap_bytes = legacy_dict_heap_bytes(&dict.terms());
@@ -830,36 +809,28 @@ pub fn dict_figure(scale: usize, reps: usize) -> DictRow {
         triples: data.len(),
         terms: dict.len(),
         encode_serial,
-        encode_parallel,
         arena_heap_bytes,
         legacy_heap_bytes,
         eager_dict_open,
         mapped_open,
-        identical,
+        index: dict.index_stats(),
     }
 }
 
 /// Renders the dictionary measurement as a one-row CSV.
 pub fn dict_to_csv(row: &DictRow) -> String {
     let mut out = String::from(
-        "# Dictionary at scale — serial vs sharded encode (lubm dataset), arena vs legacy \
-         heap, eager vs mapped DICT open\n",
+        "# Dictionary at scale — encode (barton+lubm dataset), arena vs legacy heap, eager vs \
+         mapped DICT open, reverse-index probe displacement\n\
+         triples,terms,encode_serial_s,serial_mtriples_s,arena_heap_bytes,legacy_heap_bytes,\
+         heap_ratio,eager_dict_open_s,mapped_open_s,open_speedup,index_mean_displacement,\
+         index_max_displacement\n",
     );
-    out.push_str("triples,terms,encode_serial_s");
-    for (threads, _) in &row.encode_parallel {
-        out.push_str(&format!(",encode_p{threads}_s"));
-    }
-    out.push_str(
-        ",speedup4,serial_mtriples_s,arena_heap_bytes,legacy_heap_bytes,heap_ratio,\
-         eager_dict_open_s,mapped_open_s,open_speedup,identical\n",
-    );
-    out.push_str(&format!("{},{},{:.6}", row.triples, row.terms, row.encode_serial.as_secs_f64()));
-    for (_, t) in &row.encode_parallel {
-        out.push_str(&format!(",{:.6}", t.as_secs_f64()));
-    }
     out.push_str(&format!(
-        ",{:.3},{:.3},{},{},{:.3},{:.6},{:.6},{:.1},{}\n",
-        row.speedup_at(4).unwrap_or(f64::NAN),
+        "{},{},{:.6},{:.3},{},{},{:.3},{:.6},{:.6},{:.1},{:.3},{}\n",
+        row.triples,
+        row.terms,
+        row.encode_serial.as_secs_f64(),
         row.serial_mtriples_per_sec(),
         row.arena_heap_bytes,
         row.legacy_heap_bytes,
@@ -867,7 +838,8 @@ pub fn dict_to_csv(row: &DictRow) -> String {
         row.eager_dict_open.as_secs_f64(),
         row.mapped_open.as_secs_f64(),
         row.open_speedup(),
-        row.identical,
+        row.index.mean_displacement,
+        row.index.max_displacement,
     ));
     out
 }
@@ -2298,18 +2270,17 @@ mod tests {
         let row = dict_figure(5_000, 1);
         assert_eq!(row.triples, 5_000);
         assert!(row.terms > 0);
-        assert!(row.identical, "sharded encode must match serial ids");
         assert!(row.encode_serial > Duration::ZERO);
-        assert_eq!(row.encode_parallel.iter().map(|(n, _)| *n).collect::<Vec<_>>(), vec![1, 2, 4]);
         // The figure itself asserts arena < legacy; re-check the ratio.
         assert!(row.heap_ratio() < 1.0, "heap ratio {}", row.heap_ratio());
         assert!(row.eager_dict_open > Duration::ZERO);
         assert!(row.mapped_open > Duration::ZERO);
+        assert_eq!(row.index.terms, row.terms);
+        assert!(row.index.mean_displacement <= 4.0, "{:?}", row.index);
         let csv = dict_to_csv(&row);
         assert!(csv.contains("Dictionary at scale"));
-        assert!(csv.contains(
-            "triples,terms,encode_serial_s,encode_p1_s,encode_p2_s,encode_p4_s,speedup4"
-        ));
+        assert!(csv.contains("triples,terms,encode_serial_s,serial_mtriples_s,arena_heap_bytes"));
+        assert!(csv.contains("open_speedup,index_mean_displacement,index_max_displacement\n"));
         assert_eq!(csv.lines().count(), 3);
     }
 

@@ -293,17 +293,13 @@ impl<S: MutableStore> Dataset<S> {
     /// added (duplicates in the document are deduplicated, as in the
     /// paper's data cleaning).
     ///
-    /// Encoding — the measured bottleneck of bulk load — runs through the
-    /// dictionary's sharded parallel encoder, sized by the same policy as
-    /// [`crate::bulk::Config`]: serial for small documents, one shard per
-    /// available core for large ones. The resulting ids are identical to
-    /// a serial first-seen encode either way.
+    /// The tokenizer yields triples that borrow from `doc` and the
+    /// dictionary interns them as they are, so no owned term exists
+    /// between the text and the ids.
     pub fn load_ntriples(&mut self, doc: &str) -> Result<usize, NtParseError> {
-        let triples = rdf_model::parse_document(doc)?;
-        let threads = crate::bulk::Config::default().effective_threads(triples.len());
-        let encoded = self.dict.encode_triples_parallel(&triples, threads);
         let mut added = 0;
-        for enc in encoded {
+        for triple in &rdf_model::parse_document(doc)? {
+            let enc = self.dict.encode_triple(triple);
             self.version += 1;
             if self.store.insert(enc) {
                 added += 1;

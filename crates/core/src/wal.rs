@@ -29,6 +29,7 @@
 use crate::compress::fnv1a;
 use crate::hexsnap::{Error, Result};
 use rdf_model::Triple;
+use std::fmt::Write as _;
 use std::fs::{File, OpenOptions};
 use std::io::{Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
@@ -165,14 +166,15 @@ impl Wal {
             WalOp::Insert(t) => (0u8, t),
             WalOp::Remove(t) => (1u8, t),
         };
-        let line = triple.to_string();
-        let mut body = Vec::with_capacity(1 + line.len());
-        body.push(tag);
-        body.extend_from_slice(line.as_bytes());
-        let mut record = Vec::with_capacity(8 + body.len());
-        record.extend_from_slice(&(body.len() as u32).to_le_bytes());
-        record.extend_from_slice(&fnv1a(&body).to_le_bytes());
-        record.extend_from_slice(&body);
+        // One buffer: an 8-byte prefix patched in once the body (tag,
+        // then the statement streamed by the N-Triples writer) is known.
+        let mut record = String::from("\0\0\0\0\0\0\0\0");
+        record.push(char::from(tag));
+        write!(record, "{triple}").expect("writing to a String cannot fail");
+        let mut record = record.into_bytes();
+        let (len, checksum) = ((record.len() - 8) as u32, fnv1a(&record[8..]));
+        record[0..4].copy_from_slice(&len.to_le_bytes());
+        record[4..8].copy_from_slice(&checksum.to_le_bytes());
         self.file.write_all(&record)?;
         self.len += record.len() as u64;
         Ok(())
@@ -262,11 +264,7 @@ fn replay_records(file: &mut File, file_len: u64) -> Result<(Vec<WalOp>, u64)> {
 fn decode_body(body: &[u8]) -> Option<WalOp> {
     let (&tag, line) = body.split_first()?;
     let line = std::str::from_utf8(line).ok()?;
-    let mut triples = rdf_model::parse_document(line).ok()?;
-    if triples.len() != 1 {
-        return None;
-    }
-    let triple = triples.pop()?;
+    let triple = rdf_model::parse_line(line, 1).ok()??.to_owned();
     match tag {
         0 => Some(WalOp::Insert(triple)),
         1 => Some(WalOp::Remove(triple)),

@@ -32,7 +32,6 @@
 
 mod dictionary;
 mod id;
-mod shard;
 
-pub use dictionary::{ArenaError, Dictionary, SharedBytes};
+pub use dictionary::{ArenaError, Dictionary, IndexStats, SharedBytes};
 pub use id::{Id, IdTriple};

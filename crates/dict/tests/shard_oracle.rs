@@ -1,21 +1,23 @@
-//! Oracle tests for the sharded parallel encoder and the arena
-//! constructors.
+//! Oracle tests for the batch encoder and the arena constructors.
 //!
-//! The contract under test is byte-identity: for any triple batch and
-//! any worker count, `encode_triples_parallel` must leave the
-//! dictionary in *exactly* the state a serial first-seen
-//! `encode_triple` loop produces — same ids, same id order, same kind
-//! column, same offset table, same arena bytes. Not "equivalent up to
-//! renumbering": identical, so snapshots and plans built either way are
-//! interchangeable.
+//! The contract under test is byte-identity: for any triple batch —
+//! owned `Triple`s or the borrowed `TripleRef`s the tokenizer yields —
+//! and any worker count it is allowed, `encode_triples_parallel` must
+//! leave the dictionary in *exactly* the state a serial first-seen
+//! `encode_triple` loop over owned triples produces — same ids, same id
+//! order, same kind column, same offset table, same arena bytes. Not
+//! "equivalent up to renumbering": identical, so snapshots and plans
+//! built either way are interchangeable. The batch encoder is that loop
+//! today (the hash-sharded one it replaced did not pay for itself); this
+//! is the oracle any encoder that does use its workers has to pass.
 //!
 //! The corruption half drives the arena constructor with every
 //! single-byte offset-table flip and every arena truncation, asserting
 //! rejection or a well-formed dictionary — never a panic.
 
-use hex_dict::{Dictionary, Id};
+use hex_dict::{Dictionary, Id, IdTriple};
 use proptest::prelude::*;
-use rdf_model::{Term, Triple};
+use rdf_model::{Term, Triple, TripleRef};
 
 /// Terms across all five kinds, with repeats likely (small id spaces)
 /// and multi-byte UTF-8 in literal content.
@@ -46,6 +48,29 @@ fn triple_strategy() -> impl Strategy<Value = Vec<Triple>> {
     )
 }
 
+/// Encodes `triples` from `base` with `threads` workers allowed, as
+/// owned and as borrowed input, asserting both leave ids and dictionary
+/// identical to `want` and `serial`.
+fn assert_batch_matches(
+    base: &Dictionary,
+    triples: &[Triple],
+    threads: usize,
+    want: &[IdTriple],
+    serial: &Dictionary,
+) {
+    let borrowed: Vec<TripleRef<'_>> = triples.iter().map(TripleRef::from).collect();
+    let mut dict = base.clone();
+    assert_eq!(dict.encode_triples_parallel(triples, threads), want, "owned, {threads} threads");
+    assert_dictionaries_byte_identical(serial, &dict, &format!("owned, {threads} threads"));
+    let mut dict = base.clone();
+    assert_eq!(
+        dict.encode_triples_parallel(&borrowed, threads),
+        want,
+        "borrowed, {threads} threads"
+    );
+    assert_dictionaries_byte_identical(serial, &dict, &format!("borrowed, {threads} threads"));
+}
+
 fn assert_dictionaries_byte_identical(serial: &Dictionary, parallel: &Dictionary, ctx: &str) {
     assert_eq!(parallel.len(), serial.len(), "{ctx}: term count");
     assert_eq!(parallel.term_kinds(), serial.term_kinds(), "{ctx}: kind column");
@@ -57,17 +82,14 @@ fn assert_dictionaries_byte_identical(serial: &Dictionary, parallel: &Dictionary
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
-    /// For every worker count 1–8, the parallel encoder's ids and final
+    /// For every worker count 1–8, the batch encoder's ids and final
     /// dictionary are byte-identical to the serial first-seen loop.
     #[test]
     fn sharded_encode_is_byte_identical_to_serial(triples in triple_strategy()) {
         let mut serial = Dictionary::new();
         let want: Vec<_> = triples.iter().map(|t| serial.encode_triple(t)).collect();
         for threads in 1..=8usize {
-            let mut dict = Dictionary::new();
-            let got = dict.encode_triples_parallel(&triples, threads);
-            prop_assert_eq!(&got, &want, "ids differ at {} threads", threads);
-            assert_dictionaries_byte_identical(&serial, &dict, &format!("{threads} threads"));
+            assert_batch_matches(&Dictionary::new(), &triples, threads, &want, &serial);
         }
     }
 
@@ -85,10 +107,7 @@ proptest! {
         let base = serial.clone();
         let want: Vec<_> = triples.iter().map(|t| serial.encode_triple(t)).collect();
         for threads in [2usize, 3, 5, 8] {
-            let mut dict = base.clone();
-            let got = dict.encode_triples_parallel(&triples, threads);
-            prop_assert_eq!(&got, &want, "ids differ at {} threads", threads);
-            assert_dictionaries_byte_identical(&serial, &dict, &format!("{threads} threads"));
+            assert_batch_matches(&base, &triples, threads, &want, &serial);
         }
     }
 
@@ -146,19 +165,22 @@ proptest! {
     }
 }
 
-/// A deterministic pass at a size big enough to exercise index growth,
-/// multi-chunk hashing, and every shard: 4096 triples over ~1200
-/// distinct terms.
+/// A deterministic pass big enough to exercise index growth, with the
+/// borrowed input coming from the tokenizer itself: 20,000 statements
+/// over ~1,500 distinct terms, written as N-Triples and parsed back, so
+/// escape-free terms are slices of the text and the escaped literals own
+/// theirs.
 #[test]
 fn sharded_encode_matches_serial_at_index_growth_scale() {
-    let triples: Vec<Triple> = (0..4096)
+    let triples: Vec<Triple> = (0..20_000)
         .map(|i| {
             Triple::new(
                 Term::iri(format!("http://example.org/subject/{}", i % 700)),
                 Term::iri(format!("http://example.org/predicate/{}", i % 29)),
-                match i % 3 {
+                match i % 4 {
                     0 => Term::literal(format!("object value {}", i % 500)),
                     1 => Term::lang_literal(format!("valeur {}", i % 200), "fr"),
+                    2 => Term::literal(format!("line {}\n\"quoted\"\ttab", i % 100)),
                     _ => Term::typed_literal(
                         format!("{}", i % 300),
                         "http://www.w3.org/2001/XMLSchema#integer",
@@ -167,12 +189,13 @@ fn sharded_encode_matches_serial_at_index_growth_scale() {
             )
         })
         .collect();
+    let text = rdf_model::write_document(&triples);
+    let parsed = rdf_model::parse_document(&text).unwrap();
     let mut serial = Dictionary::new();
     let want: Vec<_> = triples.iter().map(|t| serial.encode_triple(t)).collect();
     for threads in [2usize, 4, 8] {
         let mut dict = Dictionary::new();
-        let got = dict.encode_triples_parallel(&triples, threads);
-        assert_eq!(got, want, "{threads} threads");
+        assert_eq!(dict.encode_triples_parallel(&parsed, threads), want, "{threads} threads");
         assert_dictionaries_byte_identical(&serial, &dict, &format!("{threads} threads"));
     }
 }

@@ -1283,9 +1283,9 @@ mod tests {
 
     #[test]
     fn tsv_escapes_separators_in_cells() {
-        // IRIs render unescaped, so a tab or newline inside one used to
-        // split cells and rows; literals render N-Triples-escaped, so
-        // their backslashes must double to stay lossless.
+        // Terms render N-Triples-escaped (`\u` escapes in IRIs, `\t`/`\n`
+        // in literals), so no cell holds a raw tab or newline, and the
+        // escapes' backslashes must double to stay lossless.
         let rs = ResultSet {
             vars: vec!["a".into(), "b".into()],
             rows: vec![vec![
@@ -1298,7 +1298,7 @@ mod tests {
         assert_eq!(tsv.lines().count(), 2);
         let row = tsv.lines().nth(1).unwrap();
         assert_eq!(row.split('\t').count(), 2, "embedded tab must not split the cell");
-        assert!(row.contains("<http://x/tab\\there\\nnewline>"), "{row}");
+        assert!(row.contains("<http://x/tab\\\\u0009here\\\\u000Anewline>"), "{row}");
         // The literal's own N-Triples escapes survive, backslash-doubled.
         assert!(row.contains("\"lit\\\\twith\\\\nseparators\""), "{row}");
     }

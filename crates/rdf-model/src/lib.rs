@@ -8,7 +8,10 @@
 //! The Hexastore paper (Weiss, Karras, Bernstein, VLDB 2008) stores RDF
 //! *statements* — triples `<subject, property, object>` — after dictionary
 //! encoding. This crate provides the string-level model that the
-//! [`hex_dict`](../hex_dict) crate encodes.
+//! [`hex_dict`](../hex_dict) crate encodes: owned [`Term`]s and
+//! [`Triple`]s for callers that keep them, and the borrowed
+//! [`TermRef`]/[`TripleRef`] views the N-Triples tokenizer yields over its
+//! input and a dictionary yields over its string arena.
 //!
 //! ## Example
 //!
@@ -37,6 +40,6 @@ mod turtle;
 
 pub use ntriples::{parse_document, parse_line, write_document, NtParseError};
 pub use pattern::{TermPattern, TriplePattern};
-pub use term::{BlankNode, Iri, Literal, Term, TermKind, XSD_STRING};
-pub use triple::Triple;
+pub use term::{BlankNode, Iri, Literal, Term, TermKind, TermRef, XSD_STRING};
+pub use triple::{Triple, TripleRef};
 pub use turtle::{parse_turtle, write_turtle, TurtleParseError, RDF_TYPE};

@@ -6,9 +6,16 @@
 //! [W3C N-Triples](https://www.w3.org/TR/n-triples/) triple line:
 //! IRIs, blank nodes, literals with escapes, language tags and datatypes,
 //! comments and blank lines.
+//!
+//! The tokenizer scans bytes and borrows: a term written without escape
+//! sequences is a [`TermRef`] over slices of the input, so parsing a
+//! document allocates nothing per term. The writer streams into one
+//! output buffer and is the routine behind every `Display` of a term or
+//! triple.
 
-use crate::term::{BlankNode, Iri, Literal, Term};
-use crate::triple::Triple;
+use crate::term::{TermKind, TermRef};
+use crate::triple::{Triple, TripleRef};
+use std::borrow::Cow;
 use std::fmt;
 
 /// Error produced while parsing an N-Triples document.
@@ -32,129 +39,162 @@ fn err(line: usize, message: impl Into<String>) -> NtParseError {
     NtParseError { line, message: message.into() }
 }
 
-/// A cursor over the bytes of one line.
-struct Cursor<'a> {
-    input: &'a str,
+/// A byte-scanning tokenizer over one (trimmed) line. Every delimiter of
+/// the grammar is ASCII, so scanning bytes never stops inside a UTF-8
+/// sequence and every slice taken is on a character boundary.
+struct Scanner<'a> {
+    line: &'a str,
     pos: usize,
-    line: usize,
+    line_no: usize,
 }
 
-impl<'a> Cursor<'a> {
-    fn new(input: &'a str, line: usize) -> Self {
-        Cursor { input, pos: 0, line }
+impl<'a> Scanner<'a> {
+    fn err(&self, message: impl Into<String>) -> NtParseError {
+        err(self.line_no, message)
     }
 
     fn rest(&self) -> &'a str {
-        &self.input[self.pos..]
+        &self.line[self.pos..]
     }
 
-    fn peek(&self) -> Option<char> {
-        self.rest().chars().next()
+    fn peek(&self) -> Option<u8> {
+        self.line.as_bytes().get(self.pos).copied()
     }
 
-    fn bump(&mut self) -> Option<char> {
-        let c = self.peek()?;
+    fn skip_ws(&mut self) {
+        while matches!(self.peek(), Some(b' ' | b'\t')) {
+            self.pos += 1;
+        }
+    }
+
+    /// Consumes the next character, which may be of any width.
+    fn bump_char(&mut self) -> Option<char> {
+        let c = self.rest().chars().next()?;
         self.pos += c.len_utf8();
         Some(c)
     }
 
-    fn skip_ws(&mut self) {
-        while matches!(self.peek(), Some(' ' | '\t')) {
-            self.bump();
-        }
-    }
-
     fn expect(&mut self, c: char) -> Result<(), NtParseError> {
-        match self.bump() {
+        match self.bump_char() {
             Some(got) if got == c => Ok(()),
-            Some(got) => Err(err(self.line, format!("expected '{c}', found '{got}'"))),
-            None => Err(err(self.line, format!("expected '{c}', found end of line"))),
+            Some(got) => Err(self.err(format!("expected '{c}', found '{got}'"))),
+            None => Err(self.err(format!("expected '{c}', found end of line"))),
         }
     }
 
-    fn parse_term(&mut self) -> Result<Term, NtParseError> {
+    fn term(&mut self) -> Result<TermRef<'a>, NtParseError> {
         self.skip_ws();
         match self.peek() {
-            Some('<') => self.parse_iri().map(Term::Iri),
-            Some('_') => self.parse_blank().map(Term::Blank),
-            Some('"') => self.parse_literal().map(Term::Literal),
-            Some(c) => Err(err(self.line, format!("unexpected character '{c}' at start of term"))),
-            None => Err(err(self.line, "unexpected end of line, expected a term")),
-        }
-    }
-
-    fn parse_iri(&mut self) -> Result<Iri, NtParseError> {
-        self.expect('<')?;
-        let mut out = String::new();
-        loop {
-            match self.bump() {
-                Some('>') => return Ok(Iri::new(out)),
-                Some('\\') => out.push(self.parse_escape()?),
-                Some(c) if c == ' ' || c == '<' || c == '"' => {
-                    return Err(err(self.line, format!("invalid character '{c}' inside IRI")))
-                }
-                Some(c) => out.push(c),
-                None => return Err(err(self.line, "unterminated IRI")),
+            Some(b'<') => self.iri().map(TermRef::iri),
+            Some(b'_') => self.blank(),
+            Some(b'"') => self.literal(),
+            Some(_) => {
+                let c = self.rest().chars().next().unwrap_or_default();
+                Err(self.err(format!("unexpected character '{c}' at start of term")))
             }
+            None => Err(self.err("unexpected end of line, expected a term")),
         }
     }
 
-    fn parse_blank(&mut self) -> Result<BlankNode, NtParseError> {
+    fn iri(&mut self) -> Result<Cow<'a, str>, NtParseError> {
+        self.expect('<')?;
+        self.delimited::<true>()
+    }
+
+    /// Reads up to the closing delimiter (`>` of an IRI, `"` of a
+    /// literal), the opening one already consumed. Text without escape
+    /// sequences is returned as a slice of the line; otherwise the runs
+    /// between escapes are copied into an owned string.
+    fn delimited<const IRI: bool>(&mut self) -> Result<Cow<'a, str>, NtParseError> {
+        let close = if IRI { b'>' } else { b'"' };
+        let mut unescaped: Option<String> = None;
+        let mut run = self.pos;
+        loop {
+            let stop = self.line.as_bytes()[self.pos..].iter().position(|&b| {
+                b == close || b == b'\\' || (IRI && matches!(b, b' ' | b'<' | b'"'))
+            });
+            let Some(stop) = stop else {
+                return Err(self.err(if IRI {
+                    "unterminated IRI"
+                } else {
+                    "unterminated literal"
+                }));
+            };
+            self.pos += stop;
+            let text = &self.line[run..self.pos];
+            let b = self.line.as_bytes()[self.pos];
+            self.pos += 1;
+            if b == close {
+                return Ok(match unescaped {
+                    None => Cow::Borrowed(text),
+                    Some(mut s) => {
+                        s.push_str(text);
+                        Cow::Owned(s)
+                    }
+                });
+            }
+            if b != b'\\' {
+                return Err(self.err(format!("invalid character '{}' inside IRI", b as char)));
+            }
+            let c = self.escape()?;
+            let s = unescaped.get_or_insert_with(String::new);
+            s.push_str(text);
+            s.push(c);
+            run = self.pos;
+        }
+    }
+
+    fn blank(&mut self) -> Result<TermRef<'a>, NtParseError> {
         self.expect('_')?;
         self.expect(':')?;
-        let start = self.pos;
-        while matches!(self.peek(), Some(c) if c.is_alphanumeric() || c == '_' || c == '-' || c == '.')
-        {
+        let rest = self.rest();
+        let mut len = 0;
+        for (i, c) in rest.char_indices() {
+            if !(c.is_alphanumeric() || matches!(c, '_' | '-' | '.')) {
+                break;
+            }
             // A trailing '.' terminates the statement, not the label.
-            if self.peek() == Some('.') {
-                let after = self.rest()[1..].trim_start();
-                if after.is_empty() {
-                    break;
-                }
+            if c == '.' && rest[i + 1..].trim_start().is_empty() {
+                break;
             }
-            self.bump();
+            len = i + c.len_utf8();
         }
-        if self.pos == start {
-            return Err(err(self.line, "empty blank node label"));
+        if len == 0 {
+            return Err(self.err("empty blank node label"));
         }
-        Ok(BlankNode::new(&self.input[start..self.pos]))
+        self.pos += len;
+        Ok(TermRef::blank(&rest[..len]))
     }
 
-    fn parse_literal(&mut self) -> Result<Literal, NtParseError> {
+    fn literal(&mut self) -> Result<TermRef<'a>, NtParseError> {
         self.expect('"')?;
-        let mut lex = String::new();
-        loop {
-            match self.bump() {
-                Some('"') => break,
-                Some('\\') => lex.push(self.parse_escape()?),
-                Some(c) => lex.push(c),
-                None => return Err(err(self.line, "unterminated literal")),
-            }
-        }
+        let lexical = self.delimited::<false>()?;
         match self.peek() {
-            Some('@') => {
-                self.bump();
-                let start = self.pos;
-                while matches!(self.peek(), Some(c) if c.is_ascii_alphanumeric() || c == '-') {
-                    self.bump();
+            Some(b'@') => {
+                self.pos += 1;
+                let rest = self.rest();
+                let len = rest
+                    .bytes()
+                    .position(|b| !(b.is_ascii_alphanumeric() || b == b'-'))
+                    .unwrap_or(rest.len());
+                if len == 0 {
+                    return Err(self.err("empty language tag"));
                 }
-                if self.pos == start {
-                    return Err(err(self.line, "empty language tag"));
-                }
-                Ok(Literal::lang(lex, &self.input[start..self.pos]))
+                self.pos += len;
+                Ok(TermRef::lang_literal(lexical, &rest[..len]))
             }
-            Some('^') => {
+            Some(b'^') => {
                 self.expect('^')?;
                 self.expect('^')?;
-                let dt = self.parse_iri()?;
-                Ok(Literal::typed(lex, dt))
+                Ok(TermRef::typed_literal(lexical, self.iri()?))
             }
-            _ => Ok(Literal::simple(lex)),
+            _ => Ok(TermRef::literal(lexical)),
         }
     }
 
-    fn parse_escape(&mut self) -> Result<char, NtParseError> {
-        match self.bump() {
+    /// Decodes one escape sequence, the backslash already consumed.
+    fn escape(&mut self) -> Result<char, NtParseError> {
+        match self.bump_char() {
             Some('t') => Ok('\t'),
             Some('n') => Ok('\n'),
             Some('r') => Ok('\r'),
@@ -163,61 +203,60 @@ impl<'a> Cursor<'a> {
             Some('"') => Ok('"'),
             Some('\'') => Ok('\''),
             Some('\\') => Ok('\\'),
-            Some('u') => self.parse_unicode_escape(4),
-            Some('U') => self.parse_unicode_escape(8),
-            Some(c) => Err(err(self.line, format!("invalid escape '\\{c}'"))),
-            None => Err(err(self.line, "dangling backslash")),
+            Some('u') => self.unicode_escape(4),
+            Some('U') => self.unicode_escape(8),
+            Some(c) => Err(self.err(format!("invalid escape '\\{c}'"))),
+            None => Err(self.err("dangling backslash")),
         }
     }
 
-    fn parse_unicode_escape(&mut self, digits: usize) -> Result<char, NtParseError> {
+    fn unicode_escape(&mut self, digits: usize) -> Result<char, NtParseError> {
         let mut value: u32 = 0;
         for _ in 0..digits {
-            let c = self.bump().ok_or_else(|| err(self.line, "truncated unicode escape"))?;
-            let d = c.to_digit(16).ok_or_else(|| {
-                err(self.line, format!("invalid hex digit '{c}' in unicode escape"))
-            })?;
+            let c = self.bump_char().ok_or_else(|| self.err("truncated unicode escape"))?;
+            let d = c
+                .to_digit(16)
+                .ok_or_else(|| self.err(format!("invalid hex digit '{c}' in unicode escape")))?;
             value = value * 16 + d;
         }
         char::from_u32(value)
-            .ok_or_else(|| err(self.line, format!("invalid unicode code point U+{value:X}")))
+            .ok_or_else(|| self.err(format!("invalid unicode code point U+{value:X}")))
     }
 }
 
-/// Parses a single N-Triples line.
+/// Parses a single N-Triples line into a triple borrowing from it.
 ///
 /// Returns `Ok(None)` for blank lines and comment lines (starting with `#`).
-pub fn parse_line(line: &str, line_no: usize) -> Result<Option<Triple>, NtParseError> {
-    let trimmed = line.trim();
-    if trimmed.is_empty() || trimmed.starts_with('#') {
+pub fn parse_line(line: &str, line_no: usize) -> Result<Option<TripleRef<'_>>, NtParseError> {
+    let line = line.trim();
+    if line.is_empty() || line.starts_with('#') {
         return Ok(None);
     }
-    let mut cur = Cursor::new(trimmed, line_no);
-    let subject = cur.parse_term()?;
-    let predicate = cur.parse_term()?;
-    let object = cur.parse_term()?;
-    cur.skip_ws();
-    cur.expect('.')?;
-    cur.skip_ws();
-    if let Some(c) = cur.peek() {
-        if c != '#' {
-            return Err(err(line_no, format!("trailing content '{}' after '.'", cur.rest())));
-        }
+    let mut scan = Scanner { line, pos: 0, line_no };
+    let subject = scan.term()?;
+    let predicate = scan.term()?;
+    let object = scan.term()?;
+    scan.skip_ws();
+    scan.expect('.')?;
+    scan.skip_ws();
+    if !matches!(scan.peek(), None | Some(b'#')) {
+        return Err(err(line_no, format!("trailing content '{}' after '.'", scan.rest())));
     }
-    if !subject.is_valid_subject() {
+    if subject.kind().is_literal() {
         return Err(err(line_no, "literal in subject position"));
     }
-    if !predicate.is_valid_predicate() {
+    if predicate.kind() != TermKind::Iri {
         return Err(err(line_no, "non-IRI in predicate position"));
     }
-    Ok(Some(Triple::new(subject, predicate, object)))
+    Ok(Some(TripleRef { subject, predicate, object }))
 }
 
-/// Parses a full N-Triples document into a vector of triples.
+/// Parses a full N-Triples document into triples borrowing from it; call
+/// [`TripleRef::to_owned`] on the ones to keep beyond the text.
 ///
 /// Duplicate statements are preserved (the stores deduplicate, matching the
 /// paper's "eliminated duplicate triples" cleaning step).
-pub fn parse_document(input: &str) -> Result<Vec<Triple>, NtParseError> {
+pub fn parse_document(input: &str) -> Result<Vec<TripleRef<'_>>, NtParseError> {
     let mut triples = Vec::new();
     for (idx, line) in input.lines().enumerate() {
         if let Some(t) = parse_line(line, idx + 1)? {
@@ -227,11 +266,98 @@ pub fn parse_document(input: &str) -> Result<Vec<Triple>, NtParseError> {
     Ok(triples)
 }
 
+/// Writes `text` with each `special` byte replaced by what `escape`
+/// writes for it; the slices in between go out whole. Only ASCII bytes
+/// may be special, so every cut is on a character boundary.
+fn write_escaped<W: fmt::Write>(
+    out: &mut W,
+    text: &str,
+    special: impl Fn(u8) -> bool,
+    escape: impl Fn(&mut W, u8) -> fmt::Result,
+) -> fmt::Result {
+    let mut rest = text;
+    while let Some(at) = rest.bytes().position(&special) {
+        out.write_str(&rest[..at])?;
+        escape(out, rest.as_bytes()[at])?;
+        rest = &rest[at + 1..];
+    }
+    out.write_str(rest)
+}
+
+/// Whether the IRIREF grammar forbids byte `b` (every character it
+/// forbids is ASCII): U+0000–U+0020 and ``<>"{}|^`\``.
+fn iri_forbids(b: u8) -> bool {
+    b <= b' ' || matches!(b, b'<' | b'>' | b'"' | b'{' | b'}' | b'|' | b'^' | b'`' | b'\\')
+}
+
+/// Writes `iri` between angle brackets, `\u`-escaping the characters the
+/// IRIREF grammar forbids, so that any string held by an
+/// [`Iri`](crate::Iri) reads back as itself.
+pub(crate) fn write_iri<W: fmt::Write>(out: &mut W, iri: &str) -> fmt::Result {
+    out.write_char('<')?;
+    write_escaped(out, iri, iri_forbids, |out, b| write!(out, "\\u{b:04X}"))?;
+    out.write_char('>')
+}
+
+/// Writes a literal's lexical form between quotes, escaped.
+fn write_lexical<W: fmt::Write>(out: &mut W, lexical: &str) -> fmt::Result {
+    out.write_char('"')?;
+    write_escaped(
+        out,
+        lexical,
+        |b| matches!(b, b'\\' | b'"' | b'\n' | b'\r' | b'\t'),
+        |out, b| {
+            out.write_str(match b {
+                b'\\' => "\\\\",
+                b'"' => "\\\"",
+                b'\n' => "\\n",
+                b'\r' => "\\r",
+                _ => "\\t",
+            })
+        },
+    )?;
+    out.write_char('"')
+}
+
+/// Writes one term in N-Triples syntax.
+pub(crate) fn write_term<W: fmt::Write>(out: &mut W, term: &TermRef<'_>) -> fmt::Result {
+    let (first, second) = term.pieces();
+    match term.kind() {
+        TermKind::Iri => write_iri(out, first),
+        TermKind::Blank => {
+            out.write_str("_:")?;
+            out.write_str(first)
+        }
+        TermKind::Literal => write_lexical(out, first),
+        TermKind::LangLiteral => {
+            write_lexical(out, first)?;
+            out.write_char('@')?;
+            out.write_str(second.unwrap_or_default())
+        }
+        TermKind::TypedLiteral => {
+            write_lexical(out, first)?;
+            out.write_str("^^")?;
+            write_iri(out, second.unwrap_or_default())
+        }
+    }
+}
+
+/// Writes one statement in N-Triples syntax (terminated by ` .`, no
+/// newline).
+pub(crate) fn write_triple<W: fmt::Write>(out: &mut W, t: &TripleRef<'_>) -> fmt::Result {
+    write_term(out, &t.subject)?;
+    out.write_char(' ')?;
+    write_term(out, &t.predicate)?;
+    out.write_char(' ')?;
+    write_term(out, &t.object)?;
+    out.write_str(" .")
+}
+
 /// Serializes triples as an N-Triples document (one statement per line).
 pub fn write_document<'a>(triples: impl IntoIterator<Item = &'a Triple>) -> String {
     let mut out = String::new();
     for t in triples {
-        out.push_str(&t.to_string());
+        write_triple(&mut out, &TripleRef::from(t)).expect("writing to a String cannot fail");
         out.push('\n');
     }
     out
@@ -240,11 +366,16 @@ pub fn write_document<'a>(triples: impl IntoIterator<Item = &'a Triple>) -> Stri
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::term::XSD_STRING;
+    use crate::term::{Term, XSD_STRING};
+
+    /// One statement line, parsed by the borrowing tokenizer and owned.
+    fn parse(line: &str) -> Triple {
+        parse_line(line, 1).unwrap().unwrap().to_owned()
+    }
 
     #[test]
     fn parses_simple_triple() {
-        let t = parse_line("<http://x/s> <http://x/p> <http://x/o> .", 1).unwrap().unwrap();
+        let t = parse("<http://x/s> <http://x/p> <http://x/o> .");
         assert_eq!(t.subject, Term::iri("http://x/s"));
         assert_eq!(t.predicate, Term::iri("http://x/p"));
         assert_eq!(t.object, Term::iri("http://x/o"));
@@ -252,13 +383,13 @@ mod tests {
 
     #[test]
     fn parses_literal_object() {
-        let t = parse_line("<http://x/s> <http://x/p> \"hello world\" .", 1).unwrap().unwrap();
+        let t = parse("<http://x/s> <http://x/p> \"hello world\" .");
         assert_eq!(t.object, Term::literal("hello world"));
     }
 
     #[test]
     fn parses_lang_literal() {
-        let t = parse_line("<http://x/s> <http://x/p> \"chat\"@fr-BE .", 1).unwrap().unwrap();
+        let t = parse("<http://x/s> <http://x/p> \"chat\"@fr-BE .");
         let lit = t.object.as_literal().unwrap();
         assert_eq!(lit.lexical(), "chat");
         assert_eq!(lit.language(), Some("fr-BE"));
@@ -266,12 +397,8 @@ mod tests {
 
     #[test]
     fn parses_typed_literal() {
-        let t = parse_line(
-            "<http://x/s> <http://x/p> \"42\"^^<http://www.w3.org/2001/XMLSchema#integer> .",
-            1,
-        )
-        .unwrap()
-        .unwrap();
+        let t =
+            parse("<http://x/s> <http://x/p> \"42\"^^<http://www.w3.org/2001/XMLSchema#integer> .");
         let lit = t.object.as_literal().unwrap();
         assert_eq!(lit.lexical(), "42");
         assert_eq!(lit.datatype(), "http://www.w3.org/2001/XMLSchema#integer");
@@ -280,23 +407,54 @@ mod tests {
     #[test]
     fn xsd_string_datatype_normalizes_to_plain() {
         let line = format!("<http://x/s> <http://x/p> \"v\"^^<{XSD_STRING}> .");
-        let t = parse_line(&line, 1).unwrap().unwrap();
+        let t = parse(&line);
         assert_eq!(t.object, Term::literal("v"));
     }
 
     #[test]
     fn parses_blank_nodes() {
-        let t = parse_line("_:a <http://x/p> _:b0.c .", 1).unwrap().unwrap();
+        let t = parse("_:a <http://x/p> _:b0.c .");
         assert_eq!(t.subject, Term::blank("a"));
         assert_eq!(t.object, Term::blank("b0.c"));
     }
 
     #[test]
     fn parses_escapes_in_literals() {
-        let t = parse_line(r#"<http://x/s> <http://x/p> "a\tb\nc\"d\\eA\U00000042" ."#, 1)
-            .unwrap()
-            .unwrap();
-        assert_eq!(t.object.as_literal().unwrap().lexical(), "a\tb\nc\"d\\eAB");
+        let t = parse(r#"<http://x/s> <http://x/p> "a\tb\nc\"d\\e\u0041\U00000042\b\f\'\r" ."#);
+        assert_eq!(t.object, Term::literal("a\tb\nc\"d\\eAB\u{8}\u{c}'\r"));
+        let t = parse(r#"<http://x/s> <http://x/p> "\u00e9t\u00E9"@fr ."#);
+        assert_eq!(t.object, Term::lang_literal("été", "fr"));
+    }
+
+    #[test]
+    fn parses_unicode_escapes_in_iris() {
+        let t = parse(r#"<http://x/a\u0020b\U0000003Ec> <http://x/p> "v"^^<http://x/d\u0074> ."#);
+        assert_eq!(t.subject, Term::iri("http://x/a b>c"));
+        assert_eq!(t.object, Term::typed_literal("v", "http://x/dt"));
+    }
+
+    /// Terms without escape sequences are slices of the input text; only
+    /// an escaped term owns its unescaped form.
+    #[test]
+    fn escape_free_terms_borrow_from_the_input() {
+        let line = r#"<http://x/s> <http://x/p\u0031> "été"@fr-BE ."#;
+        let t = parse_line(line, 1).unwrap().unwrap();
+        let inside = |piece: &str| line.as_bytes().as_ptr_range().contains(&piece.as_ptr());
+        assert!(inside(t.subject.pieces().0));
+        assert!(!inside(t.predicate.pieces().0));
+        assert_eq!(t.predicate.pieces().0, "http://x/p1");
+        let (lexical, tag) = t.object.pieces();
+        assert!(inside(lexical) && inside(tag.unwrap()));
+    }
+
+    #[test]
+    fn accepts_crlf_tabs_and_surrounding_whitespace() {
+        let doc = "<http://x/s>\t<http://x/p>\t\"v\"\t.\r\n  _:b <http://x/p> _:c.\r\n";
+        let parsed = parse_document(doc).unwrap();
+        assert_eq!(parsed.len(), 2);
+        assert_eq!(parsed[0].object, TermRef::literal("v"));
+        assert_eq!(parsed[1].subject, TermRef::blank("b"));
+        assert_eq!(parsed[1].object, TermRef::blank("c"));
     }
 
     #[test]
@@ -341,12 +499,36 @@ mod tests {
     #[test]
     fn rejects_invalid_escape() {
         assert!(parse_line(r#"<http://x/s> <http://x/p> "a\qb" ."#, 1).is_err());
+        assert!(parse_line(r#"<http://x/s> <http://x/p> "a\éb" ."#, 1).is_err());
+        assert!(parse_line(r#"<http://x/s> <http://x/p> "a\"#, 1).is_err());
+        assert!(parse_line(r#"<http://x/s\q> <http://x/p> "v" ."#, 1).is_err());
+    }
+
+    #[test]
+    fn rejects_malformed_terms() {
+        for line in [
+            "<http://x/a b> <http://x/p> \"v\" .",
+            "<http://x/a<b> <http://x/p> \"v\" .",
+            "<http://x/a\"b> <http://x/p> \"v\" .",
+            "_: <http://x/p> \"v\" .",
+            "_x <http://x/p> \"v\" .",
+            "<http://x/s> <http://x/p> \"v\"@ .",
+            "<http://x/s> <http://x/p> \"v\"^<http://x/d> .",
+            "<http://x/s> <http://x/p> \"v\"^^\"d\" .",
+            "<http://x/s> <http://x/p> é .",
+            "<http://x/s> <http://x/p>",
+        ] {
+            assert!(parse_line(line, 1).is_err(), "{line}");
+        }
     }
 
     #[test]
     fn rejects_invalid_unicode_escape() {
         assert!(parse_line(r#"<http://x/s> <http://x/p> "\uD800" ."#, 1).is_err());
         assert!(parse_line(r#"<http://x/s> <http://x/p> "\u00ZZ" ."#, 1).is_err());
+        assert!(parse_line(r#"<http://x/s> <http://x/p> "\u00é" ."#, 1).is_err());
+        assert!(parse_line(r#"<http://x/s> <http://x/p> "\u00"#, 1).is_err());
+        assert!(parse_line(r#"<http://x/s> <http://x/p> "\U00110000" ."#, 1).is_err());
     }
 
     #[test]
@@ -355,6 +537,23 @@ mod tests {
         let e = parse_document(doc).unwrap_err();
         assert_eq!(e.line, 2);
         assert!(e.to_string().contains("line 2"));
+    }
+
+    #[test]
+    fn writer_escapes_what_the_iri_grammar_forbids() {
+        let iri = "http://x/a b<c>d\"e{f}g|h^i`j\\k\nl";
+        let t = Triple::new(
+            Term::iri(iri),
+            Term::iri("http://x/p"),
+            Term::typed_literal("v", "http://x/d t"),
+        );
+        let line = t.to_string();
+        assert!(line.starts_with(
+            r"<http://x/a\u0020b\u003Cc\u003Ed\u0022e\u007Bf\u007Dg\u007Ch\u005Ei\u0060j\u005Ck\u000Al> "
+        ));
+        assert!(line.ends_with(r#""v"^^<http://x/d\u0020t> ."#));
+        assert_eq!(parse(&line), t);
+        assert_eq!(write_document([&t]), format!("{line}\n"));
     }
 
     #[test]
@@ -367,10 +566,10 @@ mod tests {
 
 <http://x/ID2> <http://x/label> \"multi\\nline\"@en .
 ";
-        let triples = parse_document(doc).unwrap();
-        assert_eq!(triples.len(), 4);
+        let parsed = parse_document(doc).unwrap();
+        assert_eq!(parsed.len(), 4);
+        let triples: Vec<Triple> = parsed.iter().map(TripleRef::to_owned).collect();
         let written = write_document(&triples);
-        let reparsed = parse_document(&written).unwrap();
-        assert_eq!(triples, reparsed);
+        assert_eq!(parse_document(&written).unwrap(), parsed);
     }
 }

@@ -6,7 +6,8 @@
 //! IRI < BlankNode < Literal (the concrete order is irrelevant to the
 //! paper's algorithms — only that *some* total order exists).
 
-use std::borrow::Borrow;
+use crate::ntriples::{write_iri, write_term};
+use std::borrow::{Borrow, Cow};
 use std::fmt;
 use std::sync::Arc;
 
@@ -36,7 +37,7 @@ impl Iri {
 
 impl fmt::Display for Iri {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "<{}>", self.0)
+        write_iri(f, &self.0)
     }
 }
 
@@ -143,13 +144,7 @@ impl Literal {
 
 impl fmt::Display for Literal {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "\"{}\"", escape_literal(&self.lexical))?;
-        if let Some(tag) = &self.language {
-            write!(f, "@{tag}")?;
-        } else if let Some(dt) = &self.datatype {
-            write!(f, "^^{dt}")?;
-        }
-        Ok(())
+        write_term(f, &TermRef::from(self))
     }
 }
 
@@ -159,31 +154,185 @@ impl fmt::Debug for Literal {
     }
 }
 
-/// Escapes a literal lexical form for N-Triples output.
-pub(crate) fn escape_literal(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '\\' => out.push_str("\\\\"),
-            '"' => out.push_str("\\\""),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c => out.push(c),
-        }
-    }
-    out
+/// The five shapes an RDF term takes, by which string pieces it carries.
+///
+/// The discriminants are stable: `hex_dict` stores them as its per-term
+/// kind column and the hexsnap `DICT` section writes them to disk.
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
+#[repr(u8)]
+pub enum TermKind {
+    /// An IRI reference: one piece, the IRI.
+    Iri = 0,
+    /// A blank node: one piece, the label.
+    Blank = 1,
+    /// A plain (`xsd:string`) literal: one piece, the lexical form.
+    Literal = 2,
+    /// A language-tagged literal: lexical form, then the tag.
+    LangLiteral = 3,
+    /// A typed literal (never `xsd:string`): lexical form, then the
+    /// datatype IRI.
+    TypedLiteral = 4,
 }
 
-/// The three kinds of RDF term, used for compact dispatch.
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
-pub enum TermKind {
-    /// An IRI reference.
-    Iri,
-    /// A blank node.
-    Blank,
-    /// A literal value.
-    Literal,
+impl TermKind {
+    /// The kind with discriminant `byte`, if there is one.
+    #[inline]
+    pub fn from_byte(byte: u8) -> Option<Self> {
+        Some(match byte {
+            0 => TermKind::Iri,
+            1 => TermKind::Blank,
+            2 => TermKind::Literal,
+            3 => TermKind::LangLiteral,
+            4 => TermKind::TypedLiteral,
+            _ => return None,
+        })
+    }
+
+    /// Number of string pieces a term of this kind carries (1 or 2).
+    #[inline]
+    pub fn pieces(self) -> usize {
+        match self {
+            TermKind::LangLiteral | TermKind::TypedLiteral => 2,
+            _ => 1,
+        }
+    }
+
+    /// True for the three literal kinds.
+    pub fn is_literal(self) -> bool {
+        self >= TermKind::Literal
+    }
+}
+
+/// A borrowed view of an RDF term: its [`TermKind`] plus one or two
+/// string pieces, unescaped.
+///
+/// This is the form terms take at the system's two string boundaries: the
+/// N-Triples tokenizer yields pieces that are slices of the input text
+/// (only a term written with escape sequences owns its unescaped text),
+/// and a dictionary hands out pieces that are slices of its string arena.
+/// Neither allocates per term; [`TermRef::to_owned`] builds a [`Term`]
+/// for callers that keep one.
+#[derive(Clone, PartialEq, Eq, Hash)]
+pub struct TermRef<'a> {
+    kind: TermKind,
+    first: Cow<'a, str>,
+    /// `Some` exactly when `kind.pieces() == 2`.
+    second: Option<Cow<'a, str>>,
+}
+
+impl<'a> TermRef<'a> {
+    /// An IRI term.
+    pub fn iri(iri: impl Into<Cow<'a, str>>) -> Self {
+        TermRef { kind: TermKind::Iri, first: iri.into(), second: None }
+    }
+
+    /// A blank-node term (label without the `_:` prefix).
+    pub fn blank(label: impl Into<Cow<'a, str>>) -> Self {
+        TermRef { kind: TermKind::Blank, first: label.into(), second: None }
+    }
+
+    /// A plain literal term.
+    pub fn literal(lexical: impl Into<Cow<'a, str>>) -> Self {
+        TermRef { kind: TermKind::Literal, first: lexical.into(), second: None }
+    }
+
+    /// A language-tagged literal term.
+    pub fn lang_literal(lexical: impl Into<Cow<'a, str>>, tag: impl Into<Cow<'a, str>>) -> Self {
+        TermRef { kind: TermKind::LangLiteral, first: lexical.into(), second: Some(tag.into()) }
+    }
+
+    /// A typed literal term; the `xsd:string` datatype yields a plain
+    /// literal, as in [`Literal::typed`].
+    pub fn typed_literal(
+        lexical: impl Into<Cow<'a, str>>,
+        datatype: impl Into<Cow<'a, str>>,
+    ) -> Self {
+        let datatype = datatype.into();
+        if datatype == XSD_STRING {
+            return TermRef::literal(lexical);
+        }
+        TermRef { kind: TermKind::TypedLiteral, first: lexical.into(), second: Some(datatype) }
+    }
+
+    /// A term from its kind and string pieces — the inverse of
+    /// [`TermRef::kind`] plus [`TermRef::pieces`]. `None` when `second`
+    /// is not present exactly for the two-piece kinds, or when a typed
+    /// literal names `xsd:string` (which is canonically a plain literal).
+    #[inline]
+    pub fn from_pieces(kind: TermKind, first: &'a str, second: Option<&'a str>) -> Option<Self> {
+        if second.is_some() != (kind.pieces() == 2)
+            || (kind == TermKind::TypedLiteral && second == Some(XSD_STRING))
+        {
+            return None;
+        }
+        Some(TermRef { kind, first: first.into(), second: second.map(Cow::Borrowed) })
+    }
+
+    /// The kind of this term.
+    #[inline]
+    pub fn kind(&self) -> TermKind {
+        self.kind
+    }
+
+    /// The string pieces: IRI, blank label or lexical form, then the
+    /// language tag or datatype IRI of the two-piece kinds.
+    #[inline]
+    pub fn pieces(&self) -> (&str, Option<&str>) {
+        (&self.first, self.second.as_deref())
+    }
+
+    /// Builds the owned [`Term`] (allocating its strings).
+    #[inline]
+    pub fn to_owned(&self) -> Term {
+        let (first, second) = self.pieces();
+        match self.kind {
+            TermKind::Iri => Term::iri(first),
+            TermKind::Blank => Term::blank(first),
+            TermKind::Literal => Term::literal(first),
+            TermKind::LangLiteral => Term::lang_literal(first, second.unwrap_or_default()),
+            TermKind::TypedLiteral => Term::typed_literal(first, second.unwrap_or_default()),
+        }
+    }
+}
+
+impl<'a> From<&'a Term> for TermRef<'a> {
+    fn from(term: &'a Term) -> Self {
+        match term {
+            Term::Iri(iri) => TermRef::iri(iri.as_str()),
+            Term::Blank(b) => TermRef::blank(b.as_str()),
+            Term::Literal(l) => TermRef::from(l),
+        }
+    }
+}
+
+impl<'a> From<&'a Literal> for TermRef<'a> {
+    fn from(l: &'a Literal) -> Self {
+        match l.language() {
+            Some(tag) => TermRef::lang_literal(l.lexical(), tag),
+            None => TermRef::typed_literal(l.lexical(), l.datatype()),
+        }
+    }
+}
+
+/// Reborrows: a view of a view, with no owned text.
+impl<'a> From<&'a TermRef<'_>> for TermRef<'a> {
+    fn from(term: &'a TermRef<'_>) -> Self {
+        let (first, second) = term.pieces();
+        TermRef { kind: term.kind, first: first.into(), second: second.map(Cow::Borrowed) }
+    }
+}
+
+impl fmt::Display for TermRef<'_> {
+    /// Formats the term in N-Triples syntax.
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write_term(f, self)
+    }
+}
+
+impl fmt::Debug for TermRef<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "{self}")
+    }
 }
 
 /// An RDF term: the value space of subjects, predicates and objects.
@@ -233,11 +382,7 @@ impl Term {
 
     /// The kind of this term.
     pub fn kind(&self) -> TermKind {
-        match self {
-            Term::Iri(_) => TermKind::Iri,
-            Term::Blank(_) => TermKind::Blank,
-            Term::Literal(_) => TermKind::Literal,
-        }
+        TermRef::from(self).kind()
     }
 
     /// Returns the IRI string if this term is an IRI.
@@ -269,11 +414,7 @@ impl Term {
 
 impl fmt::Display for Term {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            Term::Iri(iri) => iri.fmt(f),
-            Term::Blank(b) => b.fmt(f),
-            Term::Literal(l) => l.fmt(f),
-        }
+        write_term(f, &TermRef::from(self))
     }
 }
 
@@ -391,6 +532,39 @@ mod tests {
         assert_eq!(lit.lexical(), "hi");
         assert_eq!(lit.language(), Some("en"));
         assert_eq!(t.kind(), TermKind::Iri);
-        assert_eq!(l.kind(), TermKind::Literal);
+        assert_eq!(l.kind(), TermKind::LangLiteral);
+    }
+
+    #[test]
+    fn term_ref_round_trips_every_kind() {
+        let terms = [
+            Term::iri("http://x/a"),
+            Term::blank("b0"),
+            Term::literal("plain"),
+            Term::lang_literal("chat", "fr"),
+            Term::typed_literal("42", "http://www.w3.org/2001/XMLSchema#integer"),
+        ];
+        for (byte, term) in terms.iter().enumerate() {
+            let view = TermRef::from(term);
+            assert_eq!(view.kind() as usize, byte);
+            assert_eq!(TermKind::from_byte(byte as u8), Some(view.kind()));
+            assert_eq!(view.pieces().1.is_some(), view.kind().pieces() == 2);
+            assert_eq!(&view.to_owned(), term);
+            assert_eq!(view.to_string(), term.to_string());
+            assert_eq!(TermRef::from(&view), view);
+            let (first, second) = view.pieces();
+            assert_eq!(TermRef::from_pieces(view.kind(), first, second), Some(view.clone()));
+            // The wrong piece count for the kind is refused.
+            let flipped = if second.is_some() { None } else { Some("x") };
+            assert_eq!(TermRef::from_pieces(view.kind(), first, flipped), None);
+        }
+        assert_eq!(TermRef::from_pieces(TermKind::TypedLiteral, "v", Some(XSD_STRING)), None);
+        assert_eq!(TermKind::from_byte(5), None);
+    }
+
+    #[test]
+    fn term_ref_typed_xsd_string_is_plain() {
+        assert_eq!(TermRef::typed_literal("x", XSD_STRING), TermRef::literal("x"));
+        assert_eq!(TermRef::literal(String::from("x")), TermRef::literal("x"));
     }
 }

@@ -1,6 +1,7 @@
 //! RDF triples (statements).
 
-use crate::term::Term;
+use crate::ntriples::write_triple;
+use crate::term::{Term, TermRef};
 use std::fmt;
 
 /// An RDF statement `<subject, predicate, object>`.
@@ -38,7 +39,7 @@ impl Triple {
 impl fmt::Display for Triple {
     /// Formats the triple as an N-Triples statement (terminated by ` .`).
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{} {} {} .", self.subject, self.predicate, self.object)
+        write_triple(f, &TripleRef::from(self))
     }
 }
 
@@ -51,6 +52,60 @@ impl fmt::Debug for Triple {
 impl From<(Term, Term, Term)> for Triple {
     fn from((s, p, o): (Term, Term, Term)) -> Self {
         Triple::new(s, p, o)
+    }
+}
+
+/// A borrowed view of a statement: three [`TermRef`]s. What the
+/// N-Triples tokenizer yields and the dictionary encodes without an owned
+/// [`Triple`] in between.
+#[derive(Clone, PartialEq, Eq, Hash)]
+pub struct TripleRef<'a> {
+    /// The subject resource.
+    pub subject: TermRef<'a>,
+    /// The predicate (property) resource.
+    pub predicate: TermRef<'a>,
+    /// The object resource or value.
+    pub object: TermRef<'a>,
+}
+
+impl TripleRef<'_> {
+    /// Builds the owned [`Triple`] (allocating its strings).
+    pub fn to_owned(&self) -> Triple {
+        Triple::new(self.subject.to_owned(), self.predicate.to_owned(), self.object.to_owned())
+    }
+}
+
+impl<'a> From<&'a Triple> for TripleRef<'a> {
+    fn from(t: &'a Triple) -> Self {
+        TripleRef {
+            subject: (&t.subject).into(),
+            predicate: (&t.predicate).into(),
+            object: (&t.object).into(),
+        }
+    }
+}
+
+/// Reborrows: a view of a view, with no owned text.
+impl<'a> From<&'a TripleRef<'_>> for TripleRef<'a> {
+    fn from(t: &'a TripleRef<'_>) -> Self {
+        TripleRef {
+            subject: (&t.subject).into(),
+            predicate: (&t.predicate).into(),
+            object: (&t.object).into(),
+        }
+    }
+}
+
+impl fmt::Display for TripleRef<'_> {
+    /// Formats the triple as an N-Triples statement (terminated by ` .`).
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write_triple(f, self)
+    }
+}
+
+impl fmt::Debug for TripleRef<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "{self}")
     }
 }
 
@@ -93,6 +148,15 @@ mod tests {
         let mut v = vec![c.clone(), b.clone(), a.clone()];
         v.sort();
         assert_eq!(v, vec![a, b, c]);
+    }
+
+    #[test]
+    fn triple_ref_round_trips() {
+        let triple = t();
+        let view = TripleRef::from(&triple);
+        assert_eq!(view.to_owned(), triple);
+        assert_eq!(view.to_string(), triple.to_string());
+        assert_eq!(TripleRef::from(&view), view);
     }
 
     #[test]

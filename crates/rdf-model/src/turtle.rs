@@ -704,7 +704,8 @@ ex:ID3 ex:advisor ex:ID2 .
 <http://x/ID3> <http://x/advisor> <http://x/ID2> .
 "#;
         let mut a = parse_turtle(turtle).unwrap();
-        let mut b = crate::ntriples::parse_document(nt).unwrap();
+        let parsed = crate::ntriples::parse_document(nt).unwrap();
+        let mut b: Vec<Triple> = parsed.iter().map(crate::TripleRef::to_owned).collect();
         a.sort();
         b.sort();
         assert_eq!(a, b);
