@@ -2121,14 +2121,14 @@ pub fn space_report(scale: usize) -> String {
     // kind — the layer table a memory optimisation starts from.
     let mut heap = String::from(
         "# frozen store heap, bytes per triple by column kind\n\
-         dataset,triples,items,vector_keys,mirror_list_refs,arena_offsets,headers,total\n",
+         dataset,triples,list_slots,overflow,vector_keys,mirror_list_refs,headers,total\n",
     );
     for (name, data) in [("barton", barton_dataset(scale)), ("lubm", lubm_dataset(scale))] {
         let suite = Suite::build(&data);
         line(name, suite.hexastore.space_stats());
         let frozen = suite.hexastore.freeze();
         let (b, n) = (frozen.heap_breakdown(), frozen.len().max(1) as f64);
-        let parts = [b.items, b.vector_keys, b.mirror_list_refs, b.arena_offsets, b.headers];
+        let parts = [b.list_slots, b.overflow, b.vector_keys, b.mirror_list_refs, b.headers];
         heap.push_str(&format!("{name},{}", frozen.len()));
         for bytes in parts.into_iter().chain([b.total()]) {
             heap.push_str(&format!(",{:.2}", bytes as f64 / n));

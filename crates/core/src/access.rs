@@ -25,18 +25,22 @@
 //! [`OrderedStore`] and forward their [`TripleStore`]
 //! read methods here with [`forward_reads!`](crate::forward_reads).
 //!
-//! A slab level is a column windowed by a cumulative offsets column:
-//! window `i` is `offs[i]..offs[i + 1]`. The slab views clamp those
-//! windows instead of panicking. In-memory slabs are validated when they
-//! are built, so clamping never triggers there; the `hex-disk` crate hands
-//! out the same views over memory-mapped columns it deliberately does not
-//! validate, where a corrupt offset must degrade to a short (possibly
-//! wrong, possibly empty) answer rather than a crash.
+//! A slab index level is a column windowed by a cumulative offsets column:
+//! window `i` is `offs[i]..offs[i + 1]`; a terminal list is a slot of its
+//! arena or a run of the arena's overflow column ([`ArenaView`], whose
+//! encoding [`crate::slab`] owns). The slab views clamp windows and runs
+//! instead of panicking. In-memory slabs are validated when they are
+//! built, so clamping never triggers there; the `hex-disk` crate hands out
+//! the same views over memory-mapped columns, whose index levels it
+//! deliberately does not validate and whose bytes can change under it,
+//! where a corrupt offset must degrade to a short (possibly wrong,
+//! possibly empty) answer rather than a crash.
 
 use crate::advisor::{serving_indices, IndexKind, IndexSet};
 use crate::arena::ListArena;
 use crate::partial::OrderingMap;
 use crate::pattern::{IdPattern, Shape};
+pub use crate::slab::ArenaView;
 use crate::sorted;
 use crate::store::TwoLevel;
 use crate::traits::{TripleIter, TripleStore};
@@ -208,24 +212,6 @@ impl<'a> IndexView<'a> {
     pub fn list_idx(self, k1: Id, k2: Id) -> Option<u32> {
         let window = self.window(k1);
         self.k2[window.clone()].binary_search(&k2).ok().map(|i| self.list_at(window.start + i))
-    }
-}
-
-/// Borrowed columns of one flat terminal-list arena.
-#[derive(Clone, Copy, Debug)]
-pub struct ArenaView<'a> {
-    /// List `i` is `offs[i]..offs[i + 1]` of `items`.
-    pub offs: &'a [u32],
-    /// All lists' entries, back to back.
-    pub items: &'a [Id],
-}
-
-impl<'a> ArenaView<'a> {
-    /// The items of list `idx`, clamped to the column — a corrupt index
-    /// or offset yields a short (possibly empty) slice, never a panic.
-    #[inline]
-    pub fn get(self, idx: u32) -> &'a [Id] {
-        &self.items[window_of(self.offs, idx as usize, self.items.len())]
     }
 }
 
@@ -659,29 +645,46 @@ mod tests {
 
     #[test]
     fn slab_views_clamp_corrupt_offsets_instead_of_panicking() {
+        use crate::slab::LONG;
         let keys = [Id(1), Id(2), Id(3)];
         // Header 1's window runs past the leaf column; header 2's is
         // backwards (9 > 1); header 3 has no closing offset at all.
         let offs = [0, 9, 1];
         let k2 = [Id(5), Id(6)];
         let lists = [0, 7]; // list 7 does not exist
-        let items = [Id(10), Id(11)];
-        // List 0 ends beyond the item column; list 1 is backwards.
-        let arena = ArenaView { offs: &[1, 40, 0], items: &items };
+        let over = [Id(40), Id(10), Id(11)];
+        // List 0's length word overruns the overflow column; list 1's
+        // position is past it.
+        let arena = ArenaView { slots: &[Id(LONG), Id(LONG | 3)], over: &over };
         let ix = IndexView { keys: &keys, offs: &offs, k2: &k2, lists: Some(&lists) };
         let ord: SlabOrdering<'_> = (ix, arena);
-        assert_eq!(ord.list(Id(1), Id(5)), &[Id(11)], "list window clamped to the column");
+        assert_eq!(ord.list(Id(1), Id(5)), &[Id(10), Id(11)], "list run clamped to the column");
         assert_eq!(ord.list(Id(1), Id(6)), &[] as &[Id], "dangling list index reads empty");
         assert_eq!(ord.list(Id(2), Id(5)), &[] as &[Id], "backwards header window reads empty");
         assert_eq!(ord.list(Id(3), Id(5)), &[] as &[Id], "unclosed header window reads empty");
         assert_eq!(ord.division(Id(1)).count(), 2);
         assert_eq!(ord.division(Id(2)).count(), 0);
         assert_eq!(ord.scan().count(), 2);
-        // A primary ordering reads leaf i as list i: leaf 1 is the
-        // backwards list, which reads empty.
+        // A primary ordering reads leaf i as list i: leaf 1 is the list
+        // whose position is past the column, which reads empty.
         let primary: SlabOrdering<'_> = (IndexView { lists: None, ..ix }, arena);
-        assert_eq!(primary.list(Id(1), Id(5)), &[Id(11)]);
-        assert_eq!(primary.list(Id(1), Id(6)), &[] as &[Id], "backwards list window reads empty");
-        assert_eq!(primary.scan().map(|(_, _, list)| list.len()).sum::<usize>(), 1);
+        assert_eq!(primary.list(Id(1), Id(5)), &[Id(10), Id(11)]);
+        assert_eq!(primary.list(Id(1), Id(6)), &[] as &[Id], "dangling overflow position");
+        assert_eq!(primary.scan().map(|(_, _, list)| list.len()).sum::<usize>(), 2);
+        // Every other way a slot or a length word can be wrong: the last
+        // word of the column as a length word (nothing behind it), lengths
+        // of 0 and 1 behind a tag, the largest position and the largest
+        // length. Wrong answers are allowed; panics are not.
+        let over = [Id(0), Id(1), Id(7), Id(u32::MAX), Id(3)];
+        let slots: Vec<Id> = (0..=5).map(|at| Id(LONG | at)).chain([Id(u32::MAX)]).collect();
+        let arena = ArenaView { slots: &slots, over: &over };
+        let read: Vec<&[Id]> = (0..slots.len() as u32 + 1).map(|l| arena.get(l)).collect();
+        assert_eq!(read[0], &[] as &[Id], "length 0");
+        assert_eq!(read[1], &[Id(7)], "length 1 behind a tag");
+        assert_eq!(read[2], &[Id(u32::MAX), Id(3)], "length 7 cut to the column");
+        assert_eq!(read[3], &[Id(3)], "length u32::MAX cut to the column");
+        assert_eq!(read[4], &[] as &[Id], "a length word at the end of the column");
+        assert!(read[5..].iter().all(|list| list.is_empty()), "positions past the column");
+        assert_eq!(arena.validate(), None);
     }
 }

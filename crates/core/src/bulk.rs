@@ -32,7 +32,7 @@
 
 use crate::arena::{ListArena, ListId};
 use crate::frozen::{FrozenHexastore, FrozenIndex, FrozenPair};
-use crate::slab::FlatArena;
+use crate::slab::{overflow_words, FlatArena};
 use crate::store::Hexastore;
 use crate::traits::TripleStore as _;
 use crate::vecmap::VecMap;
@@ -330,10 +330,10 @@ fn build_pair_frozen(
     let at = at_fn(run, perm, key);
 
     let (mut primary, mut arena, mut mirror_entries) = if presize {
-        let (headers, pairs) = count_groups(n, &at);
+        let RunCounts { headers, pairs, overflow } = count_groups(n, &at);
         (
             FrozenIndex::primary(headers, pairs),
-            FlatArena::with_capacity(pairs, n),
+            FlatArena::with_capacity(pairs, overflow),
             Vec::with_capacity(pairs),
         )
     } else {
@@ -475,25 +475,43 @@ pub(crate) fn at_fn<'a>(
     }
 }
 
-/// Exact `(headers, pairs)` counts of a run viewed through `at` — the
-/// same header/vector/list accounting as
-/// [`SpaceStats`](crate::SpaceStats), but *before* building, so every
-/// allocation in the pair builders can be exact.
-fn count_groups(n: usize, at: impl Fn(usize) -> (Id, Id, Id)) -> (usize, usize) {
-    let mut headers = 0;
-    let mut pairs = 0;
+/// What [`count_groups`] counts: distinct `k1` values, distinct
+/// `(k1, k2)` pairs — one terminal list each — and the words those lists
+/// take in a [`FlatArena`]'s overflow column.
+struct RunCounts {
+    headers: usize,
+    pairs: usize,
+    overflow: usize,
+}
+
+/// Exact counts of a run viewed through `at` — the same
+/// header/vector/list accounting as [`SpaceStats`](crate::SpaceStats),
+/// but *before* building, so every allocation in the pair builders can be
+/// exact.
+fn count_groups(n: usize, at: impl Fn(usize) -> (Id, Id, Id)) -> RunCounts {
+    let mut counts = RunCounts { headers: 0, pairs: 0, overflow: 0 };
     let mut prev: Option<(Id, Id)> = None;
+    // First item and length so far of the open (k1, k2) group's list.
+    let (mut first, mut len) = (Id(0), 0);
     for i in 0..n {
-        let (k1, k2, _) = at(i);
+        let (k1, k2, item) = at(i);
+        if prev == Some((k1, k2)) {
+            len += 1;
+            continue;
+        }
         if prev.is_none_or(|(p1, _)| p1 != k1) {
-            headers += 1;
+            counts.headers += 1;
         }
-        if prev != Some((k1, k2)) {
-            pairs += 1;
+        counts.pairs += 1;
+        if len > 0 {
+            counts.overflow += overflow_words(len, first);
         }
-        prev = Some((k1, k2));
+        (prev, first, len) = (Some((k1, k2)), item, 1);
     }
-    (headers, pairs)
+    if len > 0 {
+        counts.overflow += overflow_words(len, first);
+    }
+    counts
 }
 
 /// One step of a grouped walk over a sorted run — see [`scan_groups`].
@@ -582,7 +600,7 @@ fn build_pair(run: &[IdTriple], perm: Option<&[u32]>, key: KeyFn, presize: bool)
     let at = at_fn(run, perm, key);
 
     let (mut primary, mut arena, mut mirror_entries) = if presize {
-        let (headers, pairs) = count_groups(n, &at);
+        let RunCounts { headers, pairs, .. } = count_groups(n, &at);
         (
             TwoLevel::with_capacity(headers),
             ListArena::with_capacity(pairs),

@@ -110,12 +110,15 @@ pub fn decode_sorted_run(buf: &[u8], pos: &mut usize, n: usize, out: &mut Vec<Id
 
 /// Encodes a [`FlatArena`] as varints: per-list lengths, then each
 /// list's items delta-encoded ([`encode_sorted_run`] — every terminal
-/// list is strictly ascending by construction). Lengths are the gaps of
-/// the arena's offsets column, which is their running sum.
+/// list is strictly ascending by construction). The encoding is of the
+/// lists, not of the arena's columns, so how an arena addresses its lists
+/// in memory never shows in these bytes.
 pub fn encode_arena(out: &mut Vec<u8>, arena: &FlatArena) {
-    encode_offsets(out, arena.offsets_raw());
-    for idx in 0..arena.list_count() {
-        encode_sorted_run(out, arena.get(idx as u32));
+    for list in arena.lists() {
+        put_uvarint(out, list.len() as u64);
+    }
+    for list in arena.lists() {
+        encode_sorted_run(out, list);
     }
 }
 
@@ -171,11 +174,11 @@ pub fn decode_arena(
     for w in offs.windows(2) {
         decode_sorted_run(buf, pos, (w[1] - w[0]) as usize, &mut items)?;
     }
-    // from_raw_parts revalidates the tiling and per-list sortedness — the
-    // same gate the uncompressed reader path goes through, so a
-    // compressed section can never smuggle in a slab the raw one would
+    // from_offsets revalidates the tiling and per-list sortedness — the
+    // same gate the offset-addressed raw sections go through, so a
+    // compressed section can never smuggle in a slab a raw one would
     // have rejected.
-    FlatArena::from_raw_parts(items, offs)
+    FlatArena::from_offsets(&items, &offs)
 }
 
 /// 32-bit FNV-1a over a byte slice — the one checksum of the on-disk
@@ -262,8 +265,7 @@ mod tests {
         let back = decode_arena(&buf, &mut pos, arena.list_count(), arena.total_items()).unwrap();
         assert_eq!(pos, buf.len());
         assert_eq!(back, arena);
-        assert_eq!(back.items_raw(), arena.items_raw());
-        assert_eq!(back.offsets_raw(), arena.offsets_raw());
+        assert_eq!(back.heap_bytes(), (3 + 4 + 4) * 4, "decoded exact-sized");
     }
 
     #[test]

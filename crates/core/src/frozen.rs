@@ -8,20 +8,22 @@
 //!
 //! - [`FrozenHexastore`]: all six orderings as offset-addressed key
 //!   columns over [`FlatArena`]s, paired orderings still sharing one
-//!   terminal item column, answering every access shape with the same
-//!   single probes as the mutable store but with zero per-list
+//!   copy of each terminal list, answering every access shape with the
+//!   same single probes as the mutable store but with zero per-list
 //!   allocations;
 //! - [`FrozenPartialHexastore`]: the frozen form of a
 //!   [`PartialHexastore`] — only the kept orderings, each owning its
 //!   lists.
 //!
 //! Only what cannot be derived is stored. A window's length is the next
-//! offset minus its own, so each level keeps one cumulative offsets
-//! column instead of `(offset, length)` pairs. And **leaf *i* of a
-//! primary ordering is list *i***: the builders emit an arena's lists in
-//! its primary ordering's leaf order (spo, sop, pos; every ordering of a
+//! offset minus its own, so each index level keeps one cumulative offsets
+//! column instead of `(offset, length)` pairs. **Leaf *i* of a primary
+//! ordering is list *i***: the builders emit an arena's lists in its
+//! primary ordering's leaf order (spo, sop, pos; every ordering of a
 //! partial store), so only the mirror orderings (pso, osp, ops) keep a
-//! list-reference column.
+//! list-reference column. And a list of one id — nine in ten of them on
+//! the benchmark's data — is stored where its address would have been
+//! ([`crate::slab`]).
 //!
 //! Conversions are loss-free both ways ([`Hexastore::freeze`] /
 //! [`FrozenHexastore::thaw`], and likewise for partial stores), and
@@ -175,14 +177,16 @@ impl FrozenIndex {
 /// to [`TripleStore::heap_bytes`].
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct HeapBreakdown {
-    /// Terminal-list entries: the three arenas' item columns.
-    pub items: usize,
+    /// The three arenas' slot columns: one word per terminal list, which
+    /// is the list itself when it holds a single id.
+    pub list_slots: usize,
+    /// The three arenas' overflow columns: every longer list's items plus
+    /// its length word.
+    pub overflow: usize,
     /// Vector keys: the six orderings' `k2` columns.
     pub vector_keys: usize,
     /// List references of the three mirror orderings (primaries store none).
     pub mirror_list_refs: usize,
-    /// The three arenas' cumulative offsets columns.
-    pub arena_offsets: usize,
     /// Header keys plus header offsets of the six orderings.
     pub headers: usize,
 }
@@ -190,7 +194,7 @@ pub struct HeapBreakdown {
 impl HeapBreakdown {
     /// All five parts together.
     pub fn total(&self) -> usize {
-        self.items + self.vector_keys + self.mirror_list_refs + self.arena_offsets + self.headers
+        self.list_slots + self.overflow + self.vector_keys + self.mirror_list_refs + self.headers
     }
 }
 
@@ -202,7 +206,7 @@ pub(crate) type FrozenPair = (FrozenIndex, FrozenIndex, FlatArena);
 /// Holds the same six orderings and three shared terminal-list arenas as
 /// the mutable [`Hexastore`], but every level is a contiguous column:
 /// lookups are binary searches over key columns and terminal lists are
-/// slices of one item column — no nested vectors, no per-list heap
+/// slices of their arena's columns — no nested vectors, no per-list heap
 /// blocks. Obtain one with [`Hexastore::freeze`], the direct bulk path
 /// [`crate::bulk::build_frozen`], or by opening a
 /// [`crate::hexsnap`] snapshot with prebuilt slab sections.
@@ -377,7 +381,8 @@ impl FrozenHexastore {
             update(ix.k2.iter().max().copied());
         }
         for arena in self.arenas() {
-            update(arena.items_raw().iter().max().copied());
+            // Lists are sorted: the last item of each is its largest.
+            update(arena.lists().filter_map(|list| list.last().copied()).max());
         }
         max
     }
@@ -399,10 +404,10 @@ impl FrozenHexastore {
     pub fn heap_breakdown(&self) -> HeapBreakdown {
         let (ixs, arenas) = (self.orderings(), self.arenas());
         HeapBreakdown {
-            items: arenas.iter().map(|a| a.item_bytes()).sum(),
+            list_slots: arenas.iter().map(|a| a.slot_bytes()).sum(),
+            overflow: arenas.iter().map(|a| a.overflow_bytes()).sum(),
             vector_keys: ixs.iter().map(|ix| ix.k2_bytes()).sum(),
             mirror_list_refs: ixs.iter().map(|ix| ix.list_ref_bytes()).sum(),
-            arena_offsets: arenas.iter().map(|a| a.offset_bytes()).sum(),
             headers: ixs.iter().map(|ix| ix.header_bytes()).sum(),
         }
     }
@@ -432,7 +437,7 @@ impl Hexastore {
     /// Builds the read-only flat-slab representation. The conversion
     /// walks each index pair once and allocates the slabs at their exact
     /// final sizes; shared terminal lists stay shared (each list is
-    /// copied into the pair's item column exactly once). Borrows `self`,
+    /// copied into the pair's arena exactly once). Borrows `self`,
     /// so the mutable store can keep serving while a snapshot freezes.
     pub fn freeze(&self) -> FrozenHexastore {
         let [(spo, pso, o), (sop, osp, p), (pos, ops, s)] = self.pair_refs();
@@ -451,7 +456,8 @@ impl Hexastore {
 fn freeze_pair(primary: &TwoLevel, mirror: &TwoLevel, arena: &ListArena) -> FrozenPair {
     let pairs: usize = primary.values().map(VecMap::len).sum();
     let mut fprimary = FrozenIndex::primary(primary.len(), pairs);
-    let mut farena = FlatArena::with_capacity(arena.live_lists(), arena.total_items());
+    let lists = primary.values().flat_map(VecMap::values).map(|&lid| arena.get(lid));
+    let mut farena = FlatArena::with_room_for(lists);
     let mut remap = vec![u32::MAX; arena.slot_count()];
     for (k1, inner) in primary.iter() {
         for (k2, &lid) in inner.iter() {
@@ -582,10 +588,9 @@ impl PartialHexastore {
             .parts()
             .map(|(kind, map)| {
                 let pairs: usize = map.values().map(VecMap::len).sum();
-                let items: usize =
-                    map.values().flat_map(|inner| inner.values().map(Vec::len)).sum();
+                let lists = map.values().flat_map(VecMap::values).map(Vec::as_slice);
                 let mut ix = FrozenIndex::primary(map.len(), pairs);
-                let mut arena = FlatArena::with_capacity(pairs, items);
+                let mut arena = FlatArena::with_room_for(lists);
                 for (k1, inner) in map.iter() {
                     for (k2, list) in inner.iter() {
                         let flat = arena.push_list(list.iter().copied());
@@ -819,8 +824,8 @@ mod tests {
         // Same allocation, not a copy: the terminal columns are at the
         // same address through both handles.
         assert!(std::ptr::eq(
-            frozen.inner.o_lists.items_raw().as_ptr(),
-            clone.inner.o_lists.items_raw().as_ptr()
+            frozen.inner.o_lists.view().slots.as_ptr(),
+            clone.inner.o_lists.view().slots.as_ptr()
         ));
     }
 

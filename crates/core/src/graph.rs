@@ -295,11 +295,13 @@ impl<S: MutableStore> Dataset<S> {
     ///
     /// The tokenizer yields triples that borrow from `doc` and the
     /// dictionary interns them as they are, so no owned term exists
-    /// between the text and the ids.
+    /// between the text and the ids. The document is encoded as one batch
+    /// ([`Dictionary::encode_triples_parallel`]), so a load that at least
+    /// doubles the dictionary leaves its buffers exact-sized.
     pub fn load_ntriples(&mut self, doc: &str) -> Result<usize, NtParseError> {
+        let ids = self.dict.encode_triples_parallel(&rdf_model::parse_document(doc)?, 1);
         let mut added = 0;
-        for triple in &rdf_model::parse_document(doc)? {
-            let enc = self.dict.encode_triple(triple);
+        for enc in ids {
             self.version += 1;
             if self.store.insert(enc) {
                 added += 1;
@@ -644,6 +646,13 @@ impl LiveGraphStore {
     /// Inserts a triple durably: WAL append first, then the overlay.
     /// Returns `true` if the triple was new. Call
     /// [`LiveGraphStore::sync`] to force the log to stable storage.
+    ///
+    /// # Errors
+    ///
+    /// [`Error::Unloggable`](crate::hexsnap::Error::Unloggable), with the
+    /// store and the log unchanged, for a triple whose N-Triples line
+    /// would not parse back at replay (a blank-node label with a space in
+    /// it, a malformed language tag) — see [`Wal::append`].
     pub fn insert(&mut self, t: &Triple) -> crate::hexsnap::Result<bool> {
         if self.data.contains(t) {
             return Ok(false); // no-ops are not logged

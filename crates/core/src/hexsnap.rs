@@ -15,7 +15,7 @@
 //! ```text
 //! offset   size  field
 //! 0        8     magic "hexsnap\0"
-//! 8        4     format version (u32, currently 3)
+//! 8        4     format version (u32, currently 4)
 //! 12       …     section payloads, back to back
 //! …        var   section table: u32 count, then per section
 //!                [u8; 4] tag · u64 offset · u64 length
@@ -37,18 +37,24 @@
 //!   ([`Compression::VarintDelta`]) and guarantees the `FROZ` section
 //!   starts on a 4-byte file offset (zero padding *between* sections,
 //!   invisible to the table-driven reader). Slab columns as in v1.
-//! - **v3** (current) — stores only what cannot be derived. Windows tile
-//!   their column, so `FROZ` keeps one cumulative offsets column per
-//!   level instead of `(offset, length)` pairs; leaf *i* of a primary
-//!   ordering (spo, sop, pos) is list *i*, so only the mirror orderings
-//!   (pso, osp, ops) keep list references, in `FROZ` and `FRZC` alike;
-//!   and [`save_frozen`] no longer writes a `TRPL` column beside the
-//!   slabs, whose spo ordering already encodes it.
+//! - **v3** — stores only what cannot be derived. Windows tile their
+//!   column, so `FROZ` keeps one cumulative offsets column per level
+//!   instead of `(offset, length)` pairs; leaf *i* of a primary ordering
+//!   (spo, sop, pos) is list *i*, so only the mirror orderings (pso, osp,
+//!   ops) keep list references, in `FROZ` and `FRZC` alike; and
+//!   [`save_frozen`] no longer writes a `TRPL` column beside the slabs,
+//!   whose spo ordering already encodes it.
+//! - **v4** (current) — a `FROZ` arena is the [`FlatArena`]'s own two
+//!   columns: one slot per list, which is the list when it holds a single
+//!   id, and an overflow column for the longer ones ([`crate::slab`] has
+//!   the encoding), in place of v3's offsets column and item column.
+//!   `FRZC` encodes lists, not columns, so its bytes are v3's.
 //!
-//! [`Reader`] opens all three (pre-v3 pairs become offsets on read;
-//! spans that do not tile and primary references that are not the
-//! identity are rejected as corrupt), and [`Writer::with_version`] can
-//! still emit v1 and v2 byte-for-byte for downgrade paths. Only a v3
+//! [`Reader`] opens all four: pre-v3 pairs become offsets on read (spans
+//! that do not tile and primary references that are not the identity are
+//! rejected as corrupt), and a pre-v4 arena's offset-addressed lists are
+//! appended one by one to a slot arena. [`Writer::with_version`] can
+//! still emit v1, v2 and v3 byte-for-byte for downgrade paths. Only a v4
 //! `FROZ` section has the column layout the `hex-disk` crate maps in
 //! place; older files go through [`load_frozen`] and a re-save.
 //!
@@ -70,8 +76,10 @@
 //!   4-byte file offset, every field a 4-byte multiple — so every column
 //!   is 4-aligned in the file and `hex-disk` reinterprets it in place.
 //!   `u64 n_triples`; then per arena (object, property, subject lists):
-//!   `u32 n_lists`, `u64 n_items`, `n_lists + 1` cumulative offsets,
-//!   `n_items` items; then per ordering (spo, sop, pso, pos, osp, ops):
+//!   `u32 n_lists`, `u64 n_items`, `u32 n_overflow`, `n_lists` slots,
+//!   `n_overflow` overflow words (before v4: `u32 n_lists`, `u64 n_items`,
+//!   `n_lists + 1` cumulative offsets, `n_items` items); then per
+//!   ordering (spo, sop, pso, pos, osp, ops):
 //!   `u32 n_headers`, `n_headers` header keys, `n_headers + 1` cumulative
 //!   offsets into the vector column, `u32 n_vector`, `n_vector` vector
 //!   keys and — mirror orderings only — `n_vector` list references.
@@ -79,16 +87,17 @@
 //! - **`FRZC`** (v2+) — the same slabs varint-delta compressed
 //!   ([`crate::compress`]): `u64 n_triples`, `u64 payload_len`,
 //!   `u32` FNV-1a checksum of the payload, then the payload — per arena
-//!   a varint list/item count pair followed by per-list lengths (decoded
-//!   straight into the offsets column) and delta-encoded runs; per
+//!   a varint list/item count pair followed by per-list lengths and
+//!   delta-encoded runs; per
 //!   ordering varint header/vector counts, per-header group lengths,
 //!   delta-encoded keys, delta-encoded per-group `k2` runs and — mirror
 //!   orderings only — plain varint list references. A file carries
 //!   `FROZ` or `FRZC`, not both.
 //!
-//! `u32` offsets bound a single string arena and a single slab at 2^32
-//! entries — far above the paper's 61M-triple ceiling and identical to
-//! the [`hex_dict::Id`] width everywhere else.
+//! `u32` offsets bound a single string arena and a single slab column at
+//! 2^32 entries, an arena's overflow column at 2^31 — far above the
+//! paper's 61M-triple ceiling and identical to the [`hex_dict::Id`] width
+//! everywhere else.
 
 use crate::advisor::IndexKind;
 use crate::frozen::{FrozenHexastore, FrozenIndex};
@@ -105,7 +114,7 @@ use std::path::Path;
 pub const MAGIC: [u8; 8] = *b"hexsnap\0";
 
 /// The current format version. [`Reader`] accepts `1..=VERSION`.
-pub const VERSION: u32 = 3;
+pub const VERSION: u32 = 4;
 
 /// Triples per chunk in the `TRPL` section (~768 KiB of ids).
 const TRIPLE_CHUNK: usize = 64 * 1024;
@@ -120,6 +129,12 @@ const ARENA_OF: [usize; 6] = [0, 1, 0, 2, 1, 2];
 /// references for the primary orderings too.
 fn spells_out_derivables(version: u32) -> bool {
     version < 3
+}
+
+/// True for the format versions whose `FROZ` arenas address their lists
+/// with a cumulative offsets column over an item column.
+fn offset_addressed_arenas(version: u32) -> bool {
+    version < 4
 }
 
 /// Maximum sections per file, enforced symmetrically by [`Writer`] (at
@@ -166,6 +181,9 @@ pub enum Error {
     Corrupt(String),
     /// The file declares a format version this build does not read.
     Version(u32),
+    /// A write was refused before it reached the write-ahead log: its
+    /// record would not have read back as the operation it logs.
+    Unloggable(String),
 }
 
 impl std::fmt::Display for Error {
@@ -176,6 +194,7 @@ impl std::fmt::Display for Error {
             Error::Version(v) => {
                 write!(f, "unsupported hexsnap version {v} (supported: 1..={VERSION})")
             }
+            Error::Unloggable(why) => write!(f, "write refused by the log: {why}"),
         }
     }
 }
@@ -288,7 +307,8 @@ impl<W: Write + Seek> Writer<W> {
 
     /// Starts a snapshot under an explicit format version — [`VERSION`]
     /// for current files, an older one for a downgrade path feeding an
-    /// older reader, byte-for-byte that version's layout: before v3 the
+    /// older reader, byte-for-byte that version's layout: before v4 a
+    /// `FROZ` arena is an offsets column over an item column; before v3 the
     /// slab sections carry `(offset, length)` pairs and list references
     /// for every ordering; v1 additionally has no alignment padding and
     /// [`Writer::frozen_with`] refuses compression. Versions outside
@@ -425,8 +445,21 @@ impl<W: Write + Seek> Writer<W> {
         for arena in store.arenas() {
             w_u32(&mut self.w, count(arena.list_count(), "arena lists")?)?;
             w_u64(&mut self.w, arena.total_items() as u64)?;
-            w_offsets(&mut self.w, arena.offsets_raw())?;
-            w_u32_run(&mut self.w, arena.items_raw().iter().map(|id| id.0))?;
+            if offset_addressed_arenas(self.version) {
+                count(arena.total_items(), "arena items")?;
+                let mut end = 0u32;
+                let ends = arena.lists().map(|list| {
+                    end += list.len() as u32;
+                    end
+                });
+                w_offsets(&mut self.w, &std::iter::once(0).chain(ends).collect::<Vec<_>>())?;
+                w_u32_run(&mut self.w, arena.lists().flatten().map(|id| id.0))?;
+            } else {
+                let columns = arena.view();
+                w_u32(&mut self.w, count(columns.over.len(), "overflow words")?)?;
+                w_u32_run(&mut self.w, columns.slots.iter().map(|id| id.0))?;
+                w_u32_run(&mut self.w, columns.over.iter().map(|id| id.0))?;
+            }
         }
         for ix in store.orderings() {
             w_u32(&mut self.w, count(ix.keys.len(), "headers")?)?;
@@ -715,6 +748,7 @@ impl<R: Read + Seek> Reader<R> {
             (count as u64).checked_mul(width).is_some_and(|bytes| bytes <= section_len)
         };
         let legacy = spells_out_derivables(self.version);
+        let offset_arenas = offset_addressed_arenas(self.version);
         let offs_width = if legacy { 8 } else { 4 };
         let r_offsets = |r: &mut R, n: usize| -> Result<Vec<u32>> {
             if !legacy {
@@ -728,14 +762,23 @@ impl<R: Read + Seek> Reader<R> {
         for _ in 0..3 {
             let n_lists = r_u32(&mut self.r)? as usize;
             let n_items = checked_len(r_u64(&mut self.r)?, "arena item")?;
-            if !fits(n_lists, offs_width) || !fits(n_items, 4) {
-                return corrupt("arena counts exceed section size");
-            }
-            let offs = r_offsets(&mut self.r, n_lists)?;
-            let items = r_id_run(&mut self.r, n_items)?;
-            match FlatArena::from_raw_parts(items, offs) {
-                Some(a) => arenas.push(a),
-                None => return corrupt("arena offsets do not tile sorted lists"),
+            let arena = if offset_arenas {
+                if !fits(n_lists, offs_width) || !fits(n_items, 4) {
+                    return corrupt("arena counts exceed section size");
+                }
+                let offs = r_offsets(&mut self.r, n_lists)?;
+                FlatArena::from_offsets(&r_id_run(&mut self.r, n_items)?, &offs)
+            } else {
+                let n_over = r_u32(&mut self.r)? as usize;
+                if !fits(n_lists, 4) || !fits(n_over, 4) {
+                    return corrupt("arena counts exceed section size");
+                }
+                let slots = r_id_run(&mut self.r, n_lists)?;
+                FlatArena::from_raw_parts(slots, r_id_run(&mut self.r, n_over)?)
+            };
+            match arena {
+                Some(a) if a.total_items() == n_items => arenas.push(a),
+                _ => return corrupt("arena columns do not hold the declared sorted lists"),
             }
         }
         let arenas: [FlatArena; 3] = arenas.try_into().expect("exactly three arenas read");
@@ -1230,7 +1273,7 @@ mod tests {
         let mut r = Reader::new(Cursor::new(&bytes)).unwrap();
         assert_eq!(r.version(), 1);
         assert_eq!(r.frozen().unwrap(), frozen);
-        assert!(matches!(Writer::with_version(Cursor::new(Vec::new()), 4), Err(Error::Version(4))));
+        assert!(matches!(Writer::with_version(Cursor::new(Vec::new()), 5), Err(Error::Version(5))));
         assert!(matches!(Writer::with_version(Cursor::new(Vec::new()), 0), Err(Error::Version(0))));
     }
 
@@ -1246,12 +1289,41 @@ mod tests {
                 w.frozen_with(&frozen, compression).unwrap();
                 w.finish().unwrap().into_inner()
             };
-            let (v2, v3) = (write(2), write(3));
+            let (v2, v3, v4) = (write(2), write(3), write(4));
             assert!(v3.len() < v2.len(), "{compression:?}: {} !< {}", v3.len(), v2.len());
-            for bytes in [v2, v3] {
+            if compression == Compression::VarintDelta {
+                // FRZC encodes lists, not arena columns: v4's bytes are
+                // v3's behind the version field.
+                assert_eq!(v4[12..], v3[12..]);
+            }
+            for bytes in [v2, v3, v4] {
                 assert_eq!(Reader::new(Cursor::new(&bytes)).unwrap().frozen().unwrap(), frozen);
             }
         }
+    }
+
+    #[test]
+    fn a_v4_arena_costs_a_word_less_per_singleton_and_a_word_more_per_longer_list() {
+        // The break-even rule, on the bytes: against v3's offsets column,
+        // a slot arena saves four bytes per singleton list and pays four
+        // per longer one (its length word); the overflow count takes the
+        // place of the closing offset.
+        let write = |store: &FrozenHexastore, version| {
+            let mut w = Writer::with_version(Cursor::new(Vec::new()), version).unwrap();
+            w.frozen(store).unwrap();
+            w.finish().unwrap().into_inner().len() as i64
+        };
+        // 30 triples, no two sharing a pair: 90 singleton lists.
+        let singletons = FrozenHexastore::from_triples(
+            (0..30u32).map(|i| IdTriple::from((i, 100 + i, 200 + i))),
+        );
+        assert_eq!(write(&singletons, 3) - write(&singletons, 4), 4 * 90);
+        // The all-long worst case: every (s, p), (s, o) and (p, o) pair
+        // holds two items, so each of the 3 * 4 lists pays its word.
+        let all_long = FrozenHexastore::from_triples(
+            (0..8u32).map(|i| IdTriple::from((i & 1, 10 + (i >> 1 & 1), 20 + (i >> 2)))),
+        );
+        assert_eq!(write(&all_long, 4) - write(&all_long, 3), 4 * 12);
     }
 
     #[test]

@@ -44,7 +44,7 @@
 //! | [`sorted`] | linear-time merge-join primitives on sorted id sets |
 //! | [`vecmap`] | the sorted-vector association map backing every index level |
 //! | [`arena`] | shared terminal-list storage (the paper's single-copy lists) |
-//! | [`slab`] | flat offset-addressed columns ([`FlatArena`]) |
+//! | [`slab`] | flat terminal-list storage: a slot per list plus an overflow column ([`FlatArena`]) |
 //! | [`store`] | [`Hexastore`]: the six indices over [`hex_dict::IdTriple`]s |
 //! | [`frozen`] | [`FrozenHexastore`]: zero-copy read-only stores over slabs |
 //! | [`bulk`] | sort-based bulk loader, serial or parallel ([`bulk::Config`]) |

@@ -28,7 +28,7 @@
 
 use crate::compress::fnv1a;
 use crate::hexsnap::{Error, Result};
-use rdf_model::Triple;
+use rdf_model::{Triple, TripleRef};
 use std::fmt::Write as _;
 use std::fs::{File, OpenOptions};
 use std::io::{Read, Seek, SeekFrom, Write};
@@ -161,6 +161,15 @@ impl Wal {
 
     /// Appends one operation. The record is buffered by the OS; call
     /// [`Wal::sync`] to force it to stable storage.
+    ///
+    /// # Errors
+    ///
+    /// [`Error::Unloggable`], with the log untouched, when the triple's
+    /// N-Triples line does not parse back to the triple. Blank-node labels
+    /// and language tags are written verbatim, so `Term::blank("a b")`
+    /// makes a record that checksums but that replay cannot decode — and
+    /// replay ends at the first such record, which would drop it and
+    /// every acknowledged write behind it as a torn tail.
     pub fn append(&mut self, op: &WalOp) -> Result<()> {
         let (tag, triple) = match op {
             WalOp::Insert(t) => (0u8, t),
@@ -171,6 +180,11 @@ impl Wal {
         let mut record = String::from("\0\0\0\0\0\0\0\0");
         record.push(char::from(tag));
         write!(record, "{triple}").expect("writing to a String cannot fail");
+        let line = &record[9..]; // behind the prefix and the one-byte tag
+        if !matches!(rdf_model::parse_line(line, 1), Ok(Some(back)) if back == TripleRef::from(triple))
+        {
+            return Err(Error::Unloggable(format!("{line:?} does not parse back to its triple")));
+        }
         let mut record = record.into_bytes();
         let (len, checksum) = ((record.len() - 8) as u32, fnv1a(&record[8..]));
         record[0..4].copy_from_slice(&len.to_le_bytes());
@@ -328,6 +342,35 @@ mod tests {
         drop(wal);
         let (replayed, _) = Wal::replay(&path).unwrap();
         assert_eq!(replayed.len(), ops.len() + 1);
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn a_triple_whose_line_does_not_parse_back_is_refused_and_the_log_is_unchanged() {
+        let path = temp_path("unloggable");
+        let ops = sample_ops(3);
+        let mut wal = Wal::create(&path).unwrap();
+        for op in &ops {
+            wal.append(op).unwrap();
+        }
+        let before = (wal.len_bytes(), std::fs::read(&path).unwrap());
+        let p = Term::iri("http://w/p");
+        for bad in [
+            Triple::new(Term::blank("a b"), p.clone(), Term::literal("x")),
+            Triple::new(Term::iri("http://w/s"), p.clone(), Term::blank("")),
+            Triple::new(Term::iri("http://w/s"), p.clone(), Term::lang_literal("x", "not a tag")),
+            Triple::new(Term::iri("http://w/s"), p.clone(), Term::lang_literal("x", "")),
+        ] {
+            for op in [WalOp::Insert(bad.clone()), WalOp::Remove(bad)] {
+                assert!(matches!(wal.append(&op), Err(Error::Unloggable(_))), "{op:?}");
+                assert_eq!((wal.len_bytes(), std::fs::read(&path).unwrap()), before, "{op:?}");
+            }
+        }
+        // The log still appends, and replays every accepted write.
+        wal.append(&WalOp::Insert(triple(9))).unwrap();
+        drop(wal);
+        let (replayed, _) = Wal::replay(&path).unwrap();
+        assert_eq!(replayed, [&ops[..], &[WalOp::Insert(triple(9))]].concat());
         std::fs::remove_file(&path).ok();
     }
 

@@ -335,11 +335,11 @@ fn slab_snapshots_store_no_triple_column_and_still_yield_the_triples() {
 }
 
 #[test]
-fn a_live_directory_left_at_a_v2_generation_opens_compacts_to_v3_and_recovers() {
+fn a_live_directory_left_at_a_v2_generation_upgrades_on_compaction() {
     use hexastore::LiveGraphStore;
-    // What an upgrade finds on disk: the newest generation is a file the
-    // previous format version wrote (pairs, primary list references, a
-    // TRPL column beside the slabs).
+    // What an upgrade can find on disk: the newest generation is a file
+    // format version 2 wrote (pairs, primary list references, a TRPL
+    // column beside the slabs).
     let g = graph_from(&[(0, 0, 0), (0, 1, 2), (3, 1, 2), (4, 2, 7), (4, 2, 1)]);
     let dir = std::env::temp_dir().join(format!("hexsnap_test_live_v2_{}", std::process::id()));
     std::fs::remove_dir_all(&dir).ok();
@@ -362,8 +362,9 @@ fn a_live_directory_left_at_a_v2_generation_opens_compacts_to_v3_and_recovers() 
     let expected = live.dataset().to_ntriples();
     drop(live);
 
-    // The compaction wrote a v3 generation — smaller than the v2 one it
-    // replaced, despite the extra triple — and pruned the old file.
+    // The compaction wrote a current-version generation — smaller than
+    // the v2 one it replaced, despite the extra triple — and pruned the
+    // old file.
     let gen8 = std::fs::read(hexsnap::generation_path(&dir, 8)).unwrap();
     assert_eq!(hexsnap::Reader::new(Cursor::new(&gen8)).unwrap().version(), hexsnap::VERSION);
     assert_eq!(section_tags(&gen8), ["DICT", "FROZ"]);

@@ -8,7 +8,7 @@
 use std::collections::BTreeSet;
 
 use hex_dict::{Id, IdTriple};
-use hexastore::{bulk, sorted, Hexastore, IdPattern, TripleStore};
+use hexastore::{bulk, sorted, FlatArena, Hexastore, IdPattern, TripleStore};
 use proptest::prelude::*;
 
 #[derive(Clone, Debug)]
@@ -233,5 +233,55 @@ proptest! {
         prop_assert_eq!(sorted::difference(&av, &bv), diff);
         prop_assert_eq!(sorted::union_many(vec![&av, &bv]), sorted::union(&av, &bv));
         prop_assert_eq!(sorted::intersect_many(vec![&av, &bv]), sorted::intersect(&av, &bv));
+    }
+}
+
+/// An id from a small universe, one in four of them at or above 2^31 —
+/// where a singleton list cannot be told from a tagged slot and must take
+/// the overflow path.
+fn arb_list_id() -> impl Strategy<Value = Id> {
+    (0u32..24, 0u32..4)
+        .prop_map(|(v, high)| Id(if high == 0 { hexastore::slab::LONG | v } else { v }))
+}
+
+proptest! {
+    /// Any mix of list lengths — all singletons, all longer lists, high
+    /// ids — reads back from a slot arena exactly as pushed, passes its own
+    /// validation, and is rebuilt equal from its raw columns.
+    #[test]
+    fn flat_arena_roundtrips_any_mix_of_list_lengths(
+        lists in proptest::collection::vec(
+            proptest::collection::btree_set(arb_list_id(), 1..6),
+            0..40,
+        ),
+        all_long_bit in 0u32..4,
+    ) {
+        // One case in four is the worst case for the layout: no singletons.
+        let lists: Vec<Vec<Id>> = lists
+            .into_iter()
+            .map(|set| set.into_iter().collect::<Vec<Id>>())
+            .filter(|list| all_long_bit != 0 || list.len() > 1)
+            .collect();
+        let mut arena = FlatArena::new();
+        for (i, list) in lists.iter().enumerate() {
+            prop_assert_eq!(arena.push_list(list.iter().copied()) as usize, i);
+        }
+        prop_assert_eq!(arena.list_count(), lists.len());
+        prop_assert_eq!(arena.total_items(), lists.iter().map(Vec::len).sum::<usize>());
+        for (i, list) in lists.iter().enumerate() {
+            prop_assert_eq!(arena.get(i as u32), list.as_slice());
+        }
+        prop_assert_eq!(arena.lists().count(), lists.len());
+        let columns = arena.view();
+        prop_assert_eq!(columns.validate(), Some(arena.total_items()));
+        let rebuilt = FlatArena::from_raw_parts(columns.slots.to_vec(), columns.over.to_vec());
+        prop_assert_eq!(rebuilt.as_ref(), Some(&arena));
+        // Four bytes per list, and per item and length word of every list
+        // that does not fit its slot.
+        let spilled = lists.iter().filter(|l| l.len() > 1 || l[0].0 >= hexastore::slab::LONG);
+        prop_assert_eq!(
+            rebuilt.unwrap().heap_bytes(),
+            4 * (lists.len() + spilled.map(|l| l.len() + 1).sum::<usize>())
+        );
     }
 }

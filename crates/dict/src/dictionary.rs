@@ -486,11 +486,37 @@ impl Dictionary {
     /// 500k-triple load's end-to-end time while holding 13 MB more at the
     /// peak (ARCHITECTURE.md has the pairs). Callers size `threads` from
     /// `bulk::Config::effective_threads`, as they do the index build's.
+    ///
+    /// A batch that leaves the dictionary at least twice as large as it
+    /// found it — a bulk load — ends by giving back the room the doubling
+    /// buffers reserved beyond their content
+    /// ([`Dictionary::shrink_to_fit`]); a small batch into a large
+    /// dictionary does not, so a stream of them never copies per call.
     pub fn encode_triples_parallel<T>(&mut self, triples: &[T], _threads: usize) -> Vec<IdTriple>
     where
         for<'t> &'t T: Into<TripleRef<'t>>,
     {
-        triples.iter().map(|t| self.encode_triple(t)).collect()
+        let before = self.len();
+        let ids = triples.iter().map(|t| self.encode_triple(t)).collect();
+        if self.len() > before && (self.len() - before) * 2 >= self.len() {
+            self.shrink_to_fit();
+        }
+        ids
+    }
+
+    /// Shrinks the kind column, the two offset tables and the string arena
+    /// to their content. They grow by doubling, so after a load up to half
+    /// of each is reserved and never written; [`Dictionary::heap_bytes`]
+    /// counts that room. (The reverse index is a power-of-two table sized
+    /// for its load factor and has none to give back.)
+    pub fn shrink_to_fit(&mut self) {
+        let inner = Arc::make_mut(&mut self.inner);
+        inner.kinds.shrink_to_fit();
+        inner.first_piece.shrink_to_fit();
+        inner.ends.shrink_to_fit();
+        if let Arena::Owned(bytes) = &mut inner.arena {
+            bytes.shrink_to_fit();
+        }
     }
 
     /// Looks up an already-interned triple. Returns `None` if any component
@@ -880,6 +906,52 @@ mod tests {
             d.encode(&iri(&format!("term{i}")));
         }
         assert!(d.heap_bytes() > empty);
+    }
+
+    #[test]
+    fn a_bulk_encode_leaves_the_buffers_exact_sized_and_small_batches_leave_them_alone() {
+        let content = |d: &Dictionary| {
+            std::mem::size_of::<Inner>()
+                + d.term_kinds().len()
+                + 4 * d.len()
+                + 4 * d.piece_ends().len()
+                + 4 * d.index_stats().slots
+                + d.arena_bytes().len()
+        };
+        let batch = |range: std::ops::Range<u32>| -> Vec<Triple> {
+            range
+                .map(|i| {
+                    Triple::new(
+                        iri(&format!("s{i}")),
+                        iri("p"),
+                        Term::lang_literal(format!("o{i}"), "en"),
+                    )
+                })
+                .collect()
+        };
+        let mut d = Dictionary::new();
+        d.encode_triples_parallel(&batch(0..1000), 1);
+        assert_eq!(d.len(), 2001);
+        assert_eq!(d.heap_bytes(), content(&d), "a load gives its growth slack back");
+        // One more term: the full buffers double, and a batch that small
+        // does not trim them again.
+        d.encode_triples_parallel(&batch(1000..1001), 1);
+        let doubled = d.heap_bytes();
+        assert!(doubled - content(&d) > content(&d) / 4, "doubled buffers keep their room");
+        d.encode_triples_parallel(&batch(1001..1002), 1);
+        assert_eq!(d.heap_bytes(), doubled, "no reallocation per call");
+        // A batch that doubles the dictionary again is a load again.
+        d.encode_triples_parallel(&batch(2000..3500), 1);
+        assert_eq!(d.heap_bytes(), content(&d));
+        // A shared clone is trimmed through copy-on-write, not in place.
+        let mut grown = Dictionary::new();
+        for t in batch(0..100) {
+            grown.encode_triple(&t);
+        }
+        let snapshot = grown.clone();
+        grown.shrink_to_fit();
+        assert_eq!(grown.heap_bytes(), content(&grown));
+        assert_eq!(snapshot.len(), grown.len());
     }
 
     #[test]

@@ -4,8 +4,10 @@
 //! memory before the first query can run; for datasets at or beyond RAM
 //! that eager read *is* the cold-start cost. This crate opens the same
 //! file by memory-mapping it and reinterpreting the uncompressed `FROZ`
-//! slab columns in place: open time becomes O(section headers), and the
-//! operating system pages in exactly the columns queries touch.
+//! slab columns in place: open time becomes O(section headers) for the
+//! slabs ([`open_store`]; [`open`] adds a pass over the dictionary and one
+//! over the columns that address terminal lists), and the operating
+//! system pages in exactly the columns queries touch.
 //!
 //! The entry points are [`open`] (dictionary + store) and
 //! [`open_dataset`] (a ready-to-query [`hexastore::Dataset`]). The
@@ -16,7 +18,7 @@
 //!
 //! Only uncompressed snapshots of the current format version are
 //! mappable: compressed (`FRZC`) sections and files written before
-//! version 3 — whose slab columns are laid out differently — must go
+//! version 4 — whose slab columns are laid out differently — must go
 //! through the decoding [`hexastore::hexsnap::load_frozen`] path (and a
 //! re-save), and [`open`] says so in its error rather than silently
 //! falling back.
@@ -68,7 +70,7 @@ pub enum Error {
     /// The snapshot container or dictionary failed to parse.
     Snapshot(hexsnap::Error),
     /// The file parsed but cannot be memory-mapped (compressed slabs,
-    /// a pre-v3 column layout, or no slab section at all). The message
+    /// a pre-v4 column layout, or no slab section at all). The message
     /// names the remedy.
     Unmappable(String),
     /// The mapped slab section's interior is structurally invalid.
@@ -121,9 +123,12 @@ pub type Result<T> = std::result::Result<T, Error>;
 /// string arena — the bulk of the section — stays behind the mapping as
 /// a [`hex_dict::SharedBytes`] window, shared with the slab columns in
 /// one `mmap` of the whole file. Open-time work on the arena is one
-/// validating hash pass (UTF-8 + index build), no per-term allocation.
+/// validating hash pass (UTF-8 + index build), no per-term allocation;
+/// on the slabs it is [`MmapFrozenHexastore::verify`], a pass over the
+/// columns that address terminal lists ([`Error::Corrupt`] if they are
+/// not what a writer lays down).
 /// Fails with [`Error::Unmappable`] for snapshots whose slabs were
-/// saved compressed, for files written before format version 3 (their
+/// saved compressed, for files written before format version 4 (their
 /// slab columns are not the ones the read path walks), and for
 /// snapshots carrying no frozen section — open those with
 /// [`hexastore::hexsnap::load_frozen`] and re-save them with
@@ -136,16 +141,20 @@ pub type Result<T> = std::result::Result<T, Error>;
 /// ```
 pub fn open(path: impl AsRef<Path>) -> Result<(Dictionary, MmapFrozenHexastore)> {
     let (map, froz, dict) = map_snapshot(path.as_ref())?;
-    Ok((dict_from(&map, dict)?, MmapFrozenHexastore::open_section(&map, froz)?))
+    let store = MmapFrozenHexastore::open_section(&map, froz)?;
+    store.verify()?;
+    Ok((dict_from(&map, dict)?, store))
 }
 
 /// Opens only the slab section of a `hexsnap` file as an mmap-backed
 /// store, skipping the dictionary entirely.
 ///
-/// Skips even the dictionary's open-time hash pass; callers that
-/// already hold the dictionary (a serving tier re-opening generations
-/// of the same dataset, or a measurement isolating the slab path) can
-/// use it directly. Same mapping requirements as [`open`].
+/// Skips the dictionary's open-time hash pass and
+/// [`MmapFrozenHexastore::verify`], so it reads nothing but the section's
+/// headers; callers that already hold the dictionary (a serving tier
+/// re-opening generations of the same dataset, or a measurement
+/// isolating the slab path) can use it directly, and verify when they
+/// choose to. Same mapping requirements as [`open`].
 ///
 /// ```no_run
 /// let store = hex_disk::open_store("snapshot.hexsnap")?;
@@ -188,9 +197,10 @@ fn frozen_extent(reader: &hexsnap::Reader<BufReader<&File>>) -> Result<(u64, u64
             ));
         }
     };
-    // Older versions store (offset, length) pairs and list references for
-    // every ordering (and v1 does not align the section): not the columns
-    // the shared read path walks.
+    // Older versions address terminal lists through an offsets column
+    // (v3), or store (offset, length) pairs and list references for every
+    // ordering (and v1 does not align the section): not the columns the
+    // shared read path walks.
     if reader.version() < hexsnap::VERSION {
         return Err(Error::Unmappable(format!(
             "a version-{} file's slab columns predate the mappable layout; open it via \

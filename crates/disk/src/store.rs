@@ -17,11 +17,11 @@ pub(crate) struct Col {
     n: usize,
 }
 
-/// Column descriptors of one arena: cumulative offsets + item column.
+/// Column descriptors of one arena: slot column + overflow column.
 #[derive(Clone, Copy, Debug)]
 pub(crate) struct ArCols {
-    offs: Col,
-    items: Col,
+    slots: Col,
+    over: Col,
 }
 
 /// Column descriptors of one ordering: header keys and cumulative
@@ -50,12 +50,18 @@ pub(crate) struct IxCols {
 ///
 /// # Trust model
 ///
-/// Open-time validation is structural and O(sections): extents, counts
-/// and alignment. Data-level invariants (sortedness, offsets tiling, pair
-/// consistency, ids within the dictionary) are *not* eagerly verified —
-/// walking them would fault in the whole file, which is exactly what
-/// this type exists to avoid. The views' accessors bound every window to its
-/// column instead of panicking, so a corrupt file yields wrong answers, never undefined
+/// Parsing the section is structural and O(sections): extents, counts
+/// and alignment of every column. [`MmapFrozenHexastore::verify`] — which
+/// [`crate::open`] and [`crate::open_dataset`] run, next to the
+/// dictionary pass they already pay, and [`crate::open_store`] leaves to
+/// its caller — adds one pass over the arenas' slot and overflow columns,
+/// a quarter of the file, that checks how terminal lists are addressed.
+/// The index levels' data-level invariants (sorted keys, offsets tiling,
+/// list references in range, pair consistency, ids within the
+/// dictionary) are *never* eagerly verified — walking them would fault
+/// in the whole file, which is exactly what this type exists to avoid.
+/// The views' accessors bound every window and run to its column instead
+/// of panicking, so a corrupt file yields wrong answers, never undefined
 /// behavior or a crash; files from untrusted writers should be opened
 /// through [`hexastore::hexsnap::load_frozen`] instead, which validates
 /// fully.
@@ -78,14 +84,15 @@ impl MmapFrozenHexastore {
         for _ in 0..3 {
             let n_lists = cur.u32("arena list count")? as usize;
             let n_items = cur.len64("arena item count")?;
-            let offs = offsets_col(&mut cur, n_lists, "arena offsets column")?;
-            let items = col(&mut cur, n_items, "arena item column")?;
-            // Every triple contributes one entry to each pair's item column;
-            // a count mismatch is detectable without touching the columns.
+            let n_over = cur.u32("arena overflow count")? as usize;
+            let slots = col(&mut cur, n_lists, "arena slot column")?;
+            let over = col(&mut cur, n_over, "arena overflow column")?;
+            // Every triple contributes one entry to each pair's lists; a
+            // count mismatch is detectable without touching the columns.
             if n_items != len {
                 return cur.corrupt("declared triple count disagrees with slab columns");
             }
-            arenas.push(ArCols { offs, items });
+            arenas.push(ArCols { slots, over });
         }
         let mut orderings = Vec::with_capacity(6);
         for kind in IndexKind::ALL {
@@ -107,6 +114,24 @@ impl MmapFrozenHexastore {
             orderings: orderings.try_into().expect("exactly six orderings"),
             len,
         })
+    }
+
+    /// Checks, in one pass over the three arenas' columns
+    /// (`O(lists + overflow words)`, about 13 of a file's 51 bytes per
+    /// triple), that they are what a writer lays down
+    /// ([`ArenaView::validate`]): every slot that is not itself a list
+    /// names a run inside the overflow column, runs neither overlap nor
+    /// leave a gap, each is strictly ascending, and together they hold one
+    /// item per triple. A file that fails is [`Error::Corrupt`]; one that
+    /// passes can still be wrong in its index levels (see the trust model
+    /// above).
+    pub fn verify(&self) -> Result<()> {
+        if self.arenas.iter().any(|&arena| self.arena(arena).validate() != Some(self.len)) {
+            return Err(Error::Corrupt(
+                "arena columns do not hold the declared sorted lists".to_string(),
+            ));
+        }
+        Ok(())
     }
 }
 
@@ -154,6 +179,11 @@ impl MmapFrozenHexastore {
     fn u32s(&self, col: Col) -> &[u32] {
         let bytes = &self.map[col.off..col.off + col.n * 4];
         unsafe { std::slice::from_raw_parts(bytes.as_ptr() as *const u32, col.n) }
+    }
+
+    /// One arena's columns as the view the shared read path walks.
+    fn arena(&self, cols: ArCols) -> ArenaView<'_> {
+        ArenaView { slots: self.ids(cols.slots), over: self.ids(cols.over) }
     }
 
     /// Sorted objects o with (s, p, o) stored — the spo/pso shared list.
@@ -204,7 +234,6 @@ impl OrderedStore for MmapFrozenHexastore {
         // orderings (spo/pso, sop/osp, pos/ops) share one arena.
         const ARENA_OF: [usize; 6] = [0, 1, 0, 2, 1, 2];
         let ix = self.orderings[kind as usize];
-        let arena = self.arenas[ARENA_OF[kind as usize]];
         (
             IndexView {
                 keys: self.ids(ix.keys),
@@ -212,7 +241,7 @@ impl OrderedStore for MmapFrozenHexastore {
                 k2: self.ids(ix.k2),
                 lists: ix.lists.map(|lists| self.u32s(lists)),
             },
-            ArenaView { offs: self.u32s(arena.offs), items: self.ids(arena.items) },
+            self.arena(self.arenas[ARENA_OF[kind as usize]]),
         )
     }
 }

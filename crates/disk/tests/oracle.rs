@@ -190,54 +190,73 @@ fn snapshots_without_slabs_are_refused() {
     std::fs::remove_file(&path).ok();
 }
 
+/// Files written under an older `version` are refused by version, with
+/// an upgrade path that works. Whether a v1 `FROZ` offset happens to land
+/// 4-aligned depends on the dictionary's byte length, so vary it: the
+/// opener must refuse by version, not by luck.
+fn assert_writer_output_is_refused_with_the_upgrade_path(version: u32) {
+    use std::io::Write;
+    for extra in 0..4usize {
+        let mut g = GraphStore::new();
+        g.insert(&Triple::new(
+            Term::iri(format!("e:s{}", "x".repeat(extra + 1))),
+            Term::iri("e:p"),
+            Term::iri("e:o"),
+        ));
+        let path = temp_path(&format!("v{version}-{extra}"));
+        let file = std::fs::File::create(&path).unwrap();
+        let mut w = hexsnap::Writer::with_version(std::io::BufWriter::new(file), version).unwrap();
+        w.dictionary(g.dict()).unwrap();
+        w.frozen(&g.store().freeze()).unwrap();
+        w.finish().unwrap().flush().unwrap();
+
+        assert_refused_by_version(&path, version);
+        // The named upgrade path works: load, re-save, map.
+        let (dict, store) = hexsnap::load_frozen(&path).unwrap();
+        hexsnap::save_frozen(&path, &dict, &store).unwrap();
+        assert_oracle_equivalent(&store, &hex_disk::open(&path).unwrap().1);
+        std::fs::remove_file(&path).ok();
+    }
+}
+
+fn assert_refused_by_version(path: &std::path::Path, version: u32) {
+    let err = hex_disk::open(path).unwrap_err();
+    let msg = err.to_string();
+    assert!(matches!(err, hex_disk::Error::Unmappable(_)), "{msg}");
+    assert!(msg.contains(&format!("version-{version}")), "{msg}");
+    assert!(msg.contains("load_frozen") && msg.contains("save_frozen"), "{msg}");
+    assert!(matches!(hex_disk::open_store(path), Err(hex_disk::Error::Unmappable(_))));
+}
+
+/// A real file from the last build of an older version (see hexastore's
+/// `v2_compat.rs` and `v3_compat.rs`).
+fn committed_fixture(version: u32) -> PathBuf {
+    PathBuf::from(env!("CARGO_MANIFEST_DIR"))
+        .join(format!("../core/tests/data/v{version}_small.hexsnap"))
+}
+
 #[test]
 fn pre_v3_files_are_refused_by_version_with_the_upgrade_path() {
-    use std::io::Write;
     // Before v3 the slab columns are (offset, length) pairs plus list
     // references for every ordering — not what the read path walks — and
-    // a v1 writer does not even align the section. Whether a v1 FROZ
-    // offset happens to land 4-aligned depends on the dictionary's byte
-    // length, so vary it: the opener must refuse by version, not by luck.
+    // a v1 writer does not even align the section.
     for version in [1, 2] {
-        for extra in 0..4usize {
-            let mut g = GraphStore::new();
-            g.insert(&Triple::new(
-                Term::iri(format!("e:s{}", "x".repeat(extra + 1))),
-                Term::iri("e:p"),
-                Term::iri("e:o"),
-            ));
-            let path = temp_path(&format!("v{version}-{extra}"));
-            let file = std::fs::File::create(&path).unwrap();
-            let mut w =
-                hexsnap::Writer::with_version(std::io::BufWriter::new(file), version).unwrap();
-            w.dictionary(g.dict()).unwrap();
-            w.frozen(&g.store().freeze()).unwrap();
-            w.finish().unwrap().flush().unwrap();
-
-            let err = hex_disk::open(&path).unwrap_err();
-            let msg = err.to_string();
-            assert!(matches!(err, hex_disk::Error::Unmappable(_)), "{msg}");
-            assert!(msg.contains(&format!("version-{version}")), "{msg}");
-            assert!(msg.contains("load_frozen") && msg.contains("save_frozen"), "{msg}");
-            // The named upgrade path works: load, re-save, map.
-            let (dict, store) = hexsnap::load_frozen(&path).unwrap();
-            hexsnap::save_frozen(&path, &dict, &store).unwrap();
-            assert_oracle_equivalent(&store, &hex_disk::open(&path).unwrap().1);
-            std::fs::remove_file(&path).ok();
-        }
+        assert_writer_output_is_refused_with_the_upgrade_path(version);
     }
 }
 
 #[test]
 fn the_committed_v2_fixture_is_refused_with_the_upgrade_path() {
-    // A real file from the last v2 build (see hexastore's `v2_compat.rs`):
-    // aligned, uncompressed — and still not the column layout to map.
-    let fixture = concat!(env!("CARGO_MANIFEST_DIR"), "/../core/tests/data/v2_small.hexsnap");
-    let err = hex_disk::open(fixture).unwrap_err();
-    let msg = err.to_string();
-    assert!(matches!(err, hex_disk::Error::Unmappable(_)), "{msg}");
-    assert!(msg.contains("version-2") && msg.contains("load_frozen"), "{msg}");
-    assert!(matches!(hex_disk::open_store(fixture), Err(hex_disk::Error::Unmappable(_))));
+    // Aligned, uncompressed — and still not the column layout to map.
+    assert_refused_by_version(&committed_fixture(2), 2);
+}
+
+#[test]
+fn v3_files_and_the_committed_v3_fixture_are_refused_with_the_upgrade_path() {
+    // A v3 file is aligned and stores nothing derivable, but addresses its
+    // terminal lists through an offsets column the read path no longer has.
+    assert_writer_output_is_refused_with_the_upgrade_path(3);
+    assert_refused_by_version(&committed_fixture(3), 3);
 }
 
 #[test]
@@ -287,12 +306,16 @@ fn probe_patterns(store: &dyn TripleStore) -> Vec<IdPattern> {
 
 /// Opens the (possibly corrupt) file and, if it opens, drives every read
 /// operation over every pattern to the end of the columns. Answers may be
-/// wrong; a panic is a bug in the shared views' accessors.
+/// wrong; a panic is a bug in the shared views' accessors. The slabs are
+/// opened without `verify()`, so that what it would refuse is walked too.
 fn walk_every_shape_if_it_opens(path: &std::path::Path, pats: &[IdPattern]) {
-    let Ok((dict, mapped)) = hex_disk::open(path) else { return };
-    for id in 0..dict.len() as u32 {
-        let _ = dict.decode(hex_dict::Id(id));
+    if let Ok((dict, _)) = hex_disk::open(path) {
+        for id in 0..dict.len() as u32 {
+            let _ = dict.decode(hex_dict::Id(id));
+        }
     }
+    let Ok(mapped) = hex_disk::open_store(path) else { return };
+    let _ = mapped.verify();
     let sla = mapped.sorted_lists().expect("mmap store serves sorted lists");
     for &pat in pats {
         let n = mapped.iter_matching(pat).count();
@@ -306,14 +329,15 @@ fn walk_every_shape_if_it_opens(path: &std::path::Path, pats: &[IdPattern]) {
 
 #[test]
 fn corrupt_bytes_anywhere_never_panic_the_opener() {
-    let g = graph_from(&[(0, 0, 0), (1, 1, 2), (2, 0, 5)]);
+    let g = mixed_list_graph();
     let path = temp_path("flip");
     hexsnap::save_frozen(&path, g.dict(), &g.store().freeze()).unwrap();
     let pristine = std::fs::read(&path).unwrap();
     let pats = probe_patterns(&hex_disk::open_store(&path).unwrap());
 
     // Flip every byte of the file in turn — header, DICT (counts, kinds,
-    // offset table, string arena), FROZ, trailer. The opener must reject
+    // offset table, string arena), FROZ (slots and overflow words
+    // included), trailer. The opener must reject
     // or answer, never panic; when it opens, the dictionary must still
     // behave (decode may miss, must not crash) and every read operation
     // must walk the (possibly corrupt) columns to the end.
@@ -326,34 +350,74 @@ fn corrupt_bytes_anywhere_never_panic_the_opener() {
     std::fs::remove_file(&path).ok();
 }
 
-/// File positions of every entry of every cumulative offsets column in
-/// the `FROZ` section (three arenas, six orderings), found by walking the
-/// section's documented layout.
-fn offset_entry_positions(bytes: &[u8]) -> Vec<usize> {
+/// File positions of the words that address data in the `FROZ` section,
+/// found by walking the section's documented layout.
+struct AddressingWords {
+    /// Every entry of the six orderings' cumulative offsets columns.
+    offsets: Vec<usize>,
+    /// Every slot of the three arenas.
+    slots: Vec<usize>,
+    /// Every word of the three arenas' overflow columns.
+    overflow: Vec<usize>,
+    /// Every list reference of the three mirror orderings.
+    list_refs: Vec<usize>,
+}
+
+fn addressing_words(bytes: &[u8]) -> AddressingWords {
     let reader = hexsnap::Reader::new(std::io::Cursor::new(bytes)).unwrap();
     let (start, _) = reader.frozen_section_extent().expect("raw FROZ section");
     let u32_at = |at: usize| u32::from_le_bytes(bytes[at..at + 4].try_into().unwrap()) as usize;
     let mut at = start as usize + 8; // n_triples
-    let mut entries = Vec::new();
-    let mut offsets = |at: &mut usize, windows: usize| {
-        entries.extend((0..=windows).map(|i| *at + 4 * i));
-        *at += 4 * (windows + 1);
+    let column = |at: &mut usize, n: usize| -> Vec<usize> {
+        let entries = (0..n).map(|i| *at + 4 * i).collect();
+        *at += 4 * n;
+        entries
     };
+    let mut words =
+        AddressingWords { offsets: vec![], slots: vec![], overflow: vec![], list_refs: vec![] };
     for _ in 0..3 {
-        let n_lists = u32_at(at);
-        let n_items = u64::from_le_bytes(bytes[at + 4..at + 12].try_into().unwrap()) as usize;
-        at += 12;
-        offsets(&mut at, n_lists);
-        at += 4 * n_items;
+        let (n_lists, n_over) = (u32_at(at), u32_at(at + 12)); // n_items (u64) in between
+        at += 16;
+        words.slots.extend(column(&mut at, n_lists));
+        words.overflow.extend(column(&mut at, n_over));
     }
     for kind in hexastore::IndexKind::ALL {
         let h = u32_at(at);
         at += 4 + 4 * h; // count + keys
-        offsets(&mut at, h);
+        words.offsets.extend(column(&mut at, h + 1));
         let m = u32_at(at);
-        at += 4 + 4 * m * if kind.is_mirror() { 2 } else { 1 }; // count + k2 (+ list refs)
+        at += 4 + 4 * m; // count + k2
+        if kind.is_mirror() {
+            words.list_refs.extend(column(&mut at, m));
+        }
     }
-    entries
+    words
+}
+
+/// Overwrites each of `words` in turn with each of `values(old)` and walks
+/// every shape of whatever still opens.
+fn overwrite_each_word(
+    path: &std::path::Path,
+    pristine: &[u8],
+    words: &[usize],
+    values: impl Fn(u32) -> Vec<u32>,
+) {
+    let pats = probe_patterns(&hex_disk::open_store(path).unwrap());
+    for &at in words {
+        let old = u32::from_le_bytes(pristine[at..at + 4].try_into().unwrap());
+        for new in values(old) {
+            let mut bytes = pristine.to_vec();
+            bytes[at..at + 4].copy_from_slice(&new.to_le_bytes());
+            std::fs::write(path, &bytes).unwrap();
+            walk_every_shape_if_it_opens(path, &pats);
+        }
+    }
+    std::fs::write(path, pristine).unwrap();
+}
+
+/// A graph whose arenas hold singleton and longer lists alike.
+fn mixed_list_graph() -> GraphStore {
+    graph_from(&[(0, 0, 0), (0, 0, 3), (1, 1, 2), (2, 0, 5), (2, 1, 5), (3, 2, 0)])
 }
 
 #[test]
@@ -362,25 +426,102 @@ fn corrupt_offsets_degrade_to_short_windows_never_a_panic() {
     // one can make `lo > hi`: every entry of every offsets column is
     // overwritten with values below, at, just past and far past its
     // neighbours, and every shape is walked to the end each time.
-    let g = graph_from(&[(0, 0, 0), (0, 0, 3), (1, 1, 2), (2, 0, 5), (2, 1, 5), (3, 2, 0)]);
+    let g = mixed_list_graph();
     let path = temp_path("offsets");
     hexsnap::save_frozen(&path, g.dict(), &g.store().freeze()).unwrap();
     let pristine = std::fs::read(&path).unwrap();
-    let pats = probe_patterns(&hex_disk::open_store(&path).unwrap());
-    let entries = offset_entry_positions(&pristine);
-    // 3 arenas + 6 orderings, each with at least its closing entry, and
-    // the arenas' closing entries are the triple count.
-    assert!(entries.len() > 9 + 6 * 3, "{}", entries.len());
+    let words = addressing_words(&pristine);
+    // Six orderings, each with at least its opening and closing entry.
+    assert!(words.offsets.len() > 6 * 3, "{}", words.offsets.len());
+    overwrite_each_word(&path, &pristine, &words.offsets, |old| {
+        vec![0, 1, old.wrapping_sub(1), old + 1, old + 2, 1_000, u32::MAX - 1, u32::MAX]
+    });
+    std::fs::remove_file(&path).ok();
+}
 
-    for &at in &entries {
-        let old = u32::from_le_bytes(pristine[at..at + 4].try_into().unwrap());
-        for new in [0, 1, old.wrapping_sub(1), old + 1, old + 2, 1_000, u32::MAX - 1, u32::MAX] {
-            let mut bytes = pristine.clone();
-            bytes[at..at + 4].copy_from_slice(&new.to_le_bytes());
-            std::fs::write(&path, &bytes).unwrap();
-            walk_every_shape_if_it_opens(&path, &pats);
-        }
-    }
+#[test]
+fn corrupt_slots_and_overflow_words_are_refused_and_safe_to_walk() {
+    // A slot is a list or the address of one; an overflow word is a length
+    // or an item. Every one of them is overwritten with what each could be
+    // mistaken for: an inline id, a tagged position at, inside and past
+    // the overflow column, lengths of 0 and 1, a length past the column,
+    // an item that breaks its run's order. Every shape is walked over the
+    // unverified store each time; `open` refuses with a typed error.
+    use hexastore::slab::LONG;
+    let g = mixed_list_graph();
+    let path = temp_path("slots");
+    let frozen = g.store().freeze();
+    hexsnap::save_frozen(&path, g.dict(), &frozen).unwrap();
+    let pristine = std::fs::read(&path).unwrap();
+    let words = addressing_words(&pristine);
+    assert_eq!(words.slots.len() * 2, frozen.space_stats().vector_entries);
+    assert!(!words.overflow.is_empty(), "the graph has lists of two");
+    let n_over = words.overflow.len() as u32;
+    let values = |old: u32| {
+        vec![
+            0,
+            1,
+            old ^ LONG,
+            LONG,
+            LONG | 1,
+            LONG | (n_over - 1),
+            LONG | n_over,
+            u32::MAX,
+            old + 1,
+        ]
+    };
+    overwrite_each_word(&path, &pristine, &words.slots, values);
+    overwrite_each_word(&path, &pristine, &words.overflow, values);
+
+    // Named cases: `open` refuses each with a typed error; `open_store`,
+    // which reads only the section's headers, maps it, and `verify` says
+    // what `open` said.
+    let refused = |at: usize, new: u32, why: &str| {
+        let mut bytes = pristine.clone();
+        bytes[at..at + 4].copy_from_slice(&new.to_le_bytes());
+        std::fs::write(&path, &bytes).unwrap();
+        let err = hex_disk::open(&path).err().unwrap_or_else(|| panic!("{why} must be refused"));
+        assert!(matches!(err, hex_disk::Error::Corrupt(_)), "{why}: {err}");
+        let unverified = hex_disk::open_store(&path).expect("structurally sound");
+        assert!(matches!(unverified.verify(), Err(hex_disk::Error::Corrupt(_))), "{why}");
+    };
+    let u32_at = |at: usize| u32::from_le_bytes(pristine[at..at + 4].try_into().unwrap());
+    let tagged = *words.slots.iter().find(|&&at| u32_at(at) & LONG != 0).expect("a longer list");
+    let length_word = words.overflow[(u32_at(tagged) & !LONG) as usize];
+    assert!(u32_at(length_word) >= 2);
+    refused(tagged, LONG | n_over, "a tagged slot past the overflow column");
+    refused(length_word, n_over + 1, "a length word overrunning the overflow column");
+    refused(length_word, 0, "length 0 behind a tag");
+    refused(length_word, 1, "length 1 behind a tag");
+    refused(length_word + 4, u32_at(length_word + 8), "an unsorted overflow run");
+    std::fs::write(&path, &pristine).unwrap();
+    hex_disk::open_store(&path).unwrap().verify().expect("the pristine file verifies");
+    std::fs::remove_file(&path).ok();
+}
+
+#[test]
+fn mirror_references_past_the_arena_read_as_empty_lists() {
+    // List references are not validated at open, nor by `verify` (that
+    // would fault in the index levels): one at or past the slot column
+    // opens, and reads as the empty list.
+    let g = mixed_list_graph();
+    let path = temp_path("refs");
+    let frozen = g.store().freeze();
+    hexsnap::save_frozen(&path, g.dict(), &frozen).unwrap();
+    let pristine = std::fs::read(&path).unwrap();
+    let words = addressing_words(&pristine);
+    let lists = (words.slots.len() / 3) as u32;
+    overwrite_each_word(&path, &pristine, &words.list_refs, |old| {
+        vec![0, old + 1, lists, 1_000, u32::MAX]
+    });
+    // The first leaf of pso — the mirror of spo — is (p0, s0) -> {o0, o3}.
+    let first = frozen.matching(IdPattern::ALL)[0];
+    let mut bytes = pristine.clone();
+    bytes[words.list_refs[0]..words.list_refs[0] + 4].copy_from_slice(&u32::MAX.to_le_bytes());
+    std::fs::write(&path, &bytes).unwrap();
+    let (_, mapped) = hex_disk::open(&path).expect("references are not checked at open");
+    assert_eq!(frozen.count_matching(IdPattern::p(first.p)), 3);
+    assert_eq!(mapped.count_matching(IdPattern::p(first.p)), 1, "the dangling leaf reads empty");
     std::fs::remove_file(&path).ok();
 }
 

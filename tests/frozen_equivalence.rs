@@ -157,10 +157,12 @@ fn walk_every_shape_if_it_reads(r: &mut hexsnap::Reader<Cursor<Vec<u8>>>, pats: 
     }
 }
 
-/// Every byte of the raw slab section — the cumulative offsets columns
-/// that every window's start and end come from, the key columns, the
-/// mirror list references — flipped under several masks: the validating
-/// reader rejects the section or hands back a store that is safe to walk.
+/// Every byte of the raw slab section — the arenas' slots and overflow
+/// words that every list's place and length come from, the cumulative
+/// offsets columns that every window's start and end come from, the key
+/// columns, the mirror list references — flipped under several masks: the
+/// validating reader rejects the section or hands back a store that is
+/// safe to walk.
 #[test]
 fn flipped_slab_section_bytes_are_rejected_or_safe_to_walk() {
     let triples: Vec<IdTriple> =

@@ -236,3 +236,43 @@ fn writes_with_awkward_iris_survive_recovery() {
     }
     std::fs::remove_dir_all(&dir).ok();
 }
+
+/// Blank-node labels and language tags are logged verbatim, and neither
+/// `Term::blank` nor `Term::lang_literal` checks its argument. A label with
+/// a space in it made a record that checksummed, did not parse back, and
+/// was dropped at recovery — with every acknowledged write behind it — as
+/// a torn tail. Such a write is now refused before it reaches the log.
+#[test]
+fn a_write_the_log_could_not_replay_is_refused_and_loses_nothing() {
+    let dir = live_dir("unloggable");
+    let p = Term::iri("http://t/p");
+    let earlier: Vec<Triple> = (0..5).map(|i| triple_for(IdTriple::from((i, 1, i)))).collect();
+    let later = triple_for(IdTriple::from((7, 1, 7)));
+    let refused = [
+        Triple::new(Term::blank("a b"), p.clone(), term_for(1)),
+        Triple::new(term_for(1), p.clone(), Term::lang_literal("chat", "fr FR")),
+    ];
+    {
+        let mut live = LiveGraphStore::open(&dir).unwrap();
+        for t in &earlier {
+            assert!(live.insert(t).unwrap());
+        }
+        live.sync().unwrap();
+        let before = (live.len(), live.wal_bytes(), live.dataset().dict().len());
+        for t in &refused {
+            let err = live.insert(t).unwrap_err();
+            assert!(matches!(err, hexastore::hexsnap::Error::Unloggable(_)), "{err}");
+            assert!(!live.contains(t));
+            assert!(!live.remove(t).unwrap(), "an absent triple is not logged at all");
+        }
+        assert_eq!((live.len(), live.wal_bytes(), live.dataset().dict().len()), before);
+        assert!(live.insert(&later).unwrap());
+        live.sync().unwrap();
+    }
+    let recovered = LiveGraphStore::recover(&dir).unwrap();
+    assert_eq!(recovered.len(), earlier.len() + 1);
+    for t in earlier.iter().chain([&later]) {
+        assert!(recovered.contains(t), "lost on recovery: {t}");
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}

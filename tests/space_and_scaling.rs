@@ -97,19 +97,31 @@ fn incremental_and_bulk_agree_on_generated_data() {
 }
 
 /// The frozen store's heap is a closed form of the paper's §4.1 entry
-/// counts — four bytes per stored `u32`, nothing derivable stored, no
-/// slack capacity — however the slabs came to be.
+/// counts and of how many terminal lists hold more than one id — four
+/// bytes per stored `u32`, nothing derivable stored, no slack capacity —
+/// however the slabs came to be.
 #[test]
 fn frozen_heap_breakdown_is_the_closed_form_of_the_space_stats() {
     use hexastore::hexsnap::{Compression, Reader, Writer};
+    use std::collections::HashMap;
     fn assert_closed_form(frozen: &FrozenHexastore, how: &str) {
         let stats = frozen.space_stats();
         let pairs = stats.vector_entries / 2; // each (k1, k2) pair sits in two orderings
+                                              // List lengths, counted from the triples alone: one list per
+                                              // (s, p), per (s, o) and per (p, o) pair.
+        let mut lens: HashMap<(u8, hex_dict::Id, hex_dict::Id), usize> = HashMap::new();
+        for t in frozen.iter_matching(hexastore::IdPattern::ALL) {
+            for key in [(0, t.s, t.p), (1, t.s, t.o), (2, t.p, t.o)] {
+                *lens.entry(key).or_default() += 1;
+            }
+        }
+        assert_eq!(lens.len(), pairs, "{how}");
+        let longer: Vec<usize> = lens.into_values().filter(|&len| len > 1).collect();
         let expected = HeapBreakdown {
-            items: 4 * stats.list_entries,
+            list_slots: 4 * pairs, // a singleton list is its slot
+            overflow: 4 * (longer.iter().sum::<usize>() + longer.len()), // items + a length word
             vector_keys: 4 * stats.vector_entries,
             mirror_list_refs: 4 * pairs,
-            arena_offsets: 4 * (pairs + 3), // one entry per list, plus one per arena
             headers: 8 * stats.header_entries + 4 * 6, // key + offset, plus one per ordering
         };
         assert_eq!(frozen.heap_breakdown(), expected, "{how}");
