@@ -1,4 +1,4 @@
-//! # hex-bench — the figure-regeneration harness
+//! # hex-bench — the paper's figures, and the counts that repeat
 //!
 //! The paper's evaluation is thirteen figures: response time vs. number of
 //! triples for seven Barton queries (Figs. 3–9) and five LUBM queries
@@ -6,31 +6,38 @@
 //! Every experiment sweeps *progressively larger prefixes* of a dataset
 //! and plots each store's query response time on a log axis.
 //!
-//! This crate provides:
+//! This crate regenerates them, the §4.1 space and §4.3 path experiments,
+//! and four measurements of this implementation (`plans`, `joins`,
+//! `ask_early_exit`, `snapshot_size`). How fast the system *is* — load,
+//! serving, live writes, cold open, per layer — is the business of the
+//! benchmark of record (`bash benchmark/run.sh`), not of this crate.
 //!
-//! - dataset builders ([`barton_dataset`], [`lubm_dataset`]) sized in
-//!   triples;
-//! - a prefix sweep + wall-clock measurement harness ([`run_figure`]);
-//! - the `figures` binary, which prints one CSV table per figure;
-//! - Criterion benches (`benches/`) for statistically careful per-query
-//!   timings at a fixed scale.
+//! Everything hangs off one table, [`FIGURES`]: the `figures` binary
+//! prints an entry's CSV, `bench_evidence` writes every entry's CSV and
+//! gathers the entries' [`Count`]s — values that repeat to the byte on
+//! any host — into `BENCH_ci.json` ([`collect_evidence`]). Wall-clock
+//! goes to the CSVs only; CI gates on the counts.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod history;
 
+use hex_baselines::{Covp1, Covp2};
 use hex_bench_queries::barton::{self, BartonIds};
 use hex_bench_queries::lubm::{self, LubmIds};
 use hex_bench_queries::Suite;
 use hex_datagen::{barton::BartonConfig, lubm::LubmConfig};
-use hexastore::TripleStore;
+use hex_dict::Dictionary;
+use hexastore::{Hexastore, TripleStore};
 use rdf_model::Triple;
+use std::fmt;
+use std::hint::black_box;
 use std::time::{Duration, Instant};
 
-/// Minimal flag-parsing helpers shared by the workspace binaries
-/// (`figures`, `bench_evidence`), so both speak the same `--flag value`
-/// grammar with one error style.
+/// Minimal flag-parsing helpers shared by the two binaries (`figures`,
+/// `bench_evidence`), so both speak the same `--flag value` grammar with
+/// one error style.
 pub mod cli {
     /// Takes the value following `flag`, or a "missing value" error.
     pub fn value(it: &mut impl Iterator<Item = String>, flag: &str) -> Result<String, String> {
@@ -45,7 +52,7 @@ pub mod cli {
 
 /// Generates a Barton-like dataset of roughly `n_triples` statements
 /// (truncated exactly to `n_triples` if the generator overshoots).
-pub fn barton_dataset(n_triples: usize) -> Vec<Triple> {
+fn barton_dataset(n_triples: usize) -> Vec<Triple> {
     // The generator averages ~7.1 triples per record; /6 guarantees the
     // requested count is reached before truncation.
     let cfg = BartonConfig { records: n_triples / 6 + 1, ..BartonConfig::default() };
@@ -55,7 +62,7 @@ pub fn barton_dataset(n_triples: usize) -> Vec<Triple> {
 }
 
 /// Generates a LUBM-like dataset of roughly `n_triples` statements.
-pub fn lubm_dataset(n_triples: usize) -> Vec<Triple> {
+fn lubm_dataset(n_triples: usize) -> Vec<Triple> {
     // ~30k triples per university with default shape parameters.
     let per_univ = 30_000;
     let universities = (n_triples / per_univ + 1).max(1);
@@ -66,7 +73,7 @@ pub fn lubm_dataset(n_triples: usize) -> Vec<Triple> {
 }
 
 /// Evenly spaced prefix sizes from `total / points` up to `total`.
-pub fn prefix_points(total: usize, points: usize) -> Vec<usize> {
+fn prefix_points(total: usize, points: usize) -> Vec<usize> {
     assert!(points > 0);
     (1..=points).map(|i| total * i / points).collect()
 }
@@ -74,9 +81,8 @@ pub fn prefix_points(total: usize, points: usize) -> Vec<usize> {
 /// The median of a set of timing samples: the statistic every figure in
 /// this crate reports. Unlike the minimum it is robust in both
 /// directions — one descheduled outlier does not poison the number, and
-/// one improbably lucky run does not flatter it — which is what lets the
-/// CI regression gate compare runs instead of single best cases.
-pub fn median(mut samples: Vec<Duration>) -> Duration {
+/// one improbably lucky run does not flatter it.
+fn median(mut samples: Vec<Duration>) -> Duration {
     assert!(!samples.is_empty(), "median of no samples");
     samples.sort_unstable();
     samples[samples.len() / 2]
@@ -87,15 +93,15 @@ pub fn median(mut samples: Vec<Duration>) -> Duration {
 /// Hexastore's single-probe plans reach 1e-7 s, as in the paper's
 /// log-scale plots) are batched until the window is long enough for the
 /// clock to resolve.
-pub fn time_query<R>(reps: usize, mut f: impl FnMut() -> R) -> Duration {
-    std::hint::black_box(f());
+fn time_query<R>(reps: usize, mut f: impl FnMut() -> R) -> Duration {
+    black_box(f());
     let mut samples = Vec::with_capacity(reps.max(1));
     for _ in 0..reps.max(1) {
         let mut batch: u32 = 1;
         loop {
             let start = Instant::now();
             for _ in 0..batch {
-                std::hint::black_box(f());
+                black_box(f());
             }
             let elapsed = start.elapsed();
             if elapsed >= Duration::from_millis(2) || batch >= 1 << 20 {
@@ -108,740 +114,272 @@ pub fn time_query<R>(reps: usize, mut f: impl FnMut() -> R) -> Duration {
     median(samples)
 }
 
-/// One measured point: a store label and its response time.
-#[derive(Clone, Debug)]
-pub struct SeriesPoint {
-    /// Store / configuration label (e.g. "Hexastore", "COVP1 28").
-    pub label: String,
-    /// Measured response time.
-    pub time: Duration,
-}
-
-/// One row of a figure: the prefix size and all series measurements.
-#[derive(Clone, Debug)]
-pub struct FigureRow {
-    /// Number of triples in this prefix.
+/// The scales and repetition counts one run renders its figures at.
+#[derive(Clone, Copy, Debug)]
+pub struct Params {
+    /// Dataset size in triples for the paper figures, `space`, `path`,
+    /// `plans` and the first row of `joins`.
     pub triples: usize,
-    /// Measurements, one per store configuration.
-    pub points: Vec<SeriesPoint>,
+    /// Dataset size for the entries whose counts CI gates on
+    /// (`ask_early_exit`, `snapshot_size`, the second row of `joins`).
+    /// `figures` runs everything at one scale and sets it to `triples`.
+    pub large_triples: usize,
+    /// Number of dataset prefixes a sweep measures.
+    pub points: usize,
+    /// Measurement windows per timing (each reports their median).
+    pub reps: usize,
 }
 
-/// A regenerated figure: title plus measured rows.
-#[derive(Clone, Debug)]
-pub struct Figure {
-    /// Paper figure id, e.g. "Figure 10".
-    pub id: String,
-    /// Human-readable title, e.g. "LUBM Query 1".
-    pub title: String,
-    /// The measured rows, ascending in triples.
-    pub rows: Vec<FigureRow>,
+/// A value that repeats to the byte on any host: what `BENCH_ci.json`
+/// holds and CI gates on. Timings never become a `Count`.
+#[derive(Clone, Copy, Debug, PartialEq)]
+pub enum Count {
+    /// Rows, triples, bytes.
+    Int(usize),
+    /// A property that held or did not.
+    Flag(bool),
+    /// Bytes per triple: a quotient of two exact integers.
+    PerTriple(f64),
 }
 
-impl Figure {
-    /// Renders the figure as a CSV table with a `#` comment header,
-    /// mirroring the paper's "response time vs number of triples" axes.
-    pub fn to_csv(&self) -> String {
-        let mut out = String::new();
-        out.push_str(&format!("# {} — {}\n", self.id, self.title));
-        if let Some(first) = self.rows.first() {
-            out.push_str("triples");
-            for p in &first.points {
-                out.push(',');
-                out.push_str(&p.label);
-            }
-            out.push('\n');
+impl fmt::Display for Count {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            Count::Int(v) => write!(f, "{v}"),
+            Count::Flag(v) => write!(f, "{v}"),
+            Count::PerTriple(v) => write!(f, "{v:.6}"),
         }
-        for row in &self.rows {
-            out.push_str(&row.triples.to_string());
-            for p in &row.points {
-                out.push_str(&format!(",{:.3e}", p.time.as_secs_f64()));
-            }
-            out.push('\n');
-        }
-        out
     }
 }
 
-/// Which figures exist and what they measure.
-pub const FIGURES: [(&str, &str); 23] = [
-    ("3", "Barton Query 1"),
-    ("4", "Barton Query 2 (full + 28-property)"),
-    ("5", "Barton Query 3 (full + 28-property)"),
-    ("6", "Barton Query 4 (full + 28-property)"),
-    ("7", "Barton Query 5"),
-    ("8", "Barton Query 6 (full + 28-property)"),
-    ("9", "Barton Query 7"),
-    ("10", "LUBM Query 1"),
-    ("11", "LUBM Query 2"),
-    ("12", "LUBM Query 3"),
-    ("13", "LUBM Query 4"),
-    ("14", "LUBM Query 5"),
-    ("15", "Memory consumption (both datasets)"),
-    ("space", "§4.1 worst-case five-fold space bound"),
-    ("path", "§4.3 path expressions: merge vs sort-merge joins"),
-    ("load", "Bulk-load throughput: serial vs parallel loader"),
-    ("snapshot", "Snapshot formats: binary hexsnap vs JSON (size, save, open)"),
-    ("plans", "Twelve paper queries through prepare: hand plan vs planner, stats off/on"),
-    ("live_write", "Live write path: sustained WAL inserts while querying + recovery + compaction"),
-    ("qps", "Concurrent serving: client threads over published snapshots vs one client (qps)"),
-    ("cold_open", "Cold open: hex-disk mmap vs eager slab read vs compressed decode"),
-    ("dict", "Dictionary at scale: encode, index displacement, arena vs legacy heap, mapped DICT"),
-    (
+/// One rendered figure: its CSV table(s), and the counts it contributes
+/// to `BENCH_ci.json` (none for a figure that only times).
+#[derive(Clone, Debug)]
+pub struct Rendered {
+    /// The figure as CSV, `#` comment line(s) first.
+    pub csv: String,
+    /// `(key, value)` pairs, in the order they are reported.
+    pub counts: Vec<(&'static str, Count)>,
+}
+
+impl Rendered {
+    fn csv_only(csv: String) -> Self {
+        Rendered { csv, counts: Vec::new() }
+    }
+}
+
+/// One entry of [`FIGURES`].
+pub struct FigureSpec {
+    /// What `figures --figure` takes: a paper figure number or a name.
+    pub id: &'static str,
+    /// What the figure measures, for `--help` and CSV comment lines.
+    pub title: &'static str,
+    /// `bench_evidence` writes the CSV to `<stem>.csv` and files the
+    /// counts under `"<stem>"` in `BENCH_ci.json`.
+    pub stem: &'static str,
+    /// Measures and renders the figure.
+    pub render: fn(&FigureSpec, &Params) -> Rendered,
+}
+
+const fn spec(
+    id: &'static str,
+    title: &'static str,
+    stem: &'static str,
+    render: fn(&FigureSpec, &Params) -> Rendered,
+) -> FigureSpec {
+    FigureSpec { id, title, stem, render }
+}
+
+/// Every figure this crate can render — the one place figure ids are
+/// known. `figures` and `bench_evidence` both loop over it.
+pub const FIGURES: [FigureSpec; 19] = [
+    spec("3", "Barton Query 1", "figure_3", |f, p| {
+        barton_sweep(f, p, trio("", barton::bq1_hexastore, barton::bq1_covp1, barton::bq1_covp2))
+    }),
+    spec("4", "Barton Query 2 (full + 28-property)", "figure_4", |f, p| {
+        barton_sweep(f, p, trio_28(barton::bq2_hexastore, barton::bq2_covp1, barton::bq2_covp2))
+    }),
+    spec("5", "Barton Query 3 (full + 28-property)", "figure_5", |f, p| {
+        barton_sweep(f, p, trio_28(barton::bq3_hexastore, barton::bq3_covp1, barton::bq3_covp2))
+    }),
+    spec("6", "Barton Query 4 (full + 28-property)", "figure_6", |f, p| {
+        barton_sweep(f, p, trio_28(barton::bq4_hexastore, barton::bq4_covp1, barton::bq4_covp2))
+    }),
+    spec("7", "Barton Query 5", "figure_7", |f, p| {
+        barton_sweep(f, p, trio("", barton::bq5_hexastore, barton::bq5_covp1, barton::bq5_covp2))
+    }),
+    spec("8", "Barton Query 6 (full + 28-property)", "figure_8", |f, p| {
+        barton_sweep(f, p, trio_28(barton::bq6_hexastore, barton::bq6_covp1, barton::bq6_covp2))
+    }),
+    spec("9", "Barton Query 7", "figure_9", |f, p| {
+        barton_sweep(f, p, trio("", barton::bq7_hexastore, barton::bq7_covp1, barton::bq7_covp2))
+    }),
+    spec("10", "LUBM Query 1", "figure_10", |f, p| {
+        lubm_sweep(f, p, trio("", lubm::lq1_hexastore, lubm::lq1_covp1, lubm::lq1_covp2))
+    }),
+    spec("11", "LUBM Query 2", "figure_11", |f, p| {
+        lubm_sweep(f, p, trio("", lubm::lq2_hexastore, lubm::lq2_covp1, lubm::lq2_covp2))
+    }),
+    spec("12", "LUBM Query 3", "figure_12", |f, p| {
+        lubm_sweep(f, p, trio("", lubm::lq3_hexastore, lubm::lq3_covp1, lubm::lq3_covp2))
+    }),
+    spec("13", "LUBM Query 4", "figure_13", |f, p| {
+        lubm_sweep(f, p, trio("", lubm::lq4_hexastore, lubm::lq4_covp1, lubm::lq4_covp2))
+    }),
+    spec("14", "LUBM Query 5", "figure_14", |f, p| {
+        lubm_sweep(f, p, trio("", lubm::lq5_hexastore, lubm::lq5_covp1, lubm::lq5_covp2))
+    }),
+    spec("15", "Memory consumption (both datasets)", "figure_15_memory", |_, p| {
+        Rendered::csv_only(memory_report(p.triples, p.points))
+    }),
+    spec("space", "§4.1 worst-case five-fold space bound", "space", |_, p| {
+        Rendered::csv_only(space_report(p.triples))
+    }),
+    spec("path", "§4.3 path expressions: merge vs sort-merge joins", "path", |_, p| {
+        Rendered::csv_only(path_report(p.triples))
+    }),
+    spec(
+        "plans",
+        "Twelve paper queries through prepare: hand plan vs planner, stats off/on",
+        "query_plans",
+        plans_rendered,
+    ),
+    spec(
         "joins",
         "Merge joins: sorted-list intersection vs nested probes (star/chain + paper queries)",
+        "joins",
+        joins_rendered,
+    ),
+    spec(
+        "ask_early_exit",
+        "ASK early exit: streamed Plan::solutions() vs materializing execute_bgp",
+        "ask_early_exit",
+        ask_rendered,
+    ),
+    spec(
+        "snapshot_size",
+        "hexsnap file size, dictionary included: plain vs compressed slabs (bytes per triple)",
+        "snapshot_size",
+        snapshot_size_rendered,
     ),
 ];
 
-type BartonQueryFns = Vec<(&'static str, Box<dyn Fn(&Suite, &BartonIds)>)>;
-type LubmQueryFns = Vec<(&'static str, Box<dyn Fn(&Suite, &LubmIds)>)>;
-
-fn barton_query_fns(figure: &str, restrict_28: bool) -> BartonQueryFns {
-    // Each closure runs one store's plan; results are black_boxed away.
-    macro_rules! q {
-        ($label:expr, |$s:ident, $ids:ident| $body:block) => {
-            (
-                $label,
-                Box::new(|$s: &Suite, $ids: &BartonIds| $body) as Box<dyn Fn(&Suite, &BartonIds)>,
-            )
-        };
-    }
-    let mut fns: BartonQueryFns = match figure {
-        "3" => vec![
-            q!("Hexastore", |s, ids| {
-                std::hint::black_box(barton::bq1_hexastore(&s.hexastore, ids));
-            }),
-            q!("COVP1", |s, ids| {
-                std::hint::black_box(barton::bq1_covp1(&s.covp1, ids));
-            }),
-            q!("COVP2", |s, ids| {
-                std::hint::black_box(barton::bq1_covp2(&s.covp2, ids));
-            }),
-        ],
-        "4" => vec![
-            q!("Hexastore", |s, ids| {
-                std::hint::black_box(barton::bq2_hexastore(&s.hexastore, ids, None));
-            }),
-            q!("COVP1", |s, ids| {
-                std::hint::black_box(barton::bq2_covp1(&s.covp1, ids, None));
-            }),
-            q!("COVP2", |s, ids| {
-                std::hint::black_box(barton::bq2_covp2(&s.covp2, ids, None));
-            }),
-        ],
-        "5" => vec![
-            q!("Hexastore", |s, ids| {
-                std::hint::black_box(barton::bq3_hexastore(&s.hexastore, ids, None));
-            }),
-            q!("COVP1", |s, ids| {
-                std::hint::black_box(barton::bq3_covp1(&s.covp1, ids, None));
-            }),
-            q!("COVP2", |s, ids| {
-                std::hint::black_box(barton::bq3_covp2(&s.covp2, ids, None));
-            }),
-        ],
-        "6" => vec![
-            q!("Hexastore", |s, ids| {
-                std::hint::black_box(barton::bq4_hexastore(&s.hexastore, ids, None));
-            }),
-            q!("COVP1", |s, ids| {
-                std::hint::black_box(barton::bq4_covp1(&s.covp1, ids, None));
-            }),
-            q!("COVP2", |s, ids| {
-                std::hint::black_box(barton::bq4_covp2(&s.covp2, ids, None));
-            }),
-        ],
-        "7" => vec![
-            q!("Hexastore", |s, ids| {
-                std::hint::black_box(barton::bq5_hexastore(&s.hexastore, ids));
-            }),
-            q!("COVP1", |s, ids| {
-                std::hint::black_box(barton::bq5_covp1(&s.covp1, ids));
-            }),
-            q!("COVP2", |s, ids| {
-                std::hint::black_box(barton::bq5_covp2(&s.covp2, ids));
-            }),
-        ],
-        "8" => vec![
-            q!("Hexastore", |s, ids| {
-                std::hint::black_box(barton::bq6_hexastore(&s.hexastore, ids, None));
-            }),
-            q!("COVP1", |s, ids| {
-                std::hint::black_box(barton::bq6_covp1(&s.covp1, ids, None));
-            }),
-            q!("COVP2", |s, ids| {
-                std::hint::black_box(barton::bq6_covp2(&s.covp2, ids, None));
-            }),
-        ],
-        "9" => vec![
-            q!("Hexastore", |s, ids| {
-                std::hint::black_box(barton::bq7_hexastore(&s.hexastore, ids));
-            }),
-            q!("COVP1", |s, ids| {
-                std::hint::black_box(barton::bq7_covp1(&s.covp1, ids));
-            }),
-            q!("COVP2", |s, ids| {
-                std::hint::black_box(barton::bq7_covp2(&s.covp2, ids));
-            }),
-        ],
-        _ => panic!("not a Barton timing figure: {figure}"),
-    };
-    if restrict_28 && matches!(figure, "4" | "5" | "6" | "8") {
-        let mut extra: BartonQueryFns = match figure {
-            "4" => vec![
-                q!("Hexastore 28", |s, ids| {
-                    std::hint::black_box(barton::bq2_hexastore(
-                        &s.hexastore,
-                        ids,
-                        Some(&ids.interesting),
-                    ));
-                }),
-                q!("COVP1 28", |s, ids| {
-                    std::hint::black_box(barton::bq2_covp1(&s.covp1, ids, Some(&ids.interesting)));
-                }),
-                q!("COVP2 28", |s, ids| {
-                    std::hint::black_box(barton::bq2_covp2(&s.covp2, ids, Some(&ids.interesting)));
-                }),
-            ],
-            "5" => vec![
-                q!("Hexastore 28", |s, ids| {
-                    std::hint::black_box(barton::bq3_hexastore(
-                        &s.hexastore,
-                        ids,
-                        Some(&ids.interesting),
-                    ));
-                }),
-                q!("COVP1 28", |s, ids| {
-                    std::hint::black_box(barton::bq3_covp1(&s.covp1, ids, Some(&ids.interesting)));
-                }),
-                q!("COVP2 28", |s, ids| {
-                    std::hint::black_box(barton::bq3_covp2(&s.covp2, ids, Some(&ids.interesting)));
-                }),
-            ],
-            "6" => vec![
-                q!("Hexastore 28", |s, ids| {
-                    std::hint::black_box(barton::bq4_hexastore(
-                        &s.hexastore,
-                        ids,
-                        Some(&ids.interesting),
-                    ));
-                }),
-                q!("COVP1 28", |s, ids| {
-                    std::hint::black_box(barton::bq4_covp1(&s.covp1, ids, Some(&ids.interesting)));
-                }),
-                q!("COVP2 28", |s, ids| {
-                    std::hint::black_box(barton::bq4_covp2(&s.covp2, ids, Some(&ids.interesting)));
-                }),
-            ],
-            "8" => vec![
-                q!("Hexastore 28", |s, ids| {
-                    std::hint::black_box(barton::bq6_hexastore(
-                        &s.hexastore,
-                        ids,
-                        Some(&ids.interesting),
-                    ));
-                }),
-                q!("COVP1 28", |s, ids| {
-                    std::hint::black_box(barton::bq6_covp1(&s.covp1, ids, Some(&ids.interesting)));
-                }),
-                q!("COVP2 28", |s, ids| {
-                    std::hint::black_box(barton::bq6_covp2(&s.covp2, ids, Some(&ids.interesting)));
-                }),
-            ],
-            _ => unreachable!(),
-        };
-        fns.append(&mut extra);
-    }
-    fns
+/// The table entry with this id.
+pub fn figure(id: &str) -> Option<&'static FigureSpec> {
+    FIGURES.iter().find(|f| f.id == id)
 }
 
-fn lubm_query_fns(figure: &str) -> LubmQueryFns {
-    macro_rules! q {
-        ($label:expr, |$s:ident, $ids:ident| $body:block) => {
-            ($label, Box::new(|$s: &Suite, $ids: &LubmIds| $body) as Box<dyn Fn(&Suite, &LubmIds)>)
-        };
-    }
-    match figure {
-        "10" => vec![
-            q!("Hexastore", |s, ids| {
-                std::hint::black_box(lubm::lq1_hexastore(&s.hexastore, ids));
-            }),
-            q!("COVP1", |s, ids| {
-                std::hint::black_box(lubm::lq1_covp1(&s.covp1, ids));
-            }),
-            q!("COVP2", |s, ids| {
-                std::hint::black_box(lubm::lq1_covp2(&s.covp2, ids));
-            }),
-        ],
-        "11" => vec![
-            q!("Hexastore", |s, ids| {
-                std::hint::black_box(lubm::lq2_hexastore(&s.hexastore, ids));
-            }),
-            q!("COVP1", |s, ids| {
-                std::hint::black_box(lubm::lq2_covp1(&s.covp1, ids));
-            }),
-            q!("COVP2", |s, ids| {
-                std::hint::black_box(lubm::lq2_covp2(&s.covp2, ids));
-            }),
-        ],
-        "12" => vec![
-            q!("Hexastore", |s, ids| {
-                std::hint::black_box(lubm::lq3_hexastore(&s.hexastore, ids));
-            }),
-            q!("COVP1", |s, ids| {
-                std::hint::black_box(lubm::lq3_covp1(&s.covp1, ids));
-            }),
-            q!("COVP2", |s, ids| {
-                std::hint::black_box(lubm::lq3_covp2(&s.covp2, ids));
-            }),
-        ],
-        "13" => vec![
-            q!("Hexastore", |s, ids| {
-                std::hint::black_box(lubm::lq4_hexastore(&s.hexastore, ids));
-            }),
-            q!("COVP1", |s, ids| {
-                std::hint::black_box(lubm::lq4_covp1(&s.covp1, ids));
-            }),
-            q!("COVP2", |s, ids| {
-                std::hint::black_box(lubm::lq4_covp2(&s.covp2, ids));
-            }),
-        ],
-        "14" => vec![
-            q!("Hexastore", |s, ids| {
-                std::hint::black_box(lubm::lq5_hexastore(&s.hexastore, ids));
-            }),
-            q!("COVP1", |s, ids| {
-                std::hint::black_box(lubm::lq5_covp1(&s.covp1, ids));
-            }),
-            q!("COVP2", |s, ids| {
-                std::hint::black_box(lubm::lq5_covp2(&s.covp2, ids));
-            }),
-        ],
-        _ => panic!("not a LUBM timing figure: {figure}"),
-    }
+/// One store's hand-written plan of a paper query, results discarded.
+type Series<I> = (String, Box<dyn Fn(&Suite, &I)>);
+
+/// The three stores' plans of one paper query as the figure's series,
+/// labelled with the store's name plus `suffix`.
+fn trio<I: 'static, R>(
+    suffix: &str,
+    hex: impl Fn(&Hexastore, &I) -> R + 'static,
+    covp1: impl Fn(&Covp1, &I) -> R + 'static,
+    covp2: impl Fn(&Covp2, &I) -> R + 'static,
+) -> Vec<Series<I>> {
+    vec![
+        (format!("Hexastore{suffix}"), Box::new(move |s, i| drop(black_box(hex(&s.hexastore, i))))),
+        (format!("COVP1{suffix}"), Box::new(move |s, i| drop(black_box(covp1(&s.covp1, i))))),
+        (format!("COVP2{suffix}"), Box::new(move |s, i| drop(black_box(covp2(&s.covp2, i))))),
+    ]
 }
 
-/// Regenerates one paper figure: sweeps prefixes of the right dataset and
-/// measures each store's plan. `scale` is the full dataset size in
-/// triples, `points` the number of prefix sizes, `reps` the repetitions
-/// per measurement.
-pub fn run_figure(figure: &str, scale: usize, points: usize, reps: usize) -> Figure {
-    match figure {
-        "3" | "4" | "5" | "6" | "7" | "8" | "9" => {
-            let data = barton_dataset(scale);
-            let fns = barton_query_fns(figure, true);
-            let mut rows = Vec::new();
-            for prefix in prefix_points(data.len(), points) {
-                let suite = Suite::build(&data[..prefix]);
-                let Some(ids) = BartonIds::resolve(&suite.dict) else { continue };
-                let points_row = fns
-                    .iter()
-                    .map(|(label, f)| SeriesPoint {
-                        label: label.to_string(),
-                        time: time_query(reps, || f(&suite, &ids)),
-                    })
-                    .collect();
-                rows.push(FigureRow { triples: prefix, points: points_row });
-            }
-            let title = FIGURES.iter().find(|(id, _)| *id == figure).unwrap().1;
-            Figure { id: format!("Figure {figure}"), title: title.to_string(), rows }
+/// [`trio`] for the Barton queries the paper also runs restricted to the
+/// 28 "interesting" properties: the full series, then the ` 28` ones.
+fn trio_28<R: 'static>(
+    hex: fn(&Hexastore, &BartonIds, Option<&[hex_dict::Id]>) -> R,
+    covp1: fn(&Covp1, &BartonIds, Option<&[hex_dict::Id]>) -> R,
+    covp2: fn(&Covp2, &BartonIds, Option<&[hex_dict::Id]>) -> R,
+) -> Vec<Series<BartonIds>> {
+    let mut series = trio(
+        "",
+        move |h, i| hex(h, i, None),
+        move |c, i| covp1(c, i, None),
+        move |c, i| covp2(c, i, None),
+    );
+    series.extend(trio(
+        " 28",
+        move |h, i: &BartonIds| hex(h, i, Some(&i.interesting)),
+        move |c, i: &BartonIds| covp1(c, i, Some(&i.interesting)),
+        move |c, i: &BartonIds| covp2(c, i, Some(&i.interesting)),
+    ));
+    series
+}
+
+/// Regenerates one response-time figure: loads progressively larger
+/// prefixes of `data` into every store and times each series on each,
+/// one CSV row per prefix whose dictionary binds the query constants.
+fn sweep<I>(
+    fig: &FigureSpec,
+    p: &Params,
+    data: &[Triple],
+    resolve: fn(&Dictionary) -> Option<I>,
+    series: Vec<Series<I>>,
+) -> Rendered {
+    let mut csv = format!("# Figure {} — {}\ntriples", fig.id, fig.title);
+    for (label, _) in &series {
+        csv.push(',');
+        csv.push_str(label);
+    }
+    csv.push('\n');
+    for prefix in prefix_points(data.len(), p.points) {
+        let suite = Suite::build(&data[..prefix]);
+        let Some(ids) = resolve(&suite.dict) else { continue };
+        csv.push_str(&prefix.to_string());
+        for (_, plan) in &series {
+            let time = time_query(p.reps, || plan(&suite, &ids));
+            csv.push_str(&format!(",{:.3e}", time.as_secs_f64()));
         }
-        "10" | "11" | "12" | "13" | "14" => {
-            let data = lubm_dataset(scale);
-            let fns = lubm_query_fns(figure);
-            let mut rows = Vec::new();
-            for prefix in prefix_points(data.len(), points) {
-                let suite = Suite::build(&data[..prefix]);
-                let Some(ids) = LubmIds::resolve(&suite.dict) else { continue };
-                let points_row = fns
-                    .iter()
-                    .map(|(label, f)| SeriesPoint {
-                        label: label.to_string(),
-                        time: time_query(reps, || f(&suite, &ids)),
-                    })
-                    .collect();
-                rows.push(FigureRow { triples: prefix, points: points_row });
-            }
-            let title = FIGURES.iter().find(|(id, _)| *id == figure).unwrap().1;
-            Figure { id: format!("Figure {figure}"), title: title.to_string(), rows }
-        }
-        other => panic!(
-            "run_figure does not handle '{other}'; see memory_figure/space_report/path_report"
-        ),
+        csv.push('\n');
     }
+    Rendered::csv_only(csv)
 }
 
-/// One memory row: prefix size and per-store heap bytes.
-#[derive(Clone, Debug)]
-pub struct MemoryRow {
-    /// Number of triples in this prefix.
-    pub triples: usize,
-    /// `(store label, heap bytes)` per store.
-    pub bytes: Vec<(String, usize)>,
+fn barton_sweep(fig: &FigureSpec, p: &Params, series: Vec<Series<BartonIds>>) -> Rendered {
+    sweep(fig, p, &barton_dataset(p.triples), BartonIds::resolve, series)
 }
 
-/// Regenerates Figure 15 for one dataset: deep heap bytes per store per
-/// prefix.
-pub fn memory_figure(dataset: &str, scale: usize, points: usize) -> Vec<MemoryRow> {
-    let data = match dataset {
-        "barton" => barton_dataset(scale),
-        "lubm" => lubm_dataset(scale),
-        other => panic!("unknown dataset {other}"),
-    };
+fn lubm_sweep(fig: &FigureSpec, p: &Params, series: Vec<Series<LubmIds>>) -> Rendered {
+    sweep(fig, p, &lubm_dataset(p.triples), LubmIds::resolve, series)
+}
+
+/// Figure 15: deep heap megabytes per store per prefix, one table per
+/// dataset (a blank line after each).
+fn memory_report(scale: usize, points: usize) -> String {
+    let mut out = String::new();
+    for (dataset, data) in [("barton", barton_dataset(scale)), ("lubm", lubm_dataset(scale))] {
+        out.push_str(&format!("# Figure 15 — Memory consumption, {dataset} dataset (MB)\n"));
+        out.push_str("triples,Hexastore,COVP1,COVP2,TriplesTable\n");
+        for (prefix, bytes) in memory_rows(&data, points) {
+            out.push_str(&prefix.to_string());
+            for b in bytes {
+                out.push_str(&format!(",{:.2}", b as f64 / (1024.0 * 1024.0)));
+            }
+            out.push('\n');
+        }
+        out.push('\n');
+    }
+    out
+}
+
+/// Heap bytes of Hexastore, COVP1, COVP2 and the triples table, per prefix.
+fn memory_rows(data: &[Triple], points: usize) -> Vec<(usize, [usize; 4])> {
     prefix_points(data.len(), points)
         .into_iter()
         .map(|prefix| {
             let suite = Suite::build(&data[..prefix]);
-            MemoryRow {
-                triples: prefix,
-                bytes: vec![
-                    ("Hexastore".into(), suite.hexastore.heap_bytes()),
-                    ("COVP1".into(), suite.covp1.heap_bytes()),
-                    ("COVP2".into(), suite.covp2.heap_bytes()),
-                    ("TriplesTable".into(), suite.table.heap_bytes()),
-                ],
-            }
+            let bytes = [
+                suite.hexastore.heap_bytes(),
+                suite.covp1.heap_bytes(),
+                suite.covp2.heap_bytes(),
+                suite.table.heap_bytes(),
+            ];
+            (prefix, bytes)
         })
         .collect()
-}
-
-/// Renders memory rows as CSV (megabytes, like the paper's y-axis).
-pub fn memory_to_csv(dataset: &str, rows: &[MemoryRow]) -> String {
-    let mut out = format!("# Figure 15 — Memory consumption, {dataset} dataset (MB)\n");
-    if let Some(first) = rows.first() {
-        out.push_str("triples");
-        for (label, _) in &first.bytes {
-            out.push(',');
-            out.push_str(label);
-        }
-        out.push('\n');
-    }
-    for row in rows {
-        out.push_str(&row.triples.to_string());
-        for (_, bytes) in &row.bytes {
-            out.push_str(&format!(",{:.2}", *bytes as f64 / (1024.0 * 1024.0)));
-        }
-        out.push('\n');
-    }
-    out
-}
-
-/// One bulk-load measurement: the same prefix loaded serially and with
-/// the parallel loader.
-#[derive(Clone, Debug)]
-pub struct LoadRow {
-    /// Number of (possibly duplicated) input triples in this prefix.
-    pub triples: usize,
-    /// Wall-clock to dictionary-encode the string-level prefix (a fresh
-    /// dictionary per measurement) — the first half of `Suite::build`'s
-    /// end-to-end load, measured so the string-arena batching decision
-    /// can be data-driven.
-    pub encode: Duration,
-    /// Wall-clock build time with `bulk::Config::serial()`.
-    pub serial: Duration,
-    /// Wall-clock build time with `bulk::Config::parallel(threads)`.
-    pub parallel: Duration,
-    /// Thread count of the parallel configuration.
-    pub threads: usize,
-}
-
-impl LoadRow {
-    /// Serial time over parallel time (>1 means the parallel loader won).
-    pub fn speedup(&self) -> f64 {
-        self.serial.as_secs_f64() / self.parallel.as_secs_f64().max(f64::MIN_POSITIVE)
-    }
-
-    /// Dictionary encoding's share of the end-to-end serial load
-    /// (`encode / (encode + serial build)`), in `[0, 1]`.
-    pub fn encode_share(&self) -> f64 {
-        let encode = self.encode.as_secs_f64();
-        let total = encode + self.serial.as_secs_f64();
-        if total <= 0.0 {
-            0.0
-        } else {
-            encode / total
-        }
-    }
-
-    /// Load throughput in million triples per second for a measured time.
-    pub fn mtriples_per_sec(triples: usize, time: Duration) -> f64 {
-        triples as f64 / time.as_secs_f64().max(f64::MIN_POSITIVE) / 1e6
-    }
-}
-
-/// Times one bulk build, median over `reps` runs after one untimed
-/// warmup (so a single-rep measurement is not penalized by cold caches).
-/// The input copy happens outside the timed region (the loader takes
-/// ownership of its batch).
-pub fn time_bulk_build(
-    reps: usize,
-    triples: &[hex_dict::IdTriple],
-    cfg: hexastore::bulk::Config,
-) -> Duration {
-    std::hint::black_box(hexastore::bulk::build_with(triples.to_vec(), cfg).len());
-    let mut samples = Vec::with_capacity(reps.max(1));
-    for _ in 0..reps.max(1) {
-        let batch = triples.to_vec();
-        let start = Instant::now();
-        let store = hexastore::bulk::build_with(batch, cfg);
-        let elapsed = start.elapsed();
-        std::hint::black_box(store.len());
-        samples.push(elapsed);
-    }
-    median(samples)
-}
-
-/// The bulk-load throughput figure: prefix sweep of one dataset, loading
-/// each prefix with the serial and the `threads`-way parallel loader.
-pub fn load_figure(
-    dataset: &str,
-    scale: usize,
-    points: usize,
-    reps: usize,
-    threads: usize,
-) -> Vec<LoadRow> {
-    let data = match dataset {
-        "barton" => barton_dataset(scale),
-        "lubm" => lubm_dataset(scale),
-        other => panic!("unknown dataset {other}"),
-    };
-    let mut dict = hex_dict::Dictionary::new();
-    let encoded: Vec<hex_dict::IdTriple> = data.iter().map(|t| dict.encode_triple(t)).collect();
-    prefix_points(encoded.len(), points)
-        .into_iter()
-        .map(|prefix| {
-            let slice = &encoded[..prefix];
-            // Encoding is timed against a fresh dictionary each rep, the
-            // way Suite::build pays it (string interning included).
-            let strings = &data[..prefix];
-            let encode = time_op(reps, || {
-                let mut d = hex_dict::Dictionary::new();
-                let mut count = 0usize;
-                for t in strings {
-                    d.encode_triple(t);
-                    count += 1;
-                }
-                count
-            });
-            LoadRow {
-                triples: prefix,
-                encode,
-                serial: time_bulk_build(reps, slice, hexastore::bulk::Config::serial()),
-                parallel: time_bulk_build(reps, slice, hexastore::bulk::Config::parallel(threads)),
-                threads,
-            }
-        })
-        .collect()
-}
-
-/// Renders load rows as CSV: seconds and throughput per loader, plus the
-/// serial/parallel speedup.
-pub fn load_to_csv(dataset: &str, rows: &[LoadRow]) -> String {
-    let threads = rows.first().map_or(0, |r| r.threads);
-    let mut out = format!(
-        "# Figure load — Bulk-load throughput, {dataset} dataset (serial vs parallel, threads={threads})\n"
-    );
-    out.push_str(
-        "triples,encode_s,serial_s,parallel_s,speedup,encode_share,serial_mtriples_s,\
-         parallel_mtriples_s\n",
-    );
-    for row in rows {
-        out.push_str(&format!(
-            "{},{:.6},{:.6},{:.6},{:.3},{:.3},{:.3},{:.3}\n",
-            row.triples,
-            row.encode.as_secs_f64(),
-            row.serial.as_secs_f64(),
-            row.parallel.as_secs_f64(),
-            row.speedup(),
-            row.encode_share(),
-            LoadRow::mtriples_per_sec(row.triples, row.serial),
-            LoadRow::mtriples_per_sec(row.triples, row.parallel),
-        ));
-    }
-    out
-}
-
-/// One dictionary-at-scale measurement: a string-level batch interned
-/// by the serial loop, plus the heap footprint of the arena layout against an exact model of the replaced
-/// `Vec<Term>` + `HashMap<Term, Id>` layout, and the DICT open paths
-/// (eager decode vs `hex-disk` mapped arena).
-#[derive(Clone, Debug)]
-pub struct DictRow {
-    /// Number of (possibly duplicated) input triples encoded.
-    pub triples: usize,
-    /// Distinct terms the batch interns.
-    pub terms: usize,
-    /// Wall-clock of the serial `encode_triple` loop, fresh dictionary.
-    pub encode_serial: Duration,
-    /// Exact heap footprint of the arena dictionary after the encode.
-    pub arena_heap_bytes: usize,
-    /// Exact heap footprint the replaced layout would have paid for the
-    /// same terms (see [`legacy_dict_heap_bytes`]).
-    pub legacy_heap_bytes: usize,
-    /// Eager DICT open: `hexsnap::Reader::dictionary` (arena copied to
-    /// the heap, offset table validated).
-    pub eager_dict_open: Duration,
-    /// Mapped DICT open: `hex_disk::open` (arena stays behind the
-    /// mapping; includes the slab-header parse, which is O(headers)).
-    pub mapped_open: Duration,
-    /// Reverse-index health after the encode: slots, load factor and how
-    /// far probing displaced entries — counts, repeatable on any host.
-    pub index: hex_dict::IndexStats,
-}
-
-impl DictRow {
-    /// Arena heap over legacy heap (<1: the arena layout is smaller).
-    pub fn heap_ratio(&self) -> f64 {
-        self.arena_heap_bytes as f64 / (self.legacy_heap_bytes as f64).max(f64::MIN_POSITIVE)
-    }
-
-    /// Eager DICT open time over mapped open time (>1: mapping wins).
-    pub fn open_speedup(&self) -> f64 {
-        self.eager_dict_open.as_secs_f64() / self.mapped_open.as_secs_f64().max(f64::MIN_POSITIVE)
-    }
-
-    /// Serial encode throughput in million triple-occurrences per second.
-    pub fn serial_mtriples_per_sec(&self) -> f64 {
-        LoadRow::mtriples_per_sec(self.triples, self.encode_serial)
-    }
-}
-
-/// Exact heap footprint the replaced dictionary layout (`Vec<Term>` +
-/// `HashMap<Term, Id>`) would pay for these terms.
-///
-/// Counted per allocation, the way a heap profiler would: each `Arc<str>`
-/// payload once (the map key cloned the `Term`, but clones share the
-/// `Arc` payloads — charging the full string twice was the old
-/// accounting's double-charge) plus its 16-byte strong/weak refcount
-/// header; the term vector at amortized-doubling capacity; the
-/// hashbrown table at its ≤7/8 load factor with one control byte per
-/// bucket and an inline `(Term, Id)` per bucket.
-pub fn legacy_dict_heap_bytes(terms: &[rdf_model::Term]) -> usize {
-    use rdf_model::Term;
-    const ARC_HEADER: usize = 2 * std::mem::size_of::<usize>();
-    let strings: usize = terms
-        .iter()
-        .map(|t| match t {
-            Term::Iri(i) => ARC_HEADER + i.as_str().len(),
-            Term::Blank(b) => ARC_HEADER + b.as_str().len(),
-            Term::Literal(l) => {
-                // Plain literals (datatype reported as xsd:string) carry
-                // no second allocation; lang-tagged and explicitly typed
-                // ones allocate the tag / datatype IRI too.
-                let tag_or_type = match (l.language(), l.datatype()) {
-                    (Some(lang), _) => ARC_HEADER + lang.len(),
-                    (None, "http://www.w3.org/2001/XMLSchema#string") => 0,
-                    (None, dt) => ARC_HEADER + dt.len(),
-                };
-                ARC_HEADER + l.lexical().len() + tag_or_type
-            }
-        })
-        .sum();
-    let n = terms.len();
-    let vec_cap = if n == 0 { 0 } else { n.next_power_of_two() };
-    let vec = vec_cap * std::mem::size_of::<Term>();
-    // hashbrown sizing: buckets is the smallest power of two keeping the
-    // load factor at or under 7/8 (small maps round up to 4).
-    let mut buckets = 4usize;
-    while n > buckets / 8 * 7 {
-        buckets *= 2;
-    }
-    let map = if n == 0 { 0 } else { buckets * (std::mem::size_of::<(Term, hex_dict::Id)>() + 1) };
-    strings + vec + map
-}
-
-/// Measures the dictionary figure on `scale` triples, half Barton and
-/// half LUBM (the two term styles probe very differently under a weak
-/// hash, so a LUBM-only figure cannot see a clustering index): encode
-/// wall-clock, reverse-index probe displacement, arena-vs-legacy heap
-/// footprint, and eager-vs-mapped DICT open time.
-///
-/// Panics if the arena dictionary's heap is not strictly smaller than
-/// the legacy layout's — that inequality is this refactor's acceptance
-/// bar, so a violation must fail evidence collection loudly.
-pub fn dict_figure(scale: usize, reps: usize) -> DictRow {
-    use hexastore::hexsnap;
-
-    let mut data = barton_dataset(scale / 2);
-    data.extend(lubm_dataset(scale - scale / 2));
-    let mut dict = hex_dict::Dictionary::new();
-    let serial_ids: Vec<hex_dict::IdTriple> = data.iter().map(|t| dict.encode_triple(t)).collect();
-
-    let encode_serial = time_op(reps, || {
-        let mut d = hex_dict::Dictionary::new();
-        let mut count = 0usize;
-        for t in &data {
-            d.encode_triple(t);
-            count += 1;
-        }
-        count
-    });
-
-    let arena_heap_bytes = dict.heap_bytes();
-    let legacy_heap_bytes = legacy_dict_heap_bytes(&dict.terms());
-    assert!(
-        arena_heap_bytes < legacy_heap_bytes,
-        "arena dictionary heap ({arena_heap_bytes} B) must be strictly smaller than the \
-         legacy layout's ({legacy_heap_bytes} B) at {scale} triples"
-    );
-
-    // DICT open paths against a real snapshot file: eager decode copies
-    // the arena to the heap, the mapped open leaves it behind the map.
-    let frozen = hexastore::bulk::build_frozen(serial_ids);
-    let path = std::env::temp_dir().join(format!("hexsnap_dict_{}.hexsnap", std::process::id()));
-    hexsnap::save_frozen(&path, &dict, &frozen).expect("write dict-figure snapshot");
-    let eager_dict_open = time_op(reps, || {
-        hexsnap::Reader::new(std::io::BufReader::new(
-            std::fs::File::open(&path).expect("snapshot file"),
-        ))
-        .expect("snapshot container parses")
-        .dictionary()
-        .expect("dict decodes")
-        .len()
-    });
-    let mapped_open = time_op(reps, || {
-        let (d, _store) = hex_disk::open(&path).expect("mapped open");
-        assert!(d.arena_is_shared(), "mapped open must keep the arena shared");
-        d.len()
-    });
-    std::fs::remove_file(&path).ok();
-
-    DictRow {
-        triples: data.len(),
-        terms: dict.len(),
-        encode_serial,
-        arena_heap_bytes,
-        legacy_heap_bytes,
-        eager_dict_open,
-        mapped_open,
-        index: dict.index_stats(),
-    }
-}
-
-/// Renders the dictionary measurement as a one-row CSV.
-pub fn dict_to_csv(row: &DictRow) -> String {
-    let mut out = String::from(
-        "# Dictionary at scale — encode (barton+lubm dataset), arena vs legacy heap, eager vs \
-         mapped DICT open, reverse-index probe displacement\n\
-         triples,terms,encode_serial_s,serial_mtriples_s,arena_heap_bytes,legacy_heap_bytes,\
-         heap_ratio,eager_dict_open_s,mapped_open_s,open_speedup,index_mean_displacement,\
-         index_max_displacement\n",
-    );
-    out.push_str(&format!(
-        "{},{},{:.6},{:.3},{},{},{:.3},{:.6},{:.6},{:.1},{:.3},{}\n",
-        row.triples,
-        row.terms,
-        row.encode_serial.as_secs_f64(),
-        row.serial_mtriples_per_sec(),
-        row.arena_heap_bytes,
-        row.legacy_heap_bytes,
-        row.heap_ratio(),
-        row.eager_dict_open.as_secs_f64(),
-        row.mapped_open.as_secs_f64(),
-        row.open_speedup(),
-        row.index.mean_displacement,
-        row.index.max_displacement,
-    ));
-    out
 }
 
 /// One ASK early-exit measurement: the same existence check answered by
@@ -849,20 +387,20 @@ pub fn dict_to_csv(row: &DictRow) -> String {
 /// row) and by the old materializing path (`execute_bgp` collects every
 /// binding row, then tests emptiness).
 #[derive(Clone, Debug)]
-pub struct AskRow {
+struct AskRow {
     /// Number of triples in the loaded store.
-    pub triples: usize,
+    triples: usize,
     /// Binding rows the materializing path produces before answering.
-    pub matches: usize,
+    matches: usize,
     /// Wall-clock of the streamed ASK.
-    pub streamed: Duration,
+    streamed: Duration,
     /// Wall-clock of the materializing ASK.
-    pub materialized: Duration,
+    materialized: Duration,
 }
 
 impl AskRow {
     /// Materialized time over streamed time (>1 means streaming won).
-    pub fn speedup(&self) -> f64 {
+    fn speedup(&self) -> f64 {
         self.materialized.as_secs_f64() / self.streamed.as_secs_f64().max(f64::MIN_POSITIVE)
     }
 }
@@ -871,7 +409,7 @@ impl AskRow {
 /// <type> ?t . }` matches one row per typed resource, so the
 /// materializing path enumerates thousands of rows while the streamed
 /// plan stops at the first.
-pub fn ask_early_exit(scale: usize, reps: usize) -> AskRow {
+fn ask_early_exit(scale: usize, reps: usize) -> AskRow {
     use hex_query::{Bgp, CompiledQuery, Pattern, PatternTerm, Plan, VarId};
     let data = lubm_dataset(scale);
     let suite = Suite::build(&data);
@@ -901,7 +439,7 @@ pub fn ask_early_exit(scale: usize, reps: usize) -> AskRow {
 }
 
 /// Renders the ASK early-exit measurement as a one-row CSV.
-pub fn ask_to_csv(row: &AskRow) -> String {
+fn ask_to_csv(row: &AskRow) -> String {
     format!(
         "# ASK early exit — streamed Plan::solutions() vs materializing execute_bgp, lubm \
          dataset\ntriples,matches,streamed_s,materialized_s,speedup\n{},{},{:.9},{:.9},{:.3}\n",
@@ -913,800 +451,79 @@ pub fn ask_to_csv(row: &AskRow) -> String {
     )
 }
 
-/// One snapshot-format measurement: the same graph persisted as JSON
-/// (serde shim) and as binary `hexsnap`, with the three open paths timed
-/// — JSON parse + index rebuild, binary stream + index rebuild, and the
-/// zero-rebuild frozen slab read.
-#[derive(Clone, Debug)]
-pub struct SnapshotRow {
-    /// Number of triples in the persisted store.
-    pub triples: usize,
-    /// JSON snapshot size on disk.
-    pub json_bytes: usize,
-    /// Compact binary snapshot size on disk (dictionary + triple column,
-    /// indices rebuilt on open).
-    pub binary_bytes: usize,
-    /// Query-ready binary snapshot size on disk (plus prebuilt slab
-    /// sections — the sextuple redundancy traded for zero-rebuild opens).
-    pub frozen_bytes: usize,
-    /// Wall-clock to serialize + write the JSON snapshot.
-    pub json_save: Duration,
-    /// Wall-clock to read + parse + bulk-rebuild from JSON.
-    pub json_restore: Duration,
-    /// Wall-clock to write the query-ready binary snapshot (with slabs).
-    pub binary_save: Duration,
-    /// Wall-clock to open the slab-backed binary snapshot to a
-    /// query-ready `FrozenHexastore` (dictionary + slab read, no
-    /// rebuild).
-    pub binary_open: Duration,
-    /// Wall-clock to stream the compact binary's triple column into a
-    /// bulk rebuild (the open path for snapshots without slab sections).
-    pub binary_rebuild: Duration,
-}
-
-impl SnapshotRow {
-    /// JSON restore time over frozen binary open time (>1: binary wins).
-    pub fn open_speedup(&self) -> f64 {
-        self.json_restore.as_secs_f64() / self.binary_open.as_secs_f64().max(f64::MIN_POSITIVE)
-    }
-
-    /// JSON bytes over compact binary bytes (>1: binary is smaller).
-    pub fn size_ratio(&self) -> f64 {
-        self.json_bytes as f64 / (self.binary_bytes as f64).max(f64::MIN_POSITIVE)
+fn ask_rendered(_: &FigureSpec, p: &Params) -> Rendered {
+    let row = ask_early_exit(p.large_triples, p.reps);
+    Rendered {
+        csv: ask_to_csv(&row),
+        counts: vec![("triples", Count::Int(row.triples)), ("matches", Count::Int(row.matches))],
     }
 }
 
-/// Times one operation like [`time_bulk_build`]: median over `reps`
-/// runs after one untimed warmup.
-fn time_op<R>(reps: usize, mut f: impl FnMut() -> R) -> Duration {
-    std::hint::black_box(f());
-    let mut samples = Vec::with_capacity(reps.max(1));
-    for _ in 0..reps.max(1) {
-        let start = Instant::now();
-        std::hint::black_box(f());
-        samples.push(start.elapsed());
-    }
-    median(samples)
-}
+/// The size of a query-ready snapshot file (dictionary + slab sections)
+/// of a half Barton, half LUBM dataset of `large_triples` statements,
+/// with plain and with varint-delta compressed slabs. The bytes are
+/// exactly what [`hexastore::hexsnap::save_frozen_with`] writes, built in
+/// memory, so they repeat on any host and need no scratch file.
+fn snapshot_size_rendered(fig: &FigureSpec, p: &Params) -> Rendered {
+    use hexastore::hexsnap::{Compression, Writer};
 
-/// Measures the snapshot figure on a LUBM dataset of `scale` triples:
-/// JSON (serde shim) vs binary `hexsnap` for bytes on disk, save and
-/// load wall-clock, and frozen-open vs rebuilt-open time. Files go
-/// through the real filesystem (temp dir) so the numbers include I/O.
-pub fn snapshot_figure(scale: usize, reps: usize) -> SnapshotRow {
-    use hexastore::{hexsnap, GraphStore, Snapshot};
-
-    let data = lubm_dataset(scale);
-    let mut dict = hex_dict::Dictionary::new();
-    let encoded: Vec<hex_dict::IdTriple> = data.iter().map(|t| dict.encode_triple(t)).collect();
-    let store = hexastore::bulk::build(encoded);
-    let graph = GraphStore::from_parts(dict, store);
-
-    let dir = std::env::temp_dir();
-    let pid = std::process::id();
-    let json_path = dir.join(format!("hexsnap_bench_{pid}.json"));
-    let bin_path = dir.join(format!("hexsnap_bench_{pid}.hexsnap"));
-    let frozen_path = dir.join(format!("hexsnap_bench_{pid}_frozen.hexsnap"));
-
-    let json_save = time_op(reps, || {
-        let text = serde_json::to_string(&Snapshot::capture(&graph)).expect("snapshot serializes");
-        std::fs::write(&json_path, text).expect("write JSON snapshot");
-    });
-    let json_bytes = std::fs::metadata(&json_path).expect("JSON snapshot written").len() as usize;
-    let json_restore = time_op(reps, || {
-        let text = std::fs::read_to_string(&json_path).expect("read JSON snapshot");
-        let snap: Snapshot = serde_json::from_str(&text).expect("snapshot parses");
-        snap.into_restore().len()
-    });
-
-    // Symmetric with json_save (which pays Snapshot::capture): the
-    // timed region covers building the persisted form — freeze() — plus
-    // the write, i.e. the full "persist my in-memory graph" cost.
-    let binary_save = time_op(reps, || {
-        let frozen = graph.store().freeze();
-        hexsnap::save_frozen(&frozen_path, graph.dict(), &frozen).expect("write binary snapshot")
-    });
-    hexsnap::save(&bin_path, graph.dict(), graph.store()).expect("write compact snapshot");
-    let binary_bytes =
-        std::fs::metadata(&bin_path).expect("compact snapshot written").len() as usize;
-    let frozen_bytes =
-        std::fs::metadata(&frozen_path).expect("frozen snapshot written").len() as usize;
-    let binary_open = time_op(reps, || {
-        let (d, s) = hexsnap::load_frozen(&frozen_path).expect("open binary snapshot");
-        (d.len(), s.len())
-    });
-    let binary_rebuild =
-        time_op(reps, || hexsnap::load(&bin_path).expect("rebuild from binary snapshot").len());
-
-    std::fs::remove_file(&json_path).ok();
-    std::fs::remove_file(&bin_path).ok();
-    std::fs::remove_file(&frozen_path).ok();
-
-    SnapshotRow {
-        triples: graph.len(),
-        json_bytes,
-        binary_bytes,
-        frozen_bytes,
-        json_save,
-        json_restore,
-        binary_save,
-        binary_open,
-        binary_rebuild,
-    }
-}
-
-/// Renders the snapshot measurement as a one-row CSV.
-pub fn snapshot_to_csv(row: &SnapshotRow) -> String {
-    format!(
-        "# Snapshot formats — binary hexsnap vs JSON shim, lubm dataset\n\
-         triples,json_bytes,binary_bytes,frozen_bytes,json_save_s,json_restore_s,\
-         binary_save_s,binary_open_frozen_s,binary_rebuild_s,open_speedup,size_ratio\n\
-         {},{},{},{},{:.6},{:.6},{:.6},{:.6},{:.6},{:.3},{:.3}\n",
-        row.triples,
-        row.json_bytes,
-        row.binary_bytes,
-        row.frozen_bytes,
-        row.json_save.as_secs_f64(),
-        row.json_restore.as_secs_f64(),
-        row.binary_save.as_secs_f64(),
-        row.binary_open.as_secs_f64(),
-        row.binary_rebuild.as_secs_f64(),
-        row.open_speedup(),
-        row.size_ratio(),
-    )
-}
-
-/// One cold-open measurement: the same frozen snapshot opened three
-/// ways — eager slab read ([`hexastore::hexsnap::load_frozen`]),
-/// compressed-section decode (same loader on a
-/// [`hexastore::hexsnap::Compression::VarintDelta`] file), and the
-/// mmap-backed [`hex_disk::open`] — plus what each path costs at query
-/// time once open.
-#[derive(Clone, Debug)]
-pub struct ColdOpenRow {
-    /// Dataset size in triples (barton + lubm halves, as in the qps figure).
-    pub triples: usize,
-    /// Bytes on disk of the uncompressed frozen snapshot.
-    pub plain_bytes: usize,
-    /// Bytes on disk of the varint-delta compressed frozen snapshot.
-    pub compressed_bytes: usize,
-    /// Decoding the dictionary section — the eager, size-proportional
-    /// cost *every* open path pays identically (terms need owned
-    /// strings), reported separately so the slab comparisons below
-    /// measure exactly what the open paths do differently.
-    pub dict_open: Duration,
-    /// Eager slab open: read + validate every slab column into memory.
-    pub eager_open: Duration,
-    /// Compressed slab open: decode the varint-delta section into slabs.
-    pub compressed_open: Duration,
-    /// Mmap slab open: map the file and parse the section headers —
-    /// no column bytes are read ([`hex_disk::open_store`]).
-    pub mmap_open: Duration,
-    /// First paper query (BQ1) on a freshly eager-opened dataset.
-    pub eager_first_query: Duration,
-    /// First paper query (BQ1) on a freshly mapped dataset — includes
-    /// the page faults that pull in the columns the query walks.
-    pub mmap_first_query: Duration,
-    /// All twelve paper queries, warm, on the eager-opened dataset.
-    pub eager_warm: Duration,
-    /// All twelve paper queries, warm, on the mapped dataset.
-    pub mmap_warm: Duration,
-    /// Paper queries compared (twelve when both vocabularies resolve).
-    pub queries: usize,
-    /// True when the mapped store's answers are byte-identical (TSV
-    /// rendering included) to the eager store's on every paper query.
-    pub identical: bool,
-}
-
-impl ColdOpenRow {
-    /// Compressed bytes over uncompressed bytes (<1: compression wins).
-    pub fn size_ratio(&self) -> f64 {
-        self.compressed_bytes as f64 / (self.plain_bytes as f64).max(f64::MIN_POSITIVE)
-    }
-
-    /// Uncompressed snapshot bytes per stored triple, dictionary included
-    /// — an absolute size, so a format change that shrinks both files
-    /// cannot hide behind their ratio.
-    pub fn plain_bytes_per_triple(&self) -> f64 {
-        self.plain_bytes as f64 / (self.triples as f64).max(1.0)
-    }
-
-    /// Compressed snapshot bytes per stored triple, dictionary included.
-    pub fn compressed_bytes_per_triple(&self) -> f64 {
-        self.compressed_bytes as f64 / (self.triples as f64).max(1.0)
-    }
-
-    /// Eager slab-open time over mmap slab-open time (>1: mapping is
-    /// faster). The shared dictionary decode is excluded from both
-    /// sides (see [`ColdOpenRow::dict_open`]).
-    pub fn open_speedup(&self) -> f64 {
-        self.eager_open.as_secs_f64() / self.mmap_open.as_secs_f64().max(f64::MIN_POSITIVE)
-    }
-}
-
-/// Median time of the *first* paper query on a freshly opened dataset:
-/// each rep opens anew so the measurement includes whatever per-open
-/// work the store deferred (for the mapped store, the page faults on
-/// the columns the query touches — soft faults here, since the file was
-/// just written and is resident in the page cache; a true cold cache
-/// would add disk reads to the mmap path and to the eager read alike).
-fn time_first_query<S, D>(reps: usize, open: impl Fn() -> D, text: &str) -> Duration
-where
-    S: TripleStore,
-    D: std::ops::Deref<Target = hexastore::Dataset<S>>,
-{
-    use hex_query::DatasetQuery;
-    let mut samples = Vec::with_capacity(reps.max(1));
-    for _ in 0..reps.max(1) {
-        let ds = open();
-        let start = Instant::now();
-        std::hint::black_box(ds.query(text).expect("paper query compiles").rows.len());
-        samples.push(start.elapsed());
-    }
-    median(samples)
-}
-
-/// Measures the cold-open figure at `scale` triples: snapshot size
-/// compressed vs uncompressed, open time for the three open paths, and
-/// first/warm query latency for eager vs mapped stores, verifying along
-/// the way that the mapped store answers every paper query
-/// byte-identically to the eager one.
-pub fn cold_open_figure(scale: usize, reps: usize) -> ColdOpenRow {
-    use hex_bench_queries::{barton_queries, lubm_queries};
-    use hex_query::DatasetQuery;
-    use hexastore::{hexsnap, Dataset};
-
+    let scale = p.large_triples;
     let mut data = barton_dataset(scale / 2);
     data.extend(lubm_dataset(scale - scale / 2));
-    let mut dict = hex_dict::Dictionary::new();
+    let mut dict = Dictionary::new();
     let ids: Vec<hex_dict::IdTriple> = data.iter().map(|t| dict.encode_triple(t)).collect();
     let frozen = hexastore::bulk::build_frozen(ids);
+    let file_bytes = |compression| {
+        let mut w = Writer::new(std::io::Cursor::new(Vec::new())).expect("in-memory write");
+        w.dictionary(&dict).expect("in-memory write");
+        w.frozen_with(&frozen, compression).expect("in-memory write");
+        w.finish().expect("in-memory write").into_inner().len()
+    };
     let triples = frozen.len();
-
-    let mut queries = barton_queries(&dict)
-        .expect("cold-open figure: barton constants must resolve — raise the scale");
-    queries.extend(
-        lubm_queries(&dict)
-            .expect("cold-open figure: lubm constants must resolve — raise the scale"),
-    );
-
-    let dir = std::env::temp_dir();
-    let pid = std::process::id();
-    let plain_path = dir.join(format!("hexsnap_cold_{pid}.hexsnap"));
-    let comp_path = dir.join(format!("hexsnap_cold_{pid}_z.hexsnap"));
-    hexsnap::save_frozen(&plain_path, &dict, &frozen).expect("write uncompressed snapshot");
-    hexsnap::save_frozen_with(&comp_path, &dict, &frozen, hexsnap::Compression::VarintDelta)
-        .expect("write compressed snapshot");
-    let plain_bytes = std::fs::metadata(&plain_path).expect("snapshot written").len() as usize;
-    let compressed_bytes = std::fs::metadata(&comp_path).expect("snapshot written").len() as usize;
-
-    // Slab-only opens: a fresh Reader each rep, dictionary skipped, so
-    // the three numbers isolate exactly what the open paths do
-    // differently. The common dictionary decode is timed once apart.
-    let open_reader = |path: &std::path::Path| {
-        hexsnap::Reader::new(std::io::BufReader::new(
-            std::fs::File::open(path).expect("snapshot file"),
-        ))
-        .expect("snapshot container parses")
-    };
-    let dict_open = time_op(reps, || open_reader(&plain_path).dictionary().expect("dict").len());
-    let eager_open =
-        time_op(reps, || open_reader(&plain_path).frozen().expect("eager slab open").len());
-    let compressed_open =
-        time_op(reps, || open_reader(&comp_path).frozen().expect("compressed slab open").len());
-    let mmap_open =
-        time_op(reps, || hex_disk::open_store(&plain_path).expect("mmap slab open").len());
-
-    let open_eager = || {
-        let (d, s) = hexsnap::load_frozen(&plain_path).expect("eager open");
-        Box::new(Dataset::from_parts(d, s))
-    };
-    let open_mapped = || Box::new(hex_disk::open_dataset(&plain_path).expect("mmap open"));
-    let first_text = queries[0].text.clone();
-    let eager_first_query = time_first_query(reps, open_eager, &first_text);
-    let mmap_first_query = time_first_query(reps, open_mapped, &first_text);
-
-    // Warm comparison on long-lived datasets: correctness first (every
-    // answer byte-identical), then the timed sweep over all twelve.
-    let eager_ds = {
-        let (d, s) = hexsnap::load_frozen(&plain_path).expect("eager open");
-        Dataset::from_parts(d, s)
-    };
-    let mapped_ds = hex_disk::open_dataset(&plain_path).expect("mmap open");
-    let mut identical = true;
-    for query in &queries {
-        let want = eager_ds.query(&query.text).expect("paper query compiles").to_tsv();
-        let got = mapped_ds.query(&query.text).expect("paper query compiles").to_tsv();
-        identical &= want == got;
+    let (plain, compressed) = (file_bytes(Compression::None), file_bytes(Compression::VarintDelta));
+    let per_triple = |bytes: usize| bytes as f64 / triples.max(1) as f64;
+    Rendered {
+        csv: format!(
+            "# {} — barton+lubm dataset\n\
+             triples,plain_bytes,compressed_bytes,plain_bytes_per_triple,\
+             compressed_bytes_per_triple\n{triples},{plain},{compressed},{:.3},{:.3}\n",
+            fig.title,
+            per_triple(plain),
+            per_triple(compressed),
+        ),
+        counts: vec![
+            ("triples", Count::Int(triples)),
+            ("plain_bytes", Count::Int(plain)),
+            ("compressed_bytes", Count::Int(compressed)),
+            ("plain_bytes_per_triple", Count::PerTriple(per_triple(plain))),
+            ("compressed_bytes_per_triple", Count::PerTriple(per_triple(compressed))),
+        ],
     }
-    let sweep = |ds: &dyn Fn(&str) -> usize| {
-        let mut rows = 0usize;
-        for query in &queries {
-            rows += ds(&query.text);
-        }
-        rows
-    };
-    let eager_warm = time_op(reps, || {
-        sweep(&|text| eager_ds.query(text).expect("paper query compiles").rows.len())
-    });
-    let mmap_warm = time_op(reps, || {
-        sweep(&|text| mapped_ds.query(text).expect("paper query compiles").rows.len())
-    });
-
-    std::fs::remove_file(&plain_path).ok();
-    std::fs::remove_file(&comp_path).ok();
-
-    ColdOpenRow {
-        triples,
-        plain_bytes,
-        compressed_bytes,
-        dict_open,
-        eager_open,
-        compressed_open,
-        mmap_open,
-        eager_first_query,
-        mmap_first_query,
-        eager_warm,
-        mmap_warm,
-        queries: queries.len(),
-        identical,
-    }
-}
-
-/// Renders the cold-open measurement as a one-row CSV.
-pub fn cold_open_to_csv(row: &ColdOpenRow) -> String {
-    format!(
-        "# Cold open — mmap (hex-disk) vs eager slab read vs compressed decode, \
-         barton+lubm dataset; slab opens exclude the dictionary decode common to all paths\n\
-         triples,plain_bytes,compressed_bytes,size_ratio,dict_open_s,eager_open_s,\
-         compressed_open_s,mmap_open_s,open_speedup,eager_first_query_s,mmap_first_query_s,\
-         eager_warm_twelve_s,mmap_warm_twelve_s,queries,identical\n\
-         {},{},{},{:.3},{:.6},{:.6},{:.6},{:.6},{:.3},{:.6},{:.6},{:.6},{:.6},{},{}\n",
-        row.triples,
-        row.plain_bytes,
-        row.compressed_bytes,
-        row.size_ratio(),
-        row.dict_open.as_secs_f64(),
-        row.eager_open.as_secs_f64(),
-        row.compressed_open.as_secs_f64(),
-        row.mmap_open.as_secs_f64(),
-        row.open_speedup(),
-        row.eager_first_query.as_secs_f64(),
-        row.mmap_first_query.as_secs_f64(),
-        row.eager_warm.as_secs_f64(),
-        row.mmap_warm.as_secs_f64(),
-        row.queries,
-        row.identical,
-    )
-}
-
-/// One live-write-path measurement: sustained insert throughput into a
-/// [`hexastore::LiveGraphStore`] (WAL append + overlay delta) while the
-/// LUBM paper queries are replayed against the same store, plus the cost
-/// of recovering from the write-ahead log and of compacting the overlay
-/// into the next frozen generation.
-#[derive(Clone, Debug)]
-pub struct LiveWriteRow {
-    /// Total dataset size (frozen base + live inserts).
-    pub triples: usize,
-    /// Triples in the pre-built frozen generation the store opens on.
-    pub base_triples: usize,
-    /// WAL-logged inserts performed by the timed loop.
-    pub inserts: usize,
-    /// Paper queries replayed between inserts inside the timed loop.
-    pub queries_run: usize,
-    /// Wall-clock of the interleaved insert + query loop, including the
-    /// final WAL fsync.
-    pub insert: Duration,
-    /// Wall-clock of `LiveGraphStore::open` replaying the full WAL over
-    /// the frozen generation (the crash-recovery path).
-    pub recovery: Duration,
-    /// Wall-clock of folding the overlay into a new frozen generation
-    /// and truncating the WAL.
-    pub compact: Duration,
-}
-
-impl LiveWriteRow {
-    /// Sustained insert throughput of the timed loop (queries included).
-    pub fn inserts_per_sec(&self) -> f64 {
-        self.inserts as f64 / self.insert.as_secs_f64().max(f64::MIN_POSITIVE)
-    }
-}
-
-/// Measures the live write path on a LUBM dataset of `scale` triples:
-/// the first 80% is bulk-built into a frozen generation on disk, then
-/// the remaining 20% is inserted one by one through the WAL + overlay,
-/// with one paper query replayed (through a [`hex_query::PlanCache`])
-/// every thousand inserts so the figure reflects insert-while-query
-/// service, not a write-only burst. The store is then dropped *without*
-/// compacting, recovery (`open` replaying the whole WAL) is timed, and
-/// finally one compaction into the next generation. Files go through the
-/// real filesystem (temp dir) so the numbers include I/O.
-pub fn live_write_figure(scale: usize, reps: usize) -> LiveWriteRow {
-    use hex_bench_queries::lubm_queries;
-    use hexastore::{hexsnap, LiveGraphStore};
-
-    const QUERY_EVERY: usize = 1_000;
-
-    let data = lubm_dataset(scale);
-    let split = data.len() * 4 / 5;
-    let mut dict = hex_dict::Dictionary::new();
-    let base_ids: Vec<hex_dict::IdTriple> =
-        data[..split].iter().map(|t| dict.encode_triple(t)).collect();
-    let base_triples = {
-        let mut sorted = base_ids.clone();
-        sorted.sort_unstable();
-        sorted.dedup();
-        sorted.len()
-    };
-    let frozen = hexastore::bulk::build_frozen(base_ids);
-    // The paper queries' constants live in the base 80%; tiny unit-test
-    // scales may not bind them all — then the loop is insert-only.
-    let queries = lubm_queries(&dict);
-
-    let dir = std::env::temp_dir().join(format!("hexlive_bench_{}_{scale}", std::process::id()));
-    let mut insert = Duration::MAX;
-    let mut queries_run = 0usize;
-    for _ in 0..reps.max(1) {
-        std::fs::remove_dir_all(&dir).ok();
-        std::fs::create_dir_all(&dir).expect("create live bench dir");
-        hexsnap::save_frozen(hexsnap::generation_path(&dir, 0), &dict, &frozen)
-            .expect("write base generation");
-        let mut live = LiveGraphStore::open(&dir).expect("open live store");
-        let mut cache = hex_query::PlanCache::new();
-        queries_run = 0;
-        let start = Instant::now();
-        for (i, t) in data[split..].iter().enumerate() {
-            live.insert(t).expect("WAL append");
-            if (i + 1) % QUERY_EVERY == 0 {
-                if let Some(qs) = &queries {
-                    let q = &qs[(i / QUERY_EVERY) % qs.len()];
-                    let plan = cache
-                        .prepare(live.dataset(), &q.text)
-                        .expect("paper query compiles on the live store");
-                    std::hint::black_box(plan.solutions().count());
-                    queries_run += 1;
-                }
-            }
-        }
-        live.sync().expect("WAL fsync");
-        insert = insert.min(start.elapsed());
-        // Dropped without compacting: the WAL carries every insert into
-        // the recovery measurement below.
-    }
-
-    let recovery = time_op(reps, || LiveGraphStore::open(&dir).expect("recover live store").len());
-
-    let mut live = LiveGraphStore::open(&dir).expect("recover live store");
-    let start = Instant::now();
-    live.compact().expect("compact live store");
-    let compact = start.elapsed();
-    let triples = live.len();
-    drop(live);
-    std::fs::remove_dir_all(&dir).ok();
-
-    LiveWriteRow {
-        triples,
-        base_triples,
-        inserts: data.len() - split,
-        queries_run,
-        insert,
-        recovery,
-        compact,
-    }
-}
-
-/// Renders the live-write measurement as a one-row CSV.
-pub fn live_write_to_csv(row: &LiveWriteRow) -> String {
-    format!(
-        "# Live write path — WAL + overlay inserts while replaying paper queries, lubm dataset\n\
-         triples,base_triples,inserts,queries_run,insert_s,inserts_per_second,recovery_s,\
-         compact_s\n\
-         {},{},{},{},{:.6},{:.1},{:.6},{:.6}\n",
-        row.triples,
-        row.base_triples,
-        row.inserts,
-        row.queries_run,
-        row.insert.as_secs_f64(),
-        row.inserts_per_sec(),
-        row.recovery.as_secs_f64(),
-        row.compact.as_secs_f64(),
-    )
-}
-
-/// One concurrent-serving measurement: reader threads answering the
-/// paper queries against published snapshots while a writer mutates and
-/// compacts the same live store underneath.
-#[derive(Clone, Debug)]
-pub struct QpsRow {
-    /// Total dataset size (frozen base + the writer's churn window).
-    pub triples: usize,
-    /// Triples in the pre-built frozen generation the store opens on.
-    pub base_triples: usize,
-    /// Reader threads in the concurrent pass.
-    pub clients: usize,
-    /// Queries answered by the concurrent pass.
-    pub queries: usize,
-    /// Wall-clock of the concurrent pass.
-    pub elapsed: Duration,
-    /// Queries answered by the one-client baseline pass.
-    pub single_queries: usize,
-    /// Wall-clock of the one-client baseline pass.
-    pub single_elapsed: Duration,
-    /// Writer mutations (inserts + removes) during the concurrent pass.
-    pub writes: usize,
-    /// Compactions — snapshot handoffs — during the concurrent pass.
-    pub compactions: usize,
-    /// Median query latency of the concurrent pass.
-    pub p50: Duration,
-    /// 95th-percentile query latency of the concurrent pass.
-    pub p95: Duration,
-    /// 99th-percentile query latency of the concurrent pass.
-    pub p99: Duration,
-}
-
-impl QpsRow {
-    /// Queries per second of the concurrent pass.
-    pub fn qps(&self) -> f64 {
-        self.queries as f64 / self.elapsed.as_secs_f64().max(f64::MIN_POSITIVE)
-    }
-
-    /// Queries per second of the one-client baseline.
-    pub fn single_qps(&self) -> f64 {
-        self.single_queries as f64 / self.single_elapsed.as_secs_f64().max(f64::MIN_POSITIVE)
-    }
-
-    /// Concurrent throughput over the one-client baseline (>1: the
-    /// snapshot handoff scales reads across cores).
-    pub fn speedup(&self) -> f64 {
-        self.qps() / self.single_qps().max(f64::MIN_POSITIVE)
-    }
-}
-
-/// Raw output of one [`serve_pass`] run.
-struct ServePass {
-    queries: usize,
-    elapsed: Duration,
-    latencies: Vec<Duration>,
-    writes: usize,
-    compactions: usize,
-}
-
-/// Nearest-rank percentile of an ascending latency slice.
-fn percentile(sorted: &[Duration], q: f64) -> Duration {
-    match sorted.len() {
-        0 => Duration::ZERO,
-        n => sorted[(((n - 1) as f64) * q).round() as usize],
-    }
-}
-
-/// One timed serving pass for [`qps_figure`]: opens the store on the
-/// saved base generation, spawns a writer thread cycling the churn
-/// window (an insert pass, then a remove pass, compacting every
-/// `compact_every` mutations — each compaction publishing the next
-/// snapshot generation) and `clients` reader threads answering
-/// `per_client` queries each against [`hexastore::SnapshotHandle`]
-/// snapshots, through a per-client [`hex_query::PlanCache`].
-#[allow(clippy::too_many_arguments)]
-fn serve_pass(
-    dir: &std::path::Path,
-    dict: &hex_dict::Dictionary,
-    frozen: &hexastore::FrozenHexastore,
-    tail: &[Triple],
-    queries: &[hex_bench_queries::PaperQuery],
-    clients: usize,
-    per_client: usize,
-    compact_every: usize,
-) -> ServePass {
-    use hexastore::{hexsnap, LiveGraphStore};
-    use std::sync::atomic::{AtomicBool, Ordering};
-
-    std::fs::remove_dir_all(dir).ok();
-    std::fs::create_dir_all(dir).expect("create serve bench dir");
-    hexsnap::save_frozen(hexsnap::generation_path(dir, 0), dict, frozen)
-        .expect("write base generation");
-    let mut live = LiveGraphStore::open(dir).expect("open live store");
-    let handles: Vec<_> = (0..clients).map(|_| live.subscribe()).collect();
-    let stop = AtomicBool::new(false);
-    let stop = &stop;
-    std::thread::scope(|scope| {
-        let writer = scope.spawn(move || {
-            let (mut writes, mut compactions, mut since_compact) = (0usize, 0usize, 0usize);
-            let mut removing = false;
-            'serve: while !tail.is_empty() {
-                for t in tail {
-                    if stop.load(Ordering::Relaxed) {
-                        break 'serve;
-                    }
-                    let applied = if removing { live.remove(t) } else { live.insert(t) };
-                    applied.expect("WAL append");
-                    writes += 1;
-                    since_compact += 1;
-                    if since_compact >= compact_every {
-                        live.sync().expect("WAL fsync");
-                        live.compact().expect("compact under load");
-                        compactions += 1;
-                        since_compact = 0;
-                    }
-                }
-                removing = !removing;
-            }
-            live.sync().expect("WAL fsync");
-            (writes, compactions)
-        });
-        let start = Instant::now();
-        let readers: Vec<_> = handles
-            .into_iter()
-            .enumerate()
-            .map(|(c, handle)| {
-                scope.spawn(move || {
-                    let mut cache = hex_query::PlanCache::new();
-                    let mut latencies = Vec::with_capacity(per_client);
-                    for i in 0..per_client {
-                        let q = &queries[(c + i) % queries.len()];
-                        let t0 = Instant::now();
-                        let snapshot = handle.load();
-                        let plan = cache
-                            .prepare(snapshot.as_ref(), &q.text)
-                            .expect("paper query compiles on a published snapshot");
-                        std::hint::black_box(plan.run().len());
-                        latencies.push(t0.elapsed());
-                    }
-                    latencies
-                })
-            })
-            .collect();
-        let mut latencies = Vec::with_capacity(clients * per_client);
-        for r in readers {
-            latencies.extend(r.join().expect("reader thread panicked"));
-        }
-        let elapsed = start.elapsed();
-        stop.store(true, Ordering::Relaxed);
-        let (writes, compactions) = writer.join().expect("writer thread panicked");
-        ServePass { queries: latencies.len(), elapsed, latencies, writes, compactions }
-    })
-}
-
-/// Measures concurrent serving on a combined Barton + LUBM dataset of
-/// `scale` triples. The first 80% of both halves is bulk-built into a
-/// frozen generation under one shared dictionary — so all twelve paper
-/// queries resolve against a single live store — and the remaining 20%
-/// is the writer's churn window. One pass runs `clients` reader threads
-/// answering the twelve queries round-robin against published snapshots
-/// while the writer inserts/removes the window and compacts every
-/// quarter window; a second pass with one reader under the same write
-/// load is the throughput baseline. Median-elapsed pass of `reps` each.
-pub fn qps_figure(scale: usize, clients: usize, reps: usize) -> QpsRow {
-    use hex_bench_queries::{barton_queries, lubm_queries};
-
-    const PER_CLIENT: usize = 200;
-
-    let mut data = barton_dataset(scale / 2);
-    data.extend(lubm_dataset(scale - scale / 2));
-    let split = data.len() * 4 / 5;
-    let mut dict = hex_dict::Dictionary::new();
-    let base_ids: Vec<hex_dict::IdTriple> =
-        data[..split].iter().map(|t| dict.encode_triple(t)).collect();
-    let base_triples = {
-        let mut sorted = base_ids.clone();
-        sorted.sort_unstable();
-        sorted.dedup();
-        sorted.len()
-    };
-    let frozen = hexastore::bulk::build_frozen(base_ids);
-    let mut queries = Vec::new();
-    if let Some(qs) = barton_queries(&dict) {
-        queries.extend(qs);
-    }
-    if let Some(qs) = lubm_queries(&dict) {
-        queries.extend(qs);
-    }
-    assert!(
-        !queries.is_empty(),
-        "qps figure: no paper-query constants bound in the base 80% — raise the scale"
-    );
-    let tail = &data[split..];
-    let compact_every = (tail.len() / 4).max(250);
-
-    let dir = std::env::temp_dir().join(format!("hexserve_bench_{}_{scale}", std::process::id()));
-    let (mut multi_passes, mut single_passes) = (Vec::new(), Vec::new());
-    for _ in 0..reps.max(1) {
-        multi_passes.push(serve_pass(
-            &dir,
-            &dict,
-            &frozen,
-            tail,
-            &queries,
-            clients,
-            PER_CLIENT,
-            compact_every,
-        ));
-        single_passes.push(serve_pass(
-            &dir,
-            &dict,
-            &frozen,
-            tail,
-            &queries,
-            1,
-            PER_CLIENT,
-            compact_every,
-        ));
-    }
-    std::fs::remove_dir_all(&dir).ok();
-    // Report the pass with the median elapsed time, for the same
-    // robustness reasons as [`median`].
-    let mid = |mut passes: Vec<ServePass>| {
-        passes.sort_by_key(|p| p.elapsed);
-        let n = passes.len();
-        passes.swap_remove(n / 2)
-    };
-    let (multi, single) = (mid(multi_passes), mid(single_passes));
-    let mut sorted = multi.latencies;
-    sorted.sort_unstable();
-    QpsRow {
-        triples: data.len(),
-        base_triples,
-        clients,
-        queries: multi.queries,
-        elapsed: multi.elapsed,
-        single_queries: single.queries,
-        single_elapsed: single.elapsed,
-        writes: multi.writes,
-        compactions: multi.compactions,
-        p50: percentile(&sorted, 0.50),
-        p95: percentile(&sorted, 0.95),
-        p99: percentile(&sorted, 0.99),
-    }
-}
-
-/// Renders the concurrent-serving measurement as a one-row CSV.
-pub fn qps_to_csv(row: &QpsRow) -> String {
-    format!(
-        "# Concurrent serving — paper queries from client threads over published snapshots, \
-         writer compacting underneath, barton+lubm dataset\n\
-         triples,base_triples,clients,queries,seconds,qps,single_seconds,single_qps,speedup,\
-         writes,compactions,p50_s,p95_s,p99_s\n\
-         {},{},{},{},{:.6},{:.1},{:.6},{:.1},{:.3},{},{},{:.6},{:.6},{:.6}\n",
-        row.triples,
-        row.base_triples,
-        row.clients,
-        row.queries,
-        row.elapsed.as_secs_f64(),
-        row.qps(),
-        row.single_elapsed.as_secs_f64(),
-        row.single_qps(),
-        row.speedup(),
-        row.writes,
-        row.compactions,
-        row.p50.as_secs_f64(),
-        row.p95.as_secs_f64(),
-        row.p99.as_secs_f64(),
-    )
 }
 
 /// One planner-ablation measurement: the same paper query answered by
 /// the hand-written per-store plan, by the planner's constants-only
 /// order, and by the statistics-refined order.
 #[derive(Clone, Debug)]
-pub struct PlanRow {
+struct PlanRow {
     /// Paper query name ("BQ1" … "LQ5").
-    pub name: String,
+    name: &'static str,
     /// Dataset the query runs on ("barton" or "lubm").
-    pub dataset: String,
+    dataset: &'static str,
     /// Solution rows the planned query returns (identical for both
     /// planner modes; the hand plan's aggregated result differs in shape).
-    pub rows: usize,
+    rows: usize,
     /// Wall-clock of the hand-written Hexastore plan.
-    pub hand: Duration,
+    hand: Duration,
     /// Wall-clock of `prepare` + collect with constants-only estimates.
-    pub planned: Duration,
+    planned: Duration,
     /// Wall-clock of `prepare` + collect with [`hexastore::DatasetStats`].
-    pub planned_stats: Duration,
+    planned_stats: Duration,
 }
 
 impl PlanRow {
     /// Constants-only time over stats-refined time (>1: stats won).
-    pub fn stats_speedup(&self) -> f64 {
+    fn stats_speedup(&self) -> f64 {
         self.planned.as_secs_f64() / self.planned_stats.as_secs_f64().max(f64::MIN_POSITIVE)
     }
 }
@@ -1717,7 +534,7 @@ impl PlanRow {
 /// dataset, computed outside the timed region), and the paper's
 /// hand-written Hexastore plan as the reference. Plans are prepared once
 /// and re-run, so the measurement compares join *orders*, not parsing.
-pub fn plans_figure(scale: usize, reps: usize) -> Vec<PlanRow> {
+fn plans_figure(scale: usize, reps: usize) -> Vec<PlanRow> {
     use hex_bench_queries::{barton_queries, lubm_queries, PaperQuery};
     use hex_query::DatasetQuery;
 
@@ -1755,8 +572,8 @@ pub fn plans_figure(scale: usize, reps: usize) -> Vec<PlanRow> {
             let rows = plain.run().len();
             let hand_fn = &hands[query.name];
             out.push(PlanRow {
-                name: query.name.to_string(),
-                dataset: dataset.to_string(),
+                name: query.name,
+                dataset,
                 rows,
                 hand: time_query(reps, || hand_fn(&suite)),
                 planned: time_query(reps, || plain.solutions().count()),
@@ -1781,7 +598,7 @@ fn hand_plans(suite: &Suite, dataset: &str) -> std::collections::HashMap<&'stati
                 map.insert(
                     $name,
                     Box::new(move |s: &Suite| {
-                        std::hint::black_box($body(s, &$ids));
+                        black_box($body(s, &$ids));
                     }),
                 );
             }};
@@ -1801,7 +618,7 @@ fn hand_plans(suite: &Suite, dataset: &str) -> std::collections::HashMap<&'stati
                 map.insert(
                     $name,
                     Box::new(move |s: &Suite| {
-                        std::hint::black_box($body(s, &$ids));
+                        black_box($body(s, &$ids));
                     }),
                 );
             }};
@@ -1816,7 +633,7 @@ fn hand_plans(suite: &Suite, dataset: &str) -> std::collections::HashMap<&'stati
 }
 
 /// Renders the planner-ablation rows as CSV.
-pub fn plans_to_csv(rows: &[PlanRow]) -> String {
+fn plans_to_csv(rows: &[PlanRow]) -> String {
     let mut out = String::from(
         "# Figure plans — twelve paper queries through prepare (hand-written plan vs planner, \
          statistics off/on)\n",
@@ -1837,6 +654,14 @@ pub fn plans_to_csv(rows: &[PlanRow]) -> String {
     out
 }
 
+fn plans_rendered(_: &FigureSpec, p: &Params) -> Rendered {
+    let rows = plans_figure(p.triples, p.reps);
+    Rendered {
+        csv: plans_to_csv(&rows),
+        counts: rows.iter().map(|r| (r.name, Count::Int(r.rows))).collect(),
+    }
+}
+
 /// One merge-join measurement: the planner's merge-intersection
 /// execution against the same plan with merge joins forced off (nested
 /// probes), on two synthetic join shapes — a three-way star on a shared
@@ -1844,50 +669,50 @@ pub fn plans_to_csv(rows: &[PlanRow]) -> String {
 /// the twelve paper queries (default vs forced-nested vs
 /// [`hex_query::Plan::run_parallel`] at 2 and 4 threads).
 #[derive(Clone, Debug)]
-pub struct JoinsRow {
+struct JoinsRow {
     /// Synthetic dataset size in triples (star + chain components).
-    pub triples: usize,
+    triples: usize,
     /// Solution rows of the star query.
-    pub star_rows: usize,
+    star_rows: usize,
     /// Star query with merge joins disabled: nested probes re-check
     /// every candidate of the first list against the other two.
-    pub star_nested: Duration,
+    star_nested: Duration,
     /// Star query through the default plan: one galloping intersection
     /// of the three sorted terminal lists seeds the tail walk.
-    pub star_merge: Duration,
+    star_merge: Duration,
     /// Star query through `run_parallel(4)`: the merged candidate
     /// vector sharded across four workers.
-    pub star_parallel4: Duration,
+    star_parallel4: Duration,
     /// Solution rows of the chain query.
-    pub chain_rows: usize,
+    chain_rows: usize,
     /// Chain query with merge joins disabled.
-    pub chain_nested: Duration,
+    chain_nested: Duration,
     /// Chain query through the default plan: subjects-of(mark) ∩
     /// objects-of(hub, link), one intersection across two roles.
-    pub chain_merge: Duration,
+    chain_merge: Duration,
     /// True when both default plans compiled a merge-intersect group
     /// (their `explain()` tags a step `join=merge`).
-    pub merge_used: bool,
+    merge_used: bool,
     /// Paper queries swept for identity (twelve when both vocabularies
     /// resolve at this scale).
-    pub paper_queries: usize,
+    paper_queries: usize,
     /// True when the star, the chain and every paper query answered
     /// byte-identically (TSV rendering included) through the default
     /// plan, the forced-nested plan, and `run_parallel` at 2 and 4
     /// threads.
-    pub identical: bool,
+    identical: bool,
 }
 
 impl JoinsRow {
     /// Nested-probe time over merge-intersection time on the star
     /// query (>1: merge wins).
-    pub fn star_speedup(&self) -> f64 {
+    fn star_speedup(&self) -> f64 {
         self.star_nested.as_secs_f64() / self.star_merge.as_secs_f64().max(f64::MIN_POSITIVE)
     }
 
     /// Nested-probe time over merge-intersection time on the chain
     /// query (>1: merge wins).
-    pub fn chain_speedup(&self) -> f64 {
+    fn chain_speedup(&self) -> f64 {
         self.chain_nested.as_secs_f64() / self.chain_merge.as_secs_f64().max(f64::MIN_POSITIVE)
     }
 }
@@ -1896,7 +721,7 @@ impl JoinsRow {
 /// patterns on a shared subject (selectivities 1/2, 1/3, 1/5 and 1)
 /// feeding a two-variable tail, so the measurement covers both the
 /// intersection and the seeded downstream walk.
-pub const JOINS_STAR_QUERY: &str = "SELECT ?s ?v WHERE { \
+const JOINS_STAR_QUERY: &str = "SELECT ?s ?v WHERE { \
      ?s <http://joins/even> <http://joins/Yes> . \
      ?s <http://joins/third> <http://joins/Yes> . \
      ?s <http://joins/fifth> <http://joins/Yes> . \
@@ -1906,7 +731,7 @@ pub const JOINS_STAR_QUERY: &str = "SELECT ?s ?v WHERE { \
 /// The chain half: the shared variable sits in the *object* role of one
 /// pattern and the *subject* role of the other, so the intersection
 /// crosses index roles (objects-of(hub, link) ∩ subjects-of(mark, M)).
-pub const JOINS_CHAIN_QUERY: &str = "SELECT ?x WHERE { \
+const JOINS_CHAIN_QUERY: &str = "SELECT ?x WHERE { \
      <http://joins/hub> <http://joins/link> ?x . \
      ?x <http://joins/mark> <http://joins/M> . }";
 
@@ -1978,7 +803,7 @@ fn joins_dataset(n_triples: usize) -> Vec<Triple> {
 /// strategy answers byte-identically — on the two synthetic queries and
 /// on the twelve paper queries over barton + lubm datasets at the same
 /// scale.
-pub fn joins_figure(scale: usize, reps: usize) -> JoinsRow {
+fn joins_figure(scale: usize, reps: usize) -> JoinsRow {
     use hex_bench_queries::{barton_queries, lubm_queries, PaperQuery};
     use hex_query::DatasetQuery;
 
@@ -2069,7 +894,7 @@ pub fn joins_figure(scale: usize, reps: usize) -> JoinsRow {
 }
 
 /// Renders joins measurements as CSV, one row per scale.
-pub fn joins_to_csv(rows: &[JoinsRow]) -> String {
+fn joins_to_csv(rows: &[JoinsRow]) -> String {
     let mut out = String::from(
         "# Figure joins — merge-intersection vs forced nested probes on the star and chain \
          joins, plus twelve-paper-query identity (default vs nested vs parallel)\n",
@@ -2099,9 +924,30 @@ pub fn joins_to_csv(rows: &[JoinsRow]) -> String {
     out
 }
 
+/// One row per distinct scale of `p`; the counts are the largest scale's,
+/// the flags must hold at every scale.
+fn joins_rendered(_: &FigureSpec, p: &Params) -> Rendered {
+    let mut scales = vec![p.triples, p.large_triples];
+    scales.dedup();
+    let rows: Vec<JoinsRow> = scales.into_iter().map(|s| joins_figure(s, p.reps)).collect();
+    let last = rows.last().expect("at least one scale");
+    let paper_queries = rows.iter().map(|r| r.paper_queries).min().unwrap_or(0);
+    Rendered {
+        csv: joins_to_csv(&rows),
+        counts: vec![
+            ("triples", Count::Int(last.triples)),
+            ("star_rows", Count::Int(last.star_rows)),
+            ("chain_rows", Count::Int(last.chain_rows)),
+            ("merge_used", Count::Flag(rows.iter().all(|r| r.merge_used))),
+            ("paper_queries", Count::Int(paper_queries)),
+            ("identical", Count::Flag(rows.iter().all(|r| r.identical))),
+        ],
+    }
+}
+
 /// The §4.1 space-bound experiment: blowup of Hexastore key entries vs a
 /// triples table, on both datasets plus the adversarial all-distinct case.
-pub fn space_report(scale: usize) -> String {
+fn space_report(scale: usize) -> String {
     let mut out = String::from("# §4.1 — index space vs triples table (key entries)\n");
     out.push_str("dataset,triples,header,vector,list,total,triples_table,blowup\n");
     let mut line = |name: &str, stats: hexastore::SpaceStats| {
@@ -2147,7 +993,7 @@ pub fn space_report(scale: usize) -> String {
 /// The §4.3 path-expression experiment: end-to-end time and join counts
 /// for length-n property paths on the Hexastore plan (pos+pso) vs the
 /// property-table plan (COVP1-style gather-and-sort).
-pub fn path_report(scale: usize) -> String {
+fn path_report(scale: usize) -> String {
     use hex_query::path;
     let data = lubm_dataset(scale);
     let suite = Suite::build(&data);
@@ -2201,9 +1047,78 @@ fn ids_of(suite: &Suite, predicate: &str) -> hex_dict::Id {
         .expect("predicate must exist in generated data")
 }
 
+/// What one `bench_evidence` run produces: every figure's CSV, and the
+/// counts of the figures that have any.
+pub struct Evidence {
+    params: Params,
+    /// `(stem, csv)` per entry of [`FIGURES`], in table order.
+    pub csvs: Vec<(&'static str, String)>,
+    /// `(stem, counts)` per entry that reports counts, in table order.
+    pub counts: Vec<(&'static str, Vec<(&'static str, Count)>)>,
+}
+
+/// Renders every entry of [`FIGURES`] at `params`.
+pub fn collect_evidence(params: &Params) -> Evidence {
+    let mut evidence = Evidence { params: *params, csvs: Vec::new(), counts: Vec::new() };
+    for fig in &FIGURES {
+        eprintln!("# rendering {}", fig.id);
+        let rendered = (fig.render)(fig, params);
+        evidence.csvs.push((fig.stem, rendered.csv));
+        if !rendered.counts.is_empty() {
+            evidence.counts.push((fig.stem, rendered.counts));
+        }
+    }
+    evidence
+}
+
+impl Evidence {
+    /// `BENCH_ci.json`, schema 2: the two scales and every figure's
+    /// counts under its stem — no timings, so two runs of one build write
+    /// the same bytes.
+    pub fn bench_ci_json(&self) -> String {
+        let mut json = format!(
+            "{{\n  \"schema\": 2,\n  \"figures_triples\": {},\n  \"load_triples\": {}",
+            self.params.triples, self.params.large_triples
+        );
+        for (stem, counts) in &self.counts {
+            let entries: Vec<String> =
+                counts.iter().map(|(key, value)| format!("    \"{key}\": {value}")).collect();
+            json.push_str(&format!(",\n  \"{stem}\": {{\n{}\n  }}", entries.join(",\n")));
+        }
+        json.push_str("\n}\n");
+        json
+    }
+
+    /// This run's cells for [`history::TRAJECTORY_COLUMNS`] after `run`
+    /// (empty where the run did not report the count).
+    pub fn trajectory_cells(&self) -> Vec<String> {
+        let count = |stem: &str, key: &str| {
+            let (_, counts) = self.counts.iter().find(|(s, _)| *s == stem)?;
+            counts.iter().find(|(k, _)| *k == key).map(|(_, v)| v.to_string())
+        };
+        vec![
+            self.params.triples.to_string(),
+            self.params.large_triples.to_string(),
+            count("snapshot_size", "triples").unwrap_or_default(),
+            count("snapshot_size", "plain_bytes_per_triple").unwrap_or_default(),
+            count("snapshot_size", "compressed_bytes_per_triple").unwrap_or_default(),
+        ]
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn render(id: &str, triples: usize, points: usize) -> Rendered {
+        let fig = figure(id).expect("id in the table");
+        (fig.render)(fig, &Params { triples, large_triples: triples, points, reps: 1 })
+    }
+
+    /// The lines of a CSV that are neither `#` comments nor blank.
+    fn table_lines(csv: &str) -> Vec<&str> {
+        csv.lines().filter(|l| !l.is_empty() && !l.starts_with('#')).collect()
+    }
 
     #[test]
     fn prefix_points_are_monotone_and_end_at_total() {
@@ -2221,85 +1136,80 @@ mod tests {
     }
 
     #[test]
+    fn every_table_entry_has_a_unique_id_and_renders_rows() {
+        for (i, fig) in FIGURES.iter().enumerate() {
+            assert!(fig.id != "all", "'all' is what the figures binary calls the whole table");
+            for other in &FIGURES[i + 1..] {
+                assert_ne!(fig.id, other.id, "duplicate figure id");
+                assert_ne!(fig.stem, other.stem, "two figures would write one file");
+            }
+            let csv = render(fig.id, 2_000, 1).csv;
+            assert!(csv.starts_with("# "), "{}: no comment line\n{csv}", fig.id);
+            assert!(
+                table_lines(&csv).len() >= 2,
+                "{}: no data row under the header\n{csv}",
+                fig.id
+            );
+        }
+    }
+
+    #[test]
+    fn bench_ci_json_repeats_to_the_byte_and_holds_no_timings() {
+        let params = Params { triples: 2_000, large_triples: 3_000, points: 1, reps: 1 };
+        let first = collect_evidence(&params);
+        let json = first.bench_ci_json();
+        assert_eq!(json, collect_evidence(&params).bench_ci_json());
+        assert_eq!(first.csvs.len(), FIGURES.len());
+
+        let keys: Vec<&str> = json
+            .lines()
+            .filter_map(|l| l.trim_start().strip_prefix('"')?.split('"').next())
+            .collect();
+        for key in &keys {
+            assert!(!key.ends_with("seconds") && !key.ends_with("speedup"), "timing key {key}");
+        }
+        for wanted in [
+            "schema",
+            "load_triples",
+            "plain_bytes_per_triple",
+            "compressed_bytes_per_triple",
+            "merge_used",
+            "identical",
+            "paper_queries",
+            "star_rows",
+            "chain_rows",
+            "matches",
+            "BQ1",
+            "LQ5",
+        ] {
+            assert!(keys.contains(&wanted), "BENCH_ci.json lacks {wanted}:\n{json}");
+        }
+        assert!(json.contains("\"paper_queries\": 12"), "{json}");
+        let cells = first.trajectory_cells();
+        assert_eq!(cells.len() + 1, history::TRAJECTORY_COLUMNS.len(), "one cell per column");
+        assert!(cells.iter().all(|c| !c.is_empty()), "{cells:?}");
+    }
+
+    #[test]
     fn run_figure_smoke_barton() {
-        let fig = run_figure("3", 8_000, 2, 1);
-        assert_eq!(fig.rows.len(), 2);
-        assert!(fig.rows[0].points.iter().any(|p| p.label == "Hexastore"));
-        let csv = fig.to_csv();
-        assert!(csv.contains("Figure 3"));
-        assert!(csv.contains("triples,Hexastore,COVP1,COVP2"));
+        let csv = render("3", 8_000, 2).csv;
+        assert!(csv.starts_with("# Figure 3 — Barton Query 1\ntriples,Hexastore,COVP1,COVP2\n"));
+        assert_eq!(table_lines(&csv).len(), 1 + 2, "header + one row per prefix");
     }
 
     #[test]
     fn run_figure_smoke_lubm() {
-        let fig = run_figure("10", 8_000, 2, 1);
-        assert!(!fig.rows.is_empty());
-        assert_eq!(fig.rows.last().unwrap().triples, 8_000);
+        let csv = render("10", 8_000, 2).csv;
+        assert!(table_lines(&csv).last().unwrap().starts_with("8000,"), "{csv}");
     }
 
     #[test]
     fn figure4_includes_28_variants() {
-        let fig = run_figure("4", 8_000, 1, 1);
-        let labels: Vec<&str> = fig.rows[0].points.iter().map(|p| p.label.as_str()).collect();
-        assert!(labels.contains(&"Hexastore 28"));
-        assert!(labels.contains(&"COVP1 28"));
-        assert_eq!(labels.len(), 6);
-    }
-
-    #[test]
-    fn load_figure_measures_both_loaders() {
-        let rows = load_figure("lubm", 5_000, 2, 1, 2);
-        assert_eq!(rows.len(), 2);
-        assert_eq!(rows.last().unwrap().triples, 5_000);
-        for row in &rows {
-            assert!(row.encode > Duration::ZERO);
-            assert!(row.serial > Duration::ZERO);
-            assert!(row.parallel > Duration::ZERO);
-            assert!(row.speedup() > 0.0);
-            let share = row.encode_share();
-            assert!((0.0..=1.0).contains(&share), "encode share {share}");
-        }
-        let csv = load_to_csv("lubm", &rows);
-        assert!(csv.contains("Figure load"));
-        assert!(csv.contains("triples,encode_s,serial_s,parallel_s,speedup,encode_share"));
-        assert_eq!(csv.lines().count(), 2 + rows.len());
-    }
-
-    #[test]
-    fn dict_figure_measures_encode_heap_and_open_paths() {
-        let row = dict_figure(5_000, 1);
-        assert_eq!(row.triples, 5_000);
-        assert!(row.terms > 0);
-        assert!(row.encode_serial > Duration::ZERO);
-        // The figure itself asserts arena < legacy; re-check the ratio.
-        assert!(row.heap_ratio() < 1.0, "heap ratio {}", row.heap_ratio());
-        assert!(row.eager_dict_open > Duration::ZERO);
-        assert!(row.mapped_open > Duration::ZERO);
-        assert_eq!(row.index.terms, row.terms);
-        assert!(row.index.mean_displacement <= 4.0, "{:?}", row.index);
-        let csv = dict_to_csv(&row);
-        assert!(csv.contains("Dictionary at scale"));
-        assert!(csv.contains("triples,terms,encode_serial_s,serial_mtriples_s,arena_heap_bytes"));
-        assert!(csv.contains("open_speedup,index_mean_displacement,index_max_displacement\n"));
-        assert_eq!(csv.lines().count(), 3);
-    }
-
-    #[test]
-    fn legacy_heap_model_counts_every_allocation_kind() {
-        use rdf_model::Term;
-        let terms = [
-            Term::iri("http://x/a"),
-            Term::blank("b1"),
-            Term::literal("plain"),
-            Term::lang_literal("tagged", "en"),
-            Term::typed_literal("42", "http://www.w3.org/2001/XMLSchema#integer"),
-        ];
-        let all = legacy_dict_heap_bytes(&terms);
-        // Dropping the typed literal must shed its lexical + datatype
-        // allocations; dropping the plain literal only its lexical one.
-        let without_typed = legacy_dict_heap_bytes(&terms[..4]);
-        assert!(all > without_typed);
-        assert_eq!(legacy_dict_heap_bytes(&[]), 0);
+        let csv = render("4", 8_000, 1).csv;
+        assert_eq!(
+            table_lines(&csv)[0],
+            "triples,Hexastore,COVP1,COVP2,Hexastore 28,COVP1 28,COVP2 28"
+        );
     }
 
     #[test]
@@ -2353,62 +1263,12 @@ mod tests {
     }
 
     #[test]
-    fn snapshot_figure_measures_both_formats() {
-        let row = snapshot_figure(5_000, 1);
-        assert!(row.triples > 0 && row.triples <= 5_000);
-        assert!(row.json_bytes > 0 && row.binary_bytes > 0);
-        assert!(row.binary_bytes < row.json_bytes, "compact binary must beat JSON text");
-        assert!(row.frozen_bytes > row.binary_bytes, "slab sections cost bytes");
-        for d in
-            [row.json_save, row.json_restore, row.binary_save, row.binary_open, row.binary_rebuild]
-        {
-            assert!(d > Duration::ZERO);
-        }
-        let csv = snapshot_to_csv(&row);
-        assert!(csv.contains("triples,json_bytes,binary_bytes"));
-        assert_eq!(csv.lines().count(), 3);
-    }
-
-    #[test]
-    fn live_write_figure_measures_the_full_lifecycle() {
-        let row = live_write_figure(5_000, 1);
-        assert!(row.triples > 0 && row.triples <= 5_000);
-        assert!(row.base_triples > 0);
-        assert_eq!(row.inserts, lubm_dataset(5_000).len().div_ceil(5));
-        for d in [row.insert, row.recovery, row.compact] {
-            assert!(d > Duration::ZERO);
-        }
-        assert!(row.inserts_per_sec() > 0.0);
-        let csv = live_write_to_csv(&row);
-        assert!(csv.contains("triples,base_triples,inserts,queries_run,insert_s"));
-        assert_eq!(csv.lines().count(), 3);
-    }
-
-    #[test]
-    fn qps_figure_serves_under_concurrent_writes() {
-        let row = qps_figure(16_000, 2, 1);
-        assert_eq!(row.clients, 2);
-        assert_eq!(row.queries, 400, "two clients x 200 queries each");
-        assert_eq!(row.single_queries, 200);
-        assert!(row.base_triples > 0 && row.base_triples <= row.triples);
-        assert!(row.elapsed > Duration::ZERO && row.single_elapsed > Duration::ZERO);
-        assert!(row.writes > 0, "the writer must have mutated during serving");
-        assert!(row.p50 <= row.p95 && row.p95 <= row.p99);
-        assert!(row.qps() > 0.0 && row.single_qps() > 0.0 && row.speedup() > 0.0);
-        let csv = qps_to_csv(&row);
-        assert!(csv.contains("triples,base_triples,clients,queries,seconds,qps"));
-        assert_eq!(csv.lines().count(), 3);
-    }
-
-    #[test]
     fn memory_figure_shows_hexastore_largest() {
-        let rows = memory_figure("barton", 10_000, 1);
-        let bytes = &rows[0].bytes;
-        let get = |label: &str| bytes.iter().find(|(l, _)| l == label).map(|&(_, b)| b).unwrap();
-        assert!(get("Hexastore") > get("COVP2"));
-        assert!(get("COVP2") > get("COVP1"));
-        assert!(get("COVP1") >= get("TriplesTable") / 2);
-        let csv = memory_to_csv("barton", &rows);
-        assert!(csv.contains("Figure 15"));
+        let rows = memory_rows(&barton_dataset(10_000), 1);
+        let [hexastore, covp1, covp2, table] = rows[0].1;
+        assert!(hexastore > covp2);
+        assert!(covp2 > covp1);
+        assert!(covp1 >= table / 2);
+        assert!(memory_report(10_000, 1).contains("Figure 15"));
     }
 }

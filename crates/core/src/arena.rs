@@ -15,7 +15,6 @@ use hex_dict::Id;
 
 /// Handle to one terminal list inside a [`ListArena`].
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct ListId(u32);
 
 impl ListId {
@@ -27,7 +26,6 @@ impl ListId {
 
 /// An arena of sorted id lists with slot reuse.
 #[derive(Clone, Default)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct ListArena {
     lists: Vec<Vec<Id>>,
     free: Vec<ListId>,

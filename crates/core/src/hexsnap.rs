@@ -1,12 +1,11 @@
 //! `hexsnap`: the versioned little-endian binary snapshot format.
 //!
-//! The serde (JSON) [`crate::snapshot`] shim stores terms and triples as
-//! text and rebuilds all six indices on every restore. This module is the
-//! disk-based Hexastore the paper's §7 names as future work, reduced to
-//! its essence: a columnar file whose sections are the same flat slabs
-//! the [`FrozenHexastore`] queries, so *opening* a snapshot with prebuilt
-//! slab sections is a sequence of contiguous array reads — no parsing, no
-//! sorting, no index rebuild.
+//! This module is the disk-based Hexastore the paper's §7 names as
+//! future work, reduced to its essence: a columnar file whose sections
+//! are the same flat slabs the [`FrozenHexastore`] queries, so *opening*
+//! a snapshot with prebuilt slab sections is a sequence of contiguous
+//! array reads — no parsing, no sorting, no index rebuild. It is the only
+//! persistence format of the workspace.
 //!
 //! # Layout
 //!

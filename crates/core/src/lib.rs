@@ -56,7 +56,6 @@
 //! | [`hexsnap`] | the `hexsnap` binary on-disk snapshot format |
 //! | [`overlay`] | [`OverlayHexastore`]: mutable delta + tombstones on a frozen base |
 //! | [`wal`] | append-only write-ahead log behind [`LiveGraphStore`] |
-//! | `snapshot` | serde (JSON) snapshots (feature `serde`) |
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -80,9 +79,6 @@ pub mod traits;
 pub mod vecmap;
 pub mod wal;
 
-#[cfg(feature = "serde")]
-pub mod snapshot;
-
 pub use advisor::{recommend, serving_indices, IndexKind, IndexSet, WorkloadProfile};
 pub use arena::{ListArena, ListId};
 pub use frozen::{FrozenHexastore, FrozenPartialHexastore, HeapBreakdown};
@@ -99,6 +95,3 @@ pub use store::{Hexastore, SpaceStats};
 pub use traits::{extend_store, MutableStore, SortedListAccess, TripleIter, TripleStore};
 pub use vecmap::VecMap;
 pub use wal::{Wal, WalOp};
-
-#[cfg(feature = "serde")]
-pub use snapshot::Snapshot;

@@ -9,7 +9,6 @@ use hex_dict::{Id, IdTriple};
 
 /// A triple pattern over dictionary ids; `None` marks a free position.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, Default)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct IdPattern {
     /// Subject position, bound or free.
     pub s: Option<Id>,

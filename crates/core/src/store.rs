@@ -76,7 +76,6 @@ impl SpaceStats {
 /// assert_eq!(store.count_matching(IdPattern::o(Id(2))), 2);
 /// ```
 #[derive(Clone, Default)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Hexastore {
     spo: TwoLevel,
     sop: TwoLevel,

@@ -18,7 +18,6 @@ use std::fmt;
 
 /// A map from `K` to `V` backed by a sorted `Vec<(K, V)>`.
 #[derive(Clone)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct VecMap<K, V> {
     entries: Vec<(K, V)>,
 }

@@ -659,30 +659,6 @@ impl Dictionary {
         Ok(Dictionary { inner: Arc::new(inner) })
     }
 
-    /// Rebuilds a dictionary from terms already in id order (index `i`
-    /// becomes `Id(i)`) — the snapshot-restore constructor.
-    ///
-    /// # Panics
-    ///
-    /// If the input contains duplicate terms (a corrupt snapshot — use
-    /// [`Self::try_from_id_ordered_terms`] for untrusted input).
-    pub fn from_id_ordered_terms(terms: Vec<Term>) -> Self {
-        Self::try_from_id_ordered_terms(terms).expect("duplicate term in id-ordered input")
-    }
-
-    /// Like [`Self::from_id_ordered_terms`], but returns `None` when the
-    /// input contains duplicate terms instead of panicking — snapshot
-    /// readers turn that into a corruption error.
-    pub fn try_from_id_ordered_terms(terms: Vec<Term>) -> Option<Self> {
-        let mut d = Dictionary::with_capacity(terms.len());
-        for (i, term) in terms.iter().enumerate() {
-            if d.encode(term).index() != i {
-                return None;
-            }
-        }
-        Some(d)
-    }
-
     /// Exact heap footprint of the dictionary in bytes: the kind column,
     /// the two offset tables, the reverse index's slot array, and the
     /// string arena — each a single flat buffer, counted at capacity.
@@ -878,24 +854,6 @@ mod tests {
         assert_eq!(pairs[0].0, Id(0));
         assert_eq!(pairs[1].0, Id(1));
         assert!(pairs[0].1.contains("/a"));
-    }
-
-    #[test]
-    fn from_id_ordered_terms_matches_incremental_encode() {
-        let mut d = Dictionary::new();
-        let terms =
-            [iri("a"), Term::literal("lit"), Term::blank("b0"), Term::lang_literal("x", "en")];
-        for t in &terms {
-            d.encode(t);
-        }
-        let rebuilt = Dictionary::from_id_ordered_terms(d.terms());
-        assert_eq!(rebuilt.len(), d.len());
-        for (id, term) in d.iter() {
-            assert_eq!(rebuilt.decode(id), Some(term.clone()));
-            assert_eq!(rebuilt.id_of(&term), Some(id));
-        }
-        // Duplicate input is rejected by the fallible constructor.
-        assert!(Dictionary::try_from_id_ordered_terms(vec![iri("a"), iri("a")]).is_none());
     }
 
     #[test]

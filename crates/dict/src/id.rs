@@ -13,7 +13,6 @@ use std::fmt;
 /// `u32`, so a column of little-endian `u32`s on disk (the `hexsnap`
 /// format) can be reinterpreted as `&[Id]` by the mmap-backed reader.
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 #[repr(transparent)]
 pub struct Id(pub u32);
 
@@ -49,7 +48,6 @@ impl From<u32> for Id {
 /// indices, the COVP property tables and the triples table all hold these
 /// keys rather than strings.
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct IdTriple {
     /// Subject key.
     pub s: Id,

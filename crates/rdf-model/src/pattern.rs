@@ -11,7 +11,6 @@ use std::sync::Arc;
 
 /// One position of a triple pattern: a concrete term or a named variable.
 #[derive(Clone, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum TermPattern {
     /// A bound position holding a concrete term.
     Bound(Term),
@@ -72,7 +71,6 @@ impl fmt::Display for TermPattern {
 
 /// A triple pattern, e.g. `?x <advisor> <ID2>`.
 #[derive(Clone, PartialEq, Eq, Hash, Debug)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct TriplePattern {
     /// Subject position.
     pub subject: TermPattern,

@@ -20,7 +20,6 @@ pub const XSD_STRING: &str = "http://www.w3.org/2001/XMLSchema#string";
 /// The IRI is stored verbatim; no normalization beyond what the parser does
 /// is applied. Equality is string equality, as in the RDF specification.
 #[derive(Clone, PartialEq, Eq, PartialOrd, Ord, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Iri(Arc<str>);
 
 impl Iri {
@@ -61,7 +60,6 @@ impl From<&str> for Iri {
 
 /// A blank node with a local label, e.g. `_:b42`.
 #[derive(Clone, PartialEq, Eq, PartialOrd, Ord, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct BlankNode(Arc<str>);
 
 impl BlankNode {
@@ -94,7 +92,6 @@ impl fmt::Debug for BlankNode {
 /// an `xsd:string`; we represent that common case as `datatype: None` to
 /// avoid storing the `xsd:string` IRI millions of times.
 #[derive(Clone, PartialEq, Eq, PartialOrd, Ord, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Literal {
     lexical: Arc<str>,
     /// `Some(tag)` for language-tagged strings (`"chat"@fr`).
@@ -344,7 +341,6 @@ impl fmt::Debug for TermRef<'_> {
 /// ([`crate::parse_document`], [`crate::write_document`]) emit/accept only
 /// valid N-Triples.
 #[derive(Clone, PartialEq, Eq, PartialOrd, Ord, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum Term {
     /// An IRI reference, e.g. `<http://example.org/ID1>`.
     Iri(Iri),

@@ -9,7 +9,6 @@ use std::fmt;
 /// The paper calls the predicate position the *property*; the two words are
 /// used interchangeably throughout this workspace.
 #[derive(Clone, PartialEq, Eq, PartialOrd, Ord, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Triple {
     /// The subject resource.
     pub subject: Term,

@@ -1,21 +1,18 @@
-//! Persist a `GraphStore` two ways and compare the cold-start paths:
+//! Persist a `GraphStore` as a binary `hexsnap` snapshot and open it
+//! again without rebuilding anything: `graph.freeze().save(path)` writes
+//! a columnar file whose slab sections open straight into a query-ready
+//! `FrozenGraphStore` (`FrozenGraphStore::load`) — no index rebuild and
+//! no id-level code — and `thaw()` turns it back into a mutable store.
 //!
-//! 1. the legacy serde shim — JSON text, parsed back and rebuilt through
-//!    the bulk loader (`Snapshot::into_restore`, move-only);
-//! 2. the binary `hexsnap` format through the `Dataset` facade —
-//!    `graph.freeze().save(path)` writes a columnar file whose slab
-//!    sections open straight into a query-ready `FrozenGraphStore`
-//!    (`FrozenGraphStore::load`), no index rebuild and no id-level code.
+//! With the `disk` feature the demo adds two more ways to use the same
+//! format: saving the slabs varint-delta compressed
+//! (`Compression::VarintDelta`) and opening an uncompressed snapshot
+//! through the `hex-disk` mmap path, where the slab columns stay on disk
+//! and page faults do the reading.
 //!
-//! With the `disk` feature the demo adds the format-v2 extras: saving
-//! the slabs varint-delta compressed (`Compression::VarintDelta`) and
-//! opening an uncompressed snapshot through the `hex-disk` mmap path,
-//! where the slab columns stay on disk and page faults do the reading.
-//!
-//! Run with: `cargo run --features serde --example snapshot_persistence`
-//! (or `--features serde,disk` for the compressed + mmap paths).
+//! Run with: `cargo run --example snapshot_persistence`
+//! (or `--features disk` for the compressed + mmap paths).
 
-use hexastore::snapshot::Snapshot;
 use hexastore::{FrozenGraphStore, GraphStore};
 use rdf_model::{Term, TermPattern, TriplePattern};
 
@@ -38,23 +35,10 @@ fn main() {
     );
     let before = g.matching(&pat);
 
-    // --- Path 1: JSON text via the serde shim, rebuilt on load. -------
-    let snap = Snapshot::capture(&g);
-    let json = serde_json::to_string(&snap).expect("snapshot serializes");
-    println!("JSON snapshot is {} bytes of text", json.len());
-    let json_path = std::env::temp_dir().join("hexastore_snapshot_demo.json");
-    std::fs::write(&json_path, &json).expect("write snapshot");
-    let text = std::fs::read_to_string(&json_path).expect("read snapshot");
-    std::fs::remove_file(&json_path).ok();
-    let parsed: Snapshot = serde_json::from_str(&text).expect("snapshot parses");
-    // into_restore is move-only: terms and triples go straight to the
-    // dictionary and the bulk loader, no clone.
-    let from_json = parsed.into_restore();
-    assert_eq!(from_json.matching(&pat), before, "JSON restore answers identically");
-    println!("JSON restore rebuilt {} triples (six indices re-sorted)", from_json.len());
-
-    // --- Path 2: binary hexsnap through the facade, zero rebuild. -----
-    let bin_path = std::env::temp_dir().join("hexastore_snapshot_demo.hexsnap");
+    // --- Freeze, save, open: binary hexsnap through the facade. -------
+    // The process id keeps concurrent runs of the demo off each other's file.
+    let pid = std::process::id();
+    let bin_path = std::env::temp_dir().join(format!("hexastore_snapshot_demo_{pid}.hexsnap"));
     g.freeze().save(&bin_path).expect("write binary snapshot");
     let bytes = std::fs::metadata(&bin_path).expect("stat snapshot").len();
     println!("binary snapshot is {bytes} bytes (dictionary arena + slabs)");
@@ -66,7 +50,7 @@ fn main() {
     // The frozen dataset answers the same string-level query through its
     // slab columns — no manual dictionary plumbing.
     assert_eq!(frozen.matching(&pat), before);
-    println!("advisor query agrees across all paths: {} students of ID2", before.len());
+    println!("advisor query agrees after the round trip: {} students of ID2", before.len());
 
     // Need updates again? Thaw back to a mutable GraphStore, loss-free.
     let mut thawed = frozen.thaw();
@@ -77,14 +61,14 @@ fn main() {
     )));
     println!("thawed store accepts updates again ({} triples)", thawed.len());
 
-    // --- Path 3 (feature "disk"): compressed save + mmap cold open. ---
+    // --- Feature "disk": compressed save + mmap cold open. -----------
     #[cfg(feature = "disk")]
     demo_disk(&g, &pat, &before);
     #[cfg(not(feature = "disk"))]
-    println!("(re-run with --features serde,disk for the compressed + mmap demos)");
+    println!("(re-run with --features disk for the compressed + mmap demos)");
 }
 
-/// Format-v2 extras: a varint-delta compressed snapshot (smaller file,
+/// A varint-delta compressed snapshot (smaller file,
 /// decoding open) and the `hex-disk` mmap open of an uncompressed one
 /// (near-instant open, columns paged in on demand).
 #[cfg(feature = "disk")]
@@ -92,8 +76,9 @@ fn demo_disk(g: &GraphStore, pat: &TriplePattern, before: &[rdf_model::Triple]) 
     use hexastore::hexsnap::{self, Compression};
 
     let dir = std::env::temp_dir();
-    let plain_path = dir.join("hexastore_snapshot_demo_plain.hexsnap");
-    let comp_path = dir.join("hexastore_snapshot_demo_compressed.hexsnap");
+    let pid = std::process::id();
+    let plain_path = dir.join(format!("hexastore_snapshot_demo_{pid}_plain.hexsnap"));
+    let comp_path = dir.join(format!("hexastore_snapshot_demo_{pid}_compressed.hexsnap"));
     let frozen = g.store().freeze();
     hexsnap::save_frozen(&plain_path, g.dict(), &frozen).expect("write uncompressed snapshot");
     hexsnap::save_frozen_with(&comp_path, g.dict(), &frozen, Compression::VarintDelta)

@@ -7,7 +7,7 @@
 
 use std::process::Command;
 
-const EXAMPLES: [&str; 7] = [
+const EXAMPLES: [&str; 8] = [
     "quickstart",
     "social_network",
     "library_browse",
@@ -15,6 +15,7 @@ const EXAMPLES: [&str; 7] = [
     "index_advisor",
     "prepared_queries",
     "live_updates",
+    "snapshot_persistence",
 ];
 
 #[test]
@@ -42,10 +43,10 @@ fn every_example_runs_and_exits_zero() {
 }
 
 #[test]
-fn snapshot_example_runs_with_serde_feature() {
+fn snapshot_example_runs_with_disk_feature() {
     let output = Command::new(env!("CARGO"))
         .current_dir(env!("CARGO_MANIFEST_DIR"))
-        .args(["run", "--quiet", "--features", "serde", "--example", "snapshot_persistence"])
+        .args(["run", "--quiet", "--features", "disk", "--example", "snapshot_persistence"])
         .output()
         .expect("failed to spawn cargo for snapshot_persistence");
     assert!(
