@@ -69,10 +69,6 @@ impl TripleStore for Covp1 {
         self.pso.contains(t.p, t.s, t.o)
     }
 
-    fn for_each_matching(&self, pat: IdPattern, f: &mut dyn FnMut(IdTriple)) {
-        pso_for_each(&self.pso, pat, f);
-    }
-
     fn iter_matching(&self, pat: IdPattern) -> TripleIter<'_> {
         pso_iter(&self.pso, pat)
     }
@@ -86,11 +82,7 @@ impl TripleStore for Covp1 {
             Shape::Sp => self.pso.items(pat.p.unwrap(), pat.s.unwrap()).len(),
             Shape::P => self.pso.table_len(pat.p.unwrap()),
             Shape::None_ => self.len(),
-            _ => {
-                let mut n = 0;
-                self.for_each_matching(pat, &mut |_| n += 1);
-                n
-            }
+            _ => self.iter_matching(pat).count(),
         }
     }
 
@@ -177,45 +169,23 @@ impl TripleStore for Covp2 {
         self.pso.contains(t.p, t.s, t.o)
     }
 
-    fn for_each_matching(&self, pat: IdPattern, f: &mut dyn FnMut(IdTriple)) {
+    fn iter_matching(&self, pat: IdPattern) -> TripleIter<'_> {
         match pat.shape() {
             Shape::Po => {
                 // The pos copy turns this into a single probe.
                 let (p, o) = (pat.p.unwrap(), pat.o.unwrap());
-                for &s in self.pos.items(p, o) {
-                    f(IdTriple::new(s, p, o));
-                }
+                Box::new(self.pos.items(p, o).iter().map(move |&s| IdTriple::new(s, p, o)))
             }
             Shape::O => {
                 // Still must visit every property, but each visit is an
                 // index probe rather than a table scan.
-                let o = pat.o.unwrap();
-                for p in self.pos.properties().collect::<Vec<_>>() {
-                    for &s in self.pos.items(p, o) {
-                        f(IdTriple::new(s, p, o));
-                    }
-                }
-            }
-            _ => {
-                // Everything else behaves like COVP1 on the pso copy.
-                pso_for_each(&self.pso, pat, f);
-            }
-        }
-    }
-
-    fn iter_matching(&self, pat: IdPattern) -> TripleIter<'_> {
-        match pat.shape() {
-            Shape::Po => {
-                let (p, o) = (pat.p.unwrap(), pat.o.unwrap());
-                Box::new(self.pos.items(p, o).iter().map(move |&s| IdTriple::new(s, p, o)))
-            }
-            Shape::O => {
                 let o = pat.o.unwrap();
                 let pos = &self.pos;
                 Box::new(pos.properties().flat_map(move |p| {
                     pos.items(p, o).iter().map(move |&s| IdTriple::new(s, p, o))
                 }))
             }
+            // Everything else behaves like COVP1 on the pso copy.
             _ => pso_iter(&self.pso, pat),
         }
     }
@@ -230,14 +200,7 @@ impl TripleStore for Covp2 {
             Shape::Po => self.pos.items(pat.p.unwrap(), pat.o.unwrap()).len(),
             Shape::P => self.pso.table_len(pat.p.unwrap()),
             Shape::None_ => self.len(),
-            _ => {
-                let mut n = 0;
-                self.for_each_matching(pat, &mut |t| {
-                    let _ = t;
-                    n += 1;
-                });
-                n
-            }
+            _ => self.iter_matching(pat).count(),
         }
     }
 
@@ -247,74 +210,10 @@ impl TripleStore for Covp2 {
 }
 
 /// Evaluates any pattern against a pso-only index — COVP1's complete plan
-/// repertoire. Patterns that do not bind the property visit every property
-/// table (§2.2.3: "All two-column tables will have to be queried"), and
-/// object-bound lookups scan tables linearly: the two defects the paper
-/// demonstrates against vertical partitioning.
-fn pso_for_each(pso: &PropIndex, pat: IdPattern, f: &mut dyn FnMut(IdTriple)) {
-    match pat.shape() {
-        Shape::Spo | Shape::Sp => {
-            let (s, p) = (pat.s.unwrap(), pat.p.unwrap());
-            for &o in pso.items(p, s) {
-                if pat.o.is_none_or(|po| po == o) {
-                    f(IdTriple::new(s, p, o));
-                }
-            }
-        }
-        Shape::P => {
-            let p = pat.p.unwrap();
-            for (s, objs) in pso.table(p) {
-                for &o in objs {
-                    f(IdTriple::new(s, p, o));
-                }
-            }
-        }
-        Shape::Po => {
-            // No object-sorted copy: scan the property table linearly.
-            let (p, o) = (pat.p.unwrap(), pat.o.unwrap());
-            for (s, objs) in pso.table(p) {
-                if sorted::contains(objs, &o) {
-                    f(IdTriple::new(s, p, o));
-                }
-            }
-        }
-        Shape::S | Shape::So => {
-            // Not property-bound: probe every property table.
-            let s = pat.s.unwrap();
-            for p in pso.properties().collect::<Vec<_>>() {
-                for &o in pso.items(p, s) {
-                    if pat.o.is_none_or(|po| po == o) {
-                        f(IdTriple::new(s, p, o));
-                    }
-                }
-            }
-        }
-        Shape::O => {
-            // Worst case: scan every table fully.
-            let o = pat.o.unwrap();
-            for p in pso.properties().collect::<Vec<_>>() {
-                for (s, objs) in pso.table(p) {
-                    if sorted::contains(objs, &o) {
-                        f(IdTriple::new(s, p, o));
-                    }
-                }
-            }
-        }
-        Shape::None_ => {
-            for p in pso.properties().collect::<Vec<_>>() {
-                for (s, objs) in pso.table(p) {
-                    for &o in objs {
-                        f(IdTriple::new(s, p, o));
-                    }
-                }
-            }
-        }
-    }
-}
-
-/// Lazy counterpart of [`pso_for_each`]: the same per-shape plans, yielded
-/// through a cursor so early-terminating consumers stop the table walks as
-/// soon as they have enough triples.
+/// repertoire, as a lazy cursor. Patterns that do not bind the property
+/// visit every property table (§2.2.3: "All two-column tables will have to
+/// be queried"), and object-bound lookups scan tables linearly: the two
+/// defects the paper demonstrates against vertical partitioning.
 fn pso_iter(pso: &PropIndex, pat: IdPattern) -> TripleIter<'_> {
     match pat.shape() {
         Shape::Spo | Shape::Sp => {
@@ -335,6 +234,7 @@ fn pso_iter(pso: &PropIndex, pat: IdPattern) -> TripleIter<'_> {
             )
         }
         Shape::Po => {
+            // No object-sorted copy: scan the property table linearly.
             let (p, o) = (pat.p.unwrap(), pat.o.unwrap());
             Box::new(
                 pso.table(p)
@@ -343,6 +243,7 @@ fn pso_iter(pso: &PropIndex, pat: IdPattern) -> TripleIter<'_> {
             )
         }
         Shape::S | Shape::So => {
+            // Not property-bound: probe every property table.
             let s = pat.s.unwrap();
             Box::new(pso.properties().flat_map(move |p| {
                 pso.items(p, s)
@@ -353,6 +254,7 @@ fn pso_iter(pso: &PropIndex, pat: IdPattern) -> TripleIter<'_> {
             }))
         }
         Shape::O => {
+            // Worst case: scan every table fully.
             let o = pat.o.unwrap();
             Box::new(pso.properties().flat_map(move |p| {
                 pso.table(p)
@@ -423,16 +325,6 @@ mod tests {
             got.sort();
             assert_eq!(got, expected, "covp2 pattern {pat:?}");
             assert_eq!(store.count_matching(pat), got.len());
-        }
-    }
-
-    #[test]
-    fn cursors_agree_with_visitors() {
-        let c1 = Covp1::from_triples(sample());
-        let c2 = Covp2::from_triples(sample());
-        for pat in all_patterns() {
-            assert_eq!(c1.iter_matching(pat).collect::<Vec<_>>(), c1.matching(pat), "{pat:?}");
-            assert_eq!(c2.iter_matching(pat).collect::<Vec<_>>(), c2.matching(pat), "{pat:?}");
         }
     }
 

@@ -87,38 +87,10 @@ impl TripleStore for TriplesTable {
         self.rows.binary_search(&t).is_ok()
     }
 
-    fn for_each_matching(&self, pat: IdPattern, f: &mut dyn FnMut(IdTriple)) {
+    fn iter_matching(&self, pat: IdPattern) -> hexastore::TripleIter<'_> {
         // Only the spo sort order helps; any pattern that does not bind a
         // subject prefix degenerates to a full scan — the defect the paper
         // attributes to triples tables.
-        match pat.shape() {
-            Shape::Spo | Shape::Sp => {
-                let r = self.sp_range(pat.s.unwrap(), pat.p.unwrap());
-                for &t in &self.rows[r] {
-                    if pat.matches(t) {
-                        f(t);
-                    }
-                }
-            }
-            Shape::S | Shape::So => {
-                let r = self.subject_range(pat.s.unwrap());
-                for &t in &self.rows[r] {
-                    if pat.matches(t) {
-                        f(t);
-                    }
-                }
-            }
-            _ => {
-                for &t in &self.rows {
-                    if pat.matches(t) {
-                        f(t);
-                    }
-                }
-            }
-        }
-    }
-
-    fn iter_matching(&self, pat: IdPattern) -> hexastore::TripleIter<'_> {
         let range = match pat.shape() {
             Shape::Spo | Shape::Sp => self.sp_range(pat.s.unwrap(), pat.p.unwrap()),
             Shape::S | Shape::So => self.subject_range(pat.s.unwrap()),

@@ -55,7 +55,7 @@ proptest! {
         }
     }
 
-    /// The bulk loader — at any thread count, pre-sized or not — must be
+    /// The bulk loader — at any thread count — must be
     /// indistinguishable from insert-order construction when checked
     /// against the baseline oracles on arbitrary patterns.
     #[test]
@@ -63,21 +63,20 @@ proptest! {
         triples in proptest::collection::vec(arb_triple(), 0..150),
         patterns in proptest::collection::vec(arb_pattern(), 1..12),
         threads in 1usize..9,
-        presize in (0u32..2).prop_map(|b| b == 1),
     ) {
-        let cfg = hexastore::bulk::Config { threads, presize };
+        let cfg = hexastore::bulk::Config { threads };
         let hex = hexastore::bulk::build_with(triples.clone(), cfg);
         let table = TriplesTable::from_triples(triples.iter().copied());
         let mut incremental = Hexastore::new();
         for &t in &triples {
             incremental.insert(t);
         }
-        prop_assert_eq!(hex.len(), table.len(), "threads={} presize={}", threads, presize);
+        prop_assert_eq!(hex.len(), table.len(), "threads={}", threads);
         prop_assert_eq!(hex.space_stats(), incremental.space_stats());
         for pat in patterns {
             let expected = sorted_matching(&table, pat);
             prop_assert_eq!(&sorted_matching(&hex, pat), &expected,
-                "bulk vs oracle, threads={} presize={} {:?}", threads, presize, pat);
+                "bulk vs oracle, threads={} {:?}", threads, pat);
             prop_assert_eq!(&sorted_matching(&incremental, pat), &expected,
                 "incremental vs oracle {:?}", pat);
             prop_assert_eq!(hex.count_matching(pat), expected.len());

@@ -22,13 +22,13 @@
 //!    `(o,p)` sort of short subject-group ranges, much cheaper than a
 //!    full re-sort; only pos pays one) — zero extra
 //!    12-byte-per-triple batch copies on every path, mutable or frozen.
-//! 3. **Sizes are knowable up front.** With [`Config::presize`], a
+//! 3. **Sizes are knowable up front.** A
 //!    [`SpaceStats`](crate::SpaceStats)-style counting pass over each run
 //!    computes the exact number of headers and terminal lists, so every
 //!    run-level `VecMap` and [`ListArena`] allocation is exact and the
 //!    build path is append-only with no reallocation. (Inner per-header
-//!    vectors are exact-sized either way — the grouping pass counts them
-//!    as it walks.)
+//!    vectors are exact-sized by the grouping pass, which counts them as
+//!    it walks.)
 
 use crate::arena::{ListArena, ListId};
 use crate::frozen::{FrozenHexastore, FrozenIndex, FrozenPair};
@@ -67,43 +67,17 @@ fn key_pos(t: &IdTriple) -> (Id, Id, Id) {
 /// against 0.88 ms, 16 Ki 3.58 against 2.42 ms.
 const AUTO_SERIAL_BELOW: usize = 4 * 1024;
 
-/// Tuning knobs for [`build_with`].
-///
-/// The default configuration auto-detects parallelism and pre-sizes all
-/// allocations; [`Config::serial`] reproduces the single-threaded loader.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+/// How many cores a load may take.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct Config {
-    /// Worker threads for sorting and index building. `0` means
-    /// auto-detect ([`std::thread::available_parallelism`], capped at 8,
-    /// and serial for small batches); `1` forces the serial path; larger
-    /// values are used as given.
+    /// Worker threads for sorting and index building. `0` (the default)
+    /// means auto-detect ([`std::thread::available_parallelism`], capped
+    /// at 8, and serial for small batches); `1` forces the serial path;
+    /// larger values are used as given.
     pub threads: usize,
-    /// Pre-size the run-level allocations — header maps, arena spines and
-    /// mirror-entry buffers — from a counting pass over each sorted run,
-    /// so the whole build is append-only with no reallocation. (Inner
-    /// per-header vectors are exact-sized regardless: the grouping pass
-    /// knows their lengths for free.) Costs one extra linear scan per
-    /// run; wins it back on any batch large enough to reallocate.
-    pub presize: bool,
-}
-
-impl Default for Config {
-    fn default() -> Self {
-        Config { threads: 0, presize: true }
-    }
 }
 
 impl Config {
-    /// The single-threaded configuration (still pre-sized).
-    pub fn serial() -> Self {
-        Config { threads: 1, presize: true }
-    }
-
-    /// A configuration with an explicit thread count (pre-sized).
-    pub fn parallel(threads: usize) -> Self {
-        Config { threads, presize: true }
-    }
-
     /// Resolves `threads` to the count actually used for `batch_len`
     /// triples.
     pub fn effective_threads(&self, batch_len: usize) -> usize {
@@ -126,72 +100,23 @@ pub fn build(triples: Vec<IdTriple>) -> Hexastore {
     build_with(triples, Config::default())
 }
 
-/// Builds a Hexastore from an arbitrary triple batch with explicit
-/// [`Config`] knobs.
+/// Builds a Hexastore from an arbitrary triple batch on an explicit
+/// [`Config`]'s thread budget.
 ///
-/// Mirrors [`build_frozen_with`]'s copy discipline: the one canonical
-/// spo-sorted run is shared immutably, and the sop/pos pairs each view it
-/// through a 4-byte-per-triple `u32` *permutation* (positions re-sorted
-/// into the pair's order) instead of cloning the 12-byte-per-triple batch
-/// — zero extra batch copies on every path, serial or parallel.
+/// The batch is sorted and deduplicated once into the canonical spo run,
+/// which is then shared immutably and never copied: the sop and pos pairs
+/// each view it through a 4-byte-per-triple `u32` *permutation* (positions
+/// sorted into the pair's order, gathered during emission) instead of a
+/// re-sorted clone of the 12-byte-per-triple batch. The caller's thread
+/// builds spo; the first spare worker takes pos — the only order needing a
+/// full re-sort, the critical path — the second takes sop, and any beyond
+/// those speed the pos sort. Pairs without a worker are built by the
+/// caller after spo.
 pub fn build_with(mut triples: Vec<IdTriple>, config: Config) -> Hexastore {
     let threads = config.effective_threads(triples.len()).max(1);
     sort_dedup(&mut triples, threads);
-    let n = triples.len();
-    let presize = config.presize;
-
-    let (spo_pair, sop_pair, pos_pair) = if threads <= 1 {
-        let spo_pair = build_pair(&triples, None, key_spo, presize);
-        // One u32 permutation, reused: re-permute within subject groups
-        // for sop, then fully re-sort it for pos.
-        let mut perm = identity_perm(n);
-        permute_sop(&triples, &mut perm);
-        let sop_pair = build_pair(&triples, Some(&perm), key_sop, presize);
-        perm.sort_unstable_by_key(|&i| key_pos(&triples[i as usize]));
-        let pos_pair = build_pair(&triples, Some(&perm), key_pos, presize);
-        (spo_pair, sop_pair, pos_pair)
-    } else if threads == 2 {
-        // Exactly two workers: the spawned task takes pos (the only order
-        // needing a full re-sort, the heaviest), the caller thread builds
-        // spo then sop.
-        let run = &triples;
-        std::thread::scope(|s| {
-            let pos_task = s.spawn(move || {
-                let mut perm = identity_perm(n);
-                perm.sort_unstable_by_key(|&i| key_pos(&run[i as usize]));
-                build_pair(run, Some(&perm), key_pos, presize)
-            });
-            let spo_pair = build_pair(run, None, key_spo, presize);
-            let mut perm = identity_perm(n);
-            permute_sop(run, &mut perm);
-            let sop_pair = build_pair(run, Some(&perm), key_sop, presize);
-            (spo_pair, sop_pair, pos_task.join().expect("pos build task panicked"))
-        })
-    } else {
-        // One task per index pair; every task borrows the shared run and
-        // sorts only its own u32 permutation. Any thread budget beyond
-        // the three tasks accelerates the pos permutation's full re-sort,
-        // the critical path.
-        let run = &triples;
-        let spare = threads.saturating_sub(2);
-        std::thread::scope(|s| {
-            let sop_task = s.spawn(move || {
-                let mut perm = identity_perm(n);
-                permute_sop(run, &mut perm);
-                build_pair(run, Some(&perm), key_sop, presize)
-            });
-            let pos_task = s.spawn(move || {
-                let mut perm = identity_perm(n);
-                par_sort(&mut perm, spare, |&i: &u32| key_pos(&run[i as usize]));
-                build_pair(run, Some(&perm), key_pos, presize)
-            });
-            let spo_pair = build_pair(run, None, key_spo, presize);
-            let sop_pair = sop_task.join().expect("sop build task panicked");
-            let pos_pair = pos_task.join().expect("pos build task panicked");
-            (spo_pair, sop_pair, pos_pair)
-        })
-    };
-    Hexastore::from_built_parts(spo_pair, sop_pair, pos_pair, n)
+    let (spo_pair, sop_pair, pos_pair) = build_pairs(&triples, threads, build_pair);
+    Hexastore::from_built_parts(spo_pair, sop_pair, pos_pair, triples.len())
 }
 
 /// Builds a [`FrozenHexastore`] from an arbitrary triple batch using the
@@ -224,70 +149,42 @@ pub fn compact_frozen_with(
 
 /// Builds a [`FrozenHexastore`] from an arbitrary triple batch, emitting
 /// the flat slabs *directly* from sorted runs — the nested
-/// `VecMap`/`Vec<Vec<Id>>` form is never materialized.
-///
-/// Where [`build_with`] hands the sop and pos tasks each a full clone of
-/// the 12-byte-per-triple batch, this path shares the one canonical
-/// spo-sorted run immutably and gives each non-spo pair a 4-byte-per-
-/// triple *permutation* (`u32` positions sorted into the pair's order,
-/// gathered during emission). That removes both extra batch copies the
-/// parallel loader paid — the copy-halving the ROADMAP asked for, taken
-/// to zero.
+/// `VecMap`/`Vec<Vec<Id>>` form is never materialized. Same copy
+/// discipline and thread schedule as [`build_with`].
 pub fn build_frozen_with(mut triples: Vec<IdTriple>, config: Config) -> FrozenHexastore {
     let threads = config.effective_threads(triples.len()).max(1);
     sort_dedup(&mut triples, threads);
-    let n = triples.len();
-    let presize = config.presize;
+    let (spo_pair, sop_pair, pos_pair) = build_pairs(&triples, threads, build_pair_frozen);
+    FrozenHexastore::from_parts(spo_pair, sop_pair, pos_pair, triples.len())
+}
 
-    let (spo_pair, sop_pair, pos_pair) = if threads <= 1 {
-        let spo_pair = build_pair_frozen(&triples, None, key_spo, presize);
-        // One u32 permutation, reused: re-permute within subject groups
-        // for sop, then fully re-sort it for pos.
+/// The loader's thread schedule, as [`build_with`] documents it: emits
+/// the three index pairs of a sort-deduplicated spo `run` through `emit`,
+/// on up to `threads` threads.
+fn build_pairs<P: Send>(
+    run: &[IdTriple],
+    threads: usize,
+    emit: impl Fn(&[IdTriple], Option<&[u32]>, KeyFn) -> P + Sync,
+) -> (P, P, P) {
+    let (n, emit) = (run.len(), &emit);
+    let sop = move || {
         let mut perm = identity_perm(n);
-        permute_sop(&triples, &mut perm);
-        let sop_pair = build_pair_frozen(&triples, Some(&perm), key_sop, presize);
-        perm.sort_unstable_by_key(|&i| key_pos(&triples[i as usize]));
-        let pos_pair = build_pair_frozen(&triples, Some(&perm), key_pos, presize);
-        (spo_pair, sop_pair, pos_pair)
-    } else if threads == 2 {
-        // Two workers, mirroring build_with: the spawned task takes pos
-        // (the only full re-sort), the caller builds spo then sop.
-        let run = &triples;
-        std::thread::scope(|s| {
-            let pos_task = s.spawn(move || {
-                let mut perm = identity_perm(n);
-                perm.sort_unstable_by_key(|&i| key_pos(&run[i as usize]));
-                build_pair_frozen(run, Some(&perm), key_pos, presize)
-            });
-            let spo_pair = build_pair_frozen(run, None, key_spo, presize);
-            let mut perm = identity_perm(n);
-            permute_sop(run, &mut perm);
-            let sop_pair = build_pair_frozen(run, Some(&perm), key_sop, presize);
-            (spo_pair, sop_pair, pos_task.join().expect("pos frozen build task panicked"))
-        })
-    } else {
-        let run = &triples;
-        let spare = threads.saturating_sub(2);
-        std::thread::scope(|s| {
-            let sop_task = s.spawn(move || {
-                let mut perm = identity_perm(n);
-                permute_sop(run, &mut perm);
-                build_pair_frozen(run, Some(&perm), key_sop, presize)
-            });
-            let pos_task = s.spawn(move || {
-                let mut perm = identity_perm(n);
-                par_sort(&mut perm, spare, |&i: &u32| key_pos(&run[i as usize]));
-                build_pair_frozen(run, Some(&perm), key_pos, presize)
-            });
-            let spo_pair = build_pair_frozen(run, None, key_spo, presize);
-            (
-                spo_pair,
-                sop_task.join().expect("sop frozen build task panicked"),
-                pos_task.join().expect("pos frozen build task panicked"),
-            )
-        })
+        permute_sop(run, &mut perm);
+        emit(run, Some(&perm), key_sop)
     };
-    FrozenHexastore::from_parts(spo_pair, sop_pair, pos_pair, n)
+    let pos = move || {
+        let mut perm = identity_perm(n);
+        par_sort(&mut perm, threads.saturating_sub(2), |&i: &u32| key_pos(&run[i as usize]));
+        emit(run, Some(&perm), key_pos)
+    };
+    std::thread::scope(|s| {
+        let pos_task = (threads >= 2).then(|| s.spawn(pos));
+        let sop_task = (threads >= 3).then(|| s.spawn(sop));
+        let spo_pair = emit(run, None, key_spo);
+        let sop_pair = sop_task.map_or_else(sop, |t| t.join().expect("sop build task panicked"));
+        let pos_pair = pos_task.map_or_else(pos, |t| t.join().expect("pos build task panicked"));
+        (spo_pair, sop_pair, pos_pair)
+    })
 }
 
 fn identity_perm(n: usize) -> Vec<u32> {
@@ -318,27 +215,16 @@ fn permute_sop(run: &[IdTriple], perm: &mut [u32]) {
 
 /// Builds one frozen index pair from a strict-ascending run, viewed
 /// through `perm` when the pair's order differs from the run's physical
-/// order. All slabs are emitted append-only; with `presize`, a counting
-/// pass makes every allocation exact.
-fn build_pair_frozen(
-    run: &[IdTriple],
-    perm: Option<&[u32]>,
-    key: KeyFn,
-    presize: bool,
-) -> FrozenPair {
+/// order. All slabs are emitted append-only, and a counting pass first
+/// makes every allocation exact.
+fn build_pair_frozen(run: &[IdTriple], perm: Option<&[u32]>, key: KeyFn) -> FrozenPair {
     let n = run.len();
     let at = at_fn(run, perm, key);
 
-    let (mut primary, mut arena, mut mirror_entries) = if presize {
-        let RunCounts { headers, pairs, overflow } = count_groups(n, &at);
-        (
-            FrozenIndex::primary(headers, pairs),
-            FlatArena::with_capacity(pairs, overflow),
-            Vec::with_capacity(pairs),
-        )
-    } else {
-        (FrozenIndex::primary(0, 0), FlatArena::new(), Vec::new())
-    };
+    let RunCounts { headers, pairs, overflow } = count_groups(n, &at);
+    let mut primary = FrozenIndex::primary(headers, pairs);
+    let mut arena = FlatArena::with_capacity(pairs, overflow);
+    let mut mirror_entries = Vec::with_capacity(pairs);
 
     // Emission walk: every slab append is driven by the shared grouping
     // pass; `at` is the hot projection (a perm indirection plus a key
@@ -593,22 +479,16 @@ pub(crate) fn count_distinct_adjacent<T, K: PartialEq>(
 /// run, viewed through `perm` when the pair's order differs from the
 /// run's physical (spo) order — the same permutation-gather walk as
 /// [`build_pair_frozen`], emitting the nested `VecMap`/[`ListArena`]
-/// form. With `presize`, all containers are allocated at their exact
-/// final size before the append-only fill.
-fn build_pair(run: &[IdTriple], perm: Option<&[u32]>, key: KeyFn, presize: bool) -> Pair {
+/// form. A counting pass first sizes every container at its exact final
+/// size, so the fill is append-only and leaves no slack capacity.
+fn build_pair(run: &[IdTriple], perm: Option<&[u32]>, key: KeyFn) -> Pair {
     let n = run.len();
     let at = at_fn(run, perm, key);
 
-    let (mut primary, mut arena, mut mirror_entries) = if presize {
-        let RunCounts { headers, pairs, .. } = count_groups(n, &at);
-        (
-            TwoLevel::with_capacity(headers),
-            ListArena::with_capacity(pairs),
-            Vec::with_capacity(pairs),
-        )
-    } else {
-        (TwoLevel::new(), ListArena::new(), Vec::new())
-    };
+    let RunCounts { headers, pairs, .. } = count_groups(n, &at);
+    let mut primary = TwoLevel::with_capacity(headers);
+    let mut arena = ListArena::with_capacity(pairs);
+    let mut mirror_entries = Vec::with_capacity(pairs);
 
     // Emission walk: the same shared grouping pass as the frozen builder;
     // each `(k1, k2)` leaf gathers its exact-size terminal list through
@@ -633,11 +513,7 @@ fn build_pair(run: &[IdTriple], perm: Option<&[u32]>, key: KeyFn, presize: bool)
     // k1) appears once, so group lengths are exact inner capacities.
     mirror_entries.sort_unstable_by_key(|e| (e.0, e.1));
     let m = mirror_entries.len();
-    let mut mirror = if presize {
-        TwoLevel::with_capacity(count_distinct_adjacent(&mirror_entries, |e| e.0))
-    } else {
-        TwoLevel::new()
-    };
+    let mut mirror = TwoLevel::with_capacity(count_distinct_adjacent(&mirror_entries, |e| e.0));
     let mut i = 0;
     while i < m {
         let k2 = mirror_entries[i].0;
@@ -701,29 +577,27 @@ mod tests {
     #[test]
     fn every_config_builds_the_same_store() {
         let triples: Vec<IdTriple> = (0..500u32).map(|i| t(i % 23, i % 7, i % 41)).collect();
-        let reference = build_with(triples.clone(), Config::serial());
+        let reference = build_with(triples.clone(), Config { threads: 1 });
         for threads in [2, 3, 4, 8] {
-            for presize in [false, true] {
-                let cfg = Config { threads, presize };
-                let store = build_with(triples.clone(), cfg);
-                assert_eq!(store.len(), reference.len(), "{cfg:?}");
-                assert_eq!(
-                    store.matching(IdPattern::ALL),
-                    reference.matching(IdPattern::ALL),
-                    "{cfg:?}"
-                );
-                assert_eq!(store.space_stats(), reference.space_stats(), "{cfg:?}");
-            }
+            let cfg = Config { threads };
+            let store = build_with(triples.clone(), cfg);
+            assert_eq!(store.len(), reference.len(), "{cfg:?}");
+            assert_eq!(
+                store.matching(IdPattern::ALL),
+                reference.matching(IdPattern::ALL),
+                "{cfg:?}"
+            );
+            assert_eq!(store.space_stats(), reference.space_stats(), "{cfg:?}");
         }
     }
 
     #[test]
     fn presize_leaves_no_slack_capacity() {
         let triples: Vec<IdTriple> = (0..2000u32).map(|i| t(i % 97, i % 13, i)).collect();
-        let mut presized = build_with(triples.clone(), Config { threads: 1, presize: true });
-        let before = presized.heap_bytes();
-        presized.shrink_to_fit();
-        assert_eq!(presized.heap_bytes(), before, "presized build must already be exact");
+        let mut built = build_with(triples, Config { threads: 1 });
+        let before = built.heap_bytes();
+        built.shrink_to_fit();
+        assert_eq!(built.heap_bytes(), before, "a bulk build must already be exact");
     }
 
     #[test]
@@ -731,8 +605,8 @@ mod tests {
         let auto = Config::default();
         assert_eq!(auto.effective_threads(100), 1);
         assert!(auto.effective_threads(AUTO_SERIAL_BELOW) >= 1);
-        assert_eq!(Config::parallel(6).effective_threads(100), 6);
-        assert_eq!(Config::serial().effective_threads(1 << 20), 1);
+        assert_eq!(Config { threads: 6 }.effective_threads(100), 6);
+        assert_eq!(Config { threads: 1 }.effective_threads(1 << 20), 1);
     }
 
     #[test]
@@ -765,13 +639,13 @@ mod tests {
         let h = build(Vec::new());
         assert!(h.is_empty());
         assert_eq!(h.matching(IdPattern::ALL), Vec::new());
-        let h = build_with(Vec::new(), Config::parallel(4));
+        let h = build_with(Vec::new(), Config { threads: 4 });
         assert!(h.is_empty());
     }
 
     #[test]
     fn bulk_store_supports_updates_afterwards() {
-        for cfg in [Config::serial(), Config::parallel(4)] {
+        for cfg in [Config { threads: 1 }, Config { threads: 4 }] {
             let mut h = build_with(vec![t(1, 2, 3), t(4, 5, 6)], cfg);
             assert!(h.insert(t(0, 0, 0)));
             assert!(h.remove(t(4, 5, 6)));
@@ -787,9 +661,9 @@ mod tests {
         // with the serial build AND with the frozen builder's view of
         // the same batch (build_frozen + thaw).
         let triples: Vec<IdTriple> = (0..900u32).map(|i| t(i % 31, i % 11, i % 37)).collect();
-        let serial = build_with(triples.clone(), Config::serial());
+        let serial = build_with(triples.clone(), Config { threads: 1 });
         for threads in [2, 3, 4, 8] {
-            let cfg = Config { threads, presize: true };
+            let cfg = Config { threads };
             let parallel = build_with(triples.clone(), cfg);
             assert_eq!(parallel.len(), serial.len(), "{cfg:?}");
             assert_eq!(parallel.matching(IdPattern::ALL), serial.matching(IdPattern::ALL));
@@ -804,34 +678,28 @@ mod tests {
     #[test]
     fn frozen_build_equals_mutable_for_every_config() {
         let triples: Vec<IdTriple> = (0..700u32).map(|i| t(i % 23, i % 7, i % 41)).collect();
-        let reference = build_with(triples.clone(), Config::serial());
+        let reference = build_with(triples.clone(), Config { threads: 1 });
         for threads in [1, 2, 3, 4, 8] {
-            for presize in [false, true] {
-                let cfg = Config { threads, presize };
-                let frozen = build_frozen_with(triples.clone(), cfg);
-                assert_eq!(frozen.len(), reference.len(), "{cfg:?}");
-                assert_eq!(frozen.space_stats(), reference.space_stats(), "{cfg:?}");
-                assert_eq!(
-                    frozen.matching(IdPattern::ALL),
-                    reference.matching(IdPattern::ALL),
-                    "{cfg:?}"
-                );
-                for &tr in triples.iter().step_by(37) {
-                    for pat in [
-                        IdPattern::sp(tr.s, tr.p),
-                        IdPattern::so(tr.s, tr.o),
-                        IdPattern::po(tr.p, tr.o),
-                        IdPattern::s(tr.s),
-                        IdPattern::p(tr.p),
-                        IdPattern::o(tr.o),
-                        IdPattern::spo(tr),
-                    ] {
-                        assert_eq!(
-                            frozen.matching(pat),
-                            reference.matching(pat),
-                            "{cfg:?} {pat:?}"
-                        );
-                    }
+            let cfg = Config { threads };
+            let frozen = build_frozen_with(triples.clone(), cfg);
+            assert_eq!(frozen.len(), reference.len(), "{cfg:?}");
+            assert_eq!(frozen.space_stats(), reference.space_stats(), "{cfg:?}");
+            assert_eq!(
+                frozen.matching(IdPattern::ALL),
+                reference.matching(IdPattern::ALL),
+                "{cfg:?}"
+            );
+            for &tr in triples.iter().step_by(37) {
+                for pat in [
+                    IdPattern::sp(tr.s, tr.p),
+                    IdPattern::so(tr.s, tr.o),
+                    IdPattern::po(tr.p, tr.o),
+                    IdPattern::s(tr.s),
+                    IdPattern::p(tr.p),
+                    IdPattern::o(tr.o),
+                    IdPattern::spo(tr),
+                ] {
+                    assert_eq!(frozen.matching(pat), reference.matching(pat), "{cfg:?} {pat:?}");
                 }
             }
         }
@@ -852,7 +720,7 @@ mod tests {
         let frozen = build_frozen(Vec::new());
         assert!(frozen.is_empty());
         assert_eq!(frozen.matching(IdPattern::ALL), Vec::new());
-        let frozen = build_frozen_with(Vec::new(), Config::parallel(4));
+        let frozen = build_frozen_with(Vec::new(), Config { threads: 4 });
         assert!(frozen.is_empty());
     }
 

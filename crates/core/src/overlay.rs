@@ -132,8 +132,7 @@ impl OverlayHexastore {
         self.compact_with(crate::bulk::Config::default());
     }
 
-    /// [`compact`](Self::compact) with an explicit bulk-build
-    /// configuration (thread count, presizing).
+    /// [`compact`](Self::compact) on an explicit bulk-build thread budget.
     pub fn compact_with(&mut self, config: crate::bulk::Config) {
         if !self.is_dirty() {
             return;
@@ -190,19 +189,6 @@ impl TripleStore for OverlayHexastore {
         self.delta.contains(t) || (self.base.contains(t) && !self.tombstones.contains(t))
     }
 
-    fn for_each_matching(&self, pat: IdPattern, f: &mut dyn FnMut(IdTriple)) {
-        if self.delta.is_empty() {
-            // Common serving case: pure base scan (minus tombstones).
-            for t in self.base_iter(pat) {
-                f(t);
-            }
-            return;
-        }
-        for t in self.iter_matching(pat) {
-            f(t);
-        }
-    }
-
     fn iter_matching(&self, pat: IdPattern) -> TripleIter<'_> {
         // Every index permutation lists the pattern's bound positions
         // first, so each per-shape cursor order coincides with plain
@@ -210,6 +196,7 @@ impl TripleStore for OverlayHexastore {
         // that order, and the layering invariants keep them disjoint —
         // a standard two-way merge needs no dedup.
         if self.delta.is_empty() {
+            // Common serving case: pure base scan (minus tombstones).
             return Box::new(self.base_iter(pat));
         }
         if self.base.is_empty() {
@@ -346,9 +333,6 @@ mod tests {
             let want: Vec<_> = plain.iter_matching(pat).collect();
             assert_eq!(got, want, "cursor order on {pat:?}");
             assert_eq!(ov.count_matching(pat), want.len(), "count on {pat:?}");
-            let mut visited = Vec::new();
-            ov.for_each_matching(pat, &mut |tr| visited.push(tr));
-            assert_eq!(visited, want, "for_each on {pat:?}");
         }
     }
 

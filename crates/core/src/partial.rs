@@ -69,16 +69,13 @@ impl OwnedIndex {
     /// Append-only build from a duplicate-free run sorted by
     /// `project(kind, ·)` — the partial-store counterpart of the full
     /// loader's pair build, driven by the same shared grouping pass
-    /// ([`crate::bulk::scan_groups`]). With `presize`, headers and inner
-    /// vectors are allocated at their exact final sizes.
-    fn build_from_run(run: &[IdTriple], kind: IndexKind, presize: bool) -> OwnedIndex {
+    /// ([`crate::bulk::scan_groups`]). Headers and inner vectors are
+    /// allocated at their exact final sizes.
+    fn build_from_run(run: &[IdTriple], kind: IndexKind) -> OwnedIndex {
         use crate::bulk::{at_fn, count_distinct_adjacent, scan_groups, GroupEvent};
         let at = at_fn(run, None, move |t| project(kind, *t));
-        let mut map: VecMap<Id, VecMap<Id, Vec<Id>>> = if presize {
-            VecMap::with_capacity(count_distinct_adjacent(run, |t| project(kind, *t).0))
-        } else {
-            VecMap::new()
-        };
+        let mut map: VecMap<Id, VecMap<Id, Vec<Id>>> =
+            VecMap::with_capacity(count_distinct_adjacent(run, |t| project(kind, *t).0));
         let mut inner: VecMap<Id, Vec<Id>> = VecMap::new();
         scan_groups(run.len(), &at, |event| match event {
             GroupEvent::Header { distinct_k2, .. } => inner = VecMap::with_capacity(distinct_k2),
@@ -137,7 +134,7 @@ impl PartialHexastore {
         Self::from_triples_with(keep, triples.into_iter().collect(), crate::bulk::Config::default())
     }
 
-    /// Bulk-builds a partial store with explicit loader knobs. The batch
+    /// Bulk-builds a partial store on an explicit thread budget. The batch
     /// is sorted and deduplicated once; each kept ordering then builds
     /// append-only from its own re-sorted run. With more than one
     /// configured thread, the orderings are split across at most
@@ -152,7 +149,6 @@ impl PartialHexastore {
         let threads = config.effective_threads(triples.len());
         crate::bulk::sort_dedup(&mut triples, threads);
         let len = triples.len();
-        let presize = config.presize;
         let kinds: Vec<IndexKind> = keep.iter().collect();
         // Builds a run of orderings one after another, reusing one scratch
         // buffer across the non-spo ones instead of copying the batch per
@@ -164,11 +160,11 @@ impl PartialHexastore {
                 .map(|&kind| {
                     if kind == IndexKind::Spo {
                         // The shared run is already in spo order.
-                        (kind, OwnedIndex::build_from_run(shared, kind, presize))
+                        (kind, OwnedIndex::build_from_run(shared, kind))
                     } else {
                         let run = scratch.get_or_insert_with(|| shared.to_vec());
                         run.sort_unstable_by_key(|t| project(kind, *t));
-                        (kind, OwnedIndex::build_from_run(run, kind, presize))
+                        (kind, OwnedIndex::build_from_run(run, kind))
                     }
                 })
                 .collect::<Vec<_>>()
@@ -343,7 +339,7 @@ mod tests {
         }
     }
 
-    /// Bulk construction (serial and parallel, pre-sized or not) matches
+    /// Bulk construction (serial and parallel) matches
     /// insert-order construction for every subset of orderings.
     #[test]
     fn bulk_build_equals_incremental_for_every_subset() {
@@ -360,11 +356,8 @@ mod tests {
             for &tr in &with_dups {
                 incremental.insert(tr);
             }
-            for cfg in [
-                crate::bulk::Config::serial(),
-                crate::bulk::Config::parallel(4),
-                crate::bulk::Config { threads: 2, presize: false },
-            ] {
+            for threads in [1, 2, 4] {
+                let cfg = crate::bulk::Config { threads };
                 let bulk = PartialHexastore::from_triples_with(keep, with_dups.clone(), cfg);
                 assert_eq!(bulk.len(), incremental.len(), "{keep:?} {cfg:?}");
                 assert_eq!(bulk.kept(), incremental.kept(), "{keep:?} {cfg:?}");

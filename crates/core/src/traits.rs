@@ -18,17 +18,24 @@ pub type TripleIter<'a> = Box<dyn Iterator<Item = IdTriple> + 'a>;
 
 /// A dictionary-encoded RDF triple store.
 ///
-/// Implementations must behave as *sets* of triples: duplicate inserts are
-/// no-ops, and `for_each_matching` visits each matching triple exactly once
-/// in (s, p, o)-sorted order of whatever index serves the pattern.
+/// Implementations behave as *sets* of triples: duplicate inserts are
+/// no-ops, and [`TripleStore::iter_matching`] — the one required way to
+/// enumerate, which every other reader is defined by — yields each
+/// matching triple exactly once, in an order that repeats from call to
+/// call while the store is unchanged.
 ///
-/// The ordering clause is load-bearing for layered stores: because every
-/// serving index lists the pattern's bound positions first, each
-/// per-shape cursor order coincides with plain `(s, p, o)` order
+/// The hexastore family (everything that reads through [`crate::access`])
+/// promises more: its cursor runs in the key order of the ordering the
+/// pattern is routed to ([`crate::access::route`]). When all six orderings
+/// are kept, the routed ordering lists the pattern's bound positions
+/// first, so that key order coincides with plain `(s, p, o)` order
 /// restricted to the match set. [`crate::OverlayHexastore`] relies on
-/// exactly this to merge a mutable delta over a frozen base with one
-/// order-preserving two-way merge per cursor, keeping every query path
-/// (planner, joins, LIMIT pushdown) oblivious to the layering.
+/// exactly this — its base and delta are always full stores — to merge a
+/// mutable delta over a frozen base with one order-preserving two-way
+/// merge per cursor. A partial store that dropped the serving ordering
+/// walks a surviving one instead and yields in *that* ordering's key
+/// order; the baselines promise no particular order at all (COVP's
+/// object-bound cursors run in `(p, s)` order).
 pub trait TripleStore {
     /// A short human-readable name ("Hexastore", "COVP1", …).
     fn name(&self) -> &'static str;
@@ -50,18 +57,13 @@ pub trait TripleStore {
     /// Membership test.
     fn contains(&self, t: IdTriple) -> bool;
 
-    /// Visits every triple matching the pattern.
-    fn for_each_matching(&self, pat: IdPattern, f: &mut dyn FnMut(IdTriple));
+    /// Lazy cursor over the triples matching the pattern: the store's one
+    /// enumeration, from which the other readers below are derived.
+    fn iter_matching(&self, pat: IdPattern) -> TripleIter<'_>;
 
-    /// Iterator-style cursor over the triples matching the pattern, in the
-    /// same order `for_each_matching` visits them.
-    ///
-    /// The default implementation buffers the full match set through
-    /// [`Self::for_each_matching`]; index-backed stores override it with a
-    /// lazy cursor so early-terminating consumers (ASK, LIMIT) stop paying
-    /// as soon as they have enough rows.
-    fn iter_matching(&self, pat: IdPattern) -> TripleIter<'_> {
-        Box::new(self.matching(pat).into_iter())
+    /// Visits every triple matching the pattern, in cursor order.
+    fn for_each_matching(&self, pat: IdPattern, f: &mut dyn FnMut(IdTriple)) {
+        self.iter_matching(pat).for_each(f)
     }
 
     /// The `[start, end)` sub-range of the [`Self::iter_matching`] cursor:
@@ -95,19 +97,15 @@ pub trait TripleStore {
 
     /// Number of triples matching the pattern.
     ///
-    /// The default implementation counts by visiting; stores override it
-    /// where an index answers the count without enumeration.
+    /// The default implementation counts by walking the cursor; stores
+    /// override it where an index answers the count without enumeration.
     fn count_matching(&self, pat: IdPattern) -> usize {
-        let mut n = 0;
-        self.for_each_matching(pat, &mut |_| n += 1);
-        n
+        self.iter_matching(pat).count()
     }
 
-    /// Collects the matching triples into a vector.
+    /// Collects the matching triples into a vector, in cursor order.
     fn matching(&self, pat: IdPattern) -> Vec<IdTriple> {
-        let mut out = Vec::new();
-        self.for_each_matching(pat, &mut |t| out.push(t));
-        out
+        self.iter_matching(pat).collect()
     }
 
     /// Approximate heap usage in bytes (deep, excluding the dictionary,
@@ -194,12 +192,8 @@ mod tests {
         fn contains(&self, t: IdTriple) -> bool {
             self.0.contains(&t)
         }
-        fn for_each_matching(&self, pat: IdPattern, f: &mut dyn FnMut(IdTriple)) {
-            for &t in &self.0 {
-                if pat.matches(t) {
-                    f(t);
-                }
-            }
+        fn iter_matching(&self, pat: IdPattern) -> TripleIter<'_> {
+            Box::new(self.0.iter().copied().filter(move |&t| pat.matches(t)))
         }
         fn heap_bytes(&self) -> usize {
             self.0.len() * std::mem::size_of::<IdTriple>()
@@ -232,12 +226,12 @@ mod tests {
         s.insert(IdTriple::from((1, 2, 3)));
         s.insert(IdTriple::from((1, 2, 4)));
         s.insert(IdTriple::from((5, 6, 7)));
-        // The default cursor agrees with for_each_matching, including when
-        // the consumer stops early.
+        // The provided visitor and range reader follow the cursor.
         let all: Vec<IdTriple> = s.iter_matching(IdPattern::ALL).collect();
-        assert_eq!(all, s.matching(IdPattern::ALL));
-        let first = s.iter_matching(IdPattern::sp(Id(1), Id(2))).next();
-        assert_eq!(first, Some(IdTriple::from((1, 2, 3))));
+        let mut visited = Vec::new();
+        s.for_each_matching(IdPattern::ALL, &mut |t| visited.push(t));
+        assert_eq!(visited, all);
+        assert_eq!(s.iter_matching_range(IdPattern::ALL, 1, 3).collect::<Vec<_>>(), all[1..]);
         // The default claims the full sextuple set (uniform-access store).
         assert_eq!(s.capabilities(), IndexSet::all());
         // …but makes no zero-copy sorted-list claim.

@@ -47,6 +47,10 @@ fn readers_always_see_a_whole_generation() {
                     let mut last = 0u64;
                     let mut distinct = std::collections::BTreeSet::new();
                     loop {
+                        // Read before the load: the flag is set once the
+                        // writer is done, so a load that follows a set
+                        // flag sees the final generation.
+                        let stopping = stop.load(Ordering::SeqCst);
                         let (g, snap) = handle.load_tagged();
                         assert!(g >= last, "published generation went backwards: {last} -> {g}");
                         last = g;
@@ -67,7 +71,7 @@ fn readers_always_see_a_whole_generation() {
                                 "generation {g} snapshot mis-reports generation {gg}'s marker"
                             );
                         }
-                        if g == GENERATIONS || stop.load(Ordering::Relaxed) {
+                        if g == GENERATIONS || stopping {
                             break (last, distinct.len());
                         }
                         std::thread::yield_now();
@@ -90,7 +94,7 @@ fn readers_always_see_a_whole_generation() {
         // Unblock the spinning readers even if the writer panicked, so a
         // failure surfaces as a panic instead of a hang.
         let finished = writer.join();
-        stop.store(true, Ordering::Relaxed);
+        stop.store(true, Ordering::SeqCst);
         let live = finished.expect("writer panicked");
         assert_eq!(live.generation(), GENERATIONS);
 

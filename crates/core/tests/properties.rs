@@ -128,17 +128,14 @@ proptest! {
     }
 
     /// The parallel loader is an optimization, never a semantic change:
-    /// any thread count and either presize setting must produce a store
-    /// that answers all eight access patterns exactly like insert-order
-    /// construction.
+    /// any thread count must produce a store that answers all eight access
+    /// patterns exactly like insert-order construction.
     #[test]
     fn parallel_bulk_load_equals_incremental(
         triples in proptest::collection::vec(arb_triple(), 0..200),
         threads in 1usize..9,
-        presize in (0u32..2).prop_map(|b| b == 1),
     ) {
-        let cfg = bulk::Config { threads, presize };
-        let bulk_store = bulk::build_with(triples.clone(), cfg);
+        let bulk_store = bulk::build_with(triples.clone(), bulk::Config { threads });
         let mut inc = Hexastore::new();
         for &t in &triples {
             inc.insert(t);
@@ -161,7 +158,7 @@ proptest! {
                 prop_assert_eq!(
                     bulk_store.matching(pat),
                     inc.matching(pat),
-                    "threads={} presize={} pattern {:?}", threads, presize, pat
+                    "threads={} pattern {:?}", threads, pat
                 );
                 prop_assert_eq!(bulk_store.count_matching(pat), inc.count_matching(pat));
             }
@@ -178,11 +175,8 @@ proptest! {
         use hexastore::{IndexKind, IndexSet, PartialHexastore};
         let full = bulk::build(triples.clone());
         let keep = IndexSet::EMPTY.with(IndexKind::Spo).with(IndexKind::Pos).with(IndexKind::Osp);
-        let partial = PartialHexastore::from_triples_with(
-            keep,
-            triples.clone(),
-            bulk::Config { threads, presize: true },
-        );
+        let partial =
+            PartialHexastore::from_triples_with(keep, triples.clone(), bulk::Config { threads });
         prop_assert_eq!(partial.len(), full.len());
         for &t in &triples {
             for pat in [IdPattern::sp(t.s, t.p), IdPattern::po(t.p, t.o), IdPattern::o(t.o)] {

@@ -76,13 +76,6 @@ impl<S: TripleStore> TripleStore for Counting<'_, S> {
         self.probe();
         self.inner.contains(t)
     }
-    fn for_each_matching(&self, pat: IdPattern, f: &mut dyn FnMut(IdTriple)) {
-        self.probe();
-        self.inner.for_each_matching(pat, &mut |t| {
-            self.yielded.fetch_add(1, Relaxed);
-            f(t);
-        });
-    }
     fn iter_matching(&self, pat: IdPattern) -> TripleIter<'_> {
         self.probe();
         self.counted(self.inner.iter_matching(pat))

@@ -71,10 +71,7 @@ proptest! {
     ) {
         let oracle = TriplesTable::from_triples(triples.iter().copied());
         let mutable = Hexastore::from_triples(triples.iter().copied());
-        let direct = bulk::build_frozen_with(
-            triples.clone(),
-            bulk::Config { threads, presize: true },
-        );
+        let direct = bulk::build_frozen_with(triples.clone(), bulk::Config { threads });
         let via_freeze = mutable.freeze();
         let reloaded = hexsnap_roundtrip(&via_freeze);
 

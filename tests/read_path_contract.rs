@@ -1,22 +1,28 @@
-//! One read contract, checked over the whole hexastore family.
+//! One read contract, checked over every store in the workspace.
 //!
-//! Every variant — mutable, frozen, layered, every partial subset in both
-//! forms, and (feature `disk`) the memory-mapped store — answers reads
-//! through `hexastore::access`, so one generic check states what all of
-//! them owe a caller, against the [`TriplesTable`] oracle:
+//! The hexastore family — mutable, frozen, layered, every partial subset
+//! in both forms, and (feature `disk`) the memory-mapped store — and the
+//! three baselines all enumerate through `TripleStore::iter_matching`, so
+//! one generic check states what each owes a caller, against a model (the
+//! sorted, duplicate-free triples filtered by `IdPattern::matches`):
 //!
-//! - `for_each_matching` and `iter_matching` visit the same triples in the
-//!   same order, each match exactly once, and exactly the oracle's set;
+//! - `iter_matching` yields exactly the model's set, each match once, in
+//!   the same order on every call; `for_each_matching` and `matching`
+//!   follow it;
+//! - on the family ([`Order::Routed`]) that order is the key order of the
+//!   ordering the pattern is routed to, which is `(s, p, o)` order
+//!   whenever all six orderings are kept;
 //! - `count_matching == iter_matching().count()`;
 //! - ranges tile: for every cut `c`, `[0, c) ++ [c, n)` is the full
 //!   cursor, and a range past the end is empty;
 //! - `sorted_list`, where served, is the cursor's projection onto the
 //!   free position and strictly ascending; it is `None` unless exactly
 //!   two positions are bound;
-//! - `contains` agrees with the oracle.
+//! - `contains` agrees with the model.
 
-use hex_baselines::TriplesTable;
+use hex_baselines::{Covp1, Covp2, TriplesTable};
 use hex_dict::{Id, IdTriple};
+use hexastore::access::{project, route};
 use hexastore::{
     FrozenHexastore, Hexastore, IdPattern, IndexKind, IndexSet, OverlayHexastore, PartialHexastore,
     TripleStore,
@@ -71,22 +77,52 @@ fn patterns(triples: &[IdTriple]) -> Vec<IdPattern> {
     pats
 }
 
-fn check<S: TripleStore>(store: &S, oracle: &TriplesTable, what: &str) {
-    assert_eq!(store.len(), oracle.len(), "{what}: len");
-    for pat in patterns(oracle.rows()) {
+/// What a store promises about cursor order beyond "the same every time".
+#[derive(Clone, Copy)]
+enum Order {
+    /// The hexastore family: the routed ordering's key order.
+    Routed,
+    /// The baselines: no particular order.
+    Repeatable,
+}
+
+/// The model of a batch: its triples sorted and duplicate-free.
+fn model_of(triples: &[IdTriple]) -> Vec<IdTriple> {
+    let mut model = triples.to_vec();
+    model.sort();
+    model.dedup();
+    model
+}
+
+fn check<S: TripleStore>(store: &S, model: &[IdTriple], order: Order, what: &str) {
+    assert_eq!(store.len(), model.len(), "{what}: len");
+    for pat in patterns(model) {
         let ctx = format!("{what} ({}) {pat:?}", store.name());
 
         let cursor: Vec<IdTriple> = store.iter_matching(pat).collect();
+        assert_eq!(store.iter_matching(pat).collect::<Vec<_>>(), cursor, "{ctx}: repeatable");
         let mut visited = Vec::new();
         store.for_each_matching(pat, &mut |t| visited.push(t));
         assert_eq!(visited, cursor, "{ctx}: for_each vs iter");
         assert_eq!(store.matching(pat), cursor, "{ctx}: matching vs iter");
 
+        // Equal to a duplicate-free list once sorted: each match once.
         let mut got = cursor.clone();
         got.sort();
-        let mut want = oracle.matching(pat);
-        want.sort();
-        assert_eq!(got, want, "{ctx}: match set vs oracle");
+        let want: Vec<IdTriple> = model.iter().copied().filter(|&t| pat.matches(t)).collect();
+        assert_eq!(got, want, "{ctx}: match set vs model");
+
+        if let Order::Routed = order {
+            let caps = store.capabilities();
+            let kind = route(pat, caps).kind;
+            assert!(
+                cursor.windows(2).all(|w| project(kind, w[0]) < project(kind, w[1])),
+                "{ctx}: {kind:?} key order, got {cursor:?}"
+            );
+            if caps == IndexSet::all() {
+                assert!(cursor.windows(2).all(|w| w[0] < w[1]), "{ctx}: (s, p, o) order");
+            }
+        }
 
         let n = cursor.len();
         assert_eq!(store.count_matching(pat), n, "{ctx}: count");
@@ -124,7 +160,7 @@ fn check<S: TripleStore>(store: &S, oracle: &TriplesTable, what: &str) {
 
         if let (Some(s), Some(p), Some(o)) = (pat.s, pat.p, pat.o) {
             let t = IdTriple::new(s, p, o);
-            assert_eq!(store.contains(t), oracle.contains(t), "{ctx}: contains");
+            assert_eq!(store.contains(t), model.binary_search(&t).is_ok(), "{ctx}: contains");
         }
     }
 }
@@ -156,22 +192,31 @@ fn overlay_of(triples: &[IdTriple]) -> OverlayHexastore {
 }
 
 fn check_family(triples: &[IdTriple]) {
-    let oracle = TriplesTable::from_triples(triples.iter().copied());
+    let model = &model_of(triples);
     let mutable = Hexastore::from_triples(triples.iter().copied());
-    check(&mutable, &oracle, "bulk-built");
+    check(&mutable, model, Order::Routed, "bulk-built");
     let mut inserted = Hexastore::new();
     for &t in triples.iter().rev() {
         inserted.insert(t);
     }
-    check(&inserted, &oracle, "insert-built");
-    check(&mutable.freeze(), &oracle, "freeze()");
-    check(&FrozenHexastore::from_triples(triples.iter().copied()), &oracle, "build_frozen");
-    check(&overlay_of(triples), &oracle, "overlay");
+    check(&inserted, model, Order::Routed, "insert-built");
+    check(&mutable.freeze(), model, Order::Routed, "freeze()");
+    let built = FrozenHexastore::from_triples(triples.iter().copied());
+    check(&built, model, Order::Routed, "build_frozen");
+    check(&overlay_of(triples), model, Order::Routed, "overlay");
     for keep in subsets() {
         let partial = PartialHexastore::from_triples(keep, triples.iter().copied());
-        check(&partial, &oracle, &format!("partial {keep:?}"));
-        check(&partial.freeze(), &oracle, &format!("frozen partial {keep:?}"));
+        check(&partial, model, Order::Routed, &format!("partial {keep:?}"));
+        check(&partial.freeze(), model, Order::Routed, &format!("frozen partial {keep:?}"));
     }
+}
+
+fn check_baselines(triples: &[IdTriple]) {
+    let model = &model_of(triples);
+    let rows = || triples.iter().copied();
+    check(&TriplesTable::from_triples(rows()), model, Order::Repeatable, "table");
+    check(&Covp1::from_triples(rows()), model, Order::Repeatable, "covp1");
+    check(&Covp2::from_triples(rows()), model, Order::Repeatable, "covp2");
 }
 
 #[test]
@@ -182,21 +227,79 @@ fn every_in_memory_variant_obeys_the_read_contract() {
 #[test]
 fn empty_stores_obey_the_read_contract() {
     check_family(&[]);
+    check_baselines(&[]);
+}
+
+#[test]
+fn the_baselines_obey_the_read_contract() {
+    check_baselines(&sample());
+}
+
+/// The contract holds after every step of a write sequence that takes the
+/// overlay through each layer transition — delta insert, tombstone,
+/// resurrection, delta remove, no-op writes — and a compaction in the
+/// middle; `insert`/`remove` report set semantics along the way.
+#[test]
+fn an_overlay_under_mutation_obeys_the_read_contract() {
+    enum Step {
+        Insert(IdTriple),
+        Remove(IdTriple),
+        Compact,
+    }
+    use Step::*;
+
+    let triples = sample();
+    let (base, rest) = triples.split_at(triples.len() / 2);
+    let mut overlay = OverlayHexastore::new(FrozenHexastore::from_triples(base.iter().copied()));
+    let mut model: std::collections::BTreeSet<IdTriple> = base.iter().copied().collect();
+    check(&overlay, &model_of(base), Order::Routed, "overlay, clean");
+
+    let fresh = IdTriple::from((1, 6, 9));
+    let steps = [
+        Insert(rest[0]),
+        Remove(base[0]), // tombstone
+        Remove(base[0]), // already masked: no-op
+        Insert(base[1]), // already in the base: no-op
+        Insert(fresh),   // lands between two base triples
+        Insert(base[0]), // resurrection
+        Remove(rest[0]), // delta remove
+        Remove(base[2]),
+        Insert(rest[1]),
+        Compact, // with a tombstone and two delta triples pending
+        Remove(fresh),
+        Remove(rest[1]),
+        Insert(base[2]),
+        Remove(base[3]),
+        Insert(rest[2]),
+    ];
+    for (i, step) in steps.into_iter().enumerate() {
+        match step {
+            Insert(t) => assert_eq!(overlay.insert(t), model.insert(t), "step {i}: {t:?}"),
+            Remove(t) => assert_eq!(overlay.remove(t), model.remove(&t), "step {i}: {t:?}"),
+            Compact => {
+                assert!(overlay.delta_len() > 0 && overlay.tombstone_len() > 0);
+                overlay.compact();
+                assert!(!overlay.is_dirty());
+            }
+        }
+        let rows: Vec<IdTriple> = model.iter().copied().collect();
+        check(&overlay, &rows, Order::Routed, &format!("overlay, step {i}"));
+    }
+    assert!(overlay.delta_len() > 0 && overlay.tombstone_len() > 0, "ends with every layer live");
 }
 
 #[cfg(feature = "disk")]
 #[test]
 fn the_mapped_store_obeys_the_read_contract() {
     for (tag, triples) in [("full", sample()), ("empty", Vec::new())] {
-        let oracle = TriplesTable::from_triples(triples.iter().copied());
         let frozen = FrozenHexastore::from_triples(triples.iter().copied());
-        check_through_a_snapshot(&frozen, &oracle, tag);
+        check_through_a_snapshot(&frozen, &model_of(&triples), tag);
     }
 }
 
 /// Saves `frozen` as a current-version snapshot and checks the contract on
 /// what the eager reader and (feature `disk`) the mapping make of it.
-fn check_through_a_snapshot(frozen: &FrozenHexastore, oracle: &TriplesTable, tag: &str) {
+fn check_through_a_snapshot(frozen: &FrozenHexastore, model: &[IdTriple], tag: &str) {
     use hexastore::hexsnap::{Reader, Writer};
     let mut w = Writer::new(std::io::Cursor::new(Vec::new())).unwrap();
     // Id-level check: an empty dictionary section is enough to map.
@@ -205,13 +308,13 @@ fn check_through_a_snapshot(frozen: &FrozenHexastore, oracle: &TriplesTable, tag
     let bytes = w.finish().unwrap().into_inner();
     let loaded = Reader::new(std::io::Cursor::new(&bytes)).unwrap().frozen().unwrap();
     assert_eq!(&loaded, frozen, "{tag}: the slabs read back");
-    check(&loaded, oracle, "hexsnap read");
+    check(&loaded, model, Order::Routed, "hexsnap read");
     #[cfg(feature = "disk")]
     {
         let path = std::env::temp_dir()
             .join(format!("read-path-contract-{tag}-{}.hexsnap", std::process::id()));
         std::fs::write(&path, &bytes).unwrap();
-        check(&hex_disk::open_store(&path).unwrap(), oracle, "mmap");
+        check(&hex_disk::open_store(&path).unwrap(), model, Order::Routed, "mmap");
         std::fs::remove_file(&path).ok();
     }
 }
@@ -222,12 +325,12 @@ fn check_through_a_snapshot(frozen: &FrozenHexastore, oracle: &TriplesTable, tag
 fn a_store_of_only_longer_lists_obeys_the_read_contract() {
     let triples: Vec<IdTriple> =
         (0..8u32).map(|i| IdTriple::from((i & 1, 10 + (i >> 1 & 1), 20 + (i >> 2)))).collect();
-    let oracle = TriplesTable::from_triples(triples.iter().copied());
+    let model = &model_of(&triples);
     let frozen = FrozenHexastore::from_triples(triples.iter().copied());
     assert_eq!(frozen.heap_breakdown().overflow, 4 * 3 * 4 * (2 + 1), "twelve lists of two");
-    check(&frozen, &oracle, "all-long");
-    check(&frozen.clone().thaw(), &oracle, "all-long thawed");
-    check_through_a_snapshot(&frozen, &oracle, "all-long");
+    check(&frozen, model, Order::Routed, "all-long");
+    check(&frozen.clone().thaw(), model, Order::Routed, "all-long thawed");
+    check_through_a_snapshot(&frozen, model, "all-long");
 }
 
 mod list_length_mixes {
@@ -247,23 +350,25 @@ mod list_length_mixes {
         /// Whatever mix of singleton and longer lists the triples make,
         /// every way to reach the slot arenas — direct bulk build, freeze,
         /// thaw, a saved snapshot read eagerly or mapped — answers all
-        /// eight shapes like the `Hexastore` the triples came from.
+        /// eight shapes like the `Hexastore` the triples came from, and
+        /// the baselines answer them with the same sets.
         #[test]
         fn every_list_length_mix_obeys_the_read_contract(
             picks in proptest::collection::vec((arb_id(), arb_id(), arb_id()), 0..24),
         ) {
             let triples: Vec<IdTriple> =
                 picks.into_iter().map(|(s, p, o)| IdTriple::new(s, p, o)).collect();
-            let oracle = TriplesTable::from_triples(triples.iter().copied());
+            let model = &model_of(&triples);
             let mutable = Hexastore::from_triples(triples.iter().copied());
-            check(&mutable, &oracle, "mutable");
+            check(&mutable, model, Order::Routed, "mutable");
             let frozen = mutable.freeze();
             prop_assert_eq!(&frozen, &FrozenHexastore::from_triples(triples.iter().copied()));
-            check(&frozen, &oracle, "freeze()");
+            check(&frozen, model, Order::Routed, "freeze()");
             let thawed = frozen.clone().thaw();
             prop_assert_eq!(thawed.space_stats(), mutable.space_stats());
-            check(&thawed, &oracle, "thaw()");
-            check_through_a_snapshot(&frozen, &oracle, "mix");
+            check(&thawed, model, Order::Routed, "thaw()");
+            check_through_a_snapshot(&frozen, model, "mix");
+            check_baselines(&triples);
         }
     }
 }
