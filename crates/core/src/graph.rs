@@ -293,9 +293,10 @@ impl<S: MutableStore> Dataset<S> {
     /// added (duplicates in the document are deduplicated, as in the
     /// paper's data cleaning).
     ///
-    /// The tokenizer yields triples that borrow from `doc` and the
-    /// dictionary interns them as they are, so no owned term exists
-    /// between the text and the ids. The document is encoded as one batch
+    /// The tokenizer yields 32-byte statements — where the terms sit in
+    /// `doc` — and the dictionary interns from views of them, so no owned
+    /// term exists between the text and the ids and the parsed document
+    /// weighs a fraction of its text. The document is encoded as one batch
     /// ([`Dictionary::encode_triples_parallel`]), so a load that at least
     /// doubles the dictionary leaves its buffers exact-sized.
     pub fn load_ntriples(&mut self, doc: &str) -> Result<usize, NtParseError> {

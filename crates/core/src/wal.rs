@@ -360,6 +360,13 @@ mod tests {
             Triple::new(Term::iri("http://w/s"), p.clone(), Term::blank("")),
             Triple::new(Term::iri("http://w/s"), p.clone(), Term::lang_literal("x", "not a tag")),
             Triple::new(Term::iri("http://w/s"), p.clone(), Term::lang_literal("x", "")),
+            // A label ending in '.' reads back without it, and these
+            // are not LANGTAGs.
+            Triple::new(Term::iri("http://w/s"), p.clone(), Term::blank("b.")),
+            Triple::new(Term::blank("b."), p.clone(), Term::literal("x")),
+            Triple::new(Term::iri("http://w/s"), p.clone(), Term::lang_literal("x", "-en")),
+            Triple::new(Term::iri("http://w/s"), p.clone(), Term::lang_literal("x", "12")),
+            Triple::new(Term::iri("http://w/s"), p.clone(), Term::lang_literal("x", "en-")),
         ] {
             for op in [WalOp::Insert(bad.clone()), WalOp::Remove(bad)] {
                 assert!(matches!(wal.append(&op), Err(Error::Unloggable(_))), "{op:?}");

@@ -464,8 +464,8 @@ impl Dictionary {
         self.term(id).map(|t| t.to_owned())
     }
 
-    /// Encodes a triple (`&Triple` or `&TripleRef`), interning all three
-    /// terms.
+    /// Encodes a triple (`&Triple`, `&TripleRef` or the tokenizer's
+    /// `&Statement`), interning all three terms.
     pub fn encode_triple<'a>(&mut self, t: impl Into<TripleRef<'a>>) -> IdTriple {
         let t = t.into();
         IdTriple {
@@ -475,10 +475,12 @@ impl Dictionary {
         }
     }
 
-    /// Encodes a batch of triples — owned ([`Triple`]) or borrowed
-    /// ([`TripleRef`], as the N-Triples tokenizer yields them) — exactly
-    /// as an [`Dictionary::encode_triple`] loop over the slice does: new
-    /// terms are numbered in first-seen order.
+    /// Encodes a batch of triples — owned ([`Triple`]), borrowed
+    /// ([`TripleRef`]) or still in their text (`rdf_model::Statement`, as
+    /// the N-Triples tokenizer yields them: each is viewed as a
+    /// `TripleRef` for the moment it is interned) — exactly as an
+    /// [`Dictionary::encode_triple`] loop over the slice does: new terms
+    /// are numbered in first-seen order.
     ///
     /// `threads` is an upper bound on the workers the encode may use, and
     /// it uses one: the loop costs about 80 ns per term occurrence, an

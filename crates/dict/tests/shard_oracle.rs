@@ -1,8 +1,9 @@
 //! Oracle tests for the batch encoder and the arena constructors.
 //!
 //! The contract under test is byte-identity: for any triple batch —
-//! owned `Triple`s or the borrowed `TripleRef`s the tokenizer yields —
-//! and any worker count it is allowed, `encode_triples_parallel` must
+//! owned `Triple`s, borrowed `TripleRef`s, or the `Statement`s the
+//! tokenizer yields for the batch written as N-Triples — and any worker
+//! count it is allowed, `encode_triples_parallel` must
 //! leave the dictionary in *exactly* the state a serial first-seen
 //! `encode_triple` loop over owned triples produces — same ids, same id
 //! order, same kind column, same offset table, same arena bytes. Not
@@ -19,38 +20,50 @@ use hex_dict::{Dictionary, Id, IdTriple};
 use proptest::prelude::*;
 use rdf_model::{Term, Triple, TripleRef};
 
+fn iri_strategy() -> impl Strategy<Value = Term> {
+    (0u32..40).prop_map(|i| Term::iri(format!("http://example.org/node/{i}")))
+}
+
+/// What may stand as a subject: IRIs and blank nodes.
+fn resource_strategy() -> impl Strategy<Value = Term> {
+    prop_oneof![iri_strategy(), (0u32..20).prop_map(|i| Term::blank(format!("b{i}")))]
+}
+
 /// Terms across all five kinds, with repeats likely (small id spaces)
 /// and multi-byte UTF-8 in literal content.
 fn term_strategy() -> impl Strategy<Value = Term> {
     prop_oneof![
-        (0u32..40).prop_map(|i| Term::iri(format!("http://example.org/node/{i}"))),
-        (0u32..20).prop_map(|i| Term::blank(format!("b{i}"))),
-        (0u32..30).prop_map(|i| Term::literal(format!("plain value {i} é∀"))),
-        ((0u32..15), prop_oneof![Just("en"), Just("fr"), Just("de-CH")])
+        2 => resource_strategy(),
+        1 => (0u32..30).prop_map(|i| Term::literal(format!("plain value {i} é∀"))),
+        1 => ((0u32..15), prop_oneof![Just("en"), Just("fr"), Just("de-CH")])
             .prop_map(|(i, tag)| Term::lang_literal(format!("étiquette {i}"), tag)),
-        (0u32..15).prop_map(|i| Term::typed_literal(
+        1 => (0u32..15).prop_map(|i| Term::typed_literal(
             format!("{i}"),
             "http://www.w3.org/2001/XMLSchema#integer"
         )),
         // The canonicalized case: typed xsd:string must intern as plain.
-        (0u32..10).prop_map(|i| Term::typed_literal(
+        1 => (0u32..10).prop_map(|i| Term::typed_literal(
             format!("s{i}"),
             "http://www.w3.org/2001/XMLSchema#string"
         )),
     ]
 }
 
+/// Batches with any kind of term in any position, and batches of valid
+/// RDF — the ones that can be written as N-Triples and read back.
 fn triple_strategy() -> impl Strategy<Value = Vec<Triple>> {
-    proptest::collection::vec(
-        (term_strategy(), term_strategy(), term_strategy())
-            .prop_map(|(s, p, o)| Triple::new(s, p, o)),
-        0..120,
-    )
+    let anywhere = (term_strategy(), term_strategy(), term_strategy());
+    let valid = (resource_strategy(), iri_strategy(), term_strategy());
+    prop_oneof![
+        proptest::collection::vec(anywhere.prop_map(|(s, p, o)| Triple::new(s, p, o)), 0..120),
+        proptest::collection::vec(valid.prop_map(|(s, p, o)| Triple::new(s, p, o)), 0..120),
+    ]
 }
 
-/// Encodes `triples` from `base` with `threads` workers allowed, as
-/// owned and as borrowed input, asserting both leave ids and dictionary
-/// identical to `want` and `serial`.
+/// Encodes `triples` from `base` with `threads` workers allowed — as
+/// owned input, as borrowed input and, when the batch is valid RDF, as
+/// the statements its N-Triples text tokenizes to — asserting each
+/// leaves ids and dictionary identical to `want` and `serial`.
 fn assert_batch_matches(
     base: &Dictionary,
     triples: &[Triple],
@@ -58,17 +71,26 @@ fn assert_batch_matches(
     want: &[IdTriple],
     serial: &Dictionary,
 ) {
+    fn check<T>(
+        input: &[T],
+        ctx: String,
+        (base, threads, want, serial): (&Dictionary, usize, &[IdTriple], &Dictionary),
+    ) where
+        for<'t> &'t T: Into<TripleRef<'t>>,
+    {
+        let mut dict = base.clone();
+        assert_eq!(dict.encode_triples_parallel(input, threads), want, "{ctx}");
+        assert_dictionaries_byte_identical(serial, &dict, &ctx);
+    }
+    let against = (base, threads, want, serial);
+    check(triples, format!("owned, {threads} threads"), against);
     let borrowed: Vec<TripleRef<'_>> = triples.iter().map(TripleRef::from).collect();
-    let mut dict = base.clone();
-    assert_eq!(dict.encode_triples_parallel(triples, threads), want, "owned, {threads} threads");
-    assert_dictionaries_byte_identical(serial, &dict, &format!("owned, {threads} threads"));
-    let mut dict = base.clone();
-    assert_eq!(
-        dict.encode_triples_parallel(&borrowed, threads),
-        want,
-        "borrowed, {threads} threads"
-    );
-    assert_dictionaries_byte_identical(serial, &dict, &format!("borrowed, {threads} threads"));
+    check(&borrowed, format!("borrowed, {threads} threads"), against);
+    if triples.iter().all(Triple::is_valid_rdf) {
+        let text = rdf_model::write_document(triples);
+        let statements = rdf_model::parse_document(&text).unwrap();
+        check(&statements, format!("statements, {threads} threads"), against);
+    }
 }
 
 fn assert_dictionaries_byte_identical(serial: &Dictionary, parallel: &Dictionary, ctx: &str) {

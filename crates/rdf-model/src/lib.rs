@@ -10,8 +10,9 @@
 //! encoding. This crate provides the string-level model that the
 //! [`hex_dict`](../hex_dict) crate encodes: owned [`Term`]s and
 //! [`Triple`]s for callers that keep them, and the borrowed
-//! [`TermRef`]/[`TripleRef`] views the N-Triples tokenizer yields over its
-//! input and a dictionary yields over its string arena.
+//! [`TermRef`]/[`TripleRef`] views: of an owned triple, of a dictionary's
+//! string arena, and of a [`Statement`] — the 32-byte table of extents the
+//! N-Triples tokenizer yields per line of its input.
 //!
 //! ## Example
 //!
@@ -38,7 +39,7 @@ mod term;
 mod triple;
 mod turtle;
 
-pub use ntriples::{parse_document, parse_line, write_document, NtParseError};
+pub use ntriples::{parse_document, parse_line, write_document, NtParseError, Statement};
 pub use pattern::{TermPattern, TriplePattern};
 pub use term::{BlankNode, Iri, Literal, Term, TermKind, TermRef, XSD_STRING};
 pub use triple::{Triple, TripleRef};

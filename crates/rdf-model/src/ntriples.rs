@@ -7,11 +7,13 @@
 //! IRIs, blank nodes, literals with escapes, language tags and datatypes,
 //! comments and blank lines.
 //!
-//! The tokenizer scans bytes and borrows: a term written without escape
-//! sequences is a [`TermRef`] over slices of the input, so parsing a
-//! document allocates nothing per term. The writer streams into one
-//! output buffer and is the routine behind every `Display` of a term or
-//! triple.
+//! The tokenizer scans bytes and builds nothing: one pass over a line
+//! validates it and records where its terms sit, as a [`Statement`] — the
+//! line plus six cut offsets, 32 bytes. A [`TripleRef`] is a view of one:
+//! a term written without escape sequences is a [`TermRef`] over slices of
+//! the input, so parsing a document allocates nothing per term or per
+//! statement. The writer streams into one output buffer and is the routine
+//! behind every `Display` of a term or triple.
 
 use crate::term::{TermKind, TermRef};
 use crate::triple::{Triple, TripleRef};
@@ -39,9 +41,25 @@ fn err(line: usize, message: impl Into<String>) -> NtParseError {
     NtParseError { line, message: message.into() }
 }
 
+/// Where one string piece of a term sits in its line (delimiters
+/// excluded), and whether it is written with escape sequences.
+#[derive(Clone, Copy)]
+struct Piece {
+    start: usize,
+    end: usize,
+    escaped: bool,
+}
+
+/// One scanned term: its kind and the extents of its one or two pieces.
+struct Token {
+    kind: TermKind,
+    first: Piece,
+    second: Option<Piece>,
+}
+
 /// A byte-scanning tokenizer over one (trimmed) line. Every delimiter of
 /// the grammar is ASCII, so scanning bytes never stops inside a UTF-8
-/// sequence and every slice taken is on a character boundary.
+/// sequence and every extent recorded is on character boundaries.
 struct Scanner<'a> {
     line: &'a str,
     pos: usize,
@@ -82,10 +100,10 @@ impl<'a> Scanner<'a> {
         }
     }
 
-    fn term(&mut self) -> Result<TermRef<'a>, NtParseError> {
+    fn term(&mut self) -> Result<Token, NtParseError> {
         self.skip_ws();
         match self.peek() {
-            Some(b'<') => self.iri().map(TermRef::iri),
+            Some(b'<') => Ok(Token { kind: TermKind::Iri, first: self.iri()?, second: None }),
             Some(b'_') => self.blank(),
             Some(b'"') => self.literal(),
             Some(_) => {
@@ -96,19 +114,19 @@ impl<'a> Scanner<'a> {
         }
     }
 
-    fn iri(&mut self) -> Result<Cow<'a, str>, NtParseError> {
+    fn iri(&mut self) -> Result<Piece, NtParseError> {
         self.expect('<')?;
         self.delimited::<true>()
     }
 
     /// Reads up to the closing delimiter (`>` of an IRI, `"` of a
-    /// literal), the opening one already consumed. Text without escape
-    /// sequences is returned as a slice of the line; otherwise the runs
-    /// between escapes are copied into an owned string.
-    fn delimited<const IRI: bool>(&mut self) -> Result<Cow<'a, str>, NtParseError> {
+    /// literal), the opening one already consumed, checking every escape
+    /// sequence on the way; [`unescape`] decodes the piece when a view of
+    /// it is asked for.
+    fn delimited<const IRI: bool>(&mut self) -> Result<Piece, NtParseError> {
         let close = if IRI { b'>' } else { b'"' };
-        let mut unescaped: Option<String> = None;
-        let mut run = self.pos;
+        let start = self.pos;
+        let mut escaped = false;
         loop {
             let stop = self.line.as_bytes()[self.pos..].iter().position(|&b| {
                 b == close || b == b'\\' || (IRI && matches!(b, b' ' | b'<' | b'"'))
@@ -121,54 +139,40 @@ impl<'a> Scanner<'a> {
                 }));
             };
             self.pos += stop;
-            let text = &self.line[run..self.pos];
             let b = self.line.as_bytes()[self.pos];
             self.pos += 1;
             if b == close {
-                return Ok(match unescaped {
-                    None => Cow::Borrowed(text),
-                    Some(mut s) => {
-                        s.push_str(text);
-                        Cow::Owned(s)
-                    }
-                });
+                return Ok(Piece { start, end: self.pos - 1, escaped });
             }
             if b != b'\\' {
                 return Err(self.err(format!("invalid character '{}' inside IRI", b as char)));
             }
-            let c = self.escape()?;
-            let s = unescaped.get_or_insert_with(String::new);
-            s.push_str(text);
-            s.push(c);
-            run = self.pos;
+            self.escape()?;
+            escaped = true;
         }
     }
 
-    fn blank(&mut self) -> Result<TermRef<'a>, NtParseError> {
+    fn blank(&mut self) -> Result<Token, NtParseError> {
         self.expect('_')?;
         self.expect(':')?;
         let rest = self.rest();
-        let mut len = 0;
-        for (i, c) in rest.char_indices() {
-            if !(c.is_alphanumeric() || matches!(c, '_' | '-' | '.')) {
-                break;
-            }
-            // A trailing '.' terminates the statement, not the label.
-            if c == '.' && rest[i + 1..].trim_start().is_empty() {
-                break;
-            }
-            len = i + c.len_utf8();
-        }
+        let matched = rest
+            .find(|c: char| !(c.is_alphanumeric() || matches!(c, '_' | '-' | '.')))
+            .unwrap_or(rest.len());
+        // A BLANK_NODE_LABEL never ends in '.': dots at the end of the
+        // match terminate the statement, whatever follows them.
+        let len = rest[..matched].trim_end_matches('.').len();
         if len == 0 {
             return Err(self.err("empty blank node label"));
         }
+        let first = Piece { start: self.pos, end: self.pos + len, escaped: false };
         self.pos += len;
-        Ok(TermRef::blank(&rest[..len]))
+        Ok(Token { kind: TermKind::Blank, first, second: None })
     }
 
-    fn literal(&mut self) -> Result<TermRef<'a>, NtParseError> {
+    fn literal(&mut self) -> Result<Token, NtParseError> {
         self.expect('"')?;
-        let lexical = self.delimited::<false>()?;
+        let first = self.delimited::<false>()?;
         match self.peek() {
             Some(b'@') => {
                 self.pos += 1;
@@ -180,15 +184,26 @@ impl<'a> Scanner<'a> {
                 if len == 0 {
                     return Err(self.err("empty language tag"));
                 }
+                // LANGTAG ::= [a-zA-Z]+ ('-' [a-zA-Z0-9]+)*
+                let tag = &rest[..len];
+                let mut subtags = tag.split('-');
+                let primary = subtags.next().unwrap_or_default();
+                if primary.is_empty()
+                    || !primary.bytes().all(|b| b.is_ascii_alphabetic())
+                    || subtags.any(str::is_empty)
+                {
+                    return Err(self.err(format!("malformed language tag '{tag}'")));
+                }
+                let second = Piece { start: self.pos, end: self.pos + len, escaped: false };
                 self.pos += len;
-                Ok(TermRef::lang_literal(lexical, &rest[..len]))
+                Ok(Token { kind: TermKind::LangLiteral, first, second: Some(second) })
             }
             Some(b'^') => {
                 self.expect('^')?;
                 self.expect('^')?;
-                Ok(TermRef::typed_literal(lexical, self.iri()?))
+                Ok(Token { kind: TermKind::TypedLiteral, first, second: Some(self.iri()?) })
             }
-            _ => Ok(TermRef::literal(lexical)),
+            _ => Ok(Token { kind: TermKind::Literal, first, second: None }),
         }
     }
 
@@ -224,46 +239,195 @@ impl<'a> Scanner<'a> {
     }
 }
 
+/// The text a piece written with escape sequences stands for. The scanner
+/// has checked every sequence of a piece it reports; text it has not seen
+/// decodes up to its first malformed sequence.
+fn unescape(piece: &str) -> String {
+    let mut out = String::with_capacity(piece.len());
+    let mut scan = Scanner { line: piece, pos: 0, line_no: 0 };
+    while let Some(run) = scan.rest().find('\\') {
+        out.push_str(&scan.rest()[..run]);
+        scan.pos += run + 1;
+        match scan.escape() {
+            Ok(c) => out.push(c),
+            Err(_) => return out,
+        }
+    }
+    out.push_str(scan.rest());
+    out
+}
+
+/// Where the terms of a statement sit in its (trimmed) line: the two
+/// kinds that vary — a subject is an IRI or a blank node, a predicate an
+/// IRI — a bit per piece written with escape sequences (subject,
+/// predicate, object, the object's second piece), and six cuts: the
+/// subject's end, the predicate's start and end, the object's start and
+/// end, and the end of its language tag or datatype IRI. The two starts
+/// not recorded follow from the kinds: a subject begins the line behind
+/// `<` or `_:`, a second piece follows its lexical form behind `"@` or
+/// `"^^<`.
+#[derive(Clone)]
+struct Extents<T> {
+    subject: TermKind,
+    object: TermKind,
+    escaped: u8,
+    cuts: [T; 6],
+}
+
+impl Extents<usize> {
+    /// The same extents with cuts of type `T`, if every one fits.
+    fn narrow<T: TryFrom<usize> + Default + Copy>(&self) -> Option<Extents<T>> {
+        let mut cuts = [T::default(); 6];
+        for (to, from) in cuts.iter_mut().zip(self.cuts) {
+            *to = T::try_from(from).ok()?;
+        }
+        Some(Extents { subject: self.subject, object: self.object, escaped: self.escaped, cuts })
+    }
+}
+
+impl<T: Copy + TryInto<usize>> Extents<T> {
+    /// The triple these extents cut out of `line`. Total: a cut outside
+    /// the line (the scanner makes none) yields an empty piece.
+    fn view<'a>(&self, line: &'a str) -> TripleRef<'a> {
+        let cut = |i: usize| self.cuts[i].try_into().unwrap_or(usize::MAX);
+        let piece = |n: u8, start: usize, end: usize| -> Cow<'a, str> {
+            let text = line.get(start..end).unwrap_or_default();
+            if self.escaped & (1 << n) == 0 {
+                Cow::Borrowed(text)
+            } else {
+                Cow::Owned(unescape(text))
+            }
+        };
+        let subject = match self.subject {
+            TermKind::Blank => TermRef::blank(piece(0, "_:".len(), cut(0))),
+            _ => TermRef::iri(piece(0, "<".len(), cut(0))),
+        };
+        let first = piece(2, cut(3), cut(4));
+        let second = |lead: &str| piece(3, cut(4).saturating_add(lead.len()), cut(5));
+        let object = match self.object {
+            TermKind::Iri => TermRef::iri(first),
+            TermKind::Blank => TermRef::blank(first),
+            TermKind::Literal => TermRef::literal(first),
+            TermKind::LangLiteral => TermRef::lang_literal(first, second("\"@")),
+            TermKind::TypedLiteral => TermRef::typed_literal(first, second("\"^^<")),
+        };
+        TripleRef { subject, predicate: TermRef::iri(piece(1, cut(1), cut(2))), object }
+    }
+}
+
+/// Extents in the narrowest cuts that hold them: beside the `&str` of a
+/// line under 64 KiB, boxed for a longer one.
+#[derive(Clone)]
+enum Packed {
+    Short(Extents<u16>),
+    Long(Box<Extents<u32>>),
+}
+
+/// One statement of an N-Triples document as the tokenizer leaves it: the
+/// line it was read from and where its terms sit in it, checked but not
+/// built. [`Statement::triple`] (or `TripleRef::from(&statement)`) is the
+/// view of it as three terms; a document of them costs 32 bytes a
+/// statement beside its text.
+#[derive(Clone)]
+pub struct Statement<'a> {
+    line: &'a str,
+    extents: Packed,
+}
+
+const _: () = assert!(std::mem::size_of::<Statement<'_>>() <= 32);
+
+impl<'a> Statement<'a> {
+    /// Scans one line: `None` for a blank or comment line, otherwise
+    /// every check the grammar asks for, and the extents of the terms.
+    fn scan(line: &'a str, line_no: usize) -> Result<Option<Self>, NtParseError> {
+        let line = line.trim();
+        if line.is_empty() || line.starts_with('#') {
+            return Ok(None);
+        }
+        let mut scan = Scanner { line, pos: 0, line_no };
+        let subject = scan.term()?;
+        let predicate = scan.term()?;
+        let object = scan.term()?;
+        scan.skip_ws();
+        scan.expect('.')?;
+        scan.skip_ws();
+        if !matches!(scan.peek(), None | Some(b'#')) {
+            return Err(err(line_no, format!("trailing content '{}' after '.'", scan.rest())));
+        }
+        if subject.kind.is_literal() {
+            return Err(err(line_no, "literal in subject position"));
+        }
+        if predicate.kind != TermKind::Iri {
+            return Err(err(line_no, "non-IRI in predicate position"));
+        }
+        let escaped = [
+            subject.first.escaped,
+            predicate.first.escaped,
+            object.first.escaped,
+            object.second.is_some_and(|second| second.escaped),
+        ];
+        let extents = Extents {
+            subject: subject.kind,
+            object: object.kind,
+            escaped: escaped.iter().rev().fold(0, |bits, &bit| bits << 1 | u8::from(bit)),
+            cuts: [
+                subject.first.end,
+                predicate.first.start,
+                predicate.first.end,
+                object.first.start,
+                object.first.end,
+                object.second.map_or(object.first.end, |second| second.end),
+            ],
+        };
+        let extents = match extents.narrow() {
+            Some(short) => Packed::Short(short),
+            None => Packed::Long(Box::new(
+                extents.narrow().ok_or_else(|| err(line_no, "statement longer than 4 GiB"))?,
+            )),
+        };
+        Ok(Some(Statement { line, extents }))
+    }
+
+    /// The statement as three terms: slices of the text it was parsed
+    /// from, except that a term written with escape sequences owns its
+    /// unescaped form (built on every call).
+    pub fn triple(&self) -> TripleRef<'a> {
+        match &self.extents {
+            Packed::Short(extents) => extents.view(self.line),
+            Packed::Long(extents) => extents.view(self.line),
+        }
+    }
+}
+
+impl fmt::Debug for Statement<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "{}", self.triple())
+    }
+}
+
 /// Parses a single N-Triples line into a triple borrowing from it.
 ///
 /// Returns `Ok(None)` for blank lines and comment lines (starting with `#`).
 pub fn parse_line(line: &str, line_no: usize) -> Result<Option<TripleRef<'_>>, NtParseError> {
-    let line = line.trim();
-    if line.is_empty() || line.starts_with('#') {
-        return Ok(None);
-    }
-    let mut scan = Scanner { line, pos: 0, line_no };
-    let subject = scan.term()?;
-    let predicate = scan.term()?;
-    let object = scan.term()?;
-    scan.skip_ws();
-    scan.expect('.')?;
-    scan.skip_ws();
-    if !matches!(scan.peek(), None | Some(b'#')) {
-        return Err(err(line_no, format!("trailing content '{}' after '.'", scan.rest())));
-    }
-    if subject.kind().is_literal() {
-        return Err(err(line_no, "literal in subject position"));
-    }
-    if predicate.kind() != TermKind::Iri {
-        return Err(err(line_no, "non-IRI in predicate position"));
-    }
-    Ok(Some(TripleRef { subject, predicate, object }))
+    Ok(Statement::scan(line, line_no)?.map(|statement| statement.triple()))
 }
 
-/// Parses a full N-Triples document into triples borrowing from it; call
-/// [`TripleRef::to_owned`] on the ones to keep beyond the text.
+/// Parses a full N-Triples document into statements borrowing from it:
+/// 32 bytes each, nothing allocated per term. View one as a [`TripleRef`]
+/// with [`Statement::triple`] — or hand the lot to a dictionary, which
+/// interns from the views — and call [`TripleRef::to_owned`] on the ones
+/// to keep beyond the text.
 ///
 /// Duplicate statements are preserved (the stores deduplicate, matching the
 /// paper's "eliminated duplicate triples" cleaning step).
-pub fn parse_document(input: &str) -> Result<Vec<TripleRef<'_>>, NtParseError> {
-    let mut triples = Vec::new();
+pub fn parse_document(input: &str) -> Result<Vec<Statement<'_>>, NtParseError> {
+    let mut statements = Vec::new();
     for (idx, line) in input.lines().enumerate() {
-        if let Some(t) = parse_line(line, idx + 1)? {
-            triples.push(t);
+        if let Some(statement) = Statement::scan(line, idx + 1)? {
+            statements.push(statement);
         }
     }
-    Ok(triples)
+    Ok(statements)
 }
 
 /// Writes `text` with each `special` byte replaced by what `escape`
@@ -418,6 +582,32 @@ mod tests {
         assert_eq!(t.object, Term::blank("b0.c"));
     }
 
+    /// A label never ends in '.', whatever follows the statement's dot.
+    #[test]
+    fn a_dot_behind_a_blank_label_ends_the_statement() {
+        for line in
+            ["_:a <http://x/p> _:b. # comment", "_:a <http://x/p> _:b.# c", "_:a <http://x/p> _:b."]
+        {
+            assert_eq!(parse(line).object, Term::blank("b"), "{line}");
+        }
+        assert_eq!(parse("_:a <http://x/p> _:b.c. # comment").object, Term::blank("b.c"));
+        assert!(parse_line("_:a <http://x/p> _:b.. # comment", 1).is_err());
+        assert!(parse_line("_:a <http://x/p> _:. .", 1).is_err());
+        assert!(parse_line("_:a <http://x/p> _:b. junk", 1).is_err());
+    }
+
+    #[test]
+    fn language_tags_follow_the_langtag_grammar() {
+        for tag in ["en", "fr-BE", "de-CH-1901", "x-1-2"] {
+            let t = parse(&format!("<http://x/s> <http://x/p> \"a\"@{tag} ."));
+            assert_eq!(t.object, Term::lang_literal("a", tag));
+        }
+        for tag in ["-en", "12", "en-", "en--gb", "1a-en", "é"] {
+            let line = format!("<http://x/s> <http://x/p> \"a\"@{tag} .");
+            assert!(parse_line(&line, 1).is_err(), "{line}");
+        }
+    }
+
     #[test]
     fn parses_escapes_in_literals() {
         let t = parse(r#"<http://x/s> <http://x/p> "a\tb\nc\"d\\e\u0041\U00000042\b\f\'\r" ."#);
@@ -452,9 +642,9 @@ mod tests {
         let doc = "<http://x/s>\t<http://x/p>\t\"v\"\t.\r\n  _:b <http://x/p> _:c.\r\n";
         let parsed = parse_document(doc).unwrap();
         assert_eq!(parsed.len(), 2);
-        assert_eq!(parsed[0].object, TermRef::literal("v"));
-        assert_eq!(parsed[1].subject, TermRef::blank("b"));
-        assert_eq!(parsed[1].object, TermRef::blank("c"));
+        assert_eq!(parsed[0].triple().object, TermRef::literal("v"));
+        assert_eq!(parsed[1].triple().subject, TermRef::blank("b"));
+        assert_eq!(parsed[1].triple().object, TermRef::blank("c"));
     }
 
     #[test]
@@ -568,8 +758,10 @@ mod tests {
 ";
         let parsed = parse_document(doc).unwrap();
         assert_eq!(parsed.len(), 4);
-        let triples: Vec<Triple> = parsed.iter().map(TripleRef::to_owned).collect();
+        let triples: Vec<Triple> = parsed.iter().map(|s| s.triple().to_owned()).collect();
         let written = write_document(&triples);
-        assert_eq!(parse_document(&written).unwrap(), parsed);
+        let again: Vec<Triple> =
+            parse_document(&written).unwrap().iter().map(|s| s.triple().to_owned()).collect();
+        assert_eq!(again, triples);
     }
 }

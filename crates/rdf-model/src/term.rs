@@ -203,10 +203,11 @@ impl TermKind {
 /// A borrowed view of an RDF term: its [`TermKind`] plus one or two
 /// string pieces, unescaped.
 ///
-/// This is the form terms take at the system's two string boundaries: the
-/// N-Triples tokenizer yields pieces that are slices of the input text
-/// (only a term written with escape sequences owns its unescaped text),
-/// and a dictionary hands out pieces that are slices of its string arena.
+/// This is the form terms take at the system's two string boundaries: a
+/// [`Statement`](crate::Statement) of the N-Triples tokenizer is viewed as
+/// pieces that are slices of the input text (only a term written with
+/// escape sequences owns its unescaped text), and a dictionary hands out
+/// pieces that are slices of its string arena.
 /// Neither allocates per term; [`TermRef::to_owned`] builds a [`Term`]
 /// for callers that keep one.
 #[derive(Clone, PartialEq, Eq, Hash)]

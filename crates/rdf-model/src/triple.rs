@@ -1,6 +1,6 @@
 //! RDF triples (statements).
 
-use crate::ntriples::write_triple;
+use crate::ntriples::{write_triple, Statement};
 use crate::term::{Term, TermRef};
 use std::fmt;
 
@@ -54,8 +54,9 @@ impl From<(Term, Term, Term)> for Triple {
     }
 }
 
-/// A borrowed view of a statement: three [`TermRef`]s. What the
-/// N-Triples tokenizer yields and the dictionary encodes without an owned
+/// A borrowed view of a statement: three [`TermRef`]s, built from an
+/// owned [`Triple`], from another view, or from a [`Statement`] of the
+/// N-Triples tokenizer — what the dictionary encodes without an owned
 /// [`Triple`] in between.
 #[derive(Clone, PartialEq, Eq, Hash)]
 pub struct TripleRef<'a> {
@@ -92,6 +93,13 @@ impl<'a> From<&'a TripleRef<'_>> for TripleRef<'a> {
             predicate: (&t.predicate).into(),
             object: (&t.object).into(),
         }
+    }
+}
+
+/// Slices the statement's line: see [`Statement::triple`].
+impl<'a> From<&'a Statement<'_>> for TripleRef<'a> {
+    fn from(statement: &'a Statement<'_>) -> Self {
+        statement.triple()
     }
 }
 

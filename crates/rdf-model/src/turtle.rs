@@ -705,7 +705,7 @@ ex:ID3 ex:advisor ex:ID2 .
 "#;
         let mut a = parse_turtle(turtle).unwrap();
         let parsed = crate::ntriples::parse_document(nt).unwrap();
-        let mut b: Vec<Triple> = parsed.iter().map(crate::TripleRef::to_owned).collect();
+        let mut b: Vec<Triple> = parsed.iter().map(|s| s.triple().to_owned()).collect();
         a.sort();
         b.sort();
         assert_eq!(a, b);

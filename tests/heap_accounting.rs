@@ -8,35 +8,12 @@
 //! capacity it does not know it holds, fails here. It holds one test, so
 //! nothing else allocates while it measures.
 
+mod counting_alloc;
+
+use counting_alloc::{Counting, LIVE};
 use hex_datagen::{barton::BartonConfig, lubm::LubmConfig};
 use hexastore::{bulk, TripleStore};
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicUsize, Ordering};
-
-/// Bytes requested from the system allocator and not yet returned.
-static LIVE: AtomicUsize = AtomicUsize::new(0);
-
-struct Counting;
-
-// SAFETY: every call is forwarded unchanged to `System`, which upholds the
-// `GlobalAlloc` contract; the counter is a statistic beside it.
-unsafe impl GlobalAlloc for Counting {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        LIVE.fetch_add(layout.size(), Ordering::Relaxed);
-        unsafe { System.alloc(layout) }
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        LIVE.fetch_sub(layout.size(), Ordering::Relaxed);
-        unsafe { System.dealloc(ptr, layout) }
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        LIVE.fetch_add(new_size, Ordering::Relaxed);
-        LIVE.fetch_sub(layout.size(), Ordering::Relaxed);
-        unsafe { System.realloc(ptr, layout, new_size) }
-    }
-}
+use std::sync::atomic::Ordering;
 
 #[global_allocator]
 static ALLOCATOR: Counting = Counting;
