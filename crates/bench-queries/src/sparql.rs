@@ -1,5 +1,5 @@
 //! The twelve paper queries as declarative SPARQL text, planned through
-//! `hex_query::prepare` instead of hand-written physical plans.
+//! `hex_query::DatasetQuery` instead of hand-written physical plans.
 //!
 //! The hand-written plans in [`crate::barton`] and [`crate::lubm`] follow
 //! the paper's per-store narration exactly, including its aggregations.
@@ -255,11 +255,10 @@ mod tests {
 
     /// The acceptance bar of the merge-join executor: every paper query
     /// answers byte-identically (TSV rendering included) under the
-    /// default plan (merge groups compiled where profitable), the
-    /// forced-nested walk of the same plan, and parallel execution at
-    /// 1/2/4 threads — and BQ4's star (`?s type Text . ?s language
-    /// French . ?s ?p ?o`) actually compiles a merge group, so the
-    /// equivalence is not vacuous.
+    /// default plan (merge groups compiled where profitable) and the
+    /// forced-nested walk of the same plan — and BQ4's star (`?s type
+    /// Text . ?s language French . ?s ?p ?o`) actually compiles a merge
+    /// group, so the equivalence is not vacuous.
     #[test]
     fn merge_join_answers_all_twelve_byte_identically() {
         let mut merge_seen: Vec<&str> = Vec::new();
@@ -283,48 +282,11 @@ mod tests {
                     "{} differs between nested and merge execution",
                     query.name
                 );
-                for threads in [1, 2, 4] {
-                    assert_eq!(
-                        plan.run_parallel(frozen.store(), threads).to_tsv(),
-                        reference.to_tsv(),
-                        "{} differs under parallel merge execution with {threads} threads",
-                        query.name
-                    );
-                }
             }
         }
         assert!(
             merge_seen.contains(&"BQ4"),
             "BQ4's star must compile a merge group; merge plans seen: {merge_seen:?}"
         );
-    }
-
-    /// The acceptance bar of the parallel executor: on every one of the
-    /// twelve paper queries, sharded execution over the frozen dataset is
-    /// byte-identical (TSV rendering included) to the single-threaded
-    /// walk — at several worker counts, including more workers than
-    /// first-step candidates.
-    #[test]
-    fn parallel_execution_answers_all_twelve_byte_identically() {
-        for (suite, queries) in [
-            (barton_suite(), barton_queries as fn(&Dictionary) -> Option<Vec<PaperQuery>>),
-            (lubm_suite(), lubm_queries),
-        ] {
-            let frozen = suite.frozen_dataset();
-            for query in queries(&suite.dict).expect("constants resolve") {
-                let plan = frozen.prepare(&query.text).expect("query compiles");
-                let reference = plan.run();
-                assert!(!reference.is_empty(), "{} returned no rows", query.name);
-                for threads in [2, 4, 13] {
-                    let parallel = plan.run_parallel(frozen.store(), threads);
-                    assert_eq!(
-                        parallel.to_tsv(),
-                        reference.to_tsv(),
-                        "{} differs under parallel execution with {threads} threads",
-                        query.name
-                    );
-                }
-            }
-        }
     }
 }

@@ -666,8 +666,7 @@ fn plans_rendered(_: &FigureSpec, p: &Params) -> Rendered {
 /// execution against the same plan with merge joins forced off (nested
 /// probes), on two synthetic join shapes — a three-way star on a shared
 /// subject and a hub → members chain — plus a TSV-identity sweep over
-/// the twelve paper queries (default vs forced-nested vs
-/// [`hex_query::Plan::run_parallel`] at 2 and 4 threads).
+/// the twelve paper queries (default vs forced-nested).
 #[derive(Clone, Debug)]
 struct JoinsRow {
     /// Synthetic dataset size in triples (star + chain components).
@@ -680,9 +679,6 @@ struct JoinsRow {
     /// Star query through the default plan: one galloping intersection
     /// of the three sorted terminal lists seeds the tail walk.
     star_merge: Duration,
-    /// Star query through `run_parallel(4)`: the merged candidate
-    /// vector sharded across four workers.
-    star_parallel4: Duration,
     /// Solution rows of the chain query.
     chain_rows: usize,
     /// Chain query with merge joins disabled.
@@ -698,8 +694,7 @@ struct JoinsRow {
     paper_queries: usize,
     /// True when the star, the chain and every paper query answered
     /// byte-identically (TSV rendering included) through the default
-    /// plan, the forced-nested plan, and `run_parallel` at 2 and 4
-    /// threads.
+    /// plan and the forced-nested plan.
     identical: bool,
 }
 
@@ -797,12 +792,11 @@ fn joins_dataset(n_triples: usize) -> Vec<Triple> {
 }
 
 /// Measures the joins figure at `scale` triples: the star and chain
-/// queries through the default (merge-intersect) plan, the same plan
-/// with [`hex_query::Plan::force_nested_joins`], and `run_parallel(4)`
-/// over the frozen store, verifying along the way that every execution
-/// strategy answers byte-identically — on the two synthetic queries and
-/// on the twelve paper queries over barton + lubm datasets at the same
-/// scale.
+/// queries through the default (merge-intersect) plan and the same plan
+/// with [`hex_query::Plan::force_nested_joins`] over the frozen store,
+/// verifying along the way that both answer byte-identically — on the
+/// two synthetic queries and on the twelve paper queries over barton +
+/// lubm datasets at the same scale.
 fn joins_figure(scale: usize, reps: usize) -> JoinsRow {
     use hex_bench_queries::{barton_queries, lubm_queries, PaperQuery};
     use hex_query::DatasetQuery;
@@ -826,18 +820,14 @@ fn joins_figure(scale: usize, reps: usize) -> JoinsRow {
         merge_used &= plan.explain().contains("join=merge");
         let want = plan.run();
         identical &= want.to_tsv() == nested.run().to_tsv();
-        for threads in [2usize, 4] {
-            identical &= plan.run_parallel(ds.store(), threads) == want;
-        }
         (
             want.rows.len(),
             time_query(reps, || nested.solutions().count()),
             time_query(reps, || plan.solutions().count()),
-            time_query(reps, || plan.run_parallel(ds.store(), 4).rows.len()),
         )
     };
-    let (star_rows, star_nested, star_merge, star_parallel4) = measure(JOINS_STAR_QUERY);
-    let (chain_rows, chain_nested, chain_merge, _) = measure(JOINS_CHAIN_QUERY);
+    let (star_rows, star_nested, star_merge) = measure(JOINS_STAR_QUERY);
+    let (chain_rows, chain_nested, chain_merge) = measure(JOINS_CHAIN_QUERY);
 
     // Identity sweep over the twelve paper queries: correctness evidence
     // that the merge path is a pure execution swap on real query shapes,
@@ -869,11 +859,7 @@ fn joins_figure(scale: usize, reps: usize) -> JoinsRow {
             let plan = pds.prepare(&query.text).expect("paper query compiles");
             let mut nested = pds.prepare(&query.text).expect("paper query compiles");
             nested.force_nested_joins();
-            let want = plan.run();
-            identical &= want.to_tsv() == nested.run().to_tsv();
-            for threads in [2usize, 4] {
-                identical &= plan.run_parallel(pds.store(), threads) == want;
-            }
+            identical &= plan.run().to_tsv() == nested.run().to_tsv();
             paper_queries += 1;
         }
     }
@@ -883,7 +869,6 @@ fn joins_figure(scale: usize, reps: usize) -> JoinsRow {
         star_rows,
         star_nested,
         star_merge,
-        star_parallel4,
         chain_rows,
         chain_nested,
         chain_merge,
@@ -897,20 +882,19 @@ fn joins_figure(scale: usize, reps: usize) -> JoinsRow {
 fn joins_to_csv(rows: &[JoinsRow]) -> String {
     let mut out = String::from(
         "# Figure joins — merge-intersection vs forced nested probes on the star and chain \
-         joins, plus twelve-paper-query identity (default vs nested vs parallel)\n",
+         joins, plus twelve-paper-query identity (default vs nested)\n",
     );
     out.push_str(
-        "triples,star_rows,star_nested_s,star_merge_s,star_parallel4_s,star_speedup,chain_rows,\
-         chain_nested_s,chain_merge_s,chain_speedup,merge_used,paper_queries,identical\n",
+        "triples,star_rows,star_nested_s,star_merge_s,star_speedup,chain_rows,chain_nested_s,\
+         chain_merge_s,chain_speedup,merge_used,paper_queries,identical\n",
     );
     for row in rows {
         out.push_str(&format!(
-            "{},{},{:.6},{:.6},{:.6},{:.3},{},{:.6},{:.6},{:.3},{},{},{}\n",
+            "{},{},{:.6},{:.6},{:.3},{},{:.6},{:.6},{:.3},{},{},{}\n",
             row.triples,
             row.star_rows,
             row.star_nested.as_secs_f64(),
             row.star_merge.as_secs_f64(),
-            row.star_parallel4.as_secs_f64(),
             row.star_speedup(),
             row.chain_rows,
             row.chain_nested.as_secs_f64(),
@@ -1239,14 +1223,14 @@ mod tests {
         let row = joins_figure(8_000, 1);
         assert!(row.triples > 6_000, "dataset builder fell far short: {}", row.triples);
         assert!(row.merge_used, "both synthetic queries must compile a merge group");
-        assert!(row.identical, "merge/nested/parallel executions must agree byte-for-byte");
+        assert!(row.identical, "merge and nested executions must agree byte-for-byte");
         assert_eq!(row.paper_queries, 12, "seven Barton + five LUBM queries");
         // Star subjects divisible by 30 survive; the chain keeps every
         // even member: both intersections must actually select rows.
         assert!(row.star_rows > 0 && row.chain_rows > 0);
         assert!(row.star_merge > Duration::ZERO && row.chain_merge > Duration::ZERO);
         let csv = joins_to_csv(&[row.clone(), row]);
-        assert!(csv.contains("star_nested_s,star_merge_s,star_parallel4_s,star_speedup"));
+        assert!(csv.contains("star_nested_s,star_merge_s,star_speedup"));
         assert_eq!(csv.lines().count(), 2 + 2, "comment + header + two scale rows");
     }
 

@@ -12,7 +12,7 @@
 //! The entry points are [`open`] (dictionary + store) and
 //! [`open_dataset`] (a ready-to-query [`hexastore::Dataset`]). The
 //! returned [`MmapFrozenHexastore`] implements
-//! [`hexastore::TripleStore`], so planning, parallel execution, and
+//! [`hexastore::TripleStore`], so planning, query execution and
 //! snapshot serving work over it exactly as over the in-memory frozen
 //! store.
 //!

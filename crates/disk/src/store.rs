@@ -43,8 +43,7 @@ pub(crate) struct IxCols {
 /// Obtain one with [`crate::open`] or [`crate::open_dataset`]. It runs the
 /// same read code as the in-memory frozen store — both hand
 /// [`hexastore::access`] borrowed views of their columns — so the
-/// planner, `Plan::run_parallel` and `Dataset` machinery work over it
-/// unchanged. Like the in-memory frozen store it is read-only
+/// planner and `Dataset` machinery work over it unchanged. Like the in-memory frozen store it is read-only
 /// (`insert`/`remove` panic) and [`Clone`] is a reference-count bump on
 /// the shared mapping.
 ///

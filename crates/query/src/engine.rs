@@ -2,14 +2,15 @@
 //! prepare an index-aware [`Plan`] → stream [`Solutions`] from any
 //! [`TripleStore`].
 //!
-//! The primary surface is [`prepare`] (or [`prepare_on`] for query text):
-//! it compiles the query, orders the joins around the store's
-//! [`TripleStore::capabilities`], pushes every FILTER down to the earliest
-//! step where its operands are bound, and returns a [`Plan`] whose
-//! [`Plan::explain`] renders the chosen steps and whose
-//! [`Plan::solutions`] lazily streams decoded rows — ASK stops at the
-//! first solution, `LIMIT k` after `offset + k`. The `execute*` functions
-//! are retained as one-call shims over the same machinery.
+//! Text comes in through [`prepare_on`], [`DatasetQuery`] or a
+//! [`PlanCache`]; a programmatically built [`CompiledQuery`] through
+//! [`Plan::from_compiled`]. Preparation compiles the query, orders the
+//! joins around the store's [`TripleStore::capabilities`], pushes every
+//! FILTER down to the earliest step where its operands are bound, and
+//! returns a [`Plan`] whose [`Plan::explain`] renders the chosen steps.
+//! There is one executor: [`Plan::solutions`] lazily streams decoded rows
+//! — ASK stops at the first solution, `LIMIT k` after `offset + k` — and
+//! [`Plan::run`] collects it.
 
 use crate::algebra::{Bgp, Pattern, PatternTerm, VarId};
 use crate::exec::{self, PlanStep};
@@ -164,8 +165,8 @@ impl CompiledFilter {
             return false;
         };
         // `None` = a term outside the dictionary: unequal to everything
-        // stored (and to other unknown terms we conservatively answer
-        // "not equal", which matches set semantics over stored ids).
+        // stored. Two `None`s meet only as `compile`'s encoding of a false
+        // constant–constant comparison, which it decides on the terms.
         let equal = matches!((l, r), (Some(a), Some(b)) if a == b);
         match self.op {
             FilterOp::Eq => equal,
@@ -216,6 +217,21 @@ pub fn compile(parsed: &ParsedQuery, dict: &Dictionary) -> Result<CompiledQuery,
 
     let mut filters = Vec::with_capacity(parsed.filters.len());
     for fexpr in &parsed.filters {
+        if let (FilterOperand::Term(a), FilterOperand::Term(b)) = (&fexpr.left, &fexpr.right) {
+            // Two constants are compared as terms, here: ids cannot decide
+            // it, because two terms the dictionary has never seen both
+            // become `Unknown`, which equals nothing — itself included.
+            // A true comparison constrains nothing; a false one is
+            // recorded as `Unknown = Unknown`, false on every row.
+            if (a == b) != (fexpr.op == FilterOp::Eq) {
+                filters.push(CompiledFilter {
+                    left: FilterSide::Unknown,
+                    op: FilterOp::Eq,
+                    right: FilterSide::Unknown,
+                });
+            }
+            continue;
+        }
         let side = |operand: &FilterOperand| -> Result<FilterSide, QueryError> {
             match operand {
                 FilterOperand::Var(name) => match slot_of.get(name) {
@@ -279,52 +295,28 @@ pub struct Plan<'a> {
     stats_mode: bool,
 }
 
-/// Compiles and plans a parsed query against a dictionary and a store.
+/// Parses, compiles and plans query text against a store + dictionary
+/// pair.
 ///
 /// The returned [`Plan`] borrows both; inspect it with [`Plan::explain`]
 /// and stream rows with [`Plan::solutions`].
-pub fn prepare<'a>(
-    parsed: &ParsedQuery,
-    dict: &'a Dictionary,
-    store: &'a dyn TripleStore,
-) -> Result<Plan<'a>, QueryError> {
-    Ok(Plan::from_compiled(compile(parsed, dict)?, dict, store))
-}
-
-/// Like [`prepare`], but refines the join order with dataset statistics
-/// when `stats` is provided: each greedy round scales a pattern's
-/// constants-only estimate by the fan-out of variables bound by earlier
-/// steps (mean out-/in-degree, per-property counts). With `stats = None`
-/// the plan is identical to [`prepare`]'s.
-pub fn prepare_with_stats<'a>(
-    parsed: &ParsedQuery,
-    dict: &'a Dictionary,
-    store: &'a dyn TripleStore,
-    stats: Option<&DatasetStats>,
-) -> Result<Plan<'a>, QueryError> {
-    Ok(Plan::from_compiled_with_stats(compile(parsed, dict)?, dict, store, stats))
-}
-
-/// Parses, compiles and plans query text against a store + dictionary
-/// pair (the text-level counterpart of [`prepare`]).
 pub fn prepare_on<'a>(
     store: &'a dyn TripleStore,
     dict: &'a Dictionary,
     query_text: &str,
 ) -> Result<Plan<'a>, QueryError> {
-    let parsed = parse_query(query_text)?;
-    prepare(&parsed, dict, store)
+    prepare_on_with_stats(store, dict, query_text, None)
 }
 
-/// The text-level counterpart of [`prepare_with_stats`].
-pub fn prepare_on_with_stats<'a>(
+/// [`prepare_on`], planning with [`Plan::from_compiled_with_stats`].
+fn prepare_on_with_stats<'a>(
     store: &'a dyn TripleStore,
     dict: &'a Dictionary,
     query_text: &str,
     stats: Option<&DatasetStats>,
 ) -> Result<Plan<'a>, QueryError> {
-    let parsed = parse_query(query_text)?;
-    prepare_with_stats(&parsed, dict, store, stats)
+    let compiled = compile(&parse_query(query_text)?, dict)?;
+    Ok(Plan::from_compiled_with_stats(compiled, dict, store, stats))
 }
 
 fn shape_name(shape: Shape) -> &'static str {
@@ -353,7 +345,11 @@ impl<'a> Plan<'a> {
     }
 
     /// Plans an already-compiled query, refining the join order with
-    /// dataset statistics when provided — see [`prepare_with_stats`].
+    /// dataset statistics when `stats` is provided: each greedy round
+    /// scales a pattern's constants-only estimate by the fan-out of
+    /// variables bound by earlier steps (mean out-/in-degree,
+    /// per-property counts). With `stats = None` the plan is identical to
+    /// [`Plan::from_compiled`]'s.
     pub fn from_compiled_with_stats(
         query: CompiledQuery,
         dict: &'a Dictionary,
@@ -520,50 +516,12 @@ impl<'a> Plan<'a> {
                 );
             }
         }
-        let _ = writeln!(out, "  parallel: {}", self.parallel_note(bgp));
         out
     }
 
-    /// One line describing what [`Plan::run_parallel`] would do with this
-    /// plan — so silent serial fallbacks are visible in `explain()` and
-    /// bench output instead of masquerading as a parallel run.
-    fn parallel_note(&self, bgp: &Bgp) -> String {
-        if bgp.patterns.is_empty() {
-            return "serial (empty BGP: one constant row)".to_string();
-        }
-        if self.query.ask {
-            return "serial (ASK short-circuits at the first row)".to_string();
-        }
-        if let Some((group, _)) = exec::merge_group(bgp, &self.steps) {
-            return format!("shards the merged candidate list of the {group}-pattern join group");
-        }
-        let first = &self.steps[0];
-        if first.estimate <= 1 {
-            return format!("serial (step 1 matches {}: nothing to shard)", first.estimate);
-        }
-        if first.index.is_none() {
-            return format!(
-                "shards step 1's {} candidates via scan (no serving index: shard starts walk, not seek)",
-                first.estimate
-            );
-        }
-        format!("shards step 1's {} candidates", first.estimate)
-    }
-
     /// The join order as pattern indices (execution order).
-    pub(crate) fn order(&self) -> Vec<usize> {
+    fn order(&self) -> Vec<usize> {
         self.steps.iter().map(|s| s.pattern).collect()
-    }
-
-    /// The FILTERs pushed down to each step, aligned with [`Plan::steps`].
-    pub(crate) fn step_filters(&self) -> &[Vec<CompiledFilter>] {
-        &self.step_filters
-    }
-
-    /// The data pointer of the store this plan was prepared against —
-    /// lets the parallel executor assert it was handed the same store.
-    pub(crate) fn store_data_ptr(&self) -> *const () {
-        self.store as *const dyn TripleStore as *const ()
     }
 
     /// LIMIT pushdown: when every cursor row becomes exactly one emitted
@@ -581,9 +539,8 @@ impl<'a> Plan<'a> {
     /// exactly. A projection that *drops* bound variables can duplicate,
     /// so there the walk stays demand-free and is bounded by
     /// [`Solutions`]' laziness instead (O(k·dup) triples for LIMIT k
-    /// with duplication factor dup — see the engine tests); the parallel
-    /// executor additionally caps each shard with its own seen-set.
-    pub(crate) fn pushdown_demand(&self) -> Option<usize> {
+    /// with duplication factor dup — see the engine tests).
+    fn pushdown_demand(&self) -> Option<usize> {
         let bgp = self.query.bgp.as_ref()?;
         if self.query.ask {
             return None;
@@ -615,20 +572,6 @@ impl<'a> Plan<'a> {
         self.query.limit.map(|limit| self.query.offset.saturating_add(limit))
     }
 
-    /// The per-shard row cap of parallel DISTINCT+LIMIT execution: any
-    /// globally emitted row must be among the first `offset + limit`
-    /// distinct projected rows *of its own shard* (rows preceding it in
-    /// its shard also precede it globally and hold pairwise-distinct
-    /// projected values), so each worker may stop once its local seen-set
-    /// reaches this size. `None` when the query is not DISTINCT+LIMIT or
-    /// a filter/projection subtlety makes the bound unsound to apply.
-    pub(crate) fn distinct_shard_cap(&self) -> Option<usize> {
-        if !self.query.distinct || self.query.ask {
-            return None;
-        }
-        self.query.limit.map(|limit| self.query.offset.saturating_add(limit))
-    }
-
     /// Streams the plan's solutions lazily: rows are produced on demand,
     /// ASK yields at most one (empty) row, and `OFFSET`/`LIMIT` stop the
     /// underlying join walk as soon as enough rows have been emitted.
@@ -637,7 +580,20 @@ impl<'a> Plan<'a> {
             (Some(bgp), None) => Some(self.row_source(bgp)),
             _ => None,
         };
-        self.solutions_over(rows)
+        Solutions {
+            dict: self.dict,
+            vars: &self.query.vars,
+            slots: &self.query.slots,
+            rows,
+            ask: self.query.ask,
+            distinct: self.query.distinct,
+            seen: HashSet::new(),
+            offset: self.query.offset,
+            skipped: 0,
+            limit: self.query.limit,
+            emitted: 0,
+            done: false,
+        }
     }
 
     /// The binding-row source behind [`Plan::solutions`]: a
@@ -683,37 +639,15 @@ impl<'a> Plan<'a> {
         }
     }
 
-    /// Builds the solution-modifier pipeline (ASK / projection / DISTINCT
-    /// / OFFSET / LIMIT / decode) over an arbitrary binding-row source.
-    /// [`Plan::solutions`] feeds it the single-threaded cursor; the
-    /// parallel executor feeds it the concatenation of its shards.
-    pub(crate) fn solutions_over<'s>(&'s self, rows: Option<RowIter<'s>>) -> Solutions<'s> {
-        Solutions {
-            dict: self.dict,
-            vars: &self.query.vars,
-            slots: &self.query.slots,
-            rows,
-            ask: self.query.ask,
-            distinct: self.query.distinct,
-            seen: HashSet::new(),
-            offset: self.query.offset,
-            skipped: 0,
-            limit: self.query.limit,
-            emitted: 0,
-            done: false,
-        }
-    }
-
     /// Runs the plan to completion, collecting a [`ResultSet`].
     pub fn run(&self) -> ResultSet {
         ResultSet { vars: self.query.vars.clone(), rows: self.solutions().collect() }
     }
 }
 
-/// A stream of binding rows feeding the solution-modifier pipeline:
-/// [`Plan::solutions`] boxes the lazy [`exec::BgpCursor`] here, the
-/// parallel executor the merged shard rows.
-pub(crate) type RowIter<'p> = Box<dyn Iterator<Item = Vec<Option<hex_dict::Id>>> + 'p>;
+/// The stream of binding rows feeding the solution-modifier pipeline:
+/// the boxed [`exec::BgpCursor`] or [`exec::MergeCursor`].
+type RowIter<'p> = Box<dyn Iterator<Item = Vec<Option<hex_dict::Id>>> + 'p>;
 
 /// A lazy iterator over a [`Plan`]'s decoded solution rows.
 ///
@@ -784,46 +718,6 @@ impl Iterator for Solutions<'_> {
         self.done = true;
         None
     }
-}
-
-/// Executes a compiled query against a store, decoding rows through the
-/// dictionary. Thin shim over [`Plan::from_compiled`] + [`Plan::run`].
-pub fn execute_compiled(
-    store: &dyn TripleStore,
-    dict: &Dictionary,
-    q: &CompiledQuery,
-) -> ResultSet {
-    Plan::from_compiled(q.clone(), dict, store).run()
-}
-
-/// Parses and runs a query against an arbitrary store + dictionary pair.
-/// Thin shim over [`prepare_on`] + [`Plan::run`].
-pub fn execute_on(
-    store: &dyn TripleStore,
-    dict: &Dictionary,
-    query_text: &str,
-) -> Result<ResultSet, QueryError> {
-    Ok(prepare_on(store, dict, query_text)?.run())
-}
-
-/// Parses and runs a query against any string-level [`Dataset`] (the
-/// common case; `GraphStore`, `FrozenGraphStore` and the partial facades
-/// all qualify).
-pub fn execute<S: TripleStore>(
-    graph: &Dataset<S>,
-    query_text: &str,
-) -> Result<ResultSet, QueryError> {
-    execute_on(graph.store(), graph.dict(), query_text)
-}
-
-/// Parses and runs an ASK query, returning its boolean answer. SELECT
-/// queries are answered by non-emptiness. Streams: evaluation stops at
-/// the first solution.
-pub fn execute_ask<S: TripleStore>(
-    graph: &Dataset<S>,
-    query_text: &str,
-) -> Result<bool, QueryError> {
-    Ok(prepare_on(graph.store(), graph.dict(), query_text)?.solutions().next().is_some())
 }
 
 /// String-level query surface for [`Dataset`]: every store variant —
@@ -980,11 +874,6 @@ pub struct PlanCache {
     misses: u64,
 }
 
-/// Index into a [`PlanCache`] entry's mode slots.
-fn mode_slot(stats_mode: bool) -> usize {
-    usize::from(stats_mode)
-}
-
 impl PlanCache {
     /// An empty cache.
     pub fn new() -> PlanCache {
@@ -1030,6 +919,28 @@ impl PlanCache {
         }
     }
 
+    /// The lookup behind both public forms: serve `query_text` from the
+    /// slot of its planning mode, or prepare it — with `stats(ds)` when
+    /// given — and remember the plan there.
+    fn lookup<'a, S: TripleStore>(
+        &mut self,
+        ds: &'a Dataset<S>,
+        query_text: &str,
+        stats: Option<fn(&Dataset<S>) -> DatasetStats>,
+    ) -> Result<Plan<'a>, QueryError> {
+        self.validate(ds);
+        let slot = usize::from(stats.is_some());
+        if let Some(cached) = self.entries.get(query_text).and_then(|slots| slots[slot].as_ref()) {
+            self.hits += 1;
+            return Ok(cached.rebind(ds.dict(), ds.store()));
+        }
+        self.misses += 1;
+        let stats = stats.map(|compute| compute(ds));
+        let plan = prepare_on_with_stats(ds.store(), ds.dict(), query_text, stats.as_ref())?;
+        self.entries.entry(query_text.to_string()).or_default()[slot] = Some(CachedPlan::of(&plan));
+        Ok(plan)
+    }
+
     /// [`prepare_on`] through the cache: returns a plan equivalent to a
     /// fresh preparation, reusing the memoized compilation and join
     /// order when `ds` is unchanged since it was cached.
@@ -1038,18 +949,7 @@ impl PlanCache {
         ds: &'a Dataset<S>,
         query_text: &str,
     ) -> Result<Plan<'a>, QueryError> {
-        self.validate(ds);
-        if let Some(cached) =
-            self.entries.get(query_text).and_then(|slots| slots[mode_slot(false)].as_ref())
-        {
-            self.hits += 1;
-            return Ok(cached.rebind(ds.dict(), ds.store()));
-        }
-        self.misses += 1;
-        let plan = prepare_on(ds.store(), ds.dict(), query_text)?;
-        self.entries.entry(query_text.to_string()).or_default()[mode_slot(false)] =
-            Some(CachedPlan::of(&plan));
-        Ok(plan)
+        self.lookup(ds, query_text, None)
     }
 
     /// The statistics-driven counterpart of [`PlanCache::prepare`]: a
@@ -1061,19 +961,7 @@ impl PlanCache {
         ds: &'a Dataset<S>,
         query_text: &str,
     ) -> Result<Plan<'a>, QueryError> {
-        self.validate(ds);
-        if let Some(cached) =
-            self.entries.get(query_text).and_then(|slots| slots[mode_slot(true)].as_ref())
-        {
-            self.hits += 1;
-            return Ok(cached.rebind(ds.dict(), ds.store()));
-        }
-        self.misses += 1;
-        let stats = ds.stats();
-        let plan = prepare_on_with_stats(ds.store(), ds.dict(), query_text, Some(&stats))?;
-        self.entries.entry(query_text.to_string()).or_default()[mode_slot(true)] =
-            Some(CachedPlan::of(&plan));
-        Ok(plan)
+        self.lookup(ds, query_text, Some(Dataset::stats))
     }
 }
 
@@ -1124,8 +1012,7 @@ mod tests {
     fn figure1_upper_query() {
         // SELECT A.property WHERE A.subj = ID2 AND A.obj = 'MIT'
         let g = figure1_graph();
-        let rs =
-            execute(&g, r#"SELECT ?property WHERE { <http://x/ID2> ?property "MIT" . }"#).unwrap();
+        let rs = g.query(r#"SELECT ?property WHERE { <http://x/ID2> ?property "MIT" . }"#).unwrap();
         assert_eq!(rs.vars, vec!["property"]);
         assert_eq!(rs.rows, vec![vec![iri("worksFor")]]);
     }
@@ -1135,14 +1022,14 @@ mod tests {
         // People with the same relationship to Stanford as ID1 has to Yale
         // (ID1 phdFrom Yale; ID2 phdFrom Stanford).
         let g = figure1_graph();
-        let rs = execute(
-            &g,
-            r#"SELECT ?b WHERE {
+        let rs = g
+            .query(
+                r#"SELECT ?b WHERE {
                 <http://x/ID1> ?prop "Yale" .
                 ?b ?prop "Stanford" .
             }"#,
-        )
-        .unwrap();
+            )
+            .unwrap();
         assert_eq!(rs.rows, vec![vec![iri("ID2")]]);
     }
 
@@ -1150,9 +1037,9 @@ mod tests {
     fn select_star_and_distinct() {
         let g = figure1_graph();
         let rs =
-            execute(&g, r#"SELECT DISTINCT ?type WHERE { ?who <http://x/type> ?type . }"#).unwrap();
+            g.query(r#"SELECT DISTINCT ?type WHERE { ?who <http://x/type> ?type . }"#).unwrap();
         assert_eq!(rs.len(), 3); // FullProfessor, AssocProfessor, GradStudent
-        let star = execute(&g, r#"SELECT * WHERE { ?who <http://x/advisor> ?adv . }"#).unwrap();
+        let star = g.query(r#"SELECT * WHERE { ?who <http://x/advisor> ?adv . }"#).unwrap();
         assert_eq!(star.vars, vec!["who", "adv"]);
         assert_eq!(star.len(), 2);
     }
@@ -1160,8 +1047,7 @@ mod tests {
     #[test]
     fn unknown_constant_yields_empty_not_error() {
         let g = figure1_graph();
-        let rs =
-            execute(&g, r#"SELECT ?x WHERE { ?x <http://x/nonexistent> "nothing" . }"#).unwrap();
+        let rs = g.query(r#"SELECT ?x WHERE { ?x <http://x/nonexistent> "nothing" . }"#).unwrap();
         assert!(rs.is_empty());
         let plan = prepare_on(
             g.store(),
@@ -1177,7 +1063,7 @@ mod tests {
     #[test]
     fn unknown_projected_variable_is_an_error() {
         let g = figure1_graph();
-        let e = execute(&g, r#"SELECT ?zzz WHERE { ?x <http://x/type> ?y . }"#).unwrap_err();
+        let e = g.query(r#"SELECT ?zzz WHERE { ?x <http://x/type> ?y . }"#).unwrap_err();
         assert!(matches!(e, QueryError::UnknownVariable(v) if v == "zzz"));
     }
 
@@ -1197,12 +1083,12 @@ mod tests {
         let covp2 = hex_baselines::Covp2::from_triples(ids);
         for q in queries {
             let reference = {
-                let mut r = execute(&g, q).unwrap().rows;
+                let mut r = g.query(q).unwrap().rows;
                 r.sort();
                 r
             };
             for store in [&table as &dyn TripleStore, &covp1, &covp2] {
-                let mut rows = execute_on(store, g.dict(), q).unwrap().rows;
+                let mut rows = prepare_on(store, g.dict(), q).unwrap().run().rows;
                 rows.sort();
                 assert_eq!(rows, reference, "store {} query {q}", store.name());
             }
@@ -1212,70 +1098,69 @@ mod tests {
     #[test]
     fn limit_offset_and_ask() {
         let g = figure1_graph();
-        let all = execute(&g, r#"SELECT ?s WHERE { ?s <http://x/type> ?t . }"#).unwrap();
+        let all = g.query(r#"SELECT ?s WHERE { ?s <http://x/type> ?t . }"#).unwrap();
         assert_eq!(all.len(), 4);
-        let limited =
-            execute(&g, r#"SELECT ?s WHERE { ?s <http://x/type> ?t . } LIMIT 2"#).unwrap();
+        let limited = g.query(r#"SELECT ?s WHERE { ?s <http://x/type> ?t . } LIMIT 2"#).unwrap();
         assert_eq!(limited.len(), 2);
         assert_eq!(&limited.rows[..], &all.rows[..2]);
         let offset =
-            execute(&g, r#"SELECT ?s WHERE { ?s <http://x/type> ?t . } OFFSET 3 LIMIT 5"#).unwrap();
+            g.query(r#"SELECT ?s WHERE { ?s <http://x/type> ?t . } OFFSET 3 LIMIT 5"#).unwrap();
         assert_eq!(offset.len(), 1);
         assert_eq!(offset.rows[0], all.rows[3]);
-        assert!(execute_ask(&g, r#"ASK { <http://x/ID3> <http://x/advisor> ?a . }"#).unwrap());
-        assert!(!execute_ask(&g, r#"ASK { <http://x/ID1> <http://x/advisor> ?a . }"#).unwrap());
+        assert!(g.ask(r#"ASK { <http://x/ID3> <http://x/advisor> ?a . }"#).unwrap());
+        assert!(!g.ask(r#"ASK { <http://x/ID1> <http://x/advisor> ?a . }"#).unwrap());
     }
 
     #[test]
     fn filters_restrict_solutions() {
         let g = figure1_graph();
         // Everyone related to MIT except by worksFor.
-        let rs = execute(
-            &g,
-            r#"SELECT ?who WHERE {
+        let rs = g
+            .query(
+                r#"SELECT ?who WHERE {
                 ?who ?how "MIT" .
                 FILTER(?how != <http://x/worksFor>)
             }"#,
-        )
-        .unwrap();
+            )
+            .unwrap();
         assert_eq!(rs.rows, vec![vec![iri("ID1")]]);
         // BQ5-style non-Text filter expressed declaratively.
-        let rs = execute(
-            &g,
-            r#"SELECT ?s ?t WHERE {
+        let rs = g
+            .query(
+                r#"SELECT ?s ?t WHERE {
                 ?s <http://x/type> ?t .
                 FILTER(?t != <http://x/GradStudent>)
             }"#,
-        )
-        .unwrap();
+            )
+            .unwrap();
         assert_eq!(rs.len(), 2);
         // Equality filter between two variables.
-        let rs = execute(
-            &g,
-            r#"SELECT ?a WHERE {
+        let rs = g
+            .query(
+                r#"SELECT ?a WHERE {
                 ?a <http://x/teacherOf> ?c .
                 ?b <http://x/teachingAssist> ?c .
                 FILTER(?c = "AI")
             }"#,
-        )
-        .unwrap();
+            )
+            .unwrap();
         assert_eq!(rs.rows, vec![vec![iri("ID1")]]);
         // Filter against a term absent from the data: != passes all.
-        let rs = execute(
-            &g,
-            r#"SELECT ?s WHERE { ?s <http://x/type> ?t . FILTER(?t != <http://x/Nothing>) }"#,
-        )
-        .unwrap();
+        let rs = g
+            .query(
+                r#"SELECT ?s WHERE { ?s <http://x/type> ?t . FILTER(?t != <http://x/Nothing>) }"#,
+            )
+            .unwrap();
         assert_eq!(rs.len(), 4);
         // Unknown variable in a filter is an error.
-        let e = execute(&g, r#"SELECT ?s WHERE { ?s ?p ?o . FILTER(?zzz = ?s) }"#).unwrap_err();
+        let e = g.query(r#"SELECT ?s WHERE { ?s ?p ?o . FILTER(?zzz = ?s) }"#).unwrap_err();
         assert!(matches!(e, QueryError::UnknownVariable(_)));
     }
 
     #[test]
     fn tsv_rendering() {
         let g = figure1_graph();
-        let rs = execute(&g, r#"SELECT ?p WHERE { <http://x/ID2> ?p "MIT" . }"#).unwrap();
+        let rs = g.query(r#"SELECT ?p WHERE { <http://x/ID2> ?p "MIT" . }"#).unwrap();
         let tsv = rs.to_tsv();
         assert!(tsv.starts_with("p\n"));
         assert!(tsv.contains("worksFor"));
@@ -1345,6 +1230,32 @@ mod tests {
     }
 
     #[test]
+    fn constant_filters_over_absent_terms_compare_the_terms() {
+        // A term the dictionary has never seen has no id; two of them
+        // must still compare by what they are.
+        let g = figure1_graph();
+        let rows = |filter: &str| {
+            let text = format!("SELECT ?s WHERE {{ ?s <http://x/type> ?t . FILTER({filter}) }}");
+            g.query(&text).unwrap().len()
+        };
+        let (absent, other, interned) = ("<http://x/absent>", "<http://x/other>", "<http://x/ID1>");
+        for (left, right, equal) in [
+            (absent, absent, true),
+            (absent, other, false),
+            (interned, absent, false),
+            (absent, interned, false),
+            (interned, interned, true),
+        ] {
+            let (all, none) = if equal { (4, 0) } else { (0, 4) };
+            assert_eq!(rows(&format!("{left} = {right}")), all, "{left} = {right}");
+            assert_eq!(rows(&format!("{left} != {right}")), none, "{left} != {right}");
+        }
+        // `Unknown` keeps its meaning against a variable: equal to nothing.
+        assert_eq!(rows(&format!("?t = {absent}")), 0);
+        assert_eq!(rows(&format!("?t != {absent}")), 4);
+    }
+
+    #[test]
     fn solutions_stream_and_replay() {
         let g = figure1_graph();
         let plan =
@@ -1364,9 +1275,9 @@ mod tests {
         // The parser accepts modifiers after ASK; existence semantics must
         // not change (the old path answered before applying them).
         let g = figure1_graph();
-        assert!(execute_ask(&g, r#"ASK { ?s <http://x/type> ?t . } LIMIT 0"#).unwrap());
-        assert!(execute_ask(&g, r#"ASK { ?s <http://x/type> ?t . } OFFSET 9 LIMIT 0"#).unwrap());
-        assert!(!execute_ask(&g, r#"ASK { ?s <http://x/nope> ?t . } LIMIT 0"#).unwrap());
+        assert!(g.ask(r#"ASK { ?s <http://x/type> ?t . } LIMIT 0"#).unwrap());
+        assert!(g.ask(r#"ASK { ?s <http://x/type> ?t . } OFFSET 9 LIMIT 0"#).unwrap());
+        assert!(!g.ask(r#"ASK { ?s <http://x/nope> ?t . } LIMIT 0"#).unwrap());
     }
 
     #[test]
@@ -1531,7 +1442,6 @@ mod tests {
         let rows: Vec<Vec<Term>> = plan.solutions().collect();
         assert_eq!(rows, vec![Vec::<Term>::new()]);
         assert!(plan.explain().starts_with("query: ASK\n"));
-        assert!(plan.explain().contains("parallel: serial (ASK"), "{}", plan.explain());
     }
 
     /// Twelve students typed Student, the even ones in dept CS, everyone
@@ -1556,21 +1466,18 @@ mod tests {
     }"#;
 
     #[test]
-    fn explain_tags_join_choice_and_parallel_strategy() {
+    fn explain_tags_join_choice() {
         let g = star_graph();
         let plan = prepare_on(g.store(), g.dict(), STAR_QUERY).unwrap();
         let text = plan.explain();
         assert_eq!(text.matches("join=merge").count(), 2, "{text}");
         assert_eq!(text.matches("join=nested").count(), 1, "{text}");
-        assert!(text.contains("parallel: shards the merged candidate list"), "{text}");
-        // A plan without a merge group names the sharded candidate count.
         let nested =
             prepare_on(g.store(), g.dict(), r#"SELECT ?a WHERE { ?s <http://x/advisor> ?a . }"#)
                 .unwrap();
         let text = nested.explain();
         assert!(text.contains("join=nested"), "{text}");
         assert!(!text.contains("join=merge"), "{text}");
-        assert!(text.contains("parallel: shards step 1's 12 candidates"), "{text}");
     }
 
     #[test]

@@ -14,9 +14,8 @@
 //! Evaluation itself is *lazy*: [`BgpCursor`] walks the join tree
 //! depth-first and yields one binding row at a time through the stores'
 //! [`TripleStore::iter_matching`] cursors, so a consumer that stops early
-//! (ASK, LIMIT) never pays for the rows it does not read. The
-//! materializing [`execute_bgp`] entry points are retained as thin
-//! collectors over the cursor.
+//! (ASK, LIMIT) never pays for the rows it does not read;
+//! [`execute_bgp`] is the collector over the planned cursor.
 
 use crate::algebra::{Bgp, Pattern, PatternTerm};
 use hex_dict::Id;
@@ -299,11 +298,6 @@ pub fn merge_candidates(
     Some(hexastore::sorted::intersect_many(lists?))
 }
 
-/// Chooses the evaluation order: the pattern indices of [`plan_steps`].
-pub fn plan_order(store: &dyn TripleStore, bgp: &Bgp) -> Vec<usize> {
-    plan_steps(store, bgp).iter().map(|s| s.pattern).collect()
-}
-
 /// Extends one binding row with a matching triple, checking repeated
 /// variables. Returns `None` on conflict.
 fn extend_row(row: &[Option<Id>], pat: &Pattern, t: hex_dict::IdTriple) -> Option<Vec<Option<Id>>> {
@@ -344,9 +338,6 @@ pub struct BgpCursor<'a> {
     stack: Vec<Level<'a>>,
     /// The pre-first-step row; `Some` until iteration starts.
     start: Option<Vec<Option<Id>>>,
-    /// Restrict the first step to a `[start, end)` slice of its candidate
-    /// range — the shard boundary of parallel execution.
-    first_range: Option<(usize, usize)>,
     /// LIMIT pushdown: stop the whole walk after this many rows.
     demand: Option<usize>,
     /// Rows produced so far (tracked only to honor `demand`).
@@ -365,25 +356,9 @@ impl<'a> BgpCursor<'a> {
             checks,
             stack: Vec::new(),
             start: Some(bgp.empty_row()),
-            first_range: None,
             demand: None,
             produced: 0,
         }
-    }
-
-    /// Restricts the first step to the `[start, end)` slice of its
-    /// candidate sequence (positions in [`TripleStore::iter_matching`]
-    /// order), via [`TripleStore::iter_matching_range`].
-    ///
-    /// This is the sharding hook of parallel execution: cursors over
-    /// contiguous, non-overlapping slices that cover `[0, n)` (with `n`
-    /// the first pattern's `count_matching`) together produce — in slice
-    /// order — exactly the row sequence of an unrestricted cursor,
-    /// because only the *first* join level fans the walk out and deeper
-    /// levels depend on nothing outside their row. Must be called before
-    /// the first `next()`.
-    pub fn restrict_first(&mut self, start: usize, end: usize) {
-        self.first_range = Some((start, end));
     }
 
     /// Attaches a predicate to the step at `depth` (0-based, execution
@@ -421,11 +396,7 @@ impl Iterator for BgpCursor<'_> {
                     return Some(row);
                 }
                 Some(first) => {
-                    let pat = first.access(&row);
-                    let iter = match self.first_range {
-                        Some((a, b)) => self.store.iter_matching_range(pat, a, b),
-                        None => self.store.iter_matching(pat),
-                    };
+                    let iter = self.store.iter_matching(first.access(&row));
                     self.stack.push(Level { iter, row });
                 }
             }
@@ -596,30 +567,10 @@ impl Iterator for MergeCursor<'_> {
     }
 }
 
-/// Evaluates a BGP, materializing all binding rows.
+/// Evaluates a BGP in the planned order, materializing all binding rows.
 pub fn execute_bgp(store: &dyn TripleStore, bgp: &Bgp) -> Rows {
-    execute_bgp_with_order(store, bgp, &plan_order(store, bgp))
-}
-
-/// Evaluates a BGP with an explicit pattern order (for tests and plan
-/// ablation benches), materializing all binding rows.
-pub fn execute_bgp_with_order(store: &dyn TripleStore, bgp: &Bgp, order: &[usize]) -> Rows {
-    BgpCursor::new(store, bgp, order).collect()
-}
-
-/// Projects rows onto chosen variable slots, dropping rows where a
-/// projected slot is unbound.
-pub fn project(rows: &Rows, slots: &[crate::algebra::VarId]) -> Vec<Vec<Id>> {
-    rows.iter()
-        .filter_map(|row| slots.iter().map(|v| row[v.index()]).collect::<Option<Vec<Id>>>())
-        .collect()
-}
-
-/// Sorts and deduplicates projected rows.
-pub fn distinct(mut rows: Vec<Vec<Id>>) -> Vec<Vec<Id>> {
-    rows.sort_unstable();
-    rows.dedup();
-    rows
+    let order: Vec<usize> = plan_steps(store, bgp).iter().map(|s| s.pattern).collect();
+    BgpCursor::new(store, bgp, &order).collect()
 }
 
 #[cfg(test)]
@@ -629,6 +580,31 @@ mod tests {
     use crate::support::Counting;
     use hex_dict::IdTriple;
     use hexastore::{Hexastore, IdPattern};
+
+    /// Projects rows onto chosen variable slots, dropping rows where a
+    /// projected slot is unbound.
+    fn project(rows: &Rows, slots: &[VarId]) -> Vec<Vec<Id>> {
+        rows.iter()
+            .filter_map(|row| slots.iter().map(|v| row[v.index()]).collect::<Option<Vec<Id>>>())
+            .collect()
+    }
+
+    /// Sorts and deduplicates projected rows.
+    fn distinct(mut rows: Vec<Vec<Id>>) -> Vec<Vec<Id>> {
+        rows.sort_unstable();
+        rows.dedup();
+        rows
+    }
+
+    /// The pattern indices of `steps`, in execution order.
+    fn order_of(steps: &[PlanStep]) -> Vec<usize> {
+        steps.iter().map(|s| s.pattern).collect()
+    }
+
+    /// Evaluates `bgp` with an explicit pattern order.
+    fn run_in_order(store: &dyn TripleStore, bgp: &Bgp, order: &[usize]) -> Rows {
+        BgpCursor::new(store, bgp, order).collect()
+    }
 
     fn c(v: u32) -> PatternTerm {
         PatternTerm::Const(Id(v))
@@ -685,12 +661,12 @@ mod tests {
             Pattern::new(v(1), c(101), v(2)),
         ]);
         let reference = {
-            let mut r = execute_bgp_with_order(&store, &bgp, &[0, 1, 2]);
+            let mut r = run_in_order(&store, &bgp, &[0, 1, 2]);
             r.sort();
             r
         };
         for order in [[0, 2, 1], [1, 0, 2], [1, 2, 0], [2, 0, 1], [2, 1, 0]] {
-            let mut rows = execute_bgp_with_order(&store, &bgp, &order);
+            let mut rows = run_in_order(&store, &bgp, &order);
             rows.sort();
             assert_eq!(rows, reference, "order {order:?}");
         }
@@ -746,14 +722,13 @@ mod tests {
     }
 
     #[test]
-    fn plan_order_prefers_selective_patterns() {
+    fn planner_prefers_selective_patterns() {
         let store = academic();
         // (?, 102, 60) matches 2; (?, 100, ?) matches 3 — expect the type
         // pattern first.
         let bgp =
             Bgp::new(vec![Pattern::new(v(0), c(100), v(1)), Pattern::new(v(1), c(102), c(60))]);
-        let order = plan_order(&store, &bgp);
-        assert_eq!(order[0], 1);
+        assert_eq!(plan_steps(&store, &bgp)[0].pattern, 1);
     }
 
     #[test]
@@ -840,16 +815,8 @@ mod tests {
             assert_eq!(step.cost, step.estimate as f64);
         }
         // Both orders produce the same rows.
-        let mut a = execute_bgp_with_order(
-            &store,
-            &bgp,
-            &plain.iter().map(|s| s.pattern).collect::<Vec<_>>(),
-        );
-        let mut b = execute_bgp_with_order(
-            &store,
-            &bgp,
-            &refined.iter().map(|s| s.pattern).collect::<Vec<_>>(),
-        );
+        let mut a = run_in_order(&store, &bgp, &order_of(&plain));
+        let mut b = run_in_order(&store, &bgp, &order_of(&refined));
         a.sort();
         b.sort();
         assert_eq!(a, b);
@@ -895,8 +862,7 @@ mod tests {
         let store = Hexastore::from_triples((0..1000).map(|i| t(i, 100, i + 1000)));
         let counting = Counting::new(&store);
         let bgp = Bgp::new(vec![Pattern::new(v(0), c(100), v(1))]);
-        let order = plan_order(&counting, &bgp);
-        let mut cursor = BgpCursor::new(&counting, &bgp, &order);
+        let mut cursor = BgpCursor::new(&counting, &bgp, &[0]);
         assert!(cursor.next().is_some());
         assert!(counting.yielded() <= 2, "one row pulled, {} triples visited", counting.yielded());
         drop(cursor);
@@ -917,26 +883,6 @@ mod tests {
             "demand 3 visited {} of 1000 triples; must be O(demand)",
             counting.yielded()
         );
-    }
-
-    #[test]
-    fn restricted_shards_reassemble_the_full_cursor() {
-        let store = academic();
-        let bgp =
-            Bgp::new(vec![Pattern::new(v(0), c(100), v(1)), Pattern::new(v(1), c(101), v(2))]);
-        let order = plan_order(&store, &bgp);
-        let reference: Rows = BgpCursor::new(&store, &bgp, &order).collect();
-        let n = store.count_matching(bgp.patterns[order[0]].access(&bgp.empty_row()));
-        for shards in 1..=n + 2 {
-            let mut merged = Rows::new();
-            for w in 0..shards {
-                let (a, b) = (w * n / shards, (w + 1) * n / shards);
-                let mut cursor = BgpCursor::new(&store, &bgp, &order);
-                cursor.restrict_first(a, b);
-                merged.extend(cursor);
-            }
-            assert_eq!(merged, reference, "{shards} shards over {n} candidates");
-        }
     }
 
     #[test]
@@ -1022,7 +968,7 @@ mod tests {
         let store = merge_star();
         let bgp = merge_star_bgp();
         let steps = plan_steps(&store, &bgp);
-        let order: Vec<usize> = steps.iter().map(|s| s.pattern).collect();
+        let order = order_of(&steps);
         let cands = merge_candidates(&store, &bgp, &order, 2).unwrap();
         let expected: Vec<Id> = (0..60).filter(|s| s % 6 == 0).map(Id).collect();
         assert_eq!(cands, expected);
@@ -1033,7 +979,7 @@ mod tests {
         let store = merge_star();
         let bgp = merge_star_bgp();
         let steps = plan_steps(&store, &bgp);
-        let order: Vec<usize> = steps.iter().map(|s| s.pattern).collect();
+        let order = order_of(&steps);
         let (group, var) = merge_group(&bgp, &steps).unwrap();
         let cands = merge_candidates(&store, &bgp, &order, group).unwrap();
         let merged: Rows = MergeCursor::new(&store, &bgp, &order, group, var, cands).collect();
@@ -1048,7 +994,7 @@ mod tests {
         let bgp =
             Bgp::new(vec![Pattern::new(v(0), c(201), c(8)), Pattern::new(v(0), c(202), c(9))]);
         let steps = plan_steps(&store, &bgp);
-        let order: Vec<usize> = steps.iter().map(|s| s.pattern).collect();
+        let order = order_of(&steps);
         let (group, var) = merge_group(&bgp, &steps).unwrap();
         assert_eq!(group, 2, "no tail");
         let cands = merge_candidates(&store, &bgp, &order, group).unwrap();
@@ -1062,7 +1008,7 @@ mod tests {
         let store = merge_star();
         let bgp = merge_star_bgp();
         let steps = plan_steps(&store, &bgp);
-        let order: Vec<usize> = steps.iter().map(|s| s.pattern).collect();
+        let order = order_of(&steps);
         let (group, var) = merge_group(&bgp, &steps).unwrap();
         let cands = merge_candidates(&store, &bgp, &order, group).unwrap();
         let build = |with_checks: bool| -> (Rows, Rows) {
@@ -1092,7 +1038,7 @@ mod tests {
         // Intersect the group on the raw store; walk the tail through the
         // wrapper so its triples are counted.
         let steps = plan_steps(&store, &bgp);
-        let order: Vec<usize> = steps.iter().map(|s| s.pattern).collect();
+        let order = order_of(&steps);
         let (group, var) = merge_group(&bgp, &steps).unwrap();
         let cands = merge_candidates(&store, &bgp, &order, group).unwrap();
         let mut cursor = MergeCursor::new(&counting, &bgp, &order, group, var, cands);
@@ -1121,7 +1067,7 @@ mod tests {
         // And the runtime fallback: a merge-annotated plan's candidates
         // cannot be served by this store.
         let merge_steps = plan_steps(&store, &bgp);
-        let order: Vec<usize> = merge_steps.iter().map(|s| s.pattern).collect();
+        let order = order_of(&merge_steps);
         assert_eq!(merge_candidates(&counting, &bgp, &order, 2), None);
     }
 

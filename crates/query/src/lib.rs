@@ -9,29 +9,28 @@
 //!   queries aggregate with;
 //! - [`path`] — path-expression evaluation with merge-join accounting
 //!   (paper §4.3), plus transitive closure;
-//! - [`parallel`] — parallel BGP execution: [`Plan::run_parallel`]
-//!   shards the first step's candidate range across worker threads and
-//!   merges in shard order, byte-identical to the single-threaded walk;
 //! - [`parser`] / [`engine`] — a small SPARQL-like language, compiled
 //!   against a dictionary and planned/executed on any store.
 //!
-//! ## The prepared-plan surface
+//! ## How to run a query
 //!
-//! [`prepare`] (or [`prepare_on`] for query text) compiles a query and
-//! returns a [`Plan`]: join order chosen around the store's
-//! [`hexastore::TripleStore::capabilities`], FILTERs pushed down to the
-//! earliest step that binds their variables, and every step annotated
-//! with its access shape, cardinality estimate and serving index —
-//! rendered by [`Plan::explain`]. [`Plan::solutions`] streams decoded
-//! rows lazily, so ASK stops at the first solution and `LIMIT k` after
-//! `offset + k` rows (for non-DISTINCT filter-free queries the limit is
-//! pushed into the join walk itself, bounding visited triples by the
-//! demand). The [`DatasetQuery`] trait puts the same surface on every
-//! string-level [`hexastore::Dataset`] facade — mutable, frozen or
-//! partial — and [`prepare_with_stats`] refines the join order with
-//! [`hexastore::DatasetStats`] bound-variable fan-out. The one-call
-//! [`execute`]/[`execute_on`]/[`execute_ask`] functions are thin shims
-//! over the same machinery.
+//! Text goes in through [`prepare_on`] (a store + dictionary pair), the
+//! [`DatasetQuery`] trait on every string-level [`hexastore::Dataset`]
+//! facade — mutable, frozen or partial — or a [`PlanCache`]; an
+//! already-compiled query through [`parse_query`] → [`compile`] →
+//! [`Plan::from_compiled`]. Either way the result is a [`Plan`]: join
+//! order chosen around the store's
+//! [`hexastore::TripleStore::capabilities`] (refined with
+//! [`hexastore::DatasetStats`] bound-variable fan-out by the
+//! `_with_stats` forms), FILTERs pushed down to the earliest step that
+//! binds their variables, and every step annotated with its access
+//! shape, cardinality estimate and serving index — rendered by
+//! [`Plan::explain`]. Rows come out of one executor:
+//! [`Plan::solutions`] streams decoded rows lazily, so ASK stops at the
+//! first solution and `LIMIT k` after `offset + k` rows (for filter-free
+//! queries whose projection cannot duplicate, the limit is pushed into
+//! the join walk itself, bounding visited triples by the demand), and
+//! [`Plan::run`] collects that stream into a [`ResultSet`].
 //!
 //! ## Example
 //!
@@ -62,24 +61,26 @@ pub mod algebra;
 pub mod engine;
 pub mod exec;
 pub mod ops;
-pub mod parallel;
 pub mod parser;
 pub mod path;
 
-/// The counting store adaptor shared with the integration tests.
+/// The counting store adaptor and oracle harness shared with the
+/// integration tests.
 #[cfg(test)]
 #[path = "../tests/support/mod.rs"]
 mod support;
+// `support` names this crate `hex_query`, as an integration test must.
+#[cfg(test)]
+extern crate self as hex_query;
 
 pub use algebra::{Bgp, Pattern, PatternTerm, VarId};
 pub use engine::{
-    compile, execute, execute_ask, execute_compiled, execute_on, prepare, prepare_on,
-    prepare_on_with_stats, prepare_with_stats, CompiledFilter, CompiledQuery, DatasetQuery,
-    FilterSide, Plan, PlanCache, QueryError, ResultSet, Solutions,
+    compile, prepare_on, CompiledFilter, CompiledQuery, DatasetQuery, FilterSide, Plan, PlanCache,
+    QueryError, ResultSet, Solutions,
 };
 pub use exec::{
-    execute_bgp, execute_bgp_with_order, merge_candidates, merge_group, plan_order, plan_steps,
-    plan_steps_with, BgpCursor, JoinStep, MergeCursor, PlanStep, RowCheck,
+    execute_bgp, merge_candidates, merge_group, plan_steps, plan_steps_with, BgpCursor, JoinStep,
+    MergeCursor, PlanStep, RowCheck,
 };
 pub use parser::{parse_query, FilterExpr, FilterOp, FilterOperand, ParseError, ParsedQuery};
 pub use path::{

@@ -4,84 +4,12 @@
 //! in the planner, the access-path dispatch or the binding extension logic
 //! shows up here.
 
-use hex_dict::{Id, IdTriple};
-use hex_query::{execute_bgp, Bgp, Pattern, PatternTerm, VarId};
+use hex_query::{execute_bgp, BgpCursor};
 use hexastore::{Hexastore, IdPattern, TripleStore};
 use proptest::prelude::*;
 
-fn arb_triple() -> impl Strategy<Value = IdTriple> {
-    (0u32..6, 0u32..4, 0u32..6).prop_map(IdTriple::from)
-}
-
-fn arb_pattern_term(max_var: u16) -> impl Strategy<Value = PatternTerm> {
-    prop_oneof![
-        (0u32..6).prop_map(|v| PatternTerm::Const(Id(v))),
-        (0u16..max_var).prop_map(|v| PatternTerm::Var(VarId(v))),
-    ]
-}
-
-fn arb_bgp() -> impl Strategy<Value = Bgp> {
-    proptest::collection::vec(
-        (arb_pattern_term(3), arb_pattern_term(3), arb_pattern_term(3))
-            .prop_map(|(s, p, o)| Pattern::new(s, p, o)),
-        1..4,
-    )
-    .prop_map(Bgp::new)
-}
-
-/// Brute force: try every |store|^k assignment of triples to the k
-/// patterns, keeping assignments whose variable bindings are consistent.
-fn brute_force(store: &Hexastore, bgp: &Bgp) -> Vec<Vec<Option<Id>>> {
-    let all = store.matching(IdPattern::ALL);
-    let k = bgp.patterns.len();
-    let mut results = Vec::new();
-    let mut idx = vec![0usize; k];
-    if all.is_empty() {
-        return results;
-    }
-    'outer: loop {
-        // Check the current assignment.
-        let mut row = bgp.empty_row();
-        let mut ok = true;
-        'check: for (pat, &i) in bgp.patterns.iter().zip(&idx) {
-            let t = all[i];
-            for (term, value) in [(pat.s, t.s), (pat.p, t.p), (pat.o, t.o)] {
-                match term {
-                    PatternTerm::Const(c) => {
-                        if c != value {
-                            ok = false;
-                            break 'check;
-                        }
-                    }
-                    PatternTerm::Var(v) => match row[v.index()] {
-                        Some(existing) if existing != value => {
-                            ok = false;
-                            break 'check;
-                        }
-                        _ => row[v.index()] = Some(value),
-                    },
-                }
-            }
-        }
-        if ok {
-            results.push(row);
-        }
-        // Next assignment.
-        for slot in (0..k).rev() {
-            idx[slot] += 1;
-            if idx[slot] < all.len() {
-                continue 'outer;
-            }
-            idx[slot] = 0;
-            if slot == 0 {
-                break 'outer;
-            }
-        }
-    }
-    results.sort();
-    results.dedup();
-    results
-}
+mod support;
+use support::{arb_bgp, arb_triple, brute_force};
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
@@ -95,7 +23,7 @@ proptest! {
         let mut got = execute_bgp(&store, &bgp);
         got.sort();
         got.dedup();
-        let expected = brute_force(&store, &bgp);
+        let expected = brute_force(&store.matching(IdPattern::ALL), &bgp);
         prop_assert_eq!(got, expected);
     }
 
@@ -116,7 +44,7 @@ proptest! {
         let mut order: Vec<usize> = (0..k).collect();
         // Enumerate permutations (k ≤ 3 → at most 6).
         permute(&mut order, 0, &mut |perm| {
-            let mut rows = hex_query::execute_bgp_with_order(&store, &bgp, perm);
+            let mut rows: Vec<_> = BgpCursor::new(&store, &bgp, perm).collect();
             rows.sort();
             rows.dedup();
             assert_eq!(rows, reference, "order {perm:?}");

@@ -23,7 +23,7 @@ use proptest::prelude::*;
 use rdf_model::Term;
 
 mod support;
-use support::Counting;
+use support::{arb_bgp, arb_pattern_term, arb_triple, brute_force, Counting, MAX_ID};
 
 /// Terms are minted so that term `i` gets dictionary id `i` (ids are
 /// assigned densely in insertion order).
@@ -38,79 +38,6 @@ fn dict_for(n: u32) -> Dictionary {
         assert_eq!(id, Id(i));
     }
     dict
-}
-
-const MAX_ID: u32 = 6;
-
-fn arb_triple() -> impl Strategy<Value = IdTriple> {
-    (0u32..MAX_ID, 0u32..4, 0u32..MAX_ID).prop_map(IdTriple::from)
-}
-
-fn arb_pattern_term(max_var: u16) -> impl Strategy<Value = PatternTerm> {
-    prop_oneof![
-        (0u32..MAX_ID).prop_map(|v| PatternTerm::Const(Id(v))),
-        (0u16..max_var).prop_map(|v| PatternTerm::Var(VarId(v))),
-    ]
-}
-
-fn arb_bgp() -> impl Strategy<Value = Bgp> {
-    proptest::collection::vec(
-        (arb_pattern_term(3), arb_pattern_term(3), arb_pattern_term(3))
-            .prop_map(|(s, p, o)| Pattern::new(s, p, o)),
-        1..4,
-    )
-    .prop_map(Bgp::new)
-}
-
-/// Brute force: try every |store|^k assignment of triples to the k
-/// patterns, keeping assignments whose variable bindings are consistent.
-fn brute_force(all: &[IdTriple], bgp: &Bgp) -> Vec<Vec<Option<Id>>> {
-    let k = bgp.patterns.len();
-    let mut results = Vec::new();
-    let mut idx = vec![0usize; k];
-    if all.is_empty() {
-        return results;
-    }
-    'outer: loop {
-        let mut row = bgp.empty_row();
-        let mut ok = true;
-        'check: for (pat, &i) in bgp.patterns.iter().zip(&idx) {
-            let t = all[i];
-            for (term, value) in [(pat.s, t.s), (pat.p, t.p), (pat.o, t.o)] {
-                match term {
-                    PatternTerm::Const(c) => {
-                        if c != value {
-                            ok = false;
-                            break 'check;
-                        }
-                    }
-                    PatternTerm::Var(v) => match row[v.index()] {
-                        Some(existing) if existing != value => {
-                            ok = false;
-                            break 'check;
-                        }
-                        _ => row[v.index()] = Some(value),
-                    },
-                }
-            }
-        }
-        if ok {
-            results.push(row);
-        }
-        for slot in (0..k).rev() {
-            idx[slot] += 1;
-            if idx[slot] < all.len() {
-                continue 'outer;
-            }
-            idx[slot] = 0;
-            if slot == 0 {
-                break 'outer;
-            }
-        }
-    }
-    results.sort();
-    results.dedup();
-    results
 }
 
 /// Wraps a BGP in a `SELECT` over every variable that occurs in it.
@@ -412,8 +339,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
     /// Merge-join execution must be *byte-identical* (row order included)
-    /// to the forced-nested walk of the same plan, on every store flavor
-    /// — and, where the store is Sync, to the parallel execution too.
+    /// to the forced-nested walk of the same plan, on every store flavor.
     #[test]
     fn merge_execution_is_byte_identical_to_forced_nested(
         triples in proptest::collection::vec(arb_triple(), 0..14),
@@ -450,12 +376,6 @@ proptest! {
             sorted.sort();
             sorted.dedup();
             prop_assert_eq!(&sorted, &expected, "store {}", store.name());
-        }
-        // Parallel execution concatenates to the same byte sequence.
-        let plan = Plan::from_compiled(q.clone(), &dict, &frozen);
-        let reference = plan.run();
-        for threads in [2, 4] {
-            prop_assert_eq!(plan.run_parallel(&frozen, threads), reference.clone());
         }
     }
 }
@@ -519,37 +439,4 @@ fn distinct_with_lossy_projection_visits_o_k_dup_triples() {
         "DISTINCT ?g LIMIT 4 over dup=5 visited {} triples; must be O(k·dup)",
         counting.yielded()
     );
-}
-
-#[test]
-fn parallel_distinct_limit_caps_each_shard() {
-    // Four workers over 10k triples, DISTINCT ?g LIMIT 4 with dup=5:
-    // every worker stops after 4 locally-distinct groups (≈ 20-25
-    // triples each, shard-boundary partial runs included) instead of
-    // draining its 2500-triple shard.
-    let (store, dict) = grouped_store_and_dict(5);
-    let counting = Counting::new(&store);
-    let query = format!("SELECT DISTINCT ?g WHERE {{ ?x {} ?g . }} LIMIT 4", term_for(0));
-    let plan = hex_query::prepare_on(&counting, &dict, &query).unwrap();
-    let reference = plan.run();
-    assert_eq!(reference.len(), 4);
-    counting.reset();
-    let got = plan.run_parallel(&counting, 4);
-    assert_eq!(got, reference, "parallel DISTINCT+LIMIT must stay byte-identical");
-    let visited = counting.yielded();
-    assert!(
-        visited <= 4 * (4 * 5 + 5) + 4,
-        "4 capped workers visited {visited} triples; must be O(threads·k·dup)"
-    );
-}
-
-#[test]
-fn materializing_shim_still_agrees_with_streaming() {
-    // The retained execute* shims and the Plan surface answer identically.
-    let (store, dict) = big_store_and_dict();
-    let query = format!("SELECT ?x WHERE {{ ?x {} {} . }} LIMIT 3", term_for(0), term_for(1));
-    let shim = hex_query::execute_on(&store, &dict, &query).unwrap();
-    let plan = hex_query::prepare_on(&store, &dict, &query).unwrap();
-    assert_eq!(shim.rows, plan.solutions().collect::<Vec<_>>());
-    assert_eq!(shim.vars, plan.query().vars);
 }

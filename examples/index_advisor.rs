@@ -62,7 +62,7 @@ fn main() {
     report("property-bound (COVP-shaped) mix", h, &covp_workload);
 
     // Close the loop: build the recommended partial store and run a query
-    // through `hex_query::prepare` — the planner reads `capabilities()`
+    // through `hex_query::prepare_on` — the planner reads `capabilities()`
     // and routes every step through a surviving index, no hand-picked
     // plan orders needed.
     let keep = recommend(&WorkloadProfile::from_patterns(&paper_workload));

@@ -7,7 +7,7 @@
 //!
 //! Run with: `cargo run --example quickstart`
 
-use hex_query::execute;
+use hex_query::DatasetQuery;
 use hexastore::GraphStore;
 use rdf_model::{Term, TermPattern, TriplePattern};
 
@@ -44,23 +44,21 @@ fn main() {
     println!("loaded {added} triples; store reports {}", g.len());
 
     // Figure 1(b), upper query: what relationship does ID2 have to MIT?
-    let rs = execute(&g, &format!(r#"SELECT ?property WHERE {{ <{EX}ID2> ?property "MIT" . }}"#))
-        .unwrap();
+    let rs =
+        g.query(&format!(r#"SELECT ?property WHERE {{ <{EX}ID2> ?property "MIT" . }}"#)).unwrap();
     println!("\nQ1: how is ID2 related to MIT?");
     print!("{}", rs.to_tsv());
 
     // Figure 1(b), lower query: who has the same relationship to Stanford
     // as ID1 has to Yale?
-    let rs = execute(
-        &g,
-        &format!(
+    let rs = g
+        .query(&format!(
             r#"SELECT ?b WHERE {{
                 <{EX}ID1> ?prop "Yale" .
                 ?b ?prop "Stanford" .
             }}"#
-        ),
-    )
-    .unwrap();
+        ))
+        .unwrap();
     println!("\nQ2: same relationship to Stanford as ID1 has to Yale?");
     print!("{}", rs.to_tsv());
 

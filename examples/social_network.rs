@@ -10,7 +10,7 @@
 //! Run with: `cargo run --example social_network`
 
 use hex_dict::Id;
-use hex_query::{execute, path};
+use hex_query::{path, DatasetQuery};
 use hexastore::GraphStore;
 use rdf_model::{Term, Triple};
 
@@ -54,11 +54,9 @@ fn main() {
     // Relationship discovery: how are two people connected, if at all?
     // Property is the unknown — an (s, ?, o) probe on the sop index.
     for (a, b) in [("alice", "bob"), ("erin", "alice"), ("alice", "erin")] {
-        let rs = execute(
-            &g,
-            &format!(r#"SELECT ?how WHERE {{ <{EX}person/{a}> ?how <{EX}person/{b}> . }}"#),
-        )
-        .unwrap();
+        let rs = g
+            .query(&format!(r#"SELECT ?how WHERE {{ <{EX}person/{a}> ?how <{EX}person/{b}> . }}"#))
+            .unwrap();
         let hows: Vec<String> = rs.rows.iter().map(|r| r[0].to_string()).collect();
         println!(
             "{a} → {b}: {}",

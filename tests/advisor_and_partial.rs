@@ -110,7 +110,7 @@ fn partial_store_queries_plan_automatically_from_capabilities() {
         let mut got = plan.run().rows;
         got.sort();
         let mut expected =
-            hex_query::execute_on(&suite.hexastore, &suite.dict, query).unwrap().rows;
+            hex_query::prepare_on(&suite.hexastore, &suite.dict, query).unwrap().run().rows;
         expected.sort();
         assert_eq!(got, expected, "{query}");
     }

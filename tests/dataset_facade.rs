@@ -74,10 +74,13 @@ fn oracle_rows(dict: &Dictionary, triples: &[IdTriple], text: &str) -> Option<Ve
     let bgp = compiled.bgp.as_ref().expect("all constants are interned");
     let table = hex_baselines::TriplesTable::from_triples(triples.iter().copied());
     let rows = hex_query::execute_bgp(&table, bgp);
-    let projected = hex_query::exec::project(&rows, &compiled.slots);
-    let mut decoded: Vec<Vec<Term>> = projected
-        .into_iter()
-        .map(|row| row.into_iter().map(|id| dict.decode(id).unwrap().clone()).collect())
+    // `SELECT *` projects only pattern-bound variables: every slot is set.
+    let mut decoded: Vec<Vec<Term>> = rows
+        .iter()
+        .map(|row| {
+            let term = |v: &hex_query::VarId| dict.decode(row[v.index()].unwrap()).unwrap().clone();
+            compiled.slots.iter().map(term).collect()
+        })
         .collect();
     decoded.sort();
     Some(decoded)

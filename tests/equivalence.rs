@@ -4,7 +4,7 @@
 
 use hex_bench_queries::{barton, lubm, Suite};
 use hex_datagen::{barton::BartonConfig, lubm::LubmConfig};
-use hex_query::execute_on;
+use hex_query::prepare_on;
 use hexastore::TripleStore;
 
 fn barton_suite() -> (Suite, barton::BartonIds) {
@@ -92,7 +92,7 @@ fn sparql_engine_agrees_with_lq1_plan() {
     let course = s.dict.decode(ids.course10).unwrap().clone();
     let query = format!("SELECT ?who ?how WHERE {{ ?who ?how {course} . }}");
     for store in [&s.hexastore as &dyn TripleStore, &s.table, &s.covp1, &s.covp2] {
-        let rs = execute_on(store, &s.dict, &query).unwrap();
+        let rs = prepare_on(store, &s.dict, &query).unwrap().run();
         let mut got: Vec<(String, String)> =
             rs.rows.iter().map(|r| (r[0].to_string(), r[1].to_string())).collect();
         got.sort();
@@ -121,12 +121,12 @@ fn sparql_engine_agrees_with_figure1_style_join_on_lubm() {
         }}"
     );
     let reference = {
-        let mut rows = execute_on(&s.hexastore, &s.dict, &query).unwrap().rows;
+        let mut rows = prepare_on(&s.hexastore, &s.dict, &query).unwrap().run().rows;
         rows.sort();
         rows
     };
     for store in [&s.table as &dyn TripleStore, &s.covp1, &s.covp2] {
-        let mut rows = execute_on(store, &s.dict, &query).unwrap().rows;
+        let mut rows = prepare_on(store, &s.dict, &query).unwrap().run().rows;
         rows.sort();
         assert_eq!(rows, reference, "store {}", store.name());
     }

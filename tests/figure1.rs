@@ -1,7 +1,7 @@
 //! The paper's Figure 1 worked example, verified literally at string
 //! level, including the §4.1 index-content walkthrough.
 
-use hex_query::execute;
+use hex_query::DatasetQuery;
 use hexastore::GraphStore;
 use rdf_model::{Term, TermPattern, Triple, TriplePattern};
 
@@ -47,24 +47,22 @@ fn figure1() -> GraphStore {
 #[test]
 fn upper_query_relationship_of_id2_to_mit() {
     let g = figure1();
-    let rs = execute(&g, &format!(r#"SELECT ?property WHERE {{ <{EX}ID2> ?property "MIT" . }}"#))
-        .unwrap();
+    let rs =
+        g.query(&format!(r#"SELECT ?property WHERE {{ <{EX}ID2> ?property "MIT" . }}"#)).unwrap();
     assert_eq!(rs.rows, vec![vec![iri("worksFor")]]);
 }
 
 #[test]
 fn lower_query_same_relationship_to_stanford() {
     let g = figure1();
-    let rs = execute(
-        &g,
-        &format!(
+    let rs = g
+        .query(&format!(
             r#"SELECT ?b WHERE {{
                 <{EX}ID1> ?prop "Yale" .
                 ?b ?prop "Stanford" .
             }}"#
-        ),
-    )
-    .unwrap();
+        ))
+        .unwrap();
     // ID1 phdFrom Yale; ID2 phdFrom Stanford.
     assert_eq!(rs.rows, vec![vec![iri("ID2")]]);
 }
