@@ -11,17 +11,16 @@
 //!   which the query planner consults so the index it names is the one the
 //!   store really probes.
 //! - [`OrderingRead`] is what one ordering must offer — `list`, `division`,
-//!   `scan` — and is implemented exactly three times: flat slab columns
-//!   ([`SlabOrdering`], borrowed [`IndexView`] + [`ArenaView`]), the mutable
-//!   full store's `(&TwoLevel, &ListArena)`, and the mutable partial
-//!   store's owned three-level map.
+//!   `scan` — and is implemented exactly twice: flat slab columns
+//!   ([`SlabOrdering`], borrowed [`IndexView`] + [`ArenaView`]) and the
+//!   mutable store's `(&TwoLevel, &ListArena)`.
 //! - [`contains`], [`for_each`], [`iter`], [`iter_range`], [`count`] and
 //!   `sorted_list` are each written once against [`OrderedStore`] — "a
 //!   store that can hand out the [`OrderingRead`] for a kept
 //!   [`IndexKind`]". The runtime `IndexKind` is matched once per call; the
 //!   per-triple work is monomorphized per ordering.
 //!
-//! The five hexastore variants are storage providers: they implement
+//! The four hexastore variants are storage providers: they implement
 //! [`OrderedStore`] and forward their [`TripleStore`]
 //! read methods here with [`forward_reads!`](crate::forward_reads).
 //!
@@ -38,7 +37,6 @@
 
 use crate::advisor::{serving_indices, IndexKind, IndexSet};
 use crate::arena::ListArena;
-use crate::partial::OrderingMap;
 use crate::pattern::{IdPattern, Shape};
 pub use crate::slab::ArenaView;
 use crate::sorted;
@@ -252,7 +250,7 @@ impl<'a> OrderingRead<'a> for SlabOrdering<'a> {
     }
 }
 
-/// The mutable full store: a nested index plus the arena its pair shares.
+/// The mutable store: a nested index plus the arena its pair shares.
 impl<'a> OrderingRead<'a> for (&'a TwoLevel, &'a ListArena) {
     #[inline]
     fn list(self, k1: Id, k2: Id) -> &'a [Id] {
@@ -272,25 +270,6 @@ impl<'a> OrderingRead<'a> for (&'a TwoLevel, &'a ListArena) {
         ix.iter().flat_map(move |(k1, vector)| {
             vector.iter().map(move |(k2, &lid)| (k1, k2, arena.get(lid)))
         })
-    }
-}
-
-/// The mutable partial store: each kept ordering owns its lists.
-impl<'a> OrderingRead<'a> for &'a OrderingMap {
-    #[inline]
-    fn list(self, k1: Id, k2: Id) -> &'a [Id] {
-        self.get(&k1).and_then(|vector| vector.get(&k2)).map_or(&[], Vec::as_slice)
-    }
-
-    fn division(self, k1: Id) -> impl Iterator<Item = (Id, &'a [Id])> + 'a {
-        self.get(&k1)
-            .into_iter()
-            .flat_map(|vector| vector.iter().map(|(k2, list)| (k2, list.as_slice())))
-    }
-
-    fn scan(self) -> impl Iterator<Item = (Id, Id, &'a [Id])> + 'a {
-        self.iter()
-            .flat_map(|(k1, vector)| vector.iter().map(move |(k2, list)| (k1, k2, list.as_slice())))
     }
 }
 

@@ -10,13 +10,11 @@
 //! orderings, [`serving_indices`] maps each access shape to the indices
 //! able to serve it, and [`recommend`] takes a workload of patterns and
 //! returns the minimal index set that serves every pattern with a single
-//! probe, preferring indices that are already needed. [`estimate_savings`]
-//! translates a dropped-index set into bytes, using the store's own space
-//! accounting.
+//! probe, preferring indices that are already needed.
+//! [`crate::PartialHexastore`] builds exactly that set, and its
+//! `heap_bytes()` is what dropping the rest saves.
 
 use crate::pattern::{IdPattern, Shape};
-use crate::store::Hexastore;
-use crate::traits::TripleStore;
 
 /// One of the six index orderings of a Hexastore.
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
@@ -150,8 +148,7 @@ impl std::fmt::Debug for IndexSet {
 ///
 /// Two-bound shapes are served by *either* ordering of their index pair:
 /// both orderings reach the same `(k1, k2)`-keyed terminal list — shared
-/// in a full Hexastore, owned per-ordering in a partial or frozen-partial
-/// store — so e.g. `pso[p][s]` answers `(s, p, ?)` with the same single
+/// in a full Hexastore, owned per-ordering in a partial store — so e.g. `pso[p][s]` answers `(s, p, ?)` with the same single
 /// probe as `spo[s][p]`. One-bound shapes are served by either ordering
 /// headed by the bound element; the full scan by any index.
 pub fn serving_indices(shape: Shape) -> IndexSet {
@@ -249,44 +246,6 @@ pub fn recommend(profile: &WorkloadProfile) -> IndexSet {
         chosen = chosen.with(IndexKind::Spo);
     }
     chosen
-}
-
-/// Estimated heap bytes a store would save by dropping the orderings not
-/// in `keep`.
-///
-/// Terminal lists are shared within pairs, so a list is saved only when
-/// *both* orderings of its pair are dropped. Header/vector bytes are
-/// attributed per index by measuring the store.
-pub fn estimate_savings(store: &Hexastore, keep: IndexSet) -> usize {
-    let stats = store.space_stats();
-    let total = store.heap_bytes();
-    if stats.total_entries() == 0 {
-        return 0;
-    }
-    // Approximate: headers+vectors split evenly across the six indices;
-    // lists split evenly across the three pairs.
-    let hv_entries = stats.header_entries + stats.vector_entries;
-    let hv_bytes = total as f64 * hv_entries as f64 / stats.total_entries() as f64;
-    let list_bytes = total as f64 - hv_bytes;
-    let per_index = hv_bytes / 6.0;
-    let per_pair = list_bytes / 3.0;
-
-    let mut saved = 0.0;
-    for kind in IndexKind::ALL {
-        if !keep.contains(kind) {
-            saved += per_index;
-        }
-    }
-    for (a, b) in [
-        (IndexKind::Spo, IndexKind::Pso),
-        (IndexKind::Sop, IndexKind::Osp),
-        (IndexKind::Pos, IndexKind::Ops),
-    ] {
-        if !keep.contains(a) && !keep.contains(b) {
-            saved += per_pair;
-        }
-    }
-    saved as usize
 }
 
 #[cfg(test)]
@@ -426,24 +385,6 @@ mod tests {
         let profile = WorkloadProfile::from_patterns(&patterns);
         let rec = recommend(&profile);
         assert_eq!(rec.len(), 1);
-    }
-
-    #[test]
-    fn savings_grow_as_indices_are_dropped() {
-        let mut h = Hexastore::new();
-        for i in 0..500u32 {
-            h.insert(IdTriple::from((i % 40, i % 7, i)));
-        }
-        let full = estimate_savings(&h, IndexSet::all());
-        assert_eq!(full, 0);
-        let keep_three =
-            IndexSet::EMPTY.with(IndexKind::Spo).with(IndexKind::Pos).with(IndexKind::Osp);
-        let some = estimate_savings(&h, keep_three);
-        let keep_one = IndexSet::EMPTY.with(IndexKind::Spo);
-        let most = estimate_savings(&h, keep_one);
-        assert!(some > 0);
-        assert!(most > some);
-        assert!(most < h.heap_bytes());
     }
 
     #[test]

@@ -134,17 +134,9 @@ pub fn build_frozen(triples: Vec<IdTriple>) -> FrozenHexastore {
 /// presorted input and the cost is dominated by the same
 /// permutation-gather emission as any other frozen build.
 pub fn compact_frozen(overlay: &crate::overlay::OverlayHexastore) -> FrozenHexastore {
-    compact_frozen_with(overlay, Config::default())
-}
-
-/// [`compact_frozen`] with an explicit build [`Config`].
-pub fn compact_frozen_with(
-    overlay: &crate::overlay::OverlayHexastore,
-    config: Config,
-) -> FrozenHexastore {
     let mut triples = Vec::with_capacity(overlay.len());
     triples.extend(overlay.iter_matching(crate::pattern::IdPattern::ALL));
-    build_frozen_with(triples, config)
+    build_frozen(triples)
 }
 
 /// Builds a [`FrozenHexastore`] from an arbitrary triple batch, emitting
@@ -187,7 +179,7 @@ fn build_pairs<P: Send>(
     })
 }
 
-fn identity_perm(n: usize) -> Vec<u32> {
+pub(crate) fn identity_perm(n: usize) -> Vec<u32> {
     u32::try_from(n).expect("bulk batch exceeds 2^32 triples");
     (0..n as u32).collect()
 }
@@ -215,33 +207,17 @@ fn permute_sop(run: &[IdTriple], perm: &mut [u32]) {
 
 /// Builds one frozen index pair from a strict-ascending run, viewed
 /// through `perm` when the pair's order differs from the run's physical
-/// order. All slabs are emitted append-only, and a counting pass first
-/// makes every allocation exact.
+/// order: the primary ordering and its arena by [`emit_primary`], then the
+/// mirror over the same lists.
 fn build_pair_frozen(run: &[IdTriple], perm: Option<&[u32]>, key: KeyFn) -> FrozenPair {
-    let n = run.len();
-    let at = at_fn(run, perm, key);
+    let (primary, arena) = emit_primary(run, perm, key);
 
-    let RunCounts { headers, pairs, overflow } = count_groups(n, &at);
-    let mut primary = FrozenIndex::primary(headers, pairs);
-    let mut arena = FlatArena::with_capacity(pairs, overflow);
-    let mut mirror_entries = Vec::with_capacity(pairs);
-
-    // Emission walk: every slab append is driven by the shared grouping
-    // pass; `at` is the hot projection (a perm indirection plus a key
-    // gather). Lists enter the arena in the primary's leaf order, which is
-    // why the primary stores no list references.
-    let mut current_k1 = Id(0);
-    scan_groups(n, &at, |event| match event {
-        GroupEvent::Header { k1, .. } => current_k1 = k1,
-        GroupEvent::Leaf { k2, range } => {
-            let lid = arena.push_list(range.map(|x| at(x).2));
-            primary.push_leaf(k2, lid);
-            mirror_entries.push((k2, current_k1, lid));
-        }
-        GroupEvent::EndHeader { k1 } => primary.end_k1(k1),
-    });
-
-    // Mirror: group by k2, referencing the already-emitted shared lists.
+    // Mirror: group the primary's leaves by k2, referencing the
+    // already-emitted shared lists (leaf i is list i).
+    let mut mirror_entries = Vec::with_capacity(primary.k2.len());
+    for (k1, leaves) in primary.groups() {
+        mirror_entries.extend(leaves.map(|i| (primary.k2[i], k1, i as u32)));
+    }
     mirror_entries.sort_unstable_by_key(|e| (e.0, e.1));
     let m = mirror_entries.len();
     let mut mirror = FrozenIndex::mirror(count_distinct_adjacent(&mirror_entries, |e| e.0), m);
@@ -257,6 +233,35 @@ fn build_pair_frozen(run: &[IdTriple], perm: Option<&[u32]>, key: KeyFn) -> Froz
         i = j;
     }
     (primary, mirror, arena)
+}
+
+/// Emits one primary ordering and its own arena from a strict-ascending
+/// run, viewed through `perm` when the ordering differs from the run's
+/// physical order — the half of a frozen pair build that a partial store's
+/// orderings are made of. A counting pass first makes every allocation
+/// exact; then every slab append is driven by the shared grouping pass,
+/// with `at` the hot projection (a perm indirection plus a key gather).
+/// Lists enter the arena in leaf order, which is why a primary stores no
+/// list references.
+pub(crate) fn emit_primary(
+    run: &[IdTriple],
+    perm: Option<&[u32]>,
+    key: impl Fn(&IdTriple) -> (Id, Id, Id),
+) -> (FrozenIndex, FlatArena) {
+    let n = run.len();
+    let at = at_fn(run, perm, key);
+    let RunCounts { headers, pairs, overflow } = count_groups(n, &at);
+    let mut primary = FrozenIndex::primary(headers, pairs);
+    let mut arena = FlatArena::with_capacity(pairs, overflow);
+    scan_groups(n, &at, |event| match event {
+        GroupEvent::Header { .. } => {}
+        GroupEvent::Leaf { k2, range } => {
+            let lid = arena.push_list(range.map(|x| at(x).2));
+            primary.push_leaf(k2, lid);
+        }
+        GroupEvent::EndHeader { k1 } => primary.end_k1(k1),
+    });
+    (primary, arena)
 }
 
 /// Sorts the batch in spo order (parallel for `threads > 1`) and removes
@@ -350,7 +355,7 @@ fn merge_into<T: Copy>(a: &[T], b: &[T], out: &mut [T], key: impl Fn(&T) -> (Id,
 
 /// The positional key view of a run, optionally through a permutation —
 /// the one projection the grouped walks below share.
-pub(crate) fn at_fn<'a>(
+fn at_fn<'a>(
     run: &'a [IdTriple],
     perm: Option<&'a [u32]>,
     key: impl Fn(&IdTriple) -> (Id, Id, Id) + 'a,
@@ -401,7 +406,7 @@ fn count_groups(n: usize, at: impl Fn(usize) -> (Id, Id, Id)) -> RunCounts {
 }
 
 /// One step of a grouped walk over a sorted run — see [`scan_groups`].
-pub(crate) enum GroupEvent {
+enum GroupEvent {
     /// A new `k1` group starts; `distinct_k2` is its exact vector length.
     Header { k1: Id, distinct_k2: usize },
     /// One `(k1, k2)` group's contiguous positions, in sorted order
@@ -412,15 +417,11 @@ pub(crate) enum GroupEvent {
 }
 
 /// Walks `n` positions sorted under `at`, emitting `Header` / `Leaf`* /
-/// `EndHeader` per first-level group. The full loader's pair build, the
-/// frozen slab build and the partial store's index build all drive their
-/// append-only fills from this one grouping pass, so the boundary logic
-/// lives in exactly one place.
-pub(crate) fn scan_groups(
-    n: usize,
-    at: impl Fn(usize) -> (Id, Id, Id),
-    mut emit: impl FnMut(GroupEvent),
-) {
+/// `EndHeader` per first-level group. The mutable pair build and
+/// [`emit_primary`] (every frozen ordering and every partial-store
+/// ordering) drive their append-only fills from this one grouping pass,
+/// so the boundary logic lives in exactly one place.
+fn scan_groups(n: usize, at: impl Fn(usize) -> (Id, Id, Id), mut emit: impl FnMut(GroupEvent)) {
     let mut i = 0;
     while i < n {
         let k1 = at(i).0;
@@ -459,10 +460,7 @@ pub(crate) fn scan_groups(
 
 /// Number of distinct adjacent `head` values in a sorted slice — the
 /// header count of a run that is about to be group-built.
-pub(crate) fn count_distinct_adjacent<T, K: PartialEq>(
-    items: &[T],
-    head: impl Fn(&T) -> K,
-) -> usize {
+fn count_distinct_adjacent<T, K: PartialEq>(items: &[T], head: impl Fn(&T) -> K) -> usize {
     let mut count = 0;
     let mut prev: Option<K> = None;
     for item in items {

@@ -1,19 +1,15 @@
-//! Read-only Hexastores over flat slabs: zero-copy query structures.
+//! The read-only Hexastore over flat slabs: a zero-copy query structure.
 //!
 //! The mutable [`Hexastore`] pays for updatability with one heap
 //! allocation per vector and per terminal list. Most production stores
 //! spend their life *read-only* — bulk-loaded once, queried millions of
 //! times, snapshotted to disk between restarts — so this module provides
-//! the frozen counterparts:
-//!
-//! - [`FrozenHexastore`]: all six orderings as offset-addressed key
-//!   columns over [`FlatArena`]s, paired orderings still sharing one
-//!   copy of each terminal list, answering every access shape with the
-//!   same single probes as the mutable store but with zero per-list
-//!   allocations;
-//! - [`FrozenPartialHexastore`]: the frozen form of a
-//!   [`PartialHexastore`] — only the kept orderings, each owning its
-//!   lists.
+//! the frozen counterpart, [`FrozenHexastore`]: all six orderings as
+//! offset-addressed key columns over [`FlatArena`]s, paired orderings
+//! still sharing one copy of each terminal list, answering every access
+//! shape with the same single probes as the mutable store but with zero
+//! per-list allocations. Its per-ordering column set, with one arena per
+//! ordering, is also what a [`crate::PartialHexastore`] is made of.
 //!
 //! Only what cannot be derived is stored. A window's length is the next
 //! offset minus its own, so each index level keeps one cumulative offsets
@@ -26,18 +22,16 @@
 //! ([`crate::slab`]).
 //!
 //! Conversions are loss-free both ways ([`Hexastore::freeze`] /
-//! [`FrozenHexastore::thaw`], and likewise for partial stores), and
+//! [`FrozenHexastore::thaw`]), and
 //! [`crate::bulk::build_frozen`] emits the slabs *directly* from sorted
 //! runs without ever materializing the nested mutable form. The flat
 //! layout is also exactly what the [`crate::hexsnap`] binary snapshot
 //! stores, which is what makes "open a snapshot into a query-ready
 //! store" a column read instead of a six-index rebuild.
 
-use crate::access::{serving_kind, IndexView, OrderedStore, OrderingRead, SlabOrdering};
+use crate::access::{IndexView, OrderedStore, OrderingRead, SlabOrdering};
 use crate::advisor::{IndexKind, IndexSet};
 use crate::arena::ListArena;
-use crate::partial::PartialHexastore;
-use crate::pattern::Shape;
 use crate::slab::{offsets_tile, FlatArena};
 use crate::sorted;
 use crate::store::{Hexastore, SpaceStats, TwoLevel};
@@ -139,7 +133,7 @@ impl FrozenIndex {
         self.lists.as_ref().map_or(0, |lists| lists.capacity() * std::mem::size_of::<u32>())
     }
 
-    fn heap_bytes(&self) -> usize {
+    pub(crate) fn heap_bytes(&self) -> usize {
         self.header_bytes() + self.k2_bytes() + self.list_ref_bytes()
     }
 
@@ -563,128 +557,6 @@ impl TripleStore for FrozenHexastore {
     crate::forward_reads!();
 }
 
-/// The frozen form of a [`PartialHexastore`]: only the kept orderings,
-/// each as one flat two-level index owning its terminal lists — so every
-/// ordering is the primary of its own arena and none stores list
-/// references.
-///
-/// Like [`FrozenHexastore`], this is read-only (`insert`/`remove` panic);
-/// [`FrozenPartialHexastore::thaw`] recovers the updatable form. Every
-/// pattern is still answered: shapes without a kept serving ordering fall
-/// back to filtering a scan, exactly like the mutable partial store.
-#[derive(Clone, Debug)]
-pub struct FrozenPartialHexastore {
-    keep: IndexSet,
-    orderings: Vec<(IndexKind, FrozenIndex, FlatArena)>,
-    len: usize,
-}
-
-impl PartialHexastore {
-    /// Builds the read-only flat-slab representation (exact-sized, one
-    /// walk per kept ordering; borrows `self`).
-    pub fn freeze(&self) -> FrozenPartialHexastore {
-        let len = self.len();
-        let orderings = self
-            .parts()
-            .map(|(kind, map)| {
-                let pairs: usize = map.values().map(VecMap::len).sum();
-                let lists = map.values().flat_map(VecMap::values).map(Vec::as_slice);
-                let mut ix = FrozenIndex::primary(map.len(), pairs);
-                let mut arena = FlatArena::with_room_for(lists);
-                for (k1, inner) in map.iter() {
-                    for (k2, list) in inner.iter() {
-                        let flat = arena.push_list(list.iter().copied());
-                        ix.push_leaf(k2, flat);
-                    }
-                    ix.end_k1(k1);
-                }
-                (kind, ix, arena)
-            })
-            .collect();
-        FrozenPartialHexastore { keep: self.kept(), orderings, len }
-    }
-}
-
-impl FrozenPartialHexastore {
-    /// The orderings this store maintains.
-    pub fn kept(&self) -> IndexSet {
-        self.keep
-    }
-
-    /// Whether the shape is answered by a direct probe (vs a fallback
-    /// scan-and-filter).
-    pub fn serves_directly(&self, shape: Shape) -> bool {
-        serving_kind(shape, self.keep).is_some()
-    }
-
-    /// Converts back into a mutable [`PartialHexastore`] (loss-free).
-    pub fn thaw(self) -> PartialHexastore {
-        let indices = self
-            .orderings
-            .iter()
-            .map(|(kind, ix, arena)| {
-                let mut map: crate::partial::OrderingMap = VecMap::with_capacity(ix.header_count());
-                for (k1, leaves) in ix.groups() {
-                    let mut inner = VecMap::with_capacity(leaves.len());
-                    for i in leaves {
-                        inner.push_sorted(ix.k2[i], arena.get(ix.list_of(i)).to_vec());
-                    }
-                    map.push_sorted(k1, inner);
-                }
-                (*kind, map)
-            })
-            .collect();
-        PartialHexastore::from_raw_parts(self.keep, indices, self.len)
-    }
-}
-
-/// Only the kept orderings, each with its own arena.
-impl OrderedStore for FrozenPartialHexastore {
-    type Ordering<'a> = SlabOrdering<'a>;
-
-    fn kept(&self) -> IndexSet {
-        self.keep
-    }
-
-    fn ordering(&self, kind: IndexKind) -> SlabOrdering<'_> {
-        let (_, ix, arena) =
-            self.orderings.iter().find(|(k, _, _)| *k == kind).expect("routed to a kept ordering");
-        (ix.view(), arena.view())
-    }
-}
-
-impl TripleStore for FrozenPartialHexastore {
-    fn name(&self) -> &'static str {
-        "FrozenPartialHexastore"
-    }
-
-    fn len(&self) -> usize {
-        self.len
-    }
-
-    /// # Panics
-    ///
-    /// Always — frozen stores are read-only.
-    /// [`FrozenPartialHexastore::thaw`] first.
-    fn insert(&mut self, _: IdTriple) -> bool {
-        panic!("FrozenPartialHexastore is read-only: thaw() first")
-    }
-
-    /// # Panics
-    ///
-    /// Always — frozen stores are read-only.
-    /// [`FrozenPartialHexastore::thaw`] first.
-    fn remove(&mut self, _: IdTriple) -> bool {
-        panic!("FrozenPartialHexastore is read-only: thaw() first")
-    }
-
-    fn heap_bytes(&self) -> usize {
-        self.orderings.iter().map(|(_, ix, arena)| ix.heap_bytes() + arena.heap_bytes()).sum()
-    }
-
-    crate::forward_reads!();
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -763,35 +635,6 @@ mod tests {
     fn frozen_insert_panics() {
         let mut frozen = Hexastore::from_triples(sample()).freeze();
         frozen.insert(t(0, 0, 0));
-    }
-
-    #[test]
-    fn frozen_partial_matches_mutable_for_every_subset() {
-        for bits in 1u8..64 {
-            let mut keep = IndexSet::EMPTY;
-            for (i, kind) in IndexKind::ALL.into_iter().enumerate() {
-                if bits & (1 << i) != 0 {
-                    keep = keep.with(kind);
-                }
-            }
-            let mutable = PartialHexastore::from_triples(keep, sample());
-            let frozen = mutable.freeze();
-            assert_eq!(frozen.kept(), mutable.kept(), "{keep:?}");
-            assert_eq!(frozen.capabilities(), mutable.capabilities(), "{keep:?}");
-            assert_eq!(frozen.len(), mutable.len(), "{keep:?}");
-            for pat in all_patterns(&sample()) {
-                assert_eq!(frozen.matching(pat), mutable.matching(pat), "{keep:?} {pat:?}");
-                assert_eq!(
-                    frozen.count_matching(pat),
-                    mutable.count_matching(pat),
-                    "{keep:?} {pat:?}"
-                );
-            }
-            // Thaw recovers an updatable store with identical answers.
-            let mut thawed = frozen.thaw();
-            assert_eq!(thawed.matching(IdPattern::ALL), mutable.matching(IdPattern::ALL));
-            assert!(thawed.insert(t(77, 77, 77)));
-        }
     }
 
     #[test]

@@ -7,7 +7,7 @@
 //! mapping table travels with *whatever* physical store holds the ids, so
 //! applications work with [`Triple`]s and [`TriplePattern`]s directly —
 //! against the mutable [`Hexastore`], the zero-copy
-//! [`FrozenHexastore`], or their reduced-index partial forms.
+//! [`FrozenHexastore`], or a reduced-index [`PartialHexastore`].
 //!
 //! [`GraphStore`] (= `Dataset<Hexastore>`) is the read-write default;
 //! [`FrozenGraphStore`] (= `Dataset<FrozenHexastore>`) is its read-only,
@@ -16,7 +16,7 @@
 //! the `hexsnap` on-disk format is reachable directly through
 //! [`Dataset::save`]/[`Dataset::load`] without touching id-level APIs.
 
-use crate::frozen::{FrozenHexastore, FrozenPartialHexastore};
+use crate::frozen::FrozenHexastore;
 use crate::overlay::OverlayHexastore;
 use crate::partial::PartialHexastore;
 use crate::pattern::IdPattern;
@@ -112,11 +112,8 @@ pub type GraphStore = Dataset<Hexastore>;
 /// [`FrozenGraphStore::load`]; convert back with [`Dataset::thaw`].
 pub type FrozenGraphStore = Dataset<FrozenHexastore>;
 
-/// A reduced-index [`PartialHexastore`] with its dictionary.
+/// A read-only, reduced-index [`PartialHexastore`] with its dictionary.
 pub type PartialGraphStore = Dataset<PartialHexastore>;
-
-/// The read-only form of a reduced-index store with its dictionary.
-pub type FrozenPartialGraphStore = Dataset<FrozenPartialHexastore>;
 
 /// A live-writable overlay on a frozen base with its dictionary — the
 /// in-memory half of [`LiveGraphStore`], usable standalone when
@@ -391,35 +388,6 @@ impl Dataset<OverlayHexastore> {
     /// are unchanged, so the [`Dataset::version`] reading stays valid.
     pub fn compact(&mut self) {
         self.store.compact();
-    }
-
-    /// [`compact`](Self::compact) with an explicit bulk-build config.
-    pub fn compact_with(&mut self, config: crate::bulk::Config) {
-        self.store.compact_with(config);
-    }
-}
-
-impl Dataset<PartialHexastore> {
-    /// Freezes the reduced-index dataset into its read-only form.
-    pub fn freeze(&self) -> FrozenPartialGraphStore {
-        Dataset {
-            dict: self.dict.clone(),
-            store: self.store.freeze(),
-            version: self.version,
-            identity: next_identity(),
-        }
-    }
-}
-
-impl Dataset<FrozenPartialHexastore> {
-    /// Converts back into a mutable [`PartialGraphStore`], loss-free.
-    pub fn thaw(self) -> PartialGraphStore {
-        Dataset {
-            dict: self.dict,
-            store: self.store.thaw(),
-            version: self.version,
-            identity: next_identity(),
-        }
     }
 }
 
@@ -716,14 +684,9 @@ impl LiveGraphStore {
     /// # Ok::<(), hexastore::hexsnap::Error>(())
     /// ```
     pub fn compact(&mut self) -> crate::hexsnap::Result<()> {
-        self.compact_with(crate::bulk::Config::default())
-    }
-
-    /// [`compact`](Self::compact) with an explicit bulk-build config.
-    pub fn compact_with(&mut self, config: crate::bulk::Config) -> crate::hexsnap::Result<()> {
         if self.data.store().is_dirty() {
             let next = self.generation + 1;
-            self.data.compact_with(config);
+            self.data.compact();
             let path = crate::hexsnap::generation_path(&self.dir, next);
             let tmp = self.dir.join(format!("gen-{next:06}.tmp"));
             crate::hexsnap::save_frozen(&tmp, self.data.dict(), self.data.store().base())?;
@@ -757,7 +720,6 @@ impl LiveGraphStore {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::advisor::{IndexKind, IndexSet};
 
     fn iri(s: &str) -> Term {
         Term::iri(format!("http://x/{s}"))
@@ -875,22 +837,6 @@ mod tests {
         let thawed = frozen.thaw();
         assert_eq!(thawed.to_ntriples(), g.to_ntriples());
         assert_eq!(thawed.dict().len(), g.dict().len());
-    }
-
-    #[test]
-    fn facade_partial_freeze_and_thaw() {
-        let g = sample_graph();
-        let keep = IndexSet::EMPTY.with(IndexKind::Spo).with(IndexKind::Pos);
-        let partial = PartialGraphStore::from_parts(
-            g.dict().clone(),
-            PartialHexastore::from_triples(keep, g.store().matching(IdPattern::ALL)),
-        );
-        let frozen = partial.freeze();
-        assert_eq!(frozen.store().kept(), keep);
-        let pat = TriplePattern::new(TermPattern::var("s"), iri("p1"), TermPattern::var("o"));
-        assert_eq!(frozen.matching(&pat), partial.matching(&pat));
-        let thawed = frozen.thaw();
-        assert_eq!(thawed.matching(&pat), partial.matching(&pat));
     }
 
     #[test]

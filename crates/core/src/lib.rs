@@ -46,7 +46,9 @@
 //! | [`arena`] | shared terminal-list storage (the paper's single-copy lists) |
 //! | [`slab`] | flat terminal-list storage: a slot per list plus an overflow column ([`FlatArena`]) |
 //! | [`store`] | [`Hexastore`]: the six indices over [`hex_dict::IdTriple`]s |
-//! | [`frozen`] | [`FrozenHexastore`]: zero-copy read-only stores over slabs |
+//! | [`frozen`] | [`FrozenHexastore`]: the zero-copy read-only store over slabs |
+//! | [`advisor`] | §6 index selection: the orderings a workload needs ([`recommend`]) |
+//! | [`partial`] | [`PartialHexastore`]: only those orderings, as slabs, built once from a batch and read-only |
 //! | [`bulk`] | sort-based bulk loader, serial or parallel ([`bulk::Config`]) |
 //! | [`graph`] | [`Dataset`]: any store + dictionary, string-level API |
 //! | [`pattern`] | [`IdPattern`]: the eight access shapes |
@@ -81,10 +83,10 @@ pub mod wal;
 
 pub use advisor::{recommend, serving_indices, IndexKind, IndexSet, WorkloadProfile};
 pub use arena::{ListArena, ListId};
-pub use frozen::{FrozenHexastore, FrozenPartialHexastore, HeapBreakdown};
+pub use frozen::{FrozenHexastore, HeapBreakdown};
 pub use graph::{
-    Dataset, FrozenGraphStore, FrozenPartialGraphStore, GraphStore, LiveGraphStore,
-    OverlayGraphStore, PartialGraphStore, SnapshotHandle,
+    Dataset, FrozenGraphStore, GraphStore, LiveGraphStore, OverlayGraphStore, PartialGraphStore,
+    SnapshotHandle,
 };
 pub use overlay::OverlayHexastore;
 pub use partial::PartialHexastore;

@@ -129,15 +129,10 @@ impl OverlayHexastore {
     /// Folds delta and tombstones into a new frozen base generation via
     /// the bulk permutation-gather build, leaving the overlay clean.
     pub fn compact(&mut self) {
-        self.compact_with(crate::bulk::Config::default());
-    }
-
-    /// [`compact`](Self::compact) on an explicit bulk-build thread budget.
-    pub fn compact_with(&mut self, config: crate::bulk::Config) {
         if !self.is_dirty() {
             return;
         }
-        self.base = crate::bulk::compact_frozen_with(self, config);
+        self.base = crate::bulk::compact_frozen(self);
         self.delta = Hexastore::new();
         self.tombstones = Hexastore::new();
     }

@@ -208,7 +208,6 @@ impl StatsSource for Hexastore {
 }
 
 impl StatsSource for crate::frozen::FrozenHexastore {}
-impl StatsSource for crate::frozen::FrozenPartialHexastore {}
 impl StatsSource for crate::partial::PartialHexastore {}
 
 #[cfg(test)]

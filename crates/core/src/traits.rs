@@ -146,7 +146,9 @@ pub trait SortedListAccess {
 }
 
 /// Marker for stores whose [`TripleStore::insert`]/[`TripleStore::remove`]
-/// actually mutate (rather than panic, as the frozen slab stores do).
+/// actually mutate (rather than panic, as the read-only slab stores —
+/// [`crate::FrozenHexastore`], [`crate::PartialHexastore`] and the
+/// memory-mapped store — do).
 ///
 /// The string-level [`crate::Dataset`] facade bounds its mutating methods
 /// on this trait, so "insert into a frozen dataset" is a compile error

@@ -165,30 +165,6 @@ proptest! {
         }
     }
 
-    /// Bulk-built partial stores (serial and parallel) agree with the full
-    /// Hexastore on every pattern, for a workload-relevant index subset.
-    #[test]
-    fn parallel_partial_bulk_equals_full(
-        triples in proptest::collection::vec(arb_triple(), 0..150),
-        threads in 1usize..9,
-    ) {
-        use hexastore::{IndexKind, IndexSet, PartialHexastore};
-        let full = bulk::build(triples.clone());
-        let keep = IndexSet::EMPTY.with(IndexKind::Spo).with(IndexKind::Pos).with(IndexKind::Osp);
-        let partial =
-            PartialHexastore::from_triples_with(keep, triples.clone(), bulk::Config { threads });
-        prop_assert_eq!(partial.len(), full.len());
-        for &t in &triples {
-            for pat in [IdPattern::sp(t.s, t.p), IdPattern::po(t.p, t.o), IdPattern::o(t.o)] {
-                let mut expected = full.matching(pat);
-                expected.sort();
-                let mut got = partial.matching(pat);
-                got.sort();
-                prop_assert_eq!(got, expected, "threads={} pattern {:?}", threads, pat);
-            }
-        }
-    }
-
     #[test]
     fn terminal_lists_stay_sorted_sets(ops in arb_ops()) {
         let (h, _) = apply(&ops);

@@ -3,9 +3,9 @@
 //! assignment of store triples to patterns, consistency-checked) across
 //! random BGPs on all four stores — Hexastore, TriplesTable, COVP1,
 //! COVP2 — plus `PartialHexastore` instances keeping random index
-//! subsets, the frozen (flat-slab, read-only) forms of both Hexastore
-//! flavors, so the planner demonstrably works off frozen
-//! `capabilities()`, and an `OverlayHexastore` whose frozen base,
+//! subsets (flat-slab and read-only, so the planner demonstrably works
+//! off their `capabilities()`), the frozen full store, and an
+//! `OverlayHexastore` whose frozen base,
 //! tombstones and mutable delta are all non-trivially populated, so the
 //! layered merge cursors face the same oracle as the flat stores. A
 //! counting-store wrapper additionally pins down the
@@ -121,7 +121,6 @@ proptest! {
         let partial =
             PartialHexastore::from_triples(subset_from_bits(subset_bits), triples.iter().copied());
         let frozen = FrozenHexastore::from_triples(triples.iter().copied());
-        let frozen_partial = partial.freeze();
         // Overlay with every layer populated: the frozen base holds the
         // first half of the triples plus out-of-range extras (ids >=
         // MAX_ID, unreachable by any generated pattern) that are then
@@ -145,7 +144,6 @@ proptest! {
             &covp2,
             &partial,
             &frozen,
-            &frozen_partial,
             &overlay,
         ] {
             prop_assert_eq!(
@@ -355,7 +353,6 @@ proptest! {
         let partial =
             PartialHexastore::from_triples(subset_from_bits(subset_bits), triples.iter().copied());
         let frozen = FrozenHexastore::from_triples(triples.iter().copied());
-        let frozen_partial = partial.freeze();
         let split = triples.len() / 2;
         let mut overlay = OverlayHexastore::new(bulk::build_frozen(triples[..split].to_vec()));
         for &t in &triples[split..] {
@@ -365,7 +362,6 @@ proptest! {
             &hexa as &dyn TripleStore,
             &partial,
             &frozen,
-            &frozen_partial,
             &overlay,
         ] {
             let merged = solution_sequence(store, &dict, &q);

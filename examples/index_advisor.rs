@@ -7,17 +7,19 @@
 //!
 //! This example profiles two workloads over a LUBM-like dataset — the
 //! paper's twelve-query mix, and a purely property-bound (COVP-shaped)
-//! mix — and reports which of the six indices each actually needs and the
-//! memory dropping the rest would save. Dataset statistics from
-//! `hexastore::stats` round out the picture.
+//! mix — and reports which of the six indices each actually needs, then
+//! builds that reduced store and measures its heap against the full
+//! frozen store's. Dataset statistics from `hexastore::stats` round out
+//! the picture.
 //!
 //! Run with: `cargo run --release --example index_advisor`
 
 use hex_bench_queries::lubm::LubmIds;
 use hex_bench_queries::Suite;
 use hex_datagen::lubm::{generate, LubmConfig};
-use hexastore::advisor::{estimate_savings, recommend, IndexKind, WorkloadProfile};
-use hexastore::{DatasetStats, IdPattern, TripleStore};
+use hex_dict::IdTriple;
+use hexastore::advisor::{recommend, IndexKind, WorkloadProfile};
+use hexastore::{DatasetStats, FrozenHexastore, IdPattern, PartialHexastore, TripleStore};
 
 fn main() {
     let triples = generate(&LubmConfig::with_universities(1));
@@ -25,7 +27,13 @@ fn main() {
     let ids = LubmIds::resolve(&suite.dict).expect("generated data defines all query terms");
     let h = &suite.hexastore;
 
-    println!("dataset: {} triples, full sextuple index = {:.1} MB", h.len(), mb(h.heap_bytes()));
+    let full = FrozenHexastore::from_triples(suite.triples.iter().copied());
+    println!(
+        "dataset: {} triples, full sextuple index = {:.1} MB mutable, {:.1} MB frozen",
+        h.len(),
+        mb(h.heap_bytes()),
+        mb(full.heap_bytes())
+    );
     let stats = DatasetStats::compute(h);
     println!(
         "  distinct s/p/o: {:?}; mean out-degree {:.1}; {:.0}% of (s,p) pairs multi-valued",
@@ -51,7 +59,7 @@ fn main() {
         IdPattern::o(ids.course10),                      // object divisions (LQ1, LQ2, LQ4)
         IdPattern::p(ids.p_teacher_of),                  // property divisions (path queries)
     ];
-    report("paper's twelve-query mix", h, &paper_workload);
+    let partial = report("paper's twelve-query mix", &suite.triples, &full, &paper_workload);
 
     // Workload 2: a COVP-shaped, purely property-bound application.
     let covp_workload = vec![
@@ -59,14 +67,12 @@ fn main() {
         IdPattern::sp(ids.assoc_prof10, ids.p_type),
         IdPattern::po(ids.p_type, ids.class_university),
     ];
-    report("property-bound (COVP-shaped) mix", h, &covp_workload);
+    report("property-bound (COVP-shaped) mix", &suite.triples, &full, &covp_workload);
 
-    // Close the loop: build the recommended partial store and run a query
+    // Close the loop: run a query on the paper mix's partial store
     // through `hex_query::prepare_on` — the planner reads `capabilities()`
     // and routes every step through a surviving index, no hand-picked
     // plan orders needed.
-    let keep = recommend(&WorkloadProfile::from_patterns(&paper_workload));
-    let partial = hexastore::PartialHexastore::from_triples(keep, suite.triples.iter().copied());
     let query = format!(
         "SELECT ?x WHERE {{ ?x {} {} . }} LIMIT 3",
         hex_datagen::lubm::Vocab::predicate("type"),
@@ -74,17 +80,27 @@ fn main() {
     );
     let plan = hex_query::prepare_on(&partial, &suite.dict, &query)
         .expect("query compiles against the suite dictionary");
-    println!("\nauto-planned query on the reduced store ({} of 6 orderings):", keep.len());
+    println!(
+        "\nauto-planned query on the reduced store ({} of 6 orderings):",
+        partial.kept().len()
+    );
     print!("{}", plan.explain());
     for row in plan.solutions() {
         println!("  -> {}", row[0]);
     }
 }
 
-fn report(name: &str, h: &hexastore::Hexastore, workload: &[IdPattern]) {
+/// Prints what `workload` needs and what keeping only that costs, and
+/// returns the reduced store.
+fn report(
+    name: &str,
+    triples: &[IdTriple],
+    full: &FrozenHexastore,
+    workload: &[IdPattern],
+) -> PartialHexastore {
     let profile = WorkloadProfile::from_patterns(workload);
     let keep = recommend(&profile);
-    let saved = estimate_savings(h, keep);
+    let partial = PartialHexastore::from_triples(keep, triples.iter().copied());
     println!("\nworkload: {name}");
     println!("  shapes used: {:?}", profile.used_shapes());
     println!(
@@ -93,12 +109,15 @@ fn report(name: &str, h: &hexastore::Hexastore, workload: &[IdPattern]) {
         keep.len(),
         keep.contains(IndexKind::Ops)
     );
+    let (kept, all) = (partial.heap_bytes(), full.heap_bytes());
     println!(
-        "  dropping the rest saves ≈ {:.1} MB of {:.1} MB ({:.0}%)",
-        mb(saved),
-        mb(h.heap_bytes()),
-        100.0 * saved as f64 / h.heap_bytes() as f64
+        "  measured heap: partial store {kept} B ({:.1} B/triple) vs full frozen store {all} B \
+         ({:.1} B/triple), {:.0}% saved",
+        kept as f64 / full.len() as f64,
+        all as f64 / full.len() as f64,
+        100.0 * (1.0 - kept as f64 / all as f64)
     );
+    partial
 }
 
 fn mb(bytes: usize) -> f64 {

@@ -1,7 +1,7 @@
 //! One read contract, checked over every store in the workspace.
 //!
-//! The hexastore family — mutable, frozen, layered, every partial subset
-//! in both forms, and (feature `disk`) the memory-mapped store — and the
+//! The hexastore family — mutable, frozen, layered, every partial subset,
+//! and (feature `disk`) the memory-mapped store — and the
 //! three baselines all enumerate through `TripleStore::iter_matching`, so
 //! one generic check states what each owes a caller, against a model (the
 //! sorted, duplicate-free triples filtered by `IdPattern::matches`):
@@ -204,10 +204,14 @@ fn check_family(triples: &[IdTriple]) {
     let built = FrozenHexastore::from_triples(triples.iter().copied());
     check(&built, model, Order::Routed, "build_frozen");
     check(&overlay_of(triples), model, Order::Routed, "overlay");
+    // The batch reversed and duplicated, so the partial build's own
+    // sort-dedup does the work the sample's order would spare it.
+    let shuffled: Vec<IdTriple> = triples.iter().rev().chain(triples).copied().collect();
     for keep in subsets() {
         let partial = PartialHexastore::from_triples(keep, triples.iter().copied());
         check(&partial, model, Order::Routed, &format!("partial {keep:?}"));
-        check(&partial.freeze(), model, Order::Routed, &format!("frozen partial {keep:?}"));
+        let partial = PartialHexastore::from_triples(keep, shuffled.iter().copied());
+        check(&partial, model, Order::Routed, &format!("partial {keep:?}, reversed + duplicated"));
     }
 }
 
