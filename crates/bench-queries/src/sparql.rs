@@ -137,7 +137,7 @@ pub fn lubm_queries(dict: &Dictionary) -> Option<Vec<PaperQuery>> {
 mod tests {
     use super::*;
     use crate::Suite;
-    use hex_query::DatasetQuery;
+    use hex_query::{DatasetQuery, PlanCache};
 
     fn barton_suite() -> Suite {
         Suite::build(&hex_datagen::barton::generate(&hex_datagen::barton::BartonConfig::tiny()))
@@ -288,5 +288,35 @@ mod tests {
             merge_seen.contains(&"BQ4"),
             "BQ4's star must compile a merge group; merge plans seen: {merge_seen:?}"
         );
+    }
+
+    /// A plan-cache hit shares the body its miss prepared: in both
+    /// planning modes it explains (BQ4's merge steps included) and
+    /// answers exactly like a fresh preparation.
+    #[test]
+    fn plan_cache_hits_answer_all_twelve_like_fresh_preparations() {
+        for (suite, queries) in [
+            (barton_suite(), barton_queries as fn(&Dictionary) -> Option<Vec<PaperQuery>>),
+            (lubm_suite(), lubm_queries),
+        ] {
+            let frozen = suite.frozen_dataset();
+            let stats = frozen.stats();
+            let mut cache = PlanCache::new();
+            for query in queries(&suite.dict).expect("constants resolve") {
+                let text = &query.text;
+                let fresh = frozen.prepare(text).expect("query compiles");
+                cache.prepare(&frozen, text).expect("miss");
+                let hit = cache.prepare(&frozen, text).expect("hit");
+                assert_eq!(hit.explain(), fresh.explain(), "{}", query.name);
+                assert_eq!(hit.run(), fresh.run(), "{}", query.name);
+
+                let fresh = frozen.prepare_with_stats(text, Some(&stats)).expect("query compiles");
+                cache.prepare_with_stats(&frozen, text).expect("miss");
+                let hit = cache.prepare_with_stats(&frozen, text).expect("hit");
+                assert_eq!(hit.explain(), fresh.explain(), "{} with stats", query.name);
+                assert_eq!(hit.run(), fresh.run(), "{} with stats", query.name);
+            }
+            assert_eq!((cache.hits(), cache.misses()), (cache.len() as u64, cache.len() as u64));
+        }
     }
 }

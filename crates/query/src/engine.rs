@@ -21,6 +21,7 @@ use rdf_model::{Term, TermPattern};
 use std::collections::{HashMap, HashSet};
 use std::fmt;
 use std::fmt::Write as _;
+use std::sync::Arc;
 
 /// A query result: projected variable names and rows of terms.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -282,6 +283,15 @@ pub fn compile(parsed: &ParsedQuery, dict: &Dictionary) -> Result<CompiledQuery,
 pub struct Plan<'a> {
     store: &'a dyn TripleStore,
     dict: &'a Dictionary,
+    /// What preparation decided, shared with the [`PlanCache`] slot (if
+    /// any) that serves the same text.
+    body: Arc<PlanBody>,
+}
+
+/// Everything a [`Plan`] holds except its store/dictionary borrows: the
+/// part a [`PlanCache`] keeps and every hit shares.
+#[derive(Clone, Debug)]
+struct PlanBody {
     query: CompiledQuery,
     /// Execution steps in order; empty when the plan is statically empty
     /// or the BGP has no patterns.
@@ -294,6 +304,9 @@ pub struct Plan<'a> {
     /// Whether the join order was refined with [`DatasetStats`].
     stats_mode: bool,
 }
+
+/// A cache slot's value: both planning modes' bodies, one pointer each.
+const _: () = assert!(std::mem::size_of::<[Option<Arc<PlanBody>>; 2]>() == 16);
 
 /// Parses, compiles and plans query text against a store + dictionary
 /// pair.
@@ -403,28 +416,30 @@ impl<'a> Plan<'a> {
                 }
             }
         }
-        Plan { store, dict, query, steps, step_filters, empty_reason, stats_mode: stats.is_some() }
+        let body =
+            PlanBody { query, steps, step_filters, empty_reason, stats_mode: stats.is_some() };
+        Plan { store, dict, body: Arc::new(body) }
     }
 
     /// The compiled query this plan runs.
     pub fn query(&self) -> &CompiledQuery {
-        &self.query
+        &self.body.query
     }
 
     /// The ordered, cost-annotated steps.
     pub fn steps(&self) -> &[PlanStep] {
-        &self.steps
+        &self.body.steps
     }
 
     /// True when prepare-time analysis proved the result empty (a constant
     /// outside the dictionary, or a constants-only FILTER that is false).
     pub fn is_statically_empty(&self) -> bool {
-        self.empty_reason.is_some()
+        self.body.empty_reason.is_some()
     }
 
     fn render_term(&self, term: PatternTerm) -> String {
         match term {
-            PatternTerm::Var(v) => match self.query.var_names.get(v.index()) {
+            PatternTerm::Var(v) => match self.body.query.var_names.get(v.index()) {
                 Some(name) => format!("?{name}"),
                 None => format!("?_{}", v.index()),
             },
@@ -450,44 +465,46 @@ impl<'a> Plan<'a> {
     /// answer directly), with pushed-down filters listed under the step
     /// that applies them.
     pub fn explain(&self) -> String {
+        let body = &*self.body;
+        let query = &body.query;
         let mut out = String::new();
-        let mut goal = if self.query.ask {
+        let mut goal = if query.ask {
             "ASK".to_string()
         } else {
             let mut s = String::from("SELECT");
-            if self.query.distinct {
+            if query.distinct {
                 s.push_str(" DISTINCT");
             }
-            for v in &self.query.vars {
+            for v in &query.vars {
                 let _ = write!(s, " ?{v}");
             }
             s
         };
-        if self.query.offset > 0 {
-            let _ = write!(goal, " OFFSET {}", self.query.offset);
+        if query.offset > 0 {
+            let _ = write!(goal, " OFFSET {}", query.offset);
         }
-        if let Some(limit) = self.query.limit {
+        if let Some(limit) = query.limit {
             let _ = write!(goal, " LIMIT {limit}");
         }
         let _ = writeln!(out, "query: {goal}");
         let caps: Vec<&str> = self.store.capabilities().iter().map(|k| k.name()).collect();
         let _ = writeln!(out, "store: {} capabilities={{{}}}", self.store.name(), caps.join(","));
-        if self.stats_mode {
+        if body.stats_mode {
             let _ = writeln!(out, "planner: statistics-driven (bound-variable fan-out)");
         }
-        if let Some(reason) = self.empty_reason {
+        if let Some(reason) = body.empty_reason {
             let _ = writeln!(out, "  statically empty: {reason}");
             return out;
         }
-        let Some(bgp) = &self.query.bgp else { unreachable!("empty_reason covers bgp=None") };
-        for (i, step) in self.steps.iter().enumerate() {
+        let Some(bgp) = &query.bgp else { unreachable!("empty_reason covers bgp=None") };
+        for (i, step) in body.steps.iter().enumerate() {
             let pat = &bgp.patterns[step.pattern];
             let via = match step.index {
                 Some(kind) => format!("index {}", kind.name()),
                 None => "scan".to_string(),
             };
             let refined =
-                if self.stats_mode { format!(" cost={:.2}", step.cost) } else { String::new() };
+                if body.stats_mode { format!(" cost={:.2}", step.cost) } else { String::new() };
             let join = match step.join {
                 exec::JoinStep::MergeIntersect => "merge",
                 exec::JoinStep::NestedProbe => "nested",
@@ -503,7 +520,7 @@ impl<'a> Plan<'a> {
                 step.estimate,
                 via
             );
-            for f in &self.step_filters[i] {
+            for f in &body.step_filters[i] {
                 let op = match f.op {
                     FilterOp::Eq => "=",
                     FilterOp::Ne => "!=",
@@ -521,7 +538,7 @@ impl<'a> Plan<'a> {
 
     /// The join order as pattern indices (execution order).
     fn order(&self) -> Vec<usize> {
-        self.steps.iter().map(|s| s.pattern).collect()
+        self.body.steps.iter().map(|s| s.pattern).collect()
     }
 
     /// LIMIT pushdown: when every cursor row becomes exactly one emitted
@@ -541,11 +558,12 @@ impl<'a> Plan<'a> {
     /// [`Solutions`]' laziness instead (O(k·dup) triples for LIMIT k
     /// with duplication factor dup — see the engine tests).
     fn pushdown_demand(&self) -> Option<usize> {
-        let bgp = self.query.bgp.as_ref()?;
-        if self.query.ask {
+        let query = &self.body.query;
+        let bgp = query.bgp.as_ref()?;
+        if query.ask {
             return None;
         }
-        if !self.step_filters.iter().all(Vec::is_empty) {
+        if !self.body.step_filters.iter().all(Vec::is_empty) {
             return None;
         }
         let mut pattern_bound = vec![false; bgp.var_count as usize];
@@ -555,42 +573,42 @@ impl<'a> Plan<'a> {
             }
         }
         let projection_total =
-            self.query.slots.iter().all(|v| pattern_bound.get(v.index()).copied().unwrap_or(false));
+            query.slots.iter().all(|v| pattern_bound.get(v.index()).copied().unwrap_or(false));
         if !projection_total {
             return None;
         }
-        if self.query.distinct {
+        if query.distinct {
             let all_bound_projected = pattern_bound
                 .iter()
                 .enumerate()
                 .filter(|(_, &b)| b)
-                .all(|(i, _)| self.query.slots.iter().any(|v| v.index() == i));
+                .all(|(i, _)| query.slots.iter().any(|v| v.index() == i));
             if !all_bound_projected {
                 return None;
             }
         }
-        self.query.limit.map(|limit| self.query.offset.saturating_add(limit))
+        query.limit.map(|limit| query.offset.saturating_add(limit))
     }
 
     /// Streams the plan's solutions lazily: rows are produced on demand,
     /// ASK yields at most one (empty) row, and `OFFSET`/`LIMIT` stop the
     /// underlying join walk as soon as enough rows have been emitted.
     pub fn solutions(&self) -> Solutions<'_> {
-        let rows: Option<RowIter<'_>> = match (&self.query.bgp, self.empty_reason) {
+        let rows: Option<RowIter<'_>> = match (&self.body.query.bgp, self.body.empty_reason) {
             (Some(bgp), None) => Some(self.row_source(bgp)),
             _ => None,
         };
         Solutions {
             dict: self.dict,
-            vars: &self.query.vars,
-            slots: &self.query.slots,
+            vars: &self.body.query.vars,
+            slots: &self.body.query.slots,
             rows,
-            ask: self.query.ask,
-            distinct: self.query.distinct,
+            ask: self.body.query.ask,
+            distinct: self.body.query.distinct,
             seen: HashSet::new(),
-            offset: self.query.offset,
+            offset: self.body.query.offset,
             skipped: 0,
-            limit: self.query.limit,
+            limit: self.body.query.limit,
             emitted: 0,
             done: false,
         }
@@ -605,11 +623,11 @@ impl<'a> Plan<'a> {
     /// walk, which is byte-identical).
     fn row_source<'s>(&'s self, bgp: &'s Bgp) -> RowIter<'s> {
         let order = self.order();
-        if let Some((group, var)) = exec::merge_group(bgp, &self.steps) {
+        if let Some((group, var)) = exec::merge_group(bgp, &self.body.steps) {
             if let Some(candidates) = exec::merge_candidates(self.store, bgp, &order, group) {
                 let mut cursor =
                     exec::MergeCursor::new(self.store, bgp, &order, group, var, candidates);
-                for (depth, filters) in self.step_filters.iter().enumerate() {
+                for (depth, filters) in self.body.step_filters.iter().enumerate() {
                     for &f in filters {
                         cursor.add_check(depth, Box::new(move |row| f.accepts(row)));
                     }
@@ -619,7 +637,7 @@ impl<'a> Plan<'a> {
             }
         }
         let mut cursor = exec::BgpCursor::new(self.store, bgp, &order);
-        for (depth, filters) in self.step_filters.iter().enumerate() {
+        for (depth, filters) in self.body.step_filters.iter().enumerate() {
             for &f in filters {
                 cursor.add_check(depth, Box::new(move |row| f.accepts(row)));
             }
@@ -632,16 +650,17 @@ impl<'a> Plan<'a> {
     /// the pure nested walk. This is the oracle side of the merge-join
     /// byte-identity tests and the baseline of the `joins` bench figure:
     /// the same plan (same steps, same order) executed with per-candidate
-    /// probes instead of one sorted-list intersection.
+    /// probes instead of one sorted-list intersection. A body shared with
+    /// a [`PlanCache`] is copied first, so the cached plan keeps its joins.
     pub fn force_nested_joins(&mut self) {
-        for s in &mut self.steps {
+        for s in &mut Arc::make_mut(&mut self.body).steps {
             s.join = exec::JoinStep::NestedProbe;
         }
     }
 
     /// Runs the plan to completion, collecting a [`ResultSet`].
     pub fn run(&self) -> ResultSet {
-        ResultSet { vars: self.query.vars.clone(), rows: self.solutions().collect() }
+        ResultSet { vars: self.body.query.vars.clone(), rows: self.solutions().collect() }
     }
 }
 
@@ -711,7 +730,7 @@ impl Iterator for Solutions<'_> {
             self.emitted += 1;
             let terms = ids
                 .into_iter()
-                .map(|id| self.dict.decode(id).expect("result id missing from dictionary").clone())
+                .map(|id| self.dict.decode(id).expect("result id missing from dictionary"))
                 .collect();
             return Some(terms);
         }
@@ -798,46 +817,16 @@ impl<S: TripleStore> DatasetQuery for Dataset<S> {
     }
 }
 
-/// The reusable output of one `prepare`: everything a [`Plan`] holds
-/// except its store/dictionary borrows.
-#[derive(Clone, Debug)]
-struct CachedPlan {
-    query: CompiledQuery,
-    steps: Vec<PlanStep>,
-    step_filters: Vec<Vec<CompiledFilter>>,
-    empty_reason: Option<&'static str>,
-    stats_mode: bool,
-}
-
-impl CachedPlan {
-    fn of(plan: &Plan<'_>) -> CachedPlan {
-        CachedPlan {
-            query: plan.query.clone(),
-            steps: plan.steps.clone(),
-            step_filters: plan.step_filters.clone(),
-            empty_reason: plan.empty_reason,
-            stats_mode: plan.stats_mode,
-        }
-    }
-
-    fn rebind<'a>(&self, dict: &'a Dictionary, store: &'a dyn TripleStore) -> Plan<'a> {
-        Plan {
-            store,
-            dict,
-            query: self.query.clone(),
-            steps: self.steps.clone(),
-            step_filters: self.step_filters.clone(),
-            empty_reason: self.empty_reason,
-            stats_mode: self.stats_mode,
-        }
-    }
-}
-
 /// A memo of prepared plans, keyed by query text and planning mode, so a
 /// serving loop replaying a fixed query set stops re-parsing,
 /// re-compiling and re-planning (each plain `prepare` pays one
 /// `count_matching` probe *per pattern*; the stats mode additionally
 /// recomputes [`DatasetStats`] per call).
+///
+/// An entry is the text plus one pointer per planning mode to the body
+/// the miss prepared; a hit hands out a [`Plan`] sharing that body, with
+/// no copy and no allocation. [`Plan::force_nested_joins`] on such a plan
+/// copies the body first, so the cached one never changes.
 ///
 /// The cache keys its validity on the ([`Dataset::identity`],
 /// [`Dataset::version`]) pair: any mutation of the dataset (triples
@@ -866,7 +855,7 @@ impl CachedPlan {
 pub struct PlanCache {
     /// Per query text, the plain and the stats-driven preparation —
     /// cached independently, since the two can choose different orders.
-    entries: HashMap<String, [Option<CachedPlan>; 2]>,
+    entries: HashMap<Box<str>, [Option<Arc<PlanBody>>; 2]>,
     /// The ([`Dataset::identity`], [`Dataset::version`]) pair the
     /// entries were planned against.
     planned_for: Option<(u64, u64)>,
@@ -930,14 +919,14 @@ impl PlanCache {
     ) -> Result<Plan<'a>, QueryError> {
         self.validate(ds);
         let slot = usize::from(stats.is_some());
-        if let Some(cached) = self.entries.get(query_text).and_then(|slots| slots[slot].as_ref()) {
+        if let Some(body) = self.entries.get(query_text).and_then(|slots| slots[slot].as_ref()) {
             self.hits += 1;
-            return Ok(cached.rebind(ds.dict(), ds.store()));
+            return Ok(Plan { store: ds.store(), dict: ds.dict(), body: Arc::clone(body) });
         }
         self.misses += 1;
         let stats = stats.map(|compute| compute(ds));
         let plan = prepare_on_with_stats(ds.store(), ds.dict(), query_text, stats.as_ref())?;
-        self.entries.entry(query_text.to_string()).or_default()[slot] = Some(CachedPlan::of(&plan));
+        self.entries.entry(query_text.into()).or_default()[slot] = Some(Arc::clone(&plan.body));
         Ok(plan)
     }
 
@@ -963,6 +952,13 @@ impl PlanCache {
     ) -> Result<Plan<'a>, QueryError> {
         self.lookup(ds, query_text, Some(Dataset::stats))
     }
+}
+
+/// A cache may move to, or be shared with, a serving thread: a body
+/// behind `Rc` instead of `Arc` fails to build here.
+fn _plan_cache_is_send_sync() {
+    fn _assert<T: Send + Sync>() {}
+    _assert::<PlanCache>();
 }
 
 #[cfg(test)]
@@ -1491,6 +1487,24 @@ mod tests {
         let b = nested.run();
         assert_eq!(a, b, "same rows in the same order");
         assert_eq!(a.len(), 6);
+    }
+
+    #[test]
+    fn forcing_nested_joins_on_a_cache_hit_leaves_the_cached_plan_alone() {
+        // A hit shares the cached body; forcing it nested must copy it.
+        let frozen = star_graph().freeze();
+        let mut cache = PlanCache::new();
+        let cached = cache.prepare(&frozen, STAR_QUERY).unwrap().explain();
+        assert!(cached.contains("join=merge"), "{cached}");
+        let mut nested = cache.prepare(&frozen, STAR_QUERY).unwrap();
+        nested.force_nested_joins();
+        assert!(!nested.explain().contains("join=merge"), "{}", nested.explain());
+
+        let again = cache.prepare(&frozen, STAR_QUERY).unwrap();
+        assert!(again.steps().iter().any(|s| s.join == exec::JoinStep::MergeIntersect));
+        assert_eq!(again.explain(), cached);
+        assert_eq!(nested.run(), again.run());
+        assert_eq!((cache.hits(), cache.misses()), (2, 1));
     }
 
     #[test]
