@@ -49,13 +49,18 @@
 //!   the encoding), in place of v3's offsets column and item column.
 //!   `FRZC` encodes lists, not columns, so its bytes are v3's.
 //!
-//! [`Reader`] opens all four: pre-v3 pairs become offsets on read (spans
-//! that do not tile and primary references that are not the identity are
-//! rejected as corrupt), and a pre-v4 arena's offset-addressed lists are
-//! appended one by one to a slot arena. [`Writer::with_version`] can
-//! still emit v1, v2 and v3 byte-for-byte for downgrade paths. Only a v4
-//! `FROZ` section has the column layout the `hex-disk` crate maps in
-//! place; older files go through [`load_frozen`] and a re-save.
+//! [`Writer`] writes v4; [`Reader`] opens all four. Where every column of
+//! a `DICT` or `FROZ` section lies is said once per section, by a walker
+//! that reads only the count fields: [`Reader::dict_columns`] and
+//! [`Reader::frozen_columns`], the only code that knows how the column
+//! widths changed between versions. The eager reader reads the columns
+//! they locate, and the `hex-disk` crate reinterprets them in a mapping.
+//! Pre-v3 pairs become offsets on read (spans that do not tile and
+//! primary references that are not the identity are rejected as
+//! corrupt), and a pre-v4 arena's offset-addressed lists are appended one
+//! by one to a slot arena. Only a v4 `FROZ` section has the column layout
+//! `hex-disk` maps in place; older files go through [`load_frozen`] and a
+//! re-save.
 //!
 //! Defined sections:
 //!
@@ -128,12 +133,6 @@ const ARENA_OF: [usize; 6] = [0, 1, 0, 2, 1, 2];
 /// references for the primary orderings too.
 fn spells_out_derivables(version: u32) -> bool {
     version < 3
-}
-
-/// True for the format versions whose `FROZ` arenas address their lists
-/// with a cumulative offsets column over an item column.
-fn offset_addressed_arenas(version: u32) -> bool {
-    version < 4
 }
 
 /// Maximum sections per file, enforced symmetrically by [`Writer`] (at
@@ -273,10 +272,6 @@ fn r_u32_run(r: &mut impl Read, n: usize) -> Result<Vec<u32>> {
     Ok(out)
 }
 
-fn r_id_run(r: &mut impl Read, n: usize) -> Result<Vec<Id>> {
-    Ok(r_u32_run(r, n)?.into_iter().map(Id).collect())
-}
-
 /// Checked usize-from-u64 for declared counts, bounding allocations to
 /// what the host can address.
 fn checked_len(v: u64, what: &str) -> Result<usize> {
@@ -287,43 +282,23 @@ fn checked_len(v: u64, what: &str) -> Result<usize> {
 // Writer.
 // ---------------------------------------------------------------------
 
-/// A streaming `hexsnap` writer over any `Write + Seek` sink.
+/// A streaming `hexsnap` writer over any `Write + Seek` sink, emitting
+/// the current format version.
 ///
 /// Sections are written in call order; [`Writer::finish`] appends the
 /// section table and trailer. Use the [`save`] / [`save_frozen`]
 /// convenience functions for the common whole-file cases.
 pub struct Writer<W: Write + Seek> {
     w: W,
-    version: u32,
     sections: Vec<([u8; 4], u64, u64)>,
 }
 
 impl<W: Write + Seek> Writer<W> {
-    /// Starts a snapshot under the current format version.
-    pub fn new(w: W) -> Result<Self> {
-        Self::with_version(w, VERSION)
-    }
-
-    /// Starts a snapshot under an explicit format version — [`VERSION`]
-    /// for current files, an older one for a downgrade path feeding an
-    /// older reader, byte-for-byte that version's layout: before v4 a
-    /// `FROZ` arena is an offsets column over an item column; before v3 the
-    /// slab sections carry `(offset, length)` pairs and list references
-    /// for every ordering; v1 additionally has no alignment padding and
-    /// [`Writer::frozen_with`] refuses compression. Versions outside
-    /// `1..=VERSION` are rejected.
-    pub fn with_version(mut w: W, version: u32) -> Result<Self> {
-        if !(1..=VERSION).contains(&version) {
-            return Err(Error::Version(version));
-        }
+    /// Starts a snapshot under the current format version, [`VERSION`].
+    pub fn new(mut w: W) -> Result<Self> {
         w.write_all(&MAGIC)?;
-        w_u32(&mut w, version)?;
-        Ok(Writer { w, version, sections: Vec::new() })
-    }
-
-    /// The format version this writer emits.
-    pub fn version(&self) -> u32 {
-        self.version
+        w_u32(&mut w, VERSION)?;
+        Ok(Writer { w, sections: Vec::new() })
     }
 
     fn begin_section(&mut self) -> Result<u64> {
@@ -408,7 +383,7 @@ impl<W: Write + Seek> Writer<W> {
 
     /// Writes the prebuilt slab sections under the chosen compression:
     /// raw `FROZ` columns ([`Compression::None`]) or the varint-delta
-    /// `FRZC` section ([`Compression::VarintDelta`], v2 files only).
+    /// `FRZC` section ([`Compression::VarintDelta`]).
     pub fn frozen_with(&mut self, store: &FrozenHexastore, compression: Compression) -> Result<()> {
         match compression {
             Compression::None => self.frozen_raw(store),
@@ -418,55 +393,33 @@ impl<W: Write + Seek> Writer<W> {
 
     /// Writes the `FROZ` section: the store's slabs as raw columns.
     fn frozen_raw(&mut self, store: &FrozenHexastore) -> Result<()> {
-        // From v2 on the stream is padded to a 4-byte boundary *between*
-        // sections before FROZ begins — the table addresses sections
-        // explicitly, so the gap is invisible to every reader, and the
-        // aligned start is what lets hex-disk reinterpret mapped columns
-        // in place. v1 output stays byte-for-byte the legacy layout.
-        if self.version >= 2 {
-            let pos = self.w.stream_position()?;
-            let pad = (4 - (pos % 4) as usize) % 4;
-            self.w.write_all(&[0u8; 3][..pad])?;
-        }
-        let legacy = spells_out_derivables(self.version);
-        let w_offsets = |w: &mut W, offs: &[u32]| {
-            if legacy {
-                w_u32_run(w, offs.windows(2).flat_map(|p| [p[0], p[1] - p[0]]))
-            } else {
-                w_u32_run(w, offs.iter().copied())
-            }
-        };
+        // The stream is padded to a 4-byte boundary *between* sections
+        // before FROZ begins — the table addresses sections explicitly, so
+        // the gap is invisible to every reader, and the aligned start is
+        // what lets hex-disk reinterpret mapped columns in place.
+        let pos = self.w.stream_position()?;
+        let pad = (4 - (pos % 4) as usize) % 4;
+        self.w.write_all(&[0u8; 3][..pad])?;
         let count = |n: usize, what: &str| {
             u32::try_from(n).map_err(|_| Error::Corrupt(format!("2^32 {what}")))
         };
         let start = self.begin_section()?;
         w_u64(&mut self.w, store.len() as u64)?;
         for arena in store.arenas() {
+            let columns = arena.view();
             w_u32(&mut self.w, count(arena.list_count(), "arena lists")?)?;
             w_u64(&mut self.w, arena.total_items() as u64)?;
-            if offset_addressed_arenas(self.version) {
-                count(arena.total_items(), "arena items")?;
-                let mut end = 0u32;
-                let ends = arena.lists().map(|list| {
-                    end += list.len() as u32;
-                    end
-                });
-                w_offsets(&mut self.w, &std::iter::once(0).chain(ends).collect::<Vec<_>>())?;
-                w_u32_run(&mut self.w, arena.lists().flatten().map(|id| id.0))?;
-            } else {
-                let columns = arena.view();
-                w_u32(&mut self.w, count(columns.over.len(), "overflow words")?)?;
-                w_u32_run(&mut self.w, columns.slots.iter().map(|id| id.0))?;
-                w_u32_run(&mut self.w, columns.over.iter().map(|id| id.0))?;
-            }
+            w_u32(&mut self.w, count(columns.over.len(), "overflow words")?)?;
+            w_u32_run(&mut self.w, columns.slots.iter().map(|id| id.0))?;
+            w_u32_run(&mut self.w, columns.over.iter().map(|id| id.0))?;
         }
         for ix in store.orderings() {
             w_u32(&mut self.w, count(ix.keys.len(), "headers")?)?;
             w_u32_run(&mut self.w, ix.keys.iter().map(|id| id.0))?;
-            w_offsets(&mut self.w, &ix.offs)?;
+            w_u32_run(&mut self.w, ix.offs.iter().copied())?;
             w_u32(&mut self.w, count(ix.k2.len(), "vector entries")?)?;
             w_u32_run(&mut self.w, ix.k2.iter().map(|id| id.0))?;
-            if legacy || ix.lists.is_some() {
+            if ix.lists.is_some() {
                 w_u32_run(&mut self.w, (0..ix.k2.len()).map(|i| ix.list_of(i)))?;
             }
         }
@@ -476,10 +429,7 @@ impl<W: Write + Seek> Writer<W> {
     /// Writes the `FRZC` section: the store's slabs varint-delta
     /// compressed, sealed with an FNV-1a checksum.
     fn frozen_compressed(&mut self, store: &FrozenHexastore) -> Result<()> {
-        if self.version < 2 {
-            return corrupt("compressed slab sections require format version 2");
-        }
-        let payload = encode_frozen_payload(store, spells_out_derivables(self.version));
+        let payload = encode_frozen_payload(store);
         let start = self.begin_section()?;
         w_u64(&mut self.w, store.len() as u64)?;
         w_u64(&mut self.w, payload.len() as u64)?;
@@ -501,6 +451,141 @@ impl<W: Write + Seek> Writer<W> {
         self.w.write_all(&MAGIC)?;
         self.w.flush()?;
         Ok(self.w)
+    }
+}
+
+// ---------------------------------------------------------------------
+// Column locations.
+// ---------------------------------------------------------------------
+
+/// Where one column of a section lies in the file. The element width is
+/// the field's: one byte for the `DICT` kind column and string arena,
+/// four for every other column.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub struct Column {
+    /// File offset of the column's first byte.
+    pub offset: usize,
+    /// Number of elements.
+    pub len: usize,
+}
+
+/// The columns of a `DICT` section ([`Reader::dict_columns`]).
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub struct DictColumns {
+    /// One kind byte per term.
+    pub kinds: Column,
+    /// The cumulative `u32` end offset of every string piece.
+    pub ends: Column,
+    /// The UTF-8 string arena, in bytes.
+    pub arena: Column,
+}
+
+/// How a `FROZ` level stores its windows.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub enum Windows {
+    /// `n + 1` cumulative `u32` offsets (v3 and later).
+    Offsets(Column),
+    /// `n` `(offset, length)` pairs, `2n` `u32`s (before v3).
+    Pairs(Column),
+}
+
+/// The columns of one `FROZ` arena.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub enum ArenaColumns {
+    /// v4: the [`FlatArena`]'s slot column and overflow column
+    /// ([`crate::slab`] has the encoding).
+    Slots {
+        /// One `u32` per list.
+        slots: Column,
+        /// The longer lists' length words and ids.
+        over: Column,
+    },
+    /// Before v4: every list a window over one item column.
+    Items {
+        /// The lists' windows into `items`.
+        windows: Windows,
+        /// Every list's ids, list after list.
+        items: Column,
+    },
+}
+
+/// The columns of one `FROZ` ordering.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub struct OrderingColumns {
+    /// The header keys.
+    pub keys: Column,
+    /// Each header's window into the vector keys.
+    pub windows: Windows,
+    /// The vector keys.
+    pub k2: Column,
+    /// The list references: mirror orderings only from v3 on, every
+    /// ordering before.
+    pub lists: Option<Column>,
+    /// Index into [`FrozenColumns::arenas`] of the arena holding this
+    /// ordering's lists.
+    pub arena: usize,
+}
+
+/// The columns of a raw `FROZ` section ([`Reader::frozen_columns`]).
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub struct FrozenColumns {
+    /// The triple count the section declares.
+    pub triples: usize,
+    /// The object-, property- and subject-list arenas.
+    pub arenas: [ArenaColumns; 3],
+    /// The orderings, in [`IndexKind::ALL`] order.
+    pub orderings: [OrderingColumns; 6],
+}
+
+/// A walk over one section's count fields: each count is read where the
+/// layout puts it, and the column it sizes is stepped over once it is
+/// known to end inside the section — so a flipped count byte is a
+/// rejection before it can become an allocation.
+struct Walk<'r, R> {
+    r: &'r mut R,
+    /// File offset of the next field.
+    pos: u64,
+    /// File offset just past the section.
+    end: u64,
+    tag: [u8; 4],
+}
+
+impl<R: Read + Seek> Walk<'_, R> {
+    /// Steps over the next `bytes` bytes, returning their file offset.
+    fn take(&mut self, bytes: Option<u64>, what: &str) -> Result<u64> {
+        let at = self.pos;
+        match bytes.and_then(|b| at.checked_add(b)).filter(|&end| end <= self.end) {
+            Some(end) => {
+                self.pos = end;
+                Ok(at)
+            }
+            None => corrupt(format!("{what} exceeds the {} section", tag_name(self.tag))),
+        }
+    }
+
+    /// Steps over the next `width`-byte count field, returning the source
+    /// positioned at it.
+    fn field(&mut self, width: u64, what: &str) -> Result<&mut R> {
+        let at = self.take(Some(width), what)?;
+        self.r.seek(SeekFrom::Start(at))?;
+        Ok(self.r)
+    }
+
+    fn count32(&mut self, what: &str) -> Result<u64> {
+        Ok(u64::from(r_u32(self.field(4, what)?)?))
+    }
+
+    fn count64(&mut self, what: &str) -> Result<u64> {
+        Ok(r_u64(self.field(8, what)?)?)
+    }
+
+    /// Steps over a column of `len` elements, `width` bytes each.
+    fn column(&mut self, len: u64, width: u64, what: &str) -> Result<Column> {
+        let offset = self.take(len.checked_mul(width), what)?;
+        let fits = |v: u64| {
+            usize::try_from(v).map_err(|_| Error::Corrupt(format!("{what} overflows usize")))
+        };
+        Ok(Column { offset: fits(offset)?, len: fits(len)? })
     }
 }
 
@@ -575,29 +660,137 @@ impl<R: Read + Seek> Reader<R> {
     }
 
     /// Byte extent `(offset, length)` of the raw `FROZ` section, if the
-    /// file carries one — the region an mmap-backed opener (the
-    /// `hex-disk` crate) reinterprets in place. Compressed `FRZC`
+    /// file carries one — the section whose columns an mmap-backed opener
+    /// (the `hex-disk` crate) reinterprets in place. Compressed `FRZC`
     /// sections have no mappable extent and report `None`.
     pub fn frozen_section_extent(&self) -> Option<(u64, u64)> {
-        self.sections.iter().find(|(t, _, _)| *t == TAG_FROZ).map(|&(_, off, len)| (off, len))
+        self.extent(TAG_FROZ).ok()
     }
 
-    /// Byte extent `(offset, length)` of the `DICT` section, if the file
-    /// carries one — the region `hex-disk` parses in place so the string
-    /// arena can stay memory-mapped instead of being copied to the heap.
-    pub fn dict_section_extent(&self) -> Option<(u64, u64)> {
-        self.sections.iter().find(|(t, _, _)| *t == TAG_DICT).map(|&(_, off, len)| (off, len))
+    /// A section's `(offset, length)`, or `Corrupt` naming it missing.
+    fn extent(&self, tag: [u8; 4]) -> Result<(u64, u64)> {
+        match self.sections.iter().find(|(t, _, _)| *t == tag) {
+            Some(&(_, off, len)) => Ok((off, len)),
+            None => corrupt(format!("missing {} section", tag_name(tag))),
+        }
     }
 
     /// Positions the reader at a section's start, returning `(end, len)`.
     fn seek_section(&mut self, tag: [u8; 4]) -> Result<(u64, u64)> {
-        let &(_, off, len) = self
-            .sections
-            .iter()
-            .find(|(t, _, _)| *t == tag)
-            .ok_or_else(|| Error::Corrupt(format!("missing {} section", tag_name(tag))))?;
+        let (off, len) = self.extent(tag)?;
         self.r.seek(SeekFrom::Start(off))?;
         Ok((off + len, len))
+    }
+
+    /// Starts a [`Walk`] over a section's count fields.
+    fn walk(&mut self, tag: [u8; 4]) -> Result<Walk<'_, R>> {
+        let (off, len) = self.extent(tag)?;
+        Ok(Walk { r: &mut self.r, pos: off, end: off + len, tag })
+    }
+
+    /// Locates the columns of the `DICT` section, reading only its three
+    /// count fields: `u32 n_terms`, the kind bytes, `u32 n_pieces`, the
+    /// piece offsets, `u64 n_bytes`, the string arena. Every column is
+    /// bounded by the section before anything is allocated.
+    pub fn dict_columns(&mut self) -> Result<DictColumns> {
+        let mut walk = self.walk(TAG_DICT)?;
+        let terms = walk.count32("dictionary term count")?;
+        let kinds = walk.column(terms, 1, "dictionary kind column")?;
+        let pieces = walk.count32("dictionary piece count")?;
+        let ends = walk.column(pieces, 4, "dictionary piece offset table")?;
+        let bytes = walk.count64("dictionary arena size")?;
+        let arena = walk.column(bytes, 1, "dictionary string arena")?;
+        Ok(DictColumns { kinds, ends, arena })
+    }
+
+    /// Locates every column of the raw `FROZ` section, reading only its
+    /// count fields (the layout is in the module docs). Every column is
+    /// bounded by the section before anything is allocated, and an arena
+    /// that declares other than one item per triple is refused. This is the
+    /// one place that knows how the section changed between versions:
+    /// windows are `(offset, length)` pairs and every ordering keeps list
+    /// references before v3, and an arena is windows over an item column
+    /// before v4.
+    pub fn frozen_columns(&mut self) -> Result<FrozenColumns> {
+        let pairs = spells_out_derivables(self.version);
+        let item_arenas = self.version < 4;
+        let mut walk = self.walk(TAG_FROZ)?;
+        let windows = |walk: &mut Walk<'_, R>, n: u64, what: &str| -> Result<Windows> {
+            Ok(if pairs {
+                Windows::Pairs(walk.column(2 * n, 4, what)?)
+            } else {
+                Windows::Offsets(walk.column(n + 1, 4, what)?)
+            })
+        };
+        let triples = walk.count64("triple count")?;
+        let mut arenas = Vec::with_capacity(3);
+        for _ in 0..3 {
+            let lists = walk.count32("arena list count")?;
+            // Every triple contributes one item to each arena, so another
+            // count is refused before any column is touched.
+            if walk.count64("arena item count")? != triples {
+                return corrupt("declared triple count disagrees with slab columns");
+            }
+            arenas.push(if item_arenas {
+                let windows = windows(&mut walk, lists, "arena offsets column")?;
+                ArenaColumns::Items {
+                    windows,
+                    items: walk.column(triples, 4, "arena item column")?,
+                }
+            } else {
+                let over = walk.count32("arena overflow count")?;
+                let slots = walk.column(lists, 4, "arena slot column")?;
+                let over = walk.column(over, 4, "arena overflow column")?;
+                ArenaColumns::Slots { slots, over }
+            });
+        }
+        let mut orderings = Vec::with_capacity(6);
+        for (which, kind) in IndexKind::ALL.into_iter().enumerate() {
+            let headers = walk.count32("ordering header count")?;
+            let keys = walk.column(headers, 4, "ordering key column")?;
+            let windows = windows(&mut walk, headers, "ordering offsets column")?;
+            let vector = walk.count32("ordering vector count")?;
+            let k2 = walk.column(vector, 4, "ordering vector column")?;
+            let lists = if pairs || kind.is_mirror() {
+                Some(walk.column(vector, 4, "ordering list column")?)
+            } else {
+                None
+            };
+            orderings.push(OrderingColumns { keys, windows, k2, lists, arena: ARENA_OF[which] });
+        }
+        Ok(FrozenColumns {
+            triples: checked_len(triples, "triple")?,
+            arenas: arenas.try_into().expect("exactly three arenas"),
+            orderings: orderings.try_into().expect("exactly six orderings"),
+        })
+    }
+
+    /// Reads a column of bytes.
+    fn bytes(&mut self, col: Column) -> Result<Vec<u8>> {
+        self.r.seek(SeekFrom::Start(col.offset as u64))?;
+        let mut out = vec![0u8; col.len];
+        self.r.read_exact(&mut out)?;
+        Ok(out)
+    }
+
+    /// Reads a column of `u32`s.
+    fn u32s(&mut self, col: Column) -> Result<Vec<u32>> {
+        self.r.seek(SeekFrom::Start(col.offset as u64))?;
+        r_u32_run(&mut self.r, col.len)
+    }
+
+    /// Reads a column of ids.
+    fn ids(&mut self, col: Column) -> Result<Vec<Id>> {
+        Ok(self.u32s(col)?.into_iter().map(Id).collect())
+    }
+
+    /// Reads a level's windows as a cumulative offsets column.
+    fn windows(&mut self, windows: Windows) -> Result<Vec<u32>> {
+        match windows {
+            Windows::Offsets(col) => self.u32s(col),
+            Windows::Pairs(col) => offsets_from_pairs(&self.u32s(col)?)
+                .ok_or_else(|| Error::Corrupt("spans do not tile their column".into())),
+        }
     }
 
     /// Rejects a section whose parse consumed bytes past its declared
@@ -620,46 +813,18 @@ impl<R: Read + Seek> Reader<R> {
     /// Reads the `DICT` section into a [`Dictionary`] whose ids are the
     /// stored term indices.
     pub fn dictionary(&mut self) -> Result<Dictionary> {
-        let (section_end, section_len) = self.seek_section(TAG_DICT)?;
-        let n = r_u32(&mut self.r)? as usize;
-        // Every declared count must fit in the section: this bounds
-        // allocations before they happen, so a flipped count byte cannot
-        // balloon memory.
-        if n as u64 > section_len {
-            return corrupt("dictionary term count exceeds section size");
-        }
-        let mut kinds = vec![0u8; n];
-        self.r.read_exact(&mut kinds)?;
-        let n_pieces = r_u32(&mut self.r)? as usize;
-        let expected_pieces: usize = kinds.iter().map(|&k| if k >= 3 { 2usize } else { 1 }).sum();
-        if n_pieces != expected_pieces {
-            return corrupt(format!(
-                "dictionary declares {n_pieces} string pieces, kinds require {expected_pieces}"
-            ));
-        }
-        if n_pieces as u64 * 4 > section_len {
-            return corrupt("dictionary piece count exceeds section size");
-        }
-        let ends = r_u32_run(&mut self.r, n_pieces)?;
-        let n_bytes = checked_len(r_u64(&mut self.r)?, "string arena byte")?;
-        if n_bytes as u64 > section_len {
-            return corrupt("dictionary arena size exceeds section size");
-        }
-        if ends.windows(2).any(|w| w[0] > w[1])
-            || ends.last().is_some_and(|&e| e as usize != n_bytes)
-        {
-            return corrupt("dictionary piece offsets are not a monotone cover of the arena");
-        }
-        let mut bytes = vec![0u8; n_bytes];
-        self.r.read_exact(&mut bytes)?;
-        self.check_section_end(section_end)?;
+        let columns = self.dict_columns()?;
+        let kinds = self.bytes(columns.kinds)?;
+        let ends = self.u32s(columns.ends)?;
+        let bytes = self.bytes(columns.arena)?;
         // The section layout is the dictionary's in-memory layout, so
         // the three buffers are adopted as-is: the constructor validates
-        // the offset table (UTF-8, char boundaries, kind bytes,
-        // distinctness) and builds the reverse index in one hash pass —
-        // no `Term` is ever constructed. Distinctness matters because
-        // corruption inside the string arena can merge two terms, which
-        // must be rejected (not silently mapped to the later id).
+        // the offset table (piece count, monotone cover, UTF-8, char
+        // boundaries, kind bytes, distinctness) and builds the reverse
+        // index in one hash pass — no `Term` is ever constructed.
+        // Distinctness matters because corruption inside the string arena
+        // can merge two terms, which must be rejected (not silently mapped
+        // to the later id).
         Dictionary::try_from_arena(kinds, ends, bytes).map_err(|e| Error::Corrupt(e.to_string()))
     }
 
@@ -740,71 +905,43 @@ impl<R: Read + Seek> Reader<R> {
         }
     }
 
-    /// Reads the raw `FROZ` section.
+    /// Reads the raw `FROZ` section, column by column as
+    /// [`Reader::frozen_columns`] locates them.
     fn frozen_raw(&mut self) -> Result<FrozenHexastore> {
-        let (section_end, section_len) = self.seek_section(TAG_FROZ)?;
-        let fits = |count: usize, width: u64| {
-            (count as u64).checked_mul(width).is_some_and(|bytes| bytes <= section_len)
-        };
-        let legacy = spells_out_derivables(self.version);
-        let offset_arenas = offset_addressed_arenas(self.version);
-        let offs_width = if legacy { 8 } else { 4 };
-        let r_offsets = |r: &mut R, n: usize| -> Result<Vec<u32>> {
-            if !legacy {
-                return r_u32_run(r, n + 1);
-            }
-            offsets_from_pairs(&r_u32_run(r, n * 2)?)
-                .ok_or_else(|| Error::Corrupt("spans do not tile their column".into()))
-        };
-        let len = checked_len(r_u64(&mut self.r)?, "triple")?;
+        let columns = self.frozen_columns()?;
         let mut arenas = Vec::with_capacity(3);
-        for _ in 0..3 {
-            let n_lists = r_u32(&mut self.r)? as usize;
-            let n_items = checked_len(r_u64(&mut self.r)?, "arena item")?;
-            let arena = if offset_arenas {
-                if !fits(n_lists, offs_width) || !fits(n_items, 4) {
-                    return corrupt("arena counts exceed section size");
+        for cols in columns.arenas {
+            let arena = match cols {
+                ArenaColumns::Slots { slots, over } => {
+                    FlatArena::from_raw_parts(self.ids(slots)?, self.ids(over)?)
                 }
-                let offs = r_offsets(&mut self.r, n_lists)?;
-                FlatArena::from_offsets(&r_id_run(&mut self.r, n_items)?, &offs)
-            } else {
-                let n_over = r_u32(&mut self.r)? as usize;
-                if !fits(n_lists, 4) || !fits(n_over, 4) {
-                    return corrupt("arena counts exceed section size");
+                ArenaColumns::Items { windows, items } => {
+                    let offs = self.windows(windows)?;
+                    FlatArena::from_offsets(&self.ids(items)?, &offs)
                 }
-                let slots = r_id_run(&mut self.r, n_lists)?;
-                FlatArena::from_raw_parts(slots, r_id_run(&mut self.r, n_over)?)
             };
+            // The item count each arena holds is checked against the
+            // declared triple count by `assemble_frozen`.
             match arena {
-                Some(a) if a.total_items() == n_items => arenas.push(a),
-                _ => return corrupt("arena columns do not hold the declared sorted lists"),
+                Some(a) => arenas.push(a),
+                None => return corrupt("arena columns do not hold the declared sorted lists"),
             }
         }
         let arenas: [FlatArena; 3] = arenas.try_into().expect("exactly three arenas read");
         let mut orderings = Vec::with_capacity(6);
-        for (which, kind) in IndexKind::ALL.into_iter().enumerate() {
-            let h = r_u32(&mut self.r)? as usize;
-            if !fits(h, 4 + offs_width) {
-                return corrupt("header count exceeds section size");
-            }
-            let keys = r_id_run(&mut self.r, h)?;
-            let offs = r_offsets(&mut self.r, h)?;
-            let m = r_u32(&mut self.r)? as usize;
-            let has_refs = legacy || kind.is_mirror();
-            if !fits(m, if has_refs { 8 } else { 4 }) {
-                return corrupt("vector entry count exceeds section size");
-            }
-            let k2 = r_id_run(&mut self.r, m)?;
-            let refs = if has_refs { Some(r_u32_run(&mut self.r, m)?) } else { None };
-            let arena_lists = arenas[ARENA_OF[which]].list_count();
+        for (kind, cols) in IndexKind::ALL.into_iter().zip(columns.orderings) {
+            let keys = self.ids(cols.keys)?;
+            let offs = self.windows(cols.windows)?;
+            let k2 = self.ids(cols.k2)?;
+            let refs = cols.lists.map(|lists| self.u32s(lists)).transpose()?;
+            let arena_lists = arenas[cols.arena].list_count();
             match FrozenIndex::from_raw_parts(keys, offs, k2, kept_refs(refs, kind)?, arena_lists) {
                 Some(ix) => orderings.push(ix),
                 None => return corrupt("ordering columns are inconsistent"),
             }
         }
         let orderings: [FrozenIndex; 6] = orderings.try_into().expect("exactly six orderings");
-        self.check_section_end(section_end)?;
-        assemble_frozen(orderings, arenas, len)
+        assemble_frozen(orderings, arenas, columns.triples)
     }
 
     /// Reads the compressed `FRZC` section: checksum-verified varint
@@ -930,9 +1067,8 @@ fn kept_refs(read: Option<Vec<u32>>, kind: IndexKind) -> Result<Option<Vec<u32>>
 }
 
 /// Encodes a store's slabs as the `FRZC` varint payload — the writer
-/// half of [`Reader::frozen_compressed`]. `legacy` is the v2 payload,
-/// which spells out the list references of primary orderings too.
-fn encode_frozen_payload(store: &FrozenHexastore, legacy: bool) -> Vec<u8> {
+/// half of [`Reader::frozen_compressed`].
+fn encode_frozen_payload(store: &FrozenHexastore) -> Vec<u8> {
     use crate::compress::{encode_arena, encode_offsets, encode_sorted_run, put_uvarint};
     let mut p = Vec::new();
     for arena in store.arenas() {
@@ -948,7 +1084,7 @@ fn encode_frozen_payload(store: &FrozenHexastore, legacy: bool) -> Vec<u8> {
         for (_, leaves) in ix.groups() {
             encode_sorted_run(&mut p, &ix.k2[leaves]);
         }
-        if legacy || ix.lists.is_some() {
+        if ix.lists.is_some() {
             for i in 0..ix.k2.len() {
                 put_uvarint(&mut p, u64::from(ix.list_of(i)));
             }
@@ -1252,77 +1388,6 @@ mod tests {
                 "flipped payload byte {i} must be rejected"
             );
         }
-    }
-
-    #[test]
-    fn v1_writer_emits_legacy_layout_and_refuses_compression() {
-        let (dict, store) = sample_dict_and_store();
-        let frozen = store.freeze();
-        let mut w = Writer::with_version(Cursor::new(Vec::new()), 1).unwrap();
-        assert_eq!(w.version(), 1);
-        w.dictionary(&dict).unwrap();
-        w.triples(frozen.len() as u64, frozen.iter_matching(IdPattern::ALL)).unwrap();
-        assert!(matches!(
-            w.frozen_with(&frozen, Compression::VarintDelta),
-            Err(Error::Corrupt(why)) if why.contains("version 2")
-        ));
-        w.frozen(&frozen).unwrap();
-        let bytes = w.finish().unwrap().into_inner();
-        assert_eq!(&bytes[8..12], &1u32.to_le_bytes());
-        let mut r = Reader::new(Cursor::new(&bytes)).unwrap();
-        assert_eq!(r.version(), 1);
-        assert_eq!(r.frozen().unwrap(), frozen);
-        assert!(matches!(Writer::with_version(Cursor::new(Vec::new()), 5), Err(Error::Version(5))));
-        assert!(matches!(Writer::with_version(Cursor::new(Vec::new()), 0), Err(Error::Version(0))));
-    }
-
-    #[test]
-    fn older_versions_spell_out_what_v3_derives() {
-        // The same store under each version: v2 slab sections (raw and
-        // compressed) are strictly larger than v3's and read back equal.
-        let (_, store) = sample_dict_and_store();
-        let frozen = store.freeze();
-        for compression in [Compression::None, Compression::VarintDelta] {
-            let write = |version| {
-                let mut w = Writer::with_version(Cursor::new(Vec::new()), version).unwrap();
-                w.frozen_with(&frozen, compression).unwrap();
-                w.finish().unwrap().into_inner()
-            };
-            let (v2, v3, v4) = (write(2), write(3), write(4));
-            assert!(v3.len() < v2.len(), "{compression:?}: {} !< {}", v3.len(), v2.len());
-            if compression == Compression::VarintDelta {
-                // FRZC encodes lists, not arena columns: v4's bytes are
-                // v3's behind the version field.
-                assert_eq!(v4[12..], v3[12..]);
-            }
-            for bytes in [v2, v3, v4] {
-                assert_eq!(Reader::new(Cursor::new(&bytes)).unwrap().frozen().unwrap(), frozen);
-            }
-        }
-    }
-
-    #[test]
-    fn a_v4_arena_costs_a_word_less_per_singleton_and_a_word_more_per_longer_list() {
-        // The break-even rule, on the bytes: against v3's offsets column,
-        // a slot arena saves four bytes per singleton list and pays four
-        // per longer one (its length word); the overflow count takes the
-        // place of the closing offset.
-        let write = |store: &FrozenHexastore, version| {
-            let mut w = Writer::with_version(Cursor::new(Vec::new()), version).unwrap();
-            w.frozen(store).unwrap();
-            w.finish().unwrap().into_inner().len() as i64
-        };
-        // 30 triples, no two sharing a pair: 90 singleton lists.
-        let singletons = FrozenHexastore::from_triples(
-            (0..30u32).map(|i| IdTriple::from((i, 100 + i, 200 + i))),
-        );
-        assert_eq!(write(&singletons, 3) - write(&singletons, 4), 4 * 90);
-        // The all-long worst case: every (s, p), (s, o) and (p, o) pair
-        // holds two items, so each of the 3 * 4 lists pays its word.
-        let all_long = FrozenHexastore::from_triples(
-            (0..8u32).map(|i| IdTriple::from((i & 1, 10 + (i >> 1 & 1), 20 + (i >> 2)))),
-        );
-        assert_eq!(write(&all_long, 4) - write(&all_long, 3), 4 * 12);
     }
 
     #[test]

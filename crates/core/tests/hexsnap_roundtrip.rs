@@ -333,47 +333,3 @@ fn slab_snapshots_store_no_triple_column_and_still_yield_the_triples() {
     }
     std::fs::remove_file(&with_triples).ok();
 }
-
-#[test]
-fn a_live_directory_left_at_a_v2_generation_upgrades_on_compaction() {
-    use hexastore::LiveGraphStore;
-    // What an upgrade can find on disk: the newest generation is a file
-    // format version 2 wrote (pairs, primary list references, a TRPL
-    // column beside the slabs).
-    let g = graph_from(&[(0, 0, 0), (0, 1, 2), (3, 1, 2), (4, 2, 7), (4, 2, 1)]);
-    let dir = std::env::temp_dir().join(format!("hexsnap_test_live_v2_{}", std::process::id()));
-    std::fs::remove_dir_all(&dir).ok();
-    std::fs::create_dir_all(&dir).unwrap();
-    let mut w = hexsnap::Writer::with_version(Cursor::new(Vec::new()), 2).unwrap();
-    w.dictionary(g.dict()).unwrap();
-    w.triples(g.len() as u64, g.store().iter_matching(IdPattern::ALL)).unwrap();
-    w.frozen(&g.store().freeze()).unwrap();
-    let v2 = w.finish().unwrap().into_inner();
-    std::fs::write(hexsnap::generation_path(&dir, 7), &v2).unwrap();
-
-    let mut live = LiveGraphStore::open(&dir).unwrap();
-    assert_eq!(live.generation(), 7);
-    assert_eq!(live.dataset().to_ntriples(), g.to_ntriples());
-    let added = Triple::new(Term::iri("http://x/new"), Term::iri("http://x/p0"), term(2));
-    live.insert(&added).unwrap();
-    live.sync().unwrap();
-    live.compact().unwrap();
-    assert_eq!(live.generation(), 8);
-    let expected = live.dataset().to_ntriples();
-    drop(live);
-
-    // The compaction wrote a current-version generation — smaller than
-    // the v2 one it replaced, despite the extra triple — and pruned the
-    // old file.
-    let gen8 = std::fs::read(hexsnap::generation_path(&dir, 8)).unwrap();
-    assert_eq!(hexsnap::Reader::new(Cursor::new(&gen8)).unwrap().version(), hexsnap::VERSION);
-    assert_eq!(section_tags(&gen8), ["DICT", "FROZ"]);
-    assert!(gen8.len() < v2.len(), "{} !< {}", gen8.len(), v2.len());
-    assert!(!hexsnap::generation_path(&dir, 7).exists());
-
-    let recovered = LiveGraphStore::recover(&dir).unwrap();
-    assert_eq!(recovered.generation(), 8);
-    assert!(recovered.contains(&added));
-    assert_eq!(recovered.dataset().to_ntriples(), expected);
-    std::fs::remove_dir_all(&dir).ok();
-}

@@ -9,6 +9,15 @@
 //! over the columns that address terminal lists), and the operating
 //! system pages in exactly the columns queries touch.
 //!
+//! The crate knows no section layout of its own. It opens a
+//! [`hexastore::hexsnap::Reader`] over the mapping, whose walkers
+//! ([`frozen_columns`](hexastore::hexsnap::Reader::frozen_columns),
+//! [`dict_columns`](hexastore::hexsnap::Reader::dict_columns)) locate
+//! every column from the count fields alone, and reinterprets what they
+//! locate. What is left here is what a mapping needs: the refusal of
+//! files it cannot map, the 4-byte alignment of every reinterpreted
+//! column, and [`MmapFrozenHexastore::verify`].
+//!
 //! The entry points are [`open`] (dictionary + store) and
 //! [`open_dataset`] (a ready-to-query [`hexastore::Dataset`]). The
 //! returned [`MmapFrozenHexastore`] implements
@@ -49,7 +58,6 @@ compile_error!(
     "hex-disk reinterprets little-endian snapshot columns and requires a little-endian target"
 );
 
-mod cursor;
 mod mmap;
 mod store;
 
@@ -60,7 +68,6 @@ use hex_dict::Dictionary;
 use hexastore::hexsnap;
 use hexastore::Dataset;
 use std::fs::File;
-use std::io::BufReader;
 use std::path::Path;
 use std::sync::Arc;
 
@@ -118,7 +125,7 @@ pub type Result<T> = std::result::Result<T, Error>;
 /// Opens a `hexsnap` file as a dictionary plus an mmap-backed frozen
 /// store, without reading the slab columns or copying the term strings.
 ///
-/// The `DICT` section is parsed in place: the kind column and the piece
+/// The `DICT` section is read in place: the kind column and the piece
 /// offset table are copied (both small, a few bytes per term), but the
 /// string arena — the bulk of the section — stays behind the mapping as
 /// a [`hex_dict::SharedBytes`] window, shared with the slab columns in
@@ -140,10 +147,10 @@ pub type Result<T> = std::result::Result<T, Error>;
 /// # Ok::<(), hex_disk::Error>(())
 /// ```
 pub fn open(path: impl AsRef<Path>) -> Result<(Dictionary, MmapFrozenHexastore)> {
-    let (map, froz, dict) = map_snapshot(path.as_ref())?;
-    let store = MmapFrozenHexastore::open_section(&map, froz)?;
+    let map = map_file(path.as_ref())?;
+    let (store, mut reader) = open_mapped(&map)?;
     store.verify()?;
-    Ok((dict_from(&map, dict)?, store))
+    Ok((dict_from(&map, reader.dict_columns()?)?, store))
 }
 
 /// Opens only the slab section of a `hexsnap` file as an mmap-backed
@@ -161,46 +168,38 @@ pub fn open(path: impl AsRef<Path>) -> Result<(Dictionary, MmapFrozenHexastore)>
 /// # Ok::<(), hex_disk::Error>(())
 /// ```
 pub fn open_store(path: impl AsRef<Path>) -> Result<MmapFrozenHexastore> {
-    let (map, froz, _) = map_snapshot(path.as_ref())?;
-    MmapFrozenHexastore::open_section(&map, froz)
+    let map = map_file(path.as_ref())?;
+    Ok(open_mapped(&map)?.0)
 }
 
-/// A section's `(offset, length)` in the file.
-type Extent = (u64, u64);
-
-/// Reads the section table, checks the slab section is mappable, and maps
-/// the file: the mapping, the `FROZ` extent and the `DICT` extent.
-fn map_snapshot(path: &Path) -> Result<(Arc<Mmap>, Extent, Option<Extent>)> {
-    let file = File::open(path)?;
-    let reader = hexsnap::Reader::new(BufReader::new(&file))?;
-    let (froz, dict) = (frozen_extent(&reader)?, reader.dict_section_extent());
-    drop(reader);
-    Ok((Arc::new(Mmap::map(&file)?), froz, dict))
+/// Maps a whole file.
+fn map_file(path: &Path) -> Result<Arc<Mmap>> {
+    Ok(Arc::new(Mmap::map(&File::open(path)?)?))
 }
 
-/// Locates the raw `FROZ` extent and checks mappability, naming the
-/// remedy when there is none.
-fn frozen_extent(reader: &hexsnap::Reader<BufReader<&File>>) -> Result<(u64, u64)> {
-    let (off, len) = match reader.frozen_section_extent() {
-        Some(extent) => extent,
-        None if reader.has_frozen() => {
-            return Err(Error::Unmappable(
-                "the slab section is compressed; re-save with Compression::None \
-                 or open via hexsnap::load_frozen"
-                    .to_string(),
-            ));
-        }
-        None => {
-            return Err(Error::Unmappable(
-                "the snapshot has no frozen slab section; save one with hexsnap::save_frozen"
-                    .to_string(),
-            ));
-        }
-    };
+/// A [`hexsnap::Reader`] over a mapping.
+type MapReader<'a> = hexsnap::Reader<std::io::Cursor<&'a [u8]>>;
+
+/// Opens the mapping's slab section as a store, refusing what cannot be
+/// mapped and naming the remedy. The reader runs over the mapping itself,
+/// so the section table and every column it locates come from the bytes
+/// the store reinterprets; it is returned for the `DICT` walk.
+fn open_mapped(map: &Arc<Mmap>) -> Result<(MmapFrozenHexastore, MapReader<'_>)> {
+    let mut reader = hexsnap::Reader::new(std::io::Cursor::new(&map[..]))?;
+    if reader.frozen_section_extent().is_none() {
+        return Err(Error::Unmappable(if reader.has_frozen() {
+            "the slab section is compressed; re-save with Compression::None \
+             or open via hexsnap::load_frozen"
+                .to_string()
+        } else {
+            "the snapshot has no frozen slab section; save one with hexsnap::save_frozen"
+                .to_string()
+        }));
+    }
     // Older versions address terminal lists through an offsets column
     // (v3), or store (offset, length) pairs and list references for every
     // ordering (and v1 does not align the section): not the columns the
-    // shared read path walks.
+    // shared read path walks. Refused before the section is walked.
     if reader.version() < hexsnap::VERSION {
         return Err(Error::Unmappable(format!(
             "a version-{} file's slab columns predate the mappable layout; open it via \
@@ -209,53 +208,36 @@ fn frozen_extent(reader: &hexsnap::Reader<BufReader<&File>>) -> Result<(u64, u64
             hexsnap::VERSION,
         )));
     }
-    Ok((off, len))
+    let columns = reader.frozen_columns().map_err(|e| match e {
+        hexsnap::Error::Corrupt(why) => Error::Corrupt(why),
+        e => Error::Snapshot(e),
+    })?;
+    Ok((MmapFrozenHexastore::from_columns(map, &columns)?, reader))
 }
 
-/// Parses the `DICT` section out of the mapping, keeping the string
-/// arena mapped.
-///
-/// Mirrors `hexsnap::Reader::dictionary` check for check — same
-/// allocation bounds — but hands the arena extent to
-/// [`Dictionary::try_from_shared_arena`] instead of copying the bytes.
+/// The dictionary over the mapping, from the `DICT` columns
+/// [`hexsnap::Reader::dict_columns`] locates: the kind column and the
+/// piece offset table are copied (a few bytes per term), and the string
+/// arena's window is handed to [`Dictionary::try_from_shared_arena`]
+/// instead of its bytes.
 /// The constructor validates the offset table against the mapped bytes
-/// (kind bytes, UTF-8, char boundaries, distinctness); a file mutated
-/// after that is the provider's breach of trust and degrades to missed
-/// lookups and `None` decodes, never a panic.
-fn dict_from(map: &Arc<Mmap>, extent: Option<(u64, u64)>) -> Result<Dictionary> {
-    fn corrupt(msg: String) -> Error {
-        Error::Snapshot(hexsnap::Error::Corrupt(msg))
-    }
-    let Some(extent) = extent else {
-        return Err(corrupt("missing DICT section".to_string()));
+/// (piece count, monotone cover, kind bytes, UTF-8, char boundaries,
+/// distinctness); a file mutated after that is the provider's breach of
+/// trust and degrades to missed lookups and `None` decodes, never a panic.
+fn dict_from(map: &Arc<Mmap>, columns: hexsnap::DictColumns) -> Result<Dictionary> {
+    let corrupt = |why: String| Error::Snapshot(hexsnap::Error::Corrupt(why));
+    let column = |col, width| {
+        store::column_bytes(map, col, width)
+            .ok_or_else(|| corrupt("dictionary column extends past the mapping".to_string()))
     };
-    let mut cur = cursor::Cursor::new(map, extent, "DICT", corrupt)?;
-    let sec_len = cur.section_len();
-    let n = cur.u32("dictionary term count")? as usize;
-    // Every declared count must fit in the section: this bounds
-    // allocations before they happen, so a flipped count byte cannot
-    // balloon memory.
-    if n > sec_len {
-        return cur.corrupt("dictionary term count exceeds section size");
-    }
-    let kinds = cur.take(n, "dictionary kind column")?.to_vec();
-    let n_pieces = cur.u32("dictionary piece count")? as usize;
-    if n_pieces.checked_mul(4).is_none_or(|bytes| bytes > sec_len) {
-        return cur.corrupt("dictionary piece count exceeds section size");
-    }
-    let ends: Vec<u32> = cur
-        .take(n_pieces * 4, "dictionary piece offset table")?
+    let kinds = column(columns.kinds, 1)?.to_vec();
+    let ends = column(columns.ends, 4)?
         .chunks_exact(4)
         .map(|c| u32::from_le_bytes(c.try_into().expect("4-byte chunk")))
         .collect();
-    let n_bytes = cur.len64("dictionary arena size")?;
-    if n_bytes > sec_len {
-        return cur.corrupt("dictionary arena size exceeds section size");
-    }
-    let arena_off = cur.offset();
-    cur.take(n_bytes, "dictionary string arena")?;
     let bytes: hex_dict::SharedBytes = Arc::clone(map) as hex_dict::SharedBytes;
-    Dictionary::try_from_shared_arena(kinds, ends, bytes, arena_off, n_bytes)
+    let arena = columns.arena;
+    Dictionary::try_from_shared_arena(kinds, ends, bytes, arena.offset, arena.len)
         .map_err(|e| corrupt(e.to_string()))
 }
 

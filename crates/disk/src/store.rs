@@ -1,38 +1,33 @@
-//! The mmap-backed frozen store: a `FROZ` section's columns reinterpreted
+//! The mmap-backed frozen store: the `FROZ` columns
+//! [`hexastore::hexsnap::Reader::frozen_columns`] locates, reinterpreted
 //! in place and handed to the shared [`hexastore::access`] read path.
 
-use crate::cursor::Cursor;
 use crate::mmap::Mmap;
 use crate::{Error, Result};
 use hex_dict::{Id, IdTriple};
 use hexastore::access::{ArenaView, IndexView, OrderedStore, OrderingRead, SlabOrdering};
+use hexastore::hexsnap::{ArenaColumns, Column, FrozenColumns, Windows};
 use hexastore::{IndexKind, IndexSet, StatsSource, TripleStore};
 use std::sync::Arc;
 
-/// A column inside the mapping: byte offset and element count. The
-/// element width is implied by the accessor that materializes it.
-#[derive(Clone, Copy, Debug)]
-pub(crate) struct Col {
-    off: usize,
-    n: usize,
-}
-
 /// Column descriptors of one arena: slot column + overflow column.
 #[derive(Clone, Copy, Debug)]
-pub(crate) struct ArCols {
-    slots: Col,
-    over: Col,
+struct ArCols {
+    slots: Column,
+    over: Column,
 }
 
 /// Column descriptors of one ordering: header keys and cumulative
-/// offsets, vector keys and — mirror orderings only — terminal-list
-/// references (leaf `i` of a primary ordering is list `i`).
+/// offsets, vector keys, — mirror orderings only — terminal-list
+/// references (leaf `i` of a primary ordering is list `i`), and the index
+/// of the arena holding its lists.
 #[derive(Clone, Copy, Debug)]
-pub(crate) struct IxCols {
-    keys: Col,
-    offs: Col,
-    k2: Col,
-    lists: Option<Col>,
+struct IxCols {
+    keys: Column,
+    offs: Column,
+    k2: Column,
+    lists: Option<Column>,
+    arena: usize,
 }
 
 /// A [`hexastore::FrozenHexastore`]-equivalent store over a mapped
@@ -49,8 +44,9 @@ pub(crate) struct IxCols {
 ///
 /// # Trust model
 ///
-/// Parsing the section is structural and O(sections): extents, counts
-/// and alignment of every column. [`MmapFrozenHexastore::verify`] — which
+/// Opening is structural and O(sections): the walk of the section's count
+/// fields, then the extent and alignment of every column.
+/// [`MmapFrozenHexastore::verify`] — which
 /// [`crate::open`] and [`crate::open_dataset`] run, next to the
 /// dictionary pass they already pay, and [`crate::open_store`] leaves to
 /// its caller — adds one pass over the arenas' slot and overflow columns,
@@ -73,45 +69,36 @@ pub struct MmapFrozenHexastore {
 }
 
 impl MmapFrozenHexastore {
-    /// Parses the column descriptors of the `FROZ` section at `extent` —
-    /// structural checks only, touching nothing but the section's headers
-    /// — into a store over the mapping.
-    pub(crate) fn open_section(map: &Arc<Mmap>, extent: (u64, u64)) -> Result<Self> {
-        let mut cur = Cursor::new(map, extent, "FROZ", Error::Corrupt)?;
-        let len = cur.len64("triple count")?;
+    /// A store over the mapping whose `FROZ` columns `cols` locates. What
+    /// is checked touches no column: the layout is v4's, and every column
+    /// is one the casts below may reinterpret ([`mapped`]).
+    pub(crate) fn from_columns(map: &Arc<Mmap>, cols: &FrozenColumns) -> Result<Self> {
+        let predates = || Error::Unmappable("the slab columns predate the mappable layout".into());
+        let mapped = |col, what| mapped(map, col, what);
         let mut arenas = Vec::with_capacity(3);
-        for _ in 0..3 {
-            let n_lists = cur.u32("arena list count")? as usize;
-            let n_items = cur.len64("arena item count")?;
-            let n_over = cur.u32("arena overflow count")? as usize;
-            let slots = col(&mut cur, n_lists, "arena slot column")?;
-            let over = col(&mut cur, n_over, "arena overflow column")?;
-            // Every triple contributes one entry to each pair's lists; a
-            // count mismatch is detectable without touching the columns.
-            if n_items != len {
-                return cur.corrupt("declared triple count disagrees with slab columns");
-            }
-            arenas.push(ArCols { slots, over });
+        for arena in cols.arenas {
+            let ArenaColumns::Slots { slots, over } = arena else { return Err(predates()) };
+            arenas.push(ArCols {
+                slots: mapped(slots, "arena slot column")?,
+                over: mapped(over, "arena overflow column")?,
+            });
         }
         let mut orderings = Vec::with_capacity(6);
-        for kind in IndexKind::ALL {
-            let h = cur.u32("ordering header count")? as usize;
-            let keys = col(&mut cur, h, "ordering key column")?;
-            let offs = offsets_col(&mut cur, h, "ordering offsets column")?;
-            let m = cur.u32("ordering vector count")? as usize;
-            let k2 = col(&mut cur, m, "ordering vector column")?;
-            let lists = if kind.is_mirror() {
-                Some(col(&mut cur, m, "ordering list column")?)
-            } else {
-                None
-            };
-            orderings.push(IxCols { keys, offs, k2, lists });
+        for ix in cols.orderings {
+            let Windows::Offsets(offs) = ix.windows else { return Err(predates()) };
+            orderings.push(IxCols {
+                keys: mapped(ix.keys, "ordering key column")?,
+                offs: mapped(offs, "ordering offsets column")?,
+                k2: mapped(ix.k2, "ordering vector column")?,
+                lists: ix.lists.map(|lists| mapped(lists, "ordering list column")).transpose()?,
+                arena: ix.arena,
+            });
         }
         Ok(MmapFrozenHexastore {
             map: Arc::clone(map),
             arenas: arenas.try_into().expect("exactly three arenas"),
             orderings: orderings.try_into().expect("exactly six orderings"),
-            len,
+            len: cols.triples,
         })
     }
 
@@ -134,50 +121,47 @@ impl MmapFrozenHexastore {
     }
 }
 
-/// Takes the cumulative offsets column of `n` windows (`n + 1` entries)
-/// off the cursor.
-fn offsets_col(cur: &mut Cursor<'_>, n: usize, what: &str) -> Result<Col> {
-    match n.checked_add(1) {
-        Some(entries) => col(cur, entries, what),
-        None => cur.corrupt(format!("{what} count overflows")),
-    }
+/// A column's bytes in the mapping, `width` bytes an element; `None`
+/// unless the column lies inside the mapping.
+pub(crate) fn column_bytes(map: &[u8], col: Column, width: usize) -> Option<&[u8]> {
+    map.get(col.offset..col.offset.checked_add(col.len.checked_mul(width)?)?)
 }
 
-/// Takes a column of `n` four-byte elements off the cursor.
-fn col(cur: &mut Cursor<'_>, n: usize, what: &str) -> Result<Col> {
-    let Some(bytes) = n.checked_mul(4) else {
-        return cur.corrupt(format!("{what} count overflows"));
-    };
-    let off = cur.offset();
-    cur.take(bytes, what)?;
-    // The writer starts the section on a 4-byte file offset and every
-    // preceding field is a 4-byte multiple, so this always holds for its
-    // output; it is what rejects a hand-built file whose columns would
-    // misalign the casts below.
-    if off % 4 != 0 {
-        return cur.corrupt(format!("{what} is not 4-byte aligned"));
+/// A `u32` column the casts below may reinterpret: inside the mapping and
+/// 4-byte aligned. The walker bounds every column by its section and the
+/// reader the section by the mapping, so the first always holds; the
+/// writer starts the section on a 4-byte file offset and every field is a
+/// 4-byte multiple, so the second holds for its output and rejects a
+/// hand-built file whose columns would misalign the casts.
+fn mapped(map: &[u8], col: Column, what: &str) -> Result<Column> {
+    if column_bytes(map, col, 4).is_none() {
+        return Err(Error::Corrupt(format!("{what} extends past the mapping")));
     }
-    Ok(Col { off, n })
+    if col.offset % 4 != 0 {
+        return Err(Error::Corrupt(format!("{what} is not 4-byte aligned")));
+    }
+    Ok(col)
 }
 
 impl MmapFrozenHexastore {
     /// Reinterprets a column as ids.
-    ///
-    /// SAFETY of the cast: the parser bounds every column inside the
-    /// mapping and rejects non-4-aligned offsets; the mapping base is
-    /// page-aligned (8-aligned on the fallback path), so the pointer is
-    /// aligned for `u32`. `Id` is `repr(transparent)` over `u32` and any
-    /// bit pattern is a valid id; the crate compiles only on
-    /// little-endian targets, so file order is host order.
-    fn ids(&self, col: Col) -> &[Id] {
-        let bytes = &self.map[col.off..col.off + col.n * 4];
-        unsafe { std::slice::from_raw_parts(bytes.as_ptr() as *const Id, col.n) }
+    fn ids(&self, col: Column) -> &[Id] {
+        let bytes = column_bytes(&self.map, col, 4).expect("checked by `mapped` at open");
+        // SAFETY: `bytes` is `col.len` four-byte elements inside the
+        // mapping, and `mapped` rejected offsets that are not 4-aligned; the
+        // mapping base is page-aligned (8-aligned on the fallback path), so
+        // the pointer is aligned for `u32`. `Id` is `repr(transparent)` over
+        // `u32` and any bit pattern is a valid id; the crate compiles only
+        // on little-endian targets, so file order is host order. The
+        // mapping lives as long as `self`.
+        unsafe { std::slice::from_raw_parts(bytes.as_ptr() as *const Id, col.len) }
     }
 
-    /// Reinterprets a column as raw `u32`s (same argument as [`Self::ids`]).
-    fn u32s(&self, col: Col) -> &[u32] {
-        let bytes = &self.map[col.off..col.off + col.n * 4];
-        unsafe { std::slice::from_raw_parts(bytes.as_ptr() as *const u32, col.n) }
+    /// Reinterprets a column as raw `u32`s.
+    fn u32s(&self, col: Column) -> &[u32] {
+        let bytes = column_bytes(&self.map, col, 4).expect("checked by `mapped` at open");
+        // SAFETY: as in `ids`, for plain `u32`s.
+        unsafe { std::slice::from_raw_parts(bytes.as_ptr() as *const u32, col.len) }
     }
 
     /// One arena's columns as the view the shared read path walks.
@@ -229,9 +213,7 @@ impl OrderedStore for MmapFrozenHexastore {
 
     fn ordering(&self, kind: IndexKind) -> SlabOrdering<'_> {
         // The `FROZ` walk stores the orderings in `IndexKind`'s declaration
-        // order and the arenas as object, property, subject lists; paired
-        // orderings (spo/pso, sop/osp, pos/ops) share one arena.
-        const ARENA_OF: [usize; 6] = [0, 1, 0, 2, 1, 2];
+        // order.
         let ix = self.orderings[kind as usize];
         (
             IndexView {
@@ -240,7 +222,7 @@ impl OrderedStore for MmapFrozenHexastore {
                 k2: self.ids(ix.k2),
                 lists: ix.lists.map(|lists| self.u32s(lists)),
             },
-            self.arena(self.arenas[ARENA_OF[kind as usize]]),
+            self.arena(self.arenas[ix.arena]),
         )
     }
 }

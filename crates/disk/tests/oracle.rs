@@ -167,11 +167,14 @@ fn compressed_snapshots_are_refused_with_a_remedy() {
     let path = temp_path("compressed");
     hexsnap::save_frozen_with(&path, g.dict(), &g.store().freeze(), Compression::VarintDelta)
         .unwrap();
-
-    let err = hex_disk::open(&path).unwrap_err();
-    let msg = err.to_string();
-    assert!(matches!(err, hex_disk::Error::Unmappable(_)), "{msg}");
-    assert!(msg.contains("compressed"), "{msg}");
+    // And the committed compressed files of every version that has them.
+    let fixtures = ["v2_small_frzc", "v3_small_frzc", "v4_small_frzc"].map(committed_fixture);
+    for path in std::iter::once(&path).chain(&fixtures) {
+        let err = hex_disk::open(path).unwrap_err();
+        let msg = err.to_string();
+        assert!(matches!(err, hex_disk::Error::Unmappable(_)), "{}: {msg}", path.display());
+        assert!(msg.contains("compressed"), "{}: {msg}", path.display());
+    }
     std::fs::remove_file(&path).ok();
 }
 
@@ -186,35 +189,6 @@ fn snapshots_without_slabs_are_refused() {
     std::fs::remove_file(&path).ok();
 }
 
-/// Files written under an older `version` are refused by version, with
-/// an upgrade path that works. Whether a v1 `FROZ` offset happens to land
-/// 4-aligned depends on the dictionary's byte length, so vary it: the
-/// opener must refuse by version, not by luck.
-fn assert_writer_output_is_refused_with_the_upgrade_path(version: u32) {
-    use std::io::Write;
-    for extra in 0..4usize {
-        let mut g = GraphStore::new();
-        g.insert(&Triple::new(
-            Term::iri(format!("e:s{}", "x".repeat(extra + 1))),
-            Term::iri("e:p"),
-            Term::iri("e:o"),
-        ));
-        let path = temp_path(&format!("v{version}-{extra}"));
-        let file = std::fs::File::create(&path).unwrap();
-        let mut w = hexsnap::Writer::with_version(std::io::BufWriter::new(file), version).unwrap();
-        w.dictionary(g.dict()).unwrap();
-        w.frozen(&g.store().freeze()).unwrap();
-        w.finish().unwrap().flush().unwrap();
-
-        assert_refused_by_version(&path, version);
-        // The named upgrade path works: load, re-save, map.
-        let (dict, store) = hexsnap::load_frozen(&path).unwrap();
-        hexsnap::save_frozen(&path, &dict, &store).unwrap();
-        assert_oracle_equivalent(&store, &hex_disk::open(&path).unwrap().1);
-        std::fs::remove_file(&path).ok();
-    }
-}
-
 fn assert_refused_by_version(path: &std::path::Path, version: u32) {
     let err = hex_disk::open(path).unwrap_err();
     let msg = err.to_string();
@@ -224,35 +198,61 @@ fn assert_refused_by_version(path: &std::path::Path, version: u32) {
     assert!(matches!(hex_disk::open_store(path), Err(hex_disk::Error::Unmappable(_))));
 }
 
-/// A real file from the last build of an older version (see hexastore's
-/// `v2_compat.rs` and `v3_compat.rs`).
-fn committed_fixture(version: u32) -> PathBuf {
-    PathBuf::from(env!("CARGO_MANIFEST_DIR"))
-        .join(format!("../core/tests/data/v{version}_small.hexsnap"))
+/// A committed file from the last build of its version (see hexastore's
+/// `format_compat.rs`), by name: `v{1,2,3,4}_small`, `_frzc` when its
+/// slabs are compressed.
+fn committed_fixture(name: &str) -> PathBuf {
+    PathBuf::from(env!("CARGO_MANIFEST_DIR")).join(format!("../core/tests/data/{name}.hexsnap"))
+}
+
+/// The committed raw file of an older `version` is refused by version,
+/// and the upgrade path the refusal names works on a copy of it.
+fn assert_fixture_is_refused_with_the_upgrade_path(version: u32) {
+    let fixture = committed_fixture(&format!("v{version}_small"));
+    assert_refused_by_version(&fixture, version);
+    let (dict, store) = hexsnap::load_frozen(&fixture).unwrap();
+    let path = temp_path(&format!("upgraded-v{version}"));
+    hexsnap::save_frozen(&path, &dict, &store).unwrap();
+    assert_oracle_equivalent(&store, &hex_disk::open(&path).unwrap().1);
+    std::fs::remove_file(&path).ok();
+}
+
+/// The committed v4 file with its version word set to `version` is
+/// refused as a version-`version` file: the opener refuses by version
+/// before it walks the section, whose v4 columns an older version's walk
+/// would misread — v1's unaligned ones included.
+fn assert_v4_relabelled_is_refused_by_version(version: u32) {
+    let mut bytes = std::fs::read(committed_fixture("v4_small")).unwrap();
+    bytes[8..12].copy_from_slice(&version.to_le_bytes());
+    let path = temp_path(&format!("relabelled-v{version}"));
+    std::fs::write(&path, &bytes).unwrap();
+    assert_refused_by_version(&path, version);
+    std::fs::remove_file(&path).ok();
 }
 
 #[test]
 fn pre_v3_files_are_refused_by_version_with_the_upgrade_path() {
     // Before v3 the slab columns are (offset, length) pairs plus list
     // references for every ordering — not what the read path walks — and
-    // a v1 writer does not even align the section.
+    // a v1 writer did not even align the section.
+    assert_fixture_is_refused_with_the_upgrade_path(1);
     for version in [1, 2] {
-        assert_writer_output_is_refused_with_the_upgrade_path(version);
+        assert_v4_relabelled_is_refused_by_version(version);
     }
 }
 
 #[test]
 fn the_committed_v2_fixture_is_refused_with_the_upgrade_path() {
     // Aligned, uncompressed — and still not the column layout to map.
-    assert_refused_by_version(&committed_fixture(2), 2);
+    assert_fixture_is_refused_with_the_upgrade_path(2);
 }
 
 #[test]
 fn v3_files_and_the_committed_v3_fixture_are_refused_with_the_upgrade_path() {
     // A v3 file is aligned and stores nothing derivable, but addresses its
     // terminal lists through an offsets column the read path no longer has.
-    assert_writer_output_is_refused_with_the_upgrade_path(3);
-    assert_refused_by_version(&committed_fixture(3), 3);
+    assert_v4_relabelled_is_refused_by_version(3);
+    assert_fixture_is_refused_with_the_upgrade_path(3);
 }
 
 #[test]
@@ -347,7 +347,7 @@ fn corrupt_bytes_anywhere_never_panic_the_opener() {
 }
 
 /// File positions of the words that address data in the `FROZ` section,
-/// found by walking the section's documented layout.
+/// in the columns [`hexsnap::Reader::frozen_columns`] locates.
 struct AddressingWords {
     /// Every entry of the six orderings' cumulative offsets columns.
     offsets: Vec<usize>,
@@ -360,34 +360,23 @@ struct AddressingWords {
 }
 
 fn addressing_words(bytes: &[u8]) -> AddressingWords {
-    let reader = hexsnap::Reader::new(std::io::Cursor::new(bytes)).unwrap();
-    let (start, _) = reader.frozen_section_extent().expect("raw FROZ section");
-    let u32_at = |at: usize| u32::from_le_bytes(bytes[at..at + 4].try_into().unwrap()) as usize;
-    let mut at = start as usize + 8; // n_triples
-    let column = |at: &mut usize, n: usize| -> Vec<usize> {
-        let entries = (0..n).map(|i| *at + 4 * i).collect();
-        *at += 4 * n;
-        entries
-    };
-    let mut words =
+    use hexsnap::{ArenaColumns, Column, Windows};
+    let mut reader = hexsnap::Reader::new(std::io::Cursor::new(bytes)).unwrap();
+    let columns = reader.frozen_columns().unwrap();
+    let words = |col: Column| (0..col.len).map(move |i| col.offset + 4 * i);
+    let mut found =
         AddressingWords { offsets: vec![], slots: vec![], overflow: vec![], list_refs: vec![] };
-    for _ in 0..3 {
-        let (n_lists, n_over) = (u32_at(at), u32_at(at + 12)); // n_items (u64) in between
-        at += 16;
-        words.slots.extend(column(&mut at, n_lists));
-        words.overflow.extend(column(&mut at, n_over));
+    for arena in columns.arenas {
+        let ArenaColumns::Slots { slots, over, .. } = arena else { panic!("a v4 arena") };
+        found.slots.extend(words(slots));
+        found.overflow.extend(words(over));
     }
-    for kind in hexastore::IndexKind::ALL {
-        let h = u32_at(at);
-        at += 4 + 4 * h; // count + keys
-        words.offsets.extend(column(&mut at, h + 1));
-        let m = u32_at(at);
-        at += 4 + 4 * m; // count + k2
-        if kind.is_mirror() {
-            words.list_refs.extend(column(&mut at, m));
-        }
+    for ix in columns.orderings {
+        let Windows::Offsets(offs) = ix.windows else { panic!("v4 offsets") };
+        found.offsets.extend(words(offs));
+        found.list_refs.extend(ix.lists.into_iter().flat_map(words));
     }
-    words
+    found
 }
 
 /// Overwrites each of `words` in turn with each of `values(old)` and walks
