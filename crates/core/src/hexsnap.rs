@@ -1390,6 +1390,57 @@ mod tests {
         }
     }
 
+    /// A committed `tests/data/` file, its slabs and slab section length, and its re-save.
+    fn with_resave(name: &str) -> (Vec<u8>, FrozenHexastore, u64, Vec<u8>) {
+        let path = format!("{}/tests/data/{name}", env!("CARGO_MANIFEST_DIR"));
+        let file = std::fs::read(path).unwrap();
+        let mut r = Reader::new(Cursor::new(&file)).unwrap();
+        let raw = r.frozen_section_extent().is_some();
+        let (_, slab_len) = r.extent(if raw { TAG_FROZ } else { TAG_FRZC }).unwrap();
+        let frozen = r.frozen().unwrap();
+        let mut w = Writer::new(Cursor::new(Vec::new())).unwrap();
+        w.dictionary(&r.dictionary().unwrap()).unwrap();
+        w.frozen_with(&frozen, if raw { Compression::None } else { Compression::VarintDelta })
+            .unwrap();
+        (file, frozen, slab_len, w.finish().unwrap().into_inner())
+    }
+
+    #[test]
+    fn older_versions_spell_out_what_v3_derives() {
+        // The same store under each version: v2 slab sections (raw and
+        // compressed) are strictly larger than v3's and read back equal.
+        for frzc in ["", "_frzc"] {
+            let (_, from_v2, v2_len, _) = with_resave(&format!("v2_small{frzc}.hexsnap"));
+            let (v3, from_v3, v3_len, v4) = with_resave(&format!("v3_small{frzc}.hexsnap"));
+            assert!(v3_len < v2_len, "{frzc}: {v3_len} !< {v2_len}");
+            // FRZC encodes lists, not arena columns: v4 is v3 behind the version.
+            assert!(frzc.is_empty() || v4[12..] == v3[12..], "{frzc}");
+            assert_eq!(from_v2, from_v3, "{frzc}");
+            assert_eq!(Reader::new(Cursor::new(&v4)).unwrap().frozen().unwrap(), from_v3);
+        }
+    }
+
+    #[test]
+    fn a_v4_arena_costs_a_word_less_per_singleton_and_a_word_more_per_longer_list() {
+        // The break-even rule, on the bytes: against v3's offsets column,
+        // a slot arena saves four bytes per singleton list and pays four
+        // per longer one (its length word); the overflow count takes the
+        // place of the closing offset.
+        let (_, frozen, v3_len, v4) = with_resave("v3_small.hexsnap");
+        let (_, v4_len) = Reader::new(Cursor::new(&v4)).unwrap().extent(TAG_FROZ).unwrap();
+        // The lists of the three arenas: one per (s, p), (s, o), (p, o).
+        let mut lens = std::collections::BTreeMap::<_, u64>::new();
+        for t in frozen.matching(IdPattern::ALL) {
+            for pair in [(0, t.s, t.p), (1, t.s, t.o), (2, t.p, t.o)] {
+                *lens.entry(pair).or_default() += 1;
+            }
+        }
+        let singletons = lens.values().filter(|&&n| n == 1).count() as u64;
+        let longer = lens.len() as u64 - singletons;
+        assert_eq!((singletons, longer), (12, 3));
+        assert_eq!(v3_len - v4_len, 4 * (singletons - longer));
+    }
+
     #[test]
     fn legacy_spans_that_do_not_tile_are_rejected() {
         assert_eq!(offsets_from_pairs(&[]), Some(vec![0]));

@@ -10,6 +10,8 @@ use proptest::prelude::*;
 use rdf_model::{Term, Triple};
 use std::io::Cursor;
 
+mod support;
+
 fn term(i: u32) -> Term {
     match i % 4 {
         0 => Term::iri(format!("http://x/r{i}")),
@@ -332,4 +334,20 @@ fn slab_snapshots_store_no_triple_column_and_still_yield_the_triples() {
         std::fs::remove_file(&slab_only).ok();
     }
     std::fs::remove_file(&with_triples).ok();
+}
+
+#[test]
+fn a_live_directory_left_at_a_v2_generation_upgrades_on_compaction() {
+    // The newest generation is a committed file format version 2 wrote
+    // (pairs, primary list references, a TRPL column beside the slabs).
+    for f in support::fixtures_of(2) {
+        let gen8 = support::a_live_directory_left_at_it_upgrades_on_compaction(f);
+        // The compaction wrote a raw slab-only generation: smaller than a
+        // raw v2 one it replaced, despite the extra triple.
+        assert_eq!(section_tags(&gen8), ["DICT", "FROZ"]);
+        let v2 = support::fixture_bytes(f.0);
+        if f.2 == support::RAW {
+            assert!(gen8.len() < v2.len(), "{}: {} !< {}", f.0, gen8.len(), v2.len());
+        }
+    }
 }

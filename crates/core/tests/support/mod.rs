@@ -1,0 +1,202 @@
+//! Every hexsnap format version this build reads, over committed files:
+//! the one fixture table and the checks each version's suite
+//! (`v{1,2,3,4}_compat.rs`, and `hexsnap_roundtrip.rs` for a v2 live
+//! directory) runs over its rows.
+//!
+//! `tests/data/` holds one small snapshot per version and slab encoding,
+//! all of the same graph ([`fixture_graph`]), each written by the last
+//! build of its version (v1 and v2 files carry a `TRPL` column beside
+//! their slabs). The reader must keep opening every one of them forever:
+//! a `LiveGraphStore` directory in the field may have any of them as its
+//! newest generation. No code in the tree writes an older version, so the
+//! files are append-only.
+
+// Each includer uses a subset of the items.
+#![allow(dead_code)]
+
+use hexastore::hexsnap::{self, Compression, Reader};
+use hexastore::{GraphStore, IdPattern, LiveGraphStore, TripleStore};
+use rdf_model::{Term, Triple};
+use std::io::Cursor;
+use std::path::PathBuf;
+
+pub const RAW: Compression = Compression::None;
+pub const FRZC: Compression = Compression::VarintDelta;
+
+/// A committed file: name, version, slab encoding, and the bytes its
+/// re-save under the current version saves. `None`: the file spells out
+/// what later versions derive (pairs, primary list references, a `TRPL`
+/// column), so the re-save is smaller by an amount no rule fixes.
+/// `Some(0)`: the re-save is the file behind the version word.
+pub type Fixture = (&'static str, u32, Compression, Option<usize>);
+
+pub const FIXTURES: [Fixture; 7] = [
+    ("v1_small", 1, RAW, None),
+    ("v2_small", 2, RAW, None),
+    ("v2_small_frzc", 2, FRZC, None),
+    // 15 lists, 12 of one id and 3 of two: a v4 slot arena saves four
+    // bytes per singleton against v3's offsets column and pays four per
+    // longer list.
+    ("v3_small", 3, RAW, Some(4 * (12 - 3))),
+    // FRZC encodes lists, not arena columns: v4's bytes are v3's.
+    ("v3_small_frzc", 3, FRZC, Some(0)),
+    ("v4_small", 4, RAW, Some(0)),
+    ("v4_small_frzc", 4, FRZC, Some(0)),
+];
+
+/// The rows of one format version.
+pub fn fixtures_of(version: u32) -> impl Iterator<Item = Fixture> {
+    FIXTURES.into_iter().filter(move |f| f.1 == version)
+}
+
+pub fn fixture_path(name: &str) -> PathBuf {
+    PathBuf::from(env!("CARGO_MANIFEST_DIR")).join(format!("tests/data/{name}.hexsnap"))
+}
+
+pub fn fixture_bytes(name: &str) -> Vec<u8> {
+    std::fs::read(fixture_path(name)).expect("fixture must be committed")
+}
+
+pub fn temp_path(tag: &str) -> PathBuf {
+    std::env::temp_dir().join(format!("hexsnap-format-compat-{tag}-{}", std::process::id()))
+}
+
+/// The exact graph every fixture encodes. Insertion order fixes the
+/// dictionary ids, so the byte stream is fully deterministic.
+pub fn fixture_graph() -> GraphStore {
+    let mut g = GraphStore::new();
+    let triples = [
+        ("http://x/s1", "http://x/p1", "http://x/o1"),
+        ("http://x/s1", "http://x/p1", "http://x/o2"),
+        ("http://x/s1", "http://x/p2", "http://x/o1"),
+        ("http://x/s2", "http://x/p1", "http://x/o2"),
+        ("http://x/s2", "http://x/p2", "http://x/o3"),
+    ];
+    for (s, p, o) in triples {
+        g.insert(&Triple::new(Term::iri(s), Term::iri(p), Term::iri(o)));
+    }
+    g.insert(&Triple::new(
+        Term::iri("http://x/s2"),
+        Term::iri("http://x/p3"),
+        Term::literal("a label with spaces"),
+    ));
+    g
+}
+
+pub fn assert_answers_like_the_fixture_graph(store: &dyn TripleStore, name: &str) {
+    let g = fixture_graph();
+    assert_eq!(store.len(), g.len(), "{name}");
+    let mut pats = vec![IdPattern::ALL];
+    for tr in g.store().matching(IdPattern::ALL) {
+        pats.extend([
+            IdPattern::spo(tr),
+            IdPattern::sp(tr.s, tr.p),
+            IdPattern::so(tr.s, tr.o),
+            IdPattern::po(tr.p, tr.o),
+            IdPattern::s(tr.s),
+            IdPattern::p(tr.p),
+            IdPattern::o(tr.o),
+        ]);
+    }
+    for pat in pats {
+        assert_eq!(store.matching(pat), g.store().matching(pat), "{name} {pat:?}");
+        assert_eq!(store.count_matching(pat), g.store().count_matching(pat), "{name} {pat:?}");
+    }
+}
+
+/// The `Reader` methods: `version`, `dictionary`, `triples`, `frozen`.
+pub fn opens_through_the_reader((name, version, compression, _): Fixture) {
+    let g = fixture_graph();
+    let bytes = fixture_bytes(name);
+    let mut r = Reader::new(Cursor::new(&bytes)).unwrap();
+    assert_eq!(r.version(), version, "{name}");
+    assert!(r.has_frozen(), "{name}");
+    assert_eq!(r.frozen_section_extent().is_some(), compression == RAW, "{name}");
+
+    // The `FROZ` walk accounts for every byte of every version's layout:
+    // the last column ends where the section does.
+    if let Some((froz_at, froz_len)) = r.frozen_section_extent() {
+        let ops = r.frozen_columns().unwrap().orderings[5].lists.expect("ops is a mirror");
+        assert_eq!(ops.offset + 4 * ops.len, (froz_at + froz_len) as usize, "{name}");
+    }
+
+    let dict = r.dictionary().unwrap();
+    assert_eq!(dict.len(), g.dict().len(), "{name}");
+    for (id, t) in g.dict().iter() {
+        assert_eq!(dict.decode(id), Some(t), "{name}");
+    }
+    // From the TRPL column where the file has one, else from the spo
+    // ordering: the same triples in the same order.
+    assert_eq!(r.triples().unwrap(), g.store().matching(IdPattern::ALL), "{name}");
+    assert_answers_like_the_fixture_graph(&r.frozen().unwrap(), name);
+}
+
+/// The file-level loaders: `load_frozen`, checked equal to `freeze()`,
+/// and `load`.
+pub fn opens_through_the_loaders((name, ..): Fixture) {
+    let g = fixture_graph();
+    let (dict, frozen) = hexsnap::load_frozen(fixture_path(name)).unwrap();
+    assert_eq!(dict.len(), g.dict().len(), "{name}");
+    assert_answers_like_the_fixture_graph(&frozen, name);
+    assert_eq!(frozen, g.store().freeze(), "{name}: the slabs this build makes");
+
+    let loaded = hexsnap::load(fixture_path(name)).unwrap();
+    assert_answers_like_the_fixture_graph(loaded.store(), name);
+}
+
+/// A re-save is the current version, saves what the row says, and reads
+/// back equal.
+pub fn resaves_as_the_current_version_and_roundtrips_equal((name, _, compression, saved): Fixture) {
+    let (dict, frozen) = hexsnap::load_frozen(fixture_path(name)).unwrap();
+    let path = temp_path(name);
+    hexsnap::save_frozen_with(&path, &dict, &frozen, compression).unwrap();
+    let resaved = std::fs::read(&path).unwrap();
+    let committed = fixture_bytes(name);
+    assert_eq!(Reader::new(Cursor::new(&resaved)).unwrap().version(), hexsnap::VERSION);
+    match saved {
+        None => assert!(resaved.len() < committed.len(), "{name}: {}", resaved.len()),
+        Some(0) => assert_eq!(resaved[12..], committed[12..], "{name}"),
+        Some(saved) => assert_eq!(committed.len() - resaved.len(), saved, "{name}"),
+    }
+    let (dict2, back) = hexsnap::load_frozen(&path).unwrap();
+    assert_eq!(dict2.len(), dict.len(), "{name}");
+    assert_eq!(back, frozen, "{name}");
+    assert_answers_like_the_fixture_graph(&back, name);
+    std::fs::remove_file(&path).ok();
+}
+
+/// What an upgrade finds on disk: a `LiveGraphStore` directory whose
+/// newest generation is the fixture. Insert, compact, check the new
+/// generation is the current version with raw slabs and the old one is
+/// pruned, then recover. Returns the bytes of the new generation.
+pub fn a_live_directory_left_at_it_upgrades_on_compaction((name, ..): Fixture) -> Vec<u8> {
+    let dir = temp_path(&format!("live-{name}"));
+    std::fs::remove_dir_all(&dir).ok();
+    std::fs::create_dir_all(&dir).unwrap();
+    std::fs::copy(fixture_path(name), hexsnap::generation_path(&dir, 7)).unwrap();
+
+    let mut live = LiveGraphStore::open(&dir).unwrap();
+    assert_eq!(live.generation(), 7, "{name}");
+    assert_eq!(live.dataset().to_ntriples(), fixture_graph().to_ntriples(), "{name}");
+    let added =
+        Triple::new(Term::iri("http://x/new"), Term::iri("http://x/p1"), Term::literal("v4"));
+    live.insert(&added).unwrap();
+    live.sync().unwrap();
+    live.compact().unwrap();
+    assert_eq!(live.generation(), 8, "{name}");
+    let expected = live.dataset().to_ntriples();
+    drop(live);
+
+    let gen8 = std::fs::read(hexsnap::generation_path(&dir, 8)).unwrap();
+    let r = Reader::new(Cursor::new(&gen8)).unwrap();
+    assert_eq!(r.version(), hexsnap::VERSION, "{name}");
+    assert!(r.frozen_section_extent().is_some(), "{name}: compaction writes raw slabs");
+    assert!(!hexsnap::generation_path(&dir, 7).exists(), "{name}: gen 7 is pruned");
+
+    let recovered = LiveGraphStore::recover(&dir).unwrap();
+    assert_eq!(recovered.generation(), 8, "{name}");
+    assert!(recovered.contains(&added), "{name}");
+    assert_eq!(recovered.dataset().to_ntriples(), expected, "{name}");
+    std::fs::remove_dir_all(&dir).ok();
+    gen8
+}

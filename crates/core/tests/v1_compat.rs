@@ -1,109 +1,33 @@
 //! Backward compatibility with hexsnap format version 1.
 //!
-//! The fixture at `tests/data/v1_small.hexsnap` was written by
-//! `Writer::with_version(_, 1)` and committed: the current reader must
-//! keep opening real v1 files forever, and the v1 writer path must keep
-//! emitting *bit-identical* output so old readers in the field can
-//! consume snapshots we produce today.
-//!
-//! To regenerate the fixture after an intentional v1-layout change
-//! (there should never be one), run:
-//! `cargo test -p hexastore --test v1_compat -- --ignored regenerate`
+//! `tests/data/v1_small.hexsnap` was written by the last v1 build: no
+//! alignment padding, `(offset, length)` pairs, a `TRPL` column beside
+//! the slabs. The current reader must keep opening real v1 files forever.
+//! The table and the checks are `support/mod.rs`'s.
 
-use hexastore::{hexsnap, GraphStore, IdPattern, TripleStore};
-use rdf_model::{Term, Triple};
-use std::io::Cursor;
-use std::path::PathBuf;
+mod support;
 
-const FIXTURE: &str = "tests/data/v1_small.hexsnap";
-
-fn fixture_path() -> PathBuf {
-    PathBuf::from(env!("CARGO_MANIFEST_DIR")).join(FIXTURE)
-}
-
-/// The exact graph the committed fixture encodes. Insertion order fixes
-/// the dictionary ids, so the byte stream is fully deterministic.
-fn fixture_graph() -> GraphStore {
-    let mut g = GraphStore::new();
-    let triples = [
-        ("http://x/s1", "http://x/p1", "http://x/o1"),
-        ("http://x/s1", "http://x/p1", "http://x/o2"),
-        ("http://x/s1", "http://x/p2", "http://x/o1"),
-        ("http://x/s2", "http://x/p1", "http://x/o2"),
-        ("http://x/s2", "http://x/p2", "http://x/o3"),
-    ];
-    for (s, p, o) in triples {
-        g.insert(&Triple::new(Term::iri(s), Term::iri(p), Term::iri(o)));
-    }
-    g.insert(&Triple::new(
-        Term::iri("http://x/s2"),
-        Term::iri("http://x/p3"),
-        Term::literal("a label with spaces"),
-    ));
-    g
-}
-
-/// What the v1 writer produces for the fixture graph today.
-fn v1_bytes() -> Vec<u8> {
-    let g = fixture_graph();
-    let mut w = hexsnap::Writer::with_version(Cursor::new(Vec::new()), 1).unwrap();
-    w.dictionary(g.dict()).unwrap();
-    w.triples(g.len() as u64, g.store().iter_matching(IdPattern::ALL)).unwrap();
-    w.frozen(&g.store().freeze()).unwrap();
-    w.finish().unwrap().into_inner()
-}
+use support::fixtures_of;
 
 #[test]
 fn committed_v1_fixture_opens_and_answers() {
-    let bytes = std::fs::read(fixture_path()).expect("fixture must be committed");
-    let mut r = hexsnap::Reader::new(Cursor::new(&bytes)).unwrap();
-    assert_eq!(r.version(), 1);
-    assert!(r.has_frozen());
-
-    let g = fixture_graph();
-    let dict = r.dictionary().unwrap();
-    assert_eq!(dict.len(), g.dict().len());
-    for (id, t) in g.dict().iter() {
-        assert_eq!(dict.decode(id), Some(t));
-    }
-
-    let frozen = r.frozen().unwrap();
-    assert_eq!(frozen.len(), g.len());
-    for tr in g.store().iter_matching(IdPattern::ALL) {
-        assert!(frozen.contains(tr));
-    }
-    assert_eq!(frozen.matching(IdPattern::ALL), g.store().matching(IdPattern::ALL));
-}
-
-#[test]
-fn v1_writer_output_is_bit_identical_to_the_committed_fixture() {
-    let committed = std::fs::read(fixture_path()).expect("fixture must be committed");
-    assert_eq!(
-        v1_bytes(),
-        committed,
-        "the v1 writer path changed its byte stream; v1 output must stay \
-         frozen so pre-v2 readers keep working (see module docs)"
-    );
+    fixtures_of(1).for_each(support::opens_through_the_reader);
 }
 
 #[test]
 fn v2_reader_defaults_still_open_v1_files_saved_to_disk() {
-    // End-to-end through the file-level loader, not just the Reader.
-    let path =
-        std::env::temp_dir().join(format!("hexsnap-v1-compat-{}.hexsnap", std::process::id()));
-    std::fs::write(&path, v1_bytes()).unwrap();
-    let (dict, store) = hexsnap::load_frozen(&path).unwrap();
-    let g = fixture_graph();
-    assert_eq!(dict.len(), g.dict().len());
-    assert_eq!(store.len(), g.len());
-    std::fs::remove_file(&path).ok();
+    // End-to-end through the file-level loaders, not just the Reader.
+    fixtures_of(1).for_each(support::opens_through_the_loaders);
 }
 
-/// Not a test: rewrites the committed fixture. Kept `#[ignore]`d so it
-/// only runs when invoked by name after an intentional format decision.
 #[test]
-#[ignore = "regenerates the committed fixture; run explicitly by name"]
-fn regenerate() {
-    std::fs::create_dir_all(fixture_path().parent().unwrap()).unwrap();
-    std::fs::write(fixture_path(), v1_bytes()).unwrap();
+fn a_resaved_v1_fixture_is_the_current_version_and_roundtrips_equal() {
+    fixtures_of(1).for_each(support::resaves_as_the_current_version_and_roundtrips_equal);
+}
+
+#[test]
+fn a_live_directory_left_at_a_v1_generation_upgrades_on_compaction() {
+    for f in fixtures_of(1) {
+        support::a_live_directory_left_at_it_upgrades_on_compaction(f);
+    }
 }

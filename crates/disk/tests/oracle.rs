@@ -199,7 +199,7 @@ fn assert_refused_by_version(path: &std::path::Path, version: u32) {
 }
 
 /// A committed file from the last build of its version (see hexastore's
-/// `format_compat.rs`), by name: `v{1,2,3,4}_small`, `_frzc` when its
+/// `tests/support/mod.rs`), by name: `v{1,2,3,4}_small`, `_frzc` when its
 /// slabs are compressed.
 fn committed_fixture(name: &str) -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR")).join(format!("../core/tests/data/{name}.hexsnap"))
