@@ -16,8 +16,20 @@
 //! `trajectory.csv`). The CI job runs this on every PR and uploads `DIR`
 //! as a workflow artifact; see `.github/workflows/ci.yml`.
 
+// The workspace's counting allocator, installed in this binary only, so
+// the `plans` entry can report how many allocations one query run makes.
+// Every figure this binary times runs under it too: each allocation,
+// reallocation and free also updates its shared counters, which the
+// `figures` binary's timings do not include.
+#[path = "../../../../tests/counting_alloc/mod.rs"]
+mod counting_alloc;
+
 use hex_bench::{cli, collect_evidence, history, Params};
 use std::path::{Path, PathBuf};
+use std::sync::atomic::Ordering;
+
+#[global_allocator]
+static ALLOCATOR: counting_alloc::Counting = counting_alloc::Counting;
 
 /// Where `--label` records a run, relative to the repository root.
 const HISTORY_DIR: &str = "bench_evidence/history";
@@ -32,7 +44,13 @@ fn parse_args() -> Result<Args, String> {
     let mut args = Args {
         // Every timing is the median over reps; three is the smallest
         // count where the median can shrug off one outlier.
-        params: Params { triples: 20_000, large_triples: 200_000, points: 5, reps: 3 },
+        params: Params {
+            triples: 20_000,
+            large_triples: 200_000,
+            points: 5,
+            reps: 3,
+            allocations: Some(|| counting_alloc::REQUESTS.load(Ordering::Relaxed)),
+        },
         out: PathBuf::from("bench-artifacts"),
         label: None,
     };

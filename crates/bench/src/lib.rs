@@ -128,6 +128,10 @@ pub struct Params {
     pub points: usize,
     /// Measurement windows per timing (each reports their median).
     pub reps: usize,
+    /// The requests the global allocator has served so far, when the
+    /// binary installs one that counts them (`bench_evidence` does): the
+    /// `plans` entry then reports each query's allocations per run.
+    pub allocations: Option<fn() -> usize>,
 }
 
 /// A value that repeats to the byte on any host: what `BENCH_ci.json`
@@ -159,12 +163,22 @@ pub struct Rendered {
     /// The figure as CSV, `#` comment line(s) first.
     pub csv: String,
     /// `(key, value)` pairs, in the order they are reported.
-    pub counts: Vec<(&'static str, Count)>,
+    pub counts: Vec<(String, Count)>,
 }
 
 impl Rendered {
     fn csv_only(csv: String) -> Self {
         Rendered { csv, counts: Vec::new() }
+    }
+
+    fn with_counts<K: Into<String>>(
+        csv: String,
+        counts: impl IntoIterator<Item = (K, Count)>,
+    ) -> Self {
+        Rendered {
+            csv,
+            counts: counts.into_iter().map(|(key, value)| (key.into(), value)).collect(),
+        }
     }
 }
 
@@ -453,10 +467,10 @@ fn ask_to_csv(row: &AskRow) -> String {
 
 fn ask_rendered(_: &FigureSpec, p: &Params) -> Rendered {
     let row = ask_early_exit(p.large_triples, p.reps);
-    Rendered {
-        csv: ask_to_csv(&row),
-        counts: vec![("triples", Count::Int(row.triples)), ("matches", Count::Int(row.matches))],
-    }
+    Rendered::with_counts(
+        ask_to_csv(&row),
+        [("triples", Count::Int(row.triples)), ("matches", Count::Int(row.matches))],
+    )
 }
 
 /// The size of a query-ready snapshot file (dictionary + slab sections)
@@ -482,8 +496,8 @@ fn snapshot_size_rendered(fig: &FigureSpec, p: &Params) -> Rendered {
     let triples = frozen.len();
     let (plain, compressed) = (file_bytes(Compression::None), file_bytes(Compression::VarintDelta));
     let per_triple = |bytes: usize| bytes as f64 / triples.max(1) as f64;
-    Rendered {
-        csv: format!(
+    Rendered::with_counts(
+        format!(
             "# {} — barton+lubm dataset\n\
              triples,plain_bytes,compressed_bytes,plain_bytes_per_triple,\
              compressed_bytes_per_triple\n{triples},{plain},{compressed},{:.3},{:.3}\n",
@@ -491,14 +505,14 @@ fn snapshot_size_rendered(fig: &FigureSpec, p: &Params) -> Rendered {
             per_triple(plain),
             per_triple(compressed),
         ),
-        counts: vec![
+        [
             ("triples", Count::Int(triples)),
             ("plain_bytes", Count::Int(plain)),
             ("compressed_bytes", Count::Int(compressed)),
             ("plain_bytes_per_triple", Count::PerTriple(per_triple(plain))),
             ("compressed_bytes_per_triple", Count::PerTriple(per_triple(compressed))),
         ],
-    }
+    )
 }
 
 /// One planner-ablation measurement: the same paper query answered by
@@ -513,6 +527,13 @@ struct PlanRow {
     /// Solution rows the planned query returns (identical for both
     /// planner modes; the hand plan's aggregated result differs in shape).
     rows: usize,
+    /// Terms in the answer: rows times projected variables.
+    cells: usize,
+    /// Distinct terms among them — what decode has to build.
+    distinct_terms: usize,
+    /// Allocations one `Plan::run` makes, when [`Params::allocations`]
+    /// counts them.
+    run_allocs: Option<usize>,
     /// Wall-clock of the hand-written Hexastore plan.
     hand: Duration,
     /// Wall-clock of `prepare` + collect with constants-only estimates.
@@ -534,7 +555,8 @@ impl PlanRow {
 /// dataset, computed outside the timed region), and the paper's
 /// hand-written Hexastore plan as the reference. Plans are prepared once
 /// and re-run, so the measurement compares join *orders*, not parsing.
-fn plans_figure(scale: usize, reps: usize) -> Vec<PlanRow> {
+/// With `allocations`, the first (untimed) run is also counted.
+fn plans_figure(scale: usize, reps: usize, allocations: Option<fn() -> usize>) -> Vec<PlanRow> {
     use hex_bench_queries::{barton_queries, lubm_queries, PaperQuery};
     use hex_query::DatasetQuery;
 
@@ -569,12 +591,19 @@ fn plans_figure(scale: usize, reps: usize) -> Vec<PlanRow> {
             let plain = graph.prepare(&query.text).expect("paper query compiles");
             let refined =
                 graph.prepare_with_stats(&query.text, Some(&stats)).expect("paper query compiles");
-            let rows = plain.run().len();
+            let start = allocations.map(|count| count());
+            let answer = plain.run();
+            let run_allocs = allocations.zip(start).map(|(count, start)| count() - start);
+            let distinct: std::collections::HashSet<&rdf_model::Term> =
+                answer.rows.iter().flatten().collect();
             let hand_fn = &hands[query.name];
             out.push(PlanRow {
                 name: query.name,
                 dataset,
-                rows,
+                rows: answer.len(),
+                cells: answer.len() * answer.vars.len(),
+                distinct_terms: distinct.len(),
+                run_allocs,
                 hand: time_query(reps, || hand_fn(&suite)),
                 planned: time_query(reps, || plain.solutions().count()),
                 planned_stats: time_query(reps, || refined.solutions().count()),
@@ -654,12 +683,20 @@ fn plans_to_csv(rows: &[PlanRow]) -> String {
     out
 }
 
+/// Each query's row count under its name, then `<name>_cells`,
+/// `<name>_distinct_terms` and, when counted, `<name>_run_allocs`.
 fn plans_rendered(_: &FigureSpec, p: &Params) -> Rendered {
-    let rows = plans_figure(p.triples, p.reps);
-    Rendered {
-        csv: plans_to_csv(&rows),
-        counts: rows.iter().map(|r| (r.name, Count::Int(r.rows))).collect(),
+    let rows = plans_figure(p.triples, p.reps, p.allocations);
+    let mut counts = Vec::new();
+    for r in &rows {
+        counts.push((r.name.to_string(), Count::Int(r.rows)));
+        counts.push((format!("{}_cells", r.name), Count::Int(r.cells)));
+        counts.push((format!("{}_distinct_terms", r.name), Count::Int(r.distinct_terms)));
+        if let Some(allocs) = r.run_allocs {
+            counts.push((format!("{}_run_allocs", r.name), Count::Int(allocs)));
+        }
     }
+    Rendered::with_counts(plans_to_csv(&rows), counts)
 }
 
 /// One merge-join measurement: the planner's merge-intersection
@@ -916,9 +953,9 @@ fn joins_rendered(_: &FigureSpec, p: &Params) -> Rendered {
     let rows: Vec<JoinsRow> = scales.into_iter().map(|s| joins_figure(s, p.reps)).collect();
     let last = rows.last().expect("at least one scale");
     let paper_queries = rows.iter().map(|r| r.paper_queries).min().unwrap_or(0);
-    Rendered {
-        csv: joins_to_csv(&rows),
-        counts: vec![
+    Rendered::with_counts(
+        joins_to_csv(&rows),
+        [
             ("triples", Count::Int(last.triples)),
             ("star_rows", Count::Int(last.star_rows)),
             ("chain_rows", Count::Int(last.chain_rows)),
@@ -926,7 +963,7 @@ fn joins_rendered(_: &FigureSpec, p: &Params) -> Rendered {
             ("paper_queries", Count::Int(paper_queries)),
             ("identical", Count::Flag(rows.iter().all(|r| r.identical))),
         ],
-    }
+    )
 }
 
 /// The §4.1 space-bound experiment: blowup of Hexastore key entries vs a
@@ -1038,7 +1075,7 @@ pub struct Evidence {
     /// `(stem, csv)` per entry of [`FIGURES`], in table order.
     pub csvs: Vec<(&'static str, String)>,
     /// `(stem, counts)` per entry that reports counts, in table order.
-    pub counts: Vec<(&'static str, Vec<(&'static str, Count)>)>,
+    pub counts: Vec<(&'static str, Vec<(String, Count)>)>,
 }
 
 /// Renders every entry of [`FIGURES`] at `params`.
@@ -1096,7 +1133,8 @@ mod tests {
 
     fn render(id: &str, triples: usize, points: usize) -> Rendered {
         let fig = figure(id).expect("id in the table");
-        (fig.render)(fig, &Params { triples, large_triples: triples, points, reps: 1 })
+        let params = Params { triples, large_triples: triples, points, reps: 1, allocations: None };
+        (fig.render)(fig, &params)
     }
 
     /// The lines of a CSV that are neither `#` comments nor blank.
@@ -1139,7 +1177,8 @@ mod tests {
 
     #[test]
     fn bench_ci_json_repeats_to_the_byte_and_holds_no_timings() {
-        let params = Params { triples: 2_000, large_triples: 3_000, points: 1, reps: 1 };
+        let params =
+            Params { triples: 2_000, large_triples: 3_000, points: 1, reps: 1, allocations: None };
         let first = collect_evidence(&params);
         let json = first.bench_ci_json();
         assert_eq!(json, collect_evidence(&params).bench_ci_json());
@@ -1165,6 +1204,8 @@ mod tests {
             "matches",
             "BQ1",
             "LQ5",
+            "BQ1_cells",
+            "LQ5_distinct_terms",
         ] {
             assert!(keys.contains(&wanted), "BENCH_ci.json lacks {wanted}:\n{json}");
         }
@@ -1198,7 +1239,7 @@ mod tests {
 
     #[test]
     fn plans_figure_times_all_twelve_queries() {
-        let rows = plans_figure(8_000, 1);
+        let rows = plans_figure(8_000, 1, None);
         assert_eq!(rows.len(), 12, "seven Barton + five LUBM queries");
         for row in &rows {
             assert!(row.rows > 0, "{} returned no rows", row.name);

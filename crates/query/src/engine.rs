@@ -15,12 +15,13 @@
 use crate::algebra::{Bgp, Pattern, PatternTerm, VarId};
 use crate::exec::{self, PlanStep};
 use crate::parser::{parse_query, FilterOp, FilterOperand, ParseError, ParsedQuery};
-use hex_dict::Dictionary;
+use hex_dict::{Dictionary, Id};
 use hexastore::{Dataset, DatasetStats, Shape, TripleStore};
 use rdf_model::{Term, TermPattern};
 use std::collections::{HashMap, HashSet};
 use std::fmt;
 use std::fmt::Write as _;
+use std::hash::{BuildHasherDefault, Hasher};
 use std::sync::Arc;
 
 /// A query result: projected variable names and rows of terms.
@@ -32,20 +33,27 @@ pub struct ResultSet {
     pub rows: Vec<Vec<Term>>,
 }
 
-/// Escapes a TSV cell: backslash, tab, newline and carriage return become
-/// `\\`, `\t`, `\n`, `\r`, so embedded separators cannot corrupt the table.
-fn escape_tsv(cell: &str) -> String {
-    let mut out = String::with_capacity(cell.len());
-    for ch in cell.chars() {
-        match ch {
-            '\\' => out.push_str("\\\\"),
-            '\t' => out.push_str("\\t"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            other => out.push(other),
+/// A TSV cell being written into the table: backslash, tab, newline and
+/// carriage return become `\\`, `\t`, `\n`, `\r` on their way in, so
+/// embedded separators cannot corrupt the table.
+struct TsvCell<'a>(&'a mut String);
+
+impl fmt::Write for TsvCell<'_> {
+    fn write_str(&mut self, mut text: &str) -> fmt::Result {
+        // Every special character is ASCII, so each cut is on a boundary.
+        while let Some(at) = text.bytes().position(|b| matches!(b, b'\\' | b'\t' | b'\n' | b'\r')) {
+            self.0.push_str(&text[..at]);
+            self.0.push_str(match text.as_bytes()[at] {
+                b'\\' => "\\\\",
+                b'\t' => "\\t",
+                b'\n' => "\\n",
+                _ => "\\r",
+            });
+            text = &text[at + 1..];
         }
+        self.0.push_str(text);
+        Ok(())
     }
-    out
 }
 
 impl ResultSet {
@@ -61,16 +69,22 @@ impl ResultSet {
 
     /// A tab-separated rendering with a header line. Cell contents are
     /// escaped (`\t`, `\n`, `\r`, `\\`) so literals containing separators
-    /// round-trip one row per line.
+    /// round-trip one row per line. Each cell's N-Triples form is written
+    /// and escaped straight into the output.
     pub fn to_tsv(&self) -> String {
-        let mut out = String::new();
-        let header: Vec<String> = self.vars.iter().map(|v| escape_tsv(v)).collect();
-        out.push_str(&header.join("\t"));
-        out.push('\n');
-        for row in &self.rows {
-            let cells: Vec<String> = row.iter().map(|t| escape_tsv(&t.to_string())).collect();
-            out.push_str(&cells.join("\t"));
+        fn line<T: fmt::Display>(out: &mut String, cells: &[T]) {
+            for (i, cell) in cells.iter().enumerate() {
+                if i > 0 {
+                    out.push('\t');
+                }
+                write!(TsvCell(&mut *out), "{cell}").expect("writing to a String cannot fail");
+            }
             out.push('\n');
+        }
+        let mut out = String::new();
+        line(&mut out, &self.vars);
+        for row in &self.rows {
+            line(&mut out, row);
         }
         out
     }
@@ -599,7 +613,7 @@ impl<'a> Plan<'a> {
             _ => None,
         };
         Solutions {
-            dict: self.dict,
+            decoder: Decoder { dict: self.dict, direct_rows: DIRECT_ROWS, terms: None },
             vars: &self.body.query.vars,
             slots: &self.body.query.slots,
             rows,
@@ -658,30 +672,35 @@ impl<'a> Plan<'a> {
         }
     }
 
-    /// Runs the plan to completion, collecting a [`ResultSet`].
+    /// Runs the plan to completion, collecting a [`ResultSet`]. The answer
+    /// holds every row, so the run keeps the terms it decodes: each
+    /// distinct id is built once and shared by the rows it appears in.
     pub fn run(&self) -> ResultSet {
-        ResultSet { vars: self.body.query.vars.clone(), rows: self.solutions().collect() }
+        let mut solutions = self.solutions();
+        solutions.decoder.terms = Some(HashMap::default());
+        ResultSet { vars: self.body.query.vars.clone(), rows: solutions.collect() }
     }
 }
 
 /// The stream of binding rows feeding the solution-modifier pipeline:
 /// the boxed [`exec::BgpCursor`] or [`exec::MergeCursor`].
-type RowIter<'p> = Box<dyn Iterator<Item = Vec<Option<hex_dict::Id>>> + 'p>;
+type RowIter<'p> = Box<dyn Iterator<Item = Vec<Option<Id>>> + 'p>;
 
 /// A lazy iterator over a [`Plan`]'s decoded solution rows.
 ///
 /// Produced by [`Plan::solutions`]. Each `next()` resumes the join walk;
 /// dropping the iterator abandons the remaining work, which is what makes
-/// ASK and `LIMIT` early-terminating.
+/// ASK and `LIMIT` early-terminating. Each row is decoded on its own, so
+/// the stream holds no more than the row it is building.
 pub struct Solutions<'p> {
-    dict: &'p Dictionary,
+    decoder: Decoder<'p>,
     vars: &'p [String],
     slots: &'p [VarId],
     /// `None` when the plan is statically empty.
     rows: Option<RowIter<'p>>,
     ask: bool,
     distinct: bool,
-    seen: HashSet<Vec<hex_dict::Id>>,
+    seen: HashSet<Vec<Id>>,
     offset: usize,
     skipped: usize,
     limit: Option<usize>,
@@ -693,6 +712,70 @@ impl Solutions<'_> {
     /// The projected variable names (empty for ASK).
     pub fn vars(&self) -> &[String] {
         self.vars
+    }
+}
+
+/// How many rows a [`Plan::run`] decodes straight from the arena before
+/// it keeps decoded terms. On a short answer the map's hashing and growth
+/// cost more than its clones save: on the `lookup` benchmark, whose
+/// answers are at most 55 rows, keeping terms from the first row or from
+/// row 32 made the median query slower than this cut-off, which none of
+/// those answers reaches (ARCHITECTURE.md, *Decode once per query*).
+const DIRECT_ROWS: usize = 128;
+
+/// Turns a stream's ids into owned terms. With `terms`, which only
+/// [`Plan::run`] sets, each distinct id is built from the arena once —
+/// one allocation — and every later appearance is a [`Term`] clone, one
+/// reference-count bump.
+struct Decoder<'p> {
+    dict: &'p Dictionary,
+    /// Rows still to decode without the map.
+    direct_rows: usize,
+    terms: Option<HashMap<Id, Term, BuildHasherDefault<IdHasher>>>,
+}
+
+impl Decoder<'_> {
+    fn row(&mut self, ids: impl Iterator<Item = Id>, width: usize) -> Vec<Term> {
+        let dict = self.dict;
+        let decode = |id| dict.decode(id).expect("result id missing from dictionary");
+        let mut row = Vec::with_capacity(width);
+        match &mut self.terms {
+            Some(terms) if self.direct_rows == 0 => {
+                row.extend(ids.map(|id| terms.entry(id).or_insert_with(|| decode(id)).clone()))
+            }
+            _ => {
+                self.direct_rows = self.direct_rows.saturating_sub(1);
+                row.extend(ids.map(decode))
+            }
+        }
+        row
+    }
+}
+
+/// A multiplicative hash of an [`Id`]'s `u32` — ids are dense integers
+/// chosen by the dictionary, not keys an adversary picks, so SipHash buys
+/// nothing. The fold of the product's high half into its low half gives
+/// the table's index bits every bit of the id.
+#[derive(Default)]
+struct IdHasher(u64);
+
+impl IdHasher {
+    fn fold(&mut self, word: u64) {
+        self.0 = (self.0 ^ word).wrapping_mul(0x9e37_79b9_7f4a_7c15);
+    }
+}
+
+impl Hasher for IdHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        bytes.iter().for_each(|&b| self.fold(u64::from(b)));
+    }
+
+    fn write_u32(&mut self, id: u32) {
+        self.fold(u64::from(id));
+    }
+
+    fn finish(&self) -> u64 {
+        self.0 ^ (self.0 >> 32)
     }
 }
 
@@ -714,13 +797,13 @@ impl Iterator for Solutions<'_> {
                 self.done = true;
                 return Some(Vec::new());
             }
-            // Project; rows with an unbound projected slot are dropped.
-            let Some(ids) =
-                self.slots.iter().map(|v| row[v.index()]).collect::<Option<Vec<hex_dict::Id>>>()
-            else {
+            // Project straight from the row; rows with an unbound projected
+            // slot are dropped.
+            if self.slots.iter().any(|v| row[v.index()].is_none()) {
                 continue;
-            };
-            if self.distinct && !self.seen.insert(ids.clone()) {
+            }
+            let ids = self.slots.iter().filter_map(|v| row[v.index()]);
+            if self.distinct && !self.seen.insert(ids.clone().collect()) {
                 continue;
             }
             if self.skipped < self.offset {
@@ -728,11 +811,7 @@ impl Iterator for Solutions<'_> {
                 continue;
             }
             self.emitted += 1;
-            let terms = ids
-                .into_iter()
-                .map(|id| self.dict.decode(id).expect("result id missing from dictionary"))
-                .collect();
-            return Some(terms);
+            return Some(self.decoder.row(ids, self.slots.len()));
         }
         self.done = true;
         None

@@ -41,6 +41,6 @@ mod turtle;
 
 pub use ntriples::{parse_document, parse_line, write_document, NtParseError, Statement};
 pub use pattern::{TermPattern, TriplePattern};
-pub use term::{BlankNode, Iri, Literal, Term, TermKind, TermRef, XSD_STRING};
+pub use term::{BlankNode, Iri, Literal, Term, TermKind, TermRef, RDF_LANG_STRING, XSD_STRING};
 pub use triple::{Triple, TripleRef};
 pub use turtle::{parse_turtle, write_turtle, TurtleParseError, RDF_TYPE};

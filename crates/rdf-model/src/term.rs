@@ -9,10 +9,14 @@
 use crate::ntriples::{write_iri, write_term};
 use std::borrow::{Borrow, Cow};
 use std::fmt;
+use std::hash::{Hash, Hasher};
 use std::sync::Arc;
 
 /// The RDF datatype IRI for plain `xsd:string` literals.
 pub const XSD_STRING: &str = "http://www.w3.org/2001/XMLSchema#string";
+
+/// The RDF datatype IRI of language-tagged literals.
+pub const RDF_LANG_STRING: &str = "http://www.w3.org/1999/02/22-rdf-syntax-ns#langString";
 
 /// An IRI (Internationalized Resource Identifier) such as
 /// `http://example.org/advisor`.
@@ -89,26 +93,64 @@ impl fmt::Debug for BlankNode {
 /// An RDF literal: a lexical form plus either a language tag or a datatype.
 ///
 /// Following RDF 1.1, a literal without an explicit datatype or language is
-/// an `xsd:string`; we represent that common case as `datatype: None` to
-/// avoid storing the `xsd:string` IRI millions of times.
-#[derive(Clone, PartialEq, Eq, PartialOrd, Ord, Hash)]
+/// an `xsd:string`; that common case stores no datatype, to avoid keeping
+/// the `xsd:string` IRI millions of times.
+///
+/// A literal is one `Arc<str>` holding the lexical form followed by the
+/// tag or datatype IRI, the byte length of that tail, and the
+/// [`TermKind`]: 24 bytes, so a [`Term`] is 24 bytes too (its IRI and
+/// blank-node variants fit beside the kind byte, whose unused values are
+/// the enum's tag) and building one from borrowed pieces is a single
+/// allocation. Equality, order and hashing are those of the triple
+/// `(lexical, language, datatype)` with `None` for the absent parts, in
+/// that order. (Each literal has one representation, so comparing the
+/// fields compares those parts.)
+#[derive(Clone, PartialEq, Eq)]
 pub struct Literal {
-    lexical: Arc<str>,
-    /// `Some(tag)` for language-tagged strings (`"chat"@fr`).
-    language: Option<Arc<str>>,
-    /// `Some(iri)` for typed literals other than plain `xsd:string`.
-    datatype: Option<Iri>,
+    /// The lexical form, then the language tag or datatype IRI.
+    text: Arc<str>,
+    /// The byte length of the tag or datatype IRI at the end of `text`
+    /// (0 for a plain literal).
+    split: u32,
+    /// [`TermKind::Literal`], [`TermKind::LangLiteral`] or
+    /// [`TermKind::TypedLiteral`].
+    kind: TermKind,
+}
+
+#[cfg(target_pointer_width = "64")]
+const _: () = {
+    assert!(std::mem::size_of::<Literal>() == 24);
+    assert!(std::mem::size_of::<Term>() == 24);
+    assert!(std::mem::size_of::<Option<Term>>() == 24);
+};
+
+/// `first` followed by `second` as one `Arc<str>`. Up to 256 bytes — every
+/// language tag and datatype IRI with its lexical form in practice — the
+/// pieces are joined on the stack, so the `Arc` is the only allocation.
+fn concat(first: &str, second: &str) -> Arc<str> {
+    const STACK: usize = 256;
+    let len = first.len() + second.len();
+    if len <= STACK {
+        let mut buf = [0u8; STACK];
+        buf[..first.len()].copy_from_slice(first.as_bytes());
+        buf[first.len()..len].copy_from_slice(second.as_bytes());
+        if let Ok(joined) = std::str::from_utf8(&buf[..len]) {
+            return Arc::from(joined);
+        }
+    }
+    Arc::from([first, second].concat())
 }
 
 impl Literal {
     /// A plain (`xsd:string`) literal.
     pub fn simple(lexical: impl Into<Arc<str>>) -> Self {
-        Literal { lexical: lexical.into(), language: None, datatype: None }
+        Literal { text: lexical.into(), split: 0, kind: TermKind::Literal }
     }
 
     /// A language-tagged literal such as `"chat"@fr`.
     pub fn lang(lexical: impl Into<Arc<str>>, tag: impl Into<Arc<str>>) -> Self {
-        Literal { lexical: lexical.into(), language: Some(tag.into()), datatype: None }
+        let (lexical, tag): (Arc<str>, Arc<str>) = (lexical.into(), tag.into());
+        Literal::two_pieces(TermKind::LangLiteral, &lexical, &tag)
     }
 
     /// A typed literal such as `"42"^^<http://www.w3.org/2001/XMLSchema#integer>`.
@@ -119,23 +161,79 @@ impl Literal {
         if datatype.as_str() == XSD_STRING {
             Literal::simple(lexical)
         } else {
-            Literal { lexical: lexical.into(), language: None, datatype: Some(datatype) }
+            let lexical: Arc<str> = lexical.into();
+            Literal::two_pieces(TermKind::TypedLiteral, &lexical, datatype.as_str())
         }
+    }
+
+    /// A language-tagged (`kind` [`TermKind::LangLiteral`]) or typed
+    /// ([`TermKind::TypedLiteral`], never `xsd:string`) literal from
+    /// borrowed pieces, in one allocation.
+    ///
+    /// # Panics
+    ///
+    /// If the tag or datatype IRI is 4 GiB or longer.
+    fn two_pieces(kind: TermKind, lexical: &str, second: &str) -> Self {
+        let split = u32::try_from(second.len()).expect("literal tag or datatype exceeds 4 GiB");
+        Literal { text: concat(lexical, second), split, kind }
+    }
+
+    /// The lexical form, then the tag or datatype IRI of a two-piece kind.
+    #[inline]
+    fn pieces(&self) -> (&str, Option<&str>) {
+        if self.kind == TermKind::Literal {
+            return (&self.text, None);
+        }
+        let (lexical, second) = self.text.split_at(self.text.len() - self.split as usize);
+        (lexical, Some(second))
     }
 
     /// The lexical form, unescaped.
     pub fn lexical(&self) -> &str {
-        &self.lexical
+        self.pieces().0
     }
 
     /// The language tag, if this is a language-tagged string.
     pub fn language(&self) -> Option<&str> {
-        self.language.as_deref()
+        self.pieces().1.filter(|_| self.kind == TermKind::LangLiteral)
     }
 
-    /// The datatype IRI. Plain literals report `xsd:string`.
+    /// The datatype IRI, if it is neither `xsd:string` (plain) nor
+    /// `rdf:langString` (language-tagged).
+    fn explicit_datatype(&self) -> Option<&str> {
+        self.pieces().1.filter(|_| self.kind == TermKind::TypedLiteral)
+    }
+
+    /// The datatype IRI. Plain literals report `xsd:string` and
+    /// language-tagged ones `rdf:langString` (RDF 1.1 §3.3).
     pub fn datatype(&self) -> &str {
-        self.datatype.as_ref().map_or(XSD_STRING, Iri::as_str)
+        match self.kind {
+            TermKind::LangLiteral => RDF_LANG_STRING,
+            _ => self.explicit_datatype().unwrap_or(XSD_STRING),
+        }
+    }
+}
+
+impl Ord for Literal {
+    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
+        self.lexical().cmp(other.lexical()).then_with(|| {
+            (self.language(), self.explicit_datatype())
+                .cmp(&(other.language(), other.explicit_datatype()))
+        })
+    }
+}
+
+impl PartialOrd for Literal {
+    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl Hash for Literal {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        self.lexical().hash(state);
+        self.language().hash(state);
+        self.explicit_datatype().hash(state);
     }
 }
 
@@ -279,16 +377,17 @@ impl<'a> TermRef<'a> {
         (&self.first, self.second.as_deref())
     }
 
-    /// Builds the owned [`Term`] (allocating its strings).
+    /// Builds the owned [`Term`]: one allocation, for every kind.
     #[inline]
     pub fn to_owned(&self) -> Term {
         let (first, second) = self.pieces();
-        match self.kind {
-            TermKind::Iri => Term::iri(first),
-            TermKind::Blank => Term::blank(first),
-            TermKind::Literal => Term::literal(first),
-            TermKind::LangLiteral => Term::lang_literal(first, second.unwrap_or_default()),
-            TermKind::TypedLiteral => Term::typed_literal(first, second.unwrap_or_default()),
+        match (self.kind, second) {
+            (TermKind::Iri, _) => Term::iri(first),
+            (TermKind::Blank, _) => Term::blank(first),
+            // A view carries a second piece exactly for the two-piece
+            // kinds, and never a typed `xsd:string`.
+            (kind, Some(second)) => Term::Literal(Literal::two_pieces(kind, first, second)),
+            (_, None) => Term::literal(first),
         }
     }
 }
@@ -305,10 +404,8 @@ impl<'a> From<&'a Term> for TermRef<'a> {
 
 impl<'a> From<&'a Literal> for TermRef<'a> {
     fn from(l: &'a Literal) -> Self {
-        match l.language() {
-            Some(tag) => TermRef::lang_literal(l.lexical(), tag),
-            None => TermRef::typed_literal(l.lexical(), l.datatype()),
-        }
+        let (lexical, second) = l.pieces();
+        TermRef { kind: l.kind, first: lexical.into(), second: second.map(Cow::Borrowed) }
     }
 }
 
@@ -486,6 +583,25 @@ mod tests {
     #[test]
     fn datatype_of_plain_literal_is_xsd_string() {
         assert_eq!(Literal::simple("x").datatype(), XSD_STRING);
+    }
+
+    #[test]
+    fn datatype_of_lang_literal_is_rdf_lang_string() {
+        let l = Literal::lang("chat", "fr");
+        assert_eq!(l.datatype(), RDF_LANG_STRING);
+        assert_eq!(l.language(), Some("fr"));
+        // The view still reads the tag, so the term encodes as before.
+        assert_eq!(TermRef::from(&l), TermRef::lang_literal("chat", "fr"));
+    }
+
+    #[test]
+    fn pieces_longer_than_the_stack_buffer_join_too() {
+        let lexical = "é".repeat(200);
+        let datatype = format!("http://x/{}", "d".repeat(100));
+        let l = Literal::typed(lexical.as_str(), Iri::new(datatype.as_str()));
+        assert_eq!((l.lexical(), l.language(), l.datatype()), (&*lexical, None, &*datatype));
+        let view = TermRef::typed_literal(lexical.as_str(), datatype.as_str());
+        assert_eq!(view.to_owned(), Term::Literal(l));
     }
 
     #[test]

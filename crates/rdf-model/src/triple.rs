@@ -18,6 +18,10 @@ pub struct Triple {
     pub object: Term,
 }
 
+/// Three 24-byte terms (see [`crate::Literal`]).
+#[cfg(target_pointer_width = "64")]
+const _: () = assert!(std::mem::size_of::<Triple>() == 72);
+
 impl Triple {
     /// Creates a triple from its three components.
     pub fn new(subject: Term, predicate: Term, object: Term) -> Self {

@@ -1,7 +1,8 @@
 //! A counting allocator for the test binaries that check a structure's
 //! memory against what the allocator saw. Each such binary installs it
 //! (`#[global_allocator] static A: Counting = Counting;`) and holds one
-//! test, so nothing else allocates while it measures.
+//! test, so nothing else allocates while it measures. `bench_evidence`
+//! installs it too, to count each paper query's allocations.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::AtomicUsize;
