@@ -6,8 +6,8 @@
 //! query speed. Every [`TripleStore`] cursor is a sorted two-way merge
 //! of the delta and the tombstone-filtered base, so the overlay is
 //! byte-identical to a mutable store holding the same triples for all
-//! eight access patterns — the planner, [`BgpCursor`], `Dataset<S>` and
-//! LIMIT pushdown all work unchanged on top of it.
+//! eight access patterns — the planner, `hex_query`'s `BgpCursor`,
+//! `Dataset<S>` and LIMIT pushdown all work unchanged on top of it.
 //!
 //! [`OverlayHexastore::compact`] folds the delta and tombstones down
 //! into a fresh frozen base through the [`bulk`] permutation-gather
@@ -26,7 +26,6 @@
 //! These make `len` and `count_matching` exact arithmetic:
 //! `|base| − |tombstones| + |delta|` per pattern.
 //!
-//! [`BgpCursor`]: https://docs.rs/hex_query
 //! [`bulk`]: crate::bulk
 
 use crate::advisor::IndexSet;

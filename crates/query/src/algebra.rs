@@ -101,8 +101,17 @@ pub struct Bgp {
 
 impl Bgp {
     /// Creates a BGP, computing `var_count` from the highest slot used.
+    ///
+    /// # Panics
+    ///
+    /// If a pattern uses `VarId(u16::MAX)`: a `u16` count has room for
+    /// slots up to `u16::MAX - 1`, the last one
+    /// [`compile`](crate::compile) hands out.
     pub fn new(patterns: Vec<Pattern>) -> Self {
-        let var_count = patterns.iter().flat_map(Pattern::vars).map(|v| v.0 + 1).max().unwrap_or(0);
+        let highest = patterns.iter().flat_map(Pattern::vars).max();
+        let var_count = highest.map_or(0, |v| {
+            v.0.checked_add(1).expect("VarId(u16::MAX) is past the last binding-row slot")
+        });
         Bgp { patterns, var_count }
     }
 
@@ -149,6 +158,14 @@ mod tests {
         assert_eq!(bgp.empty_row().len(), 4);
         let empty = Bgp::new(vec![]);
         assert_eq!(empty.var_count, 0);
+        let last = Bgp::new(vec![Pattern::new(v(u16::MAX - 1), c(1), c(2))]);
+        assert_eq!(last.var_count, u16::MAX);
+    }
+
+    #[test]
+    #[should_panic(expected = "past the last binding-row slot")]
+    fn a_slot_past_the_last_is_refused() {
+        Bgp::new(vec![Pattern::new(v(u16::MAX), c(1), c(2))]);
     }
 
     #[test]

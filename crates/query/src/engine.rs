@@ -97,6 +97,9 @@ pub enum QueryError {
     Parse(ParseError),
     /// A projected variable does not occur in any pattern.
     UnknownVariable(String),
+    /// The query names more distinct variables than a binding row has
+    /// slots (65,535).
+    TooManyVariables,
 }
 
 impl fmt::Display for QueryError {
@@ -105,6 +108,9 @@ impl fmt::Display for QueryError {
             QueryError::Parse(e) => e.fmt(f),
             QueryError::UnknownVariable(v) => {
                 write!(f, "projected variable ?{v} does not occur in the pattern")
+            }
+            QueryError::TooManyVariables => {
+                write!(f, "the query uses more than {} distinct variables", u16::MAX)
             }
         }
     }
@@ -202,31 +208,39 @@ impl CompiledFilter {
 /// constants make the query statically empty rather than interning).
 pub fn compile(parsed: &ParsedQuery, dict: &Dictionary) -> Result<CompiledQuery, QueryError> {
     let mut slot_of: HashMap<String, VarId> = HashMap::new();
-    let mut next: u16 = 0;
-    let mut slot = |name: &str, slot_of: &mut HashMap<String, VarId>| -> VarId {
-        *slot_of.entry(name.to_string()).or_insert_with(|| {
-            let v = VarId(next);
-            next += 1;
-            v
-        })
+    let slot = |name: &str, slot_of: &mut HashMap<String, VarId>| -> Result<VarId, QueryError> {
+        if let Some(&v) = slot_of.get(name) {
+            return Ok(v);
+        }
+        // `Bgp::var_count` is a `u16`, so the last slot is `u16::MAX - 1`.
+        let v = u16::try_from(slot_of.len())
+            .ok()
+            .filter(|&next| next < u16::MAX)
+            .ok_or(QueryError::TooManyVariables)?;
+        slot_of.insert(name.to_string(), VarId(v));
+        Ok(VarId(v))
     };
 
     let mut patterns = Vec::with_capacity(parsed.patterns.len());
     let mut unknown_constant = false;
     for pat in &parsed.patterns {
-        let mut pos = |tp: &TermPattern, slot_of: &mut HashMap<String, VarId>| match tp {
-            TermPattern::Var(name) => PatternTerm::Var(slot(name, slot_of)),
-            TermPattern::Bound(term) => match dict.id_of(term) {
-                Some(id) => PatternTerm::Const(id),
-                None => {
-                    unknown_constant = true;
-                    PatternTerm::Const(hex_dict::Id(u32::MAX))
-                }
-            },
+        let mut pos = |tp: &TermPattern,
+                       slot_of: &mut HashMap<String, VarId>|
+         -> Result<PatternTerm, QueryError> {
+            Ok(match tp {
+                TermPattern::Var(name) => PatternTerm::Var(slot(name, slot_of)?),
+                TermPattern::Bound(term) => match dict.id_of(term) {
+                    Some(id) => PatternTerm::Const(id),
+                    None => {
+                        unknown_constant = true;
+                        PatternTerm::Const(hex_dict::Id(u32::MAX))
+                    }
+                },
+            })
         };
-        let s = pos(&pat.subject, &mut slot_of);
-        let p = pos(&pat.predicate, &mut slot_of);
-        let o = pos(&pat.object, &mut slot_of);
+        let s = pos(&pat.subject, &mut slot_of)?;
+        let p = pos(&pat.predicate, &mut slot_of)?;
+        let o = pos(&pat.object, &mut slot_of)?;
         patterns.push(Pattern::new(s, p, o));
     }
 
@@ -274,7 +288,7 @@ pub fn compile(parsed: &ParsedQuery, dict: &Dictionary) -> Result<CompiledQuery,
             None => return Err(QueryError::UnknownVariable(v.clone())),
         }
     }
-    let mut var_names = vec![String::new(); next as usize];
+    let mut var_names = vec![String::new(); slot_of.len()];
     for (name, v) in &slot_of {
         var_names[v.index()] = name.clone();
     }
@@ -550,11 +564,6 @@ impl<'a> Plan<'a> {
         out
     }
 
-    /// The join order as pattern indices (execution order).
-    fn order(&self) -> Vec<usize> {
-        self.body.steps.iter().map(|s| s.pattern).collect()
-    }
-
     /// LIMIT pushdown: when every cursor row becomes exactly one emitted
     /// solution — filter-free, no projected slot that could come back
     /// unbound — the join walk itself can stop after `offset + limit`
@@ -608,8 +617,18 @@ impl<'a> Plan<'a> {
     /// ASK yields at most one (empty) row, and `OFFSET`/`LIMIT` stop the
     /// underlying join walk as soon as enough rows have been emitted.
     pub fn solutions(&self) -> Solutions<'_> {
-        let rows: Option<RowIter<'_>> = match (&self.body.query.bgp, self.body.empty_reason) {
-            (Some(bgp), None) => Some(self.row_source(bgp)),
+        let body = &*self.body;
+        let rows = match (&body.query.bgp, body.empty_reason) {
+            (Some(bgp), None) => {
+                let mut cursor = exec::BgpCursor::planned(self.store, bgp, &body.steps);
+                for (depth, filters) in body.step_filters.iter().enumerate() {
+                    for &f in filters {
+                        cursor.add_check(depth, Box::new(move |row| f.accepts(row)));
+                    }
+                }
+                cursor.set_demand(self.pushdown_demand());
+                Some(cursor)
+            }
             _ => None,
         };
         Solutions {
@@ -626,38 +645,6 @@ impl<'a> Plan<'a> {
             emitted: 0,
             done: false,
         }
-    }
-
-    /// The binding-row source behind [`Plan::solutions`]: a
-    /// [`exec::MergeCursor`] when the planner compiled a leading merge
-    /// group and the store serves its sorted lists zero-copy, else the
-    /// nested [`exec::BgpCursor`]. The runtime capability re-check keeps
-    /// a cached merge plan correct when rebound to a store without
-    /// [`hexastore::SortedListAccess`] (it silently takes the nested
-    /// walk, which is byte-identical).
-    fn row_source<'s>(&'s self, bgp: &'s Bgp) -> RowIter<'s> {
-        let order = self.order();
-        if let Some((group, var)) = exec::merge_group(bgp, &self.body.steps) {
-            if let Some(candidates) = exec::merge_candidates(self.store, bgp, &order, group) {
-                let mut cursor =
-                    exec::MergeCursor::new(self.store, bgp, &order, group, var, candidates);
-                for (depth, filters) in self.body.step_filters.iter().enumerate() {
-                    for &f in filters {
-                        cursor.add_check(depth, Box::new(move |row| f.accepts(row)));
-                    }
-                }
-                cursor.set_demand(self.pushdown_demand());
-                return Box::new(cursor);
-            }
-        }
-        let mut cursor = exec::BgpCursor::new(self.store, bgp, &order);
-        for (depth, filters) in self.body.step_filters.iter().enumerate() {
-            for &f in filters {
-                cursor.add_check(depth, Box::new(move |row| f.accepts(row)));
-            }
-        }
-        cursor.set_demand(self.pushdown_demand());
-        Box::new(cursor)
     }
 
     /// Downgrades every step to [`exec::JoinStep::NestedProbe`], forcing
@@ -682,22 +669,19 @@ impl<'a> Plan<'a> {
     }
 }
 
-/// The stream of binding rows feeding the solution-modifier pipeline:
-/// the boxed [`exec::BgpCursor`] or [`exec::MergeCursor`].
-type RowIter<'p> = Box<dyn Iterator<Item = Vec<Option<Id>>> + 'p>;
-
 /// A lazy iterator over a [`Plan`]'s decoded solution rows.
 ///
 /// Produced by [`Plan::solutions`]. Each `next()` resumes the join walk;
 /// dropping the iterator abandons the remaining work, which is what makes
-/// ASK and `LIMIT` early-terminating. Each row is decoded on its own, so
-/// the stream holds no more than the row it is building.
+/// ASK and `LIMIT` early-terminating. Each row is projected from the
+/// walk's binding row and decoded on its own, so the stream holds no
+/// more than the row it is building.
 pub struct Solutions<'p> {
     decoder: Decoder<'p>,
     vars: &'p [String],
     slots: &'p [VarId],
-    /// `None` when the plan is statically empty.
-    rows: Option<RowIter<'p>>,
+    /// The join walk; `None` when the plan is statically empty.
+    rows: Option<exec::BgpCursor<'p>>,
     ask: bool,
     distinct: bool,
     seen: HashSet<Vec<Id>>,
@@ -791,7 +775,7 @@ impl Iterator for Solutions<'_> {
             return None;
         }
         let rows = self.rows.as_mut()?;
-        for row in rows {
+        while let Some(row) = rows.advance() {
             if self.ask {
                 // ASK: a single empty row signals "yes"; stop immediately.
                 self.done = true;
@@ -1140,6 +1124,20 @@ mod tests {
         let g = figure1_graph();
         let e = g.query(r#"SELECT ?zzz WHERE { ?x <http://x/type> ?y . }"#).unwrap_err();
         assert!(matches!(e, QueryError::UnknownVariable(v) if v == "zzz"));
+    }
+
+    #[test]
+    fn a_variable_past_the_last_slot_is_an_error_not_a_panic() {
+        // Three new variables a pattern: 21,845 patterns name 65,535.
+        let mut text = String::from("SELECT ?v0 WHERE {");
+        for i in 0..21_845 {
+            let _ = write!(text, " ?v{} ?v{} ?v{} .", 3 * i, 3 * i + 1, 3 * i + 2);
+        }
+        let dict = Dictionary::new();
+        let last = compile(&parse_query(&format!("{text} }}")).unwrap(), &dict).unwrap();
+        assert_eq!(last.bgp.map(|bgp| bgp.var_count), Some(u16::MAX));
+        let past = parse_query(&format!("{text} ?v0 ?v1 ?one_more . }}")).unwrap();
+        assert_eq!(compile(&past, &dict).unwrap_err(), QueryError::TooManyVariables);
     }
 
     #[test]

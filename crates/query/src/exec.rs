@@ -14,11 +14,17 @@
 //! Evaluation itself is *lazy*: [`BgpCursor`] walks the join tree
 //! depth-first and yields one binding row at a time through the stores'
 //! [`TripleStore::iter_matching`] cursors, so a consumer that stops early
-//! (ASK, LIMIT) never pays for the rows it does not read;
-//! [`execute_bgp`] is the collector over the planned cursor.
+//! (ASK, LIMIT) never pays for the rows it does not read. It is the one
+//! walk. A plan that opens with a merge group
+//! ([`JoinStep::MergeIntersect`]) seeds its first level with the group's
+//! intersected sorted lists instead of a store cursor. Every level writes
+//! its bindings into one row in place, and backtracking clears them, so a
+//! candidate triple that a repeated variable or a FILTER rejects costs no
+//! copy. [`BgpCursor::planned`] builds the walk a plan's steps describe;
+//! [`execute_bgp`] collects it.
 
-use crate::algebra::{Bgp, Pattern, PatternTerm};
-use hex_dict::Id;
+use crate::algebra::{Bgp, Pattern, PatternTerm, VarId};
+use hex_dict::{Id, IdTriple};
 use hexastore::{access, DatasetStats, IndexKind, Shape, TripleIter, TripleStore};
 use std::cmp::Ordering;
 
@@ -35,8 +41,8 @@ pub enum JoinStep {
     /// Member of a leading merge group: the step's pattern has exactly
     /// one variable (shared by the whole group) and two constants, and
     /// its sorted candidate list is intersected once with the other
-    /// members' lists ([`MergeCursor`]) instead of being re-probed per
-    /// candidate.
+    /// members' lists, which seed the first level of the
+    /// [`BgpCursor`], instead of being re-probed per candidate.
     MergeIntersect,
 }
 
@@ -203,7 +209,7 @@ pub fn plan_steps_with(
 const MERGE_MIN_CANDIDATES: usize = 2;
 
 /// If the pattern has exactly one variable position, returns it.
-fn lone_var(pat: &Pattern) -> Option<crate::algebra::VarId> {
+fn lone_var(pat: &Pattern) -> Option<VarId> {
     let mut var = None;
     for term in [pat.s, pat.p, pat.o] {
         if let PatternTerm::Var(v) = term {
@@ -237,7 +243,7 @@ fn annotate_merge_joins(store: &dyn TripleStore, bgp: &Bgp, steps: &mut Vec<Plan
         return;
     }
     let empty = bgp.empty_row();
-    let qualifies = |pi: usize| -> Option<crate::algebra::VarId> {
+    let qualifies = |pi: usize| -> Option<VarId> {
         let pat = &bgp.patterns[pi];
         let v = lone_var(pat)?;
         sla.sorted_list(pat.access(&empty))?;
@@ -272,7 +278,7 @@ fn annotate_merge_joins(store: &dyn TripleStore, bgp: &Bgp, steps: &mut Vec<Plan
 
 /// The length and shared variable of the leading merge group of `steps`,
 /// if the planner compiled one (see `annotate_merge_joins`).
-pub fn merge_group(bgp: &Bgp, steps: &[PlanStep]) -> Option<(usize, crate::algebra::VarId)> {
+pub fn merge_group(bgp: &Bgp, steps: &[PlanStep]) -> Option<(usize, VarId)> {
     let k = steps.iter().take_while(|s| s.join == JoinStep::MergeIntersect).count();
     if k < 2 {
         return None;
@@ -281,63 +287,86 @@ pub fn merge_group(bgp: &Bgp, steps: &[PlanStep]) -> Option<(usize, crate::algeb
 }
 
 /// The intersected candidate list of a leading merge group: the values
-/// of the shared variable satisfying all `group` first patterns of
-/// `order`, ascending. `None` when the store cannot serve every group
-/// pattern's sorted list zero-copy — the runtime fallback that keeps a
-/// cached merge plan correct against a store without the capability.
-pub fn merge_candidates(
+/// of the shared variable satisfying every pattern of `group`, ascending.
+/// `row` is the all-unbound binding row the patterns resolve against.
+/// `None` when the store cannot serve every group pattern's sorted list
+/// zero-copy — the runtime fallback that keeps a cached merge plan
+/// correct against a store without the capability.
+fn merge_candidates(
     store: &dyn TripleStore,
-    bgp: &Bgp,
-    order: &[usize],
-    group: usize,
+    group: &[Pattern],
+    row: &[Option<Id>],
 ) -> Option<Vec<Id>> {
     let sla = store.sorted_lists()?;
-    let empty = bgp.empty_row();
     let lists: Option<Vec<&[Id]>> =
-        order[..group].iter().map(|&i| sla.sorted_list(bgp.patterns[i].access(&empty))).collect();
+        group.iter().map(|pat| sla.sorted_list(pat.access(row))).collect();
     Some(hexastore::sorted::intersect_many(lists?))
 }
 
-/// Extends one binding row with a matching triple, checking repeated
-/// variables. Returns `None` on conflict.
-fn extend_row(row: &[Option<Id>], pat: &Pattern, t: hex_dict::IdTriple) -> Option<Vec<Option<Id>>> {
-    let mut out = row.to_vec();
+/// Binds `pat`'s variables to `t`'s positions in `row`, pushing each
+/// newly bound slot onto `trail`. Returns false when a variable repeated
+/// within the pattern meets two different values; what it bound by then
+/// stays on the trail, for the next backtrack to clear.
+fn bind(row: &mut [Option<Id>], trail: &mut Vec<VarId>, pat: &Pattern, t: IdTriple) -> bool {
     for (term, value) in [(pat.s, t.s), (pat.p, t.p), (pat.o, t.o)] {
         if let PatternTerm::Var(v) = term {
-            match out[v.index()] {
-                Some(existing) if existing != value => return None,
-                _ => out[v.index()] = Some(value),
+            match row[v.index()] {
+                Some(bound) if bound != value => return false,
+                Some(_) => {}
+                None => {
+                    row[v.index()] = Some(value);
+                    trail.push(v);
+                }
             }
         }
     }
-    Some(out)
+    true
 }
 
-/// A row predicate attached to one plan depth, applied as soon as the
-/// step's extended row exists — the hook FILTER pushdown uses.
+/// A row predicate attached to one plan step, applied as soon as the
+/// step's bindings are in the row — the hook FILTER pushdown uses.
 pub type RowCheck<'a> = Box<dyn Fn(&[Option<Id>]) -> bool + 'a>;
 
-/// One depth of the in-flight join tree: the store cursor feeding it and
-/// the binding row it extends.
+/// One level of the in-flight walk: the triples feeding it and where
+/// its bindings start on the trail.
 struct Level<'a> {
     iter: TripleIter<'a>,
-    row: Vec<Option<Id>>,
+    /// The trail's length when the level was opened: the slots past it
+    /// are the ones the level's current triple bound.
+    mark: usize,
 }
 
-/// A lazy depth-first BGP evaluator: an iterator of binding rows.
+/// A lazy depth-first BGP evaluator — the one join walk.
 ///
-/// Each `next()` call resumes the join-tree walk exactly where the last
-/// row was produced; dropping the cursor abandons the remaining work. This
-/// is what makes ASK stop at the first solution and `LIMIT k` after `k`.
+/// Each level answers one plan step through a store cursor, except that
+/// a seeded walk's first level answers a whole leading merge group from
+/// its intersected candidates (see [`BgpCursor::planned`]). Every level
+/// writes the variables it binds into one binding row in place and
+/// records them on a trail; before a level moves to its next triple it
+/// clears what the previous one bound. So a candidate that a repeated
+/// variable or a check rejects costs no copy, and
+/// [`BgpCursor::advance`] lends the row out instead of building one.
+///
+/// Each call resumes the walk exactly where the last row was produced;
+/// dropping the cursor abandons the remaining work. This is what makes
+/// ASK stop at the first solution and `LIMIT k` after `k`.
 pub struct BgpCursor<'a> {
     store: &'a dyn TripleStore,
     /// Patterns in execution order.
     patterns: Vec<Pattern>,
-    /// Per-depth row predicates (same length as `patterns`).
-    checks: Vec<Vec<RowCheck<'a>>>,
+    /// Row predicates, each with the step (0-based) it runs after.
+    checks: Vec<(usize, RowCheck<'a>)>,
+    /// How many leading steps the first level answers: the merge group's
+    /// length in a seeded walk, else 1.
+    group: usize,
+    /// A seeded walk's candidates, until the first level takes them.
+    candidates: Option<Vec<Id>>,
+    /// The binding row every level writes in place.
+    row: Vec<Option<Id>>,
+    /// The slots bound so far, in binding order.
+    trail: Vec<VarId>,
     stack: Vec<Level<'a>>,
-    /// The pre-first-step row; `Some` until iteration starts.
-    start: Option<Vec<Option<Id>>>,
+    started: bool,
     /// LIMIT pushdown: stop the whole walk after this many rows.
     demand: Option<usize>,
     /// Rows produced so far (tracked only to honor `demand`).
@@ -345,26 +374,60 @@ pub struct BgpCursor<'a> {
 }
 
 impl<'a> BgpCursor<'a> {
-    /// Creates a cursor evaluating `bgp`'s patterns in `order`.
+    /// Creates a cursor evaluating `bgp`'s patterns in `order`, every
+    /// step by nested probes.
     pub fn new(store: &'a dyn TripleStore, bgp: &Bgp, order: &[usize]) -> Self {
         assert_eq!(order.len(), bgp.patterns.len(), "order must cover every pattern");
-        let patterns: Vec<Pattern> = order.iter().map(|&i| bgp.patterns[i]).collect();
-        let checks = patterns.iter().map(|_| Vec::new()).collect();
+        BgpCursor::nested(store, bgp, order.iter().map(|&i| bgp.patterns[i]).collect())
+    }
+
+    /// The walk `steps` describe: the one constructor behind
+    /// [`crate::Plan::solutions`] and [`execute_bgp`].
+    ///
+    /// When the steps open with a merge group (see [`merge_group`]) and
+    /// the store serves the group's sorted lists, the first level is
+    /// seeded with their intersection and the walk goes on below the
+    /// group; otherwise every step is a nested probe. Both produce the
+    /// same rows in the same order: the group's first step enumerates
+    /// the shared variable ascending (the cursor-order invariant), and
+    /// the other members bind nothing new, so their conjunction is the
+    /// sorted intersection. The capability is checked here, not at
+    /// planning, so a cached merge plan rebound to a store without
+    /// [`hexastore::SortedListAccess`] takes the nested walk.
+    pub fn planned(store: &'a dyn TripleStore, bgp: &Bgp, steps: &[PlanStep]) -> Self {
+        let mut cursor =
+            BgpCursor::nested(store, bgp, steps.iter().map(|s| bgp.patterns[s.pattern]).collect());
+        if let Some((group, _)) = merge_group(bgp, steps) {
+            cursor.candidates = merge_candidates(store, &cursor.patterns[..group], &cursor.row);
+            if cursor.candidates.is_some() {
+                cursor.group = group;
+            }
+        }
+        cursor
+    }
+
+    /// A walk over `patterns`, execution order, every step nested.
+    fn nested(store: &'a dyn TripleStore, bgp: &Bgp, patterns: Vec<Pattern>) -> Self {
         BgpCursor {
             store,
+            checks: Vec::new(),
+            group: 1,
+            candidates: None,
+            row: bgp.empty_row(),
+            trail: Vec::with_capacity(bgp.var_count.into()),
+            stack: Vec::with_capacity(patterns.len()),
             patterns,
-            checks,
-            stack: Vec::new(),
-            start: Some(bgp.empty_row()),
+            started: false,
             demand: None,
             produced: 0,
         }
     }
 
     /// Attaches a predicate to the step at `depth` (0-based, execution
-    /// order): rows failing it are pruned before deeper steps run.
+    /// order): rows failing it are pruned before deeper steps run. In a
+    /// seeded walk, the checks of every group step run on each candidate.
     pub fn add_check(&mut self, depth: usize, check: RowCheck<'a>) {
-        self.checks[depth].push(check);
+        self.checks.push((depth, check));
     }
 
     /// Pushes a LIMIT into the join walk: once `demand` rows have been
@@ -376,209 +439,91 @@ impl<'a> BgpCursor<'a> {
     pub fn set_demand(&mut self, demand: Option<usize>) {
         self.demand = demand;
     }
-}
 
-impl Iterator for BgpCursor<'_> {
-    type Item = Vec<Option<Id>>;
-
-    fn next(&mut self) -> Option<Self::Item> {
+    /// Resumes the walk and lends out the next binding row, `None` once
+    /// the walk is done. A slot no pattern binds stays `None`.
+    pub fn advance(&mut self) -> Option<&[Option<Id>]> {
         if self.demand.is_some_and(|d| self.produced >= d) {
             // Demand met: abandon the walk eagerly (free the iterators).
             self.stack.clear();
-            self.start = None;
             return None;
         }
-        if let Some(row) = self.start.take() {
-            match self.patterns.first() {
+        if !self.started {
+            self.started = true;
+            if self.patterns.is_empty() {
                 // An empty BGP has exactly one solution: the empty row.
-                None => {
-                    self.produced += 1;
-                    return Some(row);
-                }
-                Some(first) => {
-                    let iter = self.store.iter_matching(first.access(&row));
-                    self.stack.push(Level { iter, row });
-                }
+                self.produced += 1;
+                return Some(&self.row);
             }
+            self.descend();
         }
         while let Some(depth) = self.stack.len().checked_sub(1) {
-            let level = self.stack.last_mut().expect("stack is non-empty");
+            let level = &mut self.stack[depth];
+            for v in self.trail.drain(level.mark..) {
+                self.row[v.index()] = None;
+            }
             let Some(t) = level.iter.next() else {
                 self.stack.pop();
                 continue;
             };
-            let Some(extended) = extend_row(&level.row, &self.patterns[depth], t) else {
-                continue;
-            };
-            if !self.checks[depth].iter().all(|check| check(&extended)) {
+            // The level binds steps `first..last`: the whole group at the
+            // first level of a seeded walk, one step everywhere else.
+            let last = self.group + depth;
+            let first = if depth == 0 { 0 } else { last - 1 };
+            let pat = self.patterns[last - 1];
+            if !bind(&mut self.row, &mut self.trail, &pat, t) {
                 continue;
             }
-            match self.patterns.get(depth + 1) {
-                None => {
-                    self.produced += 1;
-                    return Some(extended);
-                }
-                Some(next_pat) => {
-                    let iter = self.store.iter_matching(next_pat.access(&extended));
-                    self.stack.push(Level { iter, row: extended });
-                }
+            let row = &self.row;
+            let mut checks = self.checks.iter().filter(|(step, _)| (first..last).contains(step));
+            if !checks.all(|(_, check)| check(row)) {
+                continue;
             }
+            if last == self.patterns.len() {
+                self.produced += 1;
+                return Some(&self.row);
+            }
+            self.descend();
         }
         None
     }
-}
 
-/// A lazy BGP evaluator whose leading merge group is executed as one
-/// sorted-list intersection: the already-intersected `candidates` are the
-/// values of the group's shared variable satisfying all group patterns,
-/// ascending, and each seeds the unchanged nested walk over the remaining
-/// (tail) patterns. Produces exactly the row sequence of a [`BgpCursor`]
-/// over the same plan order: the nested first step enumerates the shared
-/// variable ascending (cursor-order invariant) and the other group
-/// members are existence checks, so their conjunction *is* the sorted
-/// intersection.
-pub struct MergeCursor<'a> {
-    store: &'a dyn TripleStore,
-    /// Patterns after the merge group, in execution order.
-    tail: Vec<Pattern>,
-    /// Per-depth row predicates over the *full* plan order: depths below
-    /// `group` are applied to each seeded candidate row, the rest at
-    /// their tail level.
-    checks: Vec<Vec<RowCheck<'a>>>,
-    group: usize,
-    var: crate::algebra::VarId,
-    /// The all-unbound row candidates are seeded into.
-    template: Vec<Option<Id>>,
-    candidates: Vec<Id>,
-    pos: usize,
-    stack: Vec<Level<'a>>,
-    demand: Option<usize>,
-    produced: usize,
-}
-
-impl<'a> MergeCursor<'a> {
-    /// Creates a cursor evaluating `bgp`'s patterns in `order`, with the
-    /// first `group` steps replaced by the pre-intersected `candidates`
-    /// of variable `var` (see [`merge_candidates`]).
-    pub fn new(
-        store: &'a dyn TripleStore,
-        bgp: &Bgp,
-        order: &[usize],
-        group: usize,
-        var: crate::algebra::VarId,
-        candidates: Vec<Id>,
-    ) -> Self {
-        assert_eq!(order.len(), bgp.patterns.len(), "order must cover every pattern");
-        assert!((1..=order.len()).contains(&group), "merge group must be a non-empty prefix");
-        let tail: Vec<Pattern> = order[group..].iter().map(|&i| bgp.patterns[i]).collect();
-        let checks = (0..order.len()).map(|_| Vec::new()).collect();
-        MergeCursor {
-            store,
-            tail,
-            checks,
-            group,
-            var,
-            template: bgp.empty_row(),
-            candidates,
-            pos: 0,
-            stack: Vec::new(),
-            demand: None,
-            produced: 0,
-        }
-    }
-
-    /// Attaches a predicate to the step at `depth` (0-based over the full
-    /// plan order, exactly as [`BgpCursor::add_check`] counts depths).
-    pub fn add_check(&mut self, depth: usize, check: RowCheck<'a>) {
-        self.checks[depth].push(check);
-    }
-
-    /// Pushes a LIMIT into the walk; same contract as
-    /// [`BgpCursor::set_demand`].
-    pub fn set_demand(&mut self, demand: Option<usize>) {
-        self.demand = demand;
+    /// Opens the level below the deepest open one: the seeded first
+    /// level, or a store cursor over the next step's pattern.
+    fn descend(&mut self) {
+        let pat = self.patterns[self.group + self.stack.len() - 1];
+        let iter: TripleIter<'a> = match self.candidates.take() {
+            // A candidate satisfies every group pattern; the triple it
+            // makes of the last one binds the shared variable.
+            Some(ids) => Box::new(ids.into_iter().map(move |id| {
+                let at = |term: PatternTerm| term.as_const().unwrap_or(id);
+                IdTriple::new(at(pat.s), at(pat.p), at(pat.o))
+            })),
+            None => self.store.iter_matching(pat.access(&self.row)),
+        };
+        self.stack.push(Level { iter, mark: self.trail.len() });
     }
 }
 
-impl Iterator for MergeCursor<'_> {
+/// Owned rows, for collecting: each is a copy of the lent one.
+impl Iterator for BgpCursor<'_> {
     type Item = Vec<Option<Id>>;
 
     fn next(&mut self) -> Option<Self::Item> {
-        if self.demand.is_some_and(|d| self.produced >= d) {
-            // Demand met: abandon the walk eagerly (free the iterators).
-            self.stack.clear();
-            self.pos = self.candidates.len();
-            return None;
-        }
-        loop {
-            // Resume the in-flight tail walk — the same depth-first loop
-            // as BgpCursor, with check depths offset past the group.
-            while let Some(depth) = self.stack.len().checked_sub(1) {
-                let level = self.stack.last_mut().expect("stack is non-empty");
-                let Some(t) = level.iter.next() else {
-                    self.stack.pop();
-                    continue;
-                };
-                let Some(extended) = extend_row(&level.row, &self.tail[depth], t) else {
-                    continue;
-                };
-                if !self.checks[self.group + depth].iter().all(|check| check(&extended)) {
-                    continue;
-                }
-                match self.tail.get(depth + 1) {
-                    None => {
-                        self.produced += 1;
-                        return Some(extended);
-                    }
-                    Some(next_pat) => {
-                        let iter = self.store.iter_matching(next_pat.access(&extended));
-                        self.stack.push(Level { iter, row: extended });
-                    }
-                }
-            }
-            // Seed the next candidate. Checks attached to group depths
-            // can only read the shared variable (nothing else is bound
-            // that early), so applying them all to the seeded row prunes
-            // exactly as the nested walk would.
-            loop {
-                if self.pos >= self.candidates.len() {
-                    return None;
-                }
-                let c = self.candidates[self.pos];
-                self.pos += 1;
-                let mut row = self.template.clone();
-                row[self.var.index()] = Some(c);
-                if !self.checks[..self.group].iter().flatten().all(|check| check(&row)) {
-                    continue;
-                }
-                match self.tail.first() {
-                    None => {
-                        self.produced += 1;
-                        return Some(row);
-                    }
-                    Some(first) => {
-                        let iter = self.store.iter_matching(first.access(&row));
-                        self.stack.push(Level { iter, row });
-                        break;
-                    }
-                }
-            }
-        }
+        self.advance().map(<[_]>::to_vec)
     }
 }
 
-/// Evaluates a BGP in the planned order, materializing all binding rows.
+/// Evaluates a BGP as planned, merge group included, materializing all
+/// binding rows.
 pub fn execute_bgp(store: &dyn TripleStore, bgp: &Bgp) -> Rows {
-    let order: Vec<usize> = plan_steps(store, bgp).iter().map(|s| s.pattern).collect();
-    BgpCursor::new(store, bgp, &order).collect()
+    BgpCursor::planned(store, bgp, &plan_steps(store, bgp)).collect()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::algebra::VarId;
     use crate::support::Counting;
-    use hex_dict::IdTriple;
     use hexastore::{Hexastore, IdPattern};
 
     /// Projects rows onto chosen variable slots, dropping rows where a
@@ -963,13 +908,25 @@ mod tests {
         assert_eq!(steps[2].join, JoinStep::NestedProbe);
     }
 
+    /// The patterns of `steps`, in execution order.
+    fn patterns_of(bgp: &Bgp, steps: &[PlanStep]) -> Vec<Pattern> {
+        steps.iter().map(|s| bgp.patterns[s.pattern]).collect()
+    }
+
+    /// The planned walk of `steps`, asserting its first level is seeded.
+    fn seeded<'a>(store: &'a dyn TripleStore, bgp: &Bgp, steps: &[PlanStep]) -> BgpCursor<'a> {
+        let cursor = BgpCursor::planned(store, bgp, steps);
+        assert!(cursor.group > 1 && cursor.candidates.is_some(), "{steps:?}");
+        cursor
+    }
+
     #[test]
     fn merge_candidates_are_the_ascending_intersection() {
         let store = merge_star();
         let bgp = merge_star_bgp();
         let steps = plan_steps(&store, &bgp);
-        let order = order_of(&steps);
-        let cands = merge_candidates(&store, &bgp, &order, 2).unwrap();
+        let group = &patterns_of(&bgp, &steps)[..2];
+        let cands = merge_candidates(&store, group, &bgp.empty_row()).unwrap();
         let expected: Vec<Id> = (0..60).filter(|s| s % 6 == 0).map(Id).collect();
         assert_eq!(cands, expected);
     }
@@ -979,11 +936,8 @@ mod tests {
         let store = merge_star();
         let bgp = merge_star_bgp();
         let steps = plan_steps(&store, &bgp);
-        let order = order_of(&steps);
-        let (group, var) = merge_group(&bgp, &steps).unwrap();
-        let cands = merge_candidates(&store, &bgp, &order, group).unwrap();
-        let merged: Rows = MergeCursor::new(&store, &bgp, &order, group, var, cands).collect();
-        let nested: Rows = BgpCursor::new(&store, &bgp, &order).collect();
+        let merged: Rows = seeded(&store, &bgp, &steps).collect();
+        let nested: Rows = BgpCursor::new(&store, &bgp, &order_of(&steps)).collect();
         assert_eq!(merged, nested, "row-for-row, order included");
         assert_eq!(merged.len(), 10);
     }
@@ -994,13 +948,11 @@ mod tests {
         let bgp =
             Bgp::new(vec![Pattern::new(v(0), c(201), c(8)), Pattern::new(v(0), c(202), c(9))]);
         let steps = plan_steps(&store, &bgp);
-        let order = order_of(&steps);
-        let (group, var) = merge_group(&bgp, &steps).unwrap();
-        assert_eq!(group, 2, "no tail");
-        let cands = merge_candidates(&store, &bgp, &order, group).unwrap();
-        let merged: Rows = MergeCursor::new(&store, &bgp, &order, group, var, cands).collect();
-        let nested: Rows = BgpCursor::new(&store, &bgp, &order).collect();
+        assert_eq!(merge_group(&bgp, &steps).map(|(group, _)| group), Some(2), "no tail");
+        let merged: Rows = seeded(&store, &bgp, &steps).collect();
+        let nested: Rows = BgpCursor::new(&store, &bgp, &order_of(&steps)).collect();
         assert_eq!(merged, nested);
+        assert_eq!(merged.len(), 10);
     }
 
     #[test]
@@ -1008,12 +960,9 @@ mod tests {
         let store = merge_star();
         let bgp = merge_star_bgp();
         let steps = plan_steps(&store, &bgp);
-        let order = order_of(&steps);
-        let (group, var) = merge_group(&bgp, &steps).unwrap();
-        let cands = merge_candidates(&store, &bgp, &order, group).unwrap();
         let build = |with_checks: bool| -> (Rows, Rows) {
-            let mut mc = MergeCursor::new(&store, &bgp, &order, group, var, cands.clone());
-            let mut bc = BgpCursor::new(&store, &bgp, &order);
+            let mut mc = seeded(&store, &bgp, &steps);
+            let mut bc = BgpCursor::new(&store, &bgp, &order_of(&steps));
             if with_checks {
                 // Group-depth check reads only the shared variable; the
                 // tail-depth check reads the tail binding.
@@ -1035,13 +984,10 @@ mod tests {
         let store = merge_star();
         let counting = Counting::new(&store);
         let bgp = merge_star_bgp();
-        // Intersect the group on the raw store; walk the tail through the
-        // wrapper so its triples are counted.
+        // The wrapper forwards the sorted lists, which it does not count,
+        // so what it counts is the tail's triples.
         let steps = plan_steps(&store, &bgp);
-        let order = order_of(&steps);
-        let (group, var) = merge_group(&bgp, &steps).unwrap();
-        let cands = merge_candidates(&store, &bgp, &order, group).unwrap();
-        let mut cursor = MergeCursor::new(&counting, &bgp, &order, group, var, cands);
+        let mut cursor = seeded(&counting, &bgp, &steps);
         cursor.set_demand(Some(3));
         let rows: Rows = cursor.collect();
         assert_eq!(rows.len(), 3);
@@ -1065,10 +1011,33 @@ mod tests {
         assert!(steps.iter().all(|s| s.join == JoinStep::NestedProbe), "{steps:?}");
         assert_eq!(merge_group(&bgp, &steps), None);
         // And the runtime fallback: a merge-annotated plan's candidates
-        // cannot be served by this store.
+        // cannot be served by this store, so its walk runs nested.
         let merge_steps = plan_steps(&store, &bgp);
-        let order = order_of(&merge_steps);
-        assert_eq!(merge_candidates(&counting, &bgp, &order, 2), None);
+        let group = &patterns_of(&bgp, &merge_steps)[..2];
+        assert_eq!(merge_candidates(&counting, group, &bgp.empty_row()), None);
+        let fallback = BgpCursor::planned(&counting, &bgp, &merge_steps);
+        assert_eq!(fallback.group, 1);
+        let nested: Rows = BgpCursor::new(&store, &bgp, &order_of(&merge_steps)).collect();
+        assert_eq!(fallback.collect::<Rows>(), nested);
+    }
+
+    #[test]
+    fn a_rejected_candidate_leaves_no_binding_behind() {
+        // (?x, 201, ?x) first binds ?x to the subject, then meets a
+        // different object: the walk must clear that ?x before the next
+        // triple, or the self-loops after it would conflict with it.
+        let store =
+            Hexastore::from_triples([t(1, 201, 2), t(3, 201, 3), t(4, 201, 5), t(6, 201, 6)]);
+        let bgp =
+            Bgp::new(vec![Pattern::new(v(0), c(201), v(0)), Pattern::new(v(1), c(201), v(2))]);
+        let mut cursor = BgpCursor::new(&store, &bgp, &[0, 1]);
+        cursor.add_check(1, Box::new(|row| row[1] == Some(Id(1))));
+        let mut rows = Vec::new();
+        while let Some(row) = cursor.advance() {
+            rows.push(row.to_vec());
+        }
+        let some = |ids: [u32; 3]| ids.map(|i| Some(Id(i))).to_vec();
+        assert_eq!(rows, vec![some([3, 1, 2]), some([6, 1, 2])]);
     }
 
     #[test]

@@ -79,8 +79,7 @@ pub use engine::{
     QueryError, ResultSet, Solutions,
 };
 pub use exec::{
-    execute_bgp, merge_candidates, merge_group, plan_steps, plan_steps_with, BgpCursor, JoinStep,
-    MergeCursor, PlanStep, RowCheck,
+    execute_bgp, merge_group, plan_steps, plan_steps_with, BgpCursor, JoinStep, PlanStep, RowCheck,
 };
 pub use parser::{parse_query, FilterExpr, FilterOp, FilterOperand, ParseError, ParsedQuery};
 pub use path::{
