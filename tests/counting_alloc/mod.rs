@@ -1,13 +1,10 @@
 //! A counting allocator for the test binaries that check a structure's
 //! memory against what the allocator saw. Each such binary installs it
 //! (`#[global_allocator] static A: Counting = Counting;`) and holds one
-//! test, so nothing else allocates while it measures — or, holding
-//! several, reads `THREAD_REQUESTS`, which other tests' threads do not
-//! touch. `bench_evidence` installs it too, to count each paper query's
-//! allocations.
+//! test, so nothing else allocates while it measures. `bench_evidence`
+//! installs it too, to count each paper query's allocations.
 
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::cell::Cell;
 use std::sync::atomic::AtomicUsize;
 use std::sync::atomic::Ordering::Relaxed;
 
@@ -16,18 +13,6 @@ pub static LIVE: AtomicUsize = AtomicUsize::new(0);
 /// Requests for memory so far (a `realloc` is one).
 pub static REQUESTS: AtomicUsize = AtomicUsize::new(0);
 
-thread_local! {
-    /// The requests among `REQUESTS` that the current thread made.
-    pub static THREAD_REQUESTS: Cell<usize> = const { Cell::new(0) };
-}
-
-/// Counts one request. A constant-initialized thread-local without a
-/// destructor allocates nothing and is never torn down.
-fn count_request() {
-    REQUESTS.fetch_add(1, Relaxed);
-    THREAD_REQUESTS.with(|n| n.set(n.get() + 1));
-}
-
 pub struct Counting;
 
 // SAFETY: every call is forwarded unchanged to `System`, which upholds the
@@ -35,7 +20,7 @@ pub struct Counting;
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         LIVE.fetch_add(layout.size(), Relaxed);
-        count_request();
+        REQUESTS.fetch_add(1, Relaxed);
         unsafe { System.alloc(layout) }
     }
 
@@ -47,7 +32,7 @@ unsafe impl GlobalAlloc for Counting {
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
         LIVE.fetch_add(new_size, Relaxed);
         LIVE.fetch_sub(layout.size(), Relaxed);
-        count_request();
+        REQUESTS.fetch_add(1, Relaxed);
         unsafe { System.realloc(ptr, layout, new_size) }
     }
 }

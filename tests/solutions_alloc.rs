@@ -10,17 +10,17 @@
 //! query a run of r rows over k distinct terms is at most 2r + k + C
 //! allocations, the same C for every r and for every number of rejected
 //! triples. This test binary installs the counting allocator of
-//! `tests/parse_memory.rs` and reads the requests of each test's own
-//! thread, so its tests do not count each other's.
+//! `tests/parse_memory.rs` and holds one test, so nothing else allocates
+//! while it measures.
 
 mod counting_alloc;
 
-use counting_alloc::{Counting, THREAD_REQUESTS};
+use counting_alloc::{Counting, REQUESTS};
 use hex_query::{DatasetQuery, Plan, ResultSet};
 use hexastore::GraphStore;
 use rdf_model::{Term, Triple};
-use std::cell::Cell;
 use std::collections::HashSet;
+use std::sync::atomic::Ordering;
 
 #[global_allocator]
 static ALLOCATOR: Counting = Counting;
@@ -37,23 +37,21 @@ const SET_UP: usize = 64;
 /// One run of `plan`: its answer, its number of distinct terms and the
 /// allocations it made.
 fn measured(plan: &Plan<'_>) -> (ResultSet, usize, usize) {
-    let before = THREAD_REQUESTS.with(Cell::get);
+    let before = REQUESTS.load(Ordering::Relaxed);
     let answer = plan.run();
-    let requests = THREAD_REQUESTS.with(Cell::get) - before;
+    let requests = REQUESTS.load(Ordering::Relaxed) - before;
     let distinct = answer.rows.iter().flatten().collect::<HashSet<&Term>>().len();
     (answer, distinct, requests)
 }
 
-/// Checks `query`'s run on `mutable` and its frozen form: `rows` rows
-/// within `2·rows + distinct + extra + C` allocations. Returns the
-/// number of distinct terms.
-fn check(mutable: &GraphStore, query: &str, rows: usize, extra: usize) -> usize {
+/// Checks `query`'s run on `mutable` and on its frozen form: each answers
+/// `rows` rows over `distinct` distinct terms within
+/// `2·rows + distinct + extra + C` allocations.
+fn check(mutable: &GraphStore, query: &str, rows: usize, distinct: usize, extra: usize) {
     let frozen = mutable.freeze();
-    let mut distinct_terms = 0;
     for (store, plan) in [("mutable", mutable.prepare(query)), ("frozen", frozen.prepare(query))] {
-        let (answer, distinct, requests) = measured(&plan.unwrap());
-        distinct_terms = distinct;
-        assert_eq!(answer.len(), rows, "{store}: {query}");
+        let (answer, terms, requests) = measured(&plan.unwrap());
+        assert_eq!((answer.len(), terms), (rows, distinct), "{store}: {query}");
         let bound = 2 * rows + distinct + extra + DIRECT_ROWS * answer.vars.len() + SET_UP;
         assert!(
             requests <= bound,
@@ -61,7 +59,6 @@ fn check(mutable: &GraphStore, query: &str, rows: usize, extra: usize) -> usize 
              (bound {bound}): {query}"
         );
     }
-    distinct_terms
 }
 
 fn iri(name: impl std::fmt::Display) -> Term {
@@ -89,14 +86,18 @@ fn graph(n: usize, m: usize) -> GraphStore {
     g
 }
 
+/// One test, so nothing else allocates while it measures: the plain
+/// scan, then candidates a pattern rejects, then candidates a join
+/// rejects.
 #[test]
 fn a_run_allocates_two_per_row_and_one_per_distinct_term() {
     for (n, m) in [(200, 40), (2_000, 40), (8_000, 40), (8_000, 400)] {
-        assert_eq!(check(&graph(n, m), "SELECT ?p ?o WHERE { ?s ?p ?o . }", n, 0), 3 + m);
+        check(&graph(n, m), "SELECT ?p ?o WHERE { ?s ?p ?o . }", n, 3 + m, 0);
     }
+    candidates_a_pattern_rejects_cost_nothing();
+    candidates_a_join_rejects_cost_nothing();
 }
 
-#[test]
 fn candidates_a_pattern_rejects_cost_nothing() {
     // `n` triples under one predicate, `k` of them self-loops and `k`
     // pointing at <mark>: each query below keeps `k` of the `n`.
@@ -111,13 +112,12 @@ fn candidates_a_pattern_rejects_cost_nothing() {
             };
             g.insert(&Triple::new(iri(format_args!("s{i}")), iri("p"), object));
         }
-        check(&g, "SELECT ?x WHERE { ?x <http://x/p> ?x . }", k, 0);
+        check(&g, "SELECT ?x WHERE { ?x <http://x/p> ?x . }", k, k, 0);
         let filtered = "SELECT ?s WHERE { ?s <http://x/p> ?o . FILTER(?o = <http://x/mark>) }";
-        check(&g, filtered, k, 0);
+        check(&g, filtered, k, k, 0);
     }
 }
 
-#[test]
 fn candidates_a_join_rejects_cost_nothing() {
     // `m` subjects, each linked to its own middle node, which fans out
     // to `f` objects; the FILTER keeps one object a middle node. The
@@ -136,6 +136,6 @@ fn candidates_a_join_rejects_cost_nothing() {
         }
         let query = "SELECT ?s ?o WHERE { ?s <http://x/p> ?m . ?m <http://x/q> ?o . \
                      FILTER(?o = <http://x/o0>) }";
-        check(&g, query, m, m);
+        check(&g, query, m, m + 1, m);
     }
 }
