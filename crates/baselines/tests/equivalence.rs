@@ -65,7 +65,7 @@ proptest! {
         threads in 1usize..9,
     ) {
         let cfg = hexastore::bulk::Config { threads };
-        let hex = hexastore::bulk::build_with(triples.clone(), cfg);
+        let hex = hexastore::bulk::build_frozen_with(triples.clone(), cfg).thaw();
         let table = TriplesTable::from_triples(triples.iter().copied());
         let mut incremental = Hexastore::new();
         for &t in &triples {

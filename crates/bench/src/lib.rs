@@ -29,7 +29,7 @@ use hex_bench_queries::lubm::{self, LubmIds};
 use hex_bench_queries::Suite;
 use hex_datagen::{barton::BartonConfig, lubm::LubmConfig};
 use hex_dict::Dictionary;
-use hexastore::{Hexastore, TripleStore};
+use hexastore::{FrozenHexastore, Hexastore, TripleStore};
 use rdf_model::Triple;
 use std::fmt;
 use std::hint::black_box;
@@ -142,8 +142,9 @@ pub enum Count {
     Int(usize),
     /// A property that held or did not.
     Flag(bool),
-    /// Bytes per triple: a quotient of two exact integers.
-    PerTriple(f64),
+    /// A quotient of two exact integers: bytes per triple, or the §4.1
+    /// blowup.
+    Ratio(f64),
 }
 
 impl fmt::Display for Count {
@@ -151,7 +152,7 @@ impl fmt::Display for Count {
         match self {
             Count::Int(v) => write!(f, "{v}"),
             Count::Flag(v) => write!(f, "{v}"),
-            Count::PerTriple(v) => write!(f, "{v:.6}"),
+            Count::Ratio(v) => write!(f, "{v:.6}"),
         }
     }
 }
@@ -247,7 +248,7 @@ pub const FIGURES: [FigureSpec; 19] = [
         Rendered::csv_only(memory_report(p.triples, p.points))
     }),
     spec("space", "§4.1 worst-case five-fold space bound", "space", |_, p| {
-        Rendered::csv_only(space_report(p.triples))
+        space_report(p.triples)
     }),
     spec("path", "§4.3 path expressions: merge vs sort-merge joins", "path", |_, p| {
         Rendered::csv_only(path_report(p.triples))
@@ -509,8 +510,8 @@ fn snapshot_size_rendered(fig: &FigureSpec, p: &Params) -> Rendered {
             ("triples", Count::Int(triples)),
             ("plain_bytes", Count::Int(plain)),
             ("compressed_bytes", Count::Int(compressed)),
-            ("plain_bytes_per_triple", Count::PerTriple(per_triple(plain))),
-            ("compressed_bytes_per_triple", Count::PerTriple(per_triple(compressed))),
+            ("plain_bytes_per_triple", Count::Ratio(per_triple(plain))),
+            ("compressed_bytes_per_triple", Count::Ratio(per_triple(compressed))),
         ],
     )
 }
@@ -968,10 +969,23 @@ fn joins_rendered(_: &FigureSpec, p: &Params) -> Rendered {
 
 /// The §4.1 space-bound experiment: blowup of Hexastore key entries vs a
 /// triples table, on both datasets plus the adversarial all-distinct case.
-fn space_report(scale: usize) -> String {
+/// Its counts are each dataset's entries, blowup, and the heap bytes of
+/// the nested and the frozen store.
+fn space_report(scale: usize) -> Rendered {
     let mut out = String::from("# §4.1 — index space vs triples table (key entries)\n");
     out.push_str("dataset,triples,header,vector,list,total,triples_table,blowup\n");
-    let mut line = |name: &str, stats: hexastore::SpaceStats| {
+    let mut counts = Vec::new();
+    let mut line = |name: &str, key: &str, nested: &Hexastore, frozen: &FrozenHexastore| {
+        let stats = nested.space_stats();
+        counts.extend([
+            (format!("{key}_triples"), Count::Int(stats.triples)),
+            (format!("{key}_header"), Count::Int(stats.header_entries)),
+            (format!("{key}_vector"), Count::Int(stats.vector_entries)),
+            (format!("{key}_list"), Count::Int(stats.list_entries)),
+            (format!("{key}_blowup"), Count::Ratio(stats.blowup())),
+            (format!("{key}_nested_heap_bytes"), Count::Int(nested.heap_bytes())),
+            (format!("{key}_frozen_heap_bytes"), Count::Int(frozen.heap_bytes())),
+        ]);
         out.push_str(&format!(
             "{},{},{},{},{},{},{},{:.3}\n",
             name,
@@ -992,8 +1006,8 @@ fn space_report(scale: usize) -> String {
     );
     for (name, data) in [("barton", barton_dataset(scale)), ("lubm", lubm_dataset(scale))] {
         let suite = Suite::build(&data);
-        line(name, suite.hexastore.space_stats());
         let frozen = suite.hexastore.freeze();
+        line(name, name, &suite.hexastore, &frozen);
         let (b, n) = (frozen.heap_breakdown(), frozen.len().max(1) as f64);
         let parts = [b.list_slots, b.overflow, b.vector_keys, b.mirror_list_refs, b.headers];
         heap.push_str(&format!("{name},{}", frozen.len()));
@@ -1006,9 +1020,9 @@ fn space_report(scale: usize) -> String {
     let n = scale as u32 / 3;
     let worst: Vec<hex_dict::IdTriple> =
         (0..n).map(|i| hex_dict::IdTriple::from((i, n + i, 2 * n + i))).collect();
-    let h = hexastore::Hexastore::from_triples(worst);
-    line("all-distinct(worst case)", h.space_stats());
-    out + &heap
+    let h = Hexastore::from_triples(worst);
+    line("all-distinct(worst case)", "all_distinct", &h, &h.freeze());
+    Rendered::with_counts(out + &heap, counts)
 }
 
 /// The §4.3 path-expression experiment: end-to-end time and join counts
@@ -1093,12 +1107,12 @@ pub fn collect_evidence(params: &Params) -> Evidence {
 }
 
 impl Evidence {
-    /// `BENCH_ci.json`, schema 2: the two scales and every figure's
+    /// `BENCH_ci.json`, schema 3: the two scales and every figure's
     /// counts under its stem — no timings, so two runs of one build write
     /// the same bytes.
     pub fn bench_ci_json(&self) -> String {
         let mut json = format!(
-            "{{\n  \"schema\": 2,\n  \"figures_triples\": {},\n  \"load_triples\": {}",
+            "{{\n  \"schema\": 3,\n  \"figures_triples\": {},\n  \"load_triples\": {}",
             self.params.triples, self.params.large_triples
         );
         for (stem, counts) in &self.counts {
@@ -1206,6 +1220,9 @@ mod tests {
             "LQ5",
             "BQ1_cells",
             "LQ5_distinct_terms",
+            "barton_blowup",
+            "lubm_nested_heap_bytes",
+            "all_distinct_frozen_heap_bytes",
         ] {
             assert!(keys.contains(&wanted), "BENCH_ci.json lacks {wanted}:\n{json}");
         }

@@ -14,11 +14,11 @@
 //!   `scan` — and is implemented exactly twice: flat slab columns
 //!   ([`SlabOrdering`], borrowed [`IndexView`] + [`ArenaView`]) and the
 //!   mutable store's `(&TwoLevel, &ListArena)`.
-//! - [`contains`], [`for_each`], [`iter`], [`iter_range`], [`count`] and
-//!   `sorted_list` are each written once against [`OrderedStore`] — "a
-//!   store that can hand out the [`OrderingRead`] for a kept
-//!   [`IndexKind`]". The runtime `IndexKind` is matched once per call; the
-//!   per-triple work is monomorphized per ordering.
+//! - [`contains`], [`for_each`], [`iter`], [`count`] and `sorted_list`
+//!   are each written once against [`OrderedStore`] — "a store that can
+//!   hand out the [`OrderingRead`] for a kept [`IndexKind`]". The runtime
+//!   `IndexKind` is matched once per call; the per-triple work is
+//!   monomorphized per ordering.
 //!
 //! The four hexastore variants are storage providers: they implement
 //! [`OrderedStore`] and forward their [`TripleStore`]
@@ -418,73 +418,6 @@ pub fn iter<S: OrderedStore>(store: &S, pat: IdPattern) -> TripleIter<'_> {
     routed!(store, pat, |O, ord, probe| matches::<O, _>(ord, probe, pat, Lazy))
 }
 
-/// Yields the `[start, start + len)` window of a concatenation of
-/// terminal lists without constructing the prefix: whole lists ahead of
-/// the window are skipped by length arithmetic alone, then at most one
-/// list is entered mid-way.
-fn window_lists<'a, O: KeyOrder>(
-    leaves: impl Iterator<Item = (Id, Id, &'a [Id])> + 'a,
-    start: usize,
-    len: usize,
-) -> TripleIter<'a> {
-    let mut skip = start;
-    Box::new(
-        leaves
-            .filter_map(move |(k1, k2, list)| {
-                if skip >= list.len() {
-                    skip -= list.len();
-                    None
-                } else {
-                    let from = std::mem::take(&mut skip);
-                    Some((k1, k2, &list[from..]))
-                }
-            })
-            .flat_map(|(k1, k2, list)| list.iter().map(move |&item| O::triple(k1, k2, item)))
-            .take(len),
-    )
-}
-
-/// The `[start, end)` sub-range of the [`iter`] cursor. Served shapes
-/// start by offset arithmetic — a list is sliced, a division or scan
-/// skips whole lists by length — so no triple ahead of `start` is ever
-/// constructed; only the filtered-scan fallback walks its prefix.
-pub fn iter_range<S: OrderedStore>(
-    store: &S,
-    pat: IdPattern,
-    start: usize,
-    end: usize,
-) -> TripleIter<'_> {
-    fn window<'a, O: KeyOrder>(
-        ord: impl OrderingRead<'a>,
-        probe: Probe,
-        pat: IdPattern,
-        start: usize,
-        len: usize,
-    ) -> TripleIter<'a> {
-        match probe {
-            Probe::List(k1, k2) => {
-                let list = ord.list(k1, k2);
-                let hi = start.saturating_add(len).min(list.len());
-                Box::new(list[start.min(hi)..hi].iter().map(move |&item| O::triple(k1, k2, item)))
-            }
-            Probe::Division(k1) => window_lists::<O>(
-                ord.division(k1).map(move |(k2, list)| (k1, k2, list)),
-                start,
-                len,
-            ),
-            Probe::Scan => window_lists::<O>(ord.scan(), start, len),
-            Probe::Member(..) | Probe::FilteredScan => {
-                Box::new(matches::<O, Lazy>(ord, probe, pat, Lazy).skip(start).take(len))
-            }
-        }
-    }
-    let len = end.saturating_sub(start);
-    if len == 0 {
-        return Box::new(std::iter::empty());
-    }
-    routed!(store, pat, |O, ord, probe| window::<O>(ord, probe, pat, start, len))
-}
-
 /// Number of matching triples. Served shapes count by list lengths — no
 /// triple is visited; only the filtered-scan fallback walks.
 pub fn count<S: OrderedStore>(store: &S, pat: IdPattern) -> usize {
@@ -501,12 +434,13 @@ pub fn count<S: OrderedStore>(store: &S, pat: IdPattern) -> usize {
 
 /// Expands, inside an `impl TripleStore for` block of an [`OrderedStore`],
 /// to the read-side methods — `contains`, `for_each_matching`,
-/// `iter_matching`, `iter_matching_range`, `capabilities`,
-/// `count_matching`, `sorted_lists` — each forwarding to this module. The
-/// store writes only `name`, `len`, `insert`, `remove` and `heap_bytes`
-/// itself. ([`SortedListAccess`](crate::SortedListAccess) comes from a
-/// blanket impl over [`OrderedStore`].) The expansion names
-/// `::hex_dict::IdTriple`, so the invoking crate must depend on `hex_dict`.
+/// `iter_matching`, `capabilities`, `count_matching`, `sorted_lists` —
+/// each forwarding to this module. The store writes only `name`, `len`,
+/// `insert`, `remove` and `heap_bytes` itself, and keeps the trait's
+/// provided `iter_matching_range`.
+/// ([`SortedListAccess`](crate::SortedListAccess) comes from a blanket
+/// impl over [`OrderedStore`].) The expansion names `::hex_dict::IdTriple`,
+/// so the invoking crate must depend on `hex_dict`.
 #[macro_export]
 macro_rules! forward_reads {
     () => {
@@ -525,15 +459,6 @@ macro_rules! forward_reads {
 
         fn iter_matching(&self, pat: $crate::IdPattern) -> $crate::TripleIter<'_> {
             $crate::access::iter(self, pat)
-        }
-
-        fn iter_matching_range(
-            &self,
-            pat: $crate::IdPattern,
-            start: usize,
-            end: usize,
-        ) -> $crate::TripleIter<'_> {
-            $crate::access::iter_range(self, pat, start, end)
         }
 
         fn capabilities(&self) -> $crate::IndexSet {

@@ -3,9 +3,11 @@
 //! Random-order [`TripleStore::insert`](crate::TripleStore::insert) pays
 //! `O(n)` vector shifts when keys arrive out of order. Loading a batch is
 //! the common case (the paper loads dataset *prefixes* for every
-//! experiment), so this loader sorts the batch three ways and builds each
-//! index pair by pure appends: every header, vector entry and terminal
-//! list is emitted in final sorted order.
+//! experiment), so this loader sorts the batch three ways and emits each
+//! index pair of a [`FrozenHexastore`] by pure appends: every header,
+//! vector entry and terminal list goes into its slab in final sorted
+//! order. The mutable [`Hexastore`] has no builder of its own: [`build`]
+//! is [`build_frozen`] followed by [`FrozenHexastore::thaw`].
 //!
 //! The batch only needs **three** sort orders — `(s,p,o)`, `(s,o,p)` and
 //! `(p,o,s)` — because paired indices read the same run: spo/pso share the
@@ -21,27 +23,21 @@
 //!    4-byte-per-triple `u32` *permutation* (the sop permutation is an
 //!    `(o,p)` sort of short subject-group ranges, much cheaper than a
 //!    full re-sort; only pos pays one) — zero extra
-//!    12-byte-per-triple batch copies on every path, mutable or frozen.
+//!    12-byte-per-triple batch copies.
 //! 3. **Sizes are knowable up front.** A
 //!    [`SpaceStats`](crate::SpaceStats)-style counting pass over each run
-//!    computes the exact number of headers and terminal lists, so every
-//!    run-level `VecMap` and [`ListArena`] allocation is exact and the
-//!    build path is append-only with no reallocation. (Inner per-header
-//!    vectors are exact-sized by the grouping pass, which counts them as
-//!    it walks.)
+//!    computes the exact number of headers, terminal lists and overflow
+//!    words, so every slab is allocated once at its final size and the
+//!    emission is append-only. [`FrozenHexastore::thaw`] reads those exact
+//!    counts off the slabs, so the nested store's `VecMap`s and
+//!    `ListArena` are exact-sized too.
 
-use crate::arena::{ListArena, ListId};
 use crate::frozen::{FrozenHexastore, FrozenIndex, FrozenPair};
 use crate::slab::{overflow_words, FlatArena};
 use crate::store::Hexastore;
 use crate::traits::TripleStore as _;
-use crate::vecmap::VecMap;
 use hex_dict::{Id, IdTriple};
-
-type TwoLevel = VecMap<Id, VecMap<Id, ListId>>;
-
-/// One built index pair: primary ordering, mirror ordering, shared arena.
-type Pair = (TwoLevel, TwoLevel, ListArena);
+use std::ops::Range;
 
 /// Projection of a triple into one ordering's `(k1, k2, item)` key order.
 /// A plain `fn` pointer so it is trivially `Send` across build threads.
@@ -94,29 +90,10 @@ impl Config {
     }
 }
 
-/// Builds a Hexastore from an arbitrary (unsorted, possibly duplicated)
-/// triple batch using the default [`Config`].
+/// Builds a mutable Hexastore from an arbitrary (unsorted, possibly
+/// duplicated) triple batch: the slabs of [`build_frozen`], thawed.
 pub fn build(triples: Vec<IdTriple>) -> Hexastore {
-    build_with(triples, Config::default())
-}
-
-/// Builds a Hexastore from an arbitrary triple batch on an explicit
-/// [`Config`]'s thread budget.
-///
-/// The batch is sorted and deduplicated once into the canonical spo run,
-/// which is then shared immutably and never copied: the sop and pos pairs
-/// each view it through a 4-byte-per-triple `u32` *permutation* (positions
-/// sorted into the pair's order, gathered during emission) instead of a
-/// re-sorted clone of the 12-byte-per-triple batch. The caller's thread
-/// builds spo; the first spare worker takes pos — the only order needing a
-/// full re-sort, the critical path — the second takes sop, and any beyond
-/// those speed the pos sort. Pairs without a worker are built by the
-/// caller after spo.
-pub fn build_with(mut triples: Vec<IdTriple>, config: Config) -> Hexastore {
-    let threads = config.effective_threads(triples.len()).max(1);
-    sort_dedup(&mut triples, threads);
-    let (spo_pair, sop_pair, pos_pair) = build_pairs(&triples, threads, build_pair);
-    Hexastore::from_built_parts(spo_pair, sop_pair, pos_pair, triples.len())
+    build_frozen(triples).thaw()
 }
 
 /// Builds a [`FrozenHexastore`] from an arbitrary triple batch using the
@@ -139,40 +116,45 @@ pub fn compact_frozen(overlay: &crate::overlay::OverlayHexastore) -> FrozenHexas
     build_frozen(triples)
 }
 
-/// Builds a [`FrozenHexastore`] from an arbitrary triple batch, emitting
-/// the flat slabs *directly* from sorted runs — the nested
-/// `VecMap`/`Vec<Vec<Id>>` form is never materialized. Same copy
-/// discipline and thread schedule as [`build_with`].
+/// Builds a [`FrozenHexastore`] from an arbitrary triple batch on an
+/// explicit [`Config`]'s thread budget, emitting the flat slabs directly
+/// from sorted runs.
+///
+/// The batch is sorted and deduplicated once into the canonical spo run,
+/// which is then shared immutably and never copied: the sop and pos pairs
+/// each view it through a 4-byte-per-triple `u32` *permutation* (positions
+/// sorted into the pair's order, gathered during emission) instead of a
+/// re-sorted clone of the 12-byte-per-triple batch. The caller's thread
+/// builds spo; the first spare worker takes pos — the only order needing a
+/// full re-sort, the critical path — the second takes sop, and any beyond
+/// those speed the pos sort. Pairs without a worker are built by the
+/// caller after spo.
 pub fn build_frozen_with(mut triples: Vec<IdTriple>, config: Config) -> FrozenHexastore {
     let threads = config.effective_threads(triples.len()).max(1);
     sort_dedup(&mut triples, threads);
-    let (spo_pair, sop_pair, pos_pair) = build_pairs(&triples, threads, build_pair_frozen);
+    let (spo_pair, sop_pair, pos_pair) = build_pairs(&triples, threads);
     FrozenHexastore::from_parts(spo_pair, sop_pair, pos_pair, triples.len())
 }
 
-/// The loader's thread schedule, as [`build_with`] documents it: emits
-/// the three index pairs of a sort-deduplicated spo `run` through `emit`,
-/// on up to `threads` threads.
-fn build_pairs<P: Send>(
-    run: &[IdTriple],
-    threads: usize,
-    emit: impl Fn(&[IdTriple], Option<&[u32]>, KeyFn) -> P + Sync,
-) -> (P, P, P) {
-    let (n, emit) = (run.len(), &emit);
+/// The loader's thread schedule, as [`build_frozen_with`] documents it:
+/// emits the three index pairs of a sort-deduplicated spo `run` on up to
+/// `threads` threads.
+fn build_pairs(run: &[IdTriple], threads: usize) -> (FrozenPair, FrozenPair, FrozenPair) {
+    let n = run.len();
     let sop = move || {
         let mut perm = identity_perm(n);
         permute_sop(run, &mut perm);
-        emit(run, Some(&perm), key_sop)
+        emit_pair(run, Some(&perm), key_sop)
     };
     let pos = move || {
         let mut perm = identity_perm(n);
         par_sort(&mut perm, threads.saturating_sub(2), |&i: &u32| key_pos(&run[i as usize]));
-        emit(run, Some(&perm), key_pos)
+        emit_pair(run, Some(&perm), key_pos)
     };
     std::thread::scope(|s| {
         let pos_task = (threads >= 2).then(|| s.spawn(pos));
         let sop_task = (threads >= 3).then(|| s.spawn(sop));
-        let spo_pair = emit(run, None, key_spo);
+        let spo_pair = emit_pair(run, None, key_spo);
         let sop_pair = sop_task.map_or_else(sop, |t| t.join().expect("sop build task panicked"));
         let pos_pair = pos_task.map_or_else(pos, |t| t.join().expect("pos build task panicked"));
         (spo_pair, sop_pair, pos_pair)
@@ -205,11 +187,11 @@ fn permute_sop(run: &[IdTriple], perm: &mut [u32]) {
     }
 }
 
-/// Builds one frozen index pair from a strict-ascending run, viewed
-/// through `perm` when the pair's order differs from the run's physical
-/// order: the primary ordering and its arena by [`emit_primary`], then the
-/// mirror over the same lists.
-fn build_pair_frozen(run: &[IdTriple], perm: Option<&[u32]>, key: KeyFn) -> FrozenPair {
+/// Emits one index pair from a strict-ascending run, viewed through
+/// `perm` when the pair's order differs from the run's physical order: the
+/// primary ordering and its arena by [`emit_primary`], then the mirror
+/// over the same lists.
+fn emit_pair(run: &[IdTriple], perm: Option<&[u32]>, key: KeyFn) -> FrozenPair {
     let (primary, arena) = emit_primary(run, perm, key);
 
     // Mirror: group the primary's leaves by k2, referencing the
@@ -237,12 +219,12 @@ fn build_pair_frozen(run: &[IdTriple], perm: Option<&[u32]>, key: KeyFn) -> Froz
 
 /// Emits one primary ordering and its own arena from a strict-ascending
 /// run, viewed through `perm` when the ordering differs from the run's
-/// physical order — the half of a frozen pair build that a partial store's
-/// orderings are made of. A counting pass first makes every allocation
-/// exact; then every slab append is driven by the shared grouping pass,
-/// with `at` the hot projection (a perm indirection plus a key gather).
-/// Lists enter the arena in leaf order, which is why a primary stores no
-/// list references.
+/// physical order — the half of a pair that a partial store's orderings
+/// are made of. A counting pass first makes every allocation exact; then
+/// the same walk over the run's [`leaves`] drives every slab append, with
+/// `at` the hot projection (a perm indirection plus a key gather). Lists
+/// enter the arena in leaf order, which is why a primary stores no list
+/// references.
 pub(crate) fn emit_primary(
     run: &[IdTriple],
     perm: Option<&[u32]>,
@@ -253,14 +235,18 @@ pub(crate) fn emit_primary(
     let RunCounts { headers, pairs, overflow } = count_groups(n, &at);
     let mut primary = FrozenIndex::primary(headers, pairs);
     let mut arena = FlatArena::with_capacity(pairs, overflow);
-    scan_groups(n, &at, |event| match event {
-        GroupEvent::Header { .. } => {}
-        GroupEvent::Leaf { k2, range } => {
-            let lid = arena.push_list(range.map(|x| at(x).2));
-            primary.push_leaf(k2, lid);
+    let mut open = None;
+    for (k1, k2, range) in leaves(n, &at) {
+        if let Some(done) = open.filter(|&k| k != k1) {
+            primary.end_k1(done);
         }
-        GroupEvent::EndHeader { k1 } => primary.end_k1(k1),
-    });
+        open = Some(k1);
+        let lid = arena.push_list(range.map(|x| at(x).2));
+        primary.push_leaf(k2, lid);
+    }
+    if let Some(last) = open {
+        primary.end_k1(last);
+    }
     (primary, arena)
 }
 
@@ -377,85 +363,39 @@ struct RunCounts {
 
 /// Exact counts of a run viewed through `at` — the same
 /// header/vector/list accounting as [`SpaceStats`](crate::SpaceStats),
-/// but *before* building, so every allocation in the pair builders can be
-/// exact.
+/// but *before* building, so every slab allocation can be exact.
 fn count_groups(n: usize, at: impl Fn(usize) -> (Id, Id, Id)) -> RunCounts {
     let mut counts = RunCounts { headers: 0, pairs: 0, overflow: 0 };
-    let mut prev: Option<(Id, Id)> = None;
-    // First item and length so far of the open (k1, k2) group's list.
-    let (mut first, mut len) = (Id(0), 0);
-    for i in 0..n {
-        let (k1, k2, item) = at(i);
-        if prev == Some((k1, k2)) {
-            len += 1;
-            continue;
-        }
-        if prev.is_none_or(|(p1, _)| p1 != k1) {
-            counts.headers += 1;
-        }
+    let mut prev_k1 = None;
+    for (k1, _, range) in leaves(n, &at) {
+        counts.headers += usize::from(prev_k1 != Some(k1));
         counts.pairs += 1;
-        if len > 0 {
-            counts.overflow += overflow_words(len, first);
-        }
-        (prev, first, len) = (Some((k1, k2)), item, 1);
-    }
-    if len > 0 {
-        counts.overflow += overflow_words(len, first);
+        counts.overflow += overflow_words(range.len(), at(range.start).2);
+        prev_k1 = Some(k1);
     }
     counts
 }
 
-/// One step of a grouped walk over a sorted run — see [`scan_groups`].
-enum GroupEvent {
-    /// A new `k1` group starts; `distinct_k2` is its exact vector length.
-    Header { k1: Id, distinct_k2: usize },
-    /// One `(k1, k2)` group's contiguous positions, in sorted order
-    /// (resolve items through the same `at` view the walk was given).
-    Leaf { k2: Id, range: std::ops::Range<usize> },
-    /// The current `k1` group is complete.
-    EndHeader { k1: Id },
-}
-
-/// Walks `n` positions sorted under `at`, emitting `Header` / `Leaf`* /
-/// `EndHeader` per first-level group. The mutable pair build and
-/// [`emit_primary`] (every frozen ordering and every partial-store
-/// ordering) drive their append-only fills from this one grouping pass,
-/// so the boundary logic lives in exactly one place.
-fn scan_groups(n: usize, at: impl Fn(usize) -> (Id, Id, Id), mut emit: impl FnMut(GroupEvent)) {
+/// The `(k1, k2)` groups of `n` positions sorted under `at`, in order,
+/// each with its contiguous positions (resolve items through the same
+/// `at`) — the one place the run's group boundaries are found.
+fn leaves(
+    n: usize,
+    at: impl Fn(usize) -> (Id, Id, Id),
+) -> impl Iterator<Item = (Id, Id, Range<usize>)> {
     let mut i = 0;
-    while i < n {
-        let k1 = at(i).0;
-        // First scan: find the group's end and its distinct-k2 count, so
-        // the receiver can allocate its vector exactly.
-        let mut j = i;
-        let mut distinct_k2 = 0;
-        let mut prev_k2: Option<Id> = None;
-        while j < n {
-            let (a, b, _) = at(j);
-            if a != k1 {
-                break;
-            }
-            if prev_k2 != Some(b) {
-                distinct_k2 += 1;
-                prev_k2 = Some(b);
-            }
-            j += 1;
+    std::iter::from_fn(move || {
+        if i >= n {
+            return None;
         }
-        emit(GroupEvent::Header { k1, distinct_k2 });
-        // Second scan: emit each (k1, k2) group's contiguous positions.
-        let mut g = i;
-        while g < j {
-            let k2 = at(g).1;
-            let mut h = g + 1;
-            while h < j && at(h).1 == k2 {
-                h += 1;
-            }
-            emit(GroupEvent::Leaf { k2, range: g..h });
-            g = h;
+        let start = i;
+        let (k1, k2, _) = at(start);
+        i += 1;
+        while i < n && matches!(at(i), (a, b, _) if (a, b) == (k1, k2)) {
+            i += 1;
         }
-        emit(GroupEvent::EndHeader { k1 });
-        i = j;
-    }
+        Some((k1, k2, start..i))
+    })
 }
 
 /// Number of distinct adjacent `head` values in a sorted slice — the
@@ -471,62 +411,6 @@ fn count_distinct_adjacent<T, K: PartialEq>(items: &[T], head: impl Fn(&T) -> K)
         }
     }
     count
-}
-
-/// Builds one index pair plus its shared arena from a strict-ascending
-/// run, viewed through `perm` when the pair's order differs from the
-/// run's physical (spo) order — the same permutation-gather walk as
-/// [`build_pair_frozen`], emitting the nested `VecMap`/[`ListArena`]
-/// form. A counting pass first sizes every container at its exact final
-/// size, so the fill is append-only and leaves no slack capacity.
-fn build_pair(run: &[IdTriple], perm: Option<&[u32]>, key: KeyFn) -> Pair {
-    let n = run.len();
-    let at = at_fn(run, perm, key);
-
-    let RunCounts { headers, pairs, .. } = count_groups(n, &at);
-    let mut primary = TwoLevel::with_capacity(headers);
-    let mut arena = ListArena::with_capacity(pairs);
-    let mut mirror_entries = Vec::with_capacity(pairs);
-
-    // Emission walk: the same shared grouping pass as the frozen builder;
-    // each `(k1, k2)` leaf gathers its exact-size terminal list through
-    // the permutation.
-    let mut inner: VecMap<Id, ListId> = VecMap::new();
-    let mut current_k1 = Id(0);
-    scan_groups(n, &at, |event| match event {
-        GroupEvent::Header { k1, distinct_k2 } => {
-            inner = VecMap::with_capacity(distinct_k2);
-            current_k1 = k1;
-        }
-        GroupEvent::Leaf { k2, range } => {
-            let list: Vec<Id> = range.map(|x| at(x).2).collect();
-            let lid = arena.alloc_sorted(list);
-            inner.push_sorted(k2, lid);
-            mirror_entries.push((k2, current_k1, lid));
-        }
-        GroupEvent::EndHeader { k1 } => primary.push_sorted(k1, std::mem::take(&mut inner)),
-    });
-
-    // Mirror: group by k2, push (k1 -> list) in sorted order. Each (k2,
-    // k1) appears once, so group lengths are exact inner capacities.
-    mirror_entries.sort_unstable_by_key(|e| (e.0, e.1));
-    let m = mirror_entries.len();
-    let mut mirror = TwoLevel::with_capacity(count_distinct_adjacent(&mirror_entries, |e| e.0));
-    let mut i = 0;
-    while i < m {
-        let k2 = mirror_entries[i].0;
-        let mut j = i + 1;
-        while j < m && mirror_entries[j].0 == k2 {
-            j += 1;
-        }
-        let mut inner: VecMap<Id, ListId> = VecMap::with_capacity(j - i);
-        for &(_, k1, lid) in &mirror_entries[i..j] {
-            inner.push_sorted(k1, lid);
-        }
-        mirror.push_sorted(k2, inner);
-        i = j;
-    }
-    (primary, mirror, arena)
 }
 
 #[cfg(test)]
@@ -572,27 +456,49 @@ mod tests {
         }
     }
 
+    /// The thread sweep: every config emits the same slabs at the same heap
+    /// size, whose thaw has one heap size too, and both answer every access
+    /// shape as a store built by inserts does.
     #[test]
     fn every_config_builds_the_same_store() {
-        let triples: Vec<IdTriple> = (0..500u32).map(|i| t(i % 23, i % 7, i % 41)).collect();
-        let reference = build_with(triples.clone(), Config { threads: 1 });
-        for threads in [2, 3, 4, 8] {
+        let triples: Vec<IdTriple> = (0..700u32).map(|i| t(i % 23, i % 7, i % 41)).collect();
+        let mut inc = Hexastore::new();
+        for &tr in &triples {
+            inc.insert(tr);
+        }
+        let serial = build_frozen_with(triples.clone(), Config { threads: 1 });
+        let thawed_bytes = serial.clone().thaw().heap_bytes();
+        for threads in [1, 2, 3, 4, 8] {
             let cfg = Config { threads };
-            let store = build_with(triples.clone(), cfg);
-            assert_eq!(store.len(), reference.len(), "{cfg:?}");
-            assert_eq!(
-                store.matching(IdPattern::ALL),
-                reference.matching(IdPattern::ALL),
-                "{cfg:?}"
-            );
-            assert_eq!(store.space_stats(), reference.space_stats(), "{cfg:?}");
+            let frozen = build_frozen_with(triples.clone(), cfg);
+            assert_eq!(frozen, serial, "{cfg:?}");
+            assert_eq!(frozen.heap_bytes(), serial.heap_bytes(), "{cfg:?}");
+            assert_eq!(frozen.space_stats(), inc.space_stats(), "{cfg:?}");
+            let thawed = frozen.clone().thaw();
+            assert_eq!(thawed.heap_bytes(), thawed_bytes, "{cfg:?}");
+            assert_eq!(thawed.space_stats(), inc.space_stats(), "{cfg:?}");
+            for &tr in triples.iter().step_by(37) {
+                for pat in [
+                    IdPattern::ALL,
+                    IdPattern::sp(tr.s, tr.p),
+                    IdPattern::so(tr.s, tr.o),
+                    IdPattern::po(tr.p, tr.o),
+                    IdPattern::s(tr.s),
+                    IdPattern::p(tr.p),
+                    IdPattern::o(tr.o),
+                    IdPattern::spo(tr),
+                ] {
+                    assert_eq!(frozen.matching(pat), inc.matching(pat), "{cfg:?} {pat:?}");
+                    assert_eq!(thawed.matching(pat), inc.matching(pat), "{cfg:?} {pat:?}");
+                }
+            }
         }
     }
 
     #[test]
     fn presize_leaves_no_slack_capacity() {
         let triples: Vec<IdTriple> = (0..2000u32).map(|i| t(i % 97, i % 13, i)).collect();
-        let mut built = build_with(triples, Config { threads: 1 });
+        let mut built = build(triples);
         let before = built.heap_bytes();
         built.shrink_to_fit();
         assert_eq!(built.heap_bytes(), before, "a bulk build must already be exact");
@@ -637,76 +543,22 @@ mod tests {
         let h = build(Vec::new());
         assert!(h.is_empty());
         assert_eq!(h.matching(IdPattern::ALL), Vec::new());
-        let h = build_with(Vec::new(), Config { threads: 4 });
-        assert!(h.is_empty());
     }
 
     #[test]
     fn bulk_store_supports_updates_afterwards() {
-        for cfg in [Config { threads: 1 }, Config { threads: 4 }] {
-            let mut h = build_with(vec![t(1, 2, 3), t(4, 5, 6)], cfg);
-            assert!(h.insert(t(0, 0, 0)));
-            assert!(h.remove(t(4, 5, 6)));
-            assert_eq!(h.len(), 2);
-            assert!(h.contains(t(0, 0, 0)));
-            assert!(!h.contains(t(4, 5, 6)));
-        }
-    }
-
-    #[test]
-    fn parallel_mutable_build_equals_serial_and_frozen_thaw() {
-        // The permutation-gather mutable path must agree byte-for-byte
-        // with the serial build AND with the frozen builder's view of
-        // the same batch (build_frozen + thaw).
-        let triples: Vec<IdTriple> = (0..900u32).map(|i| t(i % 31, i % 11, i % 37)).collect();
-        let serial = build_with(triples.clone(), Config { threads: 1 });
-        for threads in [2, 3, 4, 8] {
-            let cfg = Config { threads };
-            let parallel = build_with(triples.clone(), cfg);
-            assert_eq!(parallel.len(), serial.len(), "{cfg:?}");
-            assert_eq!(parallel.matching(IdPattern::ALL), serial.matching(IdPattern::ALL));
-            assert_eq!(parallel.space_stats(), serial.space_stats(), "{cfg:?}");
-            assert_eq!(parallel.heap_bytes(), serial.heap_bytes(), "{cfg:?}");
-            let thawed = build_frozen_with(triples.clone(), cfg).thaw();
-            assert_eq!(thawed.matching(IdPattern::ALL), parallel.matching(IdPattern::ALL));
-            assert_eq!(thawed.space_stats(), parallel.space_stats(), "{cfg:?}");
-        }
-    }
-
-    #[test]
-    fn frozen_build_equals_mutable_for_every_config() {
-        let triples: Vec<IdTriple> = (0..700u32).map(|i| t(i % 23, i % 7, i % 41)).collect();
-        let reference = build_with(triples.clone(), Config { threads: 1 });
-        for threads in [1, 2, 3, 4, 8] {
-            let cfg = Config { threads };
-            let frozen = build_frozen_with(triples.clone(), cfg);
-            assert_eq!(frozen.len(), reference.len(), "{cfg:?}");
-            assert_eq!(frozen.space_stats(), reference.space_stats(), "{cfg:?}");
-            assert_eq!(
-                frozen.matching(IdPattern::ALL),
-                reference.matching(IdPattern::ALL),
-                "{cfg:?}"
-            );
-            for &tr in triples.iter().step_by(37) {
-                for pat in [
-                    IdPattern::sp(tr.s, tr.p),
-                    IdPattern::so(tr.s, tr.o),
-                    IdPattern::po(tr.p, tr.o),
-                    IdPattern::s(tr.s),
-                    IdPattern::p(tr.p),
-                    IdPattern::o(tr.o),
-                    IdPattern::spo(tr),
-                ] {
-                    assert_eq!(frozen.matching(pat), reference.matching(pat), "{cfg:?} {pat:?}");
-                }
-            }
-        }
+        let mut h = build(vec![t(1, 2, 3), t(4, 5, 6)]);
+        assert!(h.insert(t(0, 0, 0)));
+        assert!(h.remove(t(4, 5, 6)));
+        assert_eq!(h.len(), 2);
+        assert!(h.contains(t(0, 0, 0)));
+        assert!(!h.contains(t(4, 5, 6)));
     }
 
     #[test]
     fn frozen_build_direct_equals_freeze_of_mutable() {
-        // Emitting slabs from sorted runs and flattening a mutable build
-        // must produce byte-identical structures.
+        // Freezing the thaw of emitted slabs re-emits them byte for byte:
+        // thaw and freeze are inverse.
         let triples: Vec<IdTriple> = (0..300u32).map(|i| t(i % 17, i % 5, i % 29)).collect();
         let direct = build_frozen(triples.clone());
         let via_freeze = build(triples).freeze();

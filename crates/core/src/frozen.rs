@@ -21,13 +21,15 @@
 //! the benchmark's data — is stored where its address would have been
 //! ([`crate::slab`]).
 //!
-//! Conversions are loss-free both ways ([`Hexastore::freeze`] /
-//! [`FrozenHexastore::thaw`]), and
-//! [`crate::bulk::build_frozen`] emits the slabs *directly* from sorted
-//! runs without ever materializing the nested mutable form. The flat
-//! layout is also exactly what the [`crate::hexsnap`] binary snapshot
-//! stores, which is what makes "open a snapshot into a query-ready
-//! store" a column read instead of a six-index rebuild.
+//! [`crate::bulk::build_frozen`] is the one builder that turns a sorted
+//! run into index pairs, and it emits these slabs. The nested mutable
+//! form is their [`FrozenHexastore::thaw`] (which is how
+//! [`crate::bulk::build`] and [`crate::hexsnap::load`] make one), and
+//! [`Hexastore::freeze`] flattens a nested store again; both conversions
+//! are loss-free. The flat layout is also exactly what the
+//! [`crate::hexsnap`] binary snapshot stores, which is what makes "open a
+//! snapshot into a query-ready store" a column read instead of a
+//! six-index rebuild.
 
 use crate::access::{IndexView, OrderedStore, OrderingRead, SlabOrdering};
 use crate::advisor::{IndexKind, IndexSet};
@@ -406,8 +408,11 @@ impl FrozenHexastore {
         }
     }
 
-    /// Converts back into a mutable [`Hexastore`] (loss-free: the same
-    /// triples, sharing structure, and space accounting).
+    /// Converts into a mutable [`Hexastore`] (loss-free: the same
+    /// triples, sharing structure, and space accounting). Every vector and
+    /// arena is allocated at the exact size the slabs give, so a thawed
+    /// store has no slack capacity; this is how the nested store is
+    /// bulk-built ([`crate::bulk::build`]).
     pub fn thaw(self) -> Hexastore {
         let spo_pair = thaw_pair(&self.inner.spo, &self.inner.pso, &self.inner.o_lists);
         let sop_pair = thaw_pair(&self.inner.sop, &self.inner.osp, &self.inner.p_lists);
@@ -442,7 +447,10 @@ impl Hexastore {
     }
 }
 
-/// Flattens one mutable index pair. The primary walk visits every live
+/// Flattens one mutable index pair. Its input is either a thaw, whose
+/// list ids are in leaf order, or a store changed by inserts and removes,
+/// whose list ids are not and whose arena has released slots. The primary
+/// walk visits every live
 /// arena list exactly once (each list is keyed by exactly one `(k1, k2)`
 /// pair of the primary ordering), which both fills the flat arena in
 /// primary order and yields the `ListId` → flat-index remapping the

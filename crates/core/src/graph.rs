@@ -686,10 +686,13 @@ impl LiveGraphStore {
     pub fn compact(&mut self) -> crate::hexsnap::Result<()> {
         if self.data.store().is_dirty() {
             let next = self.generation + 1;
-            self.data.compact();
+            // The overlay keeps its layers until the generation is
+            // durable: a step that fails below leaves every logged write
+            // pending, so a retry writes them again.
+            let base = crate::bulk::compact_frozen(self.data.store());
             let path = crate::hexsnap::generation_path(&self.dir, next);
             let tmp = self.dir.join(format!("gen-{next:06}.tmp"));
-            crate::hexsnap::save_frozen(&tmp, self.data.dict(), self.data.store().base())?;
+            crate::hexsnap::save_frozen(&tmp, self.data.dict(), &base)?;
             // Durability order: snapshot bytes, then the rename's
             // directory entry, and only then (below) the WAL
             // truncation. Skipping either fsync lets the kernel make
@@ -698,6 +701,7 @@ impl LiveGraphStore {
             std::fs::File::open(&tmp)?.sync_all()?;
             std::fs::rename(&tmp, &path)?;
             fsync_dir(&self.dir)?;
+            self.data.store.install(base);
             self.generation = next;
             // Epoch handoff: only after the rename is durable does the
             // new generation become the published snapshot. Readers on
@@ -978,6 +982,29 @@ mod tests {
         assert_eq!(reopened.len(), 25);
         assert!(!reopened.contains(&triple("s0", "p", "o0")));
         assert!(reopened.contains(&triple("s99", "p", "o99")));
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn a_failed_compaction_keeps_synced_writes_for_the_retry() {
+        let dir = live_dir("compact-retry");
+        let t = triple("s", "p", "o");
+        let mut live = LiveGraphStore::open(&dir).unwrap();
+        live.insert(&t).unwrap();
+        live.sync().unwrap();
+        // A directory where the snapshot's temp file goes fails its write.
+        let blocker = dir.join("gen-000001.tmp");
+        std::fs::create_dir(&blocker).unwrap();
+        assert!(live.compact().is_err());
+        assert_eq!(live.generation(), 0);
+        assert!(live.dataset().store().is_dirty(), "the write is still pending");
+        std::fs::remove_dir(&blocker).unwrap();
+        live.compact().unwrap();
+        assert_eq!(live.generation(), 1);
+        drop(live);
+        let reopened = LiveGraphStore::open(&dir).unwrap();
+        assert_eq!(reopened.generation(), 1);
+        assert!(reopened.contains(&t));
         std::fs::remove_dir_all(&dir).ok();
     }
 

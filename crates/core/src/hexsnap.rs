@@ -1166,7 +1166,7 @@ pub fn save(path: impl AsRef<Path>, dict: &Dictionary, store: &dyn TripleStore) 
 /// Saves a dictionary and frozen store as prebuilt slab sections, so
 /// [`load_frozen`] opens query-ready without rebuilding indices. No
 /// `TRPL` column is written: the slabs' spo ordering is the triple
-/// column, and [`load`] reads it from there.
+/// column, and [`Reader::triples`] reads it from there.
 pub fn save_frozen(
     path: impl AsRef<Path>,
     dict: &Dictionary,
@@ -1204,26 +1204,11 @@ pub fn save_frozen_with(
     Ok(())
 }
 
-/// Rejects id columns referencing terms the dictionary does not hold —
-/// without this, a corrupt id would surface later as a panic inside
-/// string-level decoding instead of an open-time error.
-fn check_ids_in_dict(max_id: Option<Id>, dict: &Dictionary) -> Result<()> {
-    if max_id.is_some_and(|m| m.index() >= dict.len()) {
-        return corrupt("triple ids reference terms beyond the dictionary");
-    }
-    Ok(())
-}
-
-/// Loads a snapshot into a mutable [`GraphStore`], bulk-building it from
-/// the triple column — or, for a slab-only file, from the slabs' spo
-/// ordering.
+/// Loads a snapshot into a mutable [`GraphStore`]: [`load_frozen`], then
+/// [`FrozenHexastore::thaw`].
 pub fn load(path: impl AsRef<Path>) -> Result<GraphStore> {
-    let mut r = Reader::new(BufReader::new(File::open(path)?))?;
-    let dict = r.dictionary()?;
-    let triples = r.triples()?;
-    let max_id = triples.iter().map(|t| t.s.max(t.p).max(t.o)).max();
-    check_ids_in_dict(max_id, &dict)?;
-    Ok(GraphStore::from_parts(dict, crate::bulk::build(triples)))
+    let (dict, store) = load_frozen(path)?;
+    Ok(GraphStore::from_parts(dict, store.thaw()))
 }
 
 /// Loads a snapshot into a query-ready [`FrozenHexastore`]: a direct
@@ -1238,7 +1223,11 @@ pub fn load_frozen(path: impl AsRef<Path>) -> Result<(Dictionary, FrozenHexastor
     let mut r = Reader::new(BufReader::new(File::open(path)?))?;
     let dict = r.dictionary()?;
     let store = if r.has_frozen() { r.frozen()? } else { crate::bulk::build_frozen(r.triples()?) };
-    check_ids_in_dict(store.max_id(), &dict)?;
+    // Without this, a corrupt id would surface later as a panic inside
+    // string-level decoding instead of an open-time error.
+    if store.max_id().is_some_and(|m| m.index() >= dict.len()) {
+        return corrupt("triple ids reference terms beyond the dictionary");
+    }
     Ok((dict, store))
 }
 

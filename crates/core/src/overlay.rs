@@ -128,10 +128,17 @@ impl OverlayHexastore {
     /// Folds delta and tombstones into a new frozen base generation via
     /// the bulk permutation-gather build, leaving the overlay clean.
     pub fn compact(&mut self) {
-        if !self.is_dirty() {
-            return;
+        if self.is_dirty() {
+            self.install(crate::bulk::compact_frozen(self));
         }
-        self.base = crate::bulk::compact_frozen(self);
+    }
+
+    /// Makes `base` the base generation and empties delta and tombstones.
+    /// `base` must hold exactly the overlay's triples, as
+    /// [`crate::bulk::compact_frozen`] of it does.
+    pub(crate) fn install(&mut self, base: FrozenHexastore) {
+        debug_assert_eq!(base.len(), self.len(), "an installed base replaces the merged view");
+        self.base = base;
         self.delta = Hexastore::new();
         self.tombstones = Hexastore::new();
     }

@@ -27,12 +27,11 @@ use hex_dict::IdTriple;
 /// orderings.
 ///
 /// A shape served by a kept ordering is answered exactly as on the full
-/// store: [`TripleStore::count_matching`] adds list lengths and
-/// [`TripleStore::iter_matching_range`] starts by offset arithmetic,
-/// neither visiting a triple outside its answer. A shape whose serving
-/// orderings were all dropped ([`Self::serves_directly`] is `false`)
-/// filters a scan of the first kept ordering — for its cursor, its count
-/// and its range start alike.
+/// store: its cursor visits no triple outside its answer, and
+/// [`TripleStore::count_matching`] adds list lengths. A shape whose
+/// serving orderings were all dropped ([`Self::serves_directly`] is
+/// `false`) filters a scan of the first kept ordering, for its cursor and
+/// its count alike.
 ///
 /// Like [`crate::FrozenHexastore`], the store is immutable:
 /// [`TripleStore::insert`] and [`TripleStore::remove`] panic. Build it

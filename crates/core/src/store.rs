@@ -15,8 +15,8 @@ use crate::vecmap::VecMap;
 use hex_dict::{Id, IdTriple};
 
 /// One of the six index orderings: header → sorted vector → terminal list.
-/// Shared with the bulk loader and the freezer, which build/flatten these
-/// levels directly.
+/// Shared with `freeze` and `thaw`, which flatten and rebuild these levels
+/// directly.
 pub(crate) type TwoLevel = VecMap<Id, VecMap<Id, ListId>>;
 
 /// Space-accounting breakdown of a Hexastore (see
@@ -331,8 +331,8 @@ impl Hexastore {
 
     /// Assembles a store from three fully built index pairs, one per
     /// shared arena: `(primary, mirror, arena)` in spo/pso, sop/osp and
-    /// pos/ops order. Used by the bulk loader, whose pair-build tasks
-    /// produce exactly these parts (possibly on different threads).
+    /// pos/ops order, as [`FrozenHexastore::thaw`](crate::FrozenHexastore::thaw)
+    /// rebuilds them.
     pub(crate) fn from_built_parts(
         spo_pair: (TwoLevel, TwoLevel, ListArena),
         sop_pair: (TwoLevel, TwoLevel, ListArena),

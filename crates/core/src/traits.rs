@@ -70,14 +70,10 @@ pub trait TripleStore {
     /// yields exactly the triples at positions `start..end` of the
     /// pattern's match sequence, in the same order.
     ///
-    /// This is the primitive behind parallel query execution: a caller
-    /// that knows `count_matching(pat)` can split the match range into
-    /// contiguous shards and walk each on its own thread, and the
-    /// concatenation of the shards is byte-identical to the unsharded
-    /// cursor. The default implementation skips `start` triples through
-    /// the ordinary cursor (correct everywhere, linear in `start`);
-    /// slab-backed stores override it with offset arithmetic so a shard
-    /// start costs binary searches, not a walk.
+    /// Contiguous ranges tile the cursor: their concatenation is the
+    /// unsplit match sequence. The stores of this workspace all keep this
+    /// provided implementation, which skips `start` triples through the
+    /// ordinary cursor (linear in `start`). No query path calls it.
     fn iter_matching_range(&self, pat: IdPattern, start: usize, end: usize) -> TripleIter<'_> {
         Box::new(self.iter_matching(pat).skip(start).take(end.saturating_sub(start)))
     }

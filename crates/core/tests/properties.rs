@@ -135,7 +135,7 @@ proptest! {
         triples in proptest::collection::vec(arb_triple(), 0..200),
         threads in 1usize..9,
     ) {
-        let bulk_store = bulk::build_with(triples.clone(), bulk::Config { threads });
+        let bulk_store = bulk::build_frozen_with(triples.clone(), bulk::Config { threads }).thaw();
         let mut inc = Hexastore::new();
         for &t in &triples {
             inc.insert(t);
@@ -162,6 +162,38 @@ proptest! {
                 );
                 prop_assert_eq!(bulk_store.count_matching(pat), inc.count_matching(pat));
             }
+        }
+    }
+
+    /// A store built by inserts and removes is the one input to `freeze`
+    /// that no thaw produced: its list ids are out of leaf order and its
+    /// arenas have released slots. Its freeze must still be the bulk
+    /// loader's slabs, and their thaw the bulk-built nested store.
+    #[test]
+    fn freeze_after_churn_equals_a_bulk_build(ops in arb_ops()) {
+        let (h, model) = apply(&ops);
+        let triples: Vec<IdTriple> = model.iter().copied().collect();
+        let frozen = h.freeze();
+        let built = bulk::build_frozen(triples.clone());
+        prop_assert_eq!(&frozen, &built);
+        prop_assert_eq!(frozen.heap_bytes(), built.heap_bytes());
+        let thawed = frozen.thaw();
+        prop_assert_eq!(thawed.heap_bytes(), bulk::build(triples.clone()).heap_bytes());
+        prop_assert_eq!(thawed.space_stats(), h.space_stats());
+        let mut pats = vec![IdPattern::ALL];
+        for &t in &triples {
+            pats.extend([
+                IdPattern::s(t.s),
+                IdPattern::p(t.p),
+                IdPattern::o(t.o),
+                IdPattern::sp(t.s, t.p),
+                IdPattern::so(t.s, t.o),
+                IdPattern::po(t.p, t.o),
+                IdPattern::spo(t),
+            ]);
+        }
+        for pat in pats {
+            prop_assert_eq!(thawed.matching(pat), h.matching(pat), "{:?}", pat);
         }
     }
 
