@@ -456,41 +456,76 @@ mod tests {
         }
     }
 
-    /// The thread sweep: every config emits the same slabs at the same heap
-    /// size, whose thaw has one heap size too, and both answer every access
-    /// shape as a store built by inserts does.
-    #[test]
-    fn every_config_builds_the_same_store() {
-        let triples: Vec<IdTriple> = (0..700u32).map(|i| t(i % 23, i % 7, i % 41)).collect();
+    fn insert_built(triples: &[IdTriple]) -> Hexastore {
         let mut inc = Hexastore::new();
-        for &tr in &triples {
+        for &tr in triples {
             inc.insert(tr);
         }
+        inc
+    }
+
+    /// Every access shape, probed at a sample of the batch's own triples.
+    fn probe_patterns(triples: &[IdTriple]) -> Vec<IdPattern> {
+        let mut pats = vec![IdPattern::ALL];
+        for &tr in triples.iter().step_by(37) {
+            pats.extend([
+                IdPattern::sp(tr.s, tr.p),
+                IdPattern::so(tr.s, tr.o),
+                IdPattern::po(tr.p, tr.o),
+                IdPattern::s(tr.s),
+                IdPattern::p(tr.p),
+                IdPattern::o(tr.o),
+                IdPattern::spo(tr),
+            ]);
+        }
+        pats
+    }
+
+    #[test]
+    fn every_config_builds_the_same_store() {
+        let triples: Vec<IdTriple> = (0..500u32).map(|i| t(i % 23, i % 7, i % 41)).collect();
         let serial = build_frozen_with(triples.clone(), Config { threads: 1 });
-        let thawed_bytes = serial.clone().thaw().heap_bytes();
         for threads in [1, 2, 3, 4, 8] {
             let cfg = Config { threads };
             let frozen = build_frozen_with(triples.clone(), cfg);
             assert_eq!(frozen, serial, "{cfg:?}");
             assert_eq!(frozen.heap_bytes(), serial.heap_bytes(), "{cfg:?}");
-            assert_eq!(frozen.space_stats(), inc.space_stats(), "{cfg:?}");
+        }
+    }
+
+    #[test]
+    fn frozen_build_equals_mutable_for_every_config() {
+        let triples: Vec<IdTriple> = (0..700u32).map(|i| t(i % 23, i % 7, i % 41)).collect();
+        let reference = insert_built(&triples);
+        for threads in [1, 2, 3, 4, 8] {
+            let cfg = Config { threads };
+            let frozen = build_frozen_with(triples.clone(), cfg);
+            assert_eq!(frozen.len(), reference.len(), "{cfg:?}");
+            assert_eq!(frozen.space_stats(), reference.space_stats(), "{cfg:?}");
+            for pat in probe_patterns(&triples) {
+                assert_eq!(frozen.matching(pat), reference.matching(pat), "{cfg:?} {pat:?}");
+            }
+        }
+    }
+
+    #[test]
+    fn parallel_mutable_build_equals_serial_and_frozen_thaw() {
+        // The nested store of every config is the thaw of its slabs, and
+        // has the serial thaw's heap size and the insert-built store's
+        // contents.
+        let triples: Vec<IdTriple> = (0..900u32).map(|i| t(i % 31, i % 11, i % 37)).collect();
+        let reference = insert_built(&triples);
+        let serial = build_frozen_with(triples.clone(), Config { threads: 1 }).thaw();
+        for threads in [1, 2, 3, 4, 8] {
+            let cfg = Config { threads };
+            let frozen = build_frozen_with(triples.clone(), cfg);
             let thawed = frozen.clone().thaw();
-            assert_eq!(thawed.heap_bytes(), thawed_bytes, "{cfg:?}");
-            assert_eq!(thawed.space_stats(), inc.space_stats(), "{cfg:?}");
-            for &tr in triples.iter().step_by(37) {
-                for pat in [
-                    IdPattern::ALL,
-                    IdPattern::sp(tr.s, tr.p),
-                    IdPattern::so(tr.s, tr.o),
-                    IdPattern::po(tr.p, tr.o),
-                    IdPattern::s(tr.s),
-                    IdPattern::p(tr.p),
-                    IdPattern::o(tr.o),
-                    IdPattern::spo(tr),
-                ] {
-                    assert_eq!(frozen.matching(pat), inc.matching(pat), "{cfg:?} {pat:?}");
-                    assert_eq!(thawed.matching(pat), inc.matching(pat), "{cfg:?} {pat:?}");
-                }
+            assert_eq!(thawed.len(), serial.len(), "{cfg:?}");
+            assert_eq!(thawed.heap_bytes(), serial.heap_bytes(), "{cfg:?}");
+            assert_eq!(thawed.space_stats(), reference.space_stats(), "{cfg:?}");
+            for pat in probe_patterns(&triples) {
+                assert_eq!(thawed.matching(pat), reference.matching(pat), "{cfg:?} {pat:?}");
+                assert_eq!(thawed.matching(pat), frozen.matching(pat), "{cfg:?} {pat:?}");
             }
         }
     }
