@@ -17,14 +17,15 @@
 //! as a workflow artifact; see `.github/workflows/ci.yml`.
 
 // The workspace's counting allocator, installed in this binary only, so
-// the `plans` entry can report how many allocations one query run makes.
+// the `plans` entry can report how many allocations one query run makes
+// and `plan_cache` what a cached plan holds.
 // Every figure this binary times runs under it too: each allocation,
 // reallocation and free also updates its shared counters, which the
 // `figures` binary's timings do not include.
 #[path = "../../../../tests/counting_alloc/mod.rs"]
 mod counting_alloc;
 
-use hex_bench::{cli, collect_evidence, history, Params};
+use hex_bench::{cli, collect_evidence, history, Allocator, Params};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::Ordering;
 
@@ -49,7 +50,11 @@ fn parse_args() -> Result<Args, String> {
             large_triples: 200_000,
             points: 5,
             reps: 3,
-            allocations: Some(|| counting_alloc::REQUESTS.load(Ordering::Relaxed)),
+            allocator: Some(Allocator {
+                requests: || counting_alloc::REQUESTS.load(Ordering::Relaxed),
+                live_bytes: || counting_alloc::LIVE.load(Ordering::Relaxed),
+                live_blocks: || counting_alloc::BLOCKS.load(Ordering::Relaxed),
+            }),
         },
         out: PathBuf::from("bench-artifacts"),
         label: None,

@@ -21,7 +21,7 @@ use hex_bench::{cli, figure, FigureSpec, Params, FIGURES};
 fn parse_args() -> Result<(Vec<&'static FigureSpec>, Params), String> {
     let mut which = "all".to_string();
     let mut params =
-        Params { triples: 200_000, large_triples: 0, points: 5, reps: 3, allocations: None };
+        Params { triples: 200_000, large_triples: 0, points: 5, reps: 3, allocator: None };
     let mut it = std::env::args().skip(1);
     while let Some(flag) = it.next() {
         match flag.as_str() {

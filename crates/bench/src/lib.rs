@@ -7,8 +7,8 @@
 //! and plots each store's query response time on a log axis.
 //!
 //! This crate regenerates them, the §4.1 space and §4.3 path experiments,
-//! and four measurements of this implementation (`plans`, `joins`,
-//! `ask_early_exit`, `snapshot_size`). How fast the system *is* — load,
+//! and five measurements of this implementation (`plans`, `joins`,
+//! `ask_early_exit`, `snapshot_size`, `plan_cache`). How fast the system *is* — load,
 //! serving, live writes, cold open, per layer — is the business of the
 //! benchmark of record (`bash benchmark/run.sh`), not of this crate.
 //!
@@ -128,10 +128,22 @@ pub struct Params {
     pub points: usize,
     /// Measurement windows per timing (each reports their median).
     pub reps: usize,
-    /// The requests the global allocator has served so far, when the
-    /// binary installs one that counts them (`bench_evidence` does): the
-    /// `plans` entry then reports each query's allocations per run.
-    pub allocations: Option<fn() -> usize>,
+    /// What the global allocator has counted so far, when the binary
+    /// installs one that counts (`bench_evidence` does): the `plans` entry
+    /// then reports each query's allocations per run, and `plan_cache`
+    /// what a cached plan holds.
+    pub allocator: Option<Allocator>,
+}
+
+/// Readers of a counting global allocator's totals.
+#[derive(Clone, Copy, Debug)]
+pub struct Allocator {
+    /// Requests served so far (a `realloc` is one).
+    pub requests: fn() -> usize,
+    /// Bytes requested and not yet returned.
+    pub live_bytes: fn() -> usize,
+    /// Blocks allocated and not yet freed.
+    pub live_blocks: fn() -> usize,
 }
 
 /// A value that repeats to the byte on any host: what `BENCH_ci.json`
@@ -207,7 +219,7 @@ const fn spec(
 
 /// Every figure this crate can render — the one place figure ids are
 /// known. `figures` and `bench_evidence` both loop over it.
-pub const FIGURES: [FigureSpec; 19] = [
+pub const FIGURES: [FigureSpec; 20] = [
     spec("3", "Barton Query 1", "figure_3", |f, p| {
         barton_sweep(f, p, trio("", barton::bq1_hexastore, barton::bq1_covp1, barton::bq1_covp2))
     }),
@@ -276,6 +288,12 @@ pub const FIGURES: [FigureSpec; 19] = [
         "hexsnap file size, dictionary included: plain vs compressed slabs (bytes per triple)",
         "snapshot_size",
         snapshot_size_rendered,
+    ),
+    spec(
+        "plan_cache",
+        "Plan cache: what a cached plan holds, and the entry bound after 70,000 texts",
+        "plan_cache",
+        plan_cache_rendered,
     ),
 ];
 
@@ -436,11 +454,10 @@ fn ask_early_exit(scale: usize, reps: usize) -> AskRow {
     )]);
     let q = CompiledQuery {
         bgp: Some(bgp.clone()),
-        vars: Vec::new(),
-        slots: Vec::new(),
-        var_names: vec!["x".into(), "t".into()],
+        slots: Box::default(),
+        var_names: ["x", "t"].into_iter().collect(),
         distinct: false,
-        filters: Vec::new(),
+        filters: Box::default(),
         ask: true,
         limit: None,
         offset: 0,
@@ -516,6 +533,107 @@ fn snapshot_size_rendered(fig: &FigureSpec, p: &Params) -> Rendered {
     )
 }
 
+/// How many distinct texts the `plan_cache` entry streams through one
+/// cache, past its 65,536-entry bound.
+const PLAN_CACHE_STREAM: usize = 70_000;
+
+/// Up to `n` selective texts not in `seen`, in the eight shapes of the
+/// benchmark's `lookup` stream, their constants taken from consecutive
+/// triples of `data`. Each text goes into `seen`.
+fn selective_texts(
+    data: &[Triple],
+    n: usize,
+    seen: &mut std::collections::HashSet<String>,
+) -> Vec<String> {
+    let mut texts = Vec::new();
+    for pair in data.windows(2) {
+        let (prev, t) = (&pair[0], &pair[1]);
+        let (s, p, o) = (&t.subject, &t.predicate, &t.object);
+        let shapes = [
+            format!("SELECT ?p ?o WHERE {{ {s} ?p ?o . }}"),
+            format!("SELECT ?o WHERE {{ {s} {p} ?o . }}"),
+            format!("SELECT ?s WHERE {{ ?s {p} {o} . }} LIMIT 10"),
+            format!("SELECT ?s ?p WHERE {{ ?s ?p {o} . }}"),
+            format!("SELECT ?p WHERE {{ {s} ?p {o} . }}"),
+            format!("ASK {{ {s} {p} {o} . }}"),
+            format!("SELECT ?s ?x WHERE {{ {s} {p} ?x . ?s {p} ?x . }}"),
+            format!("SELECT ?s WHERE {{ ?s {p} {o} . ?s {} {} . }}", prev.predicate, prev.object),
+        ];
+        for text in shapes {
+            if texts.len() == n {
+                return texts;
+            }
+            if seen.insert(text.clone()) {
+                texts.push(text);
+            }
+        }
+    }
+    texts
+}
+
+/// What a `PlanCache` holds per plan — counted bytes and live
+/// allocations, when [`Params::allocator`] counts them — once it has
+/// cached the twelve paper queries and 10,000 selective texts over a
+/// half Barton, half LUBM frozen store; and how many plans a cache holds
+/// after [`PLAN_CACHE_STREAM`] distinct texts.
+fn plan_cache_rendered(fig: &FigureSpec, p: &Params) -> Rendered {
+    use hex_bench_queries::{barton_queries, lubm_queries};
+    use hex_query::PlanCache;
+
+    let (barton, lubm) = (barton_dataset(p.triples / 2), lubm_dataset(p.triples - p.triples / 2));
+    let mut dict = Dictionary::new();
+    let ids: Vec<hex_dict::IdTriple> =
+        barton.iter().chain(&lubm).map(|t| dict.encode_triple(t)).collect();
+    let paper = [barton_queries(&dict), lubm_queries(&dict)].into_iter().flatten().flatten();
+    let mut texts: Vec<String> = paper.map(|q| q.text).collect();
+    let mut seen = texts.iter().cloned().collect();
+    texts.extend(selective_texts(&barton, 5_000, &mut seen));
+    texts.extend(selective_texts(&lubm, 5_000, &mut seen));
+    let stream: Vec<String> = (1..=PLAN_CACHE_STREAM)
+        .map(|n| format!("SELECT ?s WHERE {{ ?s ?p ?o . }} LIMIT {n}"))
+        .collect();
+    let ds = hexastore::Dataset::from_parts(dict, hexastore::bulk::build_frozen(ids));
+
+    let live = |a: Allocator| ((a.live_bytes)(), (a.live_blocks)());
+    let mut cache = PlanCache::new();
+    let before = p.allocator.map(live);
+    for text in &texts {
+        cache.prepare(&ds, text).expect("selective text compiles");
+    }
+    let plans = cache.len();
+    let per_plan = p.allocator.map(live).zip(before).map(|((bytes, blocks), (bytes0, blocks0))| {
+        let per = |n: usize| n as f64 / plans.max(1) as f64;
+        (per(bytes - bytes0), per(blocks - blocks0))
+    });
+    drop(cache);
+
+    let mut cache = PlanCache::new();
+    for text in &stream {
+        cache.prepare(&ds, text).expect("stream text compiles");
+    }
+    let entries = cache.len();
+
+    let (bytes, blocks) = per_plan.map_or((String::new(), String::new()), |(bytes, blocks)| {
+        (format!("{bytes:.1}"), format!("{blocks:.3}"))
+    });
+    let mut counts = vec![("plans", Count::Int(plans))];
+    if let Some((bytes, blocks)) = per_plan {
+        counts.push(("bytes_per_plan", Count::Ratio(bytes)));
+        counts.push(("allocations_per_plan", Count::Ratio(blocks)));
+    }
+    counts.push(("entries_after_70000", Count::Int(entries)));
+    Rendered::with_counts(
+        format!(
+            "# {} — barton+lubm dataset, {} triples\n\
+             plans,bytes_per_plan,allocations_per_plan,entries_after_70000\n\
+             {plans},{bytes},{blocks},{entries}\n",
+            fig.title,
+            ds.len(),
+        ),
+        counts,
+    )
+}
+
 /// One planner-ablation measurement: the same paper query answered by
 /// the hand-written per-store plan, by the planner's constants-only
 /// order, and by the statistics-refined order.
@@ -532,7 +650,7 @@ struct PlanRow {
     cells: usize,
     /// Distinct terms among them — what decode has to build.
     distinct_terms: usize,
-    /// Allocations one `Plan::run` makes, when [`Params::allocations`]
+    /// Allocations one `Plan::run` makes, when [`Params::allocator`]
     /// counts them.
     run_allocs: Option<usize>,
     /// Wall-clock of the hand-written Hexastore plan.
@@ -556,8 +674,8 @@ impl PlanRow {
 /// dataset, computed outside the timed region), and the paper's
 /// hand-written Hexastore plan as the reference. Plans are prepared once
 /// and re-run, so the measurement compares join *orders*, not parsing.
-/// With `allocations`, the first (untimed) run is also counted.
-fn plans_figure(scale: usize, reps: usize, allocations: Option<fn() -> usize>) -> Vec<PlanRow> {
+/// With `allocator`, the first (untimed) run is also counted.
+fn plans_figure(scale: usize, reps: usize, allocator: Option<Allocator>) -> Vec<PlanRow> {
     use hex_bench_queries::{barton_queries, lubm_queries, PaperQuery};
     use hex_query::DatasetQuery;
 
@@ -592,9 +710,10 @@ fn plans_figure(scale: usize, reps: usize, allocations: Option<fn() -> usize>) -
             let plain = graph.prepare(&query.text).expect("paper query compiles");
             let refined =
                 graph.prepare_with_stats(&query.text, Some(&stats)).expect("paper query compiles");
-            let start = allocations.map(|count| count());
+            let requests = allocator.map(|a| a.requests);
+            let start = requests.map(|count| count());
             let answer = plain.run();
-            let run_allocs = allocations.zip(start).map(|(count, start)| count() - start);
+            let run_allocs = requests.zip(start).map(|(count, start)| count() - start);
             let distinct: std::collections::HashSet<&rdf_model::Term> =
                 answer.rows.iter().flatten().collect();
             let hand_fn = &hands[query.name];
@@ -687,7 +806,7 @@ fn plans_to_csv(rows: &[PlanRow]) -> String {
 /// Each query's row count under its name, then `<name>_cells`,
 /// `<name>_distinct_terms` and, when counted, `<name>_run_allocs`.
 fn plans_rendered(_: &FigureSpec, p: &Params) -> Rendered {
-    let rows = plans_figure(p.triples, p.reps, p.allocations);
+    let rows = plans_figure(p.triples, p.reps, p.allocator);
     let mut counts = Vec::new();
     for r in &rows {
         counts.push((r.name.to_string(), Count::Int(r.rows)));
@@ -1107,12 +1226,12 @@ pub fn collect_evidence(params: &Params) -> Evidence {
 }
 
 impl Evidence {
-    /// `BENCH_ci.json`, schema 3: the two scales and every figure's
+    /// `BENCH_ci.json`, schema 4: the two scales and every figure's
     /// counts under its stem — no timings, so two runs of one build write
     /// the same bytes.
     pub fn bench_ci_json(&self) -> String {
         let mut json = format!(
-            "{{\n  \"schema\": 3,\n  \"figures_triples\": {},\n  \"load_triples\": {}",
+            "{{\n  \"schema\": 4,\n  \"figures_triples\": {},\n  \"load_triples\": {}",
             self.params.triples, self.params.large_triples
         );
         for (stem, counts) in &self.counts {
@@ -1147,7 +1266,7 @@ mod tests {
 
     fn render(id: &str, triples: usize, points: usize) -> Rendered {
         let fig = figure(id).expect("id in the table");
-        let params = Params { triples, large_triples: triples, points, reps: 1, allocations: None };
+        let params = Params { triples, large_triples: triples, points, reps: 1, allocator: None };
         (fig.render)(fig, &params)
     }
 
@@ -1192,7 +1311,7 @@ mod tests {
     #[test]
     fn bench_ci_json_repeats_to_the_byte_and_holds_no_timings() {
         let params =
-            Params { triples: 2_000, large_triples: 3_000, points: 1, reps: 1, allocations: None };
+            Params { triples: 2_000, large_triples: 3_000, points: 1, reps: 1, allocator: None };
         let first = collect_evidence(&params);
         let json = first.bench_ci_json();
         assert_eq!(json, collect_evidence(&params).bench_ci_json());
@@ -1223,10 +1342,13 @@ mod tests {
             "barton_blowup",
             "lubm_nested_heap_bytes",
             "all_distinct_frozen_heap_bytes",
+            "plans",
+            "entries_after_70000",
         ] {
             assert!(keys.contains(&wanted), "BENCH_ci.json lacks {wanted}:\n{json}");
         }
         assert!(json.contains("\"paper_queries\": 12"), "{json}");
+        assert!(json.contains("\"entries_after_70000\": 65536"), "{json}");
         let cells = first.trajectory_cells();
         assert_eq!(cells.len() + 1, history::TRAJECTORY_COLUMNS.len(), "one cell per column");
         assert!(cells.iter().all(|c| !c.is_empty()), "{cells:?}");

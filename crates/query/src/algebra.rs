@@ -89,35 +89,39 @@ impl Pattern {
     }
 }
 
-/// A basic graph pattern: a conjunction of patterns over `var_count`
-/// variable slots.
+/// A basic graph pattern: a conjunction of patterns over
+/// [`Bgp::var_count`] variable slots.
 #[derive(Clone, PartialEq, Eq, Debug, Default)]
 pub struct Bgp {
     /// The conjunctive triple patterns.
-    pub patterns: Vec<Pattern>,
-    /// Number of variable slots used across all patterns.
-    pub var_count: u16,
+    pub patterns: Box<[Pattern]>,
 }
 
 impl Bgp {
-    /// Creates a BGP, computing `var_count` from the highest slot used.
+    /// Creates a BGP.
     ///
     /// # Panics
     ///
-    /// If a pattern uses `VarId(u16::MAX)`: a `u16` count has room for
-    /// slots up to `u16::MAX - 1`, the last one
-    /// [`compile`](crate::compile) hands out.
+    /// If a pattern uses `VarId(u16::MAX)`: a binding row has at most
+    /// `u16::MAX` slots, the last one [`compile`](crate::compile) hands
+    /// out being `u16::MAX - 1`.
     pub fn new(patterns: Vec<Pattern>) -> Self {
-        let highest = patterns.iter().flat_map(Pattern::vars).max();
-        let var_count = highest.map_or(0, |v| {
-            v.0.checked_add(1).expect("VarId(u16::MAX) is past the last binding-row slot")
-        });
-        Bgp { patterns, var_count }
+        assert!(
+            patterns.iter().flat_map(Pattern::vars).all(|v| v.0 < u16::MAX),
+            "VarId(u16::MAX) is past the last binding-row slot"
+        );
+        Bgp { patterns: patterns.into() }
+    }
+
+    /// Number of variable slots used across all patterns: the highest
+    /// slot used, plus one.
+    pub fn var_count(&self) -> usize {
+        self.patterns.iter().flat_map(Pattern::vars).map(|v| v.index() + 1).max().unwrap_or(0)
     }
 
     /// An empty binding row for this BGP.
     pub fn empty_row(&self) -> Vec<Option<Id>> {
-        vec![None; self.var_count as usize]
+        vec![None; self.var_count()]
     }
 }
 
@@ -154,12 +158,12 @@ mod tests {
     #[test]
     fn bgp_var_count_is_max_slot_plus_one() {
         let bgp = Bgp::new(vec![Pattern::new(v(0), c(1), v(3)), Pattern::new(v(3), c(2), v(1))]);
-        assert_eq!(bgp.var_count, 4);
+        assert_eq!(bgp.var_count(), 4);
         assert_eq!(bgp.empty_row().len(), 4);
         let empty = Bgp::new(vec![]);
-        assert_eq!(empty.var_count, 0);
+        assert_eq!(empty.var_count(), 0);
         let last = Bgp::new(vec![Pattern::new(v(u16::MAX - 1), c(1), c(2))]);
-        assert_eq!(last.var_count, u16::MAX);
+        assert_eq!(last.var_count(), usize::from(u16::MAX));
     }
 
     #[test]

@@ -21,7 +21,7 @@ use rdf_model::{Term, TermPattern};
 use std::collections::{HashMap, HashSet};
 use std::fmt;
 use std::fmt::Write as _;
-use std::hash::{BuildHasherDefault, Hasher};
+use std::hash::{BuildHasher, BuildHasherDefault, Hasher, RandomState};
 use std::sync::Arc;
 
 /// A query result: projected variable names and rows of terms.
@@ -130,22 +130,64 @@ pub struct CompiledQuery {
     /// The id-level BGP. `None` when a constant term was never interned —
     /// the result is statically empty.
     pub bgp: Option<Bgp>,
-    /// Projected variable names.
-    pub vars: Vec<String>,
-    /// Slot of each projected variable.
-    pub slots: Vec<VarId>,
-    /// Every variable's name, indexed by slot (used by `Plan::explain`).
-    pub var_names: Vec<String>,
+    /// Slot of each projected variable; [`CompiledQuery::vars`] names
+    /// them.
+    pub slots: Box<[VarId]>,
+    /// Every variable's name, indexed by slot.
+    pub var_names: VarNames,
     /// Whether to deduplicate rows.
     pub distinct: bool,
     /// Compiled FILTER constraints.
-    pub filters: Vec<CompiledFilter>,
+    pub filters: Box<[CompiledFilter]>,
     /// True for ASK queries (existence check).
     pub ask: bool,
     /// LIMIT solution modifier.
     pub limit: Option<usize>,
     /// OFFSET solution modifier.
     pub offset: usize,
+}
+
+impl CompiledQuery {
+    /// The projected variable names, one per entry of `slots` (none for
+    /// ASK). A slot without a name is `""`.
+    pub fn vars(&self) -> impl Iterator<Item = &str> + '_ {
+        self.slots.iter().map(|&v| self.var_names.get(v).unwrap_or_default())
+    }
+}
+
+/// Variable names indexed by slot, held in one allocation: each name is
+/// written as its length in bytes, a `:` and the name itself, so any
+/// name round-trips.
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
+pub struct VarNames(Box<str>);
+
+impl VarNames {
+    /// The names in slot order.
+    pub fn iter(&self) -> impl Iterator<Item = &str> + '_ {
+        let mut rest = &*self.0;
+        std::iter::from_fn(move || {
+            let (len, tail) = rest.split_once(':')?;
+            let (name, next) = tail.split_at(len.parse().ok()?);
+            rest = next;
+            Some(name)
+        })
+    }
+
+    /// The name of slot `v`, if it has one.
+    pub fn get(&self, v: VarId) -> Option<&str> {
+        self.iter().nth(v.index())
+    }
+}
+
+impl<S: AsRef<str>> FromIterator<S> for VarNames {
+    fn from_iter<I: IntoIterator<Item = S>>(names: I) -> Self {
+        let mut text = String::new();
+        for name in names {
+            let name = name.as_ref();
+            let _ = write!(text, "{}:{name}", name.len());
+        }
+        VarNames(text.into_boxed_str())
+    }
 }
 
 /// One side of a compiled FILTER comparison.
@@ -212,7 +254,8 @@ pub fn compile(parsed: &ParsedQuery, dict: &Dictionary) -> Result<CompiledQuery,
         if let Some(&v) = slot_of.get(name) {
             return Ok(v);
         }
-        // `Bgp::var_count` is a `u16`, so the last slot is `u16::MAX - 1`.
+        // A binding row has at most `u16::MAX` slots, so the last slot is
+        // `u16::MAX - 1`.
         let v = u16::try_from(slot_of.len())
             .ok()
             .filter(|&next| next < u16::MAX)
@@ -282,23 +325,22 @@ pub fn compile(parsed: &ParsedQuery, dict: &Dictionary) -> Result<CompiledQuery,
 
     let vars = if parsed.ask { Vec::new() } else { parsed.projection() };
     let mut slots = Vec::with_capacity(vars.len());
-    for v in &vars {
-        match slot_of.get(v) {
+    for v in vars {
+        match slot_of.get(&v) {
             Some(&s) => slots.push(s),
-            None => return Err(QueryError::UnknownVariable(v.clone())),
+            None => return Err(QueryError::UnknownVariable(v)),
         }
     }
-    let mut var_names = vec![String::new(); slot_of.len()];
+    let mut var_names = vec![""; slot_of.len()];
     for (name, v) in &slot_of {
-        var_names[v.index()] = name.clone();
+        var_names[v.index()] = name;
     }
     Ok(CompiledQuery {
         bgp: (!unknown_constant).then(|| Bgp::new(patterns)),
-        vars,
-        slots,
-        var_names,
+        slots: slots.into(),
+        var_names: var_names.into_iter().collect(),
         distinct: parsed.distinct,
-        filters,
+        filters: filters.into(),
         ask: parsed.ask,
         limit: parsed.limit,
         offset: parsed.offset,
@@ -317,24 +359,56 @@ pub struct Plan<'a> {
 }
 
 /// Everything a [`Plan`] holds except its store/dictionary borrows: the
-/// part a [`PlanCache`] keeps and every hit shares.
+/// part a [`PlanCache`] keeps and every hit shares. Which step runs a
+/// FILTER is not stored: [`PlanBody::filter_step`] derives it.
 #[derive(Clone, Debug)]
 struct PlanBody {
     query: CompiledQuery,
     /// Execution steps in order; empty when the plan is statically empty
     /// or the BGP has no patterns.
-    steps: Vec<PlanStep>,
-    /// FILTERs assigned to each step (aligned with `steps`): the earliest
-    /// step after which all of the filter's variables are bound.
-    step_filters: Vec<Vec<CompiledFilter>>,
+    steps: Box<[PlanStep]>,
     /// Why no solutions can exist, decided at prepare time.
-    empty_reason: Option<&'static str>,
+    empty: Option<Empty>,
     /// Whether the join order was refined with [`DatasetStats`].
     stats_mode: bool,
 }
 
-/// A cache slot's value: both planning modes' bodies, one pointer each.
-const _: () = assert!(std::mem::size_of::<[Option<Arc<PlanBody>>; 2]>() == 16);
+/// A cached body is the compiled query, a step slice and two bytes.
+const _: () = assert!(std::mem::size_of::<PlanBody>() <= 120);
+
+/// Why a plan is statically empty.
+#[derive(Clone, Copy, Debug)]
+enum Empty {
+    AbsentConstant,
+    FalseFilter,
+    UnboundFilter,
+}
+
+impl Empty {
+    fn reason(self) -> &'static str {
+        match self {
+            Empty::AbsentConstant => "a constant does not occur in the dictionary",
+            Empty::FalseFilter => "a FILTER comparison over constants is false",
+            Empty::UnboundFilter => "a FILTER references a variable bound by no pattern",
+        }
+    }
+}
+
+impl PlanBody {
+    /// The step after which every slot `f` reads is bound, where the
+    /// FILTER runs: the latest of the steps that first bind each slot.
+    /// `None` for a constants-only filter, which preparation decides, and
+    /// for one reading a slot no step binds.
+    fn filter_step(&self, f: &CompiledFilter) -> Option<usize> {
+        let bgp = self.query.bgp.as_ref()?;
+        let first_binding = |v: VarId| {
+            self.steps.iter().position(|s| bgp.patterns[s.pattern].vars().any(|w| w == v))
+        };
+        let mut slots = f.slots().peekable();
+        slots.peek()?;
+        slots.try_fold(0, |at, v| Some(at.max(first_binding(v)?)))
+    }
+}
 
 /// Parses, compiles and plans query text against a store + dictionary
 /// pair.
@@ -397,55 +471,28 @@ impl<'a> Plan<'a> {
         store: &'a dyn TripleStore,
         stats: Option<&DatasetStats>,
     ) -> Plan<'a> {
-        let mut empty_reason =
-            query.bgp.is_none().then_some("a constant does not occur in the dictionary");
         let steps = match &query.bgp {
-            Some(bgp) => exec::plan_steps_with(store, bgp, stats),
-            None => Vec::new(),
+            Some(bgp) => exec::plan_steps_with(store, bgp, stats).into(),
+            None => Box::default(),
         };
-        let mut step_filters: Vec<Vec<CompiledFilter>> = steps.iter().map(|_| Vec::new()).collect();
-        if let Some(bgp) = &query.bgp {
-            // Bound-variable set after each step, for FILTER placement.
-            let mut bound = vec![false; bgp.var_count as usize];
-            let bound_after: Vec<Vec<bool>> = steps
-                .iter()
-                .map(|step| {
-                    for v in bgp.patterns[step.pattern].vars() {
-                        bound[v.index()] = true;
-                    }
-                    bound.clone()
-                })
-                .collect();
-            for f in &query.filters {
-                let slots: Vec<VarId> = f.slots().collect();
-                if slots.is_empty() {
-                    // Constants-only comparison: decidable right now.
-                    if empty_reason.is_none() && !f.accepts(&[]) {
-                        empty_reason = Some("a FILTER comparison over constants is false");
-                    }
-                    continue;
-                }
-                // A slot no pattern binds stays unbound in every row, and
-                // an unbound filtered variable rejects the row (SPARQL
-                // error semantics) — so the whole result is empty. The
-                // parser cannot produce this, but programmatically built
-                // queries can.
-                let all_bound = |bound: &[bool]| {
-                    slots.iter().all(|v| bound.get(v.index()).copied().unwrap_or(false))
-                };
-                match (0..steps.len()).find(|&d| all_bound(&bound_after[d])) {
-                    Some(depth) => step_filters[depth].push(*f),
-                    None => {
-                        if empty_reason.is_none() {
-                            empty_reason =
-                                Some("a FILTER references a variable bound by no pattern")
-                        }
-                    }
-                }
-            }
+        let mut body = PlanBody {
+            empty: query.bgp.is_none().then_some(Empty::AbsentConstant),
+            query,
+            steps,
+            stats_mode: stats.is_some(),
+        };
+        if body.empty.is_none() {
+            // A constants-only comparison is decided right now. A slot no
+            // pattern binds stays unbound in every row, and an unbound
+            // filtered variable rejects the row (SPARQL error semantics),
+            // so the whole result is empty. The parser cannot produce
+            // that, but programmatically built queries can.
+            body.empty = body.query.filters.iter().find_map(|f| match body.filter_step(f) {
+                Some(_) => None,
+                None if f.slots().next().is_some() => Some(Empty::UnboundFilter),
+                None => (!f.accepts(&[])).then_some(Empty::FalseFilter),
+            });
         }
-        let body =
-            PlanBody { query, steps, step_filters, empty_reason, stats_mode: stats.is_some() };
         Plan { store, dict, body: Arc::new(body) }
     }
 
@@ -462,12 +509,12 @@ impl<'a> Plan<'a> {
     /// True when prepare-time analysis proved the result empty (a constant
     /// outside the dictionary, or a constants-only FILTER that is false).
     pub fn is_statically_empty(&self) -> bool {
-        self.body.empty_reason.is_some()
+        self.body.empty.is_some()
     }
 
     fn render_term(&self, term: PatternTerm) -> String {
         match term {
-            PatternTerm::Var(v) => match self.body.query.var_names.get(v.index()) {
+            PatternTerm::Var(v) => match self.body.query.var_names.get(v) {
                 Some(name) => format!("?{name}"),
                 None => format!("?_{}", v.index()),
             },
@@ -503,7 +550,7 @@ impl<'a> Plan<'a> {
             if query.distinct {
                 s.push_str(" DISTINCT");
             }
-            for v in &query.vars {
+            for v in query.vars() {
                 let _ = write!(s, " ?{v}");
             }
             s
@@ -520,11 +567,11 @@ impl<'a> Plan<'a> {
         if body.stats_mode {
             let _ = writeln!(out, "planner: statistics-driven (bound-variable fan-out)");
         }
-        if let Some(reason) = body.empty_reason {
-            let _ = writeln!(out, "  statically empty: {reason}");
+        if let Some(empty) = body.empty {
+            let _ = writeln!(out, "  statically empty: {}", empty.reason());
             return out;
         }
-        let Some(bgp) = &query.bgp else { unreachable!("empty_reason covers bgp=None") };
+        let Some(bgp) = &query.bgp else { unreachable!("`empty` covers bgp=None") };
         for (i, step) in body.steps.iter().enumerate() {
             let pat = &bgp.patterns[step.pattern];
             let via = match step.index {
@@ -548,7 +595,7 @@ impl<'a> Plan<'a> {
                 step.estimate,
                 via
             );
-            for f in &body.step_filters[i] {
+            for f in query.filters.iter().filter(|f| body.filter_step(f) == Some(i)) {
                 let op = match f.op {
                     FilterOp::Eq => "=",
                     FilterOp::Ne => "!=",
@@ -586,10 +633,10 @@ impl<'a> Plan<'a> {
         if query.ask {
             return None;
         }
-        if !self.body.step_filters.iter().all(Vec::is_empty) {
+        if query.filters.iter().any(|f| self.body.filter_step(f).is_some()) {
             return None;
         }
-        let mut pattern_bound = vec![false; bgp.var_count as usize];
+        let mut pattern_bound = vec![false; bgp.var_count()];
         for pat in &bgp.patterns {
             for v in pat.vars() {
                 pattern_bound[v.index()] = true;
@@ -618,11 +665,11 @@ impl<'a> Plan<'a> {
     /// underlying join walk as soon as enough rows have been emitted.
     pub fn solutions(&self) -> Solutions<'_> {
         let body = &*self.body;
-        let rows = match (&body.query.bgp, body.empty_reason) {
+        let rows = match (&body.query.bgp, body.empty) {
             (Some(bgp), None) => {
                 let mut cursor = exec::BgpCursor::planned(self.store, bgp, &body.steps);
-                for (depth, filters) in body.step_filters.iter().enumerate() {
-                    for &f in filters {
+                for &f in body.query.filters.iter() {
+                    if let Some(depth) = body.filter_step(&f) {
                         cursor.add_check(depth, Box::new(move |row| f.accepts(row)));
                     }
                 }
@@ -633,15 +680,10 @@ impl<'a> Plan<'a> {
         };
         Solutions {
             decoder: Decoder { dict: self.dict, direct_rows: DIRECT_ROWS, terms: None },
-            vars: &self.body.query.vars,
-            slots: &self.body.query.slots,
+            query: &body.query,
             rows,
-            ask: self.body.query.ask,
-            distinct: self.body.query.distinct,
             seen: HashSet::new(),
-            offset: self.body.query.offset,
             skipped: 0,
-            limit: self.body.query.limit,
             emitted: 0,
             done: false,
         }
@@ -654,7 +696,7 @@ impl<'a> Plan<'a> {
     /// probes instead of one sorted-list intersection. A body shared with
     /// a [`PlanCache`] is copied first, so the cached plan keeps its joins.
     pub fn force_nested_joins(&mut self) {
-        for s in &mut Arc::make_mut(&mut self.body).steps {
+        for s in Arc::make_mut(&mut self.body).steps.iter_mut() {
             s.join = exec::JoinStep::NestedProbe;
         }
     }
@@ -665,7 +707,8 @@ impl<'a> Plan<'a> {
     pub fn run(&self) -> ResultSet {
         let mut solutions = self.solutions();
         solutions.decoder.terms = Some(HashMap::default());
-        ResultSet { vars: self.body.query.vars.clone(), rows: solutions.collect() }
+        let vars = self.body.query.vars().map(String::from).collect();
+        ResultSet { vars, rows: solutions.collect() }
     }
 }
 
@@ -678,24 +721,20 @@ impl<'a> Plan<'a> {
 /// more than the row it is building.
 pub struct Solutions<'p> {
     decoder: Decoder<'p>,
-    vars: &'p [String],
-    slots: &'p [VarId],
+    /// Projection and solution modifiers.
+    query: &'p CompiledQuery,
     /// The join walk; `None` when the plan is statically empty.
     rows: Option<exec::BgpCursor<'p>>,
-    ask: bool,
-    distinct: bool,
     seen: HashSet<Vec<Id>>,
-    offset: usize,
     skipped: usize,
-    limit: Option<usize>,
     emitted: usize,
     done: bool,
 }
 
 impl Solutions<'_> {
-    /// The projected variable names (empty for ASK).
-    pub fn vars(&self) -> &[String] {
-        self.vars
+    /// The projected variable names (none for ASK).
+    pub fn vars(&self) -> impl Iterator<Item = &str> + '_ {
+        self.query.vars()
     }
 }
 
@@ -770,32 +809,33 @@ impl Iterator for Solutions<'_> {
         // ASK answers pure existence: OFFSET/LIMIT modifiers don't apply
         // (matching the pre-streaming semantics, where ASK short-circuited
         // before the modifier pipeline).
-        if self.done || (!self.ask && self.limit.is_some_and(|l| self.emitted >= l)) {
+        let query = self.query;
+        if self.done || (!query.ask && query.limit.is_some_and(|l| self.emitted >= l)) {
             self.done = true;
             return None;
         }
         let rows = self.rows.as_mut()?;
         while let Some(row) = rows.advance() {
-            if self.ask {
+            if query.ask {
                 // ASK: a single empty row signals "yes"; stop immediately.
                 self.done = true;
                 return Some(Vec::new());
             }
             // Project straight from the row; rows with an unbound projected
             // slot are dropped.
-            if self.slots.iter().any(|v| row[v.index()].is_none()) {
+            if query.slots.iter().any(|v| row[v.index()].is_none()) {
                 continue;
             }
-            let ids = self.slots.iter().filter_map(|v| row[v.index()]);
-            if self.distinct && !self.seen.insert(ids.clone().collect()) {
+            let ids = query.slots.iter().filter_map(|v| row[v.index()]);
+            if query.distinct && !self.seen.insert(ids.clone().collect()) {
                 continue;
             }
-            if self.skipped < self.offset {
+            if self.skipped < query.offset {
                 self.skipped += 1;
                 continue;
             }
             self.emitted += 1;
-            return Some(self.decoder.row(ids, self.slots.len()));
+            return Some(self.decoder.row(ids, query.slots.len()));
         }
         self.done = true;
         None
@@ -880,16 +920,34 @@ impl<S: TripleStore> DatasetQuery for Dataset<S> {
     }
 }
 
-/// A memo of prepared plans, keyed by query text and planning mode, so a
-/// serving loop replaying a fixed query set stops re-parsing,
+/// A bounded memo of prepared plans, keyed by query text and planning
+/// mode, so a serving loop replaying a query set stops re-parsing,
 /// re-compiling and re-planning (each plain `prepare` pays one
-/// `count_matching` probe *per pattern*; the stats mode additionally
-/// recomputes [`DatasetStats`] per call).
+/// `count_matching` probe *per pattern*).
 ///
-/// An entry is the text plus one pointer per planning mode to the body
-/// the miss prepared; a hit hands out a [`Plan`] sharing that body, with
-/// no copy and no allocation. [`Plan::force_nested_joins`] on such a plan
-/// copies the body first, so the cached one never changes.
+/// An entry is the text, stored once, beside its reference bit and one
+/// pointer per planning mode to the body the miss prepared. A hit is one
+/// hash probe of the text and one `Arc` clone: it hands out a [`Plan`]
+/// sharing that body, with no copy and no allocation.
+/// [`Plan::force_nested_joins`] on such a plan copies the body first, so
+/// the cached one never changes. A body holds only what running and
+/// explaining read: the compiled query and its steps, in boxed slices,
+/// with the projected names derived from the slots. On texts shaped like
+/// the benchmark's `lookup` stream a full cache holds 394 counted bytes
+/// in 5.75 allocations per entry, the 134-byte text included
+/// (`tests/plan_cache_alloc.rs`); `BENCH_ci.json`'s `plan_cache` counts
+/// 423 bytes per plan at 10,012 plans, where the tables still have room
+/// to grow.
+///
+/// The cache holds at most 65,536 texts and evicts by CLOCK (second
+/// chance): a hit sets the entry's reference bit, and a miss into a full
+/// cache advances a hand over the entries, clearing set bits, and reuses
+/// the first entry whose bit was clear, both of its plans with it. An
+/// evicted text counts as a miss when it comes back; [`PlanCache::hits`]
+/// and [`PlanCache::misses`] count lookups, whatever was evicted.
+///
+/// The stats mode computes the dataset's [`DatasetStats`] on its first
+/// miss and keeps them for the next misses, until the dataset changes.
 ///
 /// The cache keys its validity on the ([`Dataset::identity`],
 /// [`Dataset::version`]) pair: any mutation of the dataset (triples
@@ -914,16 +972,69 @@ impl<S: TripleStore> DatasetQuery for Dataset<S> {
 /// assert_eq!(cache.prepare(&g, q).unwrap().solutions().count(), 1);
 /// assert_eq!((cache.hits(), cache.misses()), (1, 1));
 /// ```
-#[derive(Debug, Default)]
+#[derive(Debug)]
 pub struct PlanCache {
-    /// Per query text, the plain and the stats-driven preparation —
-    /// cached independently, since the two can choose different orders.
-    entries: HashMap<Box<str>, [Option<Arc<PlanBody>>; 2]>,
+    /// The cached texts, at most `capacity`, in the order the CLOCK hand
+    /// visits them.
+    entries: Vec<Entry>,
+    /// Open addressing over `entries`: each slot is a [`slot`] value or
+    /// [`NO_ENTRY`]; the home slot of a text is its hash's low bits, and
+    /// the table is at least twice as long as `entries`.
+    table: Vec<u32>,
+    /// The entry the next eviction considers first.
+    hand: usize,
+    /// [`CAPACITY`], except in tests.
+    capacity: usize,
+    hasher: RandomState,
     /// The ([`Dataset::identity`], [`Dataset::version`]) pair the
     /// entries were planned against.
     planned_for: Option<(u64, u64)>,
+    /// The statistics the stats mode plans with, computed on its first
+    /// miss against `planned_for`.
+    stats: Option<DatasetStats>,
     hits: u64,
     misses: u64,
+}
+
+/// How many texts a [`PlanCache`] holds.
+const CAPACITY: usize = 1 << 16;
+
+/// An empty slot of [`PlanCache::table`].
+const NO_ENTRY: u32 = u32::MAX;
+
+/// The bits of a [`slot`] that hold the entry's index.
+const INDEX: u32 = 0xffff;
+
+const _: () = assert!(CAPACITY <= INDEX as usize + 1);
+
+/// The [`PlanCache::table`] slot of entry `at`, whose text hashes to
+/// `hash`: the index in the low 16 bits and, above them, the hash's top
+/// 15 bits, which no home slot uses (a table has at most 2^17 slots). A
+/// probe passes other texts' slots on those bits, without loading their
+/// entries.
+fn slot(hash: u32, at: usize) -> u32 {
+    (hash >> 17) << 16 | at as u32
+}
+
+/// One cached text and what the cache knows about it.
+#[derive(Debug)]
+struct Entry {
+    text: Box<str>,
+    /// The plain and the stats-driven preparation — cached
+    /// independently, since the two can choose different orders.
+    plans: [Option<Arc<PlanBody>>; 2],
+    /// The text's hash, so removals and table growth need not rehash it.
+    hash: u32,
+    /// Set by a hit, cleared by the CLOCK hand passing.
+    referenced: bool,
+}
+
+const _: () = assert!(std::mem::size_of::<Entry>() == 40);
+
+impl Default for PlanCache {
+    fn default() -> Self {
+        PlanCache::with_capacity(CAPACITY)
+    }
 }
 
 impl PlanCache {
@@ -932,10 +1043,24 @@ impl PlanCache {
         PlanCache::default()
     }
 
+    fn with_capacity(capacity: usize) -> PlanCache {
+        PlanCache {
+            entries: Vec::new(),
+            table: Vec::new(),
+            hand: 0,
+            capacity,
+            hasher: RandomState::new(),
+            planned_for: None,
+            stats: None,
+            hits: 0,
+            misses: 0,
+        }
+    }
+
     /// Number of cached plans (a text planned in both modes counts
     /// twice).
     pub fn len(&self) -> usize {
-        self.entries.values().map(|slots| slots.iter().flatten().count()).sum()
+        self.entries.iter().map(|e| e.plans.iter().flatten().count()).sum()
     }
 
     /// True if no plans are cached.
@@ -949,7 +1074,7 @@ impl PlanCache {
     }
 
     /// Lookups that had to parse, compile and plan since creation
-    /// (invalidation-forced repreparations included).
+    /// (repreparations forced by invalidation or eviction included).
     pub fn misses(&self) -> u64 {
         self.misses
     }
@@ -957,8 +1082,11 @@ impl PlanCache {
     /// Drops every cached plan (the identity/version gate does this
     /// automatically when the dataset changes).
     pub fn clear(&mut self) {
-        self.entries.clear();
+        self.entries = Vec::new();
+        self.table = Vec::new();
+        self.hand = 0;
         self.planned_for = None;
+        self.stats = None;
     }
 
     /// Drops the entries if `ds` is a different dataset than, or has
@@ -966,14 +1094,93 @@ impl PlanCache {
     fn validate<S: TripleStore>(&mut self, ds: &Dataset<S>) {
         let key = (ds.identity(), ds.version());
         if self.planned_for != Some(key) {
-            self.entries.clear();
+            self.clear();
             self.planned_for = Some(key);
         }
     }
 
+    /// The position in the table of the entry with `hash` that `eq`
+    /// accepts — `Ok` — or of the empty slot that ends the probe from
+    /// `hash`'s home — `Err`.
+    fn probe(&self, hash: u32, eq: impl Fn(usize) -> bool) -> Result<usize, usize> {
+        let mask = self.table.len() - 1;
+        let mut at = hash as usize & mask;
+        loop {
+            match self.table[at] {
+                NO_ENTRY => return Err(at),
+                s if s & !INDEX == slot(hash, 0) && eq((s & INDEX) as usize) => return Ok(at),
+                _ => at = (at + 1) & mask,
+            }
+        }
+    }
+
+    /// The entry holding `text`, if any.
+    fn find(&self, hash: u32, text: &str) -> Option<usize> {
+        if self.table.is_empty() {
+            return None;
+        }
+        let eq = |at: usize| *self.entries[at].text == *text;
+        self.probe(hash, eq).ok().map(|at| (self.table[at] & INDEX) as usize)
+    }
+
+    /// Files entry `at` in the table.
+    fn link(&mut self, at: usize) {
+        let hash = self.entries[at].hash;
+        let empty = self.probe(hash, |_| false).expect_err("no entry matches");
+        self.table[empty] = slot(hash, at);
+    }
+
+    /// Takes entry `at` out of the table, shifting back the entries after
+    /// it in its cluster that may move closer to their home slots, so
+    /// every probe still ends at the first empty slot.
+    fn unlink(&mut self, at: usize) {
+        let mask = self.table.len() - 1;
+        let mut hole = self.probe(self.entries[at].hash, |e| e == at).expect("entry is linked");
+        let mut next = hole;
+        loop {
+            next = (next + 1) & mask;
+            let moved = self.table[next];
+            if moved == NO_ENTRY {
+                break;
+            }
+            let home = self.entries[(moved & INDEX) as usize].hash as usize & mask;
+            if next.wrapping_sub(home) & mask >= next.wrapping_sub(hole) & mask {
+                self.table[hole] = moved;
+                hole = next;
+            }
+        }
+        self.table[hole] = NO_ENTRY;
+    }
+
+    /// Adds an entry for `text`, absent until now, and returns its index:
+    /// a new one while the cache has room, else the CLOCK victim's.
+    fn insert(&mut self, hash: u32, text: &str) -> usize {
+        let entry = Entry { text: text.into(), plans: [None, None], hash, referenced: false };
+        let at = if self.entries.len() < self.capacity {
+            self.entries.push(entry);
+            let at = self.entries.len() - 1;
+            if self.table.len() < 2 * self.entries.len() {
+                self.table = vec![NO_ENTRY; (2 * self.entries.len()).next_power_of_two().max(8)];
+                (0..at).for_each(|linked| self.link(linked));
+            }
+            at
+        } else {
+            while std::mem::take(&mut self.entries[self.hand].referenced) {
+                self.hand = (self.hand + 1) % self.entries.len();
+            }
+            let victim = self.hand;
+            self.hand = (victim + 1) % self.entries.len();
+            self.unlink(victim);
+            self.entries[victim] = entry;
+            victim
+        };
+        self.link(at);
+        at
+    }
+
     /// The lookup behind both public forms: serve `query_text` from the
-    /// slot of its planning mode, or prepare it — with `stats(ds)` when
-    /// given — and remember the plan there.
+    /// slot of its planning mode, or prepare it — with the memoized
+    /// `stats(ds)` when given — and remember the plan there.
     fn lookup<'a, S: TripleStore>(
         &mut self,
         ds: &'a Dataset<S>,
@@ -981,15 +1188,22 @@ impl PlanCache {
         stats: Option<fn(&Dataset<S>) -> DatasetStats>,
     ) -> Result<Plan<'a>, QueryError> {
         self.validate(ds);
-        let slot = usize::from(stats.is_some());
-        if let Some(body) = self.entries.get(query_text).and_then(|slots| slots[slot].as_ref()) {
-            self.hits += 1;
-            return Ok(Plan { store: ds.store(), dict: ds.dict(), body: Arc::clone(body) });
+        let mode = usize::from(stats.is_some());
+        let hash = self.hasher.hash_one(query_text) as u32;
+        let found = self.find(hash, query_text);
+        if let Some(at) = found {
+            let entry = &mut self.entries[at];
+            entry.referenced = true;
+            if let Some(body) = &entry.plans[mode] {
+                self.hits += 1;
+                return Ok(Plan { store: ds.store(), dict: ds.dict(), body: Arc::clone(body) });
+            }
         }
         self.misses += 1;
-        let stats = stats.map(|compute| compute(ds));
-        let plan = prepare_on_with_stats(ds.store(), ds.dict(), query_text, stats.as_ref())?;
-        self.entries.entry(query_text.into()).or_default()[slot] = Some(Arc::clone(&plan.body));
+        let stats = stats.map(|compute| &*self.stats.get_or_insert_with(|| compute(ds)));
+        let plan = prepare_on_with_stats(ds.store(), ds.dict(), query_text, stats)?;
+        let at = found.unwrap_or_else(|| self.insert(hash, query_text));
+        self.entries[at].plans[mode] = Some(Arc::clone(&plan.body));
         Ok(plan)
     }
 
@@ -1005,9 +1219,10 @@ impl PlanCache {
     }
 
     /// The statistics-driven counterpart of [`PlanCache::prepare`]: a
-    /// miss computes the dataset's [`DatasetStats`] and plans with them;
-    /// a hit skips both. Cached separately from the plain mode, since
-    /// the two can legitimately choose different join orders.
+    /// miss plans with the dataset's [`DatasetStats`], computed on the
+    /// first such miss and kept until the dataset changes; a hit skips
+    /// both. Cached separately from the plain mode, since the two can
+    /// legitimately choose different join orders.
     pub fn prepare_with_stats<'a, S: hexastore::StatsSource>(
         &mut self,
         ds: &'a Dataset<S>,
@@ -1135,7 +1350,7 @@ mod tests {
         }
         let dict = Dictionary::new();
         let last = compile(&parse_query(&format!("{text} }}")).unwrap(), &dict).unwrap();
-        assert_eq!(last.bgp.map(|bgp| bgp.var_count), Some(u16::MAX));
+        assert_eq!(last.bgp.map(|bgp| bgp.var_count()), Some(usize::from(u16::MAX)));
         let past = parse_query(&format!("{text} ?v0 ?v1 ?one_more . }}")).unwrap();
         assert_eq!(compile(&past, &dict).unwrap_err(), QueryError::TooManyVariables);
     }
@@ -1218,6 +1433,17 @@ mod tests {
             )
             .unwrap();
         assert_eq!(rs.rows, vec![vec![iri("ID1")]]);
+        // Its two variables are bound by different steps: it runs after
+        // the later one.
+        let text = r#"SELECT ?a ?b WHERE {
+            ?a <http://x/teacherOf> ?c .
+            ?b <http://x/takesCourse> ?d .
+            FILTER(?c = ?d)
+        }"#;
+        assert_eq!(g.query(text).unwrap().rows, vec![vec![iri("ID2"), iri("ID4")]]);
+        let explain = g.prepare(text).unwrap().explain();
+        let (_, after_step_2) = explain.split_once("step 2:").expect("two steps");
+        assert!(after_step_2.contains("filter: ?c = ?d"), "{explain}");
         // Filter against a term absent from the data: != passes all.
         let rs = g
             .query(
@@ -1335,7 +1561,7 @@ mod tests {
             prepare_on(g.store(), g.dict(), r#"SELECT ?s WHERE { ?s <http://x/type> ?t . }"#)
                 .unwrap();
         let mut solutions = plan.solutions();
-        assert_eq!(solutions.vars(), &["s"]);
+        assert_eq!(solutions.vars().collect::<Vec<_>>(), ["s"]);
         assert!(solutions.next().is_some());
         drop(solutions); // abandoning mid-stream is fine
                          // A plan is re-runnable: a fresh iterator starts over.
@@ -1361,11 +1587,11 @@ mod tests {
         let g = figure1_graph();
         let parsed = parse_query(r#"SELECT ?s WHERE { ?s <http://x/type> ?t . }"#).unwrap();
         let mut q = compile(&parsed, g.dict()).unwrap();
-        q.filters.push(CompiledFilter {
+        q.filters = Box::new([CompiledFilter {
             left: FilterSide::Slot(VarId(40)), // out of range entirely
             op: FilterOp::Eq,
             right: FilterSide::Slot(VarId(0)),
-        });
+        }]);
         let plan = Plan::from_compiled(q, g.dict(), g.store());
         assert!(plan.is_statically_empty());
         assert!(plan.explain().contains("bound by no pattern"), "{}", plan.explain());
@@ -1493,6 +1719,149 @@ mod tests {
         let rows: Vec<Vec<Term>> = cache.prepare(&g2, text).unwrap().solutions().collect();
         assert_eq!(rows, vec![vec![iri("ID2")]]);
         assert_eq!(cache.misses(), 2, "a different dataset is a miss, whatever its version");
+    }
+
+    impl PlanCache {
+        /// Whether the cache holds `text`'s plain and stats-mode plans.
+        fn held(&self, text: &str) -> [bool; 2] {
+            let hash = self.hasher.hash_one(text) as u32;
+            self.find(hash, text)
+                .map_or([false; 2], |at| self.entries[at].plans.each_ref().map(Option::is_some))
+        }
+    }
+
+    #[test]
+    fn eviction_is_invisible_to_answers() {
+        const CAPACITY: usize = 8;
+        let g = star_graph();
+        let stats = g.stats();
+        let texts: Vec<String> = (0..12)
+            .map(|i| format!("SELECT ?p ?o WHERE {{ <http://x/S{i}> ?p ?o . }}"))
+            .chain((1..=12).map(|limit| format!("{STAR_QUERY} LIMIT {limit}")))
+            .collect();
+        let mut cache = PlanCache::with_capacity(CAPACITY);
+        let mut asked = [vec![false; texts.len()], vec![false; texts.len()]];
+        let mut returns_after_eviction = 0;
+        let mut state = 0x2545_f491_4f6c_dd1d_u64;
+        for _ in 0..2_000 {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            let (i, mode) = ((state % texts.len() as u64) as usize, (state >> 32) as usize & 1);
+            let text = &texts[i];
+            let before: Vec<[bool; 2]> = texts.iter().map(|t| cache.held(t)).collect();
+            let (hits, misses) = (cache.hits(), cache.misses());
+            let (cached, fresh) = match mode {
+                0 => (cache.prepare(&g, text), prepare_on(g.store(), g.dict(), text)),
+                _ => (cache.prepare_with_stats(&g, text), g.prepare_with_stats(text, Some(&stats))),
+            };
+            assert_eq!(cached.unwrap().run(), fresh.unwrap().run(), "{text}");
+
+            let held = before[i][mode];
+            assert_eq!(
+                (cache.hits() - hits, cache.misses() - misses),
+                (u64::from(held), u64::from(!held))
+            );
+            if !held && std::mem::replace(&mut asked[mode][i], true) {
+                returns_after_eviction += 1;
+            }
+            assert!(cache.entries.len() <= CAPACITY && cache.len() <= 2 * CAPACITY);
+            // Every entry is found where it is, and the table holds no other.
+            for (at, entry) in cache.entries.iter().enumerate() {
+                assert_eq!(cache.find(entry.hash, &entry.text), Some(at), "{}", entry.text);
+            }
+            let linked = cache.table.iter().filter(|&&slot| slot != NO_ENTRY).count();
+            assert_eq!(linked, cache.entries.len());
+            for (t, was) in texts.iter().zip(&before) {
+                let now = cache.held(t);
+                let kept = now[0] >= was[0] && now[1] >= was[1];
+                assert!(now == [false; 2] || kept, "{t}: held {was:?}, now {now:?}");
+            }
+        }
+        assert!(returns_after_eviction > 100, "{returns_after_eviction} returns after eviction");
+        assert!(cache.hits() > 100, "{} hits", cache.hits());
+    }
+
+    #[test]
+    fn a_hit_gives_its_entry_a_second_chance() {
+        let g = figure1_graph();
+        let text = |s: &str| format!("SELECT ?p ?o WHERE {{ <http://x/{s}> ?p ?o . }}");
+        let mut cache = PlanCache::with_capacity(2);
+        for s in ["ID1", "ID2", "ID1"] {
+            cache.prepare(&g, &text(s)).unwrap();
+        }
+        // The cache is full and ID1 was hit: ID2 goes, though it came later.
+        cache.prepare(&g, &text("ID3")).unwrap();
+        assert_eq!(cache.held(&text("ID1")), [true, false]);
+        assert_eq!(cache.held(&text("ID2")), [false, false]);
+        // Passing over ID1 cleared its bit, so it goes next.
+        cache.prepare(&g, &text("ID4")).unwrap();
+        assert_eq!(cache.held(&text("ID1")), [false, false]);
+        assert_eq!(cache.held(&text("ID3")), [true, false]);
+        assert_eq!((cache.hits(), cache.misses(), cache.len()), (1, 4, 2));
+    }
+
+    /// A mutable store counting the statistics the planner asks it for.
+    #[derive(Default)]
+    struct StatsSpy {
+        inner: hexastore::Hexastore,
+        calls: std::cell::Cell<usize>,
+    }
+
+    impl TripleStore for StatsSpy {
+        fn name(&self) -> &'static str {
+            "StatsSpy"
+        }
+        fn len(&self) -> usize {
+            self.inner.len()
+        }
+        fn insert(&mut self, t: hex_dict::IdTriple) -> bool {
+            self.inner.insert(t)
+        }
+        fn remove(&mut self, t: hex_dict::IdTriple) -> bool {
+            self.inner.remove(t)
+        }
+        fn contains(&self, t: hex_dict::IdTriple) -> bool {
+            self.inner.contains(t)
+        }
+        fn iter_matching(&self, pat: hexastore::IdPattern) -> hexastore::TripleIter<'_> {
+            self.inner.iter_matching(pat)
+        }
+        fn capabilities(&self) -> hexastore::IndexSet {
+            self.inner.capabilities()
+        }
+        fn heap_bytes(&self) -> usize {
+            self.inner.heap_bytes()
+        }
+    }
+
+    impl hexastore::MutableStore for StatsSpy {}
+
+    impl hexastore::StatsSource for StatsSpy {
+        fn dataset_stats(&self) -> DatasetStats {
+            self.calls.set(self.calls.get() + 1);
+            DatasetStats::from_store(&self.inner)
+        }
+    }
+
+    #[test]
+    fn stats_mode_misses_compute_the_statistics_once_per_version() {
+        let mut ds: Dataset<StatsSpy> = Dataset::new();
+        ds.insert(&Triple::new(iri("ID3"), iri("advisor"), iri("ID2")));
+        let text = |limit: usize| {
+            format!("SELECT ?s WHERE {{ ?s <http://x/advisor> ?a . }} LIMIT {limit}")
+        };
+        let mut cache = PlanCache::new();
+        for limit in 1..=100 {
+            assert_eq!(cache.prepare_with_stats(&ds, &text(limit)).unwrap().run().len(), 1);
+        }
+        assert_eq!((cache.misses(), ds.store().calls.get()), (100, 1));
+
+        ds.insert(&Triple::new(iri("ID4"), iri("advisor"), iri("ID1")));
+        for limit in 1..=2 {
+            assert_eq!(cache.prepare_with_stats(&ds, &text(limit)).unwrap().run().len(), limit);
+        }
+        assert_eq!((cache.misses(), ds.store().calls.get()), (102, 2));
     }
 
     #[test]

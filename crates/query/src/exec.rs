@@ -149,14 +149,14 @@ pub fn plan_steps_with(
 ) -> Vec<PlanStep> {
     let caps = store.capabilities();
     let n = bgp.patterns.len();
-    let const_row = vec![None; bgp.var_count as usize];
+    let const_row = vec![None; bgp.var_count()];
     let estimates: Vec<usize> =
         bgp.patterns.iter().map(|pat| store.count_matching(pat.access(&const_row))).collect();
 
     let mut remaining: Vec<usize> = (0..n).collect();
     let mut steps = Vec::with_capacity(n);
     // Track which variables become bound as patterns are chosen.
-    let mut bound = vec![false; bgp.var_count as usize];
+    let mut bound = vec![false; bgp.var_count()];
 
     while !remaining.is_empty() {
         // A pseudo-row where chosen-bound vars are "bound" with a
@@ -414,7 +414,7 @@ impl<'a> BgpCursor<'a> {
             group: 1,
             candidates: None,
             row: bgp.empty_row(),
-            trail: Vec::with_capacity(bgp.var_count.into()),
+            trail: Vec::with_capacity(bgp.var_count()),
             stack: Vec::with_capacity(patterns.len()),
             patterns,
             started: false,

@@ -76,7 +76,7 @@ extern crate self as hex_query;
 pub use algebra::{Bgp, Pattern, PatternTerm, VarId};
 pub use engine::{
     compile, prepare_on, CompiledFilter, CompiledQuery, DatasetQuery, FilterSide, Plan, PlanCache,
-    QueryError, ResultSet, Solutions,
+    QueryError, ResultSet, Solutions, VarNames,
 };
 pub use exec::{
     execute_bgp, merge_group, plan_steps, plan_steps_with, BgpCursor, JoinStep, PlanStep, RowCheck,

@@ -45,15 +45,12 @@ fn select_all(bgp: &Bgp) -> (CompiledQuery, Vec<VarId>) {
     let mut occurring: Vec<VarId> = bgp.patterns.iter().flat_map(Pattern::vars).collect();
     occurring.sort();
     occurring.dedup();
-    let var_names: Vec<String> = (0..bgp.var_count).map(|i| format!("v{i}")).collect();
-    let vars: Vec<String> = occurring.iter().map(|v| format!("v{}", v.0)).collect();
     let q = CompiledQuery {
         bgp: Some(bgp.clone()),
-        vars,
-        slots: occurring.clone(),
-        var_names,
+        slots: occurring.clone().into(),
+        var_names: (0..bgp.var_count()).map(|i| format!("v{i}")).collect(),
         distinct: false,
-        filters: Vec::new(),
+        filters: Box::default(),
         ask: false,
         limit: None,
         offset: 0,

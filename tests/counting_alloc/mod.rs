@@ -12,6 +12,8 @@ use std::sync::atomic::Ordering::Relaxed;
 pub static LIVE: AtomicUsize = AtomicUsize::new(0);
 /// Requests for memory so far (a `realloc` is one).
 pub static REQUESTS: AtomicUsize = AtomicUsize::new(0);
+/// Blocks allocated and not yet freed (a `realloc` moves one).
+pub static BLOCKS: AtomicUsize = AtomicUsize::new(0);
 
 pub struct Counting;
 
@@ -21,11 +23,13 @@ unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         LIVE.fetch_add(layout.size(), Relaxed);
         REQUESTS.fetch_add(1, Relaxed);
+        BLOCKS.fetch_add(1, Relaxed);
         unsafe { System.alloc(layout) }
     }
 
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
         LIVE.fetch_sub(layout.size(), Relaxed);
+        BLOCKS.fetch_sub(1, Relaxed);
         unsafe { System.dealloc(ptr, layout) }
     }
 
