@@ -16,6 +16,12 @@
 //!   property table, sorted on object, is tantamount to having both a pso
 //!   and a pos index").
 //!
+//! Following §5, both COVP stores are built from the Hexastore's own slab
+//! layout: each is a [`hexastore::PartialHexastore`] keeping {pso} or
+//! {pso, pos}, built once from a batch and read-only. [`PropIndex`] is the
+//! per-property view of one such ordering that the hand-written COVP plans
+//! walk.
+//!
 //! All three implement [`hexastore::TripleStore`], so the query engine,
 //! benchmark queries and equivalence tests treat them interchangeably with
 //! the Hexastore. Their *performance* differs exactly where the paper says

@@ -1,124 +1,61 @@
 //! A property-keyed two-level index: the building block of COVP stores.
 //!
-//! One [`PropIndex`] in `pso` orientation is the paper's representation of
-//! the vertical-partitioning scheme: "the pso indexing groups together
+//! One [`PropIndex`] over a `pso` ordering is the paper's representation
+//! of the vertical-partitioning scheme: "the pso indexing groups together
 //! multiple objects … related to the same subject s by a unique property p"
-//! (§5). The same structure keyed `(p, o) → subjects` is the optional
-//! second copy (`pos`) that upgrades COVP1 to COVP2. Unlike the Hexastore's
-//! indices, terminal lists are *owned*, not shared — COVP materializes each
-//! copy separately, which is why COVP2 pays double storage for properties.
+//! (§5). The same view over a `pos` ordering is the optional second copy
+//! that upgrades COVP1 to COVP2. Each ordering is kept in its own arena,
+//! not shared — COVP materializes each copy separately, which is why COVP2
+//! pays double storage for properties.
 
 use hex_dict::Id;
-use hexastore::{sorted, VecMap};
+use hexastore::access::{OrderingRead, SlabOrdering};
 
-/// A two-level index `property → key → sorted list`, where `key` is the
-/// subject (pso orientation) or the object (pos orientation).
-#[derive(Clone, Default, Debug)]
-pub struct PropIndex {
-    tables: VecMap<Id, VecMap<Id, Vec<Id>>>,
-    len: usize,
+/// A borrowed view of one property-headed slab ordering: `property → key
+/// → sorted list`, where `key` is the subject (pso) or the object (pos).
+#[derive(Clone, Copy, Debug)]
+pub struct PropIndex<'a> {
+    ordering: SlabOrdering<'a>,
 }
 
-impl PropIndex {
-    /// Creates an empty index.
-    pub fn new() -> Self {
-        PropIndex::default()
-    }
-
-    /// Total entries across all terminal lists (= triples indexed).
-    pub fn len(&self) -> usize {
-        self.len
-    }
-
-    /// True if nothing is indexed.
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-
-    /// Number of property tables.
-    pub fn table_count(&self) -> usize {
-        self.tables.len()
+impl<'a> PropIndex<'a> {
+    /// Views one pso or pos ordering.
+    pub(crate) fn new(ordering: SlabOrdering<'a>) -> Self {
+        PropIndex { ordering }
     }
 
     /// Sorted iterator over the property keys.
-    pub fn properties(&self) -> impl Iterator<Item = Id> + '_ {
-        self.tables.keys()
-    }
-
-    /// Inserts `(p, key, item)`. Returns `true` if new.
-    pub fn insert(&mut self, p: Id, key: Id, item: Id) -> bool {
-        let list = self.tables.get_or_insert_with(p, VecMap::new).get_or_insert_with(key, Vec::new);
-        let added = sorted::insert(list, item);
-        if added {
-            self.len += 1;
-        }
-        added
-    }
-
-    /// Removes `(p, key, item)`. Returns `true` if present.
-    pub fn remove(&mut self, p: Id, key: Id, item: Id) -> bool {
-        let Some(table) = self.tables.get_mut(&p) else { return false };
-        let Some(list) = table.get_mut(&key) else { return false };
-        if !sorted::remove(list, &item) {
-            return false;
-        }
-        if list.is_empty() {
-            table.remove(&key);
-            if table.is_empty() {
-                self.tables.remove(&p);
-            }
-        }
-        self.len -= 1;
-        true
+    pub fn properties(self) -> impl Iterator<Item = Id> + 'a {
+        self.ordering.0.keys.iter().copied()
     }
 
     /// The sorted items for `(p, key)`; empty slice if absent.
-    pub fn items(&self, p: Id, key: Id) -> &[Id] {
-        self.tables.get(&p).and_then(|t| t.get(&key)).map_or(&[], Vec::as_slice)
-    }
-
-    /// Membership test for `(p, key, item)`.
-    pub fn contains(&self, p: Id, key: Id, item: Id) -> bool {
-        sorted::contains(self.items(p, key), &item)
+    pub fn items(self, p: Id, key: Id) -> &'a [Id] {
+        self.ordering.list(p, key)
     }
 
     /// Sorted iterator over one property table: `(key, sorted items)`.
-    pub fn table(&self, p: Id) -> impl Iterator<Item = (Id, &[Id])> + '_ {
-        self.tables.get(&p).into_iter().flat_map(|t| t.iter().map(|(k, v)| (k, v.as_slice())))
+    pub fn table(self, p: Id) -> impl Iterator<Item = (Id, &'a [Id])> + 'a {
+        self.ordering.division(p)
     }
 
     /// The sorted first-column keys of one property table.
-    pub fn table_keys(&self, p: Id) -> Vec<Id> {
-        self.tables.get(&p).map(VecMap::key_vec).unwrap_or_default()
-    }
-
-    /// Number of triples in one property table.
-    pub fn table_len(&self, p: Id) -> usize {
-        self.tables.get(&p).map(|t| t.values().map(Vec::len).sum()).unwrap_or(0)
-    }
-
-    /// Deep heap bytes.
-    pub fn heap_bytes(&self) -> usize {
-        self.tables.heap_bytes_shallow()
-            + self
-                .tables
-                .values()
-                .map(|t| {
-                    t.heap_bytes_shallow()
-                        + t.values()
-                            .map(|l| l.capacity() * std::mem::size_of::<Id>())
-                            .sum::<usize>()
-                })
-                .sum::<usize>()
+    pub fn table_keys(self, p: Id) -> Vec<Id> {
+        self.table(p).map(|(key, _)| key).collect()
     }
 }
 
 #[cfg(test)]
 mod tests {
-    use super::*;
+    use crate::Covp1;
+    use hex_dict::{Id, IdTriple};
 
     fn id(v: u32) -> Id {
         Id(v)
+    }
+
+    fn t(p: u32, key: u32, item: u32) -> IdTriple {
+        IdTriple::from((key, p, item))
     }
 
     #[test]
@@ -126,56 +63,29 @@ mod tests {
         // §5: pso "groups together multiple objects {o1..on} related to the
         // same subject s by a unique property p" — unlike the paper's view
         // of raw vertical partitioning, which repeats the subject per row.
-        let mut ix = PropIndex::new();
-        assert!(ix.insert(id(1), id(10), id(7)));
-        assert!(ix.insert(id(1), id(10), id(3)));
-        assert!(!ix.insert(id(1), id(10), id(7)));
-        assert_eq!(ix.items(id(1), id(10)), &[id(3), id(7)]);
-        assert_eq!(ix.len(), 2);
-    }
-
-    #[test]
-    fn remove_cleans_up_empty_tables() {
-        let mut ix = PropIndex::new();
-        ix.insert(id(1), id(10), id(7));
-        assert!(ix.remove(id(1), id(10), id(7)));
-        assert!(!ix.remove(id(1), id(10), id(7)));
-        assert_eq!(ix.table_count(), 0);
-        assert!(ix.is_empty());
+        let store = Covp1::from_triples([t(1, 10, 7), t(1, 10, 3), t(1, 10, 7)]);
+        assert_eq!(store.pso().items(id(1), id(10)), &[id(3), id(7)]);
+        assert_eq!(store.pso().table(id(1)).count(), 1);
     }
 
     #[test]
     fn table_iteration_is_key_sorted() {
-        let mut ix = PropIndex::new();
-        ix.insert(id(2), id(30), id(1));
-        ix.insert(id(2), id(10), id(1));
-        ix.insert(id(2), id(20), id(1));
+        let store = Covp1::from_triples([t(2, 30, 1), t(2, 10, 1), t(2, 20, 1)]);
+        let ix = store.pso();
         let keys: Vec<Id> = ix.table(id(2)).map(|(k, _)| k).collect();
         assert_eq!(keys, vec![id(10), id(20), id(30)]);
         assert_eq!(ix.table_keys(id(2)), keys);
-        assert_eq!(ix.table_len(id(2)), 3);
+        assert_eq!(ix.table(id(2)).map(|(_, items)| items.len()).sum::<usize>(), 3);
     }
 
     #[test]
     fn distinct_properties_have_distinct_tables() {
-        let mut ix = PropIndex::new();
-        ix.insert(id(1), id(10), id(5));
-        ix.insert(id(2), id(10), id(6));
-        assert_eq!(ix.table_count(), 2);
+        let store = Covp1::from_triples([t(1, 10, 5), t(2, 10, 6)]);
+        let ix = store.pso();
         let props: Vec<Id> = ix.properties().collect();
         assert_eq!(props, vec![id(1), id(2)]);
         assert_eq!(ix.items(id(1), id(10)), &[id(5)]);
         assert_eq!(ix.items(id(2), id(10)), &[id(6)]);
-        assert!(ix.contains(id(1), id(10), id(5)));
-        assert!(!ix.contains(id(2), id(10), id(5)));
-    }
-
-    #[test]
-    fn heap_bytes_nonzero() {
-        let mut ix = PropIndex::new();
-        for i in 0..100 {
-            ix.insert(id(i % 3), id(i), id(i + 1));
-        }
-        assert!(ix.heap_bytes() > 100 * std::mem::size_of::<Id>());
+        assert_eq!(ix.items(id(3), id(10)), &[] as &[Id]);
     }
 }

@@ -194,7 +194,7 @@ fn text_subjects_covp1(c: &Covp1, ids: &BartonIds) -> Vec<Id> {
 
 /// The shared aggregation step of BQ2 on a property-oriented store: join
 /// the text-subject list with each property table, counting objects.
-fn bq2_tables(pso: &hex_baselines::PropIndex, t: &[Id], candidates: &[Id]) -> Vec<(Id, usize)> {
+fn bq2_tables(pso: hex_baselines::PropIndex<'_>, t: &[Id], candidates: &[Id]) -> Vec<(Id, usize)> {
     let mut out = Vec::new();
     for &p in candidates {
         let mut n = 0;
@@ -224,16 +224,9 @@ pub fn bq2_covp2(c: &Covp2, ids: &BartonIds, props: Option<&[Id]>) -> Vec<(Id, u
 
 /// The Hexastore aggregation step of BQ2/BQ6: merge the sorted property
 /// vectors of the subjects in `t` (spo indexing), accumulating per-property
-/// triple counts. The accumulator is itself a sorted vector keyed by
-/// property — a k-way merge, not a global sort.
+/// triple counts per property, summed by [`ops::merge_counts`].
 fn merge_property_vectors(h: &Hexastore, t: &[Id]) -> Vec<(Id, usize)> {
-    let mut counts: hexastore::VecMap<Id, usize> = hexastore::VecMap::new();
-    for &s in t {
-        for (p, objs) in h.spo_vector(s) {
-            *counts.get_or_insert_with(p, || 0) += objs.len();
-        }
-    }
-    counts.iter().map(|(p, &n)| (p, n)).collect()
+    ops::merge_counts(t.iter().flat_map(|&s| h.spo_vector(s).map(|(p, objs)| (p, objs.len()))))
 }
 
 /// BQ2 on the Hexastore: pos probe for the Text subjects, then "merge the

@@ -47,17 +47,18 @@ impl Suite {
         self.len() == 0
     }
 
-    /// The string-level facade over the suite's Hexastore — the unit the
-    /// planner-chosen query paths run on. Clones the dictionary (term
-    /// storage is shared) and the store.
+    /// The writable string-level facade over the suite's Hexastore: a
+    /// clean overlay on it. Every paper query must answer byte-identically
+    /// here and on [`Suite::frozen_dataset`].
     pub fn dataset(&self) -> GraphStore {
-        Dataset::from_parts(self.dict.clone(), self.hexastore.clone())
+        self.frozen_dataset().thaw()
     }
 
-    /// The read-only slab-backed facade over the same data: every paper
-    /// query must answer byte-identically here and on [`Suite::dataset`].
+    /// The read-only slab-backed facade over the suite's Hexastore — the
+    /// unit the planner-chosen query paths run on. Clones the dictionary
+    /// (term storage is shared) and the store (its slabs are shared).
     pub fn frozen_dataset(&self) -> FrozenGraphStore {
-        Dataset::from_parts(self.dict.clone(), self.hexastore.freeze())
+        Dataset::from_parts(self.dict.clone(), self.hexastore.clone())
     }
 
     /// Summary statistics of the loaded data, for the statistics-driven

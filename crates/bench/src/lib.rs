@@ -29,7 +29,7 @@ use hex_bench_queries::lubm::{self, LubmIds};
 use hex_bench_queries::Suite;
 use hex_datagen::{barton::BartonConfig, lubm::LubmConfig};
 use hex_dict::Dictionary;
-use hexastore::{FrozenHexastore, Hexastore, TripleStore};
+use hexastore::{Hexastore, TripleStore};
 use rdf_model::Triple;
 use std::fmt;
 use std::hint::black_box;
@@ -703,7 +703,7 @@ fn plans_figure(scale: usize, reps: usize, allocator: Option<Allocator>) -> Vec<
             );
             continue;
         };
-        let graph = suite.dataset();
+        let graph = suite.frozen_dataset();
         let stats = suite.stats();
         let hands = hand_plans(&suite, dataset);
         for query in queries {
@@ -1088,21 +1088,20 @@ fn joins_rendered(_: &FigureSpec, p: &Params) -> Rendered {
 
 /// The §4.1 space-bound experiment: blowup of Hexastore key entries vs a
 /// triples table, on both datasets plus the adversarial all-distinct case.
-/// Its counts are each dataset's entries, blowup, and the heap bytes of
-/// the nested and the frozen store.
+/// Its counts are each dataset's entries, blowup, and the store's heap
+/// bytes.
 fn space_report(scale: usize) -> Rendered {
     let mut out = String::from("# §4.1 — index space vs triples table (key entries)\n");
     out.push_str("dataset,triples,header,vector,list,total,triples_table,blowup\n");
     let mut counts = Vec::new();
-    let mut line = |name: &str, key: &str, nested: &Hexastore, frozen: &FrozenHexastore| {
-        let stats = nested.space_stats();
+    let mut line = |name: &str, key: &str, frozen: &Hexastore| {
+        let stats = frozen.space_stats();
         counts.extend([
             (format!("{key}_triples"), Count::Int(stats.triples)),
             (format!("{key}_header"), Count::Int(stats.header_entries)),
             (format!("{key}_vector"), Count::Int(stats.vector_entries)),
             (format!("{key}_list"), Count::Int(stats.list_entries)),
             (format!("{key}_blowup"), Count::Ratio(stats.blowup())),
-            (format!("{key}_nested_heap_bytes"), Count::Int(nested.heap_bytes())),
             (format!("{key}_frozen_heap_bytes"), Count::Int(frozen.heap_bytes())),
         ]);
         out.push_str(&format!(
@@ -1125,8 +1124,8 @@ fn space_report(scale: usize) -> Rendered {
     );
     for (name, data) in [("barton", barton_dataset(scale)), ("lubm", lubm_dataset(scale))] {
         let suite = Suite::build(&data);
-        let frozen = suite.hexastore.freeze();
-        line(name, name, &suite.hexastore, &frozen);
+        let frozen = &suite.hexastore;
+        line(name, name, frozen);
         let (b, n) = (frozen.heap_breakdown(), frozen.len().max(1) as f64);
         let parts = [b.list_slots, b.overflow, b.vector_keys, b.mirror_list_refs, b.headers];
         heap.push_str(&format!("{name},{}", frozen.len()));
@@ -1139,8 +1138,7 @@ fn space_report(scale: usize) -> Rendered {
     let n = scale as u32 / 3;
     let worst: Vec<hex_dict::IdTriple> =
         (0..n).map(|i| hex_dict::IdTriple::from((i, n + i, 2 * n + i))).collect();
-    let h = Hexastore::from_triples(worst);
-    line("all-distinct(worst case)", "all_distinct", &h, &h.freeze());
+    line("all-distinct(worst case)", "all_distinct", &Hexastore::from_triples(worst));
     Rendered::with_counts(out + &heap, counts)
 }
 
@@ -1226,12 +1224,12 @@ pub fn collect_evidence(params: &Params) -> Evidence {
 }
 
 impl Evidence {
-    /// `BENCH_ci.json`, schema 4: the two scales and every figure's
+    /// `BENCH_ci.json`, schema 5: the two scales and every figure's
     /// counts under its stem — no timings, so two runs of one build write
     /// the same bytes.
     pub fn bench_ci_json(&self) -> String {
         let mut json = format!(
-            "{{\n  \"schema\": 4,\n  \"figures_triples\": {},\n  \"load_triples\": {}",
+            "{{\n  \"schema\": 5,\n  \"figures_triples\": {},\n  \"load_triples\": {}",
             self.params.triples, self.params.large_triples
         );
         for (stem, counts) in &self.counts {
@@ -1340,7 +1338,7 @@ mod tests {
             "BQ1_cells",
             "LQ5_distinct_terms",
             "barton_blowup",
-            "lubm_nested_heap_bytes",
+            "lubm_frozen_heap_bytes",
             "all_distinct_frozen_heap_bytes",
             "plans",
             "entries_after_70000",

@@ -11,16 +11,17 @@
 //!   which the query planner consults so the index it names is the one the
 //!   store really probes.
 //! - [`OrderingRead`] is what one ordering must offer — `list`, `division`,
-//!   `scan` — and is implemented exactly twice: flat slab columns
-//!   ([`SlabOrdering`], borrowed [`IndexView`] + [`ArenaView`]) and the
-//!   mutable store's `(&TwoLevel, &ListArena)`.
+//!   `scan` — and has one implementation: flat slab columns
+//!   ([`SlabOrdering`], borrowed [`IndexView`] + [`ArenaView`]), whether
+//!   owned or memory-mapped.
 //! - [`contains`], [`for_each`], [`iter`], [`count`] and `sorted_list`
 //!   are each written once against [`OrderedStore`] — "a store that can
-//!   hand out the [`OrderingRead`] for a kept [`IndexKind`]". The runtime
+//!   hand out the [`SlabOrdering`] of a kept [`IndexKind`]". The runtime
 //!   `IndexKind` is matched once per call; the per-triple work is
 //!   monomorphized per ordering.
 //!
-//! The four hexastore variants are storage providers: they implement
+//! The slab stores — full, partial and memory-mapped — are storage
+//! providers: they implement
 //! [`OrderedStore`] and forward their [`TripleStore`]
 //! read methods here with [`forward_reads!`](crate::forward_reads).
 //!
@@ -36,11 +37,9 @@
 //! possibly empty) answer rather than a crash.
 
 use crate::advisor::{serving_indices, IndexKind, IndexSet};
-use crate::arena::ListArena;
 use crate::pattern::{IdPattern, Shape};
 pub use crate::slab::ArenaView;
 use crate::sorted;
-use crate::store::TwoLevel;
 use crate::traits::{TripleIter, TripleStore};
 use hex_dict::{Id, IdTriple};
 use std::ops::Range;
@@ -217,7 +216,7 @@ impl<'a> IndexView<'a> {
 /// indices point into.
 pub type SlabOrdering<'a> = (IndexView<'a>, ArenaView<'a>);
 
-/// Read access to one ordering, whatever its representation. Lists are
+/// Read access to one ordering's slab columns. Lists are
 /// sorted and duplicate-free; `division` and `scan` yield in key order.
 pub trait OrderingRead<'a>: Copy + 'a {
     /// The terminal list keyed `(k1, k2)`; empty if absent.
@@ -250,43 +249,15 @@ impl<'a> OrderingRead<'a> for SlabOrdering<'a> {
     }
 }
 
-/// The mutable store: a nested index plus the arena its pair shares.
-impl<'a> OrderingRead<'a> for (&'a TwoLevel, &'a ListArena) {
-    #[inline]
-    fn list(self, k1: Id, k2: Id) -> &'a [Id] {
-        let (ix, arena) = self;
-        ix.get(&k1).and_then(|vector| vector.get(&k2)).map_or(&[], |&lid| arena.get(lid))
-    }
-
-    fn division(self, k1: Id) -> impl Iterator<Item = (Id, &'a [Id])> + 'a {
-        let (ix, arena) = self;
-        ix.get(&k1)
-            .into_iter()
-            .flat_map(move |vector| vector.iter().map(move |(k2, &lid)| (k2, arena.get(lid))))
-    }
-
-    fn scan(self) -> impl Iterator<Item = (Id, Id, &'a [Id])> + 'a {
-        let (ix, arena) = self;
-        ix.iter().flat_map(move |(k1, vector)| {
-            vector.iter().map(move |(k2, &lid)| (k1, k2, arena.get(lid)))
-        })
-    }
-}
-
-/// A store that can hand out the [`OrderingRead`] of each ordering it
-/// keeps. Everything on the read side of [`TripleStore`] follows from
-/// these two methods and [`TripleStore::len`].
+/// A store that can hand out the slab columns of each ordering it keeps.
+/// Everything on the read side of [`TripleStore`] follows from these two
+/// methods and [`TripleStore::len`].
 pub trait OrderedStore: TripleStore {
-    /// The representation of one ordering.
-    type Ordering<'a>: OrderingRead<'a>
-    where
-        Self: 'a;
-
     /// The orderings this store keeps; never empty.
     fn kept(&self) -> IndexSet;
 
     /// The ordering `kind`, which [`Self::kept`] must contain.
-    fn ordering(&self, kind: IndexKind) -> Self::Ordering<'_>;
+    fn ordering(&self, kind: IndexKind) -> SlabOrdering<'_>;
 }
 
 /// One ordering's key permutation as a type: operations generic over it

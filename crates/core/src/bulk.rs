@@ -6,8 +6,8 @@
 //! experiment), so this loader sorts the batch three ways and emits each
 //! index pair of a [`FrozenHexastore`] by pure appends: every header,
 //! vector entry and terminal list goes into its slab in final sorted
-//! order. The mutable [`Hexastore`] has no builder of its own: [`build`]
-//! is [`build_frozen`] followed by [`FrozenHexastore::thaw`].
+//! order. [`build`] wraps the result in an [`OverlayHexastore`], the
+//! write path.
 //!
 //! The batch only needs **three** sort orders — `(s,p,o)`, `(s,o,p)` and
 //! `(p,o,s)` — because paired indices read the same run: spo/pso share the
@@ -28,14 +28,11 @@
 //!    [`SpaceStats`](crate::SpaceStats)-style counting pass over each run
 //!    computes the exact number of headers, terminal lists and overflow
 //!    words, so every slab is allocated once at its final size and the
-//!    emission is append-only. [`FrozenHexastore::thaw`] reads those exact
-//!    counts off the slabs, so the nested store's `VecMap`s and
-//!    `ListArena` are exact-sized too.
+//!    emission is append-only.
 
 use crate::frozen::{FrozenHexastore, FrozenIndex, FrozenPair};
+use crate::overlay::OverlayHexastore;
 use crate::slab::{overflow_words, FlatArena};
-use crate::store::Hexastore;
-use crate::traits::TripleStore as _;
 use hex_dict::{Id, IdTriple};
 use std::ops::Range;
 
@@ -90,9 +87,10 @@ impl Config {
     }
 }
 
-/// Builds a mutable Hexastore from an arbitrary (unsorted, possibly
-/// duplicated) triple batch: the slabs of [`build_frozen`], thawed.
-pub fn build(triples: Vec<IdTriple>) -> Hexastore {
+/// Builds a writable store from an arbitrary (unsorted, possibly
+/// duplicated) triple batch: the slabs of [`build_frozen`] as the base of
+/// a clean [`OverlayHexastore`].
+pub fn build(triples: Vec<IdTriple>) -> OverlayHexastore {
     build_frozen(triples).thaw()
 }
 
@@ -100,20 +98,6 @@ pub fn build(triples: Vec<IdTriple>) -> Hexastore {
 /// default [`Config`] — see [`build_frozen_with`].
 pub fn build_frozen(triples: Vec<IdTriple>) -> FrozenHexastore {
     build_frozen_with(triples, Config::default())
-}
-
-/// Folds an [`OverlayHexastore`](crate::OverlayHexastore)'s merged view
-/// (base minus tombstones, plus delta) into a new frozen generation —
-/// the compaction entry point of the live write path.
-///
-/// The overlay's full-scan cursor already yields distinct triples in
-/// `(s, p, o)` order, so the builder's sort-dedup pass runs over
-/// presorted input and the cost is dominated by the same
-/// permutation-gather emission as any other frozen build.
-pub fn compact_frozen(overlay: &crate::overlay::OverlayHexastore) -> FrozenHexastore {
-    let mut triples = Vec::with_capacity(overlay.len());
-    triples.extend(overlay.iter_matching(crate::pattern::IdPattern::ALL));
-    build_frozen(triples)
 }
 
 /// Builds a [`FrozenHexastore`] from an arbitrary triple batch on an
@@ -132,8 +116,8 @@ pub fn compact_frozen(overlay: &crate::overlay::OverlayHexastore) -> FrozenHexas
 pub fn build_frozen_with(mut triples: Vec<IdTriple>, config: Config) -> FrozenHexastore {
     let threads = config.effective_threads(triples.len()).max(1);
     sort_dedup(&mut triples, threads);
-    let (spo_pair, sop_pair, pos_pair) = build_pairs(&triples, threads);
-    FrozenHexastore::from_parts(spo_pair, sop_pair, pos_pair, triples.len())
+    let ((spo, pso, o), (sop, osp, p), (pos, ops, s)) = build_pairs(&triples, threads);
+    FrozenHexastore::from_raw_parts([spo, sop, pso, pos, osp, ops], [o, p, s], triples.len())
 }
 
 /// The loader's thread schedule, as [`build_frozen_with`] documents it:
@@ -417,6 +401,7 @@ fn count_distinct_adjacent<T, K: PartialEq>(items: &[T], head: impl Fn(&T) -> K)
 mod tests {
     use super::*;
     use crate::pattern::IdPattern;
+    use crate::store::Hexastore;
     use crate::traits::TripleStore;
 
     fn t(s: u32, p: u32, o: u32) -> IdTriple {
@@ -439,13 +424,10 @@ mod tests {
     fn bulk_equals_incremental() {
         let triples = sample();
         let bulk = build(triples.clone());
-        let mut inc = Hexastore::new();
-        for tr in &triples {
-            inc.insert(*tr);
-        }
+        let inc = insert_built(&triples);
         assert_eq!(bulk.len(), inc.len());
         assert_eq!(bulk.matching(IdPattern::ALL), inc.matching(IdPattern::ALL));
-        assert_eq!(bulk.space_stats(), inc.space_stats());
+        assert_eq!(bulk.freeze().space_stats(), inc.freeze().space_stats());
         for &tr in &triples {
             assert!(bulk.contains(tr));
             assert_eq!(bulk.matching(IdPattern::o(tr.o)), inc.matching(IdPattern::o(tr.o)));
@@ -456,8 +438,9 @@ mod tests {
         }
     }
 
-    fn insert_built(triples: &[IdTriple]) -> Hexastore {
-        let mut inc = Hexastore::new();
+    /// The triples written one at a time through the overlay.
+    fn insert_built(triples: &[IdTriple]) -> OverlayHexastore {
+        let mut inc = OverlayHexastore::default();
         for &tr in triples {
             inc.insert(tr);
         }
@@ -501,7 +484,7 @@ mod tests {
             let cfg = Config { threads };
             let frozen = build_frozen_with(triples.clone(), cfg);
             assert_eq!(frozen.len(), reference.len(), "{cfg:?}");
-            assert_eq!(frozen.space_stats(), reference.space_stats(), "{cfg:?}");
+            assert_eq!(frozen.space_stats(), reference.freeze().space_stats(), "{cfg:?}");
             for pat in probe_patterns(&triples) {
                 assert_eq!(frozen.matching(pat), reference.matching(pat), "{cfg:?} {pat:?}");
             }
@@ -510,7 +493,7 @@ mod tests {
 
     #[test]
     fn parallel_mutable_build_equals_serial_and_frozen_thaw() {
-        // The nested store of every config is the thaw of its slabs, and
+        // The writable store of every config is the thaw of its slabs, and
         // has the serial thaw's heap size and the insert-built store's
         // contents.
         let triples: Vec<IdTriple> = (0..900u32).map(|i| t(i % 31, i % 11, i % 37)).collect();
@@ -522,7 +505,7 @@ mod tests {
             let thawed = frozen.clone().thaw();
             assert_eq!(thawed.len(), serial.len(), "{cfg:?}");
             assert_eq!(thawed.heap_bytes(), serial.heap_bytes(), "{cfg:?}");
-            assert_eq!(thawed.space_stats(), reference.space_stats(), "{cfg:?}");
+            assert_eq!(thawed.freeze().space_stats(), reference.freeze().space_stats(), "{cfg:?}");
             for pat in probe_patterns(&triples) {
                 assert_eq!(thawed.matching(pat), reference.matching(pat), "{cfg:?} {pat:?}");
                 assert_eq!(thawed.matching(pat), frozen.matching(pat), "{cfg:?} {pat:?}");
@@ -533,10 +516,17 @@ mod tests {
     #[test]
     fn presize_leaves_no_slack_capacity() {
         let triples: Vec<IdTriple> = (0..2000u32).map(|i| t(i % 97, i % 13, i)).collect();
-        let mut built = build(triples);
-        let before = built.heap_bytes();
-        built.shrink_to_fit();
-        assert_eq!(built.heap_bytes(), before, "a bulk build must already be exact");
+        let built = build_frozen(triples);
+        for ix in built.orderings() {
+            assert_eq!(ix.keys.capacity(), ix.keys.len());
+            assert_eq!(ix.offs.capacity(), ix.offs.len());
+            assert_eq!(ix.k2.capacity(), ix.k2.len());
+            assert!(ix.lists.as_ref().is_none_or(|l| l.capacity() == l.len()));
+        }
+        for arena in built.arenas() {
+            let words = arena.view().slots.len() + arena.view().over.len();
+            assert_eq!(arena.heap_bytes(), words * 4, "a bulk build must already be exact");
+        }
     }
 
     #[test]

@@ -1,15 +1,13 @@
-//! The read-only Hexastore over flat slabs: a zero-copy query structure.
+//! The Hexastore over flat slabs: the one layout of a sextuple index.
 //!
-//! The mutable [`Hexastore`] pays for updatability with one heap
-//! allocation per vector and per terminal list. Most production stores
-//! spend their life *read-only* — bulk-loaded once, queried millions of
-//! times, snapshotted to disk between restarts — so this module provides
-//! the frozen counterpart, [`FrozenHexastore`]: all six orderings as
-//! offset-addressed key columns over [`FlatArena`]s, paired orderings
-//! still sharing one copy of each terminal list, answering every access
-//! shape with the same single probes as the mutable store but with zero
-//! per-list allocations. Its per-ordering column set, with one arena per
-//! ordering, is also what a [`crate::PartialHexastore`] is made of.
+//! [`FrozenHexastore`] holds all six orderings as offset-addressed key
+//! columns over [`FlatArena`]s, paired orderings sharing one copy of each
+//! terminal list, answering every access shape with a single probe and
+//! with no per-list allocation. Its per-ordering column set, with one
+//! arena per ordering, is also what a [`crate::PartialHexastore`] — and so
+//! the COVP baselines — is made of. Stores are built once from a batch
+//! and read-only; writes go to an [`OverlayHexastore`] over one
+//! ([`FrozenHexastore::thaw`]), which compacts into a new one.
 //!
 //! Only what cannot be derived is stored. A window's length is the next
 //! offset minus its own, so each index level keeps one cumulative offsets
@@ -22,23 +20,19 @@
 //! ([`crate::slab`]).
 //!
 //! [`crate::bulk::build_frozen`] is the one builder that turns a sorted
-//! run into index pairs, and it emits these slabs. The nested mutable
-//! form is their [`FrozenHexastore::thaw`] (which is how
-//! [`crate::bulk::build`] and [`crate::hexsnap::load`] make one), and
-//! [`Hexastore::freeze`] flattens a nested store again; both conversions
-//! are loss-free. The flat layout is also exactly what the
-//! [`crate::hexsnap`] binary snapshot stores, which is what makes "open a
-//! snapshot into a query-ready store" a column read instead of a
-//! six-index rebuild.
+//! run into index pairs, and it emits these slabs. The flat layout is also
+//! exactly what the [`crate::hexsnap`] binary snapshot stores, which is
+//! what makes "open a snapshot into a query-ready store" a column read
+//! instead of a six-index rebuild.
 
 use crate::access::{IndexView, OrderedStore, OrderingRead, SlabOrdering};
 use crate::advisor::{IndexKind, IndexSet};
-use crate::arena::ListArena;
+use crate::overlay::OverlayHexastore;
+use crate::pattern::IdPattern;
 use crate::slab::{offsets_tile, FlatArena};
 use crate::sorted;
-use crate::store::{Hexastore, SpaceStats, TwoLevel};
+use crate::store::SpaceStats;
 use crate::traits::TripleStore;
-use crate::vecmap::VecMap;
 use hex_dict::{Id, IdTriple};
 use std::sync::Arc;
 
@@ -197,19 +191,19 @@ impl HeapBreakdown {
 /// One frozen index pair: primary ordering, mirror ordering, shared arena.
 pub(crate) type FrozenPair = (FrozenIndex, FrozenIndex, FlatArena);
 
-/// A read-only Hexastore over flat slabs.
+/// The Hexastore over flat slabs.
 ///
-/// Holds the same six orderings and three shared terminal-list arenas as
-/// the mutable [`Hexastore`], but every level is a contiguous column:
-/// lookups are binary searches over key columns and terminal lists are
-/// slices of their arena's columns — no nested vectors, no per-list heap
-/// blocks. Obtain one with [`Hexastore::freeze`], the direct bulk path
-/// [`crate::bulk::build_frozen`], or by opening a
-/// [`crate::hexsnap`] snapshot with prebuilt slab sections.
+/// Holds the six orderings and three shared terminal-list arenas of §4.1,
+/// every level a contiguous column: lookups are binary searches over key
+/// columns and terminal lists are slices of their arena's columns — no
+/// nested vectors, no per-list heap blocks. Obtain one with
+/// [`FrozenHexastore::from_triples`] (the bulk path
+/// [`crate::bulk::build_frozen`]), [`OverlayHexastore::freeze`], or by
+/// opening a [`crate::hexsnap`] snapshot with prebuilt slab sections.
 ///
 /// Frozen stores are immutable: [`TripleStore::insert`] and
-/// [`TripleStore::remove`] panic. Use [`FrozenHexastore::thaw`] to get an
-/// updatable [`Hexastore`] back (loss-free).
+/// [`TripleStore::remove`] panic. [`FrozenHexastore::thaw`] wraps one in
+/// an [`OverlayHexastore`], which takes writes.
 ///
 /// The slabs live behind one shared allocation, so [`Clone`] is a
 /// reference-count bump, never a column copy — cloning a frozen store is
@@ -256,23 +250,11 @@ struct FrozenInner {
 }
 
 impl FrozenHexastore {
-    /// Bulk-builds a frozen store from an arbitrary triple collection —
-    /// sorted runs are emitted straight into the slabs, never through the
-    /// mutable nested representation.
+    /// Bulk-builds a frozen store from an arbitrary (unsorted, possibly
+    /// duplicated) triple collection: sorted runs are emitted straight
+    /// into the slabs.
     pub fn from_triples(triples: impl IntoIterator<Item = IdTriple>) -> Self {
         crate::bulk::build_frozen(triples.into_iter().collect())
-    }
-
-    pub(crate) fn from_parts(
-        spo_pair: FrozenPair,
-        sop_pair: FrozenPair,
-        pos_pair: FrozenPair,
-        len: usize,
-    ) -> Self {
-        let (spo, pso, o_lists) = spo_pair;
-        let (sop, osp, p_lists) = sop_pair;
-        let (pos, ops, s_lists) = pos_pair;
-        Self::from_raw_parts([spo, sop, pso, pos, osp, ops], [o_lists, p_lists, s_lists], len)
     }
 
     /// The six orderings in canonical order (spo, sop, pso, pos, osp,
@@ -332,6 +314,78 @@ impl FrozenHexastore {
         self.ordering(IndexKind::Pos).list(p, o)
     }
 
+    /// spo: the sorted property vector of subject `s`, each property with
+    /// its sorted object list.
+    pub fn spo_vector(&self, s: Id) -> impl Iterator<Item = (Id, &[Id])> + '_ {
+        self.ordering(IndexKind::Spo).division(s)
+    }
+
+    /// sop: the sorted object vector of subject `s`, each object with its
+    /// sorted property list.
+    pub fn sop_vector(&self, s: Id) -> impl Iterator<Item = (Id, &[Id])> + '_ {
+        self.ordering(IndexKind::Sop).division(s)
+    }
+
+    /// pso: the sorted subject vector of property `p`, each subject with
+    /// its sorted object list. (COVP1's only access path.)
+    pub fn pso_vector(&self, p: Id) -> impl Iterator<Item = (Id, &[Id])> + '_ {
+        self.ordering(IndexKind::Pso).division(p)
+    }
+
+    /// pos: the sorted object vector of property `p`, each object with its
+    /// sorted subject list.
+    pub fn pos_vector(&self, p: Id) -> impl Iterator<Item = (Id, &[Id])> + '_ {
+        self.ordering(IndexKind::Pos).division(p)
+    }
+
+    /// osp: the sorted subject vector of object `o`, each subject with its
+    /// sorted property list.
+    pub fn osp_vector(&self, o: Id) -> impl Iterator<Item = (Id, &[Id])> + '_ {
+        self.ordering(IndexKind::Osp).division(o)
+    }
+
+    /// ops: the sorted property vector of object `o`, each property with
+    /// its sorted subject list.
+    pub fn ops_vector(&self, o: Id) -> impl Iterator<Item = (Id, &[Id])> + '_ {
+        self.ordering(IndexKind::Ops).division(o)
+    }
+
+    /// The sorted second-level keys of header `k1` in ordering `kind`.
+    fn vector_keys(&self, kind: IndexKind, k1: Id) -> Vec<Id> {
+        self.ordering(kind).division(k1).map(|(k2, _)| k2).collect()
+    }
+
+    /// The sorted second-level keys of `osp[o]` — e.g. "the subject vector
+    /// for the object Stanford" of §4.1 — without their lists.
+    pub fn subject_vector_of_object(&self, o: Id) -> Vec<Id> {
+        self.vector_keys(IndexKind::Osp, o)
+    }
+
+    /// The sorted property keys of `ops[o]`.
+    pub fn property_vector_of_object(&self, o: Id) -> Vec<Id> {
+        self.vector_keys(IndexKind::Ops, o)
+    }
+
+    /// The sorted property keys of `spo[s]`.
+    pub fn property_vector_of_subject(&self, s: Id) -> Vec<Id> {
+        self.vector_keys(IndexKind::Spo, s)
+    }
+
+    /// The sorted object keys of `sop[s]`.
+    pub fn object_vector_of_subject(&self, s: Id) -> Vec<Id> {
+        self.vector_keys(IndexKind::Sop, s)
+    }
+
+    /// The sorted subject keys of `pso[p]`.
+    pub fn subject_vector_of_property(&self, p: Id) -> Vec<Id> {
+        self.vector_keys(IndexKind::Pso, p)
+    }
+
+    /// The sorted object keys of `pos[p]`.
+    pub fn object_vector_of_property(&self, p: Id) -> Vec<Id> {
+        self.vector_keys(IndexKind::Pos, p)
+    }
+
     /// Sorted iterator over all distinct subjects.
     pub fn subjects(&self) -> impl Iterator<Item = Id> + '_ {
         self.inner.spo.keys.iter().copied()
@@ -362,6 +416,11 @@ impl FrozenHexastore {
         self.inner.osp.header_count()
     }
 
+    /// Number of triples with property `p` (size of its pso division).
+    pub fn property_cardinality(&self, p: Id) -> usize {
+        self.count_matching(IdPattern::p(p))
+    }
+
     /// The largest id referenced anywhere in the slabs, if any — the
     /// snapshot loader's bound check against the dictionary size.
     pub(crate) fn max_id(&self) -> Option<Id> {
@@ -383,9 +442,8 @@ impl FrozenHexastore {
         max
     }
 
-    /// The same header/vector/list entry accounting as
-    /// [`Hexastore::space_stats`] — freezing never changes the paper's
-    /// §4.1 quantities, only how they are laid out.
+    /// Counts key entries in headers, vectors and shared terminal lists —
+    /// the quantities behind the paper's worst-case five-fold space bound.
     pub fn space_stats(&self) -> SpaceStats {
         SpaceStats {
             triples: self.inner.len,
@@ -408,16 +466,10 @@ impl FrozenHexastore {
         }
     }
 
-    /// Converts into a mutable [`Hexastore`] (loss-free: the same
-    /// triples, sharing structure, and space accounting). Every vector and
-    /// arena is allocated at the exact size the slabs give, so a thawed
-    /// store has no slack capacity; this is how the nested store is
-    /// bulk-built ([`crate::bulk::build`]).
-    pub fn thaw(self) -> Hexastore {
-        let spo_pair = thaw_pair(&self.inner.spo, &self.inner.pso, &self.inner.o_lists);
-        let sop_pair = thaw_pair(&self.inner.sop, &self.inner.osp, &self.inner.p_lists);
-        let pos_pair = thaw_pair(&self.inner.pos, &self.inner.ops, &self.inner.s_lists);
-        Hexastore::from_built_parts(spo_pair, sop_pair, pos_pair, self.inner.len)
+    /// Wraps the store in a clean [`OverlayHexastore`], which takes
+    /// writes. O(1): the overlay's base is this store, slabs and all.
+    pub fn thaw(self) -> OverlayHexastore {
+        OverlayHexastore::new(self)
     }
 }
 
@@ -432,89 +484,8 @@ impl std::fmt::Debug for FrozenHexastore {
     }
 }
 
-impl Hexastore {
-    /// Builds the read-only flat-slab representation. The conversion
-    /// walks each index pair once and allocates the slabs at their exact
-    /// final sizes; shared terminal lists stay shared (each list is
-    /// copied into the pair's arena exactly once). Borrows `self`,
-    /// so the mutable store can keep serving while a snapshot freezes.
-    pub fn freeze(&self) -> FrozenHexastore {
-        let [(spo, pso, o), (sop, osp, p), (pos, ops, s)] = self.pair_refs();
-        let spo_pair = freeze_pair(spo, pso, o);
-        let sop_pair = freeze_pair(sop, osp, p);
-        let pos_pair = freeze_pair(pos, ops, s);
-        FrozenHexastore::from_parts(spo_pair, sop_pair, pos_pair, self.len())
-    }
-}
-
-/// Flattens one mutable index pair. Its input is either a thaw, whose
-/// list ids are in leaf order, or a store changed by inserts and removes,
-/// whose list ids are not and whose arena has released slots. The primary
-/// walk visits every live
-/// arena list exactly once (each list is keyed by exactly one `(k1, k2)`
-/// pair of the primary ordering), which both fills the flat arena in
-/// primary order and yields the `ListId` → flat-index remapping the
-/// mirror walk needs to preserve sharing.
-fn freeze_pair(primary: &TwoLevel, mirror: &TwoLevel, arena: &ListArena) -> FrozenPair {
-    let pairs: usize = primary.values().map(VecMap::len).sum();
-    let mut fprimary = FrozenIndex::primary(primary.len(), pairs);
-    let lists = primary.values().flat_map(VecMap::values).map(|&lid| arena.get(lid));
-    let mut farena = FlatArena::with_room_for(lists);
-    let mut remap = vec![u32::MAX; arena.slot_count()];
-    for (k1, inner) in primary.iter() {
-        for (k2, &lid) in inner.iter() {
-            let flat = farena.push_list(arena.get(lid).iter().copied());
-            remap[lid.index()] = flat;
-            fprimary.push_leaf(k2, flat);
-        }
-        fprimary.end_k1(k1);
-    }
-    let mut fmirror = FrozenIndex::mirror(mirror.len(), pairs);
-    for (k2, inner) in mirror.iter() {
-        for (k1, &lid) in inner.iter() {
-            debug_assert_ne!(remap[lid.index()], u32::MAX, "mirror references unknown list");
-            fmirror.push_leaf(k1, remap[lid.index()]);
-        }
-        fmirror.end_k1(k2);
-    }
-    (fprimary, fmirror, farena)
-}
-
-/// Rebuilds one mutable index pair from its frozen form, append-only.
-fn thaw_pair(
-    fprimary: &FrozenIndex,
-    fmirror: &FrozenIndex,
-    farena: &FlatArena,
-) -> (TwoLevel, TwoLevel, ListArena) {
-    let mut arena = ListArena::with_capacity(farena.list_count());
-    let mut remap: Vec<Option<crate::arena::ListId>> = vec![None; farena.list_count()];
-    let mut primary = TwoLevel::with_capacity(fprimary.header_count());
-    for (k1, leaves) in fprimary.groups() {
-        let mut inner = VecMap::with_capacity(leaves.len());
-        for i in leaves {
-            let flat = fprimary.list_of(i);
-            let lid = arena.alloc_sorted(farena.get(flat).to_vec());
-            remap[flat as usize] = Some(lid);
-            inner.push_sorted(fprimary.k2[i], lid);
-        }
-        primary.push_sorted(k1, inner);
-    }
-    let mut mirror = TwoLevel::with_capacity(fmirror.header_count());
-    for (k2, leaves) in fmirror.groups() {
-        let mut inner = VecMap::with_capacity(leaves.len());
-        for i in leaves {
-            let lid = remap[fmirror.list_of(i) as usize].expect("mirror references unknown list");
-            inner.push_sorted(fmirror.k2[i], lid);
-        }
-        mirror.push_sorted(k2, inner);
-    }
-    (primary, mirror, arena)
-}
-
 /// All six orderings, paired orderings handing out the same arena.
 impl OrderedStore for FrozenHexastore {
-    type Ordering<'a> = SlabOrdering<'a>;
-
     fn kept(&self) -> IndexSet {
         IndexSet::all()
     }
@@ -547,7 +518,7 @@ impl TripleStore for FrozenHexastore {
     /// Always — frozen stores are read-only. [`FrozenHexastore::thaw`]
     /// first.
     fn insert(&mut self, _: IdTriple) -> bool {
-        panic!("FrozenHexastore is read-only: thaw() to a mutable Hexastore first")
+        panic!("FrozenHexastore is read-only: thaw() to an OverlayHexastore first")
     }
 
     /// # Panics
@@ -555,7 +526,7 @@ impl TripleStore for FrozenHexastore {
     /// Always — frozen stores are read-only. [`FrozenHexastore::thaw`]
     /// first.
     fn remove(&mut self, _: IdTriple) -> bool {
-        panic!("FrozenHexastore is read-only: thaw() to a mutable Hexastore first")
+        panic!("FrozenHexastore is read-only: thaw() to an OverlayHexastore first")
     }
 
     fn heap_bytes(&self) -> usize {
@@ -568,7 +539,6 @@ impl TripleStore for FrozenHexastore {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::pattern::IdPattern;
 
     fn t(s: u32, p: u32, o: u32) -> IdTriple {
         IdTriple::from((s, p, o))
@@ -596,10 +566,16 @@ mod tests {
 
     #[test]
     fn freeze_preserves_every_access_path() {
-        let mutable = Hexastore::from_triples(sample());
+        // Freezing an overlay that holds every triple as a pending write
+        // builds the same store as the bulk path, answering every shape
+        // as the overlay did.
+        let mut mutable = OverlayHexastore::default();
+        for tr in sample() {
+            assert!(mutable.insert(tr));
+        }
         let frozen = mutable.freeze();
+        assert_eq!(frozen, FrozenHexastore::from_triples(sample()));
         assert_eq!(frozen.len(), mutable.len());
-        assert_eq!(frozen.space_stats(), mutable.space_stats());
         for pat in all_patterns(&sample()) {
             assert_eq!(frozen.matching(pat), mutable.matching(pat), "{pat:?}");
             assert_eq!(
@@ -613,22 +589,23 @@ mod tests {
 
     #[test]
     fn thaw_roundtrip_is_lossless_and_updatable() {
-        let mutable = Hexastore::from_triples(sample());
-        let mut thawed = mutable.freeze().thaw();
-        assert_eq!(thawed.len(), mutable.len());
-        assert_eq!(thawed.space_stats(), mutable.space_stats());
-        assert_eq!(thawed.matching(IdPattern::ALL), mutable.matching(IdPattern::ALL));
-        // The thawed store is fully updatable again.
+        let frozen = FrozenHexastore::from_triples(sample());
+        let mut thawed = frozen.clone().thaw();
+        assert_eq!(thawed.len(), frozen.len());
+        assert_eq!(thawed.freeze(), frozen);
+        assert_eq!(thawed.matching(IdPattern::ALL), frozen.matching(IdPattern::ALL));
+        // The thawed store is fully updatable.
         assert!(thawed.insert(t(42, 42, 42)));
         assert!(thawed.remove(t(1, 2, 3)));
-        assert_eq!(thawed.len(), mutable.len());
+        assert_eq!(thawed.len(), frozen.len());
+        assert_eq!(thawed.freeze().space_stats().triples, frozen.len());
     }
 
     #[test]
     fn frozen_lists_are_shared_within_pairs() {
         // Freezing must keep the §4.1 single-copy property: the o-list of
         // (s=1, p=2) reachable via spo and pso is the same column window.
-        let frozen = Hexastore::from_triples(sample()).freeze();
+        let frozen = FrozenHexastore::from_triples(sample());
         let via_spo = frozen.objects_for(Id(1), Id(2));
         let via_pso = frozen.inner.spo.view().list_idx(Id(1), Id(2)).unwrap();
         let mirror = frozen.inner.pso.view().list_idx(Id(2), Id(1)).unwrap();
@@ -641,13 +618,13 @@ mod tests {
     #[test]
     #[should_panic(expected = "read-only")]
     fn frozen_insert_panics() {
-        let mut frozen = Hexastore::from_triples(sample()).freeze();
+        let mut frozen = FrozenHexastore::from_triples(sample());
         frozen.insert(t(0, 0, 0));
     }
 
     #[test]
     fn iter_matching_range_is_the_exact_subsequence() {
-        let frozen = Hexastore::from_triples(sample()).freeze();
+        let frozen = FrozenHexastore::from_triples(sample());
         for pat in all_patterns(&sample()) {
             let full: Vec<IdTriple> = frozen.iter_matching(pat).collect();
             let n = full.len();
@@ -669,7 +646,7 @@ mod tests {
 
     #[test]
     fn clone_shares_the_slabs() {
-        let frozen = Hexastore::from_triples(sample()).freeze();
+        let frozen = FrozenHexastore::from_triples(sample());
         let clone = frozen.clone();
         assert_eq!(clone, frozen);
         // Same allocation, not a copy: the terminal columns are at the
@@ -682,11 +659,13 @@ mod tests {
 
     #[test]
     fn frozen_heap_bytes_do_not_exceed_mutable() {
-        // Flat slabs drop the per-list allocation overhead; on any
-        // non-trivial store the frozen footprint is at most the mutable
-        // one (equal only in degenerate layouts).
+        // Flat slabs hold six orderings in less than the overlay's four
+        // ordered sets take for the same triples as pending writes.
         let triples: Vec<IdTriple> = (0..2000u32).map(|i| t(i % 97, i % 13, i)).collect();
-        let mutable = Hexastore::from_triples(triples);
+        let mut mutable = OverlayHexastore::default();
+        for &tr in &triples {
+            mutable.insert(tr);
+        }
         let frozen_bytes = mutable.freeze().heap_bytes();
         assert!(
             frozen_bytes <= mutable.heap_bytes(),

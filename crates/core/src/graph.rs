@@ -6,25 +6,26 @@
 //! strings" (§4.1). [`Dataset`] is exactly that bundle, generically: the
 //! mapping table travels with *whatever* physical store holds the ids, so
 //! applications work with [`Triple`]s and [`TriplePattern`]s directly —
-//! against the mutable [`Hexastore`], the zero-copy
-//! [`FrozenHexastore`], or a reduced-index [`PartialHexastore`].
+//! against the slab-backed [`FrozenHexastore`], the writable
+//! [`OverlayHexastore`] over one, or a reduced-index [`PartialHexastore`].
 //!
-//! [`GraphStore`] (= `Dataset<Hexastore>`) is the read-write default;
-//! [`FrozenGraphStore`] (= `Dataset<FrozenHexastore>`) is its read-only,
-//! slab-backed counterpart. [`Dataset::freeze`]/[`Dataset::thaw`] convert
-//! between them *at the facade level* (the dictionary rides along), and
-//! the `hexsnap` on-disk format is reachable directly through
-//! [`Dataset::save`]/[`Dataset::load`] without touching id-level APIs.
+//! [`GraphStore`] (= `Dataset<OverlayHexastore>`) is the read-write
+//! default; [`FrozenGraphStore`] (= `Dataset<FrozenHexastore>`) is its
+//! read-only base. [`Dataset::thaw`] wraps a frozen dataset in a clean
+//! overlay in O(1); [`Dataset::freeze`] hands the base back, or builds
+//! the compaction when writes are pending. The dictionary rides along
+//! either way, and the `hexsnap` on-disk format is reachable directly
+//! through [`Dataset::save`]/[`Dataset::load`] without touching id-level
+//! APIs.
 
 use crate::frozen::FrozenHexastore;
 use crate::overlay::OverlayHexastore;
 use crate::partial::PartialHexastore;
 use crate::pattern::IdPattern;
 use crate::stats::DatasetStats;
-use crate::store::Hexastore;
 use crate::traits::{MutableStore, TripleStore};
 use crate::wal::{Wal, WalOp};
-use hex_dict::Dictionary;
+use hex_dict::{Dictionary, IdTriple};
 use rdf_model::{NtParseError, Term, TermPattern, Triple, TriplePattern};
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, RwLock};
@@ -73,6 +74,13 @@ pub struct Dataset<S> {
     identity: u64,
 }
 
+/// The id-level test a match of `pat` must also pass: positions that
+/// share a variable hold equal ids.
+fn shared_hold(pat: &TriplePattern) -> impl Fn(IdTriple) -> bool {
+    let [sp, so, po] = pat.shared_variables();
+    move |t| (!sp || t.s == t.p) && (!so || t.s == t.o) && (!po || t.p == t.o)
+}
+
 /// Allocates the next process-unique [`Dataset::identity`].
 fn next_identity() -> u64 {
     static NEXT: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
@@ -104,21 +112,18 @@ impl<S: Clone> Clone for Dataset<S> {
     }
 }
 
-/// The read-write default: a mutable [`Hexastore`] with its dictionary.
-pub type GraphStore = Dataset<Hexastore>;
+/// The read-write default: an [`OverlayHexastore`] — pending writes over
+/// a frozen base — with its dictionary. The in-memory half of
+/// [`LiveGraphStore`], usable standalone when durability is not needed.
+pub type GraphStore = Dataset<OverlayHexastore>;
 
 /// The read-only slab-backed form: a [`FrozenHexastore`] with its
 /// dictionary. Produced by [`Dataset::freeze`] or
-/// [`FrozenGraphStore::load`]; convert back with [`Dataset::thaw`].
+/// [`FrozenGraphStore::load`]; made writable with [`Dataset::thaw`].
 pub type FrozenGraphStore = Dataset<FrozenHexastore>;
 
 /// A read-only, reduced-index [`PartialHexastore`] with its dictionary.
 pub type PartialGraphStore = Dataset<PartialHexastore>;
-
-/// A live-writable overlay on a frozen base with its dictionary — the
-/// in-memory half of [`LiveGraphStore`], usable standalone when
-/// durability is not needed.
-pub type OverlayGraphStore = Dataset<OverlayHexastore>;
 
 impl<S: TripleStore> Dataset<S> {
     /// Reassembles a dataset from a dictionary and an id-level store.
@@ -173,23 +178,31 @@ impl<S: TripleStore> Dataset<S> {
         ))
     }
 
-    /// All triples matching a string-level pattern.
+    /// All triples matching a string-level pattern. Positions that share
+    /// a variable must hold equal terms.
     pub fn matching(&self, pat: &TriplePattern) -> Vec<Triple> {
         let Some(id_pat) = self.encode_pattern(pat) else {
             return Vec::new();
         };
+        let shared = shared_hold(pat);
         let mut out = Vec::new();
         self.store.for_each_matching(id_pat, &mut |t| {
-            out.push(self.dict.decode_triple(t).expect("store id missing from dictionary"));
+            if shared(t) {
+                out.push(self.dict.decode_triple(t).expect("store id missing from dictionary"));
+            }
         });
         out
     }
 
-    /// Count of triples matching a string-level pattern.
+    /// Count of triples matching a string-level pattern. When a variable
+    /// repeats, the count walks the matches.
     pub fn count_matching(&self, pat: &TriplePattern) -> usize {
-        match self.encode_pattern(pat) {
-            Some(id_pat) => self.store.count_matching(id_pat),
-            None => 0,
+        let Some(id_pat) = self.encode_pattern(pat) else { return 0 };
+        if pat.shared_variables() == [false; 3] {
+            self.store.count_matching(id_pat)
+        } else {
+            let shared = shared_hold(pat);
+            self.store.iter_matching(id_pat).filter(|&t| shared(t)).count()
         }
     }
 
@@ -245,8 +258,8 @@ impl<S: crate::stats::StatsSource> Dataset<S> {
     /// Summary statistics of the stored dataset (degree distributions,
     /// per-property counts) — the input of the statistics-driven query
     /// planner. Derived the cheapest way the store allows: a
-    /// [`Hexastore`] reads its already-built indices, other forms pay
-    /// one linear pass (see [`crate::stats::StatsSource`]).
+    /// [`FrozenHexastore`] reads its already-built indices, other forms
+    /// pay one linear pass (see [`crate::stats::StatsSource`]).
     pub fn stats(&self) -> DatasetStats {
         self.store.dataset_stats()
     }
@@ -322,10 +335,11 @@ impl<S: MutableStore> Dataset<S> {
     }
 }
 
-impl Dataset<Hexastore> {
-    /// Freezes the dataset into its read-only slab-backed form. The
-    /// store flattens into a [`FrozenHexastore`]; the dictionary is
-    /// cloned (cheap: terms are shared, not copied).
+impl Dataset<OverlayHexastore> {
+    /// The dataset's read-only slab-backed form: the overlay's base when
+    /// no write is pending (no copy), else its compaction
+    /// ([`OverlayHexastore::freeze`]). The dictionary is cloned (cheap:
+    /// terms are shared, not copied).
     pub fn freeze(&self) -> FrozenGraphStore {
         Dataset {
             dict: self.dict.clone(),
@@ -345,10 +359,18 @@ impl Dataset<Hexastore> {
     pub fn load(path: impl AsRef<std::path::Path>) -> crate::hexsnap::Result<GraphStore> {
         crate::hexsnap::load(path)
     }
+
+    /// Folds the overlay's delta and tombstones into a new frozen base
+    /// generation (see [`OverlayHexastore::compact`]). Query results
+    /// are unchanged, so the [`Dataset::version`] reading stays valid.
+    pub fn compact(&mut self) {
+        self.store.compact();
+    }
 }
 
 impl Dataset<FrozenHexastore> {
-    /// Converts back into a mutable [`GraphStore`], loss-free.
+    /// Makes the dataset writable: the store becomes the base of a clean
+    /// [`OverlayHexastore`], in O(1).
     pub fn thaw(self) -> GraphStore {
         Dataset {
             dict: self.dict,
@@ -375,22 +397,6 @@ impl Dataset<FrozenHexastore> {
     }
 }
 
-impl Dataset<OverlayHexastore> {
-    /// Wraps a frozen dataset in a clean overlay, making it writable
-    /// again without thawing the slabs.
-    pub fn from_frozen(frozen: FrozenGraphStore) -> OverlayGraphStore {
-        let (dict, store) = frozen.into_parts();
-        Dataset::from_parts(dict, OverlayHexastore::new(store))
-    }
-
-    /// Folds the overlay's delta and tombstones into a new frozen base
-    /// generation (see [`OverlayHexastore::compact`]). Query results
-    /// are unchanged, so the [`Dataset::version`] reading stays valid.
-    pub fn compact(&mut self) {
-        self.store.compact();
-    }
-}
-
 /// File name of the write-ahead log inside a live store directory.
 const WAL_FILE: &str = "wal.hexwal";
 
@@ -405,7 +411,7 @@ fn fsync_dir(dir: &Path) -> std::io::Result<()> {
     Ok(())
 }
 
-/// A durable, live-writable dataset: an [`OverlayGraphStore`] backed by
+/// A durable, live-writable dataset: a [`GraphStore`] backed by
 /// a directory of frozen snapshot *generations* plus a write-ahead log.
 ///
 /// Every mutation is appended to the WAL before it touches the overlay,
@@ -434,7 +440,7 @@ fn fsync_dir(dir: &Path) -> std::io::Result<()> {
 /// never block readers and readers never observe a half-built store.
 #[derive(Debug)]
 pub struct LiveGraphStore {
-    data: OverlayGraphStore,
+    data: GraphStore,
     wal: Wal,
     dir: PathBuf,
     generation: u64,
@@ -482,7 +488,7 @@ impl SnapshotHandle {
 /// Builds the publishable snapshot of the overlay's current frozen
 /// base. Cheap: the slabs are Arc-shared by [`FrozenHexastore::clone`],
 /// and dictionary terms are shared, not copied.
-fn publishable(data: &OverlayGraphStore) -> Arc<FrozenGraphStore> {
+fn publishable(data: &GraphStore) -> Arc<FrozenGraphStore> {
     Arc::new(Dataset::from_parts(data.dict().clone(), data.store().base().clone()))
 }
 
@@ -528,9 +534,9 @@ impl LiveGraphStore {
         let (generation, mut data) = match crate::hexsnap::newest_generation(&dir)? {
             Some((gen, path)) => {
                 let (dict, frozen) = crate::hexsnap::load_frozen(path)?;
-                (gen, Dataset::from_parts(dict, OverlayHexastore::new(frozen)))
+                (gen, Dataset::from_parts(dict, frozen.thaw()))
             }
-            None => (0, OverlayGraphStore::new()),
+            None => (0, GraphStore::new()),
         };
         let (wal, ops) = Wal::open(dir.join(WAL_FILE))?;
         for op in &ops {
@@ -557,7 +563,7 @@ impl LiveGraphStore {
 
     /// The queryable dataset view (dictionary + overlay store). Use it
     /// with any read API — `matching`, the query engine, statistics.
-    pub fn dataset(&self) -> &OverlayGraphStore {
+    pub fn dataset(&self) -> &GraphStore {
         &self.data
     }
 
@@ -689,7 +695,7 @@ impl LiveGraphStore {
             // The overlay keeps its layers until the generation is
             // durable: a step that fails below leaves every logged write
             // pending, so a retry writes them again.
-            let base = crate::bulk::compact_frozen(self.data.store());
+            let base = self.data.store().freeze();
             let path = crate::hexsnap::generation_path(&self.dir, next);
             let tmp = self.dir.join(format!("gen-{next:06}.tmp"));
             crate::hexsnap::save_frozen(&tmp, self.data.dict(), &base)?;
@@ -759,6 +765,29 @@ mod tests {
         let pat = TriplePattern::new(iri("nope"), TermPattern::var("p"), TermPattern::var("o"));
         assert!(g.matching(&pat).is_empty());
         assert_eq!(g.count_matching(&pat), 0);
+    }
+
+    #[test]
+    fn a_repeated_variable_requires_equal_terms() {
+        // `?x <knows> ?x` matches self-loops only: (a knows a), not
+        // (a knows b) — on the pattern itself and on every store form.
+        let mut g = GraphStore::new();
+        let (looped, other) = (triple("a", "knows", "a"), triple("a", "knows", "b"));
+        assert!(g.insert(&looped) && g.insert(&other));
+        let pat = TriplePattern::new(TermPattern::var("x"), iri("knows"), TermPattern::var("x"));
+        assert!(pat.matches(&looped) && !pat.matches(&other));
+        let frozen = g.freeze();
+        assert_eq!(g.matching(&pat), vec![looped.clone()]);
+        assert_eq!(frozen.matching(&pat), vec![looped]);
+        assert_eq!(g.count_matching(&pat), 1);
+        assert_eq!(frozen.count_matching(&pat), 1);
+        // A variable in all three positions: only a triple whose three
+        // terms are one.
+        let all =
+            TriplePattern::new(TermPattern::var("x"), TermPattern::var("x"), TermPattern::var("x"));
+        assert_eq!(g.count_matching(&all), 0);
+        assert!(g.insert(&triple("knows", "knows", "knows")));
+        assert_eq!(g.count_matching(&all), 1);
     }
 
     #[test]
@@ -911,7 +940,7 @@ mod tests {
     fn overlay_dataset_mutates_over_a_frozen_base() {
         let g = sample_graph();
         let ntriples = g.to_ntriples();
-        let mut live = OverlayGraphStore::from_frozen(g.freeze());
+        let mut live = g.freeze().thaw();
         assert_eq!(live.to_ntriples(), ntriples);
         let extra = triple("new-s", "new-p", "new-o");
         assert!(live.insert(&extra));

@@ -151,7 +151,7 @@ const TAG_FRZC: [u8; 4] = *b"FRZC";
 /// use hexastore::Hexastore;
 /// use std::io::Cursor;
 ///
-/// let store = Hexastore::from_triples([(0u32, 1, 2).into(), (0, 1, 3).into()]).freeze();
+/// let store = Hexastore::from_triples([(0u32, 1, 2).into(), (0, 1, 3).into()]);
 /// let mut w = Writer::new(Cursor::new(Vec::new())).unwrap();
 /// w.frozen_with(&store, Compression::VarintDelta).unwrap();
 /// let bytes = w.finish().unwrap().into_inner();
@@ -1204,8 +1204,8 @@ pub fn save_frozen_with(
     Ok(())
 }
 
-/// Loads a snapshot into a mutable [`GraphStore`]: [`load_frozen`], then
-/// [`FrozenHexastore::thaw`].
+/// Loads a snapshot into a writable [`GraphStore`]: [`load_frozen`], its
+/// store wrapped by [`FrozenHexastore::thaw`].
 pub fn load(path: impl AsRef<Path>) -> Result<GraphStore> {
     let (dict, store) = load_frozen(path)?;
     Ok(GraphStore::from_parts(dict, store.thaw()))
@@ -1287,7 +1287,7 @@ mod tests {
     use rdf_model::Term;
     use std::io::Cursor;
 
-    fn sample_dict_and_store() -> (Dictionary, crate::store::Hexastore) {
+    fn sample_dict_and_store() -> (Dictionary, FrozenHexastore) {
         let mut dict = Dictionary::new();
         let mut triples = Vec::new();
         for i in 0..40u32 {
@@ -1307,7 +1307,7 @@ mod tests {
             };
             triples.push(IdTriple::new(s, p, o));
         }
-        (dict, crate::store::Hexastore::from_triples(triples))
+        (dict, FrozenHexastore::from_triples(triples))
     }
 
     fn snapshot_bytes(frozen_section: bool) -> Vec<u8> {
@@ -1316,7 +1316,7 @@ mod tests {
         w.dictionary(&dict).unwrap();
         w.triples(store.len() as u64, store.iter_matching(IdPattern::ALL)).unwrap();
         if frozen_section {
-            w.frozen(&store.freeze()).unwrap();
+            w.frozen(&store).unwrap();
         }
         w.finish().unwrap().into_inner()
     }
@@ -1339,8 +1339,7 @@ mod tests {
 
     #[test]
     fn compressed_section_roundtrips_and_shrinks() {
-        let (dict, store) = sample_dict_and_store();
-        let frozen = store.freeze();
+        let (dict, frozen) = sample_dict_and_store();
         let mut raw = Writer::new(Cursor::new(Vec::new())).unwrap();
         raw.frozen(&frozen).unwrap();
         let raw_bytes = raw.finish().unwrap().into_inner();
@@ -1359,7 +1358,7 @@ mod tests {
     fn compressed_payload_byte_flips_are_rejected() {
         let (_, store) = sample_dict_and_store();
         let mut w = Writer::new(Cursor::new(Vec::new())).unwrap();
-        w.frozen_with(&store.freeze(), Compression::VarintDelta).unwrap();
+        w.frozen_with(&store, Compression::VarintDelta).unwrap();
         let bytes = w.finish().unwrap().into_inner();
         // The FRZC section is the only one: payload starts 20 bytes past
         // the section start (12-byte header + n_triples + payload_len +
@@ -1453,13 +1452,12 @@ mod tests {
         assert_eq!(r.version(), VERSION);
         let (off, _) = r.frozen_section_extent().expect("raw FROZ section present");
         assert_eq!(off % 4, 0, "FROZ section must start 4-byte aligned");
-        assert_eq!(r.frozen().unwrap(), sample_dict_and_store().1.freeze());
+        assert_eq!(r.frozen().unwrap(), sample_dict_and_store().1);
     }
 
     #[test]
     fn frozen_section_reads_back_identical_slabs() {
-        let (_, store) = sample_dict_and_store();
-        let frozen = store.freeze();
+        let (_, frozen) = sample_dict_and_store();
         let bytes = snapshot_bytes(true);
         let mut r = Reader::new(Cursor::new(&bytes)).unwrap();
         assert!(r.has_frozen());
@@ -1535,12 +1533,12 @@ mod tests {
     fn ids_beyond_the_dictionary_are_rejected_at_load() {
         // A snapshot whose id columns reference terms the dictionary
         // lacks must fail at open, not panic on the first decode.
-        let store = crate::store::Hexastore::from_triples([IdTriple::from((0, 1, 2))]);
+        let store = FrozenHexastore::from_triples([IdTriple::from((0, 1, 2))]);
         let path = std::env::temp_dir()
             .join(format!("hexsnap_test_badids_{}.hexsnap", std::process::id()));
         save(&path, &Dictionary::new(), &store).unwrap();
         assert!(matches!(load(&path), Err(Error::Corrupt(_))));
-        save_frozen(&path, &Dictionary::new(), &store.freeze()).unwrap();
+        save_frozen(&path, &Dictionary::new(), &store).unwrap();
         assert!(matches!(load_frozen(&path), Err(Error::Corrupt(_))));
         std::fs::remove_file(&path).ok();
     }

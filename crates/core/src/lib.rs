@@ -42,21 +42,19 @@
 //! | module | contents |
 //! |--------|----------|
 //! | [`sorted`] | linear-time merge-join primitives on sorted id sets |
-//! | [`vecmap`] | the sorted-vector association map backing every index level |
-//! | [`arena`] | shared terminal-list storage (the paper's single-copy lists) |
 //! | [`slab`] | flat terminal-list storage: a slot per list plus an overflow column ([`FlatArena`]) |
-//! | [`store`] | [`Hexastore`]: the six indices over [`hex_dict::IdTriple`]s |
-//! | [`frozen`] | [`FrozenHexastore`]: the zero-copy read-only store over slabs |
+//! | [`frozen`] | [`FrozenHexastore`]: the six orderings over [`hex_dict::IdTriple`]s as slabs, paired orderings sharing lists; built once from a batch, read-only |
+//! | [`store`] | [`SpaceStats`], and [`Hexastore`], the figures' name for [`FrozenHexastore`] |
 //! | [`advisor`] | §6 index selection: the orderings a workload needs ([`recommend`]) |
 //! | [`partial`] | [`PartialHexastore`]: only those orderings, as slabs, built once from a batch and read-only |
 //! | [`bulk`] | sort-based bulk loader, serial or parallel ([`bulk::Config`]) |
-//! | [`graph`] | [`Dataset`]: any store + dictionary, string-level API |
+//! | [`overlay`] | [`OverlayHexastore`]: the write path — pending inserts and tombstones in four ordered sets over a frozen base |
+//! | [`graph`] | [`Dataset`]: any store + dictionary, string-level API; [`GraphStore`] is the writable one |
 //! | [`pattern`] | [`IdPattern`]: the eight access shapes |
 //! | [`access`] | the one read path: shape → ordering route, slab views, every read operation |
 //! | [`traits`] | [`TripleStore`]: the interface shared with the baselines |
 //! | [`compress`] | varint-delta codec for sorted id runs (compressed snapshots) |
 //! | [`hexsnap`] | the `hexsnap` binary on-disk snapshot format |
-//! | [`overlay`] | [`OverlayHexastore`]: mutable delta + tombstones on a frozen base |
 //! | [`wal`] | append-only write-ahead log behind [`LiveGraphStore`] |
 
 #![forbid(unsafe_code)]
@@ -64,7 +62,6 @@
 
 pub mod access;
 pub mod advisor;
-pub mod arena;
 pub mod bulk;
 pub mod compress;
 pub mod frozen;
@@ -78,15 +75,12 @@ pub mod sorted;
 pub mod stats;
 pub mod store;
 pub mod traits;
-pub mod vecmap;
 pub mod wal;
 
 pub use advisor::{recommend, serving_indices, IndexKind, IndexSet, WorkloadProfile};
-pub use arena::{ListArena, ListId};
 pub use frozen::{FrozenHexastore, HeapBreakdown};
 pub use graph::{
-    Dataset, FrozenGraphStore, GraphStore, LiveGraphStore, OverlayGraphStore, PartialGraphStore,
-    SnapshotHandle,
+    Dataset, FrozenGraphStore, GraphStore, LiveGraphStore, PartialGraphStore, SnapshotHandle,
 };
 pub use overlay::OverlayHexastore;
 pub use partial::PartialHexastore;
@@ -95,5 +89,4 @@ pub use slab::FlatArena;
 pub use stats::{DatasetStats, StatsSource};
 pub use store::{Hexastore, SpaceStats};
 pub use traits::{extend_store, MutableStore, SortedListAccess, TripleIter, TripleStore};
-pub use vecmap::VecMap;
 pub use wal::{Wal, WalOp};

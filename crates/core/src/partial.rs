@@ -101,8 +101,6 @@ impl PartialHexastore {
 
 /// Only the kept orderings, each with its own arena.
 impl OrderedStore for PartialHexastore {
-    type Ordering<'a> = SlabOrdering<'a>;
-
     fn kept(&self) -> IndexSet {
         self.keep
     }

@@ -1,13 +1,12 @@
 //! Flat storage slabs.
 //!
-//! The mutable [`crate::Hexastore`] holds its terminal lists as
-//! `Vec<Vec<Id>>` and its index levels as nested [`crate::VecMap`]s —
-//! one heap allocation per list and per vector. A *read-only* store does
-//! not need any of that pointer chasing: every level can live in one
-//! contiguous column. That layout
+//! Nested vectors would cost one heap allocation per terminal list and
+//! per vector. A store built once from a batch does not need any of that
+//! pointer chasing: every level can live in one contiguous column. That
+//! layout
 //!
-//! - is what the [`crate::FrozenHexastore`] queries directly (zero
-//!   per-list allocations, cache-linear scans),
+//! - is what [`crate::FrozenHexastore`] and [`crate::PartialHexastore`]
+//!   query directly (zero per-list allocations, cache-linear scans),
 //! - is exactly what the `hexsnap` on-disk format stores, so a snapshot
 //!   section can be read straight into a query-ready slab.
 //!
@@ -18,8 +17,7 @@
 //!
 //! Terminal lists are addressed differently, because of what they look
 //! like: on the benchmark's dataset nine lists in ten hold exactly one
-//! id. [`FlatArena`], the frozen counterpart of [`crate::ListArena`],
-//! keeps one **slot** per list, and the slot *is* the list when the list
+//! id. [`FlatArena`] keeps one **slot** per list, and the slot *is* the list when the list
 //! is a single id below 2^31. Any other list lives in the **overflow**
 //! column as a length word followed by its sorted items, and its slot
 //! holds [`LONG`] `|` the position of that length word. A singleton costs
@@ -123,11 +121,9 @@ impl<'a> ArenaView<'a> {
 }
 
 /// An arena of sorted id lists stored as a slot column plus an overflow
-/// column (see the [module docs](self) for the encoding) — the flat,
-/// append-only counterpart of [`crate::ListArena`].
+/// column (see the [module docs](self) for the encoding).
 ///
-/// Lists are addressed by their `u32` position (the frozen analogue of
-/// [`crate::ListId`]). There is no removal and no free list: a
+/// Lists are addressed by their `u32` position. There is no removal and no free list: a
 /// `FlatArena` is built once, in final order, and then only read.
 #[derive(Clone, Default, PartialEq, Eq)]
 pub struct FlatArena {

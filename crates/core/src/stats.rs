@@ -11,8 +11,10 @@
 //! picks the cheapest path per store so the [`crate::Dataset`] facade
 //! never hashes what an index already knows.
 
+use crate::access::{OrderedStore, OrderingRead};
+use crate::advisor::IndexKind;
+use crate::frozen::FrozenHexastore;
 use crate::pattern::IdPattern;
-use crate::store::Hexastore;
 use crate::traits::TripleStore;
 use hex_dict::Id;
 use std::collections::{HashMap, HashSet};
@@ -42,55 +44,27 @@ pub struct DatasetStats {
 }
 
 impl DatasetStats {
-    /// Computes statistics from a store.
-    pub fn compute(store: &Hexastore) -> DatasetStats {
-        let triples = store.len();
-        let distinct = (store.subject_count(), store.property_count(), store.object_count());
-
-        let mut property_cardinalities: Vec<(Id, usize)> =
+    /// Computes statistics from the six indices of a store.
+    pub fn compute(store: &FrozenHexastore) -> DatasetStats {
+        let property_cardinalities =
             store.properties().map(|p| (p, store.property_cardinality(p))).collect();
-        property_cardinalities.sort_by_key(|&(p, n)| (std::cmp::Reverse(n), p));
-
         // properties() walks the pso index in ascending id order, so the
         // shape table comes out binary-searchable for free.
-        let property_shapes: Vec<(Id, usize, usize)> = store
+        let property_shapes = store
             .properties()
             .map(|p| (p, store.pso_vector(p).count(), store.pos_vector(p).count()))
             .collect();
-
-        let mut sp_pairs = 0usize;
-        let mut multi_valued = 0usize;
-        for s in store.subjects().collect::<Vec<_>>() {
-            for (_, objs) in store.spo_vector(s) {
-                sp_pairs += 1;
-                if objs.len() > 1 {
-                    multi_valued += 1;
-                }
-            }
-        }
-
-        DatasetStats {
-            triples,
-            distinct,
-            mean_out_degree: if distinct.0 == 0 { 0.0 } else { triples as f64 / distinct.0 as f64 },
-            mean_in_degree: if distinct.2 == 0 { 0.0 } else { triples as f64 / distinct.2 as f64 },
-            multi_valued_sp_fraction: if sp_pairs == 0 {
-                0.0
-            } else {
-                multi_valued as f64 / sp_pairs as f64
-            },
-            property_cardinalities,
-            property_shapes,
-        }
+        let sp_lists = store.ordering(IndexKind::Spo).scan().map(|(_, _, objs)| objs.len());
+        let distinct = (store.subject_count(), store.object_count());
+        Self::assemble(store.len(), distinct, property_cardinalities, property_shapes, sp_lists)
     }
 
     /// Computes statistics from *any* [`TripleStore`] with one linear
     /// pass over its triples — the entry point for stores without the
-    /// Hexastore's per-index accessors (the frozen slab stores, the
-    /// baselines). Produces exactly the same numbers as
+    /// full store's per-index accessors (the overlay, the partial store,
+    /// the baselines). Produces exactly the same numbers as
     /// [`DatasetStats::compute`] does on a full Hexastore.
     pub fn from_store(store: &dyn TripleStore) -> DatasetStats {
-        let triples = store.len();
         let mut subjects: HashSet<Id> = HashSet::new();
         let mut objects: HashSet<Id> = HashSet::new();
         let mut prop_counts: HashMap<Id, usize> = HashMap::new();
@@ -105,27 +79,43 @@ impl DatasetStats {
             subs.insert(t.s);
             objs.insert(t.o);
         });
-
-        let mut property_cardinalities: Vec<(Id, usize)> = prop_counts.into_iter().collect();
-        property_cardinalities.sort_by_key(|&(p, n)| (std::cmp::Reverse(n), p));
-
         let mut property_shapes: Vec<(Id, usize, usize)> =
             prop_members.into_iter().map(|(p, (subs, objs))| (p, subs.len(), objs.len())).collect();
         property_shapes.sort_unstable_by_key(|&(p, _, _)| p);
+        let distinct = (subjects.len(), objects.len());
+        let property_cardinalities = prop_counts.into_iter().collect();
+        Self::assemble(
+            store.len(),
+            distinct,
+            property_cardinalities,
+            property_shapes,
+            sp_counts.into_values(),
+        )
+    }
 
-        let sp_pairs = sp_counts.len();
-        let multi_valued = sp_counts.values().filter(|&&n| n > 1).count();
-        let distinct = (subjects.len(), property_cardinalities.len(), objects.len());
+    /// The statistics from what both derivations count: distinct subjects
+    /// and objects, each property's triples and shape, and the object
+    /// count of every `(s, p)` pair.
+    fn assemble(
+        triples: usize,
+        (subjects, objects): (usize, usize),
+        mut property_cardinalities: Vec<(Id, usize)>,
+        property_shapes: Vec<(Id, usize, usize)>,
+        sp_lists: impl Iterator<Item = usize>,
+    ) -> DatasetStats {
+        property_cardinalities.sort_by_key(|&(p, n)| (std::cmp::Reverse(n), p));
+        let (mut sp_pairs, mut multi_valued) = (0, 0);
+        for objects in sp_lists {
+            sp_pairs += 1;
+            multi_valued += usize::from(objects > 1);
+        }
+        let ratio = |n: usize, d: usize| if d == 0 { 0.0 } else { n as f64 / d as f64 };
         DatasetStats {
             triples,
-            distinct,
-            mean_out_degree: if distinct.0 == 0 { 0.0 } else { triples as f64 / distinct.0 as f64 },
-            mean_in_degree: if distinct.2 == 0 { 0.0 } else { triples as f64 / distinct.2 as f64 },
-            multi_valued_sp_fraction: if sp_pairs == 0 {
-                0.0
-            } else {
-                multi_valued as f64 / sp_pairs as f64
-            },
+            distinct: (subjects, property_cardinalities.len(), objects),
+            mean_out_degree: ratio(triples, subjects),
+            mean_in_degree: ratio(triples, objects),
+            multi_valued_sp_fraction: ratio(multi_valued, sp_pairs),
             property_cardinalities,
             property_shapes,
         }
@@ -186,8 +176,8 @@ impl DatasetStats {
 /// A store that can produce its own [`DatasetStats`], choosing the
 /// cheapest derivation its physical design allows.
 ///
-/// [`crate::Dataset::stats`] is bound on this trait: the mutable
-/// [`Hexastore`] answers from its already-built indices
+/// [`crate::Dataset::stats`] is bound on this trait: a
+/// [`FrozenHexastore`] answers from its already-built indices
 /// ([`DatasetStats::compute`]); the other store forms fall back to the
 /// generic one-pass scan ([`DatasetStats::from_store`]). External store
 /// types can implement it the same way (the default body is the scan).
@@ -201,18 +191,18 @@ pub trait StatsSource: TripleStore {
     }
 }
 
-impl StatsSource for Hexastore {
+impl StatsSource for FrozenHexastore {
     fn dataset_stats(&self) -> DatasetStats {
         DatasetStats::compute(self)
     }
 }
 
-impl StatsSource for crate::frozen::FrozenHexastore {}
 impl StatsSource for crate::partial::PartialHexastore {}
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::store::Hexastore;
     use hex_dict::IdTriple;
 
     fn t(s: u32, p: u32, o: u32) -> IdTriple {
@@ -274,15 +264,19 @@ mod tests {
         let h = Hexastore::from_triples(triples.iter().copied());
         let reference = DatasetStats::compute(&h);
         assert_eq!(DatasetStats::from_store(&h), reference);
-        let frozen = h.freeze();
-        assert_eq!(DatasetStats::from_store(&frozen), reference);
+        assert_eq!(h.dataset_stats(), reference);
+        let mut written = crate::OverlayHexastore::default();
+        for &tr in &triples {
+            written.insert(tr);
+        }
+        assert_eq!(written.dataset_stats(), reference);
         assert_eq!(reference.property_cardinality(Id(3)), Some(h.property_cardinality(Id(3))));
         assert_eq!(reference.property_cardinality(Id(99)), None);
     }
 
     #[test]
     fn empty_store_stats() {
-        let stats = DatasetStats::compute(&Hexastore::new());
+        let stats = DatasetStats::compute(&Hexastore::from_triples([]));
         assert_eq!(stats.triples, 0);
         assert_eq!(stats.mean_out_degree, 0.0);
         assert_eq!(stats.multi_valued_sp_fraction, 0.0);
@@ -292,20 +286,15 @@ mod tests {
     #[test]
     fn skew_distinguishes_uniform_from_skewed() {
         // Uniform: 4 properties × 5 triples each.
-        let mut uniform = Hexastore::new();
-        for p in 0..4u32 {
-            for i in 0..5u32 {
-                uniform.insert(t(100 + i, p, 200 + i + p));
-            }
-        }
+        let uniform = Hexastore::from_triples(
+            (0..4u32).flat_map(|p| (0..5u32).map(move |i| t(100 + i, p, 200 + i + p))),
+        );
         // Skewed: one property with 17 triples, three with 1 each.
-        let mut skewed = Hexastore::new();
-        for i in 0..17u32 {
-            skewed.insert(t(100 + i, 0, 300 + i));
-        }
-        for p in 1..4u32 {
-            skewed.insert(t(50 + p, p, 400 + p));
-        }
+        let skewed = Hexastore::from_triples(
+            (0..17u32)
+                .map(|i| t(100 + i, 0, 300 + i))
+                .chain((1..4u32).map(|p| t(50 + p, p, 400 + p))),
+        );
         let u = DatasetStats::compute(&uniform).property_skew();
         let s = DatasetStats::compute(&skewed).property_skew();
         assert!(s > u, "skewed {s} should exceed uniform {u}");

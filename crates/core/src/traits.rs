@@ -30,12 +30,13 @@ pub type TripleIter<'a> = Box<dyn Iterator<Item = IdTriple> + 'a>;
 /// are kept, the routed ordering lists the pattern's bound positions
 /// first, so that key order coincides with plain `(s, p, o)` order
 /// restricted to the match set. [`crate::OverlayHexastore`] relies on
-/// exactly this — its base and delta are always full stores — to merge a
-/// mutable delta over a frozen base with one order-preserving two-way
-/// merge per cursor. A partial store that dropped the serving ordering
-/// walks a surviving one instead and yields in *that* ordering's key
-/// order; the baselines promise no particular order at all (COVP's
-/// object-bound cursors run in `(p, s)` order).
+/// exactly this — its base is a full store and its delta reads ranges of
+/// orderings that list the bound positions first — to merge pending
+/// writes over a frozen base with one order-preserving two-way merge per
+/// cursor. A partial store that dropped the serving ordering (the COVP
+/// baselines among them) walks a surviving one instead and yields in
+/// *that* ordering's key order; the triples table promises no particular
+/// order at all.
 pub trait TripleStore {
     /// A short human-readable name ("Hexastore", "COVP1", …).
     fn name(&self) -> &'static str;

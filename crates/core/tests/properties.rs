@@ -1,14 +1,14 @@
 //! Property-based tests of the Hexastore invariants.
 //!
 //! The reference model is a `BTreeSet<IdTriple>`: after any interleaving of
-//! inserts and removes, the Hexastore must report exactly the model's
+//! inserts and removes through the write path, the store must report exactly the model's
 //! triples through *every* access path, and its space accounting must
 //! respect the paper's worst-case five-fold bound.
 
 use std::collections::BTreeSet;
 
 use hex_dict::{Id, IdTriple};
-use hexastore::{bulk, sorted, FlatArena, Hexastore, IdPattern, TripleStore};
+use hexastore::{bulk, sorted, FlatArena, IdPattern, OverlayHexastore, TripleStore};
 use proptest::prelude::*;
 
 #[derive(Clone, Debug)]
@@ -32,8 +32,8 @@ fn arb_ops() -> impl Strategy<Value = Vec<Op>> {
     )
 }
 
-fn apply(ops: &[Op]) -> (Hexastore, BTreeSet<IdTriple>) {
-    let mut h = Hexastore::new();
+fn apply(ops: &[Op]) -> (OverlayHexastore, BTreeSet<IdTriple>) {
+    let mut h = OverlayHexastore::default();
     let mut model = BTreeSet::new();
     for op in ops {
         match *op {
@@ -106,11 +106,11 @@ proptest! {
 
     #[test]
     fn space_bound_is_at_most_five_fold(triples in proptest::collection::vec(arb_triple(), 1..200)) {
-        let mut h = Hexastore::new();
+        let mut h = OverlayHexastore::default();
         for &t in &triples {
             h.insert(t);
         }
-        let stats = h.space_stats();
+        let stats = h.freeze().space_stats();
         prop_assert!(stats.total_entries() <= 5 * stats.triples_table_entries(),
             "blowup {} exceeds paper bound", stats.blowup());
     }
@@ -118,13 +118,13 @@ proptest! {
     #[test]
     fn bulk_load_equals_incremental(triples in proptest::collection::vec(arb_triple(), 0..200)) {
         let bulk_store = bulk::build(triples.clone());
-        let mut inc = Hexastore::new();
+        let mut inc = OverlayHexastore::default();
         for &t in &triples {
             inc.insert(t);
         }
         prop_assert_eq!(bulk_store.len(), inc.len());
         prop_assert_eq!(bulk_store.matching(IdPattern::ALL), inc.matching(IdPattern::ALL));
-        prop_assert_eq!(bulk_store.space_stats(), inc.space_stats());
+        prop_assert_eq!(bulk_store.freeze().space_stats(), inc.freeze().space_stats());
     }
 
     /// The parallel loader is an optimization, never a semantic change:
@@ -136,12 +136,12 @@ proptest! {
         threads in 1usize..9,
     ) {
         let bulk_store = bulk::build_frozen_with(triples.clone(), bulk::Config { threads }).thaw();
-        let mut inc = Hexastore::new();
+        let mut inc = OverlayHexastore::default();
         for &t in &triples {
             inc.insert(t);
         }
         prop_assert_eq!(bulk_store.len(), inc.len());
-        prop_assert_eq!(bulk_store.space_stats(), inc.space_stats());
+        prop_assert_eq!(bulk_store.freeze().space_stats(), inc.freeze().space_stats());
         // All eight shapes: (s?, p?, o?) fully enumerated over the small
         // id universe would be slow; probe every stored triple instead.
         for &t in &triples {
@@ -165,10 +165,9 @@ proptest! {
         }
     }
 
-    /// A store built by inserts and removes is the one input to `freeze`
-    /// that no thaw produced: its list ids are out of leaf order and its
-    /// arenas have released slots. Its freeze must still be the bulk
-    /// loader's slabs, and their thaw the bulk-built nested store.
+    /// A store built by inserts and removes holds every triple as a
+    /// pending write. Its freeze, a compaction, must be the bulk loader's
+    /// slabs, and their thaw the bulk-built writable store.
     #[test]
     fn freeze_after_churn_equals_a_bulk_build(ops in arb_ops()) {
         let (h, model) = apply(&ops);
@@ -179,7 +178,7 @@ proptest! {
         prop_assert_eq!(frozen.heap_bytes(), built.heap_bytes());
         let thawed = frozen.thaw();
         prop_assert_eq!(thawed.heap_bytes(), bulk::build(triples.clone()).heap_bytes());
-        prop_assert_eq!(thawed.space_stats(), h.space_stats());
+        prop_assert_eq!(thawed.freeze().space_stats(), built.space_stats());
         let mut pats = vec![IdPattern::ALL];
         for &t in &triples {
             pats.extend([
@@ -199,8 +198,8 @@ proptest! {
 
     #[test]
     fn terminal_lists_stay_sorted_sets(ops in arb_ops()) {
-        let (h, _) = apply(&ops);
-        for s in h.subjects().collect::<Vec<_>>() {
+        let h = apply(&ops).0.freeze();
+        for s in h.subjects() {
             for (_, list) in h.spo_vector(s) {
                 prop_assert!(sorted::is_sorted_set(list));
             }
@@ -208,12 +207,12 @@ proptest! {
                 prop_assert!(sorted::is_sorted_set(list));
             }
         }
-        for p in h.properties().collect::<Vec<_>>() {
+        for p in h.properties() {
             for (_, list) in h.pos_vector(p) {
                 prop_assert!(sorted::is_sorted_set(list));
             }
         }
-        for o in h.objects().collect::<Vec<_>>() {
+        for o in h.objects() {
             for (_, list) in h.ops_vector(o) {
                 prop_assert!(sorted::is_sorted_set(list));
             }

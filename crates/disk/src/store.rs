@@ -205,8 +205,6 @@ impl std::fmt::Debug for MmapFrozenHexastore {
 /// is validated beyond the open-time structural checks; the views'
 /// panic-free accessors are what keeps a corrupt column from crashing a query.
 impl OrderedStore for MmapFrozenHexastore {
-    type Ordering<'a> = SlabOrdering<'a>;
-
     fn kept(&self) -> IndexSet {
         IndexSet::all()
     }

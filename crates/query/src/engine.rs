@@ -1489,7 +1489,7 @@ mod tests {
 
     #[test]
     fn prepared_plan_explains_steps_and_pushdown() {
-        let g = figure1_graph();
+        let g = figure1_graph().freeze();
         let plan = prepare_on(
             g.store(),
             g.dict(),
@@ -1502,7 +1502,10 @@ mod tests {
         .unwrap();
         let text = plan.explain();
         assert!(text.contains("query: SELECT ?who LIMIT 1"), "{text}");
-        assert!(text.contains("store: Hexastore capabilities={spo,sop,pso,pos,osp,ops}"), "{text}");
+        assert!(
+            text.contains("store: FrozenHexastore capabilities={spo,sop,pso,pos,osp,ops}"),
+            "{text}"
+        );
         // Step 1 is the more selective type pattern (a po probe).
         assert!(text.contains("step 1: (?who, <http://x/type>, <http://x/GradStudent>) shape=po"));
         assert!(text.contains("via index pos"), "{text}");
@@ -1804,7 +1807,7 @@ mod tests {
     /// A mutable store counting the statistics the planner asks it for.
     #[derive(Default)]
     struct StatsSpy {
-        inner: hexastore::Hexastore,
+        inner: hexastore::OverlayHexastore,
         calls: std::cell::Cell<usize>,
     }
 
@@ -1909,7 +1912,7 @@ mod tests {
 
     #[test]
     fn explain_tags_join_choice() {
-        let g = star_graph();
+        let g = star_graph().freeze();
         let plan = prepare_on(g.store(), g.dict(), STAR_QUERY).unwrap();
         let text = plan.explain();
         assert_eq!(text.matches("join=merge").count(), 2, "{text}");

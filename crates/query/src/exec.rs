@@ -623,7 +623,7 @@ mod tests {
     #[test]
     fn repeated_variable_within_pattern() {
         // ?x ?p ?x — self-loops only.
-        let mut store = academic();
+        let mut store = academic().thaw();
         store.insert(t(7, 100, 7));
         let bgp = Bgp::new(vec![Pattern::new(v(0), v(1), v(0))]);
         let rows = execute_bgp(&store, &bgp);
@@ -890,10 +890,8 @@ mod tests {
         // A non-mergeable pattern whose estimate (25) falls between the
         // group members' (20 and 30): the greedy order interleaves it;
         // annotation pulls the group members together at the front.
-        let mut store = merge_star();
-        for i in 0..25u32 {
-            store.insert(t(5000 + i, 400, 7000 + i));
-        }
+        let tail = (0..25u32).map(|i| t(5000 + i, 400, 7000 + i));
+        let store = Hexastore::from_triples(merge_star().iter_matching(IdPattern::ALL).chain(tail));
         let bgp = Bgp::new(vec![
             Pattern::new(v(0), c(201), c(8)),
             Pattern::new(v(2), c(400), v(1)),
@@ -1004,7 +1002,7 @@ mod tests {
         // keeps the default `sorted_lists() == None` (and the wrapper
         // forwards that): planning through it must stay fully nested.
         let store = merge_star();
-        let layered = hexastore::OverlayHexastore::new(store.freeze());
+        let layered = store.clone().thaw();
         let counting = Counting::new(&layered);
         let bgp = merge_star_bgp();
         let steps = plan_steps(&counting, &bgp);

@@ -231,11 +231,10 @@ mod tests {
 
     #[test]
     fn transitive_closure_follows_chains() {
-        let mut h = Hexastore::new();
         // 1 -> 2 -> 3 -> 4, 1 -> 5, and a cycle 4 -> 1.
-        for (s, o) in [(1, 2), (2, 3), (3, 4), (1, 5), (4, 1)] {
-            h.insert(t(s, 7, o));
-        }
+        let h = Hexastore::from_triples(
+            [(1, 2), (2, 3), (3, 4), (1, 5), (4, 1)].map(|(s, o)| t(s, 7, o)),
+        );
         let r = transitive_closure(&h, Id(1), Id(7));
         assert_eq!(r, vec![Id(1), Id(2), Id(3), Id(4), Id(5)]);
         assert_eq!(transitive_closure(&h, Id(5), Id(7)), Vec::<Id>::new());
@@ -243,16 +242,14 @@ mod tests {
 
     #[test]
     fn path_pairs_groups_by_start() {
-        let mut h = Hexastore::new();
         // teacherOf: 1 -> c1, c2; takesCourse: 8 -> c1, 9 -> c1, 9 -> c2.
         let (teach, takes) = (20, 21);
         // Model "courses x is related to": start -teach-> mid <-takes- end
         // here path is teach/takenBy, so use takenBy edges mid -> person.
-        for (s, p, o) in
+        let h = Hexastore::from_triples(
             [(1, teach, 100), (1, teach, 101), (100, takes, 8), (100, takes, 9), (101, takes, 9)]
-        {
-            h.insert(t(s, p, o));
-        }
+                .map(|(s, p, o)| t(s, p, o)),
+        );
         let grouped = path_pairs(&h, Id(teach), Id(takes));
         assert_eq!(grouped, vec![(Id(1), vec![Id(8), Id(9)])]);
     }

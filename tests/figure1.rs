@@ -2,7 +2,7 @@
 //! level, including the §4.1 index-content walkthrough.
 
 use hex_query::DatasetQuery;
-use hexastore::GraphStore;
+use hexastore::{FrozenGraphStore, GraphStore};
 use rdf_model::{Term, TermPattern, Triple, TriplePattern};
 
 const EX: &str = "http://example.org/";
@@ -15,7 +15,7 @@ fn lit(s: &str) -> Term {
     Term::literal(s)
 }
 
-fn figure1() -> GraphStore {
+fn figure1() -> FrozenGraphStore {
     let mut g = GraphStore::new();
     let rows: [(&str, &str, Term); 19] = [
         ("ID1", "type", iri("FullProfessor")),
@@ -41,7 +41,7 @@ fn figure1() -> GraphStore {
     for (s, p, o) in rows {
         assert!(g.insert(&Triple::new(iri(s), iri(p), o)));
     }
-    g
+    g.freeze()
 }
 
 #[test]

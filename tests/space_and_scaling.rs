@@ -87,12 +87,12 @@ fn incremental_and_bulk_agree_on_generated_data() {
     let mut dict = hex_dict::Dictionary::new();
     let encoded: Vec<hex_dict::IdTriple> = triples.iter().map(|t| dict.encode_triple(t)).collect();
     let bulk = hexastore::Hexastore::from_triples(encoded.iter().copied());
-    let mut inc = hexastore::Hexastore::new();
+    let mut inc = hexastore::OverlayHexastore::default();
     for &t in &encoded {
         inc.insert(t);
     }
     assert_eq!(bulk.len(), inc.len());
-    assert_eq!(bulk.space_stats(), inc.space_stats());
+    assert_eq!(bulk.space_stats(), inc.freeze().space_stats());
     assert_eq!(bulk.matching(hexastore::IdPattern::ALL), inc.matching(hexastore::IdPattern::ALL));
 }
 
@@ -134,7 +134,11 @@ fn frozen_heap_breakdown_is_the_closed_form_of_the_space_stats() {
         suite.hexastore.iter_matching(hexastore::IdPattern::ALL).collect();
     let built = hexastore::bulk::build_frozen(ids);
     assert_closed_form(&built, "bulk::build_frozen");
-    assert_closed_form(&suite.hexastore.freeze(), "Hexastore::freeze");
+    let mut written = hexastore::OverlayHexastore::default();
+    for t in suite.hexastore.iter_matching(hexastore::IdPattern::ALL) {
+        written.insert(t);
+    }
+    assert_closed_form(&written.freeze(), "OverlayHexastore::freeze");
     for compression in [Compression::None, Compression::VarintDelta] {
         let mut w = Writer::new(std::io::Cursor::new(Vec::new())).unwrap();
         w.frozen_with(&built, compression).unwrap();
