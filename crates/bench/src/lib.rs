@@ -285,7 +285,7 @@ pub const FIGURES: [FigureSpec; 20] = [
     ),
     spec(
         "snapshot_size",
-        "hexsnap file size, dictionary included: plain vs compressed slabs (bytes per triple)",
+        "hexsnap file size, dictionary included: plain vs compressed slabs (bytes per triple), and the dictionary's bytes",
         "snapshot_size",
         snapshot_size_rendered,
     ),
@@ -493,35 +493,45 @@ fn ask_rendered(_: &FigureSpec, p: &Params) -> Rendered {
 
 /// The size of a query-ready snapshot file (dictionary + slab sections)
 /// of a half Barton, half LUBM dataset of `large_triples` statements,
-/// with plain and with varint-delta compressed slabs. The bytes are
-/// exactly what [`hexastore::hexsnap::save_frozen_with`] writes, built in
-/// memory, so they repeat on any host and need no scratch file.
+/// with plain and with varint-delta compressed slabs, and what its
+/// dictionary weighs: the `DICT` section's bytes, the heap bytes of the
+/// dictionary it reads back as, its terms and its shared prefixes. The
+/// bytes are exactly what [`hexastore::hexsnap::save_frozen_with`]
+/// writes, built in memory, so they repeat on any host and need no
+/// scratch file.
 fn snapshot_size_rendered(fig: &FigureSpec, p: &Params) -> Rendered {
-    use hexastore::hexsnap::{Compression, Writer};
+    use hexastore::hexsnap::{Compression, Reader, Writer};
 
     let scale = p.large_triples;
     let mut data = barton_dataset(scale / 2);
     data.extend(lubm_dataset(scale - scale / 2));
     let mut dict = Dictionary::new();
-    let ids: Vec<hex_dict::IdTriple> = data.iter().map(|t| dict.encode_triple(t)).collect();
+    let ids = dict.encode_triples_parallel(&data, 1);
     let frozen = hexastore::bulk::build_frozen(ids);
-    let file_bytes = |compression| {
+    let file = |compression| {
         let mut w = Writer::new(std::io::Cursor::new(Vec::new())).expect("in-memory write");
         w.dictionary(&dict).expect("in-memory write");
         w.frozen_with(&frozen, compression).expect("in-memory write");
-        w.finish().expect("in-memory write").into_inner().len()
+        w.finish().expect("in-memory write").into_inner()
     };
     let triples = frozen.len();
-    let (plain, compressed) = (file_bytes(Compression::None), file_bytes(Compression::VarintDelta));
+    let plain_file = file(Compression::None);
+    let (plain, compressed) = (plain_file.len(), file(Compression::VarintDelta).len());
+    let reader = Reader::new(std::io::Cursor::new(&plain_file)).expect("in-memory read");
+    let dict_bytes = reader.section_extent(*b"DICT").map_or(0, |(_, len)| len as usize);
+    let dict_heap_bytes = dict.heap_bytes();
     let per_triple = |bytes: usize| bytes as f64 / triples.max(1) as f64;
     Rendered::with_counts(
         format!(
             "# {} — barton+lubm dataset\n\
              triples,plain_bytes,compressed_bytes,plain_bytes_per_triple,\
-             compressed_bytes_per_triple\n{triples},{plain},{compressed},{:.3},{:.3}\n",
+             compressed_bytes_per_triple,dict_bytes,dict_heap_bytes,terms,prefixes\n\
+             {triples},{plain},{compressed},{:.3},{:.3},{dict_bytes},{dict_heap_bytes},{},{}\n",
             fig.title,
             per_triple(plain),
             per_triple(compressed),
+            dict.len(),
+            dict.prefix_count(),
         ),
         [
             ("triples", Count::Int(triples)),
@@ -529,6 +539,10 @@ fn snapshot_size_rendered(fig: &FigureSpec, p: &Params) -> Rendered {
             ("compressed_bytes", Count::Int(compressed)),
             ("plain_bytes_per_triple", Count::Ratio(per_triple(plain))),
             ("compressed_bytes_per_triple", Count::Ratio(per_triple(compressed))),
+            ("dict_bytes", Count::Int(dict_bytes)),
+            ("dict_heap_bytes", Count::Int(dict_heap_bytes)),
+            ("terms", Count::Int(dict.len())),
+            ("prefixes", Count::Int(dict.prefix_count())),
         ],
     )
 }
@@ -1224,12 +1238,12 @@ pub fn collect_evidence(params: &Params) -> Evidence {
 }
 
 impl Evidence {
-    /// `BENCH_ci.json`, schema 5: the two scales and every figure's
+    /// `BENCH_ci.json`, schema 6: the two scales and every figure's
     /// counts under its stem — no timings, so two runs of one build write
     /// the same bytes.
     pub fn bench_ci_json(&self) -> String {
         let mut json = format!(
-            "{{\n  \"schema\": 5,\n  \"figures_triples\": {},\n  \"load_triples\": {}",
+            "{{\n  \"schema\": 6,\n  \"figures_triples\": {},\n  \"load_triples\": {}",
             self.params.triples, self.params.large_triples
         );
         for (stem, counts) in &self.counts {
@@ -1327,6 +1341,9 @@ mod tests {
             "load_triples",
             "plain_bytes_per_triple",
             "compressed_bytes_per_triple",
+            "dict_bytes",
+            "dict_heap_bytes",
+            "prefixes",
             "merge_used",
             "identical",
             "paper_queries",

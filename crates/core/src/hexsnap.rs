@@ -14,7 +14,7 @@
 //! ```text
 //! offset   size  field
 //! 0        8     magic "hexsnap\0"
-//! 8        4     format version (u32, currently 4)
+//! 8        4     format version (u32, currently 5)
 //! 12       …     section payloads, back to back
 //! …        var   section table: u32 count, then per section
 //!                [u8; 4] tag · u64 offset · u64 length
@@ -43,13 +43,18 @@
 //!   ops) keep list references, in `FROZ` and `FRZC` alike; and
 //!   [`save_frozen`] no longer writes a `TRPL` column beside the slabs,
 //!   whose spo ordering already encodes it.
-//! - **v4** (current) — a `FROZ` arena is the [`FlatArena`]'s own two
-//!   columns: one slot per list, which is the list when it holds a single
-//!   id, and an overflow column for the longer ones ([`crate::slab`] has
-//!   the encoding), in place of v3's offsets column and item column.
-//!   `FRZC` encodes lists, not columns, so its bytes are v3's.
+//! - **v4** — a `FROZ` arena is the [`FlatArena`]'s own two columns:
+//!   one slot per list, which is the list when it holds a single id, and
+//!   an overflow column for the longer ones ([`crate::slab`] has the
+//!   encoding), in place of v3's offsets column and item column. `FRZC`
+//!   encodes lists, not columns, so its bytes are v3's.
+//! - **v5** (current) — a `DICT` section is the prefix-shared dictionary:
+//!   every term a `u32` head (kind and prefix id) and its own bytes, the
+//!   prefixes (IRI namespaces, language tags, datatype IRIs) stored once
+//!   each in a table of their own, in place of one kind byte and one or
+//!   two whole string pieces per term. `FROZ` and `FRZC` are v4's.
 //!
-//! [`Writer`] writes v4; [`Reader`] opens all four. Where every column of
+//! [`Writer`] writes v5; [`Reader`] opens all five. Where every column of
 //! a `DICT` or `FROZ` section lies is said once per section, by a walker
 //! that reads only the count fields: [`Reader::dict_columns`] and
 //! [`Reader::frozen_columns`], the only code that knows how the column
@@ -57,19 +62,28 @@
 //! they locate, and the `hex-disk` crate reinterprets them in a mapping.
 //! Pre-v3 pairs become offsets on read (spans that do not tile and
 //! primary references that are not the identity are rejected as
-//! corrupt), and a pre-v4 arena's offset-addressed lists are appended one
-//! by one to a slot arena. Only a v4 `FROZ` section has the column layout
-//! `hex-disk` maps in place; older files go through [`load_frozen`] and a
+//! corrupt), a pre-v4 arena's offset-addressed lists are appended one
+//! by one to a slot arena, and a pre-v5 dictionary's terms are interned
+//! again in id order, which keeps their ids. Only a v5 file has the
+//! columns `hex-disk` maps; older files go through [`load_frozen`] and a
 //! re-save.
 //!
 //! Defined sections:
 //!
-//! - **`DICT`** — the dictionary as one contiguous UTF-8 string arena
-//!   plus offsets (not per-term values): `u32 n_terms`, one kind byte per
-//!   term (0 iri, 1 blank, 2 plain literal, 3 language literal, 4 typed
-//!   literal), `u32 n_pieces`, cumulative `u32` end offsets per string
-//!   piece, `u64 n_bytes`, then the arena bytes. Terms of kind 0–2
-//!   consume one piece; kinds 3–4 consume two (lexical + tag/datatype).
+//! - **`DICT`** — the dictionary as two string arenas plus offsets (not
+//!   per-term values): `u32 n_terms`, one `u32` head per term (its kind —
+//!   0 iri, 1 blank, 2 plain literal, 3 language literal, 4 typed literal
+//!   — in the low three bits, its prefix id above), the cumulative `u32`
+//!   end of each term's own bytes, `u64 n_bytes`, the own bytes; then
+//!   `u32 n_prefixes`, the cumulative `u32` end of each prefix, `u64
+//!   n_prefix_bytes`, the prefix bytes. Prefix 0 is the empty string. An
+//!   IRI's prefix is its text up to and including the last `/` or `#`, a
+//!   tagged or typed literal's its tag or datatype IRI (its own bytes
+//!   the lexical form); a blank node or plain literal has prefix 0.
+//!   Before v5: `u32 n_terms`, one kind byte per term, `u32 n_pieces`,
+//!   cumulative `u32` end offsets per string piece, `u64 n_bytes`, then
+//!   the arena bytes; kinds 0–2 consume one piece, kinds 3–4 two
+//!   (lexical + tag/datatype).
 //! - **`TRPL`** — the triple column of a slab-less snapshot ([`save`]):
 //!   `u64 n_triples`, then chunks of `u32 chunk_len` followed by
 //!   `chunk_len` subject, predicate and object ids (three contiguous
@@ -109,7 +123,8 @@ use crate::graph::GraphStore;
 use crate::pattern::IdPattern;
 use crate::slab::FlatArena;
 use crate::traits::TripleStore;
-use hex_dict::{Dictionary, Id, IdTriple};
+use hex_dict::{ArenaImage, Dictionary, Id, IdTriple};
+use rdf_model::{TermKind, TermRef};
 use std::fs::File;
 use std::io::{self, BufReader, BufWriter, Read, Seek, SeekFrom, Write};
 use std::path::Path;
@@ -118,7 +133,7 @@ use std::path::Path;
 pub const MAGIC: [u8; 8] = *b"hexsnap\0";
 
 /// The current format version. [`Reader`] accepts `1..=VERSION`.
-pub const VERSION: u32 = 4;
+pub const VERSION: u32 = 5;
 
 /// Triples per chunk in the `TRPL` section (~768 KiB of ids).
 const TRIPLE_CHUNK: usize = 64 * 1024;
@@ -278,6 +293,32 @@ fn checked_len(v: u64, what: &str) -> Result<usize> {
     usize::try_from(v).map_err(|_| Error::Corrupt(format!("{what} count {v} overflows usize")))
 }
 
+/// Writes a v5 `DICT` payload from its five columns: `u32 n_terms`, the
+/// heads, the term ends, `u64 n_bytes`, the term arena, `u32 n_prefixes`,
+/// the prefix ends, `u64 n_prefix_bytes`, the prefix arena.
+fn write_dict(
+    w: &mut impl Write,
+    heads: &[u32],
+    ends: &[u32],
+    arena: &[u8],
+    prefix_ends: &[u32],
+    prefixes: &[u8],
+) -> Result<()> {
+    let count = |n: usize, what: &str| {
+        u32::try_from(n).map_err(|_| Error::Corrupt(format!("dictionary exceeds 2^32 {what}")))
+    };
+    w_u32(w, count(heads.len(), "terms")?)?;
+    w_u32_run(w, heads.iter().copied())?;
+    w_u32_run(w, ends.iter().copied())?;
+    w_u64(w, arena.len() as u64)?;
+    w.write_all(arena)?;
+    w_u32(w, count(prefix_ends.len(), "prefixes")?)?;
+    w_u32_run(w, prefix_ends.iter().copied())?;
+    w_u64(w, prefixes.len() as u64)?;
+    w.write_all(prefixes)?;
+    Ok(())
+}
+
 // ---------------------------------------------------------------------
 // Writer.
 // ---------------------------------------------------------------------
@@ -314,30 +355,21 @@ impl<W: Write + Seek> Writer<W> {
         Ok(())
     }
 
-    /// Writes the `DICT` section: terms as one contiguous UTF-8 arena
-    /// plus offsets, in id order.
+    /// Writes the `DICT` section: the dictionary's five columns, in id
+    /// order (the layout is in the module docs).
     ///
-    /// The dictionary's in-memory layout *is* the section layout (kind
-    /// column, cumulative piece offsets, arena), so this copies three
-    /// buffers straight to the sink — no per-term classification and no
-    /// `&str` piece table.
+    /// The dictionary's in-memory layout *is* the section layout, so this
+    /// copies its buffers straight to the sink — no per-term work.
     pub fn dictionary(&mut self, dict: &Dictionary) -> Result<()> {
         let start = self.begin_section()?;
-        let kinds = dict.term_kinds();
-        let n = u32::try_from(kinds.len())
-            .map_err(|_| Error::Corrupt("dictionary exceeds 2^32 terms".into()))?;
-        w_u32(&mut self.w, n)?;
-        self.w.write_all(kinds)?;
-        let ends = dict.piece_ends();
-        w_u32(
+        write_dict(
             &mut self.w,
-            u32::try_from(ends.len())
-                .map_err(|_| Error::Corrupt("dictionary exceeds 2^32 string pieces".into()))?,
+            dict.term_heads(),
+            dict.term_ends(),
+            dict.arena_bytes(),
+            dict.prefix_ends(),
+            dict.prefix_bytes(),
         )?;
-        w_u32_run(&mut self.w, ends.iter().copied())?;
-        let arena = dict.arena_bytes();
-        w_u64(&mut self.w, arena.len() as u64)?;
-        self.w.write_all(arena)?;
         self.end_section(TAG_DICT, start)
     }
 
@@ -471,13 +503,30 @@ pub struct Column {
 
 /// The columns of a `DICT` section ([`Reader::dict_columns`]).
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub struct DictColumns {
-    /// One kind byte per term.
-    pub kinds: Column,
-    /// The cumulative `u32` end offset of every string piece.
-    pub ends: Column,
-    /// The UTF-8 string arena, in bytes.
-    pub arena: Column,
+pub enum DictColumns {
+    /// v5: every term a head and its own bytes, under a shared prefix.
+    Prefixed {
+        /// One `u32` head per term: the kind in the low three bits, the
+        /// prefix id above.
+        heads: Column,
+        /// The cumulative `u32` end of each term's own bytes.
+        ends: Column,
+        /// The terms' own bytes.
+        arena: Column,
+        /// The cumulative `u32` end of each prefix.
+        prefix_ends: Column,
+        /// The prefixes' bytes.
+        prefixes: Column,
+    },
+    /// Before v5: every term one or two whole string pieces.
+    Pieces {
+        /// One kind byte per term.
+        kinds: Column,
+        /// The cumulative `u32` end offset of every string piece.
+        ends: Column,
+        /// The UTF-8 string arena, in bytes.
+        arena: Column,
+    },
 }
 
 /// How a `FROZ` level stores its windows.
@@ -664,15 +713,19 @@ impl<R: Read + Seek> Reader<R> {
     /// (the `hex-disk` crate) reinterprets in place. Compressed `FRZC`
     /// sections have no mappable extent and report `None`.
     pub fn frozen_section_extent(&self) -> Option<(u64, u64)> {
-        self.extent(TAG_FROZ).ok()
+        self.section_extent(TAG_FROZ)
+    }
+
+    /// Byte extent `(offset, length)` of the first section tagged `tag`
+    /// (`*b"DICT"`, `*b"FROZ"`, …), if the file carries one.
+    pub fn section_extent(&self, tag: [u8; 4]) -> Option<(u64, u64)> {
+        self.sections.iter().find(|(t, _, _)| *t == tag).map(|&(_, off, len)| (off, len))
     }
 
     /// A section's `(offset, length)`, or `Corrupt` naming it missing.
     fn extent(&self, tag: [u8; 4]) -> Result<(u64, u64)> {
-        match self.sections.iter().find(|(t, _, _)| *t == tag) {
-            Some(&(_, off, len)) => Ok((off, len)),
-            None => corrupt(format!("missing {} section", tag_name(tag))),
-        }
+        self.section_extent(tag)
+            .ok_or_else(|| Error::Corrupt(format!("missing {} section", tag_name(tag))))
     }
 
     /// Positions the reader at a section's start, returning `(end, len)`.
@@ -688,19 +741,34 @@ impl<R: Read + Seek> Reader<R> {
         Ok(Walk { r: &mut self.r, pos: off, end: off + len, tag })
     }
 
-    /// Locates the columns of the `DICT` section, reading only its three
-    /// count fields: `u32 n_terms`, the kind bytes, `u32 n_pieces`, the
-    /// piece offsets, `u64 n_bytes`, the string arena. Every column is
-    /// bounded by the section before anything is allocated.
+    /// Locates the columns of the `DICT` section, reading only its count
+    /// fields — v5: `u32 n_terms`, the heads, the term ends, `u64
+    /// n_bytes`, the term arena, `u32 n_prefixes`, the prefix ends, `u64
+    /// n_prefix_bytes`, the prefix arena; before: `u32 n_terms`, the kind
+    /// bytes, `u32 n_pieces`, the piece offsets, `u64 n_bytes`, the
+    /// string arena. Every column is bounded by the section before
+    /// anything is allocated.
     pub fn dict_columns(&mut self) -> Result<DictColumns> {
+        let prefixed = self.version >= 5;
         let mut walk = self.walk(TAG_DICT)?;
         let terms = walk.count32("dictionary term count")?;
-        let kinds = walk.column(terms, 1, "dictionary kind column")?;
-        let pieces = walk.count32("dictionary piece count")?;
-        let ends = walk.column(pieces, 4, "dictionary piece offset table")?;
+        if !prefixed {
+            let kinds = walk.column(terms, 1, "dictionary kind column")?;
+            let pieces = walk.count32("dictionary piece count")?;
+            let ends = walk.column(pieces, 4, "dictionary piece offset table")?;
+            let bytes = walk.count64("dictionary arena size")?;
+            let arena = walk.column(bytes, 1, "dictionary string arena")?;
+            return Ok(DictColumns::Pieces { kinds, ends, arena });
+        }
+        let heads = walk.column(terms, 4, "dictionary head column")?;
+        let ends = walk.column(terms, 4, "dictionary term offset table")?;
         let bytes = walk.count64("dictionary arena size")?;
-        let arena = walk.column(bytes, 1, "dictionary string arena")?;
-        Ok(DictColumns { kinds, ends, arena })
+        let arena = walk.column(bytes, 1, "dictionary term arena")?;
+        let prefixes = walk.count32("dictionary prefix count")?;
+        let prefix_ends = walk.column(prefixes, 4, "dictionary prefix offset table")?;
+        let bytes = walk.count64("dictionary prefix arena size")?;
+        let prefixes = walk.column(bytes, 1, "dictionary prefix arena")?;
+        Ok(DictColumns::Prefixed { heads, ends, arena, prefix_ends, prefixes })
     }
 
     /// Locates every column of the raw `FROZ` section, reading only its
@@ -812,20 +880,32 @@ impl<R: Read + Seek> Reader<R> {
 
     /// Reads the `DICT` section into a [`Dictionary`] whose ids are the
     /// stored term indices.
+    ///
+    /// A v5 section is the dictionary's in-memory layout, so its five
+    /// columns are adopted as-is: the constructor validates them (offset
+    /// tables, heads, the one representation each term has, distinctness)
+    /// and builds the reverse indexes in one hash pass each — no `Term` is
+    /// ever constructed. Distinctness matters because corruption inside an
+    /// arena can merge two terms, which must be rejected, not silently
+    /// mapped to the later id. An older section's terms are interned
+    /// again in id order: the ids stay the same, a term seen twice is
+    /// `Corrupt`, and the result is what a fresh encode of them makes.
     pub fn dictionary(&mut self) -> Result<Dictionary> {
-        let columns = self.dict_columns()?;
-        let kinds = self.bytes(columns.kinds)?;
-        let ends = self.u32s(columns.ends)?;
-        let bytes = self.bytes(columns.arena)?;
-        // The section layout is the dictionary's in-memory layout, so
-        // the three buffers are adopted as-is: the constructor validates
-        // the offset table (piece count, monotone cover, UTF-8, char
-        // boundaries, kind bytes, distinctness) and builds the reverse
-        // index in one hash pass — no `Term` is ever constructed.
-        // Distinctness matters because corruption inside the string arena
-        // can merge two terms, which must be rejected (not silently mapped
-        // to the later id).
-        Dictionary::try_from_arena(kinds, ends, bytes).map_err(|e| Error::Corrupt(e.to_string()))
+        match self.dict_columns()? {
+            DictColumns::Prefixed { heads, ends, arena, prefix_ends, prefixes } => {
+                let image = ArenaImage {
+                    heads: self.u32s(heads)?,
+                    ends: self.u32s(ends)?,
+                    arena: self.bytes(arena)?,
+                    prefix_ends: self.u32s(prefix_ends)?,
+                    prefixes: self.bytes(prefixes)?,
+                };
+                Dictionary::try_from_arena(image).map_err(|e| Error::Corrupt(e.to_string()))
+            }
+            DictColumns::Pieces { kinds, ends, arena } => {
+                reinterned(&self.bytes(kinds)?, &self.u32s(ends)?, &self.bytes(arena)?)
+            }
+        }
     }
 
     /// The triples of a snapshot that stores slabs instead of a `TRPL`
@@ -1034,6 +1114,43 @@ impl<R: Read + Seek> Reader<R> {
         let orderings: [FrozenIndex; 6] = orderings.try_into().expect("exactly six orderings");
         assemble_frozen(orderings, arenas, len)
     }
+}
+
+/// The dictionary a v1–v4 `DICT` section holds — one kind byte per
+/// term, every term one or two whole pieces of one arena — with its terms
+/// interned again in id order. The ids stay the same, and the columns are
+/// what encoding those terms afresh makes, so a re-save writes the v5
+/// section a fresh encode would. A term seen twice is `Corrupt`, as are
+/// offsets that do not cut the arena into the pieces the kinds need.
+fn reinterned(kinds: &[u8], ends: &[u32], arena: &[u8]) -> Result<Dictionary> {
+    let bad = |why: &str| Error::Corrupt(format!("dictionary section: {why}"));
+    let text = std::str::from_utf8(arena).map_err(|_| bad("string arena is not UTF-8"))?;
+    let mut ends = ends.iter().map(|&e| e as usize);
+    let mut start = 0;
+    let mut piece = || -> Result<&str> {
+        let end = ends.next().ok_or_else(|| bad("fewer string pieces than the kinds need"))?;
+        let piece =
+            text.get(start..end).ok_or_else(|| bad("piece offsets do not cut the arena"))?;
+        start = end;
+        Ok(piece)
+    };
+    let mut dict = Dictionary::with_capacity(kinds.len());
+    for &k in kinds {
+        let kind = TermKind::from_byte(k).ok_or_else(|| bad(&format!("unknown term kind {k}")))?;
+        let first = piece()?;
+        let second = if kind.pieces() == 2 { Some(piece()?) } else { None };
+        let term = TermRef::from_pieces(kind, first, second)
+            .ok_or_else(|| bad("typed literal carries the implicit xsd:string datatype"))?;
+        let fresh = dict.len();
+        if dict.encode(term).index() != fresh {
+            return Err(bad("duplicate term"));
+        }
+    }
+    if ends.next().is_some() || start != text.len() {
+        return Err(bad("piece offsets do not cover the arena"));
+    }
+    dict.shrink_to_fit();
+    Ok(dict)
 }
 
 /// The cumulative offsets column of a pre-v3 `(offset, length)` span
@@ -1378,6 +1495,12 @@ mod tests {
         }
     }
 
+    /// The bytes of a file's section `tag`.
+    fn section(file: &[u8], tag: [u8; 4]) -> &[u8] {
+        let (off, len) = Reader::new(Cursor::new(file)).unwrap().extent(tag).unwrap();
+        &file[off as usize..(off + len) as usize]
+    }
+
     /// A committed `tests/data/` file, its slabs and slab section length, and its re-save.
     fn with_resave(name: &str) -> (Vec<u8>, FrozenHexastore, u64, Vec<u8>) {
         let path = format!("{}/tests/data/{name}", env!("CARGO_MANIFEST_DIR"));
@@ -1399,12 +1522,12 @@ mod tests {
         // compressed) are strictly larger than v3's and read back equal.
         for frzc in ["", "_frzc"] {
             let (_, from_v2, v2_len, _) = with_resave(&format!("v2_small{frzc}.hexsnap"));
-            let (v3, from_v3, v3_len, v4) = with_resave(&format!("v3_small{frzc}.hexsnap"));
+            let (v3, from_v3, v3_len, resaved) = with_resave(&format!("v3_small{frzc}.hexsnap"));
             assert!(v3_len < v2_len, "{frzc}: {v3_len} !< {v2_len}");
-            // FRZC encodes lists, not arena columns: v4 is v3 behind the version.
-            assert!(frzc.is_empty() || v4[12..] == v3[12..], "{frzc}");
+            // FRZC encodes lists, not arena columns: its bytes are v3's.
+            assert!(frzc.is_empty() || section(&resaved, TAG_FRZC) == section(&v3, TAG_FRZC));
             assert_eq!(from_v2, from_v3, "{frzc}");
-            assert_eq!(Reader::new(Cursor::new(&v4)).unwrap().frozen().unwrap(), from_v3);
+            assert_eq!(Reader::new(Cursor::new(&resaved)).unwrap().frozen().unwrap(), from_v3);
         }
     }
 
@@ -1569,6 +1692,168 @@ mod tests {
             &mirror([(2, 1, 0), (4, 3, 1)]),
             2
         ));
+    }
+
+    /// A file holding only a `DICT` section with these columns.
+    fn dict_file(image: &ArenaImage<Vec<u8>>) -> Vec<u8> {
+        let mut w = Writer::new(Cursor::new(Vec::new())).unwrap();
+        let start = w.begin_section().unwrap();
+        let i = image;
+        write_dict(&mut w.w, &i.heads, &i.ends, &i.arena, &i.prefix_ends, &i.prefixes).unwrap();
+        w.end_section(TAG_DICT, start).unwrap();
+        w.finish().unwrap().into_inner()
+    }
+
+    #[test]
+    fn a_v5_dictionary_shares_prefixes_on_disk_and_reads_back_equal() {
+        let (dict, _) = sample_dict_and_store();
+        let bytes = snapshot_bytes(true);
+        let mut r = Reader::new(Cursor::new(&bytes)).unwrap();
+        let Ok(DictColumns::Prefixed { heads, prefixes, .. }) = r.dict_columns() else {
+            panic!("a v5 file has a prefixed DICT")
+        };
+        assert_eq!(heads.len, dict.len());
+        // "", "http://x/", "fr" and the integer datatype, once each.
+        assert_eq!(dict.prefix_count(), 4);
+        assert_eq!(
+            prefixes.len,
+            "http://x/fr".len() + "http://www.w3.org/2001/XMLSchema#integer".len()
+        );
+        assert_eq!(r.dictionary().unwrap().image(), dict.image());
+        assert_eq!(section(&dict_file(&dict.image()), TAG_DICT), section(&bytes, TAG_DICT));
+    }
+
+    #[test]
+    fn every_dict_byte_flip_is_rejected_or_decodes_every_id() {
+        // IRIs under a shared namespace, tagged, typed and plain literals
+        // and blank nodes: every column of the section, each byte flipped.
+        let (dict, _) = sample_dict_and_store();
+        let bytes = dict_file(&dict.image());
+        let (start, len) = Reader::new(Cursor::new(&bytes)).unwrap().extent(TAG_DICT).unwrap();
+        for at in start as usize..(start + len) as usize {
+            let mut copy = bytes.clone();
+            copy[at] ^= 0xFF;
+            match Reader::new(Cursor::new(&copy)).and_then(|mut r| r.dictionary()) {
+                Ok(read) => {
+                    for id in 0..read.len() as u32 {
+                        assert!(read.decode(Id(id)).is_some(), "byte {at}: id {id} lost");
+                    }
+                }
+                Err(e) => assert!(matches!(e, Error::Corrupt(_)), "byte {at}: {e}"),
+            }
+        }
+    }
+
+    #[test]
+    fn non_canonical_dictionary_images_are_corrupt() {
+        let mut dict = Dictionary::new();
+        for t in [
+            Term::iri("http://x/a"),
+            Term::lang_literal("chat", "fr"),
+            Term::typed_literal("7", "http://www.w3.org/2001/XMLSchema#int"),
+            Term::blank("b"),
+        ] {
+            dict.encode(&t);
+        }
+        let image = dict.image();
+        assert!(Reader::new(Cursor::new(dict_file(&image))).unwrap().dictionary().is_ok());
+        let head = |kind: u32, prefix: u32| prefix << 3 | kind;
+        let push_prefix = |i: &mut ArenaImage<Vec<u8>>, p: &str| {
+            i.prefixes.extend_from_slice(p.as_bytes());
+            i.prefix_ends.push(i.prefixes.len() as u32);
+        };
+        type Edit = Box<dyn Fn(&mut ArenaImage<Vec<u8>>)>;
+        let cases: [(&str, Edit); 7] = [
+            ("an IRI whose own bytes hold a '/'", Box::new(|i| i.arena[0] = b'/')),
+            ("an IRI prefix not ending in '/' or '#'", Box::new(|i| i.prefixes[8] = b'y')),
+            ("a blank node with a prefix", Box::new(move |i| i.heads[3] = head(1, 2))),
+            (
+                "a typed literal under xsd:string",
+                Box::new(move |i| {
+                    push_prefix(i, rdf_model::XSD_STRING);
+                    i.heads[2] = head(4, 4);
+                }),
+            ),
+            ("a prefix id out of range", Box::new(move |i| i.heads[1] = head(3, 9))),
+            ("duplicate prefixes", Box::new(move |i| push_prefix(i, "fr"))),
+            (
+                "duplicate terms",
+                Box::new(|i| {
+                    i.heads.push(i.heads[3]);
+                    i.arena.push(b'b');
+                    i.ends.push(i.arena.len() as u32);
+                }),
+            ),
+        ];
+        for (what, edit) in cases {
+            let mut bad = image.clone();
+            edit(&mut bad);
+            let why = hex_dict::Dictionary::try_from_arena(bad.clone()).unwrap_err().to_string();
+            match Reader::new(Cursor::new(dict_file(&bad))).unwrap().dictionary() {
+                Err(Error::Corrupt(got)) => assert_eq!(got, why, "{what}"),
+                other => panic!("{what}: {:?}", other.map(|d| d.len())),
+            }
+        }
+    }
+
+    /// A version-4 file holding only a `DICT` section of these terms, laid
+    /// out as v1–v4 wrote it: kind bytes, piece ends, one arena.
+    fn v4_dict_file(terms: &[(u8, &str, Option<&str>)]) -> Vec<u8> {
+        let mut payload = Vec::new();
+        payload.extend_from_slice(&(terms.len() as u32).to_le_bytes());
+        payload.extend(terms.iter().map(|t| t.0));
+        let pieces: Vec<&str> =
+            terms.iter().flat_map(|t| std::iter::once(t.1).chain(t.2)).collect();
+        payload.extend_from_slice(&(pieces.len() as u32).to_le_bytes());
+        let mut end = 0u32;
+        for p in &pieces {
+            end += p.len() as u32;
+            payload.extend_from_slice(&end.to_le_bytes());
+        }
+        payload.extend_from_slice(&u64::from(end).to_le_bytes());
+        payload.extend(pieces.iter().flat_map(|p| p.bytes()));
+        let mut w = Writer::new(Cursor::new(Vec::new())).unwrap();
+        let start = w.begin_section().unwrap();
+        w.w.write_all(&payload).unwrap();
+        w.end_section(TAG_DICT, start).unwrap();
+        let mut bytes = w.finish().unwrap().into_inner();
+        bytes[8..12].copy_from_slice(&4u32.to_le_bytes());
+        bytes
+    }
+
+    #[test]
+    fn a_v4_dictionary_is_interned_again_in_id_order() {
+        let int = "http://www.w3.org/2001/XMLSchema#integer";
+        let terms = [
+            (0, "http://x/b", None),
+            (3, "chat", Some("fr")),
+            (4, "7", Some(int)),
+            (0, "urn:a", None),
+        ];
+        let read = Reader::new(Cursor::new(v4_dict_file(&terms))).unwrap().dictionary().unwrap();
+        let mut fresh = Dictionary::new();
+        for t in [
+            Term::iri("http://x/b"),
+            Term::lang_literal("chat", "fr"),
+            Term::typed_literal("7", int),
+            Term::iri("urn:a"),
+        ] {
+            fresh.encode(&t);
+        }
+        assert_eq!(read.image(), fresh.image());
+        let corrupt = |terms: &[(u8, &str, Option<&str>)], why: &str| match Reader::new(
+            Cursor::new(v4_dict_file(terms)),
+        )
+        .unwrap()
+        .dictionary()
+        {
+            Err(Error::Corrupt(got)) => assert!(got.contains(why), "{got}"),
+            other => panic!("{why}: {:?}", other.map(|d| d.len())),
+        };
+        corrupt(&[(0, "http://x/b", None), (0, "http://x/b", None)], "duplicate term");
+        corrupt(&[(4, "v", Some(rdf_model::XSD_STRING))], "xsd:string");
+        corrupt(&[(7, "v", None)], "unknown term kind 7");
+        corrupt(&[(3, "v", None)], "fewer string pieces");
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! Every hexsnap format version this build reads, over committed files:
 //! the one fixture table and the checks each version's suite
-//! (`v{1,2,3,4}_compat.rs`, and `hexsnap_roundtrip.rs` for a v2 live
+//! (`v{1,2,3,4,5}_compat.rs`, and `hexsnap_roundtrip.rs` for a v2 live
 //! directory) runs over its rows.
 //!
 //! `tests/data/` holds one small snapshot per version and slab encoding,
@@ -24,13 +24,15 @@ pub const RAW: Compression = Compression::None;
 pub const FRZC: Compression = Compression::VarintDelta;
 
 /// A committed file: name, version, slab encoding, and the bytes its
-/// re-save under the current version saves. `None`: the file spells out
-/// what later versions derive (pairs, primary list references, a `TRPL`
-/// column), so the re-save is smaller by an amount no rule fixes.
-/// `Some(0)`: the re-save is the file behind the version word.
+/// re-save under the current version saves in the slab section. `None`:
+/// the file spells out what later versions derive (pairs, primary list
+/// references, a `TRPL` column), so the whole re-save is smaller by an
+/// amount no rule fixes. `Some(0)`: the re-save's slab section is the
+/// file's, byte for byte. Whatever the version, the re-save's `DICT` is
+/// the one a fresh encode of the graph writes.
 pub type Fixture = (&'static str, u32, Compression, Option<usize>);
 
-pub const FIXTURES: [Fixture; 7] = [
+pub const FIXTURES: [Fixture; 9] = [
     ("v1_small", 1, RAW, None),
     ("v2_small", 2, RAW, None),
     ("v2_small_frzc", 2, FRZC, None),
@@ -40,8 +42,11 @@ pub const FIXTURES: [Fixture; 7] = [
     ("v3_small", 3, RAW, Some(4 * (12 - 3))),
     // FRZC encodes lists, not arena columns: v4's bytes are v3's.
     ("v3_small_frzc", 3, FRZC, Some(0)),
+    // v5 changed the dictionary only.
     ("v4_small", 4, RAW, Some(0)),
     ("v4_small_frzc", 4, FRZC, Some(0)),
+    ("v5_small", 5, RAW, Some(0)),
+    ("v5_small_frzc", 5, FRZC, Some(0)),
 ];
 
 /// The rows of one format version.
@@ -144,8 +149,27 @@ pub fn opens_through_the_loaders((name, ..): Fixture) {
     assert_answers_like_the_fixture_graph(loaded.store(), name);
 }
 
-/// A re-save is the current version, saves what the row says, and reads
-/// back equal.
+/// The bytes of a file's section `tag`.
+pub fn section<'f>(file: &'f [u8], tag: [u8; 4], name: &str) -> &'f [u8] {
+    let r = Reader::new(Cursor::new(file)).unwrap();
+    let (at, len) = r.section_extent(tag).unwrap_or_else(|| panic!("{name}: no section {tag:?}"));
+    &file[at as usize..(at + len) as usize]
+}
+
+/// The slab section of a file: `FROZ` or `FRZC`.
+fn slab_section<'f>(file: &'f [u8], compression: Compression, name: &str) -> &'f [u8] {
+    section(file, if compression == RAW { *b"FROZ" } else { *b"FRZC" }, name)
+}
+
+/// The `DICT` section this build writes for the fixture graph.
+pub fn fresh_dict_section() -> Vec<u8> {
+    let mut w = hexsnap::Writer::new(Cursor::new(Vec::new())).unwrap();
+    w.dictionary(fixture_graph().dict()).unwrap();
+    section(&w.finish().unwrap().into_inner(), *b"DICT", "fresh").to_vec()
+}
+
+/// A re-save is the current version, writes the `DICT` a fresh encode
+/// writes and the slab section the row says, and reads back equal.
 pub fn resaves_as_the_current_version_and_roundtrips_equal((name, _, compression, saved): Fixture) {
     let (dict, frozen) = hexsnap::load_frozen(fixture_path(name)).unwrap();
     let path = temp_path(name);
@@ -153,10 +177,12 @@ pub fn resaves_as_the_current_version_and_roundtrips_equal((name, _, compression
     let resaved = std::fs::read(&path).unwrap();
     let committed = fixture_bytes(name);
     assert_eq!(Reader::new(Cursor::new(&resaved)).unwrap().version(), hexsnap::VERSION);
+    assert_eq!(section(&resaved, *b"DICT", name), fresh_dict_section(), "{name}");
+    let slabs = |file| slab_section(file, compression, name);
     match saved {
         None => assert!(resaved.len() < committed.len(), "{name}: {}", resaved.len()),
-        Some(0) => assert_eq!(resaved[12..], committed[12..], "{name}"),
-        Some(saved) => assert_eq!(committed.len() - resaved.len(), saved, "{name}"),
+        Some(0) => assert_eq!(slabs(&resaved), slabs(&committed), "{name}"),
+        Some(saved) => assert_eq!(slabs(&committed).len() - slabs(&resaved).len(), saved, "{name}"),
     }
     let (dict2, back) = hexsnap::load_frozen(&path).unwrap();
     assert_eq!(dict2.len(), dict.len(), "{name}");

@@ -33,5 +33,5 @@
 mod dictionary;
 mod id;
 
-pub use dictionary::{ArenaError, Dictionary, IndexStats, SharedBytes};
+pub use dictionary::{ArenaError, ArenaImage, Dictionary, IndexStats, SharedBytes};
 pub use id::{Id, IdTriple};

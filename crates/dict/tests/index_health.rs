@@ -2,6 +2,9 @@
 //!
 //! `Dictionary::index_stats` counts how far linear probing displaced
 //! each entry from its home slot — a pure count, the same on every host.
+//! An entry's key is the term's head (kind and prefix id) and its own
+//! bytes, so terms that differ only in their namespace share own bytes
+//! and must still spread.
 //! With a hash whose low bits do not depend on every byte of the term
 //! these datasets read a mean of 83–168 slots and a maximum of
 //! 1,118–3,471; a mixed hash at this load factor gives about two.
@@ -22,12 +25,7 @@ fn assert_short_probe_chains(triples: &[Triple], what: &str) {
     assert!(stats.mean_displacement <= 3.0, "{what}: {stats:?}");
     assert!(stats.max_displacement <= 256, "{what}: {stats:?}");
     // A snapshot reload rebuilds the index in id order: same gate.
-    let reloaded = Dictionary::try_from_arena(
-        dict.term_kinds().to_vec(),
-        dict.piece_ends().to_vec(),
-        dict.arena_bytes().to_vec(),
-    )
-    .unwrap();
+    let reloaded = Dictionary::try_from_arena(dict.image()).unwrap();
     let stats = reloaded.index_stats();
     assert!(stats.mean_displacement <= 3.0, "{what}, reloaded: {stats:?}");
     assert!(stats.max_displacement <= 256, "{what}, reloaded: {stats:?}");

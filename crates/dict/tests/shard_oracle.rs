@@ -6,17 +6,19 @@
 //! count it is allowed, `encode_triples_parallel` must
 //! leave the dictionary in *exactly* the state a serial first-seen
 //! `encode_triple` loop over owned triples produces — same ids, same id
-//! order, same kind column, same offset table, same arena bytes. Not
+//! order, same head column, same offset tables, same arena bytes. Not
 //! "equivalent up to renumbering": identical, so snapshots and plans
 //! built either way are interchangeable. The batch encoder is that loop
 //! today (the hash-sharded one it replaced did not pay for itself); this
 //! is the oracle any encoder that does use its workers has to pass.
 //!
 //! The corruption half drives the arena constructor with every
-//! single-byte offset-table flip and every arena truncation, asserting
-//! rejection or a well-formed dictionary — never a panic.
+//! single-byte flip of the head column and the two offset tables, and
+//! every truncation of the two arenas, over terms of every kind (IRIs
+//! under a shared namespace, tagged and typed literals among them),
+//! asserting rejection or a well-formed dictionary — never a panic.
 
-use hex_dict::{Dictionary, Id, IdTriple};
+use hex_dict::{ArenaImage, Dictionary, Id, IdTriple};
 use proptest::prelude::*;
 use rdf_model::{Term, Triple, TripleRef};
 
@@ -95,9 +97,7 @@ fn assert_batch_matches(
 
 fn assert_dictionaries_byte_identical(serial: &Dictionary, parallel: &Dictionary, ctx: &str) {
     assert_eq!(parallel.len(), serial.len(), "{ctx}: term count");
-    assert_eq!(parallel.term_kinds(), serial.term_kinds(), "{ctx}: kind column");
-    assert_eq!(parallel.piece_ends(), serial.piece_ends(), "{ctx}: offset table");
-    assert_eq!(parallel.arena_bytes(), serial.arena_bytes(), "{ctx}: arena bytes");
+    assert_eq!(parallel.image(), serial.image(), "{ctx}: the five columns");
     assert_eq!(parallel.terms(), serial.terms(), "{ctx}: id-ordered terms");
 }
 
@@ -133,9 +133,10 @@ proptest! {
         }
     }
 
-    /// Flipping any single byte of the offset table either yields a
-    /// rejection or a dictionary whose every decode stays well-formed —
-    /// never a panic, never an id resolving outside the arena.
+    /// Flipping any single byte of the head column or of either offset
+    /// table either yields a rejection or a dictionary whose every decode
+    /// stays well-formed — never a panic, never an id resolving outside
+    /// the arenas.
     #[test]
     fn offset_table_byte_flips_never_panic(
         terms in proptest::collection::vec(term_strategy(), 1..30),
@@ -146,16 +147,23 @@ proptest! {
         for t in &terms {
             d.encode(t);
         }
-        let kinds = d.term_kinds().to_vec();
-        let mut end_bytes: Vec<u8> =
-            d.piece_ends().iter().flat_map(|e| e.to_le_bytes()).collect();
-        let at = flip_byte % end_bytes.len();
-        end_bytes[at] ^= mask;
-        let ends: Vec<u32> = end_bytes
+        let image = d.image();
+        let (heads, ends) = (image.heads.len(), image.ends.len());
+        let mut words: Vec<u8> = [&image.heads, &image.ends, &image.prefix_ends]
+            .into_iter()
+            .flatten()
+            .flat_map(|w| w.to_le_bytes())
+            .collect();
+        let at = flip_byte % words.len();
+        words[at] ^= mask;
+        let mut words: Vec<u32> = words
             .chunks_exact(4)
             .map(|c| u32::from_le_bytes(c.try_into().unwrap()))
             .collect();
-        if let Ok(rebuilt) = Dictionary::try_from_arena(kinds, ends, d.arena_bytes().to_vec()) {
+        let prefix_ends = words.split_off(heads + ends);
+        let ends = words.split_off(heads);
+        let flipped = ArenaImage { heads: words, ends, prefix_ends, ..image };
+        if let Ok(rebuilt) = Dictionary::try_from_arena(flipped) {
             for id in 0..rebuilt.len() as u32 {
                 let term = rebuilt.decode(Id(id));
                 prop_assert!(term.is_some(), "id {} lost by an accepted table", id);
@@ -163,8 +171,8 @@ proptest! {
         }
     }
 
-    /// Truncating the arena at every cut point either rejects or yields
-    /// a dictionary that still decodes without panicking.
+    /// Truncating either arena at every cut point is rejected: the
+    /// offset table no longer covers it.
     #[test]
     fn arena_truncation_at_every_cut_never_panics(
         terms in proptest::collection::vec(term_strategy(), 1..20),
@@ -173,16 +181,16 @@ proptest! {
         for t in &terms {
             d.encode(t);
         }
-        let arena = d.arena_bytes().to_vec();
-        for cut in 0..arena.len() {
-            let result = Dictionary::try_from_arena(
-                d.term_kinds().to_vec(),
-                d.piece_ends().to_vec(),
-                arena[..cut].to_vec(),
-            );
-            // A truncated arena can no longer be covered by the offset
-            // table, so the monotone-cover check must reject it.
-            prop_assert!(result.is_err(), "cut at {} accepted", cut);
+        let image = d.image();
+        for cut in 0..image.arena.len() {
+            let arena = image.arena[..cut].to_vec();
+            let result = Dictionary::try_from_arena(ArenaImage { arena, ..image.clone() });
+            prop_assert!(result.is_err(), "term arena cut at {} accepted", cut);
+        }
+        for cut in 0..image.prefixes.len() {
+            let prefixes = image.prefixes[..cut].to_vec();
+            let result = Dictionary::try_from_arena(ArenaImage { prefixes, ..image.clone() });
+            prop_assert!(result.is_err(), "prefix arena cut at {} accepted", cut);
         }
     }
 }

@@ -27,7 +27,8 @@
 //!
 //! Only uncompressed snapshots of the current format version are
 //! mappable: compressed (`FRZC`) sections and files written before
-//! version 4 — whose slab columns are laid out differently — must go
+//! version 5 — whose slab columns (before version 4) or dictionary
+//! (version 4) are laid out differently — must go
 //! through the decoding [`hexastore::hexsnap::load_frozen`] path (and a
 //! re-save), and [`open`] says so in its error rather than silently
 //! falling back.
@@ -64,7 +65,7 @@ mod store;
 pub use mmap::Mmap;
 pub use store::MmapFrozenHexastore;
 
-use hex_dict::Dictionary;
+use hex_dict::{ArenaImage, Dictionary};
 use hexastore::hexsnap;
 use hexastore::Dataset;
 use std::fs::File;
@@ -77,7 +78,7 @@ pub enum Error {
     /// The snapshot container or dictionary failed to parse.
     Snapshot(hexsnap::Error),
     /// The file parsed but cannot be memory-mapped (compressed slabs,
-    /// a pre-v4 column layout, or no slab section at all). The message
+    /// a pre-v5 column layout, or no slab section at all). The message
     /// names the remedy.
     Unmappable(String),
     /// The mapped slab section's interior is structurally invalid.
@@ -125,18 +126,20 @@ pub type Result<T> = std::result::Result<T, Error>;
 /// Opens a `hexsnap` file as a dictionary plus an mmap-backed frozen
 /// store, without reading the slab columns or copying the term strings.
 ///
-/// The `DICT` section is read in place: the kind column and the piece
-/// offset table are copied (both small, a few bytes per term), but the
-/// string arena — the bulk of the section — stays behind the mapping as
-/// a [`hex_dict::SharedBytes`] window, shared with the slab columns in
-/// one `mmap` of the whole file. Open-time work on the arena is one
-/// validating hash pass (UTF-8 + index build), no per-term allocation;
+/// The `DICT` section is read in place: the head column and the two
+/// offset tables are copied (a few bytes per term and per prefix), but
+/// the term and prefix arenas — the bulk of the section — stay behind the
+/// mapping as [`hex_dict::SharedBytes`] windows, shared with the slab
+/// columns in one `mmap` of the whole file. Open-time work on the arenas
+/// is one validating hash pass per table (UTF-8 + index build), no
+/// per-term allocation;
 /// on the slabs it is [`MmapFrozenHexastore::verify`], a pass over the
 /// columns that address terminal lists ([`Error::Corrupt`] if they are
 /// not what a writer lays down).
 /// Fails with [`Error::Unmappable`] for snapshots whose slabs were
-/// saved compressed, for files written before format version 4 (their
-/// slab columns are not the ones the read path walks), and for
+/// saved compressed, for files written before format version 5 (their
+/// slab columns, or from version 4 their dictionary, are not the ones the
+/// read path maps), and for
 /// snapshots carrying no frozen section — open those with
 /// [`hexastore::hexsnap::load_frozen`] and re-save them with
 /// [`hexastore::hexsnap::save_frozen`] under the current format version.
@@ -199,10 +202,13 @@ fn open_mapped(map: &Arc<Mmap>) -> Result<(MmapFrozenHexastore, MapReader<'_>)> 
     // Older versions address terminal lists through an offsets column
     // (v3), or store (offset, length) pairs and list references for every
     // ordering (and v1 does not align the section): not the columns the
-    // shared read path walks. Refused before the section is walked.
+    // shared read path walks. A v4 file's slabs are v5's, but its
+    // dictionary stores whole terms, not the prefix-shared columns the
+    // mapped dictionary adopts. Refused before the section is walked.
     if reader.version() < hexsnap::VERSION {
+        let what = if reader.version() < 4 { "slab columns" } else { "dictionary layout" };
         return Err(Error::Unmappable(format!(
-            "a version-{} file's slab columns predate the mappable layout; open it via \
+            "a version-{} file's {what} predates the mappable layout; open it via \
              hexsnap::load_frozen and re-save with hexsnap::save_frozen (format version {})",
             reader.version(),
             hexsnap::VERSION,
@@ -216,29 +222,38 @@ fn open_mapped(map: &Arc<Mmap>) -> Result<(MmapFrozenHexastore, MapReader<'_>)> 
 }
 
 /// The dictionary over the mapping, from the `DICT` columns
-/// [`hexsnap::Reader::dict_columns`] locates: the kind column and the
-/// piece offset table are copied (a few bytes per term), and the string
-/// arena's window is handed to [`Dictionary::try_from_shared_arena`]
-/// instead of its bytes.
-/// The constructor validates the offset table against the mapped bytes
-/// (piece count, monotone cover, kind bytes, UTF-8, char boundaries,
+/// [`hexsnap::Reader::dict_columns`] locates: the head column and the two
+/// offset tables are copied (a few bytes per term and per prefix), and
+/// the windows of the term and prefix arenas are handed to
+/// [`Dictionary::try_from_shared_arena`] instead of their bytes.
+/// The constructor validates the columns against the mapped bytes
+/// (offset tables, UTF-8, heads, the one representation each term has,
 /// distinctness); a file mutated after that is the provider's breach of
 /// trust and degrades to missed lookups and `None` decodes, never a panic.
 fn dict_from(map: &Arc<Mmap>, columns: hexsnap::DictColumns) -> Result<Dictionary> {
-    let corrupt = |why: String| Error::Snapshot(hexsnap::Error::Corrupt(why));
-    let column = |col, width| {
-        store::column_bytes(map, col, width)
-            .ok_or_else(|| corrupt("dictionary column extends past the mapping".to_string()))
+    let hexsnap::DictColumns::Prefixed { heads, ends, arena, prefix_ends, prefixes } = columns
+    else {
+        return Err(Error::Unmappable("the dictionary predates the mappable layout".into()));
     };
-    let kinds = column(columns.kinds, 1)?.to_vec();
-    let ends = column(columns.ends, 4)?
-        .chunks_exact(4)
-        .map(|c| u32::from_le_bytes(c.try_into().expect("4-byte chunk")))
-        .collect();
+    let corrupt = |why: String| Error::Snapshot(hexsnap::Error::Corrupt(why));
+    let words = |col| -> Result<Vec<u32>> {
+        let bytes = store::column_bytes(map, col, 4)
+            .ok_or_else(|| corrupt("dictionary column extends past the mapping".to_string()))?;
+        Ok(bytes
+            .chunks_exact(4)
+            .map(|c| u32::from_le_bytes(c.try_into().expect("4 bytes")))
+            .collect())
+    };
+    let window = |col: hexsnap::Column| col.offset..col.offset + col.len;
+    let image = ArenaImage {
+        heads: words(heads)?,
+        ends: words(ends)?,
+        arena: window(arena),
+        prefix_ends: words(prefix_ends)?,
+        prefixes: window(prefixes),
+    };
     let bytes: hex_dict::SharedBytes = Arc::clone(map) as hex_dict::SharedBytes;
-    let arena = columns.arena;
-    Dictionary::try_from_shared_arena(kinds, ends, bytes, arena.offset, arena.len)
-        .map_err(|e| corrupt(e.to_string()))
+    Dictionary::try_from_shared_arena(image, bytes).map_err(|e| corrupt(e.to_string()))
 }
 
 /// Opens a `hexsnap` file directly as a queryable

@@ -70,8 +70,9 @@ pub struct MmapFrozenHexastore {
 
 impl MmapFrozenHexastore {
     /// A store over the mapping whose `FROZ` columns `cols` locates. What
-    /// is checked touches no column: the layout is v4's, and every column
-    /// is one the casts below may reinterpret ([`mapped`]).
+    /// is checked touches no column: the layout is the one v4 introduced,
+    /// and every column is one the casts below may reinterpret
+    /// ([`mapped`]).
     pub(crate) fn from_columns(map: &Arc<Mmap>, cols: &FrozenColumns) -> Result<Self> {
         let predates = || Error::Unmappable("the slab columns predate the mappable layout".into());
         let mapped = |col, what| mapped(map, col, what);
@@ -103,7 +104,7 @@ impl MmapFrozenHexastore {
     }
 
     /// Checks, in one pass over the three arenas' columns
-    /// (`O(lists + overflow words)`, about 13 of a file's 51 bytes per
+    /// (`O(lists + overflow words)`, about 13 of a file's 45 bytes per
     /// triple), that they are what a writer lays down
     /// ([`ArenaView::validate`]): every slot that is not itself a list
     /// names a run inside the overflow column, runs neither overlap nor

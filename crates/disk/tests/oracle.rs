@@ -168,7 +168,8 @@ fn compressed_snapshots_are_refused_with_a_remedy() {
     hexsnap::save_frozen_with(&path, g.dict(), &g.store().freeze(), Compression::VarintDelta)
         .unwrap();
     // And the committed compressed files of every version that has them.
-    let fixtures = ["v2_small_frzc", "v3_small_frzc", "v4_small_frzc"].map(committed_fixture);
+    let fixtures =
+        ["v2_small_frzc", "v3_small_frzc", "v4_small_frzc", "v5_small_frzc"].map(committed_fixture);
     for path in std::iter::once(&path).chain(&fixtures) {
         let err = hex_disk::open(path).unwrap_err();
         let msg = err.to_string();
@@ -199,7 +200,7 @@ fn assert_refused_by_version(path: &std::path::Path, version: u32) {
 }
 
 /// A committed file from the last build of its version (see hexastore's
-/// `tests/support/mod.rs`), by name: `v{1,2,3,4}_small`, `_frzc` when its
+/// `tests/support/mod.rs`), by name: `v{1,2,3,4,5}_small`, `_frzc` when its
 /// slabs are compressed.
 fn committed_fixture(name: &str) -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR")).join(format!("../core/tests/data/{name}.hexsnap"))
@@ -217,12 +218,12 @@ fn assert_fixture_is_refused_with_the_upgrade_path(version: u32) {
     std::fs::remove_file(&path).ok();
 }
 
-/// The committed v4 file with its version word set to `version` is
+/// The committed v5 file with its version word set to `version` is
 /// refused as a version-`version` file: the opener refuses by version
-/// before it walks the section, whose v4 columns an older version's walk
+/// before it walks a section, whose v5 columns an older version's walk
 /// would misread — v1's unaligned ones included.
-fn assert_v4_relabelled_is_refused_by_version(version: u32) {
-    let mut bytes = std::fs::read(committed_fixture("v4_small")).unwrap();
+fn assert_v5_relabelled_is_refused_by_version(version: u32) {
+    let mut bytes = std::fs::read(committed_fixture("v5_small")).unwrap();
     bytes[8..12].copy_from_slice(&version.to_le_bytes());
     let path = temp_path(&format!("relabelled-v{version}"));
     std::fs::write(&path, &bytes).unwrap();
@@ -237,7 +238,7 @@ fn pre_v3_files_are_refused_by_version_with_the_upgrade_path() {
     // a v1 writer did not even align the section.
     assert_fixture_is_refused_with_the_upgrade_path(1);
     for version in [1, 2] {
-        assert_v4_relabelled_is_refused_by_version(version);
+        assert_v5_relabelled_is_refused_by_version(version);
     }
 }
 
@@ -251,8 +252,18 @@ fn the_committed_v2_fixture_is_refused_with_the_upgrade_path() {
 fn v3_files_and_the_committed_v3_fixture_are_refused_with_the_upgrade_path() {
     // A v3 file is aligned and stores nothing derivable, but addresses its
     // terminal lists through an offsets column the read path no longer has.
-    assert_v4_relabelled_is_refused_by_version(3);
+    assert_v5_relabelled_is_refused_by_version(3);
     assert_fixture_is_refused_with_the_upgrade_path(3);
+}
+
+#[test]
+fn v4_files_are_refused_for_their_dictionary_layout_with_the_upgrade_path() {
+    // A v4 file's slab columns are v5's; its dictionary stores whole terms
+    // where the mapped dictionary adopts prefix-shared columns.
+    assert_v5_relabelled_is_refused_by_version(4);
+    assert_fixture_is_refused_with_the_upgrade_path(4);
+    let msg = hex_disk::open(committed_fixture("v4_small")).unwrap_err().to_string();
+    assert!(msg.contains("dictionary layout") && !msg.contains("slab"), "{msg}");
 }
 
 #[test]

@@ -124,21 +124,26 @@ const _: () = {
     assert!(std::mem::size_of::<Option<Term>>() == 24);
 };
 
-/// `first` followed by `second` as one `Arc<str>`. Up to 256 bytes — every
-/// language tag and datatype IRI with its lexical form in practice — the
-/// pieces are joined on the stack, so the `Arc` is the only allocation.
-fn concat(first: &str, second: &str) -> Arc<str> {
+/// `first` followed by `second` as one `Arc<str>`, or `None` when together
+/// they are not UTF-8. Up to 256 bytes — every language tag and datatype
+/// IRI with its lexical form, every IRI namespace with the rest, in
+/// practice — the pieces are joined on the stack, so the `Arc` is the only
+/// allocation, and the joined text is validated once.
+fn concat_utf8(first: &[u8], second: &[u8]) -> Option<Arc<str>> {
     const STACK: usize = 256;
     let len = first.len() + second.len();
     if len <= STACK {
         let mut buf = [0u8; STACK];
-        buf[..first.len()].copy_from_slice(first.as_bytes());
-        buf[first.len()..len].copy_from_slice(second.as_bytes());
-        if let Ok(joined) = std::str::from_utf8(&buf[..len]) {
-            return Arc::from(joined);
-        }
+        buf[..first.len()].copy_from_slice(first);
+        buf[first.len()..len].copy_from_slice(second);
+        return std::str::from_utf8(&buf[..len]).ok().map(Arc::from);
     }
-    Arc::from([first, second].concat())
+    String::from_utf8([first, second].concat()).ok().map(Arc::from)
+}
+
+/// `first` followed by `second` as one `Arc<str>` ([`concat_utf8`]).
+fn concat(first: &str, second: &str) -> Arc<str> {
+    concat_utf8(first.as_bytes(), second.as_bytes()).expect("two strs join into UTF-8")
 }
 
 impl Literal {
@@ -305,9 +310,10 @@ impl TermKind {
 /// [`Statement`](crate::Statement) of the N-Triples tokenizer is viewed as
 /// pieces that are slices of the input text (only a term written with
 /// escape sequences owns its unescaped text), and a dictionary hands out
-/// pieces that are slices of its string arena.
-/// Neither allocates per term; [`TermRef::to_owned`] builds a [`Term`]
-/// for callers that keep one.
+/// pieces that are slices of its string arena (only an IRI it stores as a
+/// namespace prefix plus the rest owns its joined text).
+/// Neither allocates per term otherwise; [`TermRef::to_owned`] builds a
+/// [`Term`] for callers that keep one.
 #[derive(Clone, PartialEq, Eq, Hash)]
 pub struct TermRef<'a> {
     kind: TermKind,
@@ -452,6 +458,15 @@ impl Term {
     /// Convenience constructor for an IRI term.
     pub fn iri(iri: impl Into<Arc<str>>) -> Self {
         Term::Iri(Iri::new(iri))
+    }
+
+    /// An IRI term whose text is the bytes `prefix` followed by `rest`, in
+    /// one allocation: the pieces are joined on the stack, as a literal's
+    /// are, and validated once. `None` when together they are not UTF-8.
+    /// A dictionary that stores an IRI's namespace apart from the rest
+    /// decodes through this.
+    pub fn iri_from_parts(prefix: &[u8], rest: &[u8]) -> Option<Self> {
+        concat_utf8(prefix, rest).map(|text| Term::Iri(Iri(text)))
     }
 
     /// Convenience constructor for a blank-node term.
@@ -602,6 +617,20 @@ mod tests {
         assert_eq!((l.lexical(), l.language(), l.datatype()), (&*lexical, None, &*datatype));
         let view = TermRef::typed_literal(lexical.as_str(), datatype.as_str());
         assert_eq!(view.to_owned(), Term::Literal(l));
+    }
+
+    #[test]
+    fn an_iri_from_parts_is_the_iri_of_its_joined_text() {
+        let join = |a: &str, b: &str| Term::iri_from_parts(a.as_bytes(), b.as_bytes());
+        assert_eq!(join("http://x/", "a"), Some(Term::iri("http://x/a")));
+        assert_eq!(join("", "urn:a"), Some(Term::iri("urn:a")));
+        let long = "é".repeat(200);
+        assert_eq!(join(&long, "x"), Some(Term::iri(format!("{long}x"))));
+        // Pieces that split a character are refused, on and off the stack.
+        let e = "é".as_bytes();
+        assert_eq!(Term::iri_from_parts(&e[..1], b"x"), None);
+        assert_eq!(Term::iri_from_parts(long.as_bytes(), &e[..1]), None);
+        assert_eq!(Term::iri_from_parts(&e[..1], &e[1..]), Some(Term::iri("é")));
     }
 
     #[test]
