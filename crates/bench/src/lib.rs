@@ -493,9 +493,10 @@ fn ask_rendered(_: &FigureSpec, p: &Params) -> Rendered {
 
 /// The size of a query-ready snapshot file (dictionary + slab sections)
 /// of a half Barton, half LUBM dataset of `large_triples` statements,
-/// with plain and with varint-delta compressed slabs, and what its
-/// dictionary weighs: the `DICT` section's bytes, the heap bytes of the
-/// dictionary it reads back as, its terms and its shared prefixes. The
+/// with plain and with varint-delta compressed slabs, what its
+/// dictionary weighs — the `DICT` section's bytes, the heap bytes of the
+/// dictionary it reads back as, its terms and its shared prefixes — and
+/// the heap bytes of the frozen store the slabs read back as. The
 /// bytes are exactly what [`hexastore::hexsnap::save_frozen_with`]
 /// writes, built in memory, so they repeat on any host and need no
 /// scratch file.
@@ -520,18 +521,22 @@ fn snapshot_size_rendered(fig: &FigureSpec, p: &Params) -> Rendered {
     let reader = Reader::new(std::io::Cursor::new(&plain_file)).expect("in-memory read");
     let dict_bytes = reader.section_extent(*b"DICT").map_or(0, |(_, len)| len as usize);
     let dict_heap_bytes = dict.heap_bytes();
+    let frozen_heap_bytes = frozen.heap_bytes();
     let per_triple = |bytes: usize| bytes as f64 / triples.max(1) as f64;
     Rendered::with_counts(
         format!(
             "# {} — barton+lubm dataset\n\
              triples,plain_bytes,compressed_bytes,plain_bytes_per_triple,\
-             compressed_bytes_per_triple,dict_bytes,dict_heap_bytes,terms,prefixes\n\
-             {triples},{plain},{compressed},{:.3},{:.3},{dict_bytes},{dict_heap_bytes},{},{}\n",
+             compressed_bytes_per_triple,dict_bytes,dict_heap_bytes,terms,prefixes,\
+             frozen_heap_bytes,frozen_heap_bytes_per_triple\n\
+             {triples},{plain},{compressed},{:.3},{:.3},{dict_bytes},{dict_heap_bytes},{},{},\
+             {frozen_heap_bytes},{:.3}\n",
             fig.title,
             per_triple(plain),
             per_triple(compressed),
             dict.len(),
             dict.prefix_count(),
+            per_triple(frozen_heap_bytes),
         ),
         [
             ("triples", Count::Int(triples)),
@@ -543,6 +548,8 @@ fn snapshot_size_rendered(fig: &FigureSpec, p: &Params) -> Rendered {
             ("dict_heap_bytes", Count::Int(dict_heap_bytes)),
             ("terms", Count::Int(dict.len())),
             ("prefixes", Count::Int(dict.prefix_count())),
+            ("frozen_heap_bytes", Count::Int(frozen_heap_bytes)),
+            ("frozen_heap_bytes_per_triple", Count::Ratio(per_triple(frozen_heap_bytes))),
         ],
     )
 }
@@ -1102,14 +1109,16 @@ fn joins_rendered(_: &FigureSpec, p: &Params) -> Rendered {
 
 /// The §4.1 space-bound experiment: blowup of Hexastore key entries vs a
 /// triples table, on both datasets plus the adversarial all-distinct case.
-/// Its counts are each dataset's entries, blowup, and the store's heap
-/// bytes.
+/// Its counts are each dataset's entries, blowup, the store's heap bytes
+/// and how many of those its index levels take (header keys and the
+/// packed offsets, vector keys and mirror list references).
 fn space_report(scale: usize) -> Rendered {
     let mut out = String::from("# §4.1 — index space vs triples table (key entries)\n");
     out.push_str("dataset,triples,header,vector,list,total,triples_table,blowup\n");
     let mut counts = Vec::new();
     let mut line = |name: &str, key: &str, frozen: &Hexastore| {
         let stats = frozen.space_stats();
+        let b = frozen.heap_breakdown();
         counts.extend([
             (format!("{key}_triples"), Count::Int(stats.triples)),
             (format!("{key}_header"), Count::Int(stats.header_entries)),
@@ -1117,6 +1126,10 @@ fn space_report(scale: usize) -> Rendered {
             (format!("{key}_list"), Count::Int(stats.list_entries)),
             (format!("{key}_blowup"), Count::Ratio(stats.blowup())),
             (format!("{key}_frozen_heap_bytes"), Count::Int(frozen.heap_bytes())),
+            (
+                format!("{key}_index_level_bytes"),
+                Count::Int(b.headers + b.vector_keys + b.mirror_list_refs),
+            ),
         ]);
         out.push_str(&format!(
             "{},{},{},{},{},{},{},{:.3}\n",
@@ -1238,12 +1251,12 @@ pub fn collect_evidence(params: &Params) -> Evidence {
 }
 
 impl Evidence {
-    /// `BENCH_ci.json`, schema 6: the two scales and every figure's
+    /// `BENCH_ci.json`, schema 7: the two scales and every figure's
     /// counts under its stem — no timings, so two runs of one build write
     /// the same bytes.
     pub fn bench_ci_json(&self) -> String {
         let mut json = format!(
-            "{{\n  \"schema\": 6,\n  \"figures_triples\": {},\n  \"load_triples\": {}",
+            "{{\n  \"schema\": 7,\n  \"figures_triples\": {},\n  \"load_triples\": {}",
             self.params.triples, self.params.large_triples
         );
         for (stem, counts) in &self.counts {
@@ -1357,6 +1370,8 @@ mod tests {
             "barton_blowup",
             "lubm_frozen_heap_bytes",
             "all_distinct_frozen_heap_bytes",
+            "barton_index_level_bytes",
+            "frozen_heap_bytes_per_triple",
             "plans",
             "entries_after_70000",
         ] {

@@ -37,6 +37,7 @@
 //! possibly empty) answer rather than a crash.
 
 use crate::advisor::{serving_indices, IndexKind, IndexSet};
+pub use crate::packed::PackedView;
 use crate::pattern::{IdPattern, Shape};
 pub use crate::slab::ArenaView;
 use crate::sorted;
@@ -159,29 +160,32 @@ fn probe_in(kind: IndexKind, pat: IdPattern, served: bool) -> Probe {
 /// is cut to `n`; a corrupt, non-monotone pair (`offs[i] > offs[i + 1]`)
 /// is empty — never a `lo > hi` range.
 #[inline]
-fn window_of(offs: &[u32], i: usize, n: usize) -> Range<usize> {
-    let (Some(&lo), Some(&hi)) = (offs.get(i), offs.get(i.wrapping_add(1))) else { return 0..0 };
-    let hi = (hi as usize).min(n);
-    (lo as usize).min(hi)..hi
+fn window_of(offs: PackedView<'_>, i: usize, n: usize) -> Range<usize> {
+    if i.saturating_add(1) >= offs.len() {
+        return 0..0;
+    }
+    let hi = (offs.get(i + 1) as usize).min(n);
+    (offs.get(i) as usize).min(hi)..hi
 }
 
 /// Borrowed columns of one flat two-level ordering: sorted header `keys`,
 /// the cumulative `offs` that window the `k2` column per header (one entry
-/// more than `keys`), and the terminal-list reference of each leaf. `Copy`,
-/// so cursor closures own it outright.
+/// more than `keys`), and the terminal-list reference of each leaf. All but
+/// the header keys are bit-packed ([`crate::packed`]). `Copy`, so cursor
+/// closures own it outright.
 #[derive(Clone, Copy, Debug)]
 pub struct IndexView<'a> {
     /// Sorted header keys.
     pub keys: &'a [Id],
     /// Header `i`'s leaves are `offs[i]..offs[i + 1]` of `k2`.
-    pub offs: &'a [u32],
+    pub offs: PackedView<'a>,
     /// Vector keys, sorted within each header's window.
-    pub k2: &'a [Id],
+    pub k2: PackedView<'a>,
     /// Terminal-list index per leaf, into the ordering's arena; parallel
     /// to `k2` and of the same length. `None` for a *primary* ordering —
     /// the one whose leaf order is the arena's list order — where leaf `i`
     /// is list `i` and the column would be the identity.
-    pub lists: Option<&'a [u32]>,
+    pub lists: Option<PackedView<'a>>,
 }
 
 impl<'a> IndexView<'a> {
@@ -201,14 +205,28 @@ impl<'a> IndexView<'a> {
     /// The terminal-list index of leaf `i`.
     #[inline]
     fn list_at(self, i: usize) -> u32 {
-        self.lists.map_or(i as u32, |lists| lists[i])
+        self.lists.map_or(i as u32, |lists| lists.get(i))
+    }
+
+    /// The `(k2, list)` leaves of `window`, decoded sequentially.
+    #[inline]
+    pub(crate) fn leaves(self, window: Range<usize>) -> impl Iterator<Item = (Id, u32)> + 'a {
+        let mut refs = self.lists.map(|lists| lists.iter(window.clone()));
+        let start = window.start as u32;
+        self.k2.iter(window).enumerate().map(move |(i, k2)| {
+            let list = match &mut refs {
+                Some(refs) => refs.next().unwrap_or(0),
+                None => start.wrapping_add(i as u32),
+            };
+            (Id(k2), list)
+        })
     }
 
     /// The terminal-list index of `(k1, k2)`, by two binary searches.
     #[inline]
     pub fn list_idx(self, k1: Id, k2: Id) -> Option<u32> {
         let window = self.window(k1);
-        self.k2[window.clone()].binary_search(&k2).ok().map(|i| self.list_at(window.start + i))
+        self.k2.search(window.clone(), k2.0).ok().map(|i| self.list_at(window.start + i))
     }
 }
 
@@ -238,13 +256,13 @@ impl<'a> OrderingRead<'a> for SlabOrdering<'a> {
 
     fn division(self, k1: Id) -> impl Iterator<Item = (Id, &'a [Id])> + 'a {
         let (ix, arena) = self;
-        ix.window(k1).map(move |i| (ix.k2[i], arena.get(ix.list_at(i))))
+        ix.leaves(ix.window(k1)).map(move |(k2, list)| (k2, arena.get(list)))
     }
 
     fn scan(self) -> impl Iterator<Item = (Id, Id, &'a [Id])> + 'a {
         let (ix, arena) = self;
         ix.keys.iter().enumerate().flat_map(move |(h, &k1)| {
-            ix.window_at(h).map(move |i| (k1, ix.k2[i], arena.get(ix.list_at(i))))
+            ix.leaves(ix.window_at(h)).map(move |(k2, list)| (k1, k2, arena.get(list)))
         })
     }
 }
@@ -520,18 +538,20 @@ mod tests {
 
     #[test]
     fn slab_views_clamp_corrupt_offsets_instead_of_panicking() {
+        use crate::packed::PackedColumn;
         use crate::slab::LONG;
         let keys = [Id(1), Id(2), Id(3)];
         // Header 1's window runs past the leaf column; header 2's is
         // backwards (9 > 1); header 3 has no closing offset at all.
-        let offs = [0, 9, 1];
-        let k2 = [Id(5), Id(6)];
-        let lists = [0, 7]; // list 7 does not exist
+        let offs = PackedColumn::from_values(&[0, 9, 1]);
+        let k2 = PackedColumn::from_values(&[5, 6]);
+        let lists = PackedColumn::from_values(&[0, 7]); // list 7 does not exist
         let over = [Id(40), Id(10), Id(11)];
         // List 0's length word overruns the overflow column; list 1's
         // position is past it.
         let arena = ArenaView { slots: &[Id(LONG), Id(LONG | 3)], over: &over };
-        let ix = IndexView { keys: &keys, offs: &offs, k2: &k2, lists: Some(&lists) };
+        let ix =
+            IndexView { keys: &keys, offs: offs.view(), k2: k2.view(), lists: Some(lists.view()) };
         let ord: SlabOrdering<'_> = (ix, arena);
         assert_eq!(ord.list(Id(1), Id(5)), &[Id(10), Id(11)], "list run clamped to the column");
         assert_eq!(ord.list(Id(1), Id(6)), &[] as &[Id], "dangling list index reads empty");

@@ -182,11 +182,15 @@ fn emit_pair(run: &[IdTriple], perm: Option<&[u32]>, key: KeyFn) -> FrozenPair {
     // already-emitted shared lists (leaf i is list i).
     let mut mirror_entries = Vec::with_capacity(primary.k2.len());
     for (k1, leaves) in primary.groups() {
-        mirror_entries.extend(leaves.map(|i| (primary.k2[i], k1, i as u32)));
+        let k2s = primary.k2.view().iter(leaves.clone());
+        mirror_entries.extend(k2s.zip(leaves).map(|(k2, i)| (Id(k2), k1, i as u32)));
     }
     mirror_entries.sort_unstable_by_key(|e| (e.0, e.1));
     let m = mirror_entries.len();
-    let mut mirror = FrozenIndex::mirror(count_distinct_adjacent(&mirror_entries, |e| e.0), m);
+    // The mirror's vector keys are the primary's header keys.
+    let max_k2 = primary.keys.last().copied().unwrap_or(Id(0));
+    let headers = count_distinct_adjacent(&mirror_entries, |e| e.0);
+    let mut mirror = FrozenIndex::mirror(headers, m, max_k2);
     let mut i = 0;
     while i < m {
         let k2 = mirror_entries[i].0;
@@ -216,8 +220,8 @@ pub(crate) fn emit_primary(
 ) -> (FrozenIndex, FlatArena) {
     let n = run.len();
     let at = at_fn(run, perm, key);
-    let RunCounts { headers, pairs, overflow } = count_groups(n, &at);
-    let mut primary = FrozenIndex::primary(headers, pairs);
+    let RunCounts { headers, pairs, overflow, max_k2 } = count_groups(n, &at);
+    let mut primary = FrozenIndex::primary(headers, pairs, max_k2);
     let mut arena = FlatArena::with_capacity(pairs, overflow);
     let mut open = None;
     for (k1, k2, range) in leaves(n, &at) {
@@ -337,23 +341,26 @@ fn at_fn<'a>(
 }
 
 /// What [`count_groups`] counts: distinct `k1` values, distinct
-/// `(k1, k2)` pairs — one terminal list each — and the words those lists
-/// take in a [`FlatArena`]'s overflow column.
+/// `(k1, k2)` pairs — one terminal list each — the words those lists
+/// take in a [`FlatArena`]'s overflow column, and the largest `k2`, which
+/// sets the width of the packed vector-key column.
 struct RunCounts {
     headers: usize,
     pairs: usize,
     overflow: usize,
+    max_k2: Id,
 }
 
 /// Exact counts of a run viewed through `at` — the same
 /// header/vector/list accounting as [`SpaceStats`](crate::SpaceStats),
 /// but *before* building, so every slab allocation can be exact.
 fn count_groups(n: usize, at: impl Fn(usize) -> (Id, Id, Id)) -> RunCounts {
-    let mut counts = RunCounts { headers: 0, pairs: 0, overflow: 0 };
+    let mut counts = RunCounts { headers: 0, pairs: 0, overflow: 0, max_k2: Id(0) };
     let mut prev_k1 = None;
-    for (k1, _, range) in leaves(n, &at) {
+    for (k1, k2, range) in leaves(n, &at) {
         counts.headers += usize::from(prev_k1 != Some(k1));
         counts.pairs += 1;
+        counts.max_k2 = counts.max_k2.max(k2);
         counts.overflow += overflow_words(range.len(), at(range.start).2);
         prev_k1 = Some(k1);
     }
@@ -517,11 +524,17 @@ mod tests {
     fn presize_leaves_no_slack_capacity() {
         let triples: Vec<IdTriple> = (0..2000u32).map(|i| t(i % 97, i % 13, i)).collect();
         let built = build_frozen(triples);
+        // A packed column is exact when its words are the ones its length
+        // and width need, and canonical when the width is its largest
+        // value's.
+        let exact = |c: &crate::packed::PackedColumn| {
+            c.heap_bytes() == crate::packed::bytes_for(c.len(), c.width()).unwrap()
+                && c.view().validate().is_ok()
+        };
         for ix in built.orderings() {
             assert_eq!(ix.keys.capacity(), ix.keys.len());
-            assert_eq!(ix.offs.capacity(), ix.offs.len());
-            assert_eq!(ix.k2.capacity(), ix.k2.len());
-            assert!(ix.lists.as_ref().is_none_or(|l| l.capacity() == l.len()));
+            assert!(exact(&ix.offs) && exact(&ix.k2));
+            assert!(ix.lists.as_ref().is_none_or(exact));
         }
         for arena in built.arenas() {
             let words = arena.view().slots.len() + arena.view().over.len();

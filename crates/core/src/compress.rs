@@ -81,10 +81,18 @@ pub fn get_uvarint32(buf: &[u8], pos: &mut usize) -> Option<u32> {
 /// invariant [`FlatArena`] lists and flat key columns already hold.
 pub fn encode_sorted_run(out: &mut Vec<u8>, run: &[Id]) {
     debug_assert!(crate::sorted::is_sorted_set(run));
-    let Some(&first) = run.first() else { return };
-    put_uvarint(out, u64::from(first.0));
-    for pair in run.windows(2) {
-        put_uvarint(out, u64::from(pair[1].0 - pair[0].0));
+    encode_ascending(out, run.iter().map(|id| id.0));
+}
+
+/// [`encode_sorted_run`] of a run handed over value by value, as a
+/// packed column's decoder yields it.
+pub(crate) fn encode_ascending(out: &mut Vec<u8>, mut run: impl Iterator<Item = u32>) {
+    let Some(first) = run.next() else { return };
+    put_uvarint(out, u64::from(first));
+    let mut prev = first;
+    for v in run {
+        put_uvarint(out, u64::from(v - prev));
+        prev = v;
     }
 }
 
@@ -123,10 +131,12 @@ pub fn encode_arena(out: &mut Vec<u8>, arena: &FlatArena) {
 }
 
 /// Encodes a cumulative offsets column as its window lengths, one varint
-/// per window (`offs.len() - 1` of them).
-pub(crate) fn encode_offsets(out: &mut Vec<u8>, offs: &[u32]) {
-    for w in offs.windows(2) {
-        put_uvarint(out, u64::from(w[1] - w[0]));
+/// per window (one fewer than the offsets).
+pub(crate) fn encode_offsets(out: &mut Vec<u8>, mut offs: impl Iterator<Item = u32>) {
+    let Some(mut prev) = offs.next() else { return };
+    for end in offs {
+        put_uvarint(out, u64::from(end - prev));
+        prev = end;
     }
 }
 

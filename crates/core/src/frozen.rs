@@ -28,8 +28,9 @@
 use crate::access::{IndexView, OrderedStore, OrderingRead, SlabOrdering};
 use crate::advisor::{IndexKind, IndexSet};
 use crate::overlay::OverlayHexastore;
+use crate::packed::PackedColumn;
 use crate::pattern::IdPattern;
-use crate::slab::{offsets_tile, FlatArena};
+use crate::slab::FlatArena;
 use crate::sorted;
 use crate::store::SpaceStats;
 use crate::traits::TripleStore;
@@ -40,33 +41,41 @@ use std::sync::Arc;
 /// and its leaves are `offs[h]..offs[h + 1]` of the `k2` column (so `offs`
 /// has one entry more than `keys`). A mirror ordering's `lists` holds each
 /// leaf's terminal-list index in the ordering's [`FlatArena`]; a primary
-/// ordering has none, because its leaf `i` is list `i`.
+/// ordering has none, because its leaf `i` is list `i`. Every column but
+/// the header keys is bit-packed at the width its largest value needs
+/// ([`crate::packed`]).
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub(crate) struct FrozenIndex {
     pub(crate) keys: Vec<Id>,
-    pub(crate) offs: Vec<u32>,
-    pub(crate) k2: Vec<Id>,
-    pub(crate) lists: Option<Vec<u32>>,
+    pub(crate) offs: PackedColumn,
+    pub(crate) k2: PackedColumn,
+    pub(crate) lists: Option<PackedColumn>,
 }
 
 impl FrozenIndex {
     /// An empty primary ordering with exact room for `headers` headers
-    /// and `pairs` leaves.
-    pub(crate) fn primary(headers: usize, pairs: usize) -> Self {
-        let mut offs = Vec::with_capacity(headers + 1);
+    /// and `pairs` leaves whose largest vector key is `max_k2`.
+    pub(crate) fn primary(headers: usize, pairs: usize, max_k2: Id) -> Self {
+        let pairs_u32 = u32::try_from(pairs).expect("frozen index overflow: 2^32 leaves");
+        let mut offs = PackedColumn::with_capacity(headers + 1, pairs_u32);
         offs.push(0);
         FrozenIndex {
             keys: Vec::with_capacity(headers),
             offs,
-            k2: Vec::with_capacity(pairs),
+            k2: PackedColumn::with_capacity(pairs, max_k2.0),
             lists: None,
         }
     }
 
     /// An empty mirror ordering with exact room for `headers` headers and
-    /// `pairs` leaves.
-    pub(crate) fn mirror(headers: usize, pairs: usize) -> Self {
-        FrozenIndex { lists: Some(Vec::with_capacity(pairs)), ..Self::primary(headers, pairs) }
+    /// `pairs` leaves whose largest vector key is `max_k2`, referencing
+    /// the `pairs` lists of its primary.
+    pub(crate) fn mirror(headers: usize, pairs: usize, max_k2: Id) -> Self {
+        let last_list = u32::try_from(pairs.saturating_sub(1)).expect("2^32 lists");
+        FrozenIndex {
+            lists: Some(PackedColumn::with_capacity(pairs, last_list)),
+            ..Self::primary(headers, pairs, max_k2)
+        }
     }
 
     /// Appends one `(k2, list)` leaf to the open `k1` group. A primary
@@ -76,13 +85,13 @@ impl FrozenIndex {
             Some(lists) => lists.push(list),
             None => debug_assert_eq!(list as usize, self.k2.len(), "primary leaf i is list i"),
         }
-        self.k2.push(k2);
+        self.k2.push(k2.0);
     }
 
     /// Closes the `k1` group of the leaves pushed since the last close.
     pub(crate) fn end_k1(&mut self, k1: Id) {
         let end = u32::try_from(self.k2.len()).expect("frozen index overflow: 2^32 leaves");
-        debug_assert!(self.offs.last().is_some_and(|&start| start < end), "empty k1 group");
+        debug_assert!(self.offs.get(self.offs.len() - 1) < end, "empty k1 group");
         debug_assert!(self.keys.last().is_none_or(|&last| last < k1));
         self.keys.push(k1);
         self.offs.push(end);
@@ -90,20 +99,21 @@ impl FrozenIndex {
 
     /// Each header key with its leaf range, in key order.
     pub(crate) fn groups(&self) -> impl Iterator<Item = (Id, std::ops::Range<usize>)> + '_ {
+        let ends = self.offs.values().skip(1);
         self.keys
             .iter()
-            .zip(self.offs.windows(2))
-            .map(|(&k1, w)| (k1, w[0] as usize..w[1] as usize))
-    }
-
-    /// The terminal-list index of leaf `i`.
-    pub(crate) fn list_of(&self, i: usize) -> u32 {
-        self.lists.as_ref().map_or(i as u32, |lists| lists[i])
+            .zip(self.offs.values().zip(ends))
+            .map(|(&k1, (lo, hi))| (k1, lo as usize..hi as usize))
     }
 
     /// The columns as the borrowed view the shared read path walks.
     pub(crate) fn view(&self) -> IndexView<'_> {
-        IndexView { keys: &self.keys, offs: &self.offs, k2: &self.k2, lists: self.lists.as_deref() }
+        IndexView {
+            keys: &self.keys,
+            offs: self.offs.view(),
+            k2: self.k2.view(),
+            lists: self.lists.as_ref().map(PackedColumn::view),
+        }
     }
 
     fn header_count(&self) -> usize {
@@ -114,19 +124,20 @@ impl FrozenIndex {
         self.k2.len()
     }
 
-    /// Heap bytes of the header level: keys and offsets.
+    /// Heap bytes of the header level: keys and packed offsets.
     fn header_bytes(&self) -> usize {
-        (self.keys.capacity() + self.offs.capacity()) * std::mem::size_of::<u32>()
+        self.keys.capacity() * std::mem::size_of::<Id>() + self.offs.heap_bytes()
     }
 
-    /// Heap bytes of the vector-key column.
+    /// Heap bytes of the packed vector-key column.
     fn k2_bytes(&self) -> usize {
-        self.k2.capacity() * std::mem::size_of::<Id>()
+        self.k2.heap_bytes()
     }
 
-    /// Heap bytes of the list-reference column (zero for a primary).
+    /// Heap bytes of the packed list-reference column (zero for a
+    /// primary).
     fn list_ref_bytes(&self) -> usize {
-        self.lists.as_ref().map_or(0, |lists| lists.capacity() * std::mem::size_of::<u32>())
+        self.lists.as_ref().map_or(0, PackedColumn::heap_bytes)
     }
 
     pub(crate) fn heap_bytes(&self) -> usize {
@@ -142,23 +153,35 @@ impl FrozenIndex {
     /// `arena_lists` leaves). Returns `None` on any violation.
     pub(crate) fn from_raw_parts(
         keys: Vec<Id>,
-        offs: Vec<u32>,
-        k2: Vec<Id>,
-        lists: Option<Vec<u32>>,
+        offs: PackedColumn,
+        k2: PackedColumn,
+        lists: Option<PackedColumn>,
         arena_lists: usize,
     ) -> Option<Self> {
         let refs_valid = match &lists {
             Some(lists) => {
-                lists.len() == k2.len() && lists.iter().all(|&l| (l as usize) < arena_lists)
+                lists.len() == k2.len() && lists.values().all(|l| (l as usize) < arena_lists)
             }
             None => k2.len() == arena_lists,
         };
-        let valid = refs_valid
-            && offs.len() == keys.len() + 1
-            && offsets_tile(&offs, k2.len())
-            && sorted::is_sorted_set(&keys)
-            && offs.windows(2).all(|w| sorted::is_sorted_set(&k2[w[0] as usize..w[1] as usize]));
-        valid.then_some(FrozenIndex { keys, offs, k2, lists })
+        let ix = FrozenIndex { keys, offs, k2, lists };
+        let tiles = ix.offs.len() == ix.keys.len() + 1
+            && ix.offs.get(0) == 0
+            && ix.offs.get(ix.keys.len()) as usize == ix.k2.len()
+            && ix.offs.values().zip(ix.offs.values().skip(1)).all(|(lo, hi)| lo < hi);
+        // One pass over the vector keys: each must rise above the one
+        // before it, except where a group starts.
+        let mut starts = ix.offs.values().map(|start| start as usize).peekable();
+        let mut prev = 0;
+        let runs_ascend = tiles
+            && ix.k2.values().enumerate().all(|(i, k2)| {
+                let first = starts.next_if_eq(&i).is_some();
+                let ascends = first || prev < k2;
+                prev = k2;
+                ascends
+            });
+        let valid = refs_valid && runs_ascend && sorted::is_sorted_set(&ix.keys);
+        valid.then_some(ix)
     }
 }
 
@@ -430,10 +453,12 @@ impl FrozenHexastore {
                 max = Some(max.map_or(c, |m| m.max(c)));
             }
         };
+        // Header keys are sorted, so each column's last is its largest.
+        // Every vector key is a header key of the same pair's other
+        // ordering — a mirror's vector keys are its primary's headers and
+        // the other way round — so the header keys cover them.
         for ix in self.orderings() {
-            // Header keys are sorted; k2 groups are only locally sorted.
             update(ix.keys.last().copied());
-            update(ix.k2.iter().max().copied());
         }
         for arena in self.arenas() {
             // Lists are sorted: the last item of each is its largest.
@@ -613,6 +638,20 @@ mod tests {
         assert_eq!(via_pso, mirror, "pair orderings must reference one list");
         // Total items per pair equals the triple count, not double.
         assert_eq!(frozen.inner.o_lists.total_items(), frozen.len());
+    }
+
+    #[test]
+    fn raw_index_levels_must_tile_and_ascend_within_each_group() {
+        let raw = |offs: &[u32], k2: &[u32]| {
+            let (offs, k2) = (PackedColumn::from_values(offs), PackedColumn::from_values(k2));
+            FrozenIndex::from_raw_parts(vec![Id(1), Id(2)], offs, k2, None, 4).is_some()
+        };
+        assert!(raw(&[0, 2, 4], &[5, 9, 3, 7]), "a group may start below the last");
+        assert!(!raw(&[0, 2, 4], &[9, 5, 3, 7]), "descending within a group");
+        assert!(!raw(&[0, 2, 4], &[5, 9, 7, 7]), "a repeat within a group");
+        assert!(!raw(&[0, 3, 4], &[5, 9, 3, 7]), "the second group's start moved");
+        assert!(!raw(&[0, 2, 2, 4], &[5, 9, 3, 7]), "one offset too many");
+        assert!(!raw(&[0, 2, 5], &[5, 9, 3, 7]), "offsets past the column");
     }
 
     #[test]

@@ -14,7 +14,7 @@
 //! ```text
 //! offset   size  field
 //! 0        8     magic "hexsnap\0"
-//! 8        4     format version (u32, currently 5)
+//! 8        4     format version (u32, currently 6)
 //! 12       …     section payloads, back to back
 //! …        var   section table: u32 count, then per section
 //!                [u8; 4] tag · u64 offset · u64 length
@@ -48,25 +48,30 @@
 //!   an overflow column for the longer ones ([`crate::slab`] has the
 //!   encoding), in place of v3's offsets column and item column. `FRZC`
 //!   encodes lists, not columns, so its bytes are v3's.
-//! - **v5** (current) — a `DICT` section is the prefix-shared dictionary:
+//! - **v5** — a `DICT` section is the prefix-shared dictionary:
 //!   every term a `u32` head (kind and prefix id) and its own bytes, the
 //!   prefixes (IRI namespaces, language tags, datatype IRIs) stored once
 //!   each in a table of their own, in place of one kind byte and one or
 //!   two whole string pieces per term. `FROZ` and `FRZC` are v4's.
+//! - **v6** (current) — a `FROZ` ordering's offsets, vector keys and
+//!   (mirror orderings) list references are bit-packed columns, each at
+//!   the width its largest value needs ([`crate::packed`]), and the
+//!   section starts on an 8-byte file offset. Header keys and arenas stay
+//!   `u32`; `DICT` and `FRZC` are v5's byte for byte.
 //!
-//! [`Writer`] writes v5; [`Reader`] opens all five. Where every column of
+//! [`Writer`] writes v6; [`Reader`] opens all six. Where every column of
 //! a `DICT` or `FROZ` section lies is said once per section, by a walker
 //! that reads only the count fields: [`Reader::dict_columns`] and
 //! [`Reader::frozen_columns`], the only code that knows how the column
 //! widths changed between versions. The eager reader reads the columns
-//! they locate, and the `hex-disk` crate reinterprets them in a mapping.
+//! they locate, and the `hex-disk` crate views them in a mapping.
 //! Pre-v3 pairs become offsets on read (spans that do not tile and
 //! primary references that are not the identity are rejected as
 //! corrupt), a pre-v4 arena's offset-addressed lists are appended one
-//! by one to a slot arena, and a pre-v5 dictionary's terms are interned
-//! again in id order, which keeps their ids. Only a v5 file has the
-//! columns `hex-disk` maps; older files go through [`load_frozen`] and a
-//! re-save.
+//! by one to a slot arena, a pre-v5 dictionary's terms are interned
+//! again in id order, which keeps their ids, and a pre-v6 index level's
+//! `u32` columns are packed. Only a v6 file has the columns `hex-disk`
+//! maps; older files go through [`load_frozen`] and a re-save.
 //!
 //! Defined sections:
 //!
@@ -90,18 +95,23 @@
 //!   `u32` runs), terminated by a zero chunk. A file with slabs and no
 //!   `TRPL` yields the same triples, in the same spo order, from its spo
 //!   ordering ([`Reader::triples`], [`Reader::for_each_triple_chunk`]).
-//! - **`FROZ`** — prebuilt slabs as raw `u32` columns, starting on a
-//!   4-byte file offset, every field a 4-byte multiple — so every column
-//!   is 4-aligned in the file and `hex-disk` reinterprets it in place.
+//! - **`FROZ`** — prebuilt slabs as raw columns, starting on an 8-byte
+//!   file offset, every field a 4-byte multiple — so every `u32` column is
+//!   4-aligned in the file and `hex-disk` reinterprets it in place.
 //!   `u64 n_triples`; then per arena (object, property, subject lists):
 //!   `u32 n_lists`, `u64 n_items`, `u32 n_overflow`, `n_lists` slots,
 //!   `n_overflow` overflow words (before v4: `u32 n_lists`, `u64 n_items`,
 //!   `n_lists + 1` cumulative offsets, `n_items` items); then per
 //!   ordering (spo, sop, pso, pos, osp, ops):
-//!   `u32 n_headers`, `n_headers` header keys, `n_headers + 1` cumulative
-//!   offsets into the vector column, `u32 n_vector`, `n_vector` vector
-//!   keys and — mirror orderings only — `n_vector` list references.
-//!   When present, [`load_frozen`] is query-ready on read.
+//!   `u32 n_headers`, `n_headers` `u32` header keys, `n_headers + 1`
+//!   cumulative offsets into the vector column, `u32 n_vector`,
+//!   `n_vector` vector keys and — mirror orderings only — `n_vector` list
+//!   references. From v6 the offsets, vector keys and list references are
+//!   each a packed column: a `u32` width `w` (at most 32), zero bytes up
+//!   to the next 8-byte file offset, then `8·(⌈n·w / 64⌉ + 1)` bytes
+//!   (none when `w` is 0) holding value `i` at bits `i·w .. i·w + w`, the
+//!   last word zero ([`crate::packed`]); before v6 they are `u32`s. When
+//!   present, [`load_frozen`] is query-ready on read.
 //! - **`FRZC`** (v2+) — the same slabs varint-delta compressed
 //!   ([`crate::compress`]): `u64 n_triples`, `u64 payload_len`,
 //!   `u32` FNV-1a checksum of the payload, then the payload — per arena
@@ -115,11 +125,13 @@
 //! `u32` offsets bound a single string arena and a single slab column at
 //! 2^32 entries, an arena's overflow column at 2^31 — far above the
 //! paper's 61M-triple ceiling and identical to the [`hex_dict::Id`] width
-//! everywhere else.
+//! everywhere else; a packed value is at most 32 bits wide for the same
+//! reason.
 
 use crate::advisor::IndexKind;
 use crate::frozen::{FrozenHexastore, FrozenIndex};
 use crate::graph::GraphStore;
+use crate::packed::{bytes_for, PackedColumn, PackedView, MAX_WIDTH};
 use crate::pattern::IdPattern;
 use crate::slab::FlatArena;
 use crate::traits::TripleStore;
@@ -133,7 +145,7 @@ use std::path::Path;
 pub const MAGIC: [u8; 8] = *b"hexsnap\0";
 
 /// The current format version. [`Reader`] accepts `1..=VERSION`.
-pub const VERSION: u32 = 5;
+pub const VERSION: u32 = 6;
 
 /// Triples per chunk in the `TRPL` section (~768 KiB of ids).
 const TRIPLE_CHUNK: usize = 64 * 1024;
@@ -423,15 +435,29 @@ impl<W: Write + Seek> Writer<W> {
         }
     }
 
+    /// Zero bytes up to the next 8-byte file offset.
+    fn pad_to_8(&mut self) -> Result<()> {
+        let pos = self.w.stream_position()?;
+        self.w.write_all(&[0u8; 7][..padding_to_8(pos)])?;
+        Ok(())
+    }
+
+    /// Writes one packed column: its `u32` width, zero padding to the next
+    /// 8-byte file offset, then its words.
+    fn packed(&mut self, column: PackedView<'_>) -> Result<()> {
+        w_u32(&mut self.w, column.width())?;
+        self.pad_to_8()?;
+        self.w.write_all(column.bytes())?;
+        Ok(())
+    }
+
     /// Writes the `FROZ` section: the store's slabs as raw columns.
     fn frozen_raw(&mut self, store: &FrozenHexastore) -> Result<()> {
-        // The stream is padded to a 4-byte boundary *between* sections
+        // The stream is padded to an 8-byte boundary *between* sections
         // before FROZ begins — the table addresses sections explicitly, so
         // the gap is invisible to every reader, and the aligned start is
         // what lets hex-disk reinterpret mapped columns in place.
-        let pos = self.w.stream_position()?;
-        let pad = (4 - (pos % 4) as usize) % 4;
-        self.w.write_all(&[0u8; 3][..pad])?;
+        self.pad_to_8()?;
         let count = |n: usize, what: &str| {
             u32::try_from(n).map_err(|_| Error::Corrupt(format!("2^32 {what}")))
         };
@@ -448,11 +474,11 @@ impl<W: Write + Seek> Writer<W> {
         for ix in store.orderings() {
             w_u32(&mut self.w, count(ix.keys.len(), "headers")?)?;
             w_u32_run(&mut self.w, ix.keys.iter().map(|id| id.0))?;
-            w_u32_run(&mut self.w, ix.offs.iter().copied())?;
+            self.packed(ix.offs.view())?;
             w_u32(&mut self.w, count(ix.k2.len(), "vector entries")?)?;
-            w_u32_run(&mut self.w, ix.k2.iter().map(|id| id.0))?;
-            if ix.lists.is_some() {
-                w_u32_run(&mut self.w, (0..ix.k2.len()).map(|i| ix.list_of(i)))?;
+            self.packed(ix.k2.view())?;
+            if let Some(lists) = &ix.lists {
+                self.packed(lists.view())?;
             }
         }
         self.end_section(TAG_FROZ, start)
@@ -529,11 +555,41 @@ pub enum DictColumns {
     },
 }
 
+/// Where one bit-packed column of a `FROZ` section lies (v6): `len`
+/// values of `width` bits in [`crate::packed::bytes_for`] bytes starting
+/// on an 8-byte file offset ([`crate::packed`] has the encoding).
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub struct Packed {
+    /// File offset of the first byte.
+    pub offset: usize,
+    /// Bits per value, at most 32.
+    pub width: u32,
+    /// Number of values.
+    pub len: usize,
+}
+
+impl Packed {
+    /// Number of bytes the column takes.
+    pub fn bytes(&self) -> usize {
+        bytes_for(self.len, self.width).expect("bounded by its section when located")
+    }
+}
+
+/// An integer column of a `FROZ` ordering: plain `u32`s before v6,
+/// bit-packed from v6 on.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub enum Ints {
+    /// One `u32` per value.
+    U32(Column),
+    /// Values bit-packed at the column's width.
+    Packed(Packed),
+}
+
 /// How a `FROZ` level stores its windows.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum Windows {
-    /// `n + 1` cumulative `u32` offsets (v3 and later).
-    Offsets(Column),
+    /// `n + 1` cumulative offsets (v3 and later; packed from v6).
+    Offsets(Ints),
     /// `n` `(offset, length)` pairs, `2n` `u32`s (before v3).
     Pairs(Column),
 }
@@ -566,10 +622,10 @@ pub struct OrderingColumns {
     /// Each header's window into the vector keys.
     pub windows: Windows,
     /// The vector keys.
-    pub k2: Column,
+    pub k2: Ints,
     /// The list references: mirror orderings only from v3 on, every
     /// ordering before.
-    pub lists: Option<Column>,
+    pub lists: Option<Ints>,
     /// Index into [`FrozenColumns::arenas`] of the arena holding this
     /// ordering's lists.
     pub arena: usize,
@@ -626,6 +682,31 @@ impl<R: Read + Seek> Walk<'_, R> {
 
     fn count64(&mut self, what: &str) -> Result<u64> {
         Ok(r_u64(self.field(8, what)?)?)
+    }
+
+    /// Steps over the zero padding up to the next 8-byte file offset.
+    fn align_8(&mut self, what: &str) -> Result<()> {
+        self.take(Some(padding_to_8(self.pos) as u64), what).map(drop)
+    }
+
+    /// Steps over an integer column of `len` values: `len` `u32`s before
+    /// v6; from v6 a `u32` width (at most 32), padding to an 8-byte file
+    /// offset and the packed words.
+    fn ints(&mut self, packed: bool, len: u64, what: &str) -> Result<Ints> {
+        if !packed {
+            return Ok(Ints::U32(self.column(len, 4, what)?));
+        }
+        let width = self.count32(what)?;
+        if width > u64::from(MAX_WIDTH) {
+            return corrupt(format!("{what} is {width} bits wide, above {MAX_WIDTH}"));
+        }
+        self.align_8(what)?;
+        let len =
+            usize::try_from(len).map_err(|_| Error::Corrupt(format!("{what} overflows usize")))?;
+        let width = width as u32;
+        let bytes = bytes_for(len, width).map_or(u64::MAX, |bytes| bytes as u64);
+        let Column { offset, .. } = self.column(bytes, 1, what)?;
+        Ok(Ints::Packed(Packed { offset, width, len }))
     }
 
     /// Steps over a column of `len` elements, `width` bytes each.
@@ -777,17 +858,20 @@ impl<R: Read + Seek> Reader<R> {
     /// that declares other than one item per triple is refused. This is the
     /// one place that knows how the section changed between versions:
     /// windows are `(offset, length)` pairs and every ordering keeps list
-    /// references before v3, and an arena is windows over an item column
-    /// before v4.
+    /// references before v3, an arena is windows over an item column
+    /// before v4, and an ordering's offsets, vector keys and list
+    /// references are `u32`s before v6 ([`Ints::U32`]) and packed from v6
+    /// on ([`Ints::Packed`], its width checked to be at most 32).
     pub fn frozen_columns(&mut self) -> Result<FrozenColumns> {
         let pairs = spells_out_derivables(self.version);
         let item_arenas = self.version < 4;
+        let packed = self.version >= 6;
         let mut walk = self.walk(TAG_FROZ)?;
         let windows = |walk: &mut Walk<'_, R>, n: u64, what: &str| -> Result<Windows> {
             Ok(if pairs {
                 Windows::Pairs(walk.column(2 * n, 4, what)?)
             } else {
-                Windows::Offsets(walk.column(n + 1, 4, what)?)
+                Windows::Offsets(walk.ints(packed, n + 1, what)?)
             })
         };
         let triples = walk.count64("triple count")?;
@@ -818,9 +902,9 @@ impl<R: Read + Seek> Reader<R> {
             let keys = walk.column(headers, 4, "ordering key column")?;
             let windows = windows(&mut walk, headers, "ordering offsets column")?;
             let vector = walk.count32("ordering vector count")?;
-            let k2 = walk.column(vector, 4, "ordering vector column")?;
+            let k2 = walk.ints(packed, vector, "ordering vector column")?;
             let lists = if pairs || kind.is_mirror() {
-                Some(walk.column(vector, 4, "ordering list column")?)
+                Some(walk.ints(packed, vector, "ordering list column")?)
             } else {
                 None
             };
@@ -852,12 +936,36 @@ impl<R: Read + Seek> Reader<R> {
         Ok(self.u32s(col)?.into_iter().map(Id).collect())
     }
 
+    /// Reads an integer column as a packed column: a v6 image is adopted
+    /// once it is shown canonical, an older `u32` column is packed.
+    fn packed(&mut self, ints: Ints, what: &str) -> Result<PackedColumn> {
+        match ints {
+            Ints::U32(col) => Ok(PackedColumn::from_values(&self.u32s(col)?)),
+            Ints::Packed(col) => {
+                let bytes = self.bytes(Column { offset: col.offset, len: col.bytes() })?;
+                PackedColumn::from_bytes(bytes, col.width, col.len)
+                    .map_err(|e| Error::Corrupt(format!("{what}: {e}")))
+            }
+        }
+    }
+
     /// Reads a level's windows as a cumulative offsets column.
     fn windows(&mut self, windows: Windows) -> Result<Vec<u32>> {
         match windows {
-            Windows::Offsets(col) => self.u32s(col),
+            Windows::Offsets(Ints::U32(col)) => self.u32s(col),
+            Windows::Offsets(packed) => {
+                Ok(self.packed(packed, "offsets column")?.values().collect())
+            }
             Windows::Pairs(col) => offsets_from_pairs(&self.u32s(col)?)
                 .ok_or_else(|| Error::Corrupt("spans do not tile their column".into())),
+        }
+    }
+
+    /// Reads an ordering's windows as its packed offsets column.
+    fn offsets(&mut self, windows: Windows) -> Result<PackedColumn> {
+        match windows {
+            Windows::Offsets(ints) => self.packed(ints, "ordering offsets column"),
+            pairs => Ok(PackedColumn::from_values(&self.windows(pairs)?)),
         }
     }
 
@@ -1011,9 +1119,10 @@ impl<R: Read + Seek> Reader<R> {
         let mut orderings = Vec::with_capacity(6);
         for (kind, cols) in IndexKind::ALL.into_iter().zip(columns.orderings) {
             let keys = self.ids(cols.keys)?;
-            let offs = self.windows(cols.windows)?;
-            let k2 = self.ids(cols.k2)?;
-            let refs = cols.lists.map(|lists| self.u32s(lists)).transpose()?;
+            let offs = self.offsets(cols.windows)?;
+            let k2 = self.packed(cols.k2, "ordering vector column")?;
+            let refs =
+                cols.lists.map(|lists| self.packed(lists, "ordering list column")).transpose()?;
             let arena_lists = arenas[cols.arena].list_count();
             match FrozenIndex::from_raw_parts(keys, offs, k2, kept_refs(refs, kind)?, arena_lists) {
                 Some(ix) => orderings.push(ix),
@@ -1090,6 +1199,7 @@ impl<R: Read + Seek> Reader<R> {
                     return corrupt("ordering vector group does not decode");
                 }
             }
+            let (offs, k2) = (PackedColumn::from_values(&offs), pack_ids(&k2));
             let refs = if legacy || kind.is_mirror() {
                 let mut refs = Vec::with_capacity(m);
                 for _ in 0..m {
@@ -1098,7 +1208,7 @@ impl<R: Read + Seek> Reader<R> {
                     };
                     refs.push(l);
                 }
-                Some(refs)
+                Some(PackedColumn::from_values(&refs))
             } else {
                 None
             };
@@ -1170,14 +1280,21 @@ fn offsets_from_pairs(pairs: &[u32]) -> Option<Vec<u32>> {
     Some(offs)
 }
 
+/// The packed column of an id run.
+fn pack_ids(ids: &[Id]) -> PackedColumn {
+    let mut column = PackedColumn::with_capacity(ids.len(), ids.iter().max().map_or(0, |id| id.0));
+    ids.iter().for_each(|id| column.push(id.0));
+    column
+}
+
 /// What ordering `kind` keeps of the list references read for it: a
 /// mirror keeps them all; a primary keeps none — v3 stores none for it,
 /// and the ones a pre-v3 file stored must be the identity.
-fn kept_refs(read: Option<Vec<u32>>, kind: IndexKind) -> Result<Option<Vec<u32>>> {
+fn kept_refs(read: Option<PackedColumn>, kind: IndexKind) -> Result<Option<PackedColumn>> {
     if kind.is_mirror() {
         return Ok(read);
     }
-    if read.is_some_and(|refs| refs.iter().enumerate().any(|(i, &l)| l as usize != i)) {
+    if read.is_some_and(|refs| refs.values().enumerate().any(|(i, l)| l as usize != i)) {
         return corrupt("a primary ordering's list references are not the identity");
     }
     Ok(None)
@@ -1186,7 +1303,9 @@ fn kept_refs(read: Option<Vec<u32>>, kind: IndexKind) -> Result<Option<Vec<u32>>
 /// Encodes a store's slabs as the `FRZC` varint payload — the writer
 /// half of [`Reader::frozen_compressed`].
 fn encode_frozen_payload(store: &FrozenHexastore) -> Vec<u8> {
-    use crate::compress::{encode_arena, encode_offsets, encode_sorted_run, put_uvarint};
+    use crate::compress::{
+        encode_arena, encode_ascending, encode_offsets, encode_sorted_run, put_uvarint,
+    };
     let mut p = Vec::new();
     for arena in store.arenas() {
         put_uvarint(&mut p, arena.list_count() as u64);
@@ -1196,15 +1315,13 @@ fn encode_frozen_payload(store: &FrozenHexastore) -> Vec<u8> {
     for ix in store.orderings() {
         put_uvarint(&mut p, ix.keys.len() as u64);
         put_uvarint(&mut p, ix.k2.len() as u64);
-        encode_offsets(&mut p, &ix.offs);
+        encode_offsets(&mut p, ix.offs.values());
         encode_sorted_run(&mut p, &ix.keys);
         for (_, leaves) in ix.groups() {
-            encode_sorted_run(&mut p, &ix.k2[leaves]);
+            encode_ascending(&mut p, ix.k2.view().iter(leaves));
         }
-        if ix.lists.is_some() {
-            for i in 0..ix.k2.len() {
-                put_uvarint(&mut p, u64::from(ix.list_of(i)));
-            }
+        if let Some(lists) = &ix.lists {
+            lists.values().for_each(|l| put_uvarint(&mut p, u64::from(l)));
         }
     }
     p
@@ -1236,6 +1353,11 @@ fn assemble_frozen(
     Ok(FrozenHexastore::from_raw_parts(orderings, arenas, len))
 }
 
+/// Zero bytes from file offset `pos` to the next multiple of 8.
+fn padding_to_8(pos: u64) -> usize {
+    (pos.wrapping_neg() % 8) as usize
+}
+
 fn tag_name(tag: [u8; 4]) -> String {
     String::from_utf8_lossy(&tag).into_owned()
 }
@@ -1249,15 +1371,17 @@ fn pair_consistent(primary: &FrozenIndex, mirror: &FrozenIndex, lists: usize) ->
     if primary.lists.is_some() || primary.k2.len() != lists || mirror.k2.len() != lists {
         return false;
     }
-    let mut owner_k1 = vec![Id(0); lists];
+    // Each list's primary `(k1, k2)`, decoded once in leaf order.
+    let mut owner = Vec::with_capacity(lists);
     for (k1, leaves) in primary.groups() {
-        owner_k1[leaves].fill(k1);
+        owner.extend(primary.k2.view().iter(leaves).map(|k2| (k1, Id(k2))));
     }
     let mut seen = vec![false; lists];
+    let view = mirror.view();
     for (k2, leaves) in mirror.groups() {
-        for i in leaves {
-            let l = mirror.list_of(i) as usize;
-            if seen[l] || (owner_k1[l], primary.k2[l]) != (mirror.k2[i], k2) {
+        for (k1, l) in view.leaves(leaves) {
+            let l = l as usize;
+            if seen[l] || owner[l] != (k1, k2) {
                 return false;
             }
             seen[l] = true;
@@ -1536,9 +1660,21 @@ mod tests {
         // The break-even rule, on the bytes: against v3's offsets column,
         // a slot arena saves four bytes per singleton list and pays four
         // per longer one (its length word); the overflow count takes the
-        // place of the closing offset.
-        let (_, frozen, v3_len, v4) = with_resave("v3_small.hexsnap");
-        let (_, v4_len) = Reader::new(Cursor::new(&v4)).unwrap().extent(TAG_FROZ).unwrap();
+        // place of the closing offset. (The re-save is the current
+        // version, whose arenas are v4's.)
+        let (v3, frozen, _, resaved) = with_resave("v3_small.hexsnap");
+        let arena_bytes = |file: &[u8]| -> u64 {
+            let columns = Reader::new(Cursor::new(file)).unwrap().frozen_columns().unwrap();
+            let words = columns.arenas.iter().map(|arena| match *arena {
+                ArenaColumns::Slots { slots, over } => 1 + slots.len + over.len,
+                ArenaColumns::Items { windows: Windows::Offsets(Ints::U32(offs)), items } => {
+                    offs.len + items.len
+                }
+                _ => unreachable!("a v3 or later arena"),
+            });
+            4 * words.sum::<usize>() as u64
+        };
+        let (v3_len, v4_len) = (arena_bytes(&v3), arena_bytes(&resaved));
         // The lists of the three arenas: one per (s, p), (s, o), (p, o).
         let mut lens = std::collections::BTreeMap::<_, u64>::new();
         for t in frozen.matching(IdPattern::ALL) {
@@ -1562,19 +1698,28 @@ mod tests {
         assert_eq!(offsets_from_pairs(&[0, u32::MAX, u32::MAX, 1]), None, "overflow");
         // Primary references other than the identity are corrupt; a
         // mirror's are kept as read.
-        assert!(matches!(kept_refs(Some(vec![0, 1, 2]), IndexKind::Spo), Ok(None)));
+        let refs = |values: &[u32]| Some(PackedColumn::from_values(values));
+        assert!(matches!(kept_refs(refs(&[0, 1, 2]), IndexKind::Spo), Ok(None)));
         assert!(matches!(kept_refs(None, IndexKind::Pos), Ok(None)));
-        assert!(matches!(kept_refs(Some(vec![0, 2, 1]), IndexKind::Sop), Err(Error::Corrupt(_))));
-        assert_eq!(kept_refs(Some(vec![1, 0]), IndexKind::Pso).unwrap(), Some(vec![1, 0]));
+        assert!(matches!(kept_refs(refs(&[0, 2, 1]), IndexKind::Sop), Err(Error::Corrupt(_))));
+        assert_eq!(kept_refs(refs(&[1, 0]), IndexKind::Pso).unwrap(), refs(&[1, 0]));
     }
 
     #[test]
     fn frozen_section_is_four_byte_aligned() {
+        // Eight-byte aligned since v6, and so is every packed column.
         let bytes = snapshot_bytes(true);
         let mut r = Reader::new(Cursor::new(&bytes)).unwrap();
         assert_eq!(r.version(), VERSION);
         let (off, _) = r.frozen_section_extent().expect("raw FROZ section present");
-        assert_eq!(off % 4, 0, "FROZ section must start 4-byte aligned");
+        assert_eq!(off % 8, 0, "FROZ section must start 8-byte aligned");
+        for ix in r.frozen_columns().unwrap().orderings {
+            let Windows::Offsets(offs) = ix.windows else { panic!("v3 or later windows") };
+            for ints in [offs, ix.k2].into_iter().chain(ix.lists) {
+                let Ints::Packed(col) = ints else { panic!("v6 packs {ints:?}") };
+                assert_eq!(col.offset % 8, 0, "{col:?}");
+            }
+        }
         assert_eq!(r.frozen().unwrap(), sample_dict_and_store().1);
     }
 
@@ -1677,8 +1822,8 @@ mod tests {
             }
             ix
         };
-        let primary = build(FrozenIndex::primary(2, 2), [(1, 2, 0), (3, 4, 1)]);
-        let mirror = |leaves| build(FrozenIndex::mirror(2, 2), leaves);
+        let primary = build(FrozenIndex::primary(2, 2, Id(4)), [(1, 2, 0), (3, 4, 1)]);
+        let mirror = |leaves| build(FrozenIndex::mirror(2, 2, Id(4)), leaves);
         assert!(pair_consistent(&primary, &mirror([(2, 1, 0), (4, 3, 1)]), 2));
         // Mirror referencing the wrong list per key pair is rejected.
         assert!(!pair_consistent(&primary, &mirror([(2, 1, 1), (4, 3, 0)]), 2));

@@ -43,6 +43,7 @@
 //! |--------|----------|
 //! | [`sorted`] | linear-time merge-join primitives on sorted id sets |
 //! | [`slab`] | flat terminal-list storage: a slot per list plus an overflow column ([`FlatArena`]) |
+//! | [`packed`] | bit-packed index-level columns: offsets, vector keys and mirror list references at the width their largest value needs ([`PackedColumn`], [`PackedView`]) |
 //! | [`frozen`] | [`FrozenHexastore`]: the six orderings over [`hex_dict::IdTriple`]s as slabs, paired orderings sharing lists; built once from a batch, read-only |
 //! | [`store`] | [`SpaceStats`], and [`Hexastore`], the figures' name for [`FrozenHexastore`] |
 //! | [`advisor`] | §6 index selection: the orderings a workload needs ([`recommend`]) |
@@ -68,6 +69,7 @@ pub mod frozen;
 pub mod graph;
 pub mod hexsnap;
 pub mod overlay;
+pub mod packed;
 pub mod partial;
 pub mod pattern;
 pub mod slab;
@@ -83,6 +85,7 @@ pub use graph::{
     Dataset, FrozenGraphStore, GraphStore, LiveGraphStore, PartialGraphStore, SnapshotHandle,
 };
 pub use overlay::OverlayHexastore;
+pub use packed::{PackedColumn, PackedView};
 pub use partial::PartialHexastore;
 pub use pattern::{IdPattern, Shape};
 pub use slab::FlatArena;

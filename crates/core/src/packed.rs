@@ -1,0 +1,508 @@
+//! Bit-packed integer columns: the encoding of every index-level column
+//! that is only indexed, or searched within one header's window.
+//!
+//! A frozen ordering's offsets, its vector keys (`k2`) and a mirror
+//! ordering's list references never need all of a `u32`: vector keys are
+//! term ids below the dictionary's size, offsets and references are
+//! below the ordering's leaf count. A [`PackedColumn`] stores each value
+//! in `w` bits, `w` the bit length of the column's largest value, so on
+//! a dataset of 107k terms a vector key takes 17 bits instead of 32.
+//!
+//! Value `i` occupies bits `i·w .. i·w + w` of a little-endian bit stream:
+//! bit `b` is bit `b % 8` of byte `b / 8`. The stream is padded with zero
+//! bits to a whole number of 64-bit words and followed by one more zero
+//! word, `8·(⌈len·w / 64⌉ + 1)` bytes (none for a column of width 0), so a
+//! column has one image and equal columns are equal bytes. The same bytes
+//! are the `hexsnap` v6 `FROZ` columns, which `hex-disk` maps in place;
+//! [`PackedView`] is the one reader of both.
+//!
+//! A read is one unaligned 8-byte load, a shift and a mask: a value of at
+//! most 32 bits starts in some byte at a bit offset below 8, so it lies in
+//! the 8 bytes from there, and the trailing zero word keeps those 8 bytes
+//! inside the column for the last value too.
+//!
+//! Two kinds of column stay plain `u32`: header keys, the only column
+//! binary-searched over its full length, where a packed search pays a
+//! shift and a mask per probe on every level; and the terminal-list
+//! arenas, which hand out their lists as zero-copy `&[Id]` slices.
+
+use std::ops::Range;
+
+/// The widest value a packed column holds, in bits.
+pub const MAX_WIDTH: u32 = 32;
+
+/// The window length at which [`PackedView::search`] stops halving and
+/// counts.
+const LINEAR: usize = 16;
+
+/// Why a packed image is not the one canonical image of its values —
+/// each a different way a corrupt or hand-built column can be wrong.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum PackedError {
+    /// The declared width is above [`MAX_WIDTH`].
+    WidthAbove32(u32),
+    /// The bytes are not the `8·⌈len·width / 64⌉` the length needs.
+    WrongByteLength {
+        /// Bytes a column of this length and width takes.
+        expected: usize,
+        /// Bytes the image has.
+        found: usize,
+    },
+    /// A bit past the last value is set.
+    BitsPastEnd,
+    /// A value needs more bits than the column's width.
+    ValueTooWide {
+        /// The value.
+        value: u32,
+        /// The column's width.
+        width: u32,
+    },
+    /// The width is wider than the column's largest value needs.
+    WidthNotTight {
+        /// The declared width.
+        width: u32,
+        /// The bit length of the largest value.
+        needed: u32,
+    },
+    /// An owned column of 2^32 values or more.
+    TooLong(usize),
+}
+
+impl std::fmt::Display for PackedError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match *self {
+            PackedError::WidthAbove32(w) => write!(f, "packed width {w} is above {MAX_WIDTH}"),
+            PackedError::WrongByteLength { expected, found } => {
+                write!(f, "packed column is {found} bytes where its length needs {expected}")
+            }
+            PackedError::BitsPastEnd => write!(f, "packed column has bits set past its end"),
+            PackedError::ValueTooWide { value, width } => {
+                write!(f, "value {value} does not fit a {width}-bit packed column")
+            }
+            PackedError::WidthNotTight { width, needed } => {
+                write!(f, "packed width {width} is wider than the {needed} bits its values need")
+            }
+            PackedError::TooLong(len) => write!(f, "a packed column of {len} values"),
+        }
+    }
+}
+
+impl std::error::Error for PackedError {}
+
+/// The bit length of `max`: the width of a column whose largest value it
+/// is (0 for a column of zeros).
+#[inline]
+pub fn width_of(max: u32) -> u32 {
+    u32::BITS - max.leading_zeros()
+}
+
+/// The bytes a column of `len` values of `width` bits takes — the whole
+/// 64-bit words its bits need and one zero word after them — or `None`
+/// when that overflows `usize`. A column of width 0 takes none.
+#[inline]
+pub fn bytes_for(len: usize, width: u32) -> Option<usize> {
+    if width == 0 {
+        return Some(0);
+    }
+    len.checked_mul(width as usize)?.div_ceil(64).checked_add(1)?.checked_mul(8)
+}
+
+/// What a column of width 0 reads: all its values are 0 and it has no
+/// bytes of its own.
+const ZERO_WORD: &[u8] = &[0; 8];
+
+/// The 8 bytes from byte `at`, little-endian.
+#[inline(always)]
+fn load(bytes: &[u8], at: usize) -> u64 {
+    u64::from_le_bytes(bytes[at..at + 8].try_into().expect("8 bytes"))
+}
+
+/// The value at bit `bit` of `bytes`, masked to `mask`: one load, a shift
+/// and a mask, and no branch, so a search over it stays branch-free.
+///
+/// `bit` must start a value of the column, which every caller guarantees
+/// by construction: a view's bytes are exactly the ones its length and
+/// width need ([`PackedView::new`]) — the trailing zero word included, so
+/// the 8 bytes from any value's first byte are inside them — reads stay
+/// below its length, and a column of width 0 reads [`ZERO_WORD`].
+#[inline(always)]
+fn extract(bytes: &[u8], bit: usize, mask: u64) -> u32 {
+    ((load(bytes, bit / 8) >> (bit % 8)) & mask) as u32
+}
+
+/// The mask of a `width`-bit value.
+#[inline]
+fn mask_of(width: u32) -> u64 {
+    (1u64 << width) - 1
+}
+
+/// A borrowed packed column — owned by a [`PackedColumn`] or mapped from
+/// a `hexsnap` file. `Copy`, so cursor closures own it outright.
+///
+/// Reads never panic: an index past the column reads as 0, and a window
+/// is clamped to it. In-memory columns are validated when built; a
+/// mapped one may change under a reader and must only ever give a wrong
+/// answer.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct PackedView<'a> {
+    bytes: &'a [u8],
+    width: u32,
+    len: usize,
+}
+
+impl<'a> PackedView<'a> {
+    /// The empty column.
+    pub const EMPTY: PackedView<'static> = PackedView { bytes: &[], width: 0, len: 0 };
+
+    /// A view of `len` values of `width` bits in `bytes`. Checks only what
+    /// reading needs and touches no byte: the width is at most
+    /// [`MAX_WIDTH`] and `bytes` holds exactly the whole words the values
+    /// take and the zero word after them ([`bytes_for`]). [`PackedView::validate`] checks the rest of
+    /// what makes an image canonical.
+    pub fn new(bytes: &'a [u8], width: u32, len: usize) -> Result<Self, PackedError> {
+        if width > MAX_WIDTH {
+            return Err(PackedError::WidthAbove32(width));
+        }
+        let expected = bytes_for(len, width).unwrap_or(usize::MAX);
+        if bytes.len() != expected {
+            return Err(PackedError::WrongByteLength { expected, found: bytes.len() });
+        }
+        Ok(PackedView { bytes, width, len })
+    }
+
+    /// Number of values.
+    #[inline]
+    pub fn len(self) -> usize {
+        self.len
+    }
+
+    /// True when the column holds no value.
+    #[inline]
+    pub fn is_empty(self) -> bool {
+        self.len == 0
+    }
+
+    /// Bits per value.
+    #[inline]
+    pub fn width(self) -> u32 {
+        self.width
+    }
+
+    /// The packed image: the little-endian bit stream, whole words, then
+    /// the zero word.
+    pub fn bytes(self) -> &'a [u8] {
+        self.bytes
+    }
+
+    /// The bytes reads go through: the column's own, or [`ZERO_WORD`] for
+    /// a column of width 0, which has none.
+    #[inline]
+    fn readable(self) -> &'a [u8] {
+        if self.bytes.is_empty() {
+            ZERO_WORD
+        } else {
+            self.bytes
+        }
+    }
+
+    /// Value `i`; 0 past the end.
+    #[inline]
+    pub fn get(self, i: usize) -> u32 {
+        if i >= self.len {
+            return 0;
+        }
+        extract(self.readable(), i * self.width as usize, mask_of(self.width))
+    }
+
+    /// The window `range`, clamped to the column: an end past it is cut
+    /// to it, and a start past the end is the end.
+    #[inline]
+    fn clamp(self, range: Range<usize>) -> Range<usize> {
+        let end = range.end.min(self.len);
+        range.start.min(end)..end
+    }
+
+    /// The values of `range` in order, decoded sequentially (clamped like
+    /// every read).
+    #[inline]
+    pub fn iter(self, range: Range<usize>) -> Iter<'a> {
+        let range = self.clamp(range);
+        Iter {
+            bytes: self.readable(),
+            width: self.width as usize,
+            mask: mask_of(self.width),
+            bit: range.start * self.width as usize,
+            left: range.len(),
+        }
+    }
+
+    /// Every value in order.
+    pub fn values(self) -> Iter<'a> {
+        self.iter(0..self.len)
+    }
+
+    /// Searches `x` in the values of `window`, which must be strictly
+    /// ascending there: `Ok(i)` when value `window.start + i` is `x`, else
+    /// `Err(i)` where inserting `x` at `window.start + i` keeps the window
+    /// sorted — what `slice::binary_search` returns on the window's
+    /// values. The window is clamped to the column.
+    ///
+    /// Branch-free: it halves the window until at most 16 values are
+    /// left, then counts those below `x`. Each halving is a chain of
+    /// dependent loads and shifts, so a short window is cheaper to decode
+    /// whole than to keep halving.
+    #[inline]
+    pub fn search(self, window: Range<usize>, x: u32) -> Result<usize, usize> {
+        let window = self.clamp(window);
+        let (bytes, width, mask) = (self.readable(), self.width as usize, mask_of(self.width));
+        let (mut base, mut size) = (window.start, window.len());
+        // Values before `base` are below `x`, values from `base + size`
+        // on above it.
+        while size > LINEAR {
+            let half = size / 2;
+            // Move to the probe unless it is past `x`, as arithmetic: a
+            // branch here would be mispredicted at every other level, and
+            // the opaque mask keeps the compiler from making it one.
+            let take =
+                std::hint::black_box(usize::from(extract(bytes, (base + half) * width, mask) <= x))
+                    .wrapping_neg();
+            base += half & take;
+            size -= half;
+        }
+        let below: usize = self.iter(base..base + size).map(|v| usize::from(v < x)).sum();
+        let at = base + below;
+        if below < size && extract(bytes, at * width, mask) == x {
+            Ok(at - window.start)
+        } else {
+            Err(at - window.start)
+        }
+    }
+
+    /// The largest value, or `None` for an empty column.
+    fn max(self) -> Option<u32> {
+        self.values().max()
+    }
+
+    /// Checks what [`PackedView::new`] leaves to the reader: no bit is set
+    /// past the last value, and the width is the bit length of the largest
+    /// value — so the image is the one [`PackedColumn::from_values`] makes
+    /// of these values. The second check stops at the first value with the
+    /// width's top bit set.
+    pub fn validate(self) -> Result<(), PackedError> {
+        let used = self.len * self.width as usize;
+        let (full, rest) = (used / 8, used % 8);
+        let partial = self.bytes.get(full).map_or(0, |&b| b >> rest);
+        if partial != 0 || self.bytes.iter().skip(full + 1).any(|&b| b != 0) {
+            return Err(PackedError::BitsPastEnd);
+        }
+        // Every value fits the width, so it is the largest's bit length
+        // unless no value has the width's top bit set.
+        let top = self.width.saturating_sub(1);
+        if self.width > 0 && !self.values().any(|v| v >> top != 0) {
+            let needed = width_of(self.max().unwrap_or(0));
+            return Err(PackedError::WidthNotTight { width: self.width, needed });
+        }
+        Ok(())
+    }
+}
+
+/// The sequential decoder of a window of a [`PackedView`]: one bit
+/// cursor, one load per value.
+#[derive(Clone, Debug)]
+pub struct Iter<'a> {
+    bytes: &'a [u8],
+    width: usize,
+    mask: u64,
+    /// The bit of the next value.
+    bit: usize,
+    /// Values still to decode.
+    left: usize,
+}
+
+impl Iterator for Iter<'_> {
+    type Item = u32;
+
+    #[inline]
+    fn next(&mut self) -> Option<u32> {
+        if self.left == 0 {
+            return None;
+        }
+        self.left -= 1;
+        let v = extract(self.bytes, self.bit, self.mask);
+        self.bit += self.width;
+        Some(v)
+    }
+
+    #[inline]
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        (self.left, Some(self.left))
+    }
+}
+
+impl ExactSizeIterator for Iter<'_> {}
+
+/// An owned packed column: appended once, in final order, then only
+/// read through its [`PackedView`]. At most 2^32 − 1 values, like every
+/// slab column; 32 bytes beside its image.
+#[derive(Clone, Default, PartialEq, Eq)]
+pub struct PackedColumn {
+    bytes: Vec<u8>,
+    width: u32,
+    len: u32,
+}
+
+impl PackedColumn {
+    /// An empty column with exact room for `len` values whose largest is
+    /// `max` — what a builder that counted first knows. Appending those
+    /// values never reallocates, and the column is then canonical.
+    ///
+    /// # Panics
+    ///
+    /// If `len` is 2^32 or more.
+    pub fn with_capacity(len: usize, max: u32) -> Self {
+        u32::try_from(len).expect("packed column overflow: 2^32 values");
+        let width = width_of(max);
+        let bytes = bytes_for(len, width).expect("packed column overflows usize");
+        PackedColumn { bytes: Vec::with_capacity(bytes), width, len: 0 }
+    }
+
+    /// Appends one value.
+    ///
+    /// # Panics
+    ///
+    /// If the value needs more bits than the column's width. (Pushing
+    /// past 2^32 − 1 values overflows the length: it panics in debug
+    /// builds, and [`PackedColumn::with_capacity`] refuses such a column.)
+    #[inline]
+    pub fn push(&mut self, value: u32) {
+        let width = self.width as usize;
+        if u64::from(value) >> width != 0 {
+            too_wide(value, self.width);
+        }
+        if width > 0 {
+            // The image grows a zero word at a time, keeping one past the
+            // values. The value's low bits go into the word its first bit
+            // is in, any that do not fit it into the next: whole aligned
+            // words, so each read of a word is of the store before.
+            let bit = self.len as usize * width;
+            let need = (bit + width).div_ceil(64) * 8 + 8;
+            while self.bytes.len() < need {
+                self.bytes.extend_from_slice(&[0; 8]);
+            }
+            let (at, shift) = (bit / 64 * 8, bit % 64);
+            let value = u64::from(value);
+            self.or_word(at, value << shift);
+            if shift + width > 64 {
+                self.or_word(at + 8, value >> (64 - shift));
+            }
+        }
+        self.len += 1;
+    }
+
+    /// ORs `bits` into the word at byte `at`.
+    #[inline]
+    fn or_word(&mut self, at: usize, bits: u64) {
+        let merged = load(&self.bytes, at) | bits;
+        self.bytes[at..at + 8].copy_from_slice(&merged.to_le_bytes());
+    }
+
+    /// The canonical column of `values`: the width of their largest,
+    /// exact-sized.
+    pub fn from_values(values: &[u32]) -> Self {
+        let width = width_of(values.iter().copied().max().unwrap_or(0));
+        PackedColumn::pack(values, width).expect("the width of the largest value fits them all")
+    }
+
+    /// Packs `values` at `width` bits each, which must be their largest
+    /// value's bit length: a width above [`MAX_WIDTH`], one narrower than
+    /// a value needs and one wider than the largest needs are each their
+    /// own [`PackedError`].
+    pub fn pack(values: &[u32], width: u32) -> Result<Self, PackedError> {
+        if width > MAX_WIDTH {
+            return Err(PackedError::WidthAbove32(width));
+        }
+        let max = values.iter().copied().max().unwrap_or(0);
+        if width_of(max) > width {
+            return Err(PackedError::ValueTooWide { value: max, width });
+        }
+        if width_of(max) < width {
+            return Err(PackedError::WidthNotTight { width, needed: width_of(max) });
+        }
+        let mut column = PackedColumn::with_capacity(values.len(), max);
+        values.iter().for_each(|&v| column.push(v));
+        Ok(column)
+    }
+
+    /// Adopts a packed image — `len` values of `width` bits in `bytes` —
+    /// which must be canonical: each way it may not be is its own
+    /// [`PackedError`].
+    pub fn from_bytes(bytes: Vec<u8>, width: u32, len: usize) -> Result<Self, PackedError> {
+        PackedView::new(&bytes, width, len)?.validate()?;
+        let len = u32::try_from(len).map_err(|_| PackedError::TooLong(len))?;
+        Ok(PackedColumn { bytes, width, len })
+    }
+
+    /// The column as the borrowed view every read goes through.
+    #[inline]
+    pub fn view(&self) -> PackedView<'_> {
+        PackedView { bytes: &self.bytes, width: self.width, len: self.len as usize }
+    }
+
+    /// Number of values.
+    pub fn len(&self) -> usize {
+        self.len as usize
+    }
+
+    /// True when the column holds no value.
+    pub fn is_empty(&self) -> bool {
+        self.len == 0
+    }
+
+    /// Bits per value.
+    pub fn width(&self) -> u32 {
+        self.width
+    }
+
+    /// Value `i`; 0 past the end.
+    #[inline]
+    pub fn get(&self, i: usize) -> u32 {
+        self.view().get(i)
+    }
+
+    /// Every value in order.
+    pub fn values(&self) -> Iter<'_> {
+        self.view().values()
+    }
+
+    /// Heap bytes: the capacity of the image.
+    pub fn heap_bytes(&self) -> usize {
+        self.bytes.capacity()
+    }
+}
+
+/// The panic of [`PackedColumn::push`], out of its line.
+#[cold]
+#[inline(never)]
+fn too_wide(value: u32, width: u32) -> ! {
+    panic!("{}", PackedError::ValueTooWide { value, width })
+}
+
+impl std::fmt::Debug for PackedColumn {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("PackedColumn").field("len", &self.len).field("width", &self.width).finish()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    // Reads, windows, searches and images of every width are checked
+    // against a `Vec<u32>` oracle in `tests/packed.rs`.
+
+    #[test]
+    #[should_panic(expected = "does not fit")]
+    fn pushing_a_value_wider_than_the_column_panics() {
+        PackedColumn::with_capacity(2, 7).push(8);
+    }
+}

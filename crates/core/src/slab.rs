@@ -12,8 +12,12 @@
 //!
 //! The frozen index levels (`frozen.rs`) window their vector-key columns
 //! with a cumulative offsets column: entry `i` is where window `i` starts
-//! and entry `i + 1` where it ends, so a length is never stored
-//! (`offsets_tile` is that column's invariant).
+//! and entry `i + 1` where it ends, so a length is never stored. Those
+//! levels — offsets, vector keys, mirror list references — are
+//! bit-packed ([`crate::packed`]); the arenas here are not, because they
+//! hand out their lists as zero-copy `&[Id]` slices. (`offsets_tile` is
+//! the invariant of an offsets column in the `u32` form older snapshots
+//! and the compressed section decode to.)
 //!
 //! Terminal lists are addressed differently, because of what they look
 //! like: on the benchmark's dataset nine lists in ten hold exactly one
@@ -26,9 +30,9 @@
 //! [`FlatArena::push_list`] writes it, [`ArenaView::get`] reads it,
 //! [`ArenaView::validate`] checks it.
 //!
-//! Offsets are `u32` deliberately, mirroring [`hex_dict::Id`]: the
-//! paper's largest experiment is 61M triples, far below the 2^31 words an
-//! overflow position can address.
+//! Slots and overflow words are `u32` deliberately, mirroring
+//! [`hex_dict::Id`]: the paper's largest experiment is 61M triples, far
+//! below the 2^31 words an overflow position can address.
 
 use crate::sorted;
 use hex_dict::Id;

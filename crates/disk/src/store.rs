@@ -6,7 +6,8 @@ use crate::mmap::Mmap;
 use crate::{Error, Result};
 use hex_dict::{Id, IdTriple};
 use hexastore::access::{ArenaView, IndexView, OrderedStore, OrderingRead, SlabOrdering};
-use hexastore::hexsnap::{ArenaColumns, Column, FrozenColumns, Windows};
+use hexastore::hexsnap::{ArenaColumns, Column, FrozenColumns, Ints, Packed, Windows};
+use hexastore::PackedView;
 use hexastore::{IndexKind, IndexSet, StatsSource, TripleStore};
 use std::sync::Arc;
 
@@ -17,16 +18,16 @@ struct ArCols {
     over: Column,
 }
 
-/// Column descriptors of one ordering: header keys and cumulative
-/// offsets, vector keys, — mirror orderings only — terminal-list
-/// references (leaf `i` of a primary ordering is list `i`), and the index
-/// of the arena holding its lists.
+/// Column descriptors of one ordering: header keys and packed cumulative
+/// offsets, packed vector keys, — mirror orderings only — packed
+/// terminal-list references (leaf `i` of a primary ordering is list `i`),
+/// and the index of the arena holding its lists.
 #[derive(Clone, Copy, Debug)]
 struct IxCols {
     keys: Column,
-    offs: Column,
-    k2: Column,
-    lists: Option<Column>,
+    offs: Packed,
+    k2: Packed,
+    lists: Option<Packed>,
     arena: usize,
 }
 
@@ -70,12 +71,17 @@ pub struct MmapFrozenHexastore {
 
 impl MmapFrozenHexastore {
     /// A store over the mapping whose `FROZ` columns `cols` locates. What
-    /// is checked touches no column: the layout is the one v4 introduced,
-    /// and every column is one the casts below may reinterpret
-    /// ([`mapped`]).
+    /// is checked touches no column: the layout is the one v6 introduced
+    /// (slot arenas, bit-packed index levels), every `u32` column is one
+    /// the casts below may reinterpret ([`mapped`]), and every packed one
+    /// lies in the mapping ([`mapped_packed`]).
     pub(crate) fn from_columns(map: &Arc<Mmap>, cols: &FrozenColumns) -> Result<Self> {
         let predates = || Error::Unmappable("the slab columns predate the mappable layout".into());
         let mapped = |col, what| mapped(map, col, what);
+        let packed = |ints, what| match ints {
+            Ints::Packed(col) => mapped_packed(map, col, what),
+            Ints::U32(_) => Err(predates()),
+        };
         let mut arenas = Vec::with_capacity(3);
         for arena in cols.arenas {
             let ArenaColumns::Slots { slots, over } = arena else { return Err(predates()) };
@@ -89,9 +95,9 @@ impl MmapFrozenHexastore {
             let Windows::Offsets(offs) = ix.windows else { return Err(predates()) };
             orderings.push(IxCols {
                 keys: mapped(ix.keys, "ordering key column")?,
-                offs: mapped(offs, "ordering offsets column")?,
-                k2: mapped(ix.k2, "ordering vector column")?,
-                lists: ix.lists.map(|lists| mapped(lists, "ordering list column")).transpose()?,
+                offs: packed(offs, "ordering offsets column")?,
+                k2: packed(ix.k2, "ordering vector column")?,
+                lists: ix.lists.map(|lists| packed(lists, "ordering list column")).transpose()?,
                 arena: ix.arena,
             });
         }
@@ -131,7 +137,7 @@ pub(crate) fn column_bytes(map: &[u8], col: Column, width: usize) -> Option<&[u8
 /// A `u32` column the casts below may reinterpret: inside the mapping and
 /// 4-byte aligned. The walker bounds every column by its section and the
 /// reader the section by the mapping, so the first always holds; the
-/// writer starts the section on a 4-byte file offset and every field is a
+/// writer starts the section on an 8-byte file offset and every field is a
 /// 4-byte multiple, so the second holds for its output and rejects a
 /// hand-built file whose columns would misalign the casts.
 fn mapped(map: &[u8], col: Column, what: &str) -> Result<Column> {
@@ -144,7 +150,26 @@ fn mapped(map: &[u8], col: Column, what: &str) -> Result<Column> {
     Ok(col)
 }
 
+/// A packed column the read path may view in place: inside the mapping.
+/// Its image is bytes, read with unaligned loads, so there is nothing to
+/// cast; the walker has already checked its width. Touches no byte of the
+/// column.
+fn mapped_packed(map: &[u8], col: Packed, what: &str) -> Result<Packed> {
+    match column_bytes(map, Column { offset: col.offset, len: col.bytes() }, 1) {
+        Some(bytes) if PackedView::new(bytes, col.width, col.len).is_ok() => Ok(col),
+        _ => Err(Error::Corrupt(format!("{what} extends past the mapping"))),
+    }
+}
+
 impl MmapFrozenHexastore {
+    /// A packed column's bytes in the mapping, as the view the read path
+    /// walks; the empty column if they do not make one, which
+    /// [`mapped_packed`] ruled out at open.
+    fn packed(&self, col: Packed) -> PackedView<'_> {
+        let bytes = column_bytes(&self.map, Column { offset: col.offset, len: col.bytes() }, 1);
+        bytes.and_then(|bytes| PackedView::new(bytes, col.width, col.len).ok()).unwrap_or_default()
+    }
+
     /// Reinterprets a column as ids.
     fn ids(&self, col: Column) -> &[Id] {
         let bytes = column_bytes(&self.map, col, 4).expect("checked by `mapped` at open");
@@ -156,13 +181,6 @@ impl MmapFrozenHexastore {
         // on little-endian targets, so file order is host order. The
         // mapping lives as long as `self`.
         unsafe { std::slice::from_raw_parts(bytes.as_ptr() as *const Id, col.len) }
-    }
-
-    /// Reinterprets a column as raw `u32`s.
-    fn u32s(&self, col: Column) -> &[u32] {
-        let bytes = column_bytes(&self.map, col, 4).expect("checked by `mapped` at open");
-        // SAFETY: as in `ids`, for plain `u32`s.
-        unsafe { std::slice::from_raw_parts(bytes.as_ptr() as *const u32, col.len) }
     }
 
     /// One arena's columns as the view the shared read path walks.
@@ -217,9 +235,9 @@ impl OrderedStore for MmapFrozenHexastore {
         (
             IndexView {
                 keys: self.ids(ix.keys),
-                offs: self.u32s(ix.offs),
-                k2: self.ids(ix.k2),
-                lists: ix.lists.map(|lists| self.u32s(lists)),
+                offs: self.packed(ix.offs),
+                k2: self.packed(ix.k2),
+                lists: ix.lists.map(|lists| self.packed(lists)),
             },
             self.arena(self.arenas[ix.arena]),
         )

@@ -169,7 +169,8 @@ fn compressed_snapshots_are_refused_with_a_remedy() {
         .unwrap();
     // And the committed compressed files of every version that has them.
     let fixtures =
-        ["v2_small_frzc", "v3_small_frzc", "v4_small_frzc", "v5_small_frzc"].map(committed_fixture);
+        ["v2_small_frzc", "v3_small_frzc", "v4_small_frzc", "v5_small_frzc", "v6_small_frzc"]
+            .map(committed_fixture);
     for path in std::iter::once(&path).chain(&fixtures) {
         let err = hex_disk::open(path).unwrap_err();
         let msg = err.to_string();
@@ -200,7 +201,7 @@ fn assert_refused_by_version(path: &std::path::Path, version: u32) {
 }
 
 /// A committed file from the last build of its version (see hexastore's
-/// `tests/support/mod.rs`), by name: `v{1,2,3,4,5}_small`, `_frzc` when its
+/// `tests/support/mod.rs`), by name: `v{1,2,3,4,5,6}_small`, `_frzc` when its
 /// slabs are compressed.
 fn committed_fixture(name: &str) -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR")).join(format!("../core/tests/data/{name}.hexsnap"))
@@ -218,12 +219,12 @@ fn assert_fixture_is_refused_with_the_upgrade_path(version: u32) {
     std::fs::remove_file(&path).ok();
 }
 
-/// The committed v5 file with its version word set to `version` is
+/// The committed v6 file with its version word set to `version` is
 /// refused as a version-`version` file: the opener refuses by version
-/// before it walks a section, whose v5 columns an older version's walk
+/// before it walks a section, whose v6 columns an older version's walk
 /// would misread — v1's unaligned ones included.
-fn assert_v5_relabelled_is_refused_by_version(version: u32) {
-    let mut bytes = std::fs::read(committed_fixture("v5_small")).unwrap();
+fn assert_v6_relabelled_is_refused_by_version(version: u32) {
+    let mut bytes = std::fs::read(committed_fixture("v6_small")).unwrap();
     bytes[8..12].copy_from_slice(&version.to_le_bytes());
     let path = temp_path(&format!("relabelled-v{version}"));
     std::fs::write(&path, &bytes).unwrap();
@@ -238,7 +239,7 @@ fn pre_v3_files_are_refused_by_version_with_the_upgrade_path() {
     // a v1 writer did not even align the section.
     assert_fixture_is_refused_with_the_upgrade_path(1);
     for version in [1, 2] {
-        assert_v5_relabelled_is_refused_by_version(version);
+        assert_v6_relabelled_is_refused_by_version(version);
     }
 }
 
@@ -252,7 +253,7 @@ fn the_committed_v2_fixture_is_refused_with_the_upgrade_path() {
 fn v3_files_and_the_committed_v3_fixture_are_refused_with_the_upgrade_path() {
     // A v3 file is aligned and stores nothing derivable, but addresses its
     // terminal lists through an offsets column the read path no longer has.
-    assert_v5_relabelled_is_refused_by_version(3);
+    assert_v6_relabelled_is_refused_by_version(3);
     assert_fixture_is_refused_with_the_upgrade_path(3);
 }
 
@@ -260,10 +261,21 @@ fn v3_files_and_the_committed_v3_fixture_are_refused_with_the_upgrade_path() {
 fn v4_files_are_refused_for_their_dictionary_layout_with_the_upgrade_path() {
     // A v4 file's slab columns are v5's; its dictionary stores whole terms
     // where the mapped dictionary adopts prefix-shared columns.
-    assert_v5_relabelled_is_refused_by_version(4);
+    assert_v6_relabelled_is_refused_by_version(4);
     assert_fixture_is_refused_with_the_upgrade_path(4);
     let msg = hex_disk::open(committed_fixture("v4_small")).unwrap_err().to_string();
     assert!(msg.contains("dictionary layout") && !msg.contains("slab"), "{msg}");
+}
+
+#[test]
+fn v5_files_are_refused_for_their_index_level_layout_with_the_upgrade_path() {
+    // A v5 file's dictionary and arenas are v6's; its offsets, vector keys
+    // and list references are whole `u32`s where the mapped index levels
+    // are bit-packed.
+    assert_v6_relabelled_is_refused_by_version(5);
+    assert_fixture_is_refused_with_the_upgrade_path(5);
+    let msg = hex_disk::open(committed_fixture("v5_small")).unwrap_err().to_string();
+    assert!(msg.contains("index levels") && !msg.contains("dictionary"), "{msg}");
 }
 
 #[test]
@@ -357,35 +369,106 @@ fn corrupt_bytes_anywhere_never_panic_the_opener() {
     std::fs::remove_file(&path).ok();
 }
 
-/// File positions of the words that address data in the `FROZ` section,
-/// in the columns [`hexsnap::Reader::frozen_columns`] locates.
+/// A bit-packed column of the `FROZ` section and the file position of
+/// its width field.
+#[derive(Clone, Copy, Debug)]
+struct PackedAt {
+    col: hexsnap::Packed,
+    width_at: usize,
+}
+
+impl PackedAt {
+    /// Bit `bit` of the column's words, as a byte position and a mask.
+    fn bit(self, bit: usize) -> (usize, u8) {
+        (self.col.offset + bit / 8, 1 << (bit % 8))
+    }
+
+    fn get(self, bytes: &[u8], i: usize) -> u32 {
+        let w = self.col.width as usize;
+        (0..w).fold(0, |v, b| {
+            let (at, mask) = self.bit(i * w + b);
+            v | (u32::from(bytes[at] & mask != 0) << b)
+        })
+    }
+
+    /// Writes the low `width` bits of `v` as value `i`.
+    fn set(self, bytes: &mut [u8], i: usize, v: u32) {
+        let w = self.col.width as usize;
+        for b in 0..w {
+            let (at, mask) = self.bit(i * w + b);
+            if v >> b & 1 == 1 {
+                bytes[at] |= mask;
+            } else {
+                bytes[at] &= !mask;
+            }
+        }
+    }
+
+    /// The file positions of the column's bytes.
+    fn bytes(self) -> std::ops::Range<usize> {
+        self.col.offset..self.col.offset + self.col.bytes()
+    }
+}
+
+/// File positions of what addresses data in the `FROZ` section, in the
+/// columns [`hexsnap::Reader::frozen_columns`] locates.
 struct AddressingWords {
-    /// Every entry of the six orderings' cumulative offsets columns.
-    offsets: Vec<usize>,
+    /// The six orderings' packed cumulative offsets columns.
+    offsets: Vec<PackedAt>,
+    /// The six orderings' packed vector-key columns.
+    vector_keys: Vec<PackedAt>,
     /// Every slot of the three arenas.
     slots: Vec<usize>,
     /// Every word of the three arenas' overflow columns.
     overflow: Vec<usize>,
-    /// Every list reference of the three mirror orderings.
-    list_refs: Vec<usize>,
+    /// The three mirror orderings' packed list-reference columns.
+    list_refs: Vec<PackedAt>,
+}
+
+impl AddressingWords {
+    /// Every packed column of the section.
+    fn packed(&self) -> impl Iterator<Item = PackedAt> + '_ {
+        self.offsets.iter().chain(&self.vector_keys).chain(&self.list_refs).copied()
+    }
 }
 
 fn addressing_words(bytes: &[u8]) -> AddressingWords {
-    use hexsnap::{ArenaColumns, Column, Windows};
+    use hexsnap::{ArenaColumns, Column, Ints, Windows};
     let mut reader = hexsnap::Reader::new(std::io::Cursor::new(bytes)).unwrap();
     let columns = reader.frozen_columns().unwrap();
     let words = |col: Column| (0..col.len).map(move |i| col.offset + 4 * i);
-    let mut found =
-        AddressingWords { offsets: vec![], slots: vec![], overflow: vec![], list_refs: vec![] };
+    let packed = |ints| match ints {
+        Ints::Packed(col) => col,
+        Ints::U32(_) => panic!("a v6 packed column"),
+    };
+    let end = |p: PackedAt| p.bytes().end;
+    let mut found = AddressingWords {
+        offsets: vec![],
+        vector_keys: vec![],
+        slots: vec![],
+        overflow: vec![],
+        list_refs: vec![],
+    };
     for arena in columns.arenas {
         let ArenaColumns::Slots { slots, over, .. } = arena else { panic!("a v4 arena") };
         found.slots.extend(words(slots));
         found.overflow.extend(words(over));
     }
+    // Each width field follows what precedes it: the header keys, then
+    // the offsets and the vector count, then the vector keys.
     for ix in columns.orderings {
-        let Windows::Offsets(offs) = ix.windows else { panic!("v4 offsets") };
-        found.offsets.extend(words(offs));
-        found.list_refs.extend(ix.lists.into_iter().flat_map(words));
+        let Windows::Offsets(offs) = ix.windows else { panic!("v3 offsets") };
+        let offs = PackedAt { col: packed(offs), width_at: ix.keys.offset + 4 * ix.keys.len };
+        let k2 = PackedAt { col: packed(ix.k2), width_at: end(offs) + 4 };
+        found.offsets.push(offs);
+        found.vector_keys.push(k2);
+        found
+            .list_refs
+            .extend(ix.lists.map(|lists| PackedAt { col: packed(lists), width_at: end(k2) }));
+    }
+    for p in found.packed() {
+        let width = u32::from_le_bytes(bytes[p.width_at..p.width_at + 4].try_into().unwrap());
+        assert_eq!(width, p.col.width, "the width field of {p:?}");
     }
     found
 }
@@ -411,6 +494,30 @@ fn overwrite_each_word(
     std::fs::write(path, pristine).unwrap();
 }
 
+/// Overwrites each value of each of `columns` in turn with the low bits
+/// of each of `values(old)` and walks every shape of the store, which
+/// must still open: the packed words are data, never read at open.
+fn overwrite_each_value(
+    path: &std::path::Path,
+    pristine: &[u8],
+    columns: &[PackedAt],
+    values: impl Fn(u32) -> Vec<u32>,
+) {
+    let pats = probe_patterns(&hex_disk::open_store(path).unwrap());
+    for &col in columns {
+        for i in 0..col.col.len {
+            for new in values(col.get(pristine, i)) {
+                let mut bytes = pristine.to_vec();
+                col.set(&mut bytes, i, new);
+                std::fs::write(path, &bytes).unwrap();
+                hex_disk::open_store(path).expect("packed words are not read at open");
+                walk_every_shape_if_it_opens(path, &pats);
+            }
+        }
+    }
+    std::fs::write(path, pristine).unwrap();
+}
+
 /// A graph whose arenas hold singleton and longer lists alike.
 fn mixed_list_graph() -> GraphStore {
     graph_from(&[(0, 0, 0), (0, 0, 3), (1, 1, 2), (2, 0, 5), (2, 1, 5), (3, 2, 0)])
@@ -428,8 +535,9 @@ fn corrupt_offsets_degrade_to_short_windows_never_a_panic() {
     let pristine = std::fs::read(&path).unwrap();
     let words = addressing_words(&pristine);
     // Six orderings, each with at least its opening and closing entry.
-    assert!(words.offsets.len() > 6 * 3, "{}", words.offsets.len());
-    overwrite_each_word(&path, &pristine, &words.offsets, |old| {
+    let entries: usize = words.offsets.iter().map(|p| p.col.len).sum();
+    assert!(entries > 6 * 3, "{entries}");
+    overwrite_each_value(&path, &pristine, &words.offsets, |old| {
         vec![0, 1, old.wrapping_sub(1), old + 1, old + 2, 1_000, u32::MAX - 1, u32::MAX]
     });
     std::fs::remove_file(&path).ok();
@@ -507,17 +615,62 @@ fn mirror_references_past_the_arena_read_as_empty_lists() {
     let pristine = std::fs::read(&path).unwrap();
     let words = addressing_words(&pristine);
     let lists = (words.slots.len() / 3) as u32;
-    overwrite_each_word(&path, &pristine, &words.list_refs, |old| {
+    overwrite_each_value(&path, &pristine, &words.list_refs, |old| {
         vec![0, old + 1, lists, 1_000, u32::MAX]
     });
     // The first leaf of pso — the mirror of spo — is (p0, s0) -> {o0, o3}.
+    // Its reference set to all ones is past the arena's five lists.
     let first = frozen.matching(IdPattern::ALL)[0];
     let mut bytes = pristine.clone();
-    bytes[words.list_refs[0]..words.list_refs[0] + 4].copy_from_slice(&u32::MAX.to_le_bytes());
+    words.list_refs[0].set(&mut bytes, 0, u32::MAX);
+    assert!(words.list_refs[0].get(&bytes, 0) >= lists);
     std::fs::write(&path, &bytes).unwrap();
     let (_, mapped) = hex_disk::open(&path).expect("references are not checked at open");
     assert_eq!(frozen.count_matching(IdPattern::p(first.p)), 3);
     assert_eq!(mapped.count_matching(IdPattern::p(first.p)), 1, "the dangling leaf reads empty");
+    std::fs::remove_file(&path).ok();
+}
+
+#[test]
+fn corrupt_packed_bytes_and_widths_open_as_corrupt_or_answer_without_a_panic() {
+    // Every byte of every packed column takes each of four patterns, and
+    // every width field each width from 0 to 40 and beyond. The packed
+    // words are data: the store opens over each corrupt byte without
+    // reading them, and every shape walks. A width changes where every
+    // later field lies, so the file either opens — then every shape walks
+    // — or is refused at open as `Corrupt`, never any other way.
+    let g = mixed_list_graph();
+    let path = temp_path("packed");
+    hexsnap::save_frozen(&path, g.dict(), &g.store().freeze()).unwrap();
+    let pristine = std::fs::read(&path).unwrap();
+    let pats = probe_patterns(&hex_disk::open_store(&path).unwrap());
+    let words = addressing_words(&pristine);
+    assert_eq!((words.offsets.len(), words.vector_keys.len(), words.list_refs.len()), (6, 6, 3));
+    for p in words.packed() {
+        for at in p.bytes() {
+            for flip in [0xFF, 0x01, 0x80, 0x5A] {
+                let mut bytes = pristine.clone();
+                bytes[at] ^= flip;
+                std::fs::write(&path, &bytes).unwrap();
+                hex_disk::open_store(&path).expect("packed words are not read at open");
+                walk_every_shape_if_it_opens(&path, &pats);
+            }
+        }
+        for width in (0..=40).chain([63, 64, 1 << 16, u32::MAX]) {
+            let mut bytes = pristine.clone();
+            bytes[p.width_at..p.width_at + 4].copy_from_slice(&width.to_le_bytes());
+            std::fs::write(&path, &bytes).unwrap();
+            match hex_disk::open_store(&path) {
+                Ok(_) => walk_every_shape_if_it_opens(&path, &pats),
+                Err(hex_disk::Error::Corrupt(_)) => assert!(width > 32 || width != p.col.width),
+                Err(e) => panic!("width {width} at {}: {e}", p.width_at),
+            }
+            if width > 32 {
+                let err = hex_disk::open(&path).unwrap_err();
+                assert!(matches!(err, hex_disk::Error::Corrupt(_)), "width {width}: {err}");
+            }
+        }
+    }
     std::fs::remove_file(&path).ok();
 }
 

@@ -97,35 +97,80 @@ fn incremental_and_bulk_agree_on_generated_data() {
 }
 
 /// The frozen store's heap is a closed form of the paper's §4.1 entry
-/// counts and of how many terminal lists hold more than one id — four
-/// bytes per stored `u32`, nothing derivable stored, no slack capacity —
+/// counts, of how many terminal lists hold more than one id and of the
+/// widths of the packed index levels — four bytes per header key and list
+/// word, `⌈n·w / 64⌉ + 1` words for a packed column of `n` values whose
+/// largest needs `w > 0` bits, nothing derivable stored, no slack capacity —
 /// however the slabs came to be.
 #[test]
 fn frozen_heap_breakdown_is_the_closed_form_of_the_space_stats() {
+    use hex_dict::{Id, IdTriple};
     use hexastore::hexsnap::{Compression, Reader, Writer};
-    use std::collections::HashMap;
+    use std::collections::{HashMap, HashSet};
+    /// Heap bytes of a packed column of `len` values, the largest `max`:
+    /// whole words, then one zero word; none at width 0.
+    fn packed(len: usize, max: usize) -> usize {
+        let width = (usize::BITS - max.leading_zeros()) as usize;
+        if width == 0 {
+            0
+        } else {
+            8 * ((len * width).div_ceil(64) + 1)
+        }
+    }
     fn assert_closed_form(frozen: &FrozenHexastore, how: &str) {
         let stats = frozen.space_stats();
         let pairs = stats.vector_entries / 2; // each (k1, k2) pair sits in two orderings
-                                              // List lengths, counted from the triples alone: one list per
-                                              // (s, p), per (s, o) and per (p, o) pair.
-        let mut lens: HashMap<(u8, hex_dict::Id, hex_dict::Id), usize> = HashMap::new();
-        for t in frozen.iter_matching(hexastore::IdPattern::ALL) {
+        let triples: Vec<IdTriple> = frozen.iter_matching(hexastore::IdPattern::ALL).collect();
+        // List lengths, counted from the triples alone: one list per
+        // (s, p), per (s, o) and per (p, o) pair.
+        let mut lens: HashMap<(u8, Id, Id), usize> = HashMap::new();
+        for t in &triples {
             for key in [(0, t.s, t.p), (1, t.s, t.o), (2, t.p, t.o)] {
                 *lens.entry(key).or_default() += 1;
             }
         }
         assert_eq!(lens.len(), pairs, "{how}");
         let longer: Vec<usize> = lens.into_values().filter(|&len| len > 1).collect();
+        // Per ordering, `(k1, k2)` of a triple and whether it is a mirror
+        // (pso, osp, ops keep a reference per leaf): its header keys, its
+        // packed offsets (the largest is the leaf count), its packed vector
+        // keys and, in a mirror, its packed references (the largest is the
+        // last list).
+        type Keys = fn(&IdTriple) -> (Id, Id);
+        let orderings: [(Keys, bool); 6] = [
+            (|t| (t.s, t.p), false),
+            (|t| (t.s, t.o), false),
+            (|t| (t.p, t.s), true),
+            (|t| (t.p, t.o), false),
+            (|t| (t.o, t.s), true),
+            (|t| (t.o, t.p), true),
+        ];
+        let (mut headers, mut vector_keys, mut mirror_list_refs) = (0, 0, 0);
+        for (keys, mirror) in orderings {
+            let k1s: HashSet<Id> = triples.iter().map(|t| keys(t).0).collect();
+            let leaves = triples.iter().map(keys).collect::<HashSet<_>>().len();
+            let max_k2 = triples.iter().map(|t| keys(t).1 .0).max().unwrap_or(0);
+            headers += 4 * k1s.len() + packed(k1s.len() + 1, leaves);
+            vector_keys += packed(leaves, max_k2 as usize);
+            if mirror {
+                mirror_list_refs += packed(leaves, leaves.saturating_sub(1));
+            }
+        }
         let expected = HeapBreakdown {
             list_slots: 4 * pairs, // a singleton list is its slot
             overflow: 4 * (longer.iter().sum::<usize>() + longer.len()), // items + a length word
-            vector_keys: 4 * stats.vector_entries,
-            mirror_list_refs: 4 * pairs,
-            headers: 8 * stats.header_entries + 4 * 6, // key + offset, plus one per ordering
+            vector_keys,
+            mirror_list_refs,
+            headers,
         };
         assert_eq!(frozen.heap_breakdown(), expected, "{how}");
         assert_eq!(frozen.heap_bytes(), expected.total(), "{how}");
+        // What packing saves against whole `u32`s: on real data every
+        // index-level column needs fewer than 32 bits.
+        let unpacked = 4 * (stats.vector_entries + pairs + stats.header_entries + 6);
+        let packed_levels = expected.vector_keys + expected.mirror_list_refs + expected.headers
+            - 4 * stats.header_entries;
+        assert!(triples.is_empty() || packed_levels < unpacked, "{how}");
     }
 
     let triples = hex_datagen::lubm::generate(&LubmConfig::tiny());
