@@ -9,9 +9,14 @@
 //! a pattern that does not bind the property filters a scan of the pso
 //! ordering — every property table — which is the scalability defect the
 //! paper demonstrates (§2.2.3, §5).
+//!
+//! A property table is a division of pso: `ordering(IndexKind::Pso)`'s
+//! `keys()` are the table names, `division(p)` is table `p` and
+//! `list(p, s)` the objects of one row; COVP2's second copy is
+//! `ordering(IndexKind::Pos)`. Asking COVP1 for pos panics, naming the
+//! missing ordering.
 
-use crate::prop_index::PropIndex;
-use hex_dict::{Id, IdTriple};
+use hex_dict::IdTriple;
 use hexastore::access::{OrderedStore, SlabOrdering};
 use hexastore::{IndexKind, IndexSet, PartialHexastore, TripleStore};
 
@@ -32,16 +37,6 @@ macro_rules! covp_store {
             pub fn from_triples(triples: impl IntoIterator<Item = IdTriple>) -> Self {
                 let keep = IndexSet::EMPTY$(.with(IndexKind::$kind))+;
                 $store { store: PartialHexastore::from_triples(keep, triples) }
-            }
-
-            /// The pso index (property → subject → sorted objects).
-            pub fn pso(&self) -> PropIndex<'_> {
-                PropIndex::new(self.store.ordering(IndexKind::Pso))
-            }
-
-            /// Sorted iterator over the distinct properties (table names).
-            pub fn properties(&self) -> impl Iterator<Item = Id> + '_ {
-                self.pso().properties()
             }
         }
 
@@ -103,21 +98,10 @@ covp_store!(
     [Pso, Pos]
 );
 
-impl Covp2 {
-    /// The pos index (property → object → sorted subjects).
-    pub fn pos(&self) -> PropIndex<'_> {
-        PropIndex::new(self.store.ordering(IndexKind::Pos))
-    }
-
-    /// Sorted subjects with `(p, o)` — the pos probe COVP2 adds over COVP1.
-    pub fn subjects_for(&self, p: Id, o: Id) -> &[Id] {
-        self.pos().items(p, o)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use hex_dict::Id;
     use hexastore::IdPattern;
 
     fn t(s: u32, p: u32, o: u32) -> IdTriple {
@@ -187,8 +171,15 @@ mod tests {
     #[test]
     fn covp2_pos_probe_is_direct() {
         let store = Covp2::from_triples(sample());
-        assert_eq!(store.subjects_for(Id(2), Id(3)), &[Id(1), Id(2)]);
-        assert_eq!(store.subjects_for(Id(2), Id(42)), &[] as &[Id]);
+        let pos = store.ordering(IndexKind::Pos);
+        assert_eq!(pos.list(Id(2), Id(3)), &[Id(1), Id(2)]);
+        assert_eq!(pos.list(Id(2), Id(42)), &[] as &[Id]);
+    }
+
+    #[test]
+    #[should_panic(expected = "PartialHexastore keeps no pos ordering (it keeps {\"pso\"})")]
+    fn covp1_has_no_pos_ordering() {
+        Covp1::from_triples(sample()).ordering(IndexKind::Pos);
     }
 
     #[test]

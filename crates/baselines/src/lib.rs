@@ -18,9 +18,9 @@
 //!
 //! Following §5, both COVP stores are built from the Hexastore's own slab
 //! layout: each is a [`hexastore::PartialHexastore`] keeping {pso} or
-//! {pso, pos}, built once from a batch and read-only. [`PropIndex`] is the
-//! per-property view of one such ordering that the hand-written COVP plans
-//! walk.
+//! {pso, pos}, built once from a batch and read-only. The hand-written
+//! COVP plans read those orderings as every other plan reads one:
+//! `store.ordering(IndexKind::Pso)` ([`hexastore::access::OrderedStore`]).
 //!
 //! All three implement [`hexastore::TripleStore`], so the query engine,
 //! benchmark queries and equivalence tests treat them interchangeably with
@@ -33,9 +33,7 @@
 #![warn(missing_docs)]
 
 mod covp;
-mod prop_index;
 mod triples_table;
 
 pub use covp::{Covp1, Covp2};
-pub use prop_index::PropIndex;
 pub use triples_table::TriplesTable;

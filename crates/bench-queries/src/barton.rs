@@ -1,7 +1,12 @@
 //! The seven Barton queries (paper §5.2.1), with the per-store plans the
 //! paper describes.
 //!
-//! Naming: `bqN_hexastore`, `bqN_covp1`, `bqN_covp2`. Queries that iterate
+//! Naming: `bqN_hexastore`, `bqN_covp1`, `bqN_covp2`; BQ1 and BQ7, whose
+//! COVP2 and Hexastore plans are the same reads of the same orderings, have
+//! one `bqN_indexed` for both, generic over [`OrderedStore`]. Every plan
+//! reads an ordering as `store.ordering(kind)` — "a pos probe" is
+//! `ordering(Pos).list(p, o)`, "the spo property vector of s" is
+//! `ordering(Spo).division(s)`. Queries that iterate
 //! over "all properties" (BQ2, BQ3, BQ4, BQ6) take `props: Option<&[Id]>`;
 //! passing the 28 "interesting" properties reproduces the `*_28`
 //! configurations of the paper's Figures 4–6 and 8.
@@ -16,6 +21,8 @@ use hex_baselines::{Covp1, Covp2};
 use hex_datagen::barton::Vocab;
 use hex_dict::{Dictionary, Id, IdTriple};
 use hex_query::ops;
+use hexastore::access::{OrderedStore, SlabOrdering};
+use hexastore::IndexKind::{Pos, Pso, Spo};
 use hexastore::{sorted, Hexastore};
 
 /// The dictionary ids of the terms the Barton queries bind.
@@ -149,43 +156,43 @@ fn restrict(candidates: Vec<Id>, props: Option<&[Id]>) -> Vec<Id> {
 // BQ1 — counts of each Type object value.
 // =====================================================================
 
-/// BQ1 on the Hexastore: one pos probe on the `Type` property; each object
-/// entry already carries its sorted subject list, so the counts are list
-/// lengths (§5.2.1: "only need to report the counts of subjects on the pos
-/// index of property Type with respect to object").
-pub fn bq1_hexastore(h: &Hexastore, ids: &BartonIds) -> Vec<(Id, usize)> {
-    h.pos_vector(ids.p_type).map(|(o, subjects)| (o, subjects.len())).collect()
-}
-
-/// BQ1 on COVP2: identical to the Hexastore — the pos copy answers it.
-pub fn bq1_covp2(c: &Covp2, ids: &BartonIds) -> Vec<(Id, usize)> {
-    c.pos().table(ids.p_type).map(|(o, subjects)| (o, subjects.len())).collect()
+/// BQ1 on COVP2 and on the Hexastore, which run the same plan: one pos
+/// probe on the `Type` property; each object entry already carries its
+/// sorted subject list, so the counts are list lengths (§5.2.1: "only need
+/// to report the counts of subjects on the pos index of property Type with
+/// respect to object").
+pub fn bq1_indexed<S: OrderedStore>(store: &S, ids: &BartonIds) -> Vec<(Id, usize)> {
+    store.ordering(Pos).division(ids.p_type).map(|(o, subjects)| (o, subjects.len())).collect()
 }
 
 /// BQ1 on COVP1: no pos index, so it needs "a self-join aggregation on
 /// object value with its pso index" — scan the whole Type table and count.
 pub fn bq1_covp1(c: &Covp1, ids: &BartonIds) -> Vec<(Id, usize)> {
     let mut objects: Vec<Id> = Vec::new();
-    for (_, objs) in c.pso().table(ids.p_type) {
+    for (_, objs) in c.ordering(Pso).division(ids.p_type) {
         objects.extend_from_slice(objs);
     }
     ops::frequency(objects)
 }
 
 // =====================================================================
-// Text-subject selections shared by BQ2/BQ3 (and, extended, BQ4/BQ6).
+// Selections and aggregation steps the queries share.
 // =====================================================================
 
-/// Sorted subjects of `Type: Text` on COVP1: a linear scan of the Type
-/// table (its objects are not indexed).
-fn text_subjects_covp1(c: &Covp1, ids: &BartonIds) -> Vec<Id> {
-    let mut t = Vec::new();
-    for (s, objs) in c.pso().table(ids.p_type) {
-        if sorted::contains(objs, &ids.text) {
-            t.push(s);
-        }
-    }
-    t // already sorted: the table iterates in subject order
+/// Sorted subjects of `(?, p, o)` on COVP1: a linear scan of table `p`
+/// (its objects are not indexed), which iterates in subject order.
+fn scan_subjects(c: &Covp1, p: Id, o: Id) -> Vec<Id> {
+    let table = c.ordering(Pso).division(p);
+    table.filter(|(_, objs)| sorted::contains(objs, &o)).map(|(s, _)| s).collect()
+}
+
+/// The Hexastore's candidate properties: those its spo property vectors
+/// define for some subject in `t`, skipping unrelated ones.
+fn spo_candidates(h: &Hexastore, t: &[Id], props: Option<&[Id]>) -> Vec<Id> {
+    let spo = h.ordering(Spo);
+    let mut candidates: Vec<Id> = t.iter().flat_map(|&s| spo.division(s).map(|(p, _)| p)).collect();
+    sorted::sort_dedup(&mut candidates);
+    restrict(candidates, props)
 }
 
 // =====================================================================
@@ -194,11 +201,11 @@ fn text_subjects_covp1(c: &Covp1, ids: &BartonIds) -> Vec<Id> {
 
 /// The shared aggregation step of BQ2 on a property-oriented store: join
 /// the text-subject list with each property table, counting objects.
-fn bq2_tables(pso: hex_baselines::PropIndex<'_>, t: &[Id], candidates: &[Id]) -> Vec<(Id, usize)> {
+fn bq2_tables(pso: SlabOrdering<'_>, t: &[Id], props: Option<&[Id]>) -> Vec<(Id, usize)> {
     let mut out = Vec::new();
-    for &p in candidates {
+    for p in restrict(pso.keys().to_vec(), props) {
         let mut n = 0;
-        for_each_table_match(pso.table(p), t, |_, objs| n += objs.len());
+        for_each_table_match(pso.division(p), t, |_, objs| n += objs.len());
         if n > 0 {
             out.push((p, n));
         }
@@ -209,36 +216,36 @@ fn bq2_tables(pso: hex_baselines::PropIndex<'_>, t: &[Id], candidates: &[Id]) ->
 /// BQ2 on COVP1: select Text subjects by scanning the Type table, then
 /// join the subject list with every (candidate) property table.
 pub fn bq2_covp1(c: &Covp1, ids: &BartonIds, props: Option<&[Id]>) -> Vec<(Id, usize)> {
-    let t = text_subjects_covp1(c, ids);
-    let candidates = restrict(c.properties().collect(), props);
-    bq2_tables(c.pso(), &t, &candidates)
+    let t = scan_subjects(c, ids.p_type, ids.text);
+    bq2_tables(c.ordering(Pso), &t, props)
 }
 
 /// BQ2 on COVP2: the Text selection is a pos probe; the aggregation step
 /// is the same table sweep as COVP1.
 pub fn bq2_covp2(c: &Covp2, ids: &BartonIds, props: Option<&[Id]>) -> Vec<(Id, usize)> {
-    let t = c.pos().items(ids.p_type, ids.text).to_vec();
-    let candidates = restrict(c.properties().collect(), props);
-    bq2_tables(c.pso(), &t, &candidates)
+    let t = c.ordering(Pos).list(ids.p_type, ids.text);
+    bq2_tables(c.ordering(Pso), t, props)
 }
 
 /// The Hexastore aggregation step of BQ2/BQ6: merge the sorted property
 /// vectors of the subjects in `t` (spo indexing), accumulating per-property
-/// triple counts per property, summed by [`ops::merge_counts`].
-fn merge_property_vectors(h: &Hexastore, t: &[Id]) -> Vec<(Id, usize)> {
-    ops::merge_counts(t.iter().flat_map(|&s| h.spo_vector(s).map(|(p, objs)| (p, objs.len()))))
+/// triple counts per property, summed by [`ops::merge_counts`], then keep
+/// the properties in `props` when given.
+fn merge_property_vectors(h: &Hexastore, t: &[Id], props: Option<&[Id]>) -> Vec<(Id, usize)> {
+    let spo = h.ordering(Spo);
+    let merged =
+        ops::merge_counts(t.iter().flat_map(|&s| spo.division(s).map(|(p, objs)| (p, objs.len()))));
+    match props {
+        Some(allowed) => merged.into_iter().filter(|(p, _)| sorted::contains(allowed, p)).collect(),
+        None => merged,
+    }
 }
 
 /// BQ2 on the Hexastore: pos probe for the Text subjects, then "merge the
 /// sorted property vectors of the subjects in t in spo indexing and
 /// aggregate their frequencies" — no sweep over unrelated properties.
 pub fn bq2_hexastore(h: &Hexastore, ids: &BartonIds, props: Option<&[Id]>) -> Vec<(Id, usize)> {
-    let t = h.subjects_for(ids.p_type, ids.text);
-    let merged = merge_property_vectors(h, t);
-    match props {
-        Some(allowed) => merged.into_iter().filter(|(p, _)| sorted::contains(allowed, p)).collect(),
-        None => merged,
-    }
+    merge_property_vectors(h, h.ordering(Pos).list(ids.p_type, ids.text), props)
 }
 
 // =====================================================================
@@ -248,17 +255,13 @@ pub fn bq2_hexastore(h: &Hexastore, ids: &BartonIds, props: Option<&[Id]>) -> Ve
 /// Per-property popular-object counts, the id-sorted reference result.
 pub type PopularByProperty = Vec<(Id, Vec<(Id, usize)>)>;
 
-/// BQ3 on COVP1: as BQ2, "with the addition that the instances of each
-/// object per property are counted separately".
-pub fn bq3_covp1(c: &Covp1, ids: &BartonIds, props: Option<&[Id]>) -> PopularByProperty {
-    let t = text_subjects_covp1(c, ids);
-    let candidates = restrict(c.properties().collect(), props);
+/// The COVP1 step of BQ3/BQ4: join `t` with each candidate property table
+/// and count "the instances of each object per property … separately".
+fn bq3_tables(pso: SlabOrdering<'_>, t: &[Id], props: Option<&[Id]>) -> PopularByProperty {
     let mut out = Vec::new();
-    for &p in &candidates {
+    for p in restrict(pso.keys().to_vec(), props) {
         let mut objects: Vec<Id> = Vec::new();
-        for_each_table_match(c.pso().table(p), &t, |_, objs| {
-            objects.extend_from_slice(objs);
-        });
+        for_each_table_match(pso.division(p), t, |_, objs| objects.extend_from_slice(objs));
         let pops = ops::popular(ops::frequency(objects));
         if !pops.is_empty() {
             out.push((p, pops));
@@ -267,17 +270,19 @@ pub fn bq3_covp1(c: &Covp1, ids: &BartonIds, props: Option<&[Id]>) -> PopularByP
     out
 }
 
+/// BQ3 on COVP1: as BQ2, "with the addition that the instances of each
+/// object per property are counted separately".
+pub fn bq3_covp1(c: &Covp1, ids: &BartonIds, props: Option<&[Id]>) -> PopularByProperty {
+    bq3_tables(c.ordering(Pso), &scan_subjects(c, ids.p_type, ids.text), props)
+}
+
 /// The COVP2/Hexastore final step: for each candidate property, walk its
 /// pos division and count, per object, the subjects that fall in `t`.
-fn bq3_pos_step<'a>(
-    pos_table: impl Fn(Id) -> Box<dyn Iterator<Item = (Id, &'a [Id])> + 'a>,
-    t: &[Id],
-    candidates: &[Id],
-) -> PopularByProperty {
+fn bq3_pos_step(pos: SlabOrdering<'_>, t: &[Id], candidates: &[Id]) -> PopularByProperty {
     let mut out = Vec::new();
     for &p in candidates {
         let mut counts: Vec<(Id, usize)> = Vec::new();
-        for (o, subjects) in pos_table(p) {
+        for (o, subjects) in pos.division(p) {
             let n = intersect_count(subjects, t);
             if n > 1 {
                 counts.push((o, n));
@@ -293,9 +298,12 @@ fn bq3_pos_step<'a>(
 /// BQ3 on COVP2: Text selection via pos, then the pos index "retrieves the
 /// count of each object related to subjects in t for each property".
 pub fn bq3_covp2(c: &Covp2, ids: &BartonIds, props: Option<&[Id]>) -> PopularByProperty {
-    let t = c.pos().items(ids.p_type, ids.text).to_vec();
-    let candidates = restrict(c.properties().collect(), props);
-    bq3_pos_step(|p| Box::new(c.pos().table(p)), &t, &candidates)
+    let pos = c.ordering(Pos);
+    bq3_pos_step(
+        pos,
+        pos.list(ids.p_type, ids.text),
+        &restrict(c.ordering(Pso).keys().to_vec(), props),
+    )
 }
 
 /// BQ3 on the Hexastore: keeps the spo advantage for discovering *which*
@@ -303,15 +311,9 @@ pub fn bq3_covp2(c: &Covp2, ids: &BartonIds, props: Option<&[Id]>) -> PopularByP
 /// paper notes — must fall back to the pos index for the final per-object
 /// aggregation, "in the same way as COVP2 does for this query".
 pub fn bq3_hexastore(h: &Hexastore, ids: &BartonIds, props: Option<&[Id]>) -> PopularByProperty {
-    let t = h.subjects_for(ids.p_type, ids.text);
-    // spo step: candidate properties actually defined for subjects in t.
-    let mut candidate_set: Vec<Id> = Vec::new();
-    for &s in t {
-        candidate_set.extend(h.spo_vector(s).map(|(p, _)| p));
-    }
-    sorted::sort_dedup(&mut candidate_set);
-    let candidates = restrict(candidate_set, props);
-    bq3_pos_step(|p| Box::new(h.pos_vector(p)), t, &candidates)
+    let pos = h.ordering(Pos);
+    let t = pos.list(ids.p_type, ids.text);
+    bq3_pos_step(pos, t, &spo_candidates(h, t, props))
 }
 
 // =====================================================================
@@ -321,54 +323,27 @@ pub fn bq3_hexastore(h: &Hexastore, ids: &BartonIds, props: Option<&[Id]>) -> Po
 /// BQ4 on COVP1: "jointly selects subjects from the pso indices of Type
 /// and Language" — two table scans, then an intersection.
 pub fn bq4_covp1(c: &Covp1, ids: &BartonIds, props: Option<&[Id]>) -> PopularByProperty {
-    let t_text = text_subjects_covp1(c, ids);
-    let mut t_french = Vec::new();
-    for (s, objs) in c.pso().table(ids.p_language) {
-        if sorted::contains(objs, &ids.french) {
-            t_french.push(s);
-        }
-    }
-    let t = sorted::intersect(&t_text, &t_french);
-    let candidates = restrict(c.properties().collect(), props);
-    let mut out = Vec::new();
-    for &p in &candidates {
-        let mut objects: Vec<Id> = Vec::new();
-        for_each_table_match(c.pso().table(p), &t, |_, objs| {
-            objects.extend_from_slice(objs);
-        });
-        let pops = ops::popular(ops::frequency(objects));
-        if !pops.is_empty() {
-            out.push((p, pops));
-        }
-    }
-    out
+    let t = sorted::intersect(
+        &scan_subjects(c, ids.p_type, ids.text),
+        &scan_subjects(c, ids.p_language, ids.french),
+    );
+    bq3_tables(c.ordering(Pso), &t, props)
 }
 
 /// BQ4 on COVP2: "retrieve and merge-join the subject lists for Type: Text
 /// and Language: French using their pos indices".
 pub fn bq4_covp2(c: &Covp2, ids: &BartonIds, props: Option<&[Id]>) -> PopularByProperty {
-    let t = sorted::intersect(
-        c.pos().items(ids.p_type, ids.text),
-        c.pos().items(ids.p_language, ids.french),
-    );
-    let candidates = restrict(c.properties().collect(), props);
-    bq3_pos_step(|p| Box::new(c.pos().table(p)), &t, &candidates)
+    let pos = c.ordering(Pos);
+    let t = sorted::intersect(pos.list(ids.p_type, ids.text), pos.list(ids.p_language, ids.french));
+    bq3_pos_step(pos, &t, &restrict(c.ordering(Pso).keys().to_vec(), props))
 }
 
 /// BQ4 on the Hexastore: same pos merge-join for the pre-selection, spo
 /// discovery of candidate properties, pos aggregation.
 pub fn bq4_hexastore(h: &Hexastore, ids: &BartonIds, props: Option<&[Id]>) -> PopularByProperty {
-    let t = sorted::intersect(
-        h.subjects_for(ids.p_type, ids.text),
-        h.subjects_for(ids.p_language, ids.french),
-    );
-    let mut candidate_set: Vec<Id> = Vec::new();
-    for &s in &t {
-        candidate_set.extend(h.spo_vector(s).map(|(p, _)| p));
-    }
-    sorted::sort_dedup(&mut candidate_set);
-    let candidates = restrict(candidate_set, props);
-    bq3_pos_step(|p| Box::new(h.pos_vector(p)), &t, &candidates)
+    let pos = h.ordering(Pos);
+    let t = sorted::intersect(pos.list(ids.p_type, ids.text), pos.list(ids.p_language, ids.french));
+    bq3_pos_step(pos, &t, &spo_candidates(h, &t, props))
 }
 
 // =====================================================================
@@ -383,15 +358,11 @@ pub type InferredTypes = Vec<(Id, Id)>;
 /// table; then an expensive join of the *unsorted* recorded-object list
 /// against the large Type table.
 pub fn bq5_covp1(c: &Covp1, ids: &BartonIds) -> InferredTypes {
-    let mut s_list = Vec::new();
-    for (s, objs) in c.pso().table(ids.p_origin) {
-        if sorted::contains(objs, &ids.dlc) {
-            s_list.push(s);
-        }
-    }
+    let pso = c.ordering(Pso);
+    let s_list = scan_subjects(c, ids.p_origin, ids.dlc);
     // (subject, recorded-object) pairs; object side unsorted.
     let mut pairs: Vec<(Id, Id)> = Vec::new();
-    for_each_table_match(c.pso().table(ids.p_records), &s_list, |s, objs| {
+    for_each_table_match(pso.division(ids.p_records), &s_list, |s, objs| {
         for &o in objs {
             pairs.push((s, o));
         }
@@ -400,7 +371,7 @@ pub fn bq5_covp1(c: &Covp1, ids: &BartonIds) -> InferredTypes {
     let mut recorded: Vec<Id> = pairs.iter().map(|&(_, o)| o).collect();
     sorted::sort_dedup(&mut recorded);
     let mut type_of: Vec<(Id, Vec<Id>)> = Vec::new();
-    for_each_table_match(c.pso().table(ids.p_type), &recorded, |o, types| {
+    for_each_table_match(pso.division(ids.p_type), &recorded, |o, types| {
         let non_text: Vec<Id> = types.iter().copied().filter(|&t| t != ids.text).collect();
         if !non_text.is_empty() {
             type_of.push((o, non_text));
@@ -421,27 +392,29 @@ pub fn bq5_covp1(c: &Covp1, ids: &BartonIds) -> InferredTypes {
 /// The COVP2/Hexastore plan (the paper describes them identically for
 /// BQ5): pos probe for the DLC subjects; merge-join the *sorted*
 /// recorded-object vector (pos of Records) with the sorted subject vector
-/// of Type to build the small non-Text table `T`; then merge-join the DLC
-/// subject list against the Records table and look recordings up in `T`.
+/// of Type (pso) to build the small non-Text table `T`; then merge-join
+/// the DLC subject list against the Records table and look recordings up
+/// in `T`.
 fn bq5_indexed<'a>(
-    dlc_subjects: &[Id],
-    recorded_objects: &[Id],
-    type_subjects: &[Id],
+    pso: SlabOrdering<'a>,
+    pos: SlabOrdering<'a>,
     types_of: impl Fn(Id) -> &'a [Id],
-    records_table: impl Iterator<Item = (Id, &'a [Id])>,
-    text: Id,
+    ids: &BartonIds,
 ) -> InferredTypes {
     // Merge-join: recorded objects that have a Type statement.
-    let typed_recorded = sorted::intersect(recorded_objects, type_subjects);
+    let recorded: Vec<Id> = pos.division(ids.p_records).map(|(o, _)| o).collect();
+    let typed: Vec<Id> = pso.division(ids.p_type).map(|(s, _)| s).collect();
+    let typed_recorded = sorted::intersect(&recorded, &typed);
     let mut table: Vec<(Id, Vec<Id>)> = Vec::new();
     for o in typed_recorded {
-        let non_text: Vec<Id> = types_of(o).iter().copied().filter(|&t| t != text).collect();
+        let non_text: Vec<Id> = types_of(o).iter().copied().filter(|&t| t != ids.text).collect();
         if !non_text.is_empty() {
             table.push((o, non_text));
         }
     }
     let mut out: InferredTypes = Vec::new();
-    for_each_table_match(records_table, dlc_subjects, |s, objs| {
+    let dlc_subjects = pos.list(ids.p_origin, ids.dlc);
+    for_each_table_match(pso.division(ids.p_records), dlc_subjects, |s, objs| {
         for &o in objs {
             if let Ok(idx) = table.binary_search_by_key(&o, |&(k, _)| k) {
                 for &ty in &table[idx].1 {
@@ -454,28 +427,16 @@ fn bq5_indexed<'a>(
     out
 }
 
-/// BQ5 on COVP2.
+/// BQ5 on COVP2: a recorded object's types are its row of the Type table.
 pub fn bq5_covp2(c: &Covp2, ids: &BartonIds) -> InferredTypes {
-    bq5_indexed(
-        c.pos().items(ids.p_origin, ids.dlc),
-        &c.pos().table_keys(ids.p_records),
-        &c.pso().table_keys(ids.p_type),
-        |o| c.pso().items(ids.p_type, o),
-        c.pso().table(ids.p_records),
-        ids.text,
-    )
+    let pso = c.ordering(Pso);
+    bq5_indexed(pso, c.ordering(Pos), |o| pso.list(ids.p_type, o), ids)
 }
 
-/// BQ5 on the Hexastore.
+/// BQ5 on the Hexastore: a recorded object's types are one spo probe.
 pub fn bq5_hexastore(h: &Hexastore, ids: &BartonIds) -> InferredTypes {
-    bq5_indexed(
-        h.subjects_for(ids.p_origin, ids.dlc),
-        &h.object_vector_of_property(ids.p_records),
-        &h.subject_vector_of_property(ids.p_type),
-        |o| h.objects_for(o, ids.p_type),
-        h.pso_vector(ids.p_records),
-        ids.text,
-    )
+    let spo = h.ordering(Spo);
+    bq5_indexed(h.ordering(Pso), h.ordering(Pos), |o| spo.list(o, ids.p_type), ids)
 }
 
 // =====================================================================
@@ -484,73 +445,59 @@ pub fn bq5_hexastore(h: &Hexastore, ids: &BartonIds) -> InferredTypes {
 
 /// The resource set of BQ6: Type:Text subjects plus DLC subjects whose
 /// recorded object is of Type:Text.
-fn bq6_subjects(
+fn bq6_subjects<'a>(
     text_subjects: &[Id],
     dlc_subjects: &[Id],
-    recordings_of: impl Fn(Id) -> Vec<Id>,
-    types_of: impl Fn(Id) -> Vec<Id>,
+    recordings_of: impl Fn(Id) -> &'a [Id],
+    types_of: impl Fn(Id) -> &'a [Id],
     text: Id,
 ) -> Vec<Id> {
-    let mut inferred: Vec<Id> = Vec::new();
-    for &s in dlc_subjects {
-        for o in recordings_of(s) {
-            if types_of(o).contains(&text) {
-                inferred.push(s);
-                break;
-            }
-        }
-    }
+    let inferred: Vec<Id> = dlc_subjects
+        .iter()
+        .copied()
+        .filter(|&s| recordings_of(s).iter().any(|&o| types_of(o).contains(&text)))
+        .collect();
     sorted::union(text_subjects, &inferred)
 }
 
 /// BQ6 on COVP1.
 pub fn bq6_covp1(c: &Covp1, ids: &BartonIds, props: Option<&[Id]>) -> Vec<(Id, usize)> {
-    let t_text = text_subjects_covp1(c, ids);
-    let mut dlc = Vec::new();
-    for (s, objs) in c.pso().table(ids.p_origin) {
-        if sorted::contains(objs, &ids.dlc) {
-            dlc.push(s);
-        }
-    }
+    let pso = c.ordering(Pso);
     let t = bq6_subjects(
-        &t_text,
-        &dlc,
-        |s| c.pso().items(ids.p_records, s).to_vec(),
-        |o| c.pso().items(ids.p_type, o).to_vec(),
+        &scan_subjects(c, ids.p_type, ids.text),
+        &scan_subjects(c, ids.p_origin, ids.dlc),
+        |s| pso.list(ids.p_records, s),
+        |o| pso.list(ids.p_type, o),
         ids.text,
     );
-    let candidates = restrict(c.properties().collect(), props);
-    bq2_tables(c.pso(), &t, &candidates)
+    bq2_tables(pso, &t, props)
 }
 
 /// BQ6 on COVP2.
 pub fn bq6_covp2(c: &Covp2, ids: &BartonIds, props: Option<&[Id]>) -> Vec<(Id, usize)> {
+    let (pso, pos) = (c.ordering(Pso), c.ordering(Pos));
     let t = bq6_subjects(
-        c.pos().items(ids.p_type, ids.text),
-        c.pos().items(ids.p_origin, ids.dlc),
-        |s| c.pso().items(ids.p_records, s).to_vec(),
-        |o| c.pso().items(ids.p_type, o).to_vec(),
+        pos.list(ids.p_type, ids.text),
+        pos.list(ids.p_origin, ids.dlc),
+        |s| pso.list(ids.p_records, s),
+        |o| pso.list(ids.p_type, o),
         ids.text,
     );
-    let candidates = restrict(c.properties().collect(), props);
-    bq2_tables(c.pso(), &t, &candidates)
+    bq2_tables(pso, &t, props)
 }
 
 /// BQ6 on the Hexastore: the union of the BQ2 and BQ5-style selections,
 /// then the spo merge of property vectors.
 pub fn bq6_hexastore(h: &Hexastore, ids: &BartonIds, props: Option<&[Id]>) -> Vec<(Id, usize)> {
+    let (spo, pos) = (h.ordering(Spo), h.ordering(Pos));
     let t = bq6_subjects(
-        h.subjects_for(ids.p_type, ids.text),
-        h.subjects_for(ids.p_origin, ids.dlc),
-        |s| h.objects_for(s, ids.p_records).to_vec(),
-        |o| h.objects_for(o, ids.p_type).to_vec(),
+        pos.list(ids.p_type, ids.text),
+        pos.list(ids.p_origin, ids.dlc),
+        |s| spo.list(s, ids.p_records),
+        |o| spo.list(o, ids.p_type),
         ids.text,
     );
-    let merged = merge_property_vectors(h, &t);
-    match props {
-        Some(allowed) => merged.into_iter().filter(|(p, _)| sorted::contains(allowed, p)).collect(),
-        None => merged,
-    }
+    merge_property_vectors(h, &t, props)
 }
 
 // =====================================================================
@@ -560,37 +507,20 @@ pub fn bq6_hexastore(h: &Hexastore, ids: &BartonIds, props: Option<&[Id]>) -> Ve
 /// BQ7 on COVP1: scan the Point table for 'end', then merge-join the
 /// result with the Encoding and Type subject vectors.
 pub fn bq7_covp1(c: &Covp1, ids: &BartonIds) -> Vec<IdTriple> {
-    let mut s_list = Vec::new();
-    for (s, objs) in c.pso().table(ids.p_point) {
-        if sorted::contains(objs, &ids.end) {
-            s_list.push(s);
-        }
-    }
-    bq7_join(&s_list, ids, |p| Box::new(c.pso().table(p)))
+    bq7_join(&scan_subjects(c, ids.p_point, ids.end), ids, c.ordering(Pso))
 }
 
-/// BQ7 on COVP2: the first selection is a pos probe; the join step
-/// "proceeds in the same fashion as COVP1" (merge against subject vectors).
-pub fn bq7_covp2(c: &Covp2, ids: &BartonIds) -> Vec<IdTriple> {
-    let s_list = c.pos().items(ids.p_point, ids.end).to_vec();
-    bq7_join(&s_list, ids, |p| Box::new(c.pso().table(p)))
+/// BQ7 on COVP2 and on the Hexastore, which run the same plan: the first
+/// selection is a pos probe; the join step "proceeds in the same fashion
+/// as COVP1" (merge against the pso subject vectors of Encoding and Type).
+pub fn bq7_indexed<S: OrderedStore>(store: &S, ids: &BartonIds) -> Vec<IdTriple> {
+    bq7_join(store.ordering(Pos).list(ids.p_point, ids.end), ids, store.ordering(Pso))
 }
 
-/// BQ7 on the Hexastore: pos probe, then the same merge joins against the
-/// pso subject vectors of Encoding and Type.
-pub fn bq7_hexastore(h: &Hexastore, ids: &BartonIds) -> Vec<IdTriple> {
-    let s_list = h.subjects_for(ids.p_point, ids.end).to_vec();
-    bq7_join(&s_list, ids, |p| Box::new(h.pso_vector(p)))
-}
-
-fn bq7_join<'a>(
-    s_list: &[Id],
-    ids: &BartonIds,
-    table_of: impl Fn(Id) -> Box<dyn Iterator<Item = (Id, &'a [Id])> + 'a>,
-) -> Vec<IdTriple> {
+fn bq7_join(s_list: &[Id], ids: &BartonIds, pso: SlabOrdering<'_>) -> Vec<IdTriple> {
     let mut out = Vec::new();
     for p in [ids.p_encoding, ids.p_type] {
-        for_each_table_match(table_of(p), s_list, |s, objs| {
+        for_each_table_match(pso.division(p), s_list, |s, objs| {
             for &o in objs {
                 out.push(IdTriple::new(s, p, o));
             }
@@ -605,6 +535,7 @@ mod tests {
     use super::*;
     use crate::Suite;
     use hex_datagen::barton::{generate, BartonConfig};
+    use hexastore::{IdPattern, TripleStore};
 
     fn suite() -> (Suite, BartonIds) {
         let triples = generate(&BartonConfig::tiny());
@@ -616,13 +547,13 @@ mod tests {
     #[test]
     fn bq1_equivalent_and_nonempty() {
         let (s, ids) = suite();
-        let hex = bq1_hexastore(&s.hexastore, &ids);
+        let hex = bq1_indexed(&s.hexastore, &ids);
         assert!(!hex.is_empty());
         assert_eq!(bq1_covp1(&s.covp1, &ids), hex);
-        assert_eq!(bq1_covp2(&s.covp2, &ids), hex);
+        assert_eq!(bq1_indexed(&s.covp2, &ids), hex);
         // Counts must total the Type property cardinality.
         let total: usize = hex.iter().map(|&(_, n)| n).sum();
-        assert_eq!(total, s.hexastore.property_cardinality(ids.p_type));
+        assert_eq!(total, s.hexastore.count_matching(IdPattern::p(ids.p_type)));
     }
 
     #[test]
@@ -701,9 +632,9 @@ mod tests {
     #[test]
     fn bq7_equivalent_and_dates_only() {
         let (s, ids) = suite();
-        let hex = bq7_hexastore(&s.hexastore, &ids);
+        let hex = bq7_indexed(&s.hexastore, &ids);
         assert_eq!(bq7_covp1(&s.covp1, &ids), hex);
-        assert_eq!(bq7_covp2(&s.covp2, &ids), hex);
+        assert_eq!(bq7_indexed(&s.covp2, &ids), hex);
         assert!(!hex.is_empty());
         // The generator gives Point only to Date records, so every Type
         // triple in the answer must be Date — the paper's "all such

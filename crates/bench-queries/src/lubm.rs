@@ -5,11 +5,16 @@
 //! particular storage scheme": all five bind an *object* or a *subject*
 //! without binding the property, which is exactly where the Hexastore's
 //! osp/ops/sop divisions pay off and where property-oriented stores must
-//! sweep every table.
+//! sweep every table. Every plan reads its orderings as
+//! `store.ordering(kind)`: the Hexastore's osp probe is
+//! `ordering(Osp).division(o)`; COVP's sweep walks
+//! `ordering(Pso).keys()`, one property table each.
 
 use hex_baselines::{Covp1, Covp2};
 use hex_datagen::lubm::Vocab;
 use hex_dict::{Dictionary, Id, IdTriple};
+use hexastore::access::OrderedStore;
+use hexastore::IndexKind::{Ops, Osp, Pos, Pso, Sop, Spo};
 use hexastore::{sorted, Hexastore};
 
 /// The dictionary ids of the terms the LUBM queries bind.
@@ -63,7 +68,7 @@ pub type RelatedTo = Vec<(Id, Id)>;
 /// "retrieves the results straightforwardly using its osp indexing".
 pub fn related_to_hexastore(h: &Hexastore, object: Id) -> RelatedTo {
     let mut out: RelatedTo = Vec::new();
-    for (s, props) in h.osp_vector(object) {
+    for (s, props) in h.ordering(Osp).division(object) {
         for &p in props {
             out.push((s, p));
         }
@@ -75,9 +80,10 @@ pub fn related_to_hexastore(h: &Hexastore, object: Id) -> RelatedTo {
 /// Object-bound lookup on COVP1: "multiple selections on object" — a full
 /// scan of every property table.
 pub fn related_to_covp1(c: &Covp1, object: Id) -> RelatedTo {
+    let pso = c.ordering(Pso);
     let mut out: RelatedTo = Vec::new();
-    for p in c.properties().collect::<Vec<_>>() {
-        for (s, objs) in c.pso().table(p) {
+    for &p in pso.keys() {
+        for (s, objs) in pso.division(p) {
             if sorted::contains(objs, &object) {
                 out.push((s, p));
             }
@@ -91,9 +97,10 @@ pub fn related_to_covp1(c: &Covp1, object: Id) -> RelatedTo {
 /// faster than COVP1 "thanks to its pos indexing", but still touching all
 /// properties.
 pub fn related_to_covp2(c: &Covp2, object: Id) -> RelatedTo {
+    let (pso, pos) = (c.ordering(Pso), c.ordering(Pos));
     let mut out: RelatedTo = Vec::new();
-    for p in c.properties().collect::<Vec<_>>() {
-        for &s in c.pos().items(p, object) {
+    for &p in pso.keys() {
+        for &s in pos.list(p, object) {
             out.push((s, p));
         }
     }
@@ -141,12 +148,12 @@ pub fn lq2_covp2(c: &Covp2, ids: &LubmIds) -> RelatedTo {
 pub fn lq3_hexastore(h: &Hexastore, ids: &LubmIds) -> Vec<IdTriple> {
     let x = ids.assoc_prof10;
     let mut out: Vec<IdTriple> = Vec::new();
-    for (p, objs) in h.spo_vector(x) {
+    for (p, objs) in h.ordering(Spo).division(x) {
         for &o in objs {
             out.push(IdTriple::new(x, p, o));
         }
     }
-    for (p, subjects) in h.ops_vector(x) {
+    for (p, subjects) in h.ordering(Ops).division(x) {
         for &s in subjects {
             out.push(IdTriple::new(s, p, x));
         }
@@ -159,13 +166,14 @@ pub fn lq3_hexastore(h: &Hexastore, ids: &LubmIds) -> Vec<IdTriple> {
 /// LQ3 on COVP1: per property table, a subject-side probe plus a full
 /// object-side scan, then a union.
 pub fn lq3_covp1(c: &Covp1, ids: &LubmIds) -> Vec<IdTriple> {
+    let pso = c.ordering(Pso);
     let x = ids.assoc_prof10;
     let mut out: Vec<IdTriple> = Vec::new();
-    for p in c.properties().collect::<Vec<_>>() {
-        for &o in c.pso().items(p, x) {
+    for &p in pso.keys() {
+        for &o in pso.list(p, x) {
             out.push(IdTriple::new(x, p, o));
         }
-        for (s, objs) in c.pso().table(p) {
+        for (s, objs) in pso.division(p) {
             if sorted::contains(objs, &x) {
                 out.push(IdTriple::new(s, p, x));
             }
@@ -178,13 +186,14 @@ pub fn lq3_covp1(c: &Covp1, ids: &LubmIds) -> Vec<IdTriple> {
 
 /// LQ3 on COVP2: the object side becomes a pos probe per property.
 pub fn lq3_covp2(c: &Covp2, ids: &LubmIds) -> Vec<IdTriple> {
+    let (pso, pos) = (c.ordering(Pso), c.ordering(Pos));
     let x = ids.assoc_prof10;
     let mut out: Vec<IdTriple> = Vec::new();
-    for p in c.properties().collect::<Vec<_>>() {
-        for &o in c.pso().items(p, x) {
+    for &p in pso.keys() {
+        for &o in pso.list(p, x) {
             out.push(IdTriple::new(x, p, o));
         }
-        for &s in c.pos().items(p, x) {
+        for &s in pos.list(p, x) {
             out.push(IdTriple::new(s, p, x));
         }
     }
@@ -205,12 +214,12 @@ pub type ByCourse = Vec<(Id, Vec<(Id, Id)>)>;
 /// LQ4 on the Hexastore: the course list is one spo probe; each course is
 /// then one osp lookup.
 pub fn lq4_hexastore(h: &Hexastore, ids: &LubmIds) -> ByCourse {
-    let courses = h.objects_for(ids.assoc_prof10, ids.p_teacher_of);
+    let courses = h.ordering(Spo).list(ids.assoc_prof10, ids.p_teacher_of);
     courses
         .iter()
         .map(|&c| {
             let mut related: Vec<(Id, Id)> = Vec::new();
-            for (s, props) in h.osp_vector(c) {
+            for (s, props) in h.ordering(Osp).division(c) {
                 for &p in props {
                     related.push((s, p));
                 }
@@ -224,11 +233,12 @@ pub fn lq4_hexastore(h: &Hexastore, ids: &LubmIds) -> ByCourse {
 /// LQ4 on COVP1: course list from the teacherOf table, then matching
 /// subjects are found by scanning *all* object lists in the pso index.
 pub fn lq4_covp1(c: &Covp1, ids: &LubmIds) -> ByCourse {
-    let courses = c.pso().items(ids.p_teacher_of, ids.assoc_prof10).to_vec();
+    let pso = c.ordering(Pso);
+    let courses = pso.list(ids.p_teacher_of, ids.assoc_prof10);
     let mut grouped: Vec<(Id, Vec<(Id, Id)>)> =
         courses.iter().map(|&course| (course, Vec::new())).collect();
-    for p in c.properties().collect::<Vec<_>>() {
-        for (s, objs) in c.pso().table(p) {
+    for &p in pso.keys() {
+        for (s, objs) in pso.division(p) {
             for entry in &mut grouped {
                 if sorted::contains(objs, &entry.0) {
                     entry.1.push((s, p));
@@ -244,12 +254,13 @@ pub fn lq4_covp1(c: &Covp1, ids: &LubmIds) -> ByCourse {
 
 /// LQ4 on COVP2: one pos probe per (property, course) pair.
 pub fn lq4_covp2(c: &Covp2, ids: &LubmIds) -> ByCourse {
-    let courses = c.pso().items(ids.p_teacher_of, ids.assoc_prof10).to_vec();
+    let (pso, pos) = (c.ordering(Pso), c.ordering(Pos));
+    let courses = pso.list(ids.p_teacher_of, ids.assoc_prof10);
     let mut grouped: Vec<(Id, Vec<(Id, Id)>)> =
         courses.iter().map(|&course| (course, Vec::new())).collect();
-    for p in c.properties().collect::<Vec<_>>() {
+    for &p in pso.keys() {
         for entry in &mut grouped {
-            for &s in c.pos().items(p, entry.0) {
+            for &s in pos.list(p, entry.0) {
                 entry.1.push((s, p));
             }
         }
@@ -288,24 +299,26 @@ fn lq5_group(
 /// university refinement is a merge join against the Type pos list; each
 /// (degree, university) is one pos probe.
 pub fn lq5_hexastore(h: &Hexastore, ids: &LubmIds) -> ByUniversity {
-    let t = h.object_vector_of_subject(ids.assoc_prof10);
-    let unis = sorted::intersect(&t, h.subjects_for(ids.p_type, ids.class_university));
-    lq5_group(&unis, |d, u| h.subjects_for(d, u).to_vec(), ids.degrees)
+    let t: Vec<Id> = h.ordering(Sop).division(ids.assoc_prof10).map(|(o, _)| o).collect();
+    let pos = h.ordering(Pos);
+    let unis = sorted::intersect(&t, pos.list(ids.p_type, ids.class_university));
+    lq5_group(&unis, |d, u| pos.list(d, u).to_vec(), ids.degrees)
 }
 
 /// LQ5 on COVP1: the related-object list needs a probe in *every* property
 /// table; the university refinement joins against the Type table; each
 /// degree table is then scanned once per university.
 pub fn lq5_covp1(c: &Covp1, ids: &LubmIds) -> ByUniversity {
+    let pso = c.ordering(Pso);
     let mut t: Vec<Id> = Vec::new();
-    for p in c.properties().collect::<Vec<_>>() {
-        t.extend_from_slice(c.pso().items(p, ids.assoc_prof10));
+    for &p in pso.keys() {
+        t.extend_from_slice(pso.list(p, ids.assoc_prof10));
     }
     sorted::sort_dedup(&mut t);
     // Refine to universities by joining with the Type table.
     let mut unis: Vec<Id> = Vec::new();
     let mut i = 0;
-    for (s, objs) in c.pso().table(ids.p_type) {
+    for (s, objs) in pso.division(ids.p_type) {
         while i < t.len() && t[i] < s {
             i += 1;
         }
@@ -321,7 +334,7 @@ pub fn lq5_covp1(c: &Covp1, ids: &LubmIds) -> ByUniversity {
         &unis,
         |d, u| {
             let mut subjects = Vec::new();
-            for (s, objs) in c.pso().table(d) {
+            for (s, objs) in pso.division(d) {
                 if sorted::contains(objs, &u) {
                     subjects.push(s);
                 }
@@ -335,13 +348,14 @@ pub fn lq5_covp1(c: &Covp1, ids: &LubmIds) -> ByUniversity {
 /// LQ5 on COVP2: the related-object list still needs every property table,
 /// but the refinement and the degree lookups are pos probes.
 pub fn lq5_covp2(c: &Covp2, ids: &LubmIds) -> ByUniversity {
+    let (pso, pos) = (c.ordering(Pso), c.ordering(Pos));
     let mut t: Vec<Id> = Vec::new();
-    for p in c.properties().collect::<Vec<_>>() {
-        t.extend_from_slice(c.pso().items(p, ids.assoc_prof10));
+    for &p in pso.keys() {
+        t.extend_from_slice(pso.list(p, ids.assoc_prof10));
     }
     sorted::sort_dedup(&mut t);
-    let unis = sorted::intersect(&t, c.pos().items(ids.p_type, ids.class_university));
-    lq5_group(&unis, |d, u| c.pos().items(d, u).to_vec(), ids.degrees)
+    let unis = sorted::intersect(&t, pos.list(ids.p_type, ids.class_university));
+    lq5_group(&unis, |d, u| pos.list(d, u).to_vec(), ids.degrees)
 }
 
 #[cfg(test)]
@@ -401,7 +415,7 @@ mod tests {
         let hex = lq4_hexastore(&s.hexastore, &ids);
         assert_eq!(lq4_covp1(&s.covp1, &ids), hex);
         assert_eq!(lq4_covp2(&s.covp2, &ids), hex);
-        let taught = s.hexastore.objects_for(ids.assoc_prof10, ids.p_teacher_of);
+        let taught = s.hexastore.ordering(Spo).list(ids.assoc_prof10, ids.p_teacher_of);
         assert_eq!(hex.len(), taught.len());
         // The teacher appears in each course's related set via teacherOf.
         for (course, related) in &hex {

@@ -221,7 +221,7 @@ const fn spec(
 /// known. `figures` and `bench_evidence` both loop over it.
 pub const FIGURES: [FigureSpec; 20] = [
     spec("3", "Barton Query 1", "figure_3", |f, p| {
-        barton_sweep(f, p, trio("", barton::bq1_hexastore, barton::bq1_covp1, barton::bq1_covp2))
+        barton_sweep(f, p, trio("", barton::bq1_indexed, barton::bq1_covp1, barton::bq1_indexed))
     }),
     spec("4", "Barton Query 2 (full + 28-property)", "figure_4", |f, p| {
         barton_sweep(f, p, trio_28(barton::bq2_hexastore, barton::bq2_covp1, barton::bq2_covp2))
@@ -239,7 +239,7 @@ pub const FIGURES: [FigureSpec; 20] = [
         barton_sweep(f, p, trio_28(barton::bq6_hexastore, barton::bq6_covp1, barton::bq6_covp2))
     }),
     spec("9", "Barton Query 7", "figure_9", |f, p| {
-        barton_sweep(f, p, trio("", barton::bq7_hexastore, barton::bq7_covp1, barton::bq7_covp2))
+        barton_sweep(f, p, trio("", barton::bq7_indexed, barton::bq7_covp1, barton::bq7_indexed))
     }),
     spec("10", "LUBM Query 1", "figure_10", |f, p| {
         lubm_sweep(f, p, trio("", lubm::lq1_hexastore, lubm::lq1_covp1, lubm::lq1_covp2))
@@ -773,13 +773,13 @@ fn hand_plans(suite: &Suite, dataset: &str) -> std::collections::HashMap<&'stati
                 );
             }};
         }
-        hand!("BQ1", i, |s: &Suite, i| barton::bq1_hexastore(&s.hexastore, i));
+        hand!("BQ1", i, |s: &Suite, i| barton::bq1_indexed(&s.hexastore, i));
         hand!("BQ2", i, |s: &Suite, i| barton::bq2_hexastore(&s.hexastore, i, None));
         hand!("BQ3", i, |s: &Suite, i| barton::bq3_hexastore(&s.hexastore, i, None));
         hand!("BQ4", i, |s: &Suite, i| barton::bq4_hexastore(&s.hexastore, i, None));
         hand!("BQ5", i, |s: &Suite, i| barton::bq5_hexastore(&s.hexastore, i));
         hand!("BQ6", i, |s: &Suite, i| barton::bq6_hexastore(&s.hexastore, i, None));
-        hand!("BQ7", i, |s: &Suite, i| barton::bq7_hexastore(&s.hexastore, i));
+        hand!("BQ7", i, |s: &Suite, i| barton::bq7_indexed(&s.hexastore, i));
     } else {
         let ids = LubmIds::resolve(&suite.dict).expect("lubm constants resolve");
         macro_rules! hand {

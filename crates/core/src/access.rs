@@ -10,10 +10,12 @@
 //!   ordering and a [`Probe`]; [`serving_kind`] is its ordering-only half,
 //!   which the query planner consults so the index it names is the one the
 //!   store really probes.
-//! - [`OrderingRead`] is what one ordering must offer — `list`, `division`,
-//!   `scan` — and has one implementation: flat slab columns
-//!   ([`SlabOrdering`], borrowed [`IndexView`] + [`ArenaView`]), whether
-//!   owned or memory-mapped.
+//! - [`SlabOrdering`] is one ordering — a borrowed [`IndexView`] plus
+//!   the [`ArenaView`] its lists live in, owned or memory-mapped — and
+//!   its four methods are the only way to read one: `list(k1, k2)`,
+//!   `division(k1)`, `scan()` and `keys()`. Every hand-written plan of the
+//!   paper ("a pos probe", "the spo property vector of s") is a call of
+//!   one of them on `store.ordering(kind)`.
 //! - [`contains`], [`for_each`], [`iter`], [`count`] and `sorted_list`
 //!   are each written once against [`OrderedStore`] — "a store that can
 //!   hand out the [`SlabOrdering`] of a kept [`IndexKind`]". The runtime
@@ -231,39 +233,42 @@ impl<'a> IndexView<'a> {
 }
 
 /// One slab-backed ordering: its index columns and the arena its list
-/// indices point into.
-pub type SlabOrdering<'a> = (IndexView<'a>, ArenaView<'a>);
-
-/// Read access to one ordering's slab columns. Lists are
+/// indices point into. `Copy`, so cursors own it outright. Lists are
 /// sorted and duplicate-free; `division` and `scan` yield in key order.
-pub trait OrderingRead<'a>: Copy + 'a {
-    /// The terminal list keyed `(k1, k2)`; empty if absent.
-    fn list(self, k1: Id, k2: Id) -> &'a [Id];
-
-    /// The `(k2, list)` leaves under header `k1`, ascending in `k2`.
-    fn division(self, k1: Id) -> impl Iterator<Item = (Id, &'a [Id])> + 'a;
-
-    /// Every `(k1, k2, list)` leaf, ascending in `(k1, k2)`.
-    fn scan(self) -> impl Iterator<Item = (Id, Id, &'a [Id])> + 'a;
+#[derive(Clone, Copy, Debug)]
+pub struct SlabOrdering<'a> {
+    /// The header, vector-key and list-reference columns.
+    pub index: IndexView<'a>,
+    /// The terminal lists the index's leaves reference.
+    pub arena: ArenaView<'a>,
 }
 
-impl<'a> OrderingRead<'a> for SlabOrdering<'a> {
+impl<'a> SlabOrdering<'a> {
+    /// The terminal list keyed `(k1, k2)`; empty if absent.
     #[inline]
-    fn list(self, k1: Id, k2: Id) -> &'a [Id] {
-        let (ix, arena) = self;
-        ix.list_idx(k1, k2).map_or(&[], |l| arena.get(l))
+    pub fn list(self, k1: Id, k2: Id) -> &'a [Id] {
+        self.index.list_idx(k1, k2).map_or(&[], |l| self.arena.get(l))
     }
 
-    fn division(self, k1: Id) -> impl Iterator<Item = (Id, &'a [Id])> + 'a {
-        let (ix, arena) = self;
-        ix.leaves(ix.window(k1)).map(move |(k2, list)| (k2, arena.get(list)))
+    /// The `(k2, list)` leaves under header `k1`, ascending in `k2`.
+    pub fn division(self, k1: Id) -> impl Iterator<Item = (Id, &'a [Id])> + 'a {
+        let Self { index, arena } = self;
+        index.leaves(index.window(k1)).map(move |(k2, list)| (k2, arena.get(list)))
     }
 
-    fn scan(self) -> impl Iterator<Item = (Id, Id, &'a [Id])> + 'a {
-        let (ix, arena) = self;
-        ix.keys.iter().enumerate().flat_map(move |(h, &k1)| {
-            ix.leaves(ix.window_at(h)).map(move |(k2, list)| (k1, k2, arena.get(list)))
+    /// Every `(k1, k2, list)` leaf, ascending in `(k1, k2)`.
+    pub fn scan(self) -> impl Iterator<Item = (Id, Id, &'a [Id])> + 'a {
+        let Self { index, arena } = self;
+        index.keys.iter().enumerate().flat_map(move |(h, &k1)| {
+            index.leaves(index.window_at(h)).map(move |(k2, list)| (k1, k2, arena.get(list)))
         })
+    }
+
+    /// The sorted, distinct header keys — the subjects of spo, the
+    /// properties of pso, the objects of osp.
+    #[inline]
+    pub fn keys(self) -> &'a [Id] {
+        self.index.keys
     }
 }
 
@@ -274,7 +279,12 @@ pub trait OrderedStore: TripleStore {
     /// The orderings this store keeps; never empty.
     fn kept(&self) -> IndexSet;
 
-    /// The ordering `kind`, which [`Self::kept`] must contain.
+    /// The ordering `kind`.
+    ///
+    /// # Panics
+    ///
+    /// If [`Self::kept`] does not contain `kind`: asking a store for an
+    /// ordering it never built is a programming error, not bad input.
     fn ordering(&self, kind: IndexKind) -> SlabOrdering<'_>;
 }
 
@@ -367,15 +377,13 @@ impl<'a> Deliver<'a> for &mut dyn FnMut(IdTriple) {
 }
 
 /// Every triple of an ordering, in its key order.
-fn scan_triples<'a, O: KeyOrder>(
-    ord: impl OrderingRead<'a>,
-) -> impl Iterator<Item = IdTriple> + 'a {
+fn scan_triples<O: KeyOrder>(ord: SlabOrdering<'_>) -> impl Iterator<Item = IdTriple> + '_ {
     ord.scan().flat_map(|(k1, k2, list)| list.iter().map(move |&item| O::triple(k1, k2, item)))
 }
 
 /// The one enumeration of a probe's matches, in the ordering's key order.
 fn matches<'a, O: KeyOrder, D: Deliver<'a>>(
-    ord: impl OrderingRead<'a>,
+    ord: SlabOrdering<'a>,
     probe: Probe,
     pat: IdPattern,
     to: D,
@@ -552,7 +560,7 @@ mod tests {
         let arena = ArenaView { slots: &[Id(LONG), Id(LONG | 3)], over: &over };
         let ix =
             IndexView { keys: &keys, offs: offs.view(), k2: k2.view(), lists: Some(lists.view()) };
-        let ord: SlabOrdering<'_> = (ix, arena);
+        let ord = SlabOrdering { index: ix, arena };
         assert_eq!(ord.list(Id(1), Id(5)), &[Id(10), Id(11)], "list run clamped to the column");
         assert_eq!(ord.list(Id(1), Id(6)), &[] as &[Id], "dangling list index reads empty");
         assert_eq!(ord.list(Id(2), Id(5)), &[] as &[Id], "backwards header window reads empty");
@@ -562,7 +570,7 @@ mod tests {
         assert_eq!(ord.scan().count(), 2);
         // A primary ordering reads leaf i as list i: leaf 1 is the list
         // whose position is past the column, which reads empty.
-        let primary: SlabOrdering<'_> = (IndexView { lists: None, ..ix }, arena);
+        let primary = SlabOrdering { index: IndexView { lists: None, ..ix }, arena };
         assert_eq!(primary.list(Id(1), Id(5)), &[Id(10), Id(11)]);
         assert_eq!(primary.list(Id(1), Id(6)), &[] as &[Id], "dangling overflow position");
         assert_eq!(primary.scan().map(|(_, _, list)| list.len()).sum::<usize>(), 2);

@@ -616,6 +616,6 @@ mod tests {
     fn from_triples_constructor_uses_bulk() {
         let h = Hexastore::from_triples([t(9, 1, 1), t(2, 1, 1)]);
         assert_eq!(h.len(), 2);
-        assert_eq!(h.subject_vector_of_property(Id(1)), vec![Id(2), Id(9)]);
+        assert_eq!(h, build_frozen(vec![t(2, 1, 1), t(9, 1, 1)]));
     }
 }

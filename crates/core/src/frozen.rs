@@ -19,17 +19,21 @@
 //! the benchmark's data — is stored where its address would have been
 //! ([`crate::slab`]).
 //!
+//! Reads go through [`OrderedStore::ordering`]: the paper's "spo property
+//! vector of s" is `ordering(IndexKind::Spo).division(s)`, "the objects
+//! of (s, p)" `ordering(IndexKind::Spo).list(s, p)`. The store itself
+//! adds no accessor beside them.
+//!
 //! [`crate::bulk::build_frozen`] is the one builder that turns a sorted
 //! run into index pairs, and it emits these slabs. The flat layout is also
 //! exactly what the [`crate::hexsnap`] binary snapshot stores, which is
 //! what makes "open a snapshot into a query-ready store" a column read
 //! instead of a six-index rebuild.
 
-use crate::access::{IndexView, OrderedStore, OrderingRead, SlabOrdering};
+use crate::access::{IndexView, OrderedStore, SlabOrdering};
 use crate::advisor::{IndexKind, IndexSet};
 use crate::overlay::OverlayHexastore;
 use crate::packed::PackedColumn;
-use crate::pattern::IdPattern;
 use crate::slab::FlatArena;
 use crate::sorted;
 use crate::store::SpaceStats;
@@ -322,128 +326,6 @@ impl FrozenHexastore {
         }
     }
 
-    /// Sorted objects o with (s, p, o) stored — the spo/pso shared list.
-    pub fn objects_for(&self, s: Id, p: Id) -> &[Id] {
-        self.ordering(IndexKind::Spo).list(s, p)
-    }
-
-    /// Sorted properties p with (s, p, o) stored — the sop/osp shared list.
-    pub fn properties_for(&self, s: Id, o: Id) -> &[Id] {
-        self.ordering(IndexKind::Sop).list(s, o)
-    }
-
-    /// Sorted subjects s with (s, p, o) stored — the pos/ops shared list.
-    pub fn subjects_for(&self, p: Id, o: Id) -> &[Id] {
-        self.ordering(IndexKind::Pos).list(p, o)
-    }
-
-    /// spo: the sorted property vector of subject `s`, each property with
-    /// its sorted object list.
-    pub fn spo_vector(&self, s: Id) -> impl Iterator<Item = (Id, &[Id])> + '_ {
-        self.ordering(IndexKind::Spo).division(s)
-    }
-
-    /// sop: the sorted object vector of subject `s`, each object with its
-    /// sorted property list.
-    pub fn sop_vector(&self, s: Id) -> impl Iterator<Item = (Id, &[Id])> + '_ {
-        self.ordering(IndexKind::Sop).division(s)
-    }
-
-    /// pso: the sorted subject vector of property `p`, each subject with
-    /// its sorted object list. (COVP1's only access path.)
-    pub fn pso_vector(&self, p: Id) -> impl Iterator<Item = (Id, &[Id])> + '_ {
-        self.ordering(IndexKind::Pso).division(p)
-    }
-
-    /// pos: the sorted object vector of property `p`, each object with its
-    /// sorted subject list.
-    pub fn pos_vector(&self, p: Id) -> impl Iterator<Item = (Id, &[Id])> + '_ {
-        self.ordering(IndexKind::Pos).division(p)
-    }
-
-    /// osp: the sorted subject vector of object `o`, each subject with its
-    /// sorted property list.
-    pub fn osp_vector(&self, o: Id) -> impl Iterator<Item = (Id, &[Id])> + '_ {
-        self.ordering(IndexKind::Osp).division(o)
-    }
-
-    /// ops: the sorted property vector of object `o`, each property with
-    /// its sorted subject list.
-    pub fn ops_vector(&self, o: Id) -> impl Iterator<Item = (Id, &[Id])> + '_ {
-        self.ordering(IndexKind::Ops).division(o)
-    }
-
-    /// The sorted second-level keys of header `k1` in ordering `kind`.
-    fn vector_keys(&self, kind: IndexKind, k1: Id) -> Vec<Id> {
-        self.ordering(kind).division(k1).map(|(k2, _)| k2).collect()
-    }
-
-    /// The sorted second-level keys of `osp[o]` — e.g. "the subject vector
-    /// for the object Stanford" of §4.1 — without their lists.
-    pub fn subject_vector_of_object(&self, o: Id) -> Vec<Id> {
-        self.vector_keys(IndexKind::Osp, o)
-    }
-
-    /// The sorted property keys of `ops[o]`.
-    pub fn property_vector_of_object(&self, o: Id) -> Vec<Id> {
-        self.vector_keys(IndexKind::Ops, o)
-    }
-
-    /// The sorted property keys of `spo[s]`.
-    pub fn property_vector_of_subject(&self, s: Id) -> Vec<Id> {
-        self.vector_keys(IndexKind::Spo, s)
-    }
-
-    /// The sorted object keys of `sop[s]`.
-    pub fn object_vector_of_subject(&self, s: Id) -> Vec<Id> {
-        self.vector_keys(IndexKind::Sop, s)
-    }
-
-    /// The sorted subject keys of `pso[p]`.
-    pub fn subject_vector_of_property(&self, p: Id) -> Vec<Id> {
-        self.vector_keys(IndexKind::Pso, p)
-    }
-
-    /// The sorted object keys of `pos[p]`.
-    pub fn object_vector_of_property(&self, p: Id) -> Vec<Id> {
-        self.vector_keys(IndexKind::Pos, p)
-    }
-
-    /// Sorted iterator over all distinct subjects.
-    pub fn subjects(&self) -> impl Iterator<Item = Id> + '_ {
-        self.inner.spo.keys.iter().copied()
-    }
-
-    /// Sorted iterator over all distinct properties.
-    pub fn properties(&self) -> impl Iterator<Item = Id> + '_ {
-        self.inner.pso.keys.iter().copied()
-    }
-
-    /// Sorted iterator over all distinct objects.
-    pub fn objects(&self) -> impl Iterator<Item = Id> + '_ {
-        self.inner.osp.keys.iter().copied()
-    }
-
-    /// Number of distinct subjects.
-    pub fn subject_count(&self) -> usize {
-        self.inner.spo.header_count()
-    }
-
-    /// Number of distinct properties.
-    pub fn property_count(&self) -> usize {
-        self.inner.pso.header_count()
-    }
-
-    /// Number of distinct objects.
-    pub fn object_count(&self) -> usize {
-        self.inner.osp.header_count()
-    }
-
-    /// Number of triples with property `p` (size of its pso division).
-    pub fn property_cardinality(&self, p: Id) -> usize {
-        self.count_matching(IdPattern::p(p))
-    }
-
     /// The largest id referenced anywhere in the slabs, if any — the
     /// snapshot loader's bound check against the dictionary size.
     pub(crate) fn max_id(&self) -> Option<Id> {
@@ -502,9 +384,9 @@ impl std::fmt::Debug for FrozenHexastore {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("FrozenHexastore")
             .field("triples", &self.inner.len)
-            .field("subjects", &self.subject_count())
-            .field("properties", &self.property_count())
-            .field("objects", &self.object_count())
+            .field("subjects", &self.inner.spo.header_count())
+            .field("properties", &self.inner.pso.header_count())
+            .field("objects", &self.inner.osp.header_count())
             .finish()
     }
 }
@@ -525,7 +407,7 @@ impl OrderedStore for FrozenHexastore {
             IndexKind::Osp => (&f.osp, &f.p_lists),
             IndexKind::Ops => (&f.ops, &f.s_lists),
         };
-        (ix.view(), arena.view())
+        SlabOrdering { index: ix.view(), arena: arena.view() }
     }
 }
 
@@ -564,6 +446,7 @@ impl TripleStore for FrozenHexastore {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::pattern::IdPattern;
 
     fn t(s: u32, p: u32, o: u32) -> IdTriple {
         IdTriple::from((s, p, o))
@@ -631,7 +514,7 @@ mod tests {
         // Freezing must keep the §4.1 single-copy property: the o-list of
         // (s=1, p=2) reachable via spo and pso is the same column window.
         let frozen = FrozenHexastore::from_triples(sample());
-        let via_spo = frozen.objects_for(Id(1), Id(2));
+        let via_spo = frozen.ordering(IndexKind::Spo).list(Id(1), Id(2));
         let via_pso = frozen.inner.spo.view().list_idx(Id(1), Id(2)).unwrap();
         let mirror = frozen.inner.pso.view().list_idx(Id(2), Id(1)).unwrap();
         assert_eq!(via_spo, &[Id(3), Id(4)]);

@@ -13,6 +13,12 @@
 //! two-level index over its own [`FlatArena`]. Sharing terminal lists only
 //! pays when both orderings of a pair are kept, so every kept ordering is
 //! the primary of its own arena and none stores list references.
+//!
+//! A kept ordering is read like the full store's, through
+//! [`OrderedStore::ordering`]; which ones are kept is
+//! [`OrderedStore::kept`] (and [`TripleStore::capabilities`]). Asking for
+//! one that is not kept panics with a message naming the store, the
+//! missing ordering and the kept set.
 
 use crate::access::{project, serving_kind, OrderedStore, SlabOrdering};
 use crate::advisor::{IndexKind, IndexSet};
@@ -87,11 +93,6 @@ impl PartialHexastore {
         PartialHexastore { keep, orderings, len: run.len() }
     }
 
-    /// The orderings this store maintains.
-    pub fn kept(&self) -> IndexSet {
-        self.keep
-    }
-
     /// Whether the shape is answered by a direct probe (vs a fallback
     /// scan-and-filter).
     pub fn serves_directly(&self, shape: Shape) -> bool {
@@ -105,10 +106,14 @@ impl OrderedStore for PartialHexastore {
         self.keep
     }
 
+    /// # Panics
+    ///
+    /// If `kind` is not kept, naming it and the kept set.
     fn ordering(&self, kind: IndexKind) -> SlabOrdering<'_> {
-        let (_, ix, arena) =
-            self.orderings.iter().find(|(k, _, _)| *k == kind).expect("routed to a kept ordering");
-        (ix.view(), arena.view())
+        let Some((_, ix, arena)) = self.orderings.iter().find(|(k, _, _)| *k == kind) else {
+            panic!("PartialHexastore keeps no {} ordering (it keeps {:?})", kind.name(), self.keep)
+        };
+        SlabOrdering { index: ix.view(), arena: arena.view() }
     }
 }
 

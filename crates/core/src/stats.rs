@@ -5,14 +5,14 @@
 //! *shape* analysis the paper leans on — "The vast majority of properties
 //! appear infrequently" (§5.1.1 on Barton), degree skew, and the
 //! multi-valued resources that §4.2 argues the Hexastore handles
-//! concisely. [`DatasetStats::compute`] reads the six indices directly;
+//! concisely. [`DatasetStats::compute`] reads four orderings directly;
 //! [`DatasetStats::from_store`] is the store-agnostic fallback (one
 //! hashed triple scan) for stores without them, and [`StatsSource`]
 //! picks the cheapest path per store so the [`crate::Dataset`] facade
 //! never hashes what an index already knows.
 
-use crate::access::{OrderedStore, OrderingRead};
-use crate::advisor::IndexKind;
+use crate::access::OrderedStore;
+use crate::advisor::IndexKind::{Osp, Pos, Pso, Spo};
 use crate::frozen::FrozenHexastore;
 use crate::pattern::IdPattern;
 use crate::traits::TripleStore;
@@ -44,25 +44,37 @@ pub struct DatasetStats {
 }
 
 impl DatasetStats {
-    /// Computes statistics from the six indices of a store.
-    pub fn compute(store: &FrozenHexastore) -> DatasetStats {
-        let property_cardinalities =
-            store.properties().map(|p| (p, store.property_cardinality(p))).collect();
-        // properties() walks the pso index in ascending id order, so the
-        // shape table comes out binary-searchable for free.
-        let property_shapes = store
-            .properties()
-            .map(|p| (p, store.pso_vector(p).count(), store.pos_vector(p).count()))
-            .collect();
-        let sp_lists = store.ordering(IndexKind::Spo).scan().map(|(_, _, objs)| objs.len());
-        let distinct = (store.subject_count(), store.object_count());
+    /// Computes statistics from a store's spo, pso, pos and osp
+    /// orderings: header counts, one pso and one pos division per
+    /// property, and the spo list lengths. No triple is visited, and no
+    /// other ordering is read.
+    ///
+    /// # Panics
+    ///
+    /// If the store does not keep all four of those orderings.
+    pub fn compute<S: OrderedStore>(store: &S) -> DatasetStats {
+        let (spo, pso, pos) = (store.ordering(Spo), store.ordering(Pso), store.ordering(Pos));
+        let (mut property_cardinalities, mut property_shapes) = (Vec::new(), Vec::new());
+        // pso's keys ascend, so the shape table comes out
+        // binary-searchable for free.
+        for &p in pso.keys() {
+            let (mut subjects, mut triples) = (0, 0);
+            for (_, objects) in pso.division(p) {
+                subjects += 1;
+                triples += objects.len();
+            }
+            property_cardinalities.push((p, triples));
+            property_shapes.push((p, subjects, pos.division(p).count()));
+        }
+        let sp_lists = spo.scan().map(|(_, _, objs)| objs.len());
+        let distinct = (spo.keys().len(), store.ordering(Osp).keys().len());
         Self::assemble(store.len(), distinct, property_cardinalities, property_shapes, sp_lists)
     }
 
     /// Computes statistics from *any* [`TripleStore`] with one linear
     /// pass over its triples — the entry point for stores without the
-    /// full store's per-index accessors (the overlay, the partial store,
-    /// the baselines). Produces exactly the same numbers as
+    /// orderings [`DatasetStats::compute`] reads (the overlay, the partial
+    /// store, the baselines). Produces exactly the same numbers as
     /// [`DatasetStats::compute`] does on a full Hexastore.
     pub fn from_store(store: &dyn TripleStore) -> DatasetStats {
         let mut subjects: HashSet<Id> = HashSet::new();
@@ -177,7 +189,8 @@ impl DatasetStats {
 /// cheapest derivation its physical design allows.
 ///
 /// [`crate::Dataset::stats`] is bound on this trait: a
-/// [`FrozenHexastore`] answers from its already-built indices
+/// [`FrozenHexastore`] — and the memory-mapped store of `hex-disk` —
+/// answers from its already-built orderings
 /// ([`DatasetStats::compute`]); the other store forms fall back to the
 /// generic one-pass scan ([`DatasetStats::from_store`]). External store
 /// types can implement it the same way (the default body is the scan).
@@ -270,7 +283,10 @@ mod tests {
             written.insert(tr);
         }
         assert_eq!(written.dataset_stats(), reference);
-        assert_eq!(reference.property_cardinality(Id(3)), Some(h.property_cardinality(Id(3))));
+        assert_eq!(
+            reference.property_cardinality(Id(3)),
+            Some(h.count_matching(IdPattern::p(Id(3))))
+        );
         assert_eq!(reference.property_cardinality(Id(99)), None);
     }
 

@@ -8,6 +8,10 @@
 //! share their terminal lists, bounding worst-case space at five entries
 //! per resource key (two headers, two vectors, one list). That structure is
 //! [`FrozenHexastore`], in flat slabs; [`SpaceStats`] counts its entries.
+//! One ordering is read as
+//! [`ordering(kind)`](crate::access::OrderedStore::ordering) — a
+//! [`SlabOrdering`](crate::access::SlabOrdering) with `list`, `division`,
+//! `scan` and `keys` — on this store as on every other slab store.
 
 use crate::frozen::FrozenHexastore;
 
@@ -57,7 +61,8 @@ impl SpaceStats {
 /// [`crate::FrozenGraphStore`], which bundles the two).
 ///
 /// ```
-/// use hexastore::{Hexastore, IdPattern, TripleStore};
+/// use hexastore::access::OrderedStore;
+/// use hexastore::{Hexastore, IdPattern, IndexKind, TripleStore};
 /// use hex_dict::{Id, IdTriple};
 ///
 /// let store = Hexastore::from_triples([
@@ -67,7 +72,7 @@ impl SpaceStats {
 /// ]);
 ///
 /// // (s, p, ?): one spo probe, objects come back sorted.
-/// assert_eq!(store.objects_for(Id(0), Id(1)), &[Id(2), Id(3)]);
+/// assert_eq!(store.ordering(IndexKind::Spo).list(Id(0), Id(1)), &[Id(2), Id(3)]);
 /// // (?, ?, o): one osp probe — no per-property scan.
 /// assert_eq!(store.count_matching(IdPattern::o(Id(2))), 2);
 /// ```
@@ -76,6 +81,8 @@ pub type Hexastore = FrozenHexastore;
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::access::OrderedStore;
+    use crate::advisor::IndexKind::{Ops, Osp, Pos, Pso, Sop, Spo};
     use crate::pattern::IdPattern;
     use crate::traits::TripleStore;
     use crate::OverlayHexastore;
@@ -150,9 +157,9 @@ mod tests {
         assert_eq!(written.len(), 0);
         let h = written.freeze();
         assert_eq!(h.len(), 0);
-        assert_eq!(h.subject_count(), 0);
-        assert_eq!(h.property_count(), 0);
-        assert_eq!(h.object_count(), 0);
+        for kind in [Spo, Pso, Osp] {
+            assert!(h.ordering(kind).keys().is_empty(), "{kind:?}");
+        }
         let stats = h.space_stats();
         assert_eq!(stats.total_entries(), 0);
     }
@@ -160,11 +167,10 @@ mod tests {
     #[test]
     fn terminal_lists_are_sorted_and_shared() {
         let h = Hexastore::from_triples([t(1, 2, 9), t(1, 2, 3), t(1, 2, 6)]);
-        assert_eq!(h.objects_for(Id(1), Id(2)), &[Id(3), Id(6), Id(9)]);
+        assert_eq!(h.ordering(Spo).list(Id(1), Id(2)), &[Id(3), Id(6), Id(9)]);
         // pso must see the identical list (shared, not copied).
-        let via_pso: Vec<(Id, Vec<Id>)> =
-            h.pso_vector(Id(2)).map(|(s, l)| (s, l.to_vec())).collect();
-        assert_eq!(via_pso, vec![(Id(1), vec![Id(3), Id(6), Id(9)])]);
+        let via_pso: Vec<(Id, &[Id])> = h.ordering(Pso).division(Id(2)).collect();
+        assert_eq!(via_pso, vec![(Id(1), &[Id(3), Id(6), Id(9)][..])]);
     }
 
     #[test]
@@ -174,10 +180,10 @@ mod tests {
         // namely bachelorFrom and worksFor", each with one subject.
         let h = figure1();
         let mit = Id(22);
-        let props = h.property_vector_of_object(mit);
+        let props: Vec<Id> = h.ordering(Ops).division(mit).map(|(p, _)| p).collect();
         assert_eq!(props, vec![Id(12), Id(15)]); // bachelorFrom, worksFor
-        assert_eq!(h.subjects_for(Id(12), mit), &[Id(1)]);
-        assert_eq!(h.subjects_for(Id(15), mit), &[Id(2)]);
+        assert_eq!(h.ordering(Pos).list(Id(12), mit), &[Id(1)]);
+        assert_eq!(h.ordering(Pos).list(Id(15), mit), &[Id(2)]);
     }
 
     #[test]
@@ -187,9 +193,10 @@ mod tests {
         // property lists {phdFrom} and {bachelorsFrom}.
         let h = figure1();
         let stanford = Id(27);
-        assert_eq!(h.subject_vector_of_object(stanford), vec![Id(2), Id(3)]);
-        assert_eq!(h.properties_for(Id(2), stanford), &[Id(14)]); // phdFrom
-        assert_eq!(h.properties_for(Id(3), stanford), &[Id(16)]); // bachelorsFrom
+        let subjects: Vec<Id> = h.ordering(Osp).division(stanford).map(|(s, _)| s).collect();
+        assert_eq!(subjects, vec![Id(2), Id(3)]);
+        assert_eq!(h.ordering(Sop).list(Id(2), stanford), &[Id(14)]); // phdFrom
+        assert_eq!(h.ordering(Sop).list(Id(3), stanford), &[Id(16)]); // bachelorsFrom
     }
 
     #[test]
@@ -245,39 +252,9 @@ mod tests {
     #[test]
     fn property_cardinality_counts_triples() {
         let h = figure1();
-        assert_eq!(h.property_cardinality(Id(10)), 4); // type: 4 subjects
-        assert_eq!(h.property_cardinality(Id(17)), 2); // advisor
-        assert_eq!(h.property_cardinality(Id(99)), 0);
-    }
-
-    #[test]
-    fn header_iterators_are_sorted() {
-        let h = figure1();
-        let subs: Vec<Id> = h.subjects().collect();
-        assert_eq!(subs, vec![Id(1), Id(2), Id(3), Id(4)]);
-        let props: Vec<Id> = h.properties().collect();
-        assert!(props.windows(2).all(|w| w[0] < w[1]));
-        assert_eq!(h.property_count(), props.len());
-    }
-
-    #[test]
-    fn vector_accessors_cover_both_directions() {
-        let h = figure1();
-        // spo and sop agree on the triple set for a subject.
-        let s = Id(2);
-        let via_spo: usize = h.spo_vector(s).map(|(_, l)| l.len()).sum();
-        let via_sop: usize = h.sop_vector(s).map(|(_, l)| l.len()).sum();
-        assert_eq!(via_spo, via_sop);
-        // pos and pso agree for a property.
-        let p = Id(16);
-        let via_pos: usize = h.pos_vector(p).map(|(_, l)| l.len()).sum();
-        let via_pso: usize = h.pso_vector(p).map(|(_, l)| l.len()).sum();
-        assert_eq!(via_pos, via_pso);
-        // osp and ops agree for an object.
-        let o = Id(28);
-        let via_osp: usize = h.osp_vector(o).map(|(_, l)| l.len()).sum();
-        let via_ops: usize = h.ops_vector(o).map(|(_, l)| l.len()).sum();
-        assert_eq!(via_osp, via_ops);
+        assert_eq!(h.count_matching(IdPattern::p(Id(10))), 4); // type: 4 subjects
+        assert_eq!(h.count_matching(IdPattern::p(Id(17))), 2); // advisor
+        assert_eq!(h.count_matching(IdPattern::p(Id(99))), 0);
     }
 
     #[test]
@@ -326,8 +303,8 @@ mod tests {
         // ID2 appears as subject and as object (advisor triples) — one
         // shared id namespace, distinct index roles.
         let h = figure1();
-        assert!(h.subjects().any(|s| s == Id(2)));
-        assert!(h.objects().any(|o| o == Id(2)));
-        assert_eq!(h.subjects_for(Id(17), Id(2)), &[Id(3)]);
+        assert!(h.ordering(Spo).keys().contains(&Id(2)));
+        assert!(h.ordering(Osp).keys().contains(&Id(2)));
+        assert_eq!(h.ordering(Pos).list(Id(17), Id(2)), &[Id(3)]);
     }
 }

@@ -8,7 +8,8 @@
 use std::collections::BTreeSet;
 
 use hex_dict::{Id, IdTriple};
-use hexastore::{bulk, sorted, FlatArena, IdPattern, OverlayHexastore, TripleStore};
+use hexastore::access::OrderedStore;
+use hexastore::{bulk, sorted, FlatArena, IdPattern, IndexKind, OverlayHexastore, TripleStore};
 use proptest::prelude::*;
 
 #[derive(Clone, Debug)]
@@ -199,21 +200,8 @@ proptest! {
     #[test]
     fn terminal_lists_stay_sorted_sets(ops in arb_ops()) {
         let h = apply(&ops).0.freeze();
-        for s in h.subjects() {
-            for (_, list) in h.spo_vector(s) {
-                prop_assert!(sorted::is_sorted_set(list));
-            }
-            for (_, list) in h.sop_vector(s) {
-                prop_assert!(sorted::is_sorted_set(list));
-            }
-        }
-        for p in h.properties() {
-            for (_, list) in h.pos_vector(p) {
-                prop_assert!(sorted::is_sorted_set(list));
-            }
-        }
-        for o in h.objects() {
-            for (_, list) in h.ops_vector(o) {
+        for kind in IndexKind::ALL {
+            for (_, _, list) in h.ordering(kind).scan() {
                 prop_assert!(sorted::is_sorted_set(list));
             }
         }

@@ -115,11 +115,6 @@ impl Default for BartonConfig {
 }
 
 impl BartonConfig {
-    /// Configuration producing roughly `n` triples.
-    pub fn with_approx_triples(n: usize) -> Self {
-        BartonConfig { records: n / 8, ..Default::default() }
-    }
-
     /// A small configuration for unit tests.
     pub fn tiny() -> Self {
         BartonConfig { records: 800, seed: 11, ..Default::default() }

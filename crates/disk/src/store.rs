@@ -5,10 +5,10 @@
 use crate::mmap::Mmap;
 use crate::{Error, Result};
 use hex_dict::{Id, IdTriple};
-use hexastore::access::{ArenaView, IndexView, OrderedStore, OrderingRead, SlabOrdering};
+use hexastore::access::{ArenaView, IndexView, OrderedStore, SlabOrdering};
 use hexastore::hexsnap::{ArenaColumns, Column, FrozenColumns, Ints, Packed, Windows};
 use hexastore::PackedView;
-use hexastore::{IndexKind, IndexSet, StatsSource, TripleStore};
+use hexastore::{DatasetStats, IndexKind, IndexSet, StatsSource, TripleStore};
 use std::sync::Arc;
 
 /// Column descriptors of one arena: slot column + overflow column.
@@ -188,21 +188,6 @@ impl MmapFrozenHexastore {
         ArenaView { slots: self.ids(cols.slots), over: self.ids(cols.over) }
     }
 
-    /// Sorted objects o with (s, p, o) stored — the spo/pso shared list.
-    pub fn objects_for(&self, s: Id, p: Id) -> &[Id] {
-        self.ordering(IndexKind::Spo).list(s, p)
-    }
-
-    /// Sorted properties p with (s, p, o) stored — the sop/osp shared list.
-    pub fn properties_for(&self, s: Id, o: Id) -> &[Id] {
-        self.ordering(IndexKind::Sop).list(s, o)
-    }
-
-    /// Sorted subjects s with (s, p, o) stored — the pos/ops shared list.
-    pub fn subjects_for(&self, p: Id, o: Id) -> &[Id] {
-        self.ordering(IndexKind::Pos).list(p, o)
-    }
-
     /// Bytes of file backing this store — the mapped region. The
     /// complement of [`TripleStore::heap_bytes`], which is near zero
     /// here: the columns live in the page cache, not on the heap.
@@ -232,15 +217,15 @@ impl OrderedStore for MmapFrozenHexastore {
         // The `FROZ` walk stores the orderings in `IndexKind`'s declaration
         // order.
         let ix = self.orderings[kind as usize];
-        (
-            IndexView {
+        SlabOrdering {
+            index: IndexView {
                 keys: self.ids(ix.keys),
                 offs: self.packed(ix.offs),
                 k2: self.packed(ix.k2),
                 lists: ix.lists.map(|lists| self.packed(lists)),
             },
-            self.arena(self.arenas[ix.arena]),
-        )
+            arena: self.arena(self.arenas[ix.arena]),
+        }
     }
 }
 
@@ -277,4 +262,12 @@ impl TripleStore for MmapFrozenHexastore {
     hexastore::forward_reads!();
 }
 
-impl StatsSource for MmapFrozenHexastore {}
+/// From four of the mapped orderings ([`DatasetStats::compute`]): their
+/// headers, one pso and one pos division per property and the spo lists'
+/// lengths, never a hashed scan of every triple — which would fault in
+/// the whole file.
+impl StatsSource for MmapFrozenHexastore {
+    fn dataset_stats(&self) -> DatasetStats {
+        DatasetStats::compute(self)
+    }
+}

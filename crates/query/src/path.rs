@@ -10,10 +10,18 @@
 //!
 //! [`PathStats`] records the joins and sorts actually performed so the
 //! claim is testable and benchable, not just asserted.
+//!
+//! [`follow_path`], [`transitive_closure`] and [`path_pairs`] read only
+//! those two orderings — `store.ordering(Pso)` and `store.ordering(Pos)` —
+//! so they run on any [`OrderedStore`] that keeps both: the Hexastore,
+//! COVP2, or a partial store keeping {pso, pos}. On a store that lacks
+//! either, they panic ([`OrderedStore::ordering`]).
 
 use crate::ops;
 use hex_dict::Id;
-use hexastore::{sorted, Hexastore, IdPattern, TripleStore};
+use hexastore::access::{OrderedStore, SlabOrdering};
+use hexastore::IndexKind::{Pos, Pso};
+use hexastore::{sorted, IdPattern, TripleStore};
 
 /// Counters of the join machinery a path evaluation used.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -36,22 +44,29 @@ pub struct PathResult {
     pub stats: PathStats,
 }
 
-/// Follows `props = [p1, …, pn]` from *any* start node on a Hexastore.
+/// The sorted vector keys of `ordering[k1]`: the objects of a property in
+/// pos, its subjects in pso.
+fn vector_keys(ordering: SlabOrdering<'_>, k1: Id) -> Vec<Id> {
+    ordering.division(k1).map(|(k2, _)| k2).collect()
+}
+
+/// Follows `props = [p1, …, pn]` from *any* start node.
 ///
 /// Returns the distinct nodes reachable through the full chain. Uses the
 /// pos index for the first hop (sorted objects of `p1`) and pso subject
 /// vectors for each join, exactly the §4.3 plan.
-pub fn follow_path(store: &Hexastore, props: &[Id]) -> PathResult {
+pub fn follow_path<S: OrderedStore>(store: &S, props: &[Id]) -> PathResult {
     let Some((&first, rest)) = props.split_first() else {
         return PathResult::default();
     };
+    let pso = store.ordering(Pso);
     // Objects of p1, already sorted: the pos object vector.
-    let mut frontier = store.object_vector_of_property(first);
+    let mut frontier = vector_keys(store.ordering(Pos), first);
     let mut stats = PathStats::default();
 
     for (hop, &p) in rest.iter().enumerate() {
         // Join frontier (objects reached so far) with subjects of p.
-        let subjects = store.subject_vector_of_property(p);
+        let subjects = vector_keys(pso, p);
         // First join: both sides sorted (pos objects × pso subjects) — a
         // linear merge join. Later joins: the frontier was re-sorted after
         // gathering, so the join itself is still a merge, but the paper
@@ -66,7 +81,7 @@ pub fn follow_path(store: &Hexastore, props: &[Id]) -> PathResult {
         // concatenation of per-subject lists is not globally sorted.
         let mut next: Vec<Id> = Vec::new();
         for x in matched {
-            next.extend_from_slice(store.objects_for(x, p));
+            next.extend_from_slice(pso.list(p, x));
         }
         // Every materialized frontier is normalized; the sort is charged
         // to the *next* join (making it sort-merge), so count it only when
@@ -127,15 +142,16 @@ pub fn follow_path_generic(store: &dyn TripleStore, props: &[Id]) -> PathResult 
 /// Nodes reachable from `start` by following property `p` one or more
 /// times (the transitive-closure building block the paper relates path
 /// queries to). Breadth-first over sorted frontiers.
-pub fn transitive_closure(store: &Hexastore, start: Id, p: Id) -> Vec<Id> {
+pub fn transitive_closure<S: OrderedStore>(store: &S, start: Id, p: Id) -> Vec<Id> {
+    let pso = store.ordering(Pso);
     let mut reached: Vec<Id> = Vec::new();
-    let mut frontier: Vec<Id> = store.objects_for(start, p).to_vec();
+    let mut frontier: Vec<Id> = pso.list(p, start).to_vec();
     while !frontier.is_empty() {
         // reached ∪= frontier; next = successors(frontier) \ reached.
         reached = sorted::union(&reached, &frontier);
         let mut next: Vec<Id> = Vec::new();
         for &x in &frontier {
-            next.extend_from_slice(store.objects_for(x, p));
+            next.extend_from_slice(pso.list(p, x));
         }
         sorted::sort_dedup(&mut next);
         frontier = sorted::difference(&next, &reached);
@@ -146,15 +162,13 @@ pub fn transitive_closure(store: &Hexastore, start: Id, p: Id) -> Vec<Id> {
 /// All `(start, end)` pairs connected by the two-property path `p1/p2`,
 /// grouped by the intermediate node's start set — a helper for the LUBM
 /// queries that group results (LQ4, LQ5).
-pub fn path_pairs(store: &Hexastore, p1: Id, p2: Id) -> Vec<(Id, Vec<Id>)> {
-    let mids = sorted::intersect(
-        &store.object_vector_of_property(p1),
-        &store.subject_vector_of_property(p2),
-    );
+pub fn path_pairs<S: OrderedStore>(store: &S, p1: Id, p2: Id) -> Vec<(Id, Vec<Id>)> {
+    let (pso, pos) = (store.ordering(Pso), store.ordering(Pos));
+    let mids = sorted::intersect(&vector_keys(pos, p1), &vector_keys(pso, p2));
     let mut pairs: Vec<(Id, Id)> = Vec::new();
     for mid in mids {
-        for &s in store.subjects_for(p1, mid) {
-            for &e in store.objects_for(mid, p2) {
+        for &s in pos.list(p1, mid) {
+            for &e in pso.list(p2, mid) {
                 pairs.push((s, e));
             }
         }
@@ -166,6 +180,7 @@ pub fn path_pairs(store: &Hexastore, p1: Id, p2: Id) -> Vec<(Id, Vec<Id>)> {
 mod tests {
     use super::*;
     use hex_dict::IdTriple;
+    use hexastore::{Hexastore, IndexSet, PartialHexastore};
 
     fn t(s: u32, p: u32, o: u32) -> IdTriple {
         IdTriple::from((s, p, o))
@@ -213,8 +228,11 @@ mod tests {
     #[test]
     fn generic_path_agrees_on_results_but_sorts_more() {
         let h = chain();
+        let pso_pos = IndexSet::EMPTY.with(Pso).with(Pos);
+        let partial = PartialHexastore::from_triples(pso_pos, h.matching(IdPattern::ALL));
         for props in [vec![Id(10)], vec![Id(10), Id(11)], vec![Id(10), Id(11), Id(12)]] {
             let fast = follow_path(&h, &props);
+            assert_eq!(follow_path(&partial, &props), fast, "pso + pos alone: {props:?}");
             let slow = follow_path_generic(&h, &props);
             assert_eq!(fast.ends, slow.ends, "path {props:?}");
             // COVP-style plan sorts at least once per hop.

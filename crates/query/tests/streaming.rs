@@ -148,7 +148,7 @@ proptest! {
                 expected.clone(),
                 "store {} (partial keeps {:?})",
                 store.name(),
-                partial.kept()
+                partial.capabilities()
             );
         }
     }
@@ -169,7 +169,7 @@ proptest! {
         prop_assert_eq!(covered, (0..bgp.patterns.len()).collect::<Vec<_>>());
         for step in &steps {
             if let Some(kind) = step.index {
-                prop_assert!(partial.kept().contains(kind), "step {step:?} claims a dropped index");
+                prop_assert!(partial.capabilities().contains(kind), "step {step:?} claims a dropped index");
             }
         }
     }

@@ -82,7 +82,7 @@ fn main() {
         .expect("query compiles against the suite dictionary");
     println!(
         "\nauto-planned query on the reduced store ({} of 6 orderings):",
-        partial.kept().len()
+        partial.capabilities().len()
     );
     print!("{}", plan.explain());
     for row in plan.solutions() {

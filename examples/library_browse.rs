@@ -7,11 +7,17 @@
 //! property facets (BQ2), narrow to French texts (BQ4), then inspect what
 //! a `Point: end` value means (BQ7).
 //!
+//! Each step reads the Hexastore's orderings as the paper's plans do, with
+//! `store.ordering(kind)`: the distinct properties are the header keys of
+//! pso, and the type facet is the pos division of `Type`.
+//!
 //! Run with: `cargo run --release --example library_browse`
 
 use hex_bench_queries::barton::{self, BartonIds};
 use hex_bench_queries::Suite;
 use hex_datagen::barton::{generate, BartonConfig};
+use hexastore::access::OrderedStore;
+use hexastore::IndexKind;
 
 fn main() {
     let cfg = BartonConfig { records: 20_000, ..BartonConfig::default() };
@@ -22,12 +28,12 @@ fn main() {
         "catalog: {} triples, {} records, {} distinct properties\n",
         suite.len(),
         cfg.records,
-        suite.hexastore.property_count()
+        suite.hexastore.ordering(IndexKind::Pso).keys().len()
     );
 
     // BQ1 — the type facet: counts of each Type value (one pos probe).
     println!("── type facet (BQ1) ──");
-    let mut counts = barton::bq1_hexastore(&suite.hexastore, &ids);
+    let mut counts = barton::bq1_indexed(&suite.hexastore, &ids);
     counts.sort_by_key(|&(_, n)| std::cmp::Reverse(n));
     for (ty, n) in &counts {
         println!("  {:<55} {n}", suite.dict.decode(*ty).unwrap().to_string());
@@ -54,7 +60,7 @@ fn main() {
 
     // BQ7 — what does Point: end mean? Inspect Encoding and Type.
     println!("\n── what is a Point:'end' resource? (BQ7) ──");
-    let info = barton::bq7_hexastore(&suite.hexastore, &ids);
+    let info = barton::bq7_indexed(&suite.hexastore, &ids);
     let type_values: std::collections::BTreeSet<String> = info
         .iter()
         .filter(|t| t.p == ids.p_type)

@@ -88,8 +88,8 @@ fn main() {
     );
     println!(
         "\n=== same surface on a PartialGraphStore keeping {:?} ({} of 6 orderings) ===",
-        partial.store().kept(),
-        partial.store().kept().len()
+        partial.store().capabilities(),
+        partial.store().capabilities().len()
     );
     let reduced_query = format!(
         r#"SELECT ?s WHERE {{

@@ -7,11 +7,15 @@
 //! over `knows` edges (§4.3) — and contrasts the index work a Hexastore
 //! does against what a property-partitioned store would have to do.
 //!
+//! Every index read goes through `store.ordering(kind)`: "the osp subject
+//! vector of alice" is `ordering(IndexKind::Osp).division(alice)`, and the
+//! path queries read only the pso and pos orderings.
+//!
 //! Run with: `cargo run --example social_network`
 
-use hex_dict::Id;
 use hex_query::{path, DatasetQuery};
-use hexastore::GraphStore;
+use hexastore::access::OrderedStore;
+use hexastore::{GraphStore, IndexKind};
 use rdf_model::{Term, Triple};
 
 const EX: &str = "http://social.example.org/";
@@ -50,7 +54,7 @@ fn main() {
     println!(
         "social graph: {} edges, {} relationship kinds\n",
         g.len(),
-        g.store().property_count()
+        g.store().ordering(IndexKind::Pso).keys().len()
     );
 
     // Relationship discovery: how are two people connected, if at all?
@@ -71,10 +75,8 @@ fn main() {
     // query all relationship tables and union (§2.2.3).
     println!("\neveryone connected to alice (any property, any direction):");
     let alice = g.id_of(&person("alice")).unwrap();
-    let inbound: Vec<(Id, Vec<Id>)> =
-        g.store().osp_vector(alice).map(|(s, props)| (s, props.to_vec())).collect();
-    for (s, props) in inbound {
-        for p in props {
+    for (s, props) in g.store().ordering(IndexKind::Osp).division(alice) {
+        for &p in props {
             println!(
                 "  {} --{}--> alice",
                 g.dict().decode(s).unwrap(),
@@ -82,10 +84,8 @@ fn main() {
             );
         }
     }
-    let outbound: Vec<(Id, Vec<Id>)> =
-        g.store().spo_vector(alice).map(|(p, objs)| (p, objs.to_vec())).collect();
-    for (p, objs) in outbound {
-        for o in objs {
+    for (p, objs) in g.store().ordering(IndexKind::Spo).division(alice) {
+        for &o in objs {
             println!(
                 "  alice --{}--> {}",
                 g.dict().decode(p).unwrap(),

@@ -132,7 +132,7 @@ proptest! {
                 prepared_rows(&partial, &text),
                 expected,
                 "PartialGraphStore keeping {:?}",
-                partial.store().kept()
+                partial.store().capabilities()
             );
         }
     }

@@ -1,7 +1,10 @@
 //! The paper's Figure 1 worked example, verified literally at string
 //! level, including the §4.1 index-content walkthrough.
 
+use hex_dict::Id;
 use hex_query::DatasetQuery;
+use hexastore::access::OrderedStore;
+use hexastore::IndexKind::{Ops, Osp, Pos, Sop};
 use hexastore::{FrozenGraphStore, GraphStore};
 use rdf_model::{Term, TermPattern, Triple, TriplePattern};
 
@@ -13,6 +16,12 @@ fn iri(name: &str) -> Term {
 
 fn lit(s: &str) -> Term {
     Term::literal(s)
+}
+
+/// The sorted subject vector of object `o` in osp — §4.1's "subject
+/// vector for the object".
+fn subject_vector(g: &FrozenGraphStore, o: Id) -> Vec<Id> {
+    g.store().ordering(Osp).division(o).map(|(s, _)| s).collect()
 }
 
 fn figure1() -> FrozenGraphStore {
@@ -74,15 +83,19 @@ fn section_4_1_ops_example_for_mit() {
     // a one-item subject list (ID1, ID2 respectively).
     let g = figure1();
     let mit = g.id_of(&lit("MIT")).unwrap();
-    let props: Vec<String> =
-        g.store().ops_vector(mit).map(|(p, _)| g.dict().decode(p).unwrap().to_string()).collect();
+    let props: Vec<String> = g
+        .store()
+        .ordering(Ops)
+        .division(mit)
+        .map(|(p, _)| g.dict().decode(p).unwrap().to_string())
+        .collect();
     assert_eq!(props, vec![format!("<{EX}bachelorFrom>"), format!("<{EX}worksFor>")]);
     let bachelor = g.id_of(&iri("bachelorFrom")).unwrap();
     let works_for = g.id_of(&iri("worksFor")).unwrap();
     let id1 = g.id_of(&iri("ID1")).unwrap();
     let id2 = g.id_of(&iri("ID2")).unwrap();
-    assert_eq!(g.store().subjects_for(bachelor, mit), &[id1]);
-    assert_eq!(g.store().subjects_for(works_for, mit), &[id2]);
+    assert_eq!(g.store().ordering(Pos).list(bachelor, mit), &[id1]);
+    assert_eq!(g.store().ordering(Pos).list(works_for, mit), &[id2]);
 }
 
 #[test]
@@ -94,11 +107,11 @@ fn section_4_1_osp_example_for_stanford() {
     let stanford = g.id_of(&lit("Stanford")).unwrap();
     let id2 = g.id_of(&iri("ID2")).unwrap();
     let id3 = g.id_of(&iri("ID3")).unwrap();
-    assert_eq!(g.store().subject_vector_of_object(stanford), vec![id2, id3]);
+    assert_eq!(subject_vector(&g, stanford), vec![id2, id3]);
     let phd = g.id_of(&iri("phdFrom")).unwrap();
     let bachelors = g.id_of(&iri("bachelorsFrom")).unwrap();
-    assert_eq!(g.store().properties_for(id2, stanford), &[phd]);
-    assert_eq!(g.store().properties_for(id3, stanford), &[bachelors]);
+    assert_eq!(g.store().ordering(Sop).list(id2, stanford), &[phd]);
+    assert_eq!(g.store().ordering(Sop).list(id3, stanford), &[bachelors]);
 }
 
 #[test]
@@ -114,10 +127,8 @@ fn motivation_queries_from_section_2_2_3() {
                                     // merge-join of two osp subject vectors (here: Yale ∩ Stanford = ID2).
     let yale = g.id_of(&lit("Yale")).unwrap();
     let stanford = g.id_of(&lit("Stanford")).unwrap();
-    let both = hexastore::sorted::intersect(
-        &g.store().subject_vector_of_object(yale),
-        &g.store().subject_vector_of_object(stanford),
-    );
+    let both =
+        hexastore::sorted::intersect(&subject_vector(&g, yale), &subject_vector(&g, stanford));
     let id2 = g.id_of(&iri("ID2")).unwrap();
     assert_eq!(both, vec![id2]);
 }

@@ -109,7 +109,7 @@ proptest! {
         }
         let oracle = TriplesTable::from_triples(triples.iter().copied());
         let partial = PartialHexastore::from_triples(keep, triples.iter().copied());
-        prop_assert_eq!(partial.kept(), keep);
+        prop_assert_eq!(partial.capabilities(), keep);
         for pat in probe_patterns(&triples) {
             assert_matches_oracle(&partial, &oracle, pat);
         }

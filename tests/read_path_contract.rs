@@ -19,10 +19,23 @@
 //!   free position and strictly ascending; it is `None` unless exactly
 //!   two positions are bound;
 //! - `contains` agrees with the model.
+//!
+//! Every slab store — frozen, every partial subset (COVP1 and COVP2
+//! among them), and (feature `disk`) the memory-mapped store — also owes
+//! the one ordering read, `OrderedStore::ordering(kind)`, for each kind it
+//! keeps ([`check_orderings`]), against the model projected to the
+//! ordering's `(k1, k2, item)` key order:
+//!
+//! - `keys()` is the sorted, distinct `k1` of the projection;
+//! - `division(k1)` yields the `(k2, list)` groups of that `k1` in `k2`
+//!   order, each list strictly ascending;
+//! - `list(k1, k2)` is that division's list, and empty for absent keys;
+//! - `scan()` is the divisions concatenated in key order, and its items
+//!   total `len()`.
 
 use hex_baselines::{Covp1, Covp2, TriplesTable};
 use hex_dict::{Id, IdTriple};
-use hexastore::access::{project, route};
+use hexastore::access::{project, route, OrderedStore};
 use hexastore::{
     FrozenHexastore, IdPattern, IndexKind, IndexSet, OverlayHexastore, PartialHexastore,
     TripleStore,
@@ -165,6 +178,67 @@ fn check<S: TripleStore>(store: &S, model: &[IdTriple], order: Order, what: &str
     }
 }
 
+/// The model's divisions in one ordering: each `k1` in ascending order
+/// with its `(k2, list)` groups, ascending in `k2`.
+type Divisions = Vec<(Id, Vec<(Id, Vec<Id>)>)>;
+
+fn divisions_of(kind: IndexKind, model: &[IdTriple]) -> Divisions {
+    let mut rows: Vec<(Id, Id, Id)> = model.iter().map(|&t| project(kind, t)).collect();
+    rows.sort();
+    let mut divisions: Divisions = Vec::new();
+    for (k1, k2, item) in rows {
+        if divisions.last().is_none_or(|(last, _)| *last != k1) {
+            divisions.push((k1, Vec::new()));
+        }
+        let groups = &mut divisions.last_mut().expect("just pushed").1;
+        if groups.last().is_none_or(|(last, _)| *last != k2) {
+            groups.push((k2, Vec::new()));
+        }
+        groups.last_mut().expect("just pushed").1.push(item);
+    }
+    divisions
+}
+
+/// The ordering read of every kept kind against the model (module docs).
+fn check_orderings<S: OrderedStore>(store: &S, model: &[IdTriple], what: &str) {
+    let absent = Id(77);
+    for kind in store.kept().iter() {
+        let ctx = format!("{what} ({}) {kind:?}", store.name());
+        let ord = store.ordering(kind);
+        let want = divisions_of(kind, model);
+        let keys: Vec<Id> = want.iter().map(|&(k1, _)| k1).collect();
+        assert_eq!(ord.keys(), keys, "{ctx}: keys");
+
+        let mut concatenated = Vec::new();
+        for (k1, groups) in &want {
+            let division: Vec<(Id, &[Id])> = ord.division(*k1).collect();
+            assert!(division.windows(2).all(|w| w[0].0 < w[1].0), "{ctx}: {k1:?} k2 order");
+            for &(k2, list) in &division {
+                assert!(list.windows(2).all(|w| w[0] < w[1]), "{ctx}: ({k1:?}, {k2:?}) ascending");
+                assert_eq!(ord.list(*k1, k2), list, "{ctx}: list vs division");
+                concatenated.push((*k1, k2, list));
+            }
+            let got: Vec<(Id, Vec<Id>)> =
+                division.iter().map(|&(k2, l)| (k2, l.to_vec())).collect();
+            assert_eq!(&got, groups, "{ctx}: division({k1:?})");
+            assert!(ord.list(*k1, absent).is_empty(), "{ctx}: absent k2 under {k1:?}");
+        }
+        assert_eq!(ord.division(absent).count(), 0, "{ctx}: absent k1");
+        assert!(ord.list(absent, absent).is_empty(), "{ctx}: absent pair");
+
+        let scan: Vec<(Id, Id, &[Id])> = ord.scan().collect();
+        assert_eq!(scan, concatenated, "{ctx}: scan vs divisions");
+        let items: usize = scan.iter().map(|(_, _, list)| list.len()).sum();
+        assert_eq!(items, store.len(), "{ctx}: scan items vs len");
+    }
+}
+
+/// Both contracts: the store's reads and its ordering read.
+fn check_slab<S: OrderedStore>(store: &S, model: &[IdTriple], what: &str) {
+    check(store, model, Order::Routed, what);
+    check_orderings(store, model, what);
+}
+
 fn subsets() -> impl Iterator<Item = IndexSet> {
     (1u8..64).map(|bits| {
         IndexKind::ALL
@@ -210,7 +284,7 @@ fn tombstoned_of(triples: &[IdTriple]) -> OverlayHexastore {
 fn check_family(triples: &[IdTriple]) {
     let model = &model_of(triples);
     let built = FrozenHexastore::from_triples(triples.iter().copied());
-    check(&built, model, Order::Routed, "build_frozen");
+    check_slab(&built, model, "build_frozen");
     // Every triple a pending write over an empty base.
     let mut inserted = OverlayHexastore::default();
     for &t in triples.iter().rev() {
@@ -218,7 +292,7 @@ fn check_family(triples: &[IdTriple]) {
     }
     assert_eq!(inserted.delta_len(), model.len());
     check(&inserted, model, Order::Routed, "all delta");
-    check(&inserted.freeze(), model, Order::Routed, "freeze()");
+    check_slab(&inserted.freeze(), model, "freeze()");
     check(&overlay_of(triples), model, Order::Routed, "overlay");
     check(&tombstoned_of(triples), model, Order::Routed, "tombstone-heavy overlay");
     // The batch reversed and duplicated, so the partial build's own
@@ -226,9 +300,9 @@ fn check_family(triples: &[IdTriple]) {
     let shuffled: Vec<IdTriple> = triples.iter().rev().chain(triples).copied().collect();
     for keep in subsets() {
         let partial = PartialHexastore::from_triples(keep, triples.iter().copied());
-        check(&partial, model, Order::Routed, &format!("partial {keep:?}"));
+        check_slab(&partial, model, &format!("partial {keep:?}"));
         let partial = PartialHexastore::from_triples(keep, shuffled.iter().copied());
-        check(&partial, model, Order::Routed, &format!("partial {keep:?}, reversed + duplicated"));
+        check_slab(&partial, model, &format!("partial {keep:?}, reversed + duplicated"));
     }
 }
 
@@ -236,8 +310,8 @@ fn check_baselines(triples: &[IdTriple]) {
     let model = &model_of(triples);
     let rows = || triples.iter().copied();
     check(&TriplesTable::from_triples(rows()), model, Order::Repeatable, "table");
-    check(&Covp1::from_triples(rows()), model, Order::Routed, "covp1");
-    check(&Covp2::from_triples(rows()), model, Order::Routed, "covp2");
+    check_slab(&Covp1::from_triples(rows()), model, "covp1");
+    check_slab(&Covp2::from_triples(rows()), model, "covp2");
 }
 
 #[test]
@@ -329,13 +403,13 @@ fn check_through_a_snapshot(frozen: &FrozenHexastore, model: &[IdTriple], tag: &
     let bytes = w.finish().unwrap().into_inner();
     let loaded = Reader::new(std::io::Cursor::new(&bytes)).unwrap().frozen().unwrap();
     assert_eq!(&loaded, frozen, "{tag}: the slabs read back");
-    check(&loaded, model, Order::Routed, "hexsnap read");
+    check_slab(&loaded, model, "hexsnap read");
     #[cfg(feature = "disk")]
     {
         let path = std::env::temp_dir()
             .join(format!("read-path-contract-{tag}-{}.hexsnap", std::process::id()));
         std::fs::write(&path, &bytes).unwrap();
-        check(&hex_disk::open_store(&path).unwrap(), model, Order::Routed, "mmap");
+        check_slab(&hex_disk::open_store(&path).unwrap(), model, "mmap");
         std::fs::remove_file(&path).ok();
     }
 }
@@ -349,7 +423,7 @@ fn a_store_of_only_longer_lists_obeys_the_read_contract() {
     let model = &model_of(&triples);
     let frozen = FrozenHexastore::from_triples(triples.iter().copied());
     assert_eq!(frozen.heap_breakdown().overflow, 4 * 3 * 4 * (2 + 1), "twelve lists of two");
-    check(&frozen, model, Order::Routed, "all-long");
+    check_slab(&frozen, model, "all-long");
     check(&frozen.clone().thaw(), model, Order::Routed, "all-long thawed");
     check_through_a_snapshot(&frozen, model, "all-long");
 }
@@ -387,7 +461,7 @@ mod list_length_mixes {
             check(&written, model, Order::Routed, "written");
             let frozen = written.freeze();
             prop_assert_eq!(&frozen, &FrozenHexastore::from_triples(triples.iter().copied()));
-            check(&frozen, model, Order::Routed, "freeze()");
+            check_slab(&frozen, model, "freeze()");
             let thawed = frozen.clone().thaw();
             prop_assert_eq!(thawed.freeze(), frozen.clone());
             check(&thawed, model, Order::Routed, "thaw()");
