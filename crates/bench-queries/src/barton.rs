@@ -21,7 +21,7 @@ use hex_baselines::{Covp1, Covp2};
 use hex_datagen::barton::Vocab;
 use hex_dict::{Dictionary, Id, IdTriple};
 use hex_query::ops;
-use hexastore::access::{OrderedStore, SlabOrdering};
+use hexastore::access::{List, OrderedStore, SlabOrdering};
 use hexastore::IndexKind::{Pos, Pso, Spo};
 use hexastore::{sorted, Hexastore};
 
@@ -80,9 +80,9 @@ impl BartonIds {
 /// list, invoking `f` for every matching group — the "fast merge-join"
 /// first step every plan shares once both sides are sorted.
 fn for_each_table_match<'a>(
-    pairs: impl Iterator<Item = (Id, &'a [Id])>,
+    pairs: impl Iterator<Item = (Id, List<'a>)>,
     t: &[Id],
-    mut f: impl FnMut(Id, &'a [Id]),
+    mut f: impl FnMut(Id, List<'a>),
 ) {
     let mut i = 0;
     for (s, items) in pairs {
@@ -170,7 +170,7 @@ pub fn bq1_indexed<S: OrderedStore>(store: &S, ids: &BartonIds) -> Vec<(Id, usiz
 pub fn bq1_covp1(c: &Covp1, ids: &BartonIds) -> Vec<(Id, usize)> {
     let mut objects: Vec<Id> = Vec::new();
     for (_, objs) in c.ordering(Pso).division(ids.p_type) {
-        objects.extend_from_slice(objs);
+        objects.extend_from_slice(&objs);
     }
     ops::frequency(objects)
 }
@@ -224,7 +224,7 @@ pub fn bq2_covp1(c: &Covp1, ids: &BartonIds, props: Option<&[Id]>) -> Vec<(Id, u
 /// is the same table sweep as COVP1.
 pub fn bq2_covp2(c: &Covp2, ids: &BartonIds, props: Option<&[Id]>) -> Vec<(Id, usize)> {
     let t = c.ordering(Pos).list(ids.p_type, ids.text);
-    bq2_tables(c.ordering(Pso), t, props)
+    bq2_tables(c.ordering(Pso), &t, props)
 }
 
 /// The Hexastore aggregation step of BQ2/BQ6: merge the sorted property
@@ -245,7 +245,7 @@ fn merge_property_vectors(h: &Hexastore, t: &[Id], props: Option<&[Id]>) -> Vec<
 /// sorted property vectors of the subjects in t in spo indexing and
 /// aggregate their frequencies" — no sweep over unrelated properties.
 pub fn bq2_hexastore(h: &Hexastore, ids: &BartonIds, props: Option<&[Id]>) -> Vec<(Id, usize)> {
-    merge_property_vectors(h, h.ordering(Pos).list(ids.p_type, ids.text), props)
+    merge_property_vectors(h, &h.ordering(Pos).list(ids.p_type, ids.text), props)
 }
 
 // =====================================================================
@@ -261,7 +261,7 @@ fn bq3_tables(pso: SlabOrdering<'_>, t: &[Id], props: Option<&[Id]>) -> PopularB
     let mut out = Vec::new();
     for p in restrict(pso.keys().to_vec(), props) {
         let mut objects: Vec<Id> = Vec::new();
-        for_each_table_match(pso.division(p), t, |_, objs| objects.extend_from_slice(objs));
+        for_each_table_match(pso.division(p), t, |_, objs| objects.extend_from_slice(&objs));
         let pops = ops::popular(ops::frequency(objects));
         if !pops.is_empty() {
             out.push((p, pops));
@@ -283,7 +283,7 @@ fn bq3_pos_step(pos: SlabOrdering<'_>, t: &[Id], candidates: &[Id]) -> PopularBy
     for &p in candidates {
         let mut counts: Vec<(Id, usize)> = Vec::new();
         for (o, subjects) in pos.division(p) {
-            let n = intersect_count(subjects, t);
+            let n = intersect_count(&subjects, t);
             if n > 1 {
                 counts.push((o, n));
             }
@@ -301,7 +301,7 @@ pub fn bq3_covp2(c: &Covp2, ids: &BartonIds, props: Option<&[Id]>) -> PopularByP
     let pos = c.ordering(Pos);
     bq3_pos_step(
         pos,
-        pos.list(ids.p_type, ids.text),
+        &pos.list(ids.p_type, ids.text),
         &restrict(c.ordering(Pso).keys().to_vec(), props),
     )
 }
@@ -313,7 +313,7 @@ pub fn bq3_covp2(c: &Covp2, ids: &BartonIds, props: Option<&[Id]>) -> PopularByP
 pub fn bq3_hexastore(h: &Hexastore, ids: &BartonIds, props: Option<&[Id]>) -> PopularByProperty {
     let pos = h.ordering(Pos);
     let t = pos.list(ids.p_type, ids.text);
-    bq3_pos_step(pos, t, &spo_candidates(h, t, props))
+    bq3_pos_step(pos, &t, &spo_candidates(h, &t, props))
 }
 
 // =====================================================================
@@ -334,7 +334,8 @@ pub fn bq4_covp1(c: &Covp1, ids: &BartonIds, props: Option<&[Id]>) -> PopularByP
 /// and Language: French using their pos indices".
 pub fn bq4_covp2(c: &Covp2, ids: &BartonIds, props: Option<&[Id]>) -> PopularByProperty {
     let pos = c.ordering(Pos);
-    let t = sorted::intersect(pos.list(ids.p_type, ids.text), pos.list(ids.p_language, ids.french));
+    let t =
+        sorted::intersect(&pos.list(ids.p_type, ids.text), &pos.list(ids.p_language, ids.french));
     bq3_pos_step(pos, &t, &restrict(c.ordering(Pso).keys().to_vec(), props))
 }
 
@@ -342,7 +343,8 @@ pub fn bq4_covp2(c: &Covp2, ids: &BartonIds, props: Option<&[Id]>) -> PopularByP
 /// discovery of candidate properties, pos aggregation.
 pub fn bq4_hexastore(h: &Hexastore, ids: &BartonIds, props: Option<&[Id]>) -> PopularByProperty {
     let pos = h.ordering(Pos);
-    let t = sorted::intersect(pos.list(ids.p_type, ids.text), pos.list(ids.p_language, ids.french));
+    let t =
+        sorted::intersect(&pos.list(ids.p_type, ids.text), &pos.list(ids.p_language, ids.french));
     bq3_pos_step(pos, &t, &spo_candidates(h, &t, props))
 }
 
@@ -363,7 +365,7 @@ pub fn bq5_covp1(c: &Covp1, ids: &BartonIds) -> InferredTypes {
     // (subject, recorded-object) pairs; object side unsorted.
     let mut pairs: Vec<(Id, Id)> = Vec::new();
     for_each_table_match(pso.division(ids.p_records), &s_list, |s, objs| {
-        for &o in objs {
+        for o in objs {
             pairs.push((s, o));
         }
     });
@@ -398,7 +400,7 @@ pub fn bq5_covp1(c: &Covp1, ids: &BartonIds) -> InferredTypes {
 fn bq5_indexed<'a>(
     pso: SlabOrdering<'a>,
     pos: SlabOrdering<'a>,
-    types_of: impl Fn(Id) -> &'a [Id],
+    types_of: impl Fn(Id) -> List<'a>,
     ids: &BartonIds,
 ) -> InferredTypes {
     // Merge-join: recorded objects that have a Type statement.
@@ -414,8 +416,8 @@ fn bq5_indexed<'a>(
     }
     let mut out: InferredTypes = Vec::new();
     let dlc_subjects = pos.list(ids.p_origin, ids.dlc);
-    for_each_table_match(pso.division(ids.p_records), dlc_subjects, |s, objs| {
-        for &o in objs {
+    for_each_table_match(pso.division(ids.p_records), &dlc_subjects, |s, objs| {
+        for o in objs {
             if let Ok(idx) = table.binary_search_by_key(&o, |&(k, _)| k) {
                 for &ty in &table[idx].1 {
                     out.push((s, ty));
@@ -448,8 +450,8 @@ pub fn bq5_hexastore(h: &Hexastore, ids: &BartonIds) -> InferredTypes {
 fn bq6_subjects<'a>(
     text_subjects: &[Id],
     dlc_subjects: &[Id],
-    recordings_of: impl Fn(Id) -> &'a [Id],
-    types_of: impl Fn(Id) -> &'a [Id],
+    recordings_of: impl Fn(Id) -> List<'a>,
+    types_of: impl Fn(Id) -> List<'a>,
     text: Id,
 ) -> Vec<Id> {
     let inferred: Vec<Id> = dlc_subjects
@@ -477,8 +479,8 @@ pub fn bq6_covp1(c: &Covp1, ids: &BartonIds, props: Option<&[Id]>) -> Vec<(Id, u
 pub fn bq6_covp2(c: &Covp2, ids: &BartonIds, props: Option<&[Id]>) -> Vec<(Id, usize)> {
     let (pso, pos) = (c.ordering(Pso), c.ordering(Pos));
     let t = bq6_subjects(
-        pos.list(ids.p_type, ids.text),
-        pos.list(ids.p_origin, ids.dlc),
+        &pos.list(ids.p_type, ids.text),
+        &pos.list(ids.p_origin, ids.dlc),
         |s| pso.list(ids.p_records, s),
         |o| pso.list(ids.p_type, o),
         ids.text,
@@ -491,8 +493,8 @@ pub fn bq6_covp2(c: &Covp2, ids: &BartonIds, props: Option<&[Id]>) -> Vec<(Id, u
 pub fn bq6_hexastore(h: &Hexastore, ids: &BartonIds, props: Option<&[Id]>) -> Vec<(Id, usize)> {
     let (spo, pos) = (h.ordering(Spo), h.ordering(Pos));
     let t = bq6_subjects(
-        pos.list(ids.p_type, ids.text),
-        pos.list(ids.p_origin, ids.dlc),
+        &pos.list(ids.p_type, ids.text),
+        &pos.list(ids.p_origin, ids.dlc),
         |s| spo.list(s, ids.p_records),
         |o| spo.list(o, ids.p_type),
         ids.text,
@@ -514,14 +516,14 @@ pub fn bq7_covp1(c: &Covp1, ids: &BartonIds) -> Vec<IdTriple> {
 /// selection is a pos probe; the join step "proceeds in the same fashion
 /// as COVP1" (merge against the pso subject vectors of Encoding and Type).
 pub fn bq7_indexed<S: OrderedStore>(store: &S, ids: &BartonIds) -> Vec<IdTriple> {
-    bq7_join(store.ordering(Pos).list(ids.p_point, ids.end), ids, store.ordering(Pso))
+    bq7_join(&store.ordering(Pos).list(ids.p_point, ids.end), ids, store.ordering(Pso))
 }
 
 fn bq7_join(s_list: &[Id], ids: &BartonIds, pso: SlabOrdering<'_>) -> Vec<IdTriple> {
     let mut out = Vec::new();
     for p in [ids.p_encoding, ids.p_type] {
         for_each_table_match(pso.division(p), s_list, |s, objs| {
-            for &o in objs {
+            for o in objs {
                 out.push(IdTriple::new(s, p, o));
             }
         });

@@ -69,7 +69,7 @@ pub type RelatedTo = Vec<(Id, Id)>;
 pub fn related_to_hexastore(h: &Hexastore, object: Id) -> RelatedTo {
     let mut out: RelatedTo = Vec::new();
     for (s, props) in h.ordering(Osp).division(object) {
-        for &p in props {
+        for p in props {
             out.push((s, p));
         }
     }
@@ -84,7 +84,7 @@ pub fn related_to_covp1(c: &Covp1, object: Id) -> RelatedTo {
     let mut out: RelatedTo = Vec::new();
     for &p in pso.keys() {
         for (s, objs) in pso.division(p) {
-            if sorted::contains(objs, &object) {
+            if sorted::contains(&objs, &object) {
                 out.push((s, p));
             }
         }
@@ -100,7 +100,7 @@ pub fn related_to_covp2(c: &Covp2, object: Id) -> RelatedTo {
     let (pso, pos) = (c.ordering(Pso), c.ordering(Pos));
     let mut out: RelatedTo = Vec::new();
     for &p in pso.keys() {
-        for &s in pos.list(p, object) {
+        for s in pos.list(p, object) {
             out.push((s, p));
         }
     }
@@ -149,12 +149,12 @@ pub fn lq3_hexastore(h: &Hexastore, ids: &LubmIds) -> Vec<IdTriple> {
     let x = ids.assoc_prof10;
     let mut out: Vec<IdTriple> = Vec::new();
     for (p, objs) in h.ordering(Spo).division(x) {
-        for &o in objs {
+        for o in objs {
             out.push(IdTriple::new(x, p, o));
         }
     }
     for (p, subjects) in h.ordering(Ops).division(x) {
-        for &s in subjects {
+        for s in subjects {
             out.push(IdTriple::new(s, p, x));
         }
     }
@@ -170,11 +170,11 @@ pub fn lq3_covp1(c: &Covp1, ids: &LubmIds) -> Vec<IdTriple> {
     let x = ids.assoc_prof10;
     let mut out: Vec<IdTriple> = Vec::new();
     for &p in pso.keys() {
-        for &o in pso.list(p, x) {
+        for o in pso.list(p, x) {
             out.push(IdTriple::new(x, p, o));
         }
         for (s, objs) in pso.division(p) {
-            if sorted::contains(objs, &x) {
+            if sorted::contains(&objs, &x) {
                 out.push(IdTriple::new(s, p, x));
             }
         }
@@ -190,10 +190,10 @@ pub fn lq3_covp2(c: &Covp2, ids: &LubmIds) -> Vec<IdTriple> {
     let x = ids.assoc_prof10;
     let mut out: Vec<IdTriple> = Vec::new();
     for &p in pso.keys() {
-        for &o in pso.list(p, x) {
+        for o in pso.list(p, x) {
             out.push(IdTriple::new(x, p, o));
         }
-        for &s in pos.list(p, x) {
+        for s in pos.list(p, x) {
             out.push(IdTriple::new(s, p, x));
         }
     }
@@ -220,7 +220,7 @@ pub fn lq4_hexastore(h: &Hexastore, ids: &LubmIds) -> ByCourse {
         .map(|&c| {
             let mut related: Vec<(Id, Id)> = Vec::new();
             for (s, props) in h.ordering(Osp).division(c) {
-                for &p in props {
+                for p in props {
                     related.push((s, p));
                 }
             }
@@ -240,7 +240,7 @@ pub fn lq4_covp1(c: &Covp1, ids: &LubmIds) -> ByCourse {
     for &p in pso.keys() {
         for (s, objs) in pso.division(p) {
             for entry in &mut grouped {
-                if sorted::contains(objs, &entry.0) {
+                if sorted::contains(&objs, &entry.0) {
                     entry.1.push((s, p));
                 }
             }
@@ -260,7 +260,7 @@ pub fn lq4_covp2(c: &Covp2, ids: &LubmIds) -> ByCourse {
         courses.iter().map(|&course| (course, Vec::new())).collect();
     for &p in pso.keys() {
         for entry in &mut grouped {
-            for &s in pos.list(p, entry.0) {
+            for s in pos.list(p, entry.0) {
                 entry.1.push((s, p));
             }
         }
@@ -301,7 +301,7 @@ fn lq5_group(
 pub fn lq5_hexastore(h: &Hexastore, ids: &LubmIds) -> ByUniversity {
     let t: Vec<Id> = h.ordering(Sop).division(ids.assoc_prof10).map(|(o, _)| o).collect();
     let pos = h.ordering(Pos);
-    let unis = sorted::intersect(&t, pos.list(ids.p_type, ids.class_university));
+    let unis = sorted::intersect(&t, &pos.list(ids.p_type, ids.class_university));
     lq5_group(&unis, |d, u| pos.list(d, u).to_vec(), ids.degrees)
 }
 
@@ -312,7 +312,7 @@ pub fn lq5_covp1(c: &Covp1, ids: &LubmIds) -> ByUniversity {
     let pso = c.ordering(Pso);
     let mut t: Vec<Id> = Vec::new();
     for &p in pso.keys() {
-        t.extend_from_slice(pso.list(p, ids.assoc_prof10));
+        t.extend_from_slice(&pso.list(p, ids.assoc_prof10));
     }
     sorted::sort_dedup(&mut t);
     // Refine to universities by joining with the Type table.
@@ -325,7 +325,7 @@ pub fn lq5_covp1(c: &Covp1, ids: &LubmIds) -> ByUniversity {
         if i >= t.len() {
             break;
         }
-        if t[i] == s && sorted::contains(objs, &ids.class_university) {
+        if t[i] == s && sorted::contains(&objs, &ids.class_university) {
             unis.push(s);
         }
     }
@@ -335,7 +335,7 @@ pub fn lq5_covp1(c: &Covp1, ids: &LubmIds) -> ByUniversity {
         |d, u| {
             let mut subjects = Vec::new();
             for (s, objs) in pso.division(d) {
-                if sorted::contains(objs, &u) {
+                if sorted::contains(&objs, &u) {
                     subjects.push(s);
                 }
             }
@@ -351,10 +351,10 @@ pub fn lq5_covp2(c: &Covp2, ids: &LubmIds) -> ByUniversity {
     let (pso, pos) = (c.ordering(Pso), c.ordering(Pos));
     let mut t: Vec<Id> = Vec::new();
     for &p in pso.keys() {
-        t.extend_from_slice(pso.list(p, ids.assoc_prof10));
+        t.extend_from_slice(&pso.list(p, ids.assoc_prof10));
     }
     sorted::sort_dedup(&mut t);
-    let unis = sorted::intersect(&t, pos.list(ids.p_type, ids.class_university));
+    let unis = sorted::intersect(&t, &pos.list(ids.p_type, ids.class_university));
     lq5_group(&unis, |d, u| pos.list(d, u).to_vec(), ids.degrees)
 }
 

@@ -1462,7 +1462,10 @@ mod tests {
         let [hexastore, covp1, covp2, table] = rows[0].1;
         assert!(hexastore > covp2);
         assert!(covp2 > covp1);
-        assert!(covp1 >= table / 2);
+        // COVP1 keeps each triple's subject and object once, packed to the
+        // bits their ids need: about a third of the table's three `u32`s
+        // on this dataset.
+        assert!(covp1 >= table / 4);
         assert!(memory_report(10_000, 1).contains("Figure 15"));
     }
 }

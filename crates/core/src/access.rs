@@ -41,7 +41,7 @@
 use crate::advisor::{serving_indices, IndexKind, IndexSet};
 pub use crate::packed::PackedView;
 use crate::pattern::{IdPattern, Shape};
-pub use crate::slab::ArenaView;
+pub use crate::slab::{ArenaView, List};
 use crate::sorted;
 use crate::traits::{TripleIter, TripleStore};
 use hex_dict::{Id, IdTriple};
@@ -246,18 +246,18 @@ pub struct SlabOrdering<'a> {
 impl<'a> SlabOrdering<'a> {
     /// The terminal list keyed `(k1, k2)`; empty if absent.
     #[inline]
-    pub fn list(self, k1: Id, k2: Id) -> &'a [Id] {
-        self.index.list_idx(k1, k2).map_or(&[], |l| self.arena.get(l))
+    pub fn list(self, k1: Id, k2: Id) -> List<'a> {
+        self.index.list_idx(k1, k2).map_or(List::EMPTY, |l| self.arena.get(l))
     }
 
     /// The `(k2, list)` leaves under header `k1`, ascending in `k2`.
-    pub fn division(self, k1: Id) -> impl Iterator<Item = (Id, &'a [Id])> + 'a {
+    pub fn division(self, k1: Id) -> impl Iterator<Item = (Id, List<'a>)> + 'a {
         let Self { index, arena } = self;
         index.leaves(index.window(k1)).map(move |(k2, list)| (k2, arena.get(list)))
     }
 
     /// Every `(k1, k2, list)` leaf, ascending in `(k1, k2)`.
-    pub fn scan(self) -> impl Iterator<Item = (Id, Id, &'a [Id])> + 'a {
+    pub fn scan(self) -> impl Iterator<Item = (Id, Id, List<'a>)> + 'a {
         let Self { index, arena } = self;
         index.keys.iter().enumerate().flat_map(move |(h, &k1)| {
             index.leaves(index.window_at(h)).map(move |(k2, list)| (k1, k2, arena.get(list)))
@@ -345,7 +345,7 @@ pub fn contains<S: OrderedStore>(store: &S, t: IdTriple) -> bool {
     else {
         unreachable!("a fully bound pattern routes to a membership probe")
     };
-    sorted::contains(store.ordering(kind).list(k1, k2), &item)
+    sorted::contains(&store.ordering(kind).list(k1, k2), &item)
 }
 
 /// What a read hands its matches to.
@@ -378,7 +378,7 @@ impl<'a> Deliver<'a> for &mut dyn FnMut(IdTriple) {
 
 /// Every triple of an ordering, in its key order.
 fn scan_triples<O: KeyOrder>(ord: SlabOrdering<'_>) -> impl Iterator<Item = IdTriple> + '_ {
-    ord.scan().flat_map(|(k1, k2, list)| list.iter().map(move |&item| O::triple(k1, k2, item)))
+    ord.scan().flat_map(|(k1, k2, list)| list.into_iter().map(move |item| O::triple(k1, k2, item)))
 }
 
 /// The one enumeration of a probe's matches, in the ordering's key order.
@@ -390,16 +390,17 @@ fn matches<'a, O: KeyOrder, D: Deliver<'a>>(
 ) -> D::Out {
     match probe {
         Probe::Member(k1, k2, item) => {
-            let found = sorted::contains(ord.list(k1, k2), &item);
+            let found = sorted::contains(&ord.list(k1, k2), &item);
             to.deliver(found.then(|| O::triple(k1, k2, item)).into_iter())
         }
         Probe::List(k1, k2) => {
-            to.deliver(ord.list(k1, k2).iter().map(move |&item| O::triple(k1, k2, item)))
+            to.deliver(ord.list(k1, k2).into_iter().map(move |item| O::triple(k1, k2, item)))
         }
-        Probe::Division(k1) => to.deliver(
-            ord.division(k1)
-                .flat_map(move |(k2, list)| list.iter().map(move |&item| O::triple(k1, k2, item))),
-        ),
+        Probe::Division(k1) => {
+            to.deliver(ord.division(k1).flat_map(move |(k2, list)| {
+                list.into_iter().map(move |item| O::triple(k1, k2, item))
+            }))
+        }
         Probe::Scan => to.deliver(scan_triples::<O>(ord)),
         Probe::FilteredScan => to.deliver(scan_triples::<O>(ord).filter(move |&t| pat.matches(t))),
     }
@@ -419,7 +420,7 @@ pub fn iter<S: OrderedStore>(store: &S, pat: IdPattern) -> TripleIter<'_> {
 /// triple is visited; only the filtered-scan fallback walks.
 pub fn count<S: OrderedStore>(store: &S, pat: IdPattern) -> usize {
     routed!(store, pat, |O, ord, probe| match probe {
-        Probe::Member(k1, k2, item) => usize::from(sorted::contains(ord.list(k1, k2), &item)),
+        Probe::Member(k1, k2, item) => usize::from(sorted::contains(&ord.list(k1, k2), &item)),
         Probe::List(k1, k2) => ord.list(k1, k2).len(),
         Probe::Division(k1) => ord.division(k1).map(|(_, list)| list.len()).sum(),
         Probe::Scan => store.len(),
@@ -473,15 +474,47 @@ macro_rules! forward_reads {
 }
 
 impl<S: OrderedStore> crate::traits::SortedListAccess for S {
+    /// [`list`](crate::traits::SortedListAccess::list) as a borrowed
+    /// slice: a longer list's overflow run, or for a singleton — held by
+    /// value in its packed slot — the header key equal to it in a kept
+    /// ordering headed by the list's position, `None` where the store
+    /// keeps no such ordering.
+    fn sorted_list(&self, pat: IdPattern) -> Option<&[Id]> {
+        let list = self.list(pat)?;
+        match list.run() {
+            Some(run) => Some(run),
+            None => pinned(self, route(pat, self.kept()).kind, list[0]),
+        }
+    }
+
     /// The terminal list behind a two-constant pattern — the values of its
     /// free position, exactly the [`iter`] cursor's projection — or `None`
     /// for other shapes and when no kept ordering serves the pair.
-    fn sorted_list(&self, pat: IdPattern) -> Option<&[Id]> {
+    fn list(&self, pat: IdPattern) -> Option<List<'_>> {
         match route(pat, self.kept()) {
             Route { kind, probe: Probe::List(k1, k2) } => Some(self.ordering(kind).list(k1, k2)),
             _ => None,
         }
     }
+}
+
+/// `id`, an item of ordering `kind`, as a one-id slice the store owns:
+/// the header key equal to it in a kept ordering headed by the item's
+/// position. Every item of `kind` heads such an ordering (an object of
+/// spo heads osp and ops), and header keys are the one `u32` column
+/// that holds every term of a position. `None` if the store keeps neither
+/// ordering headed by that position (a COVP store's objects), or if a
+/// corrupt mapped file lacks the key.
+fn pinned<S: OrderedStore>(store: &S, kind: IndexKind, id: Id) -> Option<&[Id]> {
+    use IndexKind::*;
+    let headed_by_item = match kind {
+        Spo | Pso => [Osp, Ops],
+        Sop | Osp => [Pso, Pos],
+        Pos | Ops => [Spo, Sop],
+    };
+    let kept = headed_by_item.into_iter().find(|&k| store.kept().contains(k))?;
+    let keys = store.ordering(kept).keys();
+    keys.binary_search(&id).ok().map(|at| &keys[at..=at])
 }
 
 #[cfg(test)]
@@ -547,7 +580,6 @@ mod tests {
     #[test]
     fn slab_views_clamp_corrupt_offsets_instead_of_panicking() {
         use crate::packed::PackedColumn;
-        use crate::slab::LONG;
         let keys = [Id(1), Id(2), Id(3)];
         // Header 1's window runs past the leaf column; header 2's is
         // backwards (9 > 1); header 3 has no closing offset at all.
@@ -555,9 +587,10 @@ mod tests {
         let k2 = PackedColumn::from_values(&[5, 6]);
         let lists = PackedColumn::from_values(&[0, 7]); // list 7 does not exist
         let over = [Id(40), Id(10), Id(11)];
-        // List 0's length word overruns the overflow column; list 1's
-        // position is past it.
-        let arena = ArenaView { slots: &[Id(LONG), Id(LONG | 3)], over: &over };
+        // Slots 3 bits wide, the flag bit 4: list 0's length word overruns
+        // the overflow column; list 1's position (3) is past it.
+        let slots = PackedColumn::from_values(&[4, 4 | 3]);
+        let arena = ArenaView { slots: slots.view(), over: &over };
         let ix =
             IndexView { keys: &keys, offs: offs.view(), k2: k2.view(), lists: Some(lists.view()) };
         let ord = SlabOrdering { index: ix, arena };
@@ -574,20 +607,27 @@ mod tests {
         assert_eq!(primary.list(Id(1), Id(5)), &[Id(10), Id(11)]);
         assert_eq!(primary.list(Id(1), Id(6)), &[] as &[Id], "dangling overflow position");
         assert_eq!(primary.scan().map(|(_, _, list)| list.len()).sum::<usize>(), 2);
-        // Every other way a slot or a length word can be wrong: the last
-        // word of the column as a length word (nothing behind it), lengths
-        // of 0 and 1 behind a tag, the largest position and the largest
-        // length. Wrong answers are allowed; panics are not.
+        // Every other way a slot or a length word can be wrong, in slots 4
+        // bits wide (flag 8): the last word of the column as a length word
+        // (nothing behind it), lengths of 0 and 1 behind a flag, the
+        // largest length, and positions past the column. Wrong answers are
+        // allowed; panics are not.
         let over = [Id(0), Id(1), Id(7), Id(u32::MAX), Id(3)];
-        let slots: Vec<Id> = (0..=5).map(|at| Id(LONG | at)).chain([Id(u32::MAX)]).collect();
-        let arena = ArenaView { slots: &slots, over: &over };
-        let read: Vec<&[Id]> = (0..slots.len() as u32 + 1).map(|l| arena.get(l)).collect();
+        let slots = PackedColumn::from_values(&[8, 9, 10, 11, 12, 13, 15]);
+        let arena = ArenaView { slots: slots.view(), over: &over };
+        let read: Vec<List<'_>> = (0..slots.len() as u32 + 1).map(|l| arena.get(l)).collect();
         assert_eq!(read[0], &[] as &[Id], "length 0");
-        assert_eq!(read[1], &[Id(7)], "length 1 behind a tag");
+        assert_eq!(read[1], &[Id(7)], "length 1 behind a flag");
         assert_eq!(read[2], &[Id(u32::MAX), Id(3)], "length 7 cut to the column");
         assert_eq!(read[3], &[Id(3)], "length u32::MAX cut to the column");
         assert_eq!(read[4], &[] as &[Id], "a length word at the end of the column");
         assert!(read[5..].iter().all(|list| list.is_empty()), "positions past the column");
-        assert_eq!(arena.validate(), None);
+        assert!(arena.validate().is_err());
+        // A packed read past the slot column is 0; a list past it is still
+        // empty, not the singleton `Id(0)` — nor is any list of a column
+        // that claims slots but no bits for them.
+        let zeros = ArenaView { slots: PackedView::new(&[], 0, 3).unwrap(), over: &[] };
+        assert_eq!(zeros.get(0), &[Id(0)], "width 0 reads zeros, wrong but safe");
+        assert!(zeros.get(3).is_empty() && zeros.validate().is_err());
     }
 }

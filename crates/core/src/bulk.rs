@@ -27,12 +27,12 @@
 //! 3. **Sizes are knowable up front.** A
 //!    [`SpaceStats`](crate::SpaceStats)-style counting pass over each run
 //!    computes the exact number of headers, terminal lists and overflow
-//!    words, so every slab is allocated once at its final size and the
-//!    emission is append-only.
+//!    words and the widest list slot, so every slab is allocated once at
+//!    its final size and width and the emission is append-only.
 
 use crate::frozen::{FrozenHexastore, FrozenIndex, FrozenPair};
 use crate::overlay::OverlayHexastore;
-use crate::slab::{overflow_words, FlatArena};
+use crate::slab::{ArenaSize, FlatArena};
 use hex_dict::{Id, IdTriple};
 use std::ops::Range;
 
@@ -220,9 +220,9 @@ pub(crate) fn emit_primary(
 ) -> (FrozenIndex, FlatArena) {
     let n = run.len();
     let at = at_fn(run, perm, key);
-    let RunCounts { headers, pairs, overflow, max_k2 } = count_groups(n, &at);
-    let mut primary = FrozenIndex::primary(headers, pairs, max_k2);
-    let mut arena = FlatArena::with_capacity(pairs, overflow);
+    let RunCounts { headers, lists, max_k2 } = count_groups(n, &at);
+    let mut primary = FrozenIndex::primary(headers, lists.lists, max_k2);
+    let mut arena = FlatArena::with_capacity(lists);
     let mut open = None;
     for (k1, k2, range) in leaves(n, &at) {
         if let Some(done) = open.filter(|&k| k != k1) {
@@ -340,14 +340,13 @@ fn at_fn<'a>(
     }
 }
 
-/// What [`count_groups`] counts: distinct `k1` values, distinct
-/// `(k1, k2)` pairs — one terminal list each — the words those lists
-/// take in a [`FlatArena`]'s overflow column, and the largest `k2`, which
-/// sets the width of the packed vector-key column.
+/// What [`count_groups`] counts: distinct `k1` values; the terminal
+/// lists, one per distinct `(k1, k2)` pair, as the [`ArenaSize`] that
+/// sizes their arena's slot and overflow columns; and the largest `k2`,
+/// which sets the width of the packed vector-key column.
 struct RunCounts {
     headers: usize,
-    pairs: usize,
-    overflow: usize,
+    lists: ArenaSize,
     max_k2: Id,
 }
 
@@ -355,13 +354,12 @@ struct RunCounts {
 /// header/vector/list accounting as [`SpaceStats`](crate::SpaceStats),
 /// but *before* building, so every slab allocation can be exact.
 fn count_groups(n: usize, at: impl Fn(usize) -> (Id, Id, Id)) -> RunCounts {
-    let mut counts = RunCounts { headers: 0, pairs: 0, overflow: 0, max_k2: Id(0) };
+    let mut counts = RunCounts { headers: 0, lists: ArenaSize::default(), max_k2: Id(0) };
     let mut prev_k1 = None;
     for (k1, k2, range) in leaves(n, &at) {
         counts.headers += usize::from(prev_k1 != Some(k1));
-        counts.pairs += 1;
         counts.max_k2 = counts.max_k2.max(k2);
-        counts.overflow += overflow_words(range.len(), at(range.start).2);
+        counts.lists.add(range.len(), at(range.start).2);
         prev_k1 = Some(k1);
     }
     counts
@@ -537,8 +535,11 @@ mod tests {
             assert!(ix.lists.as_ref().is_none_or(exact));
         }
         for arena in built.arenas() {
-            let words = arena.view().slots.len() + arena.view().over.len();
-            assert_eq!(arena.heap_bytes(), words * 4, "a bulk build must already be exact");
+            let view = arena.view();
+            let slots = crate::packed::bytes_for(view.slots.len(), view.slots.width()).unwrap();
+            let exact = slots + view.over.len() * 4;
+            assert_eq!(arena.heap_bytes(), exact, "a bulk build must already be exact");
+            assert_eq!(view.validate(), Ok(arena.total_items()), "and canonical");
         }
     }
 

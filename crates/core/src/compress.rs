@@ -126,7 +126,7 @@ pub fn encode_arena(out: &mut Vec<u8>, arena: &FlatArena) {
         put_uvarint(out, list.len() as u64);
     }
     for list in arena.lists() {
-        encode_sorted_run(out, list);
+        encode_sorted_run(out, &list);
     }
 }
 
@@ -275,7 +275,10 @@ mod tests {
         let back = decode_arena(&buf, &mut pos, arena.list_count(), arena.total_items()).unwrap();
         assert_eq!(pos, buf.len());
         assert_eq!(back, arena);
-        assert_eq!(back.heap_bytes(), (3 + 4 + 4) * 4, "decoded exact-sized");
+        // Three slots of 4 bits (positions 0 and 4 under the flag) and
+        // eight overflow words.
+        let slots = crate::packed::bytes_for(3, 4).unwrap();
+        assert_eq!(back.heap_bytes(), slots + (4 + 4) * 4, "decoded exact-sized");
     }
 
     #[test]

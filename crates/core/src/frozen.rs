@@ -194,8 +194,8 @@ impl FrozenIndex {
 /// to [`TripleStore::heap_bytes`].
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct HeapBreakdown {
-    /// The three arenas' slot columns: one word per terminal list, which
-    /// is the list itself when it holds a single id.
+    /// The three arenas' packed slot columns: one slot per terminal list,
+    /// which is the list itself when it holds a single id.
     pub list_slots: usize,
     /// The three arenas' overflow columns: every longer list's items plus
     /// its length word.
@@ -574,8 +574,8 @@ mod tests {
         // Same allocation, not a copy: the terminal columns are at the
         // same address through both handles.
         assert!(std::ptr::eq(
-            frozen.inner.o_lists.view().slots.as_ptr(),
-            clone.inner.o_lists.view().slots.as_ptr()
+            frozen.inner.o_lists.view().slots.bytes().as_ptr(),
+            clone.inner.o_lists.view().slots.bytes().as_ptr()
         ));
     }
 

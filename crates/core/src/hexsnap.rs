@@ -14,7 +14,7 @@
 //! ```text
 //! offset   size  field
 //! 0        8     magic "hexsnap\0"
-//! 8        4     format version (u32, currently 6)
+//! 8        4     format version (u32, currently 7)
 //! 12       …     section payloads, back to back
 //! …        var   section table: u32 count, then per section
 //!                [u8; 4] tag · u64 offset · u64 length
@@ -53,13 +53,18 @@
 //!   prefixes (IRI namespaces, language tags, datatype IRIs) stored once
 //!   each in a table of their own, in place of one kind byte and one or
 //!   two whole string pieces per term. `FROZ` and `FRZC` are v4's.
-//! - **v6** (current) — a `FROZ` ordering's offsets, vector keys and
-//!   (mirror orderings) list references are bit-packed columns, each at
-//!   the width its largest value needs ([`crate::packed`]), and the
-//!   section starts on an 8-byte file offset. Header keys and arenas stay
-//!   `u32`; `DICT` and `FRZC` are v5's byte for byte.
+//! - **v6** — a `FROZ` ordering's offsets, vector keys and (mirror
+//!   orderings) list references are bit-packed columns, each at the width
+//!   its largest value needs ([`crate::packed`]), and the section starts
+//!   on an 8-byte file offset. Header keys and arenas stay `u32`; `DICT`
+//!   and `FRZC` are v5's byte for byte.
+//! - **v7** (current) — a `FROZ` arena's slot column is packed too, in
+//!   the same framing, one flag bit above the largest singleton id or
+//!   overflow position wide ([`crate::slab`] has the encoding); before,
+//!   a slot is a `u32` with the flag in bit 31. Overflow columns and
+//!   header keys stay `u32`; `DICT` and `FRZC` are v6's byte for byte.
 //!
-//! [`Writer`] writes v6; [`Reader`] opens all six. Where every column of
+//! [`Writer`] writes v7; [`Reader`] opens all seven. Where every column of
 //! a `DICT` or `FROZ` section lies is said once per section, by a walker
 //! that reads only the count fields: [`Reader::dict_columns`] and
 //! [`Reader::frozen_columns`], the only code that knows how the column
@@ -69,9 +74,10 @@
 //! primary references that are not the identity are rejected as
 //! corrupt), a pre-v4 arena's offset-addressed lists are appended one
 //! by one to a slot arena, a pre-v5 dictionary's terms are interned
-//! again in id order, which keeps their ids, and a pre-v6 index level's
-//! `u32` columns are packed. Only a v6 file has the columns `hex-disk`
-//! maps; older files go through [`load_frozen`] and a re-save.
+//! again in id order, which keeps their ids, a pre-v6 index level's
+//! `u32` columns are packed, and so is a pre-v7 arena's `u32` slot
+//! column. Only a v7 file has the columns `hex-disk` maps; older files go
+//! through [`load_frozen`] and a re-save.
 //!
 //! Defined sections:
 //!
@@ -99,18 +105,20 @@
 //!   file offset, every field a 4-byte multiple — so every `u32` column is
 //!   4-aligned in the file and `hex-disk` reinterprets it in place.
 //!   `u64 n_triples`; then per arena (object, property, subject lists):
-//!   `u32 n_lists`, `u64 n_items`, `u32 n_overflow`, `n_lists` slots,
-//!   `n_overflow` overflow words (before v4: `u32 n_lists`, `u64 n_items`,
-//!   `n_lists + 1` cumulative offsets, `n_items` items); then per
+//!   `u32 n_lists`, `u64 n_items`, `u32 n_overflow`, the packed slot
+//!   column of `n_lists` slots (before v7, `n_lists` `u32` slots),
+//!   `n_overflow` `u32` overflow words (before v4: `u32 n_lists`, `u64
+//!   n_items`, `n_lists + 1` cumulative offsets, `n_items` items); then per
 //!   ordering (spo, sop, pso, pos, osp, ops):
 //!   `u32 n_headers`, `n_headers` `u32` header keys, `n_headers + 1`
 //!   cumulative offsets into the vector column, `u32 n_vector`,
 //!   `n_vector` vector keys and — mirror orderings only — `n_vector` list
-//!   references. From v6 the offsets, vector keys and list references are
-//!   each a packed column: a `u32` width `w` (at most 32), zero bytes up
-//!   to the next 8-byte file offset, then `8·(⌈n·w / 64⌉ + 1)` bytes
-//!   (none when `w` is 0) holding value `i` at bits `i·w .. i·w + w`, the
-//!   last word zero ([`crate::packed`]); before v6 they are `u32`s. When
+//!   references. From v6 the offsets, vector keys and list references —
+//!   and from v7 the list slots — are each a packed column: a `u32` width
+//!   `w` (at most 32), zero bytes up to the next 8-byte file offset (any
+//!   other byte there is corrupt), then `8·(⌈n·w / 64⌉ + 1)` bytes (none
+//!   when `w` is 0) holding value `i` at bits `i·w .. i·w + w`, the last
+//!   word zero ([`crate::packed`]); before v6 they are `u32`s. When
 //!   present, [`load_frozen`] is query-ready on read.
 //! - **`FRZC`** (v2+) — the same slabs varint-delta compressed
 //!   ([`crate::compress`]): `u64 n_triples`, `u64 payload_len`,
@@ -133,7 +141,7 @@ use crate::frozen::{FrozenHexastore, FrozenIndex};
 use crate::graph::GraphStore;
 use crate::packed::{bytes_for, PackedColumn, PackedView, MAX_WIDTH};
 use crate::pattern::IdPattern;
-use crate::slab::FlatArena;
+use crate::slab::{ArenaError, FlatArena};
 use crate::traits::TripleStore;
 use hex_dict::{ArenaImage, Dictionary, Id, IdTriple};
 use rdf_model::{TermKind, TermRef};
@@ -145,7 +153,7 @@ use std::path::Path;
 pub const MAGIC: [u8; 8] = *b"hexsnap\0";
 
 /// The current format version. [`Reader`] accepts `1..=VERSION`.
-pub const VERSION: u32 = 6;
+pub const VERSION: u32 = 7;
 
 /// Triples per chunk in the `TRPL` section (~768 KiB of ids).
 const TRIPLE_CHUNK: usize = 64 * 1024;
@@ -468,7 +476,7 @@ impl<W: Write + Seek> Writer<W> {
             w_u32(&mut self.w, count(arena.list_count(), "arena lists")?)?;
             w_u64(&mut self.w, arena.total_items() as u64)?;
             w_u32(&mut self.w, count(columns.over.len(), "overflow words")?)?;
-            w_u32_run(&mut self.w, columns.slots.iter().map(|id| id.0))?;
+            self.packed(columns.slots)?;
             w_u32_run(&mut self.w, columns.over.iter().map(|id| id.0))?;
         }
         for ix in store.orderings() {
@@ -555,7 +563,7 @@ pub enum DictColumns {
     },
 }
 
-/// Where one bit-packed column of a `FROZ` section lies (v6): `len`
+/// Where one bit-packed column of a `FROZ` section lies (v6+): `len`
 /// values of `width` bits in [`crate::packed::bytes_for`] bytes starting
 /// on an 8-byte file offset ([`crate::packed`] has the encoding).
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -575,8 +583,8 @@ impl Packed {
     }
 }
 
-/// An integer column of a `FROZ` ordering: plain `u32`s before v6,
-/// bit-packed from v6 on.
+/// An integer column of a `FROZ` section: plain `u32`s before v6 (before
+/// v7 for list slots), bit-packed from then on.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum Ints {
     /// One `u32` per value.
@@ -600,8 +608,9 @@ pub enum ArenaColumns {
     /// v4: the [`FlatArena`]'s slot column and overflow column
     /// ([`crate::slab`] has the encoding).
     Slots {
-        /// One `u32` per list.
-        slots: Column,
+        /// One slot per list: a `u32` with the flag in bit 31 before v7,
+        /// packed one flag bit above the widest slot's value from v7 on.
+        slots: Ints,
         /// The longer lists' length words and ids.
         over: Column,
     },
@@ -684,14 +693,22 @@ impl<R: Read + Seek> Walk<'_, R> {
         Ok(r_u64(self.field(8, what)?)?)
     }
 
-    /// Steps over the zero padding up to the next 8-byte file offset.
+    /// Steps over the padding up to the next 8-byte file offset, which
+    /// must be zero bytes: at most 7 of them, so the walk stays one read
+    /// per field.
     fn align_8(&mut self, what: &str) -> Result<()> {
-        self.take(Some(padding_to_8(self.pos) as u64), what).map(drop)
+        let mut pad = [0u8; 7];
+        let pad = &mut pad[..padding_to_8(self.pos)];
+        self.field(pad.len() as u64, what)?.read_exact(pad)?;
+        if pad.iter().any(|&b| b != 0) {
+            return corrupt(format!("{what} is preceded by non-zero padding"));
+        }
+        Ok(())
     }
 
-    /// Steps over an integer column of `len` values: `len` `u32`s before
-    /// v6; from v6 a `u32` width (at most 32), padding to an 8-byte file
-    /// offset and the packed words.
+    /// Steps over an integer column of `len` values: `len` `u32`s unless
+    /// `packed`; packed, a `u32` width (at most 32), zero padding to an
+    /// 8-byte file offset and the packed words.
     fn ints(&mut self, packed: bool, len: u64, what: &str) -> Result<Ints> {
         if !packed {
             return Ok(Ints::U32(self.column(len, 4, what)?));
@@ -859,13 +876,16 @@ impl<R: Read + Seek> Reader<R> {
     /// one place that knows how the section changed between versions:
     /// windows are `(offset, length)` pairs and every ordering keeps list
     /// references before v3, an arena is windows over an item column
-    /// before v4, and an ordering's offsets, vector keys and list
-    /// references are `u32`s before v6 ([`Ints::U32`]) and packed from v6
-    /// on ([`Ints::Packed`], its width checked to be at most 32).
+    /// before v4, an ordering's offsets, vector keys and list references
+    /// are `u32`s before v6 ([`Ints::U32`]) and packed from v6 on
+    /// ([`Ints::Packed`], its width checked to be at most 32 and the
+    /// padding before its words to be zero), and an arena's slots are
+    /// `u32`s before v7 and packed from v7 on.
     pub fn frozen_columns(&mut self) -> Result<FrozenColumns> {
         let pairs = spells_out_derivables(self.version);
         let item_arenas = self.version < 4;
         let packed = self.version >= 6;
+        let packed_slots = self.version >= 7;
         let mut walk = self.walk(TAG_FROZ)?;
         let windows = |walk: &mut Walk<'_, R>, n: u64, what: &str| -> Result<Windows> {
             Ok(if pairs {
@@ -891,7 +911,7 @@ impl<R: Read + Seek> Reader<R> {
                 }
             } else {
                 let over = walk.count32("arena overflow count")?;
-                let slots = walk.column(lists, 4, "arena slot column")?;
+                let slots = walk.ints(packed_slots, lists, "arena slot column")?;
                 let over = walk.column(over, 4, "arena overflow column")?;
                 ArenaColumns::Slots { slots, over }
             });
@@ -1099,21 +1119,28 @@ impl<R: Read + Seek> Reader<R> {
         let columns = self.frozen_columns()?;
         let mut arenas = Vec::with_capacity(3);
         for cols in columns.arenas {
-            let arena = match cols {
-                ArenaColumns::Slots { slots, over } => {
-                    FlatArena::from_raw_parts(self.ids(slots)?, self.ids(over)?)
-                }
-                ArenaColumns::Items { windows, items } => {
-                    let offs = self.windows(windows)?;
-                    FlatArena::from_offsets(&self.ids(items)?, &offs)
-                }
+            let slot_arena = |arena: std::result::Result<FlatArena, ArenaError>| {
+                arena.map_err(|e| Error::Corrupt(format!("arena columns: {e}")))
             };
             // The item count each arena holds is checked against the
             // declared triple count by `assemble_frozen`.
-            match arena {
-                Some(a) => arenas.push(a),
-                None => return corrupt("arena columns do not hold the declared sorted lists"),
-            }
+            arenas.push(match cols {
+                ArenaColumns::Slots { slots: Ints::U32(slots), over } => {
+                    slot_arena(FlatArena::from_u32_slots(&self.u32s(slots)?, self.ids(over)?))?
+                }
+                ArenaColumns::Slots { slots: Ints::Packed(slots), over } => {
+                    let image = self.bytes(Column { offset: slots.offset, len: slots.bytes() })?;
+                    let over = self.ids(over)?;
+                    slot_arena(FlatArena::from_raw_parts(image, slots.width, slots.len, over))?
+                }
+                ArenaColumns::Items { windows, items } => {
+                    let offs = self.windows(windows)?;
+                    match FlatArena::from_offsets(&self.ids(items)?, &offs) {
+                        Some(arena) => arena,
+                        None => return corrupt("arena columns do not hold sorted lists"),
+                    }
+                }
+            });
         }
         let arenas: [FlatArena; 3] = arenas.try_into().expect("exactly three arenas read");
         let mut orderings = Vec::with_capacity(6);
@@ -1582,6 +1609,7 @@ mod tests {
     fn compressed_section_roundtrips_and_shrinks() {
         let (dict, frozen) = sample_dict_and_store();
         let mut raw = Writer::new(Cursor::new(Vec::new())).unwrap();
+        raw.dictionary(&dict).unwrap();
         raw.frozen(&frozen).unwrap();
         let raw_bytes = raw.finish().unwrap().into_inner();
         let mut compact = Writer::new(Cursor::new(Vec::new())).unwrap();
@@ -1660,13 +1688,14 @@ mod tests {
         // The break-even rule, on the bytes: against v3's offsets column,
         // a slot arena saves four bytes per singleton list and pays four
         // per longer one (its length word); the overflow count takes the
-        // place of the closing offset. (The re-save is the current
-        // version, whose arenas are v4's.)
-        let (v3, frozen, _, resaved) = with_resave("v3_small.hexsnap");
+        // place of the closing offset. (The committed v4 file of the same
+        // graph; v7 packs the slots.)
+        let (v3, frozen, _, _) = with_resave("v3_small.hexsnap");
+        let (v4, ..) = with_resave("v4_small.hexsnap");
         let arena_bytes = |file: &[u8]| -> u64 {
             let columns = Reader::new(Cursor::new(file)).unwrap().frozen_columns().unwrap();
             let words = columns.arenas.iter().map(|arena| match *arena {
-                ArenaColumns::Slots { slots, over } => 1 + slots.len + over.len,
+                ArenaColumns::Slots { slots: Ints::U32(slots), over } => 1 + slots.len + over.len,
                 ArenaColumns::Items { windows: Windows::Offsets(Ints::U32(offs)), items } => {
                     offs.len + items.len
                 }
@@ -1674,7 +1703,7 @@ mod tests {
             });
             4 * words.sum::<usize>() as u64
         };
-        let (v3_len, v4_len) = (arena_bytes(&v3), arena_bytes(&resaved));
+        let (v3_len, v4_len) = (arena_bytes(&v3), arena_bytes(&v4));
         // The lists of the three arenas: one per (s, p), (s, o), (p, o).
         let mut lens = std::collections::BTreeMap::<_, u64>::new();
         for t in frozen.matching(IdPattern::ALL) {
@@ -1713,12 +1742,21 @@ mod tests {
         assert_eq!(r.version(), VERSION);
         let (off, _) = r.frozen_section_extent().expect("raw FROZ section present");
         assert_eq!(off % 8, 0, "FROZ section must start 8-byte aligned");
-        for ix in r.frozen_columns().unwrap().orderings {
+        let columns = r.frozen_columns().unwrap();
+        for ix in columns.orderings {
             let Windows::Offsets(offs) = ix.windows else { panic!("v3 or later windows") };
             for ints in [offs, ix.k2].into_iter().chain(ix.lists) {
                 let Ints::Packed(col) = ints else { panic!("v6 packs {ints:?}") };
                 assert_eq!(col.offset % 8, 0, "{col:?}");
             }
+        }
+        // From v7 the slot columns too, and the overflow column after each
+        // starts on the 8-byte offset its image ends on.
+        for arena in columns.arenas {
+            let ArenaColumns::Slots { slots: Ints::Packed(slots), over } = arena else {
+                panic!("v7 packs {arena:?}")
+            };
+            assert_eq!((slots.offset % 8, over.offset), (0, slots.offset + slots.bytes()));
         }
         assert_eq!(r.frozen().unwrap(), sample_dict_and_store().1);
     }

@@ -468,7 +468,7 @@ mod tests {
     #[test]
     fn freeze_of_a_clean_overlay_shares_the_base_slabs() {
         let ov = OverlayHexastore::new(bulk::build_frozen(vec![t(1, 2, 3), t(1, 2, 4)]));
-        let slots = |f: &FrozenHexastore| f.ordering(IndexKind::Spo).arena.slots.as_ptr();
+        let slots = |f: &FrozenHexastore| f.ordering(IndexKind::Spo).arena.slots.bytes().as_ptr();
         let frozen = ov.freeze();
         assert!(std::ptr::eq(slots(&frozen), slots(ov.base())), "no copy of a clean base");
         // A dirty overlay freezes into a new store and keeps its layers.

@@ -13,7 +13,8 @@
 //! bits to a whole number of 64-bit words and followed by one more zero
 //! word, `8·(⌈len·w / 64⌉ + 1)` bytes (none for a column of width 0), so a
 //! column has one image and equal columns are equal bytes. The same bytes
-//! are the `hexsnap` v6 `FROZ` columns, which `hex-disk` maps in place;
+//! are the `hexsnap` `FROZ` columns (v6 on, list slots v7 on), which
+//! `hex-disk` maps in place;
 //! [`PackedView`] is the one reader of both.
 //!
 //! A read is one unaligned 8-byte load, a shift and a mask: a value of at
@@ -21,10 +22,12 @@
 //! the 8 bytes from there, and the trailing zero word keeps those 8 bytes
 //! inside the column for the last value too.
 //!
-//! Two kinds of column stay plain `u32`: header keys, the only column
+//! A terminal-list arena's slot column is packed too, at a width of its
+//! own: one flag bit above the widest value ([`crate::slab`]). Two kinds
+//! of column stay plain `u32`: header keys, the only column
 //! binary-searched over its full length, where a packed search pays a
-//! shift and a mask per probe on every level; and the terminal-list
-//! arenas, which hand out their lists as zero-copy `&[Id]` slices.
+//! shift and a mask per probe on every level; and an arena's overflow
+//! column, whose runs are handed out as zero-copy `&[Id]` slices.
 
 use std::ops::Range;
 
@@ -289,18 +292,27 @@ impl<'a> PackedView<'a> {
     /// of these values. The second check stops at the first value with the
     /// width's top bit set.
     pub fn validate(self) -> Result<(), PackedError> {
-        let used = self.len * self.width as usize;
-        let (full, rest) = (used / 8, used % 8);
-        let partial = self.bytes.get(full).map_or(0, |&b| b >> rest);
-        if partial != 0 || self.bytes.iter().skip(full + 1).any(|&b| b != 0) {
-            return Err(PackedError::BitsPastEnd);
-        }
+        self.validate_tail()?;
         // Every value fits the width, so it is the largest's bit length
         // unless no value has the width's top bit set.
         let top = self.width.saturating_sub(1);
         if self.width > 0 && !self.values().any(|v| v >> top != 0) {
             let needed = width_of(self.max().unwrap_or(0));
             return Err(PackedError::WidthNotTight { width: self.width, needed });
+        }
+        Ok(())
+    }
+
+    /// Checks the first half of [`PackedView::validate`]: no bit is set
+    /// past the last value. A column whose width follows a rule of its own
+    /// (a terminal-list slot column's, [`crate::slab`]) checks that rule
+    /// itself.
+    pub fn validate_tail(self) -> Result<(), PackedError> {
+        let used = self.len * self.width as usize;
+        let (full, rest) = (used / 8, used % 8);
+        let partial = self.bytes.get(full).map_or(0, |&b| b >> rest);
+        if partial != 0 || self.bytes.iter().skip(full + 1).any(|&b| b != 0) {
+            return Err(PackedError::BitsPastEnd);
         }
         Ok(())
     }
@@ -360,8 +372,20 @@ impl PackedColumn {
     ///
     /// If `len` is 2^32 or more.
     pub fn with_capacity(len: usize, max: u32) -> Self {
+        PackedColumn::with_width(len, width_of(max))
+    }
+
+    /// An empty column of `width` bits a value with exact room for `len`
+    /// values — [`PackedColumn::with_capacity`] for a column whose width
+    /// is not its largest value's bit length (a terminal-list slot
+    /// column's flag bit, [`crate::slab`]).
+    ///
+    /// # Panics
+    ///
+    /// If `len` is 2^32 or more, or `width` is above [`MAX_WIDTH`].
+    pub fn with_width(len: usize, width: u32) -> Self {
         u32::try_from(len).expect("packed column overflow: 2^32 values");
-        let width = width_of(max);
+        assert!(width <= MAX_WIDTH, "{}", PackedError::WidthAbove32(width));
         let bytes = bytes_for(len, width).expect("packed column overflows usize");
         PackedColumn { bytes: Vec::with_capacity(bytes), width, len: 0 }
     }
@@ -438,6 +462,14 @@ impl PackedColumn {
     /// [`PackedError`].
     pub fn from_bytes(bytes: Vec<u8>, width: u32, len: usize) -> Result<Self, PackedError> {
         PackedView::new(&bytes, width, len)?.validate()?;
+        PackedColumn::from_image(bytes, width, len)
+    }
+
+    /// Adopts a packed image that [`PackedView::new`] accepts and whose
+    /// tail is zero ([`PackedView::validate_tail`]), whatever its width:
+    /// the owner of a column with a width rule of its own checks that rule.
+    pub fn from_image(bytes: Vec<u8>, width: u32, len: usize) -> Result<Self, PackedError> {
+        PackedView::new(&bytes, width, len)?.validate_tail()?;
         let len = u32::try_from(len).map_err(|_| PackedError::TooLong(len))?;
         Ok(PackedColumn { bytes, width, len })
     }

@@ -14,28 +14,39 @@
 //! with a cumulative offsets column: entry `i` is where window `i` starts
 //! and entry `i + 1` where it ends, so a length is never stored. Those
 //! levels — offsets, vector keys, mirror list references — are
-//! bit-packed ([`crate::packed`]); the arenas here are not, because they
-//! hand out their lists as zero-copy `&[Id]` slices. (`offsets_tile` is
-//! the invariant of an offsets column in the `u32` form older snapshots
-//! and the compressed section decode to.)
+//! bit-packed ([`crate::packed`]). (`offsets_tile` is the invariant of an
+//! offsets column in the `u32` form older snapshots and the compressed
+//! section decode to.)
 //!
 //! Terminal lists are addressed differently, because of what they look
 //! like: on the benchmark's dataset nine lists in ten hold exactly one
-//! id. [`FlatArena`] keeps one **slot** per list, and the slot *is* the list when the list
-//! is a single id below 2^31. Any other list lives in the **overflow**
-//! column as a length word followed by its sorted items, and its slot
-//! holds [`LONG`] `|` the position of that length word. A singleton costs
-//! four bytes and one load; a longer list pays one extra word for its
-//! length. This module is the only place that knows the encoding:
-//! [`FlatArena::push_list`] writes it, [`ArenaView::get`] reads it,
-//! [`ArenaView::validate`] checks it.
+//! id. [`FlatArena`] keeps one **slot** per list, and the slot *is* the
+//! list when the list is a single id below 2^31. Any other list lives in
+//! the **overflow** column as a length word followed by its sorted items,
+//! and its slot holds the position of that length word. This module is
+//! the only place that knows the encoding: [`FlatArena::push_list`]
+//! writes it, [`ArenaView::get`] reads it, [`ArenaView::validate`] checks
+//! it.
 //!
-//! Slots and overflow words are `u32` deliberately, mirroring
-//! [`hex_dict::Id`]: the paper's largest experiment is 61M triples, far
-//! below the 2^31 words an overflow position can address.
+//! The slot column is a packed column ([`crate::packed`]) of `w` bits a
+//! slot, its top bit the **flag**: clear, the other `w − 1` bits are the
+//! list's only id; set, they are the position of the list's length word
+//! in the overflow column. `w` is one more than the bit length of the
+//! largest such value, so on a dataset of 107k terms a singleton takes 17
+//! to 20 bits instead of 32 (0 for an arena of no lists).
+//!
+//! A read hands a list out as a [`List`]: a singleton by value, decoded
+//! from its slot, or a longer list as the zero-copy `&[Id]` run of the
+//! overflow column that intersections, merge joins and the hand plans
+//! read. Both deref to `[Id]`. The overflow column stays `u32`, mirroring
+//! [`hex_dict::Id`], so that runs can be borrowed; the paper's largest
+//! experiment is 61M triples, far below the 2^31 words an overflow
+//! position can address.
 
+use crate::packed::{width_of, PackedColumn, PackedError, PackedView};
 use crate::sorted;
 use hex_dict::Id;
+use std::ops::Deref;
 
 /// True when `offs` is a cumulative offsets column that tiles a column
 /// of `n` elements into non-empty windows: it starts at 0, rises
@@ -47,30 +58,268 @@ pub(crate) fn offsets_tile(offs: &[u32], n: usize) -> bool {
         && offs.windows(2).all(|w| w[0] < w[1])
 }
 
-/// The slot bit that says "this list is in the overflow column": the
-/// other 31 bits are then the position of its length word. A clear bit
-/// means the slot is the list's only id.
-pub const LONG: u32 = 1 << 31;
+/// The largest id a slot holds by value. A singleton above it — which
+/// would widen the slot column past 32 bits — takes the overflow path,
+/// and no overflow position may exceed it either.
+const MAX_IN_SLOT: u32 = (1 << 31) - 1;
+
+/// The flag bit of a slot column `width` bits wide: its top bit (none
+/// for width 0, which only an arena of no lists has).
+#[inline]
+fn flag_of(width: u32) -> u32 {
+    ((1u64 << width) >> 1) as u32
+}
 
 /// Overflow words a list of `len` items starting with `first` occupies:
 /// none when it fits its slot, otherwise its items plus a length word.
-/// Builders sum this in their counting pass to size an arena exactly.
-pub(crate) fn overflow_words(len: usize, first: Id) -> usize {
-    if len == 1 && first.0 & LONG == 0 {
+fn overflow_words(len: usize, first: Id) -> usize {
+    if len == 1 && first.0 <= MAX_IN_SLOT {
         0
     } else {
         len + 1
     }
 }
 
+/// What an arena's lists need, summed over them in list order before the
+/// arena is built: the number of lists, the overflow words of those that
+/// do not fit a slot, and the largest value a slot holds below its flag —
+/// a singleton's id or a longer list's position in the overflow column.
+/// [`FlatArena::with_capacity`] sizes both columns exactly from it.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub(crate) struct ArenaSize {
+    /// Lists.
+    pub(crate) lists: usize,
+    /// Overflow words.
+    overflow: usize,
+    /// The largest value below a slot's flag.
+    max_value: usize,
+}
+
+impl ArenaSize {
+    /// Counts one more list, of `len` items starting with `first`.
+    pub(crate) fn add(&mut self, len: usize, first: Id) {
+        let words = overflow_words(len, first);
+        let value = if words == 0 { first.0 as usize } else { self.overflow };
+        self.lists += 1;
+        self.overflow += words;
+        self.max_value = self.max_value.max(value);
+    }
+
+    /// The width of the slot column: one flag bit above the largest value,
+    /// 0 for no lists, never above 32 (a position past 2^31 − 1 is refused
+    /// when the list is pushed).
+    fn slot_width(self) -> u32 {
+        if self.lists == 0 {
+            return 0;
+        }
+        let max = u32::try_from(self.max_value).unwrap_or(u32::MAX).min(MAX_IN_SLOT);
+        1 + width_of(max)
+    }
+}
+
+/// One terminal list as a read hands it out: a singleton held by value,
+/// decoded from its slot, or a run borrowed from the overflow column. It
+/// derefs to `[Id]` — sorted and duplicate-free — and is `Copy`, so it
+/// travels like the `&[Id]` it stands for; a caller that needs the
+/// borrowed run itself asks [`List::run`].
+#[derive(Clone, Copy)]
+pub struct List<'a>(Items<'a>);
+
+#[derive(Clone, Copy)]
+enum Items<'a> {
+    One(Id),
+    Run(&'a [Id]),
+}
+
+impl<'a> List<'a> {
+    /// The empty list.
+    pub const EMPTY: List<'static> = List(Items::Run(&[]));
+
+    /// The borrowed overflow run, or `None` for a singleton held by value.
+    #[inline]
+    pub fn run(self) -> Option<&'a [Id]> {
+        match self.0 {
+            Items::One(_) => None,
+            Items::Run(run) => Some(run),
+        }
+    }
+}
+
+impl Deref for List<'_> {
+    type Target = [Id];
+
+    #[inline]
+    fn deref(&self) -> &[Id] {
+        match &self.0 {
+            Items::One(id) => std::slice::from_ref(id),
+            Items::Run(run) => run,
+        }
+    }
+}
+
+impl AsRef<[Id]> for List<'_> {
+    #[inline]
+    fn as_ref(&self) -> &[Id] {
+        self
+    }
+}
+
+impl<'a> From<&'a [Id]> for List<'a> {
+    fn from(run: &'a [Id]) -> Self {
+        List(Items::Run(run))
+    }
+}
+
+impl std::fmt::Debug for List<'_> {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_list().entries(self.iter()).finish()
+    }
+}
+
+impl PartialEq for List<'_> {
+    fn eq(&self, other: &Self) -> bool {
+        **self == **other
+    }
+}
+
+impl Eq for List<'_> {}
+
+impl PartialEq<&[Id]> for List<'_> {
+    fn eq(&self, other: &&[Id]) -> bool {
+        **self == **other
+    }
+}
+
+impl<const N: usize> PartialEq<&[Id; N]> for List<'_> {
+    fn eq(&self, other: &&[Id; N]) -> bool {
+        **self == other[..]
+    }
+}
+
+impl<'a> IntoIterator for List<'a> {
+    type Item = Id;
+    type IntoIter = ListIter<'a>;
+
+    #[inline]
+    fn into_iter(self) -> ListIter<'a> {
+        let (one, run) = match self.0 {
+            Items::One(id) => (Some(id), &[][..]),
+            Items::Run(run) => (None, run),
+        };
+        ListIter(one.into_iter().chain(run.iter().copied()))
+    }
+}
+
+/// The ids of a [`List`] by value, owning what it reads — so a cursor can
+/// return it from the closure the list was handed to.
+#[derive(Clone, Debug)]
+pub struct ListIter<'a>(
+    std::iter::Chain<std::option::IntoIter<Id>, std::iter::Copied<std::slice::Iter<'a, Id>>>,
+);
+
+impl Iterator for ListIter<'_> {
+    type Item = Id;
+
+    #[inline]
+    fn next(&mut self) -> Option<Id> {
+        self.0.next()
+    }
+
+    #[inline]
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        self.0.size_hint()
+    }
+
+    #[inline]
+    fn fold<B, F: FnMut(B, Id) -> B>(self, init: B, f: F) -> B {
+        self.0.fold(init, f)
+    }
+}
+
+impl ExactSizeIterator for ListIter<'_> {}
+
+/// Why an arena's columns are not what [`FlatArena::push_list`] writes —
+/// each a different way a corrupt or hand-built arena can be wrong.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum ArenaError {
+    /// The slot column's image is not a packed column's (bits set past its
+    /// last slot).
+    Packed(PackedError),
+    /// The slot column is not one flag bit above its largest value wide.
+    SlotWidthNotTight {
+        /// The declared width.
+        width: u32,
+        /// The width the slots need.
+        needed: u32,
+    },
+    /// A flagged slot does not name the position where the next overflow
+    /// run starts, so runs would overlap or leave a gap.
+    OffTheTiling {
+        /// The list.
+        list: usize,
+        /// The position the slot names.
+        at: usize,
+    },
+    /// A run's length word is missing or its items run past the column.
+    RunOverruns {
+        /// The list.
+        list: usize,
+    },
+    /// A run holds one id that fits a slot, so equal lists would be
+    /// unequal columns.
+    FitsASlot {
+        /// The list.
+        list: usize,
+    },
+    /// A run is empty or not strictly ascending.
+    NotASortedSet {
+        /// The list.
+        list: usize,
+    },
+    /// Overflow words follow the last run: no slot names them.
+    Unreachable {
+        /// How many.
+        words: usize,
+    },
+}
+
+impl std::fmt::Display for ArenaError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match *self {
+            ArenaError::Packed(e) => write!(f, "arena slot column: {e}"),
+            ArenaError::SlotWidthNotTight { width, needed } => {
+                write!(f, "arena slot column is {width} bits wide where its slots need {needed}")
+            }
+            ArenaError::OffTheTiling { list, at } => {
+                write!(f, "list {list} names overflow position {at}, off the tiling of its runs")
+            }
+            ArenaError::RunOverruns { list } => {
+                write!(f, "list {list}'s overflow run overruns the column")
+            }
+            ArenaError::FitsASlot { list } => {
+                write!(f, "list {list} is an overflow run of one id that fits its slot")
+            }
+            ArenaError::NotASortedSet { list } => {
+                write!(f, "list {list} is not a non-empty, strictly ascending run")
+            }
+            ArenaError::Unreachable { words } => {
+                write!(f, "{words} overflow words follow the last run")
+            }
+        }
+    }
+}
+
+impl std::error::Error for ArenaError {}
+
 /// Borrowed columns of one flat terminal-list arena — what the shared
 /// read path ([`crate::access`]) walks, whether the columns are owned by
 /// a [`FlatArena`] or memory-mapped by the `hex-disk` crate.
 #[derive(Clone, Copy, Debug)]
 pub struct ArenaView<'a> {
-    /// One entry per list: the list's only id, or [`LONG`] `|` the
-    /// position in `over` of its length word.
-    pub slots: &'a [Id],
+    /// One packed slot per list: under the flag, the list's only id or
+    /// the position in `over` of its length word (see the
+    /// [module docs](self)).
+    pub slots: PackedView<'a>,
     /// The lists that do not fit a slot, each a length word followed by
     /// that many strictly ascending ids, in slot order.
     pub over: &'a [Id],
@@ -83,55 +332,78 @@ impl<'a> ArenaView<'a> {
     /// it. In-memory arenas are validated when built, so none of that
     /// triggers there; mapped columns can change under a reader.
     #[inline]
-    pub fn get(self, idx: u32) -> &'a [Id] {
-        let Some(slot) = self.slots.get(idx as usize) else { return &[] };
-        if slot.0 & LONG == 0 {
-            return std::slice::from_ref(slot);
+    pub fn get(self, idx: u32) -> List<'a> {
+        // A packed read past the end is 0, which would be the singleton
+        // `Id(0)`: a list past the column must read empty instead.
+        if idx as usize >= self.slots.len() {
+            return List::EMPTY;
         }
-        let at = (slot.0 & !LONG) as usize;
-        let Some(len) = self.over.get(at) else { return &[] };
+        let (slot, flag) = (self.slots.get(idx as usize), flag_of(self.slots.width()));
+        if slot & flag == 0 {
+            return List(Items::One(Id(slot)));
+        }
+        let at = (slot & !flag) as usize;
+        let Some(len) = self.over.get(at) else { return List::EMPTY };
         let end = (at + 1).saturating_add(len.0 as usize).min(self.over.len());
-        &self.over[at + 1..end]
+        List(Items::Run(&self.over[at + 1..end]))
     }
 
     /// Checks the columns in one pass, `O(slots + over)`, and returns the
-    /// number of items they hold, or `None` unless they are exactly what
-    /// [`FlatArena::push_list`] would have written: the overflow runs tile
-    /// `over` in slot order (so no two lists overlap and no word is
-    /// unreachable), every run is strictly ascending — the invariant
-    /// binary searches over lists rely on — and no run holds a list that
-    /// fits a slot (so equal lists are equal columns).
-    pub fn validate(self) -> Option<usize> {
-        let (mut next, mut items) = (0usize, 0usize);
-        for slot in self.slots {
-            if slot.0 & LONG == 0 {
+    /// number of items they hold, or why they are not exactly what
+    /// [`FlatArena::push_list`] would have written: the slot column is a
+    /// packed image one flag bit above its largest value wide, the
+    /// overflow runs tile `over` in slot order (so no two lists overlap
+    /// and no word is unreachable), every run is strictly ascending — the
+    /// invariant binary searches over lists rely on — and no run holds a
+    /// list that fits a slot (so equal lists are equal columns).
+    pub fn validate(self) -> Result<usize, ArenaError> {
+        self.slots.validate_tail().map_err(ArenaError::Packed)?;
+        let flag = flag_of(self.slots.width());
+        let (mut next, mut items, mut size) = (0usize, 0usize, ArenaSize::default());
+        for (list, slot) in self.slots.values().enumerate() {
+            if slot & flag == 0 {
+                size.add(1, Id(slot));
                 items += 1;
                 continue;
             }
-            if (slot.0 & !LONG) as usize != next {
-                return None;
+            let at = (slot & !flag) as usize;
+            if at != next {
+                return Err(ArenaError::OffTheTiling { list, at });
             }
-            let len = self.over.get(next)?.0 as usize;
-            let run = self.over.get(next + 1..(next + 1).checked_add(len)?)?;
-            let fits_a_slot = overflow_words(len, *run.first()?) == 0;
-            if fits_a_slot || !sorted::is_sorted_set(run) {
-                return None;
+            let overruns = ArenaError::RunOverruns { list };
+            let len = self.over.get(next).ok_or(overruns)?.0 as usize;
+            let end = (next + 1).checked_add(len).ok_or(overruns)?;
+            let run = self.over.get(next + 1..end).ok_or(overruns)?;
+            let first = *run.first().ok_or(ArenaError::NotASortedSet { list })?;
+            if overflow_words(len, first) == 0 {
+                return Err(ArenaError::FitsASlot { list });
             }
-            next += 1 + len;
+            if !sorted::is_sorted_set(run) {
+                return Err(ArenaError::NotASortedSet { list });
+            }
+            size.add(len, first);
+            next = end;
             items += len;
         }
-        (next == self.over.len()).then_some(items)
+        if next != self.over.len() {
+            return Err(ArenaError::Unreachable { words: self.over.len() - next });
+        }
+        let (width, needed) = (self.slots.width(), size.slot_width());
+        if width != needed {
+            return Err(ArenaError::SlotWidthNotTight { width, needed });
+        }
+        Ok(items)
     }
 }
 
-/// An arena of sorted id lists stored as a slot column plus an overflow
-/// column (see the [module docs](self) for the encoding).
+/// An arena of sorted id lists stored as a packed slot column plus an
+/// overflow column (see the [module docs](self) for the encoding).
 ///
 /// Lists are addressed by their `u32` position. There is no removal and no free list: a
 /// `FlatArena` is built once, in final order, and then only read.
 #[derive(Clone, Default, PartialEq, Eq)]
 pub struct FlatArena {
-    slots: Vec<Id>,
+    slots: PackedColumn,
     over: Vec<Id>,
     /// Total entries across all lists.
     items: usize,
@@ -143,28 +415,30 @@ impl FlatArena {
         FlatArena::default()
     }
 
-    /// Creates an empty arena with exact room for `lists` lists of which
-    /// those that do not fit a slot take `overflow` words in total (the
-    /// sum of [`overflow_words`]). Frozen builders count first, so appends
-    /// never reallocate.
-    pub(crate) fn with_capacity(lists: usize, overflow: usize) -> Self {
-        FlatArena { slots: Vec::with_capacity(lists), over: Vec::with_capacity(overflow), items: 0 }
+    /// Creates an empty arena with exact room for the lists `size`
+    /// counted. Frozen builders count first, so appends never reallocate
+    /// and the slot column is born at its final width.
+    pub(crate) fn with_capacity(size: ArenaSize) -> Self {
+        FlatArena {
+            slots: PackedColumn::with_width(size.lists, size.slot_width()),
+            over: Vec::with_capacity(size.overflow),
+            items: 0,
+        }
     }
 
     /// Creates an empty arena with exact room for `lists`, none of them
     /// empty — [`FlatArena::with_capacity`] for a builder that can walk its
     /// lists before it pushes them.
     pub(crate) fn with_room_for<'a>(lists: impl Iterator<Item = &'a [Id]>) -> Self {
-        let (mut count, mut overflow) = (0, 0);
-        for list in lists {
-            count += 1;
-            overflow += overflow_words(list.len(), list[0]);
-        }
-        FlatArena::with_capacity(count, overflow)
+        let mut size = ArenaSize::default();
+        lists.for_each(|list| size.add(list.len(), list[0]));
+        FlatArena::with_capacity(size)
     }
 
     /// Appends one list, returning its index. The items must form a
-    /// non-empty, strictly sorted run (checked in debug builds).
+    /// non-empty, strictly sorted run (checked in debug builds). A slot
+    /// wider than the column repacks it as wide as the slot needs; an
+    /// arena sized by counting its lists first never needs to.
     ///
     /// # Panics
     ///
@@ -175,14 +449,15 @@ impl FlatArena {
         let mut items = items.into_iter();
         let first = items.next().expect("terminal lists are never empty");
         let second = items.next();
-        if second.is_none() && first.0 & LONG == 0 {
-            self.slots.push(first);
+        if second.is_none() && overflow_words(1, first) == 0 {
+            self.push_slot(first.0, false);
             self.items += 1;
             return idx;
         }
         let at = self.over.len();
-        let tagged = u32::try_from(at).ok().filter(|at| at & LONG == 0);
-        self.slots.push(Id(LONG | tagged.expect("flat arena overflow: 2^31 overflow words")));
+        let at = u32::try_from(at).ok().filter(|&at| at <= MAX_IN_SLOT);
+        self.push_slot(at.expect("flat arena overflow: 2^31 overflow words"), true);
+        let at = self.over.len();
         self.over.push(Id(0)); // the length word, known once the items are in
         self.over.push(first);
         self.over.extend(second);
@@ -194,14 +469,38 @@ impl FlatArena {
         idx
     }
 
+    /// Appends the slot of `value`, flagged when it is an overflow
+    /// position, first widening the column if `value` does not fit below
+    /// its flag.
+    fn push_slot(&mut self, value: u32, long: bool) {
+        let width = 1 + width_of(value);
+        if width > self.slots.width() {
+            self.widen(width);
+        }
+        let flag = if long { flag_of(self.slots.width()) } else { 0 };
+        self.slots.push(value | flag);
+    }
+
+    /// Repacks the slot column `width` bits wide, moving every flag to the
+    /// new top bit.
+    fn widen(&mut self, width: u32) {
+        let (old, flag) = (self.slots.view(), flag_of(self.slots.width()));
+        let mut slots = PackedColumn::with_width(old.len() + 1, width);
+        for slot in old.values() {
+            let long = if slot & flag != 0 { flag_of(width) } else { 0 };
+            slots.push((slot & !flag) | long);
+        }
+        self.slots = slots;
+    }
+
     /// The sorted items of list `idx`; empty when there is no such list.
     #[inline]
-    pub fn get(&self, idx: u32) -> &[Id] {
+    pub fn get(&self, idx: u32) -> List<'_> {
         self.view().get(idx)
     }
 
     /// Every list, in index order.
-    pub fn lists(&self) -> impl Iterator<Item = &[Id]> + '_ {
+    pub fn lists(&self) -> impl Iterator<Item = List<'_>> + '_ {
         let view = self.view();
         (0..self.slots.len() as u32).map(move |idx| view.get(idx))
     }
@@ -218,7 +517,7 @@ impl FlatArena {
 
     /// Heap bytes of the slot column.
     pub(crate) fn slot_bytes(&self) -> usize {
-        self.slots.capacity() * std::mem::size_of::<Id>()
+        self.slots.heap_bytes()
     }
 
     /// Heap bytes of the overflow column.
@@ -233,16 +532,39 @@ impl FlatArena {
 
     /// The columns as the borrowed view the shared read path walks.
     pub fn view(&self) -> ArenaView<'_> {
-        ArenaView { slots: &self.slots, over: &self.over }
+        ArenaView { slots: self.slots.view(), over: &self.over }
     }
 
-    /// Reassembles an arena from its raw columns, which must pass
-    /// [`ArenaView::validate`]; returns `None` otherwise (the `hexsnap`
-    /// reader turns that into a corruption error rather than silently
-    /// dropping query results).
-    pub fn from_raw_parts(slots: Vec<Id>, over: Vec<Id>) -> Option<Self> {
-        let items = ArenaView { slots: &slots, over: &over }.validate()?;
-        Some(FlatArena { slots, over, items })
+    /// Reassembles an arena from its raw columns — `lists` slots of
+    /// `width` bits in the packed image `slots`, and the overflow column —
+    /// which must pass [`ArenaView::validate`]: the `hexsnap` reader turns
+    /// the error into a corruption error rather than silently dropping
+    /// query results.
+    pub fn from_raw_parts(
+        slots: Vec<u8>,
+        width: u32,
+        lists: usize,
+        over: Vec<Id>,
+    ) -> Result<Self, ArenaError> {
+        let slots = PackedColumn::from_image(slots, width, lists).map_err(ArenaError::Packed)?;
+        let items = ArenaView { slots: slots.view(), over: &over }.validate()?;
+        Ok(FlatArena { slots, over, items })
+    }
+
+    /// Packs the `u32` slot column snapshots before format version 7
+    /// store — the flag in bit 31 whatever the slots need — and adopts it
+    /// with `over` like [`FlatArena::from_raw_parts`].
+    pub fn from_u32_slots(slots: &[u32], over: Vec<Id>) -> Result<Self, ArenaError> {
+        const U32_FLAG: u32 = 1 << 31;
+        let max = slots.iter().map(|&slot| slot & !U32_FLAG).max();
+        let width = max.map_or(0, |max| 1 + width_of(max));
+        let mut packed = PackedColumn::with_width(slots.len(), width);
+        for &slot in slots {
+            let long = if slot & U32_FLAG != 0 { flag_of(width) } else { 0 };
+            packed.push((slot & !U32_FLAG) | long);
+        }
+        let items = ArenaView { slots: packed.view(), over: &over }.validate()?;
+        Ok(FlatArena { slots: packed, over, items })
     }
 
     /// Builds an arena from the offset-addressed form older snapshot
@@ -278,39 +600,76 @@ impl std::fmt::Debug for FlatArena {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::packed::bytes_for;
 
     fn id(v: u32) -> Id {
         Id(v)
     }
 
+    /// An id a singleton cannot keep in its slot.
+    const HIGH: u32 = 1 << 31;
+
     #[test]
     fn arena_push_and_get() {
-        let mut a = FlatArena::with_capacity(4, 4 + 3 + 2);
-        let l0 = a.push_list([id(1), id(4), id(9)]);
-        let l1 = a.push_list([id(7)]);
-        let l2 = a.push_list([id(2), id(3)]);
-        // A singleton whose id has the top bit set cannot be told from a
-        // tagged slot, so it takes the overflow path like a longer list.
-        let l3 = a.push_list([id(LONG | 5)]);
-        assert_eq!(a.get(l0), &[id(1), id(4), id(9)]);
-        assert_eq!(a.get(l1), &[id(7)]);
-        assert_eq!(a.get(l2), &[id(2), id(3)]);
-        assert_eq!(a.get(l3), &[id(LONG | 5)]);
+        let lists: [&[Id]; 4] =
+            [&[id(1), id(4), id(9)], &[id(7)], &[id(2), id(3)], &[id(HIGH | 5)]];
+        let mut a = FlatArena::with_room_for(lists.into_iter());
+        let idx: Vec<u32> = lists.iter().map(|list| a.push_list(list.iter().copied())).collect();
+        assert_eq!(idx, [0, 1, 2, 3]);
+        for (i, list) in lists.iter().enumerate() {
+            assert_eq!(a.get(i as u32), *list);
+        }
         assert_eq!(a.get(4), &[] as &[Id], "no such list");
         assert_eq!(a.list_count(), 4);
         assert_eq!(a.total_items(), 7);
-        assert_eq!(a.lists().map(<[Id]>::len).collect::<Vec<_>>(), [3, 1, 2, 1]);
+        assert_eq!(a.lists().map(|list| list.len()).collect::<Vec<_>>(), [3, 1, 2, 1]);
+        // Overflow positions 0, 4 and 7, and the singleton 7: the largest
+        // value is 7, so a slot is 4 bits, the flag 8. A singleton whose id
+        // has bit 31 set would widen the slot past 32 bits, so it takes the
+        // overflow path like a longer list.
         let view = a.view();
-        assert_eq!(view.slots, &[id(LONG), id(7), id(LONG | 4), id(LONG | 7)]);
+        assert_eq!(view.slots.width(), 4);
+        assert_eq!(view.slots.values().collect::<Vec<_>>(), [8, 7, 8 | 4, 8 | 7]);
         assert_eq!(
             view.over,
-            &[id(3), id(1), id(4), id(9), id(2), id(2), id(3), id(1), id(LONG | 5)]
+            &[id(3), id(1), id(4), id(9), id(2), id(2), id(3), id(1), id(HIGH | 5)]
         );
-        // The singleton is read in place: the slice is the slot itself.
-        assert!(std::ptr::eq(a.get(l1).as_ptr(), &view.slots[1]));
-        // Exact-sized: four slots and nine overflow words, four bytes each.
-        assert_eq!(a.heap_bytes(), (4 + 9) * 4);
+        // The singleton is held by value; a longer list is its run.
+        assert_eq!(a.get(1).run(), None);
+        assert!(std::ptr::eq(a.get(0).run().unwrap().as_ptr(), &view.over[1]));
+        // Exact-sized: one 64-bit word of slots and its zero word, and nine
+        // overflow words.
+        assert_eq!(a.heap_bytes(), 16 + 9 * 4);
         assert_eq!(FlatArena::new().list_count(), 0);
+        assert_eq!(FlatArena::new().view().slots.width(), 0);
+    }
+
+    #[test]
+    fn pushing_widens_the_slot_column_to_what_counting_first_makes() {
+        // From an empty arena each push widens the column as far as its
+        // slot needs, flags and all: the result is the arena sized first.
+        let lists: [&[Id]; 6] =
+            [&[id(0)], &[id(1), id(2)], &[id(5)], &[id(300)], &[id(1), id(9)], &[id(HIGH)]];
+        let mut pushed = FlatArena::new();
+        let mut widths = Vec::new();
+        for list in lists {
+            pushed.push_list(list.iter().copied());
+            widths.push(pushed.view().slots.width());
+        }
+        assert_eq!(widths, [1, 1, 4, 10, 10, 10]);
+        let mut sized = FlatArena::with_room_for(lists.into_iter());
+        for list in lists {
+            sized.push_list(list.iter().copied());
+        }
+        assert_eq!(pushed, sized);
+        assert_eq!(sized.heap_bytes(), bytes_for(6, 10).unwrap() + 4 * (3 + 3 + 2));
+        assert_eq!(pushed.view().validate(), Ok(8));
+    }
+
+    /// The raw parts of `arena`.
+    fn parts(arena: &FlatArena) -> (Vec<u8>, u32, usize, Vec<Id>) {
+        let view = arena.view();
+        (view.slots.bytes().to_vec(), view.slots.width(), view.slots.len(), view.over.to_vec())
     }
 
     #[test]
@@ -318,44 +677,94 @@ mod tests {
         let mut a = FlatArena::new();
         a.push_list([id(7)]);
         a.push_list([id(1), id(2)]);
-        a.push_list([id(LONG)]);
-        let view = a.view();
-        let b = FlatArena::from_raw_parts(view.slots.to_vec(), view.over.to_vec()).unwrap();
+        a.push_list([id(HIGH)]);
+        let (slots, width, lists, over) = parts(&a);
+        let b = FlatArena::from_raw_parts(slots, width, lists, over).unwrap();
         assert_eq!(a, b);
         assert_eq!(b.total_items(), 4);
-        assert!(FlatArena::from_raw_parts(Vec::new(), Vec::new()).is_some(), "the empty arena");
-        // Columns push_list would not have written are rejected.
-        let long = |at: u32| id(LONG | at);
-        for (why, slots, over) in [
-            ("position past the overflow column", vec![long(3)], vec![id(2), id(1), id(2)]),
-            ("length overruns the column", vec![long(0)], vec![id(3), id(1), id(2)]),
-            ("length short of the column", vec![long(0)], vec![id(2), id(1), id(2), id(3)]),
-            ("empty run", vec![long(0)], vec![id(0)]),
-            ("a singleton that fits its slot", vec![long(0)], vec![id(1), id(9)]),
-            ("unsorted run", vec![long(0)], vec![id(2), id(2), id(1)]),
-            ("duplicate in a run", vec![long(0)], vec![id(2), id(1), id(1)]),
-            ("overflow no slot names", vec![id(7)], vec![id(2), id(1), id(2)]),
+        assert_eq!(FlatArena::from_raw_parts(Vec::new(), 0, 0, Vec::new()), Ok(FlatArena::new()));
+    }
+
+    #[test]
+    fn every_non_canonical_arena_is_rejected_by_name() {
+        use ArenaError::*;
+        // Slots of `width` bits with these values, over `over`.
+        let raw = |width: u32, slots: &[u32], over: &[u32]| {
+            let mut column = PackedColumn::with_width(slots.len(), width);
+            slots.iter().for_each(|&slot| column.push(slot));
+            let over = over.iter().copied().map(Id).collect();
+            FlatArena::from_raw_parts(column.view().bytes().to_vec(), width, slots.len(), over)
+        };
+        // The canonical arena of [7], [1, 2]: 4 bits (7 needs 3), flag 8.
+        assert!(raw(4, &[7, 8], &[2, 1, 2]).is_ok());
+        let cases: [(&str, Result<FlatArena, ArenaError>, ArenaError); 11] = [
+            (
+                "a width one bit too wide",
+                raw(5, &[7, 16], &[2, 1, 2]),
+                SlotWidthNotTight { width: 5, needed: 4 },
+            ),
+            ("slots without bits", raw(0, &[0], &[]), SlotWidthNotTight { width: 0, needed: 1 }),
+            (
+                "a flag past the tiling",
+                raw(4, &[7, 8 | 3], &[2, 1, 2]),
+                OffTheTiling { list: 1, at: 3 },
+            ),
+            ("two flags, one run", raw(2, &[2, 2], &[2, 1, 2]), OffTheTiling { list: 1, at: 0 }),
             (
                 "runs out of slot order",
-                vec![long(3), long(0)],
-                vec![id(2), id(1), id(2), id(2), id(3), id(4)],
+                raw(3, &[4 | 3, 4], &[2, 1, 2, 2, 3, 4]),
+                OffTheTiling { list: 0, at: 3 },
             ),
-            ("two slots, one run", vec![long(0), long(0)], vec![id(2), id(1), id(2)]),
-        ] {
-            assert!(FlatArena::from_raw_parts(slots, over).is_none(), "{why}");
+            ("a length past the column", raw(2, &[2], &[3, 1, 2]), RunOverruns { list: 0 }),
+            ("a flag past the column", raw(2, &[2 | 1], &[0]), OffTheTiling { list: 0, at: 1 }),
+            ("a run of one id that fits", raw(2, &[2], &[1, 9]), FitsASlot { list: 0 }),
+            ("an empty run", raw(2, &[2], &[0]), NotASortedSet { list: 0 }),
+            ("a run out of order", raw(2, &[2], &[2, 2, 1]), NotASortedSet { list: 0 }),
+            ("overflow no slot names", raw(4, &[7], &[2, 1, 2]), Unreachable { words: 3 }),
+        ];
+        for (why, got, expected) in cases {
+            assert_eq!(got, Err(expected), "{why}");
+            assert!(!expected.to_string().is_empty());
         }
+        // An image with a bit set past its last slot.
+        let mut image = PackedColumn::from_values(&[1]).view().bytes().to_vec();
+        image[0] |= 2;
+        assert_eq!(
+            FlatArena::from_raw_parts(image, 1, 1, Vec::new()),
+            Err(Packed(PackedError::BitsPastEnd))
+        );
+    }
+
+    #[test]
+    fn u32_slots_pack_to_the_arena_push_list_builds() {
+        // The slot column of format versions 4 to 6: flag in bit 31.
+        let over: Vec<Id> = [2, 1, 4, 1, HIGH].map(Id).to_vec();
+        let arena = FlatArena::from_u32_slots(&[HIGH, 9, HIGH | 3], over.clone()).unwrap();
+        let mut pushed = FlatArena::new();
+        pushed.push_list([id(1), id(4)]);
+        pushed.push_list([id(9)]);
+        pushed.push_list([id(HIGH)]);
+        assert_eq!(arena, pushed);
+        assert_eq!(FlatArena::from_u32_slots(&[], Vec::new()), Ok(FlatArena::new()));
+        // What is wrong in the `u32` form is wrong after packing.
+        assert_eq!(
+            FlatArena::from_u32_slots(&[HIGH | 1], over),
+            Err(ArenaError::OffTheTiling { list: 0, at: 1 })
+        );
     }
 
     #[test]
     fn arena_from_offsets_matches_push_list() {
-        let items = [id(1), id(4), id(7), id(2), id(3), id(LONG)];
+        let items = [id(1), id(4), id(7), id(2), id(3), id(HIGH)];
         let built = FlatArena::from_offsets(&items, &[0, 2, 3, 5, 6]).unwrap();
         let mut pushed = FlatArena::new();
         for list in [&items[0..2], &items[2..3], &items[3..5], &items[5..6]] {
             pushed.push_list(list.iter().copied());
         }
         assert_eq!(built, pushed);
-        assert_eq!(built.heap_bytes(), (4 + 3 + 3 + 2) * 4, "exact-sized");
+        // Positions 0, 3 and 5 and the singleton 7: 4-bit slots, and the
+        // overflow words of three lists.
+        assert_eq!(built.heap_bytes(), 16 + (3 + 3 + 2) * 4, "exact-sized");
         assert!(FlatArena::from_offsets(&[], &[0]).is_some(), "the empty arena");
         // Offsets that do not tile the column into non-empty windows —
         // missing, not starting at 0, overrunning, stopping short, empty
@@ -372,5 +781,17 @@ mod tests {
         ] {
             assert!(FlatArena::from_offsets(&items, &offs).is_none(), "{offs:?}");
         }
+    }
+
+    #[test]
+    fn a_list_reads_like_the_slice_it_stands_for() {
+        let run = [id(2), id(5)];
+        let (one, long) = (List(Items::One(id(3))), List::from(&run[..]));
+        assert_eq!((&*one, &*long), (&[id(3)][..], &run[..]));
+        assert_eq!(one.into_iter().collect::<Vec<_>>(), [id(3)]);
+        assert_eq!(long.into_iter().len(), 2);
+        assert_eq!(long.into_iter().fold(0, |n, x| n + x.0), 7);
+        assert_eq!(format!("{one:?} {long:?} {:?}", List::EMPTY), "[#3] [#2, #5] []");
+        assert_ne!(one, long);
     }
 }

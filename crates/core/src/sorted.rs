@@ -193,18 +193,21 @@ pub fn union_many<T: Ord + Copy>(mut lists: Vec<&[T]>) -> Vec<T> {
 /// accumulator never grows, so each later pair is maximally asymmetric and
 /// the galloping path in [`intersect_into`] kicks in; two buffers are
 /// ping-ponged across the whole reduction instead of allocating per pair.
-pub fn intersect_many<T: Ord + Copy>(mut lists: Vec<&[T]>) -> Vec<T> {
+/// The sets are anything that lends a slice — `&[T]`, or the
+/// [`List`](crate::slab::List)s a store hands out — so no second vector
+/// of borrows is built.
+pub fn intersect_many<T: Ord + Copy, L: AsRef<[T]>>(mut lists: Vec<L>) -> Vec<T> {
     if lists.is_empty() {
         return Vec::new();
     }
-    lists.sort_by_key(|l| l.len());
-    let mut acc = lists[0].to_vec();
+    lists.sort_by_key(|l| l.as_ref().len());
+    let mut acc = lists[0].as_ref().to_vec();
     let mut buf = Vec::with_capacity(acc.len());
     for l in &lists[1..] {
         if acc.is_empty() {
             break;
         }
-        intersect_into(&acc, l, &mut buf);
+        intersect_into(&acc, l.as_ref(), &mut buf);
         std::mem::swap(&mut acc, &mut buf);
     }
     acc
@@ -291,8 +294,8 @@ mod tests {
         let a = [1u32, 2, 3, 4, 5, 6];
         let b = [2u32, 4, 6];
         let c = [4u32];
-        assert_eq!(intersect_many(vec![&a, &b, &c]), vec![4]);
-        assert_eq!(intersect_many::<u32>(vec![]), Vec::<u32>::new());
+        assert_eq!(intersect_many(vec![&a[..], &b, &c]), vec![4]);
+        assert_eq!(intersect_many::<u32, &[u32]>(vec![]), Vec::<u32>::new());
     }
 
     #[test]

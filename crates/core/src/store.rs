@@ -169,8 +169,9 @@ mod tests {
         let h = Hexastore::from_triples([t(1, 2, 9), t(1, 2, 3), t(1, 2, 6)]);
         assert_eq!(h.ordering(Spo).list(Id(1), Id(2)), &[Id(3), Id(6), Id(9)]);
         // pso must see the identical list (shared, not copied).
-        let via_pso: Vec<(Id, &[Id])> = h.ordering(Pso).division(Id(2)).collect();
-        assert_eq!(via_pso, vec![(Id(1), &[Id(3), Id(6), Id(9)][..])]);
+        let via_pso: Vec<(Id, Vec<Id>)> =
+            h.ordering(Pso).division(Id(2)).map(|(s, objs)| (s, objs.to_vec())).collect();
+        assert_eq!(via_pso, vec![(Id(1), vec![Id(3), Id(6), Id(9)])]);
     }
 
     #[test]

@@ -7,6 +7,7 @@
 
 use crate::advisor::IndexSet;
 use crate::pattern::IdPattern;
+use crate::slab::List;
 use hex_dict::{Id, IdTriple};
 
 /// A lazy cursor over the triples matching a pattern.
@@ -126,20 +127,34 @@ pub trait TripleStore {
 /// shapes — the raw material of the paper's first-step merge joins.
 ///
 /// Contract: for a pattern with exactly two constant positions,
-/// [`SortedListAccess::sorted_list`] returns the values of the third
-/// (unbound) position as a strictly increasing `&[Id]` slice — i.e. the
-/// same values, in the same order, that [`TripleStore::iter_matching`]
-/// yields for that pattern (each matching triple varies only in the
-/// unbound position, and every serving index lists bound positions first,
-/// so its terminal list *is* that cursor projection). `None` means the
-/// store cannot serve this particular shape zero-copy (e.g. a partial
-/// hexastore that dropped every serving index), and the caller must fall
-/// back to the cursor. Patterns with fewer than two constants are always
-/// `None`: their matches span multiple terminal lists.
+/// [`SortedListAccess::list`] returns the values of the third (unbound)
+/// position as a strictly increasing [`List`] — i.e. the same values, in
+/// the same order, that [`TripleStore::iter_matching`] yields for that
+/// pattern (each matching triple varies only in the unbound position, and
+/// every serving index lists bound positions first, so its terminal list
+/// *is* that cursor projection). `None` means the store cannot serve this
+/// particular shape zero-copy (e.g. a partial hexastore that dropped
+/// every serving index), and the caller must fall back to the cursor.
+/// Patterns with fewer than two constants are always `None`: their
+/// matches span multiple terminal lists.
+///
+/// [`SortedListAccess::sorted_list`] is the same list as a borrowed
+/// slice, where the store has one: a slab store keeps a singleton list by
+/// value in a packed slot ([`crate::slab`]), so it lends one only from a
+/// `u32` column that holds the same id.
 pub trait SortedListAccess {
-    /// The sorted unbound-position values for a two-constant pattern, or
-    /// `None` if this shape is not servable zero-copy.
+    /// The sorted unbound-position values for a two-constant pattern as a
+    /// borrowed slice, or `None` if this shape is not servable zero-copy
+    /// or the list has no `u32` copy to borrow.
     fn sorted_list(&self, pat: IdPattern) -> Option<&[Id]>;
+
+    /// The sorted unbound-position values for a two-constant pattern —
+    /// a singleton by value, a longer list borrowed — or `None` if this
+    /// shape is not servable zero-copy. What the query engine's merge
+    /// joins read. The default hands out [`SortedListAccess::sorted_list`].
+    fn list(&self, pat: IdPattern) -> Option<List<'_>> {
+        self.sorted_list(pat).map(List::from)
+    }
 }
 
 /// Marker for stores whose [`TripleStore::insert`]/[`TripleStore::remove`]

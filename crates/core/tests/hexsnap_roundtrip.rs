@@ -352,24 +352,57 @@ fn a_live_directory_left_at_a_v2_generation_upgrades_on_compaction() {
     }
 }
 
-/// Every byte of a v6 slab file flipped in turn — header, `DICT`, the
-/// arenas, the widths, padding and words of the packed index levels,
-/// table and trailer: the eager reader rejects the file or decodes it into
-/// a store that passed every check it makes (canonical packed images,
-/// sorted windows, pairs that agree), which then answers every shape.
-#[test]
-fn every_byte_flip_of_a_v6_file_is_rejected_or_still_decodes() {
-    let g = graph_from(&[(0, 0, 0), (0, 0, 3), (1, 1, 2), (2, 0, 5), (2, 1, 5), (3, 2, 0)]);
-    let pristine = support::fixture_bytes("v6_small");
-    let mut mixed = hexsnap::Writer::new(Cursor::new(Vec::new())).unwrap();
-    mixed.dictionary(g.dict()).unwrap();
-    mixed.frozen(&g.store().freeze()).unwrap();
-    let mixed = mixed.finish().unwrap().into_inner();
+/// The file positions of the zero padding before every packed column of
+/// a v6 or v7 `FROZ` section: from the end of the column's width field
+/// to its 8-byte-aligned words. A width field follows the header keys
+/// (offsets), the vector count (vector keys), the vector keys (list
+/// references) or — v7 — an arena's three counts (list slots).
+fn packed_padding(file: &[u8]) -> Vec<usize> {
+    use hexsnap::{ArenaColumns, Ints, Packed, Windows};
+    let mut r = hexsnap::Reader::new(Cursor::new(file)).unwrap();
+    let columns = r.frozen_columns().unwrap();
+    let (froz_at, _) = r.frozen_section_extent().unwrap();
+    let packed = |ints| match ints {
+        Ints::Packed(col) => col,
+        Ints::U32(col) => panic!("a packed column, not {col:?}"),
+    };
+    let mut padding = Vec::new();
+    let mut pad = |width_at: usize, col: Packed| {
+        padding.extend(width_at + 4..col.offset);
+        col.offset + col.bytes()
+    };
+    let mut counts_at = froz_at as usize + 8;
+    for arena in columns.arenas {
+        let ArenaColumns::Slots { slots, over } = arena else { panic!("a slot arena") };
+        if let Ints::Packed(slots) = slots {
+            pad(counts_at + 16, slots);
+        }
+        counts_at = over.offset + 4 * over.len;
+    }
+    for ix in columns.orderings {
+        let Windows::Offsets(offs) = ix.windows else { panic!("an offsets column") };
+        let offs_end = pad(ix.keys.offset + 4 * ix.keys.len, packed(offs));
+        let k2_end = pad(offs_end + 4, packed(ix.k2));
+        if let Some(lists) = ix.lists {
+            pad(k2_end, packed(lists));
+        }
+    }
+    assert!(padding.iter().all(|&at| file[at] == 0));
+    padding
+}
+
+/// Flips every byte of each file in turn — header, `DICT`, the arenas,
+/// the widths, padding and words of the packed columns, table and
+/// trailer: the eager reader rejects every flip of a padding byte, and
+/// any other flip either is rejected or decodes into a store that passed
+/// every check it makes (canonical packed images, sorted windows, pairs
+/// that agree), which then answers every shape.
+fn every_byte_flip_is_rejected_or_still_decodes(files: &[Vec<u8>], version: u32) {
     let mut decoded = 0;
-    for file in [pristine, mixed] {
-        assert_eq!(hexsnap::Reader::new(Cursor::new(&file)).unwrap().version(), 6);
+    for file in files {
+        assert_eq!(hexsnap::Reader::new(Cursor::new(file)).unwrap().version(), version);
         let pats = {
-            let frozen = hexsnap::Reader::new(Cursor::new(&file)).unwrap().frozen().unwrap();
+            let frozen = hexsnap::Reader::new(Cursor::new(file)).unwrap().frozen().unwrap();
             let mut pats = vec![IdPattern::ALL];
             for t in frozen.matching(IdPattern::ALL) {
                 pats.extend([IdPattern::sp(t.s, t.p), IdPattern::po(t.p, t.o), IdPattern::o(t.o)]);
@@ -377,20 +410,50 @@ fn every_byte_flip_of_a_v6_file_is_rejected_or_still_decodes() {
             }
             pats
         };
+        let padding = packed_padding(file);
+        assert!(!padding.is_empty());
         for i in 0..file.len() {
             let mut bytes = file.clone();
             bytes[i] ^= 0xFF;
             let Ok(mut r) = hexsnap::Reader::new(Cursor::new(&bytes)) else { continue };
             let _ = r.dictionary();
-            if let Ok(store) = r.frozen() {
-                decoded += 1;
-                for &pat in &pats {
-                    assert_eq!(store.count_matching(pat), store.iter_matching(pat).count());
+            match r.frozen() {
+                Ok(store) => {
+                    assert!(!padding.contains(&i), "a flipped padding byte at {i} decodes");
+                    decoded += 1;
+                    for &pat in &pats {
+                        assert_eq!(store.count_matching(pat), store.iter_matching(pat).count());
+                    }
+                }
+                Err(e) => {
+                    let corrupt = matches!(e, hexsnap::Error::Corrupt(_));
+                    assert!(corrupt || !padding.contains(&i), "padding at {i}: {e}");
                 }
             }
         }
     }
-    // Flips in the zero padding before packed words, among others, still
-    // decode; most flips are rejected.
+    // Flips of packed words and of ids in the dictionary's arenas, among
+    // others, still decode; most flips are rejected.
     assert!(decoded > 0);
+}
+
+/// A graph whose arenas hold singleton and longer lists alike, saved by
+/// this build.
+fn mixed_list_file() -> Vec<u8> {
+    let g = graph_from(&[(0, 0, 0), (0, 0, 3), (1, 1, 2), (2, 0, 5), (2, 1, 5), (3, 2, 0)]);
+    let mut w = hexsnap::Writer::new(Cursor::new(Vec::new())).unwrap();
+    w.dictionary(g.dict()).unwrap();
+    w.frozen(&g.store().freeze()).unwrap();
+    w.finish().unwrap().into_inner()
+}
+
+#[test]
+fn every_byte_flip_of_a_v6_file_is_rejected_or_still_decodes() {
+    every_byte_flip_is_rejected_or_still_decodes(&[support::fixture_bytes("v6_small")], 6);
+}
+
+#[test]
+fn every_byte_flip_of_a_v7_file_is_rejected_or_still_decodes() {
+    let files = [support::fixture_bytes("v7_small"), mixed_list_file()];
+    every_byte_flip_is_rejected_or_still_decodes(&files, 7);
 }

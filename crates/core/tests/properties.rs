@@ -202,7 +202,7 @@ proptest! {
         let h = apply(&ops).0.freeze();
         for kind in IndexKind::ALL {
             for (_, _, list) in h.ordering(kind).scan() {
-                prop_assert!(sorted::is_sorted_set(list));
+                prop_assert!(sorted::is_sorted_set(&list));
             }
         }
     }
@@ -226,11 +226,51 @@ proptest! {
 }
 
 /// An id from a small universe, one in four of them at or above 2^31 —
-/// where a singleton list cannot be told from a tagged slot and must take
+/// where a singleton list would widen its slot past 32 bits and must take
 /// the overflow path.
 fn arb_list_id() -> impl Strategy<Value = Id> {
-    (0u32..24, 0u32..4)
-        .prop_map(|(v, high)| Id(if high == 0 { hexastore::slab::LONG | v } else { v }))
+    (0u32..24, 0u32..4).prop_map(|(v, high)| Id(if high == 0 { HIGH | v } else { v }))
+}
+
+/// The smallest id a singleton cannot keep in its slot.
+const HIGH: u32 = 1 << 31;
+
+/// The slot column of format versions 4 to 6 for `arena`: a singleton's
+/// id, or bit 31 and the list's overflow position.
+fn u32_slots(arena: &FlatArena) -> Vec<u32> {
+    let slots = arena.view().slots;
+    let flag = 1u32 << slots.width().saturating_sub(1);
+    slots.values().map(|slot| if slot & flag != 0 { HIGH | (slot & !flag) } else { slot }).collect()
+}
+
+/// Every way to read and rebuild `arena` agrees with `lists`, the lists
+/// pushed into it.
+fn check_arena(arena: &FlatArena, lists: &[Vec<Id>]) {
+    prop_assert_eq!(arena.list_count(), lists.len());
+    let items = lists.iter().map(Vec::len).sum::<usize>();
+    prop_assert_eq!(arena.total_items(), items);
+    for (i, list) in lists.iter().enumerate() {
+        prop_assert_eq!(arena.get(i as u32), list.as_slice());
+    }
+    for past in [lists.len() as u32, u32::MAX] {
+        prop_assert!(arena.get(past).is_empty());
+    }
+    prop_assert_eq!(arena.lists().map(|l| l.to_vec()).collect::<Vec<_>>(), lists);
+    let columns = arena.view();
+    prop_assert_eq!(columns.validate(), Ok(items));
+    let (image, width, over) =
+        (columns.slots.bytes().to_vec(), columns.slots.width(), columns.over.to_vec());
+    let rebuilt = FlatArena::from_raw_parts(image, width, lists.len(), over.clone());
+    prop_assert_eq!(rebuilt.as_ref(), Ok(arena));
+    prop_assert_eq!(FlatArena::from_u32_slots(&u32_slots(arena), over).as_ref(), Ok(arena));
+    // The packed slots, and four bytes per item and length word of every
+    // list that does not fit its slot.
+    let spilled = lists.iter().filter(|l| l.len() > 1 || l[0].0 >= HIGH);
+    prop_assert_eq!(
+        rebuilt.unwrap().heap_bytes(),
+        hexastore::packed::bytes_for(lists.len(), width).unwrap()
+            + 4 * spilled.map(|l| l.len() + 1).sum::<usize>()
+    );
 }
 
 proptest! {
@@ -255,22 +295,53 @@ proptest! {
         for (i, list) in lists.iter().enumerate() {
             prop_assert_eq!(arena.push_list(list.iter().copied()) as usize, i);
         }
-        prop_assert_eq!(arena.list_count(), lists.len());
-        prop_assert_eq!(arena.total_items(), lists.iter().map(Vec::len).sum::<usize>());
-        for (i, list) in lists.iter().enumerate() {
-            prop_assert_eq!(arena.get(i as u32), list.as_slice());
+        check_arena(&arena, &lists);
+    }
+
+    /// At every slot width from 1 to 32 bits: a singleton exactly at the
+    /// flag boundary (the largest id a slot of that width holds) sets the
+    /// width, and beside it random singletons below it, singletons whose
+    /// id forces the overflow path and lists of two to five ids — as many
+    /// of those as the width leaves room for positions. The arena, built by
+    /// pushes that widen its slot column as they go, is the `Vec<Vec<Id>>`
+    /// it was pushed.
+    #[test]
+    fn flat_arena_matches_a_vec_of_lists_at_every_slot_width(
+        width in 1u32..33,
+        draws in proptest::collection::vec((0u32..4, 0u64..u64::MAX), 0..40),
+    ) {
+        let boundary = (1u64 << (width - 1)) as u32 - 1;
+        let mut lists = vec![vec![Id(boundary)]];
+        let mut overflow = 0usize;
+        for (kind, mut seed) in draws {
+            let mut next = move || {
+                seed ^= seed << 13;
+                seed ^= seed >> 7;
+                seed ^= seed << 17;
+                seed as u32
+            };
+            let list = match kind {
+                0 => vec![Id(next() % (boundary + 1))],
+                1 => vec![Id(HIGH | next())],
+                _ => {
+                    let set: BTreeSet<Id> = (0..2 + next() % 4).map(|_| Id(next())).collect();
+                    set.into_iter().collect()
+                }
+            };
+            if list.len() > 1 || list[0].0 >= HIGH {
+                // Its slot holds its overflow position, which must fit too.
+                if overflow > boundary as usize {
+                    continue;
+                }
+                overflow += list.len() + 1;
+            }
+            lists.push(list);
         }
-        prop_assert_eq!(arena.lists().count(), lists.len());
-        let columns = arena.view();
-        prop_assert_eq!(columns.validate(), Some(arena.total_items()));
-        let rebuilt = FlatArena::from_raw_parts(columns.slots.to_vec(), columns.over.to_vec());
-        prop_assert_eq!(rebuilt.as_ref(), Some(&arena));
-        // Four bytes per list, and per item and length word of every list
-        // that does not fit its slot.
-        let spilled = lists.iter().filter(|l| l.len() > 1 || l[0].0 >= hexastore::slab::LONG);
-        prop_assert_eq!(
-            rebuilt.unwrap().heap_bytes(),
-            4 * (lists.len() + spilled.map(|l| l.len() + 1).sum::<usize>())
-        );
+        let mut arena = FlatArena::new();
+        for list in &lists {
+            arena.push_list(list.iter().copied());
+        }
+        prop_assert_eq!(arena.view().slots.width(), width);
+        check_arena(&arena, &lists);
     }
 }

@@ -11,10 +11,10 @@ use hexastore::PackedView;
 use hexastore::{DatasetStats, IndexKind, IndexSet, StatsSource, TripleStore};
 use std::sync::Arc;
 
-/// Column descriptors of one arena: slot column + overflow column.
+/// Column descriptors of one arena: packed slot column + overflow column.
 #[derive(Clone, Copy, Debug)]
 struct ArCols {
-    slots: Column,
+    slots: Packed,
     over: Column,
 }
 
@@ -71,8 +71,8 @@ pub struct MmapFrozenHexastore {
 
 impl MmapFrozenHexastore {
     /// A store over the mapping whose `FROZ` columns `cols` locates. What
-    /// is checked touches no column: the layout is the one v6 introduced
-    /// (slot arenas, bit-packed index levels), every `u32` column is one
+    /// is checked touches no column: the layout is the one v7 introduced
+    /// (packed slot arenas, bit-packed index levels), every `u32` column is one
     /// the casts below may reinterpret ([`mapped`]), and every packed one
     /// lies in the mapping ([`mapped_packed`]).
     pub(crate) fn from_columns(map: &Arc<Mmap>, cols: &FrozenColumns) -> Result<Self> {
@@ -86,7 +86,7 @@ impl MmapFrozenHexastore {
         for arena in cols.arenas {
             let ArenaColumns::Slots { slots, over } = arena else { return Err(predates()) };
             arenas.push(ArCols {
-                slots: mapped(slots, "arena slot column")?,
+                slots: packed(slots, "arena slot column")?,
                 over: mapped(over, "arena overflow column")?,
             });
         }
@@ -110,19 +110,25 @@ impl MmapFrozenHexastore {
     }
 
     /// Checks, in one pass over the three arenas' columns
-    /// (`O(lists + overflow words)`, about 13 of a file's 45 bytes per
+    /// (`O(lists + overflow words)`, about 10 of a file's 31 bytes per
     /// triple), that they are what a writer lays down
-    /// ([`ArenaView::validate`]): every slot that is not itself a list
-    /// names a run inside the overflow column, runs neither overlap nor
-    /// leave a gap, each is strictly ascending, and together they hold one
-    /// item per triple. A file that fails is [`Error::Corrupt`]; one that
+    /// ([`ArenaView::validate`]): the slot column is one flag bit above
+    /// its widest value wide, every slot that is not itself a list names
+    /// a run inside the overflow column, runs neither overlap nor leave a
+    /// gap, each is strictly ascending, and together they hold one item
+    /// per triple. A file that fails is [`Error::Corrupt`]; one that
     /// passes can still be wrong in its index levels (see the trust model
     /// above).
     pub fn verify(&self) -> Result<()> {
-        if self.arenas.iter().any(|&arena| self.arena(arena).validate() != Some(self.len)) {
-            return Err(Error::Corrupt(
-                "arena columns do not hold the declared sorted lists".to_string(),
-            ));
+        for &arena in &self.arenas {
+            let items =
+                self.arena(arena).validate().map_err(|e| Error::Corrupt(format!("arena: {e}")))?;
+            if items != self.len {
+                return Err(Error::Corrupt(format!(
+                    "arena columns hold {items} items where the section declares {} triples",
+                    self.len
+                )));
+            }
         }
         Ok(())
     }
@@ -185,7 +191,7 @@ impl MmapFrozenHexastore {
 
     /// One arena's columns as the view the shared read path walks.
     fn arena(&self, cols: ArCols) -> ArenaView<'_> {
-        ArenaView { slots: self.ids(cols.slots), over: self.ids(cols.over) }
+        ArenaView { slots: self.packed(cols.slots), over: self.ids(cols.over) }
     }
 
     /// Bytes of file backing this store — the mapped region. The

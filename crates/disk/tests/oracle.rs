@@ -343,6 +343,7 @@ fn walk_every_shape_if_it_opens(path: &std::path::Path, pats: &[IdPattern]) {
         let _ = mapped.iter_matching_range(pat, n / 2, n).count();
         let _ = mapped.iter_matching_range(pat, 1, usize::MAX).count();
         let _ = sla.sorted_list(pat);
+        let _ = sla.list(pat).map(|list| list.len());
     }
 }
 
@@ -417,8 +418,8 @@ struct AddressingWords {
     offsets: Vec<PackedAt>,
     /// The six orderings' packed vector-key columns.
     vector_keys: Vec<PackedAt>,
-    /// Every slot of the three arenas.
-    slots: Vec<usize>,
+    /// The three arenas' packed slot columns.
+    slots: Vec<PackedAt>,
     /// Every word of the three arenas' overflow columns.
     overflow: Vec<usize>,
     /// The three mirror orderings' packed list-reference columns.
@@ -428,7 +429,8 @@ struct AddressingWords {
 impl AddressingWords {
     /// Every packed column of the section.
     fn packed(&self) -> impl Iterator<Item = PackedAt> + '_ {
-        self.offsets.iter().chain(&self.vector_keys).chain(&self.list_refs).copied()
+        let levels = self.offsets.iter().chain(&self.vector_keys).chain(&self.list_refs);
+        self.slots.iter().chain(levels).copied()
     }
 }
 
@@ -436,10 +438,11 @@ fn addressing_words(bytes: &[u8]) -> AddressingWords {
     use hexsnap::{ArenaColumns, Column, Ints, Windows};
     let mut reader = hexsnap::Reader::new(std::io::Cursor::new(bytes)).unwrap();
     let columns = reader.frozen_columns().unwrap();
+    let (froz_at, _) = reader.frozen_section_extent().unwrap();
     let words = |col: Column| (0..col.len).map(move |i| col.offset + 4 * i);
     let packed = |ints| match ints {
         Ints::Packed(col) => col,
-        Ints::U32(_) => panic!("a v6 packed column"),
+        Ints::U32(_) => panic!("a v7 packed column"),
     };
     let end = |p: PackedAt| p.bytes().end;
     let mut found = AddressingWords {
@@ -449,10 +452,14 @@ fn addressing_words(bytes: &[u8]) -> AddressingWords {
         overflow: vec![],
         list_refs: vec![],
     };
+    // An arena's slot width follows its list, item and overflow counts,
+    // the first arena's the triple count.
+    let mut counts_at = froz_at as usize + 8;
     for arena in columns.arenas {
         let ArenaColumns::Slots { slots, over, .. } = arena else { panic!("a v4 arena") };
-        found.slots.extend(words(slots));
+        found.slots.push(PackedAt { col: packed(slots), width_at: counts_at + 4 + 8 + 4 });
         found.overflow.extend(words(over));
+        counts_at = over.offset + 4 * over.len;
     }
     // Each width field follows what precedes it: the header keys, then
     // the offsets and the vector count, then the vector keys.
@@ -547,57 +554,72 @@ fn corrupt_offsets_degrade_to_short_windows_never_a_panic() {
 fn corrupt_slots_and_overflow_words_are_refused_and_safe_to_walk() {
     // A slot is a list or the address of one; an overflow word is a length
     // or an item. Every one of them is overwritten with what each could be
-    // mistaken for: an inline id, a tagged position at, inside and past
+    // mistaken for: an inline id, a flagged position at, inside and past
     // the overflow column, lengths of 0 and 1, a length past the column,
     // an item that breaks its run's order. Every shape is walked over the
     // unverified store each time; `open` refuses with a typed error.
-    use hexastore::slab::LONG;
     let g = mixed_list_graph();
     let path = temp_path("slots");
     let frozen = g.store().freeze();
     hexsnap::save_frozen(&path, g.dict(), &frozen).unwrap();
     let pristine = std::fs::read(&path).unwrap();
     let words = addressing_words(&pristine);
-    assert_eq!(words.slots.len() * 2, frozen.space_stats().vector_entries);
+    let slots: usize = words.slots.iter().map(|p| p.col.len).sum();
+    assert_eq!(slots * 2, frozen.space_stats().vector_entries);
     assert!(!words.overflow.is_empty(), "the graph has lists of two");
     let n_over = words.overflow.len() as u32;
-    let values = |old: u32| {
+    let values = |old: u32, flag: u32| {
         vec![
             0,
             1,
-            old ^ LONG,
-            LONG,
-            LONG | 1,
-            LONG | (n_over - 1),
-            LONG | n_over,
+            old ^ flag,
+            flag,
+            flag | 1,
+            flag | (n_over - 1),
+            flag | n_over,
             u32::MAX,
             old + 1,
         ]
     };
-    overwrite_each_word(&path, &pristine, &words.slots, values);
-    overwrite_each_word(&path, &pristine, &words.overflow, values);
+    for &slots in &words.slots {
+        let flag = 1 << (slots.col.width - 1);
+        overwrite_each_value(&path, &pristine, &[slots], |old| values(old, flag));
+    }
+    overwrite_each_word(&path, &pristine, &words.overflow, |old| values(old, 1 << 31));
 
     // Named cases: `open` refuses each with a typed error; `open_store`,
     // which reads only the section's headers, maps it, and `verify` says
     // what `open` said.
-    let refused = |at: usize, new: u32, why: &str| {
-        let mut bytes = pristine.clone();
-        bytes[at..at + 4].copy_from_slice(&new.to_le_bytes());
+    let refused = |bytes: Vec<u8>, why: &str| {
         std::fs::write(&path, &bytes).unwrap();
         let err = hex_disk::open(&path).err().unwrap_or_else(|| panic!("{why} must be refused"));
         assert!(matches!(err, hex_disk::Error::Corrupt(_)), "{why}: {err}");
         let unverified = hex_disk::open_store(&path).expect("structurally sound");
         assert!(matches!(unverified.verify(), Err(hex_disk::Error::Corrupt(_))), "{why}");
     };
+    let word = |at: usize, new: u32| {
+        let mut bytes = pristine.clone();
+        bytes[at..at + 4].copy_from_slice(&new.to_le_bytes());
+        bytes
+    };
     let u32_at = |at: usize| u32::from_le_bytes(pristine[at..at + 4].try_into().unwrap());
-    let tagged = *words.slots.iter().find(|&&at| u32_at(at) & LONG != 0).expect("a longer list");
-    let length_word = words.overflow[(u32_at(tagged) & !LONG) as usize];
+    // The first flagged slot: a longer list of the first arena.
+    let slots = words.slots[0];
+    let flag = 1 << (slots.col.width - 1);
+    let flagged = (0..slots.col.len).find(|&i| slots.get(&pristine, i) & flag != 0).unwrap();
+    let position = slots.get(&pristine, flagged) & !flag;
+    let length_word = words.overflow[position as usize];
     assert!(u32_at(length_word) >= 2);
-    refused(tagged, LONG | n_over, "a tagged slot past the overflow column");
-    refused(length_word, n_over + 1, "a length word overrunning the overflow column");
-    refused(length_word, 0, "length 0 behind a tag");
-    refused(length_word, 1, "length 1 behind a tag");
-    refused(length_word + 4, u32_at(length_word + 8), "an unsorted overflow run");
+    let mut bytes = pristine.clone();
+    slots.set(&mut bytes, flagged, flag | (position + 1));
+    refused(bytes, "a flagged slot off the tiling of the runs");
+    let mut bytes = pristine.clone();
+    slots.set(&mut bytes, flagged, 0);
+    refused(bytes, "a flag cleared, leaving its run unreachable");
+    refused(word(length_word, n_over + 1), "a length word overrunning the overflow column");
+    refused(word(length_word, 0), "length 0 behind a flag");
+    refused(word(length_word, 1), "length 1 behind a flag");
+    refused(word(length_word + 4, u32_at(length_word + 8)), "an unsorted overflow run");
     std::fs::write(&path, &pristine).unwrap();
     hex_disk::open_store(&path).unwrap().verify().expect("the pristine file verifies");
     std::fs::remove_file(&path).ok();
@@ -614,7 +636,7 @@ fn mirror_references_past_the_arena_read_as_empty_lists() {
     hexsnap::save_frozen(&path, g.dict(), &frozen).unwrap();
     let pristine = std::fs::read(&path).unwrap();
     let words = addressing_words(&pristine);
-    let lists = (words.slots.len() / 3) as u32;
+    let lists = words.slots[0].col.len as u32;
     overwrite_each_value(&path, &pristine, &words.list_refs, |old| {
         vec![0, old + 1, lists, 1_000, u32::MAX]
     });
@@ -633,10 +655,11 @@ fn mirror_references_past_the_arena_read_as_empty_lists() {
 
 #[test]
 fn corrupt_packed_bytes_and_widths_open_as_corrupt_or_answer_without_a_panic() {
-    // Every byte of every packed column takes each of four patterns, and
-    // every width field each width from 0 to 40 and beyond. The packed
-    // words are data: the store opens over each corrupt byte without
-    // reading them, and every shape walks. A width changes where every
+    // Every byte of every packed column — list slots and index levels —
+    // takes each of four patterns, every padding byte before one is
+    // refused, and every width field takes each width from 0 to 40 and
+    // beyond. The packed words are data: the store opens over each
+    // corrupt byte without reading them, and every shape walks. A width changes where every
     // later field lies, so the file either opens — then every shape walks
     // — or is refused at open as `Corrupt`, never any other way.
     let g = mixed_list_graph();
@@ -645,8 +668,17 @@ fn corrupt_packed_bytes_and_widths_open_as_corrupt_or_answer_without_a_panic() {
     let pristine = std::fs::read(&path).unwrap();
     let pats = probe_patterns(&hex_disk::open_store(&path).unwrap());
     let words = addressing_words(&pristine);
-    assert_eq!((words.offsets.len(), words.vector_keys.len(), words.list_refs.len()), (6, 6, 3));
+    let counts = (words.slots.len(), words.offsets.len(), words.vector_keys.len());
+    assert_eq!((counts, words.list_refs.len()), ((3, 6, 6), 3));
     for p in words.packed() {
+        // The padding between the width and the words must be zero.
+        for at in p.width_at + 4..p.col.offset {
+            let mut bytes = pristine.clone();
+            bytes[at] ^= 0x01;
+            std::fs::write(&path, &bytes).unwrap();
+            let err = hex_disk::open_store(&path).unwrap_err();
+            assert!(matches!(err, hex_disk::Error::Corrupt(_)), "padding at {at}: {err}");
+        }
         for at in p.bytes() {
             for flip in [0xFF, 0x01, 0x80, 0x5A] {
                 let mut bytes = pristine.clone();

@@ -246,7 +246,7 @@ fn annotate_merge_joins(store: &dyn TripleStore, bgp: &Bgp, steps: &mut Vec<Plan
     let qualifies = |pi: usize| -> Option<VarId> {
         let pat = &bgp.patterns[pi];
         let v = lone_var(pat)?;
-        sla.sorted_list(pat.access(&empty))?;
+        sla.list(pat.access(&empty))?;
         Some(v)
     };
     let Some(v) = qualifies(steps[0].pattern) else { return };
@@ -298,8 +298,8 @@ fn merge_candidates(
     row: &[Option<Id>],
 ) -> Option<Vec<Id>> {
     let sla = store.sorted_lists()?;
-    let lists: Option<Vec<&[Id]>> =
-        group.iter().map(|pat| sla.sorted_list(pat.access(row))).collect();
+    let lists: Option<Vec<access::List<'_>>> =
+        group.iter().map(|pat| sla.list(pat.access(row))).collect();
     Some(hexastore::sorted::intersect_many(lists?))
 }
 

@@ -81,7 +81,7 @@ pub fn follow_path<S: OrderedStore>(store: &S, props: &[Id]) -> PathResult {
         // concatenation of per-subject lists is not globally sorted.
         let mut next: Vec<Id> = Vec::new();
         for x in matched {
-            next.extend_from_slice(pso.list(p, x));
+            next.extend_from_slice(&pso.list(p, x));
         }
         // Every materialized frontier is normalized; the sort is charged
         // to the *next* join (making it sort-merge), so count it only when
@@ -151,7 +151,7 @@ pub fn transitive_closure<S: OrderedStore>(store: &S, start: Id, p: Id) -> Vec<I
         reached = sorted::union(&reached, &frontier);
         let mut next: Vec<Id> = Vec::new();
         for &x in &frontier {
-            next.extend_from_slice(pso.list(p, x));
+            next.extend_from_slice(&pso.list(p, x));
         }
         sorted::sort_dedup(&mut next);
         frontier = sorted::difference(&next, &reached);
@@ -167,8 +167,8 @@ pub fn path_pairs<S: OrderedStore>(store: &S, p1: Id, p2: Id) -> Vec<(Id, Vec<Id
     let mids = sorted::intersect(&vector_keys(pos, p1), &vector_keys(pso, p2));
     let mut pairs: Vec<(Id, Id)> = Vec::new();
     for mid in mids {
-        for &s in pos.list(p1, mid) {
-            for &e in pso.list(p2, mid) {
+        for s in pos.list(p1, mid) {
+            for e in pso.list(p2, mid) {
                 pairs.push((s, e));
             }
         }

@@ -76,7 +76,7 @@ fn main() {
     println!("\neveryone connected to alice (any property, any direction):");
     let alice = g.id_of(&person("alice")).unwrap();
     for (s, props) in g.store().ordering(IndexKind::Osp).division(alice) {
-        for &p in props {
+        for p in props {
             println!(
                 "  {} --{}--> alice",
                 g.dict().decode(s).unwrap(),
@@ -85,7 +85,7 @@ fn main() {
         }
     }
     for (p, objs) in g.store().ordering(IndexKind::Spo).division(alice) {
-        for &o in objs {
+        for o in objs {
             println!(
                 "  alice --{}--> {}",
                 g.dict().decode(p).unwrap(),

@@ -15,9 +15,12 @@
 //! - `count_matching == iter_matching().count()`;
 //! - ranges tile: for every cut `c`, `[0, c) ++ [c, n)` is the full
 //!   cursor, and a range past the end is empty;
-//! - `sorted_list`, where served, is the cursor's projection onto the
-//!   free position and strictly ascending; it is `None` unless exactly
-//!   two positions are bound;
+//! - `list`, where served, is the cursor's projection onto the free
+//!   position and strictly ascending; it is `None` unless exactly two
+//!   positions are bound, and `Some` for every served two-bound shape;
+//!   `sorted_list` is the same list wherever it lends one, and lends
+//!   every list on a store that keeps an ordering headed by the list's
+//!   position (all six orderings, or the mapped store);
 //! - `contains` agrees with the model.
 //!
 //! Every slab store — frozen, every partial subset (COVP1 and COVP2
@@ -31,11 +34,14 @@
 //!   order, each list strictly ascending;
 //! - `list(k1, k2)` is that division's list, and empty for absent keys;
 //! - `scan()` is the divisions concatenated in key order, and its items
-//!   total `len()`.
+//!   total `len()`;
+//! - a list index past the arena's slot column reads as the empty list
+//!   (a packed read past the end is 0, which would otherwise be the
+//!   singleton `Id(0)`).
 
 use hex_baselines::{Covp1, Covp2, TriplesTable};
 use hex_dict::{Id, IdTriple};
-use hexastore::access::{project, route, OrderedStore};
+use hexastore::access::{project, route, List, OrderedStore};
 use hexastore::{
     FrozenHexastore, IdPattern, IndexKind, IndexSet, OverlayHexastore, PartialHexastore,
     TripleStore,
@@ -107,6 +113,14 @@ fn model_of(triples: &[IdTriple]) -> Vec<IdTriple> {
     model
 }
 
+/// True when `store` keeps an ordering headed by each position, whose
+/// header keys lend `sorted_list` every singleton list.
+fn lends_every_list<S: TripleStore>(store: &S) -> bool {
+    use IndexKind::*;
+    let kept = store.capabilities();
+    [[Spo, Sop], [Pso, Pos], [Osp, Ops]].iter().all(|pair| pair.iter().any(|&k| kept.contains(k)))
+}
+
 fn check<S: TripleStore>(store: &S, model: &[IdTriple], order: Order, what: &str) {
     assert_eq!(store.len(), model.len(), "{what}: len");
     for pat in patterns(model) {
@@ -150,7 +164,7 @@ fn check<S: TripleStore>(store: &S, model: &[IdTriple], order: Order, what: &str
         assert_eq!(store.iter_matching_range(pat, 0, usize::MAX).count(), n, "{ctx}: open end");
 
         if let Some(lists) = store.sorted_lists() {
-            match lists.sorted_list(pat) {
+            match lists.list(pat) {
                 Some(list) => {
                     assert_eq!(pat.bound_count(), 2, "{ctx}: sorted_list shape");
                     let projected: Vec<Id> = cursor
@@ -161,13 +175,20 @@ fn check<S: TripleStore>(store: &S, model: &[IdTriple], order: Order, what: &str
                             _ => t.o,
                         })
                         .collect();
-                    assert_eq!(list, projected, "{ctx}: sorted_list vs cursor projection");
+                    assert_eq!(*list, projected, "{ctx}: list vs cursor projection");
                     assert!(list.windows(2).all(|w| w[0] < w[1]), "{ctx}: ascending");
+                    match lists.sorted_list(pat) {
+                        Some(lent) => assert_eq!(lent, &*list, "{ctx}: sorted_list vs list"),
+                        None => assert!(!lends_every_list(store), "{ctx}: sorted_list lends"),
+                    }
                 }
                 None => assert!(
                     pat.bound_count() != 2 || !store.capabilities().serves(pat.shape()),
                     "{ctx}: a served two-bound shape must hand out its list"
                 ),
+            }
+            if lists.list(pat).is_none() {
+                assert_eq!(lists.sorted_list(pat), None, "{ctx}: sorted_list without list");
             }
         }
 
@@ -211,7 +232,7 @@ fn check_orderings<S: OrderedStore>(store: &S, model: &[IdTriple], what: &str) {
 
         let mut concatenated = Vec::new();
         for (k1, groups) in &want {
-            let division: Vec<(Id, &[Id])> = ord.division(*k1).collect();
+            let division: Vec<(Id, List<'_>)> = ord.division(*k1).collect();
             assert!(division.windows(2).all(|w| w[0].0 < w[1].0), "{ctx}: {k1:?} k2 order");
             for &(k2, list) in &division {
                 assert!(list.windows(2).all(|w| w[0] < w[1]), "{ctx}: ({k1:?}, {k2:?}) ascending");
@@ -226,10 +247,15 @@ fn check_orderings<S: OrderedStore>(store: &S, model: &[IdTriple], what: &str) {
         assert_eq!(ord.division(absent).count(), 0, "{ctx}: absent k1");
         assert!(ord.list(absent, absent).is_empty(), "{ctx}: absent pair");
 
-        let scan: Vec<(Id, Id, &[Id])> = ord.scan().collect();
+        let scan: Vec<(Id, Id, List<'_>)> = ord.scan().collect();
         assert_eq!(scan, concatenated, "{ctx}: scan vs divisions");
         let items: usize = scan.iter().map(|(_, _, list)| list.len()).sum();
         assert_eq!(items, store.len(), "{ctx}: scan items vs len");
+
+        let lists = ord.arena.slots.len() as u32;
+        for past in [lists, lists + 1, u32::MAX] {
+            assert!(ord.arena.get(past).is_empty(), "{ctx}: list {past} past the slot column");
+        }
     }
 }
 
@@ -436,7 +462,7 @@ mod list_length_mixes {
     /// or above 2^31: as a list's only id, such a one cannot be told from a
     /// tagged slot.
     fn arb_id() -> impl Strategy<Value = Id> {
-        (0u32..6).prop_map(|v| Id(if v % 3 == 0 { hexastore::slab::LONG | v } else { v }))
+        (0u32..6).prop_map(|v| Id(if v % 3 == 0 { 1 << 31 | v } else { v }))
     }
 
     proptest! {

@@ -98,15 +98,15 @@ fn incremental_and_bulk_agree_on_generated_data() {
 
 /// The frozen store's heap is a closed form of the paper's §4.1 entry
 /// counts, of how many terminal lists hold more than one id and of the
-/// widths of the packed index levels — four bytes per header key and list
-/// word, `⌈n·w / 64⌉ + 1` words for a packed column of `n` values whose
-/// largest needs `w > 0` bits, nothing derivable stored, no slack capacity —
-/// however the slabs came to be.
+/// widths of the packed index levels and list slots — four bytes per
+/// header key and overflow word, `⌈n·w / 64⌉ + 1` words for a packed
+/// column of `n` values whose largest needs `w > 0` bits, nothing
+/// derivable stored, no slack capacity — however the slabs came to be.
 #[test]
 fn frozen_heap_breakdown_is_the_closed_form_of_the_space_stats() {
     use hex_dict::{Id, IdTriple};
     use hexastore::hexsnap::{Compression, Reader, Writer};
-    use std::collections::{HashMap, HashSet};
+    use std::collections::{BTreeMap, HashMap, HashSet};
     /// Heap bytes of a packed column of `len` values, the largest `max`:
     /// whole words, then one zero word; none at width 0.
     fn packed(len: usize, max: usize) -> usize {
@@ -156,8 +156,34 @@ fn frozen_heap_breakdown_is_the_closed_form_of_the_space_stats() {
                 mirror_list_refs += packed(leaves, leaves.saturating_sub(1));
             }
         }
+        // Per arena, its lists in their primary ordering's key order —
+        // (s, p), (s, o), (p, o) — and a slot one flag bit wider than the
+        // largest singleton id or overflow position.
+        type List = fn(&IdTriple) -> ((Id, Id), Id);
+        let arenas: [List; 3] =
+            [|t| ((t.s, t.p), t.o), |t| ((t.s, t.o), t.p), |t| ((t.p, t.o), t.s)];
+        let mut list_slots = 0;
+        for list in arenas {
+            let mut lists: BTreeMap<(Id, Id), Vec<Id>> = BTreeMap::new();
+            for t in &triples {
+                let (key, item) = list(t);
+                lists.entry(key).or_default().push(item);
+            }
+            let (mut at, mut max) = (0, 0);
+            for items in lists.values() {
+                if items.len() == 1 && items[0].0 < 1 << 31 {
+                    max = max.max(items[0].0 as usize);
+                } else {
+                    max = max.max(at);
+                    at += items.len() + 1;
+                }
+            }
+            if !lists.is_empty() {
+                list_slots += packed(lists.len(), 2 * max + 1);
+            }
+        }
         let expected = HeapBreakdown {
-            list_slots: 4 * pairs, // a singleton list is its slot
+            list_slots, // a singleton list is its slot
             overflow: 4 * (longer.iter().sum::<usize>() + longer.len()), // items + a length word
             vector_keys,
             mirror_list_refs,
