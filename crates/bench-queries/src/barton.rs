@@ -81,19 +81,16 @@ impl BartonIds {
 /// first step every plan shares once both sides are sorted.
 fn for_each_table_match<'a>(
     pairs: impl Iterator<Item = (Id, List<'a>)>,
-    t: &[Id],
+    t: List<'_>,
     mut f: impl FnMut(Id, List<'a>),
 ) {
-    let mut i = 0;
+    let mut t = t.into_iter().peekable();
     for (s, items) in pairs {
-        while i < t.len() && t[i] < s {
-            i += 1;
-        }
-        if i >= t.len() {
-            break;
-        }
-        if t[i] == s {
-            f(s, items);
+        while t.next_if(|&x| x < s).is_some() {}
+        match t.peek() {
+            None => break,
+            Some(&x) if x == s => f(s, items),
+            Some(_) => {}
         }
     }
 }
@@ -105,41 +102,33 @@ fn for_each_table_match<'a>(
 /// Type:Text selection), the short side gallops into the long side with
 /// binary searches instead of advancing linearly — the standard refinement
 /// of the paper's merge joins for skewed operand sizes.
-fn intersect_count(a: &[Id], b: &[Id]) -> usize {
+fn intersect_count(a: List<'_>, b: List<'_>) -> usize {
     let (small, large) = if a.len() <= b.len() { (a, b) } else { (b, a) };
     if small.is_empty() {
         return 0;
     }
-    if large.len() / small.len().max(1) >= 16 {
-        let mut n = 0;
-        let mut lo = 0;
+    if large.len() / small.len() >= 16 {
+        let (mut n, mut lo) = (0, 0);
         for x in small {
-            match large[lo..].binary_search(x) {
-                Ok(i) => {
-                    n += 1;
-                    lo += i + 1;
-                }
-                Err(i) => lo += i,
-            }
+            lo = large.seek(lo, x);
             if lo >= large.len() {
                 break;
+            }
+            if large.get(lo) == Some(x) {
+                n += 1;
+                lo += 1;
             }
         }
         return n;
     }
-    let (mut i, mut j, mut n) = (0, 0, 0);
-    while i < small.len() && j < large.len() {
-        match small[i].cmp(&large[j]) {
-            std::cmp::Ordering::Less => i += 1,
-            std::cmp::Ordering::Greater => j += 1,
-            std::cmp::Ordering::Equal => {
-                n += 1;
-                i += 1;
-                j += 1;
-            }
-        }
-    }
-    n
+    let mut large = large.into_iter().peekable();
+    small
+        .into_iter()
+        .filter(|&x| {
+            while large.next_if(|&y| y < x).is_some() {}
+            large.next_if_eq(&x).is_some()
+        })
+        .count()
 }
 
 fn restrict(candidates: Vec<Id>, props: Option<&[Id]>) -> Vec<Id> {
@@ -170,7 +159,7 @@ pub fn bq1_indexed<S: OrderedStore>(store: &S, ids: &BartonIds) -> Vec<(Id, usiz
 pub fn bq1_covp1(c: &Covp1, ids: &BartonIds) -> Vec<(Id, usize)> {
     let mut objects: Vec<Id> = Vec::new();
     for (_, objs) in c.ordering(Pso).division(ids.p_type) {
-        objects.extend_from_slice(&objs);
+        objects.extend(objs);
     }
     ops::frequency(objects)
 }
@@ -183,14 +172,15 @@ pub fn bq1_covp1(c: &Covp1, ids: &BartonIds) -> Vec<(Id, usize)> {
 /// (its objects are not indexed), which iterates in subject order.
 fn scan_subjects(c: &Covp1, p: Id, o: Id) -> Vec<Id> {
     let table = c.ordering(Pso).division(p);
-    table.filter(|(_, objs)| sorted::contains(objs, &o)).map(|(s, _)| s).collect()
+    table.filter(|(_, objs)| objs.contains(o)).map(|(s, _)| s).collect()
 }
 
 /// The Hexastore's candidate properties: those its spo property vectors
 /// define for some subject in `t`, skipping unrelated ones.
-fn spo_candidates(h: &Hexastore, t: &[Id], props: Option<&[Id]>) -> Vec<Id> {
+fn spo_candidates(h: &Hexastore, t: List<'_>, props: Option<&[Id]>) -> Vec<Id> {
     let spo = h.ordering(Spo);
-    let mut candidates: Vec<Id> = t.iter().flat_map(|&s| spo.division(s).map(|(p, _)| p)).collect();
+    let mut candidates: Vec<Id> =
+        t.into_iter().flat_map(|s| spo.division(s).map(|(p, _)| p)).collect();
     sorted::sort_dedup(&mut candidates);
     restrict(candidates, props)
 }
@@ -201,7 +191,7 @@ fn spo_candidates(h: &Hexastore, t: &[Id], props: Option<&[Id]>) -> Vec<Id> {
 
 /// The shared aggregation step of BQ2 on a property-oriented store: join
 /// the text-subject list with each property table, counting objects.
-fn bq2_tables(pso: SlabOrdering<'_>, t: &[Id], props: Option<&[Id]>) -> Vec<(Id, usize)> {
+fn bq2_tables(pso: SlabOrdering<'_>, t: List<'_>, props: Option<&[Id]>) -> Vec<(Id, usize)> {
     let mut out = Vec::new();
     for p in restrict(pso.keys().to_vec(), props) {
         let mut n = 0;
@@ -217,24 +207,24 @@ fn bq2_tables(pso: SlabOrdering<'_>, t: &[Id], props: Option<&[Id]>) -> Vec<(Id,
 /// join the subject list with every (candidate) property table.
 pub fn bq2_covp1(c: &Covp1, ids: &BartonIds, props: Option<&[Id]>) -> Vec<(Id, usize)> {
     let t = scan_subjects(c, ids.p_type, ids.text);
-    bq2_tables(c.ordering(Pso), &t, props)
+    bq2_tables(c.ordering(Pso), List::from(&t[..]), props)
 }
 
 /// BQ2 on COVP2: the Text selection is a pos probe; the aggregation step
 /// is the same table sweep as COVP1.
 pub fn bq2_covp2(c: &Covp2, ids: &BartonIds, props: Option<&[Id]>) -> Vec<(Id, usize)> {
-    let t = c.ordering(Pos).list(ids.p_type, ids.text);
-    bq2_tables(c.ordering(Pso), &t, props)
+    bq2_tables(c.ordering(Pso), c.ordering(Pos).list(ids.p_type, ids.text), props)
 }
 
 /// The Hexastore aggregation step of BQ2/BQ6: merge the sorted property
 /// vectors of the subjects in `t` (spo indexing), accumulating per-property
 /// triple counts per property, summed by [`ops::merge_counts`], then keep
 /// the properties in `props` when given.
-fn merge_property_vectors(h: &Hexastore, t: &[Id], props: Option<&[Id]>) -> Vec<(Id, usize)> {
+fn merge_property_vectors(h: &Hexastore, t: List<'_>, props: Option<&[Id]>) -> Vec<(Id, usize)> {
     let spo = h.ordering(Spo);
-    let merged =
-        ops::merge_counts(t.iter().flat_map(|&s| spo.division(s).map(|(p, objs)| (p, objs.len()))));
+    let merged = ops::merge_counts(
+        t.into_iter().flat_map(|s| spo.division(s).map(|(p, objs)| (p, objs.len()))),
+    );
     match props {
         Some(allowed) => merged.into_iter().filter(|(p, _)| sorted::contains(allowed, p)).collect(),
         None => merged,
@@ -245,7 +235,7 @@ fn merge_property_vectors(h: &Hexastore, t: &[Id], props: Option<&[Id]>) -> Vec<
 /// sorted property vectors of the subjects in t in spo indexing and
 /// aggregate their frequencies" — no sweep over unrelated properties.
 pub fn bq2_hexastore(h: &Hexastore, ids: &BartonIds, props: Option<&[Id]>) -> Vec<(Id, usize)> {
-    merge_property_vectors(h, &h.ordering(Pos).list(ids.p_type, ids.text), props)
+    merge_property_vectors(h, h.ordering(Pos).list(ids.p_type, ids.text), props)
 }
 
 // =====================================================================
@@ -257,11 +247,11 @@ pub type PopularByProperty = Vec<(Id, Vec<(Id, usize)>)>;
 
 /// The COVP1 step of BQ3/BQ4: join `t` with each candidate property table
 /// and count "the instances of each object per property … separately".
-fn bq3_tables(pso: SlabOrdering<'_>, t: &[Id], props: Option<&[Id]>) -> PopularByProperty {
+fn bq3_tables(pso: SlabOrdering<'_>, t: List<'_>, props: Option<&[Id]>) -> PopularByProperty {
     let mut out = Vec::new();
     for p in restrict(pso.keys().to_vec(), props) {
         let mut objects: Vec<Id> = Vec::new();
-        for_each_table_match(pso.division(p), t, |_, objs| objects.extend_from_slice(&objs));
+        for_each_table_match(pso.division(p), t, |_, objs| objects.extend(objs));
         let pops = ops::popular(ops::frequency(objects));
         if !pops.is_empty() {
             out.push((p, pops));
@@ -273,17 +263,20 @@ fn bq3_tables(pso: SlabOrdering<'_>, t: &[Id], props: Option<&[Id]>) -> PopularB
 /// BQ3 on COVP1: as BQ2, "with the addition that the instances of each
 /// object per property are counted separately".
 pub fn bq3_covp1(c: &Covp1, ids: &BartonIds, props: Option<&[Id]>) -> PopularByProperty {
-    bq3_tables(c.ordering(Pso), &scan_subjects(c, ids.p_type, ids.text), props)
+    let t = scan_subjects(c, ids.p_type, ids.text);
+    bq3_tables(c.ordering(Pso), List::from(&t[..]), props)
 }
 
 /// The COVP2/Hexastore final step: for each candidate property, walk its
-/// pos division and count, per object, the subjects that fall in `t`.
+/// pos division and count, per object, the subjects that fall in `t` —
+/// decoded once by the caller, since every subject list is intersected
+/// with it.
 fn bq3_pos_step(pos: SlabOrdering<'_>, t: &[Id], candidates: &[Id]) -> PopularByProperty {
     let mut out = Vec::new();
     for &p in candidates {
         let mut counts: Vec<(Id, usize)> = Vec::new();
         for (o, subjects) in pos.division(p) {
-            let n = intersect_count(&subjects, t);
+            let n = intersect_count(subjects, List::from(t));
             if n > 1 {
                 counts.push((o, n));
             }
@@ -301,7 +294,7 @@ pub fn bq3_covp2(c: &Covp2, ids: &BartonIds, props: Option<&[Id]>) -> PopularByP
     let pos = c.ordering(Pos);
     bq3_pos_step(
         pos,
-        &pos.list(ids.p_type, ids.text),
+        &pos.list(ids.p_type, ids.text).to_vec(),
         &restrict(c.ordering(Pso).keys().to_vec(), props),
     )
 }
@@ -313,7 +306,7 @@ pub fn bq3_covp2(c: &Covp2, ids: &BartonIds, props: Option<&[Id]>) -> PopularByP
 pub fn bq3_hexastore(h: &Hexastore, ids: &BartonIds, props: Option<&[Id]>) -> PopularByProperty {
     let pos = h.ordering(Pos);
     let t = pos.list(ids.p_type, ids.text);
-    bq3_pos_step(pos, &t, &spo_candidates(h, &t, props))
+    bq3_pos_step(pos, &t.to_vec(), &spo_candidates(h, t, props))
 }
 
 // =====================================================================
@@ -327,15 +320,17 @@ pub fn bq4_covp1(c: &Covp1, ids: &BartonIds, props: Option<&[Id]>) -> PopularByP
         &scan_subjects(c, ids.p_type, ids.text),
         &scan_subjects(c, ids.p_language, ids.french),
     );
-    bq3_tables(c.ordering(Pso), &t, props)
+    bq3_tables(c.ordering(Pso), List::from(&t[..]), props)
 }
 
 /// BQ4 on COVP2: "retrieve and merge-join the subject lists for Type: Text
 /// and Language: French using their pos indices".
 pub fn bq4_covp2(c: &Covp2, ids: &BartonIds, props: Option<&[Id]>) -> PopularByProperty {
     let pos = c.ordering(Pos);
-    let t =
-        sorted::intersect(&pos.list(ids.p_type, ids.text), &pos.list(ids.p_language, ids.french));
+    let t = sorted::intersect_many(vec![
+        pos.list(ids.p_type, ids.text),
+        pos.list(ids.p_language, ids.french),
+    ]);
     bq3_pos_step(pos, &t, &restrict(c.ordering(Pso).keys().to_vec(), props))
 }
 
@@ -343,9 +338,11 @@ pub fn bq4_covp2(c: &Covp2, ids: &BartonIds, props: Option<&[Id]>) -> PopularByP
 /// discovery of candidate properties, pos aggregation.
 pub fn bq4_hexastore(h: &Hexastore, ids: &BartonIds, props: Option<&[Id]>) -> PopularByProperty {
     let pos = h.ordering(Pos);
-    let t =
-        sorted::intersect(&pos.list(ids.p_type, ids.text), &pos.list(ids.p_language, ids.french));
-    bq3_pos_step(pos, &t, &spo_candidates(h, &t, props))
+    let t = sorted::intersect_many(vec![
+        pos.list(ids.p_type, ids.text),
+        pos.list(ids.p_language, ids.french),
+    ]);
+    bq3_pos_step(pos, &t, &spo_candidates(h, List::from(&t[..]), props))
 }
 
 // =====================================================================
@@ -364,7 +361,7 @@ pub fn bq5_covp1(c: &Covp1, ids: &BartonIds) -> InferredTypes {
     let s_list = scan_subjects(c, ids.p_origin, ids.dlc);
     // (subject, recorded-object) pairs; object side unsorted.
     let mut pairs: Vec<(Id, Id)> = Vec::new();
-    for_each_table_match(pso.division(ids.p_records), &s_list, |s, objs| {
+    for_each_table_match(pso.division(ids.p_records), List::from(&s_list[..]), |s, objs| {
         for o in objs {
             pairs.push((s, o));
         }
@@ -373,8 +370,8 @@ pub fn bq5_covp1(c: &Covp1, ids: &BartonIds) -> InferredTypes {
     let mut recorded: Vec<Id> = pairs.iter().map(|&(_, o)| o).collect();
     sorted::sort_dedup(&mut recorded);
     let mut type_of: Vec<(Id, Vec<Id>)> = Vec::new();
-    for_each_table_match(pso.division(ids.p_type), &recorded, |o, types| {
-        let non_text: Vec<Id> = types.iter().copied().filter(|&t| t != ids.text).collect();
+    for_each_table_match(pso.division(ids.p_type), List::from(&recorded[..]), |o, types| {
+        let non_text: Vec<Id> = types.into_iter().filter(|&t| t != ids.text).collect();
         if !non_text.is_empty() {
             type_of.push((o, non_text));
         }
@@ -409,14 +406,14 @@ fn bq5_indexed<'a>(
     let typed_recorded = sorted::intersect(&recorded, &typed);
     let mut table: Vec<(Id, Vec<Id>)> = Vec::new();
     for o in typed_recorded {
-        let non_text: Vec<Id> = types_of(o).iter().copied().filter(|&t| t != ids.text).collect();
+        let non_text: Vec<Id> = types_of(o).into_iter().filter(|&t| t != ids.text).collect();
         if !non_text.is_empty() {
             table.push((o, non_text));
         }
     }
     let mut out: InferredTypes = Vec::new();
     let dlc_subjects = pos.list(ids.p_origin, ids.dlc);
-    for_each_table_match(pso.division(ids.p_records), &dlc_subjects, |s, objs| {
+    for_each_table_match(pso.division(ids.p_records), dlc_subjects, |s, objs| {
         for o in objs {
             if let Ok(idx) = table.binary_search_by_key(&o, |&(k, _)| k) {
                 for &ty in &table[idx].1 {
@@ -448,44 +445,45 @@ pub fn bq5_hexastore(h: &Hexastore, ids: &BartonIds) -> InferredTypes {
 /// The resource set of BQ6: Type:Text subjects plus DLC subjects whose
 /// recorded object is of Type:Text.
 fn bq6_subjects<'a>(
-    text_subjects: &[Id],
-    dlc_subjects: &[Id],
+    text_subjects: List<'_>,
+    dlc_subjects: List<'_>,
     recordings_of: impl Fn(Id) -> List<'a>,
     types_of: impl Fn(Id) -> List<'a>,
     text: Id,
 ) -> Vec<Id> {
     let inferred: Vec<Id> = dlc_subjects
-        .iter()
-        .copied()
-        .filter(|&s| recordings_of(s).iter().any(|&o| types_of(o).contains(&text)))
+        .into_iter()
+        .filter(|&s| recordings_of(s).into_iter().any(|o| types_of(o).contains(text)))
         .collect();
-    sorted::union(text_subjects, &inferred)
+    sorted::union(&text_subjects.to_vec(), &inferred)
 }
 
 /// BQ6 on COVP1.
 pub fn bq6_covp1(c: &Covp1, ids: &BartonIds, props: Option<&[Id]>) -> Vec<(Id, usize)> {
     let pso = c.ordering(Pso);
+    let (text, dlc) =
+        (scan_subjects(c, ids.p_type, ids.text), scan_subjects(c, ids.p_origin, ids.dlc));
     let t = bq6_subjects(
-        &scan_subjects(c, ids.p_type, ids.text),
-        &scan_subjects(c, ids.p_origin, ids.dlc),
+        List::from(&text[..]),
+        List::from(&dlc[..]),
         |s| pso.list(ids.p_records, s),
         |o| pso.list(ids.p_type, o),
         ids.text,
     );
-    bq2_tables(pso, &t, props)
+    bq2_tables(pso, List::from(&t[..]), props)
 }
 
 /// BQ6 on COVP2.
 pub fn bq6_covp2(c: &Covp2, ids: &BartonIds, props: Option<&[Id]>) -> Vec<(Id, usize)> {
     let (pso, pos) = (c.ordering(Pso), c.ordering(Pos));
     let t = bq6_subjects(
-        &pos.list(ids.p_type, ids.text),
-        &pos.list(ids.p_origin, ids.dlc),
+        pos.list(ids.p_type, ids.text),
+        pos.list(ids.p_origin, ids.dlc),
         |s| pso.list(ids.p_records, s),
         |o| pso.list(ids.p_type, o),
         ids.text,
     );
-    bq2_tables(pso, &t, props)
+    bq2_tables(pso, List::from(&t[..]), props)
 }
 
 /// BQ6 on the Hexastore: the union of the BQ2 and BQ5-style selections,
@@ -493,13 +491,13 @@ pub fn bq6_covp2(c: &Covp2, ids: &BartonIds, props: Option<&[Id]>) -> Vec<(Id, u
 pub fn bq6_hexastore(h: &Hexastore, ids: &BartonIds, props: Option<&[Id]>) -> Vec<(Id, usize)> {
     let (spo, pos) = (h.ordering(Spo), h.ordering(Pos));
     let t = bq6_subjects(
-        &pos.list(ids.p_type, ids.text),
-        &pos.list(ids.p_origin, ids.dlc),
+        pos.list(ids.p_type, ids.text),
+        pos.list(ids.p_origin, ids.dlc),
         |s| spo.list(s, ids.p_records),
         |o| spo.list(o, ids.p_type),
         ids.text,
     );
-    merge_property_vectors(h, &t, props)
+    merge_property_vectors(h, List::from(&t[..]), props)
 }
 
 // =====================================================================
@@ -509,17 +507,18 @@ pub fn bq6_hexastore(h: &Hexastore, ids: &BartonIds, props: Option<&[Id]>) -> Ve
 /// BQ7 on COVP1: scan the Point table for 'end', then merge-join the
 /// result with the Encoding and Type subject vectors.
 pub fn bq7_covp1(c: &Covp1, ids: &BartonIds) -> Vec<IdTriple> {
-    bq7_join(&scan_subjects(c, ids.p_point, ids.end), ids, c.ordering(Pso))
+    let s_list = scan_subjects(c, ids.p_point, ids.end);
+    bq7_join(List::from(&s_list[..]), ids, c.ordering(Pso))
 }
 
 /// BQ7 on COVP2 and on the Hexastore, which run the same plan: the first
 /// selection is a pos probe; the join step "proceeds in the same fashion
 /// as COVP1" (merge against the pso subject vectors of Encoding and Type).
 pub fn bq7_indexed<S: OrderedStore>(store: &S, ids: &BartonIds) -> Vec<IdTriple> {
-    bq7_join(&store.ordering(Pos).list(ids.p_point, ids.end), ids, store.ordering(Pso))
+    bq7_join(store.ordering(Pos).list(ids.p_point, ids.end), ids, store.ordering(Pso))
 }
 
-fn bq7_join(s_list: &[Id], ids: &BartonIds, pso: SlabOrdering<'_>) -> Vec<IdTriple> {
+fn bq7_join(s_list: List<'_>, ids: &BartonIds, pso: SlabOrdering<'_>) -> Vec<IdTriple> {
     let mut out = Vec::new();
     for p in [ids.p_encoding, ids.p_type] {
         for_each_table_match(pso.division(p), s_list, |s, objs| {

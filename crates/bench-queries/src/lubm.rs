@@ -13,7 +13,7 @@
 use hex_baselines::{Covp1, Covp2};
 use hex_datagen::lubm::Vocab;
 use hex_dict::{Dictionary, Id, IdTriple};
-use hexastore::access::OrderedStore;
+use hexastore::access::{List, OrderedStore};
 use hexastore::IndexKind::{Ops, Osp, Pos, Pso, Sop, Spo};
 use hexastore::{sorted, Hexastore};
 
@@ -84,7 +84,7 @@ pub fn related_to_covp1(c: &Covp1, object: Id) -> RelatedTo {
     let mut out: RelatedTo = Vec::new();
     for &p in pso.keys() {
         for (s, objs) in pso.division(p) {
-            if sorted::contains(&objs, &object) {
+            if objs.contains(object) {
                 out.push((s, p));
             }
         }
@@ -174,7 +174,7 @@ pub fn lq3_covp1(c: &Covp1, ids: &LubmIds) -> Vec<IdTriple> {
             out.push(IdTriple::new(x, p, o));
         }
         for (s, objs) in pso.division(p) {
-            if sorted::contains(&objs, &x) {
+            if objs.contains(x) {
                 out.push(IdTriple::new(s, p, x));
             }
         }
@@ -216,8 +216,8 @@ pub type ByCourse = Vec<(Id, Vec<(Id, Id)>)>;
 pub fn lq4_hexastore(h: &Hexastore, ids: &LubmIds) -> ByCourse {
     let courses = h.ordering(Spo).list(ids.assoc_prof10, ids.p_teacher_of);
     courses
-        .iter()
-        .map(|&c| {
+        .into_iter()
+        .map(|c| {
             let mut related: Vec<(Id, Id)> = Vec::new();
             for (s, props) in h.ordering(Osp).division(c) {
                 for p in props {
@@ -236,11 +236,11 @@ pub fn lq4_covp1(c: &Covp1, ids: &LubmIds) -> ByCourse {
     let pso = c.ordering(Pso);
     let courses = pso.list(ids.p_teacher_of, ids.assoc_prof10);
     let mut grouped: Vec<(Id, Vec<(Id, Id)>)> =
-        courses.iter().map(|&course| (course, Vec::new())).collect();
+        courses.into_iter().map(|course| (course, Vec::new())).collect();
     for &p in pso.keys() {
         for (s, objs) in pso.division(p) {
             for entry in &mut grouped {
-                if sorted::contains(&objs, &entry.0) {
+                if objs.contains(entry.0) {
                     entry.1.push((s, p));
                 }
             }
@@ -257,7 +257,7 @@ pub fn lq4_covp2(c: &Covp2, ids: &LubmIds) -> ByCourse {
     let (pso, pos) = (c.ordering(Pso), c.ordering(Pos));
     let courses = pso.list(ids.p_teacher_of, ids.assoc_prof10);
     let mut grouped: Vec<(Id, Vec<(Id, Id)>)> =
-        courses.iter().map(|&course| (course, Vec::new())).collect();
+        courses.into_iter().map(|course| (course, Vec::new())).collect();
     for &p in pso.keys() {
         for entry in &mut grouped {
             for s in pos.list(p, entry.0) {
@@ -301,7 +301,10 @@ fn lq5_group(
 pub fn lq5_hexastore(h: &Hexastore, ids: &LubmIds) -> ByUniversity {
     let t: Vec<Id> = h.ordering(Sop).division(ids.assoc_prof10).map(|(o, _)| o).collect();
     let pos = h.ordering(Pos);
-    let unis = sorted::intersect(&t, &pos.list(ids.p_type, ids.class_university));
+    let unis = sorted::intersect_many(vec![
+        List::from(&t[..]),
+        pos.list(ids.p_type, ids.class_university),
+    ]);
     lq5_group(&unis, |d, u| pos.list(d, u).to_vec(), ids.degrees)
 }
 
@@ -312,7 +315,7 @@ pub fn lq5_covp1(c: &Covp1, ids: &LubmIds) -> ByUniversity {
     let pso = c.ordering(Pso);
     let mut t: Vec<Id> = Vec::new();
     for &p in pso.keys() {
-        t.extend_from_slice(&pso.list(p, ids.assoc_prof10));
+        t.extend(pso.list(p, ids.assoc_prof10));
     }
     sorted::sort_dedup(&mut t);
     // Refine to universities by joining with the Type table.
@@ -325,7 +328,7 @@ pub fn lq5_covp1(c: &Covp1, ids: &LubmIds) -> ByUniversity {
         if i >= t.len() {
             break;
         }
-        if t[i] == s && sorted::contains(&objs, &ids.class_university) {
+        if t[i] == s && objs.contains(ids.class_university) {
             unis.push(s);
         }
     }
@@ -335,7 +338,7 @@ pub fn lq5_covp1(c: &Covp1, ids: &LubmIds) -> ByUniversity {
         |d, u| {
             let mut subjects = Vec::new();
             for (s, objs) in pso.division(d) {
-                if sorted::contains(&objs, &u) {
+                if objs.contains(u) {
                     subjects.push(s);
                 }
             }
@@ -351,10 +354,13 @@ pub fn lq5_covp2(c: &Covp2, ids: &LubmIds) -> ByUniversity {
     let (pso, pos) = (c.ordering(Pso), c.ordering(Pos));
     let mut t: Vec<Id> = Vec::new();
     for &p in pso.keys() {
-        t.extend_from_slice(&pso.list(p, ids.assoc_prof10));
+        t.extend(pso.list(p, ids.assoc_prof10));
     }
     sorted::sort_dedup(&mut t);
-    let unis = sorted::intersect(&t, &pos.list(ids.p_type, ids.class_university));
+    let unis = sorted::intersect_many(vec![
+        List::from(&t[..]),
+        pos.list(ids.p_type, ids.class_university),
+    ]);
     lq5_group(&unis, |d, u| pos.list(d, u).to_vec(), ids.degrees)
 }
 
@@ -419,7 +425,7 @@ mod tests {
         assert_eq!(hex.len(), taught.len());
         // The teacher appears in each course's related set via teacherOf.
         for (course, related) in &hex {
-            assert!(taught.contains(course));
+            assert!(taught.contains(*course));
             assert!(related.contains(&(ids.assoc_prof10, ids.p_teacher_of)));
         }
     }

@@ -522,6 +522,7 @@ fn snapshot_size_rendered(fig: &FigureSpec, p: &Params) -> Rendered {
     let dict_bytes = reader.section_extent(*b"DICT").map_or(0, |(_, len)| len as usize);
     let dict_heap_bytes = dict.heap_bytes();
     let frozen_heap_bytes = frozen.heap_bytes();
+    let heap = frozen.heap_breakdown();
     let per_triple = |bytes: usize| bytes as f64 / triples.max(1) as f64;
     Rendered::with_counts(
         format!(
@@ -550,6 +551,13 @@ fn snapshot_size_rendered(fig: &FigureSpec, p: &Params) -> Rendered {
             ("prefixes", Count::Int(dict.prefix_count())),
             ("frozen_heap_bytes", Count::Int(frozen_heap_bytes)),
             ("frozen_heap_bytes_per_triple", Count::Ratio(per_triple(frozen_heap_bytes))),
+            // Where the frozen heap goes, so a column's regression shows up
+            // by name.
+            ("frozen_list_slot_bytes", Count::Int(heap.list_slots)),
+            ("frozen_overflow_bytes", Count::Int(heap.overflow)),
+            ("frozen_vector_key_bytes", Count::Int(heap.vector_keys)),
+            ("frozen_mirror_list_ref_bytes", Count::Int(heap.mirror_list_refs)),
+            ("frozen_header_bytes", Count::Int(heap.headers)),
         ],
     )
 }
@@ -1251,12 +1259,12 @@ pub fn collect_evidence(params: &Params) -> Evidence {
 }
 
 impl Evidence {
-    /// `BENCH_ci.json`, schema 7: the two scales and every figure's
+    /// `BENCH_ci.json`, schema 8: the two scales and every figure's
     /// counts under its stem — no timings, so two runs of one build write
     /// the same bytes.
     pub fn bench_ci_json(&self) -> String {
         let mut json = format!(
-            "{{\n  \"schema\": 7,\n  \"figures_triples\": {},\n  \"load_triples\": {}",
+            "{{\n  \"schema\": 8,\n  \"figures_triples\": {},\n  \"load_triples\": {}",
             self.params.triples, self.params.large_triples
         );
         for (stem, counts) in &self.counts {
@@ -1372,6 +1380,11 @@ mod tests {
             "all_distinct_frozen_heap_bytes",
             "barton_index_level_bytes",
             "frozen_heap_bytes_per_triple",
+            "frozen_list_slot_bytes",
+            "frozen_overflow_bytes",
+            "frozen_vector_key_bytes",
+            "frozen_mirror_list_ref_bytes",
+            "frozen_header_bytes",
             "plans",
             "entries_after_70000",
         ] {

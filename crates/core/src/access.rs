@@ -41,8 +41,7 @@
 use crate::advisor::{serving_indices, IndexKind, IndexSet};
 pub use crate::packed::PackedView;
 use crate::pattern::{IdPattern, Shape};
-pub use crate::slab::{ArenaView, List};
-use crate::sorted;
+pub use crate::slab::{ArenaView, List, OverflowCopy};
 use crate::traits::{TripleIter, TripleStore};
 use hex_dict::{Id, IdTriple};
 use std::ops::Range;
@@ -345,7 +344,7 @@ pub fn contains<S: OrderedStore>(store: &S, t: IdTriple) -> bool {
     else {
         unreachable!("a fully bound pattern routes to a membership probe")
     };
-    sorted::contains(&store.ordering(kind).list(k1, k2), &item)
+    store.ordering(kind).list(k1, k2).contains(item)
 }
 
 /// What a read hands its matches to.
@@ -390,7 +389,7 @@ fn matches<'a, O: KeyOrder, D: Deliver<'a>>(
 ) -> D::Out {
     match probe {
         Probe::Member(k1, k2, item) => {
-            let found = sorted::contains(&ord.list(k1, k2), &item);
+            let found = ord.list(k1, k2).contains(item);
             to.deliver(found.then(|| O::triple(k1, k2, item)).into_iter())
         }
         Probe::List(k1, k2) => {
@@ -420,7 +419,7 @@ pub fn iter<S: OrderedStore>(store: &S, pat: IdPattern) -> TripleIter<'_> {
 /// triple is visited; only the filtered-scan fallback walks.
 pub fn count<S: OrderedStore>(store: &S, pat: IdPattern) -> usize {
     routed!(store, pat, |O, ord, probe| match probe {
-        Probe::Member(k1, k2, item) => usize::from(sorted::contains(&ord.list(k1, k2), &item)),
+        Probe::Member(k1, k2, item) => usize::from(ord.list(k1, k2).contains(item)),
         Probe::List(k1, k2) => ord.list(k1, k2).len(),
         Probe::Division(k1) => ord.division(k1).map(|(_, list)| list.len()).sum(),
         Probe::Scan => store.len(),
@@ -475,16 +474,23 @@ macro_rules! forward_reads {
 
 impl<S: OrderedStore> crate::traits::SortedListAccess for S {
     /// [`list`](crate::traits::SortedListAccess::list) as a borrowed
-    /// slice: a longer list's overflow run, or for a singleton — held by
-    /// value in its packed slot — the header key equal to it in a kept
-    /// ordering headed by the list's position, `None` where the store
-    /// keeps no such ordering.
+    /// slice: a longer list's run of the `u32` copy of its arena's
+    /// overflow column, which the first such call decodes
+    /// ([`ArenaView::lend`]); for a singleton — held by value in its
+    /// packed slot — the header key equal to it in a kept ordering headed
+    /// by the list's position, `None` where the store keeps no such
+    /// ordering. Kept for callers that need a slice; the engine reads
+    /// `list`.
     fn sorted_list(&self, pat: IdPattern) -> Option<&[Id]> {
-        let list = self.list(pat)?;
-        match list.run() {
-            Some(run) => Some(run),
-            None => pinned(self, route(pat, self.kept()).kind, list[0]),
+        let Route { kind, probe: Probe::List(k1, k2) } = route(pat, self.kept()) else {
+            return None;
+        };
+        let ord = self.ordering(kind);
+        let list = ord.list(k1, k2);
+        if list.is_empty() {
+            return Some(&[]);
         }
+        ord.arena.lend(list).or_else(|| pinned(self, kind, list.first()?))
     }
 
     /// The terminal list behind a two-constant pattern — the values of its
@@ -586,11 +592,12 @@ mod tests {
         let offs = PackedColumn::from_values(&[0, 9, 1]);
         let k2 = PackedColumn::from_values(&[5, 6]);
         let lists = PackedColumn::from_values(&[0, 7]); // list 7 does not exist
-        let over = [Id(40), Id(10), Id(11)];
+        let over = PackedColumn::from_values(&[40, 10, 11]);
         // Slots 3 bits wide, the flag bit 4: list 0's length word overruns
         // the overflow column; list 1's position (3) is past it.
         let slots = PackedColumn::from_values(&[4, 4 | 3]);
-        let arena = ArenaView { slots: slots.view(), over: &over };
+        let copy = OverflowCopy::default();
+        let arena = ArenaView { slots: slots.view(), over: over.view(), copy: &copy };
         let ix =
             IndexView { keys: &keys, offs: offs.view(), k2: k2.view(), lists: Some(lists.view()) };
         let ord = SlabOrdering { index: ix, arena };
@@ -612,9 +619,9 @@ mod tests {
         // (nothing behind it), lengths of 0 and 1 behind a flag, the
         // largest length, and positions past the column. Wrong answers are
         // allowed; panics are not.
-        let over = [Id(0), Id(1), Id(7), Id(u32::MAX), Id(3)];
+        let over = PackedColumn::from_values(&[0, 1, 7, u32::MAX, 3]);
         let slots = PackedColumn::from_values(&[8, 9, 10, 11, 12, 13, 15]);
-        let arena = ArenaView { slots: slots.view(), over: &over };
+        let arena = ArenaView { slots: slots.view(), over: over.view(), copy: &copy };
         let read: Vec<List<'_>> = (0..slots.len() as u32 + 1).map(|l| arena.get(l)).collect();
         assert_eq!(read[0], &[] as &[Id], "length 0");
         assert_eq!(read[1], &[Id(7)], "length 1 behind a flag");
@@ -626,7 +633,8 @@ mod tests {
         // A packed read past the slot column is 0; a list past it is still
         // empty, not the singleton `Id(0)` — nor is any list of a column
         // that claims slots but no bits for them.
-        let zeros = ArenaView { slots: PackedView::new(&[], 0, 3).unwrap(), over: &[] };
+        let slots = PackedView::new(&[], 0, 3).unwrap();
+        let zeros = ArenaView { slots, over: PackedView::EMPTY, copy: &copy };
         assert_eq!(zeros.get(0), &[Id(0)], "width 0 reads zeros, wrong but safe");
         assert!(zeros.get(3).is_empty() && zeros.validate().is_err());
     }

@@ -27,8 +27,9 @@
 //! 3. **Sizes are knowable up front.** A
 //!    [`SpaceStats`](crate::SpaceStats)-style counting pass over each run
 //!    computes the exact number of headers, terminal lists and overflow
-//!    words and the widest list slot, so every slab is allocated once at
-//!    its final size and width and the emission is append-only.
+//!    words, the widest list slot and the widest overflow word, so every
+//!    slab is allocated once at its final size and width and the emission
+//!    is append-only.
 
 use crate::frozen::{FrozenHexastore, FrozenIndex, FrozenPair};
 use crate::overlay::OverlayHexastore;
@@ -359,7 +360,11 @@ fn count_groups(n: usize, at: impl Fn(usize) -> (Id, Id, Id)) -> RunCounts {
     for (k1, k2, range) in leaves(n, &at) {
         counts.headers += usize::from(prev_k1 != Some(k1));
         counts.max_k2 = counts.max_k2.max(k2);
-        counts.lists.add(range.len(), at(range.start).2);
+        // Nine lists in ten hold one id: gather a list's last id only when
+        // it is not its first.
+        let first = at(range.start).2;
+        let last = if range.len() > 1 { at(range.end - 1).2 } else { first };
+        counts.lists.add(range.len(), first, last);
         prev_k1 = Some(k1);
     }
     counts
@@ -536,8 +541,10 @@ mod tests {
         }
         for arena in built.arenas() {
             let view = arena.view();
-            let slots = crate::packed::bytes_for(view.slots.len(), view.slots.width()).unwrap();
-            let exact = slots + view.over.len() * 4;
+            let bytes = |col: crate::packed::PackedView<'_>| {
+                crate::packed::bytes_for(col.len(), col.width()).unwrap()
+            };
+            let exact = bytes(view.slots) + bytes(view.over);
             assert_eq!(arena.heap_bytes(), exact, "a bulk build must already be exact");
             assert_eq!(view.validate(), Ok(arena.total_items()), "and canonical");
         }

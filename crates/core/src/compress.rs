@@ -126,7 +126,7 @@ pub fn encode_arena(out: &mut Vec<u8>, arena: &FlatArena) {
         put_uvarint(out, list.len() as u64);
     }
     for list in arena.lists() {
-        encode_sorted_run(out, &list);
+        encode_ascending(out, list.into_iter().map(|id| id.0));
     }
 }
 
@@ -276,9 +276,9 @@ mod tests {
         assert_eq!(pos, buf.len());
         assert_eq!(back, arena);
         // Three slots of 4 bits (positions 0 and 4 under the flag) and
-        // eight overflow words.
-        let slots = crate::packed::bytes_for(3, 4).unwrap();
-        assert_eq!(back.heap_bytes(), slots + (4 + 4) * 4, "decoded exact-sized");
+        // eight overflow words of 22 bits (4,000,000 needs 22).
+        let bytes = |len, width| crate::packed::bytes_for(len, width).unwrap();
+        assert_eq!(back.heap_bytes(), bytes(3, 4) + bytes(8, 22), "decoded exact-sized");
     }
 
     #[test]

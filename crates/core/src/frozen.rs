@@ -197,8 +197,10 @@ pub struct HeapBreakdown {
     /// The three arenas' packed slot columns: one slot per terminal list,
     /// which is the list itself when it holds a single id.
     pub list_slots: usize,
-    /// The three arenas' overflow columns: every longer list's items plus
-    /// its length word.
+    /// The three arenas' packed overflow columns: every longer list's items
+    /// plus its length word — and the `u32` copy of a column once
+    /// [`SortedListAccess::sorted_list`](crate::SortedListAccess::sorted_list)
+    /// has decoded it.
     pub overflow: usize,
     /// Vector keys: the six orderings' `k2` columns.
     pub vector_keys: usize,
@@ -344,7 +346,7 @@ impl FrozenHexastore {
         }
         for arena in self.arenas() {
             // Lists are sorted: the last item of each is its largest.
-            update(arena.lists().filter_map(|list| list.last().copied()).max());
+            update(arena.lists().filter_map(|list| list.last()).max());
         }
         max
     }

@@ -14,7 +14,7 @@
 //! ```text
 //! offset   size  field
 //! 0        8     magic "hexsnap\0"
-//! 8        4     format version (u32, currently 7)
+//! 8        4     format version (u32, currently 8)
 //! 12       …     section payloads, back to back
 //! …        var   section table: u32 count, then per section
 //!                [u8; 4] tag · u64 offset · u64 length
@@ -58,13 +58,17 @@
 //!   its largest value needs ([`crate::packed`]), and the section starts
 //!   on an 8-byte file offset. Header keys and arenas stay `u32`; `DICT`
 //!   and `FRZC` are v5's byte for byte.
-//! - **v7** (current) — a `FROZ` arena's slot column is packed too, in
-//!   the same framing, one flag bit above the largest singleton id or
-//!   overflow position wide ([`crate::slab`] has the encoding); before,
-//!   a slot is a `u32` with the flag in bit 31. Overflow columns and
-//!   header keys stay `u32`; `DICT` and `FRZC` are v6's byte for byte.
+//! - **v7** — a `FROZ` arena's slot column is packed too, in the same
+//!   framing, one flag bit above the largest singleton id or overflow
+//!   position wide ([`crate::slab`] has the encoding); before, a slot is
+//!   a `u32` with the flag in bit 31. Overflow columns and header keys
+//!   stay `u32`; `DICT` and `FRZC` are v6's byte for byte.
+//! - **v8** (current) — a `FROZ` arena's overflow column is packed too,
+//!   in the same framing, as wide as its largest word (a run's length or
+//!   id) needs; `n_overflow` keeps its place. Only header keys stay
+//!   `u32`; `DICT` and `FRZC` are v7's byte for byte.
 //!
-//! [`Writer`] writes v7; [`Reader`] opens all seven. Where every column of
+//! [`Writer`] writes v8; [`Reader`] opens all eight. Where every column of
 //! a `DICT` or `FROZ` section lies is said once per section, by a walker
 //! that reads only the count fields: [`Reader::dict_columns`] and
 //! [`Reader::frozen_columns`], the only code that knows how the column
@@ -75,8 +79,9 @@
 //! corrupt), a pre-v4 arena's offset-addressed lists are appended one
 //! by one to a slot arena, a pre-v5 dictionary's terms are interned
 //! again in id order, which keeps their ids, a pre-v6 index level's
-//! `u32` columns are packed, and so is a pre-v7 arena's `u32` slot
-//! column. Only a v7 file has the columns `hex-disk` maps; older files go
+//! `u32` columns are packed, and so are a pre-v7 arena's `u32` slot
+//! column and a pre-v8 arena's `u32` overflow column. Only a v8 file has
+//! the columns `hex-disk` maps; older files go
 //! through [`load_frozen`] and a re-save.
 //!
 //! Defined sections:
@@ -106,16 +111,18 @@
 //!   4-aligned in the file and `hex-disk` reinterprets it in place.
 //!   `u64 n_triples`; then per arena (object, property, subject lists):
 //!   `u32 n_lists`, `u64 n_items`, `u32 n_overflow`, the packed slot
-//!   column of `n_lists` slots (before v7, `n_lists` `u32` slots),
-//!   `n_overflow` `u32` overflow words (before v4: `u32 n_lists`, `u64
-//!   n_items`, `n_lists + 1` cumulative offsets, `n_items` items); then per
-//!   ordering (spo, sop, pso, pos, osp, ops):
+//!   column of `n_lists` slots (before v7, `n_lists` `u32` slots), then
+//!   the packed overflow column of `n_overflow` words (before v8,
+//!   `n_overflow` `u32` words); before v4 an arena is `u32 n_lists`, `u64
+//!   n_items`, `n_lists + 1` cumulative offsets and `n_items` items. Then
+//!   per ordering (spo, sop, pso, pos, osp, ops):
 //!   `u32 n_headers`, `n_headers` `u32` header keys, `n_headers + 1`
 //!   cumulative offsets into the vector column, `u32 n_vector`,
 //!   `n_vector` vector keys and — mirror orderings only — `n_vector` list
 //!   references. From v6 the offsets, vector keys and list references —
-//!   and from v7 the list slots — are each a packed column: a `u32` width
-//!   `w` (at most 32), zero bytes up to the next 8-byte file offset (any
+//!   from v7 the list slots and from v8 the overflow words — are each a
+//!   packed column: a `u32` width `w` (at most 32), zero bytes up to the
+//!   next 8-byte file offset (any
 //!   other byte there is corrupt), then `8·(⌈n·w / 64⌉ + 1)` bytes (none
 //!   when `w` is 0) holding value `i` at bits `i·w .. i·w + w`, the last
 //!   word zero ([`crate::packed`]); before v6 they are `u32`s. When
@@ -141,7 +148,7 @@ use crate::frozen::{FrozenHexastore, FrozenIndex};
 use crate::graph::GraphStore;
 use crate::packed::{bytes_for, PackedColumn, PackedView, MAX_WIDTH};
 use crate::pattern::IdPattern;
-use crate::slab::{ArenaError, FlatArena};
+use crate::slab::{pack_u32_slots, ArenaError, FlatArena};
 use crate::traits::TripleStore;
 use hex_dict::{ArenaImage, Dictionary, Id, IdTriple};
 use rdf_model::{TermKind, TermRef};
@@ -153,7 +160,7 @@ use std::path::Path;
 pub const MAGIC: [u8; 8] = *b"hexsnap\0";
 
 /// The current format version. [`Reader`] accepts `1..=VERSION`.
-pub const VERSION: u32 = 7;
+pub const VERSION: u32 = 8;
 
 /// Triples per chunk in the `TRPL` section (~768 KiB of ids).
 const TRIPLE_CHUNK: usize = 64 * 1024;
@@ -477,7 +484,7 @@ impl<W: Write + Seek> Writer<W> {
             w_u64(&mut self.w, arena.total_items() as u64)?;
             w_u32(&mut self.w, count(columns.over.len(), "overflow words")?)?;
             self.packed(columns.slots)?;
-            w_u32_run(&mut self.w, columns.over.iter().map(|id| id.0))?;
+            self.packed(columns.over)?;
         }
         for ix in store.orderings() {
             w_u32(&mut self.w, count(ix.keys.len(), "headers")?)?;
@@ -584,7 +591,8 @@ impl Packed {
 }
 
 /// An integer column of a `FROZ` section: plain `u32`s before v6 (before
-/// v7 for list slots), bit-packed from then on.
+/// v7 for list slots, before v8 for overflow words), bit-packed from then
+/// on.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum Ints {
     /// One `u32` per value.
@@ -611,8 +619,9 @@ pub enum ArenaColumns {
         /// One slot per list: a `u32` with the flag in bit 31 before v7,
         /// packed one flag bit above the widest slot's value from v7 on.
         slots: Ints,
-        /// The longer lists' length words and ids.
-        over: Column,
+        /// The longer lists' length words and ids: `u32`s before v8,
+        /// packed at the largest word's width from v8 on.
+        over: Ints,
     },
     /// Before v4: every list a window over one item column.
     Items {
@@ -879,13 +888,15 @@ impl<R: Read + Seek> Reader<R> {
     /// before v4, an ordering's offsets, vector keys and list references
     /// are `u32`s before v6 ([`Ints::U32`]) and packed from v6 on
     /// ([`Ints::Packed`], its width checked to be at most 32 and the
-    /// padding before its words to be zero), and an arena's slots are
-    /// `u32`s before v7 and packed from v7 on.
+    /// padding before its words to be zero), an arena's slots are `u32`s
+    /// before v7 and packed from v7 on, and its overflow words are `u32`s
+    /// before v8 and packed from v8 on.
     pub fn frozen_columns(&mut self) -> Result<FrozenColumns> {
         let pairs = spells_out_derivables(self.version);
         let item_arenas = self.version < 4;
         let packed = self.version >= 6;
         let packed_slots = self.version >= 7;
+        let packed_overflow = self.version >= 8;
         let mut walk = self.walk(TAG_FROZ)?;
         let windows = |walk: &mut Walk<'_, R>, n: u64, what: &str| -> Result<Windows> {
             Ok(if pairs {
@@ -912,7 +923,7 @@ impl<R: Read + Seek> Reader<R> {
             } else {
                 let over = walk.count32("arena overflow count")?;
                 let slots = walk.ints(packed_slots, lists, "arena slot column")?;
-                let over = walk.column(over, 4, "arena overflow column")?;
+                let over = walk.ints(packed_overflow, over, "arena overflow column")?;
                 ArenaColumns::Slots { slots, over }
             });
         }
@@ -1125,13 +1136,18 @@ impl<R: Read + Seek> Reader<R> {
             // The item count each arena holds is checked against the
             // declared triple count by `assemble_frozen`.
             arenas.push(match cols {
-                ArenaColumns::Slots { slots: Ints::U32(slots), over } => {
-                    slot_arena(FlatArena::from_u32_slots(&self.u32s(slots)?, self.ids(over)?))?
-                }
-                ArenaColumns::Slots { slots: Ints::Packed(slots), over } => {
-                    let image = self.bytes(Column { offset: slots.offset, len: slots.bytes() })?;
-                    let over = self.ids(over)?;
-                    slot_arena(FlatArena::from_raw_parts(image, slots.width, slots.len, over))?
+                ArenaColumns::Slots { slots, over } => {
+                    let slots = match slots {
+                        Ints::U32(col) => pack_u32_slots(&self.u32s(col)?),
+                        Ints::Packed(col) => {
+                            let image =
+                                self.bytes(Column { offset: col.offset, len: col.bytes() })?;
+                            PackedColumn::from_image(image, col.width, col.len)
+                                .map_err(|e| Error::Corrupt(format!("arena slot column: {e}")))?
+                        }
+                    };
+                    let over = self.packed(over, "arena overflow column")?;
+                    slot_arena(FlatArena::from_columns(slots, over))?
                 }
                 ArenaColumns::Items { windows, items } => {
                     let offs = self.windows(windows)?;
@@ -1689,13 +1705,15 @@ mod tests {
         // a slot arena saves four bytes per singleton list and pays four
         // per longer one (its length word); the overflow count takes the
         // place of the closing offset. (The committed v4 file of the same
-        // graph; v7 packs the slots.)
+        // graph; v7 packs the slots, v8 the overflow words.)
         let (v3, frozen, _, _) = with_resave("v3_small.hexsnap");
         let (v4, ..) = with_resave("v4_small.hexsnap");
         let arena_bytes = |file: &[u8]| -> u64 {
             let columns = Reader::new(Cursor::new(file)).unwrap().frozen_columns().unwrap();
             let words = columns.arenas.iter().map(|arena| match *arena {
-                ArenaColumns::Slots { slots: Ints::U32(slots), over } => 1 + slots.len + over.len,
+                ArenaColumns::Slots { slots: Ints::U32(slots), over: Ints::U32(over) } => {
+                    1 + slots.len + over.len
+                }
                 ArenaColumns::Items { windows: Windows::Offsets(Ints::U32(offs)), items } => {
                     offs.len + items.len
                 }
@@ -1750,13 +1768,15 @@ mod tests {
                 assert_eq!(col.offset % 8, 0, "{col:?}");
             }
         }
-        // From v7 the slot columns too, and the overflow column after each
-        // starts on the 8-byte offset its image ends on.
+        // From v7 the slot columns too, and from v8 the overflow column
+        // after each, its width field on the 8-byte offset the slots end on.
         for arena in columns.arenas {
-            let ArenaColumns::Slots { slots: Ints::Packed(slots), over } = arena else {
-                panic!("v7 packs {arena:?}")
+            let ArenaColumns::Slots { slots: Ints::Packed(slots), over: Ints::Packed(over) } =
+                arena
+            else {
+                panic!("v8 packs {arena:?}")
             };
-            assert_eq!((slots.offset % 8, over.offset), (0, slots.offset + slots.bytes()));
+            assert_eq!((slots.offset % 8, over.offset), (0, slots.offset + slots.bytes() + 8));
         }
         assert_eq!(r.frozen().unwrap(), sample_dict_and_store().1);
     }

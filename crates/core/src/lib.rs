@@ -42,7 +42,7 @@
 //! | module | contents |
 //! |--------|----------|
 //! | [`sorted`] | linear-time merge-join primitives on sorted id sets |
-//! | [`slab`] | flat terminal-list storage: a packed slot per list plus an overflow column ([`FlatArena`]), read as a [`List`](slab::List) |
+//! | [`slab`] | flat terminal-list storage: a packed slot per list plus a packed overflow column ([`FlatArena`]), read as a [`List`](slab::List) |
 //! | [`packed`] | bit-packed index-level columns: offsets, vector keys and mirror list references at the width their largest value needs ([`PackedColumn`], [`PackedView`]) |
 //! | [`frozen`] | [`FrozenHexastore`]: the six orderings over [`hex_dict::IdTriple`]s as slabs, paired orderings sharing lists; built once from a batch, read-only |
 //! | [`store`] | [`SpaceStats`], and [`Hexastore`], the figures' name for [`FrozenHexastore`] |

@@ -22,12 +22,16 @@
 //! the 8 bytes from there, and the trailing zero word keeps those 8 bytes
 //! inside the column for the last value too.
 //!
-//! A terminal-list arena's slot column is packed too, at a width of its
-//! own: one flag bit above the widest value ([`crate::slab`]). Two kinds
-//! of column stay plain `u32`: header keys, the only column
-//! binary-searched over its full length, where a packed search pays a
-//! shift and a mask per probe on every level; and an arena's overflow
-//! column, whose runs are handed out as zero-copy `&[Id]` slices.
+//! A terminal-list arena's two columns are packed too ([`crate::slab`]):
+//! its slot column at a width of its own, one flag bit above the widest
+//! value, and its overflow column at its largest word's width. A longer
+//! list is read as a window of the overflow column: decoded sequentially
+//! by [`PackedView::iter`], searched by [`PackedView::search`], and
+//! advanced through by [`PackedView::seek`], the galloping search that
+//! intersections and merge joins make with rising targets. Only header
+//! keys stay plain `u32`: they are the one column binary-searched over its
+//! full length, where a packed search pays a shift and a mask per probe on
+//! every level.
 
 use std::ops::Range;
 
@@ -279,6 +283,33 @@ impl<'a> PackedView<'a> {
         } else {
             Err(at - window.start)
         }
+    }
+
+    /// The position in `window` of the first value at or after `from`
+    /// that is at least `x` — `window.len()` if there is none — where the
+    /// window's values ascend and those before `from` are below `x`: what
+    /// `from + values[from..].partition_point(|&v| v < x)` returns on the
+    /// window's values. Positions are relative to the window's start; the
+    /// window is clamped to the column and `from` to the window.
+    ///
+    /// An exponential probe 1, 2, 4, … values past `from` brackets the
+    /// answer, then [`PackedView::search`] finds it in the bracket: a seek
+    /// that advances `d` values costs `O(log d)` reads, so a sequence of
+    /// seeks with rising targets through a window of `n` values costs
+    /// `O(k · log(n / k))` in all instead of `O(k · log n)`.
+    #[inline]
+    pub fn seek(self, window: Range<usize>, from: usize, x: u32) -> usize {
+        let window = self.clamp(window);
+        let n = window.len();
+        let (mut lo, mut hi, mut step) = (from.min(n), from.min(n), 1usize);
+        // Values before `lo` are below `x`.
+        while hi < n && self.get(window.start + hi) < x {
+            lo = hi + 1;
+            hi = hi.saturating_add(step);
+            step <<= 1;
+        }
+        let (Ok(at) | Err(at)) = self.search(window.start + lo..window.start + hi.min(n), x);
+        lo + at
     }
 
     /// The largest value, or `None` for an empty column.

@@ -28,25 +28,31 @@
 //! writes it, [`ArenaView::get`] reads it, [`ArenaView::validate`] checks
 //! it.
 //!
-//! The slot column is a packed column ([`crate::packed`]) of `w` bits a
-//! slot, its top bit the **flag**: clear, the other `w − 1` bits are the
-//! list's only id; set, they are the position of the list's length word
-//! in the overflow column. `w` is one more than the bit length of the
-//! largest such value, so on a dataset of 107k terms a singleton takes 17
-//! to 20 bits instead of 32 (0 for an arena of no lists).
+//! Both columns are packed ([`crate::packed`]). The slot column is `w`
+//! bits a slot, its top bit the **flag**: clear, the other `w − 1` bits
+//! are the list's only id; set, they are the position of the list's
+//! length word in the overflow column. `w` is one more than the bit
+//! length of the largest such value, so on a dataset of 107k terms a
+//! singleton takes 17 to 20 bits instead of 32 (0 for an arena of no
+//! lists). The overflow column is as wide as its largest word — an id or
+//! a length — needs: 16 or 17 bits on that dataset.
 //!
 //! A read hands a list out as a [`List`]: a singleton by value, decoded
-//! from its slot, or a longer list as the zero-copy `&[Id]` run of the
-//! overflow column that intersections, merge joins and the hand plans
-//! read. Both deref to `[Id]`. The overflow column stays `u32`, mirroring
-//! [`hex_dict::Id`], so that runs can be borrowed; the paper's largest
-//! experiment is 61M triples, far below the 2^31 words an overflow
-//! position can address.
+//! from its slot, or a longer list as a **window** of the overflow column,
+//! which it decodes as it is read — sequentially ([`List::into_iter`]), by
+//! a branch-free binary search ([`List::search`]) or by a galloping
+//! [`List::seek`], the step intersections and merge joins advance by. A
+//! list is never a slice: [`List::to_vec`] decodes one. Only
+//! [`SortedListAccess::sorted_list`](crate::SortedListAccess::sorted_list)
+//! still lends runs as `&[Id]`, from a `u32` copy of the overflow column
+//! ([`OverflowCopy`]) decoded on its first call and kept beside the
+//! arena; nothing else builds it. The paper's largest experiment is 61M
+//! triples, far below the 2^31 words an overflow position can address.
 
-use crate::packed::{width_of, PackedColumn, PackedError, PackedView};
+use crate::packed::{self, width_of, PackedColumn, PackedError, PackedView};
 use crate::sorted;
 use hex_dict::Id;
-use std::ops::Deref;
+use std::sync::OnceLock;
 
 /// True when `offs` is a cumulative offsets column that tiles a column
 /// of `n` elements into non-empty windows: it starts at 0, rises
@@ -82,8 +88,9 @@ fn overflow_words(len: usize, first: Id) -> usize {
 
 /// What an arena's lists need, summed over them in list order before the
 /// arena is built: the number of lists, the overflow words of those that
-/// do not fit a slot, and the largest value a slot holds below its flag —
-/// a singleton's id or a longer list's position in the overflow column.
+/// do not fit a slot, the largest value a slot holds below its flag — a
+/// singleton's id or a longer list's position in the overflow column —
+/// and the largest overflow word, a length or an id.
 /// [`FlatArena::with_capacity`] sizes both columns exactly from it.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub(crate) struct ArenaSize {
@@ -93,13 +100,19 @@ pub(crate) struct ArenaSize {
     overflow: usize,
     /// The largest value below a slot's flag.
     max_value: usize,
+    /// The largest overflow word.
+    max_word: u32,
 }
 
 impl ArenaSize {
-    /// Counts one more list, of `len` items starting with `first`.
-    pub(crate) fn add(&mut self, len: usize, first: Id) {
+    /// Counts one more list, of `len` items from `first` to `last`.
+    pub(crate) fn add(&mut self, len: usize, first: Id, last: Id) {
         let words = overflow_words(len, first);
         let value = if words == 0 { first.0 as usize } else { self.overflow };
+        if words != 0 {
+            let len = u32::try_from(len).unwrap_or(u32::MAX);
+            self.max_word = self.max_word.max(len).max(last.0);
+        }
         self.lists += 1;
         self.overflow += words;
         self.max_value = self.max_value.max(value);
@@ -117,68 +130,138 @@ impl ArenaSize {
     }
 }
 
-/// One terminal list as a read hands it out: a singleton held by value,
-/// decoded from its slot, or a run borrowed from the overflow column. It
-/// derefs to `[Id]` — sorted and duplicate-free — and is `Copy`, so it
-/// travels like the `&[Id]` it stands for; a caller that needs the
-/// borrowed run itself asks [`List::run`].
+/// One terminal list as a read hands it out — sorted and duplicate-free:
+/// a singleton held by value, decoded from its slot; a window of the
+/// packed overflow column, decoded as it is read; or, for a store that
+/// lends its lists as slices
+/// ([`SortedListAccess::list`](crate::SortedListAccess::list)'s default),
+/// a borrowed `&[Id]`. `Copy`, so it travels like the slice it stands for.
 #[derive(Clone, Copy)]
 pub struct List<'a>(Items<'a>);
 
 #[derive(Clone, Copy)]
 enum Items<'a> {
     One(Id),
-    Run(&'a [Id]),
+    /// Values `start .. start + len` of an overflow column.
+    Run {
+        over: PackedView<'a>,
+        start: usize,
+        len: usize,
+    },
+    Slice(&'a [Id]),
 }
 
 impl<'a> List<'a> {
     /// The empty list.
-    pub const EMPTY: List<'static> = List(Items::Run(&[]));
+    pub const EMPTY: List<'static> = List(Items::Slice(&[]));
 
-    /// The borrowed overflow run, or `None` for a singleton held by value.
+    /// Number of ids.
     #[inline]
-    pub fn run(self) -> Option<&'a [Id]> {
+    pub fn len(self) -> usize {
         match self.0 {
-            Items::One(_) => None,
-            Items::Run(run) => Some(run),
+            Items::One(_) => 1,
+            Items::Run { len, .. } => len,
+            Items::Slice(ids) => ids.len(),
         }
     }
-}
 
-impl Deref for List<'_> {
-    type Target = [Id];
-
+    /// True when the list holds no id (only an absent list, or a corrupt
+    /// mapped one, is empty).
     #[inline]
-    fn deref(&self) -> &[Id] {
-        match &self.0 {
-            Items::One(id) => std::slice::from_ref(id),
-            Items::Run(run) => run,
+    pub fn is_empty(self) -> bool {
+        self.len() == 0
+    }
+
+    /// Id `i`, or `None` past the end.
+    #[inline]
+    pub fn get(self, i: usize) -> Option<Id> {
+        match self.0 {
+            Items::One(id) => (i == 0).then_some(id),
+            Items::Run { over, start, len } => (i < len).then(|| Id(over.get(start + i))),
+            Items::Slice(ids) => ids.get(i).copied(),
         }
     }
-}
 
-impl AsRef<[Id]> for List<'_> {
+    /// The smallest id.
     #[inline]
-    fn as_ref(&self) -> &[Id] {
-        self
+    pub fn first(self) -> Option<Id> {
+        self.get(0)
+    }
+
+    /// The largest id.
+    #[inline]
+    pub fn last(self) -> Option<Id> {
+        self.len().checked_sub(1).and_then(|i| self.get(i))
+    }
+
+    /// Searches `x`: `Ok(i)` when id `i` is `x`, else `Err(i)` where
+    /// inserting `x` at `i` keeps the list sorted — what
+    /// `slice::binary_search` returns. A run is searched in place, branch
+    /// free ([`PackedView::search`]).
+    #[inline]
+    pub fn search(self, x: Id) -> Result<usize, usize> {
+        match self.0 {
+            Items::One(id) => match id.cmp(&x) {
+                std::cmp::Ordering::Equal => Ok(0),
+                std::cmp::Ordering::Less => Err(1),
+                std::cmp::Ordering::Greater => Err(0),
+            },
+            Items::Run { over, start, len } => over.search(start..start + len, x.0),
+            Items::Slice(ids) => ids.binary_search(&x),
+        }
+    }
+
+    /// True when `x` is in the list.
+    #[inline]
+    pub fn contains(self, x: Id) -> bool {
+        self.search(x).is_ok()
+    }
+
+    /// The position of the first id at or after `from` that is at least
+    /// `x` — [`List::len`] if none is — where the ids before `from` are
+    /// below `x`: a galloping search from `from`, so advancing `d` ids
+    /// costs `O(log d)` reads ([`PackedView::seek`]).
+    #[inline]
+    pub fn seek(self, from: usize, x: Id) -> usize {
+        match self.0 {
+            Items::Run { over, start, len } => over.seek(start..start + len, from, x.0),
+            Items::One(id) => usize::from(from > 0 || id < x),
+            Items::Slice(ids) => sorted::gallop(ids, from.min(ids.len()), &x),
+        }
+    }
+
+    /// The ids, decoded into a vector.
+    pub fn to_vec(self) -> Vec<Id> {
+        self.into_iter().collect()
+    }
+
+    /// Where a run lies in its overflow column, `None` for a singleton or
+    /// a slice — the span of the `u32` copy that
+    /// [`ArenaView::lend`] hands out.
+    #[inline]
+    fn span(self) -> Option<std::ops::Range<usize>> {
+        match self.0 {
+            Items::Run { start, len, .. } => Some(start..start + len),
+            Items::One(_) | Items::Slice(_) => None,
+        }
     }
 }
 
 impl<'a> From<&'a [Id]> for List<'a> {
-    fn from(run: &'a [Id]) -> Self {
-        List(Items::Run(run))
+    fn from(ids: &'a [Id]) -> Self {
+        List(Items::Slice(ids))
     }
 }
 
 impl std::fmt::Debug for List<'_> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_list().entries(self.iter()).finish()
+        f.debug_list().entries(*self).finish()
     }
 }
 
 impl PartialEq for List<'_> {
     fn eq(&self, other: &Self) -> bool {
-        **self == **other
+        self.len() == other.len() && self.into_iter().eq(*other)
     }
 }
 
@@ -186,13 +269,13 @@ impl Eq for List<'_> {}
 
 impl PartialEq<&[Id]> for List<'_> {
     fn eq(&self, other: &&[Id]) -> bool {
-        **self == **other
+        *self == List::from(*other)
     }
 }
 
 impl<const N: usize> PartialEq<&[Id; N]> for List<'_> {
     fn eq(&self, other: &&[Id; N]) -> bool {
-        **self == other[..]
+        *self == List::from(&other[..])
     }
 }
 
@@ -202,37 +285,55 @@ impl<'a> IntoIterator for List<'a> {
 
     #[inline]
     fn into_iter(self) -> ListIter<'a> {
-        let (one, run) = match self.0 {
-            Items::One(id) => (Some(id), &[][..]),
-            Items::Run(run) => (None, run),
-        };
-        ListIter(one.into_iter().chain(run.iter().copied()))
+        ListIter(match self.0 {
+            Items::One(id) => Ids::One(Some(id)),
+            Items::Run { over, start, len } => Ids::Run(over.iter(start..start + len)),
+            Items::Slice(ids) => Ids::Slice(ids.iter()),
+        })
     }
 }
 
 /// The ids of a [`List`] by value, owning what it reads — so a cursor can
-/// return it from the closure the list was handed to.
+/// return it from the closure the list was handed to. A run is decoded
+/// sequentially, one load a value ([`packed::Iter`]).
 #[derive(Clone, Debug)]
-pub struct ListIter<'a>(
-    std::iter::Chain<std::option::IntoIter<Id>, std::iter::Copied<std::slice::Iter<'a, Id>>>,
-);
+pub struct ListIter<'a>(Ids<'a>);
+
+#[derive(Clone, Debug)]
+enum Ids<'a> {
+    One(Option<Id>),
+    Run(packed::Iter<'a>),
+    Slice(std::slice::Iter<'a, Id>),
+}
 
 impl Iterator for ListIter<'_> {
     type Item = Id;
 
     #[inline]
     fn next(&mut self) -> Option<Id> {
-        self.0.next()
+        match &mut self.0 {
+            Ids::One(one) => one.take(),
+            Ids::Run(run) => run.next().map(Id),
+            Ids::Slice(ids) => ids.next().copied(),
+        }
     }
 
     #[inline]
     fn size_hint(&self) -> (usize, Option<usize>) {
-        self.0.size_hint()
+        match &self.0 {
+            Ids::One(one) => (usize::from(one.is_some()), Some(usize::from(one.is_some()))),
+            Ids::Run(run) => run.size_hint(),
+            Ids::Slice(ids) => ids.size_hint(),
+        }
     }
 
     #[inline]
-    fn fold<B, F: FnMut(B, Id) -> B>(self, init: B, f: F) -> B {
-        self.0.fold(init, f)
+    fn fold<B, F: FnMut(B, Id) -> B>(self, init: B, mut f: F) -> B {
+        match self.0 {
+            Ids::One(one) => one.into_iter().fold(init, f),
+            Ids::Run(run) => run.fold(init, |acc, v| f(acc, Id(v))),
+            Ids::Slice(ids) => ids.copied().fold(init, f),
+        }
     }
 }
 
@@ -245,6 +346,10 @@ pub enum ArenaError {
     /// The slot column's image is not a packed column's (bits set past its
     /// last slot).
     Packed(PackedError),
+    /// The overflow column is not the canonical packed column of its
+    /// words: bits set past its last word, or a width wider than its
+    /// largest word needs.
+    Overflow(PackedError),
     /// The slot column is not one flag bit above its largest value wide.
     SlotWidthNotTight {
         /// The declared width.
@@ -287,6 +392,7 @@ impl std::fmt::Display for ArenaError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match *self {
             ArenaError::Packed(e) => write!(f, "arena slot column: {e}"),
+            ArenaError::Overflow(e) => write!(f, "arena overflow column: {e}"),
             ArenaError::SlotWidthNotTight { width, needed } => {
                 write!(f, "arena slot column is {width} bits wide where its slots need {needed}")
             }
@@ -311,6 +417,27 @@ impl std::fmt::Display for ArenaError {
 
 impl std::error::Error for ArenaError {}
 
+/// The `u32` copy of an arena's overflow column that
+/// [`SortedListAccess::sorted_list`](crate::SortedListAccess::sorted_list)
+/// lends runs from, decoded on its first call and kept until the store is
+/// dropped. The engine, the cursors and the hand plans read
+/// [`List`]s, so a store that only serves queries never builds it; a
+/// store's heap bytes count it once it exists.
+#[derive(Clone, Debug, Default)]
+pub struct OverflowCopy(OnceLock<Vec<Id>>);
+
+impl OverflowCopy {
+    /// The copy of `over`, decoded now if this is the first call.
+    fn of(&self, over: PackedView<'_>) -> &[Id] {
+        self.0.get_or_init(|| over.values().map(Id).collect())
+    }
+
+    /// Heap bytes: the copy's capacity, 0 until it is decoded.
+    pub fn heap_bytes(&self) -> usize {
+        self.0.get().map_or(0, |copy| copy.capacity() * std::mem::size_of::<Id>())
+    }
+}
+
 /// Borrowed columns of one flat terminal-list arena — what the shared
 /// read path ([`crate::access`]) walks, whether the columns are owned by
 /// a [`FlatArena`] or memory-mapped by the `hex-disk` crate.
@@ -322,7 +449,9 @@ pub struct ArenaView<'a> {
     pub slots: PackedView<'a>,
     /// The lists that do not fit a slot, each a length word followed by
     /// that many strictly ascending ids, in slot order.
-    pub over: &'a [Id],
+    pub over: PackedView<'a>,
+    /// Where [`ArenaView::lend`] keeps its `u32` copy of `over`.
+    pub copy: &'a OverflowCopy,
 }
 
 impl<'a> ArenaView<'a> {
@@ -343,26 +472,39 @@ impl<'a> ArenaView<'a> {
             return List(Items::One(Id(slot)));
         }
         let at = (slot & !flag) as usize;
-        let Some(len) = self.over.get(at) else { return List::EMPTY };
-        let end = (at + 1).saturating_add(len.0 as usize).min(self.over.len());
-        List(Items::Run(&self.over[at + 1..end]))
+        if at >= self.over.len() {
+            return List::EMPTY;
+        }
+        let start = at + 1;
+        let end = start.saturating_add(self.over.get(at) as usize).min(self.over.len());
+        List(Items::Run { over: self.over, start, len: end - start })
+    }
+
+    /// `list` — one of this arena's runs — as a slice of the `u32` copy of
+    /// the overflow column, which the first call decodes; `None` for a
+    /// singleton.
+    pub fn lend(self, list: List<'_>) -> Option<&'a [Id]> {
+        let span = list.span()?;
+        self.copy.of(self.over).get(span)
     }
 
     /// Checks the columns in one pass, `O(slots + over)`, and returns the
     /// number of items they hold, or why they are not exactly what
     /// [`FlatArena::push_list`] would have written: the slot column is a
     /// packed image one flag bit above its largest value wide, the
-    /// overflow runs tile `over` in slot order (so no two lists overlap
+    /// overflow column a packed image as wide as its largest word, the
+    /// overflow runs tile it in slot order (so no two lists overlap
     /// and no word is unreachable), every run is strictly ascending — the
     /// invariant binary searches over lists rely on — and no run holds a
     /// list that fits a slot (so equal lists are equal columns).
     pub fn validate(self) -> Result<usize, ArenaError> {
         self.slots.validate_tail().map_err(ArenaError::Packed)?;
+        self.over.validate_tail().map_err(ArenaError::Overflow)?;
         let flag = flag_of(self.slots.width());
         let (mut next, mut items, mut size) = (0usize, 0usize, ArenaSize::default());
         for (list, slot) in self.slots.values().enumerate() {
             if slot & flag == 0 {
-                size.add(1, Id(slot));
+                size.add(1, Id(slot), Id(slot));
                 items += 1;
                 continue;
             }
@@ -371,17 +513,22 @@ impl<'a> ArenaView<'a> {
                 return Err(ArenaError::OffTheTiling { list, at });
             }
             let overruns = ArenaError::RunOverruns { list };
-            let len = self.over.get(next).ok_or(overruns)?.0 as usize;
-            let end = (next + 1).checked_add(len).ok_or(overruns)?;
-            let run = self.over.get(next + 1..end).ok_or(overruns)?;
-            let first = *run.first().ok_or(ArenaError::NotASortedSet { list })?;
+            if next >= self.over.len() {
+                return Err(overruns);
+            }
+            let len = self.over.get(next) as usize;
+            let end = (next + 1).checked_add(len).filter(|&end| end <= self.over.len());
+            let end = end.ok_or(overruns)?;
+            let run = List(Items::Run { over: self.over, start: next + 1, len });
+            let (first, last) =
+                run.first().zip(run.last()).ok_or(ArenaError::NotASortedSet { list })?;
             if overflow_words(len, first) == 0 {
                 return Err(ArenaError::FitsASlot { list });
             }
-            if !sorted::is_sorted_set(run) {
+            if !run.into_iter().is_sorted_by(|a, b| a < b) {
                 return Err(ArenaError::NotASortedSet { list });
             }
-            size.add(len, first);
+            size.add(len, first, last);
             next = end;
             items += len;
         }
@@ -392,22 +539,38 @@ impl<'a> ArenaView<'a> {
         if width != needed {
             return Err(ArenaError::SlotWidthNotTight { width, needed });
         }
+        let (width, needed) = (self.over.width(), width_of(size.max_word));
+        if width != needed {
+            return Err(ArenaError::Overflow(PackedError::WidthNotTight { width, needed }));
+        }
         Ok(items)
     }
 }
 
-/// An arena of sorted id lists stored as a packed slot column plus an
-/// overflow column (see the [module docs](self) for the encoding).
+/// An arena of sorted id lists stored as a packed slot column plus a
+/// packed overflow column (see the [module docs](self) for the encoding).
 ///
 /// Lists are addressed by their `u32` position. There is no removal and no free list: a
 /// `FlatArena` is built once, in final order, and then only read.
-#[derive(Clone, Default, PartialEq, Eq)]
+#[derive(Clone, Default)]
 pub struct FlatArena {
     slots: PackedColumn,
-    over: Vec<Id>,
+    over: PackedColumn,
     /// Total entries across all lists.
     items: usize,
+    /// The `u32` copy [`ArenaView::lend`] lends runs from.
+    copy: OverflowCopy,
 }
+
+/// Equal lists: the copy is a cache of the overflow column, not part of
+/// the arena's value.
+impl PartialEq for FlatArena {
+    fn eq(&self, other: &Self) -> bool {
+        self.slots == other.slots && self.over == other.over
+    }
+}
+
+impl Eq for FlatArena {}
 
 impl FlatArena {
     /// Creates an empty arena.
@@ -417,12 +580,12 @@ impl FlatArena {
 
     /// Creates an empty arena with exact room for the lists `size`
     /// counted. Frozen builders count first, so appends never reallocate
-    /// and the slot column is born at its final width.
+    /// and both columns are born at their final widths.
     pub(crate) fn with_capacity(size: ArenaSize) -> Self {
         FlatArena {
             slots: PackedColumn::with_width(size.lists, size.slot_width()),
-            over: Vec::with_capacity(size.overflow),
-            items: 0,
+            over: PackedColumn::with_capacity(size.overflow, size.max_word),
+            ..FlatArena::default()
         }
     }
 
@@ -431,25 +594,32 @@ impl FlatArena {
     /// lists before it pushes them.
     pub(crate) fn with_room_for<'a>(lists: impl Iterator<Item = &'a [Id]>) -> Self {
         let mut size = ArenaSize::default();
-        lists.for_each(|list| size.add(list.len(), list[0]));
+        lists.for_each(|list| size.add(list.len(), list[0], list[list.len() - 1]));
         FlatArena::with_capacity(size)
     }
 
     /// Appends one list, returning its index. The items must form a
-    /// non-empty, strictly sorted run (checked in debug builds). A slot
-    /// wider than the column repacks it as wide as the slot needs; an
-    /// arena sized by counting its lists first never needs to.
+    /// non-empty, strictly sorted run (checked in debug builds), whose
+    /// length the iterator knows up front: it is written before them. A
+    /// slot or an overflow word wider than its column repacks the column
+    /// as wide as the value needs; an arena sized by counting its lists
+    /// first never needs to.
     ///
     /// # Panics
     ///
-    /// If the list is empty, or the arena would exceed 2^32 lists or
-    /// 2^31 overflow words.
-    pub fn push_list(&mut self, items: impl IntoIterator<Item = Id>) -> u32 {
+    /// If the list is empty, if the iterator yields other than its
+    /// length, or if the arena would exceed 2^32 lists or 2^31 overflow
+    /// words.
+    pub fn push_list<I>(&mut self, items: I) -> u32
+    where
+        I: IntoIterator<Item = Id>,
+        I::IntoIter: ExactSizeIterator,
+    {
         let idx = u32::try_from(self.slots.len()).expect("flat arena overflow: 2^32 lists");
         let mut items = items.into_iter();
+        let len = items.len();
         let first = items.next().expect("terminal lists are never empty");
-        let second = items.next();
-        if second.is_none() && overflow_words(1, first) == 0 {
+        if overflow_words(len, first) == 0 {
             self.push_slot(first.0, false);
             self.items += 1;
             return idx;
@@ -457,14 +627,12 @@ impl FlatArena {
         let at = self.over.len();
         let at = u32::try_from(at).ok().filter(|&at| at <= MAX_IN_SLOT);
         self.push_slot(at.expect("flat arena overflow: 2^31 overflow words"), true);
-        let at = self.over.len();
-        self.over.push(Id(0)); // the length word, known once the items are in
-        self.over.push(first);
-        self.over.extend(second);
-        self.over.extend(items);
-        let len = self.over.len() - at - 1;
-        debug_assert!(sorted::is_sorted_set(&self.over[at + 1..]));
-        self.over[at] = Id(u32::try_from(len).expect("flat arena overflow: 2^32 items in a list"));
+        let start = self.over.len();
+        self.push_word(u32::try_from(len).expect("flat arena overflow: 2^32 items in a list"));
+        self.push_word(first.0);
+        items.for_each(|id| self.push_word(id.0));
+        assert_eq!(self.over.len() - start - 1, len, "a list yields the length it declares");
+        debug_assert!(self.view().get(idx).into_iter().is_sorted_by(|a, b| a < b));
         self.items += len;
         idx
     }
@@ -475,7 +643,7 @@ impl FlatArena {
     fn push_slot(&mut self, value: u32, long: bool) {
         let width = 1 + width_of(value);
         if width > self.slots.width() {
-            self.widen(width);
+            self.widen_slots(width);
         }
         let flag = if long { flag_of(self.slots.width()) } else { 0 };
         self.slots.push(value | flag);
@@ -483,7 +651,7 @@ impl FlatArena {
 
     /// Repacks the slot column `width` bits wide, moving every flag to the
     /// new top bit.
-    fn widen(&mut self, width: u32) {
+    fn widen_slots(&mut self, width: u32) {
         let (old, flag) = (self.slots.view(), flag_of(self.slots.width()));
         let mut slots = PackedColumn::with_width(old.len() + 1, width);
         for slot in old.values() {
@@ -491,6 +659,18 @@ impl FlatArena {
             slots.push((slot & !flag) | long);
         }
         self.slots = slots;
+    }
+
+    /// Appends one overflow word, first repacking the column as wide as
+    /// the word needs if it does not fit.
+    #[inline]
+    fn push_word(&mut self, word: u32) {
+        if width_of(word) > self.over.width() {
+            let mut over = PackedColumn::with_capacity(self.over.len() + 1, word);
+            self.over.values().for_each(|w| over.push(w));
+            self.over = over;
+        }
+        self.over.push(word);
     }
 
     /// The sorted items of list `idx`; empty when there is no such list.
@@ -520,51 +700,52 @@ impl FlatArena {
         self.slots.heap_bytes()
     }
 
-    /// Heap bytes of the overflow column.
+    /// Heap bytes of the overflow column, and of its `u32` copy once
+    /// [`ArenaView::lend`] has decoded it.
     pub(crate) fn overflow_bytes(&self) -> usize {
-        self.over.capacity() * std::mem::size_of::<Id>()
+        self.over.heap_bytes() + self.copy.heap_bytes()
     }
 
-    /// Heap bytes of the slot column and the overflow column.
+    /// Heap bytes of the slot column and the overflow column (its `u32`
+    /// copy included once decoded).
     pub fn heap_bytes(&self) -> usize {
         self.slot_bytes() + self.overflow_bytes()
     }
 
     /// The columns as the borrowed view the shared read path walks.
     pub fn view(&self) -> ArenaView<'_> {
-        ArenaView { slots: self.slots.view(), over: &self.over }
+        ArenaView { slots: self.slots.view(), over: self.over.view(), copy: &self.copy }
     }
 
     /// Reassembles an arena from its raw columns — `lists` slots of
-    /// `width` bits in the packed image `slots`, and the overflow column —
-    /// which must pass [`ArenaView::validate`]: the `hexsnap` reader turns
-    /// the error into a corruption error rather than silently dropping
-    /// query results.
+    /// `width` bits in the packed image `slots`, and `words` overflow
+    /// words of `over_width` bits in the packed image `over` — which must
+    /// pass [`ArenaView::validate`]: the `hexsnap` reader turns the error
+    /// into a corruption error rather than silently dropping query
+    /// results.
     pub fn from_raw_parts(
         slots: Vec<u8>,
         width: u32,
         lists: usize,
-        over: Vec<Id>,
+        over: Vec<u8>,
+        over_width: u32,
+        words: usize,
     ) -> Result<Self, ArenaError> {
         let slots = PackedColumn::from_image(slots, width, lists).map_err(ArenaError::Packed)?;
-        let items = ArenaView { slots: slots.view(), over: &over }.validate()?;
-        Ok(FlatArena { slots, over, items })
+        let over =
+            PackedColumn::from_image(over, over_width, words).map_err(ArenaError::Overflow)?;
+        FlatArena::from_columns(slots, over)
     }
 
-    /// Packs the `u32` slot column snapshots before format version 7
-    /// store — the flag in bit 31 whatever the slots need — and adopts it
-    /// with `over` like [`FlatArena::from_raw_parts`].
-    pub fn from_u32_slots(slots: &[u32], over: Vec<Id>) -> Result<Self, ArenaError> {
-        const U32_FLAG: u32 = 1 << 31;
-        let max = slots.iter().map(|&slot| slot & !U32_FLAG).max();
-        let width = max.map_or(0, |max| 1 + width_of(max));
-        let mut packed = PackedColumn::with_width(slots.len(), width);
-        for &slot in slots {
-            let long = if slot & U32_FLAG != 0 { flag_of(width) } else { 0 };
-            packed.push((slot & !U32_FLAG) | long);
-        }
-        let items = ArenaView { slots: packed.view(), over: &over }.validate()?;
-        Ok(FlatArena { slots: packed, over, items })
+    /// Adopts a slot column and an overflow column that pass
+    /// [`ArenaView::validate`].
+    pub(crate) fn from_columns(
+        slots: PackedColumn,
+        over: PackedColumn,
+    ) -> Result<Self, ArenaError> {
+        let copy = OverflowCopy::default();
+        let items = ArenaView { slots: slots.view(), over: over.view(), copy: &copy }.validate()?;
+        Ok(FlatArena { slots, over, items, copy })
     }
 
     /// Builds an arena from the offset-addressed form older snapshot
@@ -586,6 +767,21 @@ impl FlatArena {
         }
         Some(arena)
     }
+}
+
+/// Packs the `u32` slot column snapshots before format version 7 store —
+/// the flag in bit 31 whatever the slots need — into the slot column
+/// [`FlatArena::push_list`] would have written.
+pub(crate) fn pack_u32_slots(slots: &[u32]) -> PackedColumn {
+    const U32_FLAG: u32 = 1 << 31;
+    let max = slots.iter().map(|&slot| slot & !U32_FLAG).max();
+    let width = max.map_or(0, |max| 1 + width_of(max));
+    let mut packed = PackedColumn::with_width(slots.len(), width);
+    for &slot in slots {
+        let long = if slot & U32_FLAG != 0 { flag_of(width) } else { 0 };
+        packed.push((slot & !U32_FLAG) | long);
+    }
+    packed
 }
 
 impl std::fmt::Debug for FlatArena {
@@ -626,50 +822,93 @@ mod tests {
         // Overflow positions 0, 4 and 7, and the singleton 7: the largest
         // value is 7, so a slot is 4 bits, the flag 8. A singleton whose id
         // has bit 31 set would widen the slot past 32 bits, so it takes the
-        // overflow path like a longer list.
+        // overflow path like a longer list — and widens the overflow column
+        // to 32 bits.
         let view = a.view();
         assert_eq!(view.slots.width(), 4);
         assert_eq!(view.slots.values().collect::<Vec<_>>(), [8, 7, 8 | 4, 8 | 7]);
-        assert_eq!(
-            view.over,
-            &[id(3), id(1), id(4), id(9), id(2), id(2), id(3), id(1), id(HIGH | 5)]
-        );
-        // The singleton is held by value; a longer list is its run.
-        assert_eq!(a.get(1).run(), None);
-        assert!(std::ptr::eq(a.get(0).run().unwrap().as_ptr(), &view.over[1]));
+        assert_eq!(view.over.values().collect::<Vec<_>>(), [3, 1, 4, 9, 2, 2, 3, 1, HIGH | 5]);
+        assert_eq!(view.over.width(), 32);
         // Exact-sized: one 64-bit word of slots and its zero word, and nine
-        // overflow words.
-        assert_eq!(a.heap_bytes(), 16 + 9 * 4);
+        // 32-bit overflow words in five words and the zero word.
+        assert_eq!(a.heap_bytes(), 16 + 48);
         assert_eq!(FlatArena::new().list_count(), 0);
         assert_eq!(FlatArena::new().view().slots.width(), 0);
     }
 
     #[test]
     fn pushing_widens_the_slot_column_to_what_counting_first_makes() {
-        // From an empty arena each push widens the column as far as its
-        // slot needs, flags and all: the result is the arena sized first.
+        // From an empty arena each push widens the columns as far as its
+        // slot and its words need, flags and all: the result is the arena
+        // sized first.
         let lists: [&[Id]; 6] =
             [&[id(0)], &[id(1), id(2)], &[id(5)], &[id(300)], &[id(1), id(9)], &[id(HIGH)]];
         let mut pushed = FlatArena::new();
         let mut widths = Vec::new();
         for list in lists {
             pushed.push_list(list.iter().copied());
-            widths.push(pushed.view().slots.width());
+            widths.push((pushed.view().slots.width(), pushed.view().over.width()));
         }
-        assert_eq!(widths, [1, 1, 4, 10, 10, 10]);
+        assert_eq!(widths, [(1, 0), (1, 2), (4, 2), (10, 2), (10, 4), (10, 32)]);
         let mut sized = FlatArena::with_room_for(lists.into_iter());
         for list in lists {
             sized.push_list(list.iter().copied());
         }
         assert_eq!(pushed, sized);
-        assert_eq!(sized.heap_bytes(), bytes_for(6, 10).unwrap() + 4 * (3 + 3 + 2));
+        let words = bytes_for(3 + 3 + 2, 32).unwrap();
+        assert_eq!(sized.heap_bytes(), bytes_for(6, 10).unwrap() + words);
         assert_eq!(pushed.view().validate(), Ok(8));
     }
 
+    #[test]
+    fn a_run_is_a_window_of_the_packed_overflow_column() {
+        // Ids below 2^5 and lengths below 2^2: 5-bit overflow words.
+        let mut a = FlatArena::new();
+        a.push_list([id(3)]);
+        a.push_list([id(2), id(5), id(9), id(17), id(31)]);
+        a.push_list([id(1), id(4)]);
+        let (one, run, pair) = (a.get(0), a.get(1), a.get(2));
+        assert_eq!(a.view().over.width(), 5);
+        assert_eq!((run.len(), run.first(), run.last()), (5, Some(id(2)), Some(id(31))));
+        assert_eq!((run.get(2), run.get(5)), (Some(id(9)), None));
+        assert_eq!(run.to_vec(), [2, 5, 9, 17, 31].map(id));
+        for (x, at) in [(0, Err(0)), (2, Ok(0)), (9, Ok(2)), (10, Err(3)), (32, Err(5))] {
+            assert_eq!(run.search(id(x)), at, "{x}");
+            assert_eq!(run.contains(id(x)), at.is_ok(), "{x}");
+        }
+        // Seeks from 0 and from past the window; ids before `from` are
+        // below the target.
+        assert_eq!([0, 3, 9, 31, 40].map(|x| run.seek(0, id(x))), [0, 1, 2, 4, 5]);
+        assert_eq!((run.seek(3, id(17)), run.seek(5, id(1)), run.seek(9, id(1))), (3, 5, 5));
+        assert_eq!([2, 3, 4].map(|x| one.seek(0, id(x))), [0, 0, 1]);
+        assert_eq!((one.seek(1, id(0)), one.search(id(4)), one.search(id(2))), (1, Err(1), Err(0)));
+        assert_eq!(pair.into_iter().fold(0, |n, x| n + x.0), 5);
+        assert_eq!(run.into_iter().len(), 5);
+    }
+
+    #[test]
+    fn runs_are_lent_from_a_u32_copy_decoded_on_first_use() {
+        let mut a = FlatArena::new();
+        a.push_list([id(7)]);
+        a.push_list([id(1), id(2)]);
+        a.push_list([id(3), id(8), id(9)]);
+        let before = a.heap_bytes();
+        assert_eq!(a.view().lend(a.get(0)), None, "a singleton is not in the copy");
+        assert_eq!(a.heap_bytes(), before, "nothing decoded for a singleton");
+        assert_eq!(a.view().lend(a.get(2)), Some(&[id(3), id(8), id(9)][..]));
+        assert_eq!(a.heap_bytes(), before + 7 * 4, "the copy of seven words");
+        assert_eq!(a.view().lend(a.get(1)), Some(&[id(1), id(2)][..]));
+        assert_eq!(a.heap_bytes(), before + 7 * 4, "decoded once");
+        let clone = a.clone();
+        assert_eq!(clone, a);
+        assert_eq!(FlatArena::from_columns(a.slots.clone(), a.over.clone()).unwrap(), a);
+    }
+
     /// The raw parts of `arena`.
-    fn parts(arena: &FlatArena) -> (Vec<u8>, u32, usize, Vec<Id>) {
-        let view = arena.view();
-        (view.slots.bytes().to_vec(), view.slots.width(), view.slots.len(), view.over.to_vec())
+    fn parts(arena: &FlatArena) -> (Vec<u8>, u32, usize, Vec<u8>, u32, usize) {
+        let FlatArena { slots, over, .. } = arena;
+        let image = |col: &PackedColumn| col.view().bytes().to_vec();
+        (image(slots), slots.width(), slots.len(), image(over), over.width(), over.len())
     }
 
     #[test]
@@ -678,26 +917,34 @@ mod tests {
         a.push_list([id(7)]);
         a.push_list([id(1), id(2)]);
         a.push_list([id(HIGH)]);
-        let (slots, width, lists, over) = parts(&a);
-        let b = FlatArena::from_raw_parts(slots, width, lists, over).unwrap();
+        let (slots, width, lists, over, over_width, words) = parts(&a);
+        let b = FlatArena::from_raw_parts(slots, width, lists, over, over_width, words).unwrap();
         assert_eq!(a, b);
         assert_eq!(b.total_items(), 4);
-        assert_eq!(FlatArena::from_raw_parts(Vec::new(), 0, 0, Vec::new()), Ok(FlatArena::new()));
+        let empty = FlatArena::from_raw_parts(Vec::new(), 0, 0, Vec::new(), 0, 0);
+        assert_eq!(empty, Ok(FlatArena::new()));
     }
 
     #[test]
     fn every_non_canonical_arena_is_rejected_by_name() {
         use ArenaError::*;
-        // Slots of `width` bits with these values, over `over`.
+        // Slots of `width` bits with these values, over these words at the
+        // width of the largest.
+        let packed = |width: u32, values: &[u32]| {
+            let mut column = PackedColumn::with_width(values.len(), width);
+            values.iter().for_each(|&v| column.push(v));
+            (column.view().bytes().to_vec(), width, values.len())
+        };
+        let arena = |slots: (Vec<u8>, u32, usize), over: (Vec<u8>, u32, usize)| {
+            FlatArena::from_raw_parts(slots.0, slots.1, slots.2, over.0, over.1, over.2)
+        };
         let raw = |width: u32, slots: &[u32], over: &[u32]| {
-            let mut column = PackedColumn::with_width(slots.len(), width);
-            slots.iter().for_each(|&slot| column.push(slot));
-            let over = over.iter().copied().map(Id).collect();
-            FlatArena::from_raw_parts(column.view().bytes().to_vec(), width, slots.len(), over)
+            let tight = width_of(over.iter().copied().max().unwrap_or(0));
+            arena(packed(width, slots), packed(tight, over))
         };
         // The canonical arena of [7], [1, 2]: 4 bits (7 needs 3), flag 8.
         assert!(raw(4, &[7, 8], &[2, 1, 2]).is_ok());
-        let cases: [(&str, Result<FlatArena, ArenaError>, ArenaError); 11] = [
+        let cases: [(&str, Result<FlatArena, ArenaError>, ArenaError); 12] = [
             (
                 "a width one bit too wide",
                 raw(5, &[7, 16], &[2, 1, 2]),
@@ -721,34 +968,56 @@ mod tests {
             ("an empty run", raw(2, &[2], &[0]), NotASortedSet { list: 0 }),
             ("a run out of order", raw(2, &[2], &[2, 2, 1]), NotASortedSet { list: 0 }),
             ("overflow no slot names", raw(4, &[7], &[2, 1, 2]), Unreachable { words: 3 }),
+            (
+                "an overflow column one bit too wide",
+                arena(packed(4, &[7, 8]), packed(3, &[2, 1, 2])),
+                Overflow(PackedError::WidthNotTight { width: 3, needed: 2 }),
+            ),
         ];
         for (why, got, expected) in cases {
             assert_eq!(got, Err(expected), "{why}");
             assert!(!expected.to_string().is_empty());
         }
-        // An image with a bit set past its last slot.
+        // Images with a bit set past their last value: the slot column's
+        // and the overflow column's.
         let mut image = PackedColumn::from_values(&[1]).view().bytes().to_vec();
         image[0] |= 2;
         assert_eq!(
-            FlatArena::from_raw_parts(image, 1, 1, Vec::new()),
+            FlatArena::from_raw_parts(image, 1, 1, Vec::new(), 0, 0),
             Err(Packed(PackedError::BitsPastEnd))
         );
+        let (slots, over) = (packed(4, &[7, 8]), packed(2, &[2, 1, 2]));
+        let mut words = over.0;
+        words[0] |= 1 << 6;
+        assert_eq!(
+            FlatArena::from_raw_parts(slots.0, slots.1, slots.2, words, over.1, over.2),
+            Err(Overflow(PackedError::BitsPastEnd))
+        );
+        // A view that skips the image checks still names them.
+        let (slots, over) = (PackedColumn::from_values(&[2]), PackedColumn::from_values(&[2, 1]));
+        let mut words = over.view().bytes().to_vec();
+        words[1] = 1;
+        let copy = OverflowCopy::default();
+        let over = PackedView::new(&words, 2, 2).unwrap();
+        let view = ArenaView { slots: slots.view(), over, copy: &copy };
+        assert_eq!(view.validate(), Err(Overflow(PackedError::BitsPastEnd)));
     }
 
     #[test]
     fn u32_slots_pack_to_the_arena_push_list_builds() {
         // The slot column of format versions 4 to 6: flag in bit 31.
-        let over: Vec<Id> = [2, 1, 4, 1, HIGH].map(Id).to_vec();
-        let arena = FlatArena::from_u32_slots(&[HIGH, 9, HIGH | 3], over.clone()).unwrap();
+        let over = PackedColumn::from_values(&[2, 1, 4, 1, HIGH]);
+        let arena = FlatArena::from_columns(pack_u32_slots(&[HIGH, 9, HIGH | 3]), over.clone());
         let mut pushed = FlatArena::new();
         pushed.push_list([id(1), id(4)]);
         pushed.push_list([id(9)]);
         pushed.push_list([id(HIGH)]);
-        assert_eq!(arena, pushed);
-        assert_eq!(FlatArena::from_u32_slots(&[], Vec::new()), Ok(FlatArena::new()));
+        assert_eq!(arena, Ok(pushed));
+        let empty = FlatArena::from_columns(pack_u32_slots(&[]), PackedColumn::from_values(&[]));
+        assert_eq!(empty, Ok(FlatArena::new()));
         // What is wrong in the `u32` form is wrong after packing.
         assert_eq!(
-            FlatArena::from_u32_slots(&[HIGH | 1], over),
+            FlatArena::from_columns(pack_u32_slots(&[HIGH | 1]), over),
             Err(ArenaError::OffTheTiling { list: 0, at: 1 })
         );
     }
@@ -763,8 +1032,9 @@ mod tests {
         }
         assert_eq!(built, pushed);
         // Positions 0, 3 and 5 and the singleton 7: 4-bit slots, and the
-        // overflow words of three lists.
-        assert_eq!(built.heap_bytes(), 16 + (3 + 3 + 2) * 4, "exact-sized");
+        // eight overflow words of three lists at 32 bits (the id with bit
+        // 31 set).
+        assert_eq!(built.heap_bytes(), 16 + bytes_for(8, 32).unwrap(), "exact-sized");
         assert!(FlatArena::from_offsets(&[], &[0]).is_some(), "the empty arena");
         // Offsets that do not tile the column into non-empty windows —
         // missing, not starting at 0, overrunning, stopping short, empty
@@ -787,11 +1057,17 @@ mod tests {
     fn a_list_reads_like_the_slice_it_stands_for() {
         let run = [id(2), id(5)];
         let (one, long) = (List(Items::One(id(3))), List::from(&run[..]));
-        assert_eq!((&*one, &*long), (&[id(3)][..], &run[..]));
+        assert_eq!((one.to_vec(), long.to_vec()), (vec![id(3)], run.to_vec()));
         assert_eq!(one.into_iter().collect::<Vec<_>>(), [id(3)]);
         assert_eq!(long.into_iter().len(), 2);
         assert_eq!(long.into_iter().fold(0, |n, x| n + x.0), 7);
         assert_eq!(format!("{one:?} {long:?} {:?}", List::EMPTY), "[#3] [#2, #5] []");
         assert_ne!(one, long);
+        assert_eq!([1, 2, 5, 6].map(|x| long.seek(0, id(x))), [0, 0, 1, 2]);
+        assert_eq!((long.seek(1, id(5)), long.seek(7, id(1))), (1, 2));
+        assert_eq!(
+            (long.search(id(5)), long.last(), List::EMPTY.first()),
+            (Ok(1), Some(id(5)), None)
+        );
     }
 }

@@ -8,8 +8,12 @@
 //! sorted, duplicate-free slices, plus the insertion/removal primitives that
 //! keep lists sorted under updates.
 //!
-//! All functions are generic over `T: Ord + Copy`; in practice `T` is
-//! [`hex_dict::Id`].
+//! The slice functions are generic over `T: Ord + Copy`; in practice `T`
+//! is [`hex_dict::Id`]. [`intersect_many`] reads a store's terminal lists
+//! in place, as the [`List`]s it hands out.
+
+use crate::slab::List;
+use hex_dict::Id;
 
 /// True if the slice is strictly increasing (sorted and duplicate-free).
 pub fn is_sorted_set<T: Ord>(xs: &[T]) -> bool {
@@ -57,7 +61,7 @@ const GALLOP_RATIO: usize = 8;
 /// advanced, so a sequence of searches with increasing targets costs
 /// O(k · log(n/k)) total instead of O(k · log n).
 #[inline]
-fn gallop<T: Ord>(xs: &[T], from: usize, target: &T) -> usize {
+pub(crate) fn gallop<T: Ord>(xs: &[T], from: usize, target: &T) -> usize {
     let mut lo = from;
     let mut probe = from;
     let mut step = 1usize;
@@ -189,25 +193,42 @@ pub fn union_many<T: Ord + Copy>(mut lists: Vec<&[T]>) -> Vec<T> {
     owned.pop().unwrap_or_default()
 }
 
-/// Intersection of many sorted sets, smallest-first for early exit. The
-/// accumulator never grows, so each later pair is maximally asymmetric and
-/// the galloping path in [`intersect_into`] kicks in; two buffers are
-/// ping-ponged across the whole reduction instead of allocating per pair.
-/// The sets are anything that lends a slice — `&[T]`, or the
-/// [`List`](crate::slab::List)s a store hands out — so no second vector
-/// of borrows is built.
-pub fn intersect_many<T: Ord + Copy, L: AsRef<[T]>>(mut lists: Vec<L>) -> Vec<T> {
+/// Intersection of many terminal lists, smallest-first for early exit.
+/// The smallest is decoded into the accumulator, which never grows; each
+/// other list is then merged with it in one sequential pass or, when it is
+/// more than eight times longer (the galloping rule of [`intersect`]),
+/// galloped through with [`List::seek`] — in place, never decoded whole. Two buffers are
+/// ping-ponged across the whole reduction instead of allocating per list.
+pub fn intersect_many(mut lists: Vec<List<'_>>) -> Vec<Id> {
     if lists.is_empty() {
         return Vec::new();
     }
-    lists.sort_by_key(|l| l.as_ref().len());
-    let mut acc = lists[0].as_ref().to_vec();
+    lists.sort_by_key(|l| l.len());
+    let mut acc = lists[0].to_vec();
     let mut buf = Vec::with_capacity(acc.len());
-    for l in &lists[1..] {
+    for &l in &lists[1..] {
         if acc.is_empty() {
             break;
         }
-        intersect_into(&acc, l.as_ref(), &mut buf);
+        buf.clear();
+        if acc.len().saturating_mul(GALLOP_RATIO) < l.len() {
+            let mut j = 0;
+            for &x in &acc {
+                j = l.seek(j, x);
+                if l.get(j) == Some(x) {
+                    buf.push(x);
+                    j += 1;
+                }
+            }
+        } else {
+            let mut ids = l.into_iter().peekable();
+            for &x in &acc {
+                while ids.next_if(|&y| y < x).is_some() {}
+                if ids.next_if_eq(&x).is_some() {
+                    buf.push(x);
+                }
+            }
+        }
         std::mem::swap(&mut acc, &mut buf);
     }
     acc
@@ -294,8 +315,11 @@ mod tests {
         let a = [1u32, 2, 3, 4, 5, 6];
         let b = [2u32, 4, 6];
         let c = [4u32];
-        assert_eq!(intersect_many(vec![&a[..], &b, &c]), vec![4]);
-        assert_eq!(intersect_many::<u32, &[u32]>(vec![]), Vec::<u32>::new());
+        let ids = |xs: &[u32]| xs.iter().copied().map(Id).collect::<Vec<_>>();
+        let (a, b, c) = (ids(&a), ids(&b), ids(&c));
+        let lists = vec![List::from(&a[..]), List::from(&b[..]), List::from(&c[..])];
+        assert_eq!(intersect_many(lists), [Id(4)]);
+        assert_eq!(intersect_many(vec![]), Vec::<Id>::new());
     }
 
     #[test]
@@ -389,10 +413,10 @@ mod tests {
                 let (small, large) = pair;
                 let mid: Vec<u32> = mid.into_iter().collect();
                 let expected = naive_intersect(&naive_intersect(&small, &mid), &large);
-                prop_assert_eq!(
-                    intersect_many(vec![&large[..], &small[..], &mid[..]]),
-                    expected
-                );
+                let ids = |xs: &[u32]| xs.iter().copied().map(Id).collect::<Vec<_>>();
+                let (small, mid, large) = (ids(&small), ids(&mid), ids(&large));
+                let lists = [&large, &small, &mid].map(|l| List::from(&l[..]));
+                prop_assert_eq!(intersect_many(lists.to_vec()), ids(&expected));
             }
         }
 

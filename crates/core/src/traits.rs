@@ -139,18 +139,23 @@ pub trait TripleStore {
 /// matches span multiple terminal lists.
 ///
 /// [`SortedListAccess::sorted_list`] is the same list as a borrowed
-/// slice, where the store has one: a slab store keeps a singleton list by
-/// value in a packed slot ([`crate::slab`]), so it lends one only from a
-/// `u32` column that holds the same id.
+/// slice. A slab store holds no list as a `u32` slice — a singleton sits
+/// by value in a packed slot, a longer list is a window of a packed
+/// overflow column ([`crate::slab`]) — so it lends a singleton from a
+/// `u32` header key that holds the same id, and a longer list from a
+/// `u32` copy of its arena's overflow column, which the first such call
+/// decodes and the store then keeps and counts. The method stays only
+/// for callers that still need a slice; everything in the workspace
+/// reads `list`.
 pub trait SortedListAccess {
     /// The sorted unbound-position values for a two-constant pattern as a
-    /// borrowed slice, or `None` if this shape is not servable zero-copy
-    /// or the list has no `u32` copy to borrow.
+    /// borrowed slice, or `None` if this shape is not servable this way
+    /// or the list has no `u32` column to borrow from.
     fn sorted_list(&self, pat: IdPattern) -> Option<&[Id]>;
 
     /// The sorted unbound-position values for a two-constant pattern —
-    /// a singleton by value, a longer list borrowed — or `None` if this
-    /// shape is not servable zero-copy. What the query engine's merge
+    /// a singleton by value, a longer list read in place — or `None` if
+    /// this shape is not servable zero-copy. What the query engine's merge
     /// joins read. The default hands out [`SortedListAccess::sorted_list`].
     fn list(&self, pat: IdPattern) -> Option<List<'_>> {
         self.sorted_list(pat).map(List::from)

@@ -353,10 +353,11 @@ fn a_live_directory_left_at_a_v2_generation_upgrades_on_compaction() {
 }
 
 /// The file positions of the zero padding before every packed column of
-/// a v6 or v7 `FROZ` section: from the end of the column's width field
-/// to its 8-byte-aligned words. A width field follows the header keys
-/// (offsets), the vector count (vector keys), the vector keys (list
-/// references) or — v7 — an arena's three counts (list slots).
+/// a v6, v7 or v8 `FROZ` section: from the end of the column's width
+/// field to its 8-byte-aligned words. A width field follows the header
+/// keys (offsets), the vector count (vector keys), the vector keys (list
+/// references), an arena's three counts (list slots, v7 on) or its slots
+/// (its overflow column, v8).
 fn packed_padding(file: &[u8]) -> Vec<usize> {
     use hexsnap::{ArenaColumns, Ints, Packed, Windows};
     let mut r = hexsnap::Reader::new(Cursor::new(file)).unwrap();
@@ -374,10 +375,14 @@ fn packed_padding(file: &[u8]) -> Vec<usize> {
     let mut counts_at = froz_at as usize + 8;
     for arena in columns.arenas {
         let ArenaColumns::Slots { slots, over } = arena else { panic!("a slot arena") };
-        if let Ints::Packed(slots) = slots {
-            pad(counts_at + 16, slots);
-        }
-        counts_at = over.offset + 4 * over.len;
+        let slots_end = match slots {
+            Ints::Packed(slots) => pad(counts_at + 16, slots),
+            Ints::U32(slots) => slots.offset + 4 * slots.len,
+        };
+        counts_at = match over {
+            Ints::Packed(over) => pad(slots_end, over),
+            Ints::U32(over) => over.offset + 4 * over.len,
+        };
     }
     for ix in columns.orderings {
         let Windows::Offsets(offs) = ix.windows else { panic!("an offsets column") };
@@ -454,6 +459,25 @@ fn every_byte_flip_of_a_v6_file_is_rejected_or_still_decodes() {
 
 #[test]
 fn every_byte_flip_of_a_v7_file_is_rejected_or_still_decodes() {
-    let files = [support::fixture_bytes("v7_small"), mixed_list_file()];
-    every_byte_flip_is_rejected_or_still_decodes(&files, 7);
+    every_byte_flip_is_rejected_or_still_decodes(&[support::fixture_bytes("v7_small")], 7);
+}
+
+#[test]
+fn every_byte_flip_of_a_v8_file_is_rejected_or_still_decodes() {
+    let files = [support::fixture_bytes("v8_small"), mixed_list_file()];
+    // The padding before each arena's overflow column is among the bytes
+    // whose every flip is refused.
+    for file in &files {
+        let mut r = hexsnap::Reader::new(Cursor::new(file)).unwrap();
+        let columns = r.frozen_columns().unwrap();
+        let overflow_padding = columns.arenas.iter().any(|arena| {
+            let hexsnap::ArenaColumns::Slots { over: hexsnap::Ints::Packed(over), .. } = arena
+            else {
+                panic!("a v8 arena's overflow column is packed")
+            };
+            packed_padding(file).contains(&(over.offset - 1))
+        });
+        assert!(overflow_padding, "an overflow column behind padding");
+    }
+    every_byte_flip_is_rejected_or_still_decodes(&files, 8);
 }

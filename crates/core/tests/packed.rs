@@ -1,6 +1,6 @@
 //! The packed column encoding against a `Vec<u32>` oracle: every width
 //! from 0 to 32, lengths that straddle word boundaries, every read
-//! (`get`, the window decoder, `search`) and the exact heap size; and
+//! (`get`, the window decoder, `search`, `seek`) and the exact heap size; and
 //! every way an image can fail to be the canonical one, each its own
 //! error.
 
@@ -97,8 +97,55 @@ fn check_search(sorted: &[u32], probes: &[u32]) {
     }
 }
 
+/// `seek` against `partition_point` on windows of `sorted` — the whole
+/// column, windows that start mid-column, one of a single value and the
+/// empty one past the end — from every position its precondition allows
+/// (the values before it are below the target), at and past the window's
+/// end, for targets below, between, equal to and above the values.
+fn check_seek(sorted: &[u32], probes: &[u32]) {
+    let column = PackedColumn::from_values(sorted);
+    let n = sorted.len();
+    for (lo, hi) in [(0, n), (n / 3, n), (n / 4, 3 * n / 4), (n / 2, n / 2 + 1), (n, n)] {
+        let (lo, hi) = (lo.min(n), hi.min(n).max(lo.min(n)));
+        let window = &sorted[lo..hi];
+        let edges = window.iter().flat_map(|&v| [v, v.wrapping_sub(1), v.saturating_add(1)]);
+        let targets: Vec<u32> = probes.iter().copied().chain(edges).chain([0, u32::MAX]).collect();
+        let len = window.len();
+        for from in [0, 1, 2, len / 2, len.saturating_sub(1), len, len + 1, len + 9] {
+            for &x in &targets {
+                let at = from.min(len);
+                if at > 0 && window[at - 1] >= x {
+                    continue; // the values before `from` must be below `x`
+                }
+                prop_assert_eq!(
+                    column.view().seek(lo..hi, from, x),
+                    at + window[at..].partition_point(|&v| v < x),
+                    "{:?} from {} in {}..{}",
+                    x,
+                    from,
+                    lo,
+                    hi
+                );
+            }
+        }
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
+
+    #[test]
+    fn seek_answers_like_partition_point_at_every_width(
+        width in 1u32..33,
+        seed in 0u64..u64::MAX,
+        len in 0usize..300,
+        probes in proptest::collection::vec(0u32..u32::MAX, 0..8),
+    ) {
+        let sorted = ascending(values(width, len, seed));
+        let past_top = u64::from(sorted.last().copied().unwrap_or(0)) + 2;
+        let probes: Vec<u32> = probes.iter().map(|&p| (u64::from(p) % past_top) as u32).collect();
+        check_seek(&sorted, &probes);
+    }
 
     #[test]
     fn every_width_reads_like_its_oracle(width in 0u32..33, seed in 0u64..u64::MAX) {

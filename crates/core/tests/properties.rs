@@ -8,7 +8,8 @@
 use std::collections::BTreeSet;
 
 use hex_dict::{Id, IdTriple};
-use hexastore::access::OrderedStore;
+use hexastore::access::{List, OrderedStore};
+use hexastore::packed::{bytes_for, width_of};
 use hexastore::{bulk, sorted, FlatArena, IdPattern, IndexKind, OverlayHexastore, TripleStore};
 use proptest::prelude::*;
 
@@ -202,7 +203,7 @@ proptest! {
         let h = apply(&ops).0.freeze();
         for kind in IndexKind::ALL {
             for (_, _, list) in h.ordering(kind).scan() {
-                prop_assert!(sorted::is_sorted_set(&list));
+                prop_assert!(sorted::is_sorted_set(&list.to_vec()));
             }
         }
     }
@@ -221,7 +222,54 @@ proptest! {
         prop_assert_eq!(sorted::union(&av, &bv), uni);
         prop_assert_eq!(sorted::difference(&av, &bv), diff);
         prop_assert_eq!(sorted::union_many(vec![&av, &bv]), sorted::union(&av, &bv));
-        prop_assert_eq!(sorted::intersect_many(vec![&av, &bv]), sorted::intersect(&av, &bv));
+        let ids = |xs: &[u32]| xs.iter().copied().map(Id).collect::<Vec<_>>();
+        let (ai, bi) = (ids(&av), ids(&bv));
+        let lists = vec![List::from(&ai[..]), List::from(&bi[..])];
+        prop_assert_eq!(sorted::intersect_many(lists), ids(&sorted::intersect(&av, &bv)));
+    }
+}
+
+proptest! {
+    /// `intersect_many` over every kind of list a read hands out — a
+    /// singleton held by value, a window of a packed overflow column, a
+    /// borrowed slice — answers like the slice intersection, whatever the
+    /// mix of sizes (the large sets make the galloping seek run).
+    #[test]
+    fn intersect_many_over_every_kind_of_list_matches_the_slice_intersection(
+        sets in proptest::collection::vec(
+            (proptest::collection::btree_set(0u32..3000, 1..40), 1u32..4, 0u32..3),
+            1..6,
+        ),
+    ) {
+        let sets: Vec<Vec<Id>> = sets
+            .into_iter()
+            .map(|(set, stride, big)| {
+                // One set in three is a long strided run, to skew sizes.
+                let set: Vec<u32> = if big == 0 {
+                    (0..1500 / stride).map(|i| i * stride).collect()
+                } else {
+                    set.into_iter().collect()
+                };
+                set.into_iter().map(Id).collect()
+            })
+            .collect();
+        let mut arena = FlatArena::new();
+        let idx: Vec<u32> = sets.iter().map(|set| arena.push_list(set.iter().copied())).collect();
+        let expected = sets[1..].iter().fold(sets[0].clone(), |acc, set| sorted::intersect(&acc, set));
+        // Every list from the arena, then every other one a slice.
+        let lists = |slice_every: usize| -> Vec<List<'_>> {
+            sets.iter()
+                .zip(&idx)
+                .enumerate()
+                .map(|(i, (set, &l))| {
+                    if slice_every > 0 && i % slice_every == 0 { List::from(&set[..]) } else { arena.get(l) }
+                })
+                .collect()
+        };
+        for slice_every in [0, 2, 1] {
+            prop_assert_eq!(sorted::intersect_many(lists(slice_every)), expected.clone());
+        }
+        prop_assert!(sets.iter().zip(&idx).all(|(set, &l)| arena.get(l) == set.as_slice()));
     }
 }
 
@@ -234,14 +282,6 @@ fn arb_list_id() -> impl Strategy<Value = Id> {
 
 /// The smallest id a singleton cannot keep in its slot.
 const HIGH: u32 = 1 << 31;
-
-/// The slot column of format versions 4 to 6 for `arena`: a singleton's
-/// id, or bit 31 and the list's overflow position.
-fn u32_slots(arena: &FlatArena) -> Vec<u32> {
-    let slots = arena.view().slots;
-    let flag = 1u32 << slots.width().saturating_sub(1);
-    slots.values().map(|slot| if slot & flag != 0 { HIGH | (slot & !flag) } else { slot }).collect()
-}
 
 /// Every way to read and rebuild `arena` agrees with `lists`, the lists
 /// pushed into it.
@@ -258,18 +298,30 @@ fn check_arena(arena: &FlatArena, lists: &[Vec<Id>]) {
     prop_assert_eq!(arena.lists().map(|l| l.to_vec()).collect::<Vec<_>>(), lists);
     let columns = arena.view();
     prop_assert_eq!(columns.validate(), Ok(items));
-    let (image, width, over) =
-        (columns.slots.bytes().to_vec(), columns.slots.width(), columns.over.to_vec());
-    let rebuilt = FlatArena::from_raw_parts(image, width, lists.len(), over.clone());
+    let (slots, over) = (columns.slots, columns.over);
+    let rebuilt = FlatArena::from_raw_parts(
+        slots.bytes().to_vec(),
+        slots.width(),
+        lists.len(),
+        over.bytes().to_vec(),
+        over.width(),
+        over.len(),
+    );
     prop_assert_eq!(rebuilt.as_ref(), Ok(arena));
-    prop_assert_eq!(FlatArena::from_u32_slots(&u32_slots(arena), over).as_ref(), Ok(arena));
-    // The packed slots, and four bytes per item and length word of every
-    // list that does not fit its slot.
-    let spilled = lists.iter().filter(|l| l.len() > 1 || l[0].0 >= HIGH);
+    // The packed slots, and the packed length word and items of every
+    // list that does not fit its slot, as wide as the widest of them.
+    let spilled: Vec<&Vec<Id>> = lists.iter().filter(|l| l.len() > 1 || l[0].0 >= HIGH).collect();
+    let words: Vec<u32> = spilled
+        .iter()
+        .flat_map(|l| [l.len() as u32].into_iter().chain(l.iter().map(|id| id.0)))
+        .collect();
+    prop_assert_eq!(over.values().collect::<Vec<_>>(), words.clone());
+    let over_width = width_of(words.iter().copied().max().unwrap_or(0));
+    prop_assert_eq!(over.width(), over_width);
     prop_assert_eq!(
         rebuilt.unwrap().heap_bytes(),
-        hexastore::packed::bytes_for(lists.len(), width).unwrap()
-            + 4 * spilled.map(|l| l.len() + 1).sum::<usize>()
+        bytes_for(lists.len(), slots.width()).unwrap()
+            + bytes_for(words.len(), over_width).unwrap()
     );
 }
 
@@ -342,6 +394,56 @@ proptest! {
             arena.push_list(list.iter().copied());
         }
         prop_assert_eq!(arena.view().slots.width(), width);
+        check_arena(&arena, &lists);
+    }
+
+    /// At every overflow width from 2 to 32 bits (a length word is at
+    /// least 2): one word exactly `2^width − 1` sets the width — the
+    /// length word of a run of that many ids where the width leaves room
+    /// for one, else a run's last id — beside random singletons and runs
+    /// of two to five ids below it, and a run last, so the column ends on
+    /// a run's last word. Pushed into an arena that widens its overflow
+    /// column as it goes, the arena is the `Vec<Vec<Id>>` it was pushed.
+    #[test]
+    fn flat_arena_matches_a_vec_of_lists_at_every_overflow_width(
+        width in 2u32..33,
+        by_length in 0u32..2,
+        at in 0usize..40,
+        draws in proptest::collection::vec((0u32..3, 0u64..u64::MAX), 0..40),
+    ) {
+        let top = u32::MAX >> (32 - width);
+        let widest: Vec<Id> = if by_length == 1 && width <= 7 {
+            (0..top).map(Id).collect()
+        } else {
+            vec![Id(0), Id(top)]
+        };
+        let mut lists = Vec::new();
+        for (kind, mut seed) in draws {
+            let mut next = move || {
+                seed ^= seed << 13;
+                seed ^= seed >> 7;
+                seed ^= seed << 17;
+                seed as u32 % top
+            };
+            let list = match kind {
+                0 => vec![Id(next())],
+                _ => {
+                    let len = 2 + next() % 4;
+                    let set: BTreeSet<Id> = (0..len.min(top)).map(|_| Id(next())).collect();
+                    set.into_iter().collect()
+                }
+            };
+            lists.push(list);
+        }
+        lists.insert(at.min(lists.len()), widest);
+        lists.push(vec![Id(0), Id(1)]);
+        let mut arena = FlatArena::new();
+        for list in &lists {
+            arena.push_list(list.iter().copied());
+        }
+        let over = arena.view().over;
+        prop_assert_eq!(over.width(), width);
+        prop_assert_eq!(over.get(over.len() - 1), 1, "the column ends on the last run's last id");
         check_arena(&arena, &lists);
     }
 }

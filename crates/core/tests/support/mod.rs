@@ -1,6 +1,6 @@
 //! Every hexsnap format version this build reads, over committed files:
 //! the one fixture table and the checks each version's suite
-//! (`v{1,2,3,4,5,6,7}_compat.rs`, and `hexsnap_roundtrip.rs` for a v2 live
+//! (`v{1,2,3,4,5,6,7,8}_compat.rs`, and `hexsnap_roundtrip.rs` for a v2 live
 //! directory) runs over its rows.
 //!
 //! `tests/data/` holds one small snapshot per version and slab encoding,
@@ -33,27 +33,30 @@ pub const FRZC: Compression = Compression::VarintDelta;
 /// the one a fresh encode of the graph writes.
 pub type Fixture = (&'static str, u32, Compression, Option<isize>);
 
-pub const FIXTURES: [Fixture; 13] = [
+pub const FIXTURES: [Fixture; 15] = [
     ("v1_small", 1, RAW, None),
     ("v2_small", 2, RAW, None),
     ("v2_small_frzc", 2, FRZC, None),
     // 15 lists, 12 of one id and 3 of two: a v4 slot arena saves four
     // bytes per singleton against v3's offsets column and pays four per
-    // longer list; v6 packs the index levels (`V6_PACKING_SAVES`) and v7
-    // the list slots (`V7_PACKING_SAVES`).
-    ("v3_small", 3, RAW, Some(4 * (12 - 3) + V6_PACKING_SAVES + V7_PACKING_SAVES)),
+    // longer list; v6 packs the index levels (`V6_PACKING_SAVES`), v7
+    // the list slots (`V7_PACKING_SAVES`) and v8 the overflow runs
+    // (`V8_PACKING_SAVES`).
+    ("v3_small", 3, RAW, Some(4 * (12 - 3) + V6_PACKING_SAVES + V7_TO_V8_SAVES)),
     // FRZC encodes lists and values, not columns: its bytes are v3's.
     ("v3_small_frzc", 3, FRZC, Some(0)),
     // v5 changed the dictionary only, v6 the index levels of FROZ, v7 its
-    // list slots.
-    ("v4_small", 4, RAW, Some(V6_PACKING_SAVES + V7_PACKING_SAVES)),
+    // list slots, v8 its overflow runs.
+    ("v4_small", 4, RAW, Some(V6_PACKING_SAVES + V7_TO_V8_SAVES)),
     ("v4_small_frzc", 4, FRZC, Some(0)),
-    ("v5_small", 5, RAW, Some(V6_PACKING_SAVES + V7_PACKING_SAVES)),
+    ("v5_small", 5, RAW, Some(V6_PACKING_SAVES + V7_TO_V8_SAVES)),
     ("v5_small_frzc", 5, FRZC, Some(0)),
-    ("v6_small", 6, RAW, Some(V7_PACKING_SAVES)),
+    ("v6_small", 6, RAW, Some(V7_TO_V8_SAVES)),
     ("v6_small_frzc", 6, FRZC, Some(0)),
-    ("v7_small", 7, RAW, Some(0)),
+    ("v7_small", 7, RAW, Some(V8_PACKING_SAVES)),
     ("v7_small_frzc", 7, FRZC, Some(0)),
+    ("v8_small", 8, RAW, Some(0)),
+    ("v8_small_frzc", 8, FRZC, Some(0)),
 ];
 
 /// What v6's packed index levels save in the fixture graph's `FROZ` —
@@ -72,6 +75,19 @@ pub const V6_PACKING_SAVES: isize = 276 - (15 * (16 + 4) + 5 * 4);
 /// of them are preceded by 4 bytes of alignment padding. (On `D500k` the
 /// same columns shrink by 1.63 MB.)
 pub const V7_PACKING_SAVES: isize = 60 - (3 * (16 + 4) + 2 * 4);
+
+/// What v8's packed overflow runs save in the fixture graph's `FROZ` —
+/// a loss as well: each arena holds one run of two ids, three words and
+/// 12 bytes as `u32`s, 36 in all. Packed, each column is one 64-bit word,
+/// the zero word after it, its 4-byte width and 4 bytes of alignment
+/// padding, 72 in all; and with no 12-byte column before it the second
+/// arena's slot column is now preceded by 4 bytes of padding too. (On
+/// `D500k` the same columns shrink by 1.33 MB.)
+pub const V8_PACKING_SAVES: isize = 36 - (3 * (16 + 4 + 4) + 4);
+
+/// What v7 and v8 save together: the packed list slots, then the packed
+/// overflow runs.
+pub const V7_TO_V8_SAVES: isize = V7_PACKING_SAVES + V8_PACKING_SAVES;
 
 /// The rows of one format version.
 pub fn fixtures_of(version: u32) -> impl Iterator<Item = Fixture> {

@@ -27,9 +27,10 @@
 //!
 //! Only uncompressed snapshots of the current format version are
 //! mappable: compressed (`FRZC`) sections and files written before
-//! version 7 — whose slab columns (before version 4), dictionary
-//! (version 4), unpacked index levels (versions 4 and 5) or unpacked list
-//! slots (versions 4 to 6) are laid out differently — must go
+//! version 8 — whose slab columns (before version 4), dictionary
+//! (version 4), unpacked index levels (versions 4 and 5), unpacked list
+//! slots (versions 4 to 6) or unpacked overflow runs (versions 4 to 7)
+//! are laid out differently — must go
 //! through the decoding [`hexastore::hexsnap::load_frozen`] path (and a
 //! re-save), and [`open`] says so in its error rather than silently
 //! falling back.
@@ -79,7 +80,7 @@ pub enum Error {
     /// The snapshot container or dictionary failed to parse.
     Snapshot(hexsnap::Error),
     /// The file parsed but cannot be memory-mapped (compressed slabs,
-    /// a pre-v7 column layout, or no slab section at all). The message
+    /// a pre-v8 column layout, or no slab section at all). The message
     /// names the remedy.
     Unmappable(String),
     /// The mapped slab section's interior is structurally invalid.
@@ -138,10 +139,11 @@ pub type Result<T> = std::result::Result<T, Error>;
 /// columns that address terminal lists ([`Error::Corrupt`] if they are
 /// not what a writer lays down).
 /// Fails with [`Error::Unmappable`] for snapshots whose slabs were
-/// saved compressed, for files written before format version 7 (their
+/// saved compressed, for files written before format version 8 (their
 /// slab columns, from version 4 their dictionary, from version 5 their
-/// unpacked index levels, or from version 6 their unpacked list slots are
-/// not the ones the read path maps), and for
+/// unpacked index levels, from version 6 their unpacked list slots, or
+/// from version 7 their unpacked overflow runs are not the ones the read
+/// path maps), and for
 /// snapshots carrying no frozen section — open those with
 /// [`hexastore::hexsnap::load_frozen`] and re-save them with
 /// [`hexastore::hexsnap::save_frozen`] under the current format version.
@@ -206,15 +208,19 @@ fn open_mapped(map: &Arc<Mmap>) -> Result<(MmapFrozenHexastore, MapReader<'_>)> 
     // ordering (and v1 does not align the section): not the columns the
     // shared read path walks. A v4 file's dictionary stores whole terms, not the prefix-shared columns the
     // mapped dictionary adopts; v4 and v5 files store their index levels
-    // as whole `u32`s, and v4 to v6 files their list slots, where the
-    // read path walks bit-packed columns. Refused before the section is
-    // walked.
+    // as whole `u32`s, v4 to v6 files their list slots and v4 to v7
+    // files their overflow runs, where the read path walks bit-packed
+    // columns. Refused before the section is walked.
     if reader.version() < hexsnap::VERSION {
         let what = match reader.version() {
             ..=3 => "slab columns",
-            4 => "dictionary layout, unpacked index levels and unpacked list slots",
-            5 => "unpacked index levels and unpacked list slots",
-            _ => "unpacked list slots",
+            4 => {
+                "dictionary layout, unpacked index levels, unpacked list slots and unpacked \
+                 overflow runs"
+            }
+            5 => "unpacked index levels, unpacked list slots and unpacked overflow runs",
+            6 => "unpacked list slots and unpacked overflow runs",
+            _ => "unpacked overflow runs",
         };
         return Err(Error::Unmappable(format!(
             "a version-{} file's {what} predates the mappable layout; open it via \

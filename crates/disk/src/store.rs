@@ -5,17 +5,18 @@
 use crate::mmap::Mmap;
 use crate::{Error, Result};
 use hex_dict::{Id, IdTriple};
-use hexastore::access::{ArenaView, IndexView, OrderedStore, SlabOrdering};
+use hexastore::access::{ArenaView, IndexView, OrderedStore, OverflowCopy, SlabOrdering};
 use hexastore::hexsnap::{ArenaColumns, Column, FrozenColumns, Ints, Packed, Windows};
 use hexastore::PackedView;
 use hexastore::{DatasetStats, IndexKind, IndexSet, StatsSource, TripleStore};
 use std::sync::Arc;
 
-/// Column descriptors of one arena: packed slot column + overflow column.
+/// Column descriptors of one arena: packed slot column + packed overflow
+/// column.
 #[derive(Clone, Copy, Debug)]
 struct ArCols {
     slots: Packed,
-    over: Column,
+    over: Packed,
 }
 
 /// Column descriptors of one ordering: header keys and packed cumulative
@@ -65,14 +66,18 @@ struct IxCols {
 pub struct MmapFrozenHexastore {
     map: Arc<Mmap>,
     arenas: [ArCols; 3],
+    /// Each arena's `u32` overflow copy, which only
+    /// [`SortedListAccess::sorted_list`](hexastore::SortedListAccess::sorted_list)
+    /// decodes — the one part of the store on its heap.
+    copies: [OverflowCopy; 3],
     orderings: [IxCols; 6],
     len: usize,
 }
 
 impl MmapFrozenHexastore {
     /// A store over the mapping whose `FROZ` columns `cols` locates. What
-    /// is checked touches no column: the layout is the one v7 introduced
-    /// (packed slot arenas, bit-packed index levels), every `u32` column is one
+    /// is checked touches no column: the layout is the one v8 introduced
+    /// (packed arenas, bit-packed index levels), every `u32` column is one
     /// the casts below may reinterpret ([`mapped`]), and every packed one
     /// lies in the mapping ([`mapped_packed`]).
     pub(crate) fn from_columns(map: &Arc<Mmap>, cols: &FrozenColumns) -> Result<Self> {
@@ -87,7 +92,7 @@ impl MmapFrozenHexastore {
             let ArenaColumns::Slots { slots, over } = arena else { return Err(predates()) };
             arenas.push(ArCols {
                 slots: packed(slots, "arena slot column")?,
-                over: mapped(over, "arena overflow column")?,
+                over: packed(over, "arena overflow column")?,
             });
         }
         let mut orderings = Vec::with_capacity(6);
@@ -104,6 +109,7 @@ impl MmapFrozenHexastore {
         Ok(MmapFrozenHexastore {
             map: Arc::clone(map),
             arenas: arenas.try_into().expect("exactly three arenas"),
+            copies: Default::default(),
             orderings: orderings.try_into().expect("exactly six orderings"),
             len: cols.triples,
         })
@@ -120,9 +126,9 @@ impl MmapFrozenHexastore {
     /// passes can still be wrong in its index levels (see the trust model
     /// above).
     pub fn verify(&self) -> Result<()> {
-        for &arena in &self.arenas {
+        for which in 0..self.arenas.len() {
             let items =
-                self.arena(arena).validate().map_err(|e| Error::Corrupt(format!("arena: {e}")))?;
+                self.arena(which).validate().map_err(|e| Error::Corrupt(format!("arena: {e}")))?;
             if items != self.len {
                 return Err(Error::Corrupt(format!(
                     "arena columns hold {items} items where the section declares {} triples",
@@ -189,9 +195,10 @@ impl MmapFrozenHexastore {
         unsafe { std::slice::from_raw_parts(bytes.as_ptr() as *const Id, col.len) }
     }
 
-    /// One arena's columns as the view the shared read path walks.
-    fn arena(&self, cols: ArCols) -> ArenaView<'_> {
-        ArenaView { slots: self.packed(cols.slots), over: self.ids(cols.over) }
+    /// Arena `which`'s columns as the view the shared read path walks.
+    fn arena(&self, which: usize) -> ArenaView<'_> {
+        let ArCols { slots, over } = self.arenas[which];
+        ArenaView { slots: self.packed(slots), over: self.packed(over), copy: &self.copies[which] }
     }
 
     /// Bytes of file backing this store — the mapped region. The
@@ -230,7 +237,7 @@ impl OrderedStore for MmapFrozenHexastore {
                 k2: self.packed(ix.k2),
                 lists: ix.lists.map(|lists| self.packed(lists)),
             },
-            arena: self.arena(self.arenas[ix.arena]),
+            arena: self.arena(ix.arena),
         }
     }
 }
@@ -259,10 +266,12 @@ impl TripleStore for MmapFrozenHexastore {
     }
 
     /// Near zero by design: the columns live in the page cache behind
-    /// the mapping, not on this store's heap. See
+    /// the mapping, not on this store's heap — only the arenas' `u32`
+    /// overflow copies do, once `sorted_list` has decoded them. See
     /// [`MmapFrozenHexastore::mapped_bytes`] for the file-backed size.
     fn heap_bytes(&self) -> usize {
         std::mem::size_of::<Self>()
+            + self.copies.iter().map(OverflowCopy::heap_bytes).sum::<usize>()
     }
 
     hexastore::forward_reads!();

@@ -170,7 +170,10 @@ fn compressed_snapshots_are_refused_with_a_remedy() {
     // And the committed compressed files of every version that has them.
     let fixtures =
         ["v2_small_frzc", "v3_small_frzc", "v4_small_frzc", "v5_small_frzc", "v6_small_frzc"]
-            .map(committed_fixture);
+            .into_iter()
+            .chain(["v7_small_frzc", "v8_small_frzc"])
+            .map(committed_fixture)
+            .collect::<Vec<_>>();
     for path in std::iter::once(&path).chain(&fixtures) {
         let err = hex_disk::open(path).unwrap_err();
         let msg = err.to_string();
@@ -201,7 +204,7 @@ fn assert_refused_by_version(path: &std::path::Path, version: u32) {
 }
 
 /// A committed file from the last build of its version (see hexastore's
-/// `tests/support/mod.rs`), by name: `v{1,2,3,4,5,6}_small`, `_frzc` when its
+/// `tests/support/mod.rs`), by name: `v{1,…,8}_small`, `_frzc` when its
 /// slabs are compressed.
 fn committed_fixture(name: &str) -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR")).join(format!("../core/tests/data/{name}.hexsnap"))
@@ -276,6 +279,18 @@ fn v5_files_are_refused_for_their_index_level_layout_with_the_upgrade_path() {
     assert_fixture_is_refused_with_the_upgrade_path(5);
     let msg = hex_disk::open(committed_fixture("v5_small")).unwrap_err().to_string();
     assert!(msg.contains("index levels") && !msg.contains("dictionary"), "{msg}");
+}
+
+#[test]
+fn v6_and_v7_files_are_refused_for_their_unpacked_arena_columns_with_the_upgrade_path() {
+    // A v6 file stores its list slots and a v7 file its overflow runs as
+    // whole `u32`s, where the mapped arenas are bit-packed.
+    for version in [6, 7] {
+        assert_v6_relabelled_is_refused_by_version(version);
+        assert_fixture_is_refused_with_the_upgrade_path(version);
+    }
+    let msg = hex_disk::open(committed_fixture("v7_small")).unwrap_err().to_string();
+    assert!(msg.contains("unpacked overflow runs") && !msg.contains("list slots"), "{msg}");
 }
 
 #[test]
@@ -420,8 +435,8 @@ struct AddressingWords {
     vector_keys: Vec<PackedAt>,
     /// The three arenas' packed slot columns.
     slots: Vec<PackedAt>,
-    /// Every word of the three arenas' overflow columns.
-    overflow: Vec<usize>,
+    /// The three arenas' packed overflow columns.
+    overflow: Vec<PackedAt>,
     /// The three mirror orderings' packed list-reference columns.
     list_refs: Vec<PackedAt>,
 }
@@ -430,19 +445,18 @@ impl AddressingWords {
     /// Every packed column of the section.
     fn packed(&self) -> impl Iterator<Item = PackedAt> + '_ {
         let levels = self.offsets.iter().chain(&self.vector_keys).chain(&self.list_refs);
-        self.slots.iter().chain(levels).copied()
+        self.slots.iter().chain(&self.overflow).chain(levels).copied()
     }
 }
 
 fn addressing_words(bytes: &[u8]) -> AddressingWords {
-    use hexsnap::{ArenaColumns, Column, Ints, Windows};
+    use hexsnap::{ArenaColumns, Ints, Windows};
     let mut reader = hexsnap::Reader::new(std::io::Cursor::new(bytes)).unwrap();
     let columns = reader.frozen_columns().unwrap();
     let (froz_at, _) = reader.frozen_section_extent().unwrap();
-    let words = |col: Column| (0..col.len).map(move |i| col.offset + 4 * i);
     let packed = |ints| match ints {
         Ints::Packed(col) => col,
-        Ints::U32(_) => panic!("a v7 packed column"),
+        Ints::U32(_) => panic!("a v8 packed column"),
     };
     let end = |p: PackedAt| p.bytes().end;
     let mut found = AddressingWords {
@@ -453,13 +467,16 @@ fn addressing_words(bytes: &[u8]) -> AddressingWords {
         list_refs: vec![],
     };
     // An arena's slot width follows its list, item and overflow counts,
-    // the first arena's the triple count.
+    // the first arena's the triple count; its overflow width follows its
+    // slots.
     let mut counts_at = froz_at as usize + 8;
     for arena in columns.arenas {
         let ArenaColumns::Slots { slots, over, .. } = arena else { panic!("a v4 arena") };
-        found.slots.push(PackedAt { col: packed(slots), width_at: counts_at + 4 + 8 + 4 });
-        found.overflow.extend(words(over));
-        counts_at = over.offset + 4 * over.len;
+        let slots = PackedAt { col: packed(slots), width_at: counts_at + 4 + 8 + 4 };
+        let over = PackedAt { col: packed(over), width_at: end(slots) };
+        found.slots.push(slots);
+        found.overflow.push(over);
+        counts_at = end(over);
     }
     // Each width field follows what precedes it: the header keys, then
     // the offsets and the vector count, then the vector keys.
@@ -478,27 +495,6 @@ fn addressing_words(bytes: &[u8]) -> AddressingWords {
         assert_eq!(width, p.col.width, "the width field of {p:?}");
     }
     found
-}
-
-/// Overwrites each of `words` in turn with each of `values(old)` and walks
-/// every shape of whatever still opens.
-fn overwrite_each_word(
-    path: &std::path::Path,
-    pristine: &[u8],
-    words: &[usize],
-    values: impl Fn(u32) -> Vec<u32>,
-) {
-    let pats = probe_patterns(&hex_disk::open_store(path).unwrap());
-    for &at in words {
-        let old = u32::from_le_bytes(pristine[at..at + 4].try_into().unwrap());
-        for new in values(old) {
-            let mut bytes = pristine.to_vec();
-            bytes[at..at + 4].copy_from_slice(&new.to_le_bytes());
-            std::fs::write(path, &bytes).unwrap();
-            walk_every_shape_if_it_opens(path, &pats);
-        }
-    }
-    std::fs::write(path, pristine).unwrap();
 }
 
 /// Overwrites each value of each of `columns` in turn with the low bits
@@ -566,8 +562,8 @@ fn corrupt_slots_and_overflow_words_are_refused_and_safe_to_walk() {
     let words = addressing_words(&pristine);
     let slots: usize = words.slots.iter().map(|p| p.col.len).sum();
     assert_eq!(slots * 2, frozen.space_stats().vector_entries);
-    assert!(!words.overflow.is_empty(), "the graph has lists of two");
-    let n_over = words.overflow.len() as u32;
+    let n_over = words.overflow[0].col.len as u32;
+    assert!(n_over > 0, "the graph has lists of two");
     let values = |old: u32, flag: u32| {
         vec![
             0,
@@ -585,7 +581,10 @@ fn corrupt_slots_and_overflow_words_are_refused_and_safe_to_walk() {
         let flag = 1 << (slots.col.width - 1);
         overwrite_each_value(&path, &pristine, &[slots], |old| values(old, flag));
     }
-    overwrite_each_word(&path, &pristine, &words.overflow, |old| values(old, 1 << 31));
+    for &over in &words.overflow {
+        let flag = 1 << over.col.width.saturating_sub(1);
+        overwrite_each_value(&path, &pristine, &[over], |old| values(old, flag));
+    }
 
     // Named cases: `open` refuses each with a typed error; `open_store`,
     // which reads only the section's headers, maps it, and `verify` says
@@ -597,29 +596,31 @@ fn corrupt_slots_and_overflow_words_are_refused_and_safe_to_walk() {
         let unverified = hex_disk::open_store(&path).expect("structurally sound");
         assert!(matches!(unverified.verify(), Err(hex_disk::Error::Corrupt(_))), "{why}");
     };
-    let word = |at: usize, new: u32| {
+    let over = words.overflow[0];
+    let word = |i: usize, new: u32| {
+        assert!(new >> over.col.width == 0, "{new} fits the overflow column");
         let mut bytes = pristine.clone();
-        bytes[at..at + 4].copy_from_slice(&new.to_le_bytes());
+        over.set(&mut bytes, i, new);
         bytes
     };
-    let u32_at = |at: usize| u32::from_le_bytes(pristine[at..at + 4].try_into().unwrap());
     // The first flagged slot: a longer list of the first arena.
     let slots = words.slots[0];
     let flag = 1 << (slots.col.width - 1);
     let flagged = (0..slots.col.len).find(|&i| slots.get(&pristine, i) & flag != 0).unwrap();
     let position = slots.get(&pristine, flagged) & !flag;
-    let length_word = words.overflow[position as usize];
-    assert!(u32_at(length_word) >= 2);
+    let length_word = position as usize;
+    assert!(over.get(&pristine, length_word) >= 2);
     let mut bytes = pristine.clone();
     slots.set(&mut bytes, flagged, flag | (position + 1));
     refused(bytes, "a flagged slot off the tiling of the runs");
     let mut bytes = pristine.clone();
     slots.set(&mut bytes, flagged, 0);
     refused(bytes, "a flag cleared, leaving its run unreachable");
-    refused(word(length_word, n_over + 1), "a length word overrunning the overflow column");
+    refused(word(length_word, n_over - position), "a length word overrunning the overflow column");
     refused(word(length_word, 0), "length 0 behind a flag");
     refused(word(length_word, 1), "length 1 behind a flag");
-    refused(word(length_word + 4, u32_at(length_word + 8)), "an unsorted overflow run");
+    let second = over.get(&pristine, length_word + 2);
+    refused(word(length_word + 1, second), "an unsorted overflow run");
     std::fs::write(&path, &pristine).unwrap();
     hex_disk::open_store(&path).unwrap().verify().expect("the pristine file verifies");
     std::fs::remove_file(&path).ok();
@@ -655,7 +656,7 @@ fn mirror_references_past_the_arena_read_as_empty_lists() {
 
 #[test]
 fn corrupt_packed_bytes_and_widths_open_as_corrupt_or_answer_without_a_panic() {
-    // Every byte of every packed column — list slots and index levels —
+    // Every byte of every packed column — list slots, overflow runs and index levels —
     // takes each of four patterns, every padding byte before one is
     // refused, and every width field takes each width from 0 to 40 and
     // beyond. The packed words are data: the store opens over each
@@ -668,8 +669,8 @@ fn corrupt_packed_bytes_and_widths_open_as_corrupt_or_answer_without_a_panic() {
     let pristine = std::fs::read(&path).unwrap();
     let pats = probe_patterns(&hex_disk::open_store(&path).unwrap());
     let words = addressing_words(&pristine);
-    let counts = (words.slots.len(), words.offsets.len(), words.vector_keys.len());
-    assert_eq!((counts, words.list_refs.len()), ((3, 6, 6), 3));
+    let counts = (words.slots.len(), words.overflow.len(), words.offsets.len());
+    assert_eq!((counts, words.vector_keys.len(), words.list_refs.len()), ((3, 3, 6), 6, 3));
     for p in words.packed() {
         // The padding between the width and the words must be zero.
         for at in p.width_at + 4..p.col.offset {

@@ -289,9 +289,11 @@ pub fn merge_group(bgp: &Bgp, steps: &[PlanStep]) -> Option<(usize, VarId)> {
 /// The intersected candidate list of a leading merge group: the values
 /// of the shared variable satisfying every pattern of `group`, ascending.
 /// `row` is the all-unbound binding row the patterns resolve against.
+/// The lists are read in place — a packed run is decoded only as far as
+/// [`hexastore::sorted::intersect_many`] walks or gallops through it.
 /// `None` when the store cannot serve every group pattern's sorted list
-/// zero-copy — the runtime fallback that keeps a cached merge plan
-/// correct against a store without the capability.
+/// — the runtime fallback that keeps a cached merge plan correct against
+/// a store without the capability.
 fn merge_candidates(
     store: &dyn TripleStore,
     group: &[Pattern],

@@ -81,7 +81,7 @@ pub fn follow_path<S: OrderedStore>(store: &S, props: &[Id]) -> PathResult {
         // concatenation of per-subject lists is not globally sorted.
         let mut next: Vec<Id> = Vec::new();
         for x in matched {
-            next.extend_from_slice(&pso.list(p, x));
+            next.extend(pso.list(p, x));
         }
         // Every materialized frontier is normalized; the sort is charged
         // to the *next* join (making it sort-merge), so count it only when
@@ -151,7 +151,7 @@ pub fn transitive_closure<S: OrderedStore>(store: &S, start: Id, p: Id) -> Vec<I
         reached = sorted::union(&reached, &frontier);
         let mut next: Vec<Id> = Vec::new();
         for &x in &frontier {
-            next.extend_from_slice(&pso.list(p, x));
+            next.extend(pso.list(p, x));
         }
         sorted::sort_dedup(&mut next);
         frontier = sorted::difference(&next, &reached);

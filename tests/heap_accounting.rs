@@ -5,14 +5,20 @@
 //! `Dictionary::heap_bytes`. This test binary installs a counting
 //! allocator and checks that what dropping each structure gives back is
 //! what its counter said — so a buffer one of them forgets to count, or
-//! capacity it does not know it holds, fails here. It holds one test, so
-//! nothing else allocates while it measures.
+//! capacity it does not know it holds, fails here. It also checks that
+//! answering queries builds nothing a store keeps: the engine reads
+//! terminal lists in place, and only `SortedListAccess::sorted_list`
+//! decodes an arena's `u32` overflow copy, which the counter then counts.
+//! It holds one test, so nothing else allocates while it measures.
 
 mod counting_alloc;
 
 use counting_alloc::{Counting, LIVE};
+use hex_bench_queries::{barton_queries, lubm_queries};
 use hex_datagen::{barton::BartonConfig, lubm::LubmConfig};
-use hexastore::{bulk, TripleStore};
+use hex_query::DatasetQuery;
+use hexastore::access::OrderedStore;
+use hexastore::{bulk, Dataset, FrozenHexastore, IdPattern, IndexKind, TripleStore};
 use std::sync::atomic::Ordering;
 
 #[global_allocator]
@@ -41,15 +47,35 @@ fn heap_bytes_is_what_the_allocator_gives_back() {
     let store = bulk::build_frozen(ids);
     assert!(store.len() > 50_000);
 
+    // A full pass of the twelve paper queries reads terminal lists in
+    // place: the store keeps nothing it did not hold before.
+    let counted = store.heap_bytes();
+    let paper: Vec<_> =
+        [barton_queries(&dict), lubm_queries(&dict)].into_iter().flatten().flatten().collect();
+    assert_eq!(paper.len(), 12);
+    let ds = Dataset::from_parts(dict.clone(), store.clone());
+    for q in &paper {
+        ds.query(&q.text).expect("a paper query runs");
+    }
+    drop(ds);
+    assert_eq!(store.heap_bytes(), counted, "the paper queries decoded nothing to keep");
+
+    // One `sorted_list` of a run decodes the `u32` copy of its arena's
+    // overflow column, and the store counts it from then on.
+    let spo = store.ordering(IndexKind::Spo);
+    let (s, p, _) = spo.scan().find(|(_, _, list)| list.len() > 1).expect("a longer list");
+    let lent = store.sorted_lists().unwrap().sorted_list(IdPattern::sp(s, p)).unwrap();
+    assert_eq!(lent, spo.list(s, p).to_vec());
+    let copy = 4 * spo.arena.over.len();
+    assert_eq!(store.heap_bytes(), counted + copy, "the object lists' overflow, as u32s");
+
     // Beyond its columns a frozen store owns one shared block of column
-    // headers (nine structs of vectors, under 1 KiB); `heap_bytes` counts
-    // the dictionary's struct but not its two reference counts.
+    // headers, which is all an empty store's drop gives back; `heap_bytes`
+    // counts the dictionary's struct but not its two reference counts.
+    let block = freed_by_dropping(FrozenHexastore::from_triples([]));
     let (store_counted, dict_counted) = (store.heap_bytes(), dict.heap_bytes());
     let store_freed = freed_by_dropping(store);
     let dict_freed = freed_by_dropping(dict);
-    assert!(
-        (store_counted..=store_counted + 1024).contains(&store_freed),
-        "store: counted {store_counted}, freed {store_freed}"
-    );
+    assert_eq!(store_freed, store_counted + block, "store");
     assert_eq!(dict_freed, dict_counted + 2 * std::mem::size_of::<usize>(), "dictionary");
 }

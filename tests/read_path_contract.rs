@@ -18,9 +18,12 @@
 //! - `list`, where served, is the cursor's projection onto the free
 //!   position and strictly ascending; it is `None` unless exactly two
 //!   positions are bound, and `Some` for every served two-bound shape;
-//!   `sorted_list` is the same list wherever it lends one, and lends
-//!   every list on a store that keeps an ordering headed by the list's
-//!   position (all six orderings, or the mapped store);
+//!   `sorted_list` is the same list wherever it lends one — a run from
+//!   the arena's decoded `u32` copy of its overflow column, on every slab
+//!   store — and lends every list on a store that keeps an ordering
+//!   headed by the list's position (all six orderings, or the mapped
+//!   store); every slab store is seen to lend a run and an absent pair,
+//!   and those that lend every list a singleton too ([`Lent`]);
 //! - `contains` agrees with the model.
 //!
 //! Every slab store — frozen, every partial subset (COVP1 and COVP2
@@ -115,14 +118,34 @@ fn model_of(triples: &[IdTriple]) -> Vec<IdTriple> {
 
 /// True when `store` keeps an ordering headed by each position, whose
 /// header keys lend `sorted_list` every singleton list.
-fn lends_every_list<S: TripleStore>(store: &S) -> bool {
+fn lends_every_list<S: TripleStore + ?Sized>(store: &S) -> bool {
     use IndexKind::*;
     let kept = store.capabilities();
     [[Spo, Sop], [Pso, Pos], [Osp, Ops]].iter().all(|pair| pair.iter().any(|&k| kept.contains(k)))
 }
 
-fn check<S: TripleStore>(store: &S, model: &[IdTriple], order: Order, what: &str) {
+/// The lists `sorted_list` lent while a check ran, by length: absent
+/// pairs (none), singletons (one) and runs (two or more).
+#[derive(Clone, Copy, Debug, Default)]
+struct Lent {
+    absent: usize,
+    singletons: usize,
+    runs: usize,
+}
+
+impl Lent {
+    /// Asserts that `store` lent every kind of list it owes.
+    fn assert_every_kind(self, store: &dyn TripleStore, what: &str) {
+        assert!(self.absent > 0 && self.runs > 0, "{what}: lent {self:?}");
+        if lends_every_list(store) {
+            assert!(self.singletons > 0, "{what}: lent {self:?}");
+        }
+    }
+}
+
+fn check<S: TripleStore>(store: &S, model: &[IdTriple], order: Order, what: &str) -> Lent {
     assert_eq!(store.len(), model.len(), "{what}: len");
+    let mut lent = Lent::default();
     for pat in patterns(model) {
         let ctx = format!("{what} ({}) {pat:?}", store.name());
 
@@ -175,11 +198,23 @@ fn check<S: TripleStore>(store: &S, model: &[IdTriple], order: Order, what: &str
                             _ => t.o,
                         })
                         .collect();
-                    assert_eq!(*list, projected, "{ctx}: list vs cursor projection");
-                    assert!(list.windows(2).all(|w| w[0] < w[1]), "{ctx}: ascending");
+                    let items = list.to_vec();
+                    assert_eq!(items, projected, "{ctx}: list vs cursor projection");
+                    assert!(items.windows(2).all(|w| w[0] < w[1]), "{ctx}: ascending");
+                    assert_eq!(list.len(), items.len(), "{ctx}: len");
                     match lists.sorted_list(pat) {
-                        Some(lent) => assert_eq!(lent, &*list, "{ctx}: sorted_list vs list"),
-                        None => assert!(!lends_every_list(store), "{ctx}: sorted_list lends"),
+                        Some(run) => {
+                            assert_eq!(run, items, "{ctx}: sorted_list vs list");
+                            match run.len() {
+                                0 => lent.absent += 1,
+                                1 => lent.singletons += 1,
+                                _ => lent.runs += 1,
+                            }
+                        }
+                        None => assert!(
+                            list.len() == 1 && !lends_every_list(store),
+                            "{ctx}: sorted_list lends every run"
+                        ),
                     }
                 }
                 None => assert!(
@@ -197,6 +232,7 @@ fn check<S: TripleStore>(store: &S, model: &[IdTriple], order: Order, what: &str
             assert_eq!(store.contains(t), model.binary_search(&t).is_ok(), "{ctx}: contains");
         }
     }
+    lent
 }
 
 /// The model's divisions in one ordering: each `k1` in ascending order
@@ -235,7 +271,8 @@ fn check_orderings<S: OrderedStore>(store: &S, model: &[IdTriple], what: &str) {
             let division: Vec<(Id, List<'_>)> = ord.division(*k1).collect();
             assert!(division.windows(2).all(|w| w[0].0 < w[1].0), "{ctx}: {k1:?} k2 order");
             for &(k2, list) in &division {
-                assert!(list.windows(2).all(|w| w[0] < w[1]), "{ctx}: ({k1:?}, {k2:?}) ascending");
+                let ascending = list.to_vec().windows(2).all(|w| w[0] < w[1]);
+                assert!(ascending, "{ctx}: ({k1:?}, {k2:?}) ascending");
                 assert_eq!(ord.list(*k1, k2), list, "{ctx}: list vs division");
                 concatenated.push((*k1, k2, list));
             }
@@ -260,9 +297,9 @@ fn check_orderings<S: OrderedStore>(store: &S, model: &[IdTriple], what: &str) {
 }
 
 /// Both contracts: the store's reads and its ordering read.
-fn check_slab<S: OrderedStore>(store: &S, model: &[IdTriple], what: &str) {
-    check(store, model, Order::Routed, what);
+fn check_slab<S: OrderedStore>(store: &S, model: &[IdTriple], what: &str) -> Lent {
     check_orderings(store, model, what);
+    check(store, model, Order::Routed, what)
 }
 
 fn subsets() -> impl Iterator<Item = IndexSet> {
@@ -309,8 +346,14 @@ fn tombstoned_of(triples: &[IdTriple]) -> OverlayHexastore {
 
 fn check_family(triples: &[IdTriple]) {
     let model = &model_of(triples);
+    // The sample holds runs, singletons and absent pairs in every ordering.
+    let every_kind = |lent: Lent, store: &dyn TripleStore, what: &str| {
+        if !triples.is_empty() {
+            lent.assert_every_kind(store, what);
+        }
+    };
     let built = FrozenHexastore::from_triples(triples.iter().copied());
-    check_slab(&built, model, "build_frozen");
+    every_kind(check_slab(&built, model, "build_frozen"), &built, "build_frozen");
     // Every triple a pending write over an empty base.
     let mut inserted = OverlayHexastore::default();
     for &t in triples.iter().rev() {
@@ -326,18 +369,20 @@ fn check_family(triples: &[IdTriple]) {
     let shuffled: Vec<IdTriple> = triples.iter().rev().chain(triples).copied().collect();
     for keep in subsets() {
         let partial = PartialHexastore::from_triples(keep, triples.iter().copied());
-        check_slab(&partial, model, &format!("partial {keep:?}"));
+        let what = format!("partial {keep:?}");
+        every_kind(check_slab(&partial, model, &what), &partial, &what);
         let partial = PartialHexastore::from_triples(keep, shuffled.iter().copied());
         check_slab(&partial, model, &format!("partial {keep:?}, reversed + duplicated"));
     }
 }
 
-fn check_baselines(triples: &[IdTriple]) {
+/// Checks the baselines, returning what COVP1 and COVP2 lent.
+fn check_baselines(triples: &[IdTriple]) -> [Lent; 2] {
     let model = &model_of(triples);
     let rows = || triples.iter().copied();
     check(&TriplesTable::from_triples(rows()), model, Order::Repeatable, "table");
-    check_slab(&Covp1::from_triples(rows()), model, "covp1");
-    check_slab(&Covp2::from_triples(rows()), model, "covp2");
+    let (covp1, covp2) = (Covp1::from_triples(rows()), Covp2::from_triples(rows()));
+    [check_slab(&covp1, model, "covp1"), check_slab(&covp2, model, "covp2")]
 }
 
 #[test]
@@ -353,7 +398,9 @@ fn empty_stores_obey_the_read_contract() {
 
 #[test]
 fn the_baselines_obey_the_read_contract() {
-    check_baselines(&sample());
+    let [covp1, covp2] = check_baselines(&sample());
+    covp1.assert_every_kind(&Covp1::from_triples(sample()), "covp1");
+    covp2.assert_every_kind(&Covp2::from_triples(sample()), "covp2");
 }
 
 /// The contract holds after every step of a write sequence that takes the
@@ -435,7 +482,11 @@ fn check_through_a_snapshot(frozen: &FrozenHexastore, model: &[IdTriple], tag: &
         let path = std::env::temp_dir()
             .join(format!("read-path-contract-{tag}-{}.hexsnap", std::process::id()));
         std::fs::write(&path, &bytes).unwrap();
-        check_slab(&hex_disk::open_store(&path).unwrap(), model, "mmap");
+        let mapped = hex_disk::open_store(&path).unwrap();
+        let lent = check_slab(&mapped, model, "mmap");
+        if tag == "full" {
+            lent.assert_every_kind(&mapped, "mmap");
+        }
         std::fs::remove_file(&path).ok();
     }
 }
@@ -448,7 +499,9 @@ fn a_store_of_only_longer_lists_obeys_the_read_contract() {
         (0..8u32).map(|i| IdTriple::from((i & 1, 10 + (i >> 1 & 1), 20 + (i >> 2)))).collect();
     let model = &model_of(&triples);
     let frozen = FrozenHexastore::from_triples(triples.iter().copied());
-    assert_eq!(frozen.heap_breakdown().overflow, 4 * 3 * 4 * (2 + 1), "twelve lists of two");
+    // Per arena four lists of two: twelve words of at most 5 bits (ids up
+    // to 21), one 64-bit word and the zero word after it.
+    assert_eq!(frozen.heap_breakdown().overflow, 3 * 16, "twelve lists of two");
     check_slab(&frozen, model, "all-long");
     check(&frozen.clone().thaw(), model, Order::Routed, "all-long thawed");
     check_through_a_snapshot(&frozen, model, "all-long");

@@ -130,7 +130,6 @@ fn frozen_heap_breakdown_is_the_closed_form_of_the_space_stats() {
             }
         }
         assert_eq!(lens.len(), pairs, "{how}");
-        let longer: Vec<usize> = lens.into_values().filter(|&len| len > 1).collect();
         // Per ordering, `(k1, k2)` of a triple and whether it is a mirror
         // (pso, osp, ops keep a reference per leaf): its header keys, its
         // packed offsets (the largest is the leaf count), its packed vector
@@ -157,34 +156,39 @@ fn frozen_heap_breakdown_is_the_closed_form_of_the_space_stats() {
             }
         }
         // Per arena, its lists in their primary ordering's key order —
-        // (s, p), (s, o), (p, o) — and a slot one flag bit wider than the
-        // largest singleton id or overflow position.
+        // (s, p), (s, o), (p, o) — a slot one flag bit wider than the
+        // largest singleton id or overflow position, and for each longer
+        // list its length word and items, packed at the width of the
+        // largest such word.
         type List = fn(&IdTriple) -> ((Id, Id), Id);
         let arenas: [List; 3] =
             [|t| ((t.s, t.p), t.o), |t| ((t.s, t.o), t.p), |t| ((t.p, t.o), t.s)];
-        let mut list_slots = 0;
+        let (mut list_slots, mut overflow) = (0, 0);
         for list in arenas {
             let mut lists: BTreeMap<(Id, Id), Vec<Id>> = BTreeMap::new();
             for t in &triples {
                 let (key, item) = list(t);
                 lists.entry(key).or_default().push(item);
             }
-            let (mut at, mut max) = (0, 0);
+            let (mut at, mut max, mut max_word) = (0, 0, 0);
             for items in lists.values() {
                 if items.len() == 1 && items[0].0 < 1 << 31 {
                     max = max.max(items[0].0 as usize);
                 } else {
                     max = max.max(at);
                     at += items.len() + 1;
+                    let last = items.iter().max().map_or(0, |id| id.0 as usize);
+                    max_word = max_word.max(items.len()).max(last);
                 }
             }
             if !lists.is_empty() {
                 list_slots += packed(lists.len(), 2 * max + 1);
             }
+            overflow += packed(at, max_word);
         }
         let expected = HeapBreakdown {
             list_slots, // a singleton list is its slot
-            overflow: 4 * (longer.iter().sum::<usize>() + longer.len()), // items + a length word
+            overflow,
             vector_keys,
             mirror_list_refs,
             headers,
