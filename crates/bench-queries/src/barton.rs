@@ -193,7 +193,7 @@ fn spo_candidates(h: &Hexastore, t: List<'_>, props: Option<&[Id]>) -> Vec<Id> {
 /// the text-subject list with each property table, counting objects.
 fn bq2_tables(pso: SlabOrdering<'_>, t: List<'_>, props: Option<&[Id]>) -> Vec<(Id, usize)> {
     let mut out = Vec::new();
-    for p in restrict(pso.keys().to_vec(), props) {
+    for p in restrict(pso.keys().collect(), props) {
         let mut n = 0;
         for_each_table_match(pso.division(p), t, |_, objs| n += objs.len());
         if n > 0 {
@@ -249,7 +249,7 @@ pub type PopularByProperty = Vec<(Id, Vec<(Id, usize)>)>;
 /// and count "the instances of each object per property … separately".
 fn bq3_tables(pso: SlabOrdering<'_>, t: List<'_>, props: Option<&[Id]>) -> PopularByProperty {
     let mut out = Vec::new();
-    for p in restrict(pso.keys().to_vec(), props) {
+    for p in restrict(pso.keys().collect(), props) {
         let mut objects: Vec<Id> = Vec::new();
         for_each_table_match(pso.division(p), t, |_, objs| objects.extend(objs));
         let pops = ops::popular(ops::frequency(objects));
@@ -295,7 +295,7 @@ pub fn bq3_covp2(c: &Covp2, ids: &BartonIds, props: Option<&[Id]>) -> PopularByP
     bq3_pos_step(
         pos,
         &pos.list(ids.p_type, ids.text).to_vec(),
-        &restrict(c.ordering(Pso).keys().to_vec(), props),
+        &restrict(c.ordering(Pso).keys().collect(), props),
     )
 }
 
@@ -331,7 +331,7 @@ pub fn bq4_covp2(c: &Covp2, ids: &BartonIds, props: Option<&[Id]>) -> PopularByP
         pos.list(ids.p_type, ids.text),
         pos.list(ids.p_language, ids.french),
     ]);
-    bq3_pos_step(pos, &t, &restrict(c.ordering(Pso).keys().to_vec(), props))
+    bq3_pos_step(pos, &t, &restrict(c.ordering(Pso).keys().collect(), props))
 }
 
 /// BQ4 on the Hexastore: same pos merge-join for the pre-selection, spo

@@ -82,7 +82,7 @@ pub fn related_to_hexastore(h: &Hexastore, object: Id) -> RelatedTo {
 pub fn related_to_covp1(c: &Covp1, object: Id) -> RelatedTo {
     let pso = c.ordering(Pso);
     let mut out: RelatedTo = Vec::new();
-    for &p in pso.keys() {
+    for p in pso.keys() {
         for (s, objs) in pso.division(p) {
             if objs.contains(object) {
                 out.push((s, p));
@@ -99,7 +99,7 @@ pub fn related_to_covp1(c: &Covp1, object: Id) -> RelatedTo {
 pub fn related_to_covp2(c: &Covp2, object: Id) -> RelatedTo {
     let (pso, pos) = (c.ordering(Pso), c.ordering(Pos));
     let mut out: RelatedTo = Vec::new();
-    for &p in pso.keys() {
+    for p in pso.keys() {
         for s in pos.list(p, object) {
             out.push((s, p));
         }
@@ -169,7 +169,7 @@ pub fn lq3_covp1(c: &Covp1, ids: &LubmIds) -> Vec<IdTriple> {
     let pso = c.ordering(Pso);
     let x = ids.assoc_prof10;
     let mut out: Vec<IdTriple> = Vec::new();
-    for &p in pso.keys() {
+    for p in pso.keys() {
         for o in pso.list(p, x) {
             out.push(IdTriple::new(x, p, o));
         }
@@ -189,7 +189,7 @@ pub fn lq3_covp2(c: &Covp2, ids: &LubmIds) -> Vec<IdTriple> {
     let (pso, pos) = (c.ordering(Pso), c.ordering(Pos));
     let x = ids.assoc_prof10;
     let mut out: Vec<IdTriple> = Vec::new();
-    for &p in pso.keys() {
+    for p in pso.keys() {
         for o in pso.list(p, x) {
             out.push(IdTriple::new(x, p, o));
         }
@@ -237,7 +237,7 @@ pub fn lq4_covp1(c: &Covp1, ids: &LubmIds) -> ByCourse {
     let courses = pso.list(ids.p_teacher_of, ids.assoc_prof10);
     let mut grouped: Vec<(Id, Vec<(Id, Id)>)> =
         courses.into_iter().map(|course| (course, Vec::new())).collect();
-    for &p in pso.keys() {
+    for p in pso.keys() {
         for (s, objs) in pso.division(p) {
             for entry in &mut grouped {
                 if objs.contains(entry.0) {
@@ -258,7 +258,7 @@ pub fn lq4_covp2(c: &Covp2, ids: &LubmIds) -> ByCourse {
     let courses = pso.list(ids.p_teacher_of, ids.assoc_prof10);
     let mut grouped: Vec<(Id, Vec<(Id, Id)>)> =
         courses.into_iter().map(|course| (course, Vec::new())).collect();
-    for &p in pso.keys() {
+    for p in pso.keys() {
         for entry in &mut grouped {
             for s in pos.list(p, entry.0) {
                 entry.1.push((s, p));
@@ -314,7 +314,7 @@ pub fn lq5_hexastore(h: &Hexastore, ids: &LubmIds) -> ByUniversity {
 pub fn lq5_covp1(c: &Covp1, ids: &LubmIds) -> ByUniversity {
     let pso = c.ordering(Pso);
     let mut t: Vec<Id> = Vec::new();
-    for &p in pso.keys() {
+    for p in pso.keys() {
         t.extend(pso.list(p, ids.assoc_prof10));
     }
     sorted::sort_dedup(&mut t);
@@ -353,7 +353,7 @@ pub fn lq5_covp1(c: &Covp1, ids: &LubmIds) -> ByUniversity {
 pub fn lq5_covp2(c: &Covp2, ids: &LubmIds) -> ByUniversity {
     let (pso, pos) = (c.ordering(Pso), c.ordering(Pos));
     let mut t: Vec<Id> = Vec::new();
-    for &p in pso.keys() {
+    for p in pso.keys() {
         t.extend(pso.list(p, ids.assoc_prof10));
     }
     sorted::sort_dedup(&mut t);

@@ -28,7 +28,10 @@
 //! read methods here with [`forward_reads!`](crate::forward_reads).
 //!
 //! A slab index level is a column windowed by a cumulative offsets column:
-//! window `i` is `offs[i]..offs[i + 1]`; a terminal list is a slot of its
+//! window `i` is `offs[i]..offs[i + 1]`, and header `i` is found by a rank
+//! of the header keys ([`HeadersView::rank`]) and its window searched,
+//! iterated or sought through as packed or Elias–Fano coded vector keys
+//! ([`KeysView`], [`crate::succinct`]); a terminal list is a slot of its
 //! arena or a run of the arena's overflow column ([`ArenaView`], whose
 //! encoding [`crate::slab`] owns). The slab views clamp windows and runs
 //! instead of panicking. In-memory slabs are validated when they are
@@ -41,7 +44,8 @@
 use crate::advisor::{serving_indices, IndexKind, IndexSet};
 pub use crate::packed::PackedView;
 use crate::pattern::{IdPattern, Shape};
-pub use crate::slab::{ArenaView, List, OverflowCopy};
+pub use crate::slab::{ArenaCopy, ArenaView, List};
+pub use crate::succinct::{HeadersView, Keys, KeysView};
 use crate::traits::{TripleIter, TripleStore};
 use hex_dict::{Id, IdTriple};
 use std::ops::Range;
@@ -169,19 +173,21 @@ fn window_of(offs: PackedView<'_>, i: usize, n: usize) -> Range<usize> {
     (offs.get(i) as usize).min(hi)..hi
 }
 
-/// Borrowed columns of one flat two-level ordering: sorted header `keys`,
-/// the cumulative `offs` that window the `k2` column per header (one entry
-/// more than `keys`), and the terminal-list reference of each leaf. All but
-/// the header keys are bit-packed ([`crate::packed`]). `Copy`, so cursor
-/// closures own it outright.
+/// Borrowed columns of one flat two-level ordering: the header keys — a
+/// presence bitmap with its rank directory, or one Elias–Fano window —
+/// the cumulative `offs` that
+/// window the `k2` column per header (one entry more than headers), the
+/// vector keys — packed or Elias–Fano coded ([`crate::succinct`]) — and
+/// the terminal-list reference of each leaf. `Copy`, so cursor closures
+/// own it outright.
 #[derive(Clone, Copy, Debug)]
 pub struct IndexView<'a> {
-    /// Sorted header keys.
-    pub keys: &'a [Id],
-    /// Header `i`'s leaves are `offs[i]..offs[i + 1]` of `k2`.
+    /// The header keys: header `h` is the `h`-th key.
+    pub keys: HeadersView<'a>,
+    /// Header `h`'s leaves are `offs[h]..offs[h + 1]` of `k2`.
     pub offs: PackedView<'a>,
     /// Vector keys, sorted within each header's window.
-    pub k2: PackedView<'a>,
+    pub k2: KeysView<'a>,
     /// Terminal-list index per leaf, into the ordering's arena; parallel
     /// to `k2` and of the same length. `None` for a *primary* ordering —
     /// the one whose leaf order is the arena's list order — where leaf `i`
@@ -196,11 +202,12 @@ impl<'a> IndexView<'a> {
         window_of(self.offs, h, self.k2.len())
     }
 
-    /// The clamped leaf window of header `k1` — an absent header or a
-    /// corrupt offset yields a short (possibly empty) window, never a panic.
+    /// The header number of `k1` — one rank of the header keys — and its
+    /// clamped leaf window. An absent header or a corrupt offset
+    /// yields a short (possibly empty) window, never a panic.
     #[inline]
-    fn window(self, k1: Id) -> Range<usize> {
-        self.keys.binary_search(&k1).map_or(0..0, |h| self.window_at(h))
+    fn window(self, k1: Id) -> (usize, Range<usize>) {
+        self.keys.rank(k1).map_or((0, 0..0), |h| (h, self.window_at(h)))
     }
 
     /// The terminal-list index of leaf `i`.
@@ -209,12 +216,17 @@ impl<'a> IndexView<'a> {
         self.lists.map_or(i as u32, |lists| lists.get(i))
     }
 
-    /// The `(k2, list)` leaves of `window`, decoded sequentially.
+    /// The `(k2, list)` leaves of header `h`'s `window`, decoded
+    /// sequentially.
     #[inline]
-    pub(crate) fn leaves(self, window: Range<usize>) -> impl Iterator<Item = (Id, u32)> + 'a {
+    pub(crate) fn leaves(
+        self,
+        h: usize,
+        window: Range<usize>,
+    ) -> impl Iterator<Item = (Id, u32)> + 'a {
         let mut refs = self.lists.map(|lists| lists.iter(window.clone()));
         let start = window.start as u32;
-        self.k2.iter(window).enumerate().map(move |(i, k2)| {
+        self.k2.iter(h, window).enumerate().map(move |(i, k2)| {
             let list = match &mut refs {
                 Some(refs) => refs.next().unwrap_or(0),
                 None => start.wrapping_add(i as u32),
@@ -223,11 +235,12 @@ impl<'a> IndexView<'a> {
         })
     }
 
-    /// The terminal-list index of `(k1, k2)`, by two binary searches.
+    /// The terminal-list index of `(k1, k2)`: a rank of the header keys
+    /// and a search of the header's vector keys.
     #[inline]
     pub fn list_idx(self, k1: Id, k2: Id) -> Option<u32> {
-        let window = self.window(k1);
-        self.k2.search(window.clone(), k2.0).ok().map(|i| self.list_at(window.start + i))
+        let (h, window) = self.window(k1);
+        self.k2.search(h, window.clone(), k2.0).ok().map(|i| self.list_at(window.start + i))
     }
 }
 
@@ -252,22 +265,24 @@ impl<'a> SlabOrdering<'a> {
     /// The `(k2, list)` leaves under header `k1`, ascending in `k2`.
     pub fn division(self, k1: Id) -> impl Iterator<Item = (Id, List<'a>)> + 'a {
         let Self { index, arena } = self;
-        index.leaves(index.window(k1)).map(move |(k2, list)| (k2, arena.get(list)))
+        let (h, window) = index.window(k1);
+        index.leaves(h, window).map(move |(k2, list)| (k2, arena.get(list)))
     }
 
     /// Every `(k1, k2, list)` leaf, ascending in `(k1, k2)`.
     pub fn scan(self) -> impl Iterator<Item = (Id, Id, List<'a>)> + 'a {
         let Self { index, arena } = self;
-        index.keys.iter().enumerate().flat_map(move |(h, &k1)| {
-            index.leaves(index.window_at(h)).map(move |(k2, list)| (k1, k2, arena.get(list)))
+        index.keys.keys().enumerate().flat_map(move |(h, k1)| {
+            index.leaves(h, index.window_at(h)).map(move |(k2, list)| (k1, k2, arena.get(list)))
         })
     }
 
     /// The sorted, distinct header keys — the subjects of spo, the
-    /// properties of pso, the objects of osp.
+    /// properties of pso, the objects of osp — decoded as they are read.
+    /// Its length is the header count, and [`Keys::contains`] is a rank.
     #[inline]
-    pub fn keys(self) -> &'a [Id] {
-        self.index.keys
+    pub fn keys(self) -> Keys<'a> {
+        self.index.keys.keys()
     }
 }
 
@@ -474,23 +489,20 @@ macro_rules! forward_reads {
 
 impl<S: OrderedStore> crate::traits::SortedListAccess for S {
     /// [`list`](crate::traits::SortedListAccess::list) as a borrowed
-    /// slice: a longer list's run of the `u32` copy of its arena's
-    /// overflow column, which the first such call decodes
-    /// ([`ArenaView::lend`]); for a singleton — held by value in its
-    /// packed slot — the header key equal to it in a kept ordering headed
-    /// by the list's position, `None` where the store keeps no such
-    /// ordering. Kept for callers that need a slice; the engine reads
-    /// `list`.
+    /// slice of a `u32` copy of the list's arena ([`ArenaView::lend`]):
+    /// a longer list's run of the copy of the overflow column, a singleton
+    /// the one-id window of the copy of the slot column, each decoded by
+    /// the first call that needs it. Kept for callers that need a slice;
+    /// the engine reads `list`.
     fn sorted_list(&self, pat: IdPattern) -> Option<&[Id]> {
         let Route { kind, probe: Probe::List(k1, k2) } = route(pat, self.kept()) else {
             return None;
         };
         let ord = self.ordering(kind);
-        let list = ord.list(k1, k2);
-        if list.is_empty() {
-            return Some(&[]);
+        match ord.index.list_idx(k1, k2) {
+            Some(idx) if !ord.arena.get(idx).is_empty() => ord.arena.lend(idx),
+            _ => Some(&[]),
         }
-        ord.arena.lend(list).or_else(|| pinned(self, kind, list.first()?))
     }
 
     /// The terminal list behind a two-constant pattern — the values of its
@@ -502,25 +514,6 @@ impl<S: OrderedStore> crate::traits::SortedListAccess for S {
             _ => None,
         }
     }
-}
-
-/// `id`, an item of ordering `kind`, as a one-id slice the store owns:
-/// the header key equal to it in a kept ordering headed by the item's
-/// position. Every item of `kind` heads such an ordering (an object of
-/// spo heads osp and ops), and header keys are the one `u32` column
-/// that holds every term of a position. `None` if the store keeps neither
-/// ordering headed by that position (a COVP store's objects), or if a
-/// corrupt mapped file lacks the key.
-fn pinned<S: OrderedStore>(store: &S, kind: IndexKind, id: Id) -> Option<&[Id]> {
-    use IndexKind::*;
-    let headed_by_item = match kind {
-        Spo | Pso => [Osp, Ops],
-        Sop | Osp => [Pso, Pos],
-        Pos | Ops => [Spo, Sop],
-    };
-    let kept = headed_by_item.into_iter().find(|&k| store.kept().contains(k))?;
-    let keys = store.ordering(kept).keys();
-    keys.binary_search(&id).ok().map(|at| &keys[at..=at])
 }
 
 #[cfg(test)]
@@ -586,7 +579,7 @@ mod tests {
     #[test]
     fn slab_views_clamp_corrupt_offsets_instead_of_panicking() {
         use crate::packed::PackedColumn;
-        let keys = [Id(1), Id(2), Id(3)];
+        let keys = crate::succinct::HeaderColumn::from_sorted(&[Id(1), Id(2), Id(3)]);
         // Header 1's window runs past the leaf column; header 2's is
         // backwards (9 > 1); header 3 has no closing offset at all.
         let offs = PackedColumn::from_values(&[0, 9, 1]);
@@ -596,10 +589,10 @@ mod tests {
         // Slots 3 bits wide, the flag bit 4: list 0's length word overruns
         // the overflow column; list 1's position (3) is past it.
         let slots = PackedColumn::from_values(&[4, 4 | 3]);
-        let copy = OverflowCopy::default();
+        let copy = ArenaCopy::default();
         let arena = ArenaView { slots: slots.view(), over: over.view(), copy: &copy };
-        let ix =
-            IndexView { keys: &keys, offs: offs.view(), k2: k2.view(), lists: Some(lists.view()) };
+        let k2 = KeysView::Packed(k2.view());
+        let ix = IndexView { keys: keys.view(), offs: offs.view(), k2, lists: Some(lists.view()) };
         let ord = SlabOrdering { index: ix, arena };
         assert_eq!(ord.list(Id(1), Id(5)), &[Id(10), Id(11)], "list run clamped to the column");
         assert_eq!(ord.list(Id(1), Id(6)), &[] as &[Id], "dangling list index reads empty");

@@ -31,7 +31,7 @@
 //!    slab is allocated once at its final size and width and the emission
 //!    is append-only.
 
-use crate::frozen::{FrozenHexastore, FrozenIndex, FrozenPair};
+use crate::frozen::{FrozenHexastore, FrozenIndex, FrozenPair, LevelSize};
 use crate::overlay::OverlayHexastore;
 use crate::slab::{ArenaSize, FlatArena};
 use hex_dict::{Id, IdTriple};
@@ -182,16 +182,14 @@ fn emit_pair(run: &[IdTriple], perm: Option<&[u32]>, key: KeyFn) -> FrozenPair {
     // Mirror: group the primary's leaves by k2, referencing the
     // already-emitted shared lists (leaf i is list i).
     let mut mirror_entries = Vec::with_capacity(primary.k2.len());
-    for (k1, leaves) in primary.groups() {
-        let k2s = primary.k2.view().iter(leaves.clone());
+    let keys = primary.k2.view();
+    for (k1, h, leaves) in primary.groups() {
+        let k2s = keys.iter(h, leaves.clone());
         mirror_entries.extend(k2s.zip(leaves).map(|(k2, i)| (Id(k2), k1, i as u32)));
     }
     mirror_entries.sort_unstable_by_key(|e| (e.0, e.1));
     let m = mirror_entries.len();
-    // The mirror's vector keys are the primary's header keys.
-    let max_k2 = primary.keys.last().copied().unwrap_or(Id(0));
-    let headers = count_distinct_adjacent(&mirror_entries, |e| e.0);
-    let mut mirror = FrozenIndex::mirror(headers, m, max_k2);
+    let mut mirror = FrozenIndex::mirror(mirror_size(&mirror_entries));
     let mut i = 0;
     while i < m {
         let k2 = mirror_entries[i].0;
@@ -221,8 +219,8 @@ pub(crate) fn emit_primary(
 ) -> (FrozenIndex, FlatArena) {
     let n = run.len();
     let at = at_fn(run, perm, key);
-    let RunCounts { headers, lists, max_k2 } = count_groups(n, &at);
-    let mut primary = FrozenIndex::primary(headers, lists.lists, max_k2);
+    let RunCounts { level, lists } = count_groups(n, &at);
+    let mut primary = FrozenIndex::primary(level);
     let mut arena = FlatArena::with_capacity(lists);
     let mut open = None;
     for (k1, k2, range) in leaves(n, &at) {
@@ -341,31 +339,42 @@ fn at_fn<'a>(
     }
 }
 
-/// What [`count_groups`] counts: distinct `k1` values; the terminal
-/// lists, one per distinct `(k1, k2)` pair, as the [`ArenaSize`] that
-/// sizes their arena's slot and overflow columns; and the largest `k2`,
-/// which sets the width of the packed vector-key column.
+/// What [`count_groups`] counts: the headers and their vector-key
+/// windows, as the [`LevelSize`] that sizes the ordering's columns and
+/// chooses its vector-key encoding; and the terminal lists, one per
+/// distinct `(k1, k2)` pair, as the [`ArenaSize`] that sizes their
+/// arena's slot and overflow columns.
 struct RunCounts {
-    headers: usize,
+    level: LevelSize,
     lists: ArenaSize,
-    max_k2: Id,
 }
 
 /// Exact counts of a run viewed through `at` — the same
 /// header/vector/list accounting as [`SpaceStats`](crate::SpaceStats),
 /// but *before* building, so every slab allocation can be exact.
 fn count_groups(n: usize, at: impl Fn(usize) -> (Id, Id, Id)) -> RunCounts {
-    let mut counts = RunCounts { headers: 0, lists: ArenaSize::default(), max_k2: Id(0) };
-    let mut prev_k1 = None;
+    let mut counts = RunCounts { level: LevelSize::default(), lists: ArenaSize::default() };
+    // The open header: its key, its window's first `k2`, last `k2` and
+    // length.
+    let mut open: Option<(Id, Id, Id, usize)> = None;
     for (k1, k2, range) in leaves(n, &at) {
-        counts.headers += usize::from(prev_k1 != Some(k1));
-        counts.max_k2 = counts.max_k2.max(k2);
+        match &mut open {
+            Some((key, _, last, len)) if *key == k1 => (*last, *len) = (k2, *len + 1),
+            _ => {
+                if let Some((key, first, last, len)) = open {
+                    counts.level.add(key, len, first, last);
+                }
+                open = Some((k1, k2, k2, 1));
+            }
+        }
         // Nine lists in ten hold one id: gather a list's last id only when
         // it is not its first.
         let first = at(range.start).2;
         let last = if range.len() > 1 { at(range.end - 1).2 } else { first };
         counts.lists.add(range.len(), first, last);
-        prev_k1 = Some(k1);
+    }
+    if let Some((key, first, last, len)) = open {
+        counts.level.add(key, len, first, last);
     }
     counts
 }
@@ -392,19 +401,15 @@ fn leaves(
     })
 }
 
-/// Number of distinct adjacent `head` values in a sorted slice — the
-/// header count of a run that is about to be group-built.
-fn count_distinct_adjacent<T, K: PartialEq>(items: &[T], head: impl Fn(&T) -> K) -> usize {
-    let mut count = 0;
-    let mut prev: Option<K> = None;
-    for item in items {
-        let k = head(item);
-        if prev.as_ref() != Some(&k) {
-            count += 1;
-            prev = Some(k);
-        }
+/// The size of a mirror ordering about to be built from its sorted
+/// `(k1, k2, list)` leaves: one header per distinct `k1`, whose window
+/// holds its `k2`s.
+fn mirror_size(entries: &[(Id, Id, u32)]) -> LevelSize {
+    let mut size = LevelSize::default();
+    for group in entries.chunk_by(|a, b| a.0 == b.0) {
+        size.add(group[0].0, group.len(), group[0].1, group[group.len() - 1].1);
     }
-    count
+    size
 }
 
 #[cfg(test)]
@@ -535,9 +540,14 @@ mod tests {
                 && c.view().validate().is_ok()
         };
         for ix in built.orderings() {
-            assert_eq!(ix.keys.capacity(), ix.keys.len());
-            assert!(exact(&ix.offs) && exact(&ix.k2));
-            assert!(ix.lists.as_ref().is_none_or(exact));
+            assert!(exact(&ix.offs) && ix.lists.as_ref().is_none_or(exact));
+            // The header bitmap and the vector keys are the images a loader
+            // rebuilds from what they decode to, at the same size.
+            let view = ix.view();
+            let keys = crate::succinct::HeaderColumn::adopt(view.keys, "keys").expect("canonical");
+            assert_eq!(ix.keys.heap_bytes(), keys.heap_bytes());
+            let k2 = crate::succinct::KeyColumn::adopt(view.k2, &ix.offs, "k2").expect("canonical");
+            assert_eq!(ix.k2.heap_bytes(), k2.heap_bytes());
         }
         for arena in built.arenas() {
             let view = arena.view();

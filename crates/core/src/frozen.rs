@@ -19,6 +19,15 @@
 //! the benchmark's data — is stored where its address would have been
 //! ([`crate::slab`]).
 //!
+//! And every column takes the bits its order leaves it
+//! ([`crate::succinct`], [`crate::packed`]): an ordering's header keys are
+//! a presence bitmap with a rank directory — finding a header is a rank,
+//! not a binary search — or, where the keys are sparse in the id space,
+//! one Elias–Fano window; its vector keys are packed at the width of the
+//! largest or Elias–Fano coded window by window. Each encoding is chosen
+//! per ordering, from counts the builder gathers before it writes, as the
+//! smaller of the two: no option selects it.
+//!
 //! Reads go through [`OrderedStore::ordering`]: the paper's "spo property
 //! vector of s" is `ordering(IndexKind::Spo).division(s)`, "the objects
 //! of (s, p)" `ordering(IndexKind::Spo).list(s, p)`. The store itself
@@ -37,48 +46,69 @@ use crate::packed::PackedColumn;
 use crate::slab::FlatArena;
 use crate::sorted;
 use crate::store::SpaceStats;
+use crate::succinct::{HeaderColumn, HeaderSize, KeyColumn, KeySize};
 use crate::traits::TripleStore;
 use hex_dict::{Id, IdTriple};
+use std::ops::Range;
 use std::sync::Arc;
 
-/// One frozen ordering: a flat two-level index. Header `h` is `keys[h]`
-/// and its leaves are `offs[h]..offs[h + 1]` of the `k2` column (so `offs`
-/// has one entry more than `keys`). A mirror ordering's `lists` holds each
-/// leaf's terminal-list index in the ordering's [`FlatArena`]; a primary
-/// ordering has none, because its leaf `i` is list `i`. Every column but
-/// the header keys is bit-packed at the width its largest value needs
-/// ([`crate::packed`]).
+/// One frozen ordering: a flat two-level index. Header `h` is the `h`-th
+/// key of the `keys` column and its leaves are `offs[h]..offs[h + 1]` of
+/// the `k2` column (so `offs` has one entry more than there are headers).
+/// A mirror ordering's `lists` holds each leaf's terminal-list index in
+/// the ordering's [`FlatArena`]; a primary ordering has none, because its
+/// leaf `i` is list `i`. The header keys are a presence bitmap with a rank
+/// directory or one Elias–Fano window, the vector keys packed or
+/// Elias–Fano coded, each whichever is smaller ([`crate::succinct`]); the
+/// offsets and list references are
+/// packed at the width their largest value needs ([`crate::packed`]).
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub(crate) struct FrozenIndex {
-    pub(crate) keys: Vec<Id>,
+    pub(crate) keys: HeaderColumn,
     pub(crate) offs: PackedColumn,
-    pub(crate) k2: PackedColumn,
+    pub(crate) k2: KeyColumn,
     pub(crate) lists: Option<PackedColumn>,
 }
 
+/// What an ordering needs, counted before it is built: its header keys
+/// ([`HeaderSize`]) and its vector-key windows ([`KeySize`]), each of
+/// which also chooses its encoding.
+#[derive(Clone, Copy, Debug, Default)]
+pub(crate) struct LevelSize {
+    pub(crate) headers: HeaderSize,
+    pub(crate) keys: KeySize,
+}
+
+impl LevelSize {
+    /// Counts one more header, `k1`, over a window of `n` vector keys
+    /// from `first` to `last`; headers come in ascending order.
+    pub(crate) fn add(&mut self, k1: Id, n: usize, first: Id, last: Id) {
+        self.headers.add(k1);
+        self.keys.add(n, first, last);
+    }
+}
+
 impl FrozenIndex {
-    /// An empty primary ordering with exact room for `headers` headers
-    /// and `pairs` leaves whose largest vector key is `max_k2`.
-    pub(crate) fn primary(headers: usize, pairs: usize, max_k2: Id) -> Self {
-        let pairs_u32 = u32::try_from(pairs).expect("frozen index overflow: 2^32 leaves");
-        let mut offs = PackedColumn::with_capacity(headers + 1, pairs_u32);
+    /// An empty primary ordering with exact room for what `size` counted.
+    pub(crate) fn primary(size: LevelSize) -> Self {
+        let pairs = u32::try_from(size.keys.keys).expect("frozen index overflow: 2^32 leaves");
+        let mut offs = PackedColumn::with_capacity(size.keys.windows + 1, pairs);
         offs.push(0);
         FrozenIndex {
-            keys: Vec::with_capacity(headers),
+            keys: HeaderColumn::with_capacity(size.headers),
             offs,
-            k2: PackedColumn::with_capacity(pairs, max_k2.0),
+            k2: KeyColumn::with_capacity(size.keys),
             lists: None,
         }
     }
 
-    /// An empty mirror ordering with exact room for `headers` headers and
-    /// `pairs` leaves whose largest vector key is `max_k2`, referencing
-    /// the `pairs` lists of its primary.
-    pub(crate) fn mirror(headers: usize, pairs: usize, max_k2: Id) -> Self {
-        let last_list = u32::try_from(pairs.saturating_sub(1)).expect("2^32 lists");
+    /// An empty mirror ordering with exact room for what `size` counted,
+    /// referencing the lists of its primary, one per leaf.
+    pub(crate) fn mirror(size: LevelSize) -> Self {
+        let last_list = u32::try_from(size.keys.keys.saturating_sub(1)).expect("2^32 lists");
         FrozenIndex {
-            lists: Some(PackedColumn::with_capacity(pairs, last_list)),
-            ..Self::primary(headers, pairs, max_k2)
+            lists: Some(PackedColumn::with_capacity(size.keys.keys, last_list)),
+            ..Self::primary(size)
         }
     }
 
@@ -96,24 +126,27 @@ impl FrozenIndex {
     pub(crate) fn end_k1(&mut self, k1: Id) {
         let end = u32::try_from(self.k2.len()).expect("frozen index overflow: 2^32 leaves");
         debug_assert!(self.offs.get(self.offs.len() - 1) < end, "empty k1 group");
-        debug_assert!(self.keys.last().is_none_or(|&last| last < k1));
         self.keys.push(k1);
         self.offs.push(end);
+        self.k2.end_window();
     }
 
-    /// Each header key with its leaf range, in key order.
-    pub(crate) fn groups(&self) -> impl Iterator<Item = (Id, std::ops::Range<usize>)> + '_ {
+    /// Each header key with its header number and leaf range, in key
+    /// order.
+    pub(crate) fn groups(&self) -> impl Iterator<Item = (Id, usize, Range<usize>)> + '_ {
         let ends = self.offs.values().skip(1);
         self.keys
-            .iter()
+            .view()
+            .keys()
             .zip(self.offs.values().zip(ends))
-            .map(|(&k1, (lo, hi))| (k1, lo as usize..hi as usize))
+            .enumerate()
+            .map(|(h, (k1, (lo, hi)))| (k1, h, lo as usize..hi as usize))
     }
 
     /// The columns as the borrowed view the shared read path walks.
     pub(crate) fn view(&self) -> IndexView<'_> {
         IndexView {
-            keys: &self.keys,
+            keys: self.keys.view(),
             offs: self.offs.view(),
             k2: self.k2.view(),
             lists: self.lists.as_ref().map(PackedColumn::view),
@@ -128,37 +161,49 @@ impl FrozenIndex {
         self.k2.len()
     }
 
-    /// Heap bytes of the header level: keys and packed offsets.
-    fn header_bytes(&self) -> usize {
-        self.keys.capacity() * std::mem::size_of::<Id>() + self.offs.heap_bytes()
-    }
-
-    /// Heap bytes of the packed vector-key column.
-    fn k2_bytes(&self) -> usize {
-        self.k2.heap_bytes()
-    }
-
     /// Heap bytes of the packed list-reference column (zero for a
     /// primary).
     fn list_ref_bytes(&self) -> usize {
         self.lists.as_ref().map_or(0, PackedColumn::heap_bytes)
     }
 
-    pub(crate) fn heap_bytes(&self) -> usize {
-        self.header_bytes() + self.k2_bytes() + self.list_ref_bytes()
+    /// Adds this ordering's columns to `b`, as ordering `kind`.
+    fn account(&self, kind: IndexKind, b: &mut HeapBreakdown) {
+        b.header_keys += self.keys.heap_bytes();
+        b.header_offsets += self.offs.heap_bytes();
+        b.mirror_list_refs += self.list_ref_bytes();
+        match &self.k2 {
+            KeyColumn::Packed(column) => b.vector_keys_packed += column.heap_bytes(),
+            KeyColumn::EliasFano(column) => {
+                b.vector_key_bases += column.base_bytes();
+                b.vector_key_streams += column.stream_bytes();
+                b.vector_key_offsets += column.offset_bytes();
+                b.vector_key_ranks += column.rank_bytes();
+                b.elias_fano = b.elias_fano.with(kind);
+            }
+        }
     }
 
-    /// Reassembles an index from deserialized columns, validating the
-    /// structural invariants binary search relies on: header keys strictly
-    /// ascending, offsets tiling the `k2` column into non-empty groups in
-    /// header order, every group's `k2` run strictly ascending, and every
-    /// list reference in range for the `arena_lists`-sized arena (a
-    /// primary's implicit references are in range when it has exactly
-    /// `arena_lists` leaves). Returns `None` on any violation.
+    pub(crate) fn heap_bytes(&self) -> usize {
+        self.keys.heap_bytes()
+            + self.offs.heap_bytes()
+            + self.k2.heap_bytes()
+            + self.list_ref_bytes()
+    }
+
+    /// Reassembles an index from deserialized columns, validating what
+    /// the columns cannot check themselves: offsets tiling the `k2` column
+    /// into one non-empty group per header key, and every list reference
+    /// in range for the `arena_lists`-sized arena (a primary's implicit
+    /// references are in range when it has exactly `arena_lists` leaves).
+    /// Returns `None` on any violation. The header keys ascend by
+    /// construction, and each group's vector keys ascend in every column
+    /// the loaders hand over ([`KeyColumn::adopt`],
+    /// [`FrozenIndex::from_plain_parts`]).
     pub(crate) fn from_raw_parts(
-        keys: Vec<Id>,
+        keys: HeaderColumn,
         offs: PackedColumn,
-        k2: PackedColumn,
+        k2: KeyColumn,
         lists: Option<PackedColumn>,
         arena_lists: usize,
     ) -> Option<Self> {
@@ -168,52 +213,96 @@ impl FrozenIndex {
             }
             None => k2.len() == arena_lists,
         };
-        let ix = FrozenIndex { keys, offs, k2, lists };
-        let tiles = ix.offs.len() == ix.keys.len() + 1
-            && ix.offs.get(0) == 0
-            && ix.offs.get(ix.keys.len()) as usize == ix.k2.len()
-            && ix.offs.values().zip(ix.offs.values().skip(1)).all(|(lo, hi)| lo < hi);
-        // One pass over the vector keys: each must rise above the one
-        // before it, except where a group starts.
-        let mut starts = ix.offs.values().map(|start| start as usize).peekable();
-        let mut prev = 0;
-        let runs_ascend = tiles
-            && ix.k2.values().enumerate().all(|(i, k2)| {
-                let first = starts.next_if_eq(&i).is_some();
-                let ascends = first || prev < k2;
-                prev = k2;
-                ascends
-            });
-        let valid = refs_valid && runs_ascend && sorted::is_sorted_set(&ix.keys);
-        valid.then_some(ix)
+        let tiles = offs.len() == keys.len() + 1
+            && offs.get(0) == 0
+            && offs.get(keys.len()) as usize == k2.len()
+            && offs.values().zip(offs.values().skip(1)).all(|(lo, hi)| lo < hi);
+        (refs_valid && tiles).then_some(FrozenIndex { keys, offs, k2, lists })
+    }
+
+    /// [`FrozenIndex::from_raw_parts`] for header keys and vector keys in
+    /// the plain form older snapshots and the compressed section decode
+    /// to: the keys must be strictly ascending and each window of `k2`
+    /// strictly ascending, and the vector keys take the encoding their
+    /// sizes choose.
+    pub(crate) fn from_plain_parts(
+        keys: &[Id],
+        offs: PackedColumn,
+        k2: &[u32],
+        lists: Option<PackedColumn>,
+        arena_lists: usize,
+    ) -> Option<Self> {
+        let tiles = offs.len() == keys.len() + 1
+            && offs.get(0) == 0
+            && offs.get(keys.len()) as usize == k2.len()
+            && offs.values().zip(offs.values().skip(1)).all(|(lo, hi)| lo < hi);
+        let ascend = |run: &[u32]| run.windows(2).all(|w| w[0] < w[1]);
+        let windows = || offs.values().zip(offs.values().skip(1));
+        let runs_ascend = tiles && windows().all(|(lo, hi)| ascend(&k2[lo as usize..hi as usize]));
+        if !(runs_ascend && sorted::is_sorted_set(keys)) {
+            return None;
+        }
+        let k2 = KeyColumn::of_windows(k2, &offs);
+        FrozenIndex::from_raw_parts(HeaderColumn::from_sorted(keys), offs, k2, lists, arena_lists)
     }
 }
 
 /// Where a [`FrozenHexastore`]'s heap bytes go, column kind by column
-/// kind — [`FrozenHexastore::heap_breakdown`]. The five parts sum exactly
-/// to [`TripleStore::heap_bytes`].
+/// kind — [`FrozenHexastore::heap_breakdown`]. The ten byte counts sum
+/// exactly to [`TripleStore::heap_bytes`].
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct HeapBreakdown {
     /// The three arenas' packed slot columns: one slot per terminal list,
     /// which is the list itself when it holds a single id.
     pub list_slots: usize,
     /// The three arenas' packed overflow columns: every longer list's items
-    /// plus its length word — and the `u32` copy of a column once
+    /// plus its length word — and the `u32` copies of a column once
     /// [`SortedListAccess::sorted_list`](crate::SortedListAccess::sorted_list)
-    /// has decoded it.
+    /// has decoded them.
     pub overflow: usize,
-    /// Vector keys: the six orderings' `k2` columns.
-    pub vector_keys: usize,
     /// List references of the three mirror orderings (primaries store none).
     pub mirror_list_refs: usize,
-    /// Header keys plus header offsets of the six orderings.
-    pub headers: usize,
+    /// Header keys: the six orderings' presence bitmaps and their rank
+    /// directories, or Elias–Fano windows where those are smaller.
+    pub header_keys: usize,
+    /// Header offsets: the six orderings' packed offsets columns.
+    pub header_offsets: usize,
+    /// Vector keys of the orderings that keep them packed.
+    pub vector_keys_packed: usize,
+    /// Elias–Fano vector keys: each window's first key.
+    pub vector_key_bases: usize,
+    /// Elias–Fano vector keys: the streams of `l`, low and high parts.
+    pub vector_key_streams: usize,
+    /// Elias–Fano vector keys: each window's bit offset.
+    pub vector_key_offsets: usize,
+    /// Elias–Fano vector keys: the streams' rank directories.
+    pub vector_key_ranks: usize,
+    /// The orderings whose vector keys are Elias–Fano coded.
+    pub elias_fano: IndexSet,
 }
 
 impl HeapBreakdown {
-    /// All five parts together.
+    /// The header level: keys and offsets.
+    pub fn headers(&self) -> usize {
+        self.header_keys + self.header_offsets
+    }
+
+    /// Every vector key, packed or Elias–Fano coded.
+    pub fn vector_keys(&self) -> usize {
+        self.vector_keys_packed
+            + self.vector_key_bases
+            + self.vector_key_streams
+            + self.vector_key_offsets
+            + self.vector_key_ranks
+    }
+
+    /// All ten byte counts together.
     pub fn total(&self) -> usize {
-        self.list_slots + self.overflow + self.vector_keys + self.mirror_list_refs + self.headers
+        self.list_slots
+            + self.overflow
+            + self.mirror_list_refs
+            + self.headers()
+            + self.vector_keys()
     }
 }
 
@@ -223,9 +312,10 @@ pub(crate) type FrozenPair = (FrozenIndex, FrozenIndex, FlatArena);
 /// The Hexastore over flat slabs.
 ///
 /// Holds the six orderings and three shared terminal-list arenas of §4.1,
-/// every level a contiguous column: lookups are binary searches over key
-/// columns and terminal lists are slices of their arena's columns — no
-/// nested vectors, no per-list heap blocks. Obtain one with
+/// every level a contiguous column: a lookup is a rank of the header keys
+/// and a search of one window of vector keys, and terminal lists are
+/// windows of their arena's columns — no nested vectors, no per-list heap
+/// blocks. Obtain one with
 /// [`FrozenHexastore::from_triples`] (the bulk path
 /// [`crate::bulk::build_frozen`]), [`OverlayHexastore::freeze`], or by
 /// opening a [`crate::hexsnap`] snapshot with prebuilt slab sections.
@@ -337,12 +427,12 @@ impl FrozenHexastore {
                 max = Some(max.map_or(c, |m| m.max(c)));
             }
         };
-        // Header keys are sorted, so each column's last is its largest.
-        // Every vector key is a header key of the same pair's other
-        // ordering — a mirror's vector keys are its primary's headers and
-        // the other way round — so the header keys cover them.
+        // A header bitmap's last bit is its largest key. Every vector key
+        // is a header key of the same pair's other ordering — a mirror's
+        // vector keys are its primary's headers and the other way round —
+        // so the header keys cover them.
         for ix in self.orderings() {
-            update(ix.keys.last().copied());
+            update(ix.keys.view().last());
         }
         for arena in self.arenas() {
             // Lists are sorted: the last item of each is its largest.
@@ -365,14 +455,16 @@ impl FrozenHexastore {
     /// [`TripleStore::heap_bytes`] split by column kind, counting the
     /// capacity of every owned column.
     pub fn heap_breakdown(&self) -> HeapBreakdown {
-        let (ixs, arenas) = (self.orderings(), self.arenas());
-        HeapBreakdown {
+        let arenas = self.arenas();
+        let mut b = HeapBreakdown {
             list_slots: arenas.iter().map(|a| a.slot_bytes()).sum(),
             overflow: arenas.iter().map(|a| a.overflow_bytes()).sum(),
-            vector_keys: ixs.iter().map(|ix| ix.k2_bytes()).sum(),
-            mirror_list_refs: ixs.iter().map(|ix| ix.list_ref_bytes()).sum(),
-            headers: ixs.iter().map(|ix| ix.header_bytes()).sum(),
+            ..HeapBreakdown::default()
+        };
+        for (kind, ix) in IndexKind::ALL.into_iter().zip(self.orderings()) {
+            ix.account(kind, &mut b);
         }
+        b
     }
 
     /// Wraps the store in a clean [`OverlayHexastore`], which takes
@@ -528,8 +620,8 @@ mod tests {
     #[test]
     fn raw_index_levels_must_tile_and_ascend_within_each_group() {
         let raw = |offs: &[u32], k2: &[u32]| {
-            let (offs, k2) = (PackedColumn::from_values(offs), PackedColumn::from_values(k2));
-            FrozenIndex::from_raw_parts(vec![Id(1), Id(2)], offs, k2, None, 4).is_some()
+            let offs = PackedColumn::from_values(offs);
+            FrozenIndex::from_plain_parts(&[Id(1), Id(2)], offs, k2, None, 4).is_some()
         };
         assert!(raw(&[0, 2, 4], &[5, 9, 3, 7]), "a group may start below the last");
         assert!(!raw(&[0, 2, 4], &[9, 5, 3, 7]), "descending within a group");

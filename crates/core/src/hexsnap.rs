@@ -14,7 +14,7 @@
 //! ```text
 //! offset   size  field
 //! 0        8     magic "hexsnap\0"
-//! 8        4     format version (u32, currently 8)
+//! 8        4     format version (u32, currently 9)
 //! 12       …     section payloads, back to back
 //! …        var   section table: u32 count, then per section
 //!                [u8; 4] tag · u64 offset · u64 length
@@ -63,12 +63,19 @@
 //!   position wide ([`crate::slab`] has the encoding); before, a slot is
 //!   a `u32` with the flag in bit 31. Overflow columns and header keys
 //!   stay `u32`; `DICT` and `FRZC` are v6's byte for byte.
-//! - **v8** (current) — a `FROZ` arena's overflow column is packed too,
-//!   in the same framing, as wide as its largest word (a run's length or
-//!   id) needs; `n_overflow` keeps its place. Only header keys stay
-//!   `u32`; `DICT` and `FRZC` are v7's byte for byte.
+//! - **v8** — a `FROZ` arena's overflow column is packed too, in the
+//!   same framing, as wide as its largest word (a run's length or id)
+//!   needs; `n_overflow` keeps its place. Only header keys stay `u32`;
+//!   `DICT` and `FRZC` are v7's byte for byte.
+//! - **v9** (current) — a `FROZ` ordering's header keys are a presence
+//!   bitmap with a rank directory, or one Elias–Fano window where that is
+//!   smaller, and its vector keys are packed or Elias–Fano coded window by
+//!   window, whichever is smaller ([`crate::succinct`] has both
+//!   encodings); an encoding-flags word after the header count says
+//!   which. Arenas, offsets and list references, `DICT` and `FRZC` are
+//!   v8's byte for byte.
 //!
-//! [`Writer`] writes v8; [`Reader`] opens all eight. Where every column of
+//! [`Writer`] writes v9; [`Reader`] opens all nine. Where every column of
 //! a `DICT` or `FROZ` section lies is said once per section, by a walker
 //! that reads only the count fields: [`Reader::dict_columns`] and
 //! [`Reader::frozen_columns`], the only code that knows how the column
@@ -80,8 +87,9 @@
 //! by one to a slot arena, a pre-v5 dictionary's terms are interned
 //! again in id order, which keeps their ids, a pre-v6 index level's
 //! `u32` columns are packed, and so are a pre-v7 arena's `u32` slot
-//! column and a pre-v8 arena's `u32` overflow column. Only a v8 file has
-//! the columns `hex-disk` maps; older files go
+//! column and a pre-v8 arena's `u32` overflow column, and a pre-v9
+//! ordering's header and vector keys take the encodings their sizes
+//! choose. Only a v9 file has the columns `hex-disk` maps; older files go
 //! through [`load_frozen`] and a re-save.
 //!
 //! Defined sections:
@@ -119,7 +127,17 @@
 //!   `u32 n_headers`, `n_headers` `u32` header keys, `n_headers + 1`
 //!   cumulative offsets into the vector column, `u32 n_vector`,
 //!   `n_vector` vector keys and — mirror orderings only — `n_vector` list
-//!   references. From v6 the offsets, vector keys and list references —
+//!   references. From v9 the header keys are `u32 flags` (bit 0: the
+//!   header keys are Elias–Fano coded, bit 1: the vector keys are; no
+//!   other bit is set) and then either `u32 n_bits`, the bitmap as a
+//!   packed column of `n_bits` values of width 1 (the largest key's bit
+//!   the last) and its rank directory, a packed column of one sample per
+//!   512-bit block after the first; or an Elias–Fano column of one window;
+//!   and Elias–Fano vector keys take the place of the packed ones, an
+//!   Elias–Fano column of `n_headers` windows: a packed base column (each
+//!   window's first key), a packed column of `n_windows + 1` bit offsets,
+//!   `u32 n_bits`, the stream (packed, width 1) and its rank directory.
+//!   From v6 the offsets, vector keys and list references —
 //!   from v7 the list slots and from v8 the overflow words — are each a
 //!   packed column: a `u32` width `w` (at most 32), zero bytes up to the
 //!   next 8-byte file offset (any
@@ -149,6 +167,10 @@ use crate::graph::GraphStore;
 use crate::packed::{bytes_for, PackedColumn, PackedView, MAX_WIDTH};
 use crate::pattern::IdPattern;
 use crate::slab::{pack_u32_slots, ArenaError, FlatArena};
+use crate::succinct::{
+    check_stream_shape, samples, BitmapView, BitsView, EfView, HeaderColumn, HeadersView,
+    KeyColumn, KeysView,
+};
 use crate::traits::TripleStore;
 use hex_dict::{ArenaImage, Dictionary, Id, IdTriple};
 use rdf_model::{TermKind, TermRef};
@@ -160,7 +182,7 @@ use std::path::Path;
 pub const MAGIC: [u8; 8] = *b"hexsnap\0";
 
 /// The current format version. [`Reader`] accepts `1..=VERSION`.
-pub const VERSION: u32 = 8;
+pub const VERSION: u32 = 9;
 
 /// Triples per chunk in the `TRPL` section (~768 KiB of ids).
 const TRIPLE_CHUNK: usize = 64 * 1024;
@@ -185,6 +207,13 @@ const TAG_DICT: [u8; 4] = *b"DICT";
 const TAG_TRPL: [u8; 4] = *b"TRPL";
 const TAG_FROZ: [u8; 4] = *b"FROZ";
 const TAG_FRZC: [u8; 4] = *b"FRZC";
+
+/// A v9 ordering's encoding flag: its header keys are one Elias–Fano
+/// window, not a bitmap.
+const HEADERS_CODED: u32 = 1;
+/// A v9 ordering's encoding flag: its vector keys are Elias–Fano windows,
+/// not packed.
+const KEYS_CODED: u32 = 2;
 
 /// How [`Writer::frozen_with`] stores the prebuilt slab sections.
 ///
@@ -466,6 +495,18 @@ impl<W: Write + Seek> Writer<W> {
         Ok(())
     }
 
+    /// Writes an Elias–Fano column: its base and bit-offset columns, its
+    /// stream's length, the stream and the stream's rank directory.
+    fn elias_fano(&mut self, ef: EfView<'_>) -> Result<()> {
+        self.packed(ef.base)?;
+        self.packed(ef.offs)?;
+        let bits = u32::try_from(ef.stream.len())
+            .map_err(|_| Error::Corrupt("2^32 stream bits".into()))?;
+        w_u32(&mut self.w, bits)?;
+        self.packed(ef.stream.bits)?;
+        self.packed(ef.stream.ranks)
+    }
+
     /// Writes the `FROZ` section: the store's slabs as raw columns.
     fn frozen_raw(&mut self, store: &FrozenHexastore) -> Result<()> {
         // The stream is padded to an 8-byte boundary *between* sections
@@ -487,11 +528,30 @@ impl<W: Write + Seek> Writer<W> {
             self.packed(columns.over)?;
         }
         for ix in store.orderings() {
-            w_u32(&mut self.w, count(ix.keys.len(), "headers")?)?;
-            w_u32_run(&mut self.w, ix.keys.iter().map(|id| id.0))?;
+            let (keys, k2) = (ix.keys.view(), ix.k2.view());
+            w_u32(&mut self.w, count(keys.len(), "headers")?)?;
+            let mut flags = 0;
+            if matches!(keys, HeadersView::EliasFano(_)) {
+                flags |= HEADERS_CODED;
+            }
+            if matches!(k2, KeysView::EliasFano(_)) {
+                flags |= KEYS_CODED;
+            }
+            w_u32(&mut self.w, flags)?;
+            match keys {
+                HeadersView::Bitmap(map) => {
+                    w_u32(&mut self.w, count(map.bits.len(), "header bitmap bits")?)?;
+                    self.packed(map.bits.bits)?;
+                    self.packed(map.bits.ranks)?;
+                }
+                HeadersView::EliasFano(ef) => self.elias_fano(ef)?,
+            }
             self.packed(ix.offs.view())?;
             w_u32(&mut self.w, count(ix.k2.len(), "vector entries")?)?;
-            self.packed(ix.k2.view())?;
+            match k2 {
+                KeysView::Packed(k2) => self.packed(k2)?,
+                KeysView::EliasFano(ef) => self.elias_fano(ef)?,
+            }
             if let Some(lists) = &ix.lists {
                 self.packed(lists.view())?;
             }
@@ -632,15 +692,82 @@ pub enum ArenaColumns {
     },
 }
 
+/// Where the four columns of an Elias–Fano coded key column lie (v9;
+/// [`crate::succinct`]).
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub struct EfColumns {
+    /// Each window's first key.
+    pub base: Packed,
+    /// Where each window's bits start, one entry more than windows.
+    pub offs: Packed,
+    /// The windows' bits, width 1 (0 when empty).
+    pub stream: Packed,
+    /// Set bits of the stream before each 512-bit block.
+    pub ranks: Packed,
+}
+
+/// How a `FROZ` ordering stores its header keys.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub enum Headers {
+    /// One `u32` per header (before v9).
+    U32(Column),
+    /// A presence bitmap over the ids up to the largest key and its rank
+    /// directory, both packed (v9).
+    Bitmap {
+        /// The bits, width 1 (0 when there is no header).
+        bits: Packed,
+        /// Set bits before each 512-bit block.
+        ranks: Packed,
+        /// The header count the section declares.
+        count: usize,
+    },
+    /// One Elias–Fano window of every key (v9).
+    EliasFano {
+        /// The window's columns.
+        ef: EfColumns,
+        /// The header count the section declares.
+        count: usize,
+    },
+}
+
+impl Headers {
+    /// The `u32` key column of a file before v9.
+    pub fn plain(self) -> Option<Column> {
+        match self {
+            Headers::U32(col) => Some(col),
+            _ => None,
+        }
+    }
+}
+
+/// How a `FROZ` ordering stores its vector keys.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub enum VectorKeys {
+    /// One integer per key: `u32`s before v6, packed from v6 on.
+    Ints(Ints),
+    /// Elias–Fano windows, one per header (v9).
+    EliasFano(EfColumns),
+}
+
+impl VectorKeys {
+    /// The integer column of a packed (or, before v6, `u32`) ordering.
+    pub fn plain(self) -> Option<Ints> {
+        match self {
+            VectorKeys::Ints(ints) => Some(ints),
+            VectorKeys::EliasFano(_) => None,
+        }
+    }
+}
+
 /// The columns of one `FROZ` ordering.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub struct OrderingColumns {
     /// The header keys.
-    pub keys: Column,
+    pub keys: Headers,
     /// Each header's window into the vector keys.
     pub windows: Windows,
     /// The vector keys.
-    pub k2: Ints,
+    pub k2: VectorKeys,
     /// The list references: mirror orderings only from v3 on, every
     /// ordering before.
     pub lists: Option<Ints>,
@@ -733,6 +860,36 @@ impl<R: Read + Seek> Walk<'_, R> {
         let bytes = bytes_for(len, width).map_or(u64::MAX, |bytes| bytes as u64);
         let Column { offset, .. } = self.column(bytes, 1, what)?;
         Ok(Ints::Packed(Packed { offset, width, len }))
+    }
+
+    /// Steps over a packed column of `len` values.
+    fn packed(&mut self, len: u64, what: &str) -> Result<Packed> {
+        match self.ints(true, len, what)? {
+            Ints::Packed(col) => Ok(col),
+            Ints::U32(_) => unreachable!("a packed walk"),
+        }
+    }
+
+    /// Steps over a bit stream of `len` bits and its rank directory.
+    fn stream(&mut self, len: u64, what: &str) -> Result<(Packed, Packed)> {
+        let bits = self.packed(len, what)?;
+        let samples = samples(usize::try_from(len).unwrap_or(usize::MAX)) as u64;
+        let ranks = self.packed(samples, &format!("{what}'s directory"))?;
+        if !check_stream_shape(bits.width, bits.len, ranks.width, ranks.len) {
+            return corrupt(format!("{what} has the widths of no bit stream"));
+        }
+        Ok((bits, ranks))
+    }
+
+    /// Steps over an Elias–Fano column of `windows` windows: its base
+    /// and bit-offset columns, its stream's length, the stream and the
+    /// stream's directory.
+    fn elias_fano(&mut self, windows: u64, what: &str) -> Result<EfColumns> {
+        let base = self.packed(windows, &format!("{what}'s base column"))?;
+        let offs = self.packed(windows + 1, &format!("{what}'s bit-offset column"))?;
+        let bits = self.count32(&format!("{what}'s stream length"))?;
+        let (stream, ranks) = self.stream(bits, &format!("{what}'s stream"))?;
+        Ok(EfColumns { base, offs, stream, ranks })
     }
 
     /// Steps over a column of `len` elements, `width` bytes each.
@@ -889,14 +1046,19 @@ impl<R: Read + Seek> Reader<R> {
     /// are `u32`s before v6 ([`Ints::U32`]) and packed from v6 on
     /// ([`Ints::Packed`], its width checked to be at most 32 and the
     /// padding before its words to be zero), an arena's slots are `u32`s
-    /// before v7 and packed from v7 on, and its overflow words are `u32`s
-    /// before v8 and packed from v8 on.
+    /// before v7 and packed from v7 on, its overflow words are `u32`s
+    /// before v8 and packed from v8 on, and an ordering's header keys are
+    /// `u32`s before v9 ([`Headers::U32`]) and a bitmap or an Elias–Fano
+    /// window from v9 on, its vector keys packed or Elias–Fano coded as
+    /// its encoding flags say (every bit stream's widths checked to be
+    /// those of a stream and its directory).
     pub fn frozen_columns(&mut self) -> Result<FrozenColumns> {
         let pairs = spells_out_derivables(self.version);
         let item_arenas = self.version < 4;
         let packed = self.version >= 6;
         let packed_slots = self.version >= 7;
         let packed_overflow = self.version >= 8;
+        let succinct = self.version >= 9;
         let mut walk = self.walk(TAG_FROZ)?;
         let windows = |walk: &mut Walk<'_, R>, n: u64, what: &str| -> Result<Windows> {
             Ok(if pairs {
@@ -930,10 +1092,27 @@ impl<R: Read + Seek> Reader<R> {
         let mut orderings = Vec::with_capacity(6);
         for (which, kind) in IndexKind::ALL.into_iter().enumerate() {
             let headers = walk.count32("ordering header count")?;
-            let keys = walk.column(headers, 4, "ordering key column")?;
+            let flags = if succinct { walk.count32("ordering encoding flags")? as u32 } else { 0 };
+            if flags & !(HEADERS_CODED | KEYS_CODED) != 0 {
+                return corrupt(format!("unknown ordering encoding flags {flags:#x}"));
+            }
+            let keys = if !succinct {
+                Headers::U32(walk.column(headers, 4, "ordering key column")?)
+            } else if flags & HEADERS_CODED == 0 {
+                let bits = walk.count32("ordering header bitmap length")?;
+                let (bits, ranks) = walk.stream(bits, "ordering header bitmap")?;
+                Headers::Bitmap { bits, ranks, count: headers as usize }
+            } else {
+                let ef = walk.elias_fano(headers.min(1), "ordering header window")?;
+                Headers::EliasFano { ef, count: headers as usize }
+            };
             let windows = windows(&mut walk, headers, "ordering offsets column")?;
             let vector = walk.count32("ordering vector count")?;
-            let k2 = walk.ints(packed, vector, "ordering vector column")?;
+            let k2 = if flags & KEYS_CODED == 0 {
+                VectorKeys::Ints(walk.ints(packed, vector, "ordering vector column")?)
+            } else {
+                VectorKeys::EliasFano(walk.elias_fano(headers, "ordering vector keys")?)
+            };
             let lists = if pairs || kind.is_mirror() {
                 Some(walk.ints(packed, vector, "ordering list column")?)
             } else {
@@ -976,6 +1155,63 @@ impl<R: Read + Seek> Reader<R> {
                 let bytes = self.bytes(Column { offset: col.offset, len: col.bytes() })?;
                 PackedColumn::from_bytes(bytes, col.width, col.len)
                     .map_err(|e| Error::Corrupt(format!("{what}: {e}")))
+            }
+        }
+    }
+
+    /// Reads a packed image whose tail is zero, whatever its width: the
+    /// caller checks the rule its width follows.
+    fn image(&mut self, col: Packed) -> Result<PackedColumn> {
+        let bytes = self.bytes(Column { offset: col.offset, len: col.bytes() })?;
+        PackedColumn::from_image(bytes, col.width, col.len)
+            .map_err(|e| Error::Corrupt(format!("packed column: {e}")))
+    }
+
+    /// Reads an Elias–Fano column's four images.
+    fn ef_images(&mut self, ef: EfColumns) -> Result<[PackedColumn; 4]> {
+        Ok([
+            self.image(ef.base)?,
+            self.image(ef.offs)?,
+            self.image(ef.stream)?,
+            self.image(ef.ranks)?,
+        ])
+    }
+
+    /// Reads a v9 ordering's header keys: adopted only when they are the
+    /// column their keys make in the encoding their sizes choose
+    /// ([`HeaderColumn::adopt`]).
+    fn header_keys(&mut self, keys: Headers) -> Result<HeaderColumn> {
+        let what = "ordering header keys";
+        let adopt = |view| HeaderColumn::adopt(view, what).map_err(Error::Corrupt);
+        match keys {
+            Headers::U32(_) => corrupt("u32 header keys in a v9 ordering"),
+            Headers::Bitmap { bits, ranks, count } => {
+                let (bits, ranks) = (self.image(bits)?, self.image(ranks)?);
+                let bits = BitsView { bits: bits.view(), ranks: ranks.view() };
+                adopt(HeadersView::Bitmap(BitmapView { bits, ones: count }))
+            }
+            Headers::EliasFano { ef, count } => {
+                let images = self.ef_images(ef)?;
+                adopt(HeadersView::EliasFano(ef_view(&images, count)))
+            }
+        }
+    }
+
+    /// Reads a v9 ordering's vector keys, windowed by `offs`: adopted only
+    /// when they are the column their windows' keys make in the encoding
+    /// those keys' sizes choose ([`KeyColumn::adopt`]).
+    fn vector_keys(&mut self, k2: VectorKeys, offs: &PackedColumn) -> Result<KeyColumn> {
+        let what = "ordering vector keys";
+        let adopt = |view| KeyColumn::adopt(view, offs, what).map_err(Error::Corrupt);
+        match k2 {
+            VectorKeys::Ints(ints) => {
+                let column = self.packed(ints, "ordering vector column")?;
+                adopt(KeysView::Packed(column.view()))
+            }
+            VectorKeys::EliasFano(ef) => {
+                let images = self.ef_images(ef)?;
+                let len = offs.get(offs.len().saturating_sub(1)) as usize;
+                adopt(KeysView::EliasFano(ef_view(&images, len)))
             }
         }
     }
@@ -1161,13 +1397,28 @@ impl<R: Read + Seek> Reader<R> {
         let arenas: [FlatArena; 3] = arenas.try_into().expect("exactly three arenas read");
         let mut orderings = Vec::with_capacity(6);
         for (kind, cols) in IndexKind::ALL.into_iter().zip(columns.orderings) {
-            let keys = self.ids(cols.keys)?;
             let offs = self.offsets(cols.windows)?;
-            let k2 = self.packed(cols.k2, "ordering vector column")?;
             let refs =
                 cols.lists.map(|lists| self.packed(lists, "ordering list column")).transpose()?;
+            let refs = kept_refs(refs, kind)?;
             let arena_lists = arenas[cols.arena].list_count();
-            match FrozenIndex::from_raw_parts(keys, offs, k2, kept_refs(refs, kind)?, arena_lists) {
+            let ix = match (cols.keys, cols.k2) {
+                (Headers::U32(keys), VectorKeys::Ints(k2)) => {
+                    let keys = self.ids(keys)?;
+                    let k2: Vec<u32> =
+                        self.packed(k2, "ordering vector column")?.values().collect();
+                    FrozenIndex::from_plain_parts(&keys, offs, &k2, refs, arena_lists)
+                }
+                (Headers::U32(_), VectorKeys::EliasFano(_)) => {
+                    return corrupt("Elias–Fano vector keys under u32 header keys")
+                }
+                (keys, k2) => {
+                    let keys = self.header_keys(keys)?;
+                    let k2 = self.vector_keys(k2, &offs)?;
+                    FrozenIndex::from_raw_parts(keys, offs, k2, refs, arena_lists)
+                }
+            };
+            match ix {
                 Some(ix) => orderings.push(ix),
                 None => return corrupt("ordering columns are inconsistent"),
             }
@@ -1242,7 +1493,7 @@ impl<R: Read + Seek> Reader<R> {
                     return corrupt("ordering vector group does not decode");
                 }
             }
-            let (offs, k2) = (PackedColumn::from_values(&offs), pack_ids(&k2));
+            let offs = PackedColumn::from_values(&offs);
             let refs = if legacy || kind.is_mirror() {
                 let mut refs = Vec::with_capacity(m);
                 for _ in 0..m {
@@ -1256,7 +1507,9 @@ impl<R: Read + Seek> Reader<R> {
                 None
             };
             let arena_lists = arenas[ARENA_OF[which]].list_count();
-            match FrozenIndex::from_raw_parts(keys, offs, k2, kept_refs(refs, kind)?, arena_lists) {
+            let k2: Vec<u32> = k2.iter().map(|id| id.0).collect();
+            let refs = kept_refs(refs, kind)?;
+            match FrozenIndex::from_plain_parts(&keys, offs, &k2, refs, arena_lists) {
                 Some(ix) => orderings.push(ix),
                 None => return corrupt("ordering columns are inconsistent"),
             }
@@ -1306,6 +1559,17 @@ fn reinterned(kinds: &[u8], ends: &[u32], arena: &[u8]) -> Result<Dictionary> {
     Ok(dict)
 }
 
+/// The view of an Elias–Fano column of `len` keys over its four images.
+fn ef_view(images: &[PackedColumn; 4], len: usize) -> EfView<'_> {
+    let [base, offs, stream, ranks] = images;
+    EfView {
+        base: base.view(),
+        offs: offs.view(),
+        stream: BitsView { bits: stream.view(), ranks: ranks.view() },
+        len,
+    }
+}
+
 /// The cumulative offsets column of a pre-v3 `(offset, length)` span
 /// table, flattened as the writer laid it out. `None` unless the spans
 /// tile: each starts where the previous one ended, the first at 0.
@@ -1321,13 +1585,6 @@ fn offsets_from_pairs(pairs: &[u32]) -> Option<Vec<u32>> {
         offs.push(end);
     }
     Some(offs)
-}
-
-/// The packed column of an id run.
-fn pack_ids(ids: &[Id]) -> PackedColumn {
-    let mut column = PackedColumn::with_capacity(ids.len(), ids.iter().max().map_or(0, |id| id.0));
-    ids.iter().for_each(|id| column.push(id.0));
-    column
 }
 
 /// What ordering `kind` keeps of the list references read for it: a
@@ -1346,9 +1603,7 @@ fn kept_refs(read: Option<PackedColumn>, kind: IndexKind) -> Result<Option<Packe
 /// Encodes a store's slabs as the `FRZC` varint payload — the writer
 /// half of [`Reader::frozen_compressed`].
 fn encode_frozen_payload(store: &FrozenHexastore) -> Vec<u8> {
-    use crate::compress::{
-        encode_arena, encode_ascending, encode_offsets, encode_sorted_run, put_uvarint,
-    };
+    use crate::compress::{encode_arena, encode_ascending, encode_offsets, put_uvarint};
     let mut p = Vec::new();
     for arena in store.arenas() {
         put_uvarint(&mut p, arena.list_count() as u64);
@@ -1359,9 +1614,10 @@ fn encode_frozen_payload(store: &FrozenHexastore) -> Vec<u8> {
         put_uvarint(&mut p, ix.keys.len() as u64);
         put_uvarint(&mut p, ix.k2.len() as u64);
         encode_offsets(&mut p, ix.offs.values());
-        encode_sorted_run(&mut p, &ix.keys);
-        for (_, leaves) in ix.groups() {
-            encode_ascending(&mut p, ix.k2.view().iter(leaves));
+        encode_ascending(&mut p, ix.keys.view().keys().map(|k| k.0));
+        let k2 = ix.k2.view();
+        for (_, h, leaves) in ix.groups() {
+            encode_ascending(&mut p, k2.iter(h, leaves));
         }
         if let Some(lists) = &ix.lists {
             lists.values().for_each(|l| put_uvarint(&mut p, u64::from(l)));
@@ -1416,13 +1672,14 @@ fn pair_consistent(primary: &FrozenIndex, mirror: &FrozenIndex, lists: usize) ->
     }
     // Each list's primary `(k1, k2)`, decoded once in leaf order.
     let mut owner = Vec::with_capacity(lists);
-    for (k1, leaves) in primary.groups() {
-        owner.extend(primary.k2.view().iter(leaves).map(|k2| (k1, Id(k2))));
+    let k2 = primary.k2.view();
+    for (k1, h, leaves) in primary.groups() {
+        owner.extend(k2.iter(h, leaves).map(|k2| (k1, Id(k2))));
     }
     let mut seen = vec![false; lists];
     let view = mirror.view();
-    for (k2, leaves) in mirror.groups() {
-        for (k1, l) in view.leaves(leaves) {
+    for (k2, h, leaves) in mirror.groups() {
+        for (k1, l) in view.leaves(h, leaves) {
             let l = l as usize;
             if seen[l] || owner[l] != (k1, k2) {
                 return false;
@@ -1763,10 +2020,13 @@ mod tests {
         let columns = r.frozen_columns().unwrap();
         for ix in columns.orderings {
             let Windows::Offsets(offs) = ix.windows else { panic!("v3 or later windows") };
-            for ints in [offs, ix.k2].into_iter().chain(ix.lists) {
+            let VectorKeys::Ints(k2) = ix.k2 else { panic!("the sample keeps packed keys") };
+            for ints in [offs, k2].into_iter().chain(ix.lists) {
                 let Ints::Packed(col) = ints else { panic!("v6 packs {ints:?}") };
                 assert_eq!(col.offset % 8, 0, "{col:?}");
             }
+            let Headers::Bitmap { bits, ranks, .. } = ix.keys else { panic!("a dense bitmap") };
+            assert_eq!((bits.offset % 8, ranks.offset % 8), (0, 0));
         }
         // From v7 the slot columns too, and from v8 the overflow column
         // after each, its width field on the 8-byte offset the slots end on.
@@ -1871,17 +2131,20 @@ mod tests {
 
     #[test]
     fn disagreeing_index_pairs_are_detected() {
-        use crate::frozen::FrozenIndex;
+        use crate::frozen::{FrozenIndex, LevelSize};
         // A consistent two-triple pair: (1, 2) → list 0, (3, 4) → list 1.
-        let build = |mut ix: FrozenIndex, leaves: [(u32, u32, u32); 2]| {
+        let build = |new: fn(LevelSize) -> FrozenIndex, leaves: [(u32, u32, u32); 2]| {
+            let mut size = LevelSize::default();
+            leaves.iter().for_each(|&(k1, k2, _)| size.add(Id(k1), 1, Id(k2), Id(k2)));
+            let mut ix = new(size);
             for (k1, k2, l) in leaves {
                 ix.push_leaf(Id(k2), l);
                 ix.end_k1(Id(k1));
             }
             ix
         };
-        let primary = build(FrozenIndex::primary(2, 2, Id(4)), [(1, 2, 0), (3, 4, 1)]);
-        let mirror = |leaves| build(FrozenIndex::mirror(2, 2, Id(4)), leaves);
+        let primary = build(FrozenIndex::primary, [(1, 2, 0), (3, 4, 1)]);
+        let mirror = |leaves| build(FrozenIndex::mirror, leaves);
         assert!(pair_consistent(&primary, &mirror([(2, 1, 0), (4, 3, 1)]), 2));
         // Mirror referencing the wrong list per key pair is rejected.
         assert!(!pair_consistent(&primary, &mirror([(2, 1, 1), (4, 3, 0)]), 2));

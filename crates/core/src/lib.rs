@@ -43,7 +43,8 @@
 //! |--------|----------|
 //! | [`sorted`] | linear-time merge-join primitives on sorted id sets |
 //! | [`slab`] | flat terminal-list storage: a packed slot per list plus a packed overflow column ([`FlatArena`]), read as a [`List`](slab::List) |
-//! | [`packed`] | bit-packed index-level columns: offsets, vector keys and mirror list references at the width their largest value needs ([`PackedColumn`], [`PackedView`]) |
+//! | [`packed`] | bit-packed columns: offsets, mirror list references, packed vector keys and list slots at the width their largest value needs ([`PackedColumn`], [`PackedView`]) |
+//! | [`succinct`] | header keys as a presence bitmap with a rank directory, and Elias–Fano coded vector-key windows ([`succinct::KeyColumn`]) |
 //! | [`frozen`] | [`FrozenHexastore`]: the six orderings over [`hex_dict::IdTriple`]s as slabs, paired orderings sharing lists; built once from a batch, read-only |
 //! | [`store`] | [`SpaceStats`], and [`Hexastore`], the figures' name for [`FrozenHexastore`] |
 //! | [`advisor`] | §6 index selection: the orderings a workload needs ([`recommend`]) |
@@ -76,6 +77,7 @@ pub mod slab;
 pub mod sorted;
 pub mod stats;
 pub mod store;
+pub mod succinct;
 pub mod traits;
 pub mod wal;
 

@@ -28,10 +28,12 @@
 //! list is read as a window of the overflow column: decoded sequentially
 //! by [`PackedView::iter`], searched by [`PackedView::search`], and
 //! advanced through by [`PackedView::seek`], the galloping search that
-//! intersections and merge joins make with rising targets. Only header
-//! keys stay plain `u32`: they are the one column binary-searched over its
-//! full length, where a packed search pays a shift and a mask per probe on
-//! every level.
+//! intersections and merge joins make with rising targets.
+//!
+//! No index-level column is plain `u32` any more: header keys are a
+//! presence bitmap or one Elias–Fano window, and vector keys are packed
+//! here or Elias–Fano coded, whichever is smaller ([`crate::succinct`],
+//! whose bit streams and rank directories are packed columns too).
 
 use std::ops::Range;
 

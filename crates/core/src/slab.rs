@@ -45,7 +45,7 @@
 //! list is never a slice: [`List::to_vec`] decodes one. Only
 //! [`SortedListAccess::sorted_list`](crate::SortedListAccess::sorted_list)
 //! still lends runs as `&[Id]`, from a `u32` copy of the overflow column
-//! ([`OverflowCopy`]) decoded on its first call and kept beside the
+//! ([`ArenaCopy`]) decoded on its first call and kept beside the
 //! arena; nothing else builds it. The paper's largest experiment is 61M
 //! triples, far below the 2^31 words an overflow position can address.
 
@@ -417,25 +417,36 @@ impl std::fmt::Display for ArenaError {
 
 impl std::error::Error for ArenaError {}
 
-/// The `u32` copy of an arena's overflow column that
+/// The `u32` copies of an arena's two columns that
 /// [`SortedListAccess::sorted_list`](crate::SortedListAccess::sorted_list)
-/// lends runs from, decoded on its first call and kept until the store is
-/// dropped. The engine, the cursors and the hand plans read
-/// [`List`]s, so a store that only serves queries never builds it; a
-/// store's heap bytes count it once it exists.
+/// lends lists from: the overflow column, whose runs are the longer lists,
+/// and the slot column, whose unflagged slots are the singletons. Each is
+/// decoded by the first call that needs it and kept until the store is
+/// dropped. The engine, the cursors and the hand plans read [`List`]s, so
+/// a store that only serves queries never builds either; a store's heap
+/// bytes count them once they exist.
 #[derive(Clone, Debug, Default)]
-pub struct OverflowCopy(OnceLock<Vec<Id>>);
+pub struct ArenaCopy {
+    over: OnceLock<Vec<Id>>,
+    slots: OnceLock<Vec<Id>>,
+}
 
-impl OverflowCopy {
-    /// The copy of `over`, decoded now if this is the first call.
-    fn of(&self, over: PackedView<'_>) -> &[Id] {
-        self.0.get_or_init(|| over.values().map(Id).collect())
-    }
-
-    /// Heap bytes: the copy's capacity, 0 until it is decoded.
+impl ArenaCopy {
+    /// Heap bytes: the copies' capacity, 0 until one is decoded.
     pub fn heap_bytes(&self) -> usize {
-        self.0.get().map_or(0, |copy| copy.capacity() * std::mem::size_of::<Id>())
+        let bytes = |copy: &OnceLock<Vec<Id>>| {
+            copy.get().map_or(0, |copy| copy.capacity() * std::mem::size_of::<Id>())
+        };
+        bytes(&self.over) + bytes(&self.slots)
     }
+}
+
+/// The values of a packed column as ids, in a vector of exactly their
+/// number.
+fn decoded(column: PackedView<'_>) -> Vec<Id> {
+    let mut ids = Vec::with_capacity(column.len());
+    ids.extend(column.values().map(Id));
+    ids
 }
 
 /// Borrowed columns of one flat terminal-list arena — what the shared
@@ -450,8 +461,8 @@ pub struct ArenaView<'a> {
     /// The lists that do not fit a slot, each a length word followed by
     /// that many strictly ascending ids, in slot order.
     pub over: PackedView<'a>,
-    /// Where [`ArenaView::lend`] keeps its `u32` copy of `over`.
-    pub copy: &'a OverflowCopy,
+    /// Where [`ArenaView::lend`] keeps its `u32` copies of the columns.
+    pub copy: &'a ArenaCopy,
 }
 
 impl<'a> ArenaView<'a> {
@@ -480,12 +491,20 @@ impl<'a> ArenaView<'a> {
         List(Items::Run { over: self.over, start, len: end - start })
     }
 
-    /// `list` — one of this arena's runs — as a slice of the `u32` copy of
-    /// the overflow column, which the first call decodes; `None` for a
-    /// singleton.
-    pub fn lend(self, list: List<'_>) -> Option<&'a [Id]> {
-        let span = list.span()?;
-        self.copy.of(self.over).get(span)
+    /// List `idx` as a slice of a `u32` copy of the column it lies in,
+    /// which the first call that needs it decodes: a run of the copy of
+    /// the overflow column, or a singleton's one-id window of the copy of
+    /// the slot column. `None` past the slot column.
+    pub fn lend(self, idx: u32) -> Option<&'a [Id]> {
+        let list = self.get(idx);
+        match list.span() {
+            Some(span) => self.copy.over.get_or_init(|| decoded(self.over)).get(span),
+            None if (idx as usize) < self.slots.len() => {
+                let idx = idx as usize;
+                self.copy.slots.get_or_init(|| decoded(self.slots)).get(idx..=idx)
+            }
+            None => None,
+        }
     }
 
     /// Checks the columns in one pass, `O(slots + over)`, and returns the
@@ -559,7 +578,7 @@ pub struct FlatArena {
     /// Total entries across all lists.
     items: usize,
     /// The `u32` copy [`ArenaView::lend`] lends runs from.
-    copy: OverflowCopy,
+    copy: ArenaCopy,
 }
 
 /// Equal lists: the copy is a cache of the overflow column, not part of
@@ -743,7 +762,7 @@ impl FlatArena {
         slots: PackedColumn,
         over: PackedColumn,
     ) -> Result<Self, ArenaError> {
-        let copy = OverflowCopy::default();
+        let copy = ArenaCopy::default();
         let items = ArenaView { slots: slots.view(), over: over.view(), copy: &copy }.validate()?;
         Ok(FlatArena { slots, over, items, copy })
     }
@@ -893,12 +912,13 @@ mod tests {
         a.push_list([id(1), id(2)]);
         a.push_list([id(3), id(8), id(9)]);
         let before = a.heap_bytes();
-        assert_eq!(a.view().lend(a.get(0)), None, "a singleton is not in the copy");
-        assert_eq!(a.heap_bytes(), before, "nothing decoded for a singleton");
-        assert_eq!(a.view().lend(a.get(2)), Some(&[id(3), id(8), id(9)][..]));
-        assert_eq!(a.heap_bytes(), before + 7 * 4, "the copy of seven words");
-        assert_eq!(a.view().lend(a.get(1)), Some(&[id(1), id(2)][..]));
+        assert_eq!(a.view().lend(2), Some(&[id(3), id(8), id(9)][..]));
+        assert_eq!(a.heap_bytes(), before + 7 * 4, "the copy of seven overflow words");
+        assert_eq!(a.view().lend(1), Some(&[id(1), id(2)][..]));
         assert_eq!(a.heap_bytes(), before + 7 * 4, "decoded once");
+        assert_eq!(a.view().lend(0), Some(&[id(7)][..]), "a singleton, from the slot copy");
+        assert_eq!(a.heap_bytes(), before + 7 * 4 + 3 * 4, "and the copy of three slots");
+        assert_eq!(a.view().lend(3), None, "past the slot column");
         let clone = a.clone();
         assert_eq!(clone, a);
         assert_eq!(FlatArena::from_columns(a.slots.clone(), a.over.clone()).unwrap(), a);
@@ -997,7 +1017,7 @@ mod tests {
         let (slots, over) = (PackedColumn::from_values(&[2]), PackedColumn::from_values(&[2, 1]));
         let mut words = over.view().bytes().to_vec();
         words[1] = 1;
-        let copy = OverflowCopy::default();
+        let copy = ArenaCopy::default();
         let over = PackedView::new(&words, 2, 2).unwrap();
         let view = ArenaView { slots: slots.view(), over, copy: &copy };
         assert_eq!(view.validate(), Err(Overflow(PackedError::BitsPastEnd)));

@@ -57,7 +57,7 @@ impl DatasetStats {
         let (mut property_cardinalities, mut property_shapes) = (Vec::new(), Vec::new());
         // pso's keys ascend, so the shape table comes out
         // binary-searchable for free.
-        for &p in pso.keys() {
+        for p in pso.keys() {
             let (mut subjects, mut triples) = (0, 0);
             for (_, objects) in pso.division(p) {
                 subjects += 1;

@@ -158,7 +158,7 @@ mod tests {
         let h = written.freeze();
         assert_eq!(h.len(), 0);
         for kind in [Spo, Pso, Osp] {
-            assert!(h.ordering(kind).keys().is_empty(), "{kind:?}");
+            assert_eq!(h.ordering(kind).keys().len(), 0, "{kind:?}");
         }
         let stats = h.space_stats();
         assert_eq!(stats.total_entries(), 0);
@@ -304,8 +304,8 @@ mod tests {
         // ID2 appears as subject and as object (advisor triples) — one
         // shared id namespace, distinct index roles.
         let h = figure1();
-        assert!(h.ordering(Spo).keys().contains(&Id(2)));
-        assert!(h.ordering(Osp).keys().contains(&Id(2)));
+        assert!(h.ordering(Spo).keys().contains(Id(2)));
+        assert!(h.ordering(Osp).keys().contains(Id(2)));
         assert_eq!(h.ordering(Pos).list(Id(17), Id(2)), &[Id(3)]);
     }
 }

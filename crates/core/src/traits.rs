@@ -142,15 +142,14 @@ pub trait TripleStore {
 /// slice. A slab store holds no list as a `u32` slice — a singleton sits
 /// by value in a packed slot, a longer list is a window of a packed
 /// overflow column ([`crate::slab`]) — so it lends a singleton from a
-/// `u32` header key that holds the same id, and a longer list from a
-/// `u32` copy of its arena's overflow column, which the first such call
-/// decodes and the store then keeps and counts. The method stays only
+/// `u32` copy of its arena's slot column and a longer list from a `u32`
+/// copy of its arena's overflow column, each of which the first call that
+/// needs it decodes and the store then keeps and counts. The method stays only
 /// for callers that still need a slice; everything in the workspace
 /// reads `list`.
 pub trait SortedListAccess {
     /// The sorted unbound-position values for a two-constant pattern as a
-    /// borrowed slice, or `None` if this shape is not servable this way
-    /// or the list has no `u32` column to borrow from.
+    /// borrowed slice, or `None` if this shape is not servable this way.
     fn sorted_list(&self, pat: IdPattern) -> Option<&[Id]>;
 
     /// The sorted unbound-position values for a two-constant pattern —

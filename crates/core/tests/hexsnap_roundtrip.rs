@@ -353,13 +353,16 @@ fn a_live_directory_left_at_a_v2_generation_upgrades_on_compaction() {
 }
 
 /// The file positions of the zero padding before every packed column of
-/// a v6, v7 or v8 `FROZ` section: from the end of the column's width
-/// field to its 8-byte-aligned words. A width field follows the header
-/// keys (offsets), the vector count (vector keys), the vector keys (list
-/// references), an arena's three counts (list slots, v7 on) or its slots
-/// (its overflow column, v8).
+/// a v6 to v9 `FROZ` section: from the end of the column's width field to
+/// its 8-byte-aligned words. A width field follows the header keys
+/// (offsets; v9: the header keys' columns), the vector count (vector
+/// keys), the vector keys (list references), an
+/// arena's three counts (list slots, v7 on) or its slots (its overflow
+/// column, v8 on); in a v9 Elias–Fano column the base column, the
+/// bit-offset column and the stream length (the stream), and the stream
+/// (its directory).
 fn packed_padding(file: &[u8]) -> Vec<usize> {
-    use hexsnap::{ArenaColumns, Ints, Packed, Windows};
+    use hexsnap::{ArenaColumns, Headers, Ints, Packed, VectorKeys, Windows};
     let mut r = hexsnap::Reader::new(Cursor::new(file)).unwrap();
     let columns = r.frozen_columns().unwrap();
     let (froz_at, _) = r.frozen_section_extent().unwrap();
@@ -386,11 +389,36 @@ fn packed_padding(file: &[u8]) -> Vec<usize> {
     }
     for ix in columns.orderings {
         let Windows::Offsets(offs) = ix.windows else { panic!("an offsets column") };
-        let offs_end = pad(ix.keys.offset + 4 * ix.keys.len, packed(offs));
-        let k2_end = pad(offs_end + 4, packed(ix.k2));
-        if let Some(lists) = ix.lists {
-            pad(k2_end, packed(lists));
-        }
+        // v9: the header count and the encoding flags, then the bitmap's
+        // length, the bitmap and its directory or an Elias–Fano window;
+        // before: the `u32` header keys.
+        let offs_end = match ix.keys {
+            Headers::U32(keys) => pad(keys.offset + 4 * keys.len, packed(offs)),
+            Headers::Bitmap { bits, ranks, .. } => {
+                let ranks_at = pad(counts_at + 12, bits);
+                let offs_at = pad(ranks_at, ranks);
+                pad(offs_at, packed(offs))
+            }
+            Headers::EliasFano { ef, .. } => {
+                let mut at = counts_at + 8;
+                for (gap, col) in [(0, ef.base), (0, ef.offs), (4, ef.stream), (0, ef.ranks)] {
+                    at = pad(at + gap, col);
+                }
+                pad(at, packed(offs))
+            }
+        };
+        // The vector count, then the keys.
+        let k2_end = match ix.k2 {
+            VectorKeys::Ints(k2) => pad(offs_end + 4, packed(k2)),
+            VectorKeys::EliasFano(ef) => {
+                let mut at = offs_end + 4;
+                for (gap, col) in [(0, ef.base), (0, ef.offs), (4, ef.stream), (0, ef.ranks)] {
+                    at = pad(at + gap, col);
+                }
+                at
+            }
+        };
+        counts_at = ix.lists.map_or(k2_end, |lists| pad(k2_end, packed(lists)));
     }
     assert!(padding.iter().all(|&at| file[at] == 0));
     padding
@@ -445,7 +473,20 @@ fn every_byte_flip_is_rejected_or_still_decodes(files: &[Vec<u8>], version: u32)
 /// A graph whose arenas hold singleton and longer lists alike, saved by
 /// this build.
 fn mixed_list_file() -> Vec<u8> {
-    let g = graph_from(&[(0, 0, 0), (0, 0, 3), (1, 1, 2), (2, 0, 5), (2, 1, 5), (3, 2, 0)]);
+    file_of(&graph_from(&[(0, 0, 0), (0, 0, 3), (1, 1, 2), (2, 0, 5), (2, 1, 5), (3, 2, 0)]))
+}
+
+/// 120 subjects of one property, each with its own object, and a few
+/// triples of two others, saved by this build: the long pso and pos
+/// windows are Elias–Fano coded.
+fn elias_fano_file() -> Vec<u8> {
+    let picks: Vec<(u32, u32, u32)> =
+        (0..120).map(|i| (i, 0, i)).chain([(0, 1, 3), (5, 2, 7), (9, 1, 1)]).collect();
+    file_of(&graph_from(&picks))
+}
+
+/// `g` saved by this build: its dictionary and raw slabs.
+fn file_of(g: &GraphStore) -> Vec<u8> {
     let mut w = hexsnap::Writer::new(Cursor::new(Vec::new())).unwrap();
     w.dictionary(g.dict()).unwrap();
     w.frozen(&g.store().freeze()).unwrap();
@@ -464,20 +505,30 @@ fn every_byte_flip_of_a_v7_file_is_rejected_or_still_decodes() {
 
 #[test]
 fn every_byte_flip_of_a_v8_file_is_rejected_or_still_decodes() {
-    let files = [support::fixture_bytes("v8_small"), mixed_list_file()];
+    let file = support::fixture_bytes("v8_small");
     // The padding before each arena's overflow column is among the bytes
     // whose every flip is refused.
-    for file in &files {
-        let mut r = hexsnap::Reader::new(Cursor::new(file)).unwrap();
-        let columns = r.frozen_columns().unwrap();
-        let overflow_padding = columns.arenas.iter().any(|arena| {
-            let hexsnap::ArenaColumns::Slots { over: hexsnap::Ints::Packed(over), .. } = arena
-            else {
-                panic!("a v8 arena's overflow column is packed")
-            };
-            packed_padding(file).contains(&(over.offset - 1))
-        });
-        assert!(overflow_padding, "an overflow column behind padding");
-    }
-    every_byte_flip_is_rejected_or_still_decodes(&files, 8);
+    let mut r = hexsnap::Reader::new(Cursor::new(&file)).unwrap();
+    let columns = r.frozen_columns().unwrap();
+    let overflow_padding = columns.arenas.iter().any(|arena| {
+        let hexsnap::ArenaColumns::Slots { over: hexsnap::Ints::Packed(over), .. } = arena else {
+            panic!("a v8 arena's overflow column is packed")
+        };
+        packed_padding(&file).contains(&(over.offset - 1))
+    });
+    assert!(overflow_padding, "an overflow column behind padding");
+    every_byte_flip_is_rejected_or_still_decodes(&[file], 8);
+}
+
+#[test]
+fn every_byte_flip_of_a_v9_file_is_rejected_or_still_decodes() {
+    // The committed file, a graph of singleton and longer lists, and one
+    // whose property windows are long enough to be Elias–Fano coded.
+    let files = [support::fixture_bytes("v9_small"), mixed_list_file(), elias_fano_file()];
+    let mut r = hexsnap::Reader::new(Cursor::new(&files[2])).unwrap();
+    let columns = r.frozen_columns().unwrap();
+    let coded =
+        columns.orderings.iter().any(|ix| matches!(ix.k2, hexsnap::VectorKeys::EliasFano(_)));
+    assert!(coded, "some ordering's vector keys are Elias–Fano coded");
+    every_byte_flip_is_rejected_or_still_decodes(&files, 9);
 }

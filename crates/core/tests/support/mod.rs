@@ -1,6 +1,6 @@
 //! Every hexsnap format version this build reads, over committed files:
 //! the one fixture table and the checks each version's suite
-//! (`v{1,2,3,4,5,6,7,8}_compat.rs`, and `hexsnap_roundtrip.rs` for a v2 live
+//! (`v{1,2,3,4,5,6,7,8,9}_compat.rs`, and `hexsnap_roundtrip.rs` for a v2 live
 //! directory) runs over its rows.
 //!
 //! `tests/data/` holds one small snapshot per version and slab encoding,
@@ -33,7 +33,7 @@ pub const FRZC: Compression = Compression::VarintDelta;
 /// the one a fresh encode of the graph writes.
 pub type Fixture = (&'static str, u32, Compression, Option<isize>);
 
-pub const FIXTURES: [Fixture; 15] = [
+pub const FIXTURES: [Fixture; 17] = [
     ("v1_small", 1, RAW, None),
     ("v2_small", 2, RAW, None),
     ("v2_small_frzc", 2, FRZC, None),
@@ -42,21 +42,23 @@ pub const FIXTURES: [Fixture; 15] = [
     // longer list; v6 packs the index levels (`V6_PACKING_SAVES`), v7
     // the list slots (`V7_PACKING_SAVES`) and v8 the overflow runs
     // (`V8_PACKING_SAVES`).
-    ("v3_small", 3, RAW, Some(4 * (12 - 3) + V6_PACKING_SAVES + V7_TO_V8_SAVES)),
+    ("v3_small", 3, RAW, Some(4 * (12 - 3) + V6_PACKING_SAVES + V7_TO_V9_SAVES)),
     // FRZC encodes lists and values, not columns: its bytes are v3's.
     ("v3_small_frzc", 3, FRZC, Some(0)),
     // v5 changed the dictionary only, v6 the index levels of FROZ, v7 its
-    // list slots, v8 its overflow runs.
-    ("v4_small", 4, RAW, Some(V6_PACKING_SAVES + V7_TO_V8_SAVES)),
+    // list slots, v8 its overflow runs, v9 its header and vector keys.
+    ("v4_small", 4, RAW, Some(V6_PACKING_SAVES + V7_TO_V9_SAVES)),
     ("v4_small_frzc", 4, FRZC, Some(0)),
-    ("v5_small", 5, RAW, Some(V6_PACKING_SAVES + V7_TO_V8_SAVES)),
+    ("v5_small", 5, RAW, Some(V6_PACKING_SAVES + V7_TO_V9_SAVES)),
     ("v5_small_frzc", 5, FRZC, Some(0)),
-    ("v6_small", 6, RAW, Some(V7_TO_V8_SAVES)),
+    ("v6_small", 6, RAW, Some(V7_TO_V9_SAVES)),
     ("v6_small_frzc", 6, FRZC, Some(0)),
-    ("v7_small", 7, RAW, Some(V8_PACKING_SAVES)),
+    ("v7_small", 7, RAW, Some(V8_PACKING_SAVES + V9_SUCCINCT_SAVES)),
     ("v7_small_frzc", 7, FRZC, Some(0)),
-    ("v8_small", 8, RAW, Some(0)),
+    ("v8_small", 8, RAW, Some(V9_SUCCINCT_SAVES)),
     ("v8_small_frzc", 8, FRZC, Some(0)),
+    ("v9_small", 9, RAW, Some(0)),
+    ("v9_small_frzc", 9, FRZC, Some(0)),
 ];
 
 /// What v6's packed index levels save in the fixture graph's `FROZ` —
@@ -85,9 +87,20 @@ pub const V7_PACKING_SAVES: isize = 60 - (3 * (16 + 4) + 2 * 4);
 /// `D500k` the same columns shrink by 1.33 MB.)
 pub const V8_PACKING_SAVES: isize = 36 - (3 * (16 + 4 + 4) + 4);
 
-/// What v7 and v8 save together: the packed list slots, then the packed
-/// overflow runs.
-pub const V7_TO_V8_SAVES: isize = V7_PACKING_SAVES + V8_PACKING_SAVES;
+/// What v9's header bitmaps and vector-key encodings save in the fixture
+/// graph's `FROZ` — a loss too, on a graph this small: its 18 `u32`
+/// header keys (72 bytes) become, per ordering, an encoding-flags word, a
+/// bitmap length, a one-word bitmap with its zero word and width field,
+/// and the width field of an empty rank directory, 32 bytes; and the
+/// alignment padding before the new columns adds 40 bytes. Every
+/// vector-key column stays packed here. (On `D500k` the header keys
+/// shrink from 1.94 to 0.17 B/triple and the vector keys from 7.92 to
+/// 5.34.)
+pub const V9_SUCCINCT_SAVES: isize = 72 - (6 * 32 + 40);
+
+/// What v7 to v9 save together: the packed list slots, the packed
+/// overflow runs, then the header bitmaps and vector-key encodings.
+pub const V7_TO_V9_SAVES: isize = V7_PACKING_SAVES + V8_PACKING_SAVES + V9_SUCCINCT_SAVES;
 
 /// The rows of one format version.
 pub fn fixtures_of(version: u32) -> impl Iterator<Item = Fixture> {

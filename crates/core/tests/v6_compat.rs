@@ -42,7 +42,10 @@ fn v6_changed_only_the_index_levels_of_froz() {
     let arenas_end = |file: &[u8]| {
         let mut r = hexsnap::Reader::new(std::io::Cursor::new(file)).unwrap();
         let (at, _) = r.frozen_section_extent().unwrap();
-        (r.frozen_columns().unwrap().orderings[0].keys.offset - 4 - at as usize, at as usize)
+        (
+            r.frozen_columns().unwrap().orderings[0].keys.plain().unwrap().offset - 4 - at as usize,
+            at as usize,
+        )
     };
     let ((n5, at5), (n6, at6)) = (arenas_end(&v5), arenas_end(&v6));
     assert_eq!(n5, n6);

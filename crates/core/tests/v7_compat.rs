@@ -72,8 +72,8 @@ fn v7_changed_only_the_list_slots_of_froz() {
     }
     for (x6, x7) in c6.orderings.into_iter().zip(c7.orderings) {
         assert_eq!(
-            bytes(&v6, x6.keys.offset, 4 * x6.keys.len),
-            bytes(&v7, x7.keys.offset, 4 * x7.keys.len)
+            bytes(&v6, x6.keys.plain().unwrap().offset, 4 * x6.keys.plain().unwrap().len),
+            bytes(&v7, x7.keys.plain().unwrap().offset, 4 * x7.keys.plain().unwrap().len)
         );
         let (hexsnap::Windows::Offsets(w6), hexsnap::Windows::Offsets(w7)) =
             (x6.windows, x7.windows)
@@ -81,7 +81,7 @@ fn v7_changed_only_the_list_slots_of_froz() {
             panic!("offsets")
         };
         assert_eq!(ints(&v6, w6), ints(&v7, w7));
-        assert_eq!(ints(&v6, x6.k2), ints(&v7, x7.k2));
+        assert_eq!(ints(&v6, x6.k2.plain().unwrap()), ints(&v7, x7.k2.plain().unwrap()));
         assert_eq!(x6.lists.map(|l| ints(&v6, l)), x7.lists.map(|l| ints(&v7, l)));
     }
 }

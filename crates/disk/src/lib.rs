@@ -3,8 +3,8 @@
 //! [`hexastore::hexsnap::load_frozen`] reads an entire snapshot into
 //! memory before the first query can run; for datasets at or beyond RAM
 //! that eager read *is* the cold-start cost. This crate opens the same
-//! file by memory-mapping it and reinterpreting the uncompressed `FROZ`
-//! slab columns in place: open time becomes O(section headers) for the
+//! file by memory-mapping it and viewing the uncompressed `FROZ` slab
+//! columns in place: open time becomes O(section headers) for the
 //! slabs ([`open_store`]; [`open`] adds a pass over the dictionary and one
 //! over the columns that address terminal lists), and the operating
 //! system pages in exactly the columns queries touch.
@@ -13,10 +13,12 @@
 //! [`hexastore::hexsnap::Reader`] over the mapping, whose walkers
 //! ([`frozen_columns`](hexastore::hexsnap::Reader::frozen_columns),
 //! [`dict_columns`](hexastore::hexsnap::Reader::dict_columns)) locate
-//! every column from the count fields alone, and reinterprets what they
-//! locate. What is left here is what a mapping needs: the refusal of
-//! files it cannot map, the alignment of every reinterpreted
-//! column, and [`MmapFrozenHexastore::verify`].
+//! every column from the count fields alone, and views what they locate.
+//! What is left here is what a mapping needs: the refusal of files it
+//! cannot map, the extent of every viewed column, and
+//! [`MmapFrozenHexastore::verify`]. The header bitmaps' and Elias–Fano
+//! streams' rank directories are the file's own columns, so
+//! [`open_store`] stays O(section headers).
 //!
 //! The entry points are [`open`] (dictionary + store) and
 //! [`open_dataset`] (a ready-to-query [`hexastore::Dataset`]). The
@@ -27,10 +29,10 @@
 //!
 //! Only uncompressed snapshots of the current format version are
 //! mappable: compressed (`FRZC`) sections and files written before
-//! version 8 — whose slab columns (before version 4), dictionary
+//! version 9 — whose slab columns (before version 4), dictionary
 //! (version 4), unpacked index levels (versions 4 and 5), unpacked list
-//! slots (versions 4 to 6) or unpacked overflow runs (versions 4 to 7)
-//! are laid out differently — must go
+//! slots (versions 4 to 6), unpacked overflow runs (versions 4 to 7) or
+//! `u32` header keys (versions 4 to 8) are laid out differently — must go
 //! through the decoding [`hexastore::hexsnap::load_frozen`] path (and a
 //! re-save), and [`open`] says so in its error rather than silently
 //! falling back.
@@ -54,8 +56,9 @@
 #![forbid(missing_docs)]
 #![deny(warnings)]
 
-// The column views reinterpret little-endian file bytes as host-order
-// `u32`s; on a big-endian target every id would be byte-swapped.
+// The mapped dictionary's offset tables and the column views are read as
+// little-endian words; the crate is built and tested only on
+// little-endian targets.
 #[cfg(target_endian = "big")]
 compile_error!(
     "hex-disk reinterprets little-endian snapshot columns and requires a little-endian target"
@@ -80,7 +83,7 @@ pub enum Error {
     /// The snapshot container or dictionary failed to parse.
     Snapshot(hexsnap::Error),
     /// The file parsed but cannot be memory-mapped (compressed slabs,
-    /// a pre-v8 column layout, or no slab section at all). The message
+    /// a pre-v9 column layout, or no slab section at all). The message
     /// names the remedy.
     Unmappable(String),
     /// The mapped slab section's interior is structurally invalid.
@@ -139,11 +142,11 @@ pub type Result<T> = std::result::Result<T, Error>;
 /// columns that address terminal lists ([`Error::Corrupt`] if they are
 /// not what a writer lays down).
 /// Fails with [`Error::Unmappable`] for snapshots whose slabs were
-/// saved compressed, for files written before format version 8 (their
+/// saved compressed, for files written before format version 9 (their
 /// slab columns, from version 4 their dictionary, from version 5 their
-/// unpacked index levels, from version 6 their unpacked list slots, or
-/// from version 7 their unpacked overflow runs are not the ones the read
-/// path maps), and for
+/// unpacked index levels, from version 6 their unpacked list slots, from
+/// version 7 their unpacked overflow runs, or from version 8 their `u32`
+/// header keys are not the ones the read path maps), and for
 /// snapshots carrying no frozen section — open those with
 /// [`hexastore::hexsnap::load_frozen`] and re-save them with
 /// [`hexastore::hexsnap::save_frozen`] under the current format version.
@@ -190,7 +193,7 @@ type MapReader<'a> = hexsnap::Reader<std::io::Cursor<&'a [u8]>>;
 /// Opens the mapping's slab section as a store, refusing what cannot be
 /// mapped and naming the remedy. The reader runs over the mapping itself,
 /// so the section table and every column it locates come from the bytes
-/// the store reinterprets; it is returned for the `DICT` walk.
+/// the store views; it is returned for the `DICT` walk.
 fn open_mapped(map: &Arc<Mmap>) -> Result<(MmapFrozenHexastore, MapReader<'_>)> {
     let mut reader = hexsnap::Reader::new(std::io::Cursor::new(&map[..]))?;
     if reader.frozen_section_extent().is_none() {
@@ -210,7 +213,8 @@ fn open_mapped(map: &Arc<Mmap>) -> Result<(MmapFrozenHexastore, MapReader<'_>)> 
     // mapped dictionary adopts; v4 and v5 files store their index levels
     // as whole `u32`s, v4 to v6 files their list slots and v4 to v7
     // files their overflow runs, where the read path walks bit-packed
-    // columns. Refused before the section is walked.
+    // columns; and files before v9 keep `u32` header keys where the read
+    // path ranks a header bitmap. Refused before the section is walked.
     if reader.version() < hexsnap::VERSION {
         let what = match reader.version() {
             ..=3 => "slab columns",
@@ -218,9 +222,13 @@ fn open_mapped(map: &Arc<Mmap>) -> Result<(MmapFrozenHexastore, MapReader<'_>)> 
                 "dictionary layout, unpacked index levels, unpacked list slots and unpacked \
                  overflow runs"
             }
-            5 => "unpacked index levels, unpacked list slots and unpacked overflow runs",
-            6 => "unpacked list slots and unpacked overflow runs",
-            _ => "unpacked overflow runs",
+            5 => {
+                "unpacked index levels, unpacked list slots, unpacked overflow runs and u32 \
+                 header keys"
+            }
+            6 => "unpacked list slots, unpacked overflow runs and u32 header keys",
+            7 => "unpacked overflow runs and u32 header keys",
+            _ => "u32 header keys without a rank directory",
         };
         return Err(Error::Unmappable(format!(
             "a version-{} file's {what} predates the mappable layout; open it via \

@@ -14,8 +14,8 @@ use std::io;
 ///
 /// Dereferences to the file's bytes. The base address is page-aligned
 /// on the mmap path and 8-byte-aligned on the fallback path, so a byte
-/// offset that is 4-aligned *in the file* is 4-aligned *in memory* —
-/// the property the zero-copy `u32` column views rely on.
+/// offset that is 8-aligned *in the file* is 8-aligned *in memory*, as
+/// every packed column of a `FROZ` section is.
 pub struct Mmap {
     inner: Inner,
 }

@@ -1,12 +1,15 @@
 //! The mmap-backed frozen store: the `FROZ` columns
-//! [`hexastore::hexsnap::Reader::frozen_columns`] locates, reinterpreted
-//! in place and handed to the shared [`hexastore::access`] read path.
+//! [`hexastore::hexsnap::Reader::frozen_columns`] locates, viewed in place
+//! and handed to the shared [`hexastore::access`] read path.
 
 use crate::mmap::Mmap;
 use crate::{Error, Result};
-use hex_dict::{Id, IdTriple};
-use hexastore::access::{ArenaView, IndexView, OrderedStore, OverflowCopy, SlabOrdering};
-use hexastore::hexsnap::{ArenaColumns, Column, FrozenColumns, Ints, Packed, Windows};
+use hex_dict::IdTriple;
+use hexastore::access::{ArenaCopy, ArenaView, IndexView, OrderedStore, SlabOrdering};
+use hexastore::hexsnap::{
+    ArenaColumns, Column, EfColumns, FrozenColumns, Headers, Ints, Packed, VectorKeys, Windows,
+};
+use hexastore::succinct::{BitmapView, BitsView, EfView, HeadersView, KeysView};
 use hexastore::PackedView;
 use hexastore::{DatasetStats, IndexKind, IndexSet, StatsSource, TripleStore};
 use std::sync::Arc;
@@ -19,23 +22,27 @@ struct ArCols {
     over: Packed,
 }
 
-/// Column descriptors of one ordering: header keys and packed cumulative
-/// offsets, packed vector keys, — mirror orderings only — packed
-/// terminal-list references (leaf `i` of a primary ordering is list `i`),
-/// and the index of the arena holding its lists.
+/// Column descriptors of one ordering: the header keys (a bitmap and its
+/// rank directory, or one Elias–Fano window) and their count, packed
+/// cumulative offsets, the vector keys (packed, or Elias–Fano windows), —
+/// mirror orderings only — packed terminal-list references (leaf `i` of
+/// a primary ordering is list `i`), and the index of the arena holding
+/// its lists. Every column is packed and checked to lie in the mapping.
 #[derive(Clone, Copy, Debug)]
 struct IxCols {
-    keys: Column,
+    keys: Headers,
     offs: Packed,
-    k2: Packed,
+    k2: VectorKeys,
     lists: Option<Packed>,
     arena: usize,
 }
 
 /// A [`hexastore::FrozenHexastore`]-equivalent store over a mapped
-/// `hexsnap` file: the slab columns are *reinterpreted in place*, so
-/// opening touches only the section headers and cold-query I/O is
-/// driven by page faults on exactly the columns a query walks.
+/// `hexsnap` file: the slab columns are *viewed in place* — every one a
+/// packed column or a bit stream read with unaligned little-endian loads,
+/// rank directories included, so nothing is rebuilt — so opening touches
+/// only the section headers and cold-query I/O is driven by page faults
+/// on exactly the columns a query walks.
 ///
 /// Obtain one with [`crate::open`] or [`crate::open_dataset`]. It runs the
 /// same read code as the in-memory frozen store — both hand
@@ -47,42 +54,45 @@ struct IxCols {
 /// # Trust model
 ///
 /// Opening is structural and O(sections): the walk of the section's count
-/// fields, then the extent and alignment of every column.
+/// fields, then the extent of every column.
 /// [`MmapFrozenHexastore::verify`] — which
 /// [`crate::open`] and [`crate::open_dataset`] run, next to the
 /// dictionary pass they already pay, and [`crate::open_store`] leaves to
 /// its caller — adds one pass over the arenas' slot and overflow columns,
 /// a quarter of the file, that checks how terminal lists are addressed.
 /// The index levels' data-level invariants (sorted keys, offsets tiling,
-/// list references in range, pair consistency, ids within the
-/// dictionary) are *never* eagerly verified — walking them would fault
-/// in the whole file, which is exactly what this type exists to avoid.
-/// The views' accessors bound every window and run to its column instead
-/// of panicking, so a corrupt file yields wrong answers, never undefined
-/// behavior or a crash; files from untrusted writers should be opened
+/// Elias–Fano windows that decode to their keys, rank samples that agree
+/// with their bits, list references in range, pair consistency, ids
+/// within the dictionary) are *never* eagerly verified — walking them
+/// would fault in the whole file, which is exactly what this type exists
+/// to avoid. The views' accessors bound every window, run and select to
+/// its column instead of panicking, so a corrupt file yields wrong answers
+/// (a short window, an absent header), never undefined behavior, a crash
+/// or an unbounded scan; files from untrusted writers should be opened
 /// through [`hexastore::hexsnap::load_frozen`] instead, which validates
 /// fully.
 #[derive(Clone)]
 pub struct MmapFrozenHexastore {
     map: Arc<Mmap>,
     arenas: [ArCols; 3],
-    /// Each arena's `u32` overflow copy, which only
+    /// Each arena's `u32` copies of its columns, which only
     /// [`SortedListAccess::sorted_list`](hexastore::SortedListAccess::sorted_list)
     /// decodes — the one part of the store on its heap.
-    copies: [OverflowCopy; 3],
+    copies: [ArenaCopy; 3],
     orderings: [IxCols; 6],
     len: usize,
 }
 
 impl MmapFrozenHexastore {
     /// A store over the mapping whose `FROZ` columns `cols` locates. What
-    /// is checked touches no column: the layout is the one v8 introduced
-    /// (packed arenas, bit-packed index levels), every `u32` column is one
-    /// the casts below may reinterpret ([`mapped`]), and every packed one
-    /// lies in the mapping ([`mapped_packed`]).
+    /// is checked touches no column: the layout is the one v9 introduced
+    /// (packed arenas and index levels, header bitmaps, Elias–Fano or
+    /// packed vector keys), and every column lies in the mapping
+    /// ([`mapped_packed`]). The rank directories are the file's: nothing
+    /// is rebuilt.
     pub(crate) fn from_columns(map: &Arc<Mmap>, cols: &FrozenColumns) -> Result<Self> {
         let predates = || Error::Unmappable("the slab columns predate the mappable layout".into());
-        let mapped = |col, what| mapped(map, col, what);
+        let mapped = |col, what: &str| mapped_packed(map, col, what);
         let packed = |ints, what| match ints {
             Ints::Packed(col) => mapped_packed(map, col, what),
             Ints::U32(_) => Err(predates()),
@@ -98,10 +108,37 @@ impl MmapFrozenHexastore {
         let mut orderings = Vec::with_capacity(6);
         for ix in cols.orderings {
             let Windows::Offsets(offs) = ix.windows else { return Err(predates()) };
+            let ef = |ef: EfColumns, what: &'static str| -> Result<EfColumns> {
+                Ok(EfColumns {
+                    base: mapped(ef.base, what)?,
+                    offs: mapped(ef.offs, what)?,
+                    stream: mapped(ef.stream, what)?,
+                    ranks: mapped(ef.ranks, what)?,
+                })
+            };
+            let keys = match ix.keys {
+                Headers::U32(_) => return Err(predates()),
+                Headers::Bitmap { bits, ranks, count } => Headers::Bitmap {
+                    bits: mapped(bits, "ordering header bitmap")?,
+                    ranks: mapped(ranks, "ordering header rank directory")?,
+                    count,
+                },
+                Headers::EliasFano { ef: cols, count } => {
+                    Headers::EliasFano { ef: ef(cols, "ordering header window")?, count }
+                }
+            };
+            let k2 = match ix.k2 {
+                VectorKeys::Ints(ints) => {
+                    VectorKeys::Ints(Ints::Packed(packed(ints, "ordering vector column")?))
+                }
+                VectorKeys::EliasFano(cols) => {
+                    VectorKeys::EliasFano(ef(cols, "ordering vector keys")?)
+                }
+            };
             orderings.push(IxCols {
-                keys: mapped(ix.keys, "ordering key column")?,
+                keys,
                 offs: packed(offs, "ordering offsets column")?,
-                k2: packed(ix.k2, "ordering vector column")?,
+                k2,
                 lists: ix.lists.map(|lists| packed(lists, "ordering list column")).transpose()?,
                 arena: ix.arena,
             });
@@ -146,22 +183,6 @@ pub(crate) fn column_bytes(map: &[u8], col: Column, width: usize) -> Option<&[u8
     map.get(col.offset..col.offset.checked_add(col.len.checked_mul(width)?)?)
 }
 
-/// A `u32` column the casts below may reinterpret: inside the mapping and
-/// 4-byte aligned. The walker bounds every column by its section and the
-/// reader the section by the mapping, so the first always holds; the
-/// writer starts the section on an 8-byte file offset and every field is a
-/// 4-byte multiple, so the second holds for its output and rejects a
-/// hand-built file whose columns would misalign the casts.
-fn mapped(map: &[u8], col: Column, what: &str) -> Result<Column> {
-    if column_bytes(map, col, 4).is_none() {
-        return Err(Error::Corrupt(format!("{what} extends past the mapping")));
-    }
-    if col.offset % 4 != 0 {
-        return Err(Error::Corrupt(format!("{what} is not 4-byte aligned")));
-    }
-    Ok(col)
-}
-
 /// A packed column the read path may view in place: inside the mapping.
 /// Its image is bytes, read with unaligned loads, so there is nothing to
 /// cast; the walker has already checked its width. Touches no byte of the
@@ -182,17 +203,14 @@ impl MmapFrozenHexastore {
         bytes.and_then(|bytes| PackedView::new(bytes, col.width, col.len).ok()).unwrap_or_default()
     }
 
-    /// Reinterprets a column as ids.
-    fn ids(&self, col: Column) -> &[Id] {
-        let bytes = column_bytes(&self.map, col, 4).expect("checked by `mapped` at open");
-        // SAFETY: `bytes` is `col.len` four-byte elements inside the
-        // mapping, and `mapped` rejected offsets that are not 4-aligned; the
-        // mapping base is page-aligned (8-aligned on the fallback path), so
-        // the pointer is aligned for `u32`. `Id` is `repr(transparent)` over
-        // `u32` and any bit pattern is a valid id; the crate compiles only
-        // on little-endian targets, so file order is host order. The
-        // mapping lives as long as `self`.
-        unsafe { std::slice::from_raw_parts(bytes.as_ptr() as *const Id, col.len) }
+    /// An Elias–Fano column of `len` keys as the view the read path walks.
+    fn ef(&self, ef: EfColumns, len: usize) -> EfView<'_> {
+        EfView {
+            base: self.packed(ef.base),
+            offs: self.packed(ef.offs),
+            stream: BitsView { bits: self.packed(ef.stream), ranks: self.packed(ef.ranks) },
+            len,
+        }
     }
 
     /// Arena `which`'s columns as the view the shared read path walks.
@@ -230,13 +248,24 @@ impl OrderedStore for MmapFrozenHexastore {
         // The `FROZ` walk stores the orderings in `IndexKind`'s declaration
         // order.
         let ix = self.orderings[kind as usize];
+        let offs = self.packed(ix.offs);
+        let keys = match ix.keys {
+            Headers::Bitmap { bits, ranks, count } => HeadersView::Bitmap(BitmapView {
+                bits: BitsView { bits: self.packed(bits), ranks: self.packed(ranks) },
+                ones: count,
+            }),
+            Headers::EliasFano { ef, count } => HeadersView::EliasFano(self.ef(ef, count)),
+            Headers::U32(_) => HeadersView::default(),
+        };
+        let k2 = match ix.k2 {
+            VectorKeys::Ints(Ints::Packed(col)) => KeysView::Packed(self.packed(col)),
+            VectorKeys::Ints(Ints::U32(_)) => KeysView::default(),
+            VectorKeys::EliasFano(ef) => {
+                KeysView::EliasFano(self.ef(ef, offs.get(offs.len().saturating_sub(1)) as usize))
+            }
+        };
         SlabOrdering {
-            index: IndexView {
-                keys: self.ids(ix.keys),
-                offs: self.packed(ix.offs),
-                k2: self.packed(ix.k2),
-                lists: ix.lists.map(|lists| self.packed(lists)),
-            },
+            index: IndexView { keys, offs, k2, lists: ix.lists.map(|lists| self.packed(lists)) },
             arena: self.arena(ix.arena),
         }
     }
@@ -267,11 +296,10 @@ impl TripleStore for MmapFrozenHexastore {
 
     /// Near zero by design: the columns live in the page cache behind
     /// the mapping, not on this store's heap — only the arenas' `u32`
-    /// overflow copies do, once `sorted_list` has decoded them. See
+    /// copies do, once `sorted_list` has decoded them. See
     /// [`MmapFrozenHexastore::mapped_bytes`] for the file-backed size.
     fn heap_bytes(&self) -> usize {
-        std::mem::size_of::<Self>()
-            + self.copies.iter().map(OverflowCopy::heap_bytes).sum::<usize>()
+        std::mem::size_of::<Self>() + self.copies.iter().map(ArenaCopy::heap_bytes).sum::<usize>()
     }
 
     hexastore::forward_reads!();

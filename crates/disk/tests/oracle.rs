@@ -171,7 +171,7 @@ fn compressed_snapshots_are_refused_with_a_remedy() {
     let fixtures =
         ["v2_small_frzc", "v3_small_frzc", "v4_small_frzc", "v5_small_frzc", "v6_small_frzc"]
             .into_iter()
-            .chain(["v7_small_frzc", "v8_small_frzc"])
+            .chain(["v7_small_frzc", "v8_small_frzc", "v9_small_frzc"])
             .map(committed_fixture)
             .collect::<Vec<_>>();
     for path in std::iter::once(&path).chain(&fixtures) {
@@ -204,7 +204,7 @@ fn assert_refused_by_version(path: &std::path::Path, version: u32) {
 }
 
 /// A committed file from the last build of its version (see hexastore's
-/// `tests/support/mod.rs`), by name: `v{1,…,8}_small`, `_frzc` when its
+/// `tests/support/mod.rs`), by name: `v{1,…,9}_small`, `_frzc` when its
 /// slabs are compressed.
 fn committed_fixture(name: &str) -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR")).join(format!("../core/tests/data/{name}.hexsnap"))
@@ -291,6 +291,17 @@ fn v6_and_v7_files_are_refused_for_their_unpacked_arena_columns_with_the_upgrade
     }
     let msg = hex_disk::open(committed_fixture("v7_small")).unwrap_err().to_string();
     assert!(msg.contains("unpacked overflow runs") && !msg.contains("list slots"), "{msg}");
+}
+
+#[test]
+fn v8_files_are_refused_for_their_header_keys_with_the_upgrade_path() {
+    // A v8 file's arenas and offsets are v9's; its header keys are whole
+    // `u32`s where the mapped headers are a bitmap or an Elias–Fano
+    // window, and its vector keys are packed without an encoding word.
+    assert_v6_relabelled_is_refused_by_version(8);
+    assert_fixture_is_refused_with_the_upgrade_path(8);
+    let msg = hex_disk::open(committed_fixture("v8_small")).unwrap_err().to_string();
+    assert!(msg.contains("u32 header keys") && !msg.contains("overflow"), "{msg}");
 }
 
 #[test]
@@ -429,10 +440,21 @@ impl PackedAt {
 /// File positions of what addresses data in the `FROZ` section, in the
 /// columns [`hexsnap::Reader::frozen_columns`] locates.
 struct AddressingWords {
+    /// The header bitmaps of the orderings that keep one.
+    header_bits: Vec<PackedAt>,
+    /// Their rank directories.
+    header_ranks: Vec<PackedAt>,
+    /// The base, bit-offset, stream and rank columns of each ordering
+    /// whose header keys are one Elias–Fano window.
+    header_windows: Vec<[PackedAt; 4]>,
     /// The six orderings' packed cumulative offsets columns.
     offsets: Vec<PackedAt>,
-    /// The six orderings' packed vector-key columns.
+    /// The packed vector-key columns of the orderings that keep them
+    /// packed.
     vector_keys: Vec<PackedAt>,
+    /// The base, bit-offset, stream and rank columns of each ordering
+    /// whose vector keys are Elias–Fano coded, with the ordering's number.
+    elias_fano: Vec<(usize, [PackedAt; 4])>,
     /// The three arenas' packed slot columns.
     slots: Vec<PackedAt>,
     /// The three arenas' packed overflow columns.
@@ -444,8 +466,11 @@ struct AddressingWords {
 impl AddressingWords {
     /// Every packed column of the section.
     fn packed(&self) -> impl Iterator<Item = PackedAt> + '_ {
-        let levels = self.offsets.iter().chain(&self.vector_keys).chain(&self.list_refs);
-        self.slots.iter().chain(&self.overflow).chain(levels).copied()
+        let headers = self.header_bits.iter().chain(&self.header_ranks);
+        let levels = headers.chain(&self.offsets).chain(&self.vector_keys).chain(&self.list_refs);
+        let vector_keys = self.elias_fano.iter().map(|(_, columns)| columns);
+        let ef = vector_keys.chain(&self.header_windows).flatten();
+        self.slots.iter().chain(&self.overflow).chain(levels).chain(ef).copied()
     }
 }
 
@@ -460,8 +485,12 @@ fn addressing_words(bytes: &[u8]) -> AddressingWords {
     };
     let end = |p: PackedAt| p.bytes().end;
     let mut found = AddressingWords {
+        header_bits: vec![],
+        header_ranks: vec![],
+        header_windows: vec![],
         offsets: vec![],
         vector_keys: vec![],
+        elias_fano: vec![],
         slots: vec![],
         overflow: vec![],
         list_refs: vec![],
@@ -478,17 +507,52 @@ fn addressing_words(bytes: &[u8]) -> AddressingWords {
         found.overflow.push(over);
         counts_at = end(over);
     }
-    // Each width field follows what precedes it: the header keys, then
-    // the offsets and the vector count, then the vector keys.
-    for ix in columns.orderings {
+    // Each width field follows what precedes it: the header keys, the
+    // offsets, the vector count, then the vector keys —
+    // packed, or a base column, the bit offsets, the stream length, the
+    // stream and its directory.
+    for (which, ix) in columns.orderings.into_iter().enumerate() {
         let Windows::Offsets(offs) = ix.windows else { panic!("v3 offsets") };
-        let offs = PackedAt { col: packed(offs), width_at: ix.keys.offset + 4 * ix.keys.len };
-        let k2 = PackedAt { col: packed(ix.k2), width_at: end(offs) + 4 };
+        // The header count and the encoding flags, then the bitmap's length,
+        // the bitmap and its directory, or one Elias–Fano window.
+        let ef_at = |at: usize, ef: hexsnap::EfColumns| {
+            let base = PackedAt { col: ef.base, width_at: at };
+            let offs = PackedAt { col: ef.offs, width_at: end(base) };
+            let stream = PackedAt { col: ef.stream, width_at: end(offs) + 4 };
+            [base, offs, stream, PackedAt { col: ef.ranks, width_at: end(stream) }]
+        };
+        let headers_end = match ix.keys {
+            hexsnap::Headers::Bitmap { bits, ranks, .. } => {
+                let bits = PackedAt { col: bits, width_at: counts_at + 12 };
+                let ranks = PackedAt { col: ranks, width_at: end(bits) };
+                found.header_bits.push(bits);
+                found.header_ranks.push(ranks);
+                end(ranks)
+            }
+            hexsnap::Headers::EliasFano { ef, .. } => {
+                let window = ef_at(counts_at + 8, ef);
+                found.header_windows.push(window);
+                end(window[3])
+            }
+            hexsnap::Headers::U32(_) => panic!("v9 header keys"),
+        };
+        let offs = PackedAt { col: packed(offs), width_at: headers_end };
+        let k2_end = match ix.k2 {
+            hexsnap::VectorKeys::Ints(k2) => {
+                let k2 = PackedAt { col: packed(k2), width_at: end(offs) + 4 };
+                found.vector_keys.push(k2);
+                end(k2)
+            }
+            hexsnap::VectorKeys::EliasFano(ef) => {
+                let columns = ef_at(end(offs) + 4, ef);
+                found.elias_fano.push((which, columns));
+                end(columns[3])
+            }
+        };
         found.offsets.push(offs);
-        found.vector_keys.push(k2);
-        found
-            .list_refs
-            .extend(ix.lists.map(|lists| PackedAt { col: packed(lists), width_at: end(k2) }));
+        let refs = ix.lists.map(|lists| PackedAt { col: packed(lists), width_at: k2_end });
+        found.list_refs.extend(refs);
+        counts_at = refs.map_or(k2_end, end);
     }
     for p in found.packed() {
         let width = u32::from_le_bytes(bytes[p.width_at..p.width_at + 4].try_into().unwrap());
@@ -704,6 +768,82 @@ fn corrupt_packed_bytes_and_widths_open_as_corrupt_or_answer_without_a_panic() {
             }
         }
     }
+    std::fs::remove_file(&path).ok();
+}
+
+/// Six hundred subjects of one property, each with its own object, and a
+/// few triples of two others: the property's pso and pos windows are long
+/// enough to be Elias–Fano coded, their high parts cross rank blocks, and
+/// the subject and object bitmaps span more than one block.
+fn elias_fano_graph() -> GraphStore {
+    let picks: Vec<(u32, u32, u32)> =
+        (0..600).map(|i| (i, 0, i)).chain([(0, 1, 3), (5, 2, 7), (9, 1, 1)]).collect();
+    graph_from(&picks)
+}
+
+#[test]
+fn corrupt_elias_fano_and_rank_columns_read_short_and_load_as_corrupt() {
+    let g = elias_fano_graph();
+    let frozen = g.store().freeze();
+    let path = temp_path("succinct");
+    hexsnap::save_frozen(&path, g.dict(), &frozen).unwrap();
+    let pristine = std::fs::read(&path).unwrap();
+    let pats = probe_patterns(&hex_disk::open_store(&path).unwrap());
+    let words = addressing_words(&pristine);
+    // pso is ordering 2; its first window is the long one, property 0's.
+    let &(_, [_, bit_offs, stream, stream_ranks]) =
+        words.elias_fano.iter().find(|(which, _)| *which == 2).expect("pso is Elias–Fano coded");
+    assert!(stream.col.len > 1024 && stream_ranks.col.len >= 2, "{stream:?} {stream_ranks:?}");
+    let p0 = frozen.matching(IdPattern::ALL).iter().find(|t| t.s == hex_dict::Id(0)).unwrap().p;
+    let subjects = frozen.count_matching(IdPattern::p(p0));
+    assert_eq!(subjects, 600);
+    let (start, end) = (bit_offs.get(&pristine, 0) as usize, bit_offs.get(&pristine, 1) as usize);
+    assert_eq!(stream.get(&pristine, end - 1), 1, "a window ends on its last key's one");
+
+    // Each corruption: the mapped store opens (it reads no data), walks
+    // every shape, answers property 0 with fewer subjects — a short
+    // window — and `load_frozen` refuses the file, naming the column.
+    let check = |bytes: Vec<u8>, why: &str, column: &str, short: bool| {
+        std::fs::write(&path, &bytes).unwrap();
+        let mapped = hex_disk::open_store(&path).expect("the data is not read at open");
+        if short {
+            let got = mapped.count_matching(IdPattern::p(p0));
+            assert!(got < subjects, "{why}: {got} subjects");
+        }
+        walk_every_shape_if_it_opens(&path, &pats);
+        match hexsnap::load_frozen(&path) {
+            Err(hexsnap::Error::Corrupt(msg)) => assert!(msg.contains(column), "{why}: {msg}"),
+            other => panic!("{why}: {:?}", other.map(|_| ())),
+        }
+    };
+    // A high region that never reaches its last one.
+    let mut bytes = pristine.clone();
+    stream.set(&mut bytes, end - 1, 0);
+    check(bytes, "the last key's one cleared", "ordering vector keys", true);
+    // A bit offset past the stream.
+    let mut bytes = pristine.clone();
+    bit_offs.set(&mut bytes, 0, (1 << bit_offs.col.width) - 1);
+    assert!(bit_offs.get(&bytes, 0) as usize > stream.col.len);
+    check(bytes, "a window starting past the stream", "ordering vector keys", true);
+    // The largest `l` the five-bit field holds, 31, whose low parts
+    // overrun the window (an `l` above 32 does not fit the field).
+    let mut bytes = pristine.clone();
+    (start..start + 5).for_each(|bit| stream.set(&mut bytes, bit, 1));
+    check(bytes, "l = 31", "ordering vector keys", true);
+    // Rank samples that disagree with their bits: the stream's, which
+    // sends a search to the wrong block, and a header bitmap's, which
+    // gives a key the wrong header.
+    for sample in 0..stream_ranks.col.len {
+        let mut bytes = pristine.clone();
+        let old = stream_ranks.get(&pristine, sample);
+        stream_ranks.set(&mut bytes, sample, old / 2);
+        check(bytes, "a stream rank sample halved", "rank directory", false);
+    }
+    let spo_ranks = words.header_ranks[0];
+    assert!(spo_ranks.col.len >= 1, "the subject bitmap spans two blocks");
+    let mut bytes = pristine.clone();
+    spo_ranks.set(&mut bytes, 0, 0);
+    check(bytes, "a header rank sample zeroed", "rank directory", false);
     std::fs::remove_file(&path).ok();
 }
 

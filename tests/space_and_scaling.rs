@@ -98,15 +98,16 @@ fn incremental_and_bulk_agree_on_generated_data() {
 
 /// The frozen store's heap is a closed form of the paper's §4.1 entry
 /// counts, of how many terminal lists hold more than one id and of the
-/// widths of the packed index levels and list slots — four bytes per
-/// header key and overflow word, `⌈n·w / 64⌉ + 1` words for a packed
-/// column of `n` values whose largest needs `w > 0` bits, nothing
-/// derivable stored, no slack capacity — however the slabs came to be.
+/// widths of the packed index levels and list slots — a bit per id up to
+/// the largest header key, `⌈n·w / 64⌉ + 1` words for a packed column of
+/// `n` values whose largest needs `w > 0` bits, the smaller vector-key
+/// encoding, nothing derivable stored, no slack capacity — however the
+/// slabs came to be.
 #[test]
 fn frozen_heap_breakdown_is_the_closed_form_of_the_space_stats() {
     use hex_dict::{Id, IdTriple};
     use hexastore::hexsnap::{Compression, Reader, Writer};
-    use std::collections::{BTreeMap, HashMap, HashSet};
+    use std::collections::{BTreeMap, HashMap};
     /// Heap bytes of a packed column of `len` values, the largest `max`:
     /// whole words, then one zero word; none at width 0.
     fn packed(len: usize, max: usize) -> usize {
@@ -116,6 +117,33 @@ fn frozen_heap_breakdown_is_the_closed_form_of_the_space_stats() {
         } else {
             8 * ((len * width).div_ceil(64) + 1)
         }
+    }
+    /// Heap bytes of a bit stream of `bits` bits: a packed column of
+    /// width 1, none when empty.
+    fn stream(bits: usize) -> usize {
+        packed(bits, usize::from(bits > 0))
+    }
+    /// Heap bytes of a bit stream's rank directory: a sample per 512-bit
+    /// block after the first, at the width of the bit count.
+    fn directory(bits: usize) -> usize {
+        let samples = bits.div_ceil(512).saturating_sub(1);
+        if samples == 0 {
+            0
+        } else {
+            packed(samples, bits)
+        }
+    }
+    /// Stream bits of an Elias–Fano window: none for one key; else a
+    /// 5-bit `l = ⌊log2(u / m)⌋` over the `m` keys after the first, which
+    /// span `u`, then `m` low parts of `l` bits and the high parts in
+    /// unary, `((u − 1) >> l) + m` bits.
+    fn ef_window_bits(w: &[u32]) -> usize {
+        if w.len() < 2 {
+            return 0;
+        }
+        let (m, u) = (w.len() - 1, (w[w.len() - 1] - w[0]) as usize);
+        let l = (usize::BITS - 1 - (u / m).leading_zeros()) as usize;
+        5 + m * l + ((u - 1) >> l) + m
     }
     fn assert_closed_form(frozen: &FrozenHexastore, how: &str) {
         let stats = frozen.space_stats();
@@ -144,15 +172,55 @@ fn frozen_heap_breakdown_is_the_closed_form_of_the_space_stats() {
             (|t| (t.o, t.s), true),
             (|t| (t.o, t.p), true),
         ];
-        let (mut headers, mut vector_keys, mut mirror_list_refs) = (0, 0, 0);
-        for (keys, mirror) in orderings {
-            let k1s: HashSet<Id> = triples.iter().map(|t| keys(t).0).collect();
-            let leaves = triples.iter().map(keys).collect::<HashSet<_>>().len();
-            let max_k2 = triples.iter().map(|t| keys(t).1 .0).max().unwrap_or(0);
-            headers += 4 * k1s.len() + packed(k1s.len() + 1, leaves);
-            vector_keys += packed(leaves, max_k2 as usize);
+        let mut expected = HeapBreakdown::default();
+        for (kind, (keys, mirror)) in hexastore::IndexKind::ALL.into_iter().zip(orderings) {
+            let mut windows: BTreeMap<Id, Vec<u32>> = BTreeMap::new();
+            for t in &triples {
+                windows.entry(keys(t).0).or_default().push(keys(t).1 .0);
+            }
+            windows.values_mut().for_each(|w| {
+                w.sort_unstable();
+                w.dedup();
+            });
+            let leaves: usize = windows.values().map(Vec::len).sum();
+            // The header keys: a bitmap of one bit per id up to the largest
+            // key and its rank samples, or — where that is smaller — one
+            // Elias–Fano window of them.
+            let bits = windows.keys().last().map_or(0, |k| k.0 as usize + 1);
+            let bitmap = stream(bits) + directory(bits);
+            let k1s: Vec<u32> = windows.keys().map(|k| k.0).collect();
+            let k1_bits = ef_window_bits(&k1s);
+            let window = k1s.first().map_or(0, |&first| {
+                let (base, offs) = (packed(1, first as usize), packed(2, k1_bits));
+                base + offs + stream(k1_bits) + directory(k1_bits)
+            });
+            expected.header_keys += if window < bitmap { window } else { bitmap };
+            expected.header_offsets += packed(windows.len() + 1, leaves);
+            // The vector keys, packed or Elias–Fano coded: each window's
+            // first key in a base column, the other keys' `l`, low and
+            // high parts in one stream, a bit offset per window and the
+            // stream's rank samples — whichever takes fewer bytes.
+            let max_k2 = windows.values().flatten().copied().max().unwrap_or(0);
+            let as_packed = packed(leaves, max_k2 as usize);
+            let max_first = windows.values().map(|w| w[0]).max().unwrap_or(0);
+            let ef_bits: usize = windows.values().map(|w| ef_window_bits(w)).sum();
+            let ef = [
+                packed(windows.len(), max_first as usize),
+                packed(windows.len() + 1, ef_bits),
+                stream(ef_bits),
+                directory(ef_bits),
+            ];
+            if ef.iter().sum::<usize>() < as_packed {
+                expected.vector_key_bases += ef[0];
+                expected.vector_key_offsets += ef[1];
+                expected.vector_key_streams += ef[2];
+                expected.vector_key_ranks += ef[3];
+                expected.elias_fano = expected.elias_fano.with(kind);
+            } else {
+                expected.vector_keys_packed += as_packed;
+            }
             if mirror {
-                mirror_list_refs += packed(leaves, leaves.saturating_sub(1));
+                expected.mirror_list_refs += packed(leaves, leaves.saturating_sub(1));
             }
         }
         // Per arena, its lists in their primary ordering's key order —
@@ -186,20 +254,15 @@ fn frozen_heap_breakdown_is_the_closed_form_of_the_space_stats() {
             }
             overflow += packed(at, max_word);
         }
-        let expected = HeapBreakdown {
-            list_slots, // a singleton list is its slot
-            overflow,
-            vector_keys,
-            mirror_list_refs,
-            headers,
-        };
+        // A singleton list is its slot.
+        (expected.list_slots, expected.overflow) = (list_slots, overflow);
         assert_eq!(frozen.heap_breakdown(), expected, "{how}");
         assert_eq!(frozen.heap_bytes(), expected.total(), "{how}");
         // What packing saves against whole `u32`s: on real data every
         // index-level column needs fewer than 32 bits.
         let unpacked = 4 * (stats.vector_entries + pairs + stats.header_entries + 6);
-        let packed_levels = expected.vector_keys + expected.mirror_list_refs + expected.headers
-            - 4 * stats.header_entries;
+        let packed_levels =
+            expected.vector_keys() + expected.mirror_list_refs + expected.header_offsets;
         assert!(triples.is_empty() || packed_levels < unpacked, "{how}");
     }
 
