@@ -495,7 +495,8 @@ fn ask_rendered(_: &FigureSpec, p: &Params) -> Rendered {
 /// of a half Barton, half LUBM dataset of `large_triples` statements,
 /// with plain and with varint-delta compressed slabs, what its
 /// dictionary weighs — the `DICT` section's bytes, the heap bytes of the
-/// dictionary it reads back as, its terms and its shared prefixes — and
+/// dictionary it reads back as and those bytes by part, its terms and its
+/// shared prefixes — and
 /// the heap bytes of the frozen store the slabs read back as. The
 /// bytes are exactly what [`hexastore::hexsnap::save_frozen_with`]
 /// writes, built in memory, so they repeat on any host and need no
@@ -521,6 +522,7 @@ fn snapshot_size_rendered(fig: &FigureSpec, p: &Params) -> Rendered {
     let reader = Reader::new(std::io::Cursor::new(&plain_file)).expect("in-memory read");
     let dict_bytes = reader.section_extent(*b"DICT").map_or(0, |(_, len)| len as usize);
     let dict_heap_bytes = dict.heap_bytes();
+    let dict_heap = dict.heap_breakdown();
     let frozen_heap_bytes = frozen.heap_bytes();
     let heap = frozen.heap_breakdown();
     let per_triple = |bytes: usize| bytes as f64 / triples.max(1) as f64;
@@ -547,6 +549,16 @@ fn snapshot_size_rendered(fig: &FigureSpec, p: &Params) -> Rendered {
             ("compressed_bytes_per_triple", Count::Ratio(per_triple(compressed))),
             ("dict_bytes", Count::Int(dict_bytes)),
             ("dict_heap_bytes", Count::Int(dict_heap_bytes)),
+            // Where the dictionary's heap goes, so a column's regression
+            // shows up by name.
+            ("dict_interior_bytes", Count::Int(dict_heap.interior)),
+            ("dict_heads_bytes", Count::Int(dict_heap.heads)),
+            ("dict_ends_bytes", Count::Int(dict_heap.ends)),
+            ("dict_arena_bytes", Count::Int(dict_heap.arena)),
+            ("dict_term_index_bytes", Count::Int(dict_heap.term_index)),
+            ("dict_prefix_ends_bytes", Count::Int(dict_heap.prefix_ends)),
+            ("dict_prefix_arena_bytes", Count::Int(dict_heap.prefix_bytes)),
+            ("dict_prefix_index_bytes", Count::Int(dict_heap.prefix_index)),
             ("terms", Count::Int(dict.len())),
             ("prefixes", Count::Int(dict.prefix_count())),
             ("frozen_heap_bytes", Count::Int(frozen_heap_bytes)),
@@ -1272,12 +1284,12 @@ pub fn collect_evidence(params: &Params) -> Evidence {
 }
 
 impl Evidence {
-    /// `BENCH_ci.json`, schema 9: the two scales and every figure's
+    /// `BENCH_ci.json`, schema 10: the two scales and every figure's
     /// counts under its stem — no timings, so two runs of one build write
     /// the same bytes.
     pub fn bench_ci_json(&self) -> String {
         let mut json = format!(
-            "{{\n  \"schema\": 9,\n  \"figures_triples\": {},\n  \"load_triples\": {}",
+            "{{\n  \"schema\": 10,\n  \"figures_triples\": {},\n  \"load_triples\": {}",
             self.params.triples, self.params.large_triples
         );
         for (stem, counts) in &self.counts {
@@ -1377,6 +1389,14 @@ mod tests {
             "compressed_bytes_per_triple",
             "dict_bytes",
             "dict_heap_bytes",
+            "dict_interior_bytes",
+            "dict_heads_bytes",
+            "dict_ends_bytes",
+            "dict_arena_bytes",
+            "dict_term_index_bytes",
+            "dict_prefix_ends_bytes",
+            "dict_prefix_arena_bytes",
+            "dict_prefix_index_bytes",
             "prefixes",
             "merge_used",
             "identical",

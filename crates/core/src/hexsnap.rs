@@ -14,7 +14,7 @@
 //! ```text
 //! offset   size  field
 //! 0        8     magic "hexsnap\0"
-//! 8        4     format version (u32, currently 9)
+//! 8        4     format version (u32, currently 10)
 //! 12       …     section payloads, back to back
 //! …        var   section table: u32 count, then per section
 //!                [u8; 4] tag · u64 offset · u64 length
@@ -67,15 +67,20 @@
 //!   same framing, as wide as its largest word (a run's length or id)
 //!   needs; `n_overflow` keeps its place. Only header keys stay `u32`;
 //!   `DICT` and `FRZC` are v7's byte for byte.
-//! - **v9** (current) — a `FROZ` ordering's header keys are a presence
+//! - **v9** — a `FROZ` ordering's header keys are a presence
 //!   bitmap with a rank directory, or one Elias–Fano window where that is
 //!   smaller, and its vector keys are packed or Elias–Fano coded window by
 //!   window, whichever is smaller ([`crate::succinct`] has both
 //!   encodings); an encoding-flags word after the header count says
 //!   which. Arenas, offsets and list references, `DICT` and `FRZC` are
 //!   v8's byte for byte.
+//! - **v10** (current) — a `DICT` section's term heads, term ends and
+//!   prefix ends are packed columns in `FROZ`'s framing, each at the
+//!   width its largest value needs, and the section starts on an 8-byte
+//!   file offset. The string arenas are v9's; `FROZ` and `FRZC` are v9's
+//!   byte for byte.
 //!
-//! [`Writer`] writes v9; [`Reader`] opens all nine. Where every column of
+//! [`Writer`] writes v10; [`Reader`] opens all ten. Where every column of
 //! a `DICT` or `FROZ` section lies is said once per section, by a walker
 //! that reads only the count fields: [`Reader::dict_columns`] and
 //! [`Reader::frozen_columns`], the only code that knows how the column
@@ -89,18 +94,22 @@
 //! `u32` columns are packed, and so are a pre-v7 arena's `u32` slot
 //! column and a pre-v8 arena's `u32` overflow column, and a pre-v9
 //! ordering's header and vector keys take the encodings their sizes
-//! choose. Only a v9 file has the columns `hex-disk` maps; older files go
-//! through [`load_frozen`] and a re-save.
+//! choose, and a pre-v10 dictionary's `u32` columns are packed. Only a
+//! v10 file has the columns `hex-disk` maps; older files go through
+//! [`load_frozen`] and a re-save.
 //!
 //! Defined sections:
 //!
 //! - **`DICT`** — the dictionary as two string arenas plus offsets (not
-//!   per-term values): `u32 n_terms`, one `u32` head per term (its kind —
-//!   0 iri, 1 blank, 2 plain literal, 3 language literal, 4 typed literal
-//!   — in the low three bits, its prefix id above), the cumulative `u32`
-//!   end of each term's own bytes, `u64 n_bytes`, the own bytes; then
-//!   `u32 n_prefixes`, the cumulative `u32` end of each prefix, `u64
-//!   n_prefix_bytes`, the prefix bytes. Prefix 0 is the empty string. An
+//!   per-term values), starting on an 8-byte file offset (v10): `u32
+//!   n_terms`, one head per term (its kind — 0 iri, 1 blank, 2 plain
+//!   literal, 3 language literal, 4 typed literal — in the low three
+//!   bits, its prefix id above), the cumulative end of each term's own
+//!   bytes, `u64 n_bytes`, the own bytes; then `u32 n_prefixes`, the
+//!   cumulative end of each prefix, `u64 n_prefix_bytes`, the prefix
+//!   bytes. The heads and both end columns are packed columns in the
+//!   framing `FROZ` uses (below) from v10, `u32`s in v5 to v9. Prefix 0
+//!   is the empty string. An
 //!   IRI's prefix is its text up to and including the last `/` or `#`, a
 //!   tagged or typed literal's its tag or datatype IRI (its own bytes
 //!   the lexical form); a blank node or plain literal has prefix 0.
@@ -182,7 +191,7 @@ use std::path::Path;
 pub const MAGIC: [u8; 8] = *b"hexsnap\0";
 
 /// The current format version. [`Reader`] accepts `1..=VERSION`.
-pub const VERSION: u32 = 9;
+pub const VERSION: u32 = 10;
 
 /// Triples per chunk in the `TRPL` section (~768 KiB of ids).
 const TRIPLE_CHUNK: usize = 64 * 1024;
@@ -349,32 +358,6 @@ fn checked_len(v: u64, what: &str) -> Result<usize> {
     usize::try_from(v).map_err(|_| Error::Corrupt(format!("{what} count {v} overflows usize")))
 }
 
-/// Writes a v5 `DICT` payload from its five columns: `u32 n_terms`, the
-/// heads, the term ends, `u64 n_bytes`, the term arena, `u32 n_prefixes`,
-/// the prefix ends, `u64 n_prefix_bytes`, the prefix arena.
-fn write_dict(
-    w: &mut impl Write,
-    heads: &[u32],
-    ends: &[u32],
-    arena: &[u8],
-    prefix_ends: &[u32],
-    prefixes: &[u8],
-) -> Result<()> {
-    let count = |n: usize, what: &str| {
-        u32::try_from(n).map_err(|_| Error::Corrupt(format!("dictionary exceeds 2^32 {what}")))
-    };
-    w_u32(w, count(heads.len(), "terms")?)?;
-    w_u32_run(w, heads.iter().copied())?;
-    w_u32_run(w, ends.iter().copied())?;
-    w_u64(w, arena.len() as u64)?;
-    w.write_all(arena)?;
-    w_u32(w, count(prefix_ends.len(), "prefixes")?)?;
-    w_u32_run(w, prefix_ends.iter().copied())?;
-    w_u64(w, prefixes.len() as u64)?;
-    w.write_all(prefixes)?;
-    Ok(())
-}
-
 // ---------------------------------------------------------------------
 // Writer.
 // ---------------------------------------------------------------------
@@ -417,15 +400,38 @@ impl<W: Write + Seek> Writer<W> {
     /// The dictionary's in-memory layout *is* the section layout, so this
     /// copies its buffers straight to the sink — no per-term work.
     pub fn dictionary(&mut self, dict: &Dictionary) -> Result<()> {
-        let start = self.begin_section()?;
-        write_dict(
-            &mut self.w,
+        self.dict_section(
             dict.term_heads(),
             dict.term_ends(),
             dict.arena_bytes(),
             dict.prefix_ends(),
             dict.prefix_bytes(),
-        )?;
+        )
+    }
+
+    /// Writes a `DICT` section of these five columns.
+    fn dict_section(
+        &mut self,
+        heads: PackedView<'_>,
+        ends: PackedView<'_>,
+        arena: &[u8],
+        prefix_ends: PackedView<'_>,
+        prefixes: &[u8],
+    ) -> Result<()> {
+        let count = |n: usize, what: &str| {
+            u32::try_from(n).map_err(|_| Error::Corrupt(format!("dictionary exceeds 2^32 {what}")))
+        };
+        self.pad_to_8()?;
+        let start = self.begin_section()?;
+        w_u32(&mut self.w, count(heads.len(), "terms")?)?;
+        self.packed(heads)?;
+        self.packed(ends)?;
+        w_u64(&mut self.w, arena.len() as u64)?;
+        self.w.write_all(arena)?;
+        w_u32(&mut self.w, count(prefix_ends.len(), "prefixes")?)?;
+        self.packed(prefix_ends)?;
+        w_u64(&mut self.w, prefixes.len() as u64)?;
+        self.w.write_all(prefixes)?;
         self.end_section(TAG_DICT, start)
     }
 
@@ -592,7 +598,7 @@ impl<W: Write + Seek> Writer<W> {
 // ---------------------------------------------------------------------
 
 /// Where one column of a section lies in the file. The element width is
-/// the field's: one byte for the `DICT` kind column and string arena,
+/// the field's: one byte for the `DICT` kind column and string arenas,
 /// four for every other column.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub struct Column {
@@ -605,17 +611,19 @@ pub struct Column {
 /// The columns of a `DICT` section ([`Reader::dict_columns`]).
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum DictColumns {
-    /// v5: every term a head and its own bytes, under a shared prefix.
+    /// v5 on: every term a head and its own bytes, under a shared prefix.
     Prefixed {
-        /// One `u32` head per term: the kind in the low three bits, the
-        /// prefix id above.
-        heads: Column,
-        /// The cumulative `u32` end of each term's own bytes.
-        ends: Column,
+        /// One head per term: the kind in the low three bits, the prefix
+        /// id above; `u32`s before v10, packed from v10 on.
+        heads: Ints,
+        /// The cumulative end of each term's own bytes; `u32`s before
+        /// v10, packed from v10 on.
+        ends: Ints,
         /// The terms' own bytes.
         arena: Column,
-        /// The cumulative `u32` end of each prefix.
-        prefix_ends: Column,
+        /// The cumulative end of each prefix; `u32`s before v10, packed
+        /// from v10 on.
+        prefix_ends: Ints,
         /// The prefixes' bytes.
         prefixes: Column,
     },
@@ -630,7 +638,8 @@ pub enum DictColumns {
     },
 }
 
-/// Where one bit-packed column of a `FROZ` section lies (v6+): `len`
+/// Where one bit-packed column of a `FROZ` (v6+) or `DICT` (v10+)
+/// section lies: `len`
 /// values of `width` bits in [`crate::packed::bytes_for`] bytes starting
 /// on an 8-byte file offset ([`crate::packed`] has the encoding).
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -650,15 +659,30 @@ impl Packed {
     }
 }
 
-/// An integer column of a `FROZ` section: plain `u32`s before v6 (before
-/// v7 for list slots, before v8 for overflow words), bit-packed from then
-/// on.
+/// An integer column of a `FROZ` section — plain `u32`s before v6
+/// (before v7 for list slots, before v8 for overflow words), bit-packed
+/// from then on — or of a `DICT` section, `u32`s before v10.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum Ints {
     /// One `u32` per value.
     U32(Column),
     /// Values bit-packed at the column's width.
     Packed(Packed),
+}
+
+impl Ints {
+    /// Number of values.
+    pub fn len(&self) -> usize {
+        match self {
+            Ints::U32(col) => col.len,
+            Ints::Packed(col) => col.len,
+        }
+    }
+
+    /// True when the column holds no value.
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
 }
 
 /// How a `FROZ` level stores its windows.
@@ -1006,14 +1030,18 @@ impl<R: Read + Seek> Reader<R> {
     }
 
     /// Locates the columns of the `DICT` section, reading only its count
-    /// fields — v5: `u32 n_terms`, the heads, the term ends, `u64
+    /// fields — v5 on: `u32 n_terms`, the heads, the term ends, `u64
     /// n_bytes`, the term arena, `u32 n_prefixes`, the prefix ends, `u64
-    /// n_prefix_bytes`, the prefix arena; before: `u32 n_terms`, the kind
-    /// bytes, `u32 n_pieces`, the piece offsets, `u64 n_bytes`, the
-    /// string arena. Every column is bounded by the section before
+    /// n_prefix_bytes`, the prefix arena, the three integer columns
+    /// `u32`s before v10 ([`Ints::U32`]) and packed from v10 on
+    /// ([`Ints::Packed`], each width checked to be at most 32 and the
+    /// padding before its words to be zero); before v5: `u32 n_terms`,
+    /// the kind bytes, `u32 n_pieces`, the piece offsets, `u64 n_bytes`,
+    /// the string arena. Every column is bounded by the section before
     /// anything is allocated.
     pub fn dict_columns(&mut self) -> Result<DictColumns> {
         let prefixed = self.version >= 5;
+        let packed = self.version >= 10;
         let mut walk = self.walk(TAG_DICT)?;
         let terms = walk.count32("dictionary term count")?;
         if !prefixed {
@@ -1024,12 +1052,12 @@ impl<R: Read + Seek> Reader<R> {
             let arena = walk.column(bytes, 1, "dictionary string arena")?;
             return Ok(DictColumns::Pieces { kinds, ends, arena });
         }
-        let heads = walk.column(terms, 4, "dictionary head column")?;
-        let ends = walk.column(terms, 4, "dictionary term offset table")?;
+        let heads = walk.ints(packed, terms, "dictionary head column")?;
+        let ends = walk.ints(packed, terms, "dictionary term offset table")?;
         let bytes = walk.count64("dictionary arena size")?;
         let arena = walk.column(bytes, 1, "dictionary term arena")?;
         let prefixes = walk.count32("dictionary prefix count")?;
-        let prefix_ends = walk.column(prefixes, 4, "dictionary prefix offset table")?;
+        let prefix_ends = walk.ints(packed, prefixes, "dictionary prefix offset table")?;
         let bytes = walk.count64("dictionary prefix arena size")?;
         let prefixes = walk.column(bytes, 1, "dictionary prefix arena")?;
         Ok(DictColumns::Prefixed { heads, ends, arena, prefix_ends, prefixes })
@@ -1256,9 +1284,11 @@ impl<R: Read + Seek> Reader<R> {
     /// Reads the `DICT` section into a [`Dictionary`] whose ids are the
     /// stored term indices.
     ///
-    /// A v5 section is the dictionary's in-memory layout, so its five
-    /// columns are adopted as-is: the constructor validates them (offset
-    /// tables, heads, the one representation each term has, distinctness)
+    /// A v10 section is the dictionary's in-memory layout, so its five
+    /// columns are adopted as-is, and a v5 to v9 section's `u32` columns
+    /// are packed: the constructor validates them (each packed column
+    /// canonical, offset tables, heads, the one representation each term
+    /// has, distinctness)
     /// and builds the reverse indexes in one hash pass each — no `Term` is
     /// ever constructed. Distinctness matters because corruption inside an
     /// arena can merge two terms, which must be rejected, not silently
@@ -1269,10 +1299,10 @@ impl<R: Read + Seek> Reader<R> {
         match self.dict_columns()? {
             DictColumns::Prefixed { heads, ends, arena, prefix_ends, prefixes } => {
                 let image = ArenaImage {
-                    heads: self.u32s(heads)?,
-                    ends: self.u32s(ends)?,
+                    heads: self.packed(heads, "dictionary head column")?,
+                    ends: self.packed(ends, "dictionary term offset table")?,
                     arena: self.bytes(arena)?,
-                    prefix_ends: self.u32s(prefix_ends)?,
+                    prefix_ends: self.packed(prefix_ends, "dictionary prefix offset table")?,
                     prefixes: self.bytes(prefixes)?,
                 };
                 Dictionary::try_from_arena(image).map_err(|e| Error::Corrupt(e.to_string()))
@@ -1525,7 +1555,7 @@ impl<R: Read + Seek> Reader<R> {
 /// The dictionary a v1–v4 `DICT` section holds — one kind byte per
 /// term, every term one or two whole pieces of one arena — with its terms
 /// interned again in id order. The ids stay the same, and the columns are
-/// what encoding those terms afresh makes, so a re-save writes the v5
+/// what encoding those terms afresh makes, so a re-save writes the
 /// section a fresh encode would. A term seen twice is `Corrupt`, as are
 /// offsets that do not cut the arena into the pieces the kinds need.
 fn reinterned(kinds: &[u8], ends: &[u32], arena: &[u8]) -> Result<Dictionary> {
@@ -2163,10 +2193,9 @@ mod tests {
     /// A file holding only a `DICT` section with these columns.
     fn dict_file(image: &ArenaImage<Vec<u8>>) -> Vec<u8> {
         let mut w = Writer::new(Cursor::new(Vec::new())).unwrap();
-        let start = w.begin_section().unwrap();
         let i = image;
-        write_dict(&mut w.w, &i.heads, &i.ends, &i.arena, &i.prefix_ends, &i.prefixes).unwrap();
-        w.end_section(TAG_DICT, start).unwrap();
+        let (heads, ends, prefix_ends) = (i.heads.view(), i.ends.view(), i.prefix_ends.view());
+        w.dict_section(heads, ends, &i.arena, prefix_ends, &i.prefixes).unwrap();
         w.finish().unwrap().into_inner()
     }
 
@@ -2178,7 +2207,10 @@ mod tests {
         let Ok(DictColumns::Prefixed { heads, prefixes, .. }) = r.dict_columns() else {
             panic!("a v5 file has a prefixed DICT")
         };
-        assert_eq!(heads.len, dict.len());
+        assert_eq!(heads.len(), dict.len());
+        // From v10 the heads are packed: four prefixes and five kinds
+        // take 5 bits.
+        assert!(matches!(heads, Ints::Packed(Packed { width: 5, .. })), "{heads:?}");
         // "", "http://x/", "fr" and the integer datatype, once each.
         assert_eq!(dict.prefix_count(), 4);
         assert_eq!(
@@ -2224,11 +2256,11 @@ mod tests {
         let image = dict.image();
         assert!(Reader::new(Cursor::new(dict_file(&image))).unwrap().dictionary().is_ok());
         let head = |kind: u32, prefix: u32| prefix << 3 | kind;
-        let push_prefix = |i: &mut ArenaImage<Vec<u8>>, p: &str| {
+        let push_prefix = |i: &mut Plain, p: &str| {
             i.prefixes.extend_from_slice(p.as_bytes());
             i.prefix_ends.push(i.prefixes.len() as u32);
         };
-        type Edit = Box<dyn Fn(&mut ArenaImage<Vec<u8>>)>;
+        type Edit = Box<dyn Fn(&mut Plain)>;
         let cases: [(&str, Edit); 7] = [
             ("an IRI whose own bytes hold a '/'", Box::new(|i| i.arena[0] = b'/')),
             ("an IRI prefix not ending in '/' or '#'", Box::new(|i| i.prefixes[8] = b'y')),
@@ -2252,12 +2284,44 @@ mod tests {
             ),
         ];
         for (what, edit) in cases {
-            let mut bad = image.clone();
+            let mut bad = Plain::of(&image);
             edit(&mut bad);
+            let bad = bad.packed();
             let why = hex_dict::Dictionary::try_from_arena(bad.clone()).unwrap_err().to_string();
             match Reader::new(Cursor::new(dict_file(&bad))).unwrap().dictionary() {
                 Err(Error::Corrupt(got)) => assert_eq!(got, why, "{what}"),
                 other => panic!("{what}: {:?}", other.map(|d| d.len())),
+            }
+        }
+    }
+
+    /// A dictionary image with its integer columns as plain values.
+    struct Plain {
+        heads: Vec<u32>,
+        ends: Vec<u32>,
+        arena: Vec<u8>,
+        prefix_ends: Vec<u32>,
+        prefixes: Vec<u8>,
+    }
+
+    impl Plain {
+        fn of(image: &ArenaImage<Vec<u8>>) -> Self {
+            Plain {
+                heads: image.heads.values().collect(),
+                ends: image.ends.values().collect(),
+                arena: image.arena.clone(),
+                prefix_ends: image.prefix_ends.values().collect(),
+                prefixes: image.prefixes.clone(),
+            }
+        }
+
+        fn packed(self) -> ArenaImage<Vec<u8>> {
+            ArenaImage {
+                heads: PackedColumn::from_values(&self.heads),
+                ends: PackedColumn::from_values(&self.ends),
+                arena: self.arena,
+                prefix_ends: PackedColumn::from_values(&self.prefix_ends),
+                prefixes: self.prefixes,
             }
         }
     }

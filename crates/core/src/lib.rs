@@ -43,7 +43,7 @@
 //! |--------|----------|
 //! | [`sorted`] | linear-time merge-join primitives on sorted id sets |
 //! | [`slab`] | flat terminal-list storage: a packed slot per list plus a packed overflow column ([`FlatArena`]), read as a [`List`](slab::List) |
-//! | [`packed`] | bit-packed columns: offsets, mirror list references, packed vector keys and list slots at the width their largest value needs ([`PackedColumn`], [`PackedView`]) |
+//! | [`packed`] | bit-packed columns, re-exported from [`hex_dict::packed`]: offsets, mirror list references, packed vector keys and list slots at the width their largest value needs ([`PackedColumn`], [`PackedView`]) |
 //! | [`succinct`] | header keys as a presence bitmap with a rank directory, and Elias–Fano coded vector-key windows ([`succinct::KeyColumn`]) |
 //! | [`frozen`] | [`FrozenHexastore`]: the six orderings over [`hex_dict::IdTriple`]s as slabs, paired orderings sharing lists; built once from a batch, read-only |
 //! | [`store`] | [`SpaceStats`], and [`Hexastore`], the figures' name for [`FrozenHexastore`] |
@@ -70,7 +70,6 @@ pub mod frozen;
 pub mod graph;
 pub mod hexsnap;
 pub mod overlay;
-pub mod packed;
 pub mod partial;
 pub mod pattern;
 pub mod slab;
@@ -80,6 +79,8 @@ pub mod store;
 pub mod succinct;
 pub mod traits;
 pub mod wal;
+
+pub use hex_dict::packed;
 
 pub use advisor::{recommend, serving_indices, IndexKind, IndexSet, WorkloadProfile};
 pub use frozen::{FrozenHexastore, HeapBreakdown};

@@ -522,13 +522,56 @@ fn every_byte_flip_of_a_v8_file_is_rejected_or_still_decodes() {
 
 #[test]
 fn every_byte_flip_of_a_v9_file_is_rejected_or_still_decodes() {
+    every_byte_flip_is_rejected_or_still_decodes(&[support::fixture_bytes("v9_small")], 9);
+}
+
+#[test]
+fn every_byte_flip_of_a_v10_file_is_rejected_or_still_decodes() {
     // The committed file, a graph of singleton and longer lists, and one
     // whose property windows are long enough to be Elias–Fano coded.
-    let files = [support::fixture_bytes("v9_small"), mixed_list_file(), elias_fano_file()];
+    let files = [support::fixture_bytes("v10_small"), mixed_list_file(), elias_fano_file()];
     let mut r = hexsnap::Reader::new(Cursor::new(&files[2])).unwrap();
     let columns = r.frozen_columns().unwrap();
     let coded =
         columns.orderings.iter().any(|ix| matches!(ix.k2, hexsnap::VectorKeys::EliasFano(_)));
     assert!(coded, "some ordering's vector keys are Elias–Fano coded");
-    every_byte_flip_is_rejected_or_still_decodes(&files, 9);
+    every_byte_flip_is_rejected_or_still_decodes(&files, 10);
+    // Every flip of the padding before a packed `DICT` column is refused
+    // by the dictionary's reader.
+    for file in &files {
+        let padding = dict_padding(file);
+        assert!(!padding.is_empty());
+        for i in padding {
+            let mut bytes = file.clone();
+            bytes[i] ^= 0xFF;
+            let got = hexsnap::Reader::new(Cursor::new(&bytes)).unwrap().dictionary();
+            assert!(matches!(got, Err(hexsnap::Error::Corrupt(_))), "padding at {i}");
+        }
+    }
+}
+
+/// The file positions of the zero padding before the three packed
+/// columns of a v10 `DICT` section: after the term count and the heads'
+/// width, after the heads' words and the ends' width, and after the
+/// prefix count and the prefix ends' width.
+fn dict_padding(file: &[u8]) -> Vec<usize> {
+    use hexsnap::{DictColumns, Ints, Packed};
+    let mut r = hexsnap::Reader::new(Cursor::new(file)).unwrap();
+    let (dict_at, _) = r.section_extent(*b"DICT").unwrap();
+    let DictColumns::Prefixed { heads, ends, arena, prefix_ends, .. } = r.dict_columns().unwrap()
+    else {
+        panic!("a prefixed dictionary")
+    };
+    let packed = |ints| match ints {
+        Ints::Packed(col) => col,
+        Ints::U32(col) => panic!("a packed column, not {col:?}"),
+    };
+    let (heads, ends, prefix_ends) = (packed(heads), packed(ends), packed(prefix_ends));
+    let mut padding = Vec::new();
+    let mut pad = |width_at: usize, col: Packed| padding.extend(width_at + 4..col.offset);
+    pad(dict_at as usize + 4, heads);
+    pad(heads.offset + heads.bytes(), ends);
+    pad(arena.offset + arena.len + 4, prefix_ends);
+    assert!(padding.iter().all(|&at| file[at] == 0));
+    padding
 }

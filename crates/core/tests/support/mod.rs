@@ -1,6 +1,6 @@
 //! Every hexsnap format version this build reads, over committed files:
 //! the one fixture table and the checks each version's suite
-//! (`v{1,2,3,4,5,6,7,8,9}_compat.rs`, and `hexsnap_roundtrip.rs` for a v2 live
+//! (`v{1,…,10}_compat.rs`, and `hexsnap_roundtrip.rs` for a v2 live
 //! directory) runs over its rows.
 //!
 //! `tests/data/` holds one small snapshot per version and slab encoding,
@@ -33,7 +33,7 @@ pub const FRZC: Compression = Compression::VarintDelta;
 /// the one a fresh encode of the graph writes.
 pub type Fixture = (&'static str, u32, Compression, Option<isize>);
 
-pub const FIXTURES: [Fixture; 17] = [
+pub const FIXTURES: [Fixture; 19] = [
     ("v1_small", 1, RAW, None),
     ("v2_small", 2, RAW, None),
     ("v2_small_frzc", 2, FRZC, None),
@@ -57,8 +57,11 @@ pub const FIXTURES: [Fixture; 17] = [
     ("v7_small_frzc", 7, FRZC, Some(0)),
     ("v8_small", 8, RAW, Some(V9_SUCCINCT_SAVES)),
     ("v8_small_frzc", 8, FRZC, Some(0)),
+    // v10 changed the dictionary only: the slab sections are v9's.
     ("v9_small", 9, RAW, Some(0)),
     ("v9_small_frzc", 9, FRZC, Some(0)),
+    ("v10_small", 10, RAW, Some(0)),
+    ("v10_small_frzc", 10, FRZC, Some(0)),
 ];
 
 /// What v6's packed index levels save in the fixture graph's `FROZ` —

@@ -11,16 +11,20 @@
 //! (term heads, cumulative ends, the own-bytes arena; prefix ends, prefix
 //! bytes), so saving is a straight copy of five buffers and loading is a
 //! validation plus one hash pass per table — no per-term `Term`
-//! construction and no per-term allocation.
+//! construction and no per-term allocation. Every integer column — the
+//! heads, both end tables and both reverse indexes' slots — is a
+//! [`PackedColumn`] at the width its values need.
 
 use crate::id::{Id, IdTriple};
+use crate::packed::{PackedColumn, PackedError, PackedView};
 use rdf_model::{Term, TermKind, TermRef, Triple, TripleRef};
 use std::ops::Range;
 use std::sync::Arc;
 
 /// Read-only byte storage an arena dictionary can borrow instead of own —
 /// in practice a memory-mapped snapshot held open by `hex-disk`, so the
-/// string arenas stay on disk and page in on demand.
+/// string arenas and the packed columns stay on disk and page in on
+/// demand.
 pub type SharedBytes = Arc<dyn AsRef<[u8]> + Send + Sync>;
 
 /// An arena's backing bytes: owned by this dictionary, or a window into
@@ -41,10 +45,11 @@ impl Arena {
     /// The arena bytes. A shared provider whose bytes shrank after
     /// construction degrades to an empty slice — lookups then miss and
     /// decodes return `None`, but nothing panics.
+    #[inline]
     fn bytes(&self) -> &[u8] {
         match self {
             Arena::Owned(v) => v,
-            Arena::Shared { bytes, range } => (**bytes).as_ref().get(range.clone()).unwrap_or(&[]),
+            Arena::Shared { bytes, range } => shared_range(bytes, range),
         }
     }
 
@@ -70,11 +75,103 @@ impl Arena {
     }
 }
 
-/// Strings stored back to back: one cumulative `u32` end per string into
-/// one arena.
+/// The bytes of `range` in shared storage, or none when they lie outside
+/// it. Out of line, so that the reads of owned arenas inline.
+#[inline(never)]
+fn shared_range<'a>(bytes: &'a SharedBytes, range: &Range<usize>) -> &'a [u8] {
+    (**bytes).as_ref().get(range.clone()).unwrap_or(&[])
+}
+
+/// Where a packed column lies in shared storage: `len` values of `width`
+/// bits in the byte range `bytes` ([`crate::packed`] has the encoding).
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct PackedWindow {
+    /// The column's image: its whole words and the zero word after them.
+    pub bytes: Range<usize>,
+    /// Bits per value.
+    pub width: u32,
+    /// Number of values.
+    pub len: usize,
+}
+
+impl PackedWindow {
+    /// The column as a view of `shared`'s bytes: `Err(None)` when its
+    /// range lies outside them, `Err(Some(why))` when its bytes are not
+    /// the ones its width and length need. Out of line, so that the reads
+    /// of owned columns inline.
+    #[inline(never)]
+    fn view<'a>(&self, shared: &'a SharedBytes) -> Result<PackedView<'a>, Option<PackedError>> {
+        let bytes = (**shared).as_ref().get(self.bytes.clone()).ok_or(None)?;
+        PackedView::new(bytes, self.width, self.len).map_err(Some)
+    }
+}
+
+/// An integer column: an owned packed column, or a packed image in shared
+/// (typically memory-mapped) storage, read in place.
+#[derive(Clone)]
+enum Ints {
+    Owned(PackedColumn),
+    Shared { bytes: SharedBytes, window: PackedWindow },
+}
+
+impl Default for Ints {
+    fn default() -> Self {
+        Ints::Owned(PackedColumn::default())
+    }
+}
+
+impl Ints {
+    /// The column. A shared provider whose bytes shrank after
+    /// construction degrades to the empty column — every read is then 0
+    /// or empty, but nothing panics.
+    #[inline]
+    fn view(&self) -> PackedView<'_> {
+        match self {
+            Ints::Owned(column) => column.view(),
+            Ints::Shared { bytes, window } => window.view(bytes).unwrap_or(PackedView::EMPTY),
+        }
+    }
+
+    fn len(&self) -> usize {
+        match self {
+            Ints::Owned(column) => column.len(),
+            Ints::Shared { window, .. } => window.len,
+        }
+    }
+
+    /// Converts to an owned column (copying a shared image once) so it
+    /// can grow.
+    fn make_owned(&mut self) -> &mut PackedColumn {
+        if let Ints::Shared { .. } = self {
+            *self = Ints::Owned(PackedColumn::from_view(self.view()));
+        }
+        match self {
+            Ints::Owned(column) => column,
+            Ints::Shared { .. } => unreachable!("just converted to owned"),
+        }
+    }
+
+    fn shrink_to_fit(&mut self) {
+        if let Ints::Owned(column) = self {
+            column.shrink_to_fit();
+        }
+    }
+
+    /// Heap bytes held: an owned column's capacity; a shared image is
+    /// file-backed.
+    fn heap_bytes(&self) -> usize {
+        match self {
+            Ints::Owned(column) => column.heap_bytes(),
+            Ints::Shared { .. } => 0,
+        }
+    }
+}
+
+/// Strings stored back to back: one cumulative end per string into one
+/// arena.
 #[derive(Clone, Default)]
 struct Strings {
-    ends: Vec<u32>,
+    ends: Ints,
     arena: Arena,
 }
 
@@ -83,36 +180,31 @@ impl Strings {
         self.ends.len()
     }
 
-    /// The bytes of string `i`. Clamped: an index out of range, or shared
-    /// bytes that shrank after validation, yield an empty slice, never a
-    /// panic.
+    /// The table as borrowed views, which every read goes through.
     #[inline]
-    fn get(&self, i: usize) -> &[u8] {
-        let start = match i.checked_sub(1) {
-            Some(prev) => self.ends.get(prev).copied().unwrap_or(0),
-            None => 0,
-        };
-        let end = self.ends.get(i).copied().unwrap_or(0);
-        self.arena.bytes().get(start as usize..end as usize).unwrap_or(&[])
+    fn view(&self) -> StringsView<'_> {
+        StringsView { ends: self.ends.view(), arena: self.arena.bytes() }
     }
 
     fn push(&mut self, s: &[u8]) {
         let arena = self.arena.make_owned();
         arena.extend_from_slice(s);
-        self.ends.push(u32::try_from(arena.len()).expect("dictionary string arena exceeds 4 GiB"));
+        let end = u32::try_from(arena.len()).expect("dictionary string arena exceeds 4 GiB");
+        self.ends.make_owned().push(end);
     }
 
     /// Checks that the ends are a monotone cover of a UTF-8 arena that
     /// cut it only on character boundaries.
     fn validate(&self) -> Result<(), ArenaError> {
-        let bytes = self.arena.bytes();
-        if self.ends.windows(2).any(|w| w[0] > w[1])
-            || self.ends.last().map_or(0, |&e| e as usize) != bytes.len()
+        let StringsView { ends, arena: bytes } = self.view();
+        let mut last = 0;
+        if ends.values().any(|e| std::mem::replace(&mut last, e) > e)
+            || last as usize != bytes.len()
         {
             return Err(ArenaError::OffsetsNotMonotone);
         }
         let text = std::str::from_utf8(bytes).map_err(|_| ArenaError::NotUtf8)?;
-        if self.ends.iter().any(|&e| !text.is_char_boundary(e as usize)) {
+        if ends.values().any(|e| !text.is_char_boundary(e as usize)) {
             return Err(ArenaError::SplitsChar);
         }
         Ok(())
@@ -124,38 +216,84 @@ impl Strings {
             bytes.shrink_to_fit();
         }
     }
+}
 
-    fn heap_bytes(&self) -> usize {
-        self.ends.capacity() * 4 + self.arena.heap_bytes()
+/// A string table's columns, borrowed once for a whole operation.
+#[derive(Clone, Copy)]
+struct StringsView<'a> {
+    ends: PackedView<'a>,
+    arena: &'a [u8],
+}
+
+impl<'a> StringsView<'a> {
+    /// The bytes of string `i`. Clamped: an index out of range, or shared
+    /// bytes that shrank after validation, yield an empty slice, never a
+    /// panic.
+    #[inline]
+    fn get(self, i: usize) -> &'a [u8] {
+        let (start, end) = match i.checked_sub(1) {
+            Some(prev) => self.ends.pair(prev),
+            None => (0, self.ends.get(0)),
+        };
+        self.arena.get(start as usize..end as usize).unwrap_or(&[])
     }
 }
 
-/// An empty open-addressing slot.
-const EMPTY_SLOT: u32 = u32::MAX;
+/// The term columns — heads and own bytes — borrowed once for a whole
+/// operation.
+#[derive(Clone, Copy)]
+struct TermsView<'a> {
+    heads: PackedView<'a>,
+    own: StringsView<'a>,
+}
+
+impl TermsView<'_> {
+    /// The hash of term `id`'s key.
+    #[inline]
+    fn hash(self, id: u32) -> u64 {
+        hash_key(self.heads.get(id as usize), self.own.get(id as usize))
+    }
+
+    /// Whether term `id` is the one of this head and own bytes.
+    #[inline]
+    fn is(self, id: u32, head: u32, own: &[u8]) -> bool {
+        self.heads.get(id as usize) == head && self.own.get(id as usize) == own
+    }
+}
 
 /// Open-addressing hash table from keys to ids.
 ///
 /// Slots hold ids; keys live in the arenas, so the table itself is one
-/// flat `u32` array — no per-entry allocation, and lookups compare
-/// borrowed bytes directly. Capacity is a power of two; load factor is
-/// kept below 7/8. An entry's home slot is the low bits of its
-/// [`hash_key`] hash, which is finalized so that those bits depend on
-/// every byte of the key: linear probing then displaces an entry by
-/// about two slots on average at this load factor (see
-/// [`Dictionary::index_stats`]).
+/// packed column — no per-entry allocation, and lookups compare borrowed
+/// bytes directly. Capacity is a power of two, the smallest that keeps
+/// the load factor at or below 7/8 ([`slots_for`]), whether the table
+/// grew by interning or was built for a table read whole. A slot is
+/// `log2(slots)` bits wide, and its all-ones value marks it empty: ids
+/// are below the entry count, at most 7/8 of the slots, so no id is
+/// all ones. An entry's home slot is the low bits of its [`hash_key`]
+/// hash, which is finalized so that those bits depend on every byte of
+/// the key: linear probing then displaces an entry by about two slots on
+/// average at this load factor (see [`Dictionary::index_stats`]).
 #[derive(Clone, Default)]
 struct TermIndex {
-    slots: Vec<u32>,
+    slots: PackedColumn,
 }
 
-/// Slot count (a power of two) comfortably holding `n` entries.
+/// Slot count of a table holding `n` entries: the smallest power of two
+/// of at least `8n / 7` (none for no entry).
 fn slots_for(n: usize) -> usize {
-    (n + n / 4 + 8).next_power_of_two()
+    if n == 0 {
+        0
+    } else {
+        (n * 8).div_ceil(7).next_power_of_two()
+    }
 }
 
 impl TermIndex {
+    /// An empty table sized for `n` entries.
     fn with_capacity(n: usize) -> Self {
-        TermIndex { slots: vec![EMPTY_SLOT; slots_for(n)] }
+        let slots = slots_for(n);
+        TermIndex { slots: PackedColumn::filled(slots, empty_slot(slots)) }
     }
 
     /// Whether holding `n >= 1` entries would push the load factor past
@@ -176,21 +314,19 @@ impl TermIndex {
         index
     }
 
-    #[inline]
-    fn home(&self, hash: u64) -> usize {
-        debug_assert!(self.slots.len().is_power_of_two());
-        (hash as usize) & (self.slots.len() - 1)
-    }
-
     /// Probes for a key with the given hash: `Ok(id)` when `eq` accepts
     /// an occupied slot, `Err(slot)` with the insertion position when the
     /// probe chain ends at an empty slot. The table must be allocated.
+    #[inline]
     fn probe(&self, hash: u64, mut eq: impl FnMut(u32) -> bool) -> Result<u32, usize> {
-        let mask = self.slots.len() - 1;
-        let mut i = self.home(hash);
+        let slots = self.slots.view();
+        debug_assert!(slots.len().is_power_of_two());
+        let mask = slots.len() - 1;
+        let empty = mask as u32;
+        let mut i = (hash as usize) & mask;
         loop {
-            match self.slots[i] {
-                EMPTY_SLOT => return Err(i),
+            match slots.get(i) {
+                id if id == empty => return Err(i),
                 id if eq(id) => return Ok(id),
                 _ => i = (i + 1) & mask,
             }
@@ -199,6 +335,7 @@ impl TermIndex {
 
     /// Looks a key up without mutating anything; `None` from an
     /// unallocated table too.
+    #[inline]
     fn find(&self, hash: u64, eq: impl FnMut(u32) -> bool) -> Option<u32> {
         if self.slots.is_empty() {
             return None;
@@ -209,7 +346,7 @@ impl TermIndex {
     /// Inserts an id whose key is known to be absent.
     fn insert_absent(&mut self, hash: u64, id: u32) {
         let slot = self.probe(hash, |_| false).expect_err("no slot compares equal");
-        self.slots[slot] = id;
+        self.slots.set(slot, id);
     }
 
     /// Inserts ids `0..n` with the given keys, in id order, refusing a
@@ -224,7 +361,7 @@ impl TermIndex {
         for id in 0..n as u32 {
             match index.probe(hash_of(id), |other| same(id, other)) {
                 Ok(_) => return None,
-                Err(slot) => index.slots[slot] = id,
+                Err(slot) => index.slots.set(slot, id),
             }
         }
         Some(index)
@@ -235,9 +372,9 @@ impl TermIndex {
     fn displacement(&self, hash_of: impl Fn(u32) -> u64) -> (u64, usize) {
         let mask = self.slots.len().wrapping_sub(1);
         let (mut total, mut max) = (0u64, 0usize);
-        for (at, &id) in self.slots.iter().enumerate() {
-            if id != EMPTY_SLOT {
-                let displaced = at.wrapping_sub(self.home(hash_of(id))) & mask;
+        for (at, id) in self.slots.values().enumerate() {
+            if id != mask as u32 {
+                let displaced = at.wrapping_sub(hash_of(id) as usize) & mask;
                 total += displaced as u64;
                 max = max.max(displaced);
             }
@@ -246,8 +383,16 @@ impl TermIndex {
     }
 }
 
-/// Term ids: every `u32` but [`EMPTY_SLOT`].
-const TERM_IDS: usize = EMPTY_SLOT as usize;
+/// The empty-slot marker of a table of `slots` slots (a power of two):
+/// all ones in its `log2(slots)` bits.
+fn empty_slot(slots: usize) -> u32 {
+    u32::try_from(slots.saturating_sub(1)).expect("a reverse index of at most 2^32 slots")
+}
+
+/// Term ids a dictionary has room for: 7/8 of the 2^31 slots of the
+/// largest reverse index a packed column holds, so no id is an empty-slot
+/// marker.
+const TERM_IDS: usize = 7 << 28;
 
 /// Bits of a term's head that hold its kind; the prefix id sits above.
 const KIND_BITS: u32 = 3;
@@ -256,8 +401,8 @@ const KIND_BITS: u32 = 3;
 const PREFIX_IDS: usize = 1 << (32 - KIND_BITS);
 
 /// The id of the next entry of a table holding `len` and allowed `limit`
-/// ids: ids are dense from 0, and [`EMPTY_SLOT`], which the reverse index
-/// reserves for an empty slot, is never one.
+/// ids: ids are dense from 0, and stay below 7/8 of the largest reverse
+/// index, whose all-ones slot marks an empty one.
 ///
 /// # Panics
 ///
@@ -379,7 +524,7 @@ fn check_canonical(
 #[derive(Clone)]
 struct Inner {
     /// One head per term (`Id(i)` ↦ `heads[i]`): kind and prefix id.
-    heads: Vec<u32>,
+    heads: Ints,
     /// Each term's own bytes.
     terms: Strings,
     /// Reverse index: `(head, own bytes)` → term id.
@@ -394,7 +539,7 @@ struct Inner {
 impl Default for Inner {
     fn default() -> Self {
         let mut inner = Inner {
-            heads: Vec::new(),
+            heads: Ints::default(),
             terms: Strings::default(),
             index: TermIndex::default(),
             prefixes: Strings::default(),
@@ -410,12 +555,9 @@ impl Inner {
         self.heads.len()
     }
 
-    fn prefix_hash(&self, id: u32) -> u64 {
-        hash_key(0, self.prefixes.get(id as usize))
-    }
-
-    fn term_hash(&self, id: u32) -> u64 {
-        hash_key(self.heads[id as usize], self.terms.get(id as usize))
+    #[inline(always)]
+    fn terms(&self) -> TermsView<'_> {
+        TermsView { heads: self.heads.view(), own: self.terms.view() }
     }
 
     /// The id of an interned prefix. The empty prefix is 0 without a
@@ -425,22 +567,24 @@ impl Inner {
         if prefix.is_empty() {
             return Some(0);
         }
-        self.prefix_index.find(hash_key(0, prefix), |id| self.prefixes.get(id as usize) == prefix)
+        let prefixes = self.prefixes.view();
+        self.prefix_index.find(hash_key(0, prefix), |id| prefixes.get(id as usize) == prefix)
     }
 
     /// The id of a term by its head and own bytes.
     #[inline]
     fn lookup(&self, hash: u64, head: u32, own: &[u8]) -> Option<u32> {
-        self.index
-            .find(hash, |id| self.heads[id as usize] == head && self.terms.get(id as usize) == own)
+        let terms = self.terms();
+        self.index.find(hash, |id| terms.is(id, head, own))
     }
 
     /// Appends a prefix known to be absent, returning its id.
     fn push_prefix(&mut self, prefix: &[u8]) -> u32 {
         let id = mint_id(self.prefixes.len(), PREFIX_IDS, "2^29 prefixes");
         if self.prefix_index.must_grow_for(self.prefixes.len() + 1) {
-            self.prefix_index =
-                TermIndex::rebuilt(self.prefixes.len() + 1, (0..id).map(|p| self.prefix_hash(p)));
+            let prefixes = self.prefixes.view();
+            let hashes = (0..id).map(|p| hash_key(0, prefixes.get(p as usize)));
+            self.prefix_index = TermIndex::rebuilt(self.prefixes.len() + 1, hashes);
         }
         self.prefixes.push(prefix);
         self.prefix_index.insert_absent(hash_key(0, prefix), id);
@@ -449,12 +593,13 @@ impl Inner {
 
     /// Appends a term known to be absent, returning its new id.
     fn push_term(&mut self, head: u32, own: &[u8], hash: u64) -> Id {
-        let id = mint_id(self.len(), TERM_IDS, "2^32 − 1 terms");
+        let id = mint_id(self.len(), TERM_IDS, "7·2^28 terms");
         if self.index.must_grow_for(self.len() + 1) {
-            self.index = TermIndex::rebuilt(self.len() + 1, (0..id).map(|t| self.term_hash(t)));
+            let terms = self.terms();
+            self.index = TermIndex::rebuilt(self.len() + 1, (0..id).map(|t| terms.hash(t)));
         }
         self.terms.push(own);
-        self.heads.push(head);
+        self.heads.make_owned().push(head);
         self.index.insert_absent(hash, id);
         Id(id)
     }
@@ -463,8 +608,13 @@ impl Inner {
     /// of range.
     #[inline]
     fn parts(&self, i: usize) -> Option<(TermKind, &[u8], &[u8])> {
-        let (kind, prefix) = unpack(*self.heads.get(i)?);
-        Some((TermKind::from_byte(kind)?, self.prefixes.get(prefix as usize), self.terms.get(i)))
+        let terms = self.terms();
+        if i >= terms.heads.len() {
+            return None;
+        }
+        let (kind, prefix) = unpack(terms.heads.get(i));
+        let prefix = self.prefixes.view().get(prefix as usize);
+        Some((TermKind::from_byte(kind)?, prefix, terms.own.get(i)))
     }
 
     /// [`Inner::parts`] as text. Returns `None` (never panics) for an id
@@ -480,20 +630,21 @@ impl Inner {
 /// A dictionary's five columns, as the hexsnap `DICT` section lays them
 /// out: what [`Dictionary::try_from_arena`] validates and adopts, and
 /// what [`Dictionary::image`] copies out. `A` is how the two byte arenas
-/// are given: owned bytes, or windows into shared storage
-/// ([`Dictionary::try_from_shared_arena`]).
+/// are given and `C` how the three integer columns are: owned bytes and
+/// [`PackedColumn`]s, or windows into shared storage
+/// ([`Dictionary::try_from_shared_arena`], with [`PackedWindow`]s).
 #[derive(Clone, Debug, PartialEq, Eq)]
-pub struct ArenaImage<A> {
+pub struct ArenaImage<A, C = PackedColumn> {
     /// One head per term: its [`TermKind`] discriminant in the low three
     /// bits, its prefix id above them.
-    pub heads: Vec<u32>,
+    pub heads: C,
     /// The cumulative end of each term's own bytes in `arena`.
-    pub ends: Vec<u32>,
+    pub ends: C,
     /// The terms' own bytes, back to back.
     pub arena: A,
     /// The cumulative end of each prefix in `prefixes`. Prefix 0 is the
     /// empty string.
-    pub prefix_ends: Vec<u32>,
+    pub prefix_ends: C,
     /// The prefixes' bytes, back to back.
     pub prefixes: A,
 }
@@ -534,6 +685,13 @@ pub enum ArenaError {
     NonCanonicalTyped,
     /// A shared byte range lies outside the provider's bytes.
     OutOfBounds,
+    /// An integer column is not the canonical packed image of its values.
+    Packed {
+        /// Which column: `heads`, `ends` or `prefix ends`.
+        column: &'static str,
+        /// How its image fails.
+        error: PackedError,
+    },
 }
 
 impl std::fmt::Display for ArenaError {
@@ -568,6 +726,9 @@ impl std::fmt::Display for ArenaError {
             ArenaError::OutOfBounds => {
                 write!(f, "arena range lies outside the shared byte provider")
             }
+            ArenaError::Packed { column, error } => {
+                write!(f, "dictionary {column} column: {error}")
+            }
         }
     }
 }
@@ -601,12 +762,10 @@ impl Dictionary {
         Dictionary::default()
     }
 
-    /// Creates an empty dictionary with capacity for `n` distinct terms.
+    /// Creates an empty dictionary whose term index has room for `n`
+    /// distinct terms. (The packed columns grow as their widths do.)
     pub fn with_capacity(n: usize) -> Self {
-        let mut inner = Inner::default();
-        inner.heads.reserve_exact(n);
-        inner.terms.ends.reserve_exact(n);
-        inner.index = TermIndex::with_capacity(n);
+        let inner = Inner { index: TermIndex::with_capacity(n), ..Inner::default() };
         Dictionary { inner: Arc::new(inner) }
     }
 
@@ -617,7 +776,7 @@ impl Dictionary {
 
     /// True if no terms have been interned.
     pub fn is_empty(&self) -> bool {
-        self.inner.heads.is_empty()
+        self.inner.len() == 0
     }
 
     /// Number of distinct prefixes, the empty one included.
@@ -701,6 +860,12 @@ impl Dictionary {
     /// [`Dictionary::encode_triple`] loop over the slice does: new terms
     /// are numbered in first-seen order.
     ///
+    /// A statement whose subject is the previous statement's reuses its
+    /// id after one comparison, without the prefix and term lookups. A
+    /// document lists a subject's statements together — 82 % of the
+    /// benchmark's generated statements repeat the subject before them —
+    /// and input in any other order pays that one comparison a statement.
+    ///
     /// `threads` is an upper bound on the workers the encode may use, and
     /// it uses one: the loop costs about 80 ns per term occurrence, an
     /// eighth of a load, and sharding it across two cores did not move a
@@ -718,7 +883,24 @@ impl Dictionary {
         for<'t> &'t T: Into<TripleRef<'t>>,
     {
         let before = self.len();
-        let ids = triples.iter().map(|t| self.encode_triple(t)).collect();
+        let mut subject: Option<(TermRef<'_>, Id)> = None;
+        let mut ids = Vec::with_capacity(triples.len());
+        for t in triples {
+            let t: TripleRef<'_> = t.into();
+            let s = match &subject {
+                Some((term, id)) if *term == t.subject => *id,
+                _ => {
+                    let id = self.encode_ref(&t.subject);
+                    subject = Some((t.subject, id));
+                    id
+                }
+            };
+            ids.push(IdTriple {
+                s,
+                p: self.encode_ref(&t.predicate),
+                o: self.encode_ref(&t.object),
+            });
+        }
         if self.len() > before && (self.len() - before) * 2 >= self.len() {
             self.shrink_to_fit();
         }
@@ -729,8 +911,8 @@ impl Dictionary {
     /// arenas to their content. They grow by doubling, so after a load up
     /// to half of each is reserved and never written;
     /// [`Dictionary::heap_bytes`] counts that room. (The reverse indexes
-    /// are power-of-two tables sized for their load factor and have none
-    /// to give back.)
+    /// are power-of-two tables sized for their load factor, built
+    /// exact-sized, and have none to give back.)
     pub fn shrink_to_fit(&mut self) {
         let inner = Arc::make_mut(&mut self.inner);
         inner.heads.shrink_to_fit();
@@ -768,15 +950,16 @@ impl Dictionary {
     /// The per-term head column, exactly as the hexsnap `DICT` section
     /// stores it: the [`TermKind`] discriminant (0 IRI, 1 blank, 2 plain
     /// literal, 3 language-tagged literal, 4 typed literal) in the low
-    /// three bits, the prefix id above them.
-    pub fn term_heads(&self) -> &[u32] {
-        &self.inner.heads
+    /// three bits, the prefix id above them, packed at the width of the
+    /// largest head.
+    pub fn term_heads(&self) -> PackedView<'_> {
+        self.inner.heads.view()
     }
 
     /// The cumulative end of each term's own bytes in
-    /// [`Dictionary::arena_bytes`].
-    pub fn term_ends(&self) -> &[u32] {
-        &self.inner.terms.ends
+    /// [`Dictionary::arena_bytes`], packed at the width of the last.
+    pub fn term_ends(&self) -> PackedView<'_> {
+        self.inner.terms.ends.view()
     }
 
     /// The terms' own bytes, back to back.
@@ -784,10 +967,10 @@ impl Dictionary {
         self.inner.terms.arena.bytes()
     }
 
-    /// The cumulative end of each prefix in [`Dictionary::prefix_bytes`];
-    /// prefix 0 is the empty string.
-    pub fn prefix_ends(&self) -> &[u32] {
-        &self.inner.prefixes.ends
+    /// The cumulative end of each prefix in [`Dictionary::prefix_bytes`],
+    /// packed at the width of the last; prefix 0 is the empty string.
+    pub fn prefix_ends(&self) -> PackedView<'_> {
+        self.inner.prefixes.ends.view()
     }
 
     /// The prefixes' bytes, back to back.
@@ -799,10 +982,10 @@ impl Dictionary {
     /// takes them.
     pub fn image(&self) -> ArenaImage<Vec<u8>> {
         ArenaImage {
-            heads: self.term_heads().to_vec(),
-            ends: self.term_ends().to_vec(),
+            heads: PackedColumn::from_view(self.term_heads()),
+            ends: PackedColumn::from_view(self.term_ends()),
             arena: self.arena_bytes().to_vec(),
-            prefix_ends: self.prefix_ends().to_vec(),
+            prefix_ends: PackedColumn::from_view(self.prefix_ends()),
             prefixes: self.prefix_bytes().to_vec(),
         }
     }
@@ -814,26 +997,33 @@ impl Dictionary {
     }
 
     /// Rebuilds a dictionary from its five columns — the snapshot fast
-    /// path. Validates both offset tables (monotone cover, UTF-8, char
-    /// boundaries), every head (kind, prefix id) and the one
+    /// path. Validates the three integer columns (each the canonical
+    /// packed image of its values), both offset tables (monotone cover,
+    /// UTF-8, char boundaries), every head (kind, prefix id) and the one
     /// representation each term has ([`ArenaError`] lists the ways an
     /// image can fail it), and builds both reverse indexes in one hash
     /// pass each; no `Term` is constructed.
     pub fn try_from_arena(image: ArenaImage<Vec<u8>>) -> Result<Self, ArenaError> {
-        let (arena, prefixes) = (Arena::Owned(image.arena), Arena::Owned(image.prefixes));
-        Self::build(image.heads, image.ends, arena, image.prefix_ends, prefixes)
+        Self::build(
+            Ints::Owned(image.heads),
+            Ints::Owned(image.ends),
+            Arena::Owned(image.arena),
+            Ints::Owned(image.prefix_ends),
+            Arena::Owned(image.prefixes),
+        )
     }
 
-    /// Like [`Dictionary::try_from_arena`], but the two byte arenas stay
-    /// windows into shared storage (an open memory map), so the string
-    /// bytes are never copied onto the heap.
+    /// Like [`Dictionary::try_from_arena`], but every column stays a
+    /// window into shared storage (an open memory map): the string bytes
+    /// and the packed columns are never copied onto the heap, which then
+    /// holds the two reverse indexes and nothing else.
     ///
     /// Validation happens against the bytes as they are now; the
     /// provider is trusted not to mutate them afterwards. If it does
     /// anyway, lookups may miss and decodes may return `None`, but
     /// nothing panics.
     pub fn try_from_shared_arena(
-        image: ArenaImage<Range<usize>>,
+        image: ArenaImage<Range<usize>, PackedWindow>,
         bytes: SharedBytes,
     ) -> Result<Self, ArenaError> {
         let total = (*bytes).as_ref().len();
@@ -843,17 +1033,26 @@ impl Dictionary {
             }
             Ok(Arena::Shared { bytes: Arc::clone(&bytes), range })
         };
+        let ints = |window: PackedWindow, column| match window.view(&bytes) {
+            Ok(_) => Ok(Ints::Shared { bytes: Arc::clone(&bytes), window }),
+            Err(None) => Err(ArenaError::OutOfBounds),
+            Err(Some(error)) => Err(ArenaError::Packed { column, error }),
+        };
         let (arena, prefixes) = (window(image.arena)?, window(image.prefixes)?);
-        Self::build(image.heads, image.ends, arena, image.prefix_ends, prefixes)
+        let (heads, ends) = (ints(image.heads, "heads")?, ints(image.ends, "ends")?);
+        Self::build(heads, ends, arena, ints(image.prefix_ends, "prefix ends")?, prefixes)
     }
 
     fn build(
-        heads: Vec<u32>,
-        ends: Vec<u32>,
+        heads: Ints,
+        ends: Ints,
         arena: Arena,
-        prefix_ends: Vec<u32>,
+        prefix_ends: Ints,
         prefix_arena: Arena,
     ) -> Result<Self, ArenaError> {
+        for (column, ints) in [("heads", &heads), ("ends", &ends), ("prefix ends", &prefix_ends)] {
+            ints.view().validate().map_err(|error| ArenaError::Packed { column, error })?;
+        }
         if heads.len() != ends.len() {
             return Err(ArenaError::ColumnLengths { heads: heads.len(), ends: ends.len() });
         }
@@ -861,10 +1060,10 @@ impl Dictionary {
         let prefixes = Strings { ends: prefix_ends, arena: prefix_arena };
         terms.validate()?;
         prefixes.validate()?;
-        if prefixes.len() == 0 || !prefixes.get(0).is_empty() {
+        if prefixes.len() == 0 || !prefixes.view().get(0).is_empty() {
             return Err(ArenaError::EmptyPrefixMissing);
         }
-        let mut inner = Inner {
+        let inner = Inner {
             heads,
             terms,
             index: TermIndex::default(),
@@ -874,48 +1073,56 @@ impl Dictionary {
         // One hash pass per table over borrowed bytes. Distinctness falls
         // out of the build — a probe that finds an equal key is a corrupt
         // image, not a second id.
-        inner.prefix_index = TermIndex::of_distinct(
-            inner.prefixes.len(),
-            |p| inner.prefix_hash(p),
-            |a, b| inner.prefixes.get(a as usize) == inner.prefixes.get(b as usize),
+        let (table, terms) = (inner.prefixes.view(), inner.terms());
+        let prefix_index = TermIndex::of_distinct(
+            table.ends.len(),
+            |p| hash_key(0, table.get(p as usize)),
+            |a, b| table.get(a as usize) == table.get(b as usize),
         )
         .ok_or(ArenaError::DuplicatePrefix)?;
-        for (i, &head) in inner.heads.iter().enumerate() {
+        for (i, head) in terms.heads.values().enumerate() {
             let (kind, prefix_id) = unpack(head);
             let kind = TermKind::from_byte(kind).ok_or(ArenaError::UnknownKind(kind))?;
-            if prefix_id as usize >= inner.prefixes.len() {
+            if prefix_id as usize >= table.ends.len() {
                 return Err(ArenaError::PrefixOutOfRange(prefix_id));
             }
-            let prefix = inner.prefixes.get(prefix_id as usize);
-            check_canonical(kind, prefix_id, prefix, inner.terms.get(i))?;
+            check_canonical(kind, prefix_id, table.get(prefix_id as usize), terms.own.get(i))?;
         }
-        inner.index = TermIndex::of_distinct(
-            inner.len(),
-            |t| inner.term_hash(t),
-            |a, b| {
-                inner.heads[a as usize] == inner.heads[b as usize]
-                    && inner.terms.get(a as usize) == inner.terms.get(b as usize)
-            },
+        let index = TermIndex::of_distinct(
+            terms.heads.len(),
+            |t| terms.hash(t),
+            |a, b| terms.is(b, terms.heads.get(a as usize), terms.own.get(a as usize)),
         )
         .ok_or(ArenaError::Duplicate)?;
+        let inner = Inner { index, prefix_index, ..inner };
         Ok(Dictionary { inner: Arc::new(inner) })
     }
 
-    /// Exact heap footprint of the dictionary in bytes: the head column,
-    /// the two offset tables, the two reverse indexes' slot arrays, and
-    /// the two string arenas — each a single flat buffer, counted at
-    /// capacity. String bytes appear exactly once (the reverse indexes
-    /// store only ids, keyed by the same arena bytes); a shared (mapped)
-    /// arena contributes nothing, since its bytes are file-backed rather
-    /// than heap-allocated.
+    /// Exact heap footprint of the dictionary in bytes: the sum of
+    /// [`Dictionary::heap_breakdown`]'s parts.
     pub fn heap_bytes(&self) -> usize {
+        self.heap_breakdown().total()
+    }
+
+    /// Where the heap bytes go: the shared interior's fixed fields, the
+    /// head column, the two offset tables, the two string arenas and the
+    /// two reverse indexes' slot columns — each a single flat buffer,
+    /// counted at capacity. String bytes appear exactly once (the reverse
+    /// indexes store only ids, keyed by the same arena bytes); a shared
+    /// (mapped) column or arena contributes nothing, since its bytes are
+    /// file-backed rather than heap-allocated.
+    pub fn heap_breakdown(&self) -> DictHeap {
         let inner = &*self.inner;
-        std::mem::size_of::<Inner>()
-            + inner.heads.capacity() * 4
-            + inner.terms.heap_bytes()
-            + inner.index.slots.capacity() * 4
-            + inner.prefixes.heap_bytes()
-            + inner.prefix_index.slots.capacity() * 4
+        DictHeap {
+            interior: std::mem::size_of::<Inner>(),
+            heads: inner.heads.heap_bytes(),
+            ends: inner.terms.ends.heap_bytes(),
+            arena: inner.terms.arena.heap_bytes(),
+            term_index: inner.index.slots.heap_bytes(),
+            prefix_ends: inner.prefixes.ends.heap_bytes(),
+            prefix_bytes: inner.prefixes.arena.heap_bytes(),
+            prefix_index: inner.prefix_index.slots.heap_bytes(),
+        }
     }
 
     /// Health of the term index: how full it is and how far linear
@@ -924,7 +1131,8 @@ impl Dictionary {
     /// order always report the same numbers, on any host.
     pub fn index_stats(&self) -> IndexStats {
         let inner = &*self.inner;
-        let (total, max_displacement) = inner.index.displacement(|id| inner.term_hash(id));
+        let terms = inner.terms();
+        let (total, max_displacement) = inner.index.displacement(|id| terms.hash(id));
         let terms = self.len();
         IndexStats {
             slots: inner.index.slots.len(),
@@ -932,6 +1140,41 @@ impl Dictionary {
             mean_displacement: if terms == 0 { 0.0 } else { total as f64 / terms as f64 },
             max_displacement,
         }
+    }
+}
+
+/// [`Dictionary::heap_breakdown`]: the dictionary's heap bytes by part.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct DictHeap {
+    /// The shared interior's fixed fields.
+    pub interior: usize,
+    /// The term heads.
+    pub heads: usize,
+    /// The cumulative ends of the terms' own bytes.
+    pub ends: usize,
+    /// The terms' own bytes.
+    pub arena: usize,
+    /// The term index's slots.
+    pub term_index: usize,
+    /// The cumulative ends of the prefixes.
+    pub prefix_ends: usize,
+    /// The prefixes' bytes.
+    pub prefix_bytes: usize,
+    /// The prefix index's slots.
+    pub prefix_index: usize,
+}
+
+impl DictHeap {
+    /// The sum of the parts: [`Dictionary::heap_bytes`].
+    pub fn total(&self) -> usize {
+        self.interior
+            + self.heads
+            + self.ends
+            + self.arena
+            + self.term_index
+            + self.prefix_ends
+            + self.prefix_bytes
+            + self.prefix_index
     }
 }
 
@@ -1045,25 +1288,51 @@ mod tests {
         assert_eq!(d.prefix_count(), 4);
         assert_eq!(d.prefix_bytes(), format!("http://x/en{XSD_INT}").as_bytes());
         let want = [(TermKind::Iri, 1), (TermKind::LangLiteral, 2), (TermKind::TypedLiteral, 3)];
-        assert_eq!(d.term_heads()[..3], want.map(|(kind, prefix)| head(kind, prefix)));
+        let heads: Vec<u32> = d.term_heads().iter(0..3).collect();
+        assert_eq!(heads, want.map(|(kind, prefix)| head(kind, prefix)));
+        // Heads of prefix ids up to 3 and kinds up to 4 take 5 bits each.
+        assert_eq!(d.term_heads().width(), 5);
         assert!(!d.arena_bytes().windows(4).any(|w| w == b"http"), "namespace left the arena");
     }
 
     #[test]
     fn id_minting_stops_short_of_the_empty_slot() {
         assert_eq!(mint_id(0, TERM_IDS, "t"), 0);
-        assert_eq!(mint_id(TERM_IDS - 1, TERM_IDS, "t"), EMPTY_SLOT - 1);
+        assert_eq!(mint_id(TERM_IDS - 1, TERM_IDS, "t"), (TERM_IDS - 1) as u32);
         assert_eq!(mint_id(PREFIX_IDS - 1, PREFIX_IDS, "p"), (PREFIX_IDS - 1) as u32);
-        for (len, limit) in [(TERM_IDS + 1, TERM_IDS), (PREFIX_IDS, PREFIX_IDS)] {
+        for (len, limit) in [(TERM_IDS, TERM_IDS), (PREFIX_IDS, PREFIX_IDS)] {
             let refused = std::panic::catch_unwind(|| mint_id(len, limit, "ids"));
             assert!(refused.is_err(), "id {len} of {limit} minted");
         }
+        // The largest table's ids stay below its empty-slot marker.
+        let slots = slots_for(TERM_IDS);
+        assert_eq!(slots, 1 << 31);
+        assert!(TERM_IDS - 1 < empty_slot(slots) as usize);
     }
 
     #[test]
-    #[should_panic(expected = "dictionary overflow: more than 2^32 − 1 terms")]
+    #[should_panic(expected = "dictionary overflow: more than 7·2^28 terms")]
     fn the_empty_slot_marker_is_never_a_term_id() {
-        mint_id(EMPTY_SLOT as usize, TERM_IDS, "2^32 − 1 terms");
+        mint_id(TERM_IDS, TERM_IDS, "7·2^28 terms");
+    }
+
+    #[test]
+    fn a_table_has_the_fewest_slots_that_keep_its_load_at_seven_eighths() {
+        assert_eq!(slots_for(0), 0);
+        for n in 1..5_000usize {
+            let slots = slots_for(n);
+            assert!(slots.is_power_of_two() && slots * 7 >= n * 8, "{n}: {slots}");
+            assert!(slots / 2 * 7 < n * 8, "{n}: {slots} is not the fewest");
+            // Every id of such a table is below its empty-slot marker.
+            assert!(n - 1 < empty_slot(slots) as usize, "{n}: {slots}");
+        }
+        // Interning grows the table by the same rule a read table is
+        // built by.
+        let mut d = Dictionary::new();
+        for i in 0..1_000 {
+            d.encode(&iri(&format!("r{i}")));
+            assert_eq!(d.index_stats().slots, slots_for(d.len()), "{i}");
+        }
     }
 
     #[test]
@@ -1181,15 +1450,16 @@ mod tests {
 
     #[test]
     fn a_bulk_encode_leaves_the_buffers_exact_sized_and_small_batches_leave_them_alone() {
+        let image = |c: PackedView<'_>| c.bytes().len();
         let content = |d: &Dictionary| {
             std::mem::size_of::<Inner>()
-                + 4 * d.term_heads().len()
-                + 4 * d.term_ends().len()
+                + image(d.term_heads())
+                + image(d.term_ends())
                 + d.arena_bytes().len()
-                + 4 * d.index_stats().slots
-                + 4 * d.prefix_ends().len()
+                + image(d.inner.index.slots.view())
+                + image(d.prefix_ends())
                 + d.prefix_bytes().len()
-                + 4 * d.inner.prefix_index.slots.len()
+                + image(d.inner.prefix_index.slots.view())
         };
         let batch = |range: std::ops::Range<u32>| -> Vec<Triple> {
             range
@@ -1206,12 +1476,12 @@ mod tests {
         d.encode_triples_parallel(&batch(0..1000), 1);
         assert_eq!(d.len(), 2003);
         assert_eq!(d.heap_bytes(), content(&d), "a load gives its growth slack back");
-        // One more term: the full buffers double, and a batch that small
-        // does not trim them again.
-        d.encode_triples_parallel(&batch(1000..1001), 1);
+        // Ten more triples, a word more of every packed column: the full
+        // buffers double, and a batch that small does not trim them again.
+        d.encode_triples_parallel(&batch(1000..1010), 1);
         let doubled = d.heap_bytes();
         assert!(doubled - content(&d) > content(&d) / 4, "doubled buffers keep their room");
-        d.encode_triples_parallel(&batch(1001..1002), 1);
+        d.encode_triples_parallel(&batch(1010..1011), 1);
         assert_eq!(d.heap_bytes(), doubled, "no reallocation per call");
         // A batch that doubles the dictionary again is a load again.
         d.encode_triples_parallel(&batch(2000..3500), 1);
@@ -1225,6 +1495,24 @@ mod tests {
         grown.shrink_to_fit();
         assert_eq!(grown.heap_bytes(), content(&grown));
         assert_eq!(snapshot.len(), grown.len());
+    }
+
+    #[test]
+    fn a_batch_encodes_runs_of_one_subject_as_the_triple_loop_does() {
+        let t = |s: &str, p: &str, o: Term| Triple::new(iri(s), iri(p), o);
+        let batch = [
+            t("a", "p", Term::literal("x")),
+            t("a", "p", Term::literal("y")),
+            t("a", "q", iri("b")),
+            t("b", "p", iri("a")),
+            t("a", "p", Term::lang_literal("x", "en")),
+            t("a", "p", iri("a")),
+        ];
+        let mut looped = Dictionary::new();
+        let want: Vec<IdTriple> = batch.iter().map(|t| looped.encode_triple(t)).collect();
+        let mut batched = Dictionary::new();
+        assert_eq!(batched.encode_triples_parallel(&batch, 1), want);
+        assert_eq!(batched.image(), looped.image());
     }
 
     #[test]
@@ -1264,7 +1552,7 @@ mod tests {
         assert_eq!(rebuilt.image(), d.image());
         // The empty dictionary's image holds the empty prefix.
         let empty = Dictionary::new().image();
-        assert_eq!(empty.prefix_ends, [0]);
+        assert_eq!(empty.prefix_ends.values().collect::<Vec<_>>(), [0]);
         assert_eq!(Dictionary::try_from_arena(empty).unwrap().prefix_count(), 1);
     }
 
@@ -1272,10 +1560,10 @@ mod tests {
     fn try_from_arena_rejects_corrupt_images() {
         let d = every_kind();
         let image = d.image();
-        let rejects = |edit: &dyn Fn(&mut ArenaImage<Vec<u8>>)| {
-            let mut bad = image.clone();
+        let rejects = |edit: &dyn Fn(&mut Columns)| {
+            let mut bad = Columns::of(&image);
             edit(&mut bad);
-            Dictionary::try_from_arena(bad).unwrap_err()
+            Dictionary::try_from_arena(bad.packed(&image)).unwrap_err()
         };
         assert!(Dictionary::try_from_arena(image.clone()).is_ok());
         // Unknown kind bits.
@@ -1291,17 +1579,20 @@ mod tests {
         assert_eq!(rejects(&|i| i.ends.swap(0, 1)), ArenaError::OffsetsNotMonotone);
         assert_eq!(rejects(&|i| *i.ends.last_mut().unwrap() -= 1), ArenaError::OffsetsNotMonotone);
         assert_eq!(rejects(&|i| i.prefix_ends.swap(1, 2)), ArenaError::OffsetsNotMonotone);
+        let short_prefixes = ArenaImage { prefixes: image.prefixes[1..].to_vec(), ..image.clone() };
         assert_eq!(
-            rejects(&|i| {
-                i.prefixes.pop();
-            }),
+            Dictionary::try_from_arena(short_prefixes).unwrap_err(),
             ArenaError::OffsetsNotMonotone
         );
         // Invalid UTF-8, and an offset inside a character.
-        assert_eq!(rejects(&|i| i.arena[0] = 0xFF), ArenaError::NotUtf8);
-        assert_eq!(rejects(&|i| i.prefixes[0] = 0xFF), ArenaError::NotUtf8);
+        let mut bad = image.clone();
+        bad.arena[0] = 0xFF;
+        assert_eq!(Dictionary::try_from_arena(bad).unwrap_err(), ArenaError::NotUtf8);
+        let mut bad = image.clone();
+        bad.prefixes[0] = 0xFF;
+        assert_eq!(Dictionary::try_from_arena(bad).unwrap_err(), ArenaError::NotUtf8);
         let e_acute = image.arena.windows(2).position(|w| w == "é".as_bytes()).unwrap() as u32;
-        let splits = |i: &mut ArenaImage<Vec<u8>>| {
+        let splits = |i: &mut Columns| {
             let at = i.ends.iter().position(|&e| e > e_acute).unwrap();
             let (old, mid) = (i.ends[at], e_acute + 1);
             i.ends[at] = mid;
@@ -1309,6 +1600,55 @@ mod tests {
             i.heads.insert(at + 1, head(TermKind::Literal, 0));
         };
         assert_eq!(rejects(&splits), ArenaError::SplitsChar);
+        // A column that is not the canonical image of its values.
+        let wide = |values: &[u32]| {
+            let width = crate::packed::width_of(values.iter().copied().max().unwrap_or(0)) + 1;
+            let mut column = PackedColumn::with_width(values.len(), width);
+            values.iter().for_each(|&v| column.push(v));
+            column
+        };
+        let heads: Vec<u32> = image.heads.values().collect();
+        let ends: Vec<u32> = image.ends.values().collect();
+        let too_wide = |column: &'static str, bad: ArenaImage<Vec<u8>>| {
+            assert!(
+                matches!(
+                    Dictionary::try_from_arena(bad).unwrap_err(),
+                    ArenaError::Packed { column: c, error: PackedError::WidthNotTight { .. } }
+                        if c == column
+                ),
+                "{column}"
+            );
+        };
+        too_wide("heads", ArenaImage { heads: wide(&heads), ..image.clone() });
+        too_wide("ends", ArenaImage { ends: wide(&ends), ..image.clone() });
+        too_wide("prefix ends", ArenaImage { prefix_ends: wide(&[0, 5]), ..image.clone() });
+    }
+
+    /// An image's integer columns as plain values, to edit and pack
+    /// again.
+    struct Columns {
+        heads: Vec<u32>,
+        ends: Vec<u32>,
+        prefix_ends: Vec<u32>,
+    }
+
+    impl Columns {
+        fn of(image: &ArenaImage<Vec<u8>>) -> Self {
+            Columns {
+                heads: image.heads.values().collect(),
+                ends: image.ends.values().collect(),
+                prefix_ends: image.prefix_ends.values().collect(),
+            }
+        }
+
+        fn packed(&self, image: &ArenaImage<Vec<u8>>) -> ArenaImage<Vec<u8>> {
+            ArenaImage {
+                heads: PackedColumn::from_values(&self.heads),
+                ends: PackedColumn::from_values(&self.ends),
+                prefix_ends: PackedColumn::from_values(&self.prefix_ends),
+                ..image.clone()
+            }
+        }
     }
 
     #[test]
@@ -1322,10 +1662,10 @@ mod tests {
                 ends.push(bytes.len() as u32);
             }
             ArenaImage {
-                heads: vec![h],
-                ends: vec![own.len() as u32],
+                heads: PackedColumn::from_values(&[h]),
+                ends: PackedColumn::from_values(&[own.len() as u32]),
                 arena: own.as_bytes().to_vec(),
-                prefix_ends: ends,
+                prefix_ends: PackedColumn::from_values(&ends),
                 prefixes: bytes.into_bytes(),
             }
         };
@@ -1337,14 +1677,20 @@ mod tests {
             );
             // The shared constructor runs the same checks.
             let (arena_len, prefix_len) = (image.arena.len(), image.prefixes.len());
-            let bytes: SharedBytes = Arc::new([image.arena, image.prefixes].concat());
+            let mut all = [image.arena, image.prefixes].concat();
+            let mut window = |column: &PackedColumn| {
+                let at = all.len();
+                all.extend_from_slice(column.view().bytes());
+                PackedWindow { bytes: at..all.len(), width: column.width(), len: column.len() }
+            };
             let windows = ArenaImage {
-                heads: image.heads,
-                ends: image.ends,
+                heads: window(&image.heads),
+                ends: window(&image.ends),
                 arena: 0..arena_len,
-                prefix_ends: image.prefix_ends,
+                prefix_ends: window(&image.prefix_ends),
                 prefixes: arena_len..arena_len + prefix_len,
             };
+            let bytes: SharedBytes = Arc::new(all);
             assert_eq!(
                 Dictionary::try_from_shared_arena(windows, bytes).err(),
                 Some(want),
@@ -1401,17 +1747,21 @@ mod tests {
         );
         check(
             "a first prefix that is not empty",
-            ArenaImage { prefix_ends: vec![2], prefixes: b"en".to_vec(), ..image(3, "v", &[]) },
+            ArenaImage {
+                prefix_ends: PackedColumn::from_values(&[2]),
+                prefixes: b"en".to_vec(),
+                ..image(3, "v", &[])
+            },
             ArenaError::EmptyPrefixMissing,
         );
         check(
             "no prefix table at all",
-            ArenaImage { prefix_ends: vec![], ..image(3, "v", &[]) },
+            ArenaImage { prefix_ends: PackedColumn::default(), ..image(3, "v", &[]) },
             ArenaError::EmptyPrefixMissing,
         );
         let twice = ArenaImage {
-            heads: vec![head(iri, 1); 2],
-            ends: vec![1, 2],
+            heads: PackedColumn::from_values(&[head(iri, 1); 2]),
+            ends: PackedColumn::from_values(&[1, 2]),
             arena: b"aa".to_vec(),
             ..image(head(iri, 1), "a", &["http://x/"])
         };
@@ -1424,25 +1774,46 @@ mod tests {
         d.shrink_to_fit();
         let image = d.image();
         let (arena_len, prefix_len) = (image.arena.len(), image.prefixes.len());
-        // Both arenas behind one provider, the prefixes first.
-        let provider: SharedBytes =
-            Arc::new([image.prefixes.clone(), image.arena.clone()].concat());
-        let windows = |arena: Range<usize>| ArenaImage {
-            heads: image.heads.clone(),
-            ends: image.ends.clone(),
+        // Every column behind one provider: the prefixes, the arena, then
+        // the three packed columns.
+        let columns = [&image.heads, &image.ends, &image.prefix_ends];
+        let mut all = [image.prefixes.clone(), image.arena.clone()].concat();
+        let mut windows = Vec::new();
+        for column in columns {
+            let at = all.len();
+            all.extend_from_slice(column.view().bytes());
+            windows.push(PackedWindow {
+                bytes: at..all.len(),
+                width: column.width(),
+                len: column.len(),
+            });
+        }
+        let provider: SharedBytes = Arc::new(all);
+        let image_of = |arena: Range<usize>| ArenaImage {
+            heads: windows[0].clone(),
+            ends: windows[1].clone(),
             arena,
-            prefix_ends: image.prefix_ends.clone(),
+            prefix_ends: windows[2].clone(),
             prefixes: 0..prefix_len,
         };
         let all = prefix_len..prefix_len + arena_len;
-        let mut shared = Dictionary::try_from_shared_arena(windows(all), provider.clone()).unwrap();
+        let mut shared =
+            Dictionary::try_from_shared_arena(image_of(all), provider.clone()).unwrap();
         assert!(shared.arena_is_shared());
         assert_eq!(shared.decode(Id(0)), Some(iri("a")));
         assert_eq!(shared.id_of(&Term::lang_literal("héllo", "fr")), Some(Id(4)));
-        // Mapped arenas' bytes are not heap bytes.
-        assert_eq!(d.heap_bytes() - shared.heap_bytes(), arena_len + prefix_len);
-        // Interning a new term converts the term arena to owned storage,
-        // preserving ids; a new prefix converts the prefix arena.
+        assert_eq!(shared.image(), image);
+        // Mapped arenas' and columns' bytes are not heap bytes: what is
+        // left is the two reverse indexes and the interior.
+        let heap = shared.heap_breakdown();
+        assert_eq!(
+            heap,
+            DictHeap { heads: 0, ends: 0, arena: 0, prefix_ends: 0, prefix_bytes: 0, ..heap }
+        );
+        assert_eq!(heap.total(), heap.interior + heap.term_index + heap.prefix_index);
+        assert_eq!(shared.index_stats().slots, d.index_stats().slots);
+        // Interning a new term converts the term columns to owned storage,
+        // preserving ids; a new prefix converts the prefix columns.
         let new = shared.encode(&iri("new"));
         assert_eq!(new, Id(6));
         assert!(!shared.arena_is_shared());
@@ -1451,9 +1822,16 @@ mod tests {
         assert_eq!(shared.decode(elsewhere), Some(Term::iri("http://y/z")));
         assert_eq!(shared.decode(Id(5)), Some(Term::typed_literal("7", XSD_INT)));
         // Out-of-range windows are rejected.
-        let past = prefix_len + arena_len;
+        let past = provider.as_ref().as_ref().len();
         assert_eq!(
-            Dictionary::try_from_shared_arena(windows(past..past + 1), provider).unwrap_err(),
+            Dictionary::try_from_shared_arena(image_of(past..past + 1), provider.clone())
+                .unwrap_err(),
+            ArenaError::OutOfBounds
+        );
+        let heads = PackedWindow { bytes: past - 8..past + 8, ..windows[0].clone() };
+        let bad = ArenaImage { heads, ..image_of(prefix_len..prefix_len + arena_len) };
+        assert_eq!(
+            Dictionary::try_from_shared_arena(bad, provider).unwrap_err(),
             ArenaError::OutOfBounds
         );
     }

@@ -9,7 +9,9 @@
 //!
 //! - [`Id`] — a dense `u32` key for a term,
 //! - [`IdTriple`] — a dictionary-encoded triple (three [`Id`]s),
-//! - [`Dictionary`] — the bidirectional term ⇄ id mapping.
+//! - [`Dictionary`] — the bidirectional term ⇄ id mapping,
+//! - [`packed`] — the bit-packed integer columns every dictionary column
+//!   and every frozen-store index level is stored in.
 //!
 //! ## Example
 //!
@@ -32,6 +34,9 @@
 
 mod dictionary;
 mod id;
+pub mod packed;
 
-pub use dictionary::{ArenaError, ArenaImage, Dictionary, IndexStats, SharedBytes};
+pub use dictionary::{
+    ArenaError, ArenaImage, DictHeap, Dictionary, IndexStats, PackedWindow, SharedBytes,
+};
 pub use id::{Id, IdTriple};

@@ -1,39 +1,44 @@
-//! Bit-packed integer columns: the encoding of every index-level column
-//! that is only indexed, or searched within one header's window.
+//! Bit-packed integer columns: the encoding of every integer column of
+//! the dictionary and of the frozen store's index levels.
 //!
-//! A frozen ordering's offsets, its vector keys (`k2`) and a mirror
-//! ordering's list references never need all of a `u32`: vector keys are
-//! term ids below the dictionary's size, offsets and references are
-//! below the ordering's leaf count. A [`PackedColumn`] stores each value
-//! in `w` bits, `w` the bit length of the column's largest value, so on
-//! a dataset of 107k terms a vector key takes 17 bits instead of 32.
+//! Few integer columns need all of a `u32`. A frozen ordering's vector
+//! keys are term ids below the dictionary's size, its offsets and list
+//! references are below the ordering's leaf count; a dictionary's term
+//! heads hold a kind and a prefix id, its term ends are below its arena's
+//! length, and a reverse-index slot holds a term id below the table's
+//! size. A [`PackedColumn`] stores each value in `w` bits, `w` the bit
+//! length of the column's largest value, so on a dataset of 107k terms a
+//! vector key takes 17 bits instead of 32.
 //!
 //! Value `i` occupies bits `i·w .. i·w + w` of a little-endian bit stream:
 //! bit `b` is bit `b % 8` of byte `b / 8`. The stream is padded with zero
 //! bits to a whole number of 64-bit words and followed by one more zero
 //! word, `8·(⌈len·w / 64⌉ + 1)` bytes (none for a column of width 0), so a
 //! column has one image and equal columns are equal bytes. The same bytes
-//! are the `hexsnap` `FROZ` columns (v6 on, list slots v7 on), which
-//! `hex-disk` maps in place;
-//! [`PackedView`] is the one reader of both.
+//! are the `hexsnap` `FROZ` columns (v6 on, list slots v7 on) and `DICT`
+//! columns (v10 on), which `hex-disk` maps in place; [`PackedView`] is
+//! the one reader of both.
 //!
 //! A read is one unaligned 8-byte load, a shift and a mask: a value of at
 //! most 32 bits starts in some byte at a bit offset below 8, so it lies in
 //! the 8 bytes from there, and the trailing zero word keeps those 8 bytes
 //! inside the column for the last value too.
 //!
-//! A terminal-list arena's two columns are packed too ([`crate::slab`]):
+//! A column grows by [`PackedColumn::push`], which repacks it at a wider
+//! width when a value needs more bits — at most 32 times over a column's
+//! life, so appending stays amortised O(1) — and changes in place by
+//! [`PackedColumn::set`], within its width: the dictionary's reverse
+//! indexes are fixed-width slot tables written that way.
+//!
+//! A terminal-list arena's two columns are packed too (`hexastore::slab`):
 //! its slot column at a width of its own, one flag bit above the widest
 //! value, and its overflow column at its largest word's width. A longer
 //! list is read as a window of the overflow column: decoded sequentially
 //! by [`PackedView::iter`], searched by [`PackedView::search`], and
 //! advanced through by [`PackedView::seek`], the galloping search that
-//! intersections and merge joins make with rising targets.
-//!
-//! No index-level column is plain `u32` any more: header keys are a
-//! presence bitmap or one Elias–Fano window, and vector keys are packed
-//! here or Elias–Fano coded, whichever is smaller ([`crate::succinct`],
-//! whose bit streams and rank directories are packed columns too).
+//! intersections and merge joins make with rising targets. The frozen
+//! store's header keys and Elias–Fano vector keys (`hexastore::succinct`)
+//! keep their bit streams and rank directories in packed columns too.
 
 use std::ops::Range;
 
@@ -116,27 +121,32 @@ pub fn bytes_for(len: usize, width: u32) -> Option<usize> {
     len.checked_mul(width as usize)?.div_ceil(64).checked_add(1)?.checked_mul(8)
 }
 
-/// What a column of width 0 reads: all its values are 0 and it has no
-/// bytes of its own.
-const ZERO_WORD: &[u8] = &[0; 8];
-
-/// The 8 bytes from byte `at`, little-endian.
-#[inline(always)]
-fn load(bytes: &[u8], at: usize) -> u64 {
-    u64::from_le_bytes(bytes[at..at + 8].try_into().expect("8 bytes"))
-}
-
 /// The value at bit `bit` of `bytes`, masked to `mask`: one load, a shift
-/// and a mask, and no branch, so a search over it stays branch-free.
+/// and a mask, and no branch but the bounds check, so a search over it
+/// stays branch-free.
 ///
 /// `bit` must start a value of the column, which every caller guarantees
 /// by construction: a view's bytes are exactly the ones its length and
 /// width need ([`PackedView::new`]) — the trailing zero word included, so
-/// the 8 bytes from any value's first byte are inside them — reads stay
-/// below its length, and a column of width 0 reads [`ZERO_WORD`].
+/// the 8 bytes from any value's first byte are inside them — and reads
+/// stay below its length. A column of width 0 has no bytes, and each of
+/// its values reads as the 0 an out-of-range load gives.
 #[inline(always)]
 fn extract(bytes: &[u8], bit: usize, mask: u64) -> u32 {
-    ((load(bytes, bit / 8) >> (bit % 8)) & mask) as u32
+    (extract_word(bytes, bit) & mask) as u32
+}
+
+/// The 64 bits from bit `bit` of `bytes` on, less the up to 7 the load's
+/// last byte cuts off; 0 when the 8 bytes from `bit`'s byte are past the
+/// end.
+#[inline(always)]
+fn extract_word(bytes: &[u8], bit: usize) -> u64 {
+    let at = bit / 8;
+    let word = match bytes.get(at..at + 8) {
+        Some(word) => u64::from_le_bytes(word.try_into().expect("8 bytes")),
+        None => 0,
+    };
+    word >> (bit % 8)
 }
 
 /// The mask of a `width`-bit value.
@@ -203,24 +213,28 @@ impl<'a> PackedView<'a> {
         self.bytes
     }
 
-    /// The bytes reads go through: the column's own, or [`ZERO_WORD`] for
-    /// a column of width 0, which has none.
-    #[inline]
-    fn readable(self) -> &'a [u8] {
-        if self.bytes.is_empty() {
-            ZERO_WORD
-        } else {
-            self.bytes
-        }
-    }
-
     /// Value `i`; 0 past the end.
     #[inline]
     pub fn get(self, i: usize) -> u32 {
         if i >= self.len {
             return 0;
         }
-        extract(self.readable(), i * self.width as usize, mask_of(self.width))
+        extract(self.bytes, i * self.width as usize, mask_of(self.width))
+    }
+
+    /// Values `i` and `i + 1`, each 0 past the end: the bounds of window
+    /// `i + 1` of a cumulative column. One load when both lie in the 8
+    /// bytes from value `i`'s first byte, as they always do at up to 28
+    /// bits.
+    #[inline]
+    pub fn pair(self, i: usize) -> (u32, u32) {
+        let width = self.width as usize;
+        if i >= self.len.saturating_sub(1) || (i * width) % 8 + 2 * width > 64 {
+            return (self.get(i), self.get(i.saturating_add(1)));
+        }
+        let (bit, mask) = (i * width, mask_of(self.width));
+        let both = extract_word(self.bytes, bit);
+        ((both & mask) as u32, ((both >> width) & mask) as u32)
     }
 
     /// The window `range`, clamped to the column: an end past it is cut
@@ -237,7 +251,7 @@ impl<'a> PackedView<'a> {
     pub fn iter(self, range: Range<usize>) -> Iter<'a> {
         let range = self.clamp(range);
         Iter {
-            bytes: self.readable(),
+            bytes: self.bytes,
             width: self.width as usize,
             mask: mask_of(self.width),
             bit: range.start * self.width as usize,
@@ -263,7 +277,7 @@ impl<'a> PackedView<'a> {
     #[inline]
     pub fn search(self, window: Range<usize>, x: u32) -> Result<usize, usize> {
         let window = self.clamp(window);
-        let (bytes, width, mask) = (self.readable(), self.width as usize, mask_of(self.width));
+        let (bytes, width, mask) = (self.bytes, self.width as usize, mask_of(self.width));
         let (mut base, mut size) = (window.start, window.len());
         // Values before `base` are below `x`, values from `base + size`
         // on above it.
@@ -338,8 +352,8 @@ impl<'a> PackedView<'a> {
 
     /// Checks the first half of [`PackedView::validate`]: no bit is set
     /// past the last value. A column whose width follows a rule of its own
-    /// (a terminal-list slot column's, [`crate::slab`]) checks that rule
-    /// itself.
+    /// (a terminal-list slot column's, or a reverse-index slot table's)
+    /// checks that rule itself.
     pub fn validate_tail(self) -> Result<(), PackedError> {
         let used = self.len * self.width as usize;
         let (full, rest) = (used / 8, used % 8);
@@ -386,9 +400,9 @@ impl Iterator for Iter<'_> {
 
 impl ExactSizeIterator for Iter<'_> {}
 
-/// An owned packed column: appended once, in final order, then only
-/// read through its [`PackedView`]. At most 2^32 − 1 values, like every
-/// slab column; 32 bytes beside its image.
+/// An owned packed column: appended to, overwritten within its width,
+/// and read through its [`PackedView`]. At most 2^32 − 1 values, like
+/// every slab and dictionary column; 32 bytes beside its image.
 #[derive(Clone, Default, PartialEq, Eq)]
 pub struct PackedColumn {
     bytes: Vec<u8>,
@@ -411,7 +425,7 @@ impl PackedColumn {
     /// An empty column of `width` bits a value with exact room for `len`
     /// values — [`PackedColumn::with_capacity`] for a column whose width
     /// is not its largest value's bit length (a terminal-list slot
-    /// column's flag bit, [`crate::slab`]).
+    /// column's flag bit, a reverse index's empty-slot marker).
     ///
     /// # Panics
     ///
@@ -423,44 +437,108 @@ impl PackedColumn {
         PackedColumn { bytes: Vec::with_capacity(bytes), width, len: 0 }
     }
 
-    /// Appends one value.
+    /// `len` copies of `value`, at its width, exact-sized.
+    pub fn filled(len: usize, value: u32) -> Self {
+        PackedColumn::streamed(std::iter::repeat_n(value, len), width_of(value))
+    }
+
+    /// The column of `values`, every one of which fits `width` bits,
+    /// exact-sized: the bit stream is written a word at a time.
+    fn streamed(values: impl ExactSizeIterator<Item = u32>, width: u32) -> Self {
+        let mut column = PackedColumn::with_width(values.len(), width);
+        column.len = values.len() as u32;
+        if width == 0 {
+            return column;
+        }
+        let (mut word, mut used) = (0u64, 0);
+        for value in values {
+            debug_assert!(u64::from(value) >> width == 0, "{value} in {width} bits");
+            word |= u64::from(value) << used;
+            used += width;
+            if used >= 64 {
+                column.bytes.extend_from_slice(&word.to_le_bytes());
+                used -= 64;
+                // The value's bits that did not fit the word start the next.
+                word = if used == 0 { 0 } else { u64::from(value) >> (width - used) };
+            }
+        }
+        if used > 0 {
+            column.bytes.extend_from_slice(&word.to_le_bytes());
+        }
+        column.bytes.extend_from_slice(&[0; 8]);
+        column
+    }
+
+    /// Appends one value. A value wider than the column first repacks
+    /// every value at the value's width, so a column whose width has only
+    /// ever grown this way is the canonical image of its values.
     ///
-    /// # Panics
-    ///
-    /// If the value needs more bits than the column's width. (Pushing
-    /// past 2^32 − 1 values overflows the length: it panics in debug
-    /// builds, and [`PackedColumn::with_capacity`] refuses such a column.)
+    /// Pushing past 2^32 − 1 values overflows the length: it panics in
+    /// debug builds, and [`PackedColumn::with_capacity`] refuses such a
+    /// column.
     #[inline]
     pub fn push(&mut self, value: u32) {
-        let width = self.width as usize;
-        if u64::from(value) >> width != 0 {
-            too_wide(value, self.width);
+        if u64::from(value) >> self.width != 0 {
+            self.widen(width_of(value));
         }
+        self.append(value);
+    }
+
+    /// Repacks every value at `width` bits, exact-sized.
+    #[cold]
+    #[inline(never)]
+    fn widen(&mut self, width: u32) {
+        *self = PackedColumn::streamed(self.values(), width);
+    }
+
+    /// Appends a value known to fit the width.
+    #[inline]
+    fn append(&mut self, value: u32) {
+        let width = self.width as usize;
+        debug_assert!(u64::from(value) >> width == 0, "{value} in {width} bits");
         if width > 0 {
-            // The image grows a zero word at a time, keeping one past the
+            // The image grows by whole zero words, keeping one past the
             // values. The value's low bits go into the word its first bit
             // is in, any that do not fit it into the next: whole aligned
             // words, so each read of a word is of the store before.
             let bit = self.len as usize * width;
             let need = (bit + width).div_ceil(64) * 8 + 8;
-            while self.bytes.len() < need {
-                self.bytes.extend_from_slice(&[0; 8]);
+            if self.bytes.len() < need {
+                self.bytes.resize(need, 0);
             }
-            let (at, shift) = (bit / 64 * 8, bit % 64);
-            let value = u64::from(value);
-            self.or_word(at, value << shift);
-            if shift + width > 64 {
-                self.or_word(at + 8, value >> (64 - shift));
-            }
+            self.write_pair(bit, 0, value);
         }
         self.len += 1;
     }
 
-    /// ORs `bits` into the word at byte `at`.
+    /// Overwrites value `i`, within the column's width.
+    ///
+    /// # Panics
+    ///
+    /// If `i` is past the end, or the value needs more bits than the
+    /// column's width.
     #[inline]
-    fn or_word(&mut self, at: usize, bits: u64) {
-        let merged = load(&self.bytes, at) | bits;
-        self.bytes[at..at + 8].copy_from_slice(&merged.to_le_bytes());
+    pub fn set(&mut self, i: usize, value: u32) {
+        assert!(i < self.len(), "packed index {i} past a column of {}", self.len);
+        if u64::from(value) >> self.width != 0 {
+            too_wide(value, self.width);
+        }
+        if self.width > 0 {
+            self.write_pair(i * self.width as usize, mask_of(self.width), value);
+        }
+    }
+
+    /// Writes `value` at bit `bit`, clearing the `clear` bits there first:
+    /// one read-modify-write of the two words from the one `bit` is in,
+    /// which a value that starts in the column's last word before the
+    /// zero word spans at most.
+    #[inline]
+    fn write_pair(&mut self, bit: usize, clear: u64, value: u32) {
+        let (at, shift) = (bit / 64 * 8, bit % 64);
+        let words: &mut [u8; 16] = (&mut self.bytes[at..at + 16]).try_into().expect("16 bytes");
+        let merged = u128::from_le_bytes(*words) & !(u128::from(clear) << shift)
+            | u128::from(value) << shift;
+        *words = merged.to_le_bytes();
     }
 
     /// The canonical column of `values`: the width of their largest,
@@ -485,9 +563,7 @@ impl PackedColumn {
         if width_of(max) < width {
             return Err(PackedError::WidthNotTight { width, needed: width_of(max) });
         }
-        let mut column = PackedColumn::with_capacity(values.len(), max);
-        values.iter().for_each(|&v| column.push(v));
-        Ok(column)
+        Ok(PackedColumn::streamed(values.iter().copied(), width))
     }
 
     /// Adopts a packed image — `len` values of `width` bits in `bytes` —
@@ -505,6 +581,16 @@ impl PackedColumn {
         PackedView::new(&bytes, width, len)?.validate_tail()?;
         let len = u32::try_from(len).map_err(|_| PackedError::TooLong(len))?;
         Ok(PackedColumn { bytes, width, len })
+    }
+
+    /// An owned copy of a view's image.
+    ///
+    /// # Panics
+    ///
+    /// If the view holds 2^32 values or more.
+    pub fn from_view(view: PackedView<'_>) -> Self {
+        let len = u32::try_from(view.len).expect("packed column overflow: 2^32 values");
+        PackedColumn { bytes: view.bytes.to_vec(), width: view.width, len }
     }
 
     /// The column as the borrowed view every read goes through.
@@ -543,9 +629,14 @@ impl PackedColumn {
     pub fn heap_bytes(&self) -> usize {
         self.bytes.capacity()
     }
+
+    /// Gives back the room growth reserved beyond the image.
+    pub fn shrink_to_fit(&mut self) {
+        self.bytes.shrink_to_fit();
+    }
 }
 
-/// The panic of [`PackedColumn::push`], out of its line.
+/// The panic of [`PackedColumn::set`], out of its line.
 #[cold]
 #[inline(never)]
 fn too_wide(value: u32, width: u32) -> ! {
@@ -567,7 +658,17 @@ mod tests {
 
     #[test]
     #[should_panic(expected = "does not fit")]
-    fn pushing_a_value_wider_than_the_column_panics() {
-        PackedColumn::with_capacity(2, 7).push(8);
+    fn setting_a_value_wider_than_the_column_panics() {
+        let mut column = PackedColumn::filled(2, 7);
+        column.set(1, 8);
+    }
+
+    #[test]
+    fn a_push_wider_than_the_column_repacks_it_canonically() {
+        let mut column = PackedColumn::with_capacity(2, 7);
+        column.push(5);
+        column.push(300);
+        assert_eq!((column.width(), column.values().collect::<Vec<_>>()), (9, vec![5, 300]));
+        assert_eq!(column, PackedColumn::from_values(&[5, 300]));
     }
 }

@@ -1,10 +1,11 @@
 //! The packed column encoding against a `Vec<u32>` oracle: every width
 //! from 0 to 32, lengths that straddle word boundaries, every read
-//! (`get`, the window decoder, `search`, `seek`) and the exact heap size; and
+//! (`get`, `pair`, the window decoder, `search`, `seek`), every write
+//! (`push`, widening as it goes, and `set`) and the exact heap size; and
 //! every way an image can fail to be the canonical one, each its own
 //! error.
 
-use hexastore::packed::{bytes_for, width_of, PackedColumn, PackedError, PackedView};
+use hex_dict::packed::{bytes_for, width_of, PackedColumn, PackedError, PackedView};
 use proptest::prelude::*;
 
 /// `len` values below `2^width`, the largest exactly `2^width - 1` so the
@@ -75,6 +76,25 @@ fn check_against_the_oracle(oracle: &[u32]) {
     prop_assert_eq!(view.validate(), Ok(()));
     let back = PackedColumn::from_bytes(view.bytes().to_vec(), width, n).unwrap();
     prop_assert_eq!(&back, &column);
+    // Two neighbours at once.
+    for i in 0..=n {
+        prop_assert_eq!(view.pair(i), (view.get(i), view.get(i + 1)));
+    }
+    prop_assert_eq!(view.pair(usize::MAX), (0, 0));
+    // Pushed one by one onto an empty column, which widens as the values
+    // need: the same image.
+    let mut pushed = PackedColumn::default();
+    oracle.iter().for_each(|&v| pushed.push(v));
+    prop_assert_eq!(&pushed, &column);
+    // Every value overwritten in place by another of the width, leaving
+    // its neighbours as they were.
+    let (mut set, mut want) = (column.clone(), oracle.to_vec());
+    for i in 0..n {
+        want[i] = oracle[n - 1 - i];
+        set.set(i, want[i]);
+        prop_assert_eq!(set.values().collect::<Vec<_>>(), want.clone());
+    }
+    prop_assert_eq!(set, PackedColumn::from_values(&want));
 }
 
 fn check_search(sorted: &[u32], probes: &[u32]) {

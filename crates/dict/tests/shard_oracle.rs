@@ -18,6 +18,7 @@
 //! under a shared namespace, tagged and typed literals among them),
 //! asserting rejection or a well-formed dictionary — never a panic.
 
+use hex_dict::packed::PackedColumn;
 use hex_dict::{ArenaImage, Dictionary, Id, IdTriple};
 use proptest::prelude::*;
 use rdf_model::{Term, Triple, TripleRef};
@@ -148,21 +149,25 @@ proptest! {
             d.encode(t);
         }
         let image = d.image();
-        let (heads, ends) = (image.heads.len(), image.ends.len());
-        let mut words: Vec<u8> = [&image.heads, &image.ends, &image.prefix_ends]
-            .into_iter()
-            .flatten()
-            .flat_map(|w| w.to_le_bytes())
-            .collect();
-        let at = flip_byte % words.len();
-        words[at] ^= mask;
-        let mut words: Vec<u32> = words
-            .chunks_exact(4)
-            .map(|c| u32::from_le_bytes(c.try_into().unwrap()))
-            .collect();
-        let prefix_ends = words.split_off(heads + ends);
-        let ends = words.split_off(heads);
-        let flipped = ArenaImage { heads: words, ends, prefix_ends, ..image };
+        let columns = [&image.heads, &image.ends, &image.prefix_ends];
+        let total: usize = columns.iter().map(|c| c.view().bytes().len()).sum();
+        let mut at = flip_byte % total;
+        let mut flip = |column: &PackedColumn| {
+            let mut bytes = column.view().bytes().to_vec();
+            if at < bytes.len() {
+                bytes[at] ^= mask;
+            }
+            at = at.wrapping_sub(bytes.len());
+            PackedColumn::from_bytes(bytes, column.width(), column.len())
+        };
+        let (heads, ends, prefix_ends) =
+            (flip(&image.heads), flip(&image.ends), flip(&image.prefix_ends));
+        // A flip that leaves an image non-canonical is refused before the
+        // dictionary sees it; the rest must be rejected or decode.
+        let (Ok(heads), Ok(ends), Ok(prefix_ends)) = (heads, ends, prefix_ends) else {
+            continue;
+        };
+        let flipped = ArenaImage { heads, ends, prefix_ends, ..image };
         if let Ok(rebuilt) = Dictionary::try_from_arena(flipped) {
             for id in 0..rebuilt.len() as u32 {
                 let term = rebuilt.decode(Id(id));

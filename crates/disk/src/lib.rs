@@ -29,13 +29,13 @@
 //!
 //! Only uncompressed snapshots of the current format version are
 //! mappable: compressed (`FRZC`) sections and files written before
-//! version 9 — whose slab columns (before version 4), dictionary
+//! version 10 — whose slab columns (before version 4), dictionary
 //! (version 4), unpacked index levels (versions 4 and 5), unpacked list
-//! slots (versions 4 to 6), unpacked overflow runs (versions 4 to 7) or
-//! `u32` header keys (versions 4 to 8) are laid out differently — must go
-//! through the decoding [`hexastore::hexsnap::load_frozen`] path (and a
-//! re-save), and [`open`] says so in its error rather than silently
-//! falling back.
+//! slots (versions 4 to 6), unpacked overflow runs (versions 4 to 7),
+//! `u32` header keys (versions 4 to 8) or `u32` dictionary columns
+//! (versions 5 to 9) are laid out differently — must go through the
+//! decoding [`hexastore::hexsnap::load_frozen`] path (and a re-save), and
+//! [`open`] says so in its error rather than silently falling back.
 //!
 //! ```no_run
 //! use hexastore::hexsnap::save_frozen;
@@ -70,7 +70,7 @@ mod store;
 pub use mmap::Mmap;
 pub use store::MmapFrozenHexastore;
 
-use hex_dict::{ArenaImage, Dictionary};
+use hex_dict::{ArenaImage, Dictionary, PackedWindow};
 use hexastore::hexsnap;
 use hexastore::Dataset;
 use std::fs::File;
@@ -83,7 +83,7 @@ pub enum Error {
     /// The snapshot container or dictionary failed to parse.
     Snapshot(hexsnap::Error),
     /// The file parsed but cannot be memory-mapped (compressed slabs,
-    /// a pre-v9 column layout, or no slab section at all). The message
+    /// a pre-v10 column layout, or no slab section at all). The message
     /// names the remedy.
     Unmappable(String),
     /// The mapped slab section's interior is structurally invalid.
@@ -131,22 +131,23 @@ pub type Result<T> = std::result::Result<T, Error>;
 /// Opens a `hexsnap` file as a dictionary plus an mmap-backed frozen
 /// store, without reading the slab columns or copying the term strings.
 ///
-/// The `DICT` section is read in place: the head column and the two
-/// offset tables are copied (a few bytes per term and per prefix), but
-/// the term and prefix arenas — the bulk of the section — stay behind the
-/// mapping as [`hex_dict::SharedBytes`] windows, shared with the slab
-/// columns in one `mmap` of the whole file. Open-time work on the arenas
-/// is one validating hash pass per table (UTF-8 + index build), no
-/// per-term allocation;
+/// The `DICT` section is read in place: the packed head column, the two
+/// packed offset tables and the term and prefix arenas all stay behind
+/// the mapping as [`hex_dict::SharedBytes`] windows, shared with the
+/// slab columns in one `mmap` of the whole file, so the dictionary's heap
+/// holds its two reverse indexes and nothing else. Open-time work on the
+/// dictionary is one validating hash pass per table (canonical packed
+/// columns, UTF-8, index build), no per-term allocation;
 /// on the slabs it is [`MmapFrozenHexastore::verify`], a pass over the
 /// columns that address terminal lists ([`Error::Corrupt`] if they are
 /// not what a writer lays down).
 /// Fails with [`Error::Unmappable`] for snapshots whose slabs were
-/// saved compressed, for files written before format version 9 (their
+/// saved compressed, for files written before format version 10 (their
 /// slab columns, from version 4 their dictionary, from version 5 their
 /// unpacked index levels, from version 6 their unpacked list slots, from
-/// version 7 their unpacked overflow runs, or from version 8 their `u32`
-/// header keys are not the ones the read path maps), and for
+/// version 7 their unpacked overflow runs, from version 8 their `u32`
+/// header keys, or from version 9 their `u32` dictionary columns are not
+/// the ones the read path maps), and for
 /// snapshots carrying no frozen section — open those with
 /// [`hexastore::hexsnap::load_frozen`] and re-save them with
 /// [`hexastore::hexsnap::save_frozen`] under the current format version.
@@ -214,7 +215,9 @@ fn open_mapped(map: &Arc<Mmap>) -> Result<(MmapFrozenHexastore, MapReader<'_>)> 
     // as whole `u32`s, v4 to v6 files their list slots and v4 to v7
     // files their overflow runs, where the read path walks bit-packed
     // columns; and files before v9 keep `u32` header keys where the read
-    // path ranks a header bitmap. Refused before the section is walked.
+    // path ranks a header bitmap; and files before v10 keep `u32`
+    // dictionary columns where the mapped dictionary reads packed ones.
+    // Refused before the section is walked.
     if reader.version() < hexsnap::VERSION {
         let what = match reader.version() {
             ..=3 => "slab columns",
@@ -228,7 +231,8 @@ fn open_mapped(map: &Arc<Mmap>) -> Result<(MmapFrozenHexastore, MapReader<'_>)> 
             }
             6 => "unpacked list slots, unpacked overflow runs and u32 header keys",
             7 => "unpacked overflow runs and u32 header keys",
-            _ => "u32 header keys without a rank directory",
+            8 => "u32 header keys without a rank directory",
+            _ => "u32 dictionary columns",
         };
         return Err(Error::Unmappable(format!(
             "a version-{} file's {what} predates the mappable layout; open it via \
@@ -245,38 +249,40 @@ fn open_mapped(map: &Arc<Mmap>) -> Result<(MmapFrozenHexastore, MapReader<'_>)> 
 }
 
 /// The dictionary over the mapping, from the `DICT` columns
-/// [`hexsnap::Reader::dict_columns`] locates: the head column and the two
-/// offset tables are copied (a few bytes per term and per prefix), and
-/// the windows of the term and prefix arenas are handed to
-/// [`Dictionary::try_from_shared_arena`] instead of their bytes.
-/// The constructor validates the columns against the mapped bytes
-/// (offset tables, UTF-8, heads, the one representation each term has,
-/// distinctness); a file mutated after that is the provider's breach of
-/// trust and degrades to missed lookups and `None` decodes, never a panic.
+/// [`hexsnap::Reader::dict_columns`] locates: the windows of the packed
+/// head column, the two packed offset tables and the term and prefix
+/// arenas are handed to [`Dictionary::try_from_shared_arena`] instead of
+/// their bytes. The constructor validates the columns against the mapped
+/// bytes (canonical packed images, offset tables, UTF-8, heads, the one
+/// representation each term has, distinctness); a file mutated after that
+/// is the provider's breach of trust and degrades to missed lookups and
+/// `None` decodes, never a panic.
 fn dict_from(map: &Arc<Mmap>, columns: hexsnap::DictColumns) -> Result<Dictionary> {
     let hexsnap::DictColumns::Prefixed { heads, ends, arena, prefix_ends, prefixes } = columns
     else {
         return Err(Error::Unmappable("the dictionary predates the mappable layout".into()));
     };
-    let corrupt = |why: String| Error::Snapshot(hexsnap::Error::Corrupt(why));
-    let words = |col| -> Result<Vec<u32>> {
-        let bytes = store::column_bytes(map, col, 4)
-            .ok_or_else(|| corrupt("dictionary column extends past the mapping".to_string()))?;
-        Ok(bytes
-            .chunks_exact(4)
-            .map(|c| u32::from_le_bytes(c.try_into().expect("4 bytes")))
-            .collect())
+    let packed = |ints| match ints {
+        hexsnap::Ints::Packed(col) => Ok(PackedWindow {
+            bytes: col.offset..col.offset + col.bytes(),
+            width: col.width,
+            len: col.len,
+        }),
+        hexsnap::Ints::U32(_) => {
+            Err(Error::Unmappable("the dictionary's columns predate the mappable layout".into()))
+        }
     };
     let window = |col: hexsnap::Column| col.offset..col.offset + col.len;
     let image = ArenaImage {
-        heads: words(heads)?,
-        ends: words(ends)?,
+        heads: packed(heads)?,
+        ends: packed(ends)?,
         arena: window(arena),
-        prefix_ends: words(prefix_ends)?,
+        prefix_ends: packed(prefix_ends)?,
         prefixes: window(prefixes),
     };
     let bytes: hex_dict::SharedBytes = Arc::clone(map) as hex_dict::SharedBytes;
-    Dictionary::try_from_shared_arena(image, bytes).map_err(|e| corrupt(e.to_string()))
+    Dictionary::try_from_shared_arena(image, bytes)
+        .map_err(|e| Error::Snapshot(hexsnap::Error::Corrupt(e.to_string())))
 }
 
 /// Opens a `hexsnap` file directly as a queryable

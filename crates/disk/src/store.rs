@@ -179,7 +179,7 @@ impl MmapFrozenHexastore {
 
 /// A column's bytes in the mapping, `width` bytes an element; `None`
 /// unless the column lies inside the mapping.
-pub(crate) fn column_bytes(map: &[u8], col: Column, width: usize) -> Option<&[u8]> {
+fn column_bytes(map: &[u8], col: Column, width: usize) -> Option<&[u8]> {
     map.get(col.offset..col.offset.checked_add(col.len.checked_mul(width)?)?)
 }
 

@@ -171,7 +171,7 @@ fn compressed_snapshots_are_refused_with_a_remedy() {
     let fixtures =
         ["v2_small_frzc", "v3_small_frzc", "v4_small_frzc", "v5_small_frzc", "v6_small_frzc"]
             .into_iter()
-            .chain(["v7_small_frzc", "v8_small_frzc", "v9_small_frzc"])
+            .chain(["v7_small_frzc", "v8_small_frzc", "v9_small_frzc", "v10_small_frzc"])
             .map(committed_fixture)
             .collect::<Vec<_>>();
     for path in std::iter::once(&path).chain(&fixtures) {
@@ -204,7 +204,7 @@ fn assert_refused_by_version(path: &std::path::Path, version: u32) {
 }
 
 /// A committed file from the last build of its version (see hexastore's
-/// `tests/support/mod.rs`), by name: `v{1,…,9}_small`, `_frzc` when its
+/// `tests/support/mod.rs`), by name: `v{1,…,10}_small`, `_frzc` when its
 /// slabs are compressed.
 fn committed_fixture(name: &str) -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR")).join(format!("../core/tests/data/{name}.hexsnap"))
@@ -305,6 +305,17 @@ fn v8_files_are_refused_for_their_header_keys_with_the_upgrade_path() {
 }
 
 #[test]
+fn v9_files_are_refused_for_their_dictionary_columns_with_the_upgrade_path() {
+    // A v9 file's slab sections are v10's; its dictionary's heads and end
+    // tables are whole `u32`s where the mapped dictionary reads packed
+    // columns.
+    assert_v6_relabelled_is_refused_by_version(9);
+    assert_fixture_is_refused_with_the_upgrade_path(9);
+    let msg = hex_disk::open(committed_fixture("v9_small")).unwrap_err().to_string();
+    assert!(msg.contains("u32 dictionary columns") && !msg.contains("header keys"), "{msg}");
+}
+
+#[test]
 fn open_keeps_the_dictionary_arena_mapped() {
     let g = graph_from(&[(0, 0, 0), (1, 1, 2), (2, 0, 5), (3, 2, 7)]);
     let path = temp_path("mapped-dict");
@@ -312,6 +323,9 @@ fn open_keeps_the_dictionary_arena_mapped() {
 
     let (mut dict, mapped) = hex_disk::open(&path).unwrap();
     assert!(dict.arena_is_shared(), "string arena must stay behind the mapping");
+    // So do the packed columns: the heap holds the two reverse indexes.
+    let heap = dict.heap_breakdown();
+    assert_eq!(heap.total(), heap.interior + heap.term_index + heap.prefix_index, "{heap:?}");
     assert_eq!(dict.len(), g.dict().len());
     // Ids, decodes, and reverse lookups all resolve against mapped bytes.
     for (id, term) in g.dict().iter() {

@@ -5,7 +5,9 @@
 //! `Dictionary::heap_bytes`. This test binary installs a counting
 //! allocator and checks that what dropping each structure gives back is
 //! what its counter said — so a buffer one of them forgets to count, or
-//! capacity it does not know it holds, fails here. It also checks that
+//! capacity it does not know it holds, fails here: for the dictionary as
+//! interned, as an eager snapshot load makes it and as a mapped open
+//! makes it. It also checks that
 //! answering queries builds nothing a store keeps: the engine reads
 //! terminal lists in place, and only `SortedListAccess::sorted_list`
 //! decodes an arena's `u32` overflow copy, which the counter then counts.
@@ -69,13 +71,29 @@ fn heap_bytes_is_what_the_allocator_gives_back() {
     let copy = 4 * spo.arena.over.len();
     assert_eq!(store.heap_bytes(), counted + copy, "the object lists' overflow, as u32s");
 
+    // The dictionary as a snapshot reload makes it: eagerly, every column
+    // owned, and mapped, where its heap is the two reverse indexes and
+    // its interior — the packed columns and the arenas stay in the file.
+    let path = std::env::temp_dir().join(format!("heap-accounting-{}", std::process::id()));
+    hexastore::hexsnap::save_frozen(&path, &dict, &store).unwrap();
+    let (eager, _) = hexastore::hexsnap::load_frozen(&path).unwrap();
+    let (mapped, mapped_store) = hex_disk::open(&path).unwrap();
+    std::fs::remove_file(&path).ok();
+    let heap = mapped.heap_breakdown();
+    assert_eq!(heap.total(), heap.interior + heap.term_index + heap.prefix_index, "{heap:?}");
+    assert_eq!(eager.heap_breakdown().term_index, dict.heap_breakdown().term_index);
+
     // Beyond its columns a frozen store owns one shared block of column
     // headers, which is all an empty store's drop gives back; `heap_bytes`
     // counts the dictionary's struct but not its two reference counts.
     let block = freed_by_dropping(FrozenHexastore::from_triples([]));
-    let (store_counted, dict_counted) = (store.heap_bytes(), dict.heap_bytes());
+    let store_counted = store.heap_bytes();
     let store_freed = freed_by_dropping(store);
-    let dict_freed = freed_by_dropping(dict);
+    let counts = 2 * std::mem::size_of::<usize>();
     assert_eq!(store_freed, store_counted + block, "store");
-    assert_eq!(dict_freed, dict_counted + 2 * std::mem::size_of::<usize>(), "dictionary");
+    for (what, dict) in [("interned", dict), ("eager-loaded", eager), ("mapped", mapped)] {
+        let counted = dict.heap_bytes();
+        assert_eq!(freed_by_dropping(dict), counted + counts, "{what} dictionary");
+    }
+    drop(mapped_store);
 }
