@@ -684,12 +684,7 @@ impl FlatArena {
     /// the word needs if it does not fit.
     #[inline]
     fn push_word(&mut self, word: u32) {
-        if width_of(word) > self.over.width() {
-            let mut over = PackedColumn::with_capacity(self.over.len() + 1, word);
-            self.over.values().for_each(|w| over.push(w));
-            self.over = over;
-        }
-        self.over.push(word);
+        self.over.push_widening(word);
     }
 
     /// The sorted items of list `idx`; empty when there is no such list.

@@ -190,7 +190,7 @@ impl Strings {
         let arena = self.arena.make_owned();
         arena.extend_from_slice(s);
         let end = u32::try_from(arena.len()).expect("dictionary string arena exceeds 4 GiB");
-        self.ends.make_owned().push(end);
+        self.ends.make_owned().push_widening(end);
     }
 
     /// Checks that the ends are a monotone cover of a UTF-8 arena that
@@ -397,6 +397,9 @@ const TERM_IDS: usize = 7 << 28;
 /// Bits of a term's head that hold its kind; the prefix id sits above.
 const KIND_BITS: u32 = 3;
 
+/// Number of [`TermKind`]s.
+const KINDS: usize = 5;
+
 /// Prefix ids a head has room for.
 const PREFIX_IDS: usize = 1 << (32 - KIND_BITS);
 
@@ -412,6 +415,30 @@ fn mint_id(len: usize, limit: usize, what: &str) -> u32 {
         Ok(id) if (id as usize) < limit.min(TERM_IDS) => id,
         _ => panic!("dictionary overflow: more than {what}"),
     }
+}
+
+/// Checks the term and prefix counts of an image, each given beside the
+/// length of its string arena, before anything is sized by them: a
+/// packed column of width 0 takes no bytes, so a count is not bounded by
+/// the columns. At most one prefix is empty and at most one term of each
+/// kind per prefix has no bytes of its own, so a table with more entries
+/// than that repeats one; and neither table may hold more ids than it
+/// mints.
+fn check_counts(terms: (usize, usize), prefixes: (usize, usize)) -> Result<(), ArenaError> {
+    if prefixes.0 > prefixes.1.saturating_add(1) {
+        return Err(ArenaError::DuplicatePrefix);
+    }
+    if terms.0 > terms.1.saturating_add(KINDS.saturating_mul(prefixes.0)) {
+        return Err(ArenaError::Duplicate);
+    }
+    for (table, count, limit) in
+        [("terms", terms.0, TERM_IDS), ("prefixes", prefixes.0, PREFIX_IDS)]
+    {
+        if count > limit {
+            return Err(ArenaError::TooMany { table, count, limit });
+        }
+    }
+    Ok(())
 }
 
 /// A term's head: its kind in the low [`KIND_BITS`] bits, its prefix id
@@ -599,7 +626,7 @@ impl Inner {
             self.index = TermIndex::rebuilt(self.len() + 1, (0..id).map(|t| terms.hash(t)));
         }
         self.terms.push(own);
-        self.heads.make_owned().push(head);
+        self.heads.make_owned().push_widening(head);
         self.index.insert_absent(hash, id);
         Id(id)
     }
@@ -692,6 +719,15 @@ pub enum ArenaError {
         /// How its image fails.
         error: PackedError,
     },
+    /// A table declares more entries than it has ids for.
+    TooMany {
+        /// Which table: `terms` or `prefixes`.
+        table: &'static str,
+        /// Entries it declares.
+        count: usize,
+        /// Ids it has.
+        limit: usize,
+    },
 }
 
 impl std::fmt::Display for ArenaError {
@@ -728,6 +764,9 @@ impl std::fmt::Display for ArenaError {
             }
             ArenaError::Packed { column, error } => {
                 write!(f, "dictionary {column} column: {error}")
+            }
+            ArenaError::TooMany { table, count, limit } => {
+                write!(f, "dictionary declares {count} {table}, more than its {limit} ids")
             }
         }
     }
@@ -1050,11 +1089,15 @@ impl Dictionary {
         prefix_ends: Ints,
         prefix_arena: Arena,
     ) -> Result<Self, ArenaError> {
-        for (column, ints) in [("heads", &heads), ("ends", &ends), ("prefix ends", &prefix_ends)] {
-            ints.view().validate().map_err(|error| ArenaError::Packed { column, error })?;
-        }
         if heads.len() != ends.len() {
             return Err(ArenaError::ColumnLengths { heads: heads.len(), ends: ends.len() });
+        }
+        check_counts(
+            (heads.len(), arena.bytes().len()),
+            (prefix_ends.len(), prefix_arena.bytes().len()),
+        )?;
+        for (column, ints) in [("heads", &heads), ("ends", &ends), ("prefix ends", &prefix_ends)] {
+            ints.view().validate().map_err(|error| ArenaError::Packed { column, error })?;
         }
         let terms = Strings { ends, arena };
         let prefixes = Strings { ends: prefix_ends, arena: prefix_arena };
@@ -1314,6 +1357,28 @@ mod tests {
     #[should_panic(expected = "dictionary overflow: more than 7·2^28 terms")]
     fn the_empty_slot_marker_is_never_a_term_id() {
         mint_id(TERM_IDS, TERM_IDS, "7·2^28 terms");
+    }
+
+    #[test]
+    fn a_count_the_bytes_cannot_keep_distinct_or_the_ids_cannot_hold_is_refused() {
+        let max = u32::MAX as usize;
+        // (terms, term arena bytes), (prefixes, prefix arena bytes).
+        assert_eq!(check_counts((40, 30), (3, 2)), Ok(()));
+        assert_eq!(check_counts((45, 30), (3, 2)), Ok(()));
+        assert_eq!(check_counts((46, 30), (3, 2)), Err(ArenaError::Duplicate));
+        assert_eq!(check_counts((max, 0), (1, 0)), Err(ArenaError::Duplicate));
+        assert_eq!(check_counts((1, 1), (4, 2)), Err(ArenaError::DuplicatePrefix));
+        assert_eq!(check_counts((1, 1), (max, 0)), Err(ArenaError::DuplicatePrefix));
+        let too_many = |table, count, limit| Err(ArenaError::TooMany { table, count, limit });
+        assert_eq!(check_counts((TERM_IDS, TERM_IDS), (1, 0)), Ok(()));
+        assert_eq!(
+            check_counts((TERM_IDS + 1, TERM_IDS + 1), (1, 0)),
+            too_many("terms", TERM_IDS + 1, TERM_IDS)
+        );
+        assert_eq!(
+            check_counts((1, 1), (PREFIX_IDS + 1, PREFIX_IDS)),
+            too_many("prefixes", PREFIX_IDS + 1, PREFIX_IDS)
+        );
     }
 
     #[test]

@@ -24,11 +24,15 @@
 //! the 8 bytes from there, and the trailing zero word keeps those 8 bytes
 //! inside the column for the last value too.
 //!
-//! A column grows by [`PackedColumn::push`], which repacks it at a wider
-//! width when a value needs more bits — at most 32 times over a column's
-//! life, so appending stays amortised O(1) — and changes in place by
-//! [`PackedColumn::set`], within its width: the dictionary's reverse
-//! indexes are fixed-width slot tables written that way.
+//! A column whose width is fixed up front (a slot or rank column) is
+//! appended to by [`PackedColumn::push`], which panics on a value that
+//! does not fit, so a mis-sized column fails loudly. A column that grows
+//! (the dictionary's columns, a terminal-list arena's overflow words) is
+//! appended to by [`PackedColumn::push_widening`], which repacks it at a
+//! wider width when a value needs more bits — at most 32 times over a
+//! column's life, so appending stays amortised O(1). A column changes in
+//! place by [`PackedColumn::set`], within its width: the dictionary's
+//! reverse indexes are fixed-width slot tables written that way.
 //!
 //! A terminal-list arena's two columns are packed too (`hexastore::slab`):
 //! its slot column at a width of its own, one flag bit above the widest
@@ -469,15 +473,27 @@ impl PackedColumn {
         column
     }
 
-    /// Appends one value. A value wider than the column first repacks
-    /// every value at the value's width, so a column whose width has only
-    /// ever grown this way is the canonical image of its values.
+    /// Appends one value to a column whose width was fixed up front.
     ///
-    /// Pushing past 2^32 − 1 values overflows the length: it panics in
-    /// debug builds, and [`PackedColumn::with_capacity`] refuses such a
-    /// column.
+    /// # Panics
+    ///
+    /// If the value needs more bits than the column's width. (Pushing
+    /// past 2^32 − 1 values overflows the length: it panics in debug
+    /// builds, and [`PackedColumn::with_capacity`] refuses such a column.)
     #[inline]
     pub fn push(&mut self, value: u32) {
+        if u64::from(value) >> self.width != 0 {
+            too_wide(value, self.width);
+        }
+        self.append(value);
+    }
+
+    /// Appends one value to a column that grows: a value wider than the
+    /// column first repacks every value at the value's width, so a column
+    /// whose width has only ever grown this way is the canonical image of
+    /// its values.
+    #[inline]
+    pub fn push_widening(&mut self, value: u32) {
         if u64::from(value) >> self.width != 0 {
             self.widen(width_of(value));
         }
@@ -636,7 +652,8 @@ impl PackedColumn {
     }
 }
 
-/// The panic of [`PackedColumn::set`], out of its line.
+/// The panic of [`PackedColumn::push`] and [`PackedColumn::set`], out of
+/// their line.
 #[cold]
 #[inline(never)]
 fn too_wide(value: u32, width: u32) -> ! {
@@ -658,16 +675,22 @@ mod tests {
 
     #[test]
     #[should_panic(expected = "does not fit")]
+    fn pushing_a_value_wider_than_the_column_panics() {
+        PackedColumn::with_capacity(2, 7).push(8);
+    }
+
+    #[test]
+    #[should_panic(expected = "does not fit")]
     fn setting_a_value_wider_than_the_column_panics() {
         let mut column = PackedColumn::filled(2, 7);
         column.set(1, 8);
     }
 
     #[test]
-    fn a_push_wider_than_the_column_repacks_it_canonically() {
+    fn a_widening_push_repacks_the_column_canonically() {
         let mut column = PackedColumn::with_capacity(2, 7);
-        column.push(5);
-        column.push(300);
+        column.push_widening(5);
+        column.push_widening(300);
         assert_eq!((column.width(), column.values().collect::<Vec<_>>()), (9, vec![5, 300]));
         assert_eq!(column, PackedColumn::from_values(&[5, 300]));
     }

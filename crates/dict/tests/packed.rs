@@ -84,7 +84,7 @@ fn check_against_the_oracle(oracle: &[u32]) {
     // Pushed one by one onto an empty column, which widens as the values
     // need: the same image.
     let mut pushed = PackedColumn::default();
-    oracle.iter().for_each(|&v| pushed.push(v));
+    oracle.iter().for_each(|&v| pushed.push_widening(v));
     prop_assert_eq!(&pushed, &column);
     // Every value overwritten in place by another of the width, leaving
     // its neighbours as they were.

@@ -350,6 +350,23 @@ fn corrupt_dictionary_columns_load_as_corrupt_through_both_loaders() {
     file.heads.0 = 33;
     assert_corrupt_through_both_loaders(&file.bytes(), "a 33-bit column");
     assert!(bytes_for(heads.len(), 33).is_some());
+
+    // Counts no bytes back: a column of width 0 takes none, so a file of
+    // a few hundred bytes may declare any number of terms or prefixes.
+    // Each is refused before anything is sized by it.
+    assert_eq!(bytes_for(u32::MAX as usize, 0), Some(0));
+    let zeros = |len: u32| (0, Vec::new(), len as usize);
+    for n in [u32::MAX, 7 << 28, 1 << 24] {
+        let terms =
+            DictFile { heads: zeros(n), ends: zeros(n), arena: vec![], ..DictFile::of(&dict) };
+        assert_corrupt_through_both_loaders(&terms.bytes(), &format!("{n} terms at width 0"));
+        let prefixes = DictFile {
+            prefix_ends: zeros(n),
+            prefixes: vec![],
+            ..DictFile::of(&Dictionary::new())
+        };
+        assert_corrupt_through_both_loaders(&prefixes.bytes(), &format!("{n} prefixes at width 0"));
+    }
 }
 
 #[test]
