@@ -317,8 +317,11 @@ pub(crate) type FrozenPair = (FrozenIndex, FrozenIndex, FlatArena);
 /// windows of their arena's columns — no nested vectors, no per-list heap
 /// blocks. Obtain one with
 /// [`FrozenHexastore::from_triples`] (the bulk path
-/// [`crate::bulk::build_frozen`]), [`OverlayHexastore::freeze`], or by
-/// opening a [`crate::hexsnap`] snapshot with prebuilt slab sections.
+/// [`crate::bulk::build_frozen`]), [`OverlayHexastore::freeze`], by
+/// reading a [`crate::hexsnap`] snapshot with prebuilt slab sections, or
+/// over a mapped one ([`FrozenHexastore::mapped`]), whose columns then
+/// borrow the mapping's bytes instead of owning theirs — the same store,
+/// read the same way, equal to the one the eager reader makes.
 ///
 /// Frozen stores are immutable: [`TripleStore::insert`] and
 /// [`TripleStore::remove`] panic. [`FrozenHexastore::thaw`] wraps one in

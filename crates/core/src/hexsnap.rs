@@ -85,7 +85,7 @@
 //! that reads only the count fields: [`Reader::dict_columns`] and
 //! [`Reader::frozen_columns`], the only code that knows how the column
 //! widths changed between versions. The eager reader reads the columns
-//! they locate, and the `hex-disk` crate views them in a mapping.
+//! they locate, and [`FrozenHexastore::mapped`] views them in a mapping.
 //! Pre-v3 pairs become offsets on read (spans that do not tile and
 //! primary references that are not the identity are rejected as
 //! corrupt), a pre-v4 arena's offset-addressed lists are appended one
@@ -173,12 +173,12 @@
 use crate::advisor::IndexKind;
 use crate::frozen::{FrozenHexastore, FrozenIndex};
 use crate::graph::GraphStore;
-use crate::packed::{bytes_for, PackedColumn, PackedView, MAX_WIDTH};
+use crate::packed::{bytes_for, Bytes, PackedColumn, PackedView, SharedBytes, MAX_WIDTH};
 use crate::pattern::IdPattern;
 use crate::slab::{pack_u32_slots, ArenaError, FlatArena};
 use crate::succinct::{
-    check_stream_shape, samples, BitmapView, BitsView, EfView, HeaderColumn, HeadersView,
-    KeyColumn, KeysView,
+    check_stream_shape, samples, BitmapView, BitsView, EfColumn, EfView, HeaderColumn, HeadersView,
+    KeyColumn, KeysView, RankBitmap,
 };
 use crate::traits::TripleStore;
 use hex_dict::{ArenaImage, Dictionary, Id, IdTriple};
@@ -1301,9 +1301,9 @@ impl<R: Read + Seek> Reader<R> {
                 let image = ArenaImage {
                     heads: self.packed(heads, "dictionary head column")?,
                     ends: self.packed(ends, "dictionary term offset table")?,
-                    arena: self.bytes(arena)?,
+                    arena: self.bytes(arena)?.into(),
                     prefix_ends: self.packed(prefix_ends, "dictionary prefix offset table")?,
-                    prefixes: self.bytes(prefixes)?,
+                    prefixes: self.bytes(prefixes)?.into(),
                 };
                 Dictionary::try_from_arena(image).map_err(|e| Error::Corrupt(e.to_string()))
             }
@@ -1549,6 +1549,97 @@ impl<R: Read + Seek> Reader<R> {
         }
         let orderings: [FrozenIndex; 6] = orderings.try_into().expect("exactly six orderings");
         assemble_frozen(orderings, arenas, len)
+    }
+}
+
+impl FrozenHexastore {
+    /// The store whose `FROZ` columns `columns` locates in `bytes` — a
+    /// mapped snapshot, read by [`Reader::frozen_columns`] — with every
+    /// column a window of `bytes`, viewed in place, rank directories
+    /// included: nothing is read or rebuilt, so opening touches only the
+    /// section's count fields, and queries page in exactly the columns
+    /// they walk. The store is the one [`load_frozen`] makes of the same
+    /// file, and it is read the same way.
+    ///
+    /// # Trust model
+    ///
+    /// What is checked touches no column: the layout is v9's or later
+    /// (packed arenas and index levels, header bitmaps or Elias–Fano
+    /// windows, packed or Elias–Fano vector keys; an older one is
+    /// [`Error::Corrupt`]), and every column lies inside `bytes`. The
+    /// columns' data-level invariants — sorted keys, offsets tiling,
+    /// Elias–Fano windows that decode to their keys, rank samples that
+    /// agree with their bits, list references in range, arenas that hold
+    /// one item per triple, ids within the dictionary — are never checked
+    /// here: walking them would read the whole file. Every read clamps
+    /// each window, run and select to its column instead, so a corrupt
+    /// file gives wrong answers (a short window, an absent header), never
+    /// undefined behavior, a panic or an unbounded scan. Files from
+    /// untrusted writers go through [`load_frozen`], which validates
+    /// fully.
+    pub fn mapped(bytes: &SharedBytes, columns: &FrozenColumns) -> Result<Self> {
+        let predates = || Error::Corrupt("the slab columns predate the mappable layout".into());
+        let window = |col: Packed, what: &str| {
+            Bytes::shared(SharedBytes::clone(bytes), col.offset..col.offset + col.bytes())
+                .ok_or_else(|| Error::Corrupt(format!("{what} extends past the mapping")))
+        };
+        let packed = |col: Packed, what: &str| {
+            PackedColumn::new(window(col, what)?, col.width, col.len)
+                .map_err(|e| Error::Corrupt(format!("{what}: {e}")))
+        };
+        let ints = |ints: Ints, what: &str| match ints {
+            Ints::Packed(col) => packed(col, what),
+            Ints::U32(_) => Err(predates()),
+        };
+        let ef = |ef: EfColumns, len: usize, what: &str| {
+            let len =
+                u32::try_from(len).map_err(|_| Error::Corrupt(format!("{what}: {len} keys")))?;
+            let stream = (window(ef.stream, what)?, ef.stream.len);
+            let (base, offs, ranks) =
+                (packed(ef.base, what)?, packed(ef.offs, what)?, packed(ef.ranks, what)?);
+            Ok::<_, Error>(EfColumn::mapped(base, offs, stream, ranks, len))
+        };
+        let mut arenas = Vec::with_capacity(3);
+        for arena in columns.arenas {
+            let ArenaColumns::Slots { slots, over } = arena else { return Err(predates()) };
+            let (slots, over) =
+                (ints(slots, "arena slot column")?, ints(over, "arena overflow column")?);
+            arenas.push(FlatArena::mapped(slots, over, columns.triples));
+        }
+        let mut orderings = Vec::with_capacity(6);
+        for ix in columns.orderings {
+            let Windows::Offsets(offs) = ix.windows else { return Err(predates()) };
+            let keys = match ix.keys {
+                Headers::U32(_) => return Err(predates()),
+                Headers::Bitmap { bits, ranks, count } => HeaderColumn::Bitmap(RankBitmap::mapped(
+                    window(bits, "ordering header bitmap")?,
+                    bits.len,
+                    packed(ranks, "ordering header rank directory")?,
+                    count,
+                )),
+                Headers::EliasFano { ef: cols, count } => {
+                    HeaderColumn::EliasFano(ef(cols, count, "ordering header window")?)
+                }
+            };
+            let lists = ix.lists.map(|lists| ints(lists, "ordering list column")).transpose()?;
+            let k2 = match ix.k2 {
+                VectorKeys::Ints(k2) => KeyColumn::Packed(ints(k2, "ordering vector column")?),
+                VectorKeys::EliasFano(cols) => {
+                    // A key a leaf: a mirror keeps a list reference a leaf,
+                    // and a primary's leaf `i` is its arena's list `i`.
+                    let arena_lists = || arenas.get(ix.arena).map_or(0, FlatArena::list_count);
+                    let leaves = lists.as_ref().map_or_else(arena_lists, PackedColumn::len);
+                    KeyColumn::EliasFano(ef(cols, leaves, "ordering vector keys")?)
+                }
+            };
+            let offs = ints(offs, "ordering offsets column")?;
+            orderings.push(FrozenIndex { keys, offs, k2, lists });
+        }
+        Ok(FrozenHexastore::from_raw_parts(
+            orderings.try_into().expect("exactly six orderings"),
+            arenas.try_into().expect("exactly three arenas"),
+            columns.triples,
+        ))
     }
 }
 
@@ -2191,7 +2282,7 @@ mod tests {
     }
 
     /// A file holding only a `DICT` section with these columns.
-    fn dict_file(image: &ArenaImage<Vec<u8>>) -> Vec<u8> {
+    fn dict_file(image: &ArenaImage) -> Vec<u8> {
         let mut w = Writer::new(Cursor::new(Vec::new())).unwrap();
         let i = image;
         let (heads, ends, prefix_ends) = (i.heads.view(), i.ends.view(), i.prefix_ends.view());
@@ -2305,23 +2396,23 @@ mod tests {
     }
 
     impl Plain {
-        fn of(image: &ArenaImage<Vec<u8>>) -> Self {
+        fn of(image: &ArenaImage) -> Self {
             Plain {
                 heads: image.heads.values().collect(),
                 ends: image.ends.values().collect(),
-                arena: image.arena.clone(),
+                arena: image.arena.to_vec(),
                 prefix_ends: image.prefix_ends.values().collect(),
-                prefixes: image.prefixes.clone(),
+                prefixes: image.prefixes.to_vec(),
             }
         }
 
-        fn packed(self) -> ArenaImage<Vec<u8>> {
+        fn packed(self) -> ArenaImage {
             ArenaImage {
                 heads: PackedColumn::from_values(&self.heads),
                 ends: PackedColumn::from_values(&self.ends),
-                arena: self.arena,
+                arena: self.arena.into(),
                 prefix_ends: PackedColumn::from_values(&self.prefix_ends),
-                prefixes: self.prefixes,
+                prefixes: self.prefixes.into(),
             }
         }
     }

@@ -751,6 +751,13 @@ impl FlatArena {
         FlatArena::from_columns(slots, over)
     }
 
+    /// An arena of `items` items over a mapped file's slot and overflow
+    /// columns, taken as they are: [`ArenaView::get`] clamps every read to
+    /// them, and [`ArenaView::validate`] is the caller's to run.
+    pub(crate) fn mapped(slots: PackedColumn, over: PackedColumn, items: usize) -> Self {
+        FlatArena { slots, over, items, copy: ArenaCopy::default() }
+    }
+
     /// Adopts a slot column and an overflow column that pass
     /// [`ArenaView::validate`].
     pub(crate) fn from_columns(

@@ -47,7 +47,7 @@
 //! one is rebuilt from what it decodes to and compared
 //! ([`HeaderColumn::adopt`], [`KeyColumn::adopt`]).
 
-use crate::packed::{self, bytes_for, width_of, PackedColumn, PackedView};
+use crate::packed::{self, bytes_for, width_of, Bytes, PackedColumn, PackedView};
 use hex_dict::Id;
 use std::ops::Range;
 
@@ -247,15 +247,28 @@ fn low_mask_or_all(bits: usize) -> u64 {
     }
 }
 
-/// An owned bit stream with its rank directory, appended in order into
-/// room sized exactly up front.
-#[derive(Clone, Default, PartialEq, Eq)]
+/// A bit stream with its rank directory, appended in order into room
+/// sized exactly up front — or a window of a mapped file's bytes, which
+/// an append copies to owned bytes first.
+#[derive(Clone, Default)]
 struct BitStream {
-    bytes: Vec<u8>,
+    bytes: Bytes,
     bits: usize,
+    /// Set bits: counted as they are appended; a mapped header bitmap's
+    /// declared key count, and 0 for a mapped Elias–Fano stream, which
+    /// does not read it.
     ones: usize,
     ranks: PackedColumn,
 }
+
+/// Equal bits and directories: the set bits follow from the bits.
+impl PartialEq for BitStream {
+    fn eq(&self, other: &Self) -> bool {
+        (self.bits, &self.bytes, &self.ranks) == (other.bits, &other.bytes, &other.ranks)
+    }
+}
+
+impl Eq for BitStream {}
 
 impl BitStream {
     /// An empty stream with exact room for `bits` bits.
@@ -267,7 +280,7 @@ impl BitStream {
         u32::try_from(bits).expect("bit stream overflow: 2^32 bits");
         let bytes = if bits == 0 { 0 } else { bytes_for(bits, 1).expect("bounded") };
         BitStream {
-            bytes: Vec::with_capacity(bytes),
+            bytes: Vec::with_capacity(bytes).into(),
             bits: 0,
             ones: 0,
             ranks: PackedColumn::with_width(samples(bits), sample_width(bits)),
@@ -288,8 +301,9 @@ impl BitStream {
             block += RANK_BLOCK;
         }
         let need = end.div_ceil(64) * 8 + 8;
-        while self.bytes.len() < need {
-            self.bytes.extend_from_slice(&[0; 8]);
+        let bytes = self.bytes.make_mut();
+        while bytes.len() < need {
+            bytes.extend_from_slice(&[0; 8]);
         }
         let (at, shift) = (self.bits / 64 * 8, self.bits % 64);
         self.or_word(at, value << shift);
@@ -310,8 +324,9 @@ impl BitStream {
     }
 
     fn or_word(&mut self, at: usize, bits: u64) {
-        let merged = word(&self.bytes, at / 8) | bits;
-        self.bytes[at..at + 8].copy_from_slice(&merged.to_le_bytes());
+        let bytes = self.bytes.make_mut();
+        let merged = word(bytes, at / 8) | bits;
+        bytes[at..at + 8].copy_from_slice(&merged.to_le_bytes());
     }
 
     fn view(&self) -> BitsView<'_> {
@@ -324,7 +339,7 @@ impl BitStream {
     }
 
     fn heap_bytes(&self) -> usize {
-        self.bytes.capacity() + self.ranks.heap_bytes()
+        self.bytes.heap_bytes() + self.ranks.heap_bytes()
     }
 
     /// Why `read` is not this stream's image, naming `what`; `None` when
@@ -490,6 +505,14 @@ impl RankBitmap {
         debug_assert!(k >= self.0.bits, "header keys ascend");
         self.0.put_zeros(k - self.0.bits);
         self.0.put(1, 1);
+    }
+
+    /// The bitmap of `keys` keys over a `len`-bit stream whose image is
+    /// `bits`, with the rank directory `ranks`: a mapped file's columns,
+    /// taken as they are. Reads clamp to them, so columns that are not
+    /// the canonical ones give wrong answers, never a panic.
+    pub(crate) fn mapped(bits: Bytes, len: usize, ranks: PackedColumn, keys: usize) -> Self {
+        RankBitmap(BitStream { bytes: bits, bits: len, ones: keys, ranks })
     }
 
     /// The bitmap of strictly ascending `keys`.
@@ -1147,6 +1170,29 @@ impl EfColumn {
         }
     }
 
+    /// The column of `len` keys whose windows' first keys are `base`, whose
+    /// windows' bit offsets are `offs`, and whose `bits`-bit stream's image
+    /// and rank directory are `stream` and `ranks`: a mapped file's
+    /// columns, taken as they are. Reads clamp to them, so columns that
+    /// are not the canonical ones give wrong answers, never a panic.
+    pub(crate) fn mapped(
+        base: PackedColumn,
+        offs: PackedColumn,
+        (stream, bits): (Bytes, usize),
+        ranks: PackedColumn,
+        len: u32,
+    ) -> Self {
+        EfColumn {
+            windows: base.len(),
+            room: len as usize,
+            base,
+            offs,
+            stream: BitStream { bytes: stream, bits, ones: 0, ranks },
+            len,
+            open: Vec::new(),
+        }
+    }
+
     /// The Elias–Fano column of `keys` windowed by `offs` — a tiling
     /// cumulative offsets column, each window strictly ascending —
     /// whatever the packed column would take.
@@ -1205,7 +1251,7 @@ impl EfColumn {
 
     /// Heap bytes of the stream's bits.
     pub fn stream_bytes(&self) -> usize {
-        self.stream.bytes.capacity()
+        self.stream.bytes.heap_bytes()
     }
 
     /// Heap bytes of the stream's rank directory.

@@ -16,163 +16,16 @@
 //! [`PackedColumn`] at the width its values need.
 
 use crate::id::{Id, IdTriple};
-use crate::packed::{PackedColumn, PackedError, PackedView};
+use crate::packed::{Bytes, PackedColumn, PackedError, PackedView};
 use rdf_model::{Term, TermKind, TermRef, Triple, TripleRef};
-use std::ops::Range;
 use std::sync::Arc;
-
-/// Read-only byte storage an arena dictionary can borrow instead of own —
-/// in practice a memory-mapped snapshot held open by `hex-disk`, so the
-/// string arenas and the packed columns stay on disk and page in on
-/// demand.
-pub type SharedBytes = Arc<dyn AsRef<[u8]> + Send + Sync>;
-
-/// An arena's backing bytes: owned by this dictionary, or a window into
-/// shared (typically memory-mapped) storage.
-#[derive(Clone)]
-enum Arena {
-    Owned(Vec<u8>),
-    Shared { bytes: SharedBytes, range: Range<usize> },
-}
-
-impl Default for Arena {
-    fn default() -> Self {
-        Arena::Owned(Vec::new())
-    }
-}
-
-impl Arena {
-    /// The arena bytes. A shared provider whose bytes shrank after
-    /// construction degrades to an empty slice — lookups then miss and
-    /// decodes return `None`, but nothing panics.
-    #[inline]
-    fn bytes(&self) -> &[u8] {
-        match self {
-            Arena::Owned(v) => v,
-            Arena::Shared { bytes, range } => shared_range(bytes, range),
-        }
-    }
-
-    /// Converts to owned storage (copying shared bytes once) so the
-    /// arena can grow.
-    fn make_owned(&mut self) -> &mut Vec<u8> {
-        if let Arena::Shared { .. } = self {
-            *self = Arena::Owned(self.bytes().to_vec());
-        }
-        match self {
-            Arena::Owned(v) => v,
-            Arena::Shared { .. } => unreachable!("just converted to owned"),
-        }
-    }
-
-    /// Heap bytes held: an owned arena's capacity; a shared one's bytes
-    /// are file-backed, not heap-allocated.
-    fn heap_bytes(&self) -> usize {
-        match self {
-            Arena::Owned(v) => v.capacity(),
-            Arena::Shared { .. } => 0,
-        }
-    }
-}
-
-/// The bytes of `range` in shared storage, or none when they lie outside
-/// it. Out of line, so that the reads of owned arenas inline.
-#[inline(never)]
-fn shared_range<'a>(bytes: &'a SharedBytes, range: &Range<usize>) -> &'a [u8] {
-    (**bytes).as_ref().get(range.clone()).unwrap_or(&[])
-}
-
-/// Where a packed column lies in shared storage: `len` values of `width`
-/// bits in the byte range `bytes` ([`crate::packed`] has the encoding).
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct PackedWindow {
-    /// The column's image: its whole words and the zero word after them.
-    pub bytes: Range<usize>,
-    /// Bits per value.
-    pub width: u32,
-    /// Number of values.
-    pub len: usize,
-}
-
-impl PackedWindow {
-    /// The column as a view of `shared`'s bytes: `Err(None)` when its
-    /// range lies outside them, `Err(Some(why))` when its bytes are not
-    /// the ones its width and length need. Out of line, so that the reads
-    /// of owned columns inline.
-    #[inline(never)]
-    fn view<'a>(&self, shared: &'a SharedBytes) -> Result<PackedView<'a>, Option<PackedError>> {
-        let bytes = (**shared).as_ref().get(self.bytes.clone()).ok_or(None)?;
-        PackedView::new(bytes, self.width, self.len).map_err(Some)
-    }
-}
-
-/// An integer column: an owned packed column, or a packed image in shared
-/// (typically memory-mapped) storage, read in place.
-#[derive(Clone)]
-enum Ints {
-    Owned(PackedColumn),
-    Shared { bytes: SharedBytes, window: PackedWindow },
-}
-
-impl Default for Ints {
-    fn default() -> Self {
-        Ints::Owned(PackedColumn::default())
-    }
-}
-
-impl Ints {
-    /// The column. A shared provider whose bytes shrank after
-    /// construction degrades to the empty column — every read is then 0
-    /// or empty, but nothing panics.
-    #[inline]
-    fn view(&self) -> PackedView<'_> {
-        match self {
-            Ints::Owned(column) => column.view(),
-            Ints::Shared { bytes, window } => window.view(bytes).unwrap_or(PackedView::EMPTY),
-        }
-    }
-
-    fn len(&self) -> usize {
-        match self {
-            Ints::Owned(column) => column.len(),
-            Ints::Shared { window, .. } => window.len,
-        }
-    }
-
-    /// Converts to an owned column (copying a shared image once) so it
-    /// can grow.
-    fn make_owned(&mut self) -> &mut PackedColumn {
-        if let Ints::Shared { .. } = self {
-            *self = Ints::Owned(PackedColumn::from_view(self.view()));
-        }
-        match self {
-            Ints::Owned(column) => column,
-            Ints::Shared { .. } => unreachable!("just converted to owned"),
-        }
-    }
-
-    fn shrink_to_fit(&mut self) {
-        if let Ints::Owned(column) = self {
-            column.shrink_to_fit();
-        }
-    }
-
-    /// Heap bytes held: an owned column's capacity; a shared image is
-    /// file-backed.
-    fn heap_bytes(&self) -> usize {
-        match self {
-            Ints::Owned(column) => column.heap_bytes(),
-            Ints::Shared { .. } => 0,
-        }
-    }
-}
 
 /// Strings stored back to back: one cumulative end per string into one
 /// arena.
 #[derive(Clone, Default)]
 struct Strings {
-    ends: Ints,
-    arena: Arena,
+    ends: PackedColumn,
+    arena: Bytes,
 }
 
 impl Strings {
@@ -183,14 +36,14 @@ impl Strings {
     /// The table as borrowed views, which every read goes through.
     #[inline]
     fn view(&self) -> StringsView<'_> {
-        StringsView { ends: self.ends.view(), arena: self.arena.bytes() }
+        StringsView { ends: self.ends.view(), arena: self.arena.get() }
     }
 
     fn push(&mut self, s: &[u8]) {
-        let arena = self.arena.make_owned();
+        let arena = self.arena.make_mut();
         arena.extend_from_slice(s);
         let end = u32::try_from(arena.len()).expect("dictionary string arena exceeds 4 GiB");
-        self.ends.make_owned().push_widening(end);
+        self.ends.push_widening(end);
     }
 
     /// Checks that the ends are a monotone cover of a UTF-8 arena that
@@ -212,9 +65,7 @@ impl Strings {
 
     fn shrink_to_fit(&mut self) {
         self.ends.shrink_to_fit();
-        if let Arena::Owned(bytes) = &mut self.arena {
-            bytes.shrink_to_fit();
-        }
+        self.arena.shrink_to_fit();
     }
 }
 
@@ -551,7 +402,7 @@ fn check_canonical(
 #[derive(Clone)]
 struct Inner {
     /// One head per term (`Id(i)` ↦ `heads[i]`): kind and prefix id.
-    heads: Ints,
+    heads: PackedColumn,
     /// Each term's own bytes.
     terms: Strings,
     /// Reverse index: `(head, own bytes)` → term id.
@@ -566,7 +417,7 @@ struct Inner {
 impl Default for Inner {
     fn default() -> Self {
         let mut inner = Inner {
-            heads: Ints::default(),
+            heads: PackedColumn::default(),
             terms: Strings::default(),
             index: TermIndex::default(),
             prefixes: Strings::default(),
@@ -626,7 +477,7 @@ impl Inner {
             self.index = TermIndex::rebuilt(self.len() + 1, (0..id).map(|t| terms.hash(t)));
         }
         self.terms.push(own);
-        self.heads.make_owned().push_widening(head);
+        self.heads.push_widening(head);
         self.index.insert_absent(hash, id);
         Id(id)
     }
@@ -656,24 +507,23 @@ impl Inner {
 
 /// A dictionary's five columns, as the hexsnap `DICT` section lays them
 /// out: what [`Dictionary::try_from_arena`] validates and adopts, and
-/// what [`Dictionary::image`] copies out. `A` is how the two byte arenas
-/// are given and `C` how the three integer columns are: owned bytes and
-/// [`PackedColumn`]s, or windows into shared storage
-/// ([`Dictionary::try_from_shared_arena`], with [`PackedWindow`]s).
+/// what [`Dictionary::image`] copies out. Each column's bytes are owned or
+/// a window into shared storage ([`Bytes`]) — an open memory map, whose
+/// columns then stay in the file.
 #[derive(Clone, Debug, PartialEq, Eq)]
-pub struct ArenaImage<A, C = PackedColumn> {
+pub struct ArenaImage {
     /// One head per term: its [`TermKind`] discriminant in the low three
     /// bits, its prefix id above them.
-    pub heads: C,
+    pub heads: PackedColumn,
     /// The cumulative end of each term's own bytes in `arena`.
-    pub ends: C,
+    pub ends: PackedColumn,
     /// The terms' own bytes, back to back.
-    pub arena: A,
+    pub arena: Bytes,
     /// The cumulative end of each prefix in `prefixes`. Prefix 0 is the
     /// empty string.
-    pub prefix_ends: C,
+    pub prefix_ends: PackedColumn,
     /// The prefixes' bytes, back to back.
-    pub prefixes: A,
+    pub prefixes: Bytes,
 }
 
 /// Why an arena image was rejected by [`Dictionary::try_from_arena`].
@@ -710,8 +560,6 @@ pub enum ArenaError {
     /// A typed literal carries the implicit `xsd:string` datatype, which
     /// canonically encodes as a plain literal (kind 2).
     NonCanonicalTyped,
-    /// A shared byte range lies outside the provider's bytes.
-    OutOfBounds,
     /// An integer column is not the canonical packed image of its values.
     Packed {
         /// Which column: `heads`, `ends` or `prefix ends`.
@@ -758,9 +606,6 @@ impl std::fmt::Display for ArenaError {
             }
             ArenaError::NonCanonicalTyped => {
                 write!(f, "typed literal carries the implicit xsd:string datatype")
-            }
-            ArenaError::OutOfBounds => {
-                write!(f, "arena range lies outside the shared byte provider")
             }
             ArenaError::Packed { column, error } => {
                 write!(f, "dictionary {column} column: {error}")
@@ -1003,7 +848,7 @@ impl Dictionary {
 
     /// The terms' own bytes, back to back.
     pub fn arena_bytes(&self) -> &[u8] {
-        self.inner.terms.arena.bytes()
+        self.inner.terms.arena.get()
     }
 
     /// The cumulative end of each prefix in [`Dictionary::prefix_bytes`],
@@ -1014,25 +859,25 @@ impl Dictionary {
 
     /// The prefixes' bytes, back to back.
     pub fn prefix_bytes(&self) -> &[u8] {
-        self.inner.prefixes.arena.bytes()
+        self.inner.prefixes.arena.get()
     }
 
     /// A copy of the five columns, as [`Dictionary::try_from_arena`]
     /// takes them.
-    pub fn image(&self) -> ArenaImage<Vec<u8>> {
+    pub fn image(&self) -> ArenaImage {
         ArenaImage {
             heads: PackedColumn::from_view(self.term_heads()),
             ends: PackedColumn::from_view(self.term_ends()),
-            arena: self.arena_bytes().to_vec(),
+            arena: self.arena_bytes().to_vec().into(),
             prefix_ends: PackedColumn::from_view(self.prefix_ends()),
-            prefixes: self.prefix_bytes().to_vec(),
+            prefixes: self.prefix_bytes().to_vec().into(),
         }
     }
 
     /// True when the term arena is a window into shared (typically
     /// memory-mapped) storage rather than owned heap bytes.
     pub fn arena_is_shared(&self) -> bool {
-        matches!(self.inner.terms.arena, Arena::Shared { .. })
+        self.inner.terms.arena.is_shared()
     }
 
     /// Rebuilds a dictionary from its five columns — the snapshot fast
@@ -1042,60 +887,19 @@ impl Dictionary {
     /// representation each term has ([`ArenaError`] lists the ways an
     /// image can fail it), and builds both reverse indexes in one hash
     /// pass each; no `Term` is constructed.
-    pub fn try_from_arena(image: ArenaImage<Vec<u8>>) -> Result<Self, ArenaError> {
-        Self::build(
-            Ints::Owned(image.heads),
-            Ints::Owned(image.ends),
-            Arena::Owned(image.arena),
-            Ints::Owned(image.prefix_ends),
-            Arena::Owned(image.prefixes),
-        )
-    }
-
-    /// Like [`Dictionary::try_from_arena`], but every column stays a
-    /// window into shared storage (an open memory map): the string bytes
-    /// and the packed columns are never copied onto the heap, which then
-    /// holds the two reverse indexes and nothing else.
     ///
-    /// Validation happens against the bytes as they are now; the
-    /// provider is trusted not to mutate them afterwards. If it does
-    /// anyway, lookups may miss and decodes may return `None`, but
-    /// nothing panics.
-    pub fn try_from_shared_arena(
-        image: ArenaImage<Range<usize>, PackedWindow>,
-        bytes: SharedBytes,
-    ) -> Result<Self, ArenaError> {
-        let total = (*bytes).as_ref().len();
-        let window = |range: Range<usize>| {
-            if range.start > range.end || range.end > total {
-                return Err(ArenaError::OutOfBounds);
-            }
-            Ok(Arena::Shared { bytes: Arc::clone(&bytes), range })
-        };
-        let ints = |window: PackedWindow, column| match window.view(&bytes) {
-            Ok(_) => Ok(Ints::Shared { bytes: Arc::clone(&bytes), window }),
-            Err(None) => Err(ArenaError::OutOfBounds),
-            Err(Some(error)) => Err(ArenaError::Packed { column, error }),
-        };
-        let (arena, prefixes) = (window(image.arena)?, window(image.prefixes)?);
-        let (heads, ends) = (ints(image.heads, "heads")?, ints(image.ends, "ends")?);
-        Self::build(heads, ends, arena, ints(image.prefix_ends, "prefix ends")?, prefixes)
-    }
-
-    fn build(
-        heads: Ints,
-        ends: Ints,
-        arena: Arena,
-        prefix_ends: Ints,
-        prefix_arena: Arena,
-    ) -> Result<Self, ArenaError> {
+    /// A column whose bytes are shared (an open memory map) is validated
+    /// against them as they are now and never copied onto the heap, so a
+    /// dictionary of shared columns holds its two reverse indexes and
+    /// nothing else there. The provider is trusted not to change them
+    /// afterwards; if it does anyway, lookups may miss and decodes may
+    /// return `None`, but nothing panics.
+    pub fn try_from_arena(image: ArenaImage) -> Result<Self, ArenaError> {
+        let ArenaImage { heads, ends, arena, prefix_ends, prefixes: prefix_arena } = image;
         if heads.len() != ends.len() {
             return Err(ArenaError::ColumnLengths { heads: heads.len(), ends: ends.len() });
         }
-        check_counts(
-            (heads.len(), arena.bytes().len()),
-            (prefix_ends.len(), prefix_arena.bytes().len()),
-        )?;
+        check_counts((heads.len(), arena.len()), (prefix_ends.len(), prefix_arena.len()))?;
         for (column, ints) in [("heads", &heads), ("ends", &ends), ("prefix ends", &prefix_ends)] {
             ints.view().validate().map_err(|error| ArenaError::Packed { column, error })?;
         }
@@ -1260,6 +1064,7 @@ impl std::fmt::Debug for Dictionary {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::packed::SharedBytes;
 
     fn iri(s: &str) -> Term {
         Term::iri(format!("http://x/{s}"))
@@ -1644,17 +1449,18 @@ mod tests {
         assert_eq!(rejects(&|i| i.ends.swap(0, 1)), ArenaError::OffsetsNotMonotone);
         assert_eq!(rejects(&|i| *i.ends.last_mut().unwrap() -= 1), ArenaError::OffsetsNotMonotone);
         assert_eq!(rejects(&|i| i.prefix_ends.swap(1, 2)), ArenaError::OffsetsNotMonotone);
-        let short_prefixes = ArenaImage { prefixes: image.prefixes[1..].to_vec(), ..image.clone() };
+        let short_prefixes =
+            ArenaImage { prefixes: image.prefixes[1..].to_vec().into(), ..image.clone() };
         assert_eq!(
             Dictionary::try_from_arena(short_prefixes).unwrap_err(),
             ArenaError::OffsetsNotMonotone
         );
         // Invalid UTF-8, and an offset inside a character.
         let mut bad = image.clone();
-        bad.arena[0] = 0xFF;
+        bad.arena.make_mut()[0] = 0xFF;
         assert_eq!(Dictionary::try_from_arena(bad).unwrap_err(), ArenaError::NotUtf8);
         let mut bad = image.clone();
-        bad.prefixes[0] = 0xFF;
+        bad.prefixes.make_mut()[0] = 0xFF;
         assert_eq!(Dictionary::try_from_arena(bad).unwrap_err(), ArenaError::NotUtf8);
         let e_acute = image.arena.windows(2).position(|w| w == "é".as_bytes()).unwrap() as u32;
         let splits = |i: &mut Columns| {
@@ -1674,7 +1480,7 @@ mod tests {
         };
         let heads: Vec<u32> = image.heads.values().collect();
         let ends: Vec<u32> = image.ends.values().collect();
-        let too_wide = |column: &'static str, bad: ArenaImage<Vec<u8>>| {
+        let too_wide = |column: &'static str, bad: ArenaImage| {
             assert!(
                 matches!(
                     Dictionary::try_from_arena(bad).unwrap_err(),
@@ -1698,7 +1504,7 @@ mod tests {
     }
 
     impl Columns {
-        fn of(image: &ArenaImage<Vec<u8>>) -> Self {
+        fn of(image: &ArenaImage) -> Self {
             Columns {
                 heads: image.heads.values().collect(),
                 ends: image.ends.values().collect(),
@@ -1706,7 +1512,7 @@ mod tests {
             }
         }
 
-        fn packed(&self, image: &ArenaImage<Vec<u8>>) -> ArenaImage<Vec<u8>> {
+        fn packed(&self, image: &ArenaImage) -> ArenaImage {
             ArenaImage {
                 heads: PackedColumn::from_values(&self.heads),
                 ends: PackedColumn::from_values(&self.ends),
@@ -1729,35 +1535,20 @@ mod tests {
             ArenaImage {
                 heads: PackedColumn::from_values(&[h]),
                 ends: PackedColumn::from_values(&[own.len() as u32]),
-                arena: own.as_bytes().to_vec(),
+                arena: own.as_bytes().to_vec().into(),
                 prefix_ends: PackedColumn::from_values(&ends),
-                prefixes: bytes.into_bytes(),
+                prefixes: bytes.into_bytes().into(),
             }
         };
-        let check = |what: &str, image: ArenaImage<Vec<u8>>, want: ArenaError| {
+        let check = |what: &str, image: ArenaImage, want: ArenaError| {
             assert_eq!(
                 Dictionary::try_from_arena(image.clone()).err(),
                 Some(want.clone()),
                 "{what}"
             );
-            // The shared constructor runs the same checks.
-            let (arena_len, prefix_len) = (image.arena.len(), image.prefixes.len());
-            let mut all = [image.arena, image.prefixes].concat();
-            let mut window = |column: &PackedColumn| {
-                let at = all.len();
-                all.extend_from_slice(column.view().bytes());
-                PackedWindow { bytes: at..all.len(), width: column.width(), len: column.len() }
-            };
-            let windows = ArenaImage {
-                heads: window(&image.heads),
-                ends: window(&image.ends),
-                arena: 0..arena_len,
-                prefix_ends: window(&image.prefix_ends),
-                prefixes: arena_len..arena_len + prefix_len,
-            };
-            let bytes: SharedBytes = Arc::new(all);
+            // An image of shared columns is held to the same checks.
             assert_eq!(
-                Dictionary::try_from_shared_arena(windows, bytes).err(),
+                Dictionary::try_from_arena(shared_image(&image)).err(),
                 Some(want),
                 "{what}"
             );
@@ -1814,7 +1605,7 @@ mod tests {
             "a first prefix that is not empty",
             ArenaImage {
                 prefix_ends: PackedColumn::from_values(&[2]),
-                prefixes: b"en".to_vec(),
+                prefixes: b"en".to_vec().into(),
                 ..image(3, "v", &[])
             },
             ArenaError::EmptyPrefixMissing,
@@ -1827,10 +1618,40 @@ mod tests {
         let twice = ArenaImage {
             heads: PackedColumn::from_values(&[head(iri, 1); 2]),
             ends: PackedColumn::from_values(&[1, 2]),
-            arena: b"aa".to_vec(),
+            arena: b"aa".to_vec().into(),
             ..image(head(iri, 1), "a", &["http://x/"])
         };
         check("duplicate terms", twice, ArenaError::Duplicate);
+    }
+
+    /// `image` with every column a window of one shared provider: the
+    /// prefixes, the arena, then the three packed columns.
+    fn shared_image(image: &ArenaImage) -> ArenaImage {
+        let provider: SharedBytes = Arc::new(
+            [&image.prefixes[..], &image.arena, image.heads.view().bytes()]
+                .into_iter()
+                .chain([image.ends.view().bytes(), image.prefix_ends.view().bytes()])
+                .collect::<Vec<_>>()
+                .concat(),
+        );
+        let mut at = 0;
+        let mut window = |len: usize| {
+            at += len;
+            Bytes::shared(Arc::clone(&provider), at - len..at).expect("inside the provider")
+        };
+        let prefixes = window(image.prefixes.len());
+        let arena = window(image.arena.len());
+        let mut column = |column: &PackedColumn| {
+            let bytes = window(column.view().bytes().len());
+            PackedColumn::new(bytes, column.width(), column.len()).expect("the column's shape")
+        };
+        ArenaImage {
+            heads: column(&image.heads),
+            ends: column(&image.ends),
+            arena,
+            prefix_ends: column(&image.prefix_ends),
+            prefixes,
+        }
     }
 
     #[test]
@@ -1838,32 +1659,7 @@ mod tests {
         let mut d = every_kind();
         d.shrink_to_fit();
         let image = d.image();
-        let (arena_len, prefix_len) = (image.arena.len(), image.prefixes.len());
-        // Every column behind one provider: the prefixes, the arena, then
-        // the three packed columns.
-        let columns = [&image.heads, &image.ends, &image.prefix_ends];
-        let mut all = [image.prefixes.clone(), image.arena.clone()].concat();
-        let mut windows = Vec::new();
-        for column in columns {
-            let at = all.len();
-            all.extend_from_slice(column.view().bytes());
-            windows.push(PackedWindow {
-                bytes: at..all.len(),
-                width: column.width(),
-                len: column.len(),
-            });
-        }
-        let provider: SharedBytes = Arc::new(all);
-        let image_of = |arena: Range<usize>| ArenaImage {
-            heads: windows[0].clone(),
-            ends: windows[1].clone(),
-            arena,
-            prefix_ends: windows[2].clone(),
-            prefixes: 0..prefix_len,
-        };
-        let all = prefix_len..prefix_len + arena_len;
-        let mut shared =
-            Dictionary::try_from_shared_arena(image_of(all), provider.clone()).unwrap();
+        let mut shared = Dictionary::try_from_arena(shared_image(&image)).unwrap();
         assert!(shared.arena_is_shared());
         assert_eq!(shared.decode(Id(0)), Some(iri("a")));
         assert_eq!(shared.id_of(&Term::lang_literal("héllo", "fr")), Some(Id(4)));
@@ -1887,18 +1683,11 @@ mod tests {
         assert_eq!(shared.decode(elsewhere), Some(Term::iri("http://y/z")));
         assert_eq!(shared.decode(Id(5)), Some(Term::typed_literal("7", XSD_INT)));
         // Out-of-range windows are rejected.
-        let past = provider.as_ref().as_ref().len();
-        assert_eq!(
-            Dictionary::try_from_shared_arena(image_of(past..past + 1), provider.clone())
-                .unwrap_err(),
-            ArenaError::OutOfBounds
-        );
-        let heads = PackedWindow { bytes: past - 8..past + 8, ..windows[0].clone() };
-        let bad = ArenaImage { heads, ..image_of(prefix_len..prefix_len + arena_len) };
-        assert_eq!(
-            Dictionary::try_from_shared_arena(bad, provider).unwrap_err(),
-            ArenaError::OutOfBounds
-        );
+        let provider: SharedBytes = Arc::new(image.arena.to_vec());
+        let past = image.arena.len();
+        assert!(Bytes::shared(Arc::clone(&provider), past..past + 1).is_none());
+        assert!(Bytes::shared(Arc::clone(&provider), past - 8..past + 8).is_none());
+        assert!(Bytes::shared(provider, 0..past).is_some());
     }
 
     #[test]

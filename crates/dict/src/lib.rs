@@ -11,7 +11,8 @@
 //! - [`IdTriple`] — a dictionary-encoded triple (three [`Id`]s),
 //! - [`Dictionary`] — the bidirectional term ⇄ id mapping,
 //! - [`packed`] — the bit-packed integer columns every dictionary column
-//!   and every frozen-store index level is stored in.
+//!   and every frozen-store index level is stored in, over bytes that are
+//!   owned or a window of a mapped file ([`packed::Bytes`]).
 //!
 //! ## Example
 //!
@@ -36,7 +37,5 @@ mod dictionary;
 mod id;
 pub mod packed;
 
-pub use dictionary::{
-    ArenaError, ArenaImage, DictHeap, Dictionary, IndexStats, PackedWindow, SharedBytes,
-};
+pub use dictionary::{ArenaError, ArenaImage, DictHeap, Dictionary, IndexStats};
 pub use id::{Id, IdTriple};

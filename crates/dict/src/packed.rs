@@ -34,6 +34,14 @@
 //! place by [`PackedColumn::set`], within its width: the dictionary's
 //! reverse indexes are fixed-width slot tables written that way.
 //!
+//! A column's bytes are a [`Bytes`]: owned, or a window into
+//! [`SharedBytes`] — in practice a memory-mapped snapshot, so a column
+//! opened from a file stays in the page cache and pages in on demand.
+//! Reads of a shared column are clamped like every read: a provider whose
+//! bytes shrank under it reads as the empty column. A write to a shared
+//! column first copies it to owned bytes, and equal columns are equal
+//! whatever holds their bytes.
+//!
 //! A terminal-list arena's two columns are packed too (`hexastore::slab`):
 //! its slot column at a width of its own, one flag bit above the widest
 //! value, and its overflow column at its largest word's width. A longer
@@ -44,7 +52,8 @@
 //! store's header keys and Elias–Fano vector keys (`hexastore::succinct`)
 //! keep their bit streams and rank directories in packed columns too.
 
-use std::ops::Range;
+use std::ops::{Deref, Range};
+use std::sync::Arc;
 
 /// The widest value a packed column holds, in bits.
 pub const MAX_WIDTH: u32 = 32;
@@ -157,6 +166,129 @@ fn extract_word(bytes: &[u8], bit: usize) -> u64 {
 #[inline]
 fn mask_of(width: u32) -> u64 {
     (1u64 << width) - 1
+}
+
+/// Read-only storage a column can borrow its bytes from instead of
+/// owning them: in practice a memory-mapped snapshot.
+pub type SharedBytes = Arc<dyn AsRef<[u8]> + Send + Sync>;
+
+/// A column's bytes: an owned buffer, or a window into [`SharedBytes`].
+///
+/// Reads never panic: a window that no longer lies inside its provider's
+/// bytes (a provider that shrank after construction) reads as no bytes.
+/// [`Bytes::make_mut`] copies a window to an owned buffer before the first
+/// write, and two `Bytes` are equal when their contents are, wherever they
+/// live.
+#[derive(Clone)]
+pub struct Bytes(Storage);
+
+#[derive(Clone)]
+enum Storage {
+    Owned(Vec<u8>),
+    Shared(SharedBytes, Range<usize>),
+}
+
+impl Bytes {
+    /// The window `range` of `bytes`; `None` unless it lies inside them.
+    pub fn shared(bytes: SharedBytes, range: Range<usize>) -> Option<Self> {
+        let inside = range.start <= range.end && range.end <= (*bytes).as_ref().len();
+        inside.then_some(Bytes(Storage::Shared(bytes, range)))
+    }
+
+    /// The bytes: an owned buffer's, or a window's — none when the window
+    /// has left its provider's bytes.
+    #[inline]
+    pub fn get(&self) -> &[u8] {
+        match &self.0 {
+            Storage::Owned(bytes) => bytes,
+            Storage::Shared(bytes, range) => window(bytes, range),
+        }
+    }
+
+    /// The owned buffer, copying a window's bytes into one first.
+    #[inline]
+    pub fn make_mut(&mut self) -> &mut Vec<u8> {
+        if let Storage::Shared(..) = self.0 {
+            self.copy_out();
+        }
+        match &mut self.0 {
+            Storage::Owned(bytes) => bytes,
+            Storage::Shared(..) => unreachable!("just copied to an owned buffer"),
+        }
+    }
+
+    /// Replaces a window by an owned copy of its bytes.
+    #[cold]
+    #[inline(never)]
+    fn copy_out(&mut self) {
+        self.0 = Storage::Owned(self.get().to_vec());
+    }
+
+    /// True when the bytes are a window into shared storage.
+    pub fn is_shared(&self) -> bool {
+        matches!(self.0, Storage::Shared(..))
+    }
+
+    /// Heap bytes: an owned buffer's capacity. A window's bytes belong to
+    /// its provider.
+    pub fn heap_bytes(&self) -> usize {
+        match &self.0 {
+            Storage::Owned(bytes) => bytes.capacity(),
+            Storage::Shared(..) => 0,
+        }
+    }
+
+    /// Gives back the room an owned buffer reserved beyond its bytes.
+    pub fn shrink_to_fit(&mut self) {
+        if let Storage::Owned(bytes) = &mut self.0 {
+            bytes.shrink_to_fit();
+        }
+    }
+}
+
+/// The bytes of `range` in shared storage, or none when they lie outside
+/// it. Out of line, so that the reads of owned bytes inline.
+#[inline(never)]
+fn window<'a>(bytes: &'a SharedBytes, range: &Range<usize>) -> &'a [u8] {
+    (**bytes).as_ref().get(range.clone()).unwrap_or(&[])
+}
+
+impl Default for Bytes {
+    fn default() -> Self {
+        Bytes(Storage::Owned(Vec::new()))
+    }
+}
+
+impl From<Vec<u8>> for Bytes {
+    fn from(bytes: Vec<u8>) -> Self {
+        Bytes(Storage::Owned(bytes))
+    }
+}
+
+impl Deref for Bytes {
+    type Target = [u8];
+
+    #[inline]
+    fn deref(&self) -> &[u8] {
+        self.get()
+    }
+}
+
+impl PartialEq for Bytes {
+    fn eq(&self, other: &Self) -> bool {
+        self.get() == other.get()
+    }
+}
+
+impl Eq for Bytes {}
+
+impl std::fmt::Debug for Bytes {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("Bytes")
+            .field("len", &self.len())
+            .field("shared", &self.is_shared())
+            .finish()
+    }
 }
 
 /// A borrowed packed column — owned by a [`PackedColumn`] or mapped from
@@ -404,12 +536,13 @@ impl Iterator for Iter<'_> {
 
 impl ExactSizeIterator for Iter<'_> {}
 
-/// An owned packed column: appended to, overwritten within its width,
-/// and read through its [`PackedView`]. At most 2^32 − 1 values, like
-/// every slab and dictionary column; 32 bytes beside its image.
+/// A packed column: appended to, overwritten within its width, and read
+/// through its [`PackedView`]. Its image is [`Bytes`], owned or a window
+/// of shared storage; a write to a shared column copies it to owned bytes
+/// first. At most 2^32 − 1 values, like every slab and dictionary column.
 #[derive(Clone, Default, PartialEq, Eq)]
 pub struct PackedColumn {
-    bytes: Vec<u8>,
+    bytes: Bytes,
     width: u32,
     len: u32,
 }
@@ -438,7 +571,7 @@ impl PackedColumn {
         u32::try_from(len).expect("packed column overflow: 2^32 values");
         assert!(width <= MAX_WIDTH, "{}", PackedError::WidthAbove32(width));
         let bytes = bytes_for(len, width).expect("packed column overflows usize");
-        PackedColumn { bytes: Vec::with_capacity(bytes), width, len: 0 }
+        PackedColumn { bytes: Vec::with_capacity(bytes).into(), width, len: 0 }
     }
 
     /// `len` copies of `value`, at its width, exact-sized.
@@ -454,22 +587,23 @@ impl PackedColumn {
         if width == 0 {
             return column;
         }
+        let bytes = column.bytes.make_mut();
         let (mut word, mut used) = (0u64, 0);
         for value in values {
             debug_assert!(u64::from(value) >> width == 0, "{value} in {width} bits");
             word |= u64::from(value) << used;
             used += width;
             if used >= 64 {
-                column.bytes.extend_from_slice(&word.to_le_bytes());
+                bytes.extend_from_slice(&word.to_le_bytes());
                 used -= 64;
                 // The value's bits that did not fit the word start the next.
                 word = if used == 0 { 0 } else { u64::from(value) >> (width - used) };
             }
         }
         if used > 0 {
-            column.bytes.extend_from_slice(&word.to_le_bytes());
+            bytes.extend_from_slice(&word.to_le_bytes());
         }
-        column.bytes.extend_from_slice(&[0; 8]);
+        bytes.extend_from_slice(&[0; 8]);
         column
     }
 
@@ -510,6 +644,9 @@ impl PackedColumn {
     /// Appends a value known to fit the width.
     #[inline]
     fn append(&mut self, value: u32) {
+        if self.bytes.is_shared() {
+            self.copy_out();
+        }
         let width = self.width as usize;
         debug_assert!(u64::from(value) >> width == 0, "{value} in {width} bits");
         if width > 0 {
@@ -519,12 +656,24 @@ impl PackedColumn {
             // words, so each read of a word is of the store before.
             let bit = self.len as usize * width;
             let need = (bit + width).div_ceil(64) * 8 + 8;
-            if self.bytes.len() < need {
-                self.bytes.resize(need, 0);
+            let bytes = self.bytes.make_mut();
+            if bytes.len() < need {
+                bytes.resize(need, 0);
             }
-            self.write_pair(bit, 0, value);
+            write_pair(bytes, bit, 0, value);
         }
         self.len += 1;
+    }
+
+    /// Replaces a shared column by an owned copy of its image before a
+    /// write — of the values as they read now, so a column whose provider
+    /// shrank becomes the empty column of its width.
+    #[cold]
+    #[inline(never)]
+    fn copy_out(&mut self) {
+        let view = self.view();
+        let (bytes, len) = (view.bytes.to_vec(), view.len as u32);
+        *self = PackedColumn { bytes: bytes.into(), width: self.width, len };
     }
 
     /// Overwrites value `i`, within the column's width.
@@ -535,26 +684,17 @@ impl PackedColumn {
     /// column's width.
     #[inline]
     pub fn set(&mut self, i: usize, value: u32) {
+        if self.bytes.is_shared() {
+            self.copy_out();
+        }
         assert!(i < self.len(), "packed index {i} past a column of {}", self.len);
         if u64::from(value) >> self.width != 0 {
             too_wide(value, self.width);
         }
         if self.width > 0 {
-            self.write_pair(i * self.width as usize, mask_of(self.width), value);
+            let (bit, clear) = (i * self.width as usize, mask_of(self.width));
+            write_pair(self.bytes.make_mut(), bit, clear, value);
         }
-    }
-
-    /// Writes `value` at bit `bit`, clearing the `clear` bits there first:
-    /// one read-modify-write of the two words from the one `bit` is in,
-    /// which a value that starts in the column's last word before the
-    /// zero word spans at most.
-    #[inline]
-    fn write_pair(&mut self, bit: usize, clear: u64, value: u32) {
-        let (at, shift) = (bit / 64 * 8, bit % 64);
-        let words: &mut [u8; 16] = (&mut self.bytes[at..at + 16]).try_into().expect("16 bytes");
-        let merged = u128::from_le_bytes(*words) & !(u128::from(clear) << shift)
-            | u128::from(value) << shift;
-        *words = merged.to_le_bytes();
     }
 
     /// The canonical column of `values`: the width of their largest,
@@ -582,6 +722,16 @@ impl PackedColumn {
         Ok(PackedColumn::streamed(values.iter().copied(), width))
     }
 
+    /// The column of `len` values of `width` bits whose image is `bytes`,
+    /// owned or shared. Checks only what [`PackedView::new`] checks, and
+    /// that the length fits a column, touching no byte of the image:
+    /// [`PackedView::validate`] checks the rest of what makes it canonical.
+    pub fn new(bytes: Bytes, width: u32, len: usize) -> Result<Self, PackedError> {
+        PackedView::new(&bytes, width, len)?;
+        let len = u32::try_from(len).map_err(|_| PackedError::TooLong(len))?;
+        Ok(PackedColumn { bytes, width, len })
+    }
+
     /// Adopts a packed image — `len` values of `width` bits in `bytes` —
     /// which must be canonical: each way it may not be is its own
     /// [`PackedError`].
@@ -595,8 +745,7 @@ impl PackedColumn {
     /// the owner of a column with a width rule of its own checks that rule.
     pub fn from_image(bytes: Vec<u8>, width: u32, len: usize) -> Result<Self, PackedError> {
         PackedView::new(&bytes, width, len)?.validate_tail()?;
-        let len = u32::try_from(len).map_err(|_| PackedError::TooLong(len))?;
-        Ok(PackedColumn { bytes, width, len })
+        PackedColumn::new(bytes.into(), width, len)
     }
 
     /// An owned copy of a view's image.
@@ -606,16 +755,35 @@ impl PackedColumn {
     /// If the view holds 2^32 values or more.
     pub fn from_view(view: PackedView<'_>) -> Self {
         let len = u32::try_from(view.len).expect("packed column overflow: 2^32 values");
-        PackedColumn { bytes: view.bytes.to_vec(), width: view.width, len }
+        PackedColumn { bytes: view.bytes.to_vec().into(), width: view.width, len }
     }
 
     /// The column as the borrowed view every read goes through.
     #[inline]
     pub fn view(&self) -> PackedView<'_> {
-        PackedView { bytes: &self.bytes, width: self.width, len: self.len as usize }
+        match &self.bytes.0 {
+            Storage::Owned(bytes) => {
+                PackedView { bytes, width: self.width, len: self.len as usize }
+            }
+            Storage::Shared(..) => self.shared_view(),
+        }
     }
 
-    /// Number of values.
+    /// A shared column's view: the empty column when its bytes are not
+    /// the ones its width and length need, as when its provider shrank.
+    /// Out of line, so that the reads of owned columns inline.
+    #[inline(never)]
+    fn shared_view(&self) -> PackedView<'_> {
+        PackedView::new(&self.bytes, self.width, self.len as usize).unwrap_or(PackedView::EMPTY)
+    }
+
+    /// True when the image is a window into shared storage.
+    pub fn is_shared(&self) -> bool {
+        self.bytes.is_shared()
+    }
+
+    /// Number of values. (A shared column whose provider shrank keeps its
+    /// length, but its view is the empty column.)
     pub fn len(&self) -> usize {
         self.len as usize
     }
@@ -641,15 +809,28 @@ impl PackedColumn {
         self.view().values()
     }
 
-    /// Heap bytes: the capacity of the image.
+    /// Heap bytes: the capacity of an owned image; none for a shared one.
     pub fn heap_bytes(&self) -> usize {
-        self.bytes.capacity()
+        self.bytes.heap_bytes()
     }
 
     /// Gives back the room growth reserved beyond the image.
     pub fn shrink_to_fit(&mut self) {
         self.bytes.shrink_to_fit();
     }
+}
+
+/// Writes `value` at bit `bit` of an owned image, clearing the `clear`
+/// bits there first: one read-modify-write of the two words from the one
+/// `bit` is in, which a value that starts in the column's last word
+/// before the zero word spans at most.
+#[inline]
+fn write_pair(bytes: &mut [u8], bit: usize, clear: u64, value: u32) {
+    let (at, shift) = (bit / 64 * 8, bit % 64);
+    let words: &mut [u8; 16] = (&mut bytes[at..at + 16]).try_into().expect("16 bytes");
+    let merged =
+        u128::from_le_bytes(*words) & !(u128::from(clear) << shift) | u128::from(value) << shift;
+    *words = merged.to_le_bytes();
 }
 
 /// The panic of [`PackedColumn::push`] and [`PackedColumn::set`], out of

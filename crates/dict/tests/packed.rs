@@ -3,10 +3,16 @@
 //! (`get`, `pair`, the window decoder, `search`, `seek`), every write
 //! (`push`, widening as it goes, and `set`) and the exact heap size; and
 //! every way an image can fail to be the canonical one, each its own
-//! error.
+//! error. A column over shared bytes reads like its owned twin, copies
+//! itself out before a write, and reads as the empty column once its
+//! provider has shrunk under it.
 
-use hex_dict::packed::{bytes_for, width_of, PackedColumn, PackedError, PackedView};
+use hex_dict::packed::{
+    bytes_for, width_of, Bytes, PackedColumn, PackedError, PackedView, SharedBytes,
+};
 use proptest::prelude::*;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Arc;
 
 /// `len` values below `2^width`, the largest exactly `2^width - 1` so the
 /// column's width is `width`, drawn from `seed`.
@@ -151,8 +157,53 @@ fn check_seek(sorted: &[u32], probes: &[u32]) {
     }
 }
 
+/// Shared bytes whose visible length can be cut after a column borrows
+/// them, as a mapped file's can when it is truncated under its reader.
+struct Shrinking {
+    bytes: Vec<u8>,
+    len: AtomicUsize,
+}
+
+impl AsRef<[u8]> for Shrinking {
+    fn as_ref(&self) -> &[u8] {
+        &self.bytes[..self.len.load(Ordering::Relaxed)]
+    }
+}
+
+/// `column`'s image behind three bytes of something else in a shared
+/// provider, and the column over that window.
+fn shared_twin(column: &PackedColumn) -> (Arc<Shrinking>, PackedColumn) {
+    let bytes = [&[7, 7, 7], column.view().bytes()].concat();
+    let provider = Arc::new(Shrinking { len: AtomicUsize::new(bytes.len()), bytes });
+    let shared: SharedBytes = provider.clone();
+    let window = Bytes::shared(shared, 3..provider.bytes.len()).expect("inside the provider");
+    let twin = PackedColumn::new(window, column.width(), column.len()).expect("its own shape");
+    (provider, twin)
+}
+
+fn check_shared_twin(oracle: &[u32]) {
+    let owned = PackedColumn::from_values(oracle);
+    let (_provider, shared) = shared_twin(&owned);
+    prop_assert!(shared.is_shared() && !owned.is_shared());
+    prop_assert_eq!(shared.heap_bytes(), 0, "the provider's bytes are not the column's heap");
+    prop_assert_eq!(&shared, &owned);
+    prop_assert_eq!(shared.view(), owned.view());
+    prop_assert_eq!((shared.len(), shared.width()), (owned.len(), owned.width()));
+    prop_assert_eq!(shared.values().collect::<Vec<_>>(), oracle);
+    for i in 0..=oracle.len() {
+        prop_assert_eq!(shared.get(i), owned.get(i));
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
+
+    #[test]
+    fn a_shared_column_reads_like_its_owned_twin(width in 0u32..33, seed in 0u64..u64::MAX) {
+        for len in straddling_lengths(width) {
+            check_shared_twin(&values(width, len, seed));
+        }
+    }
 
     #[test]
     fn seek_answers_like_partition_point_at_every_width(
@@ -276,4 +327,60 @@ fn every_non_canonical_image_is_its_own_error() {
     // And the canonical image is accepted.
     assert_eq!(PackedColumn::from_bytes(image, 3, 4), Ok(column));
     assert_eq!(PackedColumn::pack(&[5, 0, 7, 3], 3).unwrap().width(), 3);
+}
+
+#[test]
+fn a_write_to_a_shared_column_copies_it_out_and_leaves_the_provider_alone() {
+    let values = [5, 0, 7, 3, 6];
+    let owned = PackedColumn::from_values(&values);
+    // A widening push: the copy is repacked, the provider keeps its bytes.
+    let (provider, mut shared) = shared_twin(&owned);
+    let before = provider.bytes.clone();
+    shared.push_widening(300);
+    assert!(!shared.is_shared());
+    assert_eq!(shared.values().collect::<Vec<_>>(), [5, 0, 7, 3, 6, 300]);
+    assert_eq!(shared, PackedColumn::from_values(&[5, 0, 7, 3, 6, 300]));
+    assert_eq!(provider.bytes, before);
+    // A push that fits, and a set within the width.
+    let (provider, mut shared) = shared_twin(&owned);
+    shared.push(1);
+    assert!(!shared.is_shared());
+    assert_eq!(shared.values().collect::<Vec<_>>(), [5, 0, 7, 3, 6, 1]);
+    assert_eq!(provider.bytes, before);
+    let (provider, mut shared) = shared_twin(&owned);
+    shared.set(1, 4);
+    assert!(!shared.is_shared());
+    assert_eq!(shared.values().collect::<Vec<_>>(), [5, 4, 7, 3, 6]);
+    assert_eq!(shared.heap_bytes(), owned.heap_bytes());
+    assert_eq!(provider.bytes, before);
+    // Bytes themselves copy on the first write.
+    let shared_bytes: SharedBytes = provider.clone();
+    let mut bytes = Bytes::shared(shared_bytes, 0..3).unwrap();
+    bytes.make_mut().push(9);
+    assert!(!bytes.is_shared());
+    assert_eq!(&bytes[..], &[7, 7, 7, 9]);
+    assert_eq!(provider.bytes, before);
+}
+
+#[test]
+fn a_column_whose_provider_shrank_reads_as_the_empty_column() {
+    let values: Vec<u32> = (0..100).map(|i| i * 7 % 61).collect();
+    let (provider, shared) = shared_twin(&PackedColumn::from_values(&values));
+    let window = Bytes::shared(provider.clone(), 0..provider.bytes.len()).unwrap();
+    for cut in [provider.bytes.len() - 1, 9, 3, 0] {
+        provider.len.store(cut, Ordering::Relaxed);
+        let view = shared.view();
+        assert_eq!(view, PackedView::EMPTY);
+        assert_eq!((shared.get(0), shared.get(99)), (0, 0));
+        assert_eq!(shared.values().count(), 0);
+        assert_eq!(view.iter(0..100).count(), 0);
+        assert_eq!(view.search(0..100, 7), Err(0));
+        assert_eq!(view.seek(0..100, 3, 7), 0);
+        assert_eq!(view.pair(5), (0, 0));
+        assert!(window.is_empty(), "a window past its provider reads as no bytes");
+    }
+    // A write then starts from the empty column it reads as.
+    let mut shared = shared;
+    shared.push_widening(9);
+    assert_eq!(shared.values().collect::<Vec<_>>(), [9]);
 }

@@ -188,12 +188,12 @@ proptest! {
         }
         let image = d.image();
         for cut in 0..image.arena.len() {
-            let arena = image.arena[..cut].to_vec();
+            let arena = image.arena[..cut].to_vec().into();
             let result = Dictionary::try_from_arena(ArenaImage { arena, ..image.clone() });
             prop_assert!(result.is_err(), "term arena cut at {} accepted", cut);
         }
         for cut in 0..image.prefixes.len() {
-            let prefixes = image.prefixes[..cut].to_vec();
+            let prefixes = image.prefixes[..cut].to_vec().into();
             let result = Dictionary::try_from_arena(ArenaImage { prefixes, ..image.clone() });
             prop_assert!(result.is_err(), "prefix arena cut at {} accepted", cut);
         }

@@ -9,23 +9,25 @@
 //! over the columns that address terminal lists), and the operating
 //! system pages in exactly the columns queries touch.
 //!
-//! The crate knows no section layout of its own. It opens a
+//! The crate knows no section layout and no store of its own. It opens a
 //! [`hexastore::hexsnap::Reader`] over the mapping, whose walkers
 //! ([`frozen_columns`](hexastore::hexsnap::Reader::frozen_columns),
 //! [`dict_columns`](hexastore::hexsnap::Reader::dict_columns)) locate
-//! every column from the count fields alone, and views what they locate.
-//! What is left here is what a mapping needs: the refusal of files it
-//! cannot map, the extent of every viewed column, and
-//! [`MmapFrozenHexastore::verify`]. The header bitmaps' and Elias–Fano
-//! streams' rank directories are the file's own columns, so
-//! [`open_store`] stays O(section headers).
+//! every column from the count fields alone, and hands what they locate
+//! to the stores' own constructors as windows of the mapping:
+//! [`FrozenHexastore::mapped`] (whose docs hold the trust model) and
+//! [`Dictionary::try_from_arena`]. What is left here is what a mapping
+//! needs: the map itself, the refusal of files it cannot map, and
+//! [`verify`]. The header bitmaps' and Elias–Fano streams' rank
+//! directories are the file's own columns, so [`open_store`] stays
+//! O(section headers).
 //!
 //! The entry points are [`open`] (dictionary + store) and
-//! [`open_dataset`] (a ready-to-query [`hexastore::Dataset`]). The
-//! returned [`MmapFrozenHexastore`] implements
-//! [`hexastore::TripleStore`], so planning, query execution and
-//! snapshot serving work over it exactly as over the in-memory frozen
-//! store.
+//! [`open_dataset`] (a ready-to-query [`hexastore::Dataset`]). The store
+//! they return is a [`FrozenHexastore`] — the same type
+//! [`hexastore::hexsnap::load_frozen`] returns, whose columns here borrow
+//! the mapping instead of owning their bytes — so planning, query
+//! execution and snapshot serving work over it unchanged.
 //!
 //! Only uncompressed snapshots of the current format version are
 //! mappable: compressed (`FRZC`) sections and files written before
@@ -65,14 +67,14 @@ compile_error!(
 );
 
 mod mmap;
-mod store;
 
 pub use mmap::Mmap;
-pub use store::MmapFrozenHexastore;
 
-use hex_dict::{ArenaImage, Dictionary, PackedWindow};
+use hex_dict::packed::{Bytes, PackedColumn, SharedBytes};
+use hex_dict::{ArenaImage, Dictionary};
+use hexastore::access::OrderedStore;
 use hexastore::hexsnap;
-use hexastore::Dataset;
+use hexastore::{Dataset, FrozenHexastore, IndexKind, TripleStore};
 use std::fs::File;
 use std::path::Path;
 use std::sync::Arc;
@@ -128,19 +130,18 @@ impl From<std::io::Error> for Error {
 /// Result alias for this crate.
 pub type Result<T> = std::result::Result<T, Error>;
 
-/// Opens a `hexsnap` file as a dictionary plus an mmap-backed frozen
-/// store, without reading the slab columns or copying the term strings.
+/// Opens a `hexsnap` file as a dictionary plus a frozen store over its
+/// mapping, without reading the slab columns or copying the term strings.
 ///
 /// The `DICT` section is read in place: the packed head column, the two
 /// packed offset tables and the term and prefix arenas all stay behind
-/// the mapping as [`hex_dict::SharedBytes`] windows, shared with the
-/// slab columns in one `mmap` of the whole file, so the dictionary's heap
-/// holds its two reverse indexes and nothing else. Open-time work on the
-/// dictionary is one validating hash pass per table (canonical packed
-/// columns, UTF-8, index build), no per-term allocation;
-/// on the slabs it is [`MmapFrozenHexastore::verify`], a pass over the
-/// columns that address terminal lists ([`Error::Corrupt`] if they are
-/// not what a writer lays down).
+/// the mapping as [`Bytes`] windows, shared with the slab columns in one
+/// `mmap` of the whole file, so the dictionary's heap holds its two
+/// reverse indexes and nothing else. Open-time work on the dictionary is
+/// one validating hash pass per table (canonical packed columns, UTF-8,
+/// index build), no per-term allocation; on the slabs it is [`verify`], a
+/// pass over the columns that address terminal lists ([`Error::Corrupt`]
+/// if they are not what a writer lays down).
 /// Fails with [`Error::Unmappable`] for snapshots whose slabs were
 /// saved compressed, for files written before format version 10 (their
 /// slab columns, from version 4 their dictionary, from version 5 their
@@ -157,34 +158,59 @@ pub type Result<T> = std::result::Result<T, Error>;
 /// let ds = hexastore::Dataset::from_parts(dict, store);
 /// # Ok::<(), hex_disk::Error>(())
 /// ```
-pub fn open(path: impl AsRef<Path>) -> Result<(Dictionary, MmapFrozenHexastore)> {
+pub fn open(path: impl AsRef<Path>) -> Result<(Dictionary, FrozenHexastore)> {
     let map = map_file(path.as_ref())?;
     let (store, mut reader) = open_mapped(&map)?;
-    store.verify()?;
+    verify(&store)?;
     Ok((dict_from(&map, reader.dict_columns()?)?, store))
 }
 
-/// Opens only the slab section of a `hexsnap` file as an mmap-backed
-/// store, skipping the dictionary entirely.
+/// Opens only the slab section of a `hexsnap` file as a store over its
+/// mapping, skipping the dictionary entirely.
 ///
-/// Skips the dictionary's open-time hash pass and
-/// [`MmapFrozenHexastore::verify`], so it reads nothing but the section's
-/// headers; callers that already hold the dictionary (a serving tier
-/// re-opening generations of the same dataset, or a measurement
-/// isolating the slab path) can use it directly, and verify when they
-/// choose to. Same mapping requirements as [`open`].
+/// Skips the dictionary's open-time hash pass and [`verify`], so it reads
+/// nothing but the section's headers; callers that already hold the
+/// dictionary (a serving tier re-opening generations of the same dataset,
+/// or a measurement isolating the slab path) can use it directly, and
+/// verify when they choose to. Same mapping requirements as [`open`].
 ///
 /// ```no_run
 /// let store = hex_disk::open_store("snapshot.hexsnap")?;
 /// # Ok::<(), hex_disk::Error>(())
 /// ```
-pub fn open_store(path: impl AsRef<Path>) -> Result<MmapFrozenHexastore> {
+pub fn open_store(path: impl AsRef<Path>) -> Result<FrozenHexastore> {
     let map = map_file(path.as_ref())?;
     Ok(open_mapped(&map)?.0)
 }
 
+/// Checks, in one pass over the three arenas' columns
+/// (`O(lists + overflow words)`, about 10 of a file's 31 bytes per
+/// triple), that they are what a writer lays down
+/// ([`ArenaView::validate`](hexastore::access::ArenaView::validate)): the
+/// slot column is one flag bit above its widest value wide, every slot
+/// that is not itself a list names a run inside the overflow column, runs
+/// neither overlap nor leave a gap, each is strictly ascending, and
+/// together they hold one item per triple. A store that fails is
+/// [`Error::Corrupt`]; one that passes can still be wrong in its index
+/// levels (see [`FrozenHexastore::mapped`]'s trust model). [`open`] runs
+/// it; [`open_store`] leaves it to its caller.
+pub fn verify(store: &FrozenHexastore) -> Result<()> {
+    // Each primary ordering reads one of the three arenas.
+    for kind in [IndexKind::Spo, IndexKind::Sop, IndexKind::Pos] {
+        let arena = store.ordering(kind).arena;
+        let items = arena.validate().map_err(|e| Error::Corrupt(format!("arena: {e}")))?;
+        if items != store.len() {
+            return Err(Error::Corrupt(format!(
+                "arena columns hold {items} items where the section declares {} triples",
+                store.len()
+            )));
+        }
+    }
+    Ok(())
+}
+
 /// Maps a whole file.
-fn map_file(path: &Path) -> Result<Arc<Mmap>> {
+fn map_file(path: &Path) -> Result<SharedBytes> {
     Ok(Arc::new(Mmap::map(&File::open(path)?)?))
 }
 
@@ -195,8 +221,8 @@ type MapReader<'a> = hexsnap::Reader<std::io::Cursor<&'a [u8]>>;
 /// mapped and naming the remedy. The reader runs over the mapping itself,
 /// so the section table and every column it locates come from the bytes
 /// the store views; it is returned for the `DICT` walk.
-fn open_mapped(map: &Arc<Mmap>) -> Result<(MmapFrozenHexastore, MapReader<'_>)> {
-    let mut reader = hexsnap::Reader::new(std::io::Cursor::new(&map[..]))?;
+fn open_mapped(map: &SharedBytes) -> Result<(FrozenHexastore, MapReader<'_>)> {
+    let mut reader = hexsnap::Reader::new(std::io::Cursor::new((**map).as_ref()))?;
     if reader.frozen_section_extent().is_none() {
         return Err(Error::Unmappable(if reader.has_frozen() {
             "the slab section is compressed; re-save with Compression::None \
@@ -241,56 +267,59 @@ fn open_mapped(map: &Arc<Mmap>) -> Result<(MmapFrozenHexastore, MapReader<'_>)> 
             hexsnap::VERSION,
         )));
     }
-    let columns = reader.frozen_columns().map_err(|e| match e {
+    let corrupt = |e| match e {
         hexsnap::Error::Corrupt(why) => Error::Corrupt(why),
         e => Error::Snapshot(e),
-    })?;
-    Ok((MmapFrozenHexastore::from_columns(map, &columns)?, reader))
+    };
+    let columns = reader.frozen_columns().map_err(corrupt)?;
+    Ok((FrozenHexastore::mapped(map, &columns).map_err(corrupt)?, reader))
 }
 
 /// The dictionary over the mapping, from the `DICT` columns
-/// [`hexsnap::Reader::dict_columns`] locates: the windows of the packed
-/// head column, the two packed offset tables and the term and prefix
-/// arenas are handed to [`Dictionary::try_from_shared_arena`] instead of
-/// their bytes. The constructor validates the columns against the mapped
-/// bytes (canonical packed images, offset tables, UTF-8, heads, the one
-/// representation each term has, distinctness); a file mutated after that
-/// is the provider's breach of trust and degrades to missed lookups and
-/// `None` decodes, never a panic.
-fn dict_from(map: &Arc<Mmap>, columns: hexsnap::DictColumns) -> Result<Dictionary> {
+/// [`hexsnap::Reader::dict_columns`] locates: the packed head column, the
+/// two packed offset tables and the term and prefix arenas are handed to
+/// [`Dictionary::try_from_arena`] as windows of the mapping instead of
+/// copies of their bytes. The constructor validates them against the
+/// mapped bytes (canonical packed images, offset tables, UTF-8, heads,
+/// the one representation each term has, distinctness); a file mutated
+/// after that is the provider's breach of trust and degrades to missed
+/// lookups and `None` decodes, never a panic.
+fn dict_from(map: &SharedBytes, columns: hexsnap::DictColumns) -> Result<Dictionary> {
     let hexsnap::DictColumns::Prefixed { heads, ends, arena, prefix_ends, prefixes } = columns
     else {
         return Err(Error::Unmappable("the dictionary predates the mappable layout".into()));
     };
+    let corrupt = |why: String| Error::Snapshot(hexsnap::Error::Corrupt(why));
+    let window = |range: std::ops::Range<usize>| {
+        Bytes::shared(SharedBytes::clone(map), range)
+            .ok_or_else(|| corrupt("a dictionary column extends past the mapping".into()))
+    };
     let packed = |ints| match ints {
-        hexsnap::Ints::Packed(col) => Ok(PackedWindow {
-            bytes: col.offset..col.offset + col.bytes(),
-            width: col.width,
-            len: col.len,
-        }),
+        hexsnap::Ints::Packed(col) => {
+            let bytes = window(col.offset..col.offset + col.bytes())?;
+            PackedColumn::new(bytes, col.width, col.len).map_err(|e| corrupt(e.to_string()))
+        }
         hexsnap::Ints::U32(_) => {
             Err(Error::Unmappable("the dictionary's columns predate the mappable layout".into()))
         }
     };
-    let window = |col: hexsnap::Column| col.offset..col.offset + col.len;
+    let bytes = |col: hexsnap::Column| window(col.offset..col.offset + col.len);
     let image = ArenaImage {
         heads: packed(heads)?,
         ends: packed(ends)?,
-        arena: window(arena),
+        arena: bytes(arena)?,
         prefix_ends: packed(prefix_ends)?,
-        prefixes: window(prefixes),
+        prefixes: bytes(prefixes)?,
     };
-    let bytes: hex_dict::SharedBytes = Arc::clone(map) as hex_dict::SharedBytes;
-    Dictionary::try_from_shared_arena(image, bytes)
-        .map_err(|e| Error::Snapshot(hexsnap::Error::Corrupt(e.to_string())))
+    Dictionary::try_from_arena(image).map_err(|e| corrupt(e.to_string()))
 }
 
 /// Opens a `hexsnap` file directly as a queryable
-/// [`Dataset<MmapFrozenHexastore>`](hexastore::Dataset).
+/// [`Dataset<FrozenHexastore>`](hexastore::Dataset).
 ///
 /// Convenience over [`open`] + [`Dataset::from_parts`]; see [`open`]
 /// for the mapping requirements and failure modes.
-pub fn open_dataset(path: impl AsRef<Path>) -> Result<Dataset<MmapFrozenHexastore>> {
+pub fn open_dataset(path: impl AsRef<Path>) -> Result<Dataset<FrozenHexastore>> {
     let (dict, store) = open(path)?;
     Ok(Dataset::from_parts(dict, store))
 }

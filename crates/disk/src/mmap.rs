@@ -146,8 +146,8 @@ impl std::ops::Deref for Mmap {
     }
 }
 
-// Lets an `Arc<Mmap>` serve as a `hex_dict::SharedBytes` provider, so
-// the dictionary's string arena can borrow the mapping directly.
+// Lets an `Arc<Mmap>` serve as a `hex_dict::packed::SharedBytes`
+// provider, so every column opened from the file borrows the mapping.
 impl AsRef<[u8]> for Mmap {
     fn as_ref(&self) -> &[u8] {
         self.bytes()

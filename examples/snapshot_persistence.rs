@@ -96,9 +96,8 @@ fn demo_disk(g: &GraphStore, pat: &TriplePattern, before: &[rdf_model::Triple]) 
     let mapped = ds.matching(pat);
     assert_eq!(mapped, before, "mapped store answers identically");
     println!(
-        "mmap open: {} triples served from {} mapped bytes, heap ~{} bytes",
+        "mmap open: {} triples served from {plain_bytes} mapped bytes, heap {} bytes",
         hexastore::TripleStore::len(ds.store()),
-        ds.store().mapped_bytes(),
         hexastore::TripleStore::heap_bytes(ds.store()),
     );
 

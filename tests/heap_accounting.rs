@@ -7,7 +7,8 @@
 //! what its counter said — so a buffer one of them forgets to count, or
 //! capacity it does not know it holds, fails here: for the dictionary as
 //! interned, as an eager snapshot load makes it and as a mapped open
-//! makes it. It also checks that
+//! makes it, and for the store as built and as a mapped open makes it,
+//! whose columns borrow the mapping and hold no heap. It also checks that
 //! answering queries builds nothing a store keeps: the engine reads
 //! terminal lists in place, and only `SortedListAccess::sorted_list`
 //! decodes an arena's `u32` overflow copy, which the counter then counts.
@@ -20,7 +21,7 @@ use hex_bench_queries::{barton_queries, lubm_queries};
 use hex_datagen::{barton::BartonConfig, lubm::LubmConfig};
 use hex_query::DatasetQuery;
 use hexastore::access::OrderedStore;
-use hexastore::{bulk, Dataset, FrozenHexastore, IdPattern, IndexKind, TripleStore};
+use hexastore::{bulk, Dataset, FrozenHexastore, HeapBreakdown, IdPattern, IndexKind, TripleStore};
 use std::sync::atomic::Ordering;
 
 #[global_allocator]
@@ -91,9 +92,23 @@ fn heap_bytes_is_what_the_allocator_gives_back() {
     let store_freed = freed_by_dropping(store);
     let counts = 2 * std::mem::size_of::<usize>();
     assert_eq!(store_freed, store_counted + block, "store");
-    for (what, dict) in [("interned", dict), ("eager-loaded", eager), ("mapped", mapped)] {
+
+    // The mapped store's columns are windows of the mapping: no column
+    // holds heap until `sorted_list` decodes an arena's copy, and what
+    // dropping it gives back is its shared block — the mapping lives on
+    // in the dictionary that shares it.
+    let breakdown = mapped_store.heap_breakdown();
+    let nothing = HeapBreakdown { elias_fano: breakdown.elias_fano, ..HeapBreakdown::default() };
+    assert_eq!(breakdown, nothing, "mapped columns hold no heap");
+    assert_eq!(mapped_store.heap_bytes(), 0);
+    assert_eq!(freed_by_dropping(mapped_store), block, "mapped store");
+    // The mapped dictionary holds the mapping's last reference, so its
+    // drop also gives back the mapping's reference-counted block.
+    let mapping = counts + std::mem::size_of::<hex_disk::Mmap>();
+    for (what, dict, also) in
+        [("interned", dict, 0), ("eager-loaded", eager, 0), ("mapped", mapped, mapping)]
+    {
         let counted = dict.heap_bytes();
-        assert_eq!(freed_by_dropping(dict), counted + counts, "{what} dictionary");
+        assert_eq!(freed_by_dropping(dict), counted + counts + also, "{what} dictionary");
     }
-    drop(mapped_store);
 }
