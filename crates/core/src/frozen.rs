@@ -191,40 +191,30 @@ impl FrozenIndex {
             + self.list_ref_bytes()
     }
 
-    /// Reassembles an index from deserialized columns, validating what
-    /// the columns cannot check themselves: offsets tiling the `k2` column
-    /// into one non-empty group per header key, and every list reference
-    /// in range for the `arena_lists`-sized arena (a primary's implicit
-    /// references are in range when it has exactly `arena_lists` leaves).
-    /// Returns `None` on any violation. The header keys ascend by
+    /// True when the columns hold what they cannot check themselves:
+    /// offsets tiling the `k2` column into one non-empty group per header
+    /// key, and every list reference in range for the `arena_lists`-sized
+    /// arena (a primary's implicit references are in range when it has
+    /// exactly `arena_lists` leaves). The header keys ascend by
     /// construction, and each group's vector keys ascend in every column
-    /// the loaders hand over ([`KeyColumn::adopt`],
+    /// the loaders accept ([`KeyColumn::check`],
     /// [`FrozenIndex::from_plain_parts`]).
-    pub(crate) fn from_raw_parts(
-        keys: HeaderColumn,
-        offs: PackedColumn,
-        k2: KeyColumn,
-        lists: Option<PackedColumn>,
-        arena_lists: usize,
-    ) -> Option<Self> {
-        let refs_valid = match &lists {
+    pub(crate) fn is_consistent(&self, arena_lists: usize) -> bool {
+        let leaves = self.k2.len();
+        let refs_valid = match &self.lists {
             Some(lists) => {
-                lists.len() == k2.len() && lists.values().all(|l| (l as usize) < arena_lists)
+                lists.len() == leaves && lists.values().all(|l| (l as usize) < arena_lists)
             }
-            None => k2.len() == arena_lists,
+            None => leaves == arena_lists,
         };
-        let tiles = offs.len() == keys.len() + 1
-            && offs.get(0) == 0
-            && offs.get(keys.len()) as usize == k2.len()
-            && offs.values().zip(offs.values().skip(1)).all(|(lo, hi)| lo < hi);
-        (refs_valid && tiles).then_some(FrozenIndex { keys, offs, k2, lists })
+        refs_valid && tiles(&self.offs, self.keys.len(), leaves)
     }
 
-    /// [`FrozenIndex::from_raw_parts`] for header keys and vector keys in
-    /// the plain form older snapshots and the compressed section decode
-    /// to: the keys must be strictly ascending and each window of `k2`
-    /// strictly ascending, and the vector keys take the encoding their
-    /// sizes choose.
+    /// Reassembles an index from header keys and vector keys in the plain
+    /// form older snapshots and the compressed section decode to: the keys
+    /// must be strictly ascending, each window of `k2` strictly ascending
+    /// and the columns consistent ([`FrozenIndex::is_consistent`]), and
+    /// the keys take the encodings their sizes choose. `None` otherwise.
     pub(crate) fn from_plain_parts(
         keys: &[Id],
         offs: PackedColumn,
@@ -232,19 +222,26 @@ impl FrozenIndex {
         lists: Option<PackedColumn>,
         arena_lists: usize,
     ) -> Option<Self> {
-        let tiles = offs.len() == keys.len() + 1
-            && offs.get(0) == 0
-            && offs.get(keys.len()) as usize == k2.len()
-            && offs.values().zip(offs.values().skip(1)).all(|(lo, hi)| lo < hi);
         let ascend = |run: &[u32]| run.windows(2).all(|w| w[0] < w[1]);
         let windows = || offs.values().zip(offs.values().skip(1));
-        let runs_ascend = tiles && windows().all(|(lo, hi)| ascend(&k2[lo as usize..hi as usize]));
+        let runs_ascend = tiles(&offs, keys.len(), k2.len())
+            && windows().all(|(lo, hi)| ascend(&k2[lo as usize..hi as usize]));
         if !(runs_ascend && sorted::is_sorted_set(keys)) {
             return None;
         }
         let k2 = KeyColumn::of_windows(k2, &offs);
-        FrozenIndex::from_raw_parts(HeaderColumn::from_sorted(keys), offs, k2, lists, arena_lists)
+        let ix = FrozenIndex { keys: HeaderColumn::from_sorted(keys), offs, k2, lists };
+        ix.is_consistent(arena_lists).then_some(ix)
     }
+}
+
+/// True when `offs` cuts `leaves` vector keys into one non-empty window
+/// for each of `headers` header keys.
+fn tiles(offs: &PackedColumn, headers: usize, leaves: usize) -> bool {
+    offs.len() == headers + 1
+        && offs.get(0) == 0
+        && offs.get(headers) as usize == leaves
+        && offs.values().zip(offs.values().skip(1)).all(|(lo, hi)| lo < hi)
 }
 
 /// Where a [`FrozenHexastore`]'s heap bytes go, column kind by column
@@ -319,9 +316,10 @@ pub(crate) type FrozenPair = (FrozenIndex, FrozenIndex, FlatArena);
 /// [`FrozenHexastore::from_triples`] (the bulk path
 /// [`crate::bulk::build_frozen`]), [`OverlayHexastore::freeze`], by
 /// reading a [`crate::hexsnap`] snapshot with prebuilt slab sections, or
-/// over a mapped one ([`FrozenHexastore::mapped`]), whose columns then
-/// borrow the mapping's bytes instead of owning theirs — the same store,
-/// read the same way, equal to the one the eager reader makes.
+/// over a mapped one ([`crate::hexsnap::frozen_from_columns`]), whose
+/// columns then borrow the mapping's bytes instead of owning theirs — the
+/// same store, built by the same code and read the same way, equal to the
+/// one the eager reader makes.
 ///
 /// Frozen stores are immutable: [`TripleStore::insert`] and
 /// [`TripleStore::remove`] panic. [`FrozenHexastore::thaw`] wraps one in

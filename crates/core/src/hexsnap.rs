@@ -84,9 +84,13 @@
 //! a `DICT` or `FROZ` section lies is said once per section, by a walker
 //! that reads only the count fields: [`Reader::dict_columns`] and
 //! [`Reader::frozen_columns`], the only code that knows how the column
-//! widths changed between versions. The eager reader reads the columns
-//! they locate, and [`FrozenHexastore::mapped`] views them in a mapping.
-//! Pre-v3 pairs become offsets on read (spans that do not tile and
+//! widths changed between versions. One constructor per section turns
+//! what they locate into the structure — [`frozen_from_columns`] a v9+
+//! `FROZ` section into a [`FrozenHexastore`], [`dictionary_from_columns`]
+//! a `DICT` section into a [`Dictionary`] — taking each column's bytes
+//! from a source: the eager reader reads them into owned buffers and
+//! then checks the store, `hex-disk` passes windows of its mapping. The
+//! two loaders differ in nothing else. Pre-v3 pairs become offsets on read (spans that do not tile and
 //! primary references that are not the identity are rejected as
 //! corrupt), a pre-v4 arena's offset-addressed lists are appended one
 //! by one to a slot arena, a pre-v5 dictionary's terms are interned
@@ -124,8 +128,9 @@
 //!   `TRPL` yields the same triples, in the same spo order, from its spo
 //!   ordering ([`Reader::triples`], [`Reader::for_each_triple_chunk`]).
 //! - **`FROZ`** — prebuilt slabs as raw columns, starting on an 8-byte
-//!   file offset, every field a 4-byte multiple — so every `u32` column is
-//!   4-aligned in the file and `hex-disk` reinterprets it in place.
+//!   file offset, every field a 4-byte multiple. From v9 every column is
+//!   packed or a bit stream, read with unaligned loads, so `hex-disk`
+//!   views each one in place as bytes and casts none.
 //!   `u64 n_triples`; then per arena (object, property, subject lists):
 //!   `u32 n_lists`, `u64 n_items`, `u32 n_overflow`, the packed slot
 //!   column of `n_lists` slots (before v7, `n_lists` `u32` slots), then
@@ -173,18 +178,19 @@
 use crate::advisor::IndexKind;
 use crate::frozen::{FrozenHexastore, FrozenIndex};
 use crate::graph::GraphStore;
-use crate::packed::{bytes_for, Bytes, PackedColumn, PackedView, SharedBytes, MAX_WIDTH};
+use crate::packed::{bytes_for, Bytes, PackedColumn, PackedView, MAX_WIDTH};
 use crate::pattern::IdPattern;
-use crate::slab::{pack_u32_slots, ArenaError, FlatArena};
+use crate::slab::{pack_u32_slots, FlatArena};
 use crate::succinct::{
-    check_stream_shape, samples, BitmapView, BitsView, EfColumn, EfView, HeaderColumn, HeadersView,
-    KeyColumn, KeysView, RankBitmap,
+    check_stream_shape, samples, EfColumn, EfView, HeaderColumn, HeadersView, KeyColumn, KeysView,
+    RankBitmap,
 };
 use crate::traits::TripleStore;
 use hex_dict::{ArenaImage, Dictionary, Id, IdTriple};
 use rdf_model::{TermKind, TermRef};
 use std::fs::File;
 use std::io::{self, BufReader, BufWriter, Read, Seek, SeekFrom, Write};
+use std::ops::Range;
 use std::path::Path;
 
 /// The eight file-identifying bytes, also used as the trailer.
@@ -517,8 +523,8 @@ impl<W: Write + Seek> Writer<W> {
     fn frozen_raw(&mut self, store: &FrozenHexastore) -> Result<()> {
         // The stream is padded to an 8-byte boundary *between* sections
         // before FROZ begins — the table addresses sections explicitly, so
-        // the gap is invisible to every reader, and the aligned start is
-        // what lets hex-disk reinterpret mapped columns in place.
+        // the gap is invisible to every reader, and the aligned start puts
+        // every packed column on an 8-byte file offset.
         self.pad_to_8()?;
         let count = |n: usize, what: &str| {
             u32::try_from(n).map_err(|_| Error::Corrupt(format!("2^32 {what}")))
@@ -998,7 +1004,7 @@ impl<R: Read + Seek> Reader<R> {
 
     /// Byte extent `(offset, length)` of the raw `FROZ` section, if the
     /// file carries one — the section whose columns an mmap-backed opener
-    /// (the `hex-disk` crate) reinterprets in place. Compressed `FRZC`
+    /// (the `hex-disk` crate) views in place. Compressed `FRZC`
     /// sections have no mappable extent and report `None`.
     pub fn frozen_section_extent(&self) -> Option<(u64, u64)> {
         self.section_extent(TAG_FROZ)
@@ -1155,10 +1161,11 @@ impl<R: Read + Seek> Reader<R> {
         })
     }
 
-    /// Reads a column of bytes.
-    fn bytes(&mut self, col: Column) -> Result<Vec<u8>> {
-        self.r.seek(SeekFrom::Start(col.offset as u64))?;
-        let mut out = vec![0u8; col.len];
+    /// Reads the bytes of `at` into an exact-sized buffer: the eager
+    /// reader's column source.
+    fn bytes(&mut self, at: Range<usize>) -> Result<Vec<u8>> {
+        self.r.seek(SeekFrom::Start(at.start as u64))?;
+        let mut out = vec![0u8; at.len()];
         self.r.read_exact(&mut out)?;
         Ok(out)
     }
@@ -1174,72 +1181,16 @@ impl<R: Read + Seek> Reader<R> {
         Ok(self.u32s(col)?.into_iter().map(Id).collect())
     }
 
-    /// Reads an integer column as a packed column: a v6 image is adopted
-    /// once it is shown canonical, an older `u32` column is packed.
+    /// Reads an integer column of a `FROZ` section before v9 as a packed
+    /// column: a v6 image is adopted once it is shown canonical, an older
+    /// `u32` column is packed.
     fn packed(&mut self, ints: Ints, what: &str) -> Result<PackedColumn> {
         match ints {
             Ints::U32(col) => Ok(PackedColumn::from_values(&self.u32s(col)?)),
             Ints::Packed(col) => {
-                let bytes = self.bytes(Column { offset: col.offset, len: col.bytes() })?;
+                let bytes = self.bytes(col.offset..col.offset + col.bytes())?;
                 PackedColumn::from_bytes(bytes, col.width, col.len)
                     .map_err(|e| Error::Corrupt(format!("{what}: {e}")))
-            }
-        }
-    }
-
-    /// Reads a packed image whose tail is zero, whatever its width: the
-    /// caller checks the rule its width follows.
-    fn image(&mut self, col: Packed) -> Result<PackedColumn> {
-        let bytes = self.bytes(Column { offset: col.offset, len: col.bytes() })?;
-        PackedColumn::from_image(bytes, col.width, col.len)
-            .map_err(|e| Error::Corrupt(format!("packed column: {e}")))
-    }
-
-    /// Reads an Elias–Fano column's four images.
-    fn ef_images(&mut self, ef: EfColumns) -> Result<[PackedColumn; 4]> {
-        Ok([
-            self.image(ef.base)?,
-            self.image(ef.offs)?,
-            self.image(ef.stream)?,
-            self.image(ef.ranks)?,
-        ])
-    }
-
-    /// Reads a v9 ordering's header keys: adopted only when they are the
-    /// column their keys make in the encoding their sizes choose
-    /// ([`HeaderColumn::adopt`]).
-    fn header_keys(&mut self, keys: Headers) -> Result<HeaderColumn> {
-        let what = "ordering header keys";
-        let adopt = |view| HeaderColumn::adopt(view, what).map_err(Error::Corrupt);
-        match keys {
-            Headers::U32(_) => corrupt("u32 header keys in a v9 ordering"),
-            Headers::Bitmap { bits, ranks, count } => {
-                let (bits, ranks) = (self.image(bits)?, self.image(ranks)?);
-                let bits = BitsView { bits: bits.view(), ranks: ranks.view() };
-                adopt(HeadersView::Bitmap(BitmapView { bits, ones: count }))
-            }
-            Headers::EliasFano { ef, count } => {
-                let images = self.ef_images(ef)?;
-                adopt(HeadersView::EliasFano(ef_view(&images, count)))
-            }
-        }
-    }
-
-    /// Reads a v9 ordering's vector keys, windowed by `offs`: adopted only
-    /// when they are the column their windows' keys make in the encoding
-    /// those keys' sizes choose ([`KeyColumn::adopt`]).
-    fn vector_keys(&mut self, k2: VectorKeys, offs: &PackedColumn) -> Result<KeyColumn> {
-        let what = "ordering vector keys";
-        let adopt = |view| KeyColumn::adopt(view, offs, what).map_err(Error::Corrupt);
-        match k2 {
-            VectorKeys::Ints(ints) => {
-                let column = self.packed(ints, "ordering vector column")?;
-                adopt(KeysView::Packed(column.view()))
-            }
-            VectorKeys::EliasFano(ef) => {
-                let images = self.ef_images(ef)?;
-                let len = offs.get(offs.len().saturating_sub(1)) as usize;
-                adopt(KeysView::EliasFano(ef_view(&images, len)))
             }
         }
     }
@@ -1282,35 +1233,11 @@ impl<R: Read + Seek> Reader<R> {
     }
 
     /// Reads the `DICT` section into a [`Dictionary`] whose ids are the
-    /// stored term indices.
-    ///
-    /// A v10 section is the dictionary's in-memory layout, so its five
-    /// columns are adopted as-is, and a v5 to v9 section's `u32` columns
-    /// are packed: the constructor validates them (each packed column
-    /// canonical, offset tables, heads, the one representation each term
-    /// has, distinctness)
-    /// and builds the reverse indexes in one hash pass each — no `Term` is
-    /// ever constructed. Distinctness matters because corruption inside an
-    /// arena can merge two terms, which must be rejected, not silently
-    /// mapped to the later id. An older section's terms are interned
-    /// again in id order: the ids stay the same, a term seen twice is
-    /// `Corrupt`, and the result is what a fresh encode of them makes.
+    /// stored term indices: [`dictionary_from_columns`] over the columns
+    /// [`Reader::dict_columns`] locates, each read into an owned buffer.
     pub fn dictionary(&mut self) -> Result<Dictionary> {
-        match self.dict_columns()? {
-            DictColumns::Prefixed { heads, ends, arena, prefix_ends, prefixes } => {
-                let image = ArenaImage {
-                    heads: self.packed(heads, "dictionary head column")?,
-                    ends: self.packed(ends, "dictionary term offset table")?,
-                    arena: self.bytes(arena)?.into(),
-                    prefix_ends: self.packed(prefix_ends, "dictionary prefix offset table")?,
-                    prefixes: self.bytes(prefixes)?.into(),
-                };
-                Dictionary::try_from_arena(image).map_err(|e| Error::Corrupt(e.to_string()))
-            }
-            DictColumns::Pieces { kinds, ends, arena } => {
-                reinterned(&self.bytes(kinds)?, &self.u32s(ends)?, &self.bytes(arena)?)
-            }
-        }
+        let columns = self.dict_columns()?;
+        dictionary_from_columns(columns, |at| Ok(self.bytes(at)?.into()))
     }
 
     /// The triples of a snapshot that stores slabs instead of a `TRPL`
@@ -1390,30 +1317,33 @@ impl<R: Read + Seek> Reader<R> {
         }
     }
 
-    /// Reads the raw `FROZ` section, column by column as
-    /// [`Reader::frozen_columns`] locates them.
+    /// Reads the raw `FROZ` section as [`Reader::frozen_columns`] locates
+    /// it: from v9 [`frozen_from_columns`] over owned copies of the
+    /// columns, then [`check_frozen`]; before, column by column.
     fn frozen_raw(&mut self) -> Result<FrozenHexastore> {
         let columns = self.frozen_columns()?;
+        if self.version >= 9 {
+            let store = frozen_from_columns(&columns, |at| Ok(self.bytes(at)?.into()))?;
+            check_frozen(&store)?;
+            return Ok(store);
+        }
         let mut arenas = Vec::with_capacity(3);
         for cols in columns.arenas {
-            let slot_arena = |arena: std::result::Result<FlatArena, ArenaError>| {
-                arena.map_err(|e| Error::Corrupt(format!("arena columns: {e}")))
-            };
             // The item count each arena holds is checked against the
-            // declared triple count by `assemble_frozen`.
+            // declared triple count by `check_store`.
             arenas.push(match cols {
                 ArenaColumns::Slots { slots, over } => {
                     let slots = match slots {
                         Ints::U32(col) => pack_u32_slots(&self.u32s(col)?),
                         Ints::Packed(col) => {
-                            let image =
-                                self.bytes(Column { offset: col.offset, len: col.bytes() })?;
+                            let image = self.bytes(col.offset..col.offset + col.bytes())?;
                             PackedColumn::from_image(image, col.width, col.len)
                                 .map_err(|e| Error::Corrupt(format!("arena slot column: {e}")))?
                         }
                     };
                     let over = self.packed(over, "arena overflow column")?;
-                    slot_arena(FlatArena::from_columns(slots, over))?
+                    FlatArena::from_columns(slots, over)
+                        .map_err(|e| Error::Corrupt(format!("arena columns: {e}")))?
                 }
                 ArenaColumns::Items { windows, items } => {
                     let offs = self.windows(windows)?;
@@ -1432,29 +1362,19 @@ impl<R: Read + Seek> Reader<R> {
                 cols.lists.map(|lists| self.packed(lists, "ordering list column")).transpose()?;
             let refs = kept_refs(refs, kind)?;
             let arena_lists = arenas[cols.arena].list_count();
-            let ix = match (cols.keys, cols.k2) {
-                (Headers::U32(keys), VectorKeys::Ints(k2)) => {
-                    let keys = self.ids(keys)?;
-                    let k2: Vec<u32> =
-                        self.packed(k2, "ordering vector column")?.values().collect();
-                    FrozenIndex::from_plain_parts(&keys, offs, &k2, refs, arena_lists)
-                }
-                (Headers::U32(_), VectorKeys::EliasFano(_)) => {
-                    return corrupt("Elias–Fano vector keys under u32 header keys")
-                }
-                (keys, k2) => {
-                    let keys = self.header_keys(keys)?;
-                    let k2 = self.vector_keys(k2, &offs)?;
-                    FrozenIndex::from_raw_parts(keys, offs, k2, refs, arena_lists)
-                }
+            let (Some(keys), Some(k2)) = (cols.keys.plain(), cols.k2.plain()) else {
+                return corrupt("Elias–Fano vector keys under u32 header keys");
             };
-            match ix {
+            let keys = self.ids(keys)?;
+            let k2: Vec<u32> = self.packed(k2, "ordering vector column")?.values().collect();
+            match FrozenIndex::from_plain_parts(&keys, offs, &k2, refs, arena_lists) {
                 Some(ix) => orderings.push(ix),
                 None => return corrupt("ordering columns are inconsistent"),
             }
         }
-        let orderings: [FrozenIndex; 6] = orderings.try_into().expect("exactly six orderings");
-        assemble_frozen(orderings, arenas, columns.triples)
+        let orderings = orderings.try_into().expect("exactly six orderings");
+        let store = FrozenHexastore::from_raw_parts(orderings, arenas, columns.triples);
+        check_store(&store).map(|()| store)
     }
 
     /// Reads the compressed `FRZC` section: checksum-verified varint
@@ -1547,100 +1467,235 @@ impl<R: Read + Seek> Reader<R> {
         if pos != payload_len {
             return corrupt("compressed payload has trailing bytes");
         }
-        let orderings: [FrozenIndex; 6] = orderings.try_into().expect("exactly six orderings");
-        assemble_frozen(orderings, arenas, len)
+        let orderings = orderings.try_into().expect("exactly six orderings");
+        let store = FrozenHexastore::from_raw_parts(orderings, arenas, len);
+        check_store(&store).map(|()| store)
     }
 }
 
-impl FrozenHexastore {
-    /// The store whose `FROZ` columns `columns` locates in `bytes` — a
-    /// mapped snapshot, read by [`Reader::frozen_columns`] — with every
-    /// column a window of `bytes`, viewed in place, rank directories
-    /// included: nothing is read or rebuilt, so opening touches only the
-    /// section's count fields, and queries page in exactly the columns
-    /// they walk. The store is the one [`load_frozen`] makes of the same
-    /// file, and it is read the same way.
-    ///
-    /// # Trust model
-    ///
-    /// What is checked touches no column: the layout is v9's or later
-    /// (packed arenas and index levels, header bitmaps or Elias–Fano
-    /// windows, packed or Elias–Fano vector keys; an older one is
-    /// [`Error::Corrupt`]), and every column lies inside `bytes`. The
-    /// columns' data-level invariants — sorted keys, offsets tiling,
-    /// Elias–Fano windows that decode to their keys, rank samples that
-    /// agree with their bits, list references in range, arenas that hold
-    /// one item per triple, ids within the dictionary — are never checked
-    /// here: walking them would read the whole file. Every read clamps
-    /// each window, run and select to its column instead, so a corrupt
-    /// file gives wrong answers (a short window, an absent header), never
-    /// undefined behavior, a panic or an unbounded scan. Files from
-    /// untrusted writers go through [`load_frozen`], which validates
-    /// fully.
-    pub fn mapped(bytes: &SharedBytes, columns: &FrozenColumns) -> Result<Self> {
-        let predates = || Error::Corrupt("the slab columns predate the mappable layout".into());
-        let window = |col: Packed, what: &str| {
-            Bytes::shared(SharedBytes::clone(bytes), col.offset..col.offset + col.bytes())
-                .ok_or_else(|| Error::Corrupt(format!("{what} extends past the mapping")))
-        };
-        let packed = |col: Packed, what: &str| {
-            PackedColumn::new(window(col, what)?, col.width, col.len)
-                .map_err(|e| Error::Corrupt(format!("{what}: {e}")))
-        };
-        let ints = |ints: Ints, what: &str| match ints {
-            Ints::Packed(col) => packed(col, what),
-            Ints::U32(_) => Err(predates()),
-        };
-        let ef = |ef: EfColumns, len: usize, what: &str| {
-            let len =
-                u32::try_from(len).map_err(|_| Error::Corrupt(format!("{what}: {len} keys")))?;
-            let stream = (window(ef.stream, what)?, ef.stream.len);
-            let (base, offs, ranks) =
-                (packed(ef.base, what)?, packed(ef.offs, what)?, packed(ef.ranks, what)?);
-            Ok::<_, Error>(EfColumn::mapped(base, offs, stream, ranks, len))
-        };
-        let mut arenas = Vec::with_capacity(3);
-        for arena in columns.arenas {
-            let ArenaColumns::Slots { slots, over } = arena else { return Err(predates()) };
-            let (slots, over) =
-                (ints(slots, "arena slot column")?, ints(over, "arena overflow column")?);
-            arenas.push(FlatArena::mapped(slots, over, columns.triples));
-        }
-        let mut orderings = Vec::with_capacity(6);
-        for ix in columns.orderings {
-            let Windows::Offsets(offs) = ix.windows else { return Err(predates()) };
-            let keys = match ix.keys {
-                Headers::U32(_) => return Err(predates()),
-                Headers::Bitmap { bits, ranks, count } => HeaderColumn::Bitmap(RankBitmap::mapped(
-                    window(bits, "ordering header bitmap")?,
-                    bits.len,
-                    packed(ranks, "ordering header rank directory")?,
-                    count,
-                )),
-                Headers::EliasFano { ef: cols, count } => {
-                    HeaderColumn::EliasFano(ef(cols, count, "ordering header window")?)
-                }
-            };
-            let lists = ix.lists.map(|lists| ints(lists, "ordering list column")).transpose()?;
-            let k2 = match ix.k2 {
-                VectorKeys::Ints(k2) => KeyColumn::Packed(ints(k2, "ordering vector column")?),
-                VectorKeys::EliasFano(cols) => {
-                    // A key a leaf: a mirror keeps a list reference a leaf,
-                    // and a primary's leaf `i` is its arena's list `i`.
-                    let arena_lists = || arenas.get(ix.arena).map_or(0, FlatArena::list_count);
-                    let leaves = lists.as_ref().map_or_else(arena_lists, PackedColumn::len);
-                    KeyColumn::EliasFano(ef(cols, leaves, "ordering vector keys")?)
-                }
-            };
-            let offs = ints(offs, "ordering offsets column")?;
-            orderings.push(FrozenIndex { keys, offs, k2, lists });
-        }
-        Ok(FrozenHexastore::from_raw_parts(
-            orderings.try_into().expect("exactly six orderings"),
-            arenas.try_into().expect("exactly three arenas"),
-            columns.triples,
-        ))
+/// A section's columns as [`Bytes`] from a source, the one difference
+/// between the loaders: the eager reader reads each into an exact-sized
+/// owned buffer, a mapping returns a window of itself ([`Bytes::shared`]).
+struct Source<F>(F);
+
+impl<F: FnMut(Range<usize>) -> Result<Bytes>> Source<F> {
+    fn bytes(&mut self, offset: usize, len: usize) -> Result<Bytes> {
+        (self.0)(offset..offset + len)
     }
+
+    /// A packed column, checked only as far as [`PackedColumn::new`] goes.
+    fn packed(&mut self, col: Packed, what: &str) -> Result<PackedColumn> {
+        let bytes = self.bytes(col.offset, col.bytes())?;
+        PackedColumn::new(bytes, col.width, col.len)
+            .map_err(|e| Error::Corrupt(format!("{what}: {e}")))
+    }
+
+    /// A packed integer column of a section laid out as v9's `FROZ` or
+    /// v10's `DICT`; a `u32` one predates the layout.
+    fn ints(&mut self, ints: Ints, what: &str) -> Result<PackedColumn> {
+        match ints {
+            Ints::Packed(col) => self.packed(col, what),
+            Ints::U32(_) => Err(predates()),
+        }
+    }
+
+    /// A column of `u32`s (a `DICT` section's before v10).
+    fn u32s(&mut self, col: Column) -> Result<Vec<u32>> {
+        let bytes = self.bytes(col.offset, 4 * col.len)?;
+        r_u32_run(&mut &bytes[..], col.len)
+    }
+
+    /// An Elias–Fano column of `len` keys, taken as it is.
+    fn elias_fano(&mut self, ef: EfColumns, len: usize, what: &str) -> Result<EfColumn> {
+        let len = u32::try_from(len).map_err(|_| Error::Corrupt(format!("{what}: {len} keys")))?;
+        let (base, offs) = (self.packed(ef.base, what)?, self.packed(ef.offs, what)?);
+        let stream = (self.bytes(ef.stream.offset, ef.stream.bytes())?, ef.stream.len);
+        let ranks = self.packed(ef.ranks, what)?;
+        Ok(EfColumn::unchecked(base, offs, stream, ranks, len))
+    }
+}
+
+fn predates() -> Error {
+    Error::Corrupt("the slab columns predate the mappable layout".into())
+}
+
+/// The store whose v9-or-later `FROZ` columns `columns` locates
+/// ([`Reader::frozen_columns`]), every column's bytes taken from `source`,
+/// which turns a file range into them. Both loaders build their store
+/// here and differ only in the source: [`load_frozen`] reads each column
+/// into an exact-sized owned buffer and then checks the store; `hex-disk`
+/// passes windows of its mapping ([`Bytes::shared`]), so nothing is read
+/// or rebuilt, rank directories included, and opening touches only the
+/// section's count fields while queries page in exactly the columns they
+/// walk. Given the same file, the two stores are equal.
+///
+/// # Trust model
+///
+/// What is checked here touches no column: the layout is v9's or later
+/// (packed arenas and index levels, header bitmaps or Elias–Fano windows,
+/// packed or Elias–Fano vector keys; an older one is [`Error::Corrupt`]),
+/// and `source` refuses a column it cannot give. The columns' data-level
+/// invariants — sorted keys, offsets tiling, Elias–Fano windows that
+/// decode to their keys, rank samples that agree with their bits, list
+/// references in range, arenas that hold one item per triple, ids within
+/// the dictionary — are not checked here: walking them would read the
+/// whole file. The eager reader checks every one of them after building;
+/// over a mapping, every read clamps each window, run and select to its
+/// column instead, so a corrupt file gives wrong answers (a short window,
+/// an absent header), never undefined behavior, a panic or an unbounded
+/// scan. Files from untrusted writers go through [`load_frozen`], which
+/// validates fully.
+pub fn frozen_from_columns(
+    columns: &FrozenColumns,
+    source: impl FnMut(Range<usize>) -> Result<Bytes>,
+) -> Result<FrozenHexastore> {
+    let mut source = Source(source);
+    let mut arenas = Vec::with_capacity(3);
+    for arena in columns.arenas {
+        let ArenaColumns::Slots { slots, over } = arena else { return Err(predates()) };
+        let (slots, over) =
+            (source.ints(slots, "arena slot column")?, source.ints(over, "arena overflow column")?);
+        arenas.push(FlatArena::unchecked(slots, over, columns.triples));
+    }
+    let mut orderings = Vec::with_capacity(6);
+    for ix in columns.orderings {
+        let keys = match ix.keys {
+            Headers::U32(_) => return Err(predates()),
+            Headers::Bitmap { bits, ranks, count } => HeaderColumn::Bitmap(RankBitmap::unchecked(
+                source.bytes(bits.offset, bits.bytes())?,
+                bits.len,
+                source.packed(ranks, "ordering header rank directory")?,
+                count,
+            )),
+            Headers::EliasFano { ef, count } => {
+                HeaderColumn::EliasFano(source.elias_fano(ef, count, "ordering header window")?)
+            }
+        };
+        let Windows::Offsets(offs) = ix.windows else { return Err(predates()) };
+        let offs = source.ints(offs, "ordering offsets column")?;
+        let k2 = match ix.k2 {
+            VectorKeys::Ints(k2) => KeyColumn::Packed(source.ints(k2, "ordering vector column")?),
+            VectorKeys::EliasFano(ef) => {
+                // A key a leaf: a mirror keeps a list reference a leaf,
+                // and a primary's leaf `i` is its arena's list `i`.
+                let arena_lists = || arenas.get(ix.arena).map_or(0, FlatArena::list_count);
+                let leaves = ix.lists.map_or_else(arena_lists, |lists| lists.len());
+                KeyColumn::EliasFano(source.elias_fano(ef, leaves, "ordering vector keys")?)
+            }
+        };
+        let lists = ix.lists.map(|l| source.ints(l, "ordering list column")).transpose()?;
+        orderings.push(FrozenIndex { keys, offs, k2, lists });
+    }
+    Ok(FrozenHexastore::from_raw_parts(
+        orderings.try_into().expect("exactly six orderings"),
+        arenas.try_into().expect("exactly three arenas"),
+        columns.triples,
+    ))
+}
+
+/// The dictionary whose `DICT` columns `columns` locates
+/// ([`Reader::dict_columns`]), each column's bytes from `source` as for
+/// [`frozen_from_columns`]. A v10 section's five columns are handed to
+/// [`Dictionary::try_from_arena`] as they are, a v5 to v9 section's `u32`
+/// columns packed first; it validates them (each packed column canonical,
+/// offset tables, heads, the one representation each term has,
+/// distinctness, which corruption merging two terms would break) in one
+/// hash pass per table, constructing no `Term`. An older section's terms
+/// are interned again in id order: the ids stay the same, a term seen
+/// twice is `Corrupt`. A mapping mutated after validation degrades to
+/// missed lookups and `None` decodes, never a panic.
+pub fn dictionary_from_columns(
+    columns: DictColumns,
+    source: impl FnMut(Range<usize>) -> Result<Bytes>,
+) -> Result<Dictionary> {
+    let mut source = Source(source);
+    let mut ints = |ints: Ints, what: &str| match ints {
+        Ints::U32(col) => Ok(PackedColumn::from_values(&source.u32s(col)?)),
+        packed => source.ints(packed, what),
+    };
+    match columns {
+        DictColumns::Prefixed { heads, ends, arena, prefix_ends, prefixes } => {
+            let heads = ints(heads, "dictionary head column")?;
+            let ends = ints(ends, "dictionary term offset table")?;
+            let prefix_ends = ints(prefix_ends, "dictionary prefix offset table")?;
+            let image = ArenaImage {
+                heads,
+                ends,
+                arena: source.bytes(arena.offset, arena.len)?,
+                prefix_ends,
+                prefixes: source.bytes(prefixes.offset, prefixes.len)?,
+            };
+            Dictionary::try_from_arena(image).map_err(|e| Error::Corrupt(e.to_string()))
+        }
+        DictColumns::Pieces { kinds, ends, arena } => {
+            let ends = source.u32s(ends)?;
+            let (kinds, arena) =
+                (source.bytes(kinds.offset, kinds.len)?, source.bytes(arena.offset, arena.len)?);
+            reinterned(&kinds, &ends, &arena)
+        }
+    }
+}
+
+/// Checks in one pass over the three arenas' columns, `O(lists +
+/// overflow words)`, that they are what a writer lays down
+/// ([`ArenaView::validate`](crate::slab::ArenaView::validate)) and
+/// together hold one item per triple the store declares. [`load_frozen`]
+/// runs it on every `FROZ` store it reads; `hex-disk`'s `verify` runs it
+/// on a mapped one.
+pub fn check_arenas(store: &FrozenHexastore) -> Result<()> {
+    for arena in store.arenas() {
+        let items =
+            arena.view().validate().map_err(|e| Error::Corrupt(format!("arena columns: {e}")))?;
+        if items != store.len() {
+            return corrupt("declared triple count disagrees with slab columns");
+        }
+    }
+    Ok(())
+}
+
+/// The eager reader's data-level checks of a store [`frozen_from_columns`]
+/// built, which a mapping leaves to its clamped reads: canonical packed
+/// images (a slot column's or bit stream's width follows its own rule),
+/// [`check_arenas`], [`HeaderColumn::check`], [`KeyColumn::check`],
+/// [`FrozenIndex::is_consistent`] and [`check_store`].
+fn check_frozen(store: &FrozenHexastore) -> Result<()> {
+    // Each image checked whole, or only its tail where its width has a
+    // rule of its own.
+    let image = |what: &str, column: PackedView<'_>, whole: bool| {
+        let checked = if whole { column.validate() } else { column.validate_tail() };
+        checked.map_err(|e| Error::Corrupt(format!("{what}: {e}")))
+    };
+    let tails =
+        |parts: &[PackedView<'_>]| parts.iter().try_for_each(|&p| image("packed column", p, false));
+    let ef = |ef: EfView<'_>| tails(&[ef.base, ef.offs, ef.stream.bits, ef.stream.ranks]);
+    let arenas = store.arenas();
+    for arena in arenas {
+        image("arena slot column", arena.view().slots, false)?;
+        image("arena overflow column", arena.view().over, true)?;
+    }
+    check_arenas(store)?;
+    for (ix, arena) in store.orderings().into_iter().zip(ARENA_OF) {
+        image("ordering offsets column", ix.offs.view(), true)?;
+        if let Some(lists) = &ix.lists {
+            image("ordering list column", lists.view(), true)?;
+        }
+        let keys = ix.keys.view();
+        match keys {
+            HeadersView::Bitmap(map) => tails(&[map.bits.bits, map.bits.ranks])?,
+            HeadersView::EliasFano(keys) => ef(keys)?,
+        }
+        HeaderColumn::check(keys, "ordering header keys").map_err(Error::Corrupt)?;
+        let k2 = ix.k2.view();
+        match k2 {
+            KeysView::Packed(k2) => image("ordering vector column", k2, true)?,
+            KeysView::EliasFano(k2) => ef(k2)?,
+        }
+        KeyColumn::check(k2, &ix.offs, "ordering vector keys").map_err(Error::Corrupt)?;
+        if !ix.is_consistent(arenas[arena].list_count()) {
+            return corrupt("ordering columns are inconsistent");
+        }
+    }
+    check_store(store)
 }
 
 /// The dictionary a v1–v4 `DICT` section holds — one kind byte per
@@ -1678,17 +1733,6 @@ fn reinterned(kinds: &[u8], ends: &[u32], arena: &[u8]) -> Result<Dictionary> {
     }
     dict.shrink_to_fit();
     Ok(dict)
-}
-
-/// The view of an Elias–Fano column of `len` keys over its four images.
-fn ef_view(images: &[PackedColumn; 4], len: usize) -> EfView<'_> {
-    let [base, offs, stream, ranks] = images;
-    EfView {
-        base: base.view(),
-        offs: offs.view(),
-        stream: BitsView { bits: stream.view(), ranks: ranks.view() },
-        len,
-    }
 }
 
 /// The cumulative offsets column of a pre-v3 `(offset, length)` span
@@ -1747,30 +1791,22 @@ fn encode_frozen_payload(store: &FrozenHexastore) -> Vec<u8> {
     p
 }
 
-/// The shared tail of both slab-section readers: whole-store invariants
-/// that per-structure validation cannot see.
-fn assemble_frozen(
-    orderings: [FrozenIndex; 6],
-    arenas: [FlatArena; 3],
-    len: usize,
-) -> Result<FrozenHexastore> {
-    // Every triple contributes exactly one entry to each pair's item
-    // column, so the declared length must match all three arenas.
-    if arenas.iter().any(|a| a.total_items() != len) {
+/// Whole-store invariants that per-structure validation cannot see:
+/// every triple contributes one item to each arena, and within each index
+/// pair, primary and mirror reference the same (k1, k2) → list
+/// associations, each exactly once — per-ordering checks alone would
+/// accept a mirror that silently disagrees with its primary.
+fn check_store(store: &FrozenHexastore) -> Result<()> {
+    let (orderings, arenas) = (store.orderings(), store.arenas());
+    if arenas.iter().any(|a| a.total_items() != store.len()) {
         return corrupt("declared triple count disagrees with slab columns");
     }
-    // Pair consistency: within each index pair, primary and mirror
-    // must reference the same (k1, k2) → list associations, each
-    // exactly once. Per-ordering checks alone would accept a mirror
-    // that silently disagrees with its primary.
-    for (primary, mirror, arena) in [(0usize, 2usize, 0usize), (1, 4, 1), (3, 5, 2)]
-        .map(|(p, m, a)| (&orderings[p], &orderings[m], &arenas[a]))
-    {
-        if !pair_consistent(primary, mirror, arena.list_count()) {
+    for (primary, mirror, arena) in [(0, 2, 0), (1, 4, 1), (3, 5, 2)] {
+        if !pair_consistent(orderings[primary], orderings[mirror], arenas[arena].list_count()) {
             return corrupt("index pair orderings disagree");
         }
     }
-    Ok(FrozenHexastore::from_raw_parts(orderings, arenas, len))
+    Ok(())
 }
 
 /// Zero bytes from file offset `pos` to the next multiple of 8.

@@ -751,10 +751,11 @@ impl FlatArena {
         FlatArena::from_columns(slots, over)
     }
 
-    /// An arena of `items` items over a mapped file's slot and overflow
-    /// columns, taken as they are: [`ArenaView::get`] clamps every read to
-    /// them, and [`ArenaView::validate`] is the caller's to run.
-    pub(crate) fn mapped(slots: PackedColumn, over: PackedColumn, items: usize) -> Self {
+    /// An arena of `items` items over a snapshot's slot and overflow
+    /// columns, read or mapped, taken as they are: [`ArenaView::get`]
+    /// clamps every read to them, and [`ArenaView::validate`] is the
+    /// caller's to run.
+    pub(crate) fn unchecked(slots: PackedColumn, over: PackedColumn, items: usize) -> Self {
         FlatArena { slots, over, items, copy: ArenaCopy::default() }
     }
 

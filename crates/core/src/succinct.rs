@@ -43,9 +43,9 @@
 //! may be corrupt, and an offset past the stream, an `l` whose low parts
 //! overrun the window, a high region that never reaches its `m`-th one or
 //! a rank sample that disagrees with its bits all give a short window or
-//! an absent header. In-memory columns are built canonical, and a loaded
-//! one is rebuilt from what it decodes to and compared
-//! ([`HeaderColumn::adopt`], [`KeyColumn::adopt`]).
+//! an absent header. In-memory columns are built canonical, and the eager
+//! loader compares each column it reads with the one rebuilt from what it
+//! decodes to ([`HeaderColumn::check`], [`KeyColumn::check`]).
 
 use crate::packed::{self, bytes_for, width_of, Bytes, PackedColumn, PackedView};
 use hex_dict::Id;
@@ -248,14 +248,14 @@ fn low_mask_or_all(bits: usize) -> u64 {
 }
 
 /// A bit stream with its rank directory, appended in order into room
-/// sized exactly up front — or a window of a mapped file's bytes, which
-/// an append copies to owned bytes first.
+/// sized exactly up front — or a snapshot's image, read or a window of a
+/// mapped file's bytes, which an append copies to owned bytes first.
 #[derive(Clone, Default)]
 struct BitStream {
     bytes: Bytes,
     bits: usize,
-    /// Set bits: counted as they are appended; a mapped header bitmap's
-    /// declared key count, and 0 for a mapped Elias–Fano stream, which
+    /// Set bits: counted as they are appended; a loaded header bitmap's
+    /// declared key count, and 0 for a loaded Elias–Fano stream, which
     /// does not read it.
     ones: usize,
     ranks: PackedColumn,
@@ -508,10 +508,10 @@ impl RankBitmap {
     }
 
     /// The bitmap of `keys` keys over a `len`-bit stream whose image is
-    /// `bits`, with the rank directory `ranks`: a mapped file's columns,
-    /// taken as they are. Reads clamp to them, so columns that are not
-    /// the canonical ones give wrong answers, never a panic.
-    pub(crate) fn mapped(bits: Bytes, len: usize, ranks: PackedColumn, keys: usize) -> Self {
+    /// `bits`, with the rank directory `ranks`: a snapshot's columns, read
+    /// or mapped, taken as they are. Reads clamp to them, so columns that
+    /// are not the canonical ones give wrong answers, never a panic.
+    pub(crate) fn unchecked(bits: Bytes, len: usize, ranks: PackedColumn, keys: usize) -> Self {
         RankBitmap(BitStream { bytes: bits, bits: len, ones: keys, ranks })
     }
 
@@ -677,9 +677,10 @@ impl HeaderColumn {
         }
     }
 
-    /// The column whose image `read` must be — the one its keys make, in
-    /// the encoding their sizes choose — or why it is not, naming `what`.
-    pub fn adopt(read: HeadersView<'_>, what: &str) -> Result<Self, String> {
+    /// Checks that `read` is the image of the column its keys make, in
+    /// the encoding their sizes choose, or says why it is not, naming
+    /// `what`.
+    pub fn check(read: HeadersView<'_>, what: &str) -> Result<(), String> {
         let keys: Vec<Id> = read.keys().collect();
         if keys.len() != read.len() {
             return Err(format!("{what} does not hold its {} keys", read.len()));
@@ -699,8 +700,7 @@ impl HeaderColumn {
                 mine.differs(read, what).map_or(Ok(()), Err)
             }
             _ => Err(format!("{what} is not in the encoding its sizes choose")),
-        }?;
-        Ok(column)
+        }
     }
 }
 
@@ -1172,10 +1172,10 @@ impl EfColumn {
 
     /// The column of `len` keys whose windows' first keys are `base`, whose
     /// windows' bit offsets are `offs`, and whose `bits`-bit stream's image
-    /// and rank directory are `stream` and `ranks`: a mapped file's
-    /// columns, taken as they are. Reads clamp to them, so columns that
-    /// are not the canonical ones give wrong answers, never a panic.
-    pub(crate) fn mapped(
+    /// and rank directory are `stream` and `ranks`: a snapshot's columns,
+    /// read or mapped, taken as they are. Reads clamp to them, so columns
+    /// that are not the canonical ones give wrong answers, never a panic.
+    pub(crate) fn unchecked(
         base: PackedColumn,
         offs: PackedColumn,
         (stream, bits): (Bytes, usize),
@@ -1397,19 +1397,17 @@ impl KeyColumn {
         c.base_bytes() + c.offset_bytes() + c.stream_bytes() + c.rank_bytes()
     }
 
-    /// The column whose images `read` must be — the one its windows decode
-    /// to, in the encoding their sizes choose — or why it is not, naming
-    /// `what`: offsets that do not tile it, a window that decodes to fewer
-    /// keys or keys that do not ascend, another encoding than the sizes
-    /// choose, or a part whose bytes differ (the packed image, or the base,
-    /// bit-offset, stream or rank column).
-    pub fn adopt(read: KeysView<'_>, offs: &PackedColumn, what: &str) -> Result<Self, String> {
+    /// Checks that `read` is the image of the column its windows decode
+    /// to, in the encoding their sizes choose, or says why it is not,
+    /// naming `what`: offsets that do not tile it, a window that decodes to
+    /// fewer keys or keys that do not ascend, another encoding than the
+    /// sizes choose, or a part whose bytes differ (the packed image, or the
+    /// base, bit-offset, stream or rank column).
+    pub fn check(read: KeysView<'_>, offs: &PackedColumn, what: &str) -> Result<(), String> {
         let size = KeyColumn::checked_size(read, offs, what)?;
         match read {
             KeysView::Packed(view) if !size.elias_fano() => {
-                PackedColumn::from_bytes(view.bytes().to_vec(), view.width(), view.len())
-                    .map(KeyColumn::Packed)
-                    .map_err(|e| format!("{what}: {e}"))
+                view.validate().map_err(|e| format!("{what}: {e}"))
             }
             KeysView::EliasFano(view) if size.elias_fano() => {
                 let mut column = EfColumn::with_capacity(size);
@@ -1417,7 +1415,7 @@ impl KeyColumn {
                     read.iter(h, window).for_each(|k| column.push(k));
                     column.end_window();
                 }
-                column.differs(view, what).map_or(Ok(KeyColumn::EliasFano(column)), Err)
+                column.differs(view, what).map_or(Ok(()), Err)
             }
             _ => Err(format!("{what} is not in the encoding its sizes choose")),
         }

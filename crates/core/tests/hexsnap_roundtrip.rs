@@ -5,10 +5,12 @@
 //! misinterpreted.
 
 use hex_dict::{Id, IdTriple};
+use hexastore::packed::{Bytes, SharedBytes};
 use hexastore::{hexsnap, FrozenHexastore, GraphStore, IdPattern, TripleStore};
 use proptest::prelude::*;
 use rdf_model::{Term, Triple};
 use std::io::Cursor;
+use std::sync::Arc;
 
 mod support;
 
@@ -429,7 +431,9 @@ fn packed_padding(file: &[u8]) -> Vec<usize> {
 /// trailer: the eager reader rejects every flip of a padding byte, and
 /// any other flip either is rejected or decodes into a store that passed
 /// every check it makes (canonical packed images, sorted windows, pairs
-/// that agree), which then answers every shape.
+/// that agree), which then answers every shape. From v9 on, the store
+/// `frozen_from_columns` builds over shared bytes of the same file — as a
+/// mapping's open does — is that store, by content.
 fn every_byte_flip_is_rejected_or_still_decodes(files: &[Vec<u8>], version: u32) {
     let mut decoded = 0;
     for file in files {
@@ -457,6 +461,9 @@ fn every_byte_flip_is_rejected_or_still_decodes(files: &[Vec<u8>], version: u32)
                     for &pat in &pats {
                         assert_eq!(store.count_matching(pat), store.iter_matching(pat).count());
                     }
+                    if version >= 9 {
+                        assert_eq!(shared_store(bytes.clone()), store, "flip at {i}");
+                    }
                 }
                 Err(e) => {
                     let corrupt = matches!(e, hexsnap::Error::Corrupt(_));
@@ -468,6 +475,15 @@ fn every_byte_flip_is_rejected_or_still_decodes(files: &[Vec<u8>], version: u32)
     // Flips of packed words and of ids in the dictionary's arenas, among
     // others, still decode; most flips are rejected.
     assert!(decoded > 0);
+}
+
+/// The store `frozen_from_columns` builds of `file`'s `FROZ` section with
+/// every column a window of the file's bytes.
+fn shared_store(file: Vec<u8>) -> FrozenHexastore {
+    let columns = hexsnap::Reader::new(Cursor::new(&file)).unwrap().frozen_columns().unwrap();
+    let file: SharedBytes = Arc::new(file);
+    let windows = |at| Ok(Bytes::shared(SharedBytes::clone(&file), at).expect("inside the file"));
+    hexsnap::frozen_from_columns(&columns, windows).unwrap()
 }
 
 /// A graph whose arenas hold singleton and longer lists alike, saved by

@@ -46,7 +46,7 @@ fn check_headers(ids: &[Id]) {
             assert_eq!(view.keys().contains(x), ids.contains(&x));
         }
     }
-    assert_eq!(HeaderColumn::adopt(view, "headers").as_ref(), Ok(&column));
+    assert_eq!(HeaderColumn::check(view, "headers"), Ok(()));
 }
 
 #[test]
@@ -116,12 +116,11 @@ fn check_ef(windows: &[Vec<u32>]) {
             }
         }
     }
-    // A loader adopts the column only where the sizes choose it.
-    let chosen = KeyColumn::of_windows(&keys, &offs);
-    let adopted = KeyColumn::adopt(view, &offs, "vector keys");
-    match chosen {
-        KeyColumn::EliasFano(_) => assert_eq!(adopted, Ok(chosen)),
-        KeyColumn::Packed(_) => assert!(adopted.unwrap_err().contains("encoding")),
+    // A loader accepts the column only where the sizes choose it.
+    let checked = KeyColumn::check(view, &offs, "vector keys");
+    match KeyColumn::of_windows(&keys, &offs) {
+        KeyColumn::EliasFano(_) => assert_eq!(checked, Ok(())),
+        KeyColumn::Packed(_) => assert!(checked.unwrap_err().contains("encoding")),
     }
 }
 

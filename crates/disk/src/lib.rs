@@ -14,13 +14,16 @@
 //! ([`frozen_columns`](hexastore::hexsnap::Reader::frozen_columns),
 //! [`dict_columns`](hexastore::hexsnap::Reader::dict_columns)) locate
 //! every column from the count fields alone, and hands what they locate
-//! to the stores' own constructors as windows of the mapping:
-//! [`FrozenHexastore::mapped`] (whose docs hold the trust model) and
-//! [`Dictionary::try_from_arena`]. What is left here is what a mapping
-//! needs: the map itself, the refusal of files it cannot map, and
-//! [`verify`]. The header bitmaps' and Elias–Fano streams' rank
-//! directories are the file's own columns, so [`open_store`] stays
-//! O(section headers).
+//! to the constructors the eager reader builds with:
+//! [`frozen_from_columns`](hexastore::hexsnap::frozen_from_columns)
+//! (whose docs hold the trust model) and
+//! [`dictionary_from_columns`](hexastore::hexsnap::dictionary_from_columns),
+//! with a source that makes every column a window of the mapping where
+//! the eager reader's copies it into a buffer of its own. What is left
+//! here is what a mapping needs: the map itself, that source, the refusal
+//! of files it cannot map, and [`verify`]. The header bitmaps' and
+//! Elias–Fano streams' rank directories are the file's own columns, so
+//! [`open_store`] stays O(section headers).
 //!
 //! The entry points are [`open`] (dictionary + store) and
 //! [`open_dataset`] (a ready-to-query [`hexastore::Dataset`]). The store
@@ -70,12 +73,12 @@ mod mmap;
 
 pub use mmap::Mmap;
 
-use hex_dict::packed::{Bytes, PackedColumn, SharedBytes};
-use hex_dict::{ArenaImage, Dictionary};
-use hexastore::access::OrderedStore;
+use hex_dict::packed::{Bytes, SharedBytes};
+use hex_dict::Dictionary;
 use hexastore::hexsnap;
-use hexastore::{Dataset, FrozenHexastore, IndexKind, TripleStore};
+use hexastore::{Dataset, FrozenHexastore};
 use std::fs::File;
+use std::ops::Range;
 use std::path::Path;
 use std::sync::Arc;
 
@@ -162,7 +165,7 @@ pub fn open(path: impl AsRef<Path>) -> Result<(Dictionary, FrozenHexastore)> {
     let map = map_file(path.as_ref())?;
     let (store, mut reader) = open_mapped(&map)?;
     verify(&store)?;
-    Ok((dict_from(&map, reader.dict_columns()?)?, store))
+    Ok((hexsnap::dictionary_from_columns(reader.dict_columns()?, windows(&map))?, store))
 }
 
 /// Opens only the slab section of a `hexsnap` file as a store over its
@@ -184,29 +187,19 @@ pub fn open_store(path: impl AsRef<Path>) -> Result<FrozenHexastore> {
 }
 
 /// Checks, in one pass over the three arenas' columns
-/// (`O(lists + overflow words)`, about 10 of a file's 31 bytes per
-/// triple), that they are what a writer lays down
-/// ([`ArenaView::validate`](hexastore::access::ArenaView::validate)): the
-/// slot column is one flag bit above its widest value wide, every slot
-/// that is not itself a list names a run inside the overflow column, runs
-/// neither overlap nor leave a gap, each is strictly ascending, and
-/// together they hold one item per triple. A store that fails is
-/// [`Error::Corrupt`]; one that passes can still be wrong in its index
-/// levels (see [`FrozenHexastore::mapped`]'s trust model). [`open`] runs
-/// it; [`open_store`] leaves it to its caller.
+/// (`O(lists + overflow words)`: 6.9 of the 22.3 bytes per triple of the
+/// 197,756-triple `snapshot_size` file in `bench-artifacts/BENCH_ci.json`),
+/// that they are what a writer lays down
+/// ([`hexsnap::check_arenas`], the check the eager reader runs): the slot
+/// column is one flag bit above its widest value wide, every slot that is
+/// not itself a list names a run inside the overflow column, runs neither
+/// overlap nor leave a gap, each is strictly ascending, and together they
+/// hold one item per triple. A store that fails is [`Error::Corrupt`]; one
+/// that passes can still be wrong in its index levels (see
+/// [`hexsnap::frozen_from_columns`]'s trust model). [`open`] runs it;
+/// [`open_store`] leaves it to its caller.
 pub fn verify(store: &FrozenHexastore) -> Result<()> {
-    // Each primary ordering reads one of the three arenas.
-    for kind in [IndexKind::Spo, IndexKind::Sop, IndexKind::Pos] {
-        let arena = store.ordering(kind).arena;
-        let items = arena.validate().map_err(|e| Error::Corrupt(format!("arena: {e}")))?;
-        if items != store.len() {
-            return Err(Error::Corrupt(format!(
-                "arena columns hold {items} items where the section declares {} triples",
-                store.len()
-            )));
-        }
-    }
-    Ok(())
+    hexsnap::check_arenas(store).map_err(corrupt)
 }
 
 /// Maps a whole file.
@@ -233,17 +226,8 @@ fn open_mapped(map: &SharedBytes) -> Result<(FrozenHexastore, MapReader<'_>)> {
                 .to_string()
         }));
     }
-    // Older versions address terminal lists through an offsets column
-    // (v3), or store (offset, length) pairs and list references for every
-    // ordering (and v1 does not align the section): not the columns the
-    // shared read path walks. A v4 file's dictionary stores whole terms, not the prefix-shared columns the
-    // mapped dictionary adopts; v4 and v5 files store their index levels
-    // as whole `u32`s, v4 to v6 files their list slots and v4 to v7
-    // files their overflow runs, where the read path walks bit-packed
-    // columns; and files before v9 keep `u32` header keys where the read
-    // path ranks a header bitmap; and files before v10 keep `u32`
-    // dictionary columns where the mapped dictionary reads packed ones.
-    // Refused before the section is walked.
+    // Every older version lays out some column other than the ones the
+    // read path views (the message names which): refused before any walk.
     if reader.version() < hexsnap::VERSION {
         let what = match reader.version() {
             ..=3 => "slab columns",
@@ -267,51 +251,24 @@ fn open_mapped(map: &SharedBytes) -> Result<(FrozenHexastore, MapReader<'_>)> {
             hexsnap::VERSION,
         )));
     }
-    let corrupt = |e| match e {
-        hexsnap::Error::Corrupt(why) => Error::Corrupt(why),
-        e => Error::Snapshot(e),
-    };
     let columns = reader.frozen_columns().map_err(corrupt)?;
-    Ok((FrozenHexastore::mapped(map, &columns).map_err(corrupt)?, reader))
+    Ok((hexsnap::frozen_from_columns(&columns, windows(map)).map_err(corrupt)?, reader))
 }
 
-/// The dictionary over the mapping, from the `DICT` columns
-/// [`hexsnap::Reader::dict_columns`] locates: the packed head column, the
-/// two packed offset tables and the term and prefix arenas are handed to
-/// [`Dictionary::try_from_arena`] as windows of the mapping instead of
-/// copies of their bytes. The constructor validates them against the
-/// mapped bytes (canonical packed images, offset tables, UTF-8, heads,
-/// the one representation each term has, distinctness); a file mutated
-/// after that is the provider's breach of trust and degrades to missed
-/// lookups and `None` decodes, never a panic.
-fn dict_from(map: &SharedBytes, columns: hexsnap::DictColumns) -> Result<Dictionary> {
-    let hexsnap::DictColumns::Prefixed { heads, ends, arena, prefix_ends, prefixes } = columns
-    else {
-        return Err(Error::Unmappable("the dictionary predates the mappable layout".into()));
-    };
-    let corrupt = |why: String| Error::Snapshot(hexsnap::Error::Corrupt(why));
-    let window = |range: std::ops::Range<usize>| {
-        Bytes::shared(SharedBytes::clone(map), range)
-            .ok_or_else(|| corrupt("a dictionary column extends past the mapping".into()))
-    };
-    let packed = |ints| match ints {
-        hexsnap::Ints::Packed(col) => {
-            let bytes = window(col.offset..col.offset + col.bytes())?;
-            PackedColumn::new(bytes, col.width, col.len).map_err(|e| corrupt(e.to_string()))
-        }
-        hexsnap::Ints::U32(_) => {
-            Err(Error::Unmappable("the dictionary's columns predate the mappable layout".into()))
-        }
-    };
-    let bytes = |col: hexsnap::Column| window(col.offset..col.offset + col.len);
-    let image = ArenaImage {
-        heads: packed(heads)?,
-        ends: packed(ends)?,
-        arena: bytes(arena)?,
-        prefix_ends: packed(prefix_ends)?,
-        prefixes: bytes(prefixes)?,
-    };
-    Dictionary::try_from_arena(image).map_err(|e| corrupt(e.to_string()))
+/// The mapping's column source: every column a window of the mapping.
+fn windows(map: &SharedBytes) -> impl FnMut(Range<usize>) -> hexsnap::Result<Bytes> + '_ {
+    |at| {
+        Bytes::shared(SharedBytes::clone(map), at)
+            .ok_or_else(|| hexsnap::Error::Corrupt("a column extends past the mapping".into()))
+    }
+}
+
+/// A corrupt slab section as this crate's [`Error::Corrupt`].
+fn corrupt(e: hexsnap::Error) -> Error {
+    match e {
+        hexsnap::Error::Corrupt(why) => Error::Corrupt(why),
+        e => Error::Snapshot(e),
+    }
 }
 
 /// Opens a `hexsnap` file directly as a queryable

@@ -7,7 +7,9 @@
 //! what its counter said — so a buffer one of them forgets to count, or
 //! capacity it does not know it holds, fails here: for the dictionary as
 //! interned, as an eager snapshot load makes it and as a mapped open
-//! makes it, and for the store as built and as a mapped open makes it,
+//! makes it, and for the store as built, as an eager load makes it — every
+//! column an owned, exact-sized copy of the file's bytes, so it counts what
+//! the built store counts, part by part — and as a mapped open makes it,
 //! whose columns borrow the mapping and hold no heap. It also checks that
 //! answering queries builds nothing a store keeps: the engine reads
 //! terminal lists in place, and only `SortedListAccess::sorted_list`
@@ -49,6 +51,7 @@ fn heap_bytes_is_what_the_allocator_gives_back() {
     drop(triples);
     let store = bulk::build_frozen(ids);
     assert!(store.len() > 50_000);
+    let built = store.heap_breakdown();
 
     // A full pass of the twelve paper queries reads terminal lists in
     // place: the store keeps nothing it did not hold before.
@@ -77,7 +80,7 @@ fn heap_bytes_is_what_the_allocator_gives_back() {
     // its interior — the packed columns and the arenas stay in the file.
     let path = std::env::temp_dir().join(format!("heap-accounting-{}", std::process::id()));
     hexastore::hexsnap::save_frozen(&path, &dict, &store).unwrap();
-    let (eager, _) = hexastore::hexsnap::load_frozen(&path).unwrap();
+    let (eager, eager_store) = hexastore::hexsnap::load_frozen(&path).unwrap();
     let (mapped, mapped_store) = hex_disk::open(&path).unwrap();
     std::fs::remove_file(&path).ok();
     let heap = mapped.heap_breakdown();
@@ -92,6 +95,13 @@ fn heap_bytes_is_what_the_allocator_gives_back() {
     let store_freed = freed_by_dropping(store);
     let counts = 2 * std::mem::size_of::<usize>();
     assert_eq!(store_freed, store_counted + block, "store");
+
+    // The eager-loaded store owns every column: each part counts what the
+    // built store's does (a column sharing bytes would count none), and
+    // dropping it gives back what it counts and its block.
+    assert_eq!(eager_store.heap_breakdown(), built, "eager-loaded store");
+    let eager_counted = eager_store.heap_bytes();
+    assert_eq!(freed_by_dropping(eager_store), eager_counted + block, "eager-loaded store");
 
     // The mapped store's columns are windows of the mapping: no column
     // holds heap until `sorted_list` decodes an arena's copy, and what

@@ -46,7 +46,7 @@ use hex_baselines::{Covp1, Covp2, TriplesTable};
 use hex_dict::{Id, IdTriple};
 use hexastore::access::{project, route, List, OrderedStore};
 use hexastore::{
-    FrozenHexastore, IdPattern, IndexKind, IndexSet, OverlayHexastore, PartialHexastore,
+    bulk, FrozenHexastore, IdPattern, IndexKind, IndexSet, OverlayHexastore, PartialHexastore,
     TripleStore,
 };
 
@@ -522,13 +522,16 @@ mod list_length_mixes {
         #![proptest_config(ProptestConfig::with_cases(12))]
 
         /// Whatever mix of singleton and longer lists the triples make,
-        /// every way to reach the slot arenas — direct bulk build, freeze
-        /// of written triples, thaw, a saved snapshot read eagerly or
-        /// mapped — answers all eight shapes like the model, and the
+        /// every way to reach the slot arenas — direct bulk build on any
+        /// number of threads, freeze of written triples, thaw, a saved
+        /// snapshot read eagerly or mapped, a partial store of any kept
+        /// subset — answers all eight shapes like the model, and the
         /// baselines answer them with the same sets.
         #[test]
         fn every_list_length_mix_obeys_the_read_contract(
             picks in proptest::collection::vec((arb_id(), arb_id(), arb_id()), 0..24),
+            threads in 1usize..5,
+            subset_bits in 1u8..64,
         ) {
             let triples: Vec<IdTriple> =
                 picks.into_iter().map(|(s, p, o)| IdTriple::new(s, p, o)).collect();
@@ -540,7 +543,13 @@ mod list_length_mixes {
             check(&written, model, Order::Routed, "written");
             let frozen = written.freeze();
             prop_assert_eq!(&frozen, &FrozenHexastore::from_triples(triples.iter().copied()));
+            let threaded = bulk::build_frozen_with(triples.clone(), bulk::Config { threads });
+            prop_assert_eq!(&threaded, &frozen);
             check_slab(&frozen, model, "freeze()");
+            let keep = subsets().nth(usize::from(subset_bits) - 1).expect("63 subsets");
+            let partial = PartialHexastore::from_triples(keep, triples.iter().copied());
+            prop_assert_eq!(partial.capabilities(), keep);
+            check_slab(&partial, model, &format!("partial {keep:?}"));
             let thawed = frozen.clone().thaw();
             prop_assert_eq!(thawed.freeze(), frozen.clone());
             check(&thawed, model, Order::Routed, "thaw()");
