@@ -3,11 +3,16 @@
 //! `hexsnap` save → load round-trip is one store, by content, holding
 //! what the [`TriplesTable`] oracle holds — and corrupted snapshots must
 //! be rejected, never misinterpreted. What each store answers, shape by
-//! shape, is the read contract's (`tests/read_path_contract.rs`).
+//! shape, is the read contract's (`tests/read_path_contract.rs`); the
+//! partial store is also checked against the oracle here, pattern by
+//! pattern.
 
 use hex_baselines::TriplesTable;
 use hex_dict::IdTriple;
-use hexastore::{bulk, hexsnap, FrozenHexastore, IdPattern, OverlayHexastore, TripleStore};
+use hexastore::{
+    bulk, hexsnap, FrozenHexastore, IdPattern, IndexKind, IndexSet, OverlayHexastore,
+    PartialHexastore, TripleStore,
+};
 use proptest::prelude::*;
 use std::io::Cursor;
 
@@ -30,6 +35,15 @@ fn probe_patterns(triples: &[IdTriple]) -> Vec<IdPattern> {
         ]);
     }
     pats
+}
+
+fn assert_matches_oracle(store: &dyn TripleStore, oracle: &TriplesTable, pat: IdPattern) {
+    let mut got = store.matching(pat);
+    got.sort();
+    let mut expected = oracle.matching(pat);
+    expected.sort();
+    assert_eq!(got, expected, "{} vs oracle on {pat:?}", store.name());
+    assert_eq!(store.count_matching(pat), expected.len(), "{} count {pat:?}", store.name());
 }
 
 /// Round-trips a frozen store through an in-memory `hexsnap` image with
@@ -72,6 +86,28 @@ proptest! {
         let thawed = reloaded.thaw();
         prop_assert_eq!(thawed.matching(IdPattern::ALL), mutable.matching(IdPattern::ALL));
         prop_assert_eq!(thawed.freeze(), direct);
+    }
+
+    /// Partial stores answer every pattern like the oracle for random
+    /// kept-index subsets — including shapes that fall back to a filtered
+    /// scan.
+    #[test]
+    fn partial_matches_oracle(
+        triples in proptest::collection::vec(arb_triple(), 0..80),
+        subset_bits in 1u8..64,
+    ) {
+        let mut keep = IndexSet::EMPTY;
+        for (i, kind) in IndexKind::ALL.into_iter().enumerate() {
+            if subset_bits & (1 << i) != 0 {
+                keep = keep.with(kind);
+            }
+        }
+        let oracle = TriplesTable::from_triples(triples.iter().copied());
+        let partial = PartialHexastore::from_triples(keep, triples.iter().copied());
+        prop_assert_eq!(partial.capabilities(), keep);
+        for pat in probe_patterns(&triples) {
+            assert_matches_oracle(&partial, &oracle, pat);
+        }
     }
 
     /// Snapshot bytes with a corrupted interior still open only if the
