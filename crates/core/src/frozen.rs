@@ -195,10 +195,10 @@ impl FrozenIndex {
     /// offsets tiling the `k2` column into one non-empty group per header
     /// key, and every list reference in range for the `arena_lists`-sized
     /// arena (a primary's implicit references are in range when it has
-    /// exactly `arena_lists` leaves). The header keys ascend by
-    /// construction, and each group's vector keys ascend in every column
-    /// the loaders accept ([`KeyColumn::check`],
-    /// [`FrozenIndex::from_plain_parts`]).
+    /// exactly `arena_lists` leaves). The header keys ascend and each
+    /// group's vector keys ascend by [`HeaderColumn::check`] and
+    /// [`KeyColumn::check`], which the eager reader runs before this on
+    /// every store it loads, whatever the format version.
     pub(crate) fn is_consistent(&self, arena_lists: usize) -> bool {
         let leaves = self.k2.len();
         let refs_valid = match &self.lists {
@@ -210,17 +210,18 @@ impl FrozenIndex {
         refs_valid && tiles(&self.offs, self.keys.len(), leaves)
     }
 
-    /// Reassembles an index from header keys and vector keys in the plain
-    /// form older snapshots and the compressed section decode to: the keys
-    /// must be strictly ascending, each window of `k2` strictly ascending
-    /// and the columns consistent ([`FrozenIndex::is_consistent`]), and
-    /// the keys take the encodings their sizes choose. `None` otherwise.
+    /// Assembles an index from header keys and vector keys in the plain
+    /// form a pre-v9 snapshot and the compressed section decode to, the
+    /// keys taking the encodings their sizes choose. The keys must be
+    /// strictly ascending and `offs` must tile `k2` into strictly
+    /// ascending windows — checked here, as encoding keys that do not
+    /// ascend has no meaning. `None` otherwise. The rest of
+    /// [`FrozenIndex::is_consistent`] is the loader's to check.
     pub(crate) fn from_plain_parts(
         keys: &[Id],
         offs: PackedColumn,
         k2: &[u32],
         lists: Option<PackedColumn>,
-        arena_lists: usize,
     ) -> Option<Self> {
         let ascend = |run: &[u32]| run.windows(2).all(|w| w[0] < w[1]);
         let windows = || offs.values().zip(offs.values().skip(1));
@@ -230,8 +231,7 @@ impl FrozenIndex {
             return None;
         }
         let k2 = KeyColumn::of_windows(k2, &offs);
-        let ix = FrozenIndex { keys: HeaderColumn::from_sorted(keys), offs, k2, lists };
-        ix.is_consistent(arena_lists).then_some(ix)
+        Some(FrozenIndex { keys: HeaderColumn::from_sorted(keys), offs, k2, lists })
     }
 }
 
@@ -622,7 +622,7 @@ mod tests {
     fn raw_index_levels_must_tile_and_ascend_within_each_group() {
         let raw = |offs: &[u32], k2: &[u32]| {
             let offs = PackedColumn::from_values(offs);
-            FrozenIndex::from_plain_parts(&[Id(1), Id(2)], offs, k2, None, 4).is_some()
+            FrozenIndex::from_plain_parts(&[Id(1), Id(2)], offs, k2, None).is_some()
         };
         assert!(raw(&[0, 2, 4], &[5, 9, 3, 7]), "a group may start below the last");
         assert!(!raw(&[0, 2, 4], &[9, 5, 3, 7]), "descending within a group");

@@ -85,22 +85,26 @@
 //! that reads only the count fields: [`Reader::dict_columns`] and
 //! [`Reader::frozen_columns`], the only code that knows how the column
 //! widths changed between versions. One constructor per section turns
-//! what they locate into the structure — [`frozen_from_columns`] a v9+
-//! `FROZ` section into a [`FrozenHexastore`], [`dictionary_from_columns`]
-//! a `DICT` section into a [`Dictionary`] — taking each column's bytes
-//! from a source: the eager reader reads them into owned buffers and
-//! then checks the store, `hex-disk` passes windows of its mapping. The
-//! two loaders differ in nothing else. Pre-v3 pairs become offsets on read (spans that do not tile and
-//! primary references that are not the identity are rejected as
-//! corrupt), a pre-v4 arena's offset-addressed lists are appended one
-//! by one to a slot arena, a pre-v5 dictionary's terms are interned
-//! again in id order, which keeps their ids, a pre-v6 index level's
-//! `u32` columns are packed, and so are a pre-v7 arena's `u32` slot
-//! column and a pre-v8 arena's `u32` overflow column, and a pre-v9
-//! ordering's header and vector keys take the encodings their sizes
-//! choose, and a pre-v10 dictionary's `u32` columns are packed. Only a
-//! v10 file has the columns `hex-disk` maps; older files go through
-//! [`load_frozen`] and a re-save.
+//! what they locate into the structure, whatever the version —
+//! [`frozen_from_columns`] a `FROZ` section into a [`FrozenHexastore`],
+//! [`dictionary_from_columns`] a `DICT` section into a [`Dictionary`] —
+//! taking each column's bytes from a source: the eager reader reads them
+//! into owned buffers, `hex-disk` passes windows of its mapping. The two
+//! loaders differ in nothing else. An older column becomes the current
+//! one inside the constructor: pre-v3 pairs become offsets (spans that do
+//! not tile and primary references that are not the identity are
+//! rejected as corrupt), a pre-v4 arena's offset-addressed lists are
+//! appended one by one to a slot arena, a pre-v5 dictionary's terms are
+//! interned again in id order, which keeps their ids, a pre-v6 index
+//! level's `u32` columns are packed, and so are a pre-v7 arena's `u32`
+//! slot column and a pre-v8 arena's `u32` overflow column, a pre-v9
+//! ordering's header and vector keys, checked ascending, take the
+//! encodings their sizes choose, and a pre-v10 dictionary's `u32` columns
+//! are packed. Every eager load of slabs — `FROZ` of any version, or the
+//! decoded `FRZC` payload — then ends in the same check of the built
+//! store. Only a v10 file has the columns `hex-disk` maps
+//! ([`mapping_refusal`] says why an older one is refused); older files go
+//! through [`load_frozen`] and a re-save.
 //!
 //! Defined sections:
 //!
@@ -198,6 +202,36 @@ pub const MAGIC: [u8; 8] = *b"hexsnap\0";
 
 /// The current format version. [`Reader`] accepts `1..=VERSION`.
 pub const VERSION: u32 = 10;
+
+/// Why `hex-disk` refuses to map a file of format `version`, naming the
+/// columns that version lays out otherwise than the mapped read path
+/// views them and the upgrade path; `None` for [`VERSION`]. Every older
+/// version differs in some column ([the version history](self#version-history)),
+/// so a mapping refuses it before walking any section.
+pub fn mapping_refusal(version: u32) -> Option<String> {
+    if version >= VERSION {
+        return None;
+    }
+    let what = match version {
+        ..=3 => "slab columns",
+        4 => {
+            "dictionary layout, unpacked index levels, unpacked list slots and unpacked \
+             overflow runs"
+        }
+        5 => {
+            "unpacked index levels, unpacked list slots, unpacked overflow runs and u32 \
+             header keys"
+        }
+        6 => "unpacked list slots, unpacked overflow runs and u32 header keys",
+        7 => "unpacked overflow runs and u32 header keys",
+        8 => "u32 header keys without a rank directory",
+        _ => "u32 dictionary columns",
+    };
+    Some(format!(
+        "a version-{version} file's {what} predates the mappable layout; open it via \
+         hexsnap::load_frozen and re-save with hexsnap::save_frozen (format version {VERSION})"
+    ))
+}
 
 /// Triples per chunk in the `TRPL` section (~768 KiB of ids).
 const TRIPLE_CHUNK: usize = 64 * 1024;
@@ -1085,7 +1119,9 @@ impl<R: Read + Seek> Reader<R> {
     /// `u32`s before v9 ([`Headers::U32`]) and a bitmap or an Elias–Fano
     /// window from v9 on, its vector keys packed or Elias–Fano coded as
     /// its encoding flags say (every bit stream's widths checked to be
-    /// those of a stream and its directory).
+    /// those of a stream and its directory). A primary ordering whose
+    /// vector count is not its arena's list count is refused too, as no
+    /// column's length need hang on it.
     pub fn frozen_columns(&mut self) -> Result<FrozenColumns> {
         let pairs = spells_out_derivables(self.version);
         let item_arenas = self.version < 4;
@@ -1102,9 +1138,10 @@ impl<R: Read + Seek> Reader<R> {
             })
         };
         let triples = walk.count64("triple count")?;
-        let mut arenas = Vec::with_capacity(3);
-        for _ in 0..3 {
+        let (mut arenas, mut list_counts) = (Vec::with_capacity(3), [0; 3]);
+        for list_count in &mut list_counts {
             let lists = walk.count32("arena list count")?;
+            *list_count = lists;
             // Every triple contributes one item to each arena, so another
             // count is refused before any column is touched.
             if walk.count64("arena item count")? != triples {
@@ -1142,6 +1179,11 @@ impl<R: Read + Seek> Reader<R> {
             };
             let windows = windows(&mut walk, headers, "ordering offsets column")?;
             let vector = walk.count32("ordering vector count")?;
+            // A primary's leaf `i` is its arena's list `i`; a mirror's
+            // list column is `vector` long.
+            if !kind.is_mirror() && vector != list_counts[ARENA_OF[which]] {
+                return corrupt("a primary ordering's vector count is not its arena's list count");
+            }
             let k2 = if flags & KEYS_CODED == 0 {
                 VectorKeys::Ints(walk.ints(packed, vector, "ordering vector column")?)
             } else {
@@ -1168,51 +1210,6 @@ impl<R: Read + Seek> Reader<R> {
         let mut out = vec![0u8; at.len()];
         self.r.read_exact(&mut out)?;
         Ok(out)
-    }
-
-    /// Reads a column of `u32`s.
-    fn u32s(&mut self, col: Column) -> Result<Vec<u32>> {
-        self.r.seek(SeekFrom::Start(col.offset as u64))?;
-        r_u32_run(&mut self.r, col.len)
-    }
-
-    /// Reads a column of ids.
-    fn ids(&mut self, col: Column) -> Result<Vec<Id>> {
-        Ok(self.u32s(col)?.into_iter().map(Id).collect())
-    }
-
-    /// Reads an integer column of a `FROZ` section before v9 as a packed
-    /// column: a v6 image is adopted once it is shown canonical, an older
-    /// `u32` column is packed.
-    fn packed(&mut self, ints: Ints, what: &str) -> Result<PackedColumn> {
-        match ints {
-            Ints::U32(col) => Ok(PackedColumn::from_values(&self.u32s(col)?)),
-            Ints::Packed(col) => {
-                let bytes = self.bytes(col.offset..col.offset + col.bytes())?;
-                PackedColumn::from_bytes(bytes, col.width, col.len)
-                    .map_err(|e| Error::Corrupt(format!("{what}: {e}")))
-            }
-        }
-    }
-
-    /// Reads a level's windows as a cumulative offsets column.
-    fn windows(&mut self, windows: Windows) -> Result<Vec<u32>> {
-        match windows {
-            Windows::Offsets(Ints::U32(col)) => self.u32s(col),
-            Windows::Offsets(packed) => {
-                Ok(self.packed(packed, "offsets column")?.values().collect())
-            }
-            Windows::Pairs(col) => offsets_from_pairs(&self.u32s(col)?)
-                .ok_or_else(|| Error::Corrupt("spans do not tile their column".into())),
-        }
-    }
-
-    /// Reads an ordering's windows as its packed offsets column.
-    fn offsets(&mut self, windows: Windows) -> Result<PackedColumn> {
-        match windows {
-            Windows::Offsets(ints) => self.packed(ints, "ordering offsets column"),
-            pairs => Ok(PackedColumn::from_values(&self.windows(pairs)?)),
-        }
     }
 
     /// Rejects a section whose parse consumed bytes past its declared
@@ -1317,64 +1314,13 @@ impl<R: Read + Seek> Reader<R> {
         }
     }
 
-    /// Reads the raw `FROZ` section as [`Reader::frozen_columns`] locates
-    /// it: from v9 [`frozen_from_columns`] over owned copies of the
-    /// columns, then [`check_frozen`]; before, column by column.
+    /// Reads the raw `FROZ` section of any version: [`frozen_from_columns`]
+    /// over owned copies of the columns [`Reader::frozen_columns`] locates,
+    /// then [`check_frozen`].
     fn frozen_raw(&mut self) -> Result<FrozenHexastore> {
         let columns = self.frozen_columns()?;
-        if self.version >= 9 {
-            let store = frozen_from_columns(&columns, |at| Ok(self.bytes(at)?.into()))?;
-            check_frozen(&store)?;
-            return Ok(store);
-        }
-        let mut arenas = Vec::with_capacity(3);
-        for cols in columns.arenas {
-            // The item count each arena holds is checked against the
-            // declared triple count by `check_store`.
-            arenas.push(match cols {
-                ArenaColumns::Slots { slots, over } => {
-                    let slots = match slots {
-                        Ints::U32(col) => pack_u32_slots(&self.u32s(col)?),
-                        Ints::Packed(col) => {
-                            let image = self.bytes(col.offset..col.offset + col.bytes())?;
-                            PackedColumn::from_image(image, col.width, col.len)
-                                .map_err(|e| Error::Corrupt(format!("arena slot column: {e}")))?
-                        }
-                    };
-                    let over = self.packed(over, "arena overflow column")?;
-                    FlatArena::from_columns(slots, over)
-                        .map_err(|e| Error::Corrupt(format!("arena columns: {e}")))?
-                }
-                ArenaColumns::Items { windows, items } => {
-                    let offs = self.windows(windows)?;
-                    match FlatArena::from_offsets(&self.ids(items)?, &offs) {
-                        Some(arena) => arena,
-                        None => return corrupt("arena columns do not hold sorted lists"),
-                    }
-                }
-            });
-        }
-        let arenas: [FlatArena; 3] = arenas.try_into().expect("exactly three arenas read");
-        let mut orderings = Vec::with_capacity(6);
-        for (kind, cols) in IndexKind::ALL.into_iter().zip(columns.orderings) {
-            let offs = self.offsets(cols.windows)?;
-            let refs =
-                cols.lists.map(|lists| self.packed(lists, "ordering list column")).transpose()?;
-            let refs = kept_refs(refs, kind)?;
-            let arena_lists = arenas[cols.arena].list_count();
-            let (Some(keys), Some(k2)) = (cols.keys.plain(), cols.k2.plain()) else {
-                return corrupt("Elias–Fano vector keys under u32 header keys");
-            };
-            let keys = self.ids(keys)?;
-            let k2: Vec<u32> = self.packed(k2, "ordering vector column")?.values().collect();
-            match FrozenIndex::from_plain_parts(&keys, offs, &k2, refs, arena_lists) {
-                Some(ix) => orderings.push(ix),
-                None => return corrupt("ordering columns are inconsistent"),
-            }
-        }
-        let orderings = orderings.try_into().expect("exactly six orderings");
-        let store = FrozenHexastore::from_raw_parts(orderings, arenas, columns.triples);
-        check_store(&store).map(|()| store)
+        let store = frozen_from_columns(&columns, |at| Ok(self.bytes(at)?.into()))?;
+        check_frozen(&store).map(|()| store)
     }
 
     /// Reads the compressed `FRZC` section: checksum-verified varint
@@ -1424,10 +1370,10 @@ impl<R: Read + Seek> Reader<R> {
                 None => return corrupt("compressed arena does not decode"),
             }
         }
-        let arenas: [FlatArena; 3] = arenas.try_into().expect("exactly three arenas read");
+        let arenas = arenas.try_into().expect("exactly three arenas read");
         let legacy = spells_out_derivables(self.version);
         let mut orderings = Vec::with_capacity(6);
-        for (which, kind) in IndexKind::ALL.into_iter().enumerate() {
+        for kind in IndexKind::ALL {
             let h = bounded(get_uvarint(buf, &mut pos), "ordering header")?;
             let m = bounded(get_uvarint(buf, &mut pos), "ordering vector entry")?;
             let Some(offs) = decode_offsets(buf, &mut pos, h, m) else {
@@ -1456,26 +1402,22 @@ impl<R: Read + Seek> Reader<R> {
             } else {
                 None
             };
-            let arena_lists = arenas[ARENA_OF[which]].list_count();
             let k2: Vec<u32> = k2.iter().map(|id| id.0).collect();
-            let refs = kept_refs(refs, kind)?;
-            match FrozenIndex::from_plain_parts(&keys, offs, &k2, refs, arena_lists) {
-                Some(ix) => orderings.push(ix),
-                None => return corrupt("ordering columns are inconsistent"),
-            }
+            orderings.push(plain_ordering(&keys, offs, &k2, kept_refs(refs, kind)?)?);
         }
         if pos != payload_len {
             return corrupt("compressed payload has trailing bytes");
         }
         let orderings = orderings.try_into().expect("exactly six orderings");
         let store = FrozenHexastore::from_raw_parts(orderings, arenas, len);
-        check_store(&store).map(|()| store)
+        check_frozen(&store).map(|()| store)
     }
 }
 
 /// A section's columns as [`Bytes`] from a source, the one difference
 /// between the loaders: the eager reader reads each into an exact-sized
 /// owned buffer, a mapping returns a window of itself ([`Bytes::shared`]).
+/// A column of an older layout becomes the current one here.
 struct Source<F>(F);
 
 impl<F: FnMut(Range<usize>) -> Result<Bytes>> Source<F> {
@@ -1490,19 +1432,61 @@ impl<F: FnMut(Range<usize>) -> Result<Bytes>> Source<F> {
             .map_err(|e| Error::Corrupt(format!("{what}: {e}")))
     }
 
-    /// A packed integer column of a section laid out as v9's `FROZ` or
-    /// v10's `DICT`; a `u32` one predates the layout.
+    /// An integer column as a packed one: a packed column as it is, a
+    /// `u32` one packed.
     fn ints(&mut self, ints: Ints, what: &str) -> Result<PackedColumn> {
         match ints {
             Ints::Packed(col) => self.packed(col, what),
-            Ints::U32(_) => Err(predates()),
+            Ints::U32(col) => Ok(PackedColumn::from_values(&self.u32s(col)?)),
         }
     }
 
-    /// A column of `u32`s (a `DICT` section's before v10).
+    /// The values of an integer column that is decoded, not kept: a packed
+    /// image is checked canonical here, as no later check sees it.
+    fn values(&mut self, ints: Ints, what: &str) -> Result<Vec<u32>> {
+        let column = self.ints(ints, what)?;
+        column.view().validate().map_err(|e| Error::Corrupt(format!("{what}: {e}")))?;
+        Ok(column.values().collect())
+    }
+
+    /// A column of `u32`s.
     fn u32s(&mut self, col: Column) -> Result<Vec<u32>> {
         let bytes = self.bytes(col.offset, 4 * col.len)?;
         r_u32_run(&mut &bytes[..], col.len)
+    }
+
+    /// A level's windows as its cumulative offsets column; pre-v3
+    /// `(offset, length)` pairs become offsets if they tile.
+    fn offsets(&mut self, windows: Windows, what: &str) -> Result<PackedColumn> {
+        match windows {
+            Windows::Offsets(ints) => self.ints(ints, what),
+            Windows::Pairs(col) => offsets_from_pairs(&self.u32s(col)?)
+                .map(|offs| PackedColumn::from_values(&offs))
+                .ok_or_else(|| Error::Corrupt("spans do not tile their column".into())),
+        }
+    }
+
+    /// An arena of `items` items: its slot and overflow columns taken as
+    /// they are (a pre-v7 `u32` slot column packed), or a pre-v4 arena's
+    /// offset-addressed lists appended one by one to a slot arena.
+    fn arena(&mut self, arena: ArenaColumns, items: usize) -> Result<FlatArena> {
+        match arena {
+            ArenaColumns::Slots { slots, over } => {
+                let slots = match slots {
+                    Ints::U32(col) => pack_u32_slots(&self.u32s(col)?),
+                    Ints::Packed(col) => self.packed(col, "arena slot column")?,
+                };
+                let over = self.ints(over, "arena overflow column")?;
+                Ok(FlatArena::unchecked(slots, over, items))
+            }
+            ArenaColumns::Items { windows, items } => {
+                let offs: Vec<u32> =
+                    self.offsets(windows, "arena offsets column")?.values().collect();
+                let items: Vec<Id> = self.u32s(items)?.into_iter().map(Id).collect();
+                FlatArena::from_offsets(&items, &offs)
+                    .ok_or_else(|| Error::Corrupt("arena columns do not hold sorted lists".into()))
+            }
+        }
     }
 
     /// An Elias–Fano column of `len` keys, taken as it is.
@@ -1515,11 +1499,7 @@ impl<F: FnMut(Range<usize>) -> Result<Bytes>> Source<F> {
     }
 }
 
-fn predates() -> Error {
-    Error::Corrupt("the slab columns predate the mappable layout".into())
-}
-
-/// The store whose v9-or-later `FROZ` columns `columns` locates
+/// The store whose `FROZ` columns `columns` locates
 /// ([`Reader::frozen_columns`]), every column's bytes taken from `source`,
 /// which turns a file range into them. Both loaders build their store
 /// here and differ only in the source: [`load_frozen`] reads each column
@@ -1529,20 +1509,24 @@ fn predates() -> Error {
 /// section's count fields while queries page in exactly the columns they
 /// walk. Given the same file, the two stores are equal.
 ///
+/// A section of an older version becomes the current layout on the way,
+/// as the [module docs](self) list. That reads and rebuilds the columns it
+/// converts, so only a v9-or-later section is taken without reading a
+/// column; `hex-disk` maps v10 files only.
+///
 /// # Trust model
 ///
-/// What is checked here touches no column: the layout is v9's or later
-/// (packed arenas and index levels, header bitmaps or Elias–Fano windows,
-/// packed or Elias–Fano vector keys; an older one is [`Error::Corrupt`]),
-/// and `source` refuses a column it cannot give. The columns' data-level
-/// invariants — sorted keys, offsets tiling, Elias–Fano windows that
-/// decode to their keys, rank samples that agree with their bits, list
-/// references in range, arenas that hold one item per triple, ids within
-/// the dictionary — are not checked here: walking them would read the
-/// whole file. The eager reader checks every one of them after building;
-/// over a mapping, every read clamps each window, run and select to its
-/// column instead, so a corrupt file gives wrong answers (a short window,
-/// an absent header), never undefined behavior, a panic or an unbounded
+/// What is checked here for a v9-or-later section touches no column:
+/// `source` refuses a column it cannot give. The columns' data-level
+/// invariants — canonical packed images, sorted keys, offsets tiling,
+/// Elias–Fano windows that decode to their keys, rank samples that agree
+/// with their bits, list references in range, arenas that hold one item
+/// per triple, pairs that agree, ids within the dictionary — are not
+/// checked here: walking them would read the whole file. The eager reader
+/// checks every one of them after building, whatever the version; over a
+/// mapping, every read clamps each window, run and select to its column
+/// instead, so a corrupt file gives wrong answers (a short window, an
+/// absent header), never undefined behavior, a panic or an unbounded
 /// scan. Files from untrusted writers go through [`load_frozen`], which
 /// validates fully.
 pub fn frozen_from_columns(
@@ -1552,15 +1536,24 @@ pub fn frozen_from_columns(
     let mut source = Source(source);
     let mut arenas = Vec::with_capacity(3);
     for arena in columns.arenas {
-        let ArenaColumns::Slots { slots, over } = arena else { return Err(predates()) };
-        let (slots, over) =
-            (source.ints(slots, "arena slot column")?, source.ints(over, "arena overflow column")?);
-        arenas.push(FlatArena::unchecked(slots, over, columns.triples));
+        arenas.push(source.arena(arena, columns.triples)?);
     }
     let mut orderings = Vec::with_capacity(6);
-    for ix in columns.orderings {
+    for (kind, ix) in IndexKind::ALL.into_iter().zip(columns.orderings) {
+        let offs = source.offsets(ix.windows, "ordering offsets column")?;
+        let read = ix.lists.map(|l| source.ints(l, "ordering list column")).transpose()?;
+        let lists = kept_refs(read, kind)?;
         let keys = match ix.keys {
-            Headers::U32(_) => return Err(predates()),
+            // Plain keys (before v9): checked ascending, then encoded.
+            Headers::U32(keys) => {
+                let VectorKeys::Ints(k2) = ix.k2 else {
+                    return corrupt("Elias–Fano vector keys under u32 header keys");
+                };
+                let keys: Vec<Id> = source.u32s(keys)?.into_iter().map(Id).collect();
+                let k2 = source.values(k2, "ordering vector column")?;
+                orderings.push(plain_ordering(&keys, offs, &k2, lists)?);
+                continue;
+            }
             Headers::Bitmap { bits, ranks, count } => HeaderColumn::Bitmap(RankBitmap::unchecked(
                 source.bytes(bits.offset, bits.bytes())?,
                 bits.len,
@@ -1571,8 +1564,6 @@ pub fn frozen_from_columns(
                 HeaderColumn::EliasFano(source.elias_fano(ef, count, "ordering header window")?)
             }
         };
-        let Windows::Offsets(offs) = ix.windows else { return Err(predates()) };
-        let offs = source.ints(offs, "ordering offsets column")?;
         let k2 = match ix.k2 {
             VectorKeys::Ints(k2) => KeyColumn::Packed(source.ints(k2, "ordering vector column")?),
             VectorKeys::EliasFano(ef) => {
@@ -1583,7 +1574,6 @@ pub fn frozen_from_columns(
                 KeyColumn::EliasFano(source.elias_fano(ef, leaves, "ordering vector keys")?)
             }
         };
-        let lists = ix.lists.map(|l| source.ints(l, "ordering list column")).transpose()?;
         orderings.push(FrozenIndex { keys, offs, k2, lists });
     }
     Ok(FrozenHexastore::from_raw_parts(
@@ -1591,6 +1581,18 @@ pub fn frozen_from_columns(
         arenas.try_into().expect("exactly three arenas"),
         columns.triples,
     ))
+}
+
+/// An ordering of the plain header and vector keys a pre-v9 `FROZ`
+/// section or a `FRZC` payload holds ([`FrozenIndex::from_plain_parts`]).
+fn plain_ordering(
+    keys: &[Id],
+    offs: PackedColumn,
+    k2: &[u32],
+    lists: Option<PackedColumn>,
+) -> Result<FrozenIndex> {
+    FrozenIndex::from_plain_parts(keys, offs, k2, lists)
+        .ok_or_else(|| Error::Corrupt("ordering columns are inconsistent".into()))
 }
 
 /// The dictionary whose `DICT` columns `columns` locates
@@ -1609,20 +1611,13 @@ pub fn dictionary_from_columns(
     source: impl FnMut(Range<usize>) -> Result<Bytes>,
 ) -> Result<Dictionary> {
     let mut source = Source(source);
-    let mut ints = |ints: Ints, what: &str| match ints {
-        Ints::U32(col) => Ok(PackedColumn::from_values(&source.u32s(col)?)),
-        packed => source.ints(packed, what),
-    };
     match columns {
         DictColumns::Prefixed { heads, ends, arena, prefix_ends, prefixes } => {
-            let heads = ints(heads, "dictionary head column")?;
-            let ends = ints(ends, "dictionary term offset table")?;
-            let prefix_ends = ints(prefix_ends, "dictionary prefix offset table")?;
             let image = ArenaImage {
-                heads,
-                ends,
+                heads: source.ints(heads, "dictionary head column")?,
+                ends: source.ints(ends, "dictionary term offset table")?,
                 arena: source.bytes(arena.offset, arena.len)?,
-                prefix_ends,
+                prefix_ends: source.ints(prefix_ends, "dictionary prefix offset table")?,
                 prefixes: source.bytes(prefixes.offset, prefixes.len)?,
             };
             Dictionary::try_from_arena(image).map_err(|e| Error::Corrupt(e.to_string()))
@@ -1653,8 +1648,10 @@ pub fn check_arenas(store: &FrozenHexastore) -> Result<()> {
     Ok(())
 }
 
-/// The eager reader's data-level checks of a store [`frozen_from_columns`]
-/// built, which a mapping leaves to its clamped reads: canonical packed
+/// The eager reader's data-level checks of a store it built, which a
+/// mapping leaves to its clamped reads, and the one check every eager
+/// load of slabs ends in: a `FROZ` section of any version
+/// ([`frozen_from_columns`]) or a decoded `FRZC` payload. Canonical packed
 /// images (a slot column's or bit stream's width follows its own rule),
 /// [`check_arenas`], [`HeaderColumn::check`], [`KeyColumn::check`],
 /// [`FrozenIndex::is_consistent`] and [`check_store`].
@@ -1791,16 +1788,13 @@ fn encode_frozen_payload(store: &FrozenHexastore) -> Vec<u8> {
     p
 }
 
-/// Whole-store invariants that per-structure validation cannot see:
-/// every triple contributes one item to each arena, and within each index
-/// pair, primary and mirror reference the same (k1, k2) → list
+/// The whole-store invariant per-structure validation cannot see: within
+/// each index pair, primary and mirror reference the same (k1, k2) → list
 /// associations, each exactly once — per-ordering checks alone would
-/// accept a mirror that silently disagrees with its primary.
+/// accept a mirror that silently disagrees with its primary. (That every
+/// triple contributes one item to each arena is [`check_arenas`]'s.)
 fn check_store(store: &FrozenHexastore) -> Result<()> {
     let (orderings, arenas) = (store.orderings(), store.arenas());
-    if arenas.iter().any(|a| a.total_items() != store.len()) {
-        return corrupt("declared triple count disagrees with slab columns");
-    }
     for (primary, mirror, arena) in [(0, 2, 0), (1, 4, 1), (3, 5, 2)] {
         if !pair_consistent(orderings[primary], orderings[mirror], arenas[arena].list_count()) {
             return corrupt("index pair orderings disagree");

@@ -748,7 +748,9 @@ impl FlatArena {
         let slots = PackedColumn::from_image(slots, width, lists).map_err(ArenaError::Packed)?;
         let over =
             PackedColumn::from_image(over, over_width, words).map_err(ArenaError::Overflow)?;
-        FlatArena::from_columns(slots, over)
+        let mut arena = FlatArena::unchecked(slots, over, 0);
+        arena.items = arena.view().validate()?;
+        Ok(arena)
     }
 
     /// An arena of `items` items over a snapshot's slot and overflow
@@ -757,17 +759,6 @@ impl FlatArena {
     /// caller's to run.
     pub(crate) fn unchecked(slots: PackedColumn, over: PackedColumn, items: usize) -> Self {
         FlatArena { slots, over, items, copy: ArenaCopy::default() }
-    }
-
-    /// Adopts a slot column and an overflow column that pass
-    /// [`ArenaView::validate`].
-    pub(crate) fn from_columns(
-        slots: PackedColumn,
-        over: PackedColumn,
-    ) -> Result<Self, ArenaError> {
-        let copy = ArenaCopy::default();
-        let items = ArenaView { slots: slots.view(), over: over.view(), copy: &copy }.validate()?;
-        Ok(FlatArena { slots, over, items, copy })
     }
 
     /// Builds an arena from the offset-addressed form older snapshot
@@ -924,7 +915,8 @@ mod tests {
         assert_eq!(a.view().lend(3), None, "past the slot column");
         let clone = a.clone();
         assert_eq!(clone, a);
-        assert_eq!(FlatArena::from_columns(a.slots.clone(), a.over.clone()).unwrap(), a);
+        let columns = FlatArena::unchecked(a.slots.clone(), a.over.clone(), a.total_items());
+        assert_eq!((columns.view().validate(), columns), (Ok(6), a));
     }
 
     /// The raw parts of `arena`.
@@ -1030,17 +1022,20 @@ mod tests {
     fn u32_slots_pack_to_the_arena_push_list_builds() {
         // The slot column of format versions 4 to 6: flag in bit 31.
         let over = PackedColumn::from_values(&[2, 1, 4, 1, HIGH]);
-        let arena = FlatArena::from_columns(pack_u32_slots(&[HIGH, 9, HIGH | 3]), over.clone());
+        let arena = |slots: &[u32], over: &PackedColumn| {
+            FlatArena::unchecked(pack_u32_slots(slots), over.clone(), 4)
+        };
         let mut pushed = FlatArena::new();
         pushed.push_list([id(1), id(4)]);
         pushed.push_list([id(9)]);
         pushed.push_list([id(HIGH)]);
-        assert_eq!(arena, Ok(pushed));
-        let empty = FlatArena::from_columns(pack_u32_slots(&[]), PackedColumn::from_values(&[]));
-        assert_eq!(empty, Ok(FlatArena::new()));
+        let packed = arena(&[HIGH, 9, HIGH | 3], &over);
+        assert_eq!((packed.view().validate(), packed), (Ok(4), pushed));
+        let empty = FlatArena::unchecked(pack_u32_slots(&[]), PackedColumn::from_values(&[]), 0);
+        assert_eq!((empty.view().validate(), empty), (Ok(0), FlatArena::new()));
         // What is wrong in the `u32` form is wrong after packing.
         assert_eq!(
-            FlatArena::from_columns(pack_u32_slots(&[HIGH | 1]), over),
+            arena(&[HIGH | 1], &over).view().validate(),
             Err(ArenaError::OffTheTiling { list: 0, at: 1 })
         );
     }

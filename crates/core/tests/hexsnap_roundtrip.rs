@@ -431,9 +431,9 @@ fn packed_padding(file: &[u8]) -> Vec<usize> {
 /// trailer: the eager reader rejects every flip of a padding byte, and
 /// any other flip either is rejected or decodes into a store that passed
 /// every check it makes (canonical packed images, sorted windows, pairs
-/// that agree), which then answers every shape. From v9 on, the store
+/// that agree), which then answers every shape. The store
 /// `frozen_from_columns` builds over shared bytes of the same file — as a
-/// mapping's open does — is that store, by content.
+/// mapping's open does — is that store, by content, whatever the version.
 fn every_byte_flip_is_rejected_or_still_decodes(files: &[Vec<u8>], version: u32) {
     let mut decoded = 0;
     for file in files {
@@ -461,9 +461,7 @@ fn every_byte_flip_is_rejected_or_still_decodes(files: &[Vec<u8>], version: u32)
                     for &pat in &pats {
                         assert_eq!(store.count_matching(pat), store.iter_matching(pat).count());
                     }
-                    if version >= 9 {
-                        assert_eq!(shared_store(bytes.clone()), store, "flip at {i}");
-                    }
+                    assert_eq!(shared_store(bytes.clone()), store, "flip at {i}");
                 }
                 Err(e) => {
                     let corrupt = matches!(e, hexsnap::Error::Corrupt(_));
@@ -507,6 +505,36 @@ fn file_of(g: &GraphStore) -> Vec<u8> {
     w.dictionary(g.dict()).unwrap();
     w.frozen(&g.store().freeze()).unwrap();
     w.finish().unwrap().into_inner()
+}
+
+#[test]
+fn a_primary_vector_count_other_than_its_arena_list_count_is_refused() {
+    // pos is a primary: its leaf `i` is its arena's list `i`, so its vector
+    // count must be that arena's list count. Its keys are Elias–Fano coded,
+    // so no column's length hangs on the count: only the count fields can
+    // refuse it, for the mapping's open as for the eager read.
+    use hexsnap::{Ints, VectorKeys, Windows};
+    let file = elias_fano_file();
+    let pos =
+        hexsnap::Reader::new(Cursor::new(&file)).unwrap().frozen_columns().unwrap().orderings[3];
+    assert!(pos.lists.is_none() && matches!(pos.k2, VectorKeys::EliasFano(_)));
+    // The count is the word after the offsets column.
+    let Windows::Offsets(Ints::Packed(offs)) = pos.windows else { panic!("packed offsets") };
+    let at = offs.offset + offs.bytes();
+    assert_eq!(file[at..at + 4], 123u32.to_le_bytes());
+    let mut bytes = file.clone();
+    bytes[at..at + 4].copy_from_slice(&59u32.to_le_bytes());
+    let path = support::temp_path("primary-vector-count");
+    std::fs::write(&path, &bytes).unwrap();
+    let why = "a primary ordering's vector count is not its arena's list count";
+    match hexsnap::load_frozen(&path) {
+        Err(hexsnap::Error::Corrupt(got)) => assert_eq!(got, why),
+        other => panic!("load_frozen: {:?}", other.map(|_| ())),
+    }
+    for opened in [hex_disk::open(&path).map(|_| ()), hex_disk::open_store(&path).map(|_| ())] {
+        assert!(matches!(&opened, Err(hex_disk::Error::Corrupt(got)) if got == why), "{opened:?}");
+    }
+    std::fs::remove_file(&path).ok();
 }
 
 #[test]

@@ -32,15 +32,13 @@
 //! the mapping instead of owning their bytes — so planning, query
 //! execution and snapshot serving work over it unchanged.
 //!
-//! Only uncompressed snapshots of the current format version are
-//! mappable: compressed (`FRZC`) sections and files written before
-//! version 10 — whose slab columns (before version 4), dictionary
-//! (version 4), unpacked index levels (versions 4 and 5), unpacked list
-//! slots (versions 4 to 6), unpacked overflow runs (versions 4 to 7),
-//! `u32` header keys (versions 4 to 8) or `u32` dictionary columns
-//! (versions 5 to 9) are laid out differently — must go through the
-//! decoding [`hexastore::hexsnap::load_frozen`] path (and a re-save), and
-//! [`open`] says so in its error rather than silently falling back.
+//! Only uncompressed snapshots of the current format version
+//! ([`hexastore::hexsnap::VERSION`]) are mappable: compressed (`FRZC`)
+//! sections and files of older versions — each of which lays out some
+//! column differently ([`hexastore::hexsnap::mapping_refusal`] names
+//! which) — must go through the decoding
+//! [`hexastore::hexsnap::load_frozen`] path (and a re-save), and [`open`]
+//! says so in its error rather than silently falling back.
 //!
 //! ```no_run
 //! use hexastore::hexsnap::save_frozen;
@@ -88,8 +86,8 @@ pub enum Error {
     /// The snapshot container or dictionary failed to parse.
     Snapshot(hexsnap::Error),
     /// The file parsed but cannot be memory-mapped (compressed slabs,
-    /// a pre-v10 column layout, or no slab section at all). The message
-    /// names the remedy.
+    /// an older format version's column layout, or no slab section at
+    /// all). The message names the remedy.
     Unmappable(String),
     /// The mapped slab section's interior is structurally invalid.
     Corrupt(String),
@@ -146,12 +144,9 @@ pub type Result<T> = std::result::Result<T, Error>;
 /// pass over the columns that address terminal lists ([`Error::Corrupt`]
 /// if they are not what a writer lays down).
 /// Fails with [`Error::Unmappable`] for snapshots whose slabs were
-/// saved compressed, for files written before format version 10 (their
-/// slab columns, from version 4 their dictionary, from version 5 their
-/// unpacked index levels, from version 6 their unpacked list slots, from
-/// version 7 their unpacked overflow runs, from version 8 their `u32`
-/// header keys, or from version 9 their `u32` dictionary columns are not
-/// the ones the read path maps), and for
+/// saved compressed, for files of an older format version than
+/// [`hexsnap::VERSION`] (some of their columns are not the ones the read
+/// path maps; [`hexsnap::mapping_refusal`] names which), and for
 /// snapshots carrying no frozen section — open those with
 /// [`hexastore::hexsnap::load_frozen`] and re-save them with
 /// [`hexastore::hexsnap::save_frozen`] under the current format version.
@@ -227,29 +222,9 @@ fn open_mapped(map: &SharedBytes) -> Result<(FrozenHexastore, MapReader<'_>)> {
         }));
     }
     // Every older version lays out some column other than the ones the
-    // read path views (the message names which): refused before any walk.
-    if reader.version() < hexsnap::VERSION {
-        let what = match reader.version() {
-            ..=3 => "slab columns",
-            4 => {
-                "dictionary layout, unpacked index levels, unpacked list slots and unpacked \
-                 overflow runs"
-            }
-            5 => {
-                "unpacked index levels, unpacked list slots, unpacked overflow runs and u32 \
-                 header keys"
-            }
-            6 => "unpacked list slots, unpacked overflow runs and u32 header keys",
-            7 => "unpacked overflow runs and u32 header keys",
-            8 => "u32 header keys without a rank directory",
-            _ => "u32 dictionary columns",
-        };
-        return Err(Error::Unmappable(format!(
-            "a version-{} file's {what} predates the mappable layout; open it via \
-             hexsnap::load_frozen and re-save with hexsnap::save_frozen (format version {})",
-            reader.version(),
-            hexsnap::VERSION,
-        )));
+    // read path views: refused before any walk.
+    if let Some(why) = hexsnap::mapping_refusal(reader.version()) {
+        return Err(Error::Unmappable(why));
     }
     let columns = reader.frozen_columns().map_err(corrupt)?;
     Ok((hexsnap::frozen_from_columns(&columns, windows(map)).map_err(corrupt)?, reader))
