@@ -495,8 +495,8 @@ fn ask_rendered(_: &FigureSpec, p: &Params) -> Rendered {
 /// of a half Barton, half LUBM dataset of `large_triples` statements,
 /// with plain and with varint-delta compressed slabs, what its
 /// dictionary weighs — the `DICT` section's bytes, the heap bytes of the
-/// dictionary it reads back as and those bytes by part, its terms and its
-/// shared prefixes — and
+/// bulk-loaded dictionary and those bytes by part, its terms, how many of
+/// them the frozen tier holds, and the delta tier's shared prefixes — and
 /// the heap bytes of the frozen store the slabs read back as. The
 /// bytes are exactly what [`hexastore::hexsnap::save_frozen_with`]
 /// writes, built in memory, so they repeat on any host and need no
@@ -552,6 +552,8 @@ fn snapshot_size_rendered(fig: &FigureSpec, p: &Params) -> Rendered {
             // Where the dictionary's heap goes, so a column's regression
             // shows up by name.
             ("dict_interior_bytes", Count::Int(dict_heap.interior)),
+            ("dict_frozen_bytes", Count::Int(dict_heap.frozen)),
+            ("dict_blocks_bytes", Count::Int(dict_heap.blocks)),
             ("dict_heads_bytes", Count::Int(dict_heap.heads)),
             ("dict_ends_bytes", Count::Int(dict_heap.ends)),
             ("dict_arena_bytes", Count::Int(dict_heap.arena)),
@@ -560,6 +562,7 @@ fn snapshot_size_rendered(fig: &FigureSpec, p: &Params) -> Rendered {
             ("dict_prefix_arena_bytes", Count::Int(dict_heap.prefix_bytes)),
             ("dict_prefix_index_bytes", Count::Int(dict_heap.prefix_index)),
             ("terms", Count::Int(dict.len())),
+            ("frozen_terms", Count::Int(dict.frozen_len())),
             ("prefixes", Count::Int(dict.prefix_count())),
             ("frozen_heap_bytes", Count::Int(frozen_heap_bytes)),
             ("frozen_heap_bytes_per_triple", Count::Ratio(per_triple(frozen_heap_bytes))),
@@ -1284,12 +1287,12 @@ pub fn collect_evidence(params: &Params) -> Evidence {
 }
 
 impl Evidence {
-    /// `BENCH_ci.json`, schema 10: the two scales and every figure's
+    /// `BENCH_ci.json`, schema 11: the two scales and every figure's
     /// counts under its stem — no timings, so two runs of one build write
     /// the same bytes.
     pub fn bench_ci_json(&self) -> String {
         let mut json = format!(
-            "{{\n  \"schema\": 10,\n  \"figures_triples\": {},\n  \"load_triples\": {}",
+            "{{\n  \"schema\": 11,\n  \"figures_triples\": {},\n  \"load_triples\": {}",
             self.params.triples, self.params.large_triples
         );
         for (stem, counts) in &self.counts {
@@ -1390,6 +1393,8 @@ mod tests {
             "dict_bytes",
             "dict_heap_bytes",
             "dict_interior_bytes",
+            "dict_frozen_bytes",
+            "dict_blocks_bytes",
             "dict_heads_bytes",
             "dict_ends_bytes",
             "dict_arena_bytes",

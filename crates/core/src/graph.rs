@@ -307,7 +307,10 @@ impl<S: MutableStore> Dataset<S> {
     /// `doc` — and the dictionary interns from views of them, so no owned
     /// term exists between the text and the ids and the parsed document
     /// weighs a fraction of its text. The document is encoded as one batch
-    /// ([`Dictionary::encode_triples_parallel`]), so a load that at least
+    /// ([`Dictionary::encode_triples_parallel`]): into an empty dataset
+    /// that is a bulk load, whose terms take lexical ids in the
+    /// dictionary's front-coded frozen tier; into one that holds terms,
+    /// new terms are appended to the delta tier, and a load that at least
     /// doubles the dictionary leaves its buffers exact-sized.
     pub fn load_ntriples(&mut self, doc: &str) -> Result<usize, NtParseError> {
         let ids = self.dict.encode_triples_parallel(&rdf_model::parse_document(doc)?, 1);

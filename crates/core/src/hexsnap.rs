@@ -14,7 +14,7 @@
 //! ```text
 //! offset   size  field
 //! 0        8     magic "hexsnap\0"
-//! 8        4     format version (u32, currently 10)
+//! 8        4     format version (u32, currently 11)
 //! 12       …     section payloads, back to back
 //! …        var   section table: u32 count, then per section
 //!                [u8; 4] tag · u64 offset · u64 length
@@ -74,13 +74,20 @@
 //!   encodings); an encoding-flags word after the header count says
 //!   which. Arenas, offsets and list references, `DICT` and `FRZC` are
 //!   v8's byte for byte.
-//! - **v10** (current) — a `DICT` section's term heads, term ends and
+//! - **v10** — a `DICT` section's term heads, term ends and
 //!   prefix ends are packed columns in `FROZ`'s framing, each at the
 //!   width its largest value needs, and the section starts on an 8-byte
 //!   file offset. The string arenas are v9's; `FROZ` and `FRZC` are v9's
 //!   byte for byte.
 //!
-//! [`Writer`] writes v10; [`Reader`] opens all ten. Where every column of
+//! - **v11** (current) — a `DICT` section begins with the frozen tier a
+//!   bulk load leaves ([`hex_dict::FrontImage`]): the terms' keys in
+//!   ascending order, front coded in blocks, so that a frozen id's order
+//!   is its key's. The delta tier follows in v10's layout, byte for byte,
+//!   and `FROZ` and `FRZC` are v10's. A graph interned term by term has an
+//!   empty frozen tier.
+//!
+//! [`Writer`] writes v11; [`Reader`] opens all eleven. Where every column of
 //! a `DICT` or `FROZ` section lies is said once per section, by a walker
 //! that reads only the count fields: [`Reader::dict_columns`] and
 //! [`Reader::frozen_columns`], the only code that knows how the column
@@ -102,14 +109,24 @@
 //! encodings their sizes choose, and a pre-v10 dictionary's `u32` columns
 //! are packed. Every eager load of slabs — `FROZ` of any version, or the
 //! decoded `FRZC` payload — then ends in the same check of the built
-//! store. Only a v10 file has the columns `hex-disk` maps
-//! ([`mapping_refusal`] says why an older one is refused); older files go
-//! through [`load_frozen`] and a re-save.
+//! store. Only a v10 or v11 file has the columns `hex-disk` maps (a v10
+//! one with an empty frozen tier; [`mapping_refusal`] says why an older
+//! one is refused); older files go through [`load_frozen`] and a re-save.
 //!
 //! Defined sections:
 //!
-//! - **`DICT`** — the dictionary as two string arenas plus offsets (not
-//!   per-term values), starting on an 8-byte file offset (v10): `u32
+//! - **`DICT`** — the dictionary's two tiers, starting on an 8-byte file
+//!   offset (v10). From v11 the frozen tier comes first: `u32 block` (the
+//!   keys per block, at least 1; the writer uses [`hex_dict::BLOCK`]),
+//!   `u32 n_frozen`, the packed column of the `⌈n_frozen / block⌉ + 1`
+//!   cumulative byte offsets of the blocks, `u64 n_block_bytes`, the
+//!   blocks. A block's first key is a varint length and the key; each
+//!   later key a varint shared-prefix length, a varint suffix length and
+//!   the suffix (varints are LEB128). A key ([`hex_dict::term_key`]) is the
+//!   kind byte, for a tagged or typed literal a varint length and the tag
+//!   or datatype IRI, then the text; keys ascend strictly, and frozen id
+//!   `i` is the `i`-th key. Then the delta tier, every section before
+//!   v11: two string arenas plus offsets (not per-term values): `u32
 //!   n_terms`, one head per term (its kind — 0 iri, 1 blank, 2 plain
 //!   literal, 3 language literal, 4 typed literal — in the low three
 //!   bits, its prefix id above), the cumulative end of each term's own
@@ -190,7 +207,7 @@ use crate::succinct::{
     RankBitmap,
 };
 use crate::traits::TripleStore;
-use hex_dict::{ArenaImage, Dictionary, Id, IdTriple};
+use hex_dict::{ArenaImage, Dictionary, FrontImage, Id, IdTriple};
 use rdf_model::{TermKind, TermRef};
 use std::fs::File;
 use std::io::{self, BufReader, BufWriter, Read, Seek, SeekFrom, Write};
@@ -201,15 +218,20 @@ use std::path::Path;
 pub const MAGIC: [u8; 8] = *b"hexsnap\0";
 
 /// The current format version. [`Reader`] accepts `1..=VERSION`.
-pub const VERSION: u32 = 10;
+pub const VERSION: u32 = 11;
+
+/// The oldest format version `hex-disk` maps: v10 and v11 differ only in
+/// the frozen dictionary tier v11 adds, which a v10 file lacks.
+const MAPPABLE: u32 = 10;
 
 /// Why `hex-disk` refuses to map a file of format `version`, naming the
 /// columns that version lays out otherwise than the mapped read path
-/// views them and the upgrade path; `None` for [`VERSION`]. Every older
-/// version differs in some column ([the version history](self#version-history)),
-/// so a mapping refuses it before walking any section.
+/// views them and the upgrade path; `None` for v10 and [`VERSION`]. Every
+/// version before v10 differs in some column ([the version
+/// history](self#version-history)), so a mapping refuses it before walking
+/// any section.
 pub fn mapping_refusal(version: u32) -> Option<String> {
-    if version >= VERSION {
+    if version >= MAPPABLE {
         return None;
     }
     let what = match version {
@@ -434,13 +456,14 @@ impl<W: Write + Seek> Writer<W> {
         Ok(())
     }
 
-    /// Writes the `DICT` section: the dictionary's five columns, in id
-    /// order (the layout is in the module docs).
+    /// Writes the `DICT` section: the frozen tier's two columns, then the
+    /// delta tier's five, in id order (the layout is in the module docs).
     ///
     /// The dictionary's in-memory layout *is* the section layout, so this
     /// copies its buffers straight to the sink — no per-term work.
     pub fn dictionary(&mut self, dict: &Dictionary) -> Result<()> {
         self.dict_section(
+            dict.front(),
             dict.term_heads(),
             dict.term_ends(),
             dict.arena_bytes(),
@@ -449,9 +472,11 @@ impl<W: Write + Seek> Writer<W> {
         )
     }
 
-    /// Writes a `DICT` section of these five columns.
+    /// Writes a `DICT` section of this frozen tier and these five delta
+    /// columns.
     fn dict_section(
         &mut self,
+        front: &FrontImage,
         heads: PackedView<'_>,
         ends: PackedView<'_>,
         arena: &[u8],
@@ -463,6 +488,11 @@ impl<W: Write + Seek> Writer<W> {
         };
         self.pad_to_8()?;
         let start = self.begin_section()?;
+        w_u32(&mut self.w, front.block)?;
+        w_u32(&mut self.w, count(front.len, "frozen terms")?)?;
+        self.packed(front.offsets.view())?;
+        w_u64(&mut self.w, front.bytes.len() as u64)?;
+        self.w.write_all(&front.bytes)?;
         w_u32(&mut self.w, count(heads.len(), "terms")?)?;
         self.packed(heads)?;
         self.packed(ends)?;
@@ -648,7 +678,22 @@ pub struct Column {
     pub len: usize,
 }
 
-/// The columns of a `DICT` section ([`Reader::dict_columns`]).
+/// Where the frozen tier of a v11 `DICT` section lies
+/// ([`Reader::front_columns`]).
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub struct FrontColumns {
+    /// Keys per block, at least 1.
+    pub block: u32,
+    /// Number of frozen terms.
+    pub terms: usize,
+    /// Each block's first byte in `bytes`, then the end of `bytes`.
+    pub offsets: Packed,
+    /// The front-coded blocks.
+    pub bytes: Column,
+}
+
+/// The delta-tier columns of a `DICT` section ([`Reader::dict_columns`]):
+/// every column of one before v11.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum DictColumns {
     /// v5 on: every term a head and its own bytes, under a shared prefix.
@@ -1069,20 +1114,50 @@ impl<R: Read + Seek> Reader<R> {
         Ok(Walk { r: &mut self.r, pos: off, end: off + len, tag })
     }
 
-    /// Locates the columns of the `DICT` section, reading only its count
-    /// fields — v5 on: `u32 n_terms`, the heads, the term ends, `u64
-    /// n_bytes`, the term arena, `u32 n_prefixes`, the prefix ends, `u64
-    /// n_prefix_bytes`, the prefix arena, the three integer columns
-    /// `u32`s before v10 ([`Ints::U32`]) and packed from v10 on
-    /// ([`Ints::Packed`], each width checked to be at most 32 and the
-    /// padding before its words to be zero); before v5: `u32 n_terms`,
-    /// the kind bytes, `u32 n_pieces`, the piece offsets, `u64 n_bytes`,
-    /// the string arena. Every column is bounded by the section before
-    /// anything is allocated.
+    /// Locates the delta-tier columns of the `DICT` section, every
+    /// column before v11, reading only its count fields — v5 on: `u32
+    /// n_terms`, the heads, the term ends, `u64 n_bytes`, the term arena,
+    /// `u32 n_prefixes`, the prefix ends, `u64 n_prefix_bytes`, the prefix
+    /// arena, the three integer columns `u32`s before v10 ([`Ints::U32`])
+    /// and packed from v10 on ([`Ints::Packed`], each width checked to be
+    /// at most 32 and the padding before its words to be zero); before v5:
+    /// `u32 n_terms`, the kind bytes, `u32 n_pieces`, the piece offsets,
+    /// `u64 n_bytes`, the string arena. Every column is bounded by the
+    /// section before anything is allocated.
     pub fn dict_columns(&mut self) -> Result<DictColumns> {
+        Ok(self.dict_walk()?.1)
+    }
+
+    /// Locates the frozen tier of a v11 `DICT` section, the section's
+    /// first fields: `u32 block`, `u32 n_frozen`, the packed block offsets
+    /// (`⌈n_frozen / block⌉ + 1` values), `u64 n_block_bytes`, the blocks.
+    /// `None` before v11, whose dictionaries have no frozen tier.
+    pub fn front_columns(&mut self) -> Result<Option<FrontColumns>> {
+        Ok(self.dict_walk()?.0)
+    }
+
+    /// The one walk over the `DICT` section's count fields, whose two
+    /// halves [`Reader::front_columns`] and [`Reader::dict_columns`] hand
+    /// out.
+    fn dict_walk(&mut self) -> Result<(Option<FrontColumns>, DictColumns)> {
+        let tiered = self.version >= 11;
         let prefixed = self.version >= 5;
         let packed = self.version >= 10;
         let mut walk = self.walk(TAG_DICT)?;
+        let front = if tiered {
+            let block = walk.count32("dictionary block size")?;
+            if block == 0 {
+                return corrupt("dictionary block size is 0");
+            }
+            let terms = walk.count32("dictionary frozen term count")?;
+            let offsets =
+                walk.packed(terms.div_ceil(block) + 1, "dictionary block offset column")?;
+            let bytes = walk.count64("dictionary block bytes size")?;
+            let bytes = walk.column(bytes, 1, "dictionary blocks")?;
+            Some(FrontColumns { block: block as u32, terms: terms as usize, offsets, bytes })
+        } else {
+            None
+        };
         let terms = walk.count32("dictionary term count")?;
         if !prefixed {
             let kinds = walk.column(terms, 1, "dictionary kind column")?;
@@ -1090,7 +1165,7 @@ impl<R: Read + Seek> Reader<R> {
             let ends = walk.column(pieces, 4, "dictionary piece offset table")?;
             let bytes = walk.count64("dictionary arena size")?;
             let arena = walk.column(bytes, 1, "dictionary string arena")?;
-            return Ok(DictColumns::Pieces { kinds, ends, arena });
+            return Ok((front, DictColumns::Pieces { kinds, ends, arena }));
         }
         let heads = walk.ints(packed, terms, "dictionary head column")?;
         let ends = walk.ints(packed, terms, "dictionary term offset table")?;
@@ -1100,7 +1175,7 @@ impl<R: Read + Seek> Reader<R> {
         let prefix_ends = walk.ints(packed, prefixes, "dictionary prefix offset table")?;
         let bytes = walk.count64("dictionary prefix arena size")?;
         let prefixes = walk.column(bytes, 1, "dictionary prefix arena")?;
-        Ok(DictColumns::Prefixed { heads, ends, arena, prefix_ends, prefixes })
+        Ok((front, DictColumns::Prefixed { heads, ends, arena, prefix_ends, prefixes }))
     }
 
     /// Locates every column of the raw `FROZ` section, reading only its
@@ -1231,10 +1306,11 @@ impl<R: Read + Seek> Reader<R> {
 
     /// Reads the `DICT` section into a [`Dictionary`] whose ids are the
     /// stored term indices: [`dictionary_from_columns`] over the columns
-    /// [`Reader::dict_columns`] locates, each read into an owned buffer.
+    /// [`Reader::front_columns`] and [`Reader::dict_columns`] locate, each
+    /// read into an owned buffer.
     pub fn dictionary(&mut self) -> Result<Dictionary> {
-        let columns = self.dict_columns()?;
-        dictionary_from_columns(columns, |at| Ok(self.bytes(at)?.into()))
+        let (front, columns) = self.dict_walk()?;
+        dictionary_from_columns(front, columns, |at| Ok(self.bytes(at)?.into()))
     }
 
     /// The triples of a snapshot that stores slabs instead of a `TRPL`
@@ -1512,7 +1588,7 @@ impl<F: FnMut(Range<usize>) -> Result<Bytes>> Source<F> {
 /// A section of an older version becomes the current layout on the way,
 /// as the [module docs](self) list. That reads and rebuilds the columns it
 /// converts, so only a v9-or-later section is taken without reading a
-/// column; `hex-disk` maps v10 files only.
+/// column; `hex-disk` maps v10 and v11 files only.
 ///
 /// # Trust model
 ///
@@ -1595,22 +1671,37 @@ fn plain_ordering(
         .ok_or_else(|| Error::Corrupt("ordering columns are inconsistent".into()))
 }
 
-/// The dictionary whose `DICT` columns `columns` locates
-/// ([`Reader::dict_columns`]), each column's bytes from `source` as for
-/// [`frozen_from_columns`]. A v10 section's five columns are handed to
-/// [`Dictionary::try_from_arena`] as they are, a v5 to v9 section's `u32`
-/// columns packed first; it validates them (each packed column canonical,
-/// offset tables, heads, the one representation each term has,
-/// distinctness, which corruption merging two terms would break) in one
-/// hash pass per table, constructing no `Term`. An older section's terms
-/// are interned again in id order: the ids stay the same, a term seen
-/// twice is `Corrupt`. A mapping mutated after validation degrades to
-/// missed lookups and `None` decodes, never a panic.
+/// The dictionary whose `DICT` columns `front` and `columns` locate
+/// ([`Reader::front_columns`], [`Reader::dict_columns`]), each column's
+/// bytes from `source` as for [`frozen_from_columns`]. A v11 section's
+/// frozen tier and a v10 or v11 section's five delta columns are handed
+/// to [`Dictionary::from_tiers`] as they are, a v5 to v9 section's `u32`
+/// columns packed first, with an empty frozen tier before v11; it
+/// validates the frozen tier in one sequential pass (block offsets,
+/// varints inside their blocks, shared prefixes, strictly ascending keys
+/// of real terms) and the delta (each packed column canonical, offset
+/// tables, heads, the one representation each term has, distinctness,
+/// which corruption merging two terms would break) in one hash pass per
+/// table, constructing no `Term` and building no hash table for the
+/// frozen tier. An older section's terms are interned again in id order:
+/// the ids stay the same, a term seen twice is `Corrupt`. A mapping
+/// mutated after validation degrades to missed lookups and `None`
+/// decodes, never a panic.
 pub fn dictionary_from_columns(
+    front: Option<FrontColumns>,
     columns: DictColumns,
     source: impl FnMut(Range<usize>) -> Result<Bytes>,
 ) -> Result<Dictionary> {
     let mut source = Source(source);
+    let front = match front {
+        Some(FrontColumns { block, terms, offsets, bytes }) => FrontImage {
+            block,
+            len: terms,
+            offsets: source.packed(offsets, "dictionary block offset column")?,
+            bytes: source.bytes(bytes.offset, bytes.len)?,
+        },
+        None => FrontImage::default(),
+    };
     match columns {
         DictColumns::Prefixed { heads, ends, arena, prefix_ends, prefixes } => {
             let image = ArenaImage {
@@ -1620,7 +1711,7 @@ pub fn dictionary_from_columns(
                 prefix_ends: source.ints(prefix_ends, "dictionary prefix offset table")?,
                 prefixes: source.bytes(prefixes.offset, prefixes.len)?,
             };
-            Dictionary::try_from_arena(image).map_err(|e| Error::Corrupt(e.to_string()))
+            Dictionary::from_tiers(front, image).map_err(|e| Error::Corrupt(e.to_string()))
         }
         DictColumns::Pieces { kinds, ends, arena } => {
             let ends = source.u32s(ends)?;
@@ -2316,7 +2407,8 @@ mod tests {
         let mut w = Writer::new(Cursor::new(Vec::new())).unwrap();
         let i = image;
         let (heads, ends, prefix_ends) = (i.heads.view(), i.ends.view(), i.prefix_ends.view());
-        w.dict_section(heads, ends, &i.arena, prefix_ends, &i.prefixes).unwrap();
+        let front = FrontImage::default();
+        w.dict_section(&front, heads, ends, &i.arena, prefix_ends, &i.prefixes).unwrap();
         w.finish().unwrap().into_inner()
     }
 

@@ -4,7 +4,7 @@
 //! the original, and damaged files must be *rejected*, never
 //! misinterpreted.
 
-use hex_dict::{Id, IdTriple};
+use hex_dict::{Dictionary, Id, IdTriple};
 use hexastore::packed::{Bytes, SharedBytes};
 use hexastore::{hexsnap, FrozenHexastore, GraphStore, IdPattern, TripleStore};
 use proptest::prelude::*;
@@ -434,10 +434,16 @@ fn packed_padding(file: &[u8]) -> Vec<usize> {
 /// that agree), which then answers every shape. The store
 /// `frozen_from_columns` builds over shared bytes of the same file — as a
 /// mapping's open does — is that store, by content, whatever the version.
-fn every_byte_flip_is_rejected_or_still_decodes(files: &[Vec<u8>], version: u32) {
-    let mut decoded = 0;
+/// A flip of a `DICT` byte is `Corrupt` or reads back a dictionary whose
+/// every id decodes, the same over shared bytes. Returns how many `DICT`
+/// flips were accepted and how many rejected.
+fn every_byte_flip_is_rejected_or_still_decodes(files: &[Vec<u8>], version: u32) -> (usize, usize) {
+    let (mut decoded, mut dict_accepted, mut dict_rejected) = (0, 0, 0);
     for file in files {
-        assert_eq!(hexsnap::Reader::new(Cursor::new(file)).unwrap().version(), version);
+        let reader = hexsnap::Reader::new(Cursor::new(file)).unwrap();
+        assert_eq!(reader.version(), version);
+        let (dict_at, dict_len) = reader.section_extent(*b"DICT").unwrap();
+        let in_dict = |i: usize| (dict_at..dict_at + dict_len).contains(&(i as u64));
         let pats = {
             let frozen = hexsnap::Reader::new(Cursor::new(file)).unwrap().frozen().unwrap();
             let mut pats = vec![IdPattern::ALL];
@@ -453,7 +459,19 @@ fn every_byte_flip_is_rejected_or_still_decodes(files: &[Vec<u8>], version: u32)
             let mut bytes = file.clone();
             bytes[i] ^= 0xFF;
             let Ok(mut r) = hexsnap::Reader::new(Cursor::new(&bytes)) else { continue };
-            let _ = r.dictionary();
+            match r.dictionary() {
+                Ok(dict) => {
+                    assert_eq!(dict.iter().count(), dict.len(), "flip at {i}: an id lost");
+                    let shared = shared_dictionary(bytes.clone()).expect("the same checks");
+                    assert_eq!(shared.terms(), dict.terms(), "flip at {i}");
+                    dict_accepted += usize::from(in_dict(i));
+                }
+                Err(e) => {
+                    assert!(matches!(e, hexsnap::Error::Corrupt(_)), "flip at {i}: {e}");
+                    assert!(shared_dictionary(bytes.clone()).is_err(), "flip at {i}");
+                    dict_rejected += usize::from(in_dict(i));
+                }
+            }
             match r.frozen() {
                 Ok(store) => {
                     assert!(!padding.contains(&i), "a flipped padding byte at {i} decodes");
@@ -473,6 +491,18 @@ fn every_byte_flip_is_rejected_or_still_decodes(files: &[Vec<u8>], version: u32)
     // Flips of packed words and of ids in the dictionary's arenas, among
     // others, still decode; most flips are rejected.
     assert!(decoded > 0);
+    (dict_accepted, dict_rejected)
+}
+
+/// The dictionary `dictionary_from_columns` builds of `file`'s `DICT`
+/// section with every column a window of the file's bytes, as a
+/// mapping's open does.
+fn shared_dictionary(file: Vec<u8>) -> hexsnap::Result<Dictionary> {
+    let mut r = hexsnap::Reader::new(Cursor::new(&file)).unwrap();
+    let (front, columns) = (r.front_columns()?, r.dict_columns()?);
+    let file: SharedBytes = Arc::new(file.clone());
+    let windows = |at| Ok(Bytes::shared(SharedBytes::clone(&file), at).expect("inside the file"));
+    hexsnap::dictionary_from_columns(front, columns, windows)
 }
 
 /// The store `frozen_from_columns` builds of `file`'s `FROZ` section with
@@ -497,6 +527,25 @@ fn elias_fano_file() -> Vec<u8> {
     let picks: Vec<(u32, u32, u32)> =
         (0..120).map(|i| (i, 0, i)).chain([(0, 1, 3), (5, 2, 7), (9, 1, 1)]).collect();
     file_of(&graph_from(&picks))
+}
+
+/// Triples over terms of every kind, bulk loaded and saved by this build:
+/// the dictionary is a frozen tier of 50 keys, seven blocks, with runs of
+/// shared prefixes.
+fn bulk_file() -> Vec<u8> {
+    let triples: Vec<Triple> = (0..40)
+        .map(|i| {
+            let s = Term::iri(format!("http://x/s{}", i % 7));
+            Triple::new(s, Term::iri(format!("http://x/p{}", i % 3)), term(i))
+        })
+        .collect();
+    let mut dict = Dictionary::new();
+    let ids = dict.encode_triples_parallel(&triples, 1);
+    assert_eq!(dict.frozen_len(), 50);
+    let mut w = hexsnap::Writer::new(Cursor::new(Vec::new())).unwrap();
+    w.dictionary(&dict).unwrap();
+    w.frozen(&hexastore::bulk::build_frozen(ids)).unwrap();
+    w.finish().unwrap().into_inner()
 }
 
 /// `g` saved by this build: its dictionary and raw slabs.
@@ -571,18 +620,41 @@ fn every_byte_flip_of_a_v9_file_is_rejected_or_still_decodes() {
 
 #[test]
 fn every_byte_flip_of_a_v10_file_is_rejected_or_still_decodes() {
-    // The committed file, a graph of singleton and longer lists, and one
-    // whose property windows are long enough to be Elias–Fano coded.
-    let files = [support::fixture_bytes("v10_small"), mixed_list_file(), elias_fano_file()];
-    let mut r = hexsnap::Reader::new(Cursor::new(&files[2])).unwrap();
+    let files = [support::fixture_bytes("v10_small")];
+    every_byte_flip_is_rejected_or_still_decodes(&files, 10);
+    dict_padding_flips_are_refused(&files);
+}
+
+#[test]
+fn every_byte_flip_of_a_v11_file_is_rejected_or_still_decodes() {
+    // The committed files — a delta-only dictionary and a frozen one — a
+    // graph of singleton and longer lists, one whose property windows are
+    // long enough to be Elias–Fano coded, and a bulk load of every kind of
+    // term whose frozen tier spans seven blocks.
+    let files = [
+        support::fixture_bytes("v11_small"),
+        support::fixture_bytes("v11_bulk"),
+        mixed_list_file(),
+        elias_fano_file(),
+        bulk_file(),
+    ];
+    let mut r = hexsnap::Reader::new(Cursor::new(&files[3])).unwrap();
     let columns = r.frozen_columns().unwrap();
     let coded =
         columns.orderings.iter().any(|ix| matches!(ix.k2, hexsnap::VectorKeys::EliasFano(_)));
     assert!(coded, "some ordering's vector keys are Elias–Fano coded");
-    every_byte_flip_is_rejected_or_still_decodes(&files, 10);
-    // Every flip of the padding before a packed `DICT` column is refused
-    // by the dictionary's reader.
-    for file in &files {
+    let (accepted, rejected) = every_byte_flip_is_rejected_or_still_decodes(&files, 11);
+    eprintln!("v11 DICT byte flips: {accepted} accepted, {rejected} rejected");
+    // A flip that leaves the keys ascending and their text UTF-8 reads
+    // back; the rest are refused.
+    assert!(rejected > 2 * accepted, "{accepted} accepted, {rejected} rejected");
+    dict_padding_flips_are_refused(&files);
+}
+
+/// Every flip of the padding before a packed `DICT` column is refused by
+/// the dictionary's reader.
+fn dict_padding_flips_are_refused(files: &[Vec<u8>]) {
+    for file in files {
         let padding = dict_padding(file);
         assert!(!padding.is_empty());
         for i in padding {
@@ -594,14 +666,16 @@ fn every_byte_flip_of_a_v10_file_is_rejected_or_still_decodes() {
     }
 }
 
-/// The file positions of the zero padding before the three packed
-/// columns of a v10 `DICT` section: after the term count and the heads'
-/// width, after the heads' words and the ends' width, and after the
-/// prefix count and the prefix ends' width.
+/// The file positions of the zero padding before the packed columns of
+/// a v10 or v11 `DICT` section: in v11, after the block size, the frozen
+/// term count and the block offsets' width; then after the delta term
+/// count and the heads' width, after the heads' words and the ends'
+/// width, and after the prefix count and the prefix ends' width.
 fn dict_padding(file: &[u8]) -> Vec<usize> {
     use hexsnap::{DictColumns, Ints, Packed};
     let mut r = hexsnap::Reader::new(Cursor::new(file)).unwrap();
     let (dict_at, _) = r.section_extent(*b"DICT").unwrap();
+    let front = r.front_columns().unwrap();
     let DictColumns::Prefixed { heads, ends, arena, prefix_ends, .. } = r.dict_columns().unwrap()
     else {
         panic!("a prefixed dictionary")
@@ -613,7 +687,14 @@ fn dict_padding(file: &[u8]) -> Vec<usize> {
     let (heads, ends, prefix_ends) = (packed(heads), packed(ends), packed(prefix_ends));
     let mut padding = Vec::new();
     let mut pad = |width_at: usize, col: Packed| padding.extend(width_at + 4..col.offset);
-    pad(dict_at as usize + 4, heads);
+    let delta_at = match front {
+        Some(front) => {
+            pad(dict_at as usize + 8, front.offsets);
+            front.bytes.offset + front.bytes.len
+        }
+        None => dict_at as usize,
+    };
+    pad(delta_at + 4, heads);
     pad(heads.offset + heads.bytes(), ends);
     pad(arena.offset + arena.len + 4, prefix_ends);
     assert!(padding.iter().all(|&at| file[at] == 0));

@@ -1,6 +1,6 @@
 //! Every hexsnap format version this build reads, over committed files:
 //! the one fixture table and the checks each version's suite
-//! (`v{1,…,10}_compat.rs`, and `hexsnap_roundtrip.rs` for a v2 live
+//! (`v{1,…,11}_compat.rs`, and `hexsnap_roundtrip.rs` for a v2 live
 //! directory) runs over its rows.
 //!
 //! `tests/data/` holds one small snapshot per version and slab encoding,
@@ -33,7 +33,7 @@ pub const FRZC: Compression = Compression::VarintDelta;
 /// the one a fresh encode of the graph writes.
 pub type Fixture = (&'static str, u32, Compression, Option<isize>);
 
-pub const FIXTURES: [Fixture; 19] = [
+pub const FIXTURES: [Fixture; 21] = [
     ("v1_small", 1, RAW, None),
     ("v2_small", 2, RAW, None),
     ("v2_small_frzc", 2, FRZC, None),
@@ -62,6 +62,10 @@ pub const FIXTURES: [Fixture; 19] = [
     ("v9_small_frzc", 9, FRZC, Some(0)),
     ("v10_small", 10, RAW, Some(0)),
     ("v10_small_frzc", 10, FRZC, Some(0)),
+    // v11 added the frozen dictionary tier, empty in a graph of inserts:
+    // the slab sections are v10's.
+    ("v11_small", 11, RAW, Some(0)),
+    ("v11_small_frzc", 11, FRZC, Some(0)),
 ];
 
 /// What v6's packed index levels save in the fixture graph's `FROZ` —
@@ -120,6 +124,23 @@ pub fn fixture_bytes(name: &str) -> Vec<u8> {
 
 pub fn temp_path(tag: &str) -> PathBuf {
     std::env::temp_dir().join(format!("hexsnap-format-compat-{tag}-{}", std::process::id()))
+}
+
+/// The graph of `v11_bulk.hexsnap`: terms of every kind, 24 of them —
+/// three blocks of the frozen tier — bulk loaded from N-Triples, so the
+/// dictionary's ids are lexical.
+pub fn bulk_graph() -> GraphStore {
+    let mut g = GraphStore::new();
+    let mut doc = String::new();
+    for i in 0..4 {
+        doc.push_str(&format!("<http://x/s{i}> <http://x/p> \"v{i}\"@en .\n"));
+        doc.push_str(&format!("<http://x/s{i}> <http://x/q> \"{i}\"^^<http://x/int> .\n"));
+        doc.push_str(&format!("_:b{i} <http://x/p> \"é {i}\" .\n"));
+    }
+    doc.push_str("<http://x/s0> <http://x/r> <urn:no-separator> .\n");
+    g.load_ntriples(&doc).unwrap();
+    assert_eq!((g.dict().len(), g.dict().frozen_len()), (24, 24));
+    g
 }
 
 /// The exact graph every fixture encodes. Insertion order fixes the
@@ -258,7 +279,16 @@ pub fn resaves_as_the_current_version_and_roundtrips_equal((name, _, compression
 /// newest generation is the fixture. Insert, compact, check the new
 /// generation is the current version with raw slabs and the old one is
 /// pruned, then recover. Returns the bytes of the new generation.
-pub fn a_live_directory_left_at_it_upgrades_on_compaction((name, ..): Fixture) -> Vec<u8> {
+pub fn a_live_directory_left_at_it_upgrades_on_compaction(f: Fixture) -> Vec<u8> {
+    a_live_directory_left_at_it_upgrades_on_compaction_to(f, &fixture_graph())
+}
+
+/// [`a_live_directory_left_at_it_upgrades_on_compaction`] of a fixture
+/// that encodes `graph`.
+pub fn a_live_directory_left_at_it_upgrades_on_compaction_to(
+    (name, ..): Fixture,
+    graph: &GraphStore,
+) -> Vec<u8> {
     let dir = temp_path(&format!("live-{name}"));
     std::fs::remove_dir_all(&dir).ok();
     std::fs::create_dir_all(&dir).unwrap();
@@ -266,7 +296,7 @@ pub fn a_live_directory_left_at_it_upgrades_on_compaction((name, ..): Fixture) -
 
     let mut live = LiveGraphStore::open(&dir).unwrap();
     assert_eq!(live.generation(), 7, "{name}");
-    assert_eq!(live.dataset().to_ntriples(), fixture_graph().to_ntriples(), "{name}");
+    assert_eq!(live.dataset().to_ntriples(), graph.to_ntriples(), "{name}");
     let added =
         Triple::new(Term::iri("http://x/new"), Term::iri("http://x/p1"), Term::literal("v4"));
     live.insert(&added).unwrap();

@@ -1,24 +1,12 @@
-//! Format version 10, the one this build writes, over its committed files
-//! (`tests/data/v10_small{,_frzc}.hexsnap`; the table and the checks are
-//! `support/mod.rs`'s).
+//! Format version 10 over its committed files
+//! (`tests/data/v10_small{,_frzc}.hexsnap`, written by the last v10 build;
+//! the table and the checks are `support/mod.rs`'s).
 
 mod support;
 
 use hexastore::hexsnap::{self, DictColumns, Ints, Reader};
 use hexastore::PackedView;
-use support::{fixture_bytes, fixture_graph, fixtures_of, section, temp_path};
-
-#[test]
-fn v10_writer_output_is_bit_identical_to_the_committed_fixtures() {
-    let g = fixture_graph();
-    let frozen = g.store().freeze();
-    for (name, _, compression, _) in fixtures_of(10) {
-        let path = temp_path(name);
-        hexsnap::save_frozen_with(&path, g.dict(), &frozen, compression).unwrap();
-        assert_eq!(std::fs::read(&path).unwrap(), fixture_bytes(name), "{name}");
-        std::fs::remove_file(&path).ok();
-    }
-}
+use support::{fixture_bytes, fixtures_of, section};
 
 #[test]
 fn committed_v10_fixtures_open_through_every_reader_and_answer() {

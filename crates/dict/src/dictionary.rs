@@ -1,6 +1,12 @@
-//! The bidirectional term ⇄ id mapping table, backed by string arenas.
+//! The bidirectional term ⇄ id mapping table, in two tiers.
 //!
-//! Every term is stored as a kind, a prefix id and the term's own bytes.
+//! The frozen tier holds ids `0..n_f`: the keys of the terms a bulk load
+//! interned, sorted and front coded ([`crate::front`]), immutable and
+//! shared. For frozen ids `a < b` exactly when `term_key(a) < term_key(b)`
+//! bytewise ([`crate::term_key`]). The delta tier holds the ids from `n_f`
+//! up, append-only, interned one by one into string arenas as follows.
+//!
+//! Every delta term is stored as a kind, a prefix id and the term's own bytes.
 //! The prefix is the part terms share: an IRI's namespace (its text up to
 //! and including the last `/` or `#`), a literal's language tag or
 //! datatype IRI. Blank nodes and plain literals have prefix 0, the empty
@@ -8,13 +14,16 @@
 //! namespace that thousands of IRIs repeat is stored once.
 //!
 //! The in-memory columns mirror the hexsnap `DICT` section byte for byte
-//! (term heads, cumulative ends, the own-bytes arena; prefix ends, prefix
-//! bytes), so saving is a straight copy of five buffers and loading is a
-//! validation plus one hash pass per table — no per-term `Term`
-//! construction and no per-term allocation. Every integer column — the
+//! (the frozen tier's block offsets and blocks; the delta's term heads,
+//! cumulative ends, the own-bytes arena; prefix ends, prefix bytes), so
+//! saving is a straight copy of seven buffers and loading is a validation
+//! — one sequential pass over the frozen tier, one hash pass per delta
+//! table — with no per-term `Term` construction and no per-term
+//! allocation. Every integer column — the
 //! heads, both end tables and both reverse indexes' slots — is a
 //! [`PackedColumn`] at the width its values need.
 
+use crate::front::{self, FrontImage};
 use crate::id::{Id, IdTriple};
 use crate::packed::{Bytes, PackedColumn, PackedError, PackedView};
 use rdf_model::{Term, TermKind, TermRef, Triple, TripleRef};
@@ -469,9 +478,10 @@ impl Inner {
         id
     }
 
-    /// Appends a term known to be absent, returning its new id.
-    fn push_term(&mut self, head: u32, own: &[u8], hash: u64) -> Id {
-        let id = mint_id(self.len(), TERM_IDS, "7·2^28 terms");
+    /// Appends a term known to be absent, returning its new local id; the
+    /// table may hold `limit` ids.
+    fn push_term(&mut self, head: u32, own: &[u8], hash: u64, limit: usize) -> u32 {
+        let id = mint_id(self.len(), limit, "7·2^28 terms");
         if self.index.must_grow_for(self.len() + 1) {
             let terms = self.terms();
             self.index = TermIndex::rebuilt(self.len() + 1, (0..id).map(|t| terms.hash(t)));
@@ -479,7 +489,7 @@ impl Inner {
         self.terms.push(own);
         self.heads.push_widening(head);
         self.index.insert_absent(hash, id);
-        Id(id)
+        id
     }
 
     /// Term `i`'s kind, prefix bytes and own bytes; `None` for an id out
@@ -567,6 +577,27 @@ pub enum ArenaError {
         /// How its image fails.
         error: PackedError,
     },
+    /// A frozen-tier key is empty, or its tag runs past it.
+    MalformedKey,
+    /// The frozen tier's recorded block size is 0.
+    BlockSize,
+    /// The frozen tier's block offsets are not one per block and one
+    /// more, or its bytes cannot hold the keys it declares.
+    BlockCount {
+        /// Blocks the offsets column delimits.
+        blocks: usize,
+        /// Keys the tier declares.
+        keys: usize,
+    },
+    /// A varint or a key runs past the end of its block.
+    VarintPastBlock,
+    /// A key shares more bytes with the previous key than that key has.
+    SharedPrefixTooLong,
+    /// The frozen tier's keys are not strictly ascending, or a shared
+    /// prefix is not the longest one.
+    KeysNotAscending,
+    /// A block's keys end before its bytes do.
+    BlockOverrun,
     /// A table declares more entries than it has ids for.
     TooMany {
         /// Which table: `terms` or `prefixes`.
@@ -610,6 +641,23 @@ impl std::fmt::Display for ArenaError {
             ArenaError::Packed { column, error } => {
                 write!(f, "dictionary {column} column: {error}")
             }
+            ArenaError::MalformedKey => write!(f, "frozen dictionary key is malformed"),
+            ArenaError::BlockSize => write!(f, "frozen dictionary block size is 0"),
+            ArenaError::BlockCount { blocks, keys } => {
+                write!(f, "frozen dictionary declares {keys} keys in {blocks} blocks")
+            }
+            ArenaError::VarintPastBlock => {
+                write!(f, "frozen dictionary key runs past the end of its block")
+            }
+            ArenaError::SharedPrefixTooLong => {
+                write!(f, "frozen dictionary key shares more than the previous key holds")
+            }
+            ArenaError::KeysNotAscending => {
+                write!(f, "frozen dictionary keys are not strictly ascending")
+            }
+            ArenaError::BlockOverrun => {
+                write!(f, "frozen dictionary block holds bytes past its last key")
+            }
             ArenaError::TooMany { table, count, limit } => {
                 write!(f, "dictionary declares {count} {table}, more than its {limit} ids")
             }
@@ -621,24 +669,53 @@ impl std::error::Error for ArenaError {}
 
 /// Dictionary encoding of RDF terms.
 ///
-/// Maps each distinct [`Term`] to a dense [`Id`] (allocated in first-seen
-/// order starting from 0) and back. All stores in the workspace share one
-/// dictionary per dataset, exactly as the paper's single "mapping table"
-/// (§4.1) serves all six indices.
+/// Maps each distinct [`Term`] to a dense [`Id`] and back. All stores in
+/// the workspace share one dictionary per dataset, exactly as the paper's
+/// single "mapping table" (§4.1) serves all six indices.
 ///
-/// Each term is a head (kind and prefix id) plus its own bytes in one
-/// arena; the prefixes — IRI namespaces, language tags, datatype IRIs —
-/// are interned once each in a second table. Encoding a term that is
-/// already present allocates nothing (the lookup hashes and compares
-/// borrowed bytes). The in-memory layout mirrors the hexsnap `DICT`
-/// section, so snapshot save/load move whole buffers instead of
-/// constructing terms. Cloning is O(1): the interior is shared
-/// copy-on-write, and only the first mutation of a shared clone re-owns
-/// it.
+/// Ids live in two tiers. The frozen tier, ids `0..n_f`
+/// ([`Dictionary::frozen_len`]), is what a bulk load into an empty
+/// dictionary leaves ([`Dictionary::encode_triples_parallel`]): its terms
+/// numbered in the order of their keys ([`crate::term_key`]), so that for
+/// frozen ids `a < b` exactly when `term_key(a) < term_key(b)` bytewise,
+/// and stored front coded in blocks ([`crate::FrontImage`]), with no hash
+/// index. The delta tier holds every term interned later, with ids from
+/// `n_f` up in first-seen order: a head (kind and prefix id) plus its own
+/// bytes in one arena, the prefixes — IRI namespaces, language tags,
+/// datatype IRIs — interned once each in a second table, and a hash index
+/// over each. Ids are append-only: a term keeps its id for the
+/// dictionary's life, and only a bulk load into an empty dictionary sorts.
+///
+/// Encoding a term that is already present allocates nothing (a frozen hit
+/// builds its key on the stack, a delta hit hashes and compares borrowed
+/// bytes). The in-memory layout mirrors the hexsnap `DICT` section, so
+/// snapshot save/load move whole buffers instead of constructing terms.
+/// Cloning is O(1): both tiers are shared, the delta copy-on-write, and
+/// only the first mutation of a shared clone re-owns it.
 #[derive(Default, Clone)]
 pub struct Dictionary {
+    /// Ids `0..frozen.len`, in key order.
+    frozen: Arc<FrontImage>,
+    /// Ids from `frozen.len` up: local id `i` is id `frozen.len + i`.
     inner: Arc<Inner>,
 }
+
+/// A view whose pieces are owned: a frozen term outlives the buffer its
+/// key was rebuilt in.
+fn owned(t: TermRef<'_>) -> TermRef<'static> {
+    let (first, second) = t.pieces();
+    let (first, second) = (first.to_owned(), second.map(str::to_owned));
+    match (t.kind(), second) {
+        (TermKind::Iri, _) => TermRef::iri(first),
+        (TermKind::Blank, _) => TermRef::blank(first),
+        (TermKind::LangLiteral, Some(tag)) => TermRef::lang_literal(first, tag),
+        (TermKind::TypedLiteral, Some(datatype)) => TermRef::typed_literal(first, datatype),
+        _ => TermRef::literal(first),
+    }
+}
+
+/// Predicate ids a batch remembers ([`Dictionary::encode_triples_parallel`]).
+const PREDICATE_MEMO: usize = 16;
 
 impl Dictionary {
     /// Creates an empty dictionary.
@@ -646,36 +723,46 @@ impl Dictionary {
         Dictionary::default()
     }
 
-    /// Creates an empty dictionary whose term index has room for `n`
-    /// distinct terms. (The packed columns grow as their widths do.)
+    /// Creates an empty dictionary whose delta term index has room for
+    /// `n` distinct terms. (The packed columns grow as their widths do.)
     pub fn with_capacity(n: usize) -> Self {
         let inner = Inner { index: TermIndex::with_capacity(n), ..Inner::default() };
-        Dictionary { inner: Arc::new(inner) }
+        Dictionary { inner: Arc::new(inner), ..Dictionary::default() }
     }
 
     /// Number of distinct terms interned.
     pub fn len(&self) -> usize {
-        self.inner.len()
+        self.frozen.len + self.inner.len()
     }
 
     /// True if no terms have been interned.
     pub fn is_empty(&self) -> bool {
-        self.inner.len() == 0
+        self.len() == 0
     }
 
-    /// Number of distinct prefixes, the empty one included.
+    /// Number of frozen ids, `n_f`: ids below it are in key order and
+    /// front coded, ids from it up are the delta tier's.
+    pub fn frozen_len(&self) -> usize {
+        self.frozen.len
+    }
+
+    /// Number of distinct delta-tier prefixes, the empty one included.
     pub fn prefix_count(&self) -> usize {
         self.inner.prefixes.len()
     }
 
     /// Interns a term — owned (`&Term`) or borrowed (`&TermRef`, or a
     /// `TermRef` by value) — returning its id. Idempotent: the same term
-    /// always yields the same id. The hit path allocates nothing.
+    /// always yields the same id. The hit path allocates nothing for a
+    /// term whose key is at most 256 bytes.
     pub fn encode<'a>(&mut self, term: impl Into<TermRef<'a>>) -> Id {
         self.encode_ref(&term.into())
     }
 
     fn encode_ref(&mut self, term: &TermRef<'_>) -> Id {
+        if let Some(id) = self.frozen_id(term) {
+            return id;
+        }
         let (kind, prefix, own) = split(term);
         let (prefix, own) = (prefix.as_bytes(), own.as_bytes());
         let prefix_id = match self.inner.prefix_id(prefix) {
@@ -684,30 +771,69 @@ impl Dictionary {
         };
         let head = head(kind, prefix_id);
         let hash = hash_key(head, own);
+        let base = self.frozen.len as u32;
         if let Some(id) = self.inner.lookup(hash, head, own) {
-            return Id(id);
+            return Id(base + id);
         }
-        Arc::make_mut(&mut self.inner).push_term(head, own, hash)
+        let limit = TERM_IDS - self.frozen.len;
+        Id(base + Arc::make_mut(&mut self.inner).push_term(head, own, hash, limit))
+    }
+
+    /// The frozen id of a term: a binary search over the block heads and
+    /// a scan of one block, over its key built on the stack.
+    #[inline]
+    fn frozen_id(&self, term: &TermRef<'_>) -> Option<Id> {
+        if self.frozen.len == 0 {
+            return None;
+        }
+        front::with_key(term, |key| self.frozen.view().find(key)).map(Id)
     }
 
     /// Looks up the id of a term without interning it. A term whose
-    /// prefix was never interned misses without probing the term index.
+    /// prefix no delta term has misses the delta without probing its
+    /// term index.
     pub fn id_of<'a>(&self, term: impl Into<TermRef<'a>>) -> Option<Id> {
         let term = term.into();
+        if let Some(id) = self.frozen_id(&term) {
+            return Some(id);
+        }
         let (kind, prefix, own) = split(&term);
         let prefix_id = self.inner.prefix_id(prefix.as_bytes())?;
         let head = head(kind, prefix_id);
-        self.inner.lookup(hash_key(head, own.as_bytes()), head, own.as_bytes()).map(Id)
+        let local = self.inner.lookup(hash_key(head, own.as_bytes()), head, own.as_bytes())?;
+        Some(Id(self.frozen.len as u32 + local))
     }
 
-    /// The term of an id as a view over the arenas. It borrows, except an
-    /// IRI with a prefix: its namespace and its own bytes lie apart, so
-    /// its text is joined into an owned `Cow` (one allocation). A
-    /// literal's lexical form borrows the term arena and its tag or
-    /// datatype the prefix table.
+    /// A delta id's local index, or the frozen id it is.
+    #[inline]
+    fn tier(&self, id: Id) -> Result<usize, usize> {
+        id.index().checked_sub(self.frozen.len).ok_or(id.index())
+    }
+
+    /// Calls `f` with the pieces of frozen id `i`: kind, text and the tag
+    /// or datatype IRI of the two-piece kinds.
+    #[inline]
+    fn with_frozen<R>(&self, i: usize, f: impl FnOnce(TermRef<'_>) -> R) -> Option<R> {
+        self.frozen
+            .view()
+            .with_key(i, |key| {
+                let (kind, text, second) = front::key_parts(key).ok()?;
+                TermRef::from_pieces(kind, text, second).map(f)
+            })
+            .flatten()
+    }
+
+    /// The term of an id as a view. A delta term borrows its arenas,
+    /// except an IRI with a prefix: its namespace and its own bytes lie
+    /// apart, so its text is joined into an owned `Cow` (one allocation).
+    /// A frozen term is rebuilt from its block, so its pieces are owned.
     #[inline]
     pub fn term(&self, id: Id) -> Option<TermRef<'_>> {
-        let (kind, prefix, own) = self.inner.text(id.index())?;
+        let local = match self.tier(id) {
+            Ok(local) => local,
+            Err(frozen) => return self.with_frozen(frozen, owned),
+        };
+        let (kind, prefix, own) = self.inner.text(local)?;
         match kind {
             TermKind::Iri if prefix.is_empty() => Some(TermRef::iri(own)),
             TermKind::Iri => Some(TermRef::iri([prefix, own].concat())),
@@ -717,12 +843,17 @@ impl Dictionary {
     }
 
     /// Decodes an id back to an owned term, in one allocation whatever
-    /// its kind: an IRI's prefix and own bytes, like a literal's two
-    /// pieces, are joined on the stack.
+    /// its kind or tier: a frozen key is rebuilt on the stack (a key
+    /// longer than 256 bytes in a buffer of its own), and a delta IRI's
+    /// prefix and own bytes, like a literal's two pieces, are joined on
+    /// the stack.
     pub fn decode(&self, id: Id) -> Option<Term> {
-        match self.inner.parts(id.index())? {
-            (TermKind::Iri, prefix, own) => Term::iri_from_parts(prefix, own),
-            _ => self.term(id).map(|t| t.to_owned()),
+        match self.tier(id) {
+            Err(frozen) => self.with_frozen(frozen, |t| t.to_owned()),
+            Ok(local) => match self.inner.parts(local)? {
+                (TermKind::Iri, prefix, own) => Term::iri_from_parts(prefix, own),
+                _ => self.term(id).map(|t| t.to_owned()),
+            },
         }
     }
 
@@ -740,15 +871,27 @@ impl Dictionary {
     /// Encodes a batch of triples — owned ([`Triple`]), borrowed
     /// ([`TripleRef`]) or still in their text (`rdf_model::Statement`, as
     /// the N-Triples tokenizer yields them: each is viewed as a
-    /// `TripleRef` for the moment it is interned) — exactly as an
-    /// [`Dictionary::encode_triple`] loop over the slice does: new terms
-    /// are numbered in first-seen order.
+    /// `TripleRef` for the moment it is interned).
+    ///
+    /// Into an *empty* dictionary this is a bulk load, and its ids are
+    /// lexical: the batch is first interned as an
+    /// [`Dictionary::encode_triple`] loop over it would, then the terms
+    /// are sorted by key ([`crate::term_key`]), the returned triples are
+    /// rewritten through the old → new id map, and every term moves into
+    /// the frozen tier. So frozen id `i` is the `i`-th smallest key, and
+    /// the result is the loop's ids mapped through that one permutation.
+    /// Into a dictionary that holds terms, the batch is exactly that loop:
+    /// known terms keep their ids and new ones join the delta tier in
+    /// first-seen order.
     ///
     /// A statement whose subject is the previous statement's reuses its
     /// id after one comparison, without the prefix and term lookups. A
     /// document lists a subject's statements together — 82 % of the
     /// benchmark's generated statements repeat the subject before them —
     /// and input in any other order pays that one comparison a statement.
+    /// Predicates are few and repeat throughout, so the batch remembers
+    /// the last id of each of 16 slots, picked by the predicate's length
+    /// and last byte, and a repeat costs one comparison too.
     ///
     /// `threads` is an upper bound on the workers the encode may use, and
     /// it uses one: the loop costs about 80 ns per term occurrence, an
@@ -757,17 +900,18 @@ impl Dictionary {
     /// peak (ARCHITECTURE.md has the pairs). Callers size `threads` from
     /// `bulk::Config::effective_threads`, as they do the index build's.
     ///
-    /// A batch that leaves the dictionary at least twice as large as it
-    /// found it — a bulk load — ends by giving back the room the doubling
-    /// buffers reserved beyond their content
-    /// ([`Dictionary::shrink_to_fit`]); a small batch into a large
-    /// dictionary does not, so a stream of them never copies per call.
+    /// A batch that leaves a non-empty dictionary at least twice as large
+    /// as it found it ends by giving back the room the doubling buffers
+    /// reserved beyond their content ([`Dictionary::shrink_to_fit`]); a
+    /// small batch into a large dictionary does not, so a stream of them
+    /// never copies per call. A bulk load's frozen tier is exact-sized.
     pub fn encode_triples_parallel<T>(&mut self, triples: &[T], _threads: usize) -> Vec<IdTriple>
     where
         for<'t> &'t T: Into<TripleRef<'t>>,
     {
         let before = self.len();
         let mut subject: Option<(TermRef<'_>, Id)> = None;
+        let mut predicates: [Option<(TermRef<'_>, Id)>; PREDICATE_MEMO] = Default::default();
         let mut ids = Vec::with_capacity(triples.len());
         for t in triples {
             let t: TripleRef<'_> = t.into();
@@ -779,24 +923,79 @@ impl Dictionary {
                     id
                 }
             };
-            ids.push(IdTriple {
-                s,
-                p: self.encode_ref(&t.predicate),
-                o: self.encode_ref(&t.object),
-            });
+            let text = t.predicate.pieces().0.as_bytes();
+            let slot =
+                (text.len() ^ usize::from(text.last().copied().unwrap_or(0))) % PREDICATE_MEMO;
+            let p = match &predicates[slot] {
+                Some((term, id)) if *term == t.predicate => *id,
+                _ => {
+                    let id = self.encode_ref(&t.predicate);
+                    predicates[slot] = Some((t.predicate, id));
+                    id
+                }
+            };
+            ids.push(IdTriple { s, p, o: self.encode_ref(&t.object) });
         }
-        if self.len() > before && (self.len() - before) * 2 >= self.len() {
+        if before == 0 {
+            self.freeze_in_key_order(&mut ids);
+        } else if self.len() > before && (self.len() - before) * 2 >= self.len() {
             self.shrink_to_fit();
         }
         ids
     }
 
-    /// Shrinks the head column, the two offset tables and the two string
-    /// arenas to their content. They grow by doubling, so after a load up
-    /// to half of each is reserved and never written;
+    /// Moves every term of a dictionary that has only a delta tier into
+    /// the frozen tier, numbered in key order, and rewrites `ids` to the
+    /// new numbering.
+    fn freeze_in_key_order(&mut self, ids: &mut [IdTriple]) {
+        debug_assert_eq!(self.frozen.len, 0, "only a delta tier is renumbered");
+        let n = self.inner.len();
+        if n == 0 {
+            return;
+        }
+        // Every key back to back, then the delta can go before the sort.
+        let mut keys = Vec::new();
+        let mut ends = Vec::with_capacity(n);
+        for i in 0..n {
+            let (kind, prefix, own) = self.inner.parts(i).expect("a delta id decodes");
+            match kind {
+                TermKind::Iri => front::push_key(&mut keys, kind, None, &[prefix, own]),
+                TermKind::Blank | TermKind::Literal => {
+                    front::push_key(&mut keys, kind, None, &[own])
+                }
+                _ => front::push_key(&mut keys, kind, Some(prefix), &[own]),
+            }
+            ends.push(keys.len());
+        }
+        self.inner = Arc::default();
+        let key = |i: u32| {
+            let i = i as usize;
+            &keys[if i == 0 { 0 } else { ends[i - 1] }..ends[i]]
+        };
+        let mut order: Vec<u32> = (0..n as u32).collect();
+        order.sort_unstable_by(|&a, &b| key(a).cmp(key(b)));
+        let mut new_of = vec![0u32; n];
+        for (new, &old) in order.iter().enumerate() {
+            new_of[old as usize] = new as u32;
+        }
+        for t in ids {
+            *t = IdTriple {
+                s: Id(new_of[t.s.index()]),
+                p: Id(new_of[t.p.index()]),
+                o: Id(new_of[t.o.index()]),
+            };
+        }
+        self.frozen = Arc::new(FrontImage::build(order.iter().map(|&i| key(i)), front::BLOCK));
+        self.shrink_to_fit();
+    }
+
+    /// Shrinks the delta tier's head column, its two offset tables and
+    /// its two string arenas to their content. They grow by doubling, so
+    /// after a load up to half of each is reserved and never written;
     /// [`Dictionary::heap_bytes`] counts that room. (The reverse indexes
     /// are power-of-two tables sized for their load factor, built
-    /// exact-sized, and have none to give back.)
+    /// exact-sized, and have none to give back; the frozen tier is built
+    /// exact-sized.)
     pub fn shrink_to_fit(&mut self) {
         let inner = Arc::make_mut(&mut self.inner);
         inner.heads.shrink_to_fit();
@@ -820,7 +1019,7 @@ impl Dictionary {
     }
 
     /// Iterates `(id, term)` pairs in id order, materializing each term
-    /// from the arenas.
+    /// from its tier.
     pub fn iter(&self) -> impl Iterator<Item = (Id, Term)> + '_ {
         (0..self.len() as u32).filter_map(move |i| Some((Id(i), self.decode(Id(i))?)))
     }
@@ -831,39 +1030,46 @@ impl Dictionary {
         self.iter().map(|(_, t)| t).collect()
     }
 
-    /// The per-term head column, exactly as the hexsnap `DICT` section
-    /// stores it: the [`TermKind`] discriminant (0 IRI, 1 blank, 2 plain
-    /// literal, 3 language-tagged literal, 4 typed literal) in the low
-    /// three bits, the prefix id above them, packed at the width of the
-    /// largest head.
+    /// The frozen tier's columns, as the hexsnap `DICT` section stores
+    /// them and [`Dictionary::from_tiers`] takes them.
+    pub fn front(&self) -> &FrontImage {
+        &self.frozen
+    }
+
+    /// The delta tier's per-term head column, exactly as the hexsnap
+    /// `DICT` section stores it: the [`TermKind`] discriminant (0 IRI, 1
+    /// blank, 2 plain literal, 3 language-tagged literal, 4 typed literal)
+    /// in the low three bits, the prefix id above them, packed at the
+    /// width of the largest head.
     pub fn term_heads(&self) -> PackedView<'_> {
         self.inner.heads.view()
     }
 
-    /// The cumulative end of each term's own bytes in
+    /// The cumulative end of each delta term's own bytes in
     /// [`Dictionary::arena_bytes`], packed at the width of the last.
     pub fn term_ends(&self) -> PackedView<'_> {
         self.inner.terms.ends.view()
     }
 
-    /// The terms' own bytes, back to back.
+    /// The delta terms' own bytes, back to back.
     pub fn arena_bytes(&self) -> &[u8] {
         self.inner.terms.arena.get()
     }
 
-    /// The cumulative end of each prefix in [`Dictionary::prefix_bytes`],
-    /// packed at the width of the last; prefix 0 is the empty string.
+    /// The cumulative end of each delta prefix in
+    /// [`Dictionary::prefix_bytes`], packed at the width of the last;
+    /// prefix 0 is the empty string.
     pub fn prefix_ends(&self) -> PackedView<'_> {
         self.inner.prefixes.ends.view()
     }
 
-    /// The prefixes' bytes, back to back.
+    /// The delta prefixes' bytes, back to back.
     pub fn prefix_bytes(&self) -> &[u8] {
         self.inner.prefixes.arena.get()
     }
 
-    /// A copy of the five columns, as [`Dictionary::try_from_arena`]
-    /// takes them.
+    /// A copy of the delta tier's five columns, as
+    /// [`Dictionary::try_from_arena`] takes them.
     pub fn image(&self) -> ArenaImage {
         ArenaImage {
             heads: PackedColumn::from_view(self.term_heads()),
@@ -874,32 +1080,53 @@ impl Dictionary {
         }
     }
 
-    /// True when the term arena is a window into shared (typically
-    /// memory-mapped) storage rather than owned heap bytes.
+    /// True when the term bytes are a window into shared (typically
+    /// memory-mapped) storage rather than owned heap bytes: the frozen
+    /// tier's blocks when it holds terms, else the delta's arena.
     pub fn arena_is_shared(&self) -> bool {
-        self.inner.terms.arena.is_shared()
+        if self.frozen.len > 0 {
+            self.frozen.bytes.is_shared()
+        } else {
+            self.inner.terms.arena.is_shared()
+        }
     }
 
-    /// Rebuilds a dictionary from its five columns — the snapshot fast
-    /// path. Validates the three integer columns (each the canonical
-    /// packed image of its values), both offset tables (monotone cover,
-    /// UTF-8, char boundaries), every head (kind, prefix id) and the one
-    /// representation each term has ([`ArenaError`] lists the ways an
-    /// image can fail it), and builds both reverse indexes in one hash
-    /// pass each; no `Term` is constructed.
+    /// Rebuilds a dictionary of a delta tier only from its five columns:
+    /// [`Dictionary::from_tiers`] with an empty frozen tier.
+    pub fn try_from_arena(image: ArenaImage) -> Result<Self, ArenaError> {
+        Dictionary::from_tiers(FrontImage::default(), image)
+    }
+
+    /// Rebuilds a dictionary from its frozen tier's two columns and its
+    /// delta tier's five — the snapshot fast path. Validates the frozen
+    /// tier in one sequential pass ([`FrontImage`]'s checks: block
+    /// offsets, every varint inside its block, shared prefixes, strictly
+    /// ascending keys, each one a term's), the delta's three integer
+    /// columns (each the canonical packed image of its values), both its
+    /// offset tables (monotone cover, UTF-8, char boundaries), every head
+    /// (kind, prefix id) and the one representation each term has
+    /// ([`ArenaError`] lists the ways an image can fail it), builds the
+    /// delta's two reverse indexes in one hash pass each, and refuses a
+    /// delta term the frozen tier holds; no `Term` is constructed. The
+    /// frozen tier gets no hash index.
     ///
     /// A column whose bytes are shared (an open memory map) is validated
     /// against them as they are now and never copied onto the heap, so a
-    /// dictionary of shared columns holds its two reverse indexes and
-    /// nothing else there. The provider is trusted not to change them
+    /// dictionary of shared columns holds the delta's two reverse indexes
+    /// and nothing else there. The provider is trusted not to change them
     /// afterwards; if it does anyway, lookups may miss and decodes may
     /// return `None`, but nothing panics.
-    pub fn try_from_arena(image: ArenaImage) -> Result<Self, ArenaError> {
+    pub fn from_tiers(front: FrontImage, image: ArenaImage) -> Result<Self, ArenaError> {
         let ArenaImage { heads, ends, arena, prefix_ends, prefixes: prefix_arena } = image;
         if heads.len() != ends.len() {
             return Err(ArenaError::ColumnLengths { heads: heads.len(), ends: ends.len() });
         }
         check_counts((heads.len(), arena.len()), (prefix_ends.len(), prefix_arena.len()))?;
+        let terms = front.len.saturating_add(heads.len());
+        if terms > TERM_IDS {
+            return Err(ArenaError::TooMany { table: "terms", count: terms, limit: TERM_IDS });
+        }
+        front.validate()?;
         for (column, ints) in [("heads", &heads), ("ends", &ends), ("prefix ends", &prefix_ends)] {
             ints.view().validate().map_err(|error| ArenaError::Packed { column, error })?;
         }
@@ -941,8 +1168,20 @@ impl Dictionary {
             |a, b| terms.is(b, terms.heads.get(a as usize), terms.own.get(a as usize)),
         )
         .ok_or(ArenaError::Duplicate)?;
-        let inner = Inner { index, prefix_index, ..inner };
-        Ok(Dictionary { inner: Arc::new(inner) })
+        let dict = Dictionary {
+            frozen: Arc::new(front),
+            inner: Arc::new(Inner { index, prefix_index, ..inner }),
+        };
+        // A delta term the frozen tier holds too would have two ids.
+        if dict.frozen.len > 0 {
+            for local in 0..dict.inner.len() {
+                let id = Id((dict.frozen.len + local) as u32);
+                if dict.term(id).is_some_and(|t| dict.frozen_id(&t).is_some()) {
+                    return Err(ArenaError::Duplicate);
+                }
+            }
+        }
+        Ok(dict)
     }
 
     /// Exact heap footprint of the dictionary in bytes: the sum of
@@ -951,17 +1190,21 @@ impl Dictionary {
         self.heap_breakdown().total()
     }
 
-    /// Where the heap bytes go: the shared interior's fixed fields, the
-    /// head column, the two offset tables, the two string arenas and the
-    /// two reverse indexes' slot columns — each a single flat buffer,
-    /// counted at capacity. String bytes appear exactly once (the reverse
-    /// indexes store only ids, keyed by the same arena bytes); a shared
-    /// (mapped) column or arena contributes nothing, since its bytes are
-    /// file-backed rather than heap-allocated.
+    /// Where the heap bytes go: the two tiers' fixed fields, the frozen
+    /// tier's blocks and block offsets, and the delta's head column, two
+    /// offset tables, two string arenas and two reverse indexes' slot
+    /// columns — each a single flat buffer, counted at capacity. String
+    /// bytes appear exactly once (the reverse indexes store only ids,
+    /// keyed by the same arena bytes); a shared (mapped) column or arena
+    /// contributes nothing, since its bytes are file-backed rather than
+    /// heap-allocated.
     pub fn heap_breakdown(&self) -> DictHeap {
         let inner = &*self.inner;
+        let (frozen, blocks) = self.frozen.heap_bytes();
         DictHeap {
-            interior: std::mem::size_of::<Inner>(),
+            interior: std::mem::size_of::<Inner>() + std::mem::size_of::<FrontImage>(),
+            frozen,
+            blocks,
             heads: inner.heads.heap_bytes(),
             ends: inner.terms.ends.heap_bytes(),
             arena: inner.terms.arena.heap_bytes(),
@@ -972,15 +1215,16 @@ impl Dictionary {
         }
     }
 
-    /// Health of the term index: how full it is and how far linear
-    /// probing has displaced entries from their home slots. Pure counts
-    /// over the current table — the same terms interned in the same
-    /// order always report the same numbers, on any host.
+    /// Health of the delta tier's term index: how full it is and how far
+    /// linear probing has displaced entries from their home slots. Pure
+    /// counts over the current table — the same terms interned in the same
+    /// order always report the same numbers, on any host. (The frozen tier
+    /// has no hash index.)
     pub fn index_stats(&self) -> IndexStats {
         let inner = &*self.inner;
         let terms = inner.terms();
         let (total, max_displacement) = inner.index.displacement(|id| terms.hash(id));
-        let terms = self.len();
+        let terms = inner.len();
         IndexStats {
             slots: inner.index.slots.len(),
             terms,
@@ -993,8 +1237,12 @@ impl Dictionary {
 /// [`Dictionary::heap_breakdown`]: the dictionary's heap bytes by part.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct DictHeap {
-    /// The shared interior's fixed fields.
+    /// The two tiers' fixed fields.
     pub interior: usize,
+    /// The frozen tier's front-coded blocks.
+    pub frozen: usize,
+    /// The frozen tier's block offsets.
+    pub blocks: usize,
     /// The term heads.
     pub heads: usize,
     /// The cumulative ends of the terms' own bytes.
@@ -1015,6 +1263,8 @@ impl DictHeap {
     /// The sum of the parts: [`Dictionary::heap_bytes`].
     pub fn total(&self) -> usize {
         self.interior
+            + self.frozen
+            + self.blocks
             + self.heads
             + self.ends
             + self.arena
@@ -1055,6 +1305,7 @@ impl std::fmt::Debug for Dictionary {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Dictionary")
             .field("terms", &self.len())
+            .field("frozen", &self.frozen_len())
             .field("arena_bytes", &self.arena_bytes().len())
             .field("prefixes", &self.prefix_count())
             .finish()
@@ -1323,6 +1574,9 @@ mod tests {
         let image = |c: PackedView<'_>| c.bytes().len();
         let content = |d: &Dictionary| {
             std::mem::size_of::<Inner>()
+                + std::mem::size_of::<FrontImage>()
+                + d.front().bytes.len()
+                + image(d.front().offsets.view())
                 + image(d.term_heads())
                 + image(d.term_ends())
                 + d.arena_bytes().len()
@@ -1344,17 +1598,22 @@ mod tests {
         };
         let mut d = Dictionary::new();
         d.encode_triples_parallel(&batch(0..1000), 1);
-        assert_eq!(d.len(), 2003);
+        assert_eq!((d.len(), d.frozen_len()), (2003, 2003));
+        assert_eq!(d.heap_bytes(), content(&d), "a bulk load's frozen tier is exact-sized");
+        // A batch that doubles the dictionary is a load into the delta,
+        // which gives its growth slack back.
+        d.encode_triples_parallel(&batch(1000..3000), 1);
+        assert_eq!((d.len(), d.frozen_len()), (6003, 2003));
         assert_eq!(d.heap_bytes(), content(&d), "a load gives its growth slack back");
         // Ten more triples, a word more of every packed column: the full
         // buffers double, and a batch that small does not trim them again.
-        d.encode_triples_parallel(&batch(1000..1010), 1);
+        d.encode_triples_parallel(&batch(3000..3010), 1);
         let doubled = d.heap_bytes();
         assert!(doubled - content(&d) > content(&d) / 4, "doubled buffers keep their room");
-        d.encode_triples_parallel(&batch(1010..1011), 1);
+        d.encode_triples_parallel(&batch(3010..3011), 1);
         assert_eq!(d.heap_bytes(), doubled, "no reallocation per call");
         // A batch that doubles the dictionary again is a load again.
-        d.encode_triples_parallel(&batch(2000..3500), 1);
+        d.encode_triples_parallel(&batch(4000..10000), 1);
         assert_eq!(d.heap_bytes(), content(&d));
         // A shared clone is trimmed through copy-on-write, not in place.
         let mut grown = Dictionary::new();
@@ -1367,6 +1626,21 @@ mod tests {
         assert_eq!(snapshot.len(), grown.len());
     }
 
+    /// The lexical renumbering of a loop-encoded dictionary, computed
+    /// apart from the bulk encoder: `new[old]` is the rank of term `old`'s
+    /// key among all the keys.
+    fn lexical(looped: &Dictionary) -> Vec<u32> {
+        let keys: Vec<Vec<u8>> =
+            looped.terms().iter().map(|t| front::term_key(&TermRef::from(t))).collect();
+        let mut order: Vec<usize> = (0..keys.len()).collect();
+        order.sort_by(|&a, &b| keys[a].cmp(&keys[b]));
+        let mut new = vec![0; keys.len()];
+        for (rank, old) in order.into_iter().enumerate() {
+            new[old] = rank as u32;
+        }
+        new
+    }
+
     #[test]
     fn a_batch_encodes_runs_of_one_subject_as_the_triple_loop_does() {
         let t = |s: &str, p: &str, o: Term| Triple::new(iri(s), iri(p), o);
@@ -1377,12 +1651,57 @@ mod tests {
             t("b", "p", iri("a")),
             t("a", "p", Term::lang_literal("x", "en")),
             t("a", "p", iri("a")),
+            // Predicates that share a memo slot (same length, same last
+            // byte) must not share an id.
+            t("a", "rp", iri("c")),
+            t("c", "sp", iri("a")),
+            t("c", "rp", Term::typed_literal("x", XSD_INT)),
         ];
         let mut looped = Dictionary::new();
         let want: Vec<IdTriple> = batch.iter().map(|t| looped.encode_triple(t)).collect();
+        let new = lexical(&looped);
+        let renumbered = |id: Id| Id(new[id.index()]);
+        let want: Vec<IdTriple> = want
+            .into_iter()
+            .map(|t| IdTriple { s: renumbered(t.s), p: renumbered(t.p), o: renumbered(t.o) })
+            .collect();
         let mut batched = Dictionary::new();
-        assert_eq!(batched.encode_triples_parallel(&batch, 1), want);
-        assert_eq!(batched.image(), looped.image());
+        let got = batched.encode_triples_parallel(&batch, 1);
+        assert_eq!(got, want);
+        assert_eq!((batched.len(), batched.frozen_len()), (looped.len(), looped.len()));
+        assert_eq!(batched.image(), Dictionary::new().image(), "the delta tier is empty");
+        for (old, term) in looped.iter() {
+            assert_eq!(batched.decode(renumbered(old)).as_ref(), Some(&term));
+        }
+        for (t, ids) in batch.iter().zip(&got) {
+            assert_eq!(batched.decode_triple(*ids).as_ref(), Some(t));
+        }
+    }
+
+    #[test]
+    fn terms_interned_after_a_bulk_load_join_the_delta_and_keep_their_ids() {
+        let mut d = Dictionary::new();
+        let batch = [Triple::new(iri("b"), iri("p"), Term::lang_literal("x", "en"))];
+        d.encode_triples_parallel(&batch, 1);
+        assert_eq!(d.frozen_len(), 3);
+        let snapshot = d.clone();
+        let a = d.encode(&iri("a"));
+        assert_eq!(a, Id(3), "above the frozen ids, though its key sorts first");
+        assert_eq!(d.encode(&iri("b")), snapshot.id_of(&iri("b")).unwrap());
+        // A batch into a dictionary that holds terms does not renumber.
+        assert_eq!(d.encode_triples_parallel(&batch, 1), [snapshot.triple_ids(&batch[0]).unwrap()]);
+        assert_eq!(d.id_of(&iri("a")), Some(a));
+        assert_eq!(snapshot.id_of(&iri("a")), None);
+        // The two tiers read back through their columns; a delta term the
+        // frozen tier holds is a second id.
+        let rebuilt = Dictionary::from_tiers(d.front().clone(), d.image()).unwrap();
+        assert_eq!(rebuilt.terms(), d.terms());
+        let mut twice = Dictionary::new();
+        twice.encode(&iri("b"));
+        assert_eq!(
+            Dictionary::from_tiers(d.front().clone(), twice.image()).err(),
+            Some(ArenaError::Duplicate)
+        );
     }
 
     #[test]

@@ -9,7 +9,9 @@
 //!
 //! - [`Id`] — a dense `u32` key for a term,
 //! - [`IdTriple`] — a dictionary-encoded triple (three [`Id`]s),
-//! - [`Dictionary`] — the bidirectional term ⇄ id mapping,
+//! - [`Dictionary`] — the bidirectional term ⇄ id mapping, in a frozen
+//!   tier of sorted, front-coded keys ([`FrontImage`], [`term_key`]) and
+//!   an append-only delta tier,
 //! - [`packed`] — the bit-packed integer columns every dictionary column
 //!   and every frozen-store index level is stored in, over bytes that are
 //!   owned or a window of a mapped file ([`packed::Bytes`]).
@@ -34,8 +36,10 @@
 #![warn(missing_docs)]
 
 mod dictionary;
+mod front;
 mod id;
 pub mod packed;
 
 pub use dictionary::{ArenaError, ArenaImage, DictHeap, Dictionary, IndexStats};
+pub use front::{term_key, FrontImage, BLOCK};
 pub use id::{Id, IdTriple};

@@ -1,16 +1,24 @@
 //! Oracle tests for the batch encoder and the arena constructors.
 //!
-//! The contract under test is byte-identity: for any triple batch —
-//! owned `Triple`s, borrowed `TripleRef`s, or the `Statement`s the
-//! tokenizer yields for the batch written as N-Triples — and any worker
-//! count it is allowed, `encode_triples_parallel` must
-//! leave the dictionary in *exactly* the state a serial first-seen
-//! `encode_triple` loop over owned triples produces — same ids, same id
-//! order, same head column, same offset tables, same arena bytes. Not
-//! "equivalent up to renumbering": identical, so snapshots and plans
-//! built either way are interchangeable. The batch encoder is that loop
-//! today (the hash-sharded one it replaced did not pay for itself); this
-//! is the oracle any encoder that does use its workers has to pass.
+//! The contract under test is exact: for any triple batch — owned
+//! `Triple`s, borrowed `TripleRef`s, or the `Statement`s the tokenizer
+//! yields for the batch written as N-Triples — and any worker count it is
+//! allowed, `encode_triples_parallel` must
+//!
+//! - into a dictionary that holds terms, leave it in *exactly* the state a
+//!   serial first-seen `encode_triple` loop over owned triples produces —
+//!   same ids, same id order, same head column, same offset tables, same
+//!   arena bytes;
+//! - into an empty dictionary (a bulk load), return the loop's ids mapped
+//!   through one permutation, the lexical one: the rank of each term's key
+//!   among all keys, computed here from this file's own spelling of the
+//!   key. Every term then sits in the frozen tier in that order, the delta
+//!   tier is empty, the frozen tier's bytes are the same whatever the
+//!   input form or worker count, and the ids decode to the batch.
+//!
+//! The batch encoder is the loop today (the hash-sharded one it replaced
+//! did not pay for itself); this is the oracle any encoder that does use
+//! its workers has to pass.
 //!
 //! The corruption half drives the arena constructor with every
 //! single-byte flip of the head column and the two offset tables, and
@@ -19,9 +27,9 @@
 //! asserting rejection or a well-formed dictionary — never a panic.
 
 use hex_dict::packed::PackedColumn;
-use hex_dict::{ArenaImage, Dictionary, Id, IdTriple};
+use hex_dict::{ArenaImage, Dictionary, FrontImage, Id, IdTriple};
 use proptest::prelude::*;
-use rdf_model::{Term, Triple, TripleRef};
+use rdf_model::{Term, TermRef, Triple, TripleRef};
 
 fn iri_strategy() -> impl Strategy<Value = Term> {
     (0u32..40).prop_map(|i| Term::iri(format!("http://example.org/node/{i}")))
@@ -63,74 +71,158 @@ fn triple_strategy() -> impl Strategy<Value = Vec<Triple>> {
     ]
 }
 
+/// A term's frozen-tier key, spelled out apart from the library: its
+/// kind byte, then for a tagged or typed literal the LEB128 length and
+/// bytes of the tag or datatype IRI, then its text.
+fn key(term: &Term) -> Vec<u8> {
+    let view = TermRef::from(term);
+    let (text, second) = view.pieces();
+    let mut key = vec![view.kind() as u8];
+    if let Some(second) = second {
+        let mut n = second.len();
+        while n >= 0x80 {
+            key.push((n & 0x7F) as u8 | 0x80);
+            n >>= 7;
+        }
+        key.push(n as u8);
+        key.extend_from_slice(second.as_bytes());
+    }
+    key.extend_from_slice(text.as_bytes());
+    key
+}
+
+/// What a batch must leave: its ids, the terms in id order and the
+/// delta tier's columns.
+struct Expected {
+    ids: Vec<IdTriple>,
+    terms: Vec<Term>,
+    delta: ArenaImage,
+}
+
+impl Expected {
+    /// What `triples` encoded from `base` must leave: the serial loop's
+    /// state, renumbered in key order when `base` is empty.
+    fn of(base: &Dictionary, triples: &[Triple]) -> Self {
+        let mut serial = base.clone();
+        let ids: Vec<IdTriple> = triples.iter().map(|t| serial.encode_triple(t)).collect();
+        let terms = serial.terms();
+        if !base.is_empty() {
+            return Expected { ids, terms, delta: serial.image() };
+        }
+        let keys: Vec<Vec<u8>> = terms.iter().map(key).collect();
+        let mut order: Vec<usize> = (0..terms.len()).collect();
+        order.sort_by(|&a, &b| keys[a].cmp(&keys[b]));
+        let mut rank = vec![0u32; terms.len()];
+        for (new, &old) in order.iter().enumerate() {
+            rank[old] = new as u32;
+        }
+        let new = |id: Id| Id(rank[id.index()]);
+        Expected {
+            ids: ids
+                .into_iter()
+                .map(|t| IdTriple { s: new(t.s), p: new(t.p), o: new(t.o) })
+                .collect(),
+            terms: order.into_iter().map(|old| terms[old].clone()).collect(),
+            delta: Dictionary::new().image(),
+        }
+    }
+}
+
 /// Encodes `triples` from `base` with `threads` workers allowed — as
 /// owned input, as borrowed input and, when the batch is valid RDF, as
 /// the statements its N-Triples text tokenizes to — asserting each
-/// leaves ids and dictionary identical to `want` and `serial`.
+/// leaves the ids and dictionary `want` says, and, from an empty `base`,
+/// a frozen tier byte-identical to `front`'s (set by the first call).
 fn assert_batch_matches(
     base: &Dictionary,
     triples: &[Triple],
     threads: usize,
-    want: &[IdTriple],
-    serial: &Dictionary,
+    want: &Expected,
+    front: &mut Option<FrontImage>,
 ) {
-    fn check<T>(
-        input: &[T],
-        ctx: String,
-        (base, threads, want, serial): (&Dictionary, usize, &[IdTriple], &Dictionary),
-    ) where
-        for<'t> &'t T: Into<TripleRef<'t>>,
-    {
-        let mut dict = base.clone();
-        assert_eq!(dict.encode_triples_parallel(input, threads), want, "{ctx}");
-        assert_dictionaries_byte_identical(serial, &dict, &ctx);
-    }
-    let against = (base, threads, want, serial);
-    check(triples, format!("owned, {threads} threads"), against);
+    let mut check = |dict: Dictionary, got: Vec<IdTriple>, ctx: String| {
+        assert_eq!(got, want.ids, "{ctx}");
+        assert_eq!(dict.len(), want.terms.len(), "{ctx}: term count");
+        assert_eq!(dict.terms(), want.terms, "{ctx}: id-ordered terms");
+        assert_eq!(dict.image(), want.delta, "{ctx}: the delta tier's five columns");
+        for (t, ids) in triples.iter().zip(&got) {
+            assert_eq!(dict.decode_triple(*ids).as_ref(), Some(t), "{ctx}: decoded");
+        }
+        if base.is_empty() {
+            assert_eq!(dict.frozen_len(), dict.len(), "{ctx}: a bulk load freezes every term");
+            let front = front.get_or_insert_with(|| dict.front().clone());
+            assert_eq!(dict.front(), front, "{ctx}: the frozen tier's bytes");
+        } else {
+            assert_eq!(dict.front(), base.front(), "{ctx}: the frozen tier is kept");
+        }
+    };
+    let mut dict = base.clone();
+    let got = dict.encode_triples_parallel(triples, threads);
+    check(dict, got, format!("owned, {threads} threads"));
     let borrowed: Vec<TripleRef<'_>> = triples.iter().map(TripleRef::from).collect();
-    check(&borrowed, format!("borrowed, {threads} threads"), against);
+    let mut dict = base.clone();
+    let got = dict.encode_triples_parallel(&borrowed, threads);
+    check(dict, got, format!("borrowed, {threads} threads"));
     if triples.iter().all(Triple::is_valid_rdf) {
         let text = rdf_model::write_document(triples);
         let statements = rdf_model::parse_document(&text).unwrap();
-        check(&statements, format!("statements, {threads} threads"), against);
+        let mut dict = base.clone();
+        let got = dict.encode_triples_parallel(&statements, threads);
+        check(dict, got, format!("statements, {threads} threads"));
     }
 }
 
-fn assert_dictionaries_byte_identical(serial: &Dictionary, parallel: &Dictionary, ctx: &str) {
-    assert_eq!(parallel.len(), serial.len(), "{ctx}: term count");
-    assert_eq!(parallel.image(), serial.image(), "{ctx}: the five columns");
-    assert_eq!(parallel.terms(), serial.terms(), "{ctx}: id-ordered terms");
+#[test]
+fn the_key_spelled_here_is_the_library_key() {
+    for term in [
+        Term::iri("http://x/a"),
+        Term::blank("b"),
+        Term::literal(""),
+        Term::lang_literal("x", "en"),
+        Term::typed_literal("1", "http://www.w3.org/2001/XMLSchema#integer"),
+        Term::lang_literal("long", "t".repeat(300)),
+    ] {
+        assert_eq!(hex_dict::term_key(&TermRef::from(&term)), key(&term), "{term}");
+    }
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
     /// For every worker count 1–8, the batch encoder's ids and final
-    /// dictionary are byte-identical to the serial first-seen loop.
+    /// dictionary are the serial first-seen loop's, renumbered in key
+    /// order.
     #[test]
-    fn sharded_encode_is_byte_identical_to_serial(triples in triple_strategy()) {
-        let mut serial = Dictionary::new();
-        let want: Vec<_> = triples.iter().map(|t| serial.encode_triple(t)).collect();
+    fn sharded_encode_is_the_serial_loop_renumbered(triples in triple_strategy()) {
+        let base = Dictionary::new();
+        let want = Expected::of(&base, &triples);
+        let mut front = None;
         for threads in 1..=8usize {
-            assert_batch_matches(&Dictionary::new(), &triples, threads, &want, &serial);
+            assert_batch_matches(&base, &triples, threads, &want, &mut front);
         }
     }
 
-    /// Same identity when the dictionary already holds terms: base ids
-    /// are reused, new terms extend in serial first-seen order.
+    /// Byte identity when the dictionary already holds terms: base ids
+    /// are reused, new terms extend the delta in serial first-seen order
+    /// — over a delta-only base and over one a bulk load froze.
     #[test]
     fn sharded_encode_is_byte_identical_over_a_seeded_base(
         seed in proptest::collection::vec(term_strategy(), 0..40),
         triples in triple_strategy(),
     ) {
-        let mut serial = Dictionary::new();
+        let mut interned = Dictionary::new();
         for t in &seed {
-            serial.encode(t);
+            interned.encode(t);
         }
-        let base = serial.clone();
-        let want: Vec<_> = triples.iter().map(|t| serial.encode_triple(t)).collect();
-        for threads in [2usize, 3, 5, 8] {
-            assert_batch_matches(&base, &triples, threads, &want, &serial);
+        let mut frozen = Dictionary::new();
+        let seed_triples: Vec<Triple> =
+            seed.iter().map(|t| Triple::new(t.clone(), t.clone(), t.clone())).collect();
+        frozen.encode_triples_parallel(&seed_triples, 1);
+        for base in [interned, frozen] {
+            let want = Expected::of(&base, &triples);
+            for threads in [2usize, 3, 5, 8] {
+                assert_batch_matches(&base, &triples, threads, &want, &mut None);
+            }
         }
     }
 
@@ -200,8 +292,8 @@ proptest! {
     }
 }
 
-/// A deterministic pass big enough to exercise index growth, with the
-/// borrowed input coming from the tokenizer itself: 20,000 statements
+/// A deterministic pass big enough to exercise index growth and many
+/// blocks, with the borrowed input coming from the tokenizer itself: 20,000 statements
 /// over ~1,500 distinct terms, written as N-Triples and parsed back, so
 /// escape-free terms are slices of the text and the escaped literals own
 /// theirs.
@@ -224,13 +316,10 @@ fn sharded_encode_matches_serial_at_index_growth_scale() {
             )
         })
         .collect();
-    let text = rdf_model::write_document(&triples);
-    let parsed = rdf_model::parse_document(&text).unwrap();
-    let mut serial = Dictionary::new();
-    let want: Vec<_> = triples.iter().map(|t| serial.encode_triple(t)).collect();
+    let base = Dictionary::new();
+    let want = Expected::of(&base, &triples);
+    let mut front = None;
     for threads in [2usize, 4, 8] {
-        let mut dict = Dictionary::new();
-        assert_eq!(dict.encode_triples_parallel(&parsed, threads), want, "{threads} threads");
-        assert_dictionaries_byte_identical(&serial, &dict, &format!("{threads} threads"));
+        assert_batch_matches(&base, &triples, threads, &want, &mut front);
     }
 }

@@ -33,7 +33,8 @@
 //! execution and snapshot serving work over it unchanged.
 //!
 //! Only uncompressed snapshots of the current format version
-//! ([`hexastore::hexsnap::VERSION`]) are mappable: compressed (`FRZC`)
+//! ([`hexastore::hexsnap::VERSION`]) or of v10, which lacks only the
+//! frozen dictionary tier, are mappable: compressed (`FRZC`)
 //! sections and files of older versions — each of which lays out some
 //! column differently ([`hexastore::hexsnap::mapping_refusal`] names
 //! which) — must go through the decoding
@@ -134,18 +135,23 @@ pub type Result<T> = std::result::Result<T, Error>;
 /// Opens a `hexsnap` file as a dictionary plus a frozen store over its
 /// mapping, without reading the slab columns or copying the term strings.
 ///
-/// The `DICT` section is read in place: the packed head column, the two
-/// packed offset tables and the term and prefix arenas all stay behind
-/// the mapping as [`Bytes`] windows, shared with the slab columns in one
-/// `mmap` of the whole file, so the dictionary's heap holds its two
-/// reverse indexes and nothing else. Open-time work on the dictionary is
-/// one validating hash pass per table (canonical packed columns, UTF-8,
-/// index build), no per-term allocation; on the slabs it is [`verify`], a
+/// The `DICT` section is read in place: the frozen tier's blocks and
+/// block offsets, the delta tier's packed head column, its two packed
+/// offset tables and its term and prefix arenas all stay behind the
+/// mapping as [`Bytes`] windows, shared with the slab columns in one
+/// `mmap` of the whole file. The frozen tier gets no hash table, so the
+/// dictionary's heap holds the delta's two reverse indexes and nothing
+/// else: a few bytes for a bulk-loaded file, whose delta is empty.
+/// Open-time work on the dictionary is one sequential validating pass
+/// over the frozen tier (block offsets, varints, shared prefixes,
+/// ascending keys, UTF-8) and one validating hash pass per delta table
+/// (canonical packed columns, UTF-8, index build), no per-term
+/// allocation; on the slabs it is [`verify`], a
 /// pass over the columns that address terminal lists ([`Error::Corrupt`]
 /// if they are not what a writer lays down).
 /// Fails with [`Error::Unmappable`] for snapshots whose slabs were
-/// saved compressed, for files of an older format version than
-/// [`hexsnap::VERSION`] (some of their columns are not the ones the read
+/// saved compressed, for files of a format version before v10 (some of
+/// their columns are not the ones the read
 /// path maps; [`hexsnap::mapping_refusal`] names which), and for
 /// snapshots carrying no frozen section — open those with
 /// [`hexastore::hexsnap::load_frozen`] and re-save them with
@@ -160,7 +166,8 @@ pub fn open(path: impl AsRef<Path>) -> Result<(Dictionary, FrozenHexastore)> {
     let map = map_file(path.as_ref())?;
     let (store, mut reader) = open_mapped(&map)?;
     verify(&store)?;
-    Ok((hexsnap::dictionary_from_columns(reader.dict_columns()?, windows(&map))?, store))
+    let (front, columns) = (reader.front_columns()?, reader.dict_columns()?);
+    Ok((hexsnap::dictionary_from_columns(front, columns, windows(&map))?, store))
 }
 
 /// Opens only the slab section of a `hexsnap` file as a store over its

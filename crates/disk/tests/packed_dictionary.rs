@@ -144,8 +144,11 @@ proptest! {
 fn a_read_dictionary_sizes_its_index_as_interning_does() {
     let mut triples = barton::generate(&BartonConfig { records: 3_500, ..Default::default() });
     triples.extend(lubm::generate(&LubmConfig::with_universities(1)));
+    // Interned one by one, every term joins the delta tier and its index.
     let mut interned = Dictionary::new();
-    interned.encode_triples_parallel(&triples, 1);
+    for t in &triples {
+        interned.encode_triple(t);
+    }
     let n = interned.len();
     let slots = interned.index_stats().slots;
     // The smallest power of two of at least 8n/7.
@@ -165,7 +168,8 @@ fn a_read_dictionary_sizes_its_index_as_interning_does() {
     assert_eq!(heap.term_index, interned.heap_breakdown().term_index);
 }
 
-/// A v10 file whose `DICT` section holds these columns — each packed
+/// A current-version file whose `DICT` section holds an empty frozen tier
+/// and these delta columns — each packed
 /// column given as its width and image — beside an empty store's `FROZ`.
 struct DictFile {
     heads: (u32, Vec<u8>, usize),
@@ -199,6 +203,12 @@ impl DictFile {
         f.extend_from_slice(&hexsnap::VERSION.to_le_bytes());
         pad(&mut f);
         let dict_at = f.len();
+        // An empty frozen tier: the block size, no term, the one block
+        // offset 0 (width 0, no words) and no block bytes.
+        f.extend_from_slice(&hex_dict::BLOCK.to_le_bytes());
+        f.extend_from_slice(&0u32.to_le_bytes());
+        packed(&mut f, &(0, Vec::new(), 1));
+        f.extend_from_slice(&0u64.to_le_bytes());
         f.extend_from_slice(&(self.heads.2 as u32).to_le_bytes());
         packed(&mut f, &self.heads);
         packed(&mut f, &self.ends);

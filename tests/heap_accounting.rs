@@ -89,7 +89,8 @@ fn heap_bytes_is_what_the_allocator_gives_back() {
 
     // Beyond its columns a frozen store owns one shared block of column
     // headers, which is all an empty store's drop gives back; `heap_bytes`
-    // counts the dictionary's struct but not its two reference counts.
+    // counts each of the dictionary's two tiers' structs but not the two
+    // reference counts beside each.
     let block = freed_by_dropping(FrozenHexastore::from_triples([]));
     let store_counted = store.heap_bytes();
     let store_freed = freed_by_dropping(store);
@@ -119,6 +120,6 @@ fn heap_bytes_is_what_the_allocator_gives_back() {
         [("interned", dict, 0), ("eager-loaded", eager, 0), ("mapped", mapped, mapping)]
     {
         let counted = dict.heap_bytes();
-        assert_eq!(freed_by_dropping(dict), counted + counts + also, "{what} dictionary");
+        assert_eq!(freed_by_dropping(dict), counted + 2 * counts + also, "{what} dictionary");
     }
 }
