@@ -206,21 +206,14 @@ mod tests {
 
     /// The acceptance bar of the batch dictionary encoder at the query
     /// level: a dataset whose dictionary was built by
-    /// `encode_triples_parallel` — a bulk load, so its ids are lexical —
-    /// answers all twelve paper queries with the rows of the serially
-    /// encoded dataset, as multisets of TSV lines (row order follows the
-    /// ids), at every worker count 1–8 it may be allowed (it uses one
-    /// today; the bar is for any encoder that uses more). The encoded ids
-    /// are checked first to be the serial ones mapped through the lexical
-    /// permutation computed here, and to decode to the input, so a match
-    /// can never hide some other renumbering.
+    /// `encode_triples_parallel` answers all twelve paper queries with
+    /// TSV byte-identical to the serially-encoded dataset — at every
+    /// worker count 1–8 it may be allowed (it uses one today; the bar is
+    /// for any encoder that uses more). The encoded ids are checked
+    /// identical first, so a TSV match can never hide a compensating
+    /// renumbering.
     #[test]
     fn sharded_dictionary_encode_answers_all_twelve_byte_identically() {
-        let lines = |tsv: String| {
-            let mut lines: Vec<String> = tsv.lines().map(str::to_owned).collect();
-            lines[1..].sort();
-            lines
-        };
         for (raw, queries) in [
             (
                 hex_datagen::barton::generate(&hex_datagen::barton::BartonConfig::tiny()),
@@ -230,41 +223,19 @@ mod tests {
         ] {
             let suite = Suite::build(&raw);
             let reference = suite.dataset();
-            let wanted: Vec<(String, Vec<String>)> = queries(&suite.dict)
+            let wanted: Vec<(String, String)> = queries(&suite.dict)
                 .expect("constants resolve")
                 .iter()
                 .map(|q| {
                     let rs = reference.query(&q.text).expect("query compiles");
                     assert!(!rs.is_empty(), "{} returned no rows", q.name);
-                    (q.name.to_string(), lines(rs.to_tsv()))
+                    (q.name.to_string(), rs.to_tsv())
                 })
-                .collect();
-            // The rank of each serial id's key among all the keys.
-            let keys: Vec<Vec<u8>> = suite
-                .dict
-                .terms()
-                .iter()
-                .map(|t| hex_dict::term_key(&rdf_model::TermRef::from(t)))
-                .collect();
-            let mut order: Vec<usize> = (0..keys.len()).collect();
-            order.sort_by(|&a, &b| keys[a].cmp(&keys[b]));
-            let mut rank = vec![0u32; keys.len()];
-            for (new, &old) in order.iter().enumerate() {
-                rank[old] = new as u32;
-            }
-            let new = |id: hex_dict::Id| hex_dict::Id(rank[id.index()]);
-            let lexical: Vec<hex_dict::IdTriple> = suite
-                .triples
-                .iter()
-                .map(|t| hex_dict::IdTriple { s: new(t.s), p: new(t.p), o: new(t.o) })
                 .collect();
             for threads in 1..=8usize {
                 let mut dict = Dictionary::new();
                 let encoded = dict.encode_triples_parallel(&raw, threads);
-                assert_eq!(encoded, lexical, "ids differ at {threads} threads");
-                for (t, ids) in raw.iter().zip(&encoded) {
-                    assert_eq!(dict.decode_triple(*ids).as_ref(), Some(t));
-                }
+                assert_eq!(encoded, suite.triples, "ids differ at {threads} threads");
                 let ds = hexastore::Dataset::from_parts(
                     dict,
                     hexastore::Hexastore::from_triples(encoded.iter().copied()),
@@ -272,7 +243,7 @@ mod tests {
                 for (name, want) in &wanted {
                     let query = queries(ds.dict()).expect("constants resolve");
                     let query = query.iter().find(|q| q.name == *name).unwrap();
-                    let got = lines(ds.query(&query.text).expect("query compiles").to_tsv());
+                    let got = ds.query(&query.text).expect("query compiles").to_tsv();
                     assert_eq!(
                         &got, want,
                         "{name} differs under sharded encode with {threads} threads"

@@ -554,6 +554,7 @@ fn snapshot_size_rendered(fig: &FigureSpec, p: &Params) -> Rendered {
             ("dict_interior_bytes", Count::Int(dict_heap.interior)),
             ("dict_frozen_bytes", Count::Int(dict_heap.frozen)),
             ("dict_blocks_bytes", Count::Int(dict_heap.blocks)),
+            ("dict_permutations_bytes", Count::Int(dict_heap.permutations)),
             ("dict_heads_bytes", Count::Int(dict_heap.heads)),
             ("dict_ends_bytes", Count::Int(dict_heap.ends)),
             ("dict_arena_bytes", Count::Int(dict_heap.arena)),
@@ -1395,6 +1396,7 @@ mod tests {
             "dict_interior_bytes",
             "dict_frozen_bytes",
             "dict_blocks_bytes",
+            "dict_permutations_bytes",
             "dict_heads_bytes",
             "dict_ends_bytes",
             "dict_arena_bytes",

@@ -307,8 +307,8 @@ impl<S: MutableStore> Dataset<S> {
     /// `doc` — and the dictionary interns from views of them, so no owned
     /// term exists between the text and the ids and the parsed document
     /// weighs a fraction of its text. The document is encoded as one batch
-    /// ([`Dictionary::encode_triples_parallel`]): into an empty dataset
-    /// that is a bulk load, whose terms take lexical ids in the
+    /// ([`Dictionary::encode_triples_parallel`]), whose ids are first-seen:
+    /// into an empty dataset that is a bulk load, whose terms go to the
     /// dictionary's front-coded frozen tier; into one that holds terms,
     /// new terms are appended to the delta tier, and a load that at least
     /// doubles the dictionary leaves its buffers exact-sized.

@@ -82,10 +82,10 @@
 //!
 //! - **v11** (current) — a `DICT` section begins with the frozen tier a
 //!   bulk load leaves ([`hex_dict::FrontImage`]): the terms' keys in
-//!   ascending order, front coded in blocks, so that a frozen id's order
-//!   is its key's. The delta tier follows in v10's layout, byte for byte,
-//!   and `FROZ` and `FRZC` are v10's. A graph interned term by term has an
-//!   empty frozen tier.
+//!   ascending order, front coded in blocks, and the two permutations
+//!   between key order and the first-seen ids. The delta tier follows in
+//!   v10's layout, byte for byte, and `FROZ` and `FRZC` are v10's. A
+//!   graph interned term by term has an empty frozen tier.
 //!
 //! [`Writer`] writes v11; [`Reader`] opens all eleven. Where every column of
 //! a `DICT` or `FROZ` section lies is said once per section, by a walker
@@ -124,8 +124,10 @@
 //!   later key a varint shared-prefix length, a varint suffix length and
 //!   the suffix (varints are LEB128). A key ([`hex_dict::term_key`]) is the
 //!   kind byte, for a tagged or typed literal a varint length and the tag
-//!   or datatype IRI, then the text; keys ascend strictly, and frozen id
-//!   `i` is the `i`-th key. Then the delta tier, every section before
+//!   or datatype IRI, then the text; keys ascend strictly. Then two
+//!   packed columns of `n_frozen` values each: the frozen id of each key,
+//!   in key order, and the position of each frozen id's key, which
+//!   inverts it. Then the delta tier, every section before
 //!   v11: two string arenas plus offsets (not per-term values): `u32
 //!   n_terms`, one head per term (its kind — 0 iri, 1 blank, 2 plain
 //!   literal, 3 language literal, 4 typed literal — in the low three
@@ -493,6 +495,8 @@ impl<W: Write + Seek> Writer<W> {
         self.packed(front.offsets.view())?;
         w_u64(&mut self.w, front.bytes.len() as u64)?;
         self.w.write_all(&front.bytes)?;
+        self.packed(front.ids.view())?;
+        self.packed(front.ranks.view())?;
         w_u32(&mut self.w, count(heads.len(), "terms")?)?;
         self.packed(heads)?;
         self.packed(ends)?;
@@ -679,7 +683,7 @@ pub struct Column {
 }
 
 /// Where the frozen tier of a v11 `DICT` section lies
-/// ([`Reader::front_columns`]).
+/// ([`Reader::dict_columns`]).
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub struct FrontColumns {
     /// Keys per block, at least 1.
@@ -690,6 +694,10 @@ pub struct FrontColumns {
     pub offsets: Packed,
     /// The front-coded blocks.
     pub bytes: Column,
+    /// The frozen id of each key, in key order.
+    pub ids: Packed,
+    /// The position of each frozen id's key in key order.
+    pub ranks: Packed,
 }
 
 /// The delta-tier columns of a `DICT` section ([`Reader::dict_columns`]):
@@ -1114,8 +1122,14 @@ impl<R: Read + Seek> Reader<R> {
         Ok(Walk { r: &mut self.r, pos: off, end: off + len, tag })
     }
 
-    /// Locates the delta-tier columns of the `DICT` section, every
-    /// column before v11, reading only its count fields — v5 on: `u32
+    /// Locates the columns of the `DICT` section, reading only its count
+    /// fields: the frozen tier of a v11 section, `None` before v11, and
+    /// the delta tier, every column before v11.
+    ///
+    /// The frozen tier is the section's first fields: `u32 block`, `u32
+    /// n_frozen`, the packed block offsets (`⌈n_frozen / block⌉ + 1`
+    /// values), `u64 n_block_bytes`, the blocks, then the packed ids and
+    /// ranks (`n_frozen` values each). The delta tier, v5 on: `u32
     /// n_terms`, the heads, the term ends, `u64 n_bytes`, the term arena,
     /// `u32 n_prefixes`, the prefix ends, `u64 n_prefix_bytes`, the prefix
     /// arena, the three integer columns `u32`s before v10 ([`Ints::U32`])
@@ -1124,22 +1138,7 @@ impl<R: Read + Seek> Reader<R> {
     /// `u32 n_terms`, the kind bytes, `u32 n_pieces`, the piece offsets,
     /// `u64 n_bytes`, the string arena. Every column is bounded by the
     /// section before anything is allocated.
-    pub fn dict_columns(&mut self) -> Result<DictColumns> {
-        Ok(self.dict_walk()?.1)
-    }
-
-    /// Locates the frozen tier of a v11 `DICT` section, the section's
-    /// first fields: `u32 block`, `u32 n_frozen`, the packed block offsets
-    /// (`⌈n_frozen / block⌉ + 1` values), `u64 n_block_bytes`, the blocks.
-    /// `None` before v11, whose dictionaries have no frozen tier.
-    pub fn front_columns(&mut self) -> Result<Option<FrontColumns>> {
-        Ok(self.dict_walk()?.0)
-    }
-
-    /// The one walk over the `DICT` section's count fields, whose two
-    /// halves [`Reader::front_columns`] and [`Reader::dict_columns`] hand
-    /// out.
-    fn dict_walk(&mut self) -> Result<(Option<FrontColumns>, DictColumns)> {
+    pub fn dict_columns(&mut self) -> Result<(Option<FrontColumns>, DictColumns)> {
         let tiered = self.version >= 11;
         let prefixed = self.version >= 5;
         let packed = self.version >= 10;
@@ -1154,7 +1153,10 @@ impl<R: Read + Seek> Reader<R> {
                 walk.packed(terms.div_ceil(block) + 1, "dictionary block offset column")?;
             let bytes = walk.count64("dictionary block bytes size")?;
             let bytes = walk.column(bytes, 1, "dictionary blocks")?;
-            Some(FrontColumns { block: block as u32, terms: terms as usize, offsets, bytes })
+            let ids = walk.packed(terms, "dictionary key id column")?;
+            let ranks = walk.packed(terms, "dictionary key rank column")?;
+            let (block, terms) = (block as u32, terms as usize);
+            Some(FrontColumns { block, terms, offsets, bytes, ids, ranks })
         } else {
             None
         };
@@ -1306,10 +1308,10 @@ impl<R: Read + Seek> Reader<R> {
 
     /// Reads the `DICT` section into a [`Dictionary`] whose ids are the
     /// stored term indices: [`dictionary_from_columns`] over the columns
-    /// [`Reader::front_columns`] and [`Reader::dict_columns`] locate, each
+    /// [`Reader::dict_columns`] locates, each
     /// read into an owned buffer.
     pub fn dictionary(&mut self) -> Result<Dictionary> {
-        let (front, columns) = self.dict_walk()?;
+        let (front, columns) = self.dict_columns()?;
         dictionary_from_columns(front, columns, |at| Ok(self.bytes(at)?.into()))
     }
 
@@ -1672,7 +1674,7 @@ fn plain_ordering(
 }
 
 /// The dictionary whose `DICT` columns `front` and `columns` locate
-/// ([`Reader::front_columns`], [`Reader::dict_columns`]), each column's
+/// ([`Reader::dict_columns`]), each column's
 /// bytes from `source` as for [`frozen_from_columns`]. A v11 section's
 /// frozen tier and a v10 or v11 section's five delta columns are handed
 /// to [`Dictionary::from_tiers`] as they are, a v5 to v9 section's `u32`
@@ -1694,11 +1696,13 @@ pub fn dictionary_from_columns(
 ) -> Result<Dictionary> {
     let mut source = Source(source);
     let front = match front {
-        Some(FrontColumns { block, terms, offsets, bytes }) => FrontImage {
+        Some(FrontColumns { block, terms, offsets, bytes, ids, ranks }) => FrontImage {
             block,
             len: terms,
             offsets: source.packed(offsets, "dictionary block offset column")?,
             bytes: source.bytes(bytes.offset, bytes.len)?,
+            ids: source.packed(ids, "dictionary key id column")?,
+            ranks: source.packed(ranks, "dictionary key rank column")?,
         },
         None => FrontImage::default(),
     };
@@ -2417,7 +2421,7 @@ mod tests {
         let (dict, _) = sample_dict_and_store();
         let bytes = snapshot_bytes(true);
         let mut r = Reader::new(Cursor::new(&bytes)).unwrap();
-        let Ok(DictColumns::Prefixed { heads, prefixes, .. }) = r.dict_columns() else {
+        let Ok((_, DictColumns::Prefixed { heads, prefixes, .. })) = r.dict_columns() else {
             panic!("a v5 file has a prefixed DICT")
         };
         assert_eq!(heads.len(), dict.len());

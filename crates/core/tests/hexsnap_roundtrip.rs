@@ -499,7 +499,7 @@ fn every_byte_flip_is_rejected_or_still_decodes(files: &[Vec<u8>], version: u32)
 /// mapping's open does.
 fn shared_dictionary(file: Vec<u8>) -> hexsnap::Result<Dictionary> {
     let mut r = hexsnap::Reader::new(Cursor::new(&file)).unwrap();
-    let (front, columns) = (r.front_columns()?, r.dict_columns()?);
+    let (front, columns) = r.dict_columns()?;
     let file: SharedBytes = Arc::new(file.clone());
     let windows = |at| Ok(Bytes::shared(SharedBytes::clone(&file), at).expect("inside the file"));
     hexsnap::dictionary_from_columns(front, columns, windows)
@@ -668,15 +668,16 @@ fn dict_padding_flips_are_refused(files: &[Vec<u8>]) {
 
 /// The file positions of the zero padding before the packed columns of
 /// a v10 or v11 `DICT` section: in v11, after the block size, the frozen
-/// term count and the block offsets' width; then after the delta term
+/// term count and the block offsets' width, after the blocks and the
+/// ids' width, and after the ids' words and the ranks' width; then after the delta term
 /// count and the heads' width, after the heads' words and the ends'
 /// width, and after the prefix count and the prefix ends' width.
 fn dict_padding(file: &[u8]) -> Vec<usize> {
     use hexsnap::{DictColumns, Ints, Packed};
     let mut r = hexsnap::Reader::new(Cursor::new(file)).unwrap();
     let (dict_at, _) = r.section_extent(*b"DICT").unwrap();
-    let front = r.front_columns().unwrap();
-    let DictColumns::Prefixed { heads, ends, arena, prefix_ends, .. } = r.dict_columns().unwrap()
+    let (front, DictColumns::Prefixed { heads, ends, arena, prefix_ends, .. }) =
+        r.dict_columns().unwrap()
     else {
         panic!("a prefixed dictionary")
     };
@@ -690,7 +691,9 @@ fn dict_padding(file: &[u8]) -> Vec<usize> {
     let delta_at = match front {
         Some(front) => {
             pad(dict_at as usize + 8, front.offsets);
-            front.bytes.offset + front.bytes.len
+            pad(front.bytes.offset + front.bytes.len, front.ids);
+            pad(front.ids.offset + front.ids.bytes(), front.ranks);
+            front.ranks.offset + front.ranks.bytes()
         }
         None => dict_at as usize,
     };

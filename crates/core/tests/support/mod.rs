@@ -128,7 +128,7 @@ pub fn temp_path(tag: &str) -> PathBuf {
 
 /// The graph of `v11_bulk.hexsnap`: terms of every kind, 24 of them —
 /// three blocks of the frozen tier — bulk loaded from N-Triples, so the
-/// dictionary's ids are lexical.
+/// dictionary is all frozen tier.
 pub fn bulk_graph() -> GraphStore {
     let mut g = GraphStore::new();
     let mut doc = String::new();

@@ -40,7 +40,9 @@ fn v10_changed_only_the_integer_columns_of_dict() {
     {
         let (v9, v10) = (fixture_bytes(v9), fixture_bytes(v10));
         assert_eq!(section(&v9, tag, "v9"), section(&v10, tag, "v10"), "{tag:?}");
-        let columns = |file: &[u8]| Reader::new(std::io::Cursor::new(file)).unwrap().dict_columns();
+        let columns = |file: &[u8]| {
+            Reader::new(std::io::Cursor::new(file)).unwrap().dict_columns().map(|(_, delta)| delta)
+        };
         let (
             DictColumns::Prefixed { heads: h9, ends: e9, arena: a9, prefix_ends: p9, prefixes: b9 },
             DictColumns::Prefixed {

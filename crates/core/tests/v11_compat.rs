@@ -54,14 +54,15 @@ fn v11_added_only_an_empty_frozen_tier_to_the_dict_of_a_graph_of_inserts() {
     // Against the v10 files of the same graph: the slab sections are byte
     // for byte the same, and `DICT` is the block size, a frozen term count
     // of 0, the one block offset (a packed column of width 0: its width
-    // and its padding), no block bytes, then v10's section.
+    // and its padding), no block bytes, no ids and no ranks (each a width
+    // and its padding), then v10's section.
     for (v10, v11, tag) in
         [("v10_small", "v11_small", *b"FROZ"), ("v10_small_frzc", "v11_small_frzc", *b"FRZC")]
     {
         let (v10, v11) = (fixture_bytes(v10), fixture_bytes(v11));
         assert_eq!(section(&v10, tag, "v10"), section(&v11, tag, "v11"), "{tag:?}");
         let block = hex_dict::BLOCK.to_le_bytes();
-        let frozen_tier = [&block[..], &[0; 4], &[0; 4], &[0; 4], &[0; 8]].concat();
+        let frozen_tier = [&block[..], &[0; 4], &[0; 8], &[0; 8], &[0; 8], &[0; 8]].concat();
         let dict = [&frozen_tier[..], section(&v10, *b"DICT", "v10")].concat();
         assert_eq!(section(&v11, *b"DICT", "v11"), dict);
     }
@@ -73,12 +74,16 @@ fn the_bulk_fixture_keeps_its_terms_in_key_order_in_three_blocks() {
     let bytes = fixture_bytes("v11_bulk");
     let mut r = Reader::new(Cursor::new(&bytes)).unwrap();
     assert_eq!(r.version(), 11);
-    let front = r.front_columns().unwrap().expect("a v11 file has a frozen tier");
+    let (front, _) = r.dict_columns().unwrap();
+    let front = front.expect("a v11 file has a frozen tier");
     assert_eq!((front.block, front.terms, front.offsets.len), (hex_dict::BLOCK, 24, 4));
     let dict = r.dictionary().unwrap();
     assert_eq!((dict.len(), dict.frozen_len()), (24, 24));
-    let keys: Vec<Vec<u8>> = dict.terms().iter().map(|t| term_key(&TermRef::from(t))).collect();
-    assert!(keys.windows(2).all(|w| w[0] < w[1]), "ids follow their keys");
+    let terms = dict.terms();
+    let key = |id: u32| term_key(&TermRef::from(&terms[id as usize]));
+    let keys: Vec<Vec<u8>> = dict.front().ids.values().map(key).collect();
+    assert!(keys.windows(2).all(|w| w[0] < w[1]), "the ids column lists the ids in key order");
+    assert!((1..24).any(|id| key(id - 1) > key(id)), "the ids are first-seen, not lexical");
     for (id, term) in g.dict().iter() {
         assert_eq!(dict.decode(id).as_ref(), Some(&term));
         assert_eq!(dict.id_of(&term), Some(id));

@@ -1,10 +1,11 @@
 //! The bidirectional term ⇄ id mapping table, in two tiers.
 //!
-//! The frozen tier holds ids `0..n_f`: the keys of the terms a bulk load
-//! interned, sorted and front coded ([`crate::front`]), immutable and
-//! shared. For frozen ids `a < b` exactly when `term_key(a) < term_key(b)`
-//! bytewise ([`crate::term_key`]). The delta tier holds the ids from `n_f`
-//! up, append-only, interned one by one into string arenas as follows.
+//! The frozen tier holds ids `0..n_f`: the terms a bulk load interned, in
+//! its first-seen order, their keys sorted and front coded
+//! ([`crate::front`]), immutable and shared. Its rank column orders the
+//! ids as their keys ([`crate::term_key`]) compare bytewise. The delta
+//! tier holds the ids from `n_f` up, append-only, interned one by one
+//! into string arenas as follows.
 //!
 //! Every delta term is stored as a kind, a prefix id and the term's own bytes.
 //! The prefix is the part terms share: an IRI's namespace (its text up to
@@ -14,14 +15,14 @@
 //! namespace that thousands of IRIs repeat is stored once.
 //!
 //! The in-memory columns mirror the hexsnap `DICT` section byte for byte
-//! (the frozen tier's block offsets and blocks; the delta's term heads,
-//! cumulative ends, the own-bytes arena; prefix ends, prefix bytes), so
-//! saving is a straight copy of seven buffers and loading is a validation
-//! — one sequential pass over the frozen tier, one hash pass per delta
-//! table — with no per-term `Term` construction and no per-term
-//! allocation. Every integer column — the
-//! heads, both end tables and both reverse indexes' slots — is a
-//! [`PackedColumn`] at the width its values need.
+//! (the frozen tier's block offsets, blocks, ids and ranks; the delta's
+//! term heads, cumulative ends, the own-bytes arena; prefix ends, prefix
+//! bytes), so saving is a straight copy of nine buffers and loading is a
+//! validation — one sequential pass over the frozen tier, one hash pass
+//! per delta table — with no per-term `Term` construction and no per-term
+//! allocation. Every integer column — the heads, both end tables, both
+//! reverse indexes' slots and the frozen tier's offsets, ids and ranks —
+//! is a [`PackedColumn`] at the width its values need.
 
 use crate::front::{self, FrontImage};
 use crate::id::{Id, IdTriple};
@@ -598,6 +599,9 @@ pub enum ArenaError {
     KeysNotAscending,
     /// A block's keys end before its bytes do.
     BlockOverrun,
+    /// The frozen tier's id and rank columns are not two permutations of
+    /// its ids that invert each other.
+    NotAPermutation,
     /// A table declares more entries than it has ids for.
     TooMany {
         /// Which table: `terms` or `prefixes`.
@@ -658,6 +662,9 @@ impl std::fmt::Display for ArenaError {
             ArenaError::BlockOverrun => {
                 write!(f, "frozen dictionary block holds bytes past its last key")
             }
+            ArenaError::NotAPermutation => {
+                write!(f, "frozen dictionary id and rank columns are not inverse permutations")
+            }
             ArenaError::TooMany { table, count, limit } => {
                 write!(f, "dictionary declares {count} {table}, more than its {limit} ids")
             }
@@ -673,18 +680,17 @@ impl std::error::Error for ArenaError {}
 /// the workspace share one dictionary per dataset, exactly as the paper's
 /// single "mapping table" (§4.1) serves all six indices.
 ///
-/// Ids live in two tiers. The frozen tier, ids `0..n_f`
-/// ([`Dictionary::frozen_len`]), is what a bulk load into an empty
-/// dictionary leaves ([`Dictionary::encode_triples_parallel`]): its terms
-/// numbered in the order of their keys ([`crate::term_key`]), so that for
-/// frozen ids `a < b` exactly when `term_key(a) < term_key(b)` bytewise,
-/// and stored front coded in blocks ([`crate::FrontImage`]), with no hash
-/// index. The delta tier holds every term interned later, with ids from
-/// `n_f` up in first-seen order: a head (kind and prefix id) plus its own
-/// bytes in one arena, the prefixes — IRI namespaces, language tags,
-/// datatype IRIs — interned once each in a second table, and a hash index
-/// over each. Ids are append-only: a term keeps its id for the
-/// dictionary's life, and only a bulk load into an empty dictionary sorts.
+/// Ids live in two tiers, both numbered in first-seen order. The frozen
+/// tier, ids `0..n_f` ([`Dictionary::frozen_len`]), is what a bulk load
+/// into an empty dictionary leaves ([`Dictionary::encode_triples_parallel`]):
+/// its terms' keys ([`crate::term_key`]) sorted and stored front coded in
+/// blocks ([`crate::FrontImage`]), with two packed permutations between
+/// key order and ids in place of a hash index. The delta tier holds every
+/// term interned later, with ids from `n_f` up: a head (kind and prefix
+/// id) plus its own bytes in one arena, the prefixes — IRI namespaces,
+/// language tags, datatype IRIs — interned once each in a second table,
+/// and a hash index over each. Ids are append-only: a term keeps its id
+/// for the dictionary's life.
 ///
 /// Encoding a term that is already present allocates nothing (a frozen hit
 /// builds its key on the stack, a delta hit hashes and compares borrowed
@@ -740,8 +746,8 @@ impl Dictionary {
         self.len() == 0
     }
 
-    /// Number of frozen ids, `n_f`: ids below it are in key order and
-    /// front coded, ids from it up are the delta tier's.
+    /// Number of frozen ids, `n_f`: the keys of ids below it are sorted
+    /// and front coded, ids from it up are the delta tier's.
     pub fn frozen_len(&self) -> usize {
         self.frozen.len
     }
@@ -779,8 +785,9 @@ impl Dictionary {
         Id(base + Arc::make_mut(&mut self.inner).push_term(head, own, hash, limit))
     }
 
-    /// The frozen id of a term: a binary search over the block heads and
-    /// a scan of one block, over its key built on the stack.
+    /// The frozen id of a term: a binary search over the block heads, a
+    /// scan of one block, over its key built on the stack, and a read of
+    /// the key's id.
     #[inline]
     fn frozen_id(&self, term: &TermRef<'_>) -> Option<Id> {
         if self.frozen.len == 0 {
@@ -873,16 +880,13 @@ impl Dictionary {
     /// the N-Triples tokenizer yields them: each is viewed as a
     /// `TripleRef` for the moment it is interned).
     ///
-    /// Into an *empty* dictionary this is a bulk load, and its ids are
-    /// lexical: the batch is first interned as an
-    /// [`Dictionary::encode_triple`] loop over it would, then the terms
-    /// are sorted by key ([`crate::term_key`]), the returned triples are
-    /// rewritten through the old → new id map, and every term moves into
-    /// the frozen tier. So frozen id `i` is the `i`-th smallest key, and
-    /// the result is the loop's ids mapped through that one permutation.
-    /// Into a dictionary that holds terms, the batch is exactly that loop:
-    /// known terms keep their ids and new ones join the delta tier in
-    /// first-seen order.
+    /// The ids are always those of an [`Dictionary::encode_triple`] loop
+    /// over the batch: known terms keep their ids and new ones take the
+    /// next ids in first-seen order. Into an *empty* dictionary this is a
+    /// bulk load, which then moves every term into the frozen tier: their
+    /// keys ([`crate::term_key`]) sorted and front coded, with the two
+    /// permutations between key order and ids. Into a dictionary that
+    /// holds terms, new terms join the delta tier.
     ///
     /// A statement whose subject is the previous statement's reuses its
     /// id after one comparison, without the prefix and term lookups. A
@@ -937,7 +941,7 @@ impl Dictionary {
             ids.push(IdTriple { s, p, o: self.encode_ref(&t.object) });
         }
         if before == 0 {
-            self.freeze_in_key_order(&mut ids);
+            self.freeze();
         } else if self.len() > before && (self.len() - before) * 2 >= self.len() {
             self.shrink_to_fit();
         }
@@ -945,17 +949,16 @@ impl Dictionary {
     }
 
     /// Moves every term of a dictionary that has only a delta tier into
-    /// the frozen tier, numbered in key order, and rewrites `ids` to the
-    /// new numbering.
-    fn freeze_in_key_order(&mut self, ids: &mut [IdTriple]) {
-        debug_assert_eq!(self.frozen.len, 0, "only a delta tier is renumbered");
+    /// the frozen tier, keeping its id.
+    fn freeze(&mut self) {
+        debug_assert_eq!(self.frozen.len, 0, "only a delta tier is frozen");
         let n = self.inner.len();
         if n == 0 {
             return;
         }
         // Every key back to back, then the delta can go before the sort.
         let mut keys = Vec::new();
-        let mut ends = Vec::with_capacity(n);
+        let mut ends: Vec<u32> = Vec::with_capacity(n);
         for i in 0..n {
             let (kind, prefix, own) = self.inner.parts(i).expect("a delta id decodes");
             match kind {
@@ -965,28 +968,19 @@ impl Dictionary {
                 }
                 _ => front::push_key(&mut keys, kind, Some(prefix), &[own]),
             }
-            ends.push(keys.len());
+            ends.push(
+                u32::try_from(keys.len()).expect("the frozen dictionary tier is below 4 GiB"),
+            );
         }
         self.inner = Arc::default();
         let key = |i: u32| {
             let i = i as usize;
-            &keys[if i == 0 { 0 } else { ends[i - 1] }..ends[i]]
+            &keys[if i == 0 { 0 } else { ends[i - 1] as usize }..ends[i] as usize]
         };
         let mut order: Vec<u32> = (0..n as u32).collect();
         order.sort_unstable_by(|&a, &b| key(a).cmp(key(b)));
-        let mut new_of = vec![0u32; n];
-        for (new, &old) in order.iter().enumerate() {
-            new_of[old as usize] = new as u32;
-        }
-        for t in ids {
-            *t = IdTriple {
-                s: Id(new_of[t.s.index()]),
-                p: Id(new_of[t.p.index()]),
-                o: Id(new_of[t.o.index()]),
-            };
-        }
-        self.frozen = Arc::new(FrontImage::build(order.iter().map(|&i| key(i)), front::BLOCK));
-        self.shrink_to_fit();
+        let front = FrontImage::build(order.iter().map(|&i| key(i)), &order, front::BLOCK);
+        self.frozen = Arc::new(front);
     }
 
     /// Shrinks the delta tier's head column, its two offset tables and
@@ -1191,20 +1185,21 @@ impl Dictionary {
     }
 
     /// Where the heap bytes go: the two tiers' fixed fields, the frozen
-    /// tier's blocks and block offsets, and the delta's head column, two
-    /// offset tables, two string arenas and two reverse indexes' slot
-    /// columns — each a single flat buffer, counted at capacity. String
-    /// bytes appear exactly once (the reverse indexes store only ids,
-    /// keyed by the same arena bytes); a shared (mapped) column or arena
-    /// contributes nothing, since its bytes are file-backed rather than
-    /// heap-allocated.
+    /// tier's blocks, block offsets and permutations, and the delta's head
+    /// column, two offset tables, two string arenas and two reverse
+    /// indexes' slot columns — each a single flat buffer, counted at
+    /// capacity. String bytes appear exactly once (the reverse indexes
+    /// store only ids, keyed by the same arena bytes); a shared (mapped)
+    /// column or arena contributes nothing, since its bytes are
+    /// file-backed rather than heap-allocated.
     pub fn heap_breakdown(&self) -> DictHeap {
         let inner = &*self.inner;
-        let (frozen, blocks) = self.frozen.heap_bytes();
+        let (frozen, blocks, permutations) = self.frozen.heap_bytes();
         DictHeap {
             interior: std::mem::size_of::<Inner>() + std::mem::size_of::<FrontImage>(),
             frozen,
             blocks,
+            permutations,
             heads: inner.heads.heap_bytes(),
             ends: inner.terms.ends.heap_bytes(),
             arena: inner.terms.arena.heap_bytes(),
@@ -1243,6 +1238,8 @@ pub struct DictHeap {
     pub frozen: usize,
     /// The frozen tier's block offsets.
     pub blocks: usize,
+    /// The frozen tier's id and rank columns.
+    pub permutations: usize,
     /// The term heads.
     pub heads: usize,
     /// The cumulative ends of the terms' own bytes.
@@ -1265,6 +1262,7 @@ impl DictHeap {
         self.interior
             + self.frozen
             + self.blocks
+            + self.permutations
             + self.heads
             + self.ends
             + self.arena
@@ -1577,6 +1575,8 @@ mod tests {
                 + std::mem::size_of::<FrontImage>()
                 + d.front().bytes.len()
                 + image(d.front().offsets.view())
+                + image(d.front().ids.view())
+                + image(d.front().ranks.view())
                 + image(d.term_heads())
                 + image(d.term_ends())
                 + d.arena_bytes().len()
@@ -1626,21 +1626,6 @@ mod tests {
         assert_eq!(snapshot.len(), grown.len());
     }
 
-    /// The lexical renumbering of a loop-encoded dictionary, computed
-    /// apart from the bulk encoder: `new[old]` is the rank of term `old`'s
-    /// key among all the keys.
-    fn lexical(looped: &Dictionary) -> Vec<u32> {
-        let keys: Vec<Vec<u8>> =
-            looped.terms().iter().map(|t| front::term_key(&TermRef::from(t))).collect();
-        let mut order: Vec<usize> = (0..keys.len()).collect();
-        order.sort_by(|&a, &b| keys[a].cmp(&keys[b]));
-        let mut new = vec![0; keys.len()];
-        for (rank, old) in order.into_iter().enumerate() {
-            new[old] = rank as u32;
-        }
-        new
-    }
-
     #[test]
     fn a_batch_encodes_runs_of_one_subject_as_the_triple_loop_does() {
         let t = |s: &str, p: &str, o: Term| Triple::new(iri(s), iri(p), o);
@@ -1657,25 +1642,21 @@ mod tests {
             t("c", "sp", iri("a")),
             t("c", "rp", Term::typed_literal("x", XSD_INT)),
         ];
+        // Into an empty dictionary: the loop's ids, and every term frozen.
         let mut looped = Dictionary::new();
         let want: Vec<IdTriple> = batch.iter().map(|t| looped.encode_triple(t)).collect();
-        let new = lexical(&looped);
-        let renumbered = |id: Id| Id(new[id.index()]);
-        let want: Vec<IdTriple> = want
-            .into_iter()
-            .map(|t| IdTriple { s: renumbered(t.s), p: renumbered(t.p), o: renumbered(t.o) })
-            .collect();
         let mut batched = Dictionary::new();
-        let got = batched.encode_triples_parallel(&batch, 1);
-        assert_eq!(got, want);
-        assert_eq!((batched.len(), batched.frozen_len()), (looped.len(), looped.len()));
+        assert_eq!(batched.encode_triples_parallel(&batch, 1), want);
+        assert_eq!(batched.terms(), looped.terms());
+        assert_eq!(batched.frozen_len(), looped.len());
         assert_eq!(batched.image(), Dictionary::new().image(), "the delta tier is empty");
-        for (old, term) in looped.iter() {
-            assert_eq!(batched.decode(renumbered(old)).as_ref(), Some(&term));
-        }
-        for (t, ids) in batch.iter().zip(&got) {
-            assert_eq!(batched.decode_triple(*ids).as_ref(), Some(t));
-        }
+        // Into a dictionary that holds terms: the loop's ids and columns.
+        let mut looped = Dictionary::new();
+        looped.encode(&iri("z"));
+        let mut batched = looped.clone();
+        let want: Vec<IdTriple> = batch.iter().map(|t| looped.encode_triple(t)).collect();
+        assert_eq!(batched.encode_triples_parallel(&batch, 1), want);
+        assert_eq!(batched.image(), looped.image());
     }
 
     #[test]
@@ -1687,8 +1668,7 @@ mod tests {
         let snapshot = d.clone();
         let a = d.encode(&iri("a"));
         assert_eq!(a, Id(3), "above the frozen ids, though its key sorts first");
-        assert_eq!(d.encode(&iri("b")), snapshot.id_of(&iri("b")).unwrap());
-        // A batch into a dictionary that holds terms does not renumber.
+        assert_eq!(d.encode(&iri("b")), Id(0));
         assert_eq!(d.encode_triples_parallel(&batch, 1), [snapshot.triple_ids(&batch[0]).unwrap()]);
         assert_eq!(d.id_of(&iri("a")), Some(a));
         assert_eq!(snapshot.id_of(&iri("a")), None);

@@ -12,11 +12,17 @@
 //! a varint length and its bytes; every later key as a varint shared-prefix
 //! length, a varint suffix length and the suffix. A packed column holds the
 //! cumulative byte offset of every block, one more than there are blocks.
-//! Key `i` is frozen id `i`, so ids compare as their keys do.
+//!
+//! Frozen ids keep the first-seen order the bulk load handed out, so two
+//! more packed columns map between them and key order: `ids` holds the
+//! frozen id of each key, in key order, and `ranks` the position of each
+//! frozen id's key, its inverse. So `ranks[a] < ranks[b]` exactly when
+//! `term_key(a) < term_key(b)`.
 //!
 //! A lookup binary-searches the block heads and scans one block, comparing
-//! as it goes without rebuilding a key; a decode rebuilds one key within
-//! its block into a stack buffer. Neither needs a hash index.
+//! as it goes without rebuilding a key, then reads the key's id; a decode
+//! reads the id's rank and rebuilds one key within its block into a stack
+//! buffer. Neither needs a hash index.
 
 use crate::dictionary::ArenaError;
 use crate::packed::{Bytes, PackedColumn, PackedView};
@@ -73,11 +79,12 @@ pub(crate) fn push_key(out: &mut Vec<u8>, kind: TermKind, second: Option<&[u8]>,
     text.iter().for_each(|piece| out.extend_from_slice(piece));
 }
 
-/// A term's key, the order frozen ids follow: its kind byte, then for a
-/// language-tagged or typed literal a LEB128 varint length and the tag or
-/// datatype IRI, then the lexical form, IRI or blank-node label, all as
-/// UTF-8. The map is injective, and for frozen ids `a < b` exactly when
-/// `term_key(a) < term_key(b)` compared bytewise.
+/// A term's key, the order the frozen tier stores its terms in: its kind
+/// byte, then for a language-tagged or typed literal a LEB128 varint
+/// length and the tag or datatype IRI, then the lexical form, IRI or
+/// blank-node label, all as UTF-8. The map is injective, and for frozen
+/// ids `ranks[a] < ranks[b]` exactly when `term_key(a) < term_key(b)`
+/// compared bytewise ([`FrontImage::ranks`]).
 pub fn term_key(term: &TermRef<'_>) -> Vec<u8> {
     let (text, second) = term.pieces();
     let mut key = Vec::with_capacity(text.len() + second.map_or(0, |s| s.len() + 5) + 1);
@@ -187,20 +194,25 @@ impl<'a> Cursor<'a> {
     }
 }
 
-/// The frozen tier's two columns and shape: `len` keys in blocks of
-/// `block`, the blocks' bytes back to back in `bytes`, and their
-/// `⌈len / block⌉ + 1` cumulative offsets in `offsets`. Either column may
-/// be a window of a mapped file.
+/// The frozen tier's four columns and shape: `len` keys in blocks of
+/// `block`, the blocks' bytes back to back in `bytes`, their
+/// `⌈len / block⌉ + 1` cumulative offsets in `offsets`, and the two
+/// permutations between key order and frozen ids. Any column may be a
+/// window of a mapped file.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct FrontImage {
     /// Keys per block, at least 1.
     pub block: u32,
-    /// Number of keys, which are frozen ids `0..len`.
+    /// Number of keys, one per frozen id `0..len`.
     pub len: usize,
     /// Each block's first byte in `bytes`, then `bytes.len()`.
     pub offsets: PackedColumn,
     /// The blocks.
     pub bytes: Bytes,
+    /// The frozen id of each key, in key order.
+    pub ids: PackedColumn,
+    /// The position of each frozen id's key in key order: `ids` inverted.
+    pub ranks: PackedColumn,
 }
 
 impl Default for FrontImage {
@@ -210,18 +222,26 @@ impl Default for FrontImage {
             len: 0,
             offsets: PackedColumn::from_values(&[0]),
             bytes: Bytes::default(),
+            ids: PackedColumn::default(),
+            ranks: PackedColumn::default(),
         }
     }
 }
 
 impl FrontImage {
     /// Front codes `keys`, which must be strictly ascending, in blocks of
-    /// `block` keys.
+    /// `block` keys; `ids[i]` is the frozen id of key `i`, and `ids` is a
+    /// permutation of `0..ids.len()`, one per key.
     ///
     /// # Panics
     ///
-    /// If `block` is 0 or the coded bytes reach 4 GiB.
-    pub(crate) fn build<'k>(keys: impl IntoIterator<Item = &'k [u8]>, block: u32) -> Self {
+    /// If `block` is 0, the coded bytes reach 4 GiB, or `ids` is not as
+    /// long as `keys`.
+    pub(crate) fn build<'k>(
+        keys: impl IntoIterator<Item = &'k [u8]>,
+        ids: &[u32],
+        block: u32,
+    ) -> Self {
         assert!(block >= 1, "a block holds at least one key");
         let (mut bytes, mut offsets) = (Vec::new(), Vec::new());
         let mut prev: &[u8] = &[];
@@ -248,7 +268,19 @@ impl FrontImage {
             .into_iter()
             .map(|o| u32::try_from(o).expect("the frozen dictionary tier is below 4 GiB"))
             .collect();
-        FrontImage { block, len, offsets: PackedColumn::from_values(&offsets), bytes: bytes.into() }
+        assert_eq!(ids.len(), len, "one frozen id per key");
+        let mut ranks = vec![0u32; len];
+        for (rank, &id) in ids.iter().enumerate() {
+            ranks[id as usize] = rank as u32;
+        }
+        FrontImage {
+            block,
+            len,
+            offsets: PackedColumn::from_values(&offsets),
+            bytes: bytes.into(),
+            ids: PackedColumn::from_values(ids),
+            ranks: PackedColumn::from_values(&ranks),
+        }
     }
 
     /// The columns as borrowed views, which every read goes through.
@@ -259,6 +291,8 @@ impl FrontImage {
             len: self.len,
             offsets: self.offsets.view(),
             bytes: self.bytes.get(),
+            ids: self.ids.view(),
+            ranks: self.ranks.view(),
         }
     }
 
@@ -268,8 +302,9 @@ impl FrontImage {
     /// per block and one more, ascending from 0 to the bytes' end, every
     /// block holding exactly its keys, every varint minimal and inside its
     /// block, every shared prefix at most the previous key's length and
-    /// maximal, keys strictly ascending across blocks too, and every key
-    /// one a term has ([`key_parts`]).
+    /// maximal, keys strictly ascending across blocks too, every key one
+    /// a term has ([`key_parts`]), and `ids` and `ranks` canonical
+    /// columns of `len` values each that invert each other.
     pub(crate) fn validate(&self) -> Result<(), ArenaError> {
         if self.block == 0 {
             return Err(ArenaError::BlockSize);
@@ -282,10 +317,23 @@ impl FrontImage {
                 keys: self.len,
             });
         }
-        self.offsets
-            .view()
-            .validate()
-            .map_err(|error| ArenaError::Packed { column: "block offsets", error })?;
+        for (column, ints) in
+            [("block offsets", &self.offsets), ("key ids", &self.ids), ("key ranks", &self.ranks)]
+        {
+            ints.view().validate().map_err(|error| ArenaError::Packed { column, error })?;
+        }
+        // `ranks[ids[r]] == r` for every `r` makes `ids` one-to-one, so
+        // both are permutations of `0..len` and each inverts the other.
+        let (ids, ranks) = (self.ids.view(), self.ranks.view());
+        if ids.len() != self.len
+            || ranks.len() != self.len
+            || ids
+                .values()
+                .enumerate()
+                .any(|(r, id)| (id as usize) >= self.len || ranks.get(id as usize) as usize != r)
+        {
+            return Err(ArenaError::NotAPermutation);
+        }
         let view = self.view();
         if self.offsets.len() != view.blocks() + 1 {
             return Err(ArenaError::BlockCount {
@@ -341,9 +389,14 @@ impl FrontImage {
         Ok(())
     }
 
-    /// Heap bytes of the two columns; a mapped column's are none.
-    pub(crate) fn heap_bytes(&self) -> (usize, usize) {
-        (self.bytes.heap_bytes(), self.offsets.heap_bytes())
+    /// Heap bytes of the blocks, of the block offsets and of the two
+    /// permutations; a mapped column's are none.
+    pub(crate) fn heap_bytes(&self) -> (usize, usize, usize) {
+        (
+            self.bytes.heap_bytes(),
+            self.offsets.heap_bytes(),
+            self.ids.heap_bytes() + self.ranks.heap_bytes(),
+        )
     }
 }
 
@@ -354,6 +407,8 @@ pub(crate) struct FrontView<'a> {
     len: usize,
     offsets: PackedView<'a>,
     bytes: &'a [u8],
+    ids: PackedView<'a>,
+    ranks: PackedView<'a>,
 }
 
 impl<'a> FrontView<'a> {
@@ -376,6 +431,11 @@ impl<'a> FrontView<'a> {
 
     /// The frozen id of `key`, if it is one of the keys.
     pub(crate) fn find(self, key: &[u8]) -> Option<u32> {
+        self.position(key).map(|rank| self.ids.get(rank))
+    }
+
+    /// The position of `key` in key order, if it is one of the keys.
+    fn position(self, key: &[u8]) -> Option<usize> {
         // The last block whose first key is at most `key`.
         let (mut lo, mut hi) = (0, self.blocks());
         while lo < hi {
@@ -391,7 +451,7 @@ impl<'a> FrontView<'a> {
         let head = cursor.whole()?;
         let base = b * self.block;
         if head == key {
-            return Some(base as u32);
+            return Some(base);
         }
         // Invariant: the previous key is below `key` and shares `m` bytes
         // with it. A later key sharing more with the previous key is below
@@ -409,7 +469,7 @@ impl<'a> FrontView<'a> {
             let rest = &key[m..];
             let l = common_prefix(suffix, rest);
             match (suffix.get(l), rest.get(l)) {
-                (None, None) => return Some((base + i) as u32),
+                (None, None) => return Some(base + i),
                 (None, Some(_)) => m += l,
                 (Some(s), Some(r)) if s < r => m += l,
                 _ => return None,
@@ -418,14 +478,15 @@ impl<'a> FrontView<'a> {
         None
     }
 
-    /// Rebuilds key `id` into `buf`, returning its length. `Err(true)`
-    /// when a key on the way is longer than `buf`; `Err(false)` when `id`
-    /// is out of range or the block does not decode.
-    fn rebuild(self, id: usize, buf: &mut [u8]) -> Result<usize, bool> {
-        if id >= self.len {
+    /// Rebuilds the key at position `rank` into `buf`, returning its
+    /// length. `Err(true)` when a key on the way is longer than `buf`;
+    /// `Err(false)` when `rank` is out of range or the block does not
+    /// decode.
+    fn rebuild(self, rank: usize, buf: &mut [u8]) -> Result<usize, bool> {
+        if rank >= self.len {
             return Err(false);
         }
-        let (b, i) = (id / self.block, id % self.block);
+        let (b, i) = (rank / self.block, rank % self.block);
         let mut cursor = self.cursor(b);
         let head = cursor.whole().ok_or(false)?;
         buf.get_mut(..head.len()).ok_or(true)?.copy_from_slice(head);
@@ -441,18 +502,22 @@ impl<'a> FrontView<'a> {
         Ok(len)
     }
 
-    /// Calls `f` with key `id`, rebuilt on the stack when it is short and
-    /// otherwise in a buffer as long as its block, which bounds every key
-    /// in it; `None` when `id` is out of range.
+    /// Calls `f` with frozen id `id`'s key, rebuilt on the stack when it
+    /// is short and otherwise in a buffer as long as its block, which
+    /// bounds every key in it; `None` when `id` is out of range.
     #[inline]
     pub(crate) fn with_key<R>(self, id: usize, f: impl FnOnce(&[u8]) -> R) -> Option<R> {
+        if id >= self.len {
+            return None;
+        }
+        let rank = self.ranks.get(id) as usize;
         let mut stack = [0u8; STACK];
-        match self.rebuild(id, &mut stack) {
+        match self.rebuild(rank, &mut stack) {
             Ok(len) => Some(f(&stack[..len])),
             Err(false) => None,
             Err(true) => {
-                let mut heap = vec![0u8; self.cursor(id / self.block).bytes.len()];
-                let len = self.rebuild(id, &mut heap).ok()?;
+                let mut heap = vec![0u8; self.cursor(rank / self.block).bytes.len()];
+                let len = self.rebuild(rank, &mut heap).ok()?;
                 Some(f(&heap[..len]))
             }
         }
@@ -463,8 +528,10 @@ impl<'a> FrontView<'a> {
 mod tests {
     use super::*;
 
-    fn image(keys: &[&[u8]], block: u32) -> FrontImage {
-        FrontImage::build(keys.iter().copied(), block)
+    /// Keys whose frozen ids are their positions.
+    fn image<'k>(keys: impl ExactSizeIterator<Item = &'k [u8]>, block: u32) -> FrontImage {
+        let ids: Vec<u32> = (0..keys.len() as u32).collect();
+        FrontImage::build(keys, &ids, block)
     }
 
     #[test]
@@ -474,16 +541,19 @@ mod tests {
             .collect();
         keys.sort();
         keys.dedup();
+        // Frozen ids in another order than the keys: the last key is id 0.
+        let ids: Vec<u32> = (0..keys.len() as u32).rev().collect();
         for block in [1, 2, 3, 16, 64, 1000] {
-            let front = FrontImage::build(keys.iter().map(Vec::as_slice), block);
+            let front = FrontImage::build(keys.iter().map(Vec::as_slice), &ids, block);
             front.validate().unwrap();
             let view = front.view();
-            for (id, key) in keys.iter().enumerate() {
-                assert_eq!(view.find(key), Some(id as u32), "block {block}");
-                assert_eq!(view.with_key(id, <[u8]>::to_vec).as_ref(), Some(key));
+            for (rank, key) in keys.iter().enumerate() {
+                let id = ids[rank];
+                assert_eq!(view.find(key), Some(id), "block {block}");
+                assert_eq!(view.with_key(id as usize, <[u8]>::to_vec).as_ref(), Some(key));
                 let mut above = key.clone();
                 above.push(0);
-                if keys.get(id + 1) != Some(&above) {
+                if keys.get(rank + 1) != Some(&above) {
                     assert_eq!(view.find(&above), None, "block {block}");
                 }
             }
@@ -497,7 +567,7 @@ mod tests {
     fn a_key_longer_than_the_stack_buffer_is_rebuilt_on_the_heap() {
         let long = [vec![0u8], vec![b'a'; 600]].concat();
         let longer = [long.clone(), vec![b'b'; 10]].concat();
-        let front = image(&[&[0, b'0'], &long, &longer], 16);
+        let front = image([&[0, b'0'][..], &long, &longer].into_iter(), 16);
         front.validate().unwrap();
         assert_eq!(front.view().with_key(2, <[u8]>::to_vec), Some(longer.clone()));
         assert_eq!(front.view().find(&longer), Some(2));
@@ -527,7 +597,7 @@ mod tests {
     fn corrupt_columns_are_named_rejections() {
         let keys: Vec<Vec<u8>> =
             ["a", "ab", "abc", "b"].iter().map(|s| term_key(&TermRef::literal(*s))).collect();
-        let good = FrontImage::build(keys.iter().map(Vec::as_slice), 2);
+        let good = image(keys.iter().map(Vec::as_slice), 2);
         good.validate().unwrap();
         let with_bytes = |edit: &dyn Fn(&mut Vec<u8>)| {
             let mut bytes = good.bytes.to_vec();
@@ -554,7 +624,7 @@ mod tests {
         assert_eq!(offsets(&[0, 6, end - 1]), ArenaError::OffsetsNotMonotone);
         assert_eq!(offsets(&[0, end]), ArenaError::BlockCount { blocks: 1, keys: 4 });
         // Block 1's head not above block 0's last key.
-        let blocks = FrontImage::build(keys.iter().map(Vec::as_slice).take(2), 1);
+        let blocks = image(keys.iter().map(Vec::as_slice).take(2), 1);
         let swapped = [&blocks.bytes[3..], &blocks.bytes[..3]].concat();
         let swapped = FrontImage { bytes: swapped.into(), ..blocks.clone() };
         assert_eq!(
@@ -569,6 +639,18 @@ mod tests {
             ..blocks
         };
         assert_eq!(padded.validate(), Err(ArenaError::BlockOverrun));
+        // The id and rank columns: a repeated id, ranks that do not invert
+        // the ids, an id out of range, a column of the wrong length.
+        let permutation = |ids: &[u32], ranks: &[u32]| {
+            let ids = PackedColumn::from_values(ids);
+            let ranks = PackedColumn::from_values(ranks);
+            FrontImage { ids, ranks, ..good.clone() }.validate()
+        };
+        assert_eq!(permutation(&[1, 0, 3, 2], &[1, 0, 3, 2]), Ok(()));
+        assert_eq!(permutation(&[0, 1, 2, 2], &[0, 1, 3, 2]), Err(ArenaError::NotAPermutation));
+        assert_eq!(permutation(&[1, 0, 3, 2], &[0, 1, 2, 3]), Err(ArenaError::NotAPermutation));
+        assert_eq!(permutation(&[0, 1, 2, 4], &[0, 1, 2, 3]), Err(ArenaError::NotAPermutation));
+        assert_eq!(permutation(&[0, 1, 2], &[0, 1, 2, 3]), Err(ArenaError::NotAPermutation));
         assert_eq!(FrontImage { block: 0, ..good }.validate(), Err(ArenaError::BlockSize));
     }
 }

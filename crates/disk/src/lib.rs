@@ -166,7 +166,7 @@ pub fn open(path: impl AsRef<Path>) -> Result<(Dictionary, FrozenHexastore)> {
     let map = map_file(path.as_ref())?;
     let (store, mut reader) = open_mapped(&map)?;
     verify(&store)?;
-    let (front, columns) = (reader.front_columns()?, reader.dict_columns()?);
+    let (front, columns) = reader.dict_columns()?;
     Ok((hexsnap::dictionary_from_columns(front, columns, windows(&map))?, store))
 }
 

@@ -204,11 +204,14 @@ impl DictFile {
         pad(&mut f);
         let dict_at = f.len();
         // An empty frozen tier: the block size, no term, the one block
-        // offset 0 (width 0, no words) and no block bytes.
+        // offset 0 (width 0, no words), no block bytes, no ids and no
+        // ranks.
         f.extend_from_slice(&hex_dict::BLOCK.to_le_bytes());
         f.extend_from_slice(&0u32.to_le_bytes());
         packed(&mut f, &(0, Vec::new(), 1));
         f.extend_from_slice(&0u64.to_le_bytes());
+        packed(&mut f, &(0, Vec::new(), 0));
+        packed(&mut f, &(0, Vec::new(), 0));
         f.extend_from_slice(&(self.heads.2 as u32).to_le_bytes());
         packed(&mut f, &self.heads);
         packed(&mut f, &self.ends);
@@ -389,7 +392,8 @@ fn the_dict_columns_of_a_v10_file_are_packed() {
     let file = std::fs::read(&path).unwrap();
     std::fs::remove_file(&path).ok();
     let mut r = hexsnap::Reader::new(std::io::Cursor::new(&file)).unwrap();
-    let DictColumns::Prefixed { heads, ends, prefix_ends, .. } = r.dict_columns().unwrap() else {
+    let (_, DictColumns::Prefixed { heads, ends, prefix_ends, .. }) = r.dict_columns().unwrap()
+    else {
         panic!("a prefixed dictionary")
     };
     for (ints, view) in

@@ -1,9 +1,9 @@
 //! The two dictionary tiers against a model.
 //!
-//! A bulk load into an empty dictionary numbers its terms in key order
-//! and freezes them; every later term joins the delta tier with the next
-//! id. The model is a plain `HashMap` and `Vec` that follow those two
-//! rules, and the properties drive both through bulk batches, single
+//! Every term takes the next id when it is first seen. A bulk load into
+//! an empty dictionary freezes its terms, their keys sorted; every later
+//! term joins the delta tier. The model is a plain `HashMap` and `Vec`
+//! that number terms as they come, and the properties drive both through bulk batches, single
 //! encodes, lookups, decodes and reloads — eager (`load_frozen`) and
 //! mapped (`hex_disk::open`) — over terms with NUL bytes, backslashes,
 //! quotes, non-ASCII text, empty lexical forms, and tagged and typed
@@ -45,8 +45,9 @@ fn key(term: &Term) -> Vec<u8> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// Distinct terms have distinct keys, a bulk load numbers its terms in
-    /// key order, and every frozen id decodes to its term and back.
+    /// Distinct terms have distinct keys, a bulk load numbers its terms
+    /// first-seen and lists them in key order, and every frozen id decodes
+    /// to its term and back.
     #[test]
     fn keys_are_injective_and_frozen_ids_follow_them(
         terms in proptest::collection::vec(term(), 1..40),
@@ -63,8 +64,13 @@ proptest! {
         let ids = dict.encode_triples_parallel(&batch, 1);
         prop_assert_eq!(dict.frozen_len(), by_key.len());
         let decoded = dict.terms();
-        for pair in decoded.windows(2) {
-            prop_assert!(key(&pair[0]) < key(&pair[1]), "{:?} before {:?}", pair[0], pair[1]);
+        let in_key_order: Vec<&Term> =
+            dict.front().ids.values().map(|id| &decoded[id as usize]).collect();
+        for pair in in_key_order.windows(2) {
+            prop_assert!(key(pair[0]) < key(pair[1]), "{:?} before {:?}", pair[0], pair[1]);
+        }
+        for (rank, id) in dict.front().ids.values().enumerate() {
+            prop_assert_eq!(dict.front().ranks.get(id as usize) as usize, rank);
         }
         for (t, ids) in terms.iter().zip(&ids) {
             prop_assert_eq!(dict.decode(ids.s).as_ref(), Some(t));
@@ -133,12 +139,9 @@ struct Model {
 }
 
 impl Model {
-    /// A bulk load into the empty model: its distinct terms in key order.
+    /// A bulk load into the empty model.
     fn bulk(&mut self, batch: &[Term]) {
-        let mut distinct: Vec<&Term> = batch.iter().collect();
-        distinct.sort_by_key(|t| key(t));
-        distinct.dedup();
-        for t in distinct {
+        for t in batch {
             self.encode(t);
         }
     }
@@ -177,20 +180,24 @@ fn a_corrupt_frozen_tier_is_refused_by_both_loaders() {
     hexsnap::save_frozen(&path, &dict, &FrozenHexastore::from_triples([])).unwrap();
     let good = std::fs::read(&path).unwrap();
     let mut r = hexsnap::Reader::new(std::io::Cursor::new(&good)).unwrap();
-    let front = r.front_columns().unwrap().expect("a v11 file");
+    let front = r.dict_columns().unwrap().0.expect("a v11 file");
     let (blocks, offsets) = (front.bytes.offset, front.offsets.offset);
     assert_eq!(good[blocks..blocks + 12], [2, 2, b'a', 2, 1, b'b', 3, 1, b'c', 1, 1, b'b']);
     // The offsets 0 and 12, four bits each, in the column's first byte.
     assert_eq!((front.offsets.width, good[offsets]), (4, 0xC0));
+    // The ids 0, 1, 2 and 3, two bits each, in the column's first byte.
+    let ids = front.ids.offset;
+    assert_eq!((front.ids.width, good[ids]), (2, 0xE4));
     // (what, the bytes set, what the refusal names)
     type Case<'a> = (&'a str, &'a [(usize, u8)], &'a str);
-    let cases: [Case<'_>; 6] = [
+    let cases: [Case<'_>; 7] = [
         ("block offsets", &[(offsets, 0xC5)], "not a monotone cover"),
         ("a varint past its block", &[(blocks + 4, 9)], "runs past the end of its block"),
         ("a shared prefix too long", &[(blocks + 3, 3)], "shares more than the previous key"),
         ("keys out of order", &[(blocks + 3, 1), (blocks + 5, b'0')], "not strictly ascending"),
         ("no kind", &[(blocks + 1, 7)], "unknown term kind 7"),
         ("not UTF-8", &[(blocks + 2, 0xFF)], "not UTF-8"),
+        ("ids 0, 1, 3, 3", &[(ids, 0xF4)], "not inverse permutations"),
     ];
     for (what, edits, why) in cases {
         let mut bytes = good.clone();
