@@ -525,6 +525,7 @@ fn snapshot_size_rendered(fig: &FigureSpec, p: &Params) -> Rendered {
     let dict_heap = dict.heap_breakdown();
     let frozen_heap_bytes = frozen.heap_bytes();
     let heap = frozen.heap_breakdown();
+    let coded_arenas = heap.elias_fano_arenas;
     let per_triple = |bytes: usize| bytes as f64 / triples.max(1) as f64;
     Rendered::with_counts(
         format!(
@@ -570,7 +571,8 @@ fn snapshot_size_rendered(fig: &FigureSpec, p: &Params) -> Rendered {
             // Where the frozen heap goes, so a column's regression shows up
             // by name.
             ("frozen_list_slot_bytes", Count::Int(heap.list_slots)),
-            ("frozen_overflow_bytes", Count::Int(heap.overflow)),
+            ("frozen_run_end_bytes", Count::Int(heap.run_ends)),
+            ("frozen_run_key_bytes", Count::Int(heap.run_keys)),
             ("frozen_mirror_list_ref_bytes", Count::Int(heap.mirror_list_refs)),
             ("frozen_header_key_bytes", Count::Int(heap.header_keys)),
             ("frozen_header_offset_bytes", Count::Int(heap.header_offsets)),
@@ -587,6 +589,11 @@ fn snapshot_size_rendered(fig: &FigureSpec, p: &Params) -> Rendered {
             ("frozen_elias_fano_pos", Count::Flag(heap.elias_fano.contains(IndexKind::Pos))),
             ("frozen_elias_fano_osp", Count::Flag(heap.elias_fano.contains(IndexKind::Osp))),
             ("frozen_elias_fano_ops", Count::Flag(heap.elias_fano.contains(IndexKind::Ops))),
+            // Which arenas' run keys are Elias–Fano coded, each named by
+            // its primary ordering.
+            ("frozen_elias_fano_arena_spo", Count::Flag(coded_arenas.contains(IndexKind::Spo))),
+            ("frozen_elias_fano_arena_sop", Count::Flag(coded_arenas.contains(IndexKind::Sop))),
+            ("frozen_elias_fano_arena_pos", Count::Flag(coded_arenas.contains(IndexKind::Pos))),
         ],
     )
 }
@@ -1184,14 +1191,21 @@ fn space_report(scale: usize) -> Rendered {
     // kind — the layer table a memory optimisation starts from.
     let mut heap = String::from(
         "# frozen store heap, bytes per triple by column kind\n\
-         dataset,triples,list_slots,overflow,vector_keys,mirror_list_refs,headers,total\n",
+         dataset,triples,list_slots,run_ends,run_keys,vector_keys,mirror_list_refs,headers,total\n",
     );
     for (name, data) in [("barton", barton_dataset(scale)), ("lubm", lubm_dataset(scale))] {
         let suite = Suite::build(&data);
         let frozen = &suite.hexastore;
         line(name, name, frozen);
         let (b, n) = (frozen.heap_breakdown(), frozen.len().max(1) as f64);
-        let parts = [b.list_slots, b.overflow, b.vector_keys(), b.mirror_list_refs, b.headers()];
+        let parts = [
+            b.list_slots,
+            b.run_ends,
+            b.run_keys,
+            b.vector_keys(),
+            b.mirror_list_refs,
+            b.headers(),
+        ];
         heap.push_str(&format!("{name},{}", frozen.len()));
         for bytes in parts.into_iter().chain([b.total()]) {
             heap.push_str(&format!(",{:.2}", bytes as f64 / n));
@@ -1288,12 +1302,12 @@ pub fn collect_evidence(params: &Params) -> Evidence {
 }
 
 impl Evidence {
-    /// `BENCH_ci.json`, schema 11: the two scales and every figure's
+    /// `BENCH_ci.json`, schema 12: the two scales and every figure's
     /// counts under its stem — no timings, so two runs of one build write
     /// the same bytes.
     pub fn bench_ci_json(&self) -> String {
         let mut json = format!(
-            "{{\n  \"schema\": 11,\n  \"figures_triples\": {},\n  \"load_triples\": {}",
+            "{{\n  \"schema\": 12,\n  \"figures_triples\": {},\n  \"load_triples\": {}",
             self.params.triples, self.params.large_triples
         );
         for (stem, counts) in &self.counts {
@@ -1421,7 +1435,8 @@ mod tests {
             "barton_index_level_bytes",
             "frozen_heap_bytes_per_triple",
             "frozen_list_slot_bytes",
-            "frozen_overflow_bytes",
+            "frozen_run_end_bytes",
+            "frozen_run_key_bytes",
             "frozen_mirror_list_ref_bytes",
             "frozen_header_key_bytes",
             "frozen_header_offset_bytes",
@@ -1431,6 +1446,7 @@ mod tests {
             "frozen_vector_key_offset_bytes",
             "frozen_vector_key_rank_bytes",
             "frozen_elias_fano_pso",
+            "frozen_elias_fano_arena_pos",
             "plans",
             "entries_after_70000",
         ] {

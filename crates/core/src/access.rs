@@ -32,7 +32,7 @@
 //! of the header keys ([`HeadersView::rank`]) and its window searched,
 //! iterated or sought through as packed or Elias–Fano coded vector keys
 //! ([`KeysView`], [`crate::succinct`]); a terminal list is a slot of its
-//! arena or a run of the arena's overflow column ([`ArenaView`], whose
+//! arena or a run of the arena's key column ([`ArenaView`], whose
 //! encoding [`crate::slab`] owns). The slab views clamp windows and runs
 //! instead of panicking. In-memory slabs are validated when they are
 //! built, so clamping never triggers there; the `hex-disk` crate hands out
@@ -490,7 +490,7 @@ macro_rules! forward_reads {
 impl<S: OrderedStore> crate::traits::SortedListAccess for S {
     /// [`list`](crate::traits::SortedListAccess::list) as a borrowed
     /// slice of a `u32` copy of the list's arena ([`ArenaView::lend`]):
-    /// a longer list's run of the copy of the overflow column, a singleton
+    /// a longer list's run of the copy of the key column, a singleton
     /// the one-id window of the copy of the slot column, each decoded by
     /// the first call that needs it. Kept for callers that need a slice;
     /// the engine reads `list`.
@@ -579,18 +579,25 @@ mod tests {
     #[test]
     fn slab_views_clamp_corrupt_offsets_instead_of_panicking() {
         use crate::packed::PackedColumn;
+        use crate::succinct::KeyColumn;
         let keys = crate::succinct::HeaderColumn::from_sorted(&[Id(1), Id(2), Id(3)]);
         // Header 1's window runs past the leaf column; header 2's is
         // backwards (9 > 1); header 3 has no closing offset at all.
         let offs = PackedColumn::from_values(&[0, 9, 1]);
         let k2 = PackedColumn::from_values(&[5, 6]);
+        // Slots 2 bits wide, the flag bit 2: list 0 is run 0, whose end
+        // overruns the key column; list 1 names run 1, past the run ends.
+        let (ends, run_keys) = (PackedColumn::from_values(&[0, 40]), [10, 11]);
+        let run_keys = KeyColumn::Packed(PackedColumn::from_values(&run_keys));
+        let slots = PackedColumn::from_values(&[2, 2 | 1]);
         let lists = PackedColumn::from_values(&[0, 7]); // list 7 does not exist
-        let over = PackedColumn::from_values(&[40, 10, 11]);
-        // Slots 3 bits wide, the flag bit 4: list 0's length word overruns
-        // the overflow column; list 1's position (3) is past it.
-        let slots = PackedColumn::from_values(&[4, 4 | 3]);
         let copy = ArenaCopy::default();
-        let arena = ArenaView { slots: slots.view(), over: over.view(), copy: &copy };
+        let arena = ArenaView {
+            slots: slots.view(),
+            ends: ends.view(),
+            keys: run_keys.borrowed(),
+            copy: &copy,
+        };
         let k2 = KeysView::Packed(k2.view());
         let ix = IndexView { keys: keys.view(), offs: offs.view(), k2, lists: Some(lists.view()) };
         let ord = SlabOrdering { index: ix, arena };
@@ -602,32 +609,49 @@ mod tests {
         assert_eq!(ord.division(Id(2)).count(), 0);
         assert_eq!(ord.scan().count(), 2);
         // A primary ordering reads leaf i as list i: leaf 1 is the list
-        // whose position is past the column, which reads empty.
+        // whose run is past the run ends, which reads empty.
         let primary = SlabOrdering { index: IndexView { lists: None, ..ix }, arena };
         assert_eq!(primary.list(Id(1), Id(5)), &[Id(10), Id(11)]);
-        assert_eq!(primary.list(Id(1), Id(6)), &[] as &[Id], "dangling overflow position");
+        assert_eq!(primary.list(Id(1), Id(6)), &[] as &[Id], "dangling run");
         assert_eq!(primary.scan().map(|(_, _, list)| list.len()).sum::<usize>(), 2);
-        // Every other way a slot or a length word can be wrong, in slots 4
-        // bits wide (flag 8): the last word of the column as a length word
-        // (nothing behind it), lengths of 0 and 1 behind a flag, the
-        // largest length, and positions past the column. Wrong answers are
-        // allowed; panics are not.
-        let over = PackedColumn::from_values(&[0, 1, 7, u32::MAX, 3]);
-        let slots = PackedColumn::from_values(&[8, 9, 10, 11, 12, 13, 15]);
-        let arena = ArenaView { slots: slots.view(), over: over.view(), copy: &copy };
-        let read: Vec<List<'_>> = (0..slots.len() as u32 + 1).map(|l| arena.get(l)).collect();
-        assert_eq!(read[0], &[] as &[Id], "length 0");
-        assert_eq!(read[1], &[Id(7)], "length 1 behind a flag");
-        assert_eq!(read[2], &[Id(u32::MAX), Id(3)], "length 7 cut to the column");
-        assert_eq!(read[3], &[Id(3)], "length u32::MAX cut to the column");
-        assert_eq!(read[4], &[] as &[Id], "a length word at the end of the column");
-        assert!(read[5..].iter().all(|list| list.is_empty()), "positions past the column");
-        assert!(arena.validate().is_err());
+        // Every other way a slot or a run end can be wrong, in slots 4 bits
+        // wide (flag 8), over a key column packed and Elias–Fano coded: a
+        // backwards run, a run cut to the column, a run starting past it,
+        // and runs past the run ends. Wrong answers are allowed; panics are
+        // not.
+        let (keys, ends) = ([5, 7, 9], PackedColumn::from_values(&[0, 2, 3]));
+        let coded = crate::succinct::EfColumn::from_windows(&keys, &ends);
+        let ends = PackedColumn::from_values(&[0, 2, 1, 9, 3]);
+        let slots = PackedColumn::from_values(&[8, 9, 10, 11, 12, 15]);
+        for run_keys in
+            [KeyColumn::Packed(PackedColumn::from_values(&keys)), KeyColumn::EliasFano(coded)]
+        {
+            let packed = matches!(run_keys, KeyColumn::Packed(_));
+            let arena = ArenaView {
+                slots: slots.view(),
+                ends: ends.view(),
+                keys: run_keys.borrowed(),
+                copy: &copy,
+            };
+            let read: Vec<List<'_>> = (0..slots.len() as u32 + 1).map(|l| arena.get(l)).collect();
+            for list in &read {
+                let _ = (list.to_vec(), list.first(), list.last(), list.search(Id(7)));
+                let _ = (list.seek(1, Id(8)), arena.lend(0));
+            }
+            assert!(read[4..].iter().all(|list| list.is_empty()), "runs past the run ends");
+            assert!(read[1].is_empty() && read[3].is_empty(), "backwards runs");
+            if packed {
+                assert_eq!(read[0], &[Id(5), Id(7)]);
+                assert_eq!(read[2], &[Id(7), Id(9)], "a run cut to the column");
+            }
+            assert!(arena.validate().is_err());
+        }
         // A packed read past the slot column is 0; a list past it is still
         // empty, not the singleton `Id(0)` — nor is any list of a column
         // that claims slots but no bits for them.
-        let slots = PackedView::new(&[], 0, 3).unwrap();
-        let zeros = ArenaView { slots, over: PackedView::EMPTY, copy: &copy };
+        let (slots, none) = (PackedView::new(&[], 0, 3).unwrap(), KeyColumn::default());
+        let zeros =
+            ArenaView { slots, ends: PackedView::EMPTY, keys: none.borrowed(), copy: &copy };
         assert_eq!(zeros.get(0), &[Id(0)], "width 0 reads zeros, wrong but safe");
         assert!(zeros.get(3).is_empty() && zeros.validate().is_err());
     }

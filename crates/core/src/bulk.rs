@@ -26,10 +26,10 @@
 //!    12-byte-per-triple batch copies.
 //! 3. **Sizes are knowable up front.** A
 //!    [`SpaceStats`](crate::SpaceStats)-style counting pass over each run
-//!    computes the exact number of headers, terminal lists and overflow
-//!    words, the widest list slot and the widest overflow word, so every
-//!    slab is allocated once at its final size and width and the emission
-//!    is append-only.
+//!    computes the exact number of headers, terminal lists, runs and run
+//!    ids, the widest list slot and the sizes that choose each key
+//!    column's encoding, so every slab is allocated once at its final size
+//!    and width and the emission is append-only.
 
 use crate::frozen::{FrozenHexastore, FrozenIndex, FrozenPair, LevelSize};
 use crate::overlay::OverlayHexastore;
@@ -343,7 +343,8 @@ fn at_fn<'a>(
 /// windows, as the [`LevelSize`] that sizes the ordering's columns and
 /// chooses its vector-key encoding; and the terminal lists, one per
 /// distinct `(k1, k2)` pair, as the [`ArenaSize`] that sizes their
-/// arena's slot and overflow columns.
+/// arena's slot, run-ends and key columns and chooses the key column's
+/// encoding.
 struct RunCounts {
     level: LevelSize,
     lists: ArenaSize,
@@ -554,7 +555,14 @@ mod tests {
             let bytes = |col: crate::packed::PackedView<'_>| {
                 crate::packed::bytes_for(col.len(), col.width()).unwrap()
             };
-            let exact = bytes(view.slots) + bytes(view.over);
+            let keys = match view.keys {
+                crate::succinct::KeysRef::Packed(keys) => bytes(keys),
+                crate::succinct::KeysRef::EliasFano(coded) => {
+                    let ef = coded.view();
+                    [ef.base, ef.offs, ef.stream.bits, ef.stream.ranks].map(bytes).iter().sum()
+                }
+            };
+            let exact = bytes(view.slots) + bytes(view.ends) + keys;
             assert_eq!(arena.heap_bytes(), exact, "a bulk build must already be exact");
             assert_eq!(view.validate(), Ok(arena.total_items()), "and canonical");
         }

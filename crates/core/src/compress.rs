@@ -265,27 +265,27 @@ mod tests {
 
     #[test]
     fn arena_roundtrip() {
-        let mut arena = FlatArena::new();
-        arena.push_list([Id(1), Id(4), Id(9)]);
-        arena.push_list([Id(0)]);
-        arena.push_list([Id(100), Id(101), Id(4_000_000)]);
+        let arena = FlatArena::from_lists(&[
+            &[Id(1), Id(4), Id(9)][..],
+            &[Id(0)],
+            &[Id(100), Id(101), Id(4_000_000)],
+        ]);
         let mut buf = Vec::new();
         encode_arena(&mut buf, &arena);
         let mut pos = 0;
         let back = decode_arena(&buf, &mut pos, arena.list_count(), arena.total_items()).unwrap();
         assert_eq!(pos, buf.len());
         assert_eq!(back, arena);
-        // Three slots of 4 bits (positions 0 and 4 under the flag) and
-        // eight overflow words of 22 bits (4,000,000 needs 22).
+        // Three slots of 2 bits (runs 0 and 1 under the flag), three run
+        // ends of 3 bits and six run ids of 22 bits (4,000,000 needs 22).
         let bytes = |len, width| crate::packed::bytes_for(len, width).unwrap();
-        assert_eq!(back.heap_bytes(), bytes(3, 4) + bytes(8, 22), "decoded exact-sized");
+        let exact = bytes(3, 2) + bytes(3, 3) + bytes(6, 22);
+        assert_eq!(back.heap_bytes(), exact, "decoded exact-sized");
     }
 
     #[test]
     fn arena_decode_rejects_truncation_at_every_byte() {
-        let mut arena = FlatArena::new();
-        arena.push_list([Id(3), Id(7), Id(8)]);
-        arena.push_list([Id(2), Id(900)]);
+        let arena = FlatArena::from_lists(&[&[Id(3), Id(7), Id(8)][..], &[Id(2), Id(900)]]);
         let mut buf = Vec::new();
         encode_arena(&mut buf, &arena);
         for cut in 0..buf.len() {
@@ -299,8 +299,7 @@ mod tests {
 
     #[test]
     fn arena_decode_rejects_count_mismatches() {
-        let mut arena = FlatArena::new();
-        arena.push_list([Id(3), Id(7)]);
+        let arena = FlatArena::from_lists(&[[Id(3), Id(7)]]);
         let mut buf = Vec::new();
         encode_arena(&mut buf, &arena);
         assert!(decode_arena(&buf, &mut 0, 1, 3).is_none(), "wrong item total");

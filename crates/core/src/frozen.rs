@@ -24,9 +24,12 @@
 //! a presence bitmap with a rank directory — finding a header is a rank,
 //! not a binary search — or, where the keys are sparse in the id space,
 //! one Elias–Fano window; its vector keys are packed at the width of the
-//! largest or Elias–Fano coded window by window. Each encoding is chosen
-//! per ordering, from counts the builder gathers before it writes, as the
-//! smaller of the two: no option selects it.
+//! largest or Elias–Fano coded window by window; and an arena's longer
+//! lists are runs of one key column cut by a run-ends column, the way
+//! vector keys are windows, packed or Elias–Fano coded run by run. Each
+//! encoding is chosen per ordering or arena, from counts the builder
+//! gathers before it writes, as the smaller of the two: no option selects
+//! it.
 //!
 //! Reads go through [`OrderedStore::ordering`]: the paper's "spo property
 //! vector of s" is `ordering(IndexKind::Spo).division(s)`, "the objects
@@ -245,18 +248,21 @@ fn tiles(offs: &PackedColumn, headers: usize, leaves: usize) -> bool {
 }
 
 /// Where a [`FrozenHexastore`]'s heap bytes go, column kind by column
-/// kind — [`FrozenHexastore::heap_breakdown`]. The ten byte counts sum
+/// kind — [`FrozenHexastore::heap_breakdown`]. The eleven byte counts sum
 /// exactly to [`TripleStore::heap_bytes`].
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct HeapBreakdown {
     /// The three arenas' packed slot columns: one slot per terminal list,
     /// which is the list itself when it holds a single id.
     pub list_slots: usize,
-    /// The three arenas' packed overflow columns: every longer list's items
-    /// plus its length word — and the `u32` copies of a column once
+    /// The three arenas' packed run-ends columns: where each longer list's
+    /// run starts in its arena's key column.
+    pub run_ends: usize,
+    /// The three arenas' key columns, packed or Elias–Fano coded: every
+    /// longer list's ids — and the `u32` copies of an arena's columns once
     /// [`SortedListAccess::sorted_list`](crate::SortedListAccess::sorted_list)
     /// has decoded them.
-    pub overflow: usize,
+    pub run_keys: usize,
     /// List references of the three mirror orderings (primaries store none).
     pub mirror_list_refs: usize,
     /// Header keys: the six orderings' presence bitmaps and their rank
@@ -276,6 +282,11 @@ pub struct HeapBreakdown {
     pub vector_key_ranks: usize,
     /// The orderings whose vector keys are Elias–Fano coded.
     pub elias_fano: IndexSet,
+    /// The arenas whose run keys are Elias–Fano coded, each named by the
+    /// primary ordering whose leaf order its lists follow (spo for the
+    /// object lists, sop for the property lists, pos for the subject
+    /// lists).
+    pub elias_fano_arenas: IndexSet,
 }
 
 impl HeapBreakdown {
@@ -293,15 +304,20 @@ impl HeapBreakdown {
             + self.vector_key_ranks
     }
 
-    /// All ten byte counts together.
+    /// The terminal lists: slots, run ends and run keys.
+    pub fn lists(&self) -> usize {
+        self.list_slots + self.run_ends + self.run_keys
+    }
+
+    /// All eleven byte counts together.
     pub fn total(&self) -> usize {
-        self.list_slots
-            + self.overflow
-            + self.mirror_list_refs
-            + self.headers()
-            + self.vector_keys()
+        self.lists() + self.mirror_list_refs + self.headers() + self.vector_keys()
     }
 }
+
+/// The primary ordering of each of the three arenas, in canonical order
+/// (object, property, subject lists).
+const PRIMARIES: [IndexKind; 3] = [IndexKind::Spo, IndexKind::Sop, IndexKind::Pos];
 
 /// One frozen index pair: primary ordering, mirror ordering, shared arena.
 pub(crate) type FrozenPair = (FrozenIndex, FrozenIndex, FlatArena);
@@ -459,9 +475,15 @@ impl FrozenHexastore {
         let arenas = self.arenas();
         let mut b = HeapBreakdown {
             list_slots: arenas.iter().map(|a| a.slot_bytes()).sum(),
-            overflow: arenas.iter().map(|a| a.overflow_bytes()).sum(),
+            run_ends: arenas.iter().map(|a| a.run_end_bytes()).sum(),
+            run_keys: arenas.iter().map(|a| a.run_key_bytes()).sum(),
             ..HeapBreakdown::default()
         };
+        for (kind, arena) in PRIMARIES.into_iter().zip(arenas) {
+            if arena.is_elias_fano() {
+                b.elias_fano_arenas = b.elias_fano_arenas.with(kind);
+            }
+        }
         for (kind, ix) in IndexKind::ALL.into_iter().zip(self.orderings()) {
             ix.account(kind, &mut b);
         }

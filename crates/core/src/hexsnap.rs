@@ -14,7 +14,7 @@
 //! ```text
 //! offset   size  field
 //! 0        8     magic "hexsnap\0"
-//! 8        4     format version (u32, currently 11)
+//! 8        4     format version (u32, currently 12)
 //! 12       …     section payloads, back to back
 //! …        var   section table: u32 count, then per section
 //!                [u8; 4] tag · u64 offset · u64 length
@@ -80,14 +80,23 @@
 //!   file offset. The string arenas are v9's; `FROZ` and `FRZC` are v9's
 //!   byte for byte.
 //!
-//! - **v11** (current) — a `DICT` section begins with the frozen tier a
+//! - **v11** — a `DICT` section begins with the frozen tier a
 //!   bulk load leaves ([`hex_dict::FrontImage`]): the terms' keys in
 //!   ascending order, front coded in blocks, and the two permutations
 //!   between key order and the first-seen ids. The delta tier follows in
 //!   v10's layout, byte for byte, and `FROZ` and `FRZC` are v10's. A
 //!   graph interned term by term has an empty frozen tier.
+//! - **v12** (current) — a `FROZ` arena is a slot column, a run-ends
+//!   column and a key column ([`crate::slab`] has the encoding): a
+//!   flagged slot holds its list's run index, the run ends cut the key
+//!   column into runs as an ordering's offsets cut its vector keys, and
+//!   the key column is packed or Elias–Fano coded run by run, whichever is
+//!   smaller, in place of the overflow column's length words and ids. A
+//!   column whose width the count fields give — the run ends, every bit
+//!   stream's rank directory — stores no width field. `DICT` and `FRZC`
+//!   are v11's byte for byte.
 //!
-//! [`Writer`] writes v11; [`Reader`] opens all eleven. Where every column of
+//! [`Writer`] writes v12; [`Reader`] opens all twelve. Where every column of
 //! a `DICT` or `FROZ` section lies is said once per section, by a walker
 //! that reads only the count fields: [`Reader::dict_columns`] and
 //! [`Reader::frozen_columns`], the only code that knows how the column
@@ -106,12 +115,15 @@
 //! level's `u32` columns are packed, and so are a pre-v7 arena's `u32`
 //! slot column and a pre-v8 arena's `u32` overflow column, a pre-v9
 //! ordering's header and vector keys, checked ascending, take the
-//! encodings their sizes choose, and a pre-v10 dictionary's `u32` columns
-//! are packed. Every eager load of slabs — `FROZ` of any version, or the
-//! decoded `FRZC` payload — then ends in the same check of the built
-//! store. Only a v10 or v11 file has the columns `hex-disk` maps (a v10
-//! one with an empty frozen tier; [`mapping_refusal`] says why an older
-//! one is refused); older files go through [`load_frozen`] and a re-save.
+//! encodings their sizes choose, a pre-v10 dictionary's `u32` columns
+//! are packed, and a v4–v11 arena's overflow runs, checked as that layout
+//! was, become the runs of a key column. Every eager load of slabs —
+//! `FROZ` of any version, or the decoded `FRZC` payload — then ends in
+//! the same check of the built store. Only a v10, v11 or v12 file has the
+//! index columns `hex-disk` maps (a v10 one with an empty frozen tier; a
+//! v10 or v11 one's arenas are rebuilt, owned, on the way;
+//! [`mapping_refusal`] says why an older one is refused); older files go
+//! through [`load_frozen`] and a re-save.
 //!
 //! Defined sections:
 //!
@@ -154,12 +166,20 @@
 //!   file offset, every field a 4-byte multiple. From v9 every column is
 //!   packed or a bit stream, read with unaligned loads, so `hex-disk`
 //!   views each one in place as bytes and casts none.
-//!   `u64 n_triples`; then per arena (object, property, subject lists):
-//!   `u32 n_lists`, `u64 n_items`, `u32 n_overflow`, the packed slot
-//!   column of `n_lists` slots (before v7, `n_lists` `u32` slots), then
-//!   the packed overflow column of `n_overflow` words (before v8,
-//!   `n_overflow` `u32` words); before v4 an arena is `u32 n_lists`, `u64
-//!   n_items`, `n_lists + 1` cumulative offsets and `n_items` items. Then
+//!   `u64 n_triples`; then per arena (object, property, subject lists),
+//!   from v12: `u32 n_lists`, `u32 n_runs`, `u32 n_keys` (the run ids;
+//!   `n_lists − n_runs + n_keys` is the triple count), `u32 flags` (bit 1:
+//!   the run ids are Elias–Fano coded; no other bit is set), the packed
+//!   slot column of `n_lists` slots, the `n_runs + 1` cumulative run ends
+//!   packed at the bit length of `n_keys` with no width field, then the
+//!   run ids: a packed column of `n_keys` values, or an Elias–Fano column
+//!   of `n_runs` windows (below). From v4 to v11 an arena is `u32 n_lists`,
+//!   `u64 n_items`, `u32 n_overflow`, the packed slot column of `n_lists`
+//!   slots (before v7, `n_lists` `u32` slots), then the packed overflow
+//!   column of `n_overflow` words (before v8, `n_overflow` `u32` words),
+//!   each longer list a length word and its ids; before v4 an arena is
+//!   `u32 n_lists`, `u64 n_items`, `n_lists + 1` cumulative offsets and
+//!   `n_items` items. Then
 //!   per ordering (spo, sop, pso, pos, osp, ops):
 //!   `u32 n_headers`, `n_headers` `u32` header keys, `n_headers + 1`
 //!   cumulative offsets into the vector column, `u32 n_vector`,
@@ -174,6 +194,9 @@
 //!   Elias–Fano column of `n_headers` windows: a packed base column (each
 //!   window's first key), a packed column of `n_windows + 1` bit offsets,
 //!   `u32 n_bits`, the stream (packed, width 1) and its rank directory.
+//!   From v12 a rank directory stores no width field: its width is the
+//!   bit length of its stream's length (0 with no sample), and its words
+//!   follow the stream's.
 //!   From v6 the offsets, vector keys and list references —
 //!   from v7 the list slots and from v8 the overflow words — are each a
 //!   packed column: a `u32` width `w` (at most 32), zero bytes up to the
@@ -193,7 +216,7 @@
 //!   `FROZ` or `FRZC`, not both.
 //!
 //! `u32` offsets bound a single string arena and a single slab column at
-//! 2^32 entries, an arena's overflow column at 2^31 — far above the
+//! 2^32 entries, an arena's runs at 2^31 — far above the
 //! paper's 61M-triple ceiling and identical to the [`hex_dict::Id`] width
 //! everywhere else; a packed value is at most 32 bits wide for the same
 //! reason.
@@ -201,12 +224,12 @@
 use crate::advisor::IndexKind;
 use crate::frozen::{FrozenHexastore, FrozenIndex};
 use crate::graph::GraphStore;
-use crate::packed::{bytes_for, Bytes, PackedColumn, PackedView, MAX_WIDTH};
+use crate::packed::{bytes_for, width_of, Bytes, PackedColumn, PackedView, MAX_WIDTH};
 use crate::pattern::IdPattern;
-use crate::slab::{pack_u32_slots, FlatArena};
+use crate::slab::{pack_u32_slots, FlatArena, MAX_IN_SLOT};
 use crate::succinct::{
-    check_stream_shape, samples, EfColumn, EfView, HeaderColumn, HeadersView, KeyColumn, KeysView,
-    RankBitmap,
+    check_stream_shape, sample_width, samples, EfColumn, EfView, HeaderColumn, HeadersView,
+    KeyColumn, KeysView, RankBitmap,
 };
 use crate::traits::TripleStore;
 use hex_dict::{ArenaImage, Dictionary, FrontImage, Id, IdTriple};
@@ -220,15 +243,16 @@ use std::path::Path;
 pub const MAGIC: [u8; 8] = *b"hexsnap\0";
 
 /// The current format version. [`Reader`] accepts `1..=VERSION`.
-pub const VERSION: u32 = 11;
+pub const VERSION: u32 = 12;
 
 /// The oldest format version `hex-disk` maps: v10 and v11 differ only in
-/// the frozen dictionary tier v11 adds, which a v10 file lacks.
+/// the frozen dictionary tier v11 adds, which a v10 file lacks, and v12
+/// only in its arenas, which a v10 or v11 file's are rebuilt into.
 const MAPPABLE: u32 = 10;
 
 /// Why `hex-disk` refuses to map a file of format `version`, naming the
 /// columns that version lays out otherwise than the mapped read path
-/// views them and the upgrade path; `None` for v10 and [`VERSION`]. Every
+/// views them and the upgrade path; `None` for v10 to [`VERSION`]. Every
 /// version before v10 differs in some column ([the version
 /// history](self#version-history)), so a mapping refuses it before walking
 /// any section.
@@ -575,6 +599,15 @@ impl<W: Write + Seek> Writer<W> {
         Ok(())
     }
 
+    /// Writes the words of a packed column whose width the reader derives
+    /// from the count fields: zero padding to the next 8-byte file offset,
+    /// then its words.
+    fn words(&mut self, column: PackedView<'_>) -> Result<()> {
+        self.pad_to_8()?;
+        self.w.write_all(column.bytes())?;
+        Ok(())
+    }
+
     /// Writes an Elias–Fano column: its base and bit-offset columns, its
     /// stream's length, the stream and the stream's rank directory.
     fn elias_fano(&mut self, ef: EfView<'_>) -> Result<()> {
@@ -584,7 +617,15 @@ impl<W: Write + Seek> Writer<W> {
             .map_err(|_| Error::Corrupt("2^32 stream bits".into()))?;
         w_u32(&mut self.w, bits)?;
         self.packed(ef.stream.bits)?;
-        self.packed(ef.stream.ranks)
+        self.words(ef.stream.ranks)
+    }
+
+    /// Writes a key column: packed, or Elias–Fano coded.
+    fn keys(&mut self, keys: KeysView<'_>) -> Result<()> {
+        match keys {
+            KeysView::Packed(keys) => self.packed(keys),
+            KeysView::EliasFano(ef) => self.elias_fano(ef),
+        }
     }
 
     /// Writes the `FROZ` section: the store's slabs as raw columns.
@@ -601,11 +642,15 @@ impl<W: Write + Seek> Writer<W> {
         w_u64(&mut self.w, store.len() as u64)?;
         for arena in store.arenas() {
             let columns = arena.view();
+            let keys = columns.keys.view();
             w_u32(&mut self.w, count(arena.list_count(), "arena lists")?)?;
-            w_u64(&mut self.w, arena.total_items() as u64)?;
-            w_u32(&mut self.w, count(columns.over.len(), "overflow words")?)?;
+            w_u32(&mut self.w, count(columns.ends.len().saturating_sub(1), "arena runs")?)?;
+            w_u32(&mut self.w, count(keys.len(), "arena run ids")?)?;
+            let coded = matches!(keys, KeysView::EliasFano(_));
+            w_u32(&mut self.w, if coded { KEYS_CODED } else { 0 })?;
             self.packed(columns.slots)?;
-            self.packed(columns.over)?;
+            self.words(columns.ends)?;
+            self.keys(keys)?;
         }
         for ix in store.orderings() {
             let (keys, k2) = (ix.keys.view(), ix.k2.view());
@@ -622,16 +667,13 @@ impl<W: Write + Seek> Writer<W> {
                 HeadersView::Bitmap(map) => {
                     w_u32(&mut self.w, count(map.bits.len(), "header bitmap bits")?)?;
                     self.packed(map.bits.bits)?;
-                    self.packed(map.bits.ranks)?;
+                    self.words(map.bits.ranks)?;
                 }
                 HeadersView::EliasFano(ef) => self.elias_fano(ef)?,
             }
             self.packed(ix.offs.view())?;
             w_u32(&mut self.w, count(ix.k2.len(), "vector entries")?)?;
-            match k2 {
-                KeysView::Packed(k2) => self.packed(k2)?,
-                KeysView::EliasFano(ef) => self.elias_fano(ef)?,
-            }
+            self.keys(k2)?;
             if let Some(lists) = &ix.lists {
                 self.packed(lists.view())?;
             }
@@ -790,8 +832,23 @@ pub enum Windows {
 /// The columns of one `FROZ` arena.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum ArenaColumns {
-    /// v4: the [`FlatArena`]'s slot column and overflow column
+    /// v12: the [`FlatArena`]'s slot, run-ends and key columns
     /// ([`crate::slab`] has the encoding).
+    Runs {
+        /// One packed slot per list: its only id, or under the flag the
+        /// index of its run.
+        slots: Packed,
+        /// The cumulative end of each run in `keys`, one entry more than
+        /// runs.
+        ends: Packed,
+        /// Every run's ids: packed, or Elias–Fano coded run by run.
+        keys: VectorKeys,
+        /// The number of run ids the section declares.
+        len: usize,
+    },
+    /// v4 to v11: a slot column whose flagged slots hold the position of
+    /// a length word in an overflow column, followed there by the list's
+    /// ids.
     Slots {
         /// One slot per list: a `u32` with the flag in bit 31 before v7,
         /// packed one flag bit above the widest slot's value from v7 on.
@@ -915,6 +972,9 @@ struct Walk<'r, R> {
     /// File offset just past the section.
     end: u64,
     tag: [u8; 4],
+    /// True from v12, where a column whose width follows from the count
+    /// fields — a rank directory, an arena's run ends — stores none.
+    derived: bool,
 }
 
 impl<R: Read + Seek> Walk<'_, R> {
@@ -979,6 +1039,17 @@ impl<R: Read + Seek> Walk<'_, R> {
         Ok(Ints::Packed(Packed { offset, width, len }))
     }
 
+    /// Steps over a packed column of `len` values whose width the count
+    /// fields give: padding to an 8-byte file offset and the packed words.
+    fn derived(&mut self, len: u64, width: u32, what: &str) -> Result<Packed> {
+        self.align_8(what)?;
+        let len =
+            usize::try_from(len).map_err(|_| Error::Corrupt(format!("{what} overflows usize")))?;
+        let bytes = bytes_for(len, width).map_or(u64::MAX, |bytes| bytes as u64);
+        let Column { offset, .. } = self.column(bytes, 1, what)?;
+        Ok(Packed { offset, width, len })
+    }
+
     /// Steps over a packed column of `len` values.
     fn packed(&mut self, len: u64, what: &str) -> Result<Packed> {
         match self.ints(true, len, what)? {
@@ -990,8 +1061,13 @@ impl<R: Read + Seek> Walk<'_, R> {
     /// Steps over a bit stream of `len` bits and its rank directory.
     fn stream(&mut self, len: u64, what: &str) -> Result<(Packed, Packed)> {
         let bits = self.packed(len, what)?;
-        let samples = samples(usize::try_from(len).unwrap_or(usize::MAX)) as u64;
-        let ranks = self.packed(samples, &format!("{what}'s directory"))?;
+        let n = usize::try_from(len).unwrap_or(usize::MAX);
+        let (samples, directory) = (samples(n) as u64, format!("{what}'s directory"));
+        let ranks = if self.derived {
+            self.derived(samples, sample_width(n), &directory)?
+        } else {
+            self.packed(samples, &directory)?
+        };
         if !check_stream_shape(bits.width, bits.len, ranks.width, ranks.len) {
             return corrupt(format!("{what} has the widths of no bit stream"));
         }
@@ -1119,7 +1195,8 @@ impl<R: Read + Seek> Reader<R> {
     /// Starts a [`Walk`] over a section's count fields.
     fn walk(&mut self, tag: [u8; 4]) -> Result<Walk<'_, R>> {
         let (off, len) = self.extent(tag)?;
-        Ok(Walk { r: &mut self.r, pos: off, end: off + len, tag })
+        let derived = self.version >= 12;
+        Ok(Walk { r: &mut self.r, pos: off, end: off + len, tag, derived })
     }
 
     /// Locates the columns of the `DICT` section, reading only its count
@@ -1202,6 +1279,7 @@ impl<R: Read + Seek> Reader<R> {
     pub fn frozen_columns(&mut self) -> Result<FrozenColumns> {
         let pairs = spells_out_derivables(self.version);
         let item_arenas = self.version < 4;
+        let run_arenas = self.version >= 12;
         let packed = self.version >= 6;
         let packed_slots = self.version >= 7;
         let packed_overflow = self.version >= 8;
@@ -1219,6 +1297,31 @@ impl<R: Read + Seek> Reader<R> {
         for list_count in &mut list_counts {
             let lists = walk.count32("arena list count")?;
             *list_count = lists;
+            if run_arenas {
+                let runs = walk.count32("arena run count")?;
+                let len = walk.count32("arena run id count")?;
+                let flags = walk.count32("arena encoding flags")? as u32;
+                if flags & !KEYS_CODED != 0 {
+                    return corrupt(format!("unknown arena encoding flags {flags:#x}"));
+                }
+                // A list is a singleton or a run, and every triple puts one
+                // item in each arena, so other counts are refused before
+                // any column is touched.
+                if runs > lists || lists - runs + len != triples {
+                    return corrupt("declared triple count disagrees with slab columns");
+                }
+                let slots = walk.packed(lists, "arena slot column")?;
+                let width = width_of(len as u32);
+                let ends = walk.derived(runs + 1, width, "arena run-ends column")?;
+                let keys = if flags & KEYS_CODED == 0 {
+                    VectorKeys::Ints(walk.ints(true, len, "arena key column")?)
+                } else {
+                    VectorKeys::EliasFano(walk.elias_fano(runs, "arena run keys")?)
+                };
+                let len = checked_len(len, "arena run id")?;
+                arenas.push(ArenaColumns::Runs { slots, ends, keys, len });
+                continue;
+            }
             // Every triple contributes one item to each arena, so another
             // count is refused before any column is touched.
             if walk.count64("arena item count")? != triples {
@@ -1544,18 +1647,34 @@ impl<F: FnMut(Range<usize>) -> Result<Bytes>> Source<F> {
         }
     }
 
-    /// An arena of `items` items: its slot and overflow columns taken as
-    /// they are (a pre-v7 `u32` slot column packed), or a pre-v4 arena's
-    /// offset-addressed lists appended one by one to a slot arena.
+    /// An arena of `items` items: its slot, run-ends and key columns taken
+    /// as they are; a v4–v11 arena's slot and overflow columns checked as
+    /// that layout was and rebuilt in the current one (a pre-v7 `u32` slot
+    /// column packed first); or a pre-v4 arena's offset-addressed lists
+    /// appended one by one.
     fn arena(&mut self, arena: ArenaColumns, items: usize) -> Result<FlatArena> {
         match arena {
+            ArenaColumns::Runs { slots, ends, keys, len } => {
+                let slots = self.packed(slots, "arena slot column")?;
+                let ends = self.packed(ends, "arena run-ends column")?;
+                let keys = match keys {
+                    VectorKeys::Ints(keys) => {
+                        KeyColumn::Packed(self.ints(keys, "arena key column")?)
+                    }
+                    VectorKeys::EliasFano(ef) => {
+                        KeyColumn::EliasFano(self.elias_fano(ef, len, "arena run keys")?)
+                    }
+                };
+                Ok(FlatArena::unchecked(slots, ends, keys, items))
+            }
             ArenaColumns::Slots { slots, over } => {
                 let slots = match slots {
                     Ints::U32(col) => pack_u32_slots(&self.u32s(col)?),
                     Ints::Packed(col) => self.packed(col, "arena slot column")?,
                 };
                 let over = self.ints(over, "arena overflow column")?;
-                Ok(FlatArena::unchecked(slots, over, items))
+                arena_of_length_words(slots.view(), over.view())
+                    .map_err(|why| Error::Corrupt(format!("arena columns: {why}")))
             }
             ArenaColumns::Items { windows, items } => {
                 let offs: Vec<u32> =
@@ -1575,6 +1694,65 @@ impl<F: FnMut(Range<usize>) -> Result<Bytes>> Source<F> {
         let ranks = self.packed(ef.ranks, what)?;
         Ok(EfColumn::unchecked(base, offs, stream, ranks, len))
     }
+}
+
+/// The arena a v4–v11 `FROZ` section lays down — every list that is not
+/// a singleton in its slot a length word and its ids in an overflow
+/// column, the slot the position of that word — checked as that layout
+/// was and rebuilt in the current one: both images end in zero bits, the
+/// runs tile the overflow column in slot order, each a non-empty strictly
+/// ascending run that does not fit a slot, and both columns are as wide
+/// as their values need. What this refuses is what the older layout's
+/// reader refused.
+fn arena_of_length_words(
+    slots: PackedView<'_>,
+    over: PackedView<'_>,
+) -> std::result::Result<FlatArena, String> {
+    slots.validate_tail().map_err(|e| format!("slot column: {e}"))?;
+    over.validate_tail().map_err(|e| format!("overflow column: {e}"))?;
+    let flag = if slots.width() == 0 { 0 } else { 1 << (slots.width() - 1) };
+    let (mut next, mut max_value, mut max_word) = (0usize, 0u32, 0u32);
+    let (mut items, mut offs) = (Vec::new(), vec![0u32]);
+    for (list, slot) in slots.values().enumerate() {
+        if slot & flag == 0 {
+            items.push(Id(slot));
+        } else {
+            let at = (slot & !flag) as usize;
+            if at != next {
+                return Err(format!("list {list} names overflow position {at}, off its runs"));
+            }
+            let overruns = || format!("list {list}'s overflow run overruns the column");
+            let len = if next < over.len() { over.get(next) as usize } else { Err(overruns())? };
+            let end = (next + 1).checked_add(len).filter(|&end| end <= over.len());
+            let end = end.ok_or_else(overruns)?;
+            let run: Vec<u32> = over.iter(next + 1..end).collect();
+            if len == 1 && run[0] <= MAX_IN_SLOT {
+                return Err(format!("list {list} is an overflow run of one id that fits its slot"));
+            }
+            if run.is_empty() || !run.windows(2).all(|w| w[0] < w[1]) {
+                return Err(format!("list {list} is not a non-empty, strictly ascending run"));
+            }
+            max_word = max_word.max(u32::try_from(len).unwrap_or(u32::MAX)).max(run[len - 1]);
+            items.extend(run.into_iter().map(Id));
+            next = end;
+        }
+        max_value = max_value.max(slot & !flag);
+        offs.push(u32::try_from(items.len()).map_err(|_| "2^32 arena items".to_string())?);
+    }
+    if next != over.len() {
+        return Err(format!("{} overflow words follow the last run", over.len() - next));
+    }
+    let needed = if slots.is_empty() { 0 } else { 1 + width_of(max_value.min(MAX_IN_SLOT)) };
+    if slots.width() != needed {
+        return Err(format!(
+            "slot column is {} bits wide where its slots need {needed}",
+            slots.width()
+        ));
+    }
+    if over.width() != width_of(max_word) {
+        return Err("overflow column is wider than its largest word needs".into());
+    }
+    FlatArena::from_offsets(&items, &offs).ok_or_else(|| "lists do not tile".to_string())
 }
 
 /// The store whose `FROZ` columns `columns` locates
@@ -1763,7 +1941,6 @@ fn check_frozen(store: &FrozenHexastore) -> Result<()> {
     let arenas = store.arenas();
     for arena in arenas {
         image("arena slot column", arena.view().slots, false)?;
-        image("arena overflow column", arena.view().over, true)?;
     }
     check_arenas(store)?;
     for (ix, arena) in store.orderings().into_iter().zip(ARENA_OF) {
@@ -1782,7 +1959,7 @@ fn check_frozen(store: &FrozenHexastore) -> Result<()> {
             KeysView::Packed(k2) => image("ordering vector column", k2, true)?,
             KeysView::EliasFano(k2) => ef(k2)?,
         }
-        KeyColumn::check(k2, &ix.offs, "ordering vector keys").map_err(Error::Corrupt)?;
+        KeyColumn::check(k2, ix.offs.view(), "ordering vector keys").map_err(Error::Corrupt)?;
         if !ix.is_consistent(arenas[arena].list_count()) {
             return corrupt("ordering columns are inconsistent");
         }
@@ -2274,15 +2451,18 @@ mod tests {
             let Headers::Bitmap { bits, ranks, .. } = ix.keys else { panic!("a dense bitmap") };
             assert_eq!((bits.offset % 8, ranks.offset % 8), (0, 0));
         }
-        // From v7 the slot columns too, and from v8 the overflow column
-        // after each, its width field on the 8-byte offset the slots end on.
+        // The slot columns too, and from v12 the run ends right after each
+        // (their width follows from the counts) and the packed run ids,
+        // whose width field is on the 8-byte offset the run ends end on.
         for arena in columns.arenas {
-            let ArenaColumns::Slots { slots: Ints::Packed(slots), over: Ints::Packed(over) } =
-                arena
+            let ArenaColumns::Runs {
+                slots, ends, keys: VectorKeys::Ints(Ints::Packed(keys)), ..
+            } = arena
             else {
-                panic!("v8 packs {arena:?}")
+                panic!("v12 packs {arena:?}")
             };
-            assert_eq!((slots.offset % 8, over.offset), (0, slots.offset + slots.bytes() + 8));
+            assert_eq!((slots.offset % 8, ends.offset), (0, slots.offset + slots.bytes()));
+            assert_eq!(keys.offset, ends.offset + ends.bytes() + 8);
         }
         assert_eq!(r.frozen().unwrap(), sample_dict_and_store().1);
     }

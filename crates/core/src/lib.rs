@@ -42,7 +42,7 @@
 //! | module | contents |
 //! |--------|----------|
 //! | [`sorted`] | linear-time merge-join primitives on sorted id sets |
-//! | [`slab`] | flat terminal-list storage: a packed slot per list plus a packed overflow column ([`FlatArena`]), read as a [`List`](slab::List) |
+//! | [`slab`] | flat terminal-list storage: a packed slot per list plus runs of a packed or Elias–Fano coded key column ([`FlatArena`]), read as a [`List`](slab::List) |
 //! | [`packed`] | bit-packed columns, re-exported from [`hex_dict::packed`]: offsets, mirror list references, packed vector keys and list slots at the width their largest value needs ([`PackedColumn`], [`PackedView`]) |
 //! | [`succinct`] | header keys as a presence bitmap with a rank directory, and Elias–Fano coded vector-key windows ([`succinct::KeyColumn`]) |
 //! | [`frozen`] | [`FrozenHexastore`]: the six orderings over [`hex_dict::IdTriple`]s as slabs, paired orderings sharing lists; built once from a batch, read-only |

@@ -12,45 +12,50 @@
 //!
 //! The frozen index levels (`frozen.rs`) window their vector-key columns
 //! with a cumulative offsets column: entry `i` is where window `i` starts
-//! and entry `i + 1` where it ends, so a length is never stored. Those
-//! levels — offsets, vector keys, mirror list references — are
-//! bit-packed ([`crate::packed`]). (`offsets_tile` is the invariant of an
-//! offsets column in the `u32` form older snapshots and the compressed
-//! section decode to.)
+//! and entry `i + 1` where it ends, so a length is never stored. (`offsets_tile`
+//! is the invariant of an offsets column in the `u32` form older snapshots
+//! and the compressed section decode to.)
 //!
-//! Terminal lists are addressed differently, because of what they look
-//! like: on the benchmark's dataset nine lists in ten hold exactly one
-//! id. [`FlatArena`] keeps one **slot** per list, and the slot *is* the
-//! list when the list is a single id below 2^31. Any other list lives in
-//! the **overflow** column as a length word followed by its sorted items,
-//! and its slot holds the position of that length word. This module is
-//! the only place that knows the encoding: [`FlatArena::push_list`]
-//! writes it, [`ArenaView::get`] reads it, [`ArenaView::validate`] checks
-//! it.
+//! Terminal lists are addressed the same way, after one exception for
+//! what they mostly look like: on the benchmark's dataset nine lists in
+//! ten hold exactly one id. [`FlatArena`] keeps one **slot** per list, and
+//! the slot *is* the list when the list is a single id below 2^31. Every
+//! other list is a **run**: a window of the arena's **key column**, which
+//! a cumulative **run-ends** column cuts into runs exactly as an ordering's
+//! offsets cut its vector keys, and the list's slot holds its run's index.
+//! The key column is a [`KeyColumn`] — bit-packed at the width of the
+//! largest id, or Elias–Fano coded run by run, whichever is smaller — so
+//! one implementation serves vector keys and lists. This module is the
+//! only place that knows the encoding: [`FlatArena::push_list`] writes it,
+//! [`ArenaView::get`] reads it, [`ArenaView::validate`] checks it.
 //!
-//! Both columns are packed ([`crate::packed`]). The slot column is `w`
-//! bits a slot, its top bit the **flag**: clear, the other `w − 1` bits
-//! are the list's only id; set, they are the position of the list's
-//! length word in the overflow column. `w` is one more than the bit
+//! The slot column is packed ([`crate::packed`]), `w` bits a slot, its top
+//! bit the **flag**: clear, the other `w − 1` bits are the list's only id;
+//! set, they are the index of the list's run. `w` is one more than the bit
 //! length of the largest such value, so on a dataset of 107k terms a
 //! singleton takes 17 to 20 bits instead of 32 (0 for an arena of no
-//! lists). The overflow column is as wide as its largest word — an id or
-//! a length — needs: 16 or 17 bits on that dataset.
+//! lists). Runs are numbered in slot order, so the flagged slots name runs
+//! 0, 1, 2, … in turn. An arena is built from counts taken first
+//! ([`FlatArena::from_lists`], the bulk builder's counting pass): every
+//! column is born at its final width, and the key column in the encoding
+//! its sizes choose.
 //!
 //! A read hands a list out as a [`List`]: a singleton by value, decoded
-//! from its slot, or a longer list as a **window** of the overflow column,
-//! which it decodes as it is read — sequentially ([`List::into_iter`]), by
-//! a branch-free binary search ([`List::search`]) or by a galloping
-//! [`List::seek`], the step intersections and merge joins advance by. A
+//! from its slot, or a run as a **window** of the key column, which it
+//! decodes as it is read through [`KeysRef`] — sequentially
+//! ([`List::into_iter`]), by a search ([`List::search`]) or by a
+//! [`List::seek`], the step intersections and merge joins advance by
+//! (galloping on a packed column, Elias–Fano's NextGEQ on a coded one). A
 //! list is never a slice: [`List::to_vec`] decodes one. Only
 //! [`SortedListAccess::sorted_list`](crate::SortedListAccess::sorted_list)
-//! still lends runs as `&[Id]`, from a `u32` copy of the overflow column
-//! ([`ArenaCopy`]) decoded on its first call and kept beside the
-//! arena; nothing else builds it. The paper's largest experiment is 61M
-//! triples, far below the 2^31 words an overflow position can address.
+//! still lends runs as `&[Id]`, from a `u32` copy of the key column
+//! ([`ArenaCopy`]) decoded on its first call and kept beside the arena;
+//! nothing else builds it. The paper's largest experiment is 61M triples,
+//! far below the 2^31 runs a slot can address.
 
 use crate::packed::{self, width_of, PackedColumn, PackedError, PackedView};
 use crate::sorted;
+use crate::succinct::{EfIter, KeyColumn, KeySize, KeysRef};
 use hex_dict::Id;
 use std::sync::OnceLock;
 
@@ -65,9 +70,9 @@ pub(crate) fn offsets_tile(offs: &[u32], n: usize) -> bool {
 }
 
 /// The largest id a slot holds by value. A singleton above it — which
-/// would widen the slot column past 32 bits — takes the overflow path,
-/// and no overflow position may exceed it either.
-const MAX_IN_SLOT: u32 = (1 << 31) - 1;
+/// would widen the slot column past 32 bits — is a run, and no run index
+/// may exceed it either.
+pub(crate) const MAX_IN_SLOT: u32 = (1 << 31) - 1;
 
 /// The flag bit of a slot column `width` bits wide: its top bit (none
 /// for width 0, which only an arena of no lists has).
@@ -76,63 +81,57 @@ fn flag_of(width: u32) -> u32 {
     ((1u64 << width) >> 1) as u32
 }
 
-/// Overflow words a list of `len` items starting with `first` occupies:
-/// none when it fits its slot, otherwise its items plus a length word.
-fn overflow_words(len: usize, first: Id) -> usize {
-    if len == 1 && first.0 <= MAX_IN_SLOT {
-        0
-    } else {
-        len + 1
-    }
+/// True when a list of `len` ids from `first` is held by value in its
+/// slot rather than as a run.
+#[inline]
+fn in_slot(len: usize, first: Id) -> bool {
+    len == 1 && first.0 <= MAX_IN_SLOT
 }
 
 /// What an arena's lists need, summed over them in list order before the
-/// arena is built: the number of lists, the overflow words of those that
-/// do not fit a slot, the largest value a slot holds below its flag — a
-/// singleton's id or a longer list's position in the overflow column —
-/// and the largest overflow word, a length or an id.
-/// [`FlatArena::with_capacity`] sizes both columns exactly from it.
+/// arena is built: the number of lists, the runs of those that do not fit
+/// a slot — whose [`KeySize`] sizes the key column and chooses its
+/// encoding — and the largest value a slot holds below its flag, a
+/// singleton's id or a run's index. [`FlatArena::with_capacity`] sizes
+/// every column exactly from it.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub(crate) struct ArenaSize {
     /// Lists.
     pub(crate) lists: usize,
-    /// Overflow words.
-    overflow: usize,
+    /// The runs, one key-column window each.
+    runs: KeySize,
     /// The largest value below a slot's flag.
-    max_value: usize,
-    /// The largest overflow word.
-    max_word: u32,
+    max_value: u32,
 }
 
 impl ArenaSize {
     /// Counts one more list, of `len` items from `first` to `last`.
     pub(crate) fn add(&mut self, len: usize, first: Id, last: Id) {
-        let words = overflow_words(len, first);
-        let value = if words == 0 { first.0 as usize } else { self.overflow };
-        if words != 0 {
-            let len = u32::try_from(len).unwrap_or(u32::MAX);
-            self.max_word = self.max_word.max(len).max(last.0);
-        }
+        let value = if in_slot(len, first) {
+            first.0
+        } else {
+            let run = u32::try_from(self.runs.windows).unwrap_or(u32::MAX);
+            self.runs.add(len, first, last);
+            run
+        };
         self.lists += 1;
-        self.overflow += words;
         self.max_value = self.max_value.max(value);
     }
 
     /// The width of the slot column: one flag bit above the largest value,
-    /// 0 for no lists, never above 32 (a position past 2^31 − 1 is refused
-    /// when the list is pushed).
+    /// 0 for no lists, never above 32 (a run index past 2^31 − 1 is
+    /// refused when the list is pushed).
     fn slot_width(self) -> u32 {
         if self.lists == 0 {
             return 0;
         }
-        let max = u32::try_from(self.max_value).unwrap_or(u32::MAX).min(MAX_IN_SLOT);
-        1 + width_of(max)
+        1 + width_of(self.max_value.min(MAX_IN_SLOT))
     }
 }
 
 /// One terminal list as a read hands it out — sorted and duplicate-free:
-/// a singleton held by value, decoded from its slot; a window of the
-/// packed overflow column, decoded as it is read; or, for a store that
+/// a singleton held by value, decoded from its slot; a run, a window of
+/// its arena's key column decoded as it is read; or, for a store that
 /// lends its lists as slices
 /// ([`SortedListAccess::list`](crate::SortedListAccess::list)'s default),
 /// a borrowed `&[Id]`. `Copy`, so it travels like the slice it stands for.
@@ -142,11 +141,12 @@ pub struct List<'a>(Items<'a>);
 #[derive(Clone, Copy)]
 enum Items<'a> {
     One(Id),
-    /// Values `start .. start + len` of an overflow column.
+    /// Run `run` of a key column: its keys `start .. start + len`.
     Run {
-        over: PackedView<'a>,
-        start: usize,
-        len: usize,
+        keys: KeysRef<'a>,
+        run: u32,
+        start: u32,
+        len: u32,
     },
     Slice(&'a [Id]),
 }
@@ -160,7 +160,7 @@ impl<'a> List<'a> {
     pub fn len(self) -> usize {
         match self.0 {
             Items::One(_) => 1,
-            Items::Run { len, .. } => len,
+            Items::Run { len, .. } => len as usize,
             Items::Slice(ids) => ids.len(),
         }
     }
@@ -172,12 +172,15 @@ impl<'a> List<'a> {
         self.len() == 0
     }
 
-    /// Id `i`, or `None` past the end.
+    /// Id `i`, or `None` past the end. An Elias–Fano run finds it by a
+    /// select on its high region.
     #[inline]
     pub fn get(self, i: usize) -> Option<Id> {
         match self.0 {
             Items::One(id) => (i == 0).then_some(id),
-            Items::Run { over, start, len } => (i < len).then(|| Id(over.get(start + i))),
+            Items::Run { keys, run, start, len } => {
+                keys.get(run as usize, window(start, len), i).map(Id)
+            }
             Items::Slice(ids) => ids.get(i).copied(),
         }
     }
@@ -196,8 +199,8 @@ impl<'a> List<'a> {
 
     /// Searches `x`: `Ok(i)` when id `i` is `x`, else `Err(i)` where
     /// inserting `x` at `i` keeps the list sorted — what
-    /// `slice::binary_search` returns. A run is searched in place, branch
-    /// free ([`PackedView::search`]).
+    /// `slice::binary_search` returns. A run is searched in place
+    /// ([`KeysView::search`](crate::succinct::KeysView::search)).
     #[inline]
     pub fn search(self, x: Id) -> Result<usize, usize> {
         match self.0 {
@@ -206,7 +209,9 @@ impl<'a> List<'a> {
                 std::cmp::Ordering::Less => Err(1),
                 std::cmp::Ordering::Greater => Err(0),
             },
-            Items::Run { over, start, len } => over.search(start..start + len, x.0),
+            Items::Run { keys, run, start, len } => {
+                keys.search(run as usize, window(start, len), x.0)
+            }
             Items::Slice(ids) => ids.binary_search(&x),
         }
     }
@@ -219,12 +224,15 @@ impl<'a> List<'a> {
 
     /// The position of the first id at or after `from` that is at least
     /// `x` — [`List::len`] if none is — where the ids before `from` are
-    /// below `x`: a galloping search from `from`, so advancing `d` ids
-    /// costs `O(log d)` reads ([`PackedView::seek`]).
+    /// below `x`: a galloping search from `from` on a packed run, so
+    /// advancing `d` ids costs `O(log d)` reads, or Elias–Fano's NextGEQ
+    /// on a coded one ([`KeysView::seek`](crate::succinct::KeysView::seek)).
     #[inline]
     pub fn seek(self, from: usize, x: Id) -> usize {
         match self.0 {
-            Items::Run { over, start, len } => over.seek(start..start + len, from, x.0),
+            Items::Run { keys, run, start, len } => {
+                keys.seek(run as usize, window(start, len), from, x.0)
+            }
             Items::One(id) => usize::from(from > 0 || id < x),
             Items::Slice(ids) => sorted::gallop(ids, from.min(ids.len()), &x),
         }
@@ -235,16 +243,22 @@ impl<'a> List<'a> {
         self.into_iter().collect()
     }
 
-    /// Where a run lies in its overflow column, `None` for a singleton or
-    /// a slice — the span of the `u32` copy that
-    /// [`ArenaView::lend`] hands out.
+    /// Where a run lies in its key column, `None` for a singleton or a
+    /// slice — the span of the `u32` copy that [`ArenaView::lend`] hands
+    /// out.
     #[inline]
     fn span(self) -> Option<std::ops::Range<usize>> {
         match self.0 {
-            Items::Run { start, len, .. } => Some(start..start + len),
+            Items::Run { start, len, .. } => Some(window(start, len)),
             Items::One(_) | Items::Slice(_) => None,
         }
     }
+}
+
+/// The key-column positions of a run `len` keys long from `start`.
+#[inline]
+fn window(start: u32, len: u32) -> std::ops::Range<usize> {
+    start as usize..start as usize + len as usize
 }
 
 impl<'a> From<&'a [Id]> for List<'a> {
@@ -287,7 +301,12 @@ impl<'a> IntoIterator for List<'a> {
     fn into_iter(self) -> ListIter<'a> {
         ListIter(match self.0 {
             Items::One(id) => Ids::One(Some(id)),
-            Items::Run { over, start, len } => Ids::Run(over.iter(start..start + len)),
+            Items::Run { keys, run, start, len } => match keys {
+                KeysRef::Packed(keys) => Ids::Packed(keys.iter(window(start, len))),
+                KeysRef::EliasFano(keys) => {
+                    Ids::Coded(keys.view().iter(run as usize, window(start, len)))
+                }
+            },
             Items::Slice(ids) => Ids::Slice(ids.iter()),
         })
     }
@@ -295,14 +314,16 @@ impl<'a> IntoIterator for List<'a> {
 
 /// The ids of a [`List`] by value, owning what it reads — so a cursor can
 /// return it from the closure the list was handed to. A run is decoded
-/// sequentially, one load a value ([`packed::Iter`]).
+/// sequentially: one load a value when packed ([`packed::Iter`]), a word
+/// of the high region at a time when Elias–Fano coded ([`EfIter`]).
 #[derive(Clone, Debug)]
 pub struct ListIter<'a>(Ids<'a>);
 
 #[derive(Clone, Debug)]
 enum Ids<'a> {
     One(Option<Id>),
-    Run(packed::Iter<'a>),
+    Packed(packed::Iter<'a>),
+    Coded(EfIter<'a>),
     Slice(std::slice::Iter<'a, Id>),
 }
 
@@ -313,7 +334,8 @@ impl Iterator for ListIter<'_> {
     fn next(&mut self) -> Option<Id> {
         match &mut self.0 {
             Ids::One(one) => one.take(),
-            Ids::Run(run) => run.next().map(Id),
+            Ids::Packed(run) => run.next().map(Id),
+            Ids::Coded(run) => run.next().map(Id),
             Ids::Slice(ids) => ids.next().copied(),
         }
     }
@@ -322,7 +344,8 @@ impl Iterator for ListIter<'_> {
     fn size_hint(&self) -> (usize, Option<usize>) {
         match &self.0 {
             Ids::One(one) => (usize::from(one.is_some()), Some(usize::from(one.is_some()))),
-            Ids::Run(run) => run.size_hint(),
+            Ids::Packed(run) => run.size_hint(),
+            Ids::Coded(run) => run.size_hint(),
             Ids::Slice(ids) => ids.size_hint(),
         }
     }
@@ -331,7 +354,8 @@ impl Iterator for ListIter<'_> {
     fn fold<B, F: FnMut(B, Id) -> B>(self, init: B, mut f: F) -> B {
         match self.0 {
             Ids::One(one) => one.into_iter().fold(init, f),
-            Ids::Run(run) => run.fold(init, |acc, v| f(acc, Id(v))),
+            Ids::Packed(run) => run.fold(init, |acc, v| f(acc, Id(v))),
+            Ids::Coded(run) => run.fold(init, |acc, v| f(acc, Id(v))),
             Ids::Slice(ids) => ids.copied().fold(init, f),
         }
     }
@@ -341,15 +365,24 @@ impl ExactSizeIterator for ListIter<'_> {}
 
 /// Why an arena's columns are not what [`FlatArena::push_list`] writes —
 /// each a different way a corrupt or hand-built arena can be wrong.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub enum ArenaError {
     /// The slot column's image is not a packed column's (bits set past its
     /// last slot).
     Packed(PackedError),
-    /// The overflow column is not the canonical packed column of its
-    /// words: bits set past its last word, or a width wider than its
-    /// largest word needs.
-    Overflow(PackedError),
+    /// The run-ends column is not the canonical packed column of its
+    /// values: bits set past its last value, or a width wider than its
+    /// largest value needs.
+    Ends(PackedError),
+    /// The run ends do not tile the key column: they do not start at 0,
+    /// do not rise strictly (a run would be empty or backwards) or do not
+    /// end at the column's length.
+    EndsDoNotTile,
+    /// The key column is not the canonical column of its runs
+    /// ([`KeyColumn::check`]): a run that does not decode to its length of
+    /// strictly ascending ids, another encoding than the runs' sizes
+    /// choose, or bytes other than that encoding's.
+    Keys(String),
     /// The slot column is not one flag bit above its largest value wide.
     SlotWidthNotTight {
         /// The declared width.
@@ -357,18 +390,14 @@ pub enum ArenaError {
         /// The width the slots need.
         needed: u32,
     },
-    /// A flagged slot does not name the position where the next overflow
-    /// run starts, so runs would overlap or leave a gap.
-    OffTheTiling {
+    /// A flagged slot names another run than the one after the last
+    /// named, so two lists would share a run or a run would be skipped, or
+    /// names a run past the last.
+    NotTheNextRun {
         /// The list.
         list: usize,
-        /// The position the slot names.
-        at: usize,
-    },
-    /// A run's length word is missing or its items run past the column.
-    RunOverruns {
-        /// The list.
-        list: usize,
+        /// The run its slot names.
+        run: usize,
     },
     /// A run holds one id that fits a slot, so equal lists would be
     /// unequal columns.
@@ -376,58 +405,49 @@ pub enum ArenaError {
         /// The list.
         list: usize,
     },
-    /// A run is empty or not strictly ascending.
-    NotASortedSet {
-        /// The list.
-        list: usize,
-    },
-    /// Overflow words follow the last run: no slot names them.
+    /// Runs follow the last one a slot names.
     Unreachable {
         /// How many.
-        words: usize,
+        runs: usize,
     },
 }
 
 impl std::fmt::Display for ArenaError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match *self {
+        match self {
             ArenaError::Packed(e) => write!(f, "arena slot column: {e}"),
-            ArenaError::Overflow(e) => write!(f, "arena overflow column: {e}"),
+            ArenaError::Ends(e) => write!(f, "arena run-ends column: {e}"),
+            ArenaError::EndsDoNotTile => {
+                write!(f, "arena run ends do not tile its key column into non-empty runs")
+            }
+            ArenaError::Keys(why) => write!(f, "arena key column: {why}"),
             ArenaError::SlotWidthNotTight { width, needed } => {
                 write!(f, "arena slot column is {width} bits wide where its slots need {needed}")
             }
-            ArenaError::OffTheTiling { list, at } => {
-                write!(f, "list {list} names overflow position {at}, off the tiling of its runs")
-            }
-            ArenaError::RunOverruns { list } => {
-                write!(f, "list {list}'s overflow run overruns the column")
+            ArenaError::NotTheNextRun { list, run } => {
+                write!(f, "list {list} names run {run}, not the next run")
             }
             ArenaError::FitsASlot { list } => {
-                write!(f, "list {list} is an overflow run of one id that fits its slot")
+                write!(f, "list {list} is a run of one id that fits its slot")
             }
-            ArenaError::NotASortedSet { list } => {
-                write!(f, "list {list} is not a non-empty, strictly ascending run")
-            }
-            ArenaError::Unreachable { words } => {
-                write!(f, "{words} overflow words follow the last run")
-            }
+            ArenaError::Unreachable { runs } => write!(f, "{runs} runs follow the last one named"),
         }
     }
 }
 
 impl std::error::Error for ArenaError {}
 
-/// The `u32` copies of an arena's two columns that
+/// The `u32` copies of an arena's columns that
 /// [`SortedListAccess::sorted_list`](crate::SortedListAccess::sorted_list)
-/// lends lists from: the overflow column, whose runs are the longer lists,
-/// and the slot column, whose unflagged slots are the singletons. Each is
+/// lends lists from: the key column, whose runs are the longer lists, and
+/// the slot column, whose unflagged slots are the singletons. Each is
 /// decoded by the first call that needs it and kept until the store is
 /// dropped. The engine, the cursors and the hand plans read [`List`]s, so
 /// a store that only serves queries never builds either; a store's heap
 /// bytes count them once they exist.
 #[derive(Clone, Debug, Default)]
 pub struct ArenaCopy {
-    over: OnceLock<Vec<Id>>,
+    keys: OnceLock<Vec<Id>>,
     slots: OnceLock<Vec<Id>>,
 }
 
@@ -437,16 +457,8 @@ impl ArenaCopy {
         let bytes = |copy: &OnceLock<Vec<Id>>| {
             copy.get().map_or(0, |copy| copy.capacity() * std::mem::size_of::<Id>())
         };
-        bytes(&self.over) + bytes(&self.slots)
+        bytes(&self.keys) + bytes(&self.slots)
     }
-}
-
-/// The values of a packed column as ids, in a vector of exactly their
-/// number.
-fn decoded(column: PackedView<'_>) -> Vec<Id> {
-    let mut ids = Vec::with_capacity(column.len());
-    ids.extend(column.values().map(Id));
-    ids
 }
 
 /// Borrowed columns of one flat terminal-list arena — what the shared
@@ -455,22 +467,24 @@ fn decoded(column: PackedView<'_>) -> Vec<Id> {
 #[derive(Clone, Copy, Debug)]
 pub struct ArenaView<'a> {
     /// One packed slot per list: under the flag, the list's only id or
-    /// the position in `over` of its length word (see the
-    /// [module docs](self)).
+    /// the index of its run (see the [module docs](self)).
     pub slots: PackedView<'a>,
-    /// The lists that do not fit a slot, each a length word followed by
-    /// that many strictly ascending ids, in slot order.
-    pub over: PackedView<'a>,
+    /// Where each run starts in `keys`, then where the last one ends: one
+    /// entry more than runs.
+    pub ends: PackedView<'a>,
+    /// Every run's ids, run after run in slot order, each run strictly
+    /// ascending.
+    pub keys: KeysRef<'a>,
     /// Where [`ArenaView::lend`] keeps its `u32` copies of the columns.
     pub copy: &'a ArenaCopy,
 }
 
 impl<'a> ArenaView<'a> {
     /// The items of list `idx`. Never panics: a list index past the slot
-    /// column or an overflow position past the overflow column reads as
-    /// the empty list, and a length that overruns the column is cut to
-    /// it. In-memory arenas are validated when built, so none of that
-    /// triggers there; mapped columns can change under a reader.
+    /// column or a run past the run-ends column reads as the empty list,
+    /// and a run's window is cut to the key column. In-memory arenas are
+    /// validated when built, so none of that triggers there; mapped
+    /// columns can change under a reader.
     #[inline]
     pub fn get(self, idx: u32) -> List<'a> {
         // A packed read past the end is 0, which would be the singleton
@@ -482,43 +496,70 @@ impl<'a> ArenaView<'a> {
         if slot & flag == 0 {
             return List(Items::One(Id(slot)));
         }
-        let at = (slot & !flag) as usize;
-        if at >= self.over.len() {
+        let run = (slot & !flag) as usize;
+        if run + 1 >= self.ends.len() {
             return List::EMPTY;
         }
-        let start = at + 1;
-        let end = start.saturating_add(self.over.get(at) as usize).min(self.over.len());
-        List(Items::Run { over: self.over, start, len: end - start })
+        let (start, end) = self.ends.pair(run);
+        let end = end.min(self.keys.len() as u32);
+        let start = start.min(end);
+        List(Items::Run { keys: self.keys, run: run as u32, start, len: end - start })
     }
 
     /// List `idx` as a slice of a `u32` copy of the column it lies in,
     /// which the first call that needs it decodes: a run of the copy of
-    /// the overflow column, or a singleton's one-id window of the copy of
-    /// the slot column. `None` past the slot column.
+    /// the key column, or a singleton's one-id window of the copy of the
+    /// slot column. `None` past the slot column.
     pub fn lend(self, idx: u32) -> Option<&'a [Id]> {
         let list = self.get(idx);
         match list.span() {
-            Some(span) => self.copy.over.get_or_init(|| decoded(self.over)).get(span),
+            Some(span) => self.copy.keys.get_or_init(|| self.decoded_keys()).get(span),
             None if (idx as usize) < self.slots.len() => {
                 let idx = idx as usize;
-                self.copy.slots.get_or_init(|| decoded(self.slots)).get(idx..=idx)
+                let slots = self.copy.slots.get_or_init(|| {
+                    let mut ids = Vec::with_capacity(self.slots.len());
+                    ids.extend(self.slots.values().map(Id));
+                    ids
+                });
+                slots.get(idx..=idx)
             }
             None => None,
         }
     }
 
-    /// Checks the columns in one pass, `O(slots + over)`, and returns the
-    /// number of items they hold, or why they are not exactly what
+    /// The key column's ids, run by run, in a vector of at most their
+    /// number.
+    fn decoded_keys(self) -> Vec<Id> {
+        let keys = self.keys.view();
+        let mut ids = Vec::with_capacity(keys.len());
+        let ends = self.ends.values().zip(self.ends.values().skip(1));
+        for (run, (start, end)) in ends.enumerate() {
+            let room = keys.len() - ids.len();
+            ids.extend(keys.iter(run, start as usize..end as usize).take(room).map(Id));
+        }
+        ids
+    }
+
+    /// Checks the columns, `O(slots + keys)`, and returns the number of
+    /// items they hold, or why they are not exactly what
     /// [`FlatArena::push_list`] would have written: the slot column is a
-    /// packed image one flag bit above its largest value wide, the
-    /// overflow column a packed image as wide as its largest word, the
-    /// overflow runs tile it in slot order (so no two lists overlap
-    /// and no word is unreachable), every run is strictly ascending — the
-    /// invariant binary searches over lists rely on — and no run holds a
-    /// list that fits a slot (so equal lists are equal columns).
+    /// packed image one flag bit above its largest value wide, the run
+    /// ends a canonical packed column that tiles the key column into
+    /// non-empty runs, the key column the canonical column of those runs
+    /// — each strictly ascending, the invariant searches over lists rely
+    /// on — the flagged slots name the runs in order, every run once, and
+    /// no run holds a list that fits a slot (so equal lists are equal
+    /// columns).
     pub fn validate(self) -> Result<usize, ArenaError> {
         self.slots.validate_tail().map_err(ArenaError::Packed)?;
-        self.over.validate_tail().map_err(ArenaError::Overflow)?;
+        self.ends.validate().map_err(ArenaError::Ends)?;
+        let (ends, keys) = (self.ends, self.keys.view());
+        let runs = ends.len().saturating_sub(1);
+        let rises = ends.values().zip(ends.values().skip(1)).all(|(lo, hi)| lo < hi);
+        if ends.is_empty() || ends.get(0) != 0 || ends.get(runs) as usize != keys.len() || !rises {
+            return Err(ArenaError::EndsDoNotTile);
+        }
+        KeyColumn::check(keys, ends, "run keys").map_err(ArenaError::Keys)?;
         let flag = flag_of(self.slots.width());
         let (mut next, mut items, mut size) = (0usize, 0usize, ArenaSize::default());
         for (list, slot) in self.slots.values().enumerate() {
@@ -527,84 +568,96 @@ impl<'a> ArenaView<'a> {
                 items += 1;
                 continue;
             }
-            let at = (slot & !flag) as usize;
-            if at != next {
-                return Err(ArenaError::OffTheTiling { list, at });
+            let run = (slot & !flag) as usize;
+            if run != next || run >= runs {
+                return Err(ArenaError::NotTheNextRun { list, run });
             }
-            let overruns = ArenaError::RunOverruns { list };
-            if next >= self.over.len() {
-                return Err(overruns);
-            }
-            let len = self.over.get(next) as usize;
-            let end = (next + 1).checked_add(len).filter(|&end| end <= self.over.len());
-            let end = end.ok_or(overruns)?;
-            let run = List(Items::Run { over: self.over, start: next + 1, len });
-            let (first, last) =
-                run.first().zip(run.last()).ok_or(ArenaError::NotASortedSet { list })?;
-            if overflow_words(len, first) == 0 {
+            let window = ends.get(run) as usize..ends.get(run + 1) as usize;
+            let at = |i| Id(self.keys.get(run, window.clone(), i).unwrap_or(0));
+            let (first, last) = (at(0), at(window.len() - 1));
+            if in_slot(window.len(), first) {
                 return Err(ArenaError::FitsASlot { list });
             }
-            if !run.into_iter().is_sorted_by(|a, b| a < b) {
-                return Err(ArenaError::NotASortedSet { list });
-            }
-            size.add(len, first, last);
-            next = end;
-            items += len;
+            size.add(window.len(), first, last);
+            items += window.len();
+            next += 1;
         }
-        if next != self.over.len() {
-            return Err(ArenaError::Unreachable { words: self.over.len() - next });
+        if next != runs {
+            return Err(ArenaError::Unreachable { runs: runs - next });
         }
         let (width, needed) = (self.slots.width(), size.slot_width());
         if width != needed {
             return Err(ArenaError::SlotWidthNotTight { width, needed });
         }
-        let (width, needed) = (self.over.width(), width_of(size.max_word));
-        if width != needed {
-            return Err(ArenaError::Overflow(PackedError::WidthNotTight { width, needed }));
-        }
         Ok(items)
     }
 }
 
-/// An arena of sorted id lists stored as a packed slot column plus a
-/// packed overflow column (see the [module docs](self) for the encoding).
+/// An arena of sorted id lists stored as a packed slot column, a packed
+/// run-ends column and a key column (see the [module docs](self) for the
+/// encoding).
 ///
-/// Lists are addressed by their `u32` position. There is no removal and no free list: a
-/// `FlatArena` is built once, in final order, and then only read.
-#[derive(Clone, Default)]
+/// Lists are addressed by their `u32` position. There is no removal and
+/// no free list: a `FlatArena` is built once, in final order, from counts
+/// taken first, and then only read.
+#[derive(Clone)]
 pub struct FlatArena {
     slots: PackedColumn,
-    over: PackedColumn,
+    ends: PackedColumn,
+    keys: KeyColumn,
     /// Total entries across all lists.
     items: usize,
-    /// The `u32` copy [`ArenaView::lend`] lends runs from.
+    /// The `u32` copies [`ArenaView::lend`] lends lists from.
     copy: ArenaCopy,
 }
 
-/// Equal lists: the copy is a cache of the overflow column, not part of
-/// the arena's value.
+/// Equal lists: the copy is a cache of the columns, not part of the
+/// arena's value.
 impl PartialEq for FlatArena {
     fn eq(&self, other: &Self) -> bool {
-        self.slots == other.slots && self.over == other.over
+        (&self.slots, &self.ends, &self.keys) == (&other.slots, &other.ends, &other.keys)
     }
 }
 
 impl Eq for FlatArena {}
 
+impl Default for FlatArena {
+    fn default() -> Self {
+        FlatArena::with_capacity(ArenaSize::default())
+    }
+}
+
 impl FlatArena {
-    /// Creates an empty arena.
-    pub fn new() -> Self {
-        FlatArena::default()
+    /// The arena of `lists`, in order, each a non-empty, strictly
+    /// ascending run of ids: counted first, then pushed, so every column is
+    /// born at its final width and the key column in the encoding its
+    /// sizes choose.
+    ///
+    /// # Panics
+    ///
+    /// If a list is empty, or if the arena would exceed 2^32 lists or
+    /// 2^31 runs.
+    pub fn from_lists<L: AsRef<[Id]>>(lists: &[L]) -> Self {
+        let mut arena = FlatArena::with_room_for(lists.iter().map(AsRef::as_ref));
+        for list in lists {
+            arena.push_list(list.as_ref().iter().copied());
+        }
+        arena
     }
 
     /// Creates an empty arena with exact room for the lists `size`
-    /// counted. Frozen builders count first, so appends never reallocate
-    /// and both columns are born at their final widths.
+    /// counted, its key column in the encoding their runs' sizes choose.
+    /// Frozen builders count first, so appends never reallocate.
     pub(crate) fn with_capacity(size: ArenaSize) -> Self {
+        let keys = u32::try_from(size.runs.keys).expect("flat arena overflow: 2^32 run ids");
+        let mut ends = PackedColumn::with_capacity(size.runs.windows + 1, keys);
+        ends.push(0);
         FlatArena {
             slots: PackedColumn::with_width(size.lists, size.slot_width()),
-            over: PackedColumn::with_capacity(size.overflow, size.max_word),
-            ..FlatArena::default()
+            ends,
+            keys: KeyColumn::with_capacity(size.runs),
+            items: 0,
+            copy: ArenaCopy::default(),
         }
     }
 
@@ -619,17 +672,15 @@ impl FlatArena {
 
     /// Appends one list, returning its index. The items must form a
     /// non-empty, strictly sorted run (checked in debug builds), whose
-    /// length the iterator knows up front: it is written before them. A
-    /// slot or an overflow word wider than its column repacks the column
-    /// as wide as the value needs; an arena sized by counting its lists
-    /// first never needs to.
+    /// length the iterator knows up front, and must be the next list the
+    /// arena's size counted.
     ///
     /// # Panics
     ///
     /// If the list is empty, if the iterator yields other than its
-    /// length, or if the arena would exceed 2^32 lists or 2^31 overflow
-    /// words.
-    pub fn push_list<I>(&mut self, items: I) -> u32
+    /// length, if a value is wider than the counts made its column, or if
+    /// the arena would exceed 2^32 lists or 2^31 runs.
+    pub(crate) fn push_list<I>(&mut self, items: I) -> u32
     where
         I: IntoIterator<Item = Id>,
         I::IntoIter: ExactSizeIterator,
@@ -638,53 +689,21 @@ impl FlatArena {
         let mut items = items.into_iter();
         let len = items.len();
         let first = items.next().expect("terminal lists are never empty");
-        if overflow_words(len, first) == 0 {
-            self.push_slot(first.0, false);
-            self.items += 1;
+        self.items += len;
+        if in_slot(len, first) {
+            self.slots.push(first.0);
             return idx;
         }
-        let at = self.over.len();
-        let at = u32::try_from(at).ok().filter(|&at| at <= MAX_IN_SLOT);
-        self.push_slot(at.expect("flat arena overflow: 2^31 overflow words"), true);
-        let start = self.over.len();
-        self.push_word(u32::try_from(len).expect("flat arena overflow: 2^32 items in a list"));
-        self.push_word(first.0);
-        items.for_each(|id| self.push_word(id.0));
-        assert_eq!(self.over.len() - start - 1, len, "a list yields the length it declares");
+        let run = u32::try_from(self.ends.len() - 1).ok().filter(|&run| run <= MAX_IN_SLOT);
+        self.slots.push(run.expect("flat arena overflow: 2^31 runs") | flag_of(self.slots.width()));
+        let start = self.keys.len();
+        self.keys.push(first.0);
+        items.for_each(|id| self.keys.push(id.0));
+        assert_eq!(self.keys.len() - start, len, "a list yields the length it declares");
+        self.keys.end_window();
+        self.ends.push(self.keys.len() as u32);
         debug_assert!(self.view().get(idx).into_iter().is_sorted_by(|a, b| a < b));
-        self.items += len;
         idx
-    }
-
-    /// Appends the slot of `value`, flagged when it is an overflow
-    /// position, first widening the column if `value` does not fit below
-    /// its flag.
-    fn push_slot(&mut self, value: u32, long: bool) {
-        let width = 1 + width_of(value);
-        if width > self.slots.width() {
-            self.widen_slots(width);
-        }
-        let flag = if long { flag_of(self.slots.width()) } else { 0 };
-        self.slots.push(value | flag);
-    }
-
-    /// Repacks the slot column `width` bits wide, moving every flag to the
-    /// new top bit.
-    fn widen_slots(&mut self, width: u32) {
-        let (old, flag) = (self.slots.view(), flag_of(self.slots.width()));
-        let mut slots = PackedColumn::with_width(old.len() + 1, width);
-        for slot in old.values() {
-            let long = if slot & flag != 0 { flag_of(width) } else { 0 };
-            slots.push((slot & !flag) | long);
-        }
-        self.slots = slots;
-    }
-
-    /// Appends one overflow word, first repacking the column as wide as
-    /// the word needs if it does not fit.
-    #[inline]
-    fn push_word(&mut self, word: u32) {
-        self.over.push_widening(word);
     }
 
     /// The sorted items of list `idx`; empty when there is no such list.
@@ -709,56 +728,66 @@ impl FlatArena {
         self.items
     }
 
+    /// True when the key column is Elias–Fano coded.
+    pub fn is_elias_fano(&self) -> bool {
+        matches!(self.keys, KeyColumn::EliasFano(_))
+    }
+
     /// Heap bytes of the slot column.
     pub(crate) fn slot_bytes(&self) -> usize {
         self.slots.heap_bytes()
     }
 
-    /// Heap bytes of the overflow column, and of its `u32` copy once
-    /// [`ArenaView::lend`] has decoded it.
-    pub(crate) fn overflow_bytes(&self) -> usize {
-        self.over.heap_bytes() + self.copy.heap_bytes()
+    /// Heap bytes of the run-ends column.
+    pub(crate) fn run_end_bytes(&self) -> usize {
+        self.ends.heap_bytes()
     }
 
-    /// Heap bytes of the slot column and the overflow column (its `u32`
-    /// copy included once decoded).
+    /// Heap bytes of the key column, and of the `u32` copies once
+    /// [`ArenaView::lend`] has decoded them.
+    pub(crate) fn run_key_bytes(&self) -> usize {
+        self.keys.heap_bytes() + self.copy.heap_bytes()
+    }
+
+    /// Heap bytes of the three columns (the `u32` copies included once
+    /// decoded).
     pub fn heap_bytes(&self) -> usize {
-        self.slot_bytes() + self.overflow_bytes()
+        self.slot_bytes() + self.run_end_bytes() + self.run_key_bytes()
     }
 
     /// The columns as the borrowed view the shared read path walks.
     pub fn view(&self) -> ArenaView<'_> {
-        ArenaView { slots: self.slots.view(), over: self.over.view(), copy: &self.copy }
+        ArenaView {
+            slots: self.slots.view(),
+            ends: self.ends.view(),
+            keys: self.keys.borrowed(),
+            copy: &self.copy,
+        }
     }
 
-    /// Reassembles an arena from its raw columns — `lists` slots of
-    /// `width` bits in the packed image `slots`, and `words` overflow
-    /// words of `over_width` bits in the packed image `over` — which must
-    /// pass [`ArenaView::validate`]: the `hexsnap` reader turns the error
-    /// into a corruption error rather than silently dropping query
-    /// results.
-    pub fn from_raw_parts(
-        slots: Vec<u8>,
-        width: u32,
-        lists: usize,
-        over: Vec<u8>,
-        over_width: u32,
-        words: usize,
+    /// Reassembles an arena from its columns, which must pass
+    /// [`ArenaView::validate`].
+    pub fn from_columns(
+        slots: PackedColumn,
+        ends: PackedColumn,
+        keys: KeyColumn,
     ) -> Result<Self, ArenaError> {
-        let slots = PackedColumn::from_image(slots, width, lists).map_err(ArenaError::Packed)?;
-        let over =
-            PackedColumn::from_image(over, over_width, words).map_err(ArenaError::Overflow)?;
-        let mut arena = FlatArena::unchecked(slots, over, 0);
+        let mut arena = FlatArena::unchecked(slots, ends, keys, 0);
         arena.items = arena.view().validate()?;
         Ok(arena)
     }
 
-    /// An arena of `items` items over a snapshot's slot and overflow
+    /// An arena of `items` items over a snapshot's slot, run-ends and key
     /// columns, read or mapped, taken as they are: [`ArenaView::get`]
     /// clamps every read to them, and [`ArenaView::validate`] is the
     /// caller's to run.
-    pub(crate) fn unchecked(slots: PackedColumn, over: PackedColumn, items: usize) -> Self {
-        FlatArena { slots, over, items, copy: ArenaCopy::default() }
+    pub(crate) fn unchecked(
+        slots: PackedColumn,
+        ends: PackedColumn,
+        keys: KeyColumn,
+        items: usize,
+    ) -> Self {
+        FlatArena { slots, ends, keys, items, copy: ArenaCopy::default() }
     }
 
     /// Builds an arena from the offset-addressed form older snapshot
@@ -771,11 +800,11 @@ impl FlatArena {
             return None;
         }
         let windows = || offs.windows(2).map(|w| &items[w[0] as usize..w[1] as usize]);
+        if !windows().all(sorted::is_sorted_set) {
+            return None;
+        }
         let mut arena = FlatArena::with_room_for(windows());
         for list in windows() {
-            if !sorted::is_sorted_set(list) {
-                return None;
-            }
             arena.push_list(list.iter().copied());
         }
         Some(arena)
@@ -783,8 +812,8 @@ impl FlatArena {
 }
 
 /// Packs the `u32` slot column snapshots before format version 7 store —
-/// the flag in bit 31 whatever the slots need — into the slot column
-/// [`FlatArena::push_list`] would have written.
+/// the flag in bit 31 whatever the slots need — into a packed slot column
+/// one flag bit above its largest value wide.
 pub(crate) fn pack_u32_slots(slots: &[u32]) -> PackedColumn {
     const U32_FLAG: u32 = 1 << 31;
     let max = slots.iter().map(|&slot| slot & !U32_FLAG).max();
@@ -818,13 +847,16 @@ mod tests {
     /// An id a singleton cannot keep in its slot.
     const HIGH: u32 = 1 << 31;
 
+    /// The values of a packed column.
+    fn values(column: PackedView<'_>) -> Vec<u32> {
+        column.values().collect()
+    }
+
     #[test]
     fn arena_push_and_get() {
         let lists: [&[Id]; 4] =
             [&[id(1), id(4), id(9)], &[id(7)], &[id(2), id(3)], &[id(HIGH | 5)]];
-        let mut a = FlatArena::with_room_for(lists.into_iter());
-        let idx: Vec<u32> = lists.iter().map(|list| a.push_list(list.iter().copied())).collect();
-        assert_eq!(idx, [0, 1, 2, 3]);
+        let a = FlatArena::from_lists(&lists);
         for (i, list) in lists.iter().enumerate() {
             assert_eq!(a.get(i as u32), *list);
         }
@@ -832,56 +864,37 @@ mod tests {
         assert_eq!(a.list_count(), 4);
         assert_eq!(a.total_items(), 7);
         assert_eq!(a.lists().map(|list| list.len()).collect::<Vec<_>>(), [3, 1, 2, 1]);
-        // Overflow positions 0, 4 and 7, and the singleton 7: the largest
-        // value is 7, so a slot is 4 bits, the flag 8. A singleton whose id
-        // has bit 31 set would widen the slot past 32 bits, so it takes the
-        // overflow path like a longer list — and widens the overflow column
-        // to 32 bits.
+        // Runs 0, 1 and 2, and the singleton 7: the largest value is 7, so
+        // a slot is 4 bits, the flag 8. A singleton whose id has bit 31 set
+        // would widen the slot past 32 bits, so it is a run like a longer
+        // list — and widens the packed key column to 32 bits.
         let view = a.view();
         assert_eq!(view.slots.width(), 4);
-        assert_eq!(view.slots.values().collect::<Vec<_>>(), [8, 7, 8 | 4, 8 | 7]);
-        assert_eq!(view.over.values().collect::<Vec<_>>(), [3, 1, 4, 9, 2, 2, 3, 1, HIGH | 5]);
-        assert_eq!(view.over.width(), 32);
-        // Exact-sized: one 64-bit word of slots and its zero word, and nine
-        // 32-bit overflow words in five words and the zero word.
-        assert_eq!(a.heap_bytes(), 16 + 48);
-        assert_eq!(FlatArena::new().list_count(), 0);
-        assert_eq!(FlatArena::new().view().slots.width(), 0);
+        assert_eq!(values(view.slots), [8, 7, 8 | 1, 8 | 2]);
+        assert_eq!(values(view.ends), [0, 3, 5, 6]);
+        let KeysRef::Packed(keys) = view.keys else { panic!("32-bit ids pack smaller") };
+        assert_eq!(values(keys), [1, 4, 9, 2, 3, HIGH | 5]);
+        // Exact-sized: one 64-bit word of slots, one of ends and three of
+        // keys, each column with its zero word.
+        assert_eq!(a.heap_bytes(), 16 + 16 + 32);
+        assert_eq!(view.validate(), Ok(7));
+        let empty = FlatArena::default();
+        assert_eq!((empty.list_count(), empty.view().slots.width()), (0, 0));
+        assert_eq!((empty.view().validate(), values(empty.view().ends)), (Ok(0), vec![0]));
+        assert_eq!(FlatArena::from_lists::<&[Id]>(&[]), empty);
     }
 
     #[test]
-    fn pushing_widens_the_slot_column_to_what_counting_first_makes() {
-        // From an empty arena each push widens the columns as far as its
-        // slot and its words need, flags and all: the result is the arena
-        // sized first.
-        let lists: [&[Id]; 6] =
-            [&[id(0)], &[id(1), id(2)], &[id(5)], &[id(300)], &[id(1), id(9)], &[id(HIGH)]];
-        let mut pushed = FlatArena::new();
-        let mut widths = Vec::new();
-        for list in lists {
-            pushed.push_list(list.iter().copied());
-            widths.push((pushed.view().slots.width(), pushed.view().over.width()));
-        }
-        assert_eq!(widths, [(1, 0), (1, 2), (4, 2), (10, 2), (10, 4), (10, 32)]);
-        let mut sized = FlatArena::with_room_for(lists.into_iter());
-        for list in lists {
-            sized.push_list(list.iter().copied());
-        }
-        assert_eq!(pushed, sized);
-        let words = bytes_for(3 + 3 + 2, 32).unwrap();
-        assert_eq!(sized.heap_bytes(), bytes_for(6, 10).unwrap() + words);
-        assert_eq!(pushed.view().validate(), Ok(8));
-    }
-
-    #[test]
-    fn a_run_is_a_window_of_the_packed_overflow_column() {
-        // Ids below 2^5 and lengths below 2^2: 5-bit overflow words.
-        let mut a = FlatArena::new();
-        a.push_list([id(3)]);
-        a.push_list([id(2), id(5), id(9), id(17), id(31)]);
-        a.push_list([id(1), id(4)]);
+    fn a_run_is_a_window_of_the_key_column() {
+        // Ids below 2^5: 5-bit keys.
+        let a = FlatArena::from_lists(&[
+            &[id(3)][..],
+            &[id(2), id(5), id(9), id(17), id(31)],
+            &[id(1), id(4)],
+        ]);
         let (one, run, pair) = (a.get(0), a.get(1), a.get(2));
-        assert_eq!(a.view().over.width(), 5);
+        let KeyColumn::Packed(keys) = &a.keys else { panic!("a packed key column") };
+        assert_eq!(keys.width(), 5);
         assert_eq!((run.len(), run.first(), run.last()), (5, Some(id(2)), Some(id(31))));
         assert_eq!((run.get(2), run.get(5)), (Some(id(9)), None));
         assert_eq!(run.to_vec(), [2, 5, 9, 17, 31].map(id));
@@ -901,142 +914,120 @@ mod tests {
 
     #[test]
     fn runs_are_lent_from_a_u32_copy_decoded_on_first_use() {
-        let mut a = FlatArena::new();
-        a.push_list([id(7)]);
-        a.push_list([id(1), id(2)]);
-        a.push_list([id(3), id(8), id(9)]);
+        let a = FlatArena::from_lists(&[&[id(7)][..], &[id(1), id(2)], &[id(3), id(8), id(9)]]);
         let before = a.heap_bytes();
         assert_eq!(a.view().lend(2), Some(&[id(3), id(8), id(9)][..]));
-        assert_eq!(a.heap_bytes(), before + 7 * 4, "the copy of seven overflow words");
+        assert_eq!(a.heap_bytes(), before + 5 * 4, "the copy of five run ids");
         assert_eq!(a.view().lend(1), Some(&[id(1), id(2)][..]));
-        assert_eq!(a.heap_bytes(), before + 7 * 4, "decoded once");
+        assert_eq!(a.heap_bytes(), before + 5 * 4, "decoded once");
         assert_eq!(a.view().lend(0), Some(&[id(7)][..]), "a singleton, from the slot copy");
-        assert_eq!(a.heap_bytes(), before + 7 * 4 + 3 * 4, "and the copy of three slots");
+        assert_eq!(a.heap_bytes(), before + 5 * 4 + 3 * 4, "and the copy of three slots");
         assert_eq!(a.view().lend(3), None, "past the slot column");
         let clone = a.clone();
         assert_eq!(clone, a);
-        let columns = FlatArena::unchecked(a.slots.clone(), a.over.clone(), a.total_items());
+        let columns = FlatArena::unchecked(a.slots.clone(), a.ends.clone(), a.keys.clone(), 6);
         assert_eq!((columns.view().validate(), columns), (Ok(6), a));
-    }
-
-    /// The raw parts of `arena`.
-    fn parts(arena: &FlatArena) -> (Vec<u8>, u32, usize, Vec<u8>, u32, usize) {
-        let FlatArena { slots, over, .. } = arena;
-        let image = |col: &PackedColumn| col.view().bytes().to_vec();
-        (image(slots), slots.width(), slots.len(), image(over), over.width(), over.len())
     }
 
     #[test]
     fn arena_raw_roundtrip() {
-        let mut a = FlatArena::new();
-        a.push_list([id(7)]);
-        a.push_list([id(1), id(2)]);
-        a.push_list([id(HIGH)]);
-        let (slots, width, lists, over, over_width, words) = parts(&a);
-        let b = FlatArena::from_raw_parts(slots, width, lists, over, over_width, words).unwrap();
+        let a = FlatArena::from_lists(&[&[id(7)][..], &[id(1), id(2)], &[id(HIGH)]]);
+        let b = FlatArena::from_columns(a.slots.clone(), a.ends.clone(), a.keys.clone()).unwrap();
         assert_eq!(a, b);
         assert_eq!(b.total_items(), 4);
-        let empty = FlatArena::from_raw_parts(Vec::new(), 0, 0, Vec::new(), 0, 0);
-        assert_eq!(empty, Ok(FlatArena::new()));
+        let ends = PackedColumn::from_values(&[0]);
+        let empty = FlatArena::from_columns(PackedColumn::default(), ends, KeyColumn::default());
+        assert_eq!(empty, Ok(FlatArena::default()));
     }
 
     #[test]
     fn every_non_canonical_arena_is_rejected_by_name() {
         use ArenaError::*;
-        // Slots of `width` bits with these values, over these words at the
-        // width of the largest.
+        // Slots of `width` bits, tight run ends, and the runs' ids in the
+        // encoding their sizes choose unless `keys` is given.
         let packed = |width: u32, values: &[u32]| {
             let mut column = PackedColumn::with_width(values.len(), width);
             values.iter().for_each(|&v| column.push(v));
-            (column.view().bytes().to_vec(), width, values.len())
+            column
         };
-        let arena = |slots: (Vec<u8>, u32, usize), over: (Vec<u8>, u32, usize)| {
-            FlatArena::from_raw_parts(slots.0, slots.1, slots.2, over.0, over.1, over.2)
-        };
-        let raw = |width: u32, slots: &[u32], over: &[u32]| {
-            let tight = width_of(over.iter().copied().max().unwrap_or(0));
-            arena(packed(width, slots), packed(tight, over))
+        let raw = |width: u32, slots: &[u32], ends: &[u32], keys: &[u32]| {
+            let ends = PackedColumn::from_values(ends);
+            let keys = KeyColumn::Packed(PackedColumn::from_values(keys));
+            FlatArena::from_columns(packed(width, slots), ends, keys)
         };
         // The canonical arena of [7], [1, 2]: 4 bits (7 needs 3), flag 8.
-        assert!(raw(4, &[7, 8], &[2, 1, 2]).is_ok());
-        let cases: [(&str, Result<FlatArena, ArenaError>, ArenaError); 12] = [
-            (
-                "a width one bit too wide",
-                raw(5, &[7, 16], &[2, 1, 2]),
-                SlotWidthNotTight { width: 5, needed: 4 },
-            ),
-            ("slots without bits", raw(0, &[0], &[]), SlotWidthNotTight { width: 0, needed: 1 }),
-            (
-                "a flag past the tiling",
-                raw(4, &[7, 8 | 3], &[2, 1, 2]),
-                OffTheTiling { list: 1, at: 3 },
-            ),
-            ("two flags, one run", raw(2, &[2, 2], &[2, 1, 2]), OffTheTiling { list: 1, at: 0 }),
-            (
-                "runs out of slot order",
-                raw(3, &[4 | 3, 4], &[2, 1, 2, 2, 3, 4]),
-                OffTheTiling { list: 0, at: 3 },
-            ),
-            ("a length past the column", raw(2, &[2], &[3, 1, 2]), RunOverruns { list: 0 }),
-            ("a flag past the column", raw(2, &[2 | 1], &[0]), OffTheTiling { list: 0, at: 1 }),
-            ("a run of one id that fits", raw(2, &[2], &[1, 9]), FitsASlot { list: 0 }),
-            ("an empty run", raw(2, &[2], &[0]), NotASortedSet { list: 0 }),
-            ("a run out of order", raw(2, &[2], &[2, 2, 1]), NotASortedSet { list: 0 }),
-            ("overflow no slot names", raw(4, &[7], &[2, 1, 2]), Unreachable { words: 3 }),
-            (
-                "an overflow column one bit too wide",
-                arena(packed(4, &[7, 8]), packed(3, &[2, 1, 2])),
-                Overflow(PackedError::WidthNotTight { width: 3, needed: 2 }),
-            ),
+        assert!(raw(4, &[7, 8], &[0, 2], &[1, 2]).is_ok());
+        let keys = |why: &str| Keys(format!("run keys{why}"));
+        let next = |list, run| NotTheNextRun { list, run };
+        let tight = |width, needed| SlotWidthNotTight { width, needed };
+        let cases = [
+            ("one bit too wide", raw(5, &[7, 16], &[0, 2], &[1, 2]), tight(5, 4)),
+            ("slots without bits", raw(0, &[0], &[0], &[]), tight(0, 1)),
+            ("a flag past the runs", raw(4, &[7, 8 | 1], &[0, 2], &[1, 2]), next(1, 1)),
+            ("a flag too many", raw(2, &[2, 2 | 1], &[0, 2], &[1, 2]), next(1, 1)),
+            ("two flags, one run", raw(2, &[2, 2], &[0, 2], &[1, 2]), next(1, 0)),
+            ("runs out of order", raw(2, &[2 | 1, 2], &[0, 2, 4], &[1, 2, 3, 4]), next(0, 1)),
+            ("ends short of the keys", raw(2, &[2], &[0, 2], &[1, 2, 3]), EndsDoNotTile),
+            ("an empty run", raw(2, &[2, 2 | 1], &[0, 0, 2], &[1, 2]), EndsDoNotTile),
+            ("ends that do not start at 0", raw(2, &[2], &[1, 2], &[1, 2]), EndsDoNotTile),
+            ("a run of one id that fits", raw(2, &[2], &[0, 1], &[9]), FitsASlot { list: 0 }),
+            ("unsorted", raw(2, &[2], &[0, 2], &[2, 1]), keys(": window 0 does not ascend")),
+            ("a run no slot names", raw(4, &[7], &[0, 2], &[1, 2]), Unreachable { runs: 1 }),
         ];
         for (why, got, expected) in cases {
-            assert_eq!(got, Err(expected), "{why}");
             assert!(!expected.to_string().is_empty());
+            assert_eq!(got, Err(expected), "{why}");
         }
+        // Run ends one bit too wide, and a key column in the other encoding
+        // than its sizes choose.
+        let wide = FlatArena::from_columns(
+            packed(4, &[7, 8]),
+            packed(3, &[0, 2]),
+            KeyColumn::Packed(PackedColumn::from_values(&[1, 2])),
+        );
+        assert_eq!(wide, Err(Ends(PackedError::WidthNotTight { width: 3, needed: 2 })));
+        let ends = PackedColumn::from_values(&[0, 2]);
+        let coded = KeyColumn::EliasFano(crate::succinct::EfColumn::from_windows(&[1, 2], &ends));
+        let got = FlatArena::from_columns(packed(4, &[7, 8]), ends, coded);
+        assert_eq!(got, Err(keys(" is not in the encoding its sizes choose")));
         // Images with a bit set past their last value: the slot column's
-        // and the overflow column's.
+        // and the run ends'.
         let mut image = PackedColumn::from_values(&[1]).view().bytes().to_vec();
         image[0] |= 2;
-        assert_eq!(
-            FlatArena::from_raw_parts(image, 1, 1, Vec::new(), 0, 0),
-            Err(Packed(PackedError::BitsPastEnd))
-        );
-        let (slots, over) = (packed(4, &[7, 8]), packed(2, &[2, 1, 2]));
-        let mut words = over.0;
-        words[0] |= 1 << 6;
-        assert_eq!(
-            FlatArena::from_raw_parts(slots.0, slots.1, slots.2, words, over.1, over.2),
-            Err(Overflow(PackedError::BitsPastEnd))
-        );
-        // A view that skips the image checks still names them.
-        let (slots, over) = (PackedColumn::from_values(&[2]), PackedColumn::from_values(&[2, 1]));
-        let mut words = over.view().bytes().to_vec();
-        words[1] = 1;
-        let copy = ArenaCopy::default();
-        let over = PackedView::new(&words, 2, 2).unwrap();
-        let view = ArenaView { slots: slots.view(), over, copy: &copy };
-        assert_eq!(view.validate(), Err(Overflow(PackedError::BitsPastEnd)));
+        let slots = PackedColumn::new(image.into(), 1, 1).unwrap();
+        let ends = PackedColumn::from_values(&[0]);
+        let got = FlatArena::from_columns(slots, ends, KeyColumn::default());
+        assert_eq!(got, Err(Packed(PackedError::BitsPastEnd)));
+        let mut image = PackedColumn::from_values(&[0, 2]).view().bytes().to_vec();
+        image[0] |= 1 << 6;
+        let ends = PackedColumn::new(image.into(), 2, 2).unwrap();
+        let keys = KeyColumn::Packed(PackedColumn::from_values(&[1, 2]));
+        let got = FlatArena::from_columns(packed(4, &[7, 8]), ends, keys);
+        assert_eq!(got, Err(Ends(PackedError::BitsPastEnd)));
     }
 
     #[test]
     fn u32_slots_pack_to_the_arena_push_list_builds() {
         // The slot column of format versions 4 to 6: flag in bit 31.
-        let over = PackedColumn::from_values(&[2, 1, 4, 1, HIGH]);
-        let arena = |slots: &[u32], over: &PackedColumn| {
-            FlatArena::unchecked(pack_u32_slots(slots), over.clone(), 4)
+        let (ends, keys) = (PackedColumn::from_values(&[0, 2, 3]), [1, 4, HIGH]);
+        let keys = KeyColumn::Packed(PackedColumn::from_values(&keys));
+        let arena = |slots: &[u32]| {
+            FlatArena::unchecked(pack_u32_slots(slots), ends.clone(), keys.clone(), 4)
         };
-        let mut pushed = FlatArena::new();
-        pushed.push_list([id(1), id(4)]);
-        pushed.push_list([id(9)]);
-        pushed.push_list([id(HIGH)]);
-        let packed = arena(&[HIGH, 9, HIGH | 3], &over);
+        let pushed = FlatArena::from_lists(&[&[id(1), id(4)][..], &[id(9)], &[id(HIGH)]]);
+        let packed = arena(&[HIGH, 9, HIGH | 1]);
         assert_eq!((packed.view().validate(), packed), (Ok(4), pushed));
-        let empty = FlatArena::unchecked(pack_u32_slots(&[]), PackedColumn::from_values(&[]), 0);
-        assert_eq!((empty.view().validate(), empty), (Ok(0), FlatArena::new()));
+        let empty = FlatArena::unchecked(
+            pack_u32_slots(&[]),
+            PackedColumn::from_values(&[0]),
+            KeyColumn::default(),
+            0,
+        );
+        assert_eq!((empty.view().validate(), empty), (Ok(0), FlatArena::default()));
         // What is wrong in the `u32` form is wrong after packing.
         assert_eq!(
-            arena(&[HIGH | 1], &over).view().validate(),
-            Err(ArenaError::OffTheTiling { list: 0, at: 1 })
+            arena(&[HIGH | 1, 9, HIGH]).view().validate(),
+            Err(ArenaError::NotTheNextRun { list: 0, run: 1 })
         );
     }
 
@@ -1044,15 +1035,14 @@ mod tests {
     fn arena_from_offsets_matches_push_list() {
         let items = [id(1), id(4), id(7), id(2), id(3), id(HIGH)];
         let built = FlatArena::from_offsets(&items, &[0, 2, 3, 5, 6]).unwrap();
-        let mut pushed = FlatArena::new();
-        for list in [&items[0..2], &items[2..3], &items[3..5], &items[5..6]] {
-            pushed.push_list(list.iter().copied());
-        }
+        let pushed =
+            FlatArena::from_lists(&[&items[0..2], &items[2..3], &items[3..5], &items[5..6]]);
         assert_eq!(built, pushed);
-        // Positions 0, 3 and 5 and the singleton 7: 4-bit slots, and the
-        // eight overflow words of three lists at 32 bits (the id with bit
+        // Runs 0, 1 and 2 and the singleton 7: 4-bit slots, the four run
+        // ends at 3 bits, and the five run ids at 32 bits (the id with bit
         // 31 set).
-        assert_eq!(built.heap_bytes(), 16 + bytes_for(8, 32).unwrap(), "exact-sized");
+        let exact = 16 + bytes_for(4, 3).unwrap() + bytes_for(5, 32).unwrap();
+        assert_eq!(built.heap_bytes(), exact, "exact-sized");
         assert!(FlatArena::from_offsets(&[], &[0]).is_some(), "the empty arena");
         // Offsets that do not tile the column into non-empty windows —
         // missing, not starting at 0, overrunning, stopping short, empty

@@ -169,51 +169,59 @@ impl<'a> BitsView<'a> {
         ones
     }
 
-    /// The position of the `r`-th (from 0) clear bit of `from..end`, or
-    /// `None` when that range holds no more than `r`. The directory picks
-    /// the block, and only that block is scanned: a sample that disagrees
-    /// with the bits gives a wrong position or `None`, never a longer scan.
-    fn select0(self, from: usize, end: usize, r: usize) -> Option<usize> {
+    /// The position of the `r`-th (from 0) bit of `from..end` that is
+    /// `bit`, or `None` when that range holds no more than `r`. The
+    /// directory picks the block, and only that block is scanned: a sample
+    /// that disagrees with the bits gives a wrong position or `None`, never
+    /// a longer scan.
+    fn select(self, from: usize, end: usize, r: usize, bit: bool) -> Option<usize> {
         let end = end.min(self.len());
         if from >= end {
             return None;
         }
         if end - from <= RANK_BLOCK {
             // A range no longer than a block is scanned directly.
-            return self.scan0(from, end, r);
+            return self.scan(from, end, r, bit);
         }
         let base = self.rank1(from);
-        // Clear bits of `from..s` for the block start `s` after `from`.
-        let zeros_to = |block: usize| {
+        // Bits equal to `bit` in `from..s` for the block start `s` after
+        // `from`.
+        let hits_to = |block: usize| {
             let s = block * RANK_BLOCK;
             let ones = self.ones_before(block).saturating_sub(base);
-            (s - from).saturating_sub(ones)
+            if bit {
+                ones
+            } else {
+                (s - from).saturating_sub(ones)
+            }
         };
         let (mut lo, mut hi) = (from / RANK_BLOCK, (end - 1) / RANK_BLOCK);
-        // The last block whose start has at most `r` clear bits before it.
+        // The last block whose start has at most `r` hits before it.
         while lo < hi {
             let mid = lo + (hi - lo).div_ceil(2);
-            if zeros_to(mid) <= r {
+            if hits_to(mid) <= r {
                 lo = mid;
             } else {
                 hi = mid - 1;
             }
         }
         let (s, need) =
-            if lo * RANK_BLOCK <= from { (from, r) } else { (lo * RANK_BLOCK, r - zeros_to(lo)) };
-        self.scan0(s, ((lo + 1) * RANK_BLOCK).min(end), need)
+            if lo * RANK_BLOCK <= from { (from, r) } else { (lo * RANK_BLOCK, r - hits_to(lo)) };
+        self.scan(s, ((lo + 1) * RANK_BLOCK).min(end), need, bit)
     }
 
-    /// The position of the `need`-th (from 0) clear bit of `s..stop`, word
-    /// by word, or `None` when the range holds no more than `need`.
-    fn scan0(self, mut s: usize, stop: usize, mut need: usize) -> Option<usize> {
+    /// The position of the `need`-th (from 0) bit of `s..stop` that is
+    /// `bit`, word by word, or `None` when the range holds no more than
+    /// `need`.
+    fn scan(self, mut s: usize, stop: usize, mut need: usize, bit: bool) -> Option<usize> {
         let bytes = self.bytes();
+        let flip = if bit { 0 } else { u64::MAX };
         while s < stop {
             let valid = (64 - s % 64).min(stop - s);
-            let clear = !(word(bytes, s / 64) >> (s % 64)) & low_mask_or_all(valid);
-            let count = clear.count_ones() as usize;
+            let hits = ((word(bytes, s / 64) >> (s % 64)) ^ flip) & low_mask_or_all(valid);
+            let count = hits.count_ones() as usize;
             if need < count {
-                return Some(s + select_in_word(clear, need as u32) as usize);
+                return Some(s + select_in_word(hits, need as u32) as usize);
             }
             need -= count;
             s += valid;
@@ -385,7 +393,7 @@ pub(crate) fn samples(bits: usize) -> usize {
 
 /// The width of a stream's rank samples: the bit length of its length,
 /// or 0 when it has none.
-fn sample_width(bits: usize) -> u32 {
+pub(crate) fn sample_width(bits: usize) -> u32 {
     if samples(bits) == 0 {
         0
     } else {
@@ -956,6 +964,25 @@ impl<'a> EfView<'a> {
         bits_at(self.stream.bytes(), f.low_at + j * f.l as usize, f.l)
     }
 
+    /// Key `i` of window `h`, whose leaves are `window`, or `None` past
+    /// the window: the first key from the base column, any other from a
+    /// select of its one in the high region and its low part.
+    #[inline]
+    pub fn get(self, h: usize, window: Range<usize>, i: usize) -> Option<u32> {
+        if i >= window.len() {
+            return None;
+        }
+        let f = self.frame(h, window.len());
+        let Some(j) = i.checked_sub(1) else { return Some(f.first) };
+        if j >= f.m {
+            return None;
+        }
+        // The clear bits before the key's one are its high part.
+        let one = self.stream.select(f.high_at, f.end, j, true)?;
+        let high = (one - f.high_at).saturating_sub(j) as u32;
+        Some(f.first.wrapping_add(1).wrapping_add(high.wrapping_shl(f.l) | self.low(&f, j)))
+    }
+
     /// The keys of window `h`, whose leaves are `window`, in order.
     #[inline]
     pub fn iter(self, h: usize, window: Range<usize>) -> EfIter<'a> {
@@ -998,7 +1025,7 @@ impl<'a> EfView<'a> {
         let start = if hx == 0 {
             f.high_at
         } else {
-            match self.stream.select0(f.high_at, f.end, hx - 1) {
+            match self.stream.select(f.high_at, f.end, hx - 1, false) {
                 Some(zero) => zero + 1,
                 None => return Err(1 + f.m),
             }
@@ -1197,8 +1224,9 @@ impl EfColumn {
     /// cumulative offsets column, each window strictly ascending —
     /// whatever the packed column would take.
     pub fn from_windows(keys: &[u32], offs: &PackedColumn) -> Self {
-        let mut column = EfColumn::with_capacity(KeySize::of_windows(keys, windows_of(offs)));
-        for w in windows_of(offs) {
+        let mut column =
+            EfColumn::with_capacity(KeySize::of_windows(keys, windows_of(offs.view())));
+        for w in windows_of(offs.view()) {
             keys[w].iter().for_each(|&k| column.push(k));
             column.end_window();
         }
@@ -1224,6 +1252,24 @@ impl EfColumn {
     /// True when the column holds no key.
     pub fn is_empty(&self) -> bool {
         self.len == 0
+    }
+
+    /// [`EfView::get`] on the column's view, out of line.
+    #[inline(never)]
+    pub fn get(&self, h: usize, window: Range<usize>, i: usize) -> Option<u32> {
+        self.view().get(h, window, i)
+    }
+
+    /// [`EfView::search`] on the column's view, out of line.
+    #[inline(never)]
+    pub fn search(&self, h: usize, window: Range<usize>, x: u32) -> Result<usize, usize> {
+        self.view().search(h, window, x)
+    }
+
+    /// [`EfView::seek`] on the column's view, out of line.
+    #[inline(never)]
+    pub fn seek(&self, h: usize, window: Range<usize>, from: usize, x: u32) -> usize {
+        self.view().seek(h, window, from, x)
     }
 
     /// Why `read` is not this column's image, naming `what` and the part
@@ -1299,7 +1345,7 @@ impl Gather<'_> {
 }
 
 /// The windows of a cumulative offsets column.
-fn windows_of(offs: &PackedColumn) -> impl Iterator<Item = Range<usize>> + '_ {
+fn windows_of(offs: PackedView<'_>) -> impl Iterator<Item = Range<usize>> + '_ {
     offs.values().zip(offs.values().skip(1)).map(|(lo, hi)| lo as usize..hi as usize)
 }
 
@@ -1337,8 +1383,9 @@ impl KeyColumn {
     /// column that tiles them into non-empty windows, each strictly
     /// ascending — in the encoding their sizes choose.
     pub fn of_windows(keys: &[u32], offs: &PackedColumn) -> Self {
-        let mut column = KeyColumn::with_capacity(KeySize::of_windows(keys, windows_of(offs)));
-        for w in windows_of(offs) {
+        let mut column =
+            KeyColumn::with_capacity(KeySize::of_windows(keys, windows_of(offs.view())));
+        for w in windows_of(offs.view()) {
             keys[w].iter().for_each(|&k| column.push(k));
             column.end_window();
         }
@@ -1384,6 +1431,15 @@ impl KeyColumn {
         }
     }
 
+    /// The column as a terminal list borrows it.
+    #[inline]
+    pub fn borrowed(&self) -> KeysRef<'_> {
+        match self {
+            KeyColumn::Packed(column) => KeysRef::Packed(column.view()),
+            KeyColumn::EliasFano(column) => KeysRef::EliasFano(column),
+        }
+    }
+
     /// Heap bytes.
     pub fn heap_bytes(&self) -> usize {
         match self {
@@ -1403,7 +1459,7 @@ impl KeyColumn {
     /// fewer keys or keys that do not ascend, another encoding than the
     /// sizes choose, or a part whose bytes differ (the packed image, or the
     /// base, bit-offset, stream or rank column).
-    pub fn check(read: KeysView<'_>, offs: &PackedColumn, what: &str) -> Result<(), String> {
+    pub fn check(read: KeysView<'_>, offs: PackedView<'_>, what: &str) -> Result<(), String> {
         let size = KeyColumn::checked_size(read, offs, what)?;
         match read {
             KeysView::Packed(view) if !size.elias_fano() => {
@@ -1426,7 +1482,7 @@ impl KeyColumn {
     /// length of strictly ascending keys.
     fn checked_size(
         read: KeysView<'_>,
-        offs: &PackedColumn,
+        offs: PackedView<'_>,
         what: &str,
     ) -> Result<KeySize, String> {
         let tiles = offs.get(0) == 0
@@ -1452,6 +1508,74 @@ impl KeyColumn {
             size.add(n, Id(first), Id(last));
         }
         Ok(size)
+    }
+}
+
+/// A key column as a terminal list borrows it: a packed column's view,
+/// derived once when the list is handed out, or an Elias–Fano column,
+/// whose view each read derives — small enough for a
+/// [`List`](crate::slab::List) to carry. `Copy`.
+#[derive(Clone, Copy, Debug)]
+pub enum KeysRef<'a> {
+    /// Bit-packed keys.
+    Packed(PackedView<'a>),
+    /// Elias–Fano windows.
+    EliasFano(&'a EfColumn),
+}
+
+impl<'a> KeysRef<'a> {
+    /// The column as the view every read goes through.
+    #[inline]
+    pub fn view(self) -> KeysView<'a> {
+        match self {
+            KeysRef::Packed(v) => KeysView::Packed(v),
+            KeysRef::EliasFano(column) => KeysView::EliasFano(column.view()),
+        }
+    }
+
+    /// The number of keys.
+    #[inline]
+    pub fn len(self) -> usize {
+        match self {
+            KeysRef::Packed(v) => v.len(),
+            KeysRef::EliasFano(column) => column.len(),
+        }
+    }
+
+    /// Key `i` of window `h`, whose leaves are `window`, or `None` past
+    /// the window: a packed window read in place, an Elias–Fano one out of
+    /// line ([`EfColumn::get`]), so that a list's packed path stays small
+    /// enough to inline into its caller.
+    #[inline]
+    pub fn get(self, h: usize, window: Range<usize>, i: usize) -> Option<u32> {
+        match self {
+            KeysRef::Packed(v) => (i < window.len()).then(|| v.get(window.start + i)),
+            KeysRef::EliasFano(column) => column.get(h, window, i),
+        }
+    }
+
+    /// [`KeysView::search`], as [`KeysRef::get`] reads.
+    #[inline]
+    pub fn search(self, h: usize, window: Range<usize>, x: u32) -> Result<usize, usize> {
+        match self {
+            KeysRef::Packed(v) => v.search(window, x),
+            KeysRef::EliasFano(column) => column.search(h, window, x),
+        }
+    }
+
+    /// [`KeysView::seek`], as [`KeysRef::get`] reads.
+    #[inline]
+    pub fn seek(self, h: usize, window: Range<usize>, from: usize, x: u32) -> usize {
+        match self {
+            KeysRef::Packed(v) => v.seek(window, from, x),
+            KeysRef::EliasFano(column) => column.seek(h, window, from, x),
+        }
+    }
+
+    /// True when the column holds no key.
+    #[inline]
+    pub fn is_empty(self) -> bool {
+        self.len() == 0
     }
 }
 

@@ -140,10 +140,10 @@ pub trait TripleStore {
 ///
 /// [`SortedListAccess::sorted_list`] is the same list as a borrowed
 /// slice. A slab store holds no list as a `u32` slice — a singleton sits
-/// by value in a packed slot, a longer list is a window of a packed
-/// overflow column ([`crate::slab`]) — so it lends a singleton from a
-/// `u32` copy of its arena's slot column and a longer list from a `u32`
-/// copy of its arena's overflow column, each of which the first call that
+/// by value in a packed slot, a longer list is a run of a packed or
+/// Elias–Fano coded key column ([`crate::slab`]) — so it lends a singleton
+/// from a `u32` copy of its arena's slot column and a longer list from a
+/// `u32` copy of its arena's key column, each of which the first call that
 /// needs it decodes and the store then keeps and counts. The method stays only
 /// for callers that still need a slice; everything in the workspace
 /// reads `list`.

@@ -355,17 +355,19 @@ fn a_live_directory_left_at_a_v2_generation_upgrades_on_compaction() {
 }
 
 /// The file positions of the zero padding before every packed column of
-/// a v6 to v9 `FROZ` section: from the end of the column's width field to
-/// its 8-byte-aligned words. A width field follows the header keys
-/// (offsets; v9: the header keys' columns), the vector count (vector
-/// keys), the vector keys (list references), an
-/// arena's three counts (list slots, v7 on) or its slots (its overflow
-/// column, v8 on); in a v9 Elias–Fano column the base column, the
-/// bit-offset column and the stream length (the stream), and the stream
-/// (its directory).
+/// a v6 to v12 `FROZ` section: from the end of the column's width field to
+/// its 8-byte-aligned words, or from the end of the field before it for
+/// a column whose width the counts give (v12: a rank directory, an
+/// arena's run ends). A width field follows the header keys (offsets; v9:
+/// the header keys' columns), the vector count (vector keys), the vector
+/// keys (list references), an arena's counts (list slots, v7 on) or its
+/// slots (its overflow column, v8 to v11; its run ends, then its run ids,
+/// v12); in an Elias–Fano column the base column, the bit-offset column
+/// and the stream length (the stream), and the stream (its directory).
 fn packed_padding(file: &[u8]) -> Vec<usize> {
-    use hexsnap::{ArenaColumns, Headers, Ints, Packed, VectorKeys, Windows};
+    use hexsnap::{ArenaColumns, EfColumns, Headers, Ints, Packed, VectorKeys, Windows};
     let mut r = hexsnap::Reader::new(Cursor::new(file)).unwrap();
+    let derived = r.version() >= 12;
     let columns = r.frozen_columns().unwrap();
     let (froz_at, _) = r.frozen_section_extent().unwrap();
     let packed = |ints| match ints {
@@ -377,16 +379,38 @@ fn packed_padding(file: &[u8]) -> Vec<usize> {
         padding.extend(width_at + 4..col.offset);
         col.offset + col.bytes()
     };
+    // A column whose width the counts give: the padding starts where the
+    // field before it ends.
+    let width_field = if derived { 0 } else { 4 };
+    let elias_fano = |pad: &mut dyn FnMut(usize, Packed) -> usize, at: usize, ef: EfColumns| {
+        let mut at = at;
+        for (gap, col) in [(0, ef.base), (0, ef.offs), (4, ef.stream)] {
+            at = pad(at + gap, col);
+        }
+        pad(at + width_field - 4, ef.ranks)
+    };
     let mut counts_at = froz_at as usize + 8;
     for arena in columns.arenas {
-        let ArenaColumns::Slots { slots, over } = arena else { panic!("a slot arena") };
-        let slots_end = match slots {
-            Ints::Packed(slots) => pad(counts_at + 16, slots),
-            Ints::U32(slots) => slots.offset + 4 * slots.len,
-        };
-        counts_at = match over {
-            Ints::Packed(over) => pad(slots_end, over),
-            Ints::U32(over) => over.offset + 4 * over.len,
+        counts_at = match arena {
+            ArenaColumns::Runs { slots, ends, keys, .. } => {
+                let slots_end = pad(counts_at + 16, slots);
+                let ends_end = pad(slots_end - 4, ends);
+                match keys {
+                    VectorKeys::Ints(keys) => pad(ends_end, packed(keys)),
+                    VectorKeys::EliasFano(ef) => elias_fano(&mut pad, ends_end, ef),
+                }
+            }
+            ArenaColumns::Slots { slots, over } => {
+                let slots_end = match slots {
+                    Ints::Packed(slots) => pad(counts_at + 16, slots),
+                    Ints::U32(slots) => slots.offset + 4 * slots.len,
+                };
+                match over {
+                    Ints::Packed(over) => pad(slots_end, over),
+                    Ints::U32(over) => over.offset + 4 * over.len,
+                }
+            }
+            ArenaColumns::Items { .. } => panic!("a slot arena"),
         };
     }
     for ix in columns.orderings {
@@ -398,27 +422,18 @@ fn packed_padding(file: &[u8]) -> Vec<usize> {
             Headers::U32(keys) => pad(keys.offset + 4 * keys.len, packed(offs)),
             Headers::Bitmap { bits, ranks, .. } => {
                 let ranks_at = pad(counts_at + 12, bits);
-                let offs_at = pad(ranks_at, ranks);
+                let offs_at = pad(ranks_at + width_field - 4, ranks);
                 pad(offs_at, packed(offs))
             }
             Headers::EliasFano { ef, .. } => {
-                let mut at = counts_at + 8;
-                for (gap, col) in [(0, ef.base), (0, ef.offs), (4, ef.stream), (0, ef.ranks)] {
-                    at = pad(at + gap, col);
-                }
+                let at = elias_fano(&mut pad, counts_at + 8, ef);
                 pad(at, packed(offs))
             }
         };
         // The vector count, then the keys.
         let k2_end = match ix.k2 {
             VectorKeys::Ints(k2) => pad(offs_end + 4, packed(k2)),
-            VectorKeys::EliasFano(ef) => {
-                let mut at = offs_end + 4;
-                for (gap, col) in [(0, ef.base), (0, ef.offs), (4, ef.stream), (0, ef.ranks)] {
-                    at = pad(at + gap, col);
-                }
-                at
-            }
+            VectorKeys::EliasFano(ef) => elias_fano(&mut pad, offs_end + 4, ef),
         };
         counts_at = ix.lists.map_or(k2_end, |lists| pad(k2_end, packed(lists)));
     }
@@ -435,10 +450,14 @@ fn packed_padding(file: &[u8]) -> Vec<usize> {
 /// `frozen_from_columns` builds over shared bytes of the same file — as a
 /// mapping's open does — is that store, by content, whatever the version.
 /// A flip of a `DICT` byte is `Corrupt` or reads back a dictionary whose
-/// every id decodes, the same over shared bytes. Returns how many `DICT`
-/// flips were accepted and how many rejected.
+/// every id decodes, the same over shared bytes. `hex_disk::open` of the
+/// flipped file refuses it or opens a store whose every list reads back
+/// a sorted set, and whatever store `hex_disk::open_store` maps, every
+/// list of it reads without a panic. Returns how many `DICT` flips were
+/// accepted and how many rejected.
 fn every_byte_flip_is_rejected_or_still_decodes(files: &[Vec<u8>], version: u32) -> (usize, usize) {
     let (mut decoded, mut dict_accepted, mut dict_rejected) = (0, 0, 0);
+    let path = support::temp_path(&format!("flips-v{version}"));
     for file in files {
         let reader = hexsnap::Reader::new(Cursor::new(file)).unwrap();
         assert_eq!(reader.version(), version);
@@ -472,6 +491,13 @@ fn every_byte_flip_is_rejected_or_still_decodes(files: &[Vec<u8>], version: u32)
                     dict_rejected += usize::from(in_dict(i));
                 }
             }
+            std::fs::write(&path, &bytes).unwrap();
+            if let Ok((_, mapped)) = hex_disk::open(&path) {
+                assert!(every_list_is_a_sorted_set(&mapped), "flip at {i}: hex_disk::open");
+            }
+            if let Ok(unverified) = hex_disk::open_store(&path) {
+                every_list_is_a_sorted_set(&unverified);
+            }
             match r.frozen() {
                 Ok(store) => {
                     assert!(!padding.contains(&i), "a flipped padding byte at {i} decodes");
@@ -479,6 +505,7 @@ fn every_byte_flip_is_rejected_or_still_decodes(files: &[Vec<u8>], version: u32)
                     for &pat in &pats {
                         assert_eq!(store.count_matching(pat), store.iter_matching(pat).count());
                     }
+                    assert!(every_list_is_a_sorted_set(&store), "flip at {i}");
                     assert_eq!(shared_store(bytes.clone()), store, "flip at {i}");
                 }
                 Err(e) => {
@@ -488,10 +515,30 @@ fn every_byte_flip_is_rejected_or_still_decodes(files: &[Vec<u8>], version: u32)
             }
         }
     }
+    std::fs::remove_file(&path).ok();
     // Flips of packed words and of ids in the dictionary's arenas, among
     // others, still decode; most flips are rejected.
     assert!(decoded > 0);
     (dict_accepted, dict_rejected)
+}
+
+/// Reads every list of every ordering of `store` — decoded whole, at both
+/// ends and its middle, searched and sought — and says whether each is a
+/// strictly ascending run of its length. A corrupt mapped store may read
+/// wrong lists, never panic.
+fn every_list_is_a_sorted_set(store: &FrozenHexastore) -> bool {
+    use hexastore::access::OrderedStore;
+    let mut sorted = true;
+    for kind in hexastore::IndexKind::ALL {
+        for (_, _, list) in store.ordering(kind).scan() {
+            let ids = list.to_vec();
+            let ends = (list.first(), list.get(list.len() / 2), list.last());
+            let probes = (list.search(Id(7)), list.contains(Id(3)), list.seek(1, Id(9)));
+            let _ = std::hint::black_box((ends, probes));
+            sorted &= ids.len() == list.len() && ids.windows(2).all(|w| w[0] < w[1]);
+        }
+    }
+    sorted
 }
 
 /// The dictionary `dictionary_from_columns` builds of `file`'s `DICT`
@@ -526,6 +573,15 @@ fn mixed_list_file() -> Vec<u8> {
 fn elias_fano_file() -> Vec<u8> {
     let picks: Vec<(u32, u32, u32)> =
         (0..120).map(|i| (i, 0, i)).chain([(0, 1, 3), (5, 2, 7), (9, 1, 1)]).collect();
+    file_of(&graph_from(&picks))
+}
+
+/// 120 subjects of one property and one object, and a few other triples,
+/// saved by this build: the subject list of that property and object is
+/// a dense run of 120 ids, whose arena's run ids are Elias–Fano coded.
+fn elias_fano_arena_file() -> Vec<u8> {
+    let picks: Vec<(u32, u32, u32)> =
+        (0..120).map(|i| (i, 0, 0)).chain([(0, 1, 3), (5, 2, 7), (9, 1, 1)]).collect();
     file_of(&graph_from(&picks))
 }
 
@@ -627,28 +683,124 @@ fn every_byte_flip_of_a_v10_file_is_rejected_or_still_decodes() {
 
 #[test]
 fn every_byte_flip_of_a_v11_file_is_rejected_or_still_decodes() {
-    // The committed files — a delta-only dictionary and a frozen one — a
-    // graph of singleton and longer lists, one whose property windows are
-    // long enough to be Elias–Fano coded, and a bulk load of every kind of
-    // term whose frozen tier spans seven blocks.
-    let files = [
-        support::fixture_bytes("v11_small"),
-        support::fixture_bytes("v11_bulk"),
-        mixed_list_file(),
-        elias_fano_file(),
-        bulk_file(),
-    ];
-    let mut r = hexsnap::Reader::new(Cursor::new(&files[3])).unwrap();
-    let columns = r.frozen_columns().unwrap();
-    let coded =
-        columns.orderings.iter().any(|ix| matches!(ix.k2, hexsnap::VectorKeys::EliasFano(_)));
-    assert!(coded, "some ordering's vector keys are Elias–Fano coded");
+    // The committed files: a delta-only dictionary and a frozen one.
+    let files = [support::fixture_bytes("v11_small"), support::fixture_bytes("v11_bulk")];
     let (accepted, rejected) = every_byte_flip_is_rejected_or_still_decodes(&files, 11);
     eprintln!("v11 DICT byte flips: {accepted} accepted, {rejected} rejected");
     // A flip that leaves the keys ascending and their text UTF-8 reads
     // back; the rest are refused.
     assert!(rejected > 2 * accepted, "{accepted} accepted, {rejected} rejected");
     dict_padding_flips_are_refused(&files);
+}
+
+#[test]
+fn every_byte_flip_of_a_v12_file_is_rejected_or_still_decodes() {
+    // The committed files — a delta-only dictionary and a frozen one — a
+    // graph of singleton and longer lists, one whose property windows are
+    // long enough to be Elias–Fano coded, one whose subject lists are
+    // Elias–Fano coded, and a bulk load of every kind of term whose frozen
+    // tier spans seven blocks.
+    let files = [
+        support::fixture_bytes("v12_small"),
+        support::fixture_bytes("v12_bulk"),
+        mixed_list_file(),
+        elias_fano_file(),
+        elias_fano_arena_file(),
+        bulk_file(),
+    ];
+    let columns =
+        |file: &[u8]| hexsnap::Reader::new(Cursor::new(file)).unwrap().frozen_columns().unwrap();
+    let coded = columns(&files[3])
+        .orderings
+        .iter()
+        .any(|ix| matches!(ix.k2, hexsnap::VectorKeys::EliasFano(_)));
+    assert!(coded, "some ordering's vector keys are Elias–Fano coded");
+    let coded = columns(&files[4]).arenas.iter().any(|arena| {
+        matches!(arena, hexsnap::ArenaColumns::Runs { keys: hexsnap::VectorKeys::EliasFano(_), .. })
+    });
+    assert!(coded, "some arena's run ids are Elias–Fano coded");
+    let (accepted, rejected) = every_byte_flip_is_rejected_or_still_decodes(&files, 12);
+    eprintln!("v12 DICT byte flips: {accepted} accepted, {rejected} rejected");
+    assert!(rejected > 2 * accepted, "{accepted} accepted, {rejected} rejected");
+    dict_padding_flips_are_refused(&files);
+}
+
+/// Value `i` of the packed column `col` in `file`.
+fn value(file: &[u8], col: hexsnap::Packed, i: usize) -> u32 {
+    let w = col.width as usize;
+    (0..w).fold(0, |v, b| {
+        let bit = i * w + b;
+        v | (u32::from(file[col.offset + bit / 8] >> (bit % 8) & 1) << b)
+    })
+}
+
+/// `file` with value `i` of the packed column `col` set to `v`.
+fn with_value(file: &[u8], col: hexsnap::Packed, i: usize, v: u32) -> Vec<u8> {
+    let mut bytes = file.to_vec();
+    for b in 0..col.width as usize {
+        let bit = i * col.width as usize + b;
+        let (at, mask) = (col.offset + bit / 8, 1u8 << (bit % 8));
+        bytes[at] = if v >> b & 1 == 1 { bytes[at] | mask } else { bytes[at] & !mask };
+    }
+    bytes
+}
+
+#[test]
+fn each_corrupt_v12_arena_is_refused_by_name() {
+    // Run ends that do not tile the key column, a flagged slot that names
+    // another run than the next, and a key column that is not the
+    // canonical one of its runs — packed or Elias–Fano coded — are each
+    // refused with their own error by the eager reader and by
+    // `hex_disk::open`, whose mapping `verify` checks the arenas.
+    use hexsnap::{ArenaColumns, VectorKeys};
+    let path = support::temp_path("corrupt-v12-arena");
+    let refused = |bytes: Vec<u8>, why: &str| {
+        std::fs::write(&path, &bytes).unwrap();
+        match hexsnap::load_frozen(&path) {
+            Err(hexsnap::Error::Corrupt(got)) => assert!(got.contains(why), "{why}: {got}"),
+            other => panic!("{why}: {:?}", other.map(|_| ())),
+        }
+        match hex_disk::open(&path) {
+            Err(hex_disk::Error::Corrupt(got)) => assert!(got.contains(why), "{why}: {got}"),
+            other => panic!("{why}: {:?}", other.map(|_| ())),
+        }
+    };
+    for file in [mixed_list_file(), elias_fano_arena_file()] {
+        let columns = hexsnap::Reader::new(Cursor::new(&file)).unwrap().frozen_columns().unwrap();
+        let mut coded = false;
+        for arena in columns.arenas {
+            let ArenaColumns::Runs { slots, ends, keys, .. } = arena else { panic!("v12") };
+            if ends.len < 2 {
+                continue;
+            }
+            // Run ends that start past the first id.
+            refused(with_value(&file, ends, 0, 1), "run ends do not tile");
+            // The first flagged slot naming the second run.
+            let flag = 1 << (slots.width - 1);
+            let first = (0..slots.len).find(|&i| value(&file, slots, i) & flag != 0).unwrap();
+            refused(with_value(&file, slots, first, flag | 1), "names run 1, not the next run");
+            // The first run's first two ids swapped (packed), or the
+            // first window's `l` field changed (Elias–Fano coded).
+            match keys {
+                VectorKeys::Ints(hexsnap::Ints::Packed(keys)) => {
+                    let (a, b) = (value(&file, keys, 0), value(&file, keys, 1));
+                    let swapped = with_value(&with_value(&file, keys, 0, b), keys, 1, a);
+                    refused(swapped, "arena key column: run keys: window 0 does not ascend");
+                }
+                VectorKeys::EliasFano(ef) => {
+                    coded = true;
+                    let l = value(&file, ef.stream, 0);
+                    let start = value(&file, ef.offs, 0) as usize;
+                    assert_eq!(start, 0);
+                    let bytes = with_value(&file, ef.stream, 0, l ^ 1);
+                    refused(bytes, "arena key column: run keys");
+                }
+                VectorKeys::Ints(hexsnap::Ints::U32(_)) => panic!("packed run ids"),
+            }
+        }
+        assert_eq!(coded, file == elias_fano_arena_file());
+    }
+    std::fs::remove_file(&path).ok();
 }
 
 /// Every flip of the padding before a packed `DICT` column is refused by

@@ -9,7 +9,8 @@ use std::collections::BTreeSet;
 
 use hex_dict::{Id, IdTriple};
 use hexastore::access::{List, OrderedStore};
-use hexastore::packed::{bytes_for, width_of};
+use hexastore::packed::{bytes_for, width_of, PackedColumn};
+use hexastore::succinct::{KeyColumn, KeysRef};
 use hexastore::{bulk, sorted, FlatArena, IdPattern, IndexKind, OverlayHexastore, TripleStore};
 use proptest::prelude::*;
 
@@ -253,8 +254,8 @@ proptest! {
                 set.into_iter().map(Id).collect()
             })
             .collect();
-        let mut arena = FlatArena::new();
-        let idx: Vec<u32> = sets.iter().map(|set| arena.push_list(set.iter().copied())).collect();
+        let arena = FlatArena::from_lists(&sets);
+        let idx: Vec<u32> = (0..sets.len() as u32).collect();
         let expected = sets[1..].iter().fold(sets[0].clone(), |acc, set| sorted::intersect(&acc, set));
         // Every list from the arena, then every other one a slice.
         let lists = |slice_every: usize| -> Vec<List<'_>> {
@@ -274,8 +275,8 @@ proptest! {
 }
 
 /// An id from a small universe, one in four of them at or above 2^31 —
-/// where a singleton list would widen its slot past 32 bits and must take
-/// the overflow path.
+/// where a singleton list would widen its slot past 32 bits and must be a
+/// run.
 fn arb_list_id() -> impl Strategy<Value = Id> {
     (0u32..24, 0u32..4).prop_map(|(v, high)| Id(if high == 0 { HIGH | v } else { v }))
 }
@@ -283,8 +284,11 @@ fn arb_list_id() -> impl Strategy<Value = Id> {
 /// The smallest id a singleton cannot keep in its slot.
 const HIGH: u32 = 1 << 31;
 
+/// The largest id a singleton keeps in its slot.
+const MAX_IN_SLOT: u32 = HIGH - 1;
+
 /// Every way to read and rebuild `arena` agrees with `lists`, the lists
-/// pushed into it.
+/// it was built from.
 fn check_arena(arena: &FlatArena, lists: &[Vec<Id>]) {
     prop_assert_eq!(arena.list_count(), lists.len());
     let items = lists.iter().map(Vec::len).sum::<usize>();
@@ -298,37 +302,53 @@ fn check_arena(arena: &FlatArena, lists: &[Vec<Id>]) {
     prop_assert_eq!(arena.lists().map(|l| l.to_vec()).collect::<Vec<_>>(), lists);
     let columns = arena.view();
     prop_assert_eq!(columns.validate(), Ok(items));
-    let (slots, over) = (columns.slots, columns.over);
-    let rebuilt = FlatArena::from_raw_parts(
-        slots.bytes().to_vec(),
-        slots.width(),
-        lists.len(),
-        over.bytes().to_vec(),
-        over.width(),
-        over.len(),
+    let (slots, ends, keys) = (columns.slots, columns.ends, columns.keys);
+    let keys = match keys {
+        KeysRef::Packed(keys) => KeyColumn::Packed(PackedColumn::from_view(keys)),
+        KeysRef::EliasFano(coded) => KeyColumn::EliasFano(coded.clone()),
+    };
+    let (key_bytes, key_count) = (keys.heap_bytes(), keys.len());
+    let rebuilt = FlatArena::from_columns(
+        PackedColumn::from_view(slots),
+        PackedColumn::from_view(ends),
+        keys,
     );
     prop_assert_eq!(rebuilt.as_ref(), Ok(arena));
-    // The packed slots, and the packed length word and items of every
-    // list that does not fit its slot, as wide as the widest of them.
-    let spilled: Vec<&Vec<Id>> = lists.iter().filter(|l| l.len() > 1 || l[0].0 >= HIGH).collect();
-    let words: Vec<u32> = spilled
-        .iter()
-        .flat_map(|l| [l.len() as u32].into_iter().chain(l.iter().map(|id| id.0)))
+    // The slots — a singleton's id, or a run's index under the flag — the
+    // cumulative run ends, and every run's ids, run after run.
+    let runs: Vec<&Vec<Id>> = lists.iter().filter(|l| l.len() > 1 || l[0].0 >= HIGH).collect();
+    let flag = 1 << slots.width().saturating_sub(1);
+    let mut run = 0;
+    for (list, slot) in lists.iter().zip(slots.values()) {
+        if list.len() > 1 || list[0].0 >= HIGH {
+            prop_assert_eq!(slot, flag | run);
+            run += 1;
+        } else {
+            prop_assert_eq!(slot, list[0].0);
+        }
+    }
+    let mut end = 0;
+    let expected_ends: Vec<u32> = std::iter::once(0)
+        .chain(runs.iter().map(|r| {
+            end += r.len() as u32;
+            end
+        }))
         .collect();
-    prop_assert_eq!(over.values().collect::<Vec<_>>(), words.clone());
-    let over_width = width_of(words.iter().copied().max().unwrap_or(0));
-    prop_assert_eq!(over.width(), over_width);
+    prop_assert_eq!(ends.values().collect::<Vec<_>>(), expected_ends);
+    let ids: Vec<Id> = runs.iter().flat_map(|r| r.iter().copied()).collect();
+    prop_assert_eq!(key_count, ids.len());
     prop_assert_eq!(
         rebuilt.unwrap().heap_bytes(),
-        bytes_for(lists.len(), slots.width()).unwrap()
-            + bytes_for(words.len(), over_width).unwrap()
+        bytes_for(slots.len(), slots.width()).unwrap()
+            + bytes_for(ends.len(), width_of(ids.len() as u32)).unwrap()
+            + key_bytes
     );
 }
 
 proptest! {
     /// Any mix of list lengths — all singletons, all longer lists, high
-    /// ids — reads back from a slot arena exactly as pushed, passes its own
-    /// validation, and is rebuilt equal from its raw columns.
+    /// ids — reads back from a slot arena exactly as built, passes its own
+    /// validation, and is rebuilt equal from its columns.
     #[test]
     fn flat_arena_roundtrips_any_mix_of_list_lengths(
         lists in proptest::collection::vec(
@@ -343,20 +363,15 @@ proptest! {
             .map(|set| set.into_iter().collect::<Vec<Id>>())
             .filter(|list| all_long_bit != 0 || list.len() > 1)
             .collect();
-        let mut arena = FlatArena::new();
-        for (i, list) in lists.iter().enumerate() {
-            prop_assert_eq!(arena.push_list(list.iter().copied()) as usize, i);
-        }
-        check_arena(&arena, &lists);
+        check_arena(&FlatArena::from_lists(&lists), &lists);
     }
 
     /// At every slot width from 1 to 32 bits: a singleton exactly at the
     /// flag boundary (the largest id a slot of that width holds) sets the
     /// width, and beside it random singletons below it, singletons whose
-    /// id forces the overflow path and lists of two to five ids — as many
-    /// of those as the width leaves room for positions. The arena, built by
-    /// pushes that widen its slot column as they go, is the `Vec<Vec<Id>>`
-    /// it was pushed.
+    /// id makes them runs and lists of two to five ids — as many runs as
+    /// the width leaves room for their indexes. The arena, counted first,
+    /// is the `Vec<Vec<Id>>` it was built from.
     #[test]
     fn flat_arena_matches_a_vec_of_lists_at_every_slot_width(
         width in 1u32..33,
@@ -364,7 +379,7 @@ proptest! {
     ) {
         let boundary = (1u64 << (width - 1)) as u32 - 1;
         let mut lists = vec![vec![Id(boundary)]];
-        let mut overflow = 0usize;
+        let mut runs = 0usize;
         for (kind, mut seed) in draws {
             let mut next = move || {
                 seed ^= seed << 13;
@@ -381,42 +396,33 @@ proptest! {
                 }
             };
             if list.len() > 1 || list[0].0 >= HIGH {
-                // Its slot holds its overflow position, which must fit too.
-                if overflow > boundary as usize {
+                // Its slot holds its run's index, which must fit too.
+                if runs > boundary as usize {
                     continue;
                 }
-                overflow += list.len() + 1;
+                runs += 1;
             }
             lists.push(list);
         }
-        let mut arena = FlatArena::new();
-        for list in &lists {
-            arena.push_list(list.iter().copied());
-        }
+        let arena = FlatArena::from_lists(&lists);
         prop_assert_eq!(arena.view().slots.width(), width);
         check_arena(&arena, &lists);
     }
 
-    /// At every overflow width from 2 to 32 bits (a length word is at
-    /// least 2): one word exactly `2^width − 1` sets the width — the
-    /// length word of a run of that many ids where the width leaves room
-    /// for one, else a run's last id — beside random singletons and runs
-    /// of two to five ids below it, and a run last, so the column ends on
-    /// a run's last word. Pushed into an arena that widens its overflow
-    /// column as it goes, the arena is the `Vec<Vec<Id>>` it was pushed.
+    /// At every key width from 1 to 32 bits: one run's last id exactly
+    /// `2^width − 1` sets the width of a packed key column, beside random
+    /// singletons and runs of two to five ids below it, and a run last, so
+    /// the column ends on a run's last id. The arena is the
+    /// `Vec<Vec<Id>>` it was built from, whichever encoding its runs'
+    /// sizes choose.
     #[test]
-    fn flat_arena_matches_a_vec_of_lists_at_every_overflow_width(
-        width in 2u32..33,
-        by_length in 0u32..2,
+    fn flat_arena_matches_a_vec_of_lists_at_every_key_width(
+        width in 1u32..33,
         at in 0usize..40,
         draws in proptest::collection::vec((0u32..3, 0u64..u64::MAX), 0..40),
     ) {
         let top = u32::MAX >> (32 - width);
-        let widest: Vec<Id> = if by_length == 1 && width <= 7 {
-            (0..top).map(Id).collect()
-        } else {
-            vec![Id(0), Id(top)]
-        };
+        let widest = vec![Id(0), Id(top)];
         let mut lists = Vec::new();
         for (kind, mut seed) in draws {
             let mut next = move || {
@@ -437,13 +443,94 @@ proptest! {
         }
         lists.insert(at.min(lists.len()), widest);
         lists.push(vec![Id(0), Id(1)]);
-        let mut arena = FlatArena::new();
-        for list in &lists {
-            arena.push_list(list.iter().copied());
+        let arena = FlatArena::from_lists(&lists);
+        if let KeysRef::Packed(keys) = arena.view().keys {
+            prop_assert_eq!(keys.width(), width);
+            prop_assert_eq!(keys.get(keys.len() - 1), 1, "the column ends on the last run's last id");
         }
-        let over = arena.view().over;
-        prop_assert_eq!(over.width(), width);
-        prop_assert_eq!(over.get(over.len() - 1), 1, "the column ends on the last run's last id");
         check_arena(&arena, &lists);
+    }
+}
+
+/// `list` reads like `model`, the ids it was built from: its length and
+/// every id by position, its ends, a search and a seek for each id, its
+/// neighbours and `probes`, its iteration (folded and stepped) and its
+/// decoded copy.
+fn check_list(list: List<'_>, model: &[Id], probes: &[u32]) {
+    prop_assert_eq!(list.len(), model.len());
+    prop_assert_eq!(list.is_empty(), model.is_empty());
+    // Every position of a short list, a sample of a long one.
+    let step = (model.len() / 512).max(1);
+    for i in (0..model.len()).step_by(step).chain([model.len().saturating_sub(1), model.len()]) {
+        prop_assert_eq!(list.get(i), model.get(i).copied(), "get({})", i);
+    }
+    prop_assert_eq!((list.first(), list.last()), (model.first().copied(), model.last().copied()));
+    let near = model
+        .iter()
+        .step_by(step)
+        .flat_map(|id| [id.0.wrapping_sub(1), id.0, id.0.wrapping_add(1)]);
+    for x in near.chain(probes.iter().copied()).chain([0, u32::MAX]).map(Id) {
+        prop_assert_eq!(list.search(x), model.binary_search(&x), "search({:?})", x);
+        prop_assert_eq!(list.contains(x), model.binary_search(&x).is_ok());
+        // A seek from any position before the first id at or above `x`.
+        let end = model.partition_point(|&v| v < x);
+        for from in [0, end / 2, end, end + 1] {
+            let want = if from > end { from.min(model.len()) } else { end };
+            prop_assert_eq!(list.seek(from, x), want, "seek({}, {:?})", from, x);
+        }
+    }
+    prop_assert_eq!(list.into_iter().len(), model.len());
+    prop_assert_eq!(list.to_vec(), model);
+    prop_assert!(list.into_iter().eq(model.iter().copied()));
+    prop_assert_eq!(
+        list.into_iter().fold(0u64, |n, id| n + u64::from(id.0)),
+        model.iter().map(|id| u64::from(id.0)).sum::<u64>()
+    );
+}
+
+#[test]
+fn a_list_stays_six_words() {
+    // A run is its key column as a list borrows it — a packed view, or a
+    // reference to an Elias–Fano column — its run index and its window in
+    // `u32`s: 48 bytes on a 64-bit target (56 while a run was a window of
+    // a packed overflow column).
+    assert!(std::mem::size_of::<List<'_>>() <= 6 * std::mem::size_of::<usize>());
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// Every list of an arena reads like the `Vec<Id>` it was built from,
+    /// through every `List` read and `ArenaView::lend`, whichever encoding
+    /// the data gives the arena's run ids. Both encodings get the edges:
+    /// runs of two ids and runs ending at the largest id a slot holds.
+    /// A packed column gets them from many wide runs of two, whose
+    /// Elias–Fano windows would be larger; an Elias–Fano column from one
+    /// dense run of 28,800 ids ending at that id (`u ≤ m`, so `l = 0`) and
+    /// a short dense run beside random lists.
+    #[test]
+    fn list_reads_match_a_vec_model_under_both_run_encodings(
+        sets in proptest::collection::vec(proptest::collection::btree_set(0u32..200, 1..6), 0..30),
+        spread in 1u32..5000,
+        coded in 0u32..2,
+        probes in proptest::collection::vec(0u32..u32::MAX, 0..8),
+    ) {
+        let mut lists: Vec<Vec<Id>> =
+            sets.into_iter().map(|set| set.into_iter().map(|v| Id(v * spread)).collect()).collect();
+        lists.push(vec![Id(MAX_IN_SLOT - 1), Id(MAX_IN_SLOT)]);
+        if coded == 1 {
+            lists.insert(lists.len() / 2, (MAX_IN_SLOT - 28_799..=MAX_IN_SLOT).map(Id).collect());
+            lists.push((7..40).map(Id).collect());
+        } else {
+            lists.extend((0..128).map(|i| vec![Id(i), Id(MAX_IN_SLOT - i)]));
+        }
+        let arena = FlatArena::from_lists(&lists);
+        prop_assert_eq!(arena.is_elias_fano(), coded == 1, "the data picks the encoding");
+        let view = arena.view();
+        for (i, model) in lists.iter().enumerate() {
+            check_list(arena.get(i as u32), model, &probes);
+            prop_assert_eq!(view.lend(i as u32), Some(model.as_slice()));
+        }
+        prop_assert_eq!(view.validate(), Ok(lists.iter().map(Vec::len).sum::<usize>()));
     }
 }

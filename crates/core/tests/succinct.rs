@@ -117,7 +117,7 @@ fn check_ef(windows: &[Vec<u32>]) {
         }
     }
     // A loader accepts the column only where the sizes choose it.
-    let checked = KeyColumn::check(view, &offs, "vector keys");
+    let checked = KeyColumn::check(view, offs.view(), "vector keys");
     match KeyColumn::of_windows(&keys, &offs) {
         KeyColumn::EliasFano(_) => assert_eq!(checked, Ok(())),
         KeyColumn::Packed(_) => assert!(checked.unwrap_err().contains("encoding")),

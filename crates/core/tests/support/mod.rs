@@ -28,12 +28,13 @@ pub const FRZC: Compression = Compression::VarintDelta;
 /// when it grows). `None`:
 /// the file spells out what later versions derive (pairs, primary list
 /// references, a `TRPL` column), so the whole re-save is smaller by an
-/// amount no rule fixes. `Some(0)`: the re-save's slab section is the
-/// file's, byte for byte. Whatever the version, the re-save's `DICT` is
-/// the one a fresh encode of the graph writes.
+/// amount no rule fixes. Where the file's slab section has the current
+/// layout — `FRZC` from v3, `FROZ` from v12 — the re-save's is the file's,
+/// byte for byte. Whatever the version, the re-save's `DICT` is the one a
+/// fresh encode of the graph writes.
 pub type Fixture = (&'static str, u32, Compression, Option<isize>);
 
-pub const FIXTURES: [Fixture; 21] = [
+pub const FIXTURES: [Fixture; 23] = [
     ("v1_small", 1, RAW, None),
     ("v2_small", 2, RAW, None),
     ("v2_small_frzc", 2, FRZC, None),
@@ -42,30 +43,34 @@ pub const FIXTURES: [Fixture; 21] = [
     // longer list; v6 packs the index levels (`V6_PACKING_SAVES`), v7
     // the list slots (`V7_PACKING_SAVES`) and v8 the overflow runs
     // (`V8_PACKING_SAVES`).
-    ("v3_small", 3, RAW, Some(4 * (12 - 3) + V6_PACKING_SAVES + V7_TO_V9_SAVES)),
+    ("v3_small", 3, RAW, Some(4 * (12 - 3) + V6_PACKING_SAVES + V7_TO_V12_SAVES)),
     // FRZC encodes lists and values, not columns: its bytes are v3's.
     ("v3_small_frzc", 3, FRZC, Some(0)),
     // v5 changed the dictionary only, v6 the index levels of FROZ, v7 its
-    // list slots, v8 its overflow runs, v9 its header and vector keys.
-    ("v4_small", 4, RAW, Some(V6_PACKING_SAVES + V7_TO_V9_SAVES)),
+    // list slots, v8 its overflow runs, v9 its header and vector keys, v12
+    // its arenas and rank directories.
+    ("v4_small", 4, RAW, Some(V6_PACKING_SAVES + V7_TO_V12_SAVES)),
     ("v4_small_frzc", 4, FRZC, Some(0)),
-    ("v5_small", 5, RAW, Some(V6_PACKING_SAVES + V7_TO_V9_SAVES)),
+    ("v5_small", 5, RAW, Some(V6_PACKING_SAVES + V7_TO_V12_SAVES)),
     ("v5_small_frzc", 5, FRZC, Some(0)),
-    ("v6_small", 6, RAW, Some(V7_TO_V9_SAVES)),
+    ("v6_small", 6, RAW, Some(V7_TO_V12_SAVES)),
     ("v6_small_frzc", 6, FRZC, Some(0)),
-    ("v7_small", 7, RAW, Some(V8_PACKING_SAVES + V9_SUCCINCT_SAVES)),
+    ("v7_small", 7, RAW, Some(V8_PACKING_SAVES + V9_SUCCINCT_SAVES + V12_RUNS_SAVES)),
     ("v7_small_frzc", 7, FRZC, Some(0)),
-    ("v8_small", 8, RAW, Some(V9_SUCCINCT_SAVES)),
+    ("v8_small", 8, RAW, Some(V9_SUCCINCT_SAVES + V12_RUNS_SAVES)),
     ("v8_small_frzc", 8, FRZC, Some(0)),
     // v10 changed the dictionary only: the slab sections are v9's.
-    ("v9_small", 9, RAW, Some(0)),
+    ("v9_small", 9, RAW, Some(V12_RUNS_SAVES)),
     ("v9_small_frzc", 9, FRZC, Some(0)),
-    ("v10_small", 10, RAW, Some(0)),
+    ("v10_small", 10, RAW, Some(V12_RUNS_SAVES)),
     ("v10_small_frzc", 10, FRZC, Some(0)),
     // v11 added the frozen dictionary tier, empty in a graph of inserts:
     // the slab sections are v10's.
-    ("v11_small", 11, RAW, Some(0)),
+    ("v11_small", 11, RAW, Some(V12_RUNS_SAVES)),
     ("v11_small_frzc", 11, FRZC, Some(0)),
+    // v12 changed FROZ only: DICT and FRZC are v11's.
+    ("v12_small", 12, RAW, Some(0)),
+    ("v12_small_frzc", 12, FRZC, Some(0)),
 ];
 
 /// What v6's packed index levels save in the fixture graph's `FROZ` —
@@ -105,9 +110,29 @@ pub const V8_PACKING_SAVES: isize = 36 - (3 * (16 + 4 + 4) + 4);
 /// 5.34.)
 pub const V9_SUCCINCT_SAVES: isize = 72 - (6 * 32 + 40);
 
-/// What v7 to v9 save together: the packed list slots, the packed
-/// overflow runs, then the header bitmaps and vector-key encodings.
-pub const V7_TO_V9_SAVES: isize = V7_PACKING_SAVES + V8_PACKING_SAVES + V9_SUCCINCT_SAVES;
+/// What v12's arenas of runs save in the fixture graph's `FROZ`: nothing,
+/// two changes of equal size. Each arena's one run of two ids takes one
+/// 64-bit word and its zero word as run ids, as it did as an overflow run
+/// of a length word and two ids, and its header's counts (a list count,
+/// a run count, a run-id count and an encoding-flags word) take the 16
+/// bytes the list count, the `u64` item count and the overflow count took;
+/// but the run ends add a column, one word and its zero word with no
+/// width field, 48 bytes in all. And the six header bitmaps' rank
+/// directories, empty here, lose their width field and its padding, 48
+/// bytes. (On `D500k` the arenas shrink from 7.30 to 6.18 B/triple.)
+pub const V12_RUNS_SAVES: isize = V12_RANK_WIDTHS_SAVED - V12_RUN_ENDS_ADDED;
+
+/// The six rank directories' width fields and padding, 8 bytes each.
+const V12_RANK_WIDTHS_SAVED: isize = 6 * 8;
+
+/// The three arenas' run-ends columns, one word and its zero word each.
+const V12_RUN_ENDS_ADDED: isize = 3 * 16;
+
+/// What v7 to v12 save together: the packed list slots, the packed
+/// overflow runs, the header bitmaps and vector-key encodings, then the
+/// arenas of runs.
+pub const V7_TO_V12_SAVES: isize =
+    V7_PACKING_SAVES + V8_PACKING_SAVES + V9_SUCCINCT_SAVES + V12_RUNS_SAVES;
 
 /// The rows of one format version.
 pub fn fixtures_of(version: u32) -> impl Iterator<Item = Fixture> {
@@ -126,7 +151,7 @@ pub fn temp_path(tag: &str) -> PathBuf {
     std::env::temp_dir().join(format!("hexsnap-format-compat-{tag}-{}", std::process::id()))
 }
 
-/// The graph of `v11_bulk.hexsnap`: terms of every kind, 24 of them —
+/// The graph of `v11_bulk.hexsnap` and `v12_bulk.hexsnap`: terms of every kind, 24 of them —
 /// three blocks of the frozen tier — bulk loaded from N-Triples, so the
 /// dictionary is all frozen tier.
 pub fn bulk_graph() -> GraphStore {
@@ -251,7 +276,9 @@ pub fn fresh_dict_section() -> Vec<u8> {
 
 /// A re-save is the current version, writes the `DICT` a fresh encode
 /// writes and the slab section the row says, and reads back equal.
-pub fn resaves_as_the_current_version_and_roundtrips_equal((name, _, compression, saved): Fixture) {
+pub fn resaves_as_the_current_version_and_roundtrips_equal(
+    (name, version, compression, saved): Fixture,
+) {
     let (dict, frozen) = hexsnap::load_frozen(fixture_path(name)).unwrap();
     let path = temp_path(name);
     hexsnap::save_frozen_with(&path, &dict, &frozen, compression).unwrap();
@@ -262,10 +289,12 @@ pub fn resaves_as_the_current_version_and_roundtrips_equal((name, _, compression
     let slabs = |file| slab_section(file, compression, name);
     match saved {
         None => assert!(resaved.len() < committed.len(), "{name}: {}", resaved.len()),
-        Some(0) => assert_eq!(slabs(&resaved), slabs(&committed), "{name}"),
         Some(saved) => {
             let shrunk = slabs(&committed).len() as isize - slabs(&resaved).len() as isize;
-            assert_eq!(shrunk, saved, "{name}")
+            assert_eq!(shrunk, saved, "{name}");
+            if compression == FRZC || version >= 12 {
+                assert_eq!(slabs(&resaved), slabs(&committed), "{name}");
+            }
         }
     }
     let (dict2, back) = hexsnap::load_frozen(&path).unwrap();

@@ -1,4 +1,4 @@
-//! Format version 11, the one this build writes, over its committed files
+//! Format version 11 over its committed files
 //! (`tests/data/v11_small{,_frzc}.hexsnap`, whose dictionary is all delta
 //! tier, and `tests/data/v11_bulk.hexsnap`, whose dictionary a bulk load
 //! froze; the table and the checks are `support/mod.rs`'s).
@@ -9,25 +9,8 @@ use hex_dict::{term_key, Id};
 use hexastore::hexsnap::{self, Reader};
 use rdf_model::TermRef;
 use std::io::Cursor;
-use support::{bulk_graph, fixture_bytes, fixture_graph, fixture_path, fixtures_of, section};
-use support::{temp_path, RAW};
-
-#[test]
-fn v11_writer_output_is_bit_identical_to_the_committed_fixtures() {
-    let g = fixture_graph();
-    let frozen = g.store().freeze();
-    for (name, _, compression, _) in fixtures_of(11) {
-        let path = temp_path(name);
-        hexsnap::save_frozen_with(&path, g.dict(), &frozen, compression).unwrap();
-        assert_eq!(std::fs::read(&path).unwrap(), fixture_bytes(name), "{name}");
-        std::fs::remove_file(&path).ok();
-    }
-    let bulk = bulk_graph();
-    let path = temp_path("v11_bulk");
-    hexsnap::save_frozen(&path, bulk.dict(), &bulk.store().freeze()).unwrap();
-    assert_eq!(std::fs::read(&path).unwrap(), fixture_bytes("v11_bulk"));
-    std::fs::remove_file(&path).ok();
-}
+use support::RAW;
+use support::{bulk_graph, fixture_bytes, fixture_path, fixtures_of, section};
 
 #[test]
 fn committed_v11_fixtures_open_through_every_reader_and_answer() {

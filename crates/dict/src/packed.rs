@@ -27,7 +27,7 @@
 //! A column whose width is fixed up front (a slot or rank column) is
 //! appended to by [`PackedColumn::push`], which panics on a value that
 //! does not fit, so a mis-sized column fails loudly. A column that grows
-//! (the dictionary's columns, a terminal-list arena's overflow words) is
+//! (the dictionary's columns) is
 //! appended to by [`PackedColumn::push_widening`], which repacks it at a
 //! wider width when a value needs more bits — at most 32 times over a
 //! column's life, so appending stays amortised O(1). A column changes in
@@ -42,15 +42,16 @@
 //! column first copies it to owned bytes, and equal columns are equal
 //! whatever holds their bytes.
 //!
-//! A terminal-list arena's two columns are packed too (`hexastore::slab`):
-//! its slot column at a width of its own, one flag bit above the widest
-//! value, and its overflow column at its largest word's width. A longer
-//! list is read as a window of the overflow column: decoded sequentially
-//! by [`PackedView::iter`], searched by [`PackedView::search`], and
-//! advanced through by [`PackedView::seek`], the galloping search that
-//! intersections and merge joins make with rising targets. The frozen
-//! store's header keys and Elias–Fano vector keys (`hexastore::succinct`)
-//! keep their bit streams and rank directories in packed columns too.
+//! A terminal-list arena's columns are packed too (`hexastore::slab`): its
+//! slot column at a width of its own, one flag bit above the widest
+//! value, its run ends, and its run ids where they are not Elias–Fano
+//! coded. A longer list read from packed run ids is a window of that
+//! column: decoded sequentially by [`PackedView::iter`], searched by
+//! [`PackedView::search`], and advanced through by [`PackedView::seek`],
+//! the galloping search that intersections and merge joins make with
+//! rising targets. The frozen store's header keys and Elias–Fano keys
+//! (`hexastore::succinct`) keep their bit streams and rank directories in
+//! packed columns too.
 
 use std::ops::{Deref, Range};
 use std::sync::Arc;

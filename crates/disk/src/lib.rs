@@ -33,8 +33,11 @@
 //! execution and snapshot serving work over it unchanged.
 //!
 //! Only uncompressed snapshots of the current format version
-//! ([`hexastore::hexsnap::VERSION`]) or of v10, which lacks only the
-//! frozen dictionary tier, are mappable: compressed (`FRZC`)
+//! ([`hexastore::hexsnap::VERSION`]) or of v10 and v11 are mappable (a
+//! v10 file lacks only the frozen dictionary tier, and a v10 or v11
+//! file's terminal-list arenas, laid out as overflow runs, are rebuilt
+//! into owned columns of the current layout while its index levels stay
+//! mapped): compressed (`FRZC`)
 //! sections and files of older versions — each of which lays out some
 //! column differently ([`hexastore::hexsnap::mapping_refusal`] names
 //! which) — must go through the decoding
@@ -189,14 +192,15 @@ pub fn open_store(path: impl AsRef<Path>) -> Result<FrozenHexastore> {
 }
 
 /// Checks, in one pass over the three arenas' columns
-/// (`O(lists + overflow words)`: 6.9 of the 22.3 bytes per triple of the
-/// 197,756-triple `snapshot_size` file in `bench-artifacts/BENCH_ci.json`),
+/// (`O(lists + run ids)`; the three arenas' list slots, run ends and run
+/// ids of the `snapshot_size` file in `bench-artifacts/BENCH_ci.json`),
 /// that they are what a writer lays down
 /// ([`hexsnap::check_arenas`], the check the eager reader runs): the slot
-/// column is one flag bit above its widest value wide, every slot that is
-/// not itself a list names a run inside the overflow column, runs neither
-/// overlap nor leave a gap, each is strictly ascending, and together they
-/// hold one item per triple. A store that fails is [`Error::Corrupt`]; one
+/// column is one flag bit above its widest value wide, the flagged slots
+/// name the runs in order, each once, the run ends tile the run ids into
+/// non-empty runs, each strictly ascending, the run ids are the canonical
+/// column of their runs, packed or Elias–Fano coded, and together the
+/// lists hold one item per triple. A store that fails is [`Error::Corrupt`]; one
 /// that passes can still be wrong in its index levels (see
 /// [`hexsnap::frozen_from_columns`]'s trust model). [`open`] runs it;
 /// [`open_store`] leaves it to its caller.

@@ -381,7 +381,7 @@ fn corrupt_bytes_anywhere_never_panic_the_opener() {
     let pats = probe_patterns(&hex_disk::open_store(&path).unwrap());
 
     // Flip every byte of the file in turn — header, DICT (counts, kinds,
-    // offset table, string arena), FROZ (slots and overflow words
+    // offset table, string arena), FROZ (slots, run ends and run ids
     // included), trailer. The opener must reject
     // or answer, never panic; when it opens, the dictionary must still
     // behave (decode may miss, must not crash) and every read operation
@@ -396,11 +396,12 @@ fn corrupt_bytes_anywhere_never_panic_the_opener() {
 }
 
 /// A bit-packed column of the `FROZ` section and the file position of
-/// its width field.
+/// its width field — `None` for a column whose width the counts give (a
+/// rank directory, an arena's run ends).
 #[derive(Clone, Copy, Debug)]
 struct PackedAt {
     col: hexsnap::Packed,
-    width_at: usize,
+    width_at: Option<usize>,
 }
 
 impl PackedAt {
@@ -456,8 +457,13 @@ struct AddressingWords {
     elias_fano: Vec<(usize, [PackedAt; 4])>,
     /// The three arenas' packed slot columns.
     slots: Vec<PackedAt>,
-    /// The three arenas' packed overflow columns.
-    overflow: Vec<PackedAt>,
+    /// The three arenas' run-ends columns.
+    run_ends: Vec<PackedAt>,
+    /// The packed run-id columns of the arenas that keep them packed.
+    run_keys: Vec<PackedAt>,
+    /// The base, bit-offset, stream and rank columns of each arena whose
+    /// run ids are Elias–Fano coded.
+    run_windows: Vec<[PackedAt; 4]>,
     /// The three mirror orderings' packed list-reference columns.
     list_refs: Vec<PackedAt>,
 }
@@ -468,13 +474,14 @@ impl AddressingWords {
         let headers = self.header_bits.iter().chain(&self.header_ranks);
         let levels = headers.chain(&self.offsets).chain(&self.vector_keys).chain(&self.list_refs);
         let vector_keys = self.elias_fano.iter().map(|(_, columns)| columns);
-        let ef = vector_keys.chain(&self.header_windows).flatten();
-        self.slots.iter().chain(&self.overflow).chain(levels).chain(ef).copied()
+        let ef = vector_keys.chain(&self.header_windows).chain(&self.run_windows).flatten();
+        let arenas = self.slots.iter().chain(&self.run_ends).chain(&self.run_keys);
+        arenas.chain(levels).chain(ef).copied()
     }
 }
 
 fn addressing_words(bytes: &[u8]) -> AddressingWords {
-    use hexsnap::{ArenaColumns, Ints, Windows};
+    use hexsnap::{ArenaColumns, Ints, VectorKeys, Windows};
     let mut reader = hexsnap::Reader::new(std::io::Cursor::new(bytes)).unwrap();
     let columns = reader.frozen_columns().unwrap();
     let (froz_at, _) = reader.frozen_section_extent().unwrap();
@@ -491,20 +498,42 @@ fn addressing_words(bytes: &[u8]) -> AddressingWords {
         vector_keys: vec![],
         elias_fano: vec![],
         slots: vec![],
-        overflow: vec![],
+        run_ends: vec![],
+        run_keys: vec![],
+        run_windows: vec![],
         list_refs: vec![],
     };
-    // An arena's slot width follows its list, item and overflow counts,
-    // the first arena's the triple count; its overflow width follows its
-    // slots.
+    // An Elias–Fano column from its first width field: a base column, the
+    // bit offsets, the stream length, the stream and its directory, whose
+    // width the stream length gives.
+    let ef_at = |at: usize, ef: hexsnap::EfColumns| {
+        let base = PackedAt { col: ef.base, width_at: Some(at) };
+        let offs = PackedAt { col: ef.offs, width_at: Some(end(base)) };
+        let stream = PackedAt { col: ef.stream, width_at: Some(end(offs) + 4) };
+        [base, offs, stream, PackedAt { col: ef.ranks, width_at: None }]
+    };
+    // An arena's slot width follows its list, run, run-id and flag counts,
+    // the first arena's the triple count; its run ends follow its slots,
+    // with no width field, and its run ids the run ends.
     let mut counts_at = froz_at as usize + 8;
     for arena in columns.arenas {
-        let ArenaColumns::Slots { slots, over, .. } = arena else { panic!("a v4 arena") };
-        let slots = PackedAt { col: packed(slots), width_at: counts_at + 4 + 8 + 4 };
-        let over = PackedAt { col: packed(over), width_at: end(slots) };
+        let ArenaColumns::Runs { slots, ends, keys, .. } = arena else { panic!("a v12 arena") };
+        let slots = PackedAt { col: slots, width_at: Some(counts_at + 16) };
+        let ends = PackedAt { col: ends, width_at: None };
         found.slots.push(slots);
-        found.overflow.push(over);
-        counts_at = end(over);
+        found.run_ends.push(ends);
+        counts_at = match keys {
+            VectorKeys::Ints(keys) => {
+                let keys = PackedAt { col: packed(keys), width_at: Some(end(ends)) };
+                found.run_keys.push(keys);
+                end(keys)
+            }
+            VectorKeys::EliasFano(ef) => {
+                let columns = ef_at(end(ends), ef);
+                found.run_windows.push(columns);
+                end(columns[3])
+            }
+        };
     }
     // Each width field follows what precedes it: the header keys, the
     // offsets, the vector count, then the vector keys —
@@ -514,16 +543,10 @@ fn addressing_words(bytes: &[u8]) -> AddressingWords {
         let Windows::Offsets(offs) = ix.windows else { panic!("v3 offsets") };
         // The header count and the encoding flags, then the bitmap's length,
         // the bitmap and its directory, or one Elias–Fano window.
-        let ef_at = |at: usize, ef: hexsnap::EfColumns| {
-            let base = PackedAt { col: ef.base, width_at: at };
-            let offs = PackedAt { col: ef.offs, width_at: end(base) };
-            let stream = PackedAt { col: ef.stream, width_at: end(offs) + 4 };
-            [base, offs, stream, PackedAt { col: ef.ranks, width_at: end(stream) }]
-        };
         let headers_end = match ix.keys {
             hexsnap::Headers::Bitmap { bits, ranks, .. } => {
-                let bits = PackedAt { col: bits, width_at: counts_at + 12 };
-                let ranks = PackedAt { col: ranks, width_at: end(bits) };
+                let bits = PackedAt { col: bits, width_at: Some(counts_at + 12) };
+                let ranks = PackedAt { col: ranks, width_at: None };
                 found.header_bits.push(bits);
                 found.header_ranks.push(ranks);
                 end(ranks)
@@ -535,10 +558,10 @@ fn addressing_words(bytes: &[u8]) -> AddressingWords {
             }
             hexsnap::Headers::U32(_) => panic!("v9 header keys"),
         };
-        let offs = PackedAt { col: packed(offs), width_at: headers_end };
+        let offs = PackedAt { col: packed(offs), width_at: Some(headers_end) };
         let k2_end = match ix.k2 {
             hexsnap::VectorKeys::Ints(k2) => {
-                let k2 = PackedAt { col: packed(k2), width_at: end(offs) + 4 };
+                let k2 = PackedAt { col: packed(k2), width_at: Some(end(offs) + 4) };
                 found.vector_keys.push(k2);
                 end(k2)
             }
@@ -549,12 +572,13 @@ fn addressing_words(bytes: &[u8]) -> AddressingWords {
             }
         };
         found.offsets.push(offs);
-        let refs = ix.lists.map(|lists| PackedAt { col: packed(lists), width_at: k2_end });
+        let refs = ix.lists.map(|lists| PackedAt { col: packed(lists), width_at: Some(k2_end) });
         found.list_refs.extend(refs);
         counts_at = refs.map_or(k2_end, end);
     }
     for p in found.packed() {
-        let width = u32::from_le_bytes(bytes[p.width_at..p.width_at + 4].try_into().unwrap());
+        let Some(at) = p.width_at else { continue };
+        let width = u32::from_le_bytes(bytes[at..at + 4].try_into().unwrap());
         assert_eq!(width, p.col.width, "the width field of {p:?}");
     }
     found
@@ -610,13 +634,14 @@ fn corrupt_offsets_degrade_to_short_windows_never_a_panic() {
 }
 
 #[test]
-fn corrupt_slots_and_overflow_words_are_refused_and_safe_to_walk() {
-    // A slot is a list or the address of one; an overflow word is a length
-    // or an item. Every one of them is overwritten with what each could be
-    // mistaken for: an inline id, a flagged position at, inside and past
-    // the overflow column, lengths of 0 and 1, a length past the column,
-    // an item that breaks its run's order. Every shape is walked over the
-    // unverified store each time; `open` refuses with a typed error.
+fn corrupt_slots_and_run_columns_are_refused_and_safe_to_walk() {
+    // A slot is a list or the index of a run; a run end is where a run
+    // stops in its arena's run ids. Every one of them, and every run id,
+    // is overwritten with what each could be mistaken for: an inline id, a
+    // flagged run index at, inside and past the runs, ends before, at and
+    // past their neighbours, an id that breaks its run's order. Every
+    // shape is walked over the unverified store each time; `open` refuses
+    // with a typed error.
     let g = mixed_list_graph();
     let path = temp_path("slots");
     let frozen = g.store().freeze();
@@ -625,28 +650,18 @@ fn corrupt_slots_and_overflow_words_are_refused_and_safe_to_walk() {
     let words = addressing_words(&pristine);
     let slots: usize = words.slots.iter().map(|p| p.col.len).sum();
     assert_eq!(slots * 2, frozen.space_stats().vector_entries);
-    let n_over = words.overflow[0].col.len as u32;
-    assert!(n_over > 0, "the graph has lists of two");
+    let runs = words.run_ends[0].col.len as u32 - 1;
+    assert!(runs > 0, "the graph has lists of two");
     let values = |old: u32, flag: u32| {
-        vec![
-            0,
-            1,
-            old ^ flag,
-            flag,
-            flag | 1,
-            flag | (n_over - 1),
-            flag | n_over,
-            u32::MAX,
-            old + 1,
-        ]
+        vec![0, 1, old ^ flag, flag, flag | 1, flag | (runs - 1), flag | runs, u32::MAX, old + 1]
     };
     for &slots in &words.slots {
         let flag = 1 << (slots.col.width - 1);
         overwrite_each_value(&path, &pristine, &[slots], |old| values(old, flag));
     }
-    for &over in &words.overflow {
-        let flag = 1 << over.col.width.saturating_sub(1);
-        overwrite_each_value(&path, &pristine, &[over], |old| values(old, flag));
+    for &column in words.run_ends.iter().chain(&words.run_keys) {
+        let top = 1 << column.col.width.saturating_sub(1);
+        overwrite_each_value(&path, &pristine, &[column], |old| values(old, top));
     }
 
     // Named cases: `open` refuses each with a typed error; `open_store`,
@@ -659,31 +674,25 @@ fn corrupt_slots_and_overflow_words_are_refused_and_safe_to_walk() {
         let unverified = hex_disk::open_store(&path).expect("structurally sound");
         assert!(matches!(hex_disk::verify(&unverified), Err(hex_disk::Error::Corrupt(_))), "{why}");
     };
-    let over = words.overflow[0];
-    let word = |i: usize, new: u32| {
-        assert!(new >> over.col.width == 0, "{new} fits the overflow column");
+    let set = |column: PackedAt, i: usize, new: u32| {
+        assert!(new >> column.col.width == 0, "{new} fits the column");
         let mut bytes = pristine.clone();
-        over.set(&mut bytes, i, new);
+        column.set(&mut bytes, i, new);
         bytes
     };
-    // The first flagged slot: a longer list of the first arena.
-    let slots = words.slots[0];
+    // The first flagged slot: the first run of the first arena.
+    let (slots, ends, keys) = (words.slots[0], words.run_ends[0], words.run_keys[0]);
     let flag = 1 << (slots.col.width - 1);
     let flagged = (0..slots.col.len).find(|&i| slots.get(&pristine, i) & flag != 0).unwrap();
-    let position = slots.get(&pristine, flagged) & !flag;
-    let length_word = position as usize;
-    assert!(over.get(&pristine, length_word) >= 2);
-    let mut bytes = pristine.clone();
-    slots.set(&mut bytes, flagged, flag | (position + 1));
-    refused(bytes, "a flagged slot off the tiling of the runs");
-    let mut bytes = pristine.clone();
-    slots.set(&mut bytes, flagged, 0);
-    refused(bytes, "a flag cleared, leaving its run unreachable");
-    refused(word(length_word, n_over - position), "a length word overrunning the overflow column");
-    refused(word(length_word, 0), "length 0 behind a flag");
-    refused(word(length_word, 1), "length 1 behind a flag");
-    let second = over.get(&pristine, length_word + 2);
-    refused(word(length_word + 1, second), "an unsorted overflow run");
+    assert_eq!(slots.get(&pristine, flagged), flag, "run 0");
+    refused(set(slots, flagged, flag | 1), "a flagged slot naming the second run");
+    refused(set(slots, flagged, 0), "a flag cleared, leaving its run unreachable");
+    let first_end = ends.get(&pristine, 1);
+    refused(set(ends, 1, 0), "an empty run");
+    refused(set(ends, 1, first_end - 1), "a run shortened, its successor lengthened");
+    refused(set(ends, 0, 1), "run ends that do not start at the first id");
+    let second = keys.get(&pristine, 1);
+    refused(set(keys, 0, second), "an unsorted run");
     std::fs::write(&path, &pristine).unwrap();
     hex_disk::verify(&hex_disk::open_store(&path).unwrap()).expect("the pristine file verifies");
     std::fs::remove_file(&path).ok();
@@ -732,11 +741,13 @@ fn corrupt_packed_bytes_and_widths_open_as_corrupt_or_answer_without_a_panic() {
     let pristine = std::fs::read(&path).unwrap();
     let pats = probe_patterns(&hex_disk::open_store(&path).unwrap());
     let words = addressing_words(&pristine);
-    let counts = (words.slots.len(), words.overflow.len(), words.offsets.len());
-    assert_eq!((counts, words.vector_keys.len(), words.list_refs.len()), ((3, 3, 6), 6, 3));
+    let counts = (words.slots.len(), words.run_ends.len(), words.run_keys.len());
+    let levels = (words.offsets.len(), words.vector_keys.len(), words.list_refs.len());
+    assert_eq!((counts, levels), ((3, 3, 3), (6, 6, 3)));
     for p in words.packed() {
         // The padding between the width and the words must be zero.
-        for at in p.width_at + 4..p.col.offset {
+        let padding = p.width_at.map_or(0..0, |width_at| width_at + 4..p.col.offset);
+        for at in padding {
             let mut bytes = pristine.clone();
             bytes[at] ^= 0x01;
             std::fs::write(&path, &bytes).unwrap();
@@ -752,14 +763,15 @@ fn corrupt_packed_bytes_and_widths_open_as_corrupt_or_answer_without_a_panic() {
                 walk_every_shape_if_it_opens(&path, &pats);
             }
         }
+        let Some(width_at) = p.width_at else { continue };
         for width in (0..=40).chain([63, 64, 1 << 16, u32::MAX]) {
             let mut bytes = pristine.clone();
-            bytes[p.width_at..p.width_at + 4].copy_from_slice(&width.to_le_bytes());
+            bytes[width_at..width_at + 4].copy_from_slice(&width.to_le_bytes());
             std::fs::write(&path, &bytes).unwrap();
             match hex_disk::open_store(&path) {
                 Ok(_) => walk_every_shape_if_it_opens(&path, &pats),
                 Err(hex_disk::Error::Corrupt(_)) => assert!(width > 32 || width != p.col.width),
-                Err(e) => panic!("width {width} at {}: {e}", p.width_at),
+                Err(e) => panic!("width {width} at {width_at}: {e}"),
             }
             if width > 32 {
                 let err = hex_disk::open(&path).unwrap_err();

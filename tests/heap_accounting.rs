@@ -67,13 +67,13 @@ fn heap_bytes_is_what_the_allocator_gives_back() {
     assert_eq!(store.heap_bytes(), counted, "the paper queries decoded nothing to keep");
 
     // One `sorted_list` of a run decodes the `u32` copy of its arena's
-    // overflow column, and the store counts it from then on.
+    // key column, and the store counts it from then on.
     let spo = store.ordering(IndexKind::Spo);
     let (s, p, _) = spo.scan().find(|(_, _, list)| list.len() > 1).expect("a longer list");
     let lent = store.sorted_lists().unwrap().sorted_list(IdPattern::sp(s, p)).unwrap();
     assert_eq!(lent, spo.list(s, p).to_vec());
-    let copy = 4 * spo.arena.over.len();
-    assert_eq!(store.heap_bytes(), counted + copy, "the object lists' overflow, as u32s");
+    let copy = 4 * spo.arena.keys.len();
+    assert_eq!(store.heap_bytes(), counted + copy, "the object lists' run ids, as u32s");
 
     // The dictionary as a snapshot reload makes it: eagerly, every column
     // owned, and mapped, where its heap is the two reverse indexes and
@@ -109,7 +109,8 @@ fn heap_bytes_is_what_the_allocator_gives_back() {
     // dropping it gives back is its shared block — the mapping lives on
     // in the dictionary that shares it.
     let breakdown = mapped_store.heap_breakdown();
-    let nothing = HeapBreakdown { elias_fano: breakdown.elias_fano, ..HeapBreakdown::default() };
+    let (elias_fano, elias_fano_arenas) = (breakdown.elias_fano, breakdown.elias_fano_arenas);
+    let nothing = HeapBreakdown { elias_fano, elias_fano_arenas, ..HeapBreakdown::default() };
     assert_eq!(breakdown, nothing, "mapped columns hold no heap");
     assert_eq!(mapped_store.heap_bytes(), 0);
     assert_eq!(freed_by_dropping(mapped_store), block, "mapped store");

@@ -19,7 +19,7 @@
 //!   position and strictly ascending; it is `None` unless exactly two
 //!   positions are bound, and `Some` for every served two-bound shape;
 //!   `sorted_list` is the same list wherever it lends one — a run from
-//!   the arena's decoded `u32` copy of its overflow column, on every slab
+//!   the arena's decoded `u32` copy of its key column, on every slab
 //!   store — and lends every list on a store that keeps an ordering
 //!   headed by the list's position (all six orderings, or the mapped
 //!   store); every slab store is seen to lend a run and an absent pair,
@@ -499,12 +499,35 @@ fn a_store_of_only_longer_lists_obeys_the_read_contract() {
         (0..8u32).map(|i| IdTriple::from((i & 1, 10 + (i >> 1 & 1), 20 + (i >> 2)))).collect();
     let model = &model_of(&triples);
     let frozen = FrozenHexastore::from_triples(triples.iter().copied());
-    // Per arena four lists of two: twelve words of at most 5 bits (ids up
-    // to 21), one 64-bit word and the zero word after it.
-    assert_eq!(frozen.heap_breakdown().overflow, 3 * 16, "twelve lists of two");
+    // Per arena four runs of two: eight ids of at most 5 bits (ids up to
+    // 21) and five run ends of 3 bits, each column one 64-bit word and the
+    // zero word after it.
+    let heap = frozen.heap_breakdown();
+    assert_eq!((heap.run_keys, heap.run_ends), (3 * 16, 3 * 16), "twelve lists of two");
     check_slab(&frozen, model, "all-long");
     check(&frozen.clone().thaw(), model, Order::Routed, "all-long thawed");
     check_through_a_snapshot(&frozen, model, "all-long");
+}
+
+/// Two stores whose data picks the other encoding of their run ids: one
+/// where 80 consecutive subjects share a `(p, o)` pair beside the sample,
+/// a dense run of 11-bit ids that makes the subject lists' run ids
+/// Elias–Fano coded, and the sample alone, whose three arenas stay packed.
+/// Both obey the read contract, built, read back and mapped.
+#[test]
+fn stores_of_either_run_encoding_obey_the_read_contract() {
+    let dense: Vec<IdTriple> =
+        (1000..1080u32).map(|s| IdTriple::from((s, 60, 61))).chain(sample()).collect();
+    for (triples, coded) in [(dense, true), (sample(), false)] {
+        let model = &model_of(&triples);
+        let frozen = FrozenHexastore::from_triples(triples.iter().copied());
+        let arenas = frozen.heap_breakdown().elias_fano_arenas;
+        assert_eq!(arenas.contains(IndexKind::Pos), coded, "{arenas:?}");
+        assert!(!arenas.contains(IndexKind::Spo) && !arenas.contains(IndexKind::Sop));
+        let tag = if coded { "coded" } else { "packed" };
+        check_slab(&frozen, model, tag);
+        check_through_a_snapshot(&frozen, model, tag);
+    }
 }
 
 mod list_length_mixes {

@@ -225,37 +225,50 @@ fn frozen_heap_breakdown_is_the_closed_form_of_the_space_stats() {
         }
         // Per arena, its lists in their primary ordering's key order —
         // (s, p), (s, o), (p, o) — a slot one flag bit wider than the
-        // largest singleton id or overflow position, and for each longer
-        // list its length word and items, packed at the width of the
-        // largest such word.
+        // largest singleton id or run index, for each longer list its run's
+        // end at the width of the run ids' count, and the run ids packed at
+        // the width of the largest or Elias–Fano coded run by run,
+        // whichever takes fewer bytes.
         type List = fn(&IdTriple) -> ((Id, Id), Id);
         let arenas: [List; 3] =
             [|t| ((t.s, t.p), t.o), |t| ((t.s, t.o), t.p), |t| ((t.p, t.o), t.s)];
-        let (mut list_slots, mut overflow) = (0, 0);
-        for list in arenas {
+        let primaries =
+            [hexastore::IndexKind::Spo, hexastore::IndexKind::Sop, hexastore::IndexKind::Pos];
+        for (primary, list) in primaries.into_iter().zip(arenas) {
             let mut lists: BTreeMap<(Id, Id), Vec<Id>> = BTreeMap::new();
             for t in &triples {
                 let (key, item) = list(t);
                 lists.entry(key).or_default().push(item);
             }
-            let (mut at, mut max, mut max_word) = (0, 0, 0);
+            let (mut max, mut runs) = (0, Vec::new());
             for items in lists.values() {
                 if items.len() == 1 && items[0].0 < 1 << 31 {
                     max = max.max(items[0].0 as usize);
                 } else {
-                    max = max.max(at);
-                    at += items.len() + 1;
-                    let last = items.iter().max().map_or(0, |id| id.0 as usize);
-                    max_word = max_word.max(items.len()).max(last);
+                    max = max.max(runs.len());
+                    runs.push(items.iter().map(|id| id.0).collect::<Vec<u32>>());
                 }
             }
             if !lists.is_empty() {
-                list_slots += packed(lists.len(), 2 * max + 1);
+                expected.list_slots += packed(lists.len(), 2 * max + 1);
             }
-            overflow += packed(at, max_word);
+            let ids: usize = runs.iter().map(Vec::len).sum();
+            expected.run_ends += packed(runs.len() + 1, ids);
+            let max_id = runs.iter().flatten().copied().max().unwrap_or(0);
+            let as_packed = packed(ids, max_id as usize);
+            let max_first = runs.iter().map(|r| r[0]).max().unwrap_or(0);
+            let ef_bits: usize = runs.iter().map(|r| ef_window_bits(r)).sum();
+            let ef = packed(runs.len(), max_first as usize)
+                + packed(runs.len() + 1, ef_bits)
+                + stream(ef_bits)
+                + directory(ef_bits);
+            if ef < as_packed {
+                expected.run_keys += ef;
+                expected.elias_fano_arenas = expected.elias_fano_arenas.with(primary);
+            } else {
+                expected.run_keys += as_packed;
+            }
         }
-        // A singleton list is its slot.
-        (expected.list_slots, expected.overflow) = (list_slots, overflow);
         assert_eq!(frozen.heap_breakdown(), expected, "{how}");
         assert_eq!(frozen.heap_bytes(), expected.total(), "{how}");
         // What packing saves against whole `u32`s: on real data every
