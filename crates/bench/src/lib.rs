@@ -525,7 +525,7 @@ fn snapshot_size_rendered(fig: &FigureSpec, p: &Params) -> Rendered {
     let dict_heap = dict.heap_breakdown();
     let frozen_heap_bytes = frozen.heap_bytes();
     let heap = frozen.heap_breakdown();
-    let coded_arenas = heap.elias_fano_arenas;
+    let (coded_arenas, coded_refs) = (heap.elias_fano_arenas, heap.elias_fano_refs);
     let per_triple = |bytes: usize| bytes as f64 / triples.max(1) as f64;
     Rendered::with_counts(
         format!(
@@ -594,6 +594,10 @@ fn snapshot_size_rendered(fig: &FigureSpec, p: &Params) -> Rendered {
             ("frozen_elias_fano_arena_spo", Count::Flag(coded_arenas.contains(IndexKind::Spo))),
             ("frozen_elias_fano_arena_sop", Count::Flag(coded_arenas.contains(IndexKind::Sop))),
             ("frozen_elias_fano_arena_pos", Count::Flag(coded_arenas.contains(IndexKind::Pos))),
+            // Which mirror orderings' list references are Elias–Fano coded.
+            ("frozen_elias_fano_refs_pso", Count::Flag(coded_refs.contains(IndexKind::Pso))),
+            ("frozen_elias_fano_refs_osp", Count::Flag(coded_refs.contains(IndexKind::Osp))),
+            ("frozen_elias_fano_refs_ops", Count::Flag(coded_refs.contains(IndexKind::Ops))),
         ],
     )
 }
@@ -1302,12 +1306,12 @@ pub fn collect_evidence(params: &Params) -> Evidence {
 }
 
 impl Evidence {
-    /// `BENCH_ci.json`, schema 12: the two scales and every figure's
+    /// `BENCH_ci.json`, schema 13: the two scales and every figure's
     /// counts under its stem — no timings, so two runs of one build write
     /// the same bytes.
     pub fn bench_ci_json(&self) -> String {
         let mut json = format!(
-            "{{\n  \"schema\": 12,\n  \"figures_triples\": {},\n  \"load_triples\": {}",
+            "{{\n  \"schema\": 13,\n  \"figures_triples\": {},\n  \"load_triples\": {}",
             self.params.triples, self.params.large_triples
         );
         for (stem, counts) in &self.counts {
@@ -1447,6 +1451,7 @@ mod tests {
             "frozen_vector_key_rank_bytes",
             "frozen_elias_fano_pso",
             "frozen_elias_fano_arena_pos",
+            "frozen_elias_fano_refs_pso",
             "plans",
             "entries_after_70000",
         ] {

@@ -188,12 +188,20 @@ pub struct IndexView<'a> {
     pub offs: PackedView<'a>,
     /// Vector keys, sorted within each header's window.
     pub k2: KeysView<'a>,
-    /// Terminal-list index per leaf, into the ordering's arena; parallel
-    /// to `k2` and of the same length. `None` for a *primary* ordering —
-    /// the one whose leaf order is the arena's list order — where leaf `i`
-    /// is list `i` and the column would be the identity.
-    pub lists: Option<PackedView<'a>>,
+    /// Terminal-list index per leaf, into the ordering's arena; windowed
+    /// by `offs` as `k2` is, strictly ascending within each window, and
+    /// packed or Elias–Fano coded as vector keys are. `None` for a
+    /// *primary* ordering — the one whose leaf order is the arena's list
+    /// order — where leaf `i` is list `i` and the column would be the
+    /// identity.
+    pub lists: Option<KeysView<'a>>,
 }
+
+/// The list a leaf whose reference cannot be read names: an index past
+/// every slot column (a list index is below 2^32), which
+/// [`ArenaView::get`] reads as the empty list — not list 0, which is
+/// another key's list.
+const MISSING: u32 = u32::MAX;
 
 impl<'a> IndexView<'a> {
     /// The clamped leaf window of header number `h`.
@@ -210,25 +218,29 @@ impl<'a> IndexView<'a> {
         self.keys.rank(k1).map_or((0, 0..0), |h| (h, self.window_at(h)))
     }
 
-    /// The terminal-list index of leaf `i`.
+    /// The terminal-list index of leaf `i` of header `h`'s `window`: a
+    /// reference that does not read is [`MISSING`].
     #[inline]
-    fn list_at(self, i: usize) -> u32 {
-        self.lists.map_or(i as u32, |lists| lists.get(i))
+    fn list_at(self, h: usize, window: Range<usize>, i: usize) -> u32 {
+        match self.lists {
+            Some(lists) => lists.get(h, window, i).unwrap_or(MISSING),
+            None => (window.start + i) as u32,
+        }
     }
 
     /// The `(k2, list)` leaves of header `h`'s `window`, decoded
-    /// sequentially.
+    /// sequentially; a reference that does not read is [`MISSING`].
     #[inline]
     pub(crate) fn leaves(
         self,
         h: usize,
         window: Range<usize>,
     ) -> impl Iterator<Item = (Id, u32)> + 'a {
-        let mut refs = self.lists.map(|lists| lists.iter(window.clone()));
+        let mut refs = self.lists.map(|lists| lists.iter(h, window.clone()));
         let start = window.start as u32;
         self.k2.iter(h, window).enumerate().map(move |(i, k2)| {
             let list = match &mut refs {
-                Some(refs) => refs.next().unwrap_or(0),
+                Some(refs) => refs.next().unwrap_or(MISSING),
                 None => start.wrapping_add(i as u32),
             };
             (Id(k2), list)
@@ -240,7 +252,7 @@ impl<'a> IndexView<'a> {
     #[inline]
     pub fn list_idx(self, k1: Id, k2: Id) -> Option<u32> {
         let (h, window) = self.window(k1);
-        self.k2.search(h, window.clone(), k2.0).ok().map(|i| self.list_at(window.start + i))
+        self.k2.search(h, window.clone(), k2.0).ok().map(|i| self.list_at(h, window, i))
     }
 }
 
@@ -599,7 +611,8 @@ mod tests {
             copy: &copy,
         };
         let k2 = KeysView::Packed(k2.view());
-        let ix = IndexView { keys: keys.view(), offs: offs.view(), k2, lists: Some(lists.view()) };
+        let lists = Some(KeysView::Packed(lists.view()));
+        let ix = IndexView { keys: keys.view(), offs: offs.view(), k2, lists };
         let ord = SlabOrdering { index: ix, arena };
         assert_eq!(ord.list(Id(1), Id(5)), &[Id(10), Id(11)], "list run clamped to the column");
         assert_eq!(ord.list(Id(1), Id(6)), &[] as &[Id], "dangling list index reads empty");
@@ -614,6 +627,25 @@ mod tests {
         assert_eq!(primary.list(Id(1), Id(5)), &[Id(10), Id(11)]);
         assert_eq!(primary.list(Id(1), Id(6)), &[] as &[Id], "dangling run");
         assert_eq!(primary.scan().map(|(_, _, list)| list.len()).sum::<usize>(), 2);
+        // A reference that does not read names no list — not list 0, which
+        // is another key's: a packed column shorter than the leaves, and
+        // an Elias–Fano window whose bit offset is past its stream, which
+        // reads as its first reference alone.
+        let short = PackedColumn::from_values(&[1]);
+        let coded =
+            crate::succinct::EfColumn::from_windows(&[0, 1], &PackedColumn::from_values(&[0, 2]));
+        let past = PackedColumn::from_values(&[100, 200]);
+        let corrupt = crate::succinct::EfView { offs: past.view(), ..coded.view() };
+        for (refs, first) in
+            [(KeysView::Packed(short.view()), 1), (KeysView::EliasFano(corrupt), 0)]
+        {
+            let ord = SlabOrdering { index: IndexView { lists: Some(refs), ..ix }, arena };
+            let read: Vec<Vec<Id>> = ord.division(Id(1)).map(|(_, list)| list.to_vec()).collect();
+            assert_eq!(read[0], arena.get(first).to_vec(), "the first leaf reads list {first}");
+            assert_eq!(read[1], &[] as &[Id], "the unread reference reads empty");
+            assert_eq!(ord.list(Id(1), Id(6)), &[] as &[Id], "a probe of it too");
+            assert_eq!(ord.scan().count(), 2);
+        }
         // Every other way a slot or a run end can be wrong, in slots 4 bits
         // wide (flag 8), over a key column packed and Elias–Fano coded: a
         // backwards run, a run cut to the column, a run starting past it,

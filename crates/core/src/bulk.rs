@@ -404,11 +404,15 @@ fn leaves(
 
 /// The size of a mirror ordering about to be built from its sorted
 /// `(k1, k2, list)` leaves: one header per distinct `k1`, whose window
-/// holds its `k2`s.
+/// holds its `k2`s and their lists. Sorted by `(k1, k2)`, a window's lists
+/// ascend too — the primary's leaves run in `(k2, k1)` order — so they
+/// are sized as its keys are.
 fn mirror_size(entries: &[(Id, Id, u32)]) -> LevelSize {
     let mut size = LevelSize::default();
     for group in entries.chunk_by(|a, b| a.0 == b.0) {
-        size.add(group[0].0, group.len(), group[0].1, group[group.len() - 1].1);
+        let (first, last) = (group[0], group[group.len() - 1]);
+        size.add(first.0, group.len(), first.1, last.1);
+        size.refs.add(group.len(), Id(first.2), Id(last.2));
     }
     size
 }
@@ -541,10 +545,11 @@ mod tests {
                 && c.view().validate().is_ok()
         };
         for ix in built.orderings() {
-            assert!(exact(&ix.offs) && ix.lists.as_ref().is_none_or(exact));
+            assert!(exact(&ix.offs));
         }
-        // The header bitmaps and the vector keys hold no more than their
-        // images, which are what the eager reader keeps of them.
+        // The header bitmaps, the vector keys and the mirrors' references
+        // hold no more than their images, which are what the eager reader
+        // keeps of them.
         let mut w = crate::hexsnap::Writer::new(std::io::Cursor::new(Vec::new())).unwrap();
         w.frozen(&built).unwrap();
         let file = w.finish().unwrap().into_inner();

@@ -24,12 +24,13 @@
 //! a presence bitmap with a rank directory — finding a header is a rank,
 //! not a binary search — or, where the keys are sparse in the id space,
 //! one Elias–Fano window; its vector keys are packed at the width of the
-//! largest or Elias–Fano coded window by window; and an arena's longer
-//! lists are runs of one key column cut by a run-ends column, the way
-//! vector keys are windows, packed or Elias–Fano coded run by run. Each
-//! encoding is chosen per ordering or arena, from counts the builder
-//! gathers before it writes, as the smaller of the two: no option selects
-//! it.
+//! largest or Elias–Fano coded window by window; a mirror's list
+//! references, which strictly ascend within each of its windows, are
+//! coded the same way over the same windows; and an arena's longer lists
+//! are runs of one key column cut by a run-ends column, the way vector
+//! keys are windows, packed or Elias–Fano coded run by run. Each encoding
+//! is chosen per ordering or arena, from counts the builder gathers
+//! before it writes, as the smaller of the two: no option selects it.
 //!
 //! Reads go through [`OrderedStore::ordering`]: the paper's "spo property
 //! vector of s" is `ordering(IndexKind::Spo).division(s)`, "the objects
@@ -49,7 +50,7 @@ use crate::packed::PackedColumn;
 use crate::slab::FlatArena;
 use crate::sorted;
 use crate::store::SpaceStats;
-use crate::succinct::{HeaderColumn, HeaderSize, KeyColumn, KeySize};
+use crate::succinct::{windows_of, HeaderColumn, HeaderSize, KeyColumn, KeySize};
 use crate::traits::TripleStore;
 use hex_dict::{Id, IdTriple};
 use std::ops::Range;
@@ -59,27 +60,34 @@ use std::sync::Arc;
 /// key of the `keys` column and its leaves are `offs[h]..offs[h + 1]` of
 /// the `k2` column (so `offs` has one entry more than there are headers).
 /// A mirror ordering's `lists` holds each leaf's terminal-list index in
-/// the ordering's [`FlatArena`]; a primary ordering has none, because its
-/// leaf `i` is list `i`. The header keys are a presence bitmap with a rank
-/// directory or one Elias–Fano window, the vector keys packed or
-/// Elias–Fano coded, each whichever is smaller ([`crate::succinct`]); the
-/// offsets and list references are
+/// the ordering's [`FlatArena`], windowed by `offs` as `k2` is; a primary
+/// ordering has none, because its leaf `i` is list `i`. The header keys
+/// are a presence bitmap with a rank directory or one Elias–Fano window,
+/// the vector keys and the list references each packed or Elias–Fano
+/// coded, each whichever is smaller ([`crate::succinct`]); the offsets are
 /// packed at the width their largest value needs ([`crate::packed`]).
+///
+/// A mirror's references strictly ascend within each window: its primary
+/// lays its leaves out by the mirror's vector key first, so the leaves of
+/// one mirror header, in vector-key order, are lists in list order. That
+/// is what lets them be coded as vector keys are.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub(crate) struct FrozenIndex {
     pub(crate) keys: HeaderColumn,
     pub(crate) offs: PackedColumn,
     pub(crate) k2: KeyColumn,
-    pub(crate) lists: Option<PackedColumn>,
+    pub(crate) lists: Option<KeyColumn>,
 }
 
 /// What an ordering needs, counted before it is built: its header keys
-/// ([`HeaderSize`]) and its vector-key windows ([`KeySize`]), each of
-/// which also chooses its encoding.
+/// ([`HeaderSize`]), its vector-key windows ([`KeySize`]) and, for a
+/// mirror, the same windows of its list references, each of which also
+/// chooses its encoding.
 #[derive(Clone, Copy, Debug, Default)]
 pub(crate) struct LevelSize {
     pub(crate) headers: HeaderSize,
     pub(crate) keys: KeySize,
+    pub(crate) refs: KeySize,
 }
 
 impl LevelSize {
@@ -108,11 +116,7 @@ impl FrozenIndex {
     /// An empty mirror ordering with exact room for what `size` counted,
     /// referencing the lists of its primary, one per leaf.
     pub(crate) fn mirror(size: LevelSize) -> Self {
-        let last_list = u32::try_from(size.keys.keys.saturating_sub(1)).expect("2^32 lists");
-        FrozenIndex {
-            lists: Some(PackedColumn::with_capacity(size.keys.keys, last_list)),
-            ..Self::primary(size)
-        }
+        FrozenIndex { lists: Some(KeyColumn::with_capacity(size.refs)), ..Self::primary(size) }
     }
 
     /// Appends one `(k2, list)` leaf to the open `k1` group. A primary
@@ -132,6 +136,9 @@ impl FrozenIndex {
         self.keys.push(k1);
         self.offs.push(end);
         self.k2.end_window();
+        if let Some(lists) = &mut self.lists {
+            lists.end_window();
+        }
     }
 
     /// Each header key with its header number and leaf range, in key
@@ -152,7 +159,7 @@ impl FrozenIndex {
             keys: self.keys.view(),
             offs: self.offs.view(),
             k2: self.k2.view(),
-            lists: self.lists.as_ref().map(PackedColumn::view),
+            lists: self.lists.as_ref().map(KeyColumn::view),
         }
     }
 
@@ -164,10 +171,9 @@ impl FrozenIndex {
         self.k2.len()
     }
 
-    /// Heap bytes of the packed list-reference column (zero for a
-    /// primary).
+    /// Heap bytes of the list-reference column (zero for a primary).
     fn list_ref_bytes(&self) -> usize {
-        self.lists.as_ref().map_or(0, PackedColumn::heap_bytes)
+        self.lists.as_ref().map_or(0, KeyColumn::heap_bytes)
     }
 
     /// Adds this ordering's columns to `b`, as ordering `kind`.
@@ -175,6 +181,9 @@ impl FrozenIndex {
         b.header_keys += self.keys.heap_bytes();
         b.header_offsets += self.offs.heap_bytes();
         b.mirror_list_refs += self.list_ref_bytes();
+        if let Some(KeyColumn::EliasFano(_)) = self.lists {
+            b.elias_fano_refs = b.elias_fano_refs.with(kind);
+        }
         match &self.k2 {
             KeyColumn::Packed(column) => b.vector_keys_packed += column.heap_bytes(),
             KeyColumn::EliasFano(column) => {
@@ -199,43 +208,60 @@ impl FrozenIndex {
     /// key, and every list reference in range for the `arena_lists`-sized
     /// arena (a primary's implicit references are in range when it has
     /// exactly `arena_lists` leaves). The header keys ascend and each
-    /// group's vector keys ascend by [`HeaderColumn::check`] and
-    /// [`KeyColumn::check`], which the eager reader runs before this on
-    /// every store it loads, whatever the format version.
+    /// group's vector keys and list references ascend by
+    /// [`HeaderColumn::check`] and [`KeyColumn::check`], which the eager
+    /// reader runs before this on every store it loads, whatever the
+    /// format version.
     pub(crate) fn is_consistent(&self, arena_lists: usize) -> bool {
         let leaves = self.k2.len();
         let refs_valid = match &self.lists {
             Some(lists) => {
-                lists.len() == leaves && lists.values().all(|l| (l as usize) < arena_lists)
+                let refs = lists.view();
+                lists.len() == leaves
+                    && windows_of(self.offs.view())
+                        .enumerate()
+                        .all(|(h, w)| refs.iter(h, w).all(|l| (l as usize) < arena_lists))
             }
             None => leaves == arena_lists,
         };
         refs_valid && tiles(&self.offs, self.keys.len(), leaves)
     }
 
-    /// Assembles an index from header keys and vector keys in the plain
-    /// form a pre-v9 snapshot and the compressed section decode to, the
-    /// keys taking the encodings their sizes choose. The keys must be
-    /// strictly ascending and `offs` must tile `k2` into strictly
-    /// ascending windows — checked here, as encoding keys that do not
-    /// ascend has no meaning. `None` otherwise. The rest of
-    /// [`FrozenIndex::is_consistent`] is the loader's to check.
+    /// Assembles an index from header keys, vector keys and (a mirror's)
+    /// list references in the plain form a pre-v9 snapshot and the
+    /// compressed section decode to, each taking the encoding its sizes
+    /// choose. The keys must be strictly ascending and `offs` must tile
+    /// `k2` and `lists` into strictly ascending windows — checked here, as
+    /// encoding keys that do not ascend has no meaning. `None` otherwise.
+    /// The rest of [`FrozenIndex::is_consistent`] is the loader's to check.
     pub(crate) fn from_plain_parts(
         keys: &[Id],
         offs: PackedColumn,
         k2: &[u32],
-        lists: Option<PackedColumn>,
+        lists: Option<&[u32]>,
     ) -> Option<Self> {
-        let ascend = |run: &[u32]| run.windows(2).all(|w| w[0] < w[1]);
-        let windows = || offs.values().zip(offs.values().skip(1));
-        let runs_ascend = tiles(&offs, keys.len(), k2.len())
-            && windows().all(|(lo, hi)| ascend(&k2[lo as usize..hi as usize]));
-        if !(runs_ascend && sorted::is_sorted_set(keys)) {
+        if !sorted::is_sorted_set(keys) || offs.len() != keys.len() + 1 {
             return None;
         }
-        let k2 = KeyColumn::of_windows(k2, &offs);
+        let k2 = windowed(k2, &offs)?;
+        let lists = match lists {
+            Some(refs) => Some(windowed(refs, &offs)?),
+            None => None,
+        };
         Some(FrozenIndex { keys: HeaderColumn::from_sorted(keys), offs, k2, lists })
     }
+}
+
+/// `keys` as the key column `offs` windows, in the encoding their sizes
+/// choose; `None` unless `offs` tiles them into non-empty windows, each
+/// strictly ascending. How plain vector keys and a mirror's plain list
+/// references — a pre-v13 section's packed column, a compressed
+/// section's varints — become the columns an ordering keeps.
+pub(crate) fn windowed(keys: &[u32], offs: &PackedColumn) -> Option<KeyColumn> {
+    let ascend = |run: &[u32]| run.windows(2).all(|w| w[0] < w[1]);
+    let runs_ascend = tiles(offs, offs.len().checked_sub(1)?, keys.len())
+        && windows_of(offs.view()).all(|w| ascend(&keys[w]));
+    runs_ascend.then(|| KeyColumn::of_windows(keys, offs))
 }
 
 /// True when `offs` cuts `leaves` vector keys into one non-empty window
@@ -263,7 +289,8 @@ pub struct HeapBreakdown {
     /// [`SortedListAccess::sorted_list`](crate::SortedListAccess::sorted_list)
     /// has decoded them.
     pub run_keys: usize,
-    /// List references of the three mirror orderings (primaries store none).
+    /// List references of the three mirror orderings (primaries store
+    /// none), packed or Elias–Fano coded.
     pub mirror_list_refs: usize,
     /// Header keys: the six orderings' presence bitmaps and their rank
     /// directories, or Elias–Fano windows where those are smaller.
@@ -287,6 +314,8 @@ pub struct HeapBreakdown {
     /// object lists, sop for the property lists, pos for the subject
     /// lists).
     pub elias_fano_arenas: IndexSet,
+    /// The mirror orderings whose list references are Elias–Fano coded.
+    pub elias_fano_refs: IndexSet,
 }
 
 impl HeapBreakdown {
@@ -644,7 +673,12 @@ mod tests {
     fn raw_index_levels_must_tile_and_ascend_within_each_group() {
         let raw = |offs: &[u32], k2: &[u32]| {
             let offs = PackedColumn::from_values(offs);
-            FrozenIndex::from_plain_parts(&[Id(1), Id(2)], offs, k2, None).is_some()
+            let primary = FrozenIndex::from_plain_parts(&[Id(1), Id(2)], offs.clone(), k2, None);
+            // The same windows as a mirror's list references.
+            let refs =
+                FrozenIndex::from_plain_parts(&[Id(1), Id(2)], offs, &[0, 1, 2, 3], Some(k2));
+            assert_eq!(primary.is_some(), refs.is_some());
+            primary.is_some()
         };
         assert!(raw(&[0, 2, 4], &[5, 9, 3, 7]), "a group may start below the last");
         assert!(!raw(&[0, 2, 4], &[9, 5, 3, 7]), "descending within a group");

@@ -14,7 +14,7 @@
 //! ```text
 //! offset   size  field
 //! 0        8     magic "hexsnap\0"
-//! 8        4     format version (u32, currently 12)
+//! 8        4     format version (u32, currently 13)
 //! 12       …     section payloads, back to back
 //! …        var   section table: u32 count, then per section
 //!                [u8; 4] tag · u64 offset · u64 length
@@ -86,7 +86,7 @@
 //!   between key order and the first-seen ids. The delta tier follows in
 //!   v10's layout, byte for byte, and `FROZ` and `FRZC` are v10's. A
 //!   graph interned term by term has an empty frozen tier.
-//! - **v12** (current) — a `FROZ` arena is a slot column, a run-ends
+//! - **v12** — a `FROZ` arena is a slot column, a run-ends
 //!   column and a key column ([`crate::slab`] has the encoding): a
 //!   flagged slot holds its list's run index, the run ends cut the key
 //!   column into runs as an ordering's offsets cut its vector keys, and
@@ -95,8 +95,15 @@
 //!   column whose width the count fields give — the run ends, every bit
 //!   stream's rank directory — stores no width field. `DICT` and `FRZC`
 //!   are v11's byte for byte.
+//! - **v13** (current) — a `FROZ` mirror ordering's list references are
+//!   windowed by its offsets as its vector keys are — within each window
+//!   they strictly ascend, as the primary lays its leaves out by the
+//!   mirror's vector key first — and stored as vector keys are: packed,
+//!   or Elias–Fano coded window by window, whichever is smaller, an
+//!   encoding flag (bit 2) saying which. Packed, they are v12's column
+//!   byte for byte. `DICT`, the arenas and `FRZC` are v12's byte for byte.
 //!
-//! [`Writer`] writes v12; [`Reader`] opens all twelve. Where every column of
+//! [`Writer`] writes v13; [`Reader`] opens all thirteen. Where every column of
 //! a `DICT` or `FROZ` section lies is said once per section, by a walker
 //! that reads only the count fields: [`Reader::dict_columns`] and
 //! [`Reader::frozen_columns`], the only code that knows how the column
@@ -116,14 +123,17 @@
 //! slot column and a pre-v8 arena's `u32` overflow column, a pre-v9
 //! ordering's header and vector keys, checked ascending, take the
 //! encodings their sizes choose, a pre-v10 dictionary's `u32` columns
-//! are packed, and a v4–v11 arena's overflow runs, checked as that layout
-//! was, become the runs of a key column. Every eager load of slabs —
-//! `FROZ` of any version, or the decoded `FRZC` payload — then ends in
-//! the same check of the built store. Only a v10, v11 or v12 file has the
-//! index columns `hex-disk` maps (a v10 one with an empty frozen tier; a
-//! v10 or v11 one's arenas are rebuilt, owned, on the way;
-//! [`mapping_refusal`] says why an older one is refused); older files go
-//! through [`load_frozen`] and a re-save.
+//! are packed, a v4–v11 arena's overflow runs, checked as that layout
+//! was, become the runs of a key column, and a v3–v12 mirror's list
+//! references, checked canonical and strictly ascending within each
+//! window, become a key column windowed by its offsets. Every eager load
+//! of slabs — `FROZ` of any version, or the decoded `FRZC` payload — then
+//! ends in the same check of the built store. Only a v10 to v13 file has
+//! the index columns `hex-disk` maps (a v10 one with an empty frozen
+//! tier; a v10 or v11 one's arenas and a v10 to v12 one's list
+//! references are rebuilt, owned, on the way; [`mapping_refusal`] says
+//! why an older one is refused); older files go through [`load_frozen`]
+//! and a re-save.
 //!
 //! Defined sections:
 //!
@@ -185,8 +195,9 @@
 //!   cumulative offsets into the vector column, `u32 n_vector`,
 //!   `n_vector` vector keys and — mirror orderings only — `n_vector` list
 //!   references. From v9 the header keys are `u32 flags` (bit 0: the
-//!   header keys are Elias–Fano coded, bit 1: the vector keys are; no
-//!   other bit is set) and then either `u32 n_bits`, the bitmap as a
+//!   header keys are Elias–Fano coded, bit 1: the vector keys are, from
+//!   v13 bit 2 on a mirror: its list references are; no other bit is
+//!   set) and then either `u32 n_bits`, the bitmap as a
 //!   packed column of `n_bits` values of width 1 (the largest key's bit
 //!   the last) and its rank directory, a packed column of one sample per
 //!   512-bit block after the first; or an Elias–Fano column of one window;
@@ -194,6 +205,10 @@
 //!   Elias–Fano column of `n_headers` windows: a packed base column (each
 //!   window's first key), a packed column of `n_windows + 1` bit offsets,
 //!   `u32 n_bits`, the stream (packed, width 1) and its rank directory.
+//!   From v13 a mirror's list references are coded the same way, packed
+//!   or an Elias–Fano column of `n_headers` windows, each window the
+//!   references of one header's leaves; before, they are one packed
+//!   column that no window cuts.
 //!   From v12 a rank directory stores no width field: its width is the
 //!   bit length of its stream's length (0 with no sample), and its words
 //!   follow the stream's.
@@ -222,7 +237,7 @@
 //! reason.
 
 use crate::advisor::IndexKind;
-use crate::frozen::{FrozenHexastore, FrozenIndex};
+use crate::frozen::{windowed, FrozenHexastore, FrozenIndex};
 use crate::graph::GraphStore;
 use crate::packed::{bytes_for, width_of, Bytes, PackedColumn, PackedView, MAX_WIDTH};
 use crate::pattern::IdPattern;
@@ -243,11 +258,13 @@ use std::path::Path;
 pub const MAGIC: [u8; 8] = *b"hexsnap\0";
 
 /// The current format version. [`Reader`] accepts `1..=VERSION`.
-pub const VERSION: u32 = 12;
+pub const VERSION: u32 = 13;
 
 /// The oldest format version `hex-disk` maps: v10 and v11 differ only in
-/// the frozen dictionary tier v11 adds, which a v10 file lacks, and v12
-/// only in its arenas, which a v10 or v11 file's are rebuilt into.
+/// the frozen dictionary tier v11 adds, which a v10 file lacks, v12 only
+/// in its arenas, which a v10 or v11 file's are rebuilt into, and v13
+/// only in its list references, which a v10 to v12 file's are rebuilt
+/// into.
 const MAPPABLE: u32 = 10;
 
 /// Why `hex-disk` refuses to map a file of format `version`, naming the
@@ -311,6 +328,9 @@ const HEADERS_CODED: u32 = 1;
 /// A v9 ordering's encoding flag: its vector keys are Elias–Fano windows,
 /// not packed.
 const KEYS_CODED: u32 = 2;
+/// A v13 mirror ordering's encoding flag: its list references are
+/// Elias–Fano windows, not packed.
+const REFS_CODED: u32 = 4;
 
 /// How [`Writer::frozen_with`] stores the prebuilt slab sections.
 ///
@@ -662,6 +682,9 @@ impl<W: Write + Seek> Writer<W> {
             if matches!(k2, KeysView::EliasFano(_)) {
                 flags |= KEYS_CODED;
             }
+            if let Some(KeyColumn::EliasFano(_)) = ix.lists {
+                flags |= REFS_CODED;
+            }
             w_u32(&mut self.w, flags)?;
             match keys {
                 HeadersView::Bitmap(map) => {
@@ -675,7 +698,7 @@ impl<W: Write + Seek> Writer<W> {
             w_u32(&mut self.w, count(ix.k2.len(), "vector entries")?)?;
             self.keys(k2)?;
             if let Some(lists) = &ix.lists {
-                self.packed(lists.view())?;
+                self.keys(lists.view())?;
             }
         }
         self.end_section(TAG_FROZ, start)
@@ -933,6 +956,28 @@ impl VectorKeys {
     }
 }
 
+/// How a `FROZ` ordering stores its list references.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub enum ListRefs {
+    /// One integer per leaf, `u32`s before v6 and packed from v6 on, as
+    /// one column the windows do not cut (before v13).
+    Plain(Ints),
+    /// Windowed by the ordering's offsets as its vector keys are, each
+    /// window strictly ascending: packed, or Elias–Fano coded window by
+    /// window (v13).
+    Windows(VectorKeys),
+}
+
+impl ListRefs {
+    /// The integer column of a file before v13.
+    pub fn plain(self) -> Option<Ints> {
+        match self {
+            ListRefs::Plain(ints) => Some(ints),
+            ListRefs::Windows(_) => None,
+        }
+    }
+}
+
 /// The columns of one `FROZ` ordering.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub struct OrderingColumns {
@@ -940,11 +985,13 @@ pub struct OrderingColumns {
     pub keys: Headers,
     /// Each header's window into the vector keys.
     pub windows: Windows,
+    /// The vector count the section declares: the ordering's leaves.
+    pub vector: usize,
     /// The vector keys.
     pub k2: VectorKeys,
     /// The list references: mirror orderings only from v3 on, every
     /// ordering before.
-    pub lists: Option<Ints>,
+    pub lists: Option<ListRefs>,
     /// Index into [`FrozenColumns::arenas`] of the arena holding this
     /// ordering's lists.
     pub arena: usize,
@@ -1273,7 +1320,10 @@ impl<R: Read + Seek> Reader<R> {
     /// `u32`s before v9 ([`Headers::U32`]) and a bitmap or an Elias–Fano
     /// window from v9 on, its vector keys packed or Elias–Fano coded as
     /// its encoding flags say (every bit stream's widths checked to be
-    /// those of a stream and its directory). A primary ordering whose
+    /// those of a stream and its directory), and a mirror's list
+    /// references one packed column before v13 ([`ListRefs::Plain`]) and
+    /// from v13 on windowed, packed or Elias–Fano coded as its flags say
+    /// ([`ListRefs::Windows`]). A primary ordering whose
     /// vector count is not its arena's list count is refused too, as no
     /// column's length need hang on it.
     pub fn frozen_columns(&mut self) -> Result<FrozenColumns> {
@@ -1284,6 +1334,7 @@ impl<R: Read + Seek> Reader<R> {
         let packed_slots = self.version >= 7;
         let packed_overflow = self.version >= 8;
         let succinct = self.version >= 9;
+        let windowed_refs = self.version >= 13;
         let mut walk = self.walk(TAG_FROZ)?;
         let windows = |walk: &mut Walk<'_, R>, n: u64, what: &str| -> Result<Windows> {
             Ok(if pairs {
@@ -1344,7 +1395,8 @@ impl<R: Read + Seek> Reader<R> {
         for (which, kind) in IndexKind::ALL.into_iter().enumerate() {
             let headers = walk.count32("ordering header count")?;
             let flags = if succinct { walk.count32("ordering encoding flags")? as u32 } else { 0 };
-            if flags & !(HEADERS_CODED | KEYS_CODED) != 0 {
+            let refs_flag = if windowed_refs && kind.is_mirror() { REFS_CODED } else { 0 };
+            if flags & !(HEADERS_CODED | KEYS_CODED | refs_flag) != 0 {
                 return corrupt(format!("unknown ordering encoding flags {flags:#x}"));
             }
             let keys = if !succinct {
@@ -1369,12 +1421,19 @@ impl<R: Read + Seek> Reader<R> {
             } else {
                 VectorKeys::EliasFano(walk.elias_fano(headers, "ordering vector keys")?)
             };
-            let lists = if pairs || kind.is_mirror() {
-                Some(walk.ints(packed, vector, "ordering list column")?)
-            } else {
+            let lists = if !(pairs || kind.is_mirror()) {
                 None
+            } else if !windowed_refs {
+                Some(ListRefs::Plain(walk.ints(packed, vector, "ordering list column")?))
+            } else if flags & REFS_CODED == 0 {
+                let refs = walk.ints(true, vector, "ordering list references")?;
+                Some(ListRefs::Windows(VectorKeys::Ints(refs)))
+            } else {
+                let refs = walk.elias_fano(headers, "ordering list references")?;
+                Some(ListRefs::Windows(VectorKeys::EliasFano(refs)))
             };
-            orderings.push(OrderingColumns { keys, windows, k2, lists, arena: ARENA_OF[which] });
+            let (vector, arena) = (checked_len(vector, "ordering vector")?, ARENA_OF[which]);
+            orderings.push(OrderingColumns { keys, windows, vector, k2, lists, arena });
         }
         Ok(FrozenColumns {
             triples: checked_len(triples, "triple")?,
@@ -1579,12 +1638,13 @@ impl<R: Read + Seek> Reader<R> {
                     };
                     refs.push(l);
                 }
-                Some(PackedColumn::from_values(&refs))
+                Some(refs)
             } else {
                 None
             };
             let k2: Vec<u32> = k2.iter().map(|id| id.0).collect();
-            orderings.push(plain_ordering(&keys, offs, &k2, kept_refs(refs, kind)?)?);
+            let refs = kept_refs(refs, kind)?;
+            orderings.push(plain_ordering(&keys, offs, &k2, refs.as_deref())?);
         }
         if pos != payload_len {
             return corrupt("compressed payload has trailing bytes");
@@ -1657,14 +1717,7 @@ impl<F: FnMut(Range<usize>) -> Result<Bytes>> Source<F> {
             ArenaColumns::Runs { slots, ends, keys, len } => {
                 let slots = self.packed(slots, "arena slot column")?;
                 let ends = self.packed(ends, "arena run-ends column")?;
-                let keys = match keys {
-                    VectorKeys::Ints(keys) => {
-                        KeyColumn::Packed(self.ints(keys, "arena key column")?)
-                    }
-                    VectorKeys::EliasFano(ef) => {
-                        KeyColumn::EliasFano(self.elias_fano(ef, len, "arena run keys")?)
-                    }
-                };
+                let keys = self.keys(keys, len, "arena run keys")?;
                 Ok(FlatArena::unchecked(slots, ends, keys, items))
             }
             ArenaColumns::Slots { slots, over } => {
@@ -1684,6 +1737,15 @@ impl<F: FnMut(Range<usize>) -> Result<Bytes>> Source<F> {
                     .ok_or_else(|| Error::Corrupt("arena columns do not hold sorted lists".into()))
             }
         }
+    }
+
+    /// A key column of `len` keys, packed or Elias–Fano coded, taken as
+    /// it is.
+    fn keys(&mut self, keys: VectorKeys, len: usize, what: &str) -> Result<KeyColumn> {
+        Ok(match keys {
+            VectorKeys::Ints(keys) => KeyColumn::Packed(self.ints(keys, what)?),
+            VectorKeys::EliasFano(ef) => KeyColumn::EliasFano(self.elias_fano(ef, len, what)?),
+        })
     }
 
     /// An Elias–Fano column of `len` keys, taken as it is.
@@ -1767,13 +1829,14 @@ fn arena_of_length_words(
 ///
 /// A section of an older version becomes the current layout on the way,
 /// as the [module docs](self) list. That reads and rebuilds the columns it
-/// converts, so only a v9-or-later section is taken without reading a
-/// column; `hex-disk` maps v10 and v11 files only.
+/// converts, so only a v13 section is taken without reading a column;
+/// `hex-disk` maps v10 to v13 files only, reading the arenas of a v10 or
+/// v11 file and the list references of a v10 to v12 one.
 ///
 /// # Trust model
 ///
-/// What is checked here for a v9-or-later section touches no column:
-/// `source` refuses a column it cannot give. The columns' data-level
+/// What is checked here for a v13 section touches no column: `source`
+/// refuses a column it cannot give. The columns' data-level
 /// invariants — canonical packed images, sorted keys, offsets tiling,
 /// Elias–Fano windows that decode to their keys, rank samples that agree
 /// with their bits, list references in range, arenas that hold one item
@@ -1797,8 +1860,9 @@ pub fn frozen_from_columns(
     let mut orderings = Vec::with_capacity(6);
     for (kind, ix) in IndexKind::ALL.into_iter().zip(columns.orderings) {
         let offs = source.offsets(ix.windows, "ordering offsets column")?;
-        let read = ix.lists.map(|l| source.ints(l, "ordering list column")).transpose()?;
-        let lists = kept_refs(read, kind)?;
+        let plain = ix.lists.and_then(ListRefs::plain);
+        let plain = plain.map(|refs| source.values(refs, "ordering list column")).transpose()?;
+        let plain = kept_refs(plain, kind)?;
         let keys = match ix.keys {
             // Plain keys (before v9): checked ascending, then encoded.
             Headers::U32(keys) => {
@@ -1807,7 +1871,7 @@ pub fn frozen_from_columns(
                 };
                 let keys: Vec<Id> = source.u32s(keys)?.into_iter().map(Id).collect();
                 let k2 = source.values(k2, "ordering vector column")?;
-                orderings.push(plain_ordering(&keys, offs, &k2, lists)?);
+                orderings.push(plain_ordering(&keys, offs, &k2, plain.as_deref())?);
                 continue;
             }
             Headers::Bitmap { bits, ranks, count } => HeaderColumn::Bitmap(RankBitmap::unchecked(
@@ -1820,15 +1884,19 @@ pub fn frozen_from_columns(
                 HeaderColumn::EliasFano(source.elias_fano(ef, count, "ordering header window")?)
             }
         };
-        let k2 = match ix.k2 {
-            VectorKeys::Ints(k2) => KeyColumn::Packed(source.ints(k2, "ordering vector column")?),
-            VectorKeys::EliasFano(ef) => {
-                // A key a leaf: a mirror keeps a list reference a leaf,
-                // and a primary's leaf `i` is its arena's list `i`.
-                let arena_lists = || arenas.get(ix.arena).map_or(0, FlatArena::list_count);
-                let leaves = ix.lists.map_or_else(arena_lists, |lists| lists.len());
-                KeyColumn::EliasFano(source.elias_fano(ef, leaves, "ordering vector keys")?)
+        // A key a leaf, and a reference a leaf.
+        let k2 = source.keys(ix.k2, ix.vector, "ordering vector keys")?;
+        let lists = match (ix.lists, plain) {
+            (Some(ListRefs::Windows(refs)), _) => {
+                Some(source.keys(refs, ix.vector, "ordering list references")?)
             }
+            // References before v13, checked as that layout was, become the
+            // windowed column the current one keeps.
+            (_, Some(refs)) => Some(
+                windowed(&refs, &offs)
+                    .ok_or_else(|| Error::Corrupt("ordering columns are inconsistent".into()))?,
+            ),
+            (_, None) => None,
         };
         orderings.push(FrozenIndex { keys, offs, k2, lists });
     }
@@ -1845,7 +1913,7 @@ fn plain_ordering(
     keys: &[Id],
     offs: PackedColumn,
     k2: &[u32],
-    lists: Option<PackedColumn>,
+    lists: Option<&[u32]>,
 ) -> Result<FrozenIndex> {
     FrozenIndex::from_plain_parts(keys, offs, k2, lists)
         .ok_or_else(|| Error::Corrupt("ordering columns are inconsistent".into()))
@@ -1945,21 +2013,26 @@ fn check_frozen(store: &FrozenHexastore) -> Result<()> {
     check_arenas(store)?;
     for (ix, arena) in store.orderings().into_iter().zip(ARENA_OF) {
         image("ordering offsets column", ix.offs.view(), true)?;
-        if let Some(lists) = &ix.lists {
-            image("ordering list column", lists.view(), true)?;
-        }
         let keys = ix.keys.view();
         match keys {
             HeadersView::Bitmap(map) => tails(&[map.bits.bits, map.bits.ranks])?,
             HeadersView::EliasFano(keys) => ef(keys)?,
         }
         HeaderColumn::check(keys, "ordering header keys").map_err(Error::Corrupt)?;
-        let k2 = ix.k2.view();
-        match k2 {
-            KeysView::Packed(k2) => image("ordering vector column", k2, true)?,
-            KeysView::EliasFano(k2) => ef(k2)?,
+        // The vector keys and a mirror's list references, each windowed
+        // by the offsets.
+        let columns = [
+            (Some(&ix.k2), "ordering vector keys"),
+            (ix.lists.as_ref(), "ordering list references"),
+        ];
+        for (column, what) in columns {
+            let Some(column) = column.map(KeyColumn::view) else { continue };
+            match column {
+                KeysView::Packed(packed) => image(what, packed, true)?,
+                KeysView::EliasFano(coded) => ef(coded)?,
+            }
+            KeyColumn::check(column, ix.offs.view(), what).map_err(Error::Corrupt)?;
         }
-        KeyColumn::check(k2, ix.offs.view(), "ordering vector keys").map_err(Error::Corrupt)?;
         if !ix.is_consistent(arenas[arena].list_count()) {
             return corrupt("ordering columns are inconsistent");
         }
@@ -2024,11 +2097,11 @@ fn offsets_from_pairs(pairs: &[u32]) -> Option<Vec<u32>> {
 /// What ordering `kind` keeps of the list references read for it: a
 /// mirror keeps them all; a primary keeps none — v3 stores none for it,
 /// and the ones a pre-v3 file stored must be the identity.
-fn kept_refs(read: Option<PackedColumn>, kind: IndexKind) -> Result<Option<PackedColumn>> {
+fn kept_refs(read: Option<Vec<u32>>, kind: IndexKind) -> Result<Option<Vec<u32>>> {
     if kind.is_mirror() {
         return Ok(read);
     }
-    if read.is_some_and(|refs| refs.values().enumerate().any(|(i, l)| l as usize != i)) {
+    if read.is_some_and(|refs| refs.iter().enumerate().any(|(i, &l)| l as usize != i)) {
         return corrupt("a primary ordering's list references are not the identity");
     }
     Ok(None)
@@ -2054,7 +2127,10 @@ fn encode_frozen_payload(store: &FrozenHexastore) -> Vec<u8> {
             encode_ascending(&mut p, k2.iter(h, leaves));
         }
         if let Some(lists) = &ix.lists {
-            lists.values().for_each(|l| put_uvarint(&mut p, u64::from(l)));
+            let refs = lists.view();
+            for (_, h, leaves) in ix.groups() {
+                refs.iter(h, leaves).for_each(|l| put_uvarint(&mut p, u64::from(l)));
+            }
         }
     }
     p
@@ -2104,7 +2180,7 @@ fn pair_consistent(primary: &FrozenIndex, mirror: &FrozenIndex, lists: usize) ->
     for (k2, h, leaves) in mirror.groups() {
         for (k1, l) in view.leaves(h, leaves) {
             let l = l as usize;
-            if seen[l] || owner[l] != (k1, k2) {
+            if owner.get(l) != Some(&(k1, k2)) || seen[l] {
                 return false;
             }
             seen[l] = true;
@@ -2425,7 +2501,7 @@ mod tests {
         assert_eq!(offsets_from_pairs(&[0, u32::MAX, u32::MAX, 1]), None, "overflow");
         // Primary references other than the identity are corrupt; a
         // mirror's are kept as read.
-        let refs = |values: &[u32]| Some(PackedColumn::from_values(values));
+        let refs = |values: &[u32]| Some(values.to_vec());
         assert!(matches!(kept_refs(refs(&[0, 1, 2]), IndexKind::Spo), Ok(None)));
         assert!(matches!(kept_refs(None, IndexKind::Pos), Ok(None)));
         assert!(matches!(kept_refs(refs(&[0, 2, 1]), IndexKind::Sop), Err(Error::Corrupt(_))));
@@ -2444,7 +2520,11 @@ mod tests {
         for ix in columns.orderings {
             let Windows::Offsets(offs) = ix.windows else { panic!("v3 or later windows") };
             let VectorKeys::Ints(k2) = ix.k2 else { panic!("the sample keeps packed keys") };
-            for ints in [offs, k2].into_iter().chain(ix.lists) {
+            let refs = ix.lists.map(|refs| match refs {
+                ListRefs::Windows(VectorKeys::Ints(refs)) => refs,
+                other => panic!("the sample keeps packed references, not {other:?}"),
+            });
+            for ints in [offs, k2].into_iter().chain(refs) {
                 let Ints::Packed(col) = ints else { panic!("v6 packs {ints:?}") };
                 assert_eq!(col.offset % 8, 0, "{col:?}");
             }
@@ -2561,7 +2641,10 @@ mod tests {
         // A consistent two-triple pair: (1, 2) → list 0, (3, 4) → list 1.
         let build = |new: fn(LevelSize) -> FrozenIndex, leaves: [(u32, u32, u32); 2]| {
             let mut size = LevelSize::default();
-            leaves.iter().for_each(|&(k1, k2, _)| size.add(Id(k1), 1, Id(k2), Id(k2)));
+            for &(k1, k2, l) in &leaves {
+                size.add(Id(k1), 1, Id(k2), Id(k2));
+                size.refs.add(1, Id(l), Id(l));
+            }
             let mut ix = new(size);
             for (k1, k2, l) in leaves {
                 ix.push_leaf(Id(k2), l);

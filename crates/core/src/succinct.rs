@@ -1345,7 +1345,7 @@ impl Gather<'_> {
 }
 
 /// The windows of a cumulative offsets column.
-fn windows_of(offs: PackedView<'_>) -> impl Iterator<Item = Range<usize>> + '_ {
+pub(crate) fn windows_of(offs: PackedView<'_>) -> impl Iterator<Item = Range<usize>> + '_ {
     offs.values().zip(offs.values().skip(1)).map(|(lo, hi)| lo as usize..hi as usize)
 }
 
@@ -1610,6 +1610,19 @@ impl<'a> KeysView<'a> {
     #[inline]
     pub fn is_empty(self) -> bool {
         self.len() == 0
+    }
+
+    /// Key `i` of window `h`, whose leaves are `window`, or `None` past
+    /// the window or the column.
+    #[inline]
+    pub fn get(self, h: usize, window: Range<usize>, i: usize) -> Option<u32> {
+        match self {
+            KeysView::Packed(v) => {
+                let at = window.start + i;
+                (i < window.len() && at < v.len()).then(|| v.get(at))
+            }
+            KeysView::EliasFano(v) => v.get(h, window, i),
+        }
     }
 
     /// The keys of window `h`, whose leaves are `window`, in order.

@@ -365,7 +365,7 @@ fn a_live_directory_left_at_a_v2_generation_upgrades_on_compaction() {
 /// v12); in an Elias–Fano column the base column, the bit-offset column
 /// and the stream length (the stream), and the stream (its directory).
 fn packed_padding(file: &[u8]) -> Vec<usize> {
-    use hexsnap::{ArenaColumns, EfColumns, Headers, Ints, Packed, VectorKeys, Windows};
+    use hexsnap::{ArenaColumns, EfColumns, Headers, Ints, ListRefs, Packed, VectorKeys, Windows};
     let mut r = hexsnap::Reader::new(Cursor::new(file)).unwrap();
     let derived = r.version() >= 12;
     let columns = r.frozen_columns().unwrap();
@@ -435,7 +435,14 @@ fn packed_padding(file: &[u8]) -> Vec<usize> {
             VectorKeys::Ints(k2) => pad(offs_end + 4, packed(k2)),
             VectorKeys::EliasFano(ef) => elias_fano(&mut pad, offs_end + 4, ef),
         };
-        counts_at = ix.lists.map_or(k2_end, |lists| pad(k2_end, packed(lists)));
+        // The list references: packed, or (v13) Elias–Fano coded.
+        counts_at = match ix.lists {
+            None => k2_end,
+            Some(ListRefs::Plain(refs) | ListRefs::Windows(VectorKeys::Ints(refs))) => {
+                pad(k2_end, packed(refs))
+            }
+            Some(ListRefs::Windows(VectorKeys::EliasFano(ef))) => elias_fano(&mut pad, k2_end, ef),
+        };
     }
     assert!(padding.iter().all(|&at| file[at] == 0));
     padding
@@ -695,14 +702,26 @@ fn every_byte_flip_of_a_v11_file_is_rejected_or_still_decodes() {
 
 #[test]
 fn every_byte_flip_of_a_v12_file_is_rejected_or_still_decodes() {
-    // The committed files — a delta-only dictionary and a frozen one — a
-    // graph of singleton and longer lists, one whose property windows are
-    // long enough to be Elias–Fano coded, one whose subject lists are
-    // Elias–Fano coded, and a bulk load of every kind of term whose frozen
-    // tier spans seven blocks.
+    // The committed files: a delta-only dictionary and a frozen one.
+    let files = [support::fixture_bytes("v12_small"), support::fixture_bytes("v12_bulk")];
+    let (accepted, rejected) = every_byte_flip_is_rejected_or_still_decodes(&files, 12);
+    eprintln!("v12 DICT byte flips: {accepted} accepted, {rejected} rejected");
+    assert!(rejected > 2 * accepted, "{accepted} accepted, {rejected} rejected");
+    dict_padding_flips_are_refused(&files);
+}
+
+#[test]
+fn every_byte_flip_of_a_v13_file_is_rejected_or_still_decodes() {
+    // The committed files — a delta-only dictionary, a frozen one, and a
+    // graph whose pso and osp references are Elias–Fano coded — a graph
+    // of singleton and longer lists, one whose property windows are long
+    // enough to be Elias–Fano coded, vector keys and references alike,
+    // one whose subject lists are Elias–Fano coded, and a bulk load of
+    // every kind of term whose frozen tier spans seven blocks.
     let files = [
-        support::fixture_bytes("v12_small"),
-        support::fixture_bytes("v12_bulk"),
+        support::fixture_bytes("v13_small"),
+        support::fixture_bytes("v13_bulk"),
+        support::fixture_bytes("v13_coded_refs"),
         mixed_list_file(),
         elias_fano_file(),
         elias_fano_arena_file(),
@@ -710,19 +729,135 @@ fn every_byte_flip_of_a_v12_file_is_rejected_or_still_decodes() {
     ];
     let columns =
         |file: &[u8]| hexsnap::Reader::new(Cursor::new(file)).unwrap().frozen_columns().unwrap();
-    let coded = columns(&files[3])
+    let coded = columns(&files[4])
         .orderings
         .iter()
         .any(|ix| matches!(ix.k2, hexsnap::VectorKeys::EliasFano(_)));
     assert!(coded, "some ordering's vector keys are Elias–Fano coded");
-    let coded = columns(&files[4]).arenas.iter().any(|arena| {
+    let coded = columns(&files[5]).arenas.iter().any(|arena| {
         matches!(arena, hexsnap::ArenaColumns::Runs { keys: hexsnap::VectorKeys::EliasFano(_), .. })
     });
     assert!(coded, "some arena's run ids are Elias–Fano coded");
-    let (accepted, rejected) = every_byte_flip_is_rejected_or_still_decodes(&files, 12);
-    eprintln!("v12 DICT byte flips: {accepted} accepted, {rejected} rejected");
+    for file in [&files[2], &files[4]] {
+        assert!(has_coded_refs(file), "some mirror's references are Elias–Fano coded");
+    }
+    let (accepted, rejected) = every_byte_flip_is_rejected_or_still_decodes(&files, 13);
+    eprintln!("v13 DICT byte flips: {accepted} accepted, {rejected} rejected");
     assert!(rejected > 2 * accepted, "{accepted} accepted, {rejected} rejected");
     dict_padding_flips_are_refused(&files);
+}
+
+/// True when some mirror of a v13 file codes its list references as
+/// Elias–Fano windows.
+fn has_coded_refs(file: &[u8]) -> bool {
+    use hexsnap::{ListRefs, VectorKeys};
+    let columns = hexsnap::Reader::new(Cursor::new(file)).unwrap().frozen_columns().unwrap();
+    let coded = |ix: &hexsnap::OrderingColumns| {
+        matches!(ix.lists, Some(ListRefs::Windows(VectorKeys::EliasFano(_))))
+    };
+    columns.orderings.iter().any(coded)
+}
+
+#[test]
+fn every_flipped_byte_of_a_reference_column_is_corrupt_and_safe_to_map() {
+    // A mirror's references, packed or Elias–Fano coded: a flip of any
+    // byte of the column makes a store whose references are not the
+    // canonical column of their windows, or disagree with the primary's
+    // leaves, or point past the arena, so the eager reader refuses it as
+    // `Corrupt`; the unverified mapping opens it and reads every list, of
+    // whatever (possibly wrong) content, without a panic.
+    use hexsnap::{ListRefs, VectorKeys};
+    let path = support::temp_path("reference-flips");
+    let (mut packed_bytes, mut coded_bytes) = (0, 0);
+    for file in [support::fixture_bytes("v13_coded_refs"), elias_fano_file(), mixed_list_file()] {
+        let columns = hexsnap::Reader::new(Cursor::new(&file)).unwrap().frozen_columns().unwrap();
+        let mut bytes_of_refs = Vec::new();
+        for ix in columns.orderings {
+            match ix.lists {
+                Some(ListRefs::Windows(VectorKeys::Ints(hexsnap::Ints::Packed(refs)))) => {
+                    packed_bytes += refs.bytes();
+                    bytes_of_refs.push(refs.offset..refs.offset + refs.bytes());
+                }
+                Some(ListRefs::Windows(VectorKeys::EliasFano(ef))) => {
+                    let parts = [ef.base, ef.offs, ef.stream, ef.ranks];
+                    coded_bytes += parts.iter().map(|p| p.bytes()).sum::<usize>();
+                    bytes_of_refs.extend(parts.map(|p| p.offset..p.offset + p.bytes()));
+                }
+                None => {}
+                other => panic!("v13 references: {other:?}"),
+            }
+        }
+        for at in bytes_of_refs.into_iter().flatten() {
+            let mut bytes = file.clone();
+            bytes[at] ^= 0xFF;
+            std::fs::write(&path, &bytes).unwrap();
+            match hexsnap::load_frozen(&path) {
+                Err(hexsnap::Error::Corrupt(_)) => {}
+                other => panic!("flip at {at}: {:?}", other.map(|_| ())),
+            }
+            let mapped = hex_disk::open_store(&path).expect("references are not read at open");
+            every_list_is_a_sorted_set(&mapped);
+            let _ = mapped.iter_matching(IdPattern::ALL).count();
+        }
+    }
+    assert!(packed_bytes > 0 && coded_bytes > 0, "{packed_bytes} {coded_bytes}");
+    std::fs::remove_file(&path).ok();
+}
+
+#[test]
+fn each_corrupt_v13_reference_column_is_refused_by_name() {
+    // References that do not ascend within a window (packed), a window
+    // whose `l` field changed (Elias–Fano coded), and the flag of coded
+    // references on a primary, which keeps none, are each refused with
+    // their own error by the eager reader; the coded one maps, and every
+    // list of it reads without a panic.
+    use hexsnap::{Ints, ListRefs, VectorKeys};
+    let path = support::temp_path("corrupt-v13-references");
+    let refused = |bytes: &[u8], why: &str| {
+        std::fs::write(&path, bytes).unwrap();
+        match hexsnap::load_frozen(&path) {
+            Err(hexsnap::Error::Corrupt(got)) => assert!(got.contains(why), "{why}: {got}"),
+            other => panic!("{why}: {:?}", other.map(|_| ())),
+        }
+    };
+    // pso's references are coded (its first window holds property 0's 120
+    // subjects), osp's packed.
+    let file = elias_fano_file();
+    let columns = hexsnap::Reader::new(Cursor::new(&file)).unwrap().frozen_columns().unwrap();
+    let Some(ListRefs::Windows(VectorKeys::EliasFano(pso))) = columns.orderings[2].lists else {
+        panic!("pso's references are coded")
+    };
+    let l = value(&file, pso.stream, 0);
+    assert_eq!(value(&file, pso.offs, 0), 0);
+    let bytes = with_value(&file, pso.stream, 0, l ^ 1);
+    refused(&bytes, "ordering list references");
+    std::fs::write(&path, &bytes).unwrap();
+    every_list_is_a_sorted_set(&hex_disk::open_store(&path).unwrap());
+    let Some(ListRefs::Windows(VectorKeys::Ints(Ints::Packed(osp)))) = columns.orderings[4].lists
+    else {
+        panic!("osp's references are packed")
+    };
+    // Two references of one window swapped.
+    let hexsnap::Windows::Offsets(Ints::Packed(offs)) = columns.orderings[4].windows else {
+        panic!("packed offsets")
+    };
+    let offs: Vec<u32> = (0..offs.len).map(|h| value(&file, offs, h)).collect();
+    let i = offs.windows(2).find(|w| w[1] - w[0] >= 2).expect("a window of two")[0] as usize;
+    let (a, b) = (value(&file, osp, i), value(&file, osp, i + 1));
+    let swapped = with_value(&with_value(&file, osp, i, b), osp, i + 1, a);
+    refused(&swapped, "ordering list references: window");
+    // The flags word of spo, a primary, claiming coded references: spo's
+    // header count follows the last arena's run ids, its flags the count.
+    let hexsnap::ArenaColumns::Runs { keys, .. } = columns.arenas[2] else { panic!("v12 on") };
+    let arenas_end = match keys {
+        VectorKeys::Ints(Ints::Packed(keys)) => keys.offset + keys.bytes(),
+        VectorKeys::EliasFano(ef) => ef.ranks.offset + ef.ranks.bytes(),
+        VectorKeys::Ints(Ints::U32(_)) => panic!("packed run ids"),
+    };
+    let mut flagged = file.clone();
+    flagged[arenas_end + 4] |= 4;
+    refused(&flagged, "unknown ordering encoding flags");
+    std::fs::remove_file(&path).ok();
 }
 
 /// Value `i` of the packed column `col` in `file`.

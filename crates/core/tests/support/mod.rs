@@ -1,6 +1,6 @@
 //! Every hexsnap format version this build reads, over committed files:
 //! the one fixture table and the checks each version's suite
-//! (`v{1,…,11}_compat.rs`, and `hexsnap_roundtrip.rs` for a v2 live
+//! (`v{1,…,13}_compat.rs`, and `hexsnap_roundtrip.rs` for a v2 live
 //! directory) runs over its rows.
 //!
 //! `tests/data/` holds one small snapshot per version and slab encoding,
@@ -14,8 +14,10 @@
 // Each includer uses a subset of the items.
 #![allow(dead_code)]
 
-use hexastore::hexsnap::{self, Compression, Ints, Reader};
-use hexastore::{GraphStore, IdPattern, LiveGraphStore, TripleStore};
+use hexastore::access::OrderedStore;
+use hexastore::hexsnap::{self, Compression, Ints, ListRefs, Reader, VectorKeys};
+use hexastore::succinct::KeyColumn;
+use hexastore::{FrozenHexastore, GraphStore, IdPattern, IndexKind, LiveGraphStore, TripleStore};
 use rdf_model::{Term, Triple};
 use std::io::Cursor;
 use std::path::PathBuf;
@@ -29,12 +31,14 @@ pub const FRZC: Compression = Compression::VarintDelta;
 /// the file spells out what later versions derive (pairs, primary list
 /// references, a `TRPL` column), so the whole re-save is smaller by an
 /// amount no rule fixes. Where the file's slab section has the current
-/// layout — `FRZC` from v3, `FROZ` from v12 — the re-save's is the file's,
-/// byte for byte. Whatever the version, the re-save's `DICT` is the one a
-/// fresh encode of the graph writes.
+/// layout — `FRZC` from v3, `FROZ` from v12, as v13 lays out a mirror's
+/// references as v12 did wherever they stay packed, and all of the
+/// fixture graph's do — the re-save's is the file's, byte for byte.
+/// Whatever the version, the re-save's `DICT` is the one a fresh encode of
+/// the graph writes.
 pub type Fixture = (&'static str, u32, Compression, Option<isize>);
 
-pub const FIXTURES: [Fixture; 23] = [
+pub const FIXTURES: [Fixture; 25] = [
     ("v1_small", 1, RAW, None),
     ("v2_small", 2, RAW, None),
     ("v2_small_frzc", 2, FRZC, None),
@@ -71,6 +75,10 @@ pub const FIXTURES: [Fixture; 23] = [
     // v12 changed FROZ only: DICT and FRZC are v11's.
     ("v12_small", 12, RAW, Some(0)),
     ("v12_small_frzc", 12, FRZC, Some(0)),
+    // v13 changed how FROZ may code a mirror's references: the fixture
+    // graph's stay packed, so every section is v12's.
+    ("v13_small", 13, RAW, Some(0)),
+    ("v13_small_frzc", 13, FRZC, Some(0)),
 ];
 
 /// What v6's packed index levels save in the fixture graph's `FROZ` —
@@ -151,7 +159,8 @@ pub fn temp_path(tag: &str) -> PathBuf {
     std::env::temp_dir().join(format!("hexsnap-format-compat-{tag}-{}", std::process::id()))
 }
 
-/// The graph of `v11_bulk.hexsnap` and `v12_bulk.hexsnap`: terms of every kind, 24 of them —
+/// The graph of `v11_bulk.hexsnap`, `v12_bulk.hexsnap` and
+/// `v13_bulk.hexsnap`: terms of every kind, 24 of them —
 /// three blocks of the frozen tier — bulk loaded from N-Triples, so the
 /// dictionary is all frozen tier.
 pub fn bulk_graph() -> GraphStore {
@@ -166,6 +175,41 @@ pub fn bulk_graph() -> GraphStore {
     g.load_ntriples(&doc).unwrap();
     assert_eq!((g.dict().len(), g.dict().frozen_len()), (24, 24));
     g
+}
+
+/// The graph of `v13_coded_refs.hexsnap`: 128 subjects of one property,
+/// each with one of four objects. The property's pso window references
+/// 128 consecutive object lists and each object's osp window every fourth
+/// property list, so both mirrors code their references as Elias–Fano
+/// windows; ops, one property per object, keeps them packed.
+pub fn coded_refs_graph() -> GraphStore {
+    let mut g = GraphStore::new();
+    for i in 0..128 {
+        let (s, o) = (format!("http://x/s{i}"), format!("http://x/o{}", i % 4));
+        g.insert(&Triple::new(Term::iri(s), Term::iri("http://x/p"), Term::iri(o)));
+    }
+    g
+}
+
+/// Checks what every mirror ordering's list references owe, whichever
+/// builder or reader made `store`: they strictly ascend within each of
+/// the ordering's windows — its primary lays its leaves out by the
+/// mirror's vector key first — and are the canonical key column of those
+/// windows, packed or Elias–Fano coded as their sizes choose.
+pub fn assert_mirror_references_are_windowed(store: &FrozenHexastore, name: &str) {
+    for kind in IndexKind::ALL {
+        let index = store.ordering(kind).index;
+        assert_eq!(index.lists.is_some(), kind.is_mirror(), "{name} {kind:?}");
+        let Some(refs) = index.lists else { continue };
+        let offs: Vec<u32> = index.offs.values().collect();
+        for (h, w) in offs.windows(2).enumerate() {
+            let window: Vec<u32> = refs.iter(h, w[0] as usize..w[1] as usize).collect();
+            assert_eq!(window.len(), (w[1] - w[0]) as usize, "{name} {kind:?} window {h}");
+            assert!(window.windows(2).all(|p| p[0] < p[1]), "{name} {kind:?} window {h}");
+        }
+        let checked = KeyColumn::check(refs, index.offs, "references");
+        assert_eq!(checked, Ok(()), "{name} {kind:?}");
+    }
 }
 
 /// The exact graph every fixture encodes. Insertion order fixes the
@@ -225,8 +269,11 @@ pub fn opens_through_the_reader((name, version, compression, _): Fixture) {
     if let Some((froz_at, froz_len)) = r.frozen_section_extent() {
         let ops = r.frozen_columns().unwrap().orderings[5].lists.expect("ops is a mirror");
         let end = match ops {
-            Ints::U32(col) => col.offset + 4 * col.len,
-            Ints::Packed(col) => col.offset + col.bytes(),
+            ListRefs::Plain(Ints::U32(col)) => col.offset + 4 * col.len,
+            ListRefs::Plain(Ints::Packed(col))
+            | ListRefs::Windows(VectorKeys::Ints(Ints::Packed(col))) => col.offset + col.bytes(),
+            ListRefs::Windows(VectorKeys::EliasFano(ef)) => ef.ranks.offset + ef.ranks.bytes(),
+            ListRefs::Windows(VectorKeys::Ints(Ints::U32(_))) => panic!("packed references"),
         };
         assert_eq!(end, (froz_at + froz_len) as usize, "{name}");
     }
@@ -239,7 +286,9 @@ pub fn opens_through_the_reader((name, version, compression, _): Fixture) {
     // From the TRPL column where the file has one, else from the spo
     // ordering: the same triples in the same order.
     assert_eq!(r.triples().unwrap(), g.store().matching(IdPattern::ALL), "{name}");
-    assert_answers_like_the_fixture_graph(&r.frozen().unwrap(), name);
+    let frozen = r.frozen().unwrap();
+    assert_answers_like_the_fixture_graph(&frozen, name);
+    assert_mirror_references_are_windowed(&frozen, name);
 }
 
 /// The file-level loaders: `load_frozen`, checked equal to `freeze()`,
@@ -250,6 +299,12 @@ pub fn opens_through_the_loaders((name, ..): Fixture) {
     assert_eq!(dict.len(), g.dict().len(), "{name}");
     assert_answers_like_the_fixture_graph(&frozen, name);
     assert_eq!(frozen, g.store().freeze(), "{name}: the slabs this build makes");
+    assert_mirror_references_are_windowed(&frozen, name);
+    // A mapping opens v10 on, its older references re-encoded on the way.
+    if let Ok((_, mapped)) = hex_disk::open(fixture_path(name)) {
+        assert_eq!(mapped, frozen, "{name}: mapped");
+        assert_mirror_references_are_windowed(&mapped, name);
+    }
 
     let loaded = hexsnap::load(fixture_path(name)).unwrap();
     assert_answers_like_the_fixture_graph(loaded.store(), name);

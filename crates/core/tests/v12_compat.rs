@@ -1,4 +1,4 @@
-//! Format version 12, the one this build writes, over its committed files
+//! Format version 12 over its committed files
 //! (`tests/data/v12_small{,_frzc}.hexsnap`, whose dictionary is all delta
 //! tier, and `tests/data/v12_bulk.hexsnap`, whose dictionary a bulk load
 //! froze; the table and the checks are `support/mod.rs`'s).
@@ -7,25 +7,7 @@ mod support;
 
 use hexastore::hexsnap::{self, ArenaColumns, Reader, VectorKeys};
 use std::io::Cursor;
-use support::temp_path;
-use support::{bulk_graph, fixture_bytes, fixture_graph, fixture_path, fixtures_of, section};
-
-#[test]
-fn v12_writer_output_is_bit_identical_to_the_committed_fixtures() {
-    let g = fixture_graph();
-    let frozen = g.store().freeze();
-    for (name, _, compression, _) in fixtures_of(12) {
-        let path = temp_path(name);
-        hexsnap::save_frozen_with(&path, g.dict(), &frozen, compression).unwrap();
-        assert_eq!(std::fs::read(&path).unwrap(), fixture_bytes(name), "{name}");
-        std::fs::remove_file(&path).ok();
-    }
-    let bulk = bulk_graph();
-    let path = temp_path("v12_bulk");
-    hexsnap::save_frozen(&path, bulk.dict(), &bulk.store().freeze()).unwrap();
-    assert_eq!(std::fs::read(&path).unwrap(), fixture_bytes("v12_bulk"));
-    std::fs::remove_file(&path).ok();
-}
+use support::{bulk_graph, fixture_bytes, fixture_path, fixtures_of, section};
 
 #[test]
 fn committed_v12_fixtures_open_through_every_reader_and_answer() {
@@ -37,7 +19,8 @@ fn committed_v12_fixtures_open_through_every_reader_and_answer() {
     let (dict, store) = hexsnap::load_frozen(fixture_path("v12_bulk")).unwrap();
     assert_eq!((dict.terms(), store), (g.dict().terms(), g.store().freeze()));
     let (mapped_dict, mapped) = hex_disk::open(fixture_path("v12_bulk")).unwrap();
-    assert_eq!((mapped_dict.terms(), mapped), (g.dict().terms(), g.store().freeze()));
+    assert_eq!((mapped_dict.terms(), &mapped), (g.dict().terms(), &g.store().freeze()));
+    support::assert_mirror_references_are_windowed(&mapped, "v12_bulk mapped");
 }
 
 #[test]

@@ -4,7 +4,7 @@
 
 mod support;
 
-use hexastore::hexsnap::{self, ArenaColumns, Headers, Ints, Reader, VectorKeys};
+use hexastore::hexsnap::{self, ArenaColumns, Headers, Ints, ListRefs, Reader, VectorKeys};
 use hexastore::succinct::{BitmapView, BitsView, EfView, HeadersView, KeysView};
 use hexastore::PackedView;
 use support::{fixture_bytes, fixtures_of, section};
@@ -72,7 +72,10 @@ fn v9_changed_only_the_header_and_vector_key_columns_of_froz() {
             panic!("offsets")
         };
         assert_eq!(ints(v8, w8), ints(v9, w9));
-        assert_eq!(x8.lists.map(|l| ints(v8, l)), x9.lists.map(|l| ints(v9, l)));
+        assert_eq!(
+            x8.lists.and_then(ListRefs::plain).map(|l| ints(v8, l)),
+            x9.lists.and_then(ListRefs::plain).map(|l| ints(v9, l))
+        );
         // The header keys: v8's `u32`s are the bitmap's keys.
         let keys8 = x8.keys.plain().expect("v8 u32 header keys");
         let keys8: Vec<u32> = bytes(v8, keys8.offset, 4 * keys8.len)

@@ -33,11 +33,13 @@
 //! execution and snapshot serving work over it unchanged.
 //!
 //! Only uncompressed snapshots of the current format version
-//! ([`hexastore::hexsnap::VERSION`]) or of v10 and v11 are mappable (a
-//! v10 file lacks only the frozen dictionary tier, and a v10 or v11
-//! file's terminal-list arenas, laid out as overflow runs, are rebuilt
-//! into owned columns of the current layout while its index levels stay
-//! mapped): compressed (`FRZC`)
+//! ([`hexastore::hexsnap::VERSION`]) or of v10 to v12 are mappable (a
+//! v10 file lacks only the frozen dictionary tier, a v10 or v11 file's
+//! terminal-list arenas, laid out as overflow runs, and a v10 to v12
+//! file's mirror list references, one column no window cuts, are rebuilt
+//! into owned columns of the current layout while its other index columns
+//! stay mapped; a current file's references, packed or Elias–Fano coded,
+//! are mapped in place like its vector keys): compressed (`FRZC`)
 //! sections and files of older versions — each of which lays out some
 //! column differently ([`hexastore::hexsnap::mapping_refusal`] names
 //! which) — must go through the decoding

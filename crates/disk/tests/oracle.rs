@@ -464,8 +464,13 @@ struct AddressingWords {
     /// The base, bit-offset, stream and rank columns of each arena whose
     /// run ids are Elias–Fano coded.
     run_windows: Vec<[PackedAt; 4]>,
-    /// The three mirror orderings' packed list-reference columns.
+    /// The packed list-reference columns of the mirror orderings that
+    /// keep them packed.
     list_refs: Vec<PackedAt>,
+    /// The base, bit-offset, stream and rank columns of each mirror
+    /// ordering whose list references are Elias–Fano coded, with the
+    /// ordering's number.
+    ref_windows: Vec<(usize, [PackedAt; 4])>,
 }
 
 impl AddressingWords {
@@ -473,7 +478,8 @@ impl AddressingWords {
     fn packed(&self) -> impl Iterator<Item = PackedAt> + '_ {
         let headers = self.header_bits.iter().chain(&self.header_ranks);
         let levels = headers.chain(&self.offsets).chain(&self.vector_keys).chain(&self.list_refs);
-        let vector_keys = self.elias_fano.iter().map(|(_, columns)| columns);
+        let vector_keys =
+            self.elias_fano.iter().chain(&self.ref_windows).map(|(_, columns)| columns);
         let ef = vector_keys.chain(&self.header_windows).chain(&self.run_windows).flatten();
         let arenas = self.slots.iter().chain(&self.run_ends).chain(&self.run_keys);
         arenas.chain(levels).chain(ef).copied()
@@ -502,6 +508,7 @@ fn addressing_words(bytes: &[u8]) -> AddressingWords {
         run_keys: vec![],
         run_windows: vec![],
         list_refs: vec![],
+        ref_windows: vec![],
     };
     // An Elias–Fano column from its first width field: a base column, the
     // bit offsets, the stream length, the stream and its directory, whose
@@ -572,9 +579,22 @@ fn addressing_words(bytes: &[u8]) -> AddressingWords {
             }
         };
         found.offsets.push(offs);
-        let refs = ix.lists.map(|lists| PackedAt { col: packed(lists), width_at: Some(k2_end) });
-        found.list_refs.extend(refs);
-        counts_at = refs.map_or(k2_end, end);
+        // A mirror's list references follow its vector keys, coded as
+        // they are.
+        counts_at = match ix.lists {
+            None => k2_end,
+            Some(hexsnap::ListRefs::Windows(hexsnap::VectorKeys::Ints(refs))) => {
+                let refs = PackedAt { col: packed(refs), width_at: Some(k2_end) };
+                found.list_refs.push(refs);
+                end(refs)
+            }
+            Some(hexsnap::ListRefs::Windows(hexsnap::VectorKeys::EliasFano(ef))) => {
+                let columns = ef_at(k2_end, ef);
+                found.ref_windows.push((which, columns));
+                end(columns[3])
+            }
+            Some(hexsnap::ListRefs::Plain(_)) => panic!("v13 references"),
+        };
     }
     for p in found.packed() {
         let Some(at) = p.width_at else { continue };
@@ -855,6 +875,40 @@ fn corrupt_elias_fano_and_rank_columns_read_short_and_load_as_corrupt() {
     let mut bytes = pristine.clone();
     spo_ranks.set(&mut bytes, 0, 0);
     check(bytes, "a header rank sample zeroed", "rank directory", false);
+    std::fs::remove_file(&path).ok();
+}
+
+#[test]
+fn references_a_corrupt_window_cannot_read_name_no_list() {
+    // pso's references are Elias–Fano coded here, and property 0's window
+    // holds 600 of them. With its bit offset past the stream the window
+    // reads as its first reference alone: the first subject's leaf reads
+    // its list, and the other 599 leaves read the empty list — not list
+    // 0, another key's list, which would answer 600 triples. The eager
+    // reader refuses the file, naming the column.
+    let g = elias_fano_graph();
+    let frozen = g.store().freeze();
+    let path = temp_path("coded-refs");
+    hexsnap::save_frozen(&path, g.dict(), &frozen).unwrap();
+    let pristine = std::fs::read(&path).unwrap();
+    let pats = probe_patterns(&hex_disk::open_store(&path).unwrap());
+    let words = addressing_words(&pristine);
+    let &(_, [_, bit_offs, stream, _]) =
+        words.ref_windows.iter().find(|(which, _)| *which == 2).expect("pso's are coded");
+    let p0 = frozen.matching(IdPattern::ALL).iter().find(|t| t.s == hex_dict::Id(0)).unwrap().p;
+    assert_eq!(frozen.count_matching(IdPattern::p(p0)), 600);
+    let mut bytes = pristine.clone();
+    bit_offs.set(&mut bytes, 0, (1 << bit_offs.col.width) - 1);
+    assert!(bit_offs.get(&bytes, 0) as usize > stream.col.len);
+    std::fs::write(&path, &bytes).unwrap();
+    let mapped = hex_disk::open_store(&path).expect("references are not read at open");
+    assert_eq!(mapped.count_matching(IdPattern::p(p0)), 1, "one leaf reads a list");
+    assert_eq!(mapped.iter_matching(IdPattern::p(p0)).count(), 1);
+    walk_every_shape_if_it_opens(&path, &pats);
+    match hexsnap::load_frozen(&path) {
+        Err(hexsnap::Error::Corrupt(why)) => assert!(why.contains("ordering list references")),
+        other => panic!("{:?}", other.map(|_| ())),
+    }
     std::fs::remove_file(&path).ok();
 }
 

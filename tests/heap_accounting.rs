@@ -110,7 +110,15 @@ fn heap_bytes_is_what_the_allocator_gives_back() {
     // in the dictionary that shares it.
     let breakdown = mapped_store.heap_breakdown();
     let (elias_fano, elias_fano_arenas) = (breakdown.elias_fano, breakdown.elias_fano_arenas);
-    let nothing = HeapBreakdown { elias_fano, elias_fano_arenas, ..HeapBreakdown::default() };
+    let elias_fano_refs = breakdown.elias_fano_refs;
+    let coded = (built.elias_fano, built.elias_fano_arenas, built.elias_fano_refs);
+    assert_eq!((elias_fano, elias_fano_arenas, elias_fano_refs), coded, "coded as built");
+    let nothing = HeapBreakdown {
+        elias_fano,
+        elias_fano_arenas,
+        elias_fano_refs,
+        ..HeapBreakdown::default()
+    };
     assert_eq!(breakdown, nothing, "mapped columns hold no heap");
     assert_eq!(mapped_store.heap_bytes(), 0);
     assert_eq!(freed_by_dropping(mapped_store), block, "mapped store");

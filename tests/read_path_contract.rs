@@ -40,11 +40,15 @@
 //!   total `len()`;
 //! - a list index past the arena's slot column reads as the empty list
 //!   (a packed read past the end is 0, which would otherwise be the
-//!   singleton `Id(0)`).
+//!   singleton `Id(0)`);
+//! - a mirror ordering's list references strictly ascend within each of
+//!   its windows and are the canonical key column of those windows,
+//!   packed or Elias–Fano coded ([`check_references`]).
 
 use hex_baselines::{Covp1, Covp2, TriplesTable};
 use hex_dict::{Id, IdTriple};
-use hexastore::access::{project, route, List, OrderedStore};
+use hexastore::access::{project, route, IndexView, List, OrderedStore};
+use hexastore::succinct::KeyColumn;
 use hexastore::{
     bulk, FrozenHexastore, IdPattern, IndexKind, IndexSet, OverlayHexastore, PartialHexastore,
     TripleStore,
@@ -293,7 +297,24 @@ fn check_orderings<S: OrderedStore>(store: &S, model: &[IdTriple], what: &str) {
         for past in [lists, lists + 1, u32::MAX] {
             assert!(ord.arena.get(past).is_empty(), "{ctx}: list {past} past the slot column");
         }
+        check_references(ord.index, &ctx);
     }
+}
+
+/// A mirror's list references — the invariant their encoding rests on:
+/// its primary lays its leaves out by the mirror's vector key first, so
+/// within each mirror window the references strictly ascend, and the
+/// column is the canonical key column of the ordering's windows, packed
+/// or Elias–Fano coded as their sizes choose. A primary keeps none.
+fn check_references(index: IndexView<'_>, ctx: &str) {
+    let Some(refs) = index.lists else { return };
+    let offs: Vec<u32> = index.offs.values().collect();
+    for (h, w) in offs.windows(2).enumerate() {
+        let window: Vec<u32> = refs.iter(h, w[0] as usize..w[1] as usize).collect();
+        assert_eq!(window.len(), (w[1] - w[0]) as usize, "{ctx}: window {h}'s references");
+        assert!(window.windows(2).all(|p| p[0] < p[1]), "{ctx}: window {h}'s references ascend");
+    }
+    assert_eq!(KeyColumn::check(refs, index.offs, "references"), Ok(()), "{ctx}");
 }
 
 /// Both contracts: the store's reads and its ordering read.
@@ -525,6 +546,29 @@ fn stores_of_either_run_encoding_obey_the_read_contract() {
         assert_eq!(arenas.contains(IndexKind::Pos), coded, "{arenas:?}");
         assert!(!arenas.contains(IndexKind::Spo) && !arenas.contains(IndexKind::Sop));
         let tag = if coded { "coded" } else { "packed" };
+        check_slab(&frozen, model, tag);
+        check_through_a_snapshot(&frozen, model, tag);
+    }
+}
+
+/// Stores whose data picks either encoding of each mirror's references:
+/// 128 subjects of one property, each with one of four objects, where pso
+/// and osp reference long runs of lists and code them as Elias–Fano
+/// windows, and the sample, whose mirrors keep them packed. Both obey the
+/// read contract, built, frozen from writes, read back and mapped.
+#[test]
+fn stores_of_either_reference_encoding_obey_the_read_contract() {
+    let runs: Vec<IdTriple> =
+        (1000..1128u32).map(|s| IdTriple::from((s, 200, 300 + s % 4))).collect();
+    let coded = IndexSet::EMPTY.with(IndexKind::Pso).with(IndexKind::Osp);
+    for (triples, refs) in [(runs, coded), (sample(), IndexSet::EMPTY)] {
+        let model = &model_of(&triples);
+        let frozen = FrozenHexastore::from_triples(triples.iter().copied());
+        assert_eq!(frozen.heap_breakdown().elias_fano_refs, refs);
+        let mut written = OverlayHexastore::default();
+        triples.iter().for_each(|&t| assert!(written.insert(t)));
+        assert_eq!(written.freeze(), frozen);
+        let tag = if refs.is_empty() { "packed references" } else { "coded references" };
         check_slab(&frozen, model, tag);
         check_through_a_snapshot(&frozen, model, tag);
     }

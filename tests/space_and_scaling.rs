@@ -100,14 +100,15 @@ fn incremental_and_bulk_agree_on_generated_data() {
 /// counts, of how many terminal lists hold more than one id and of the
 /// widths of the packed index levels and list slots — a bit per id up to
 /// the largest header key, `⌈n·w / 64⌉ + 1` words for a packed column of
-/// `n` values whose largest needs `w > 0` bits, the smaller vector-key
-/// encoding, nothing derivable stored, no slack capacity — however the
+/// `n` values whose largest needs `w > 0` bits, the smaller encoding of
+/// each key column (vector keys, mirror references, run ids), nothing
+/// derivable stored, no slack capacity — however the
 /// slabs came to be.
 #[test]
 fn frozen_heap_breakdown_is_the_closed_form_of_the_space_stats() {
     use hex_dict::{Id, IdTriple};
     use hexastore::hexsnap::{Compression, Reader, Writer};
-    use std::collections::{BTreeMap, HashMap};
+    use std::collections::{BTreeMap, BTreeSet, HashMap};
     /// Heap bytes of a packed column of `len` values, the largest `max`:
     /// whole words, then one zero word; none at width 0.
     fn packed(len: usize, max: usize) -> usize {
@@ -145,6 +146,30 @@ fn frozen_heap_breakdown_is_the_closed_form_of_the_space_stats() {
         let l = (usize::BITS - 1 - (u / m).leading_zeros()) as usize;
         5 + m * l + ((u - 1) >> l) + m
     }
+    /// A key column's heap bytes, for windows each strictly ascending:
+    /// packed at the width of the largest key, or Elias–Fano coded window
+    /// by window — each window's first key in a base column, the other
+    /// keys' `l`, low and high parts in one stream, a bit offset per
+    /// window and the stream's rank samples — whichever takes fewer bytes.
+    /// `Err` holds the four Elias–Fano parts.
+    fn key_column(windows: &[&[u32]]) -> Result<usize, [usize; 4]> {
+        let keys = windows.iter().map(|w| w.len()).sum();
+        let max = windows.iter().flat_map(|w| w.iter()).copied().max().unwrap_or(0);
+        let as_packed = packed(keys, max as usize);
+        let max_first = windows.iter().map(|w| w[0]).max().unwrap_or(0);
+        let bits: usize = windows.iter().map(|w| ef_window_bits(w)).sum();
+        let ef = [
+            packed(windows.len(), max_first as usize),
+            packed(windows.len() + 1, bits),
+            stream(bits),
+            directory(bits),
+        ];
+        if ef.iter().sum::<usize>() < as_packed {
+            Err(ef)
+        } else {
+            Ok(as_packed)
+        }
+    }
     fn assert_closed_form(frozen: &FrozenHexastore, how: &str) {
         let stats = frozen.space_stats();
         let pairs = stats.vector_entries / 2; // each (k1, k2) pair sits in two orderings
@@ -160,9 +185,10 @@ fn frozen_heap_breakdown_is_the_closed_form_of_the_space_stats() {
         assert_eq!(lens.len(), pairs, "{how}");
         // Per ordering, `(k1, k2)` of a triple and whether it is a mirror
         // (pso, osp, ops keep a reference per leaf): its header keys, its
-        // packed offsets (the largest is the leaf count), its packed vector
-        // keys and, in a mirror, its packed references (the largest is the
-        // last list).
+        // packed offsets (the largest is the leaf count), its vector keys
+        // and, in a mirror, its references — each window's the numbers of
+        // its `(k2, k1)` lists in the primary's leaf order — each key
+        // column packed or Elias–Fano coded.
         type Keys = fn(&IdTriple) -> (Id, Id);
         let orderings: [(Keys, bool); 6] = [
             (|t| (t.s, t.p), false),
@@ -196,31 +222,37 @@ fn frozen_heap_breakdown_is_the_closed_form_of_the_space_stats() {
             });
             expected.header_keys += if window < bitmap { window } else { bitmap };
             expected.header_offsets += packed(windows.len() + 1, leaves);
-            // The vector keys, packed or Elias–Fano coded: each window's
-            // first key in a base column, the other keys' `l`, low and
-            // high parts in one stream, a bit offset per window and the
-            // stream's rank samples — whichever takes fewer bytes.
-            let max_k2 = windows.values().flatten().copied().max().unwrap_or(0);
-            let as_packed = packed(leaves, max_k2 as usize);
-            let max_first = windows.values().map(|w| w[0]).max().unwrap_or(0);
-            let ef_bits: usize = windows.values().map(|w| ef_window_bits(w)).sum();
-            let ef = [
-                packed(windows.len(), max_first as usize),
-                packed(windows.len() + 1, ef_bits),
-                stream(ef_bits),
-                directory(ef_bits),
-            ];
-            if ef.iter().sum::<usize>() < as_packed {
-                expected.vector_key_bases += ef[0];
-                expected.vector_key_offsets += ef[1];
-                expected.vector_key_streams += ef[2];
-                expected.vector_key_ranks += ef[3];
-                expected.elias_fano = expected.elias_fano.with(kind);
-            } else {
-                expected.vector_keys_packed += as_packed;
+            let vector_keys: Vec<&[u32]> = windows.values().map(Vec::as_slice).collect();
+            match key_column(&vector_keys) {
+                Ok(as_packed) => expected.vector_keys_packed += as_packed,
+                Err(ef) => {
+                    expected.vector_key_bases += ef[0];
+                    expected.vector_key_offsets += ef[1];
+                    expected.vector_key_streams += ef[2];
+                    expected.vector_key_ranks += ef[3];
+                    expected.elias_fano = expected.elias_fano.with(kind);
+                }
             }
             if mirror {
-                expected.mirror_list_refs += packed(leaves, leaves.saturating_sub(1));
+                let lists: Vec<(u32, u32)> = windows
+                    .iter()
+                    .flat_map(|(k1, w)| w.iter().map(move |&k2| (k2, k1.0)))
+                    .collect::<BTreeSet<_>>()
+                    .into_iter()
+                    .collect();
+                let list_of = |k1: Id, k2: u32| lists.binary_search(&(k2, k1.0)).unwrap() as u32;
+                let refs: Vec<Vec<u32>> = windows
+                    .iter()
+                    .map(|(&k1, w)| w.iter().map(|&k2| list_of(k1, k2)).collect())
+                    .collect();
+                let refs: Vec<&[u32]> = refs.iter().map(Vec::as_slice).collect();
+                expected.mirror_list_refs += match key_column(&refs) {
+                    Ok(as_packed) => as_packed,
+                    Err(ef) => {
+                        expected.elias_fano_refs = expected.elias_fano_refs.with(kind);
+                        ef.iter().sum()
+                    }
+                };
             }
         }
         // Per arena, its lists in their primary ordering's key order —
@@ -254,20 +286,14 @@ fn frozen_heap_breakdown_is_the_closed_form_of_the_space_stats() {
             }
             let ids: usize = runs.iter().map(Vec::len).sum();
             expected.run_ends += packed(runs.len() + 1, ids);
-            let max_id = runs.iter().flatten().copied().max().unwrap_or(0);
-            let as_packed = packed(ids, max_id as usize);
-            let max_first = runs.iter().map(|r| r[0]).max().unwrap_or(0);
-            let ef_bits: usize = runs.iter().map(|r| ef_window_bits(r)).sum();
-            let ef = packed(runs.len(), max_first as usize)
-                + packed(runs.len() + 1, ef_bits)
-                + stream(ef_bits)
-                + directory(ef_bits);
-            if ef < as_packed {
-                expected.run_keys += ef;
-                expected.elias_fano_arenas = expected.elias_fano_arenas.with(primary);
-            } else {
-                expected.run_keys += as_packed;
-            }
+            let runs: Vec<&[u32]> = runs.iter().map(Vec::as_slice).collect();
+            expected.run_keys += match key_column(&runs) {
+                Ok(as_packed) => as_packed,
+                Err(ef) => {
+                    expected.elias_fano_arenas = expected.elias_fano_arenas.with(primary);
+                    ef.iter().sum()
+                }
+            };
         }
         assert_eq!(frozen.heap_breakdown(), expected, "{how}");
         assert_eq!(frozen.heap_bytes(), expected.total(), "{how}");
