@@ -598,8 +598,37 @@ fn snapshot_size_rendered(fig: &FigureSpec, p: &Params) -> Rendered {
             ("frozen_elias_fano_refs_pso", Count::Flag(coded_refs.contains(IndexKind::Pso))),
             ("frozen_elias_fano_refs_osp", Count::Flag(coded_refs.contains(IndexKind::Osp))),
             ("frozen_elias_fano_refs_ops", Count::Flag(coded_refs.contains(IndexKind::Ops))),
-        ],
+        ]
+        .into_iter()
+        .map(|(key, count)| (key.to_string(), count))
+        .chain(coded_offsets(&heap)),
     )
+}
+
+/// Which cumulative offsets columns are one Elias–Fano window, one flag
+/// each: the orderings' offsets and the bit offsets of their Elias–Fano
+/// vector keys (`spo` … `ops`) and list references (`pso`, `osp`, `ops`),
+/// and each arena's run ends and the bit offsets of its Elias–Fano run
+/// ids, named by its primary ordering (`spo`, `sop`, `pos`).
+fn coded_offsets(heap: &hexastore::HeapBreakdown) -> Vec<(String, Count)> {
+    use IndexKind::*;
+    let (all, mirrors, primaries) =
+        (&IndexKind::ALL[..], &[Pso, Osp, Ops][..], &[Spo, Sop, Pos][..]);
+    let parts = [
+        ("offsets", heap.elias_fano_offsets, all),
+        ("key_offsets", heap.elias_fano_key_offsets, all),
+        ("ref_offsets", heap.elias_fano_ref_offsets, mirrors),
+        ("run_ends", heap.elias_fano_run_ends, primaries),
+        ("run_key_offsets", heap.elias_fano_run_key_offsets, primaries),
+    ];
+    let mut flags = Vec::new();
+    for (part, coded, kinds) in parts {
+        for &kind in kinds {
+            let key = format!("frozen_elias_fano_{part}_{}", kind.name());
+            flags.push((key, Count::Flag(coded.contains(kind))));
+        }
+    }
+    flags
 }
 
 /// How many distinct texts the `plan_cache` entry streams through one
@@ -1306,12 +1335,12 @@ pub fn collect_evidence(params: &Params) -> Evidence {
 }
 
 impl Evidence {
-    /// `BENCH_ci.json`, schema 13: the two scales and every figure's
+    /// `BENCH_ci.json`, schema 14: the two scales and every figure's
     /// counts under its stem — no timings, so two runs of one build write
     /// the same bytes.
     pub fn bench_ci_json(&self) -> String {
         let mut json = format!(
-            "{{\n  \"schema\": 13,\n  \"figures_triples\": {},\n  \"load_triples\": {}",
+            "{{\n  \"schema\": 14,\n  \"figures_triples\": {},\n  \"load_triples\": {}",
             self.params.triples, self.params.large_triples
         );
         for (stem, counts) in &self.counts {
@@ -1452,6 +1481,11 @@ mod tests {
             "frozen_elias_fano_pso",
             "frozen_elias_fano_arena_pos",
             "frozen_elias_fano_refs_pso",
+            "frozen_elias_fano_offsets_spo",
+            "frozen_elias_fano_key_offsets_ops",
+            "frozen_elias_fano_ref_offsets_pso",
+            "frozen_elias_fano_run_ends_pos",
+            "frozen_elias_fano_run_key_offsets_sop",
             "plans",
             "entries_after_70000",
         ] {

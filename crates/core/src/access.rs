@@ -45,7 +45,7 @@ use crate::advisor::{serving_indices, IndexKind, IndexSet};
 pub use crate::packed::PackedView;
 use crate::pattern::{IdPattern, Shape};
 pub use crate::slab::{ArenaCopy, ArenaView, List};
-pub use crate::succinct::{HeadersView, Keys, KeysView};
+pub use crate::succinct::{HeadersView, Keys, KeysView, OffsetsView};
 use crate::traits::{TripleIter, TripleStore};
 use hex_dict::{Id, IdTriple};
 use std::ops::Range;
@@ -161,22 +161,22 @@ fn probe_in(kind: IndexKind, pat: IdPattern, served: bool) -> Probe {
 }
 
 /// Window `i` of a cumulative offsets column, clamped to a column of `n`
-/// elements. A window past the end of `offs` is empty; an end beyond `n`
-/// is cut to `n`; a corrupt, non-monotone pair (`offs[i] > offs[i + 1]`)
-/// is empty — never a `lo > hi` range.
+/// elements: one pair read ([`OffsetsView::pair`]). A window past the end
+/// of `offs`, or one a corrupt coded column cannot read, is empty; an end
+/// beyond `n` is cut to `n`; a corrupt, non-monotone pair (`offs[i] >
+/// offs[i + 1]`) is empty — never a `lo > hi` range.
 #[inline]
-fn window_of(offs: PackedView<'_>, i: usize, n: usize) -> Range<usize> {
-    if i.saturating_add(1) >= offs.len() {
-        return 0..0;
-    }
-    let hi = (offs.get(i + 1) as usize).min(n);
-    (offs.get(i) as usize).min(hi)..hi
+fn window_of(offs: OffsetsView<'_>, i: usize, n: usize) -> Range<usize> {
+    let Some((lo, hi)) = offs.pair(i) else { return 0..0 };
+    let hi = (hi as usize).min(n);
+    (lo as usize).min(hi)..hi
 }
 
 /// Borrowed columns of one flat two-level ordering: the header keys — a
 /// presence bitmap with its rank directory, or one Elias–Fano window —
 /// the cumulative `offs` that
-/// window the `k2` column per header (one entry more than headers), the
+/// window the `k2` column per header (one entry more than headers; packed,
+/// or one Elias–Fano window), the
 /// vector keys — packed or Elias–Fano coded ([`crate::succinct`]) — and
 /// the terminal-list reference of each leaf. `Copy`, so cursor closures
 /// own it outright.
@@ -185,7 +185,7 @@ pub struct IndexView<'a> {
     /// The header keys: header `h` is the `h`-th key.
     pub keys: HeadersView<'a>,
     /// Header `h`'s leaves are `offs[h]..offs[h + 1]` of `k2`.
-    pub offs: PackedView<'a>,
+    pub offs: OffsetsView<'a>,
     /// Vector keys, sorted within each header's window.
     pub k2: KeysView<'a>,
     /// Terminal-list index per leaf, into the ordering's arena; windowed
@@ -606,13 +606,13 @@ mod tests {
         let copy = ArenaCopy::default();
         let arena = ArenaView {
             slots: slots.view(),
-            ends: ends.view(),
+            ends: ends.view().into(),
             keys: run_keys.borrowed(),
             copy: &copy,
         };
         let k2 = KeysView::Packed(k2.view());
         let lists = Some(KeysView::Packed(lists.view()));
-        let ix = IndexView { keys: keys.view(), offs: offs.view(), k2, lists };
+        let ix = IndexView { keys: keys.view(), offs: offs.view().into(), k2, lists };
         let ord = SlabOrdering { index: ix, arena };
         assert_eq!(ord.list(Id(1), Id(5)), &[Id(10), Id(11)], "list run clamped to the column");
         assert_eq!(ord.list(Id(1), Id(6)), &[] as &[Id], "dangling list index reads empty");
@@ -635,7 +635,7 @@ mod tests {
         let coded =
             crate::succinct::EfColumn::from_windows(&[0, 1], &PackedColumn::from_values(&[0, 2]));
         let past = PackedColumn::from_values(&[100, 200]);
-        let corrupt = crate::succinct::EfView { offs: past.view(), ..coded.view() };
+        let corrupt = crate::succinct::EfView { offs: past.view().into(), ..coded.view() };
         for (refs, first) in
             [(KeysView::Packed(short.view()), 1), (KeysView::EliasFano(corrupt), 0)]
         {
@@ -661,7 +661,7 @@ mod tests {
             let packed = matches!(run_keys, KeyColumn::Packed(_));
             let arena = ArenaView {
                 slots: slots.view(),
-                ends: ends.view(),
+                ends: ends.view().into(),
                 keys: run_keys.borrowed(),
                 copy: &copy,
             };
@@ -682,8 +682,8 @@ mod tests {
         // empty, not the singleton `Id(0)` — nor is any list of a column
         // that claims slots but no bits for them.
         let (slots, none) = (PackedView::new(&[], 0, 3).unwrap(), KeyColumn::default());
-        let zeros =
-            ArenaView { slots, ends: PackedView::EMPTY, keys: none.borrowed(), copy: &copy };
+        let ends = PackedView::EMPTY.into();
+        let zeros = ArenaView { slots, ends, keys: none.borrowed(), copy: &copy };
         assert_eq!(zeros.get(0), &[Id(0)], "width 0 reads zeros, wrong but safe");
         assert!(zeros.get(3).is_empty() && zeros.validate().is_err());
     }

@@ -544,8 +544,21 @@ mod tests {
             c.heap_bytes() == crate::packed::bytes_for(c.len(), c.width()).unwrap()
                 && c.view().validate().is_ok()
         };
+        // A coded one, its stream and rank directory.
+        let image = |offs: crate::succinct::OffsetsView<'_>| match offs {
+            crate::succinct::OffsetsView::Packed(col) => {
+                crate::packed::bytes_for(col.len(), col.width()).unwrap()
+            }
+            crate::succinct::OffsetsView::EliasFano(ef) => [ef.stream.bits, ef.stream.ranks]
+                .map(|col| crate::packed::bytes_for(col.len(), col.width()).unwrap())
+                .iter()
+                .sum(),
+        };
         for ix in built.orderings() {
-            assert!(exact(&ix.offs));
+            match &ix.offs {
+                crate::succinct::OffsetsColumn::Packed(offs) => assert!(exact(offs)),
+                coded => assert_eq!(coded.heap_bytes(), image(coded.view())),
+            }
         }
         // The header bitmaps, the vector keys and the mirrors' references
         // hold no more than their images, which are what the eager reader
@@ -564,10 +577,11 @@ mod tests {
                 crate::succinct::KeysRef::Packed(keys) => bytes(keys),
                 crate::succinct::KeysRef::EliasFano(coded) => {
                     let ef = coded.view();
-                    [ef.base, ef.offs, ef.stream.bits, ef.stream.ranks].map(bytes).iter().sum()
+                    let parts = [ef.base, ef.stream.bits, ef.stream.ranks];
+                    parts.map(bytes).iter().sum::<usize>() + image(ef.offs)
                 }
             };
-            let exact = bytes(view.slots) + bytes(view.ends) + keys;
+            let exact = bytes(view.slots) + image(view.ends) + keys;
             assert_eq!(arena.heap_bytes(), exact, "a bulk build must already be exact");
             assert_eq!(view.validate(), Ok(arena.total_items()), "and canonical");
         }

@@ -11,7 +11,8 @@
 //!
 //! Only what cannot be derived is stored. A window's length is the next
 //! offset minus its own, so each index level keeps one cumulative offsets
-//! column instead of `(offset, length)` pairs. **Leaf *i* of a primary
+//! column instead of `(offset, length)` pairs — packed, or one
+//! Elias–Fano window of its values where that is smaller. **Leaf *i* of a primary
 //! ordering is list *i***: the builders emit an arena's lists in its
 //! primary ordering's leaf order (spo, sop, pos; every ordering of a
 //! partial store), so only the mirror orderings (pso, osp, ops) keep a
@@ -28,9 +29,11 @@
 //! references, which strictly ascend within each of its windows, are
 //! coded the same way over the same windows; and an arena's longer lists
 //! are runs of one key column cut by a run-ends column, the way vector
-//! keys are windows, packed or Elias–Fano coded run by run. Each encoding
-//! is chosen per ordering or arena, from counts the builder gathers
-//! before it writes, as the smaller of the two: no option selects it.
+//! keys are windows, packed or Elias–Fano coded run by run. Every
+//! cumulative column — offsets, run ends, an Elias–Fano column's bit
+//! offsets — is packed or one Elias–Fano window of its values. Each
+//! encoding is chosen per column, from counts the builder gathers before
+//! it writes, as the smaller of the two: no option selects it.
 //!
 //! Reads go through [`OrderedStore::ordering`]: the paper's "spo property
 //! vector of s" is `ordering(IndexKind::Spo).division(s)`, "the objects
@@ -46,11 +49,13 @@
 use crate::access::{IndexView, OrderedStore, SlabOrdering};
 use crate::advisor::{IndexKind, IndexSet};
 use crate::overlay::OverlayHexastore;
-use crate::packed::PackedColumn;
 use crate::slab::FlatArena;
 use crate::sorted;
 use crate::store::SpaceStats;
-use crate::succinct::{windows_of, HeaderColumn, HeaderSize, KeyColumn, KeySize};
+use crate::succinct::{
+    windows_of, HeaderColumn, HeaderSize, KeyColumn, KeySize, OffsetsColumn, OffsetsSize,
+    OffsetsView, Rule,
+};
 use crate::traits::TripleStore;
 use hex_dict::{Id, IdTriple};
 use std::ops::Range;
@@ -64,8 +69,9 @@ use std::sync::Arc;
 /// ordering has none, because its leaf `i` is list `i`. The header keys
 /// are a presence bitmap with a rank directory or one Elias–Fano window,
 /// the vector keys and the list references each packed or Elias–Fano
-/// coded, each whichever is smaller ([`crate::succinct`]); the offsets are
-/// packed at the width their largest value needs ([`crate::packed`]).
+/// coded, each whichever is smaller ([`crate::succinct`]); so are the
+/// offsets, packed at the width of their last value or one Elias–Fano
+/// window of them ([`OffsetsColumn`]).
 ///
 /// A mirror's references strictly ascend within each window: its primary
 /// lays its leaves out by the mirror's vector key first, so the leaves of
@@ -74,7 +80,7 @@ use std::sync::Arc;
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub(crate) struct FrozenIndex {
     pub(crate) keys: HeaderColumn,
-    pub(crate) offs: PackedColumn,
+    pub(crate) offs: OffsetsColumn,
     pub(crate) k2: KeyColumn,
     pub(crate) lists: Option<KeyColumn>,
 }
@@ -103,7 +109,7 @@ impl FrozenIndex {
     /// An empty primary ordering with exact room for what `size` counted.
     pub(crate) fn primary(size: LevelSize) -> Self {
         let pairs = u32::try_from(size.keys.keys).expect("frozen index overflow: 2^32 leaves");
-        let mut offs = PackedColumn::with_capacity(size.keys.windows + 1, pairs);
+        let mut offs = OffsetsColumn::with_capacity(OffsetsSize::new(size.keys.windows + 1, pairs));
         offs.push(0);
         FrozenIndex {
             keys: HeaderColumn::with_capacity(size.headers),
@@ -132,7 +138,6 @@ impl FrozenIndex {
     /// Closes the `k1` group of the leaves pushed since the last close.
     pub(crate) fn end_k1(&mut self, k1: Id) {
         let end = u32::try_from(self.k2.len()).expect("frozen index overflow: 2^32 leaves");
-        debug_assert!(self.offs.get(self.offs.len() - 1) < end, "empty k1 group");
         self.keys.push(k1);
         self.offs.push(end);
         self.k2.end_window();
@@ -144,13 +149,8 @@ impl FrozenIndex {
     /// Each header key with its header number and leaf range, in key
     /// order.
     pub(crate) fn groups(&self) -> impl Iterator<Item = (Id, usize, Range<usize>)> + '_ {
-        let ends = self.offs.values().skip(1);
-        self.keys
-            .view()
-            .keys()
-            .zip(self.offs.values().zip(ends))
-            .enumerate()
-            .map(|(h, (k1, (lo, hi)))| (k1, h, lo as usize..hi as usize))
+        let windows = windows_of(&self.offs);
+        self.keys.view().keys().zip(windows).enumerate().map(|(h, (k1, w))| (k1, h, w))
     }
 
     /// The columns as the borrowed view the shared read path walks.
@@ -180,9 +180,15 @@ impl FrozenIndex {
     fn account(&self, kind: IndexKind, b: &mut HeapBreakdown) {
         b.header_keys += self.keys.heap_bytes();
         b.header_offsets += self.offs.heap_bytes();
+        if self.offs.is_elias_fano() {
+            b.elias_fano_offsets = b.elias_fano_offsets.with(kind);
+        }
         b.mirror_list_refs += self.list_ref_bytes();
-        if let Some(KeyColumn::EliasFano(_)) = self.lists {
+        if let Some(KeyColumn::EliasFano(refs)) = &self.lists {
             b.elias_fano_refs = b.elias_fano_refs.with(kind);
+            if refs.offsets_coded() {
+                b.elias_fano_ref_offsets = b.elias_fano_ref_offsets.with(kind);
+            }
         }
         match &self.k2 {
             KeyColumn::Packed(column) => b.vector_keys_packed += column.heap_bytes(),
@@ -192,6 +198,9 @@ impl FrozenIndex {
                 b.vector_key_offsets += column.offset_bytes();
                 b.vector_key_ranks += column.rank_bytes();
                 b.elias_fano = b.elias_fano.with(kind);
+                if column.offsets_coded() {
+                    b.elias_fano_key_offsets = b.elias_fano_key_offsets.with(kind);
+                }
             }
         }
     }
@@ -203,49 +212,28 @@ impl FrozenIndex {
             + self.list_ref_bytes()
     }
 
-    /// True when the columns hold what they cannot check themselves:
-    /// offsets tiling the `k2` column into one non-empty group per header
-    /// key, and every list reference in range for the `arena_lists`-sized
-    /// arena (a primary's implicit references are in range when it has
-    /// exactly `arena_lists` leaves). The header keys ascend and each
-    /// group's vector keys and list references ascend by
-    /// [`HeaderColumn::check`] and [`KeyColumn::check`], which the eager
-    /// reader runs before this on every store it loads, whatever the
-    /// format version.
-    pub(crate) fn is_consistent(&self, arena_lists: usize) -> bool {
-        let leaves = self.k2.len();
-        let refs_valid = match &self.lists {
-            Some(lists) => {
-                let refs = lists.view();
-                lists.len() == leaves
-                    && windows_of(self.offs.view())
-                        .enumerate()
-                        .all(|(h, w)| refs.iter(h, w).all(|l| (l as usize) < arena_lists))
-            }
-            None => leaves == arena_lists,
-        };
-        refs_valid && tiles(&self.offs, self.keys.len(), leaves)
-    }
-
-    /// Assembles an index from header keys, vector keys and (a mirror's)
-    /// list references in the plain form a pre-v9 snapshot and the
-    /// compressed section decode to, each taking the encoding its sizes
-    /// choose. The keys must be strictly ascending and `offs` must tile
-    /// `k2` and `lists` into strictly ascending windows — checked here, as
-    /// encoding keys that do not ascend has no meaning. `None` otherwise.
-    /// The rest of [`FrozenIndex::is_consistent`] is the loader's to check.
+    /// Assembles an index from header keys, cumulative offsets, vector keys
+    /// and (a mirror's) list references in the plain form a pre-v9
+    /// snapshot and the compressed section decode to, each taking the
+    /// encoding its sizes choose. The keys must be strictly ascending and
+    /// `offs` must tile `k2` and `lists` into strictly ascending windows —
+    /// checked here, as encoding keys that do not ascend has no meaning.
+    /// `None` otherwise. That every list reference is in range, and that
+    /// the index agrees with the other of its pair, is the loader's to
+    /// check.
     pub(crate) fn from_plain_parts(
         keys: &[Id],
-        offs: PackedColumn,
+        offs: &[u32],
         k2: &[u32],
         lists: Option<&[u32]>,
     ) -> Option<Self> {
         if !sorted::is_sorted_set(keys) || offs.len() != keys.len() + 1 {
             return None;
         }
-        let k2 = windowed(k2, &offs)?;
+        let offs = OffsetsColumn::from_values(offs);
+        let k2 = windowed(k2, offs.view())?;
         let lists = match lists {
-            Some(refs) => Some(windowed(refs, &offs)?),
+            Some(refs) => Some(windowed(refs, offs.view())?),
             None => None,
         };
         Some(FrozenIndex { keys: HeaderColumn::from_sorted(keys), offs, k2, lists })
@@ -257,20 +245,17 @@ impl FrozenIndex {
 /// strictly ascending. How plain vector keys and a mirror's plain list
 /// references — a pre-v13 section's packed column, a compressed
 /// section's varints — become the columns an ordering keeps.
-pub(crate) fn windowed(keys: &[u32], offs: &PackedColumn) -> Option<KeyColumn> {
+pub(crate) fn windowed(keys: &[u32], offs: OffsetsView<'_>) -> Option<KeyColumn> {
     let ascend = |run: &[u32]| run.windows(2).all(|w| w[0] < w[1]);
-    let runs_ascend = tiles(offs, offs.len().checked_sub(1)?, keys.len())
-        && windows_of(offs.view()).all(|w| ascend(&keys[w]));
-    runs_ascend.then(|| KeyColumn::of_windows(keys, offs))
-}
-
-/// True when `offs` cuts `leaves` vector keys into one non-empty window
-/// for each of `headers` header keys.
-fn tiles(offs: &PackedColumn, headers: usize, leaves: usize) -> bool {
-    offs.len() == headers + 1
-        && offs.get(0) == 0
-        && offs.get(headers) as usize == leaves
-        && offs.values().zip(offs.values().skip(1)).all(|(lo, hi)| lo < hi)
+    let mut values = offs.values();
+    let (mut lo, mut runs_ascend) = (values.next()?, true);
+    for hi in values {
+        runs_ascend &= lo < hi && hi as usize <= keys.len();
+        runs_ascend = runs_ascend && ascend(&keys[lo as usize..hi as usize]);
+        lo = hi;
+    }
+    let tiles = offs.get(0) == 0 && lo as usize == keys.len();
+    (runs_ascend && tiles).then(|| KeyColumn::of_windows(keys, offs))
 }
 
 /// Where a [`FrozenHexastore`]'s heap bytes go, column kind by column
@@ -295,7 +280,8 @@ pub struct HeapBreakdown {
     /// Header keys: the six orderings' presence bitmaps and their rank
     /// directories, or Elias–Fano windows where those are smaller.
     pub header_keys: usize,
-    /// Header offsets: the six orderings' packed offsets columns.
+    /// Header offsets: the six orderings' offsets columns, packed or one
+    /// Elias–Fano window each.
     pub header_offsets: usize,
     /// Vector keys of the orderings that keep them packed.
     pub vector_keys_packed: usize,
@@ -303,7 +289,8 @@ pub struct HeapBreakdown {
     pub vector_key_bases: usize,
     /// Elias–Fano vector keys: the streams of `l`, low and high parts.
     pub vector_key_streams: usize,
-    /// Elias–Fano vector keys: each window's bit offset.
+    /// Elias–Fano vector keys: each window's bit offset, packed or one
+    /// Elias–Fano window per ordering.
     pub vector_key_offsets: usize,
     /// Elias–Fano vector keys: the streams' rank directories.
     pub vector_key_ranks: usize,
@@ -316,6 +303,20 @@ pub struct HeapBreakdown {
     pub elias_fano_arenas: IndexSet,
     /// The mirror orderings whose list references are Elias–Fano coded.
     pub elias_fano_refs: IndexSet,
+    /// The orderings whose offsets are one Elias–Fano window.
+    pub elias_fano_offsets: IndexSet,
+    /// The orderings whose Elias–Fano vector keys' bit offsets are one
+    /// Elias–Fano window.
+    pub elias_fano_key_offsets: IndexSet,
+    /// The mirror orderings whose Elias–Fano list references' bit offsets
+    /// are one Elias–Fano window.
+    pub elias_fano_ref_offsets: IndexSet,
+    /// The arenas whose run ends are one Elias–Fano window, each named by
+    /// its primary ordering.
+    pub elias_fano_run_ends: IndexSet,
+    /// The arenas whose Elias–Fano run ids' bit offsets are one
+    /// Elias–Fano window, each named by its primary ordering.
+    pub elias_fano_run_key_offsets: IndexSet,
 }
 
 impl HeapBreakdown {
@@ -397,7 +398,6 @@ pub struct FrozenHexastore {
 /// The shared slab payload of a [`FrozenHexastore`]: six orderings over
 /// three paired terminal arenas. One allocation, arbitrarily many
 /// reader handles.
-#[derive(PartialEq, Eq)]
 struct FrozenInner {
     spo: FrozenIndex,
     sop: FrozenIndex,
@@ -412,7 +412,27 @@ struct FrozenInner {
     /// Terminal subject lists, shared by pos and ops.
     s_lists: FlatArena,
     len: usize,
+    /// The encodings the columns may take: [`Rule::Packed`] for a store
+    /// read from a file written before offsets were coded, whose columns
+    /// are taken as they are.
+    rule: Rule,
 }
+
+/// Equal columns: the rule only says which encodings a check allows.
+impl PartialEq for FrozenInner {
+    fn eq(&self, other: &Self) -> bool {
+        fn columns(f: &FrozenInner) -> ([&FrozenIndex; 6], [&FlatArena; 3], usize) {
+            (
+                [&f.spo, &f.sop, &f.pso, &f.pos, &f.osp, &f.ops],
+                [&f.o_lists, &f.p_lists, &f.s_lists],
+                f.len,
+            )
+        }
+        columns(self) == columns(other)
+    }
+}
+
+impl Eq for FrozenInner {}
 
 impl FrozenHexastore {
     /// Bulk-builds a frozen store from an arbitrary (unsorted, possibly
@@ -460,8 +480,21 @@ impl FrozenHexastore {
                 p_lists,
                 s_lists,
                 len,
+                rule: Rule::Current,
             }),
         }
+    }
+
+    /// The store, its columns checked under `rule` ([`Rule::Packed`] for
+    /// one read from a file written before offsets were coded).
+    pub(crate) fn under(mut self, rule: Rule) -> Self {
+        Arc::get_mut(&mut self.inner).expect("a store just built").rule = rule;
+        self
+    }
+
+    /// The encodings the store's columns may take.
+    pub(crate) fn rule(&self) -> Rule {
+        self.inner.rule
     }
 
     /// The largest id referenced anywhere in the slabs, if any — the
@@ -511,6 +544,12 @@ impl FrozenHexastore {
         for (kind, arena) in PRIMARIES.into_iter().zip(arenas) {
             if arena.is_elias_fano() {
                 b.elias_fano_arenas = b.elias_fano_arenas.with(kind);
+            }
+            if arena.ends_coded() {
+                b.elias_fano_run_ends = b.elias_fano_run_ends.with(kind);
+            }
+            if arena.key_offsets_coded() {
+                b.elias_fano_run_key_offsets = b.elias_fano_run_key_offsets.with(kind);
             }
         }
         for (kind, ix) in IndexKind::ALL.into_iter().zip(self.orderings()) {
@@ -672,8 +711,7 @@ mod tests {
     #[test]
     fn raw_index_levels_must_tile_and_ascend_within_each_group() {
         let raw = |offs: &[u32], k2: &[u32]| {
-            let offs = PackedColumn::from_values(offs);
-            let primary = FrozenIndex::from_plain_parts(&[Id(1), Id(2)], offs.clone(), k2, None);
+            let primary = FrozenIndex::from_plain_parts(&[Id(1), Id(2)], offs, k2, None);
             // The same windows as a mirror's list references.
             let refs =
                 FrozenIndex::from_plain_parts(&[Id(1), Id(2)], offs, &[0, 1, 2, 3], Some(k2));

@@ -14,7 +14,7 @@
 //! ```text
 //! offset   size  field
 //! 0        8     magic "hexsnap\0"
-//! 8        4     format version (u32, currently 13)
+//! 8        4     format version (u32, currently 14)
 //! 12       …     section payloads, back to back
 //! …        var   section table: u32 count, then per section
 //!                [u8; 4] tag · u64 offset · u64 length
@@ -95,15 +95,27 @@
 //!   column whose width the count fields give — the run ends, every bit
 //!   stream's rank directory — stores no width field. `DICT` and `FRZC`
 //!   are v11's byte for byte.
-//! - **v13** (current) — a `FROZ` mirror ordering's list references are
+//! - **v13** — a `FROZ` mirror ordering's list references are
 //!   windowed by its offsets as its vector keys are — within each window
 //!   they strictly ascend, as the primary lays its leaves out by the
 //!   mirror's vector key first — and stored as vector keys are: packed,
 //!   or Elias–Fano coded window by window, whichever is smaller, an
 //!   encoding flag (bit 2) saying which. Packed, they are v12's column
 //!   byte for byte. `DICT`, the arenas and `FRZC` are v12's byte for byte.
+//! - **v14** (current) — every cumulative offsets column of `FROZ` — an
+//!   ordering's offsets, an arena's run ends, and the bit offsets of each
+//!   Elias–Fano column (vector keys, list references, run ids, a header
+//!   window) — is packed or one Elias–Fano window of its values
+//!   ([`crate::succinct::EfOffsets`]), whichever is smaller, a flag per
+//!   column saying which: ordering flags bit 3 (its offsets), bit 4 (its
+//!   vector keys' bit offsets), bit 5 (a mirror's references' bit
+//!   offsets), bit 6 (its header window's bit offsets); arena flags bit 3
+//!   (its run ends) and bit 4 (its run ids' bit offsets). A bit-offset
+//!   flag is set only beside the flag of the coded column it cuts. Where
+//!   every offsets column stays packed a v14 section is v13's byte for
+//!   byte; `DICT` and `FRZC` are v13's.
 //!
-//! [`Writer`] writes v13; [`Reader`] opens all thirteen. Where every column of
+//! [`Writer`] writes v14; [`Reader`] opens all fourteen. Where every column of
 //! a `DICT` or `FROZ` section lies is said once per section, by a walker
 //! that reads only the count fields: [`Reader::dict_columns`] and
 //! [`Reader::frozen_columns`], the only code that knows how the column
@@ -126,9 +138,12 @@
 //! are packed, a v4–v11 arena's overflow runs, checked as that layout
 //! was, become the runs of a key column, and a v3–v12 mirror's list
 //! references, checked canonical and strictly ascending within each
-//! window, become a key column windowed by its offsets. Every eager load
+//! window, become a key column windowed by its offsets. A v9 to v13
+//! section's packed offsets columns are taken as they are, and its store
+//! is checked under [`Rule::Packed`], which allows the encodings an older
+//! writer chose. Every eager load
 //! of slabs — `FROZ` of any version, or the decoded `FRZC` payload — then
-//! ends in the same check of the built store. Only a v10 to v13 file has
+//! ends in the same check of the built store. Only a v10 to v14 file has
 //! the index columns `hex-disk` maps (a v10 one with an empty frozen
 //! tier; a v10 or v11 one's arenas and a v10 to v12 one's list
 //! references are rebuilt, owned, on the way; [`mapping_refusal`] says
@@ -179,9 +194,12 @@
 //!   `u64 n_triples`; then per arena (object, property, subject lists),
 //!   from v12: `u32 n_lists`, `u32 n_runs`, `u32 n_keys` (the run ids;
 //!   `n_lists − n_runs + n_keys` is the triple count), `u32 flags` (bit 1:
-//!   the run ids are Elias–Fano coded; no other bit is set), the packed
+//!   the run ids are Elias–Fano coded; from v14 bit 3: the run ends are
+//!   an offsets window, bit 4: the run ids' bit offsets are; no other bit
+//!   is set), the packed
 //!   slot column of `n_lists` slots, the `n_runs + 1` cumulative run ends
-//!   packed at the bit length of `n_keys` with no width field, then the
+//!   packed at the bit length of `n_keys` with no width field (or an
+//!   offsets window, below), then the
 //!   run ids: a packed column of `n_keys` values, or an Elias–Fano column
 //!   of `n_runs` windows (below). From v4 to v11 an arena is `u32 n_lists`,
 //!   `u64 n_items`, `u32 n_overflow`, the packed slot column of `n_lists`
@@ -212,6 +230,15 @@
 //!   From v12 a rank directory stores no width field: its width is the
 //!   bit length of its stream's length (0 with no sample), and its words
 //!   follow the stream's.
+//!   From v14 each cumulative offsets column — an ordering's offsets, an
+//!   arena's run ends, an Elias–Fano column's bit offsets — whose flag is
+//!   set is an **offsets window** in place of the packed column: `u32
+//!   n_bits`, the stream (packed, width 1) and its rank directory. The
+//!   stream is a 5-bit `l = ⌊log2(last / n)⌋` for its `n` values, the last
+//!   `last`; then the high region, a one per value `v` at bit `(v >> l) +
+//!   i` of it, ending on the last value's one; then each value's low `l`
+//!   bits. Its value count is the packed column's; a window shorter than
+//!   its `l` and a one per value is refused by the walk.
 //!   From v6 the offsets, vector keys and list references —
 //!   from v7 the list slots and from v8 the overflow words — are each a
 //!   packed column: a `u32` width `w` (at most 32), zero bytes up to the
@@ -243,8 +270,9 @@ use crate::packed::{bytes_for, width_of, Bytes, PackedColumn, PackedView, MAX_WI
 use crate::pattern::IdPattern;
 use crate::slab::{pack_u32_slots, FlatArena, MAX_IN_SLOT};
 use crate::succinct::{
-    check_stream_shape, sample_width, samples, EfColumn, EfView, HeaderColumn, HeadersView,
-    KeyColumn, KeysView, RankBitmap,
+    check_stream_shape, sample_width, samples, EfColumn, EfOffsets, EfView, HeaderColumn,
+    HeadersView, KeyCheck, KeyColumn, KeysView, OffsetsCheck, OffsetsColumn, OffsetsView,
+    RankBitmap, Rule, L_BITS,
 };
 use crate::traits::TripleStore;
 use hex_dict::{ArenaImage, Dictionary, FrontImage, Id, IdTriple};
@@ -258,7 +286,7 @@ use std::path::Path;
 pub const MAGIC: [u8; 8] = *b"hexsnap\0";
 
 /// The current format version. [`Reader`] accepts `1..=VERSION`.
-pub const VERSION: u32 = 13;
+pub const VERSION: u32 = 14;
 
 /// The oldest format version `hex-disk` maps: v10 and v11 differ only in
 /// the frozen dictionary tier v11 adds, which a v10 file lacks, v12 only
@@ -331,6 +359,33 @@ const KEYS_CODED: u32 = 2;
 /// A v13 mirror ordering's encoding flag: its list references are
 /// Elias–Fano windows, not packed.
 const REFS_CODED: u32 = 4;
+/// A v14 encoding flag: an ordering's offsets, or an arena's run ends,
+/// are one Elias–Fano window, not packed.
+const OFFSETS_CODED: u32 = 8;
+/// A v14 encoding flag: the bit offsets of an ordering's Elias–Fano
+/// vector keys, or of an arena's Elias–Fano run ids, are one Elias–Fano
+/// window.
+const KEY_OFFSETS_CODED: u32 = 16;
+/// A v14 mirror ordering's encoding flag: the bit offsets of its
+/// Elias–Fano list references are one Elias–Fano window.
+const REF_OFFSETS_CODED: u32 = 32;
+/// A v14 ordering's encoding flag: the bit offsets of its header keys'
+/// Elias–Fano window are one Elias–Fano window.
+const HEADER_OFFSETS_CODED: u32 = 64;
+
+/// The first format version whose cumulative offsets columns may be
+/// Elias–Fano coded; a store read from an older file is checked under
+/// [`Rule::Packed`].
+const CODED_OFFSETS: u32 = 14;
+
+/// The flag of an Elias–Fano column whose bit offsets are coded; 0 for a
+/// packed column or packed bit offsets.
+fn bit_offsets_flag(keys: KeysView<'_>, flag: u32) -> u32 {
+    match keys {
+        KeysView::EliasFano(ef) if ef.offs.is_elias_fano() => flag,
+        _ => 0,
+    }
+}
 
 /// How [`Writer::frozen_with`] stores the prebuilt slab sections.
 ///
@@ -632,12 +687,29 @@ impl<W: Write + Seek> Writer<W> {
     /// stream's length, the stream and the stream's rank directory.
     fn elias_fano(&mut self, ef: EfView<'_>) -> Result<()> {
         self.packed(ef.base)?;
-        self.packed(ef.offs)?;
-        let bits = u32::try_from(ef.stream.len())
-            .map_err(|_| Error::Corrupt("2^32 stream bits".into()))?;
+        self.offsets(ef.offs, false)?;
+        self.stream(ef.stream)
+    }
+
+    /// Writes a bit stream: its length, the stream and its rank
+    /// directory.
+    fn stream(&mut self, stream: crate::succinct::BitsView<'_>) -> Result<()> {
+        let bits =
+            u32::try_from(stream.len()).map_err(|_| Error::Corrupt("2^32 stream bits".into()))?;
         w_u32(&mut self.w, bits)?;
-        self.packed(ef.stream.bits)?;
-        self.words(ef.stream.ranks)
+        self.packed(stream.bits)?;
+        self.words(stream.ranks)
+    }
+
+    /// Writes a cumulative offsets column: packed — with its width field,
+    /// unless `derived` says the count fields give it — or one Elias–Fano
+    /// window, a bit stream.
+    fn offsets(&mut self, offs: OffsetsView<'_>, derived: bool) -> Result<()> {
+        match offs {
+            OffsetsView::Packed(offs) if derived => self.words(offs),
+            OffsetsView::Packed(offs) => self.packed(offs),
+            OffsetsView::EliasFano(offs) => self.stream(offs.stream),
+        }
     }
 
     /// Writes a key column: packed, or Elias–Fano coded.
@@ -666,24 +738,37 @@ impl<W: Write + Seek> Writer<W> {
             w_u32(&mut self.w, count(arena.list_count(), "arena lists")?)?;
             w_u32(&mut self.w, count(columns.ends.len().saturating_sub(1), "arena runs")?)?;
             w_u32(&mut self.w, count(keys.len(), "arena run ids")?)?;
-            let coded = matches!(keys, KeysView::EliasFano(_));
-            w_u32(&mut self.w, if coded { KEYS_CODED } else { 0 })?;
+            let mut flags = bit_offsets_flag(keys, KEY_OFFSETS_CODED);
+            if matches!(keys, KeysView::EliasFano(_)) {
+                flags |= KEYS_CODED;
+            }
+            if columns.ends.is_elias_fano() {
+                flags |= OFFSETS_CODED;
+            }
+            w_u32(&mut self.w, flags)?;
             self.packed(columns.slots)?;
-            self.words(columns.ends)?;
+            self.offsets(columns.ends, true)?;
             self.keys(keys)?;
         }
         for ix in store.orderings() {
             let (keys, k2) = (ix.keys.view(), ix.k2.view());
             w_u32(&mut self.w, count(keys.len(), "headers")?)?;
-            let mut flags = 0;
-            if matches!(keys, HeadersView::EliasFano(_)) {
-                flags |= HEADERS_CODED;
+            let mut flags = bit_offsets_flag(k2, KEY_OFFSETS_CODED);
+            if let HeadersView::EliasFano(keys) = keys {
+                flags |= HEADERS_CODED
+                    | bit_offsets_flag(KeysView::EliasFano(keys), HEADER_OFFSETS_CODED);
             }
             if matches!(k2, KeysView::EliasFano(_)) {
                 flags |= KEYS_CODED;
             }
-            if let Some(KeyColumn::EliasFano(_)) = ix.lists {
-                flags |= REFS_CODED;
+            if let Some(lists) = &ix.lists {
+                flags |= bit_offsets_flag(lists.view(), REF_OFFSETS_CODED);
+                if matches!(lists, KeyColumn::EliasFano(_)) {
+                    flags |= REFS_CODED;
+                }
+            }
+            if ix.offs.is_elias_fano() {
+                flags |= OFFSETS_CODED;
             }
             w_u32(&mut self.w, flags)?;
             match keys {
@@ -694,7 +779,7 @@ impl<W: Write + Seek> Writer<W> {
                 }
                 HeadersView::EliasFano(ef) => self.elias_fano(ef)?,
             }
-            self.packed(ix.offs.view())?;
+            self.offsets(ix.offs.view(), false)?;
             w_u32(&mut self.w, count(ix.k2.len(), "vector entries")?)?;
             self.keys(k2)?;
             if let Some(lists) = &ix.lists {
@@ -848,8 +933,56 @@ impl Ints {
 pub enum Windows {
     /// `n + 1` cumulative offsets (v3 and later; packed from v6).
     Offsets(Ints),
+    /// `n + 1` cumulative offsets as one Elias–Fano window (v14).
+    EliasFano(OffsetsWindow),
     /// `n` `(offset, length)` pairs, `2n` `u32`s (before v3).
     Pairs(Column),
+}
+
+/// Where a cumulative offsets column of `len` values lies when it is one
+/// Elias–Fano window (v14; [`crate::succinct::EfOffsets`]).
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub struct OffsetsWindow {
+    /// The `l`, low parts and high region, width 1.
+    pub stream: Packed,
+    /// Set bits of the stream before each 512-bit block.
+    pub ranks: Packed,
+    /// The number of values.
+    pub len: usize,
+}
+
+/// Where a cumulative offsets column of a v9 or later `FROZ` section —
+/// an arena's run ends, an Elias–Fano column's bit offsets — lies:
+/// packed, or (v14) one Elias–Fano window.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub enum Offsets {
+    /// Packed at the width of the last value.
+    Packed(Packed),
+    /// One Elias–Fano window.
+    EliasFano(OffsetsWindow),
+}
+
+impl Offsets {
+    /// Number of values.
+    pub fn len(&self) -> usize {
+        match self {
+            Offsets::Packed(col) => col.len,
+            Offsets::EliasFano(window) => window.len,
+        }
+    }
+
+    /// True when the column holds no value.
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// The packed column, `None` for an Elias–Fano window.
+    pub fn packed(self) -> Option<Packed> {
+        match self {
+            Offsets::Packed(col) => Some(col),
+            Offsets::EliasFano(_) => None,
+        }
+    }
 }
 
 /// The columns of one `FROZ` arena.
@@ -862,8 +995,8 @@ pub enum ArenaColumns {
         /// index of its run.
         slots: Packed,
         /// The cumulative end of each run in `keys`, one entry more than
-        /// runs.
-        ends: Packed,
+        /// runs: packed, or (v14) one Elias–Fano window.
+        ends: Offsets,
         /// Every run's ids: packed, or Elias–Fano coded run by run.
         keys: VectorKeys,
         /// The number of run ids the section declares.
@@ -895,8 +1028,9 @@ pub enum ArenaColumns {
 pub struct EfColumns {
     /// Each window's first key.
     pub base: Packed,
-    /// Where each window's bits start, one entry more than windows.
-    pub offs: Packed,
+    /// Where each window's bits start, one entry more than windows:
+    /// packed, or (v14) one Elias–Fano window.
+    pub offs: Offsets,
     /// The windows' bits, width 1 (0 when empty).
     pub stream: Packed,
     /// Set bits of the stream before each 512-bit block.
@@ -1000,6 +1134,8 @@ pub struct OrderingColumns {
 /// The columns of a raw `FROZ` section ([`Reader::frozen_columns`]).
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub struct FrozenColumns {
+    /// The file's format version.
+    pub version: u32,
     /// The triple count the section declares.
     pub triples: usize,
     /// The object-, property- and subject-list arenas.
@@ -1122,14 +1258,57 @@ impl<R: Read + Seek> Walk<'_, R> {
     }
 
     /// Steps over an Elias–Fano column of `windows` windows: its base
-    /// and bit-offset columns, its stream's length, the stream and the
-    /// stream's directory.
-    fn elias_fano(&mut self, windows: u64, what: &str) -> Result<EfColumns> {
+    /// and bit-offset columns — the latter one Elias–Fano window when
+    /// `coded` — its stream's length, the stream and the stream's
+    /// directory.
+    ///
+    /// Every key after a window's first is a one of the stream, so a
+    /// column declaring more than `windows` keys beyond its stream's
+    /// length is refused here: no read sizes anything by a count its bits
+    /// cannot hold.
+    fn elias_fano(
+        &mut self,
+        windows: u64,
+        keys: u64,
+        coded: bool,
+        what: &str,
+    ) -> Result<EfColumns> {
         let base = self.packed(windows, &format!("{what}'s base column"))?;
-        let offs = self.packed(windows + 1, &format!("{what}'s bit-offset column"))?;
+        let offs =
+            self.offsets(coded, windows + 1, None, &format!("{what}'s bit-offset column"))?;
         let bits = self.count32(&format!("{what}'s stream length"))?;
         let (stream, ranks) = self.stream(bits, &format!("{what}'s stream"))?;
+        if keys > windows + bits {
+            return corrupt(format!("{what} declares more keys than its stream holds"));
+        }
         Ok(EfColumns { base, offs, stream, ranks })
+    }
+
+    /// Steps over a cumulative offsets column of `len` values: one
+    /// Elias–Fano window when `coded` — its stream's length, the stream
+    /// and its directory — else packed, with a width field unless the
+    /// count fields give the width (`derived`).
+    fn offsets(
+        &mut self,
+        coded: bool,
+        len: u64,
+        derived: Option<u32>,
+        what: &str,
+    ) -> Result<Offsets> {
+        if !coded {
+            return Ok(Offsets::Packed(match derived {
+                Some(width) => self.derived(len, width, what)?,
+                None => self.packed(len, what)?,
+            }));
+        }
+        let bits = self.count32(&format!("{what}'s stream length"))?;
+        let (stream, ranks) = self.stream(bits, what)?;
+        // Its `l` and a one a value at least.
+        if bits < L_BITS as u64 + len {
+            return corrupt(format!("{what} is shorter than its {len} values"));
+        }
+        let len = checked_len(len, what)?;
+        Ok(Offsets::EliasFano(OffsetsWindow { stream, ranks, len }))
     }
 
     /// Steps over a column of `len` elements, `width` bytes each.
@@ -1335,13 +1514,31 @@ impl<R: Read + Seek> Reader<R> {
         let packed_overflow = self.version >= 8;
         let succinct = self.version >= 9;
         let windowed_refs = self.version >= 13;
+        let coded_offsets = self.version >= CODED_OFFSETS;
+        let version = self.version;
         let mut walk = self.walk(TAG_FROZ)?;
-        let windows = |walk: &mut Walk<'_, R>, n: u64, what: &str| -> Result<Windows> {
-            Ok(if pairs {
-                Windows::Pairs(walk.column(2 * n, 4, what)?)
+        let windows =
+            |walk: &mut Walk<'_, R>, n: u64, coded: bool, what: &str| -> Result<Windows> {
+                Ok(if pairs {
+                    Windows::Pairs(walk.column(2 * n, 4, what)?)
+                } else if coded {
+                    match walk.offsets(true, n + 1, None, what)? {
+                        Offsets::EliasFano(window) => Windows::EliasFano(window),
+                        Offsets::Packed(_) => unreachable!("a coded walk"),
+                    }
+                } else {
+                    Windows::Offsets(walk.ints(packed, n + 1, what)?)
+                })
+            };
+        // The v14 flags of a column's offsets, allowed only beside the
+        // flag of the coded column they cut.
+        let offsets_flags = |flags: u32, coded_keys: u32, key_offsets: u32| {
+            let keys = if flags & coded_keys != 0 { key_offsets } else { 0 };
+            if coded_offsets {
+                OFFSETS_CODED | keys
             } else {
-                Windows::Offsets(walk.ints(packed, n + 1, what)?)
-            })
+                0
+            }
         };
         let triples = walk.count64("triple count")?;
         let (mut arenas, mut list_counts) = (Vec::with_capacity(3), [0; 3]);
@@ -1352,7 +1549,8 @@ impl<R: Read + Seek> Reader<R> {
                 let runs = walk.count32("arena run count")?;
                 let len = walk.count32("arena run id count")?;
                 let flags = walk.count32("arena encoding flags")? as u32;
-                if flags & !KEYS_CODED != 0 {
+                if flags & !(KEYS_CODED | offsets_flags(flags, KEYS_CODED, KEY_OFFSETS_CODED)) != 0
+                {
                     return corrupt(format!("unknown arena encoding flags {flags:#x}"));
                 }
                 // A list is a singleton or a run, and every triple puts one
@@ -1363,11 +1561,13 @@ impl<R: Read + Seek> Reader<R> {
                 }
                 let slots = walk.packed(lists, "arena slot column")?;
                 let width = width_of(len as u32);
-                let ends = walk.derived(runs + 1, width, "arena run-ends column")?;
+                let coded = flags & OFFSETS_CODED != 0;
+                let ends = walk.offsets(coded, runs + 1, Some(width), "arena run-ends column")?;
                 let keys = if flags & KEYS_CODED == 0 {
                     VectorKeys::Ints(walk.ints(true, len, "arena key column")?)
                 } else {
-                    VectorKeys::EliasFano(walk.elias_fano(runs, "arena run keys")?)
+                    let coded = flags & KEY_OFFSETS_CODED != 0;
+                    VectorKeys::EliasFano(walk.elias_fano(runs, len, coded, "arena run keys")?)
                 };
                 let len = checked_len(len, "arena run id")?;
                 arenas.push(ArenaColumns::Runs { slots, ends, keys, len });
@@ -1379,7 +1579,7 @@ impl<R: Read + Seek> Reader<R> {
                 return corrupt("declared triple count disagrees with slab columns");
             }
             arenas.push(if item_arenas {
-                let windows = windows(&mut walk, lists, "arena offsets column")?;
+                let windows = windows(&mut walk, lists, false, "arena offsets column")?;
                 ArenaColumns::Items {
                     windows,
                     items: walk.column(triples, 4, "arena item column")?,
@@ -1396,20 +1596,32 @@ impl<R: Read + Seek> Reader<R> {
             let headers = walk.count32("ordering header count")?;
             let flags = if succinct { walk.count32("ordering encoding flags")? as u32 } else { 0 };
             let refs_flag = if windowed_refs && kind.is_mirror() { REFS_CODED } else { 0 };
-            if flags & !(HEADERS_CODED | KEYS_CODED | refs_flag) != 0 {
+            let allowed = HEADERS_CODED
+                | KEYS_CODED
+                | refs_flag
+                | offsets_flags(flags, KEYS_CODED, KEY_OFFSETS_CODED)
+                | offsets_flags(flags, HEADERS_CODED, HEADER_OFFSETS_CODED)
+                | offsets_flags(flags, refs_flag, REF_OFFSETS_CODED);
+            if flags & !allowed != 0 {
                 return corrupt(format!("unknown ordering encoding flags {flags:#x}"));
             }
             let keys = if !succinct {
                 Headers::U32(walk.column(headers, 4, "ordering key column")?)
             } else if flags & HEADERS_CODED == 0 {
                 let bits = walk.count32("ordering header bitmap length")?;
+                if headers > bits {
+                    return corrupt("ordering header count exceeds its bitmap");
+                }
                 let (bits, ranks) = walk.stream(bits, "ordering header bitmap")?;
                 Headers::Bitmap { bits, ranks, count: headers as usize }
             } else {
-                let ef = walk.elias_fano(headers.min(1), "ordering header window")?;
+                let coded = flags & HEADER_OFFSETS_CODED != 0;
+                let ef =
+                    walk.elias_fano(headers.min(1), headers, coded, "ordering header window")?;
                 Headers::EliasFano { ef, count: headers as usize }
             };
-            let windows = windows(&mut walk, headers, "ordering offsets column")?;
+            let coded = flags & OFFSETS_CODED != 0;
+            let windows = windows(&mut walk, headers, coded, "ordering offsets column")?;
             let vector = walk.count32("ordering vector count")?;
             // A primary's leaf `i` is its arena's list `i`; a mirror's
             // list column is `vector` long.
@@ -1419,7 +1631,9 @@ impl<R: Read + Seek> Reader<R> {
             let k2 = if flags & KEYS_CODED == 0 {
                 VectorKeys::Ints(walk.ints(packed, vector, "ordering vector column")?)
             } else {
-                VectorKeys::EliasFano(walk.elias_fano(headers, "ordering vector keys")?)
+                let coded = flags & KEY_OFFSETS_CODED != 0;
+                let what = "ordering vector keys";
+                VectorKeys::EliasFano(walk.elias_fano(headers, vector, coded, what)?)
             };
             let lists = if !(pairs || kind.is_mirror()) {
                 None
@@ -1429,13 +1643,15 @@ impl<R: Read + Seek> Reader<R> {
                 let refs = walk.ints(true, vector, "ordering list references")?;
                 Some(ListRefs::Windows(VectorKeys::Ints(refs)))
             } else {
-                let refs = walk.elias_fano(headers, "ordering list references")?;
+                let coded = flags & REF_OFFSETS_CODED != 0;
+                let refs = walk.elias_fano(headers, vector, coded, "ordering list references")?;
                 Some(ListRefs::Windows(VectorKeys::EliasFano(refs)))
             };
             let (vector, arena) = (checked_len(vector, "ordering vector")?, ARENA_OF[which]);
             orderings.push(OrderingColumns { keys, windows, vector, k2, lists, arena });
         }
         Ok(FrozenColumns {
+            version,
             triples: checked_len(triples, "triple")?,
             arenas: arenas.try_into().expect("exactly three arenas"),
             orderings: orderings.try_into().expect("exactly six orderings"),
@@ -1629,7 +1845,6 @@ impl<R: Read + Seek> Reader<R> {
                     return corrupt("ordering vector group does not decode");
                 }
             }
-            let offs = PackedColumn::from_values(&offs);
             let refs = if legacy || kind.is_mirror() {
                 let mut refs = Vec::with_capacity(m);
                 for _ in 0..m {
@@ -1644,7 +1859,7 @@ impl<R: Read + Seek> Reader<R> {
             };
             let k2: Vec<u32> = k2.iter().map(|id| id.0).collect();
             let refs = kept_refs(refs, kind)?;
-            orderings.push(plain_ordering(&keys, offs, &k2, refs.as_deref())?);
+            orderings.push(plain_ordering(&keys, &offs, &k2, refs.as_deref())?);
         }
         if pos != payload_len {
             return corrupt("compressed payload has trailing bytes");
@@ -1696,14 +1911,31 @@ impl<F: FnMut(Range<usize>) -> Result<Bytes>> Source<F> {
         r_u32_run(&mut &bytes[..], col.len)
     }
 
-    /// A level's windows as its cumulative offsets column; pre-v3
-    /// `(offset, length)` pairs become offsets if they tile.
-    fn offsets(&mut self, windows: Windows, what: &str) -> Result<PackedColumn> {
+    /// A level's windows as its cumulative offsets column, taken as it
+    /// is; a `u32` column packed, and pre-v3 `(offset, length)` pairs
+    /// made offsets if they tile.
+    fn windows(&mut self, windows: Windows, what: &str) -> Result<OffsetsColumn> {
         match windows {
-            Windows::Offsets(ints) => self.ints(ints, what),
+            Windows::Offsets(ints) => Ok(OffsetsColumn::Packed(self.ints(ints, what)?)),
+            Windows::EliasFano(window) => self.offsets(Offsets::EliasFano(window), what),
             Windows::Pairs(col) => offsets_from_pairs(&self.u32s(col)?)
-                .map(|offs| PackedColumn::from_values(&offs))
+                .map(|offs| OffsetsColumn::Packed(PackedColumn::from_values(&offs)))
                 .ok_or_else(|| Error::Corrupt("spans do not tile their column".into())),
+        }
+    }
+
+    /// A cumulative offsets column, packed or one Elias–Fano window,
+    /// taken as it is.
+    fn offsets(&mut self, offs: Offsets, what: &str) -> Result<OffsetsColumn> {
+        match offs {
+            Offsets::Packed(col) => Ok(OffsetsColumn::Packed(self.packed(col, what)?)),
+            Offsets::EliasFano(OffsetsWindow { stream, ranks, len }) => {
+                let len = u32::try_from(len)
+                    .map_err(|_| Error::Corrupt(format!("{what}: {len} values")))?;
+                let stream = (self.bytes(stream.offset, stream.bytes())?, stream.len);
+                let ranks = self.packed(ranks, what)?;
+                Ok(OffsetsColumn::EliasFano(EfOffsets::unchecked(stream, ranks, len)))
+            }
         }
     }
 
@@ -1716,7 +1948,7 @@ impl<F: FnMut(Range<usize>) -> Result<Bytes>> Source<F> {
         match arena {
             ArenaColumns::Runs { slots, ends, keys, len } => {
                 let slots = self.packed(slots, "arena slot column")?;
-                let ends = self.packed(ends, "arena run-ends column")?;
+                let ends = self.offsets(ends, "arena run-ends column")?;
                 let keys = self.keys(keys, len, "arena run keys")?;
                 Ok(FlatArena::unchecked(slots, ends, keys, items))
             }
@@ -1731,7 +1963,7 @@ impl<F: FnMut(Range<usize>) -> Result<Bytes>> Source<F> {
             }
             ArenaColumns::Items { windows, items } => {
                 let offs: Vec<u32> =
-                    self.offsets(windows, "arena offsets column")?.values().collect();
+                    self.windows(windows, "arena offsets column")?.values().collect();
                 let items: Vec<Id> = self.u32s(items)?.into_iter().map(Id).collect();
                 FlatArena::from_offsets(&items, &offs)
                     .ok_or_else(|| Error::Corrupt("arena columns do not hold sorted lists".into()))
@@ -1751,7 +1983,7 @@ impl<F: FnMut(Range<usize>) -> Result<Bytes>> Source<F> {
     /// An Elias–Fano column of `len` keys, taken as it is.
     fn elias_fano(&mut self, ef: EfColumns, len: usize, what: &str) -> Result<EfColumn> {
         let len = u32::try_from(len).map_err(|_| Error::Corrupt(format!("{what}: {len} keys")))?;
-        let (base, offs) = (self.packed(ef.base, what)?, self.packed(ef.offs, what)?);
+        let (base, offs) = (self.packed(ef.base, what)?, self.offsets(ef.offs, what)?);
         let stream = (self.bytes(ef.stream.offset, ef.stream.bytes())?, ef.stream.len);
         let ranks = self.packed(ef.ranks, what)?;
         Ok(EfColumn::unchecked(base, offs, stream, ranks, len))
@@ -1829,13 +2061,13 @@ fn arena_of_length_words(
 ///
 /// A section of an older version becomes the current layout on the way,
 /// as the [module docs](self) list. That reads and rebuilds the columns it
-/// converts, so only a v13 section is taken without reading a column;
-/// `hex-disk` maps v10 to v13 files only, reading the arenas of a v10 or
+/// converts, so only a v13 or v14 section is taken without reading a
+/// column; `hex-disk` maps v10 to v14 files only, reading the arenas of a v10 or
 /// v11 file and the list references of a v10 to v12 one.
 ///
 /// # Trust model
 ///
-/// What is checked here for a v13 section touches no column: `source`
+/// What is checked here for a v13 or v14 section touches no column: `source`
 /// refuses a column it cannot give. The columns' data-level
 /// invariants — canonical packed images, sorted keys, offsets tiling,
 /// Elias–Fano windows that decode to their keys, rank samples that agree
@@ -1859,7 +2091,7 @@ pub fn frozen_from_columns(
     }
     let mut orderings = Vec::with_capacity(6);
     for (kind, ix) in IndexKind::ALL.into_iter().zip(columns.orderings) {
-        let offs = source.offsets(ix.windows, "ordering offsets column")?;
+        let offs = source.windows(ix.windows, "ordering offsets column")?;
         let plain = ix.lists.and_then(ListRefs::plain);
         let plain = plain.map(|refs| source.values(refs, "ordering list column")).transpose()?;
         let plain = kept_refs(plain, kind)?;
@@ -1871,7 +2103,8 @@ pub fn frozen_from_columns(
                 };
                 let keys: Vec<Id> = source.u32s(keys)?.into_iter().map(Id).collect();
                 let k2 = source.values(k2, "ordering vector column")?;
-                orderings.push(plain_ordering(&keys, offs, &k2, plain.as_deref())?);
+                let offs: Vec<u32> = offs.values().collect();
+                orderings.push(plain_ordering(&keys, &offs, &k2, plain.as_deref())?);
                 continue;
             }
             Headers::Bitmap { bits, ranks, count } => HeaderColumn::Bitmap(RankBitmap::unchecked(
@@ -1893,25 +2126,27 @@ pub fn frozen_from_columns(
             // References before v13, checked as that layout was, become the
             // windowed column the current one keeps.
             (_, Some(refs)) => Some(
-                windowed(&refs, &offs)
+                windowed(&refs, offs.view())
                     .ok_or_else(|| Error::Corrupt("ordering columns are inconsistent".into()))?,
             ),
             (_, None) => None,
         };
         orderings.push(FrozenIndex { keys, offs, k2, lists });
     }
+    let rule = if columns.version < CODED_OFFSETS { Rule::Packed } else { Rule::Current };
     Ok(FrozenHexastore::from_raw_parts(
         orderings.try_into().expect("exactly six orderings"),
         arenas.try_into().expect("exactly three arenas"),
         columns.triples,
-    ))
+    )
+    .under(rule))
 }
 
 /// An ordering of the plain header and vector keys a pre-v9 `FROZ`
 /// section or a `FRZC` payload holds ([`FrozenIndex::from_plain_parts`]).
 fn plain_ordering(
     keys: &[Id],
-    offs: PackedColumn,
+    offs: &[u32],
     k2: &[u32],
     lists: Option<&[u32]>,
 ) -> Result<FrozenIndex> {
@@ -1972,16 +2207,18 @@ pub fn dictionary_from_columns(
     }
 }
 
-/// Checks in one pass over the three arenas' columns, `O(lists +
-/// overflow words)`, that they are what a writer lays down
-/// ([`ArenaView::validate`](crate::slab::ArenaView::validate)) and
-/// together hold one item per triple the store declares. [`load_frozen`]
-/// runs it on every `FROZ` store it reads; `hex-disk`'s `verify` runs it
-/// on a mapped one.
+/// Checks in one pass over the three arenas' columns, `O(lists + run
+/// ids)`, that they are what a writer lays down
+/// ([`ArenaView::validate`](crate::slab::ArenaView::validate), under the
+/// encodings the store's format allows) and together hold one item per
+/// triple the store declares. [`load_frozen`] runs it on every `FROZ`
+/// store it reads; `hex-disk`'s `verify` runs it on a mapped one.
 pub fn check_arenas(store: &FrozenHexastore) -> Result<()> {
     for arena in store.arenas() {
-        let items =
-            arena.view().validate().map_err(|e| Error::Corrupt(format!("arena columns: {e}")))?;
+        let items = arena
+            .view()
+            .validate_with(store.rule())
+            .map_err(|e| Error::Corrupt(format!("arena columns: {e}")))?;
         if items != store.len() {
             return corrupt("declared triple count disagrees with slab columns");
         }
@@ -1992,52 +2229,110 @@ pub fn check_arenas(store: &FrozenHexastore) -> Result<()> {
 /// The eager reader's data-level checks of a store it built, which a
 /// mapping leaves to its clamped reads, and the one check every eager
 /// load of slabs ends in: a `FROZ` section of any version
-/// ([`frozen_from_columns`]) or a decoded `FRZC` payload. Canonical packed
-/// images (a slot column's or bit stream's width follows its own rule),
-/// [`check_arenas`], [`HeaderColumn::check`], [`KeyColumn::check`],
-/// [`FrozenIndex::is_consistent`] and [`check_store`].
+/// ([`frozen_from_columns`]) or a decoded `FRZC` payload. The slot
+/// columns' images, [`check_arenas`], [`HeaderColumn::check`], then each
+/// index pair, primary first ([`check_ordering`]): every coded column is
+/// decoded once.
 fn check_frozen(store: &FrozenHexastore) -> Result<()> {
-    // Each image checked whole, or only its tail where its width has a
-    // rule of its own.
-    let image = |what: &str, column: PackedView<'_>, whole: bool| {
-        let checked = if whole { column.validate() } else { column.validate_tail() };
-        checked.map_err(|e| Error::Corrupt(format!("{what}: {e}")))
-    };
-    let tails =
-        |parts: &[PackedView<'_>]| parts.iter().try_for_each(|&p| image("packed column", p, false));
-    let ef = |ef: EfView<'_>| tails(&[ef.base, ef.offs, ef.stream.bits, ef.stream.ranks]);
     let arenas = store.arenas();
     for arena in arenas {
-        image("arena slot column", arena.view().slots, false)?;
+        let slots = arena.view().slots.validate_tail();
+        slots.map_err(|e| Error::Corrupt(format!("arena slot column: {e}")))?;
     }
     check_arenas(store)?;
-    for (ix, arena) in store.orderings().into_iter().zip(ARENA_OF) {
-        image("ordering offsets column", ix.offs.view(), true)?;
-        let keys = ix.keys.view();
-        match keys {
-            HeadersView::Bitmap(map) => tails(&[map.bits.bits, map.bits.ranks])?,
-            HeadersView::EliasFano(keys) => ef(keys)?,
-        }
-        HeaderColumn::check(keys, "ordering header keys").map_err(Error::Corrupt)?;
-        // The vector keys and a mirror's list references, each windowed
-        // by the offsets.
-        let columns = [
-            (Some(&ix.k2), "ordering vector keys"),
-            (ix.lists.as_ref(), "ordering list references"),
-        ];
-        for (column, what) in columns {
-            let Some(column) = column.map(KeyColumn::view) else { continue };
-            match column {
-                KeysView::Packed(packed) => image(what, packed, true)?,
-                KeysView::EliasFano(coded) => ef(coded)?,
-            }
-            KeyColumn::check(column, ix.offs.view(), what).map_err(Error::Corrupt)?;
-        }
-        if !ix.is_consistent(arenas[arena].list_count()) {
-            return corrupt("ordering columns are inconsistent");
-        }
+    let orderings = store.orderings();
+    for ix in orderings {
+        HeaderColumn::check(ix.keys.view(), "ordering header keys").map_err(Error::Corrupt)?;
     }
-    check_store(store)
+    for (primary, mirror, arena) in PAIRS {
+        let lists = arenas[arena].list_count();
+        let mut owners = Vec::with_capacity(lists);
+        check_ordering(orderings[primary], lists, store.rule(), Leaves::Primary(&mut owners))?;
+        let leaves = Leaves::Mirror { owners: &owners, seen: vec![false; lists] };
+        check_ordering(orderings[mirror], lists, store.rule(), leaves)?;
+    }
+    Ok(())
+}
+
+/// Each index pair's primary ordering, mirror ordering and arena, by
+/// their places in the canonical walks.
+const PAIRS: [(usize, usize, usize); 3] = [(0, 2, 0), (1, 4, 1), (3, 5, 2)];
+
+/// What an ordering's leaves owe the other ordering of its pair, checked
+/// as [`check_ordering`] reads them.
+enum Leaves<'p> {
+    /// A primary's: leaf `i` is list `i`, whose `(k1, k2)` is recorded.
+    Primary(&'p mut Vec<(Id, Id)>),
+    /// A mirror's: each leaf references a list of the arena whose primary
+    /// `(k1, k2)` is its own reversed, and each list once.
+    Mirror {
+        /// Each list's primary `(k1, k2)`.
+        owners: &'p [(Id, Id)],
+        /// The lists referenced so far.
+        seen: Vec<bool>,
+    },
+}
+
+/// Checks one ordering over an arena of `lists` lists in one pass over its
+/// windows: the offsets tile the vector keys into one non-empty window per
+/// header key, and are the canonical column of their values; each window
+/// of vector keys and (a mirror's) list references is decoded once and
+/// checked ([`KeyCheck`]), and its leaves against the pair ([`Leaves`]):
+/// every reference is in range, and primary and mirror hold the same
+/// `(k1, k2) → list` associations, each exactly once. The columns' images
+/// are checked in the encodings `rule` allows. A corrupt column is
+/// refused by name.
+fn check_ordering(ix: &FrozenIndex, lists: usize, rule: Rule, mut pair: Leaves<'_>) -> Result<()> {
+    let inconsistent = || Error::Corrupt("ordering columns are inconsistent".into());
+    let disagree = || Error::Corrupt("index pair orderings disagree".into());
+    let mirror = matches!(pair, Leaves::Mirror { .. });
+    if ix.lists.is_some() != mirror {
+        return Err(disagree());
+    }
+    let (keys, leaves) = (ix.keys.view(), ix.k2.len());
+    let mut offs = OffsetsCheck::new(ix.offs.view());
+    if ix.offs.len() != keys.len() + 1 || offs.next() != Some(0) {
+        return Err(inconsistent());
+    }
+    let mut k2 = KeyCheck::new(ix.k2.view(), "ordering vector keys").map_err(Error::Corrupt)?;
+    let refs = ix.lists.as_ref().map(|refs| KeyCheck::new(refs.view(), "ordering list references"));
+    let mut refs = refs.transpose().map_err(Error::Corrupt)?;
+    let mut start = 0;
+    for (h, k1) in keys.keys().enumerate() {
+        let end = offs.next().map(|end| end as usize).filter(|&end| end > start && end <= leaves);
+        let end = end.ok_or_else(inconsistent)?;
+        let window = k2.window(h, start..end).map_err(Error::Corrupt)?;
+        match (&mut pair, &mut refs) {
+            (Leaves::Primary(owners), _) => owners.extend(window.iter().map(|&k| (k1, Id(k)))),
+            (Leaves::Mirror { owners, seen }, Some(refs)) => {
+                let named = refs.window(h, start..end).map_err(Error::Corrupt)?;
+                for (&k, &list) in window.iter().zip(named) {
+                    let list = list as usize;
+                    if list >= lists {
+                        return Err(inconsistent());
+                    }
+                    if owners.get(list) != Some(&(Id(k), k1)) || seen[list] {
+                        return Err(disagree());
+                    }
+                    seen[list] = true;
+                }
+            }
+            (Leaves::Mirror { .. }, None) => unreachable!("a mirror keeps references"),
+        }
+        start = end;
+    }
+    if start != leaves {
+        return Err(inconsistent());
+    }
+    offs.finish(rule, "ordering offsets column").map_err(Error::Corrupt)?;
+    k2.finish(keys.len(), rule).map_err(Error::Corrupt)?;
+    if let Some(refs) = refs {
+        refs.finish(keys.len(), rule).map_err(Error::Corrupt)?;
+    }
+    if leaves != lists {
+        return Err(if mirror { disagree() } else { inconsistent() });
+    }
+    Ok(())
 }
 
 /// The dictionary a v1–v4 `DICT` section holds — one kind byte per
@@ -2136,21 +2431,6 @@ fn encode_frozen_payload(store: &FrozenHexastore) -> Vec<u8> {
     p
 }
 
-/// The whole-store invariant per-structure validation cannot see: within
-/// each index pair, primary and mirror reference the same (k1, k2) → list
-/// associations, each exactly once — per-ordering checks alone would
-/// accept a mirror that silently disagrees with its primary. (That every
-/// triple contributes one item to each arena is [`check_arenas`]'s.)
-fn check_store(store: &FrozenHexastore) -> Result<()> {
-    let (orderings, arenas) = (store.orderings(), store.arenas());
-    for (primary, mirror, arena) in [(0, 2, 0), (1, 4, 1), (3, 5, 2)] {
-        if !pair_consistent(orderings[primary], orderings[mirror], arenas[arena].list_count()) {
-            return corrupt("index pair orderings disagree");
-        }
-    }
-    Ok(())
-}
-
 /// Zero bytes from file offset `pos` to the next multiple of 8.
 fn padding_to_8(pos: u64) -> usize {
     (pos.wrapping_neg() % 8) as usize
@@ -2158,35 +2438,6 @@ fn padding_to_8(pos: u64) -> usize {
 
 fn tag_name(tag: [u8; 4]) -> String {
     String::from_utf8_lossy(&tag).into_owned()
-}
-
-/// True when `primary` and `mirror` encode the same `(k1, k2) → list`
-/// associations (mirror key-reversed) over the pair's `lists` terminal
-/// lists. Leaf `i` of the primary is list `i`, so each list has exactly
-/// one owner there; the mirror must reference each exactly once, under
-/// the reversed key pair. `O(pairs)` with two side tables.
-fn pair_consistent(primary: &FrozenIndex, mirror: &FrozenIndex, lists: usize) -> bool {
-    if primary.lists.is_some() || primary.k2.len() != lists || mirror.k2.len() != lists {
-        return false;
-    }
-    // Each list's primary `(k1, k2)`, decoded once in leaf order.
-    let mut owner = Vec::with_capacity(lists);
-    let k2 = primary.k2.view();
-    for (k1, h, leaves) in primary.groups() {
-        owner.extend(k2.iter(h, leaves).map(|k2| (k1, Id(k2))));
-    }
-    let mut seen = vec![false; lists];
-    let view = mirror.view();
-    for (k2, h, leaves) in mirror.groups() {
-        for (k1, l) in view.leaves(h, leaves) {
-            let l = l as usize;
-            if owner.get(l) != Some(&(k1, k2)) || seen[l] {
-                return false;
-            }
-            seen[l] = true;
-        }
-    }
-    true
 }
 
 // ---------------------------------------------------------------------
@@ -2518,13 +2769,22 @@ mod tests {
         assert_eq!(off % 8, 0, "FROZ section must start 8-byte aligned");
         let columns = r.frozen_columns().unwrap();
         for ix in columns.orderings {
-            let Windows::Offsets(offs) = ix.windows else { panic!("v3 or later windows") };
+            let offs = match ix.windows {
+                Windows::Offsets(offs) => Some(offs),
+                // One Elias–Fano window: its stream and directory.
+                Windows::EliasFano(window) => {
+                    assert_eq!(window.stream.offset % 8, 0, "{window:?}");
+                    assert_eq!(window.ranks.offset, window.stream.offset + window.stream.bytes());
+                    None
+                }
+                Windows::Pairs(_) => panic!("v3 or later windows"),
+            };
             let VectorKeys::Ints(k2) = ix.k2 else { panic!("the sample keeps packed keys") };
             let refs = ix.lists.map(|refs| match refs {
                 ListRefs::Windows(VectorKeys::Ints(refs)) => refs,
                 other => panic!("the sample keeps packed references, not {other:?}"),
             });
-            for ints in [offs, k2].into_iter().chain(refs) {
+            for ints in offs.into_iter().chain([k2]).chain(refs) {
                 let Ints::Packed(col) = ints else { panic!("v6 packs {ints:?}") };
                 assert_eq!(col.offset % 8, 0, "{col:?}");
             }
@@ -2541,8 +2801,23 @@ mod tests {
             else {
                 panic!("v12 packs {arena:?}")
             };
-            assert_eq!((slots.offset % 8, ends.offset), (0, slots.offset + slots.bytes()));
-            assert_eq!(keys.offset, ends.offset + ends.bytes() + 8);
+            let slots_end = slots.offset + slots.bytes();
+            assert_eq!(slots.offset % 8, 0);
+            // From v14 the run ends may be one Elias–Fano window: its
+            // stream's length and width field, then the stream and its
+            // directory.
+            let ends_end = match ends {
+                Offsets::Packed(ends) => {
+                    assert_eq!(ends.offset, slots_end);
+                    ends.offset + ends.bytes()
+                }
+                Offsets::EliasFano(window) => {
+                    assert_eq!(window.stream.offset, slots_end + 8);
+                    assert_eq!(window.ranks.offset, window.stream.offset + window.stream.bytes());
+                    window.ranks.offset + window.ranks.bytes()
+                }
+            };
+            assert_eq!(keys.offset, ends_end + 8);
         }
         assert_eq!(r.frozen().unwrap(), sample_dict_and_store().1);
     }
@@ -2633,6 +2908,17 @@ mod tests {
         save_frozen(&path, &Dictionary::new(), &store).unwrap();
         assert!(matches!(load_frozen(&path), Err(Error::Corrupt(_))));
         std::fs::remove_file(&path).ok();
+    }
+
+    /// True when `primary` and `mirror` pass [`check_ordering`] over
+    /// `lists` lists.
+    fn pair_consistent(primary: &FrozenIndex, mirror: &FrozenIndex, lists: usize) -> bool {
+        let mut owners = Vec::new();
+        let rule = Rule::Current;
+        check_ordering(primary, lists, rule, Leaves::Primary(&mut owners)).is_ok() && {
+            let leaves = Leaves::Mirror { owners: &owners, seen: vec![false; lists] };
+            check_ordering(mirror, lists, rule, leaves).is_ok()
+        }
     }
 
     #[test]

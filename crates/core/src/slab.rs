@@ -22,7 +22,9 @@
 //! the slot *is* the list when the list is a single id below 2^31. Every
 //! other list is a **run**: a window of the arena's **key column**, which
 //! a cumulative **run-ends** column cuts into runs exactly as an ordering's
-//! offsets cut its vector keys, and the list's slot holds its run's index.
+//! offsets cut its vector keys — packed, or one Elias–Fano window of its
+//! values where that is smaller ([`OffsetsColumn`]) — and the list's slot
+//! holds its run's index.
 //! The key column is a [`KeyColumn`] — bit-packed at the width of the
 //! largest id, or Elias–Fano coded run by run, whichever is smaller — so
 //! one implementation serves vector keys and lists. This module is the
@@ -55,7 +57,10 @@
 
 use crate::packed::{self, width_of, PackedColumn, PackedError, PackedView};
 use crate::sorted;
-use crate::succinct::{EfIter, KeyColumn, KeySize, KeysRef};
+use crate::succinct::{
+    EfColumn, EfIter, KeyCheck, KeyColumn, KeySize, KeysRef, OffsetsCheck, OffsetsColumn,
+    OffsetsSize, OffsetsView, Rule,
+};
 use hex_dict::Id;
 use std::sync::OnceLock;
 
@@ -141,12 +146,21 @@ pub struct List<'a>(Items<'a>);
 #[derive(Clone, Copy)]
 enum Items<'a> {
     One(Id),
-    /// Run `run` of a key column: its keys `start .. start + len`.
+    /// A run of a packed key column: its keys `start .. start + len`.
     Run {
-        keys: KeysRef<'a>,
+        keys: PackedView<'a>,
+        start: u32,
+        len: u32,
+    },
+    /// Run `run` of an Elias–Fano key column: its keys `start .. start +
+    /// len`, and where its bits lie in the column's stream, read once when
+    /// the list is handed out rather than at every read of it.
+    Coded {
+        keys: &'a EfColumn,
         run: u32,
         start: u32,
         len: u32,
+        bits: (u32, u32),
     },
     Slice(&'a [Id]),
 }
@@ -160,7 +174,7 @@ impl<'a> List<'a> {
     pub fn len(self) -> usize {
         match self.0 {
             Items::One(_) => 1,
-            Items::Run { len, .. } => len as usize,
+            Items::Run { len, .. } | Items::Coded { len, .. } => len as usize,
             Items::Slice(ids) => ids.len(),
         }
     }
@@ -178,8 +192,11 @@ impl<'a> List<'a> {
     pub fn get(self, i: usize) -> Option<Id> {
         match self.0 {
             Items::One(id) => (i == 0).then_some(id),
-            Items::Run { keys, run, start, len } => {
-                keys.get(run as usize, window(start, len), i).map(Id)
+            Items::Run { keys, start, len } => {
+                (i < len as usize).then(|| Id(keys.get(start as usize + i)))
+            }
+            Items::Coded { keys, run, start, len, bits } => {
+                keys.get_in(run as usize, bits, window(start, len), i).map(Id)
             }
             Items::Slice(ids) => ids.get(i).copied(),
         }
@@ -209,8 +226,9 @@ impl<'a> List<'a> {
                 std::cmp::Ordering::Less => Err(1),
                 std::cmp::Ordering::Greater => Err(0),
             },
-            Items::Run { keys, run, start, len } => {
-                keys.search(run as usize, window(start, len), x.0)
+            Items::Run { keys, start, len } => keys.search(window(start, len), x.0),
+            Items::Coded { keys, run, start, len, bits } => {
+                keys.search_in(run as usize, bits, window(start, len), x.0)
             }
             Items::Slice(ids) => ids.binary_search(&x),
         }
@@ -230,8 +248,9 @@ impl<'a> List<'a> {
     #[inline]
     pub fn seek(self, from: usize, x: Id) -> usize {
         match self.0 {
-            Items::Run { keys, run, start, len } => {
-                keys.seek(run as usize, window(start, len), from, x.0)
+            Items::Run { keys, start, len } => keys.seek(window(start, len), from, x.0),
+            Items::Coded { keys, run, start, len, bits } => {
+                keys.seek_in(run as usize, bits, window(start, len), from, x.0)
             }
             Items::One(id) => usize::from(from > 0 || id < x),
             Items::Slice(ids) => sorted::gallop(ids, from.min(ids.len()), &x),
@@ -249,7 +268,9 @@ impl<'a> List<'a> {
     #[inline]
     fn span(self) -> Option<std::ops::Range<usize>> {
         match self.0 {
-            Items::Run { start, len, .. } => Some(window(start, len)),
+            Items::Run { start, len, .. } | Items::Coded { start, len, .. } => {
+                Some(window(start, len))
+            }
             Items::One(_) | Items::Slice(_) => None,
         }
     }
@@ -301,12 +322,10 @@ impl<'a> IntoIterator for List<'a> {
     fn into_iter(self) -> ListIter<'a> {
         ListIter(match self.0 {
             Items::One(id) => Ids::One(Some(id)),
-            Items::Run { keys, run, start, len } => match keys {
-                KeysRef::Packed(keys) => Ids::Packed(keys.iter(window(start, len))),
-                KeysRef::EliasFano(keys) => {
-                    Ids::Coded(keys.view().iter(run as usize, window(start, len)))
-                }
-            },
+            Items::Run { keys, start, len } => Ids::Packed(keys.iter(window(start, len))),
+            Items::Coded { keys, run, start, len, bits } => {
+                Ids::Coded(keys.view().iter_in(run as usize, bits, window(start, len)))
+            }
             Items::Slice(ids) => Ids::Slice(ids.iter()),
         })
     }
@@ -374,6 +393,9 @@ pub enum ArenaError {
     /// values: bits set past its last value, or a width wider than its
     /// largest value needs.
     Ends(PackedError),
+    /// The run-ends column is not in the encoding its size chooses, or not
+    /// the canonical Elias–Fano window of its values.
+    EndsNotCanonical(String),
     /// The run ends do not tile the key column: they do not start at 0,
     /// do not rise strictly (a run would be empty or backwards) or do not
     /// end at the column's length.
@@ -417,6 +439,7 @@ impl std::fmt::Display for ArenaError {
         match self {
             ArenaError::Packed(e) => write!(f, "arena slot column: {e}"),
             ArenaError::Ends(e) => write!(f, "arena run-ends column: {e}"),
+            ArenaError::EndsNotCanonical(why) => write!(f, "{why}"),
             ArenaError::EndsDoNotTile => {
                 write!(f, "arena run ends do not tile its key column into non-empty runs")
             }
@@ -470,8 +493,8 @@ pub struct ArenaView<'a> {
     /// the index of its run (see the [module docs](self)).
     pub slots: PackedView<'a>,
     /// Where each run starts in `keys`, then where the last one ends: one
-    /// entry more than runs.
-    pub ends: PackedView<'a>,
+    /// entry more than runs, packed or one Elias–Fano window.
+    pub ends: OffsetsView<'a>,
     /// Every run's ids, run after run in slot order, each run strictly
     /// ascending.
     pub keys: KeysRef<'a>,
@@ -497,13 +520,17 @@ impl<'a> ArenaView<'a> {
             return List(Items::One(Id(slot)));
         }
         let run = (slot & !flag) as usize;
-        if run + 1 >= self.ends.len() {
-            return List::EMPTY;
-        }
-        let (start, end) = self.ends.pair(run);
+        let Some((start, end)) = self.ends.pair(run) else { return List::EMPTY };
         let end = end.min(self.keys.len() as u32);
-        let start = start.min(end);
-        List(Items::Run { keys: self.keys, run: run as u32, start, len: end - start })
+        let (start, len) = (start.min(end), end - start.min(end));
+        List(match self.keys {
+            KeysRef::Packed(keys) => Items::Run { keys, start, len },
+            KeysRef::EliasFano(keys) => {
+                // A run of one key is its first, which needs no bits.
+                let bits = if len > 1 { keys.view().bits(run) } else { (0, 0) };
+                Items::Coded { keys, run: run as u32, start, len, bits }
+            }
+        })
     }
 
     /// List `idx` as a slice of a `u32` copy of the column it lies in,
@@ -532,10 +559,9 @@ impl<'a> ArenaView<'a> {
     fn decoded_keys(self) -> Vec<Id> {
         let keys = self.keys.view();
         let mut ids = Vec::with_capacity(keys.len());
-        let ends = self.ends.values().zip(self.ends.values().skip(1));
-        for (run, (start, end)) in ends.enumerate() {
+        for (run, window) in crate::succinct::windows_of(self.ends).enumerate() {
             let room = keys.len() - ids.len();
-            ids.extend(keys.iter(run, start as usize..end as usize).take(room).map(Id));
+            ids.extend(keys.iter(run, window).take(room).map(Id));
         }
         ids
     }
@@ -544,24 +570,32 @@ impl<'a> ArenaView<'a> {
     /// items they hold, or why they are not exactly what
     /// [`FlatArena::push_list`] would have written: the slot column is a
     /// packed image one flag bit above its largest value wide, the run
-    /// ends a canonical packed column that tiles the key column into
-    /// non-empty runs, the key column the canonical column of those runs
-    /// — each strictly ascending, the invariant searches over lists rely
-    /// on — the flagged slots name the runs in order, every run once, and
-    /// no run holds a list that fits a slot (so equal lists are equal
-    /// columns).
+    /// ends the canonical column of their values (packed or one
+    /// Elias–Fano window, whichever is smaller) and tile the key column
+    /// into non-empty runs, the key column the canonical column of those
+    /// runs — each strictly ascending, the invariant searches over lists
+    /// rely on — the flagged slots name the runs in order, every run once,
+    /// and no run holds a list that fits a slot (so equal lists are equal
+    /// columns). One pass: the run ends and each run are decoded once.
     pub fn validate(self) -> Result<usize, ArenaError> {
+        self.validate_with(Rule::Current)
+    }
+
+    /// [`ArenaView::validate`] with the encodings `rule` allows.
+    pub fn validate_with(self, rule: Rule) -> Result<usize, ArenaError> {
         self.slots.validate_tail().map_err(ArenaError::Packed)?;
-        self.ends.validate().map_err(ArenaError::Ends)?;
-        let (ends, keys) = (self.ends, self.keys.view());
-        let runs = ends.len().saturating_sub(1);
-        let rises = ends.values().zip(ends.values().skip(1)).all(|(lo, hi)| lo < hi);
-        if ends.is_empty() || ends.get(0) != 0 || ends.get(runs) as usize != keys.len() || !rises {
+        if let OffsetsView::Packed(ends) = self.ends {
+            ends.validate().map_err(ArenaError::Ends)?;
+        }
+        let keys = self.keys.view();
+        let runs = self.ends.len().saturating_sub(1);
+        let mut ends = OffsetsCheck::new(self.ends);
+        if ends.next() != Some(0) {
             return Err(ArenaError::EndsDoNotTile);
         }
-        KeyColumn::check(keys, ends, "run keys").map_err(ArenaError::Keys)?;
+        let mut runs_read = KeyCheck::new(keys, "run keys").map_err(ArenaError::Keys)?;
         let flag = flag_of(self.slots.width());
-        let (mut next, mut items, mut size) = (0usize, 0usize, ArenaSize::default());
+        let (mut next, mut start, mut items, mut size) = (0, 0, 0, ArenaSize::default());
         for (list, slot) in self.slots.values().enumerate() {
             if slot & flag == 0 {
                 size.add(1, Id(slot), Id(slot));
@@ -572,19 +606,25 @@ impl<'a> ArenaView<'a> {
             if run != next || run >= runs {
                 return Err(ArenaError::NotTheNextRun { list, run });
             }
-            let window = ends.get(run) as usize..ends.get(run + 1) as usize;
-            let at = |i| Id(self.keys.get(run, window.clone(), i).unwrap_or(0));
-            let (first, last) = (at(0), at(window.len() - 1));
-            if in_slot(window.len(), first) {
+            let end = ends.next().map(|end| end as usize);
+            let end = end.filter(|&end| end > start && end <= keys.len());
+            let end = end.ok_or(ArenaError::EndsDoNotTile)?;
+            let ids = runs_read.window(run, start..end).map_err(ArenaError::Keys)?;
+            let (first, last) = (Id(ids[0]), Id(ids[ids.len() - 1]));
+            if in_slot(ids.len(), first) {
                 return Err(ArenaError::FitsASlot { list });
             }
-            size.add(window.len(), first, last);
-            items += window.len();
-            next += 1;
+            size.add(ids.len(), first, last);
+            (items, next, start) = (items + ids.len(), next + 1, end);
         }
         if next != runs {
             return Err(ArenaError::Unreachable { runs: runs - next });
         }
+        if start != keys.len() {
+            return Err(ArenaError::EndsDoNotTile);
+        }
+        ends.finish(rule, "arena run-ends column").map_err(ArenaError::EndsNotCanonical)?;
+        runs_read.finish(runs, rule).map_err(ArenaError::Keys)?;
         let (width, needed) = (self.slots.width(), size.slot_width());
         if width != needed {
             return Err(ArenaError::SlotWidthNotTight { width, needed });
@@ -603,7 +643,7 @@ impl<'a> ArenaView<'a> {
 #[derive(Clone)]
 pub struct FlatArena {
     slots: PackedColumn,
-    ends: PackedColumn,
+    ends: OffsetsColumn,
     keys: KeyColumn,
     /// Total entries across all lists.
     items: usize,
@@ -650,7 +690,7 @@ impl FlatArena {
     /// Frozen builders count first, so appends never reallocate.
     pub(crate) fn with_capacity(size: ArenaSize) -> Self {
         let keys = u32::try_from(size.runs.keys).expect("flat arena overflow: 2^32 run ids");
-        let mut ends = PackedColumn::with_capacity(size.runs.windows + 1, keys);
+        let mut ends = OffsetsColumn::with_capacity(OffsetsSize::new(size.runs.windows + 1, keys));
         ends.push(0);
         FlatArena {
             slots: PackedColumn::with_width(size.lists, size.slot_width()),
@@ -698,11 +738,15 @@ impl FlatArena {
         self.slots.push(run.expect("flat arena overflow: 2^31 runs") | flag_of(self.slots.width()));
         let start = self.keys.len();
         self.keys.push(first.0);
-        items.for_each(|id| self.keys.push(id.0));
+        let mut last = first;
+        items.for_each(|id| {
+            debug_assert!(last < id, "a list strictly ascends");
+            last = id;
+            self.keys.push(id.0);
+        });
         assert_eq!(self.keys.len() - start, len, "a list yields the length it declares");
         self.keys.end_window();
         self.ends.push(self.keys.len() as u32);
-        debug_assert!(self.view().get(idx).into_iter().is_sorted_by(|a, b| a < b));
         idx
     }
 
@@ -731,6 +775,16 @@ impl FlatArena {
     /// True when the key column is Elias–Fano coded.
     pub fn is_elias_fano(&self) -> bool {
         matches!(self.keys, KeyColumn::EliasFano(_))
+    }
+
+    /// True when the run-ends column is one Elias–Fano window.
+    pub fn ends_coded(&self) -> bool {
+        self.ends.is_elias_fano()
+    }
+
+    /// True when the key column's bit offsets are one Elias–Fano window.
+    pub fn key_offsets_coded(&self) -> bool {
+        matches!(&self.keys, KeyColumn::EliasFano(keys) if keys.offsets_coded())
     }
 
     /// Heap bytes of the slot column.
@@ -769,10 +823,10 @@ impl FlatArena {
     /// [`ArenaView::validate`].
     pub fn from_columns(
         slots: PackedColumn,
-        ends: PackedColumn,
+        ends: impl Into<OffsetsColumn>,
         keys: KeyColumn,
     ) -> Result<Self, ArenaError> {
-        let mut arena = FlatArena::unchecked(slots, ends, keys, 0);
+        let mut arena = FlatArena::unchecked(slots, ends.into(), keys, 0);
         arena.items = arena.view().validate()?;
         Ok(arena)
     }
@@ -783,7 +837,7 @@ impl FlatArena {
     /// caller's to run.
     pub(crate) fn unchecked(
         slots: PackedColumn,
-        ends: PackedColumn,
+        ends: OffsetsColumn,
         keys: KeyColumn,
         items: usize,
     ) -> Self {
@@ -847,9 +901,9 @@ mod tests {
     /// An id a singleton cannot keep in its slot.
     const HIGH: u32 = 1 << 31;
 
-    /// The values of a packed column.
-    fn values(column: PackedView<'_>) -> Vec<u32> {
-        column.values().collect()
+    /// The values of a packed or cumulative column.
+    fn values<'a>(column: impl Into<OffsetsView<'a>>) -> Vec<u32> {
+        column.into().values().collect()
     }
 
     #[test]
@@ -1012,14 +1066,14 @@ mod tests {
         let (ends, keys) = (PackedColumn::from_values(&[0, 2, 3]), [1, 4, HIGH]);
         let keys = KeyColumn::Packed(PackedColumn::from_values(&keys));
         let arena = |slots: &[u32]| {
-            FlatArena::unchecked(pack_u32_slots(slots), ends.clone(), keys.clone(), 4)
+            FlatArena::unchecked(pack_u32_slots(slots), ends.clone().into(), keys.clone(), 4)
         };
         let pushed = FlatArena::from_lists(&[&[id(1), id(4)][..], &[id(9)], &[id(HIGH)]]);
         let packed = arena(&[HIGH, 9, HIGH | 1]);
         assert_eq!((packed.view().validate(), packed), (Ok(4), pushed));
         let empty = FlatArena::unchecked(
             pack_u32_slots(&[]),
-            PackedColumn::from_values(&[0]),
+            PackedColumn::from_values(&[0]).into(),
             KeyColumn::default(),
             0,
         );

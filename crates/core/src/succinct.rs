@@ -1,15 +1,17 @@
 //! Succinct index levels: the header keys of an ordering as a presence
-//! bitmap with a rank directory (or one Elias–Fano window), and its
-//! vector keys, window by window, as Elias–Fano codes — each where that is
-//! smaller than the alternative.
+//! bitmap with a rank directory (or one Elias–Fano window), its vector
+//! keys, window by window, as Elias–Fano codes, and every cumulative
+//! offsets column as one Elias–Fano window of its values — each where that
+//! is smaller than the alternative.
 //!
 //! Both are bit streams in the [`crate::packed`] framing — a column of
 //! width 1, one value a bit, the little-endian words followed by a zero
 //! word — with a **rank directory** beside them: one sample per
 //! [`RANK_BLOCK`] bits after the first block, the number of set bits
 //! before the block, packed at the bit length of the stream's length. A
-//! rank is a sample and at most eight word popcounts; a select is a
-//! binary search of the samples and a scan of one block.
+//! rank is a sample and at most eight word popcounts; a select gallops
+//! over the samples from where evenly spread bits would put its target,
+//! then scans one block, and picks the bit in a word without a branch.
 //!
 //! **Headers.** Header `h` of an ordering is the `h`-th set bit of a
 //! bitmap over the id space, one bit per id up to the largest key (whose
@@ -31,21 +33,39 @@
 //! window's last bit is the last key's one. A search finds the bucket of
 //! its target's high part with two selects on the high region and
 //! binary-searches the bucket's low parts; a seek is that search
-//! (Elias–Fano's NextGEQ), and iteration decodes the high region word by
-//! word.
+//! (Elias–Fano's NextGEQ) that first reads on from its start position and
+//! searches only for a far target, and iteration decodes the high region
+//! word by word.
 //!
-//! A writer chooses, per ordering, the smaller encoding of its header
-//! keys and of its vector keys from counts alone (`HeaderSize`,
-//! `KeySize`), so the bulk builder sizes either exactly before it writes
-//! a key.
+//! **Offsets.** A cumulative offsets column — an ordering's offsets, an
+//! arena's run ends, an Elias–Fano column's bit offsets, each `n` values
+//! that never descend, the last the largest — is an [`OffsetsColumn`]:
+//! packed at the width of its last value, or one Elias–Fano window of all
+//! its values ([`EfOffsets`]): a 5-bit `l = ⌊log2(last / n)⌋`, the high
+//! region (value `i`'s one at bit `(v >> l) + i`), then the low parts.
+//! Values may repeat — a bit-offset column's do, wherever a window holds
+//! one key — as two adjacent ones. A window's bounds, values `h` and `h +
+//! 1`, are one select and a scan to the next set bit
+//! ([`OffsetsView::pair`]); the high region comes first, so the select
+//! counts from the stream's first word. Its size follows from `n` and the
+//! last value alone (`OffsetsSize`), which the builders know before they
+//! write a value.
+//!
+//! A writer chooses, per ordering, arena and column, the smaller encoding
+//! of its header keys, of its vector keys and of each offsets column from
+//! counts alone (`HeaderSize`, `KeySize`, `OffsetsSize`), so the bulk
+//! builder sizes each exactly before it writes a key.
 //!
 //! Reads never panic and never scan past their window: a mapped column
 //! may be corrupt, and an offset past the stream, an `l` whose low parts
 //! overrun the window, a high region that never reaches its `m`-th one or
 //! a rank sample that disagrees with its bits all give a short window or
-//! an absent header. In-memory columns are built canonical, and the eager
-//! loader compares each column it reads with the one rebuilt from what it
-//! decodes to ([`HeaderColumn::check`], [`KeyColumn::check`]).
+//! an absent header; an offsets window that cannot be read gives the empty
+//! window. In-memory columns are built canonical, and the eager loader
+//! checks each column it reads against what it decodes to, decoding each
+//! window once ([`HeaderColumn::check`], [`KeyColumn::check`],
+//! [`OffsetsView::check`]): an Elias–Fano window is canonical when it
+//! takes the bits and the `l` its values make.
 
 use crate::packed::{self, bytes_for, width_of, Bytes, PackedColumn, PackedView};
 use hex_dict::Id;
@@ -55,7 +75,7 @@ use std::ops::Range;
 pub const RANK_BLOCK: usize = 512;
 
 /// Bits of an Elias–Fano window's `l` field.
-const L_BITS: usize = 5;
+pub(crate) const L_BITS: usize = 5;
 
 /// Word `i` of a bit stream's image; 0 past its end.
 #[inline(always)]
@@ -85,24 +105,49 @@ fn low_mask(bits: usize) -> u64 {
 }
 
 /// The position of the `k`-th (from 0) set bit of `x`, which has more
-/// than `k`.
+/// than `k` (64 when it has fewer), with no branch: the bytes' running
+/// counts by one multiplication, the byte holding the bit by comparing
+/// them all with `k` at once, the bit in that byte by a table.
 #[inline]
-fn select_in_word(x: u64, mut k: u32) -> u32 {
-    let mut shift = 0;
-    loop {
-        let ones = ((x >> shift) & 0xFF).count_ones();
-        if k < ones || shift == 56 {
-            break;
-        }
-        k -= ones;
-        shift += 8;
+fn select_in_word(x: u64, k: u32) -> u32 {
+    const L8: u64 = 0x0101_0101_0101_0101;
+    const H8: u64 = 0x8080_8080_8080_8080;
+    let mut s = x - ((x >> 1) & 0x5555_5555_5555_5555);
+    s = (s & 0x3333_3333_3333_3333) + ((s >> 2) & 0x3333_3333_3333_3333);
+    s = (s + (s >> 4)) & 0x0F0F_0F0F_0F0F_0F0F;
+    // Byte `i` of `sums`: the set bits in bytes `0..=i`.
+    let sums = s.wrapping_mul(L8);
+    let k8 = u64::from(k.min(64)) * L8;
+    // Byte `i`'s top bit: at most `k` set bits in bytes `0..=i`.
+    let below = ((k8 | H8) - sums) & H8;
+    let byte = ((below >> 7).wrapping_mul(L8) >> 56) as u32;
+    if byte >= 8 {
+        return 64;
     }
-    let mut byte = (x >> shift) & 0xFF;
-    for _ in 0..k {
-        byte &= byte.wrapping_sub(1);
-    }
-    shift + byte.trailing_zeros().min(8)
+    let before = if byte == 0 { 0 } else { (sums >> (8 * byte - 8)) & 0xFF } as u32;
+    8 * byte
+        + SELECT_IN_BYTE[(((x >> (8 * byte)) & 0xFF) as usize) << 3 | (k - before) as usize & 7]
+            as u32
 }
+
+/// `SELECT_IN_BYTE[b << 3 | k]`: the position of the `k`-th set bit of
+/// the byte `b`, 8 when it has no more than `k`.
+static SELECT_IN_BYTE: [u8; 2048] = {
+    let mut table = [8u8; 2048];
+    let mut b = 0;
+    while b < 256 {
+        let (mut bit, mut k) = (0, 0);
+        while bit < 8 {
+            if b >> bit & 1 == 1 {
+                table[b << 3 | k] = bit as u8;
+                k += 1;
+            }
+            bit += 1;
+        }
+        b += 1;
+    }
+    table
+};
 
 // ---------------------------------------------------------------------
 // Bit streams with a rank directory.
@@ -170,11 +215,14 @@ impl<'a> BitsView<'a> {
     }
 
     /// The position of the `r`-th (from 0) bit of `from..end` that is
-    /// `bit`, or `None` when that range holds no more than `r`. The
-    /// directory picks the block, and only that block is scanned: a sample
-    /// that disagrees with the bits gives a wrong position or `None`, never
-    /// a longer scan.
-    fn select(self, from: usize, end: usize, r: usize, bit: bool) -> Option<usize> {
+    /// `bit`, or `None` when that range holds no more than `r`, looked for
+    /// first near bit `guess`. The directory picks the block — a gallop
+    /// over its samples from `guess`'s block, then a binary search of the
+    /// bracket, so a good guess costs a sample or two and a bad one
+    /// `O(log)` of them — and only that block is scanned: a sample that
+    /// disagrees with the bits gives a wrong position or `None`, never a
+    /// longer scan.
+    fn select(self, from: usize, end: usize, r: usize, bit: bool, guess: usize) -> Option<usize> {
         let end = end.min(self.len());
         if from >= end {
             return None;
@@ -184,10 +232,13 @@ impl<'a> BitsView<'a> {
             return self.scan(from, end, r, bit);
         }
         let base = self.rank1(from);
-        // Bits equal to `bit` in `from..s` for the block start `s` after
-        // `from`.
+        // Bits equal to `bit` in `from..s` for the start `s` of `block`:
+        // none for the block `from` lies in.
         let hits_to = |block: usize| {
             let s = block * RANK_BLOCK;
+            if s <= from {
+                return 0;
+            }
             let ones = self.ones_before(block).saturating_sub(base);
             if bit {
                 ones
@@ -195,8 +246,32 @@ impl<'a> BitsView<'a> {
                 (s - from).saturating_sub(ones)
             }
         };
-        let (mut lo, mut hi) = (from / RANK_BLOCK, (end - 1) / RANK_BLOCK);
-        // The last block whose start has at most `r` hits before it.
+        // The last block whose start has at most `r` hits before it: the
+        // first block always has none.
+        let (first, last) = (from / RANK_BLOCK, (end - 1) / RANK_BLOCK);
+        let at = (guess / RANK_BLOCK).clamp(first, last);
+        let (mut lo, mut hi, mut step) = (first, last, 1);
+        if hits_to(at) <= r {
+            lo = at;
+            while lo < last {
+                let next = (lo + step).min(last);
+                if hits_to(next) > r {
+                    hi = next - 1;
+                    break;
+                }
+                (lo, step) = (next, step * 2);
+            }
+        } else {
+            hi = at - 1;
+            while hi > first {
+                let next = hi.saturating_sub(step).max(first);
+                if hits_to(next) <= r {
+                    lo = next;
+                    break;
+                }
+                (hi, step) = (next - 1, step * 2);
+            }
+        }
         while lo < hi {
             let mid = lo + (hi - lo).div_ceil(2);
             if hits_to(mid) <= r {
@@ -243,6 +318,66 @@ impl<'a> BitsView<'a> {
         }
         end
     }
+
+    /// The first set bit of `from..end`, or `None`.
+    #[inline]
+    fn next_one(self, from: usize, end: usize) -> Option<usize> {
+        let bytes = self.bytes();
+        let mut s = from;
+        while s < end {
+            let valid = (64 - s % 64).min(end - s);
+            let set = (word(bytes, s / 64) >> (s % 64)) & low_mask_or_all(valid);
+            if set != 0 {
+                return Some(s + set.trailing_zeros() as usize);
+            }
+            s += valid;
+        }
+        None
+    }
+
+    /// Set bits in `from..to`: a scan when the range is no longer than a
+    /// block, two ranks otherwise.
+    #[inline]
+    fn ones_between(self, from: usize, to: usize) -> usize {
+        if to <= from {
+            return 0;
+        }
+        if to - from > RANK_BLOCK {
+            return self.rank1(to).saturating_sub(self.rank1(from));
+        }
+        let bytes = self.bytes();
+        let (mut s, mut ones) = (from, 0);
+        while s < to {
+            let valid = (64 - s % 64).min(to - s);
+            ones += ((word(bytes, s / 64) >> (s % 64)) & low_mask_or_all(valid)).count_ones();
+            s += valid;
+        }
+        ones as usize
+    }
+
+    /// Checks that the rank directory is the one of these bits: one
+    /// sample per block after the first, at the bit length of the
+    /// stream's length, each the set bits before its block, and no bit set
+    /// past the samples. Counts every word once and decodes nothing.
+    pub(crate) fn check_ranks(self, what: &str) -> Result<(), String> {
+        let (len, ranks) = (self.len(), self.ranks);
+        let disagrees = || format!("{what}'s rank directory disagrees with its bits");
+        if ranks.len() != samples(len)
+            || ranks.width() != sample_width(len)
+            || ranks.validate_tail().is_err()
+        {
+            return Err(disagrees());
+        }
+        let (bytes, mut ones) = (self.bytes(), 0usize);
+        for block in 1..=ranks.len() {
+            let words = (block - 1) * (RANK_BLOCK / 64)..block * (RANK_BLOCK / 64);
+            ones += words.map(|w| word(bytes, w).count_ones() as usize).sum::<usize>();
+            if ranks.get(block - 1) as usize != ones {
+                return Err(disagrees());
+            }
+        }
+        Ok(())
+    }
 }
 
 /// The mask of the low `bits` bits, `bits` at most 64.
@@ -258,25 +393,12 @@ fn low_mask_or_all(bits: usize) -> u64 {
 /// A bit stream with its rank directory, appended in order into room
 /// sized exactly up front — or a snapshot's image, read or a window of a
 /// mapped file's bytes, which an append copies to owned bytes first.
-#[derive(Clone, Default)]
+#[derive(Clone, Default, PartialEq, Eq)]
 struct BitStream {
     bytes: Bytes,
     bits: usize,
-    /// Set bits: counted as they are appended; a loaded header bitmap's
-    /// declared key count, and 0 for a loaded Elias–Fano stream, which
-    /// does not read it.
-    ones: usize,
     ranks: PackedColumn,
 }
-
-/// Equal bits and directories: the set bits follow from the bits.
-impl PartialEq for BitStream {
-    fn eq(&self, other: &Self) -> bool {
-        (self.bits, &self.bytes, &self.ranks) == (other.bits, &other.bytes, &other.ranks)
-    }
-}
-
-impl Eq for BitStream {}
 
 impl BitStream {
     /// An empty stream with exact room for `bits` bits.
@@ -290,7 +412,6 @@ impl BitStream {
         BitStream {
             bytes: Vec::with_capacity(bytes).into(),
             bits: 0,
-            ones: 0,
             ranks: PackedColumn::with_width(samples(bits), sample_width(bits)),
         }
     }
@@ -301,13 +422,7 @@ impl BitStream {
         if width == 0 {
             return;
         }
-        let end = self.bits + width;
-        let mut block = self.bits.div_ceil(RANK_BLOCK).max(1) * RANK_BLOCK;
-        while block < end {
-            let below = value & low_mask(block - self.bits);
-            self.ranks.push((self.ones + below.count_ones() as usize) as u32);
-            block += RANK_BLOCK;
-        }
+        let (start, end) = (self.bits, self.bits + width);
         let need = end.div_ceil(64) * 8 + 8;
         let bytes = self.bytes.make_mut();
         while bytes.len() < need {
@@ -319,7 +434,21 @@ impl BitStream {
             self.or_word(at + 8, value >> (64 - shift));
         }
         self.bits = end;
-        self.ones += value.count_ones() as usize;
+        let mut block = start.div_ceil(RANK_BLOCK).max(1);
+        while block * RANK_BLOCK < end {
+            self.sample(block);
+            block += 1;
+        }
+    }
+
+    /// Appends the directory's sample of `block`, whose bits and the
+    /// samples before whose are all written: the previous sample and the
+    /// set bits of the block before.
+    fn sample(&mut self, block: usize) {
+        let before = if block >= 2 { self.ranks.get(block - 2) as usize } else { 0 };
+        let words = (block - 1) * (RANK_BLOCK / 64)..block * (RANK_BLOCK / 64);
+        let ones = words.map(|w| word(&self.bytes, w).count_ones() as usize).sum::<usize>();
+        self.ranks.push((before + ones) as u32);
     }
 
     /// Appends `n` clear bits.
@@ -335,6 +464,47 @@ impl BitStream {
         let bytes = self.bytes.make_mut();
         let merged = word(bytes, at / 8) | bits;
         bytes[at..at + 8].copy_from_slice(&merged.to_le_bytes());
+    }
+
+    /// A stream of `bits` clear bits, its words allocated in full and its
+    /// rank directory empty until [`BitStream::index`]: the room a column
+    /// written out of order ([`BitStream::write`]) is sized to.
+    ///
+    /// # Panics
+    ///
+    /// If `bits` is 2^32 or more.
+    fn zeroed(bits: usize) -> Self {
+        u32::try_from(bits).expect("bit stream overflow: 2^32 bits");
+        let bytes = if bits == 0 { 0 } else { bytes_for(bits, 1).expect("bounded") };
+        BitStream {
+            bytes: vec![0u8; bytes].into(),
+            bits,
+            ranks: PackedColumn::with_width(samples(bits), sample_width(bits)),
+        }
+    }
+
+    /// Sets the bits of the low `width` bits of `value` (`width` at most
+    /// 64) at bit `at` of a [`BitStream::zeroed`] stream.
+    ///
+    /// # Panics
+    ///
+    /// If the bits reach past the stream: a column sized for less.
+    fn write(&mut self, at: usize, value: u64, width: usize) {
+        if width == 0 {
+            return;
+        }
+        assert!(at + width <= self.bits, "bit stream overflow: a value past its room");
+        let (byte, shift) = (at / 64 * 8, at % 64);
+        self.or_word(byte, value << shift);
+        if shift + width > 64 {
+            self.or_word(byte + 8, value >> (64 - shift));
+        }
+    }
+
+    /// Samples the rank directory of a [`BitStream::zeroed`] stream whose
+    /// bits are all written.
+    fn index(&mut self) {
+        (1..=samples(self.bits)).for_each(|block| self.sample(block));
     }
 
     fn view(&self) -> BitsView<'_> {
@@ -366,7 +536,7 @@ impl BitStream {
 
 impl std::fmt::Debug for BitStream {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("BitStream").field("bits", &self.bits).field("ones", &self.ones).finish()
+        f.debug_struct("BitStream").field("bits", &self.bits).finish()
     }
 }
 
@@ -495,7 +665,12 @@ impl ExactSizeIterator for BitmapKeys<'_> {}
 /// An ordering's header keys as an owned presence bitmap: appended in
 /// ascending order into room for the largest key, sized up front.
 #[derive(Clone, Default, PartialEq, Eq, Debug)]
-pub struct RankBitmap(BitStream);
+pub struct RankBitmap {
+    stream: BitStream,
+    /// The keys: counted as they are appended, or a snapshot's declared
+    /// count.
+    ones: usize,
+}
 
 impl RankBitmap {
     /// An empty bitmap with exact room for keys up to `max`.
@@ -504,15 +679,17 @@ impl RankBitmap {
     ///
     /// If `max` is `u32::MAX`: the bitmap would need 2^32 bits.
     pub fn with_capacity(max: Option<Id>) -> Self {
-        RankBitmap(BitStream::with_capacity(max.map_or(0, |m| m.0 as usize + 1)))
+        let stream = BitStream::with_capacity(max.map_or(0, |m| m.0 as usize + 1));
+        RankBitmap { stream, ones: 0 }
     }
 
     /// Appends key `k`, which must be above every key before it.
     pub fn push(&mut self, k: Id) {
         let k = k.0 as usize;
-        debug_assert!(k >= self.0.bits, "header keys ascend");
-        self.0.put_zeros(k - self.0.bits);
-        self.0.put(1, 1);
+        debug_assert!(k >= self.stream.bits, "header keys ascend");
+        self.stream.put_zeros(k - self.stream.bits);
+        self.stream.put(1, 1);
+        self.ones += 1;
     }
 
     /// The bitmap of `keys` keys over a `len`-bit stream whose image is
@@ -520,7 +697,7 @@ impl RankBitmap {
     /// or mapped, taken as they are. Reads clamp to them, so columns that
     /// are not the canonical ones give wrong answers, never a panic.
     pub(crate) fn unchecked(bits: Bytes, len: usize, ranks: PackedColumn, keys: usize) -> Self {
-        RankBitmap(BitStream { bytes: bits, bits: len, ones: keys, ranks })
+        RankBitmap { stream: BitStream { bytes: bits, bits: len, ranks }, ones: keys }
     }
 
     /// The bitmap of strictly ascending `keys`.
@@ -533,22 +710,22 @@ impl RankBitmap {
     /// The bitmap as the view every read goes through.
     #[inline]
     pub fn view(&self) -> BitmapView<'_> {
-        BitmapView { bits: self.0.view(), ones: self.0.ones }
+        BitmapView { bits: self.stream.view(), ones: self.ones }
     }
 
     /// The number of keys.
     pub fn len(&self) -> usize {
-        self.0.ones
+        self.ones
     }
 
     /// True when the bitmap holds no key.
     pub fn is_empty(&self) -> bool {
-        self.0.ones == 0
+        self.ones == 0
     }
 
     /// Heap bytes: the bits and the directory.
     pub fn heap_bytes(&self) -> usize {
-        self.0.heap_bytes()
+        self.stream.heap_bytes()
     }
 }
 
@@ -599,7 +776,7 @@ impl HeaderSize {
     /// True when one Elias–Fano window is smaller than the bitmap: an id
     /// space the keys are sparse in.
     pub(crate) fn elias_fano(&self) -> bool {
-        self.bitmap_bytes().is_none_or(|bitmap| self.window().ef_bytes() < bitmap)
+        self.bitmap_bytes().is_none_or(|bitmap| self.window().ef_bytes(Rule::Current) < bitmap)
     }
 }
 
@@ -648,7 +825,7 @@ impl HeaderColumn {
             HeaderColumn::Bitmap(map) => map.push(k),
             HeaderColumn::EliasFano(column) => {
                 column.push(k.0);
-                if column.len() == column.room {
+                if column.len() == column.room() {
                     column.end_window();
                 }
             }
@@ -699,10 +876,10 @@ impl HeaderColumn {
         let column = HeaderColumn::from_sorted(&keys);
         match (&column, read) {
             (HeaderColumn::Bitmap(mine), HeadersView::Bitmap(read)) => {
-                if mine.0.bits != read.bits.len() {
+                if mine.stream.bits != read.bits.len() {
                     return Err(format!("{what} does not end at its largest key"));
                 }
-                mine.0.differs(read.bits, what).map_or(Ok(()), Err)
+                mine.stream.differs(read.bits, what).map_or(Ok(()), Err)
             }
             (HeaderColumn::EliasFano(mine), HeadersView::EliasFano(read)) => {
                 mine.differs(read, what).map_or(Ok(()), Err)
@@ -879,14 +1056,15 @@ impl KeySize {
         bytes_for(self.keys, width_of(self.max_key)).unwrap_or(usize::MAX)
     }
 
-    /// The heap bytes of the Elias–Fano column: base, bit offsets, stream
-    /// and its directory.
-    pub(crate) fn ef_bytes(&self) -> usize {
+    /// The heap bytes of the Elias–Fano column under `rule`: base, bit
+    /// offsets (in the smaller of their encodings, or packed), stream and
+    /// its directory.
+    pub(crate) fn ef_bytes(&self, rule: Rule) -> usize {
         let Ok(bits) = u32::try_from(self.bits) else { return usize::MAX };
         let stream = if bits == 0 { 0 } else { bytes_for(self.bits, 1).unwrap_or(usize::MAX) };
         let parts = [
             bytes_for(self.windows, width_of(self.max_first)),
-            bytes_for(self.windows + 1, width_of(bits)),
+            Some(OffsetsSize::new(self.windows + 1, bits).bytes(rule)),
             Some(stream),
             bytes_for(samples(self.bits), sample_width(self.bits)),
         ];
@@ -895,7 +1073,15 @@ impl KeySize {
 
     /// True when the Elias–Fano column is the smaller.
     pub(crate) fn elias_fano(&self) -> bool {
-        self.ef_bytes() < self.packed_bytes()
+        self.ef_bytes(Rule::Current) < self.packed_bytes()
+    }
+
+    /// True when `coded` — an Elias–Fano column, or a packed one — is an
+    /// encoding the sizes choose under `rule`: this build's choice, or
+    /// for [`Rule::Packed`] also the one made with packed bit offsets.
+    fn allows(&self, coded: bool, rule: Rule) -> bool {
+        coded == self.elias_fano()
+            || (rule == Rule::Packed && coded == (self.ef_bytes(rule) < self.packed_bytes()))
     }
 
     /// The sizes of the windows of `keys`, each range of `windows` one.
@@ -916,7 +1102,7 @@ pub struct EfView<'a> {
     pub base: PackedView<'a>,
     /// Where each window's bits start in `stream`, one entry more than
     /// windows: window `h` is `offs[h]..offs[h + 1]`.
-    pub offs: PackedView<'a>,
+    pub offs: OffsetsView<'a>,
     /// Every window's `l`, low parts and high parts, window after window.
     pub stream: BitsView<'a>,
     /// The number of keys.
@@ -935,18 +1121,53 @@ struct Frame {
     end: usize,
 }
 
+impl Frame {
+    /// A window of its first key alone.
+    fn single(first: u32) -> Self {
+        Frame { first, m: 0, l: 0, low_at: 0, high_at: 0, end: 0 }
+    }
+
+    /// Where the `r`-th one (or zero) of the high region lies when the
+    /// keys spread evenly: a select's first guess.
+    #[inline]
+    fn near(&self, r: usize, one: bool) -> usize {
+        near(self.high_at, self.end, self.m, r, one)
+    }
+}
+
+/// Where the `r`-th one (or zero) of a high region from `high_at` to `end`
+/// holding `ones` ones lies when they spread evenly over it.
+#[inline]
+fn near(high_at: usize, end: usize, ones: usize, r: usize, one: bool) -> usize {
+    let zeros = (end - high_at).saturating_sub(ones);
+    let (mine, other) = if one { (ones, zeros) } else { (zeros, ones) };
+    high_at + r + (r as u64 * other as u64 / mine.max(1) as u64) as usize
+}
+
 impl<'a> EfView<'a> {
     /// The frame of window `h`, which holds `n` keys: a window whose bits
     /// cannot hold its `l` and low parts is its first key alone.
     #[inline]
     fn frame(self, h: usize, n: usize) -> Frame {
         let first = self.base.get(h);
-        let single = Frame { first, m: 0, l: 0, low_at: 0, high_at: 0, end: 0 };
+        if n < 2 {
+            return Frame::single(first);
+        }
+        match self.offs.pair(h) {
+            Some((start, end)) => self.frame_at(first, n, start as usize..end as usize),
+            None => Frame::single(first),
+        }
+    }
+
+    /// The frame of a window of `n` keys from `first` whose bits are
+    /// `bits` of the stream, clamped to it.
+    #[inline]
+    fn frame_at(self, first: u32, n: usize, bits: Range<usize>) -> Frame {
+        let single = Frame::single(first);
         if n < 2 {
             return single;
         }
-        let (start, end) = (self.offs.get(h) as usize, self.offs.get(h + 1) as usize);
-        let end = end.min(self.stream.len());
+        let (start, end) = (bits.start, bits.end.min(self.stream.len()));
         if start.saturating_add(L_BITS) > end {
             return single;
         }
@@ -972,26 +1193,99 @@ impl<'a> EfView<'a> {
         if i >= window.len() {
             return None;
         }
-        let f = self.frame(h, window.len());
+        self.get_framed(&self.frame(h, window.len()), i)
+    }
+
+    /// Where window `h`'s bits lie in the stream, `(0, 0)` where its bit
+    /// offsets cannot be read: one pair read of the bit offsets, which a
+    /// list read many times takes once ([`EfView::get_in`] and the other
+    /// `_in` reads).
+    #[inline]
+    pub fn bits(self, h: usize) -> (u32, u32) {
+        self.offs.pair(h).unwrap_or((0, 0))
+    }
+
+    /// The frame of window `h` of `n` keys whose bits are `bits`.
+    #[inline]
+    fn frame_in(self, h: usize, bits: (u32, u32), n: usize) -> Frame {
+        self.frame_at(self.base.get(h), n, bits.0 as usize..bits.1 as usize)
+    }
+
+    /// [`EfView::get`] of window `h` whose bits are `bits` ([`EfView::bits`]).
+    #[inline]
+    pub fn get_in(self, h: usize, bits: (u32, u32), window: Range<usize>, i: usize) -> Option<u32> {
+        if i >= window.len() {
+            return None;
+        }
+        self.get_framed(&self.frame_in(h, bits, window.len()), i)
+    }
+
+    /// [`EfView::iter`] of window `h` whose bits are `bits`.
+    #[inline]
+    pub fn iter_in(self, h: usize, bits: (u32, u32), window: Range<usize>) -> EfIter<'a> {
+        self.iter_frame(self.frame_in(h, bits, window.len()), !window.is_empty())
+    }
+
+    /// [`EfView::search`] of window `h` whose bits are `bits`.
+    #[inline]
+    pub fn search_in(
+        self,
+        h: usize,
+        bits: (u32, u32),
+        window: Range<usize>,
+        x: u32,
+    ) -> Result<usize, usize> {
+        if window.is_empty() {
+            return Err(0);
+        }
+        self.search_framed(&self.frame_in(h, bits, window.len()), x)
+    }
+
+    /// [`EfView::seek`] of window `h` whose bits are `bits`.
+    #[inline]
+    pub fn seek_in(
+        self,
+        h: usize,
+        bits: (u32, u32),
+        window: Range<usize>,
+        from: usize,
+        x: u32,
+    ) -> usize {
+        let n = window.len();
+        if from >= n {
+            return n;
+        }
+        self.seek_framed(&self.frame_in(h, bits, n), n, from, x)
+    }
+
+    /// Key `i` of the window `f` frames, `i` within its length.
+    #[inline]
+    fn get_framed(self, f: &Frame, i: usize) -> Option<u32> {
         let Some(j) = i.checked_sub(1) else { return Some(f.first) };
         if j >= f.m {
             return None;
         }
-        // The clear bits before the key's one are its high part.
-        let one = self.stream.select(f.high_at, f.end, j, true)?;
+        // The clear bits before the key's one are its high part; it lies
+        // near where evenly spread keys would put it.
+        let one = self.stream.select(f.high_at, f.end, j, true, f.near(j, true))?;
         let high = (one - f.high_at).saturating_sub(j) as u32;
-        Some(f.first.wrapping_add(1).wrapping_add(high.wrapping_shl(f.l) | self.low(&f, j)))
+        Some(f.first.wrapping_add(1).wrapping_add(high.wrapping_shl(f.l) | self.low(f, j)))
     }
 
     /// The keys of window `h`, whose leaves are `window`, in order.
     #[inline]
     pub fn iter(self, h: usize, window: Range<usize>) -> EfIter<'a> {
-        let f = self.frame(h, window.len());
+        self.iter_frame(self.frame(h, window.len()), !window.is_empty())
+    }
+
+    /// The keys of the window framed by `f`, none unless `any`.
+    #[inline]
+    fn iter_frame(self, f: Frame, any: bool) -> EfIter<'a> {
         let bytes = self.stream.bytes();
         let first_word = if f.m == 0 { 0 } else { word(bytes, f.high_at / 64) };
         EfIter {
             bytes,
-            head: (!window.is_empty()).then_some(f.first),
+            head: any.then_some(f.first),
             base: f.first.wrapping_add(1),
             left: f.m,
             l: f.l,
@@ -1011,7 +1305,12 @@ impl<'a> EfView<'a> {
         if window.is_empty() {
             return Err(0);
         }
-        let f = self.frame(h, window.len());
+        self.search_framed(&self.frame(h, window.len()), x)
+    }
+
+    /// [`EfView::search`] of the non-empty window `f` frames.
+    #[inline]
+    fn search_framed(self, f: &Frame, x: u32) -> Result<usize, usize> {
         if x <= f.first {
             return if x == f.first { Ok(0) } else { Err(0) };
         }
@@ -1025,7 +1324,7 @@ impl<'a> EfView<'a> {
         let start = if hx == 0 {
             f.high_at
         } else {
-            match self.stream.select(f.high_at, f.end, hx - 1, false) {
+            match self.stream.select(f.high_at, f.end, hx - 1, false, f.near(hx - 1, false)) {
                 Some(zero) => zero + 1,
                 None => return Err(1 + f.m),
             }
@@ -1035,13 +1334,13 @@ impl<'a> EfView<'a> {
         let (mut lo, mut hi) = (j0, j1.max(j0));
         while lo < hi {
             let mid = lo + (hi - lo) / 2;
-            if self.low(&f, mid) < lx {
+            if self.low(f, mid) < lx {
                 lo = mid + 1;
             } else {
                 hi = mid;
             }
         }
-        if lo < j1 && self.low(&f, lo) == lx {
+        if lo < j1 && self.low(f, lo) == lx {
             Ok(1 + lo)
         } else {
             Err(1 + lo)
@@ -1050,16 +1349,76 @@ impl<'a> EfView<'a> {
 
     /// The position in window `h` of its first key at or after `from`
     /// that is at least `x` — `window.len()` if there is none — where the
-    /// keys before `from` are below `x`: Elias–Fano's NextGEQ, which is
-    /// [`EfView::search`] for `x` and so costs the same however far it
+    /// keys before `from` are below `x`: Elias–Fano's NextGEQ.
+    ///
+    /// It looks first from `from`'s high bucket. The answer's one lies no
+    /// earlier than bit `from − 1 + hx` of the high region, `hx` the
+    /// target's high part, and every one before that bit is a key below
+    /// `x`: so the ones before it are counted (a scan, or two ranks over a
+    /// long window), and the keys from there on are read a word at a time
+    /// for up to `SEEK_SCAN` bits. A target farther than that is found
+    /// by [`EfView::search`], which costs the same however far it
     /// advances.
     #[inline]
     pub fn seek(self, h: usize, window: Range<usize>, from: usize, x: u32) -> usize {
         let n = window.len();
-        let (Ok(at) | Err(at)) = self.search(h, window, x);
+        if from >= n {
+            return n;
+        }
+        self.seek_framed(&self.frame(h, n), n, from, x)
+    }
+
+    /// [`EfView::seek`] in the window of `n` keys `f` frames, `from`
+    /// below `n`.
+    #[inline]
+    fn seek_framed(self, f: &Frame, n: usize, from: usize, x: u32) -> usize {
+        if x <= f.first {
+            // The first key is at least `x`, so `from` is 0 — or, on a
+            // corrupt window, whatever `from` is.
+            return from;
+        }
+        if f.m == 0 {
+            return from.max(1).min(n);
+        }
+        let w = x - f.first - 1;
+        let (hx, lx) = ((w >> f.l) as usize, w & low_mask(f.l as usize) as u32);
+        let lo = f.high_at.saturating_add(from.saturating_sub(1)).saturating_add(hx);
+        if lo >= f.end {
+            return n;
+        }
+        // Keys (after the first) whose ones lie before `lo`.
+        let mut j = self.stream.ones_between(f.high_at, lo).min(f.m);
+        let stop = f.end.min(lo + SEEK_SCAN);
+        let (bytes, mut s) = (self.stream.bytes(), lo);
+        while s < stop {
+            let valid = (64 - s % 64).min(stop - s);
+            let mut ones = (word(bytes, s / 64) >> (s % 64)) & low_mask_or_all(valid);
+            while ones != 0 {
+                if j >= f.m {
+                    return n;
+                }
+                let one = s + ones.trailing_zeros() as usize;
+                ones &= ones - 1;
+                // The clear bits before the key's one are its high part.
+                let high = (one - f.high_at).saturating_sub(j);
+                if high > hx || (high == hx && self.low(f, j) >= lx) {
+                    return (1 + j).max(from).min(n);
+                }
+                j += 1;
+            }
+            s += valid;
+        }
+        if s >= f.end {
+            return (1 + j).max(from).min(n);
+        }
+        let (Ok(at) | Err(at)) = self.search_framed(f, x);
         at.max(from).min(n)
     }
 }
+
+/// Bits of a high region [`EfView::seek`] reads from its first candidate
+/// before it falls back to a search.
+const SEEK_SCAN: usize = 256;
 
 /// The keys of one Elias–Fano window, in order: the first from the base
 /// column, then one high-region one and one low part a key, the high
@@ -1136,12 +1495,21 @@ impl ExactSizeIterator for EfIter<'_> {}
 #[derive(Clone, Default, PartialEq, Eq, Debug)]
 pub struct EfColumn {
     base: PackedColumn,
-    offs: PackedColumn,
+    offs: OffsetsColumn,
     stream: BitStream,
     len: u32,
+    /// What an unfinished column was sized for, and its open window.
+    build: Option<Box<EfBuild>>,
+}
+
+/// The state of an [`EfColumn`] being appended to, freed with its last
+/// window.
+#[derive(Clone, Default, PartialEq, Eq, Debug)]
+struct EfBuild {
     /// The windows and keys the column was sized for.
     windows: usize,
     room: usize,
+    /// The open window's keys.
     open: Vec<u32>,
 }
 
@@ -1149,29 +1517,36 @@ impl EfColumn {
     /// An empty column with exact room for what `size` counted.
     pub(crate) fn with_capacity(size: KeySize) -> Self {
         let bits = u32::try_from(size.bits).expect("bit stream overflow: 2^32 bits");
-        let mut offs = PackedColumn::with_capacity(size.windows + 1, bits);
+        let mut offs = OffsetsColumn::with_capacity(OffsetsSize::new(size.windows + 1, bits));
         offs.push(0);
         EfColumn {
             base: PackedColumn::with_capacity(size.windows, size.max_first),
             offs,
             stream: BitStream::with_capacity(size.bits),
             len: 0,
-            windows: size.windows,
-            room: size.keys,
-            open: Vec::new(),
+            build: (size.windows > 0).then(|| {
+                Box::new(EfBuild { windows: size.windows, room: size.keys, open: Vec::new() })
+            }),
         }
+    }
+
+    /// The keys the column was sized for.
+    fn room(&self) -> usize {
+        self.build.as_ref().map_or(self.len as usize, |build| build.room)
     }
 
     /// Appends a key to the open window.
     #[inline]
     pub(crate) fn push(&mut self, k: u32) {
-        self.open.push(k);
+        self.build.as_mut().expect("room for a key").open.push(k);
         self.len += 1;
     }
 
-    /// Closes the open window, which holds at least one key.
+    /// Closes the open window, which holds at least one key; the build's
+    /// state goes with the last.
     pub(crate) fn end_window(&mut self) {
-        let keys = std::mem::take(&mut self.open);
+        let build = self.build.as_mut().expect("an open window");
+        let keys = std::mem::take(&mut build.open);
         let (first, last) = (keys[0], keys[keys.len() - 1]);
         self.base.push(first);
         if keys.len() > 1 {
@@ -1191,9 +1566,12 @@ impl EfColumn {
             out.flush();
         }
         self.offs.push(self.stream.bits as u32);
-        if self.base.len() < self.windows {
-            self.open = keys;
-            self.open.clear();
+        match &mut self.build {
+            Some(build) if self.base.len() < build.windows => {
+                build.open = keys;
+                build.open.clear();
+            }
+            _ => self.build = None,
         }
     }
 
@@ -1204,29 +1582,21 @@ impl EfColumn {
     /// that are not the canonical ones give wrong answers, never a panic.
     pub(crate) fn unchecked(
         base: PackedColumn,
-        offs: PackedColumn,
+        offs: OffsetsColumn,
         (stream, bits): (Bytes, usize),
         ranks: PackedColumn,
         len: u32,
     ) -> Self {
-        EfColumn {
-            windows: base.len(),
-            room: len as usize,
-            base,
-            offs,
-            stream: BitStream { bytes: stream, bits, ones: 0, ranks },
-            len,
-            open: Vec::new(),
-        }
+        EfColumn { base, offs, stream: BitStream { bytes: stream, bits, ranks }, len, build: None }
     }
 
     /// The Elias–Fano column of `keys` windowed by `offs` — a tiling
     /// cumulative offsets column, each window strictly ascending —
     /// whatever the packed column would take.
-    pub fn from_windows(keys: &[u32], offs: &PackedColumn) -> Self {
-        let mut column =
-            EfColumn::with_capacity(KeySize::of_windows(keys, windows_of(offs.view())));
-        for w in windows_of(offs.view()) {
+    pub fn from_windows<'o>(keys: &[u32], offs: impl Into<OffsetsView<'o>>) -> Self {
+        let offs = offs.into();
+        let mut column = EfColumn::with_capacity(KeySize::of_windows(keys, windows_of(offs)));
+        for w in windows_of(offs) {
             keys[w].iter().for_each(|&k| column.push(k));
             column.end_window();
         }
@@ -1254,22 +1624,42 @@ impl EfColumn {
         self.len == 0
     }
 
-    /// [`EfView::get`] on the column's view, out of line.
+    /// [`EfView::get_in`] on the column's view, out of line, so that a
+    /// list's packed path stays small enough to inline into its caller.
     #[inline(never)]
-    pub fn get(&self, h: usize, window: Range<usize>, i: usize) -> Option<u32> {
-        self.view().get(h, window, i)
+    pub fn get_in(
+        &self,
+        h: usize,
+        bits: (u32, u32),
+        window: Range<usize>,
+        i: usize,
+    ) -> Option<u32> {
+        self.view().get_in(h, bits, window, i)
     }
 
-    /// [`EfView::search`] on the column's view, out of line.
+    /// [`EfView::search_in`] on the column's view, out of line.
     #[inline(never)]
-    pub fn search(&self, h: usize, window: Range<usize>, x: u32) -> Result<usize, usize> {
-        self.view().search(h, window, x)
+    pub fn search_in(
+        &self,
+        h: usize,
+        bits: (u32, u32),
+        window: Range<usize>,
+        x: u32,
+    ) -> Result<usize, usize> {
+        self.view().search_in(h, bits, window, x)
     }
 
-    /// [`EfView::seek`] on the column's view, out of line.
+    /// [`EfView::seek_in`] on the column's view, out of line.
     #[inline(never)]
-    pub fn seek(&self, h: usize, window: Range<usize>, from: usize, x: u32) -> usize {
-        self.view().seek(h, window, from, x)
+    pub fn seek_in(
+        &self,
+        h: usize,
+        bits: (u32, u32),
+        window: Range<usize>,
+        from: usize,
+        x: u32,
+    ) -> usize {
+        self.view().seek_in(h, bits, window, from, x)
     }
 
     /// Why `read` is not this column's image, naming `what` and the part
@@ -1293,6 +1683,11 @@ impl EfColumn {
     /// Heap bytes of the bit-offset column.
     pub fn offset_bytes(&self) -> usize {
         self.offs.heap_bytes()
+    }
+
+    /// True when the bit-offset column is one Elias–Fano window.
+    pub fn offsets_coded(&self) -> bool {
+        self.offs.is_elias_fano()
     }
 
     /// Heap bytes of the stream's bits.
@@ -1344,9 +1739,567 @@ impl Gather<'_> {
     }
 }
 
-/// The windows of a cumulative offsets column.
-pub(crate) fn windows_of(offs: PackedView<'_>) -> impl Iterator<Item = Range<usize>> + '_ {
-    offs.values().zip(offs.values().skip(1)).map(|(lo, hi)| lo as usize..hi as usize)
+/// The windows of a cumulative offsets column, decoded in one pass.
+pub(crate) fn windows_of<'a>(
+    offs: impl Into<OffsetsView<'a>>,
+) -> impl Iterator<Item = Range<usize>> + 'a {
+    let mut values = offs.into().values();
+    let mut lo = values.next();
+    std::iter::from_fn(move || {
+        let hi = values.next()?;
+        let window = lo? as usize..hi as usize;
+        lo = Some(hi);
+        Some(window)
+    })
+}
+
+// ---------------------------------------------------------------------
+// Cumulative offsets: packed, or one Elias–Fano window.
+// ---------------------------------------------------------------------
+
+/// How the canonical encoding of the columns a cumulative offsets column
+/// cuts is chosen: by this build's rule, or — for a store read from a
+/// file written before offsets were coded (`hexsnap` v13 and older) —
+/// by that rule or the older one, under which every offsets column is
+/// packed and a key column's Elias–Fano size counts its bit offsets
+/// packed.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub enum Rule {
+    /// Every offsets column in the smaller encoding.
+    #[default]
+    Current,
+    /// Offsets packed whatever their size, as older writers left them, or
+    /// as this build chooses.
+    Packed,
+}
+
+/// What a cumulative offsets column needs, known before it is built: its
+/// length and its last value, which is its largest. Enough to size either
+/// encoding exactly and to choose the smaller.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub(crate) struct OffsetsSize {
+    len: usize,
+    last: u32,
+}
+
+impl OffsetsSize {
+    /// The size of a column of `len` values, the last `last`.
+    pub(crate) fn new(len: usize, last: u32) -> Self {
+        OffsetsSize { len, last }
+    }
+
+    /// The Elias–Fano window's `l`: `⌊log2(last / len)⌋`.
+    fn l(self) -> u32 {
+        ef_l(self.len, self.last)
+    }
+
+    /// The window's stream bits: the 5-bit `l`, a low part of `l` bits a
+    /// value, then a one a value and `last >> l` zeros between them —
+    /// `None` past 2^32 − 1 bits.
+    fn ef_bits(self) -> Option<usize> {
+        let l = self.l() as usize;
+        let bits = L_BITS
+            .checked_add(self.len.checked_mul(l + 1)?)?
+            .checked_add((self.last >> l) as usize)?;
+        u32::try_from(bits).ok().map(|_| bits)
+    }
+
+    /// The heap bytes of the packed column.
+    fn packed_bytes(self) -> usize {
+        bytes_for(self.len, width_of(self.last)).unwrap_or(usize::MAX)
+    }
+
+    /// The heap bytes of the Elias–Fano window: its stream and rank
+    /// directory.
+    fn ef_bytes(self) -> usize {
+        match self.ef_bits() {
+            Some(bits) if self.len > 0 => {
+                let stream = bytes_for(bits, 1).unwrap_or(usize::MAX);
+                let ranks = bytes_for(samples(bits), sample_width(bits)).unwrap_or(usize::MAX);
+                stream.saturating_add(ranks)
+            }
+            _ => usize::MAX,
+        }
+    }
+
+    /// True when the Elias–Fano window is the smaller encoding.
+    pub(crate) fn elias_fano(self) -> bool {
+        self.ef_bytes() < self.packed_bytes()
+    }
+
+    /// The heap bytes of the column under `rule`.
+    pub(crate) fn bytes(self, rule: Rule) -> usize {
+        match rule {
+            Rule::Current => self.packed_bytes().min(self.ef_bytes()),
+            Rule::Packed => self.packed_bytes(),
+        }
+    }
+}
+
+/// A cumulative offsets column as one Elias–Fano window, written value
+/// by value into a stream sized up front (`OffsetsSize`): the 5-bit `l`,
+/// then the high region — value `i`'s high part as a one at bit `(v >> l)
+/// + i` of it, the region ending on the last value's one — then value
+/// `i`'s low `l` bits at bit `i·l` of the low region. The values may
+/// repeat (a bit-offset column's do, wherever a window holds one key),
+/// which makes two ones adjacent. The high region comes first so that a
+/// select counts from the stream's first word, whose set bits before it
+/// are the `l` field's, with no rank of where the region starts.
+#[derive(Clone, Debug, Default)]
+pub struct EfOffsets {
+    stream: BitStream,
+    len: u32,
+    /// Values written so far: the build's state.
+    written: u32,
+}
+
+/// Equal streams of equal length: the build's state follows from them.
+impl PartialEq for EfOffsets {
+    fn eq(&self, other: &Self) -> bool {
+        (self.len, &self.stream) == (other.len, &other.stream)
+    }
+}
+
+impl Eq for EfOffsets {}
+
+impl EfOffsets {
+    /// An empty window with exact room for what `size` counted.
+    fn with_capacity(size: OffsetsSize) -> Self {
+        let bits = size.ef_bits().expect("offsets overflow: 2^32 bits");
+        let l = size.l();
+        let mut stream = BitStream::zeroed(bits);
+        stream.write(0, u64::from(l), L_BITS);
+        let len = u32::try_from(size.len).expect("offsets overflow: 2^32 values");
+        EfOffsets { stream, len, written: 0 }
+    }
+
+    /// Writes the next value, at least the one before; the rank directory
+    /// is sampled with the last.
+    fn push(&mut self, v: u32) {
+        let (i, len) = (self.written as usize, self.len as usize);
+        assert!(i < len, "offsets overflow: a value past its room");
+        let l = bits_at(&self.stream.bytes, 0, L_BITS as u32) as usize;
+        let low_at = self.stream.bits - len * l;
+        self.stream.write(low_at + i * l, u64::from(v) & low_mask(l), l);
+        self.stream.write(L_BITS + (v >> l) as usize + i, 1, 1);
+        self.written += 1;
+        if self.written == self.len {
+            self.stream.index();
+        }
+    }
+
+    /// The window of `len` values whose `bits`-bit stream's image and
+    /// rank directory are `stream` and `ranks`: a snapshot's columns, read
+    /// or mapped, taken as they are. Reads clamp to them.
+    pub(crate) fn unchecked((stream, bits): (Bytes, usize), ranks: PackedColumn, len: u32) -> Self {
+        let stream = BitStream { bytes: stream, bits, ranks };
+        EfOffsets { stream, len, written: len }
+    }
+
+    /// The window as the view every read goes through.
+    #[inline]
+    pub fn view(&self) -> EfOffsetsView<'_> {
+        EfOffsetsView { stream: self.stream.view(), len: self.len as usize }
+    }
+
+    /// Heap bytes: the stream and its rank directory.
+    pub fn heap_bytes(&self) -> usize {
+        self.stream.heap_bytes()
+    }
+}
+
+/// A borrowed [`EfOffsets`]. `Copy`.
+#[derive(Clone, Copy, Debug, Default)]
+pub struct EfOffsetsView<'a> {
+    /// The `l`, the low parts and the high region.
+    pub stream: BitsView<'a>,
+    /// The number of values.
+    pub len: usize,
+}
+
+/// Where a window of offsets keeps its parts, clamped to its stream: its
+/// high region is `L_BITS..end`, its low parts start at `end`.
+#[derive(Clone, Copy, Debug)]
+struct OffsetsFrame {
+    l: u32,
+    end: usize,
+}
+
+impl OffsetsFrame {
+    /// Where value `i`'s one lies when the `len` values spread evenly.
+    #[inline]
+    fn near(&self, i: usize, len: usize) -> usize {
+        near(L_BITS, self.end, len, i, true)
+    }
+}
+
+impl<'a> EfOffsetsView<'a> {
+    /// The frame of the stream, `None` when its `l` and low parts overrun
+    /// it: a corrupt column, every value of which is unreadable.
+    #[inline]
+    fn frame(self) -> Option<OffsetsFrame> {
+        let bits = self.stream.len();
+        if bits < L_BITS {
+            return None;
+        }
+        let l = bits_at(self.stream.bytes(), 0, L_BITS as u32);
+        let end = bits.checked_sub(self.len.checked_mul(l as usize)?)?;
+        (end >= L_BITS).then_some(OffsetsFrame { l, end })
+    }
+
+    /// Value `i`, whose one is at bit `one` of the stream.
+    #[inline(always)]
+    fn value(self, f: &OffsetsFrame, i: usize, one: usize) -> u32 {
+        let high = (one - L_BITS).saturating_sub(i) as u32;
+        let low = bits_at(self.stream.bytes(), f.end + i * f.l as usize, f.l);
+        high.wrapping_shl(f.l) | low
+    }
+
+    /// Value `i`, or `None` past the column: a select of its one.
+    #[inline]
+    pub fn get(self, i: usize) -> Option<u32> {
+        if i >= self.len {
+            return None;
+        }
+        let f = self.frame()?;
+        let one = self.stream.select(L_BITS, f.end, i, true, f.near(i, self.len))?;
+        Some(self.value(&f, i, one))
+    }
+
+    /// Values `i` and `i + 1` — the bounds of window `i` of the column
+    /// this one cuts — or `None` past the column: one select of value
+    /// `i`'s one and a scan to the next set bit, value `i + 1`'s.
+    #[inline]
+    pub fn pair(self, i: usize) -> Option<(u32, u32)> {
+        if i.checked_add(1)? >= self.len {
+            return None;
+        }
+        let f = self.frame()?;
+        let one = self.stream.select(L_BITS, f.end, i, true, f.near(i, self.len))?;
+        let next = self.stream.next_one(one + 1, f.end)?;
+        Some((self.value(&f, i, one), self.value(&f, i + 1, next)))
+    }
+
+    /// The values in order, the high region read a word at a time.
+    #[inline]
+    pub fn values(self) -> EfIter<'a> {
+        let bytes = self.stream.bytes();
+        let f = self.frame().unwrap_or(OffsetsFrame { l: 0, end: 0 });
+        let left = if f.end == 0 { 0 } else { self.len };
+        EfIter {
+            bytes,
+            head: None,
+            base: 0,
+            left,
+            l: f.l,
+            low_bit: f.end,
+            zeros_from: L_BITS,
+            end: f.end,
+            word_at: 0,
+            cur: word(bytes, 0) & !low_mask(L_BITS),
+        }
+    }
+
+    /// Checks that the stream is the canonical window of the `values` it
+    /// was read to, in order: its `l` and its length are the ones those
+    /// values make, and its rank directory samples its bits. With the
+    /// values non-decreasing and all of them read, that leaves no other
+    /// image.
+    fn check(self, values: usize, last: u32, what: &str) -> Result<(), String> {
+        let size = OffsetsSize::new(self.len, last);
+        let l = self.frame().map(|f| f.l);
+        if values != self.len
+            || l != Some(size.l())
+            || Some(self.stream.len()) != size.ef_bits()
+            || self.stream.bits.width() != 1
+            || self.stream.bits.validate_tail().is_err()
+        {
+            return Err(format!("{what} is not the canonical window of what it decodes to"));
+        }
+        self.stream.check_ranks(what)
+    }
+}
+
+/// A cumulative offsets column: bit-packed at the width of its last
+/// value, or one Elias–Fano window of its values, whichever is smaller
+/// (`OffsetsSize`).
+#[derive(Clone, PartialEq, Eq, Debug)]
+pub enum OffsetsColumn {
+    /// Every value at the width of the last.
+    Packed(PackedColumn),
+    /// One Elias–Fano window.
+    EliasFano(EfOffsets),
+}
+
+impl Default for OffsetsColumn {
+    fn default() -> Self {
+        OffsetsColumn::Packed(PackedColumn::default())
+    }
+}
+
+impl From<PackedColumn> for OffsetsColumn {
+    fn from(column: PackedColumn) -> Self {
+        OffsetsColumn::Packed(column)
+    }
+}
+
+impl OffsetsColumn {
+    /// An empty column of the encoding `size` chooses, with exact room.
+    pub(crate) fn with_capacity(size: OffsetsSize) -> Self {
+        if size.elias_fano() {
+            OffsetsColumn::EliasFano(EfOffsets::with_capacity(size))
+        } else {
+            OffsetsColumn::Packed(PackedColumn::with_capacity(size.len, size.last))
+        }
+    }
+
+    /// The column of `values`, in the encoding their size chooses; packed
+    /// when they descend anywhere, which no cumulative column does.
+    pub fn from_values(values: &[u32]) -> Self {
+        let last = values.last().copied().unwrap_or(0);
+        if !values.is_sorted() {
+            return OffsetsColumn::Packed(PackedColumn::from_values(values));
+        }
+        let mut column = OffsetsColumn::with_capacity(OffsetsSize::new(values.len(), last));
+        values.iter().for_each(|&v| column.push(v));
+        column
+    }
+
+    /// Appends a value, at least the one before.
+    #[inline]
+    pub(crate) fn push(&mut self, v: u32) {
+        match self {
+            OffsetsColumn::Packed(column) => column.push(v),
+            OffsetsColumn::EliasFano(column) => column.push(v),
+        }
+    }
+
+    /// The number of values appended (or read).
+    pub fn len(&self) -> usize {
+        match self {
+            OffsetsColumn::Packed(column) => column.len(),
+            OffsetsColumn::EliasFano(column) => column.written as usize,
+        }
+    }
+
+    /// True when the column holds no value.
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// True when the column is one Elias–Fano window.
+    pub fn is_elias_fano(&self) -> bool {
+        matches!(self, OffsetsColumn::EliasFano(_))
+    }
+
+    /// The column as the view every read goes through.
+    #[inline]
+    pub fn view(&self) -> OffsetsView<'_> {
+        match self {
+            OffsetsColumn::Packed(column) => OffsetsView::Packed(column.view()),
+            OffsetsColumn::EliasFano(column) => OffsetsView::EliasFano(column.view()),
+        }
+    }
+
+    /// The values in order.
+    pub fn values(&self) -> OffsetsIter<'_> {
+        self.view().values()
+    }
+
+    /// Heap bytes.
+    pub fn heap_bytes(&self) -> usize {
+        match self {
+            OffsetsColumn::Packed(column) => column.heap_bytes(),
+            OffsetsColumn::EliasFano(column) => column.heap_bytes(),
+        }
+    }
+}
+
+/// A borrowed cumulative offsets column, either encoding. `Copy`.
+#[derive(Clone, Copy, Debug)]
+pub enum OffsetsView<'a> {
+    /// Bit-packed values.
+    Packed(PackedView<'a>),
+    /// One Elias–Fano window.
+    EliasFano(EfOffsetsView<'a>),
+}
+
+impl Default for OffsetsView<'_> {
+    fn default() -> Self {
+        OffsetsView::Packed(PackedView::EMPTY)
+    }
+}
+
+impl<'a> From<PackedView<'a>> for OffsetsView<'a> {
+    fn from(view: PackedView<'a>) -> Self {
+        OffsetsView::Packed(view)
+    }
+}
+
+impl<'a> From<&'a PackedColumn> for OffsetsView<'a> {
+    fn from(column: &'a PackedColumn) -> Self {
+        OffsetsView::Packed(column.view())
+    }
+}
+
+impl<'a> From<&'a OffsetsColumn> for OffsetsView<'a> {
+    fn from(column: &'a OffsetsColumn) -> Self {
+        column.view()
+    }
+}
+
+/// Equal images: the same encoding, bytes and length.
+impl PartialEq for OffsetsView<'_> {
+    fn eq(&self, other: &Self) -> bool {
+        match (self, other) {
+            (OffsetsView::Packed(a), OffsetsView::Packed(b)) => a == b,
+            (OffsetsView::EliasFano(a), OffsetsView::EliasFano(b)) => {
+                let (a_bits, b_bits) = (a.stream.bits, b.stream.bits);
+                (a.len, a_bits.bytes(), a_bits.width(), a_bits.len())
+                    == (b.len, b_bits.bytes(), b_bits.width(), b_bits.len())
+                    && (a.stream.ranks.bytes(), a.stream.ranks.width())
+                        == (b.stream.ranks.bytes(), b.stream.ranks.width())
+            }
+            _ => false,
+        }
+    }
+}
+
+impl<'a> OffsetsView<'a> {
+    /// The number of values.
+    #[inline]
+    pub fn len(self) -> usize {
+        match self {
+            OffsetsView::Packed(v) => v.len(),
+            OffsetsView::EliasFano(v) => v.len,
+        }
+    }
+
+    /// True when the column holds no value.
+    #[inline]
+    pub fn is_empty(self) -> bool {
+        self.len() == 0
+    }
+
+    /// Value `i`; 0 past the end or where a corrupt window cannot read it.
+    #[inline]
+    pub fn get(self, i: usize) -> u32 {
+        match self {
+            OffsetsView::Packed(v) => v.get(i),
+            OffsetsView::EliasFano(v) => v.get(i).unwrap_or(0),
+        }
+    }
+
+    /// Values `i` and `i + 1`, the bounds of window `i` of the column this
+    /// one cuts, or `None` past the column: one pair read when packed, a
+    /// select and a scan to the next set bit when coded.
+    #[inline]
+    pub fn pair(self, i: usize) -> Option<(u32, u32)> {
+        match self {
+            OffsetsView::Packed(v) => (i.checked_add(1)? < v.len()).then(|| v.pair(i)),
+            OffsetsView::EliasFano(v) => v.pair(i),
+        }
+    }
+
+    /// The values in order, decoded sequentially.
+    #[inline]
+    pub fn values(self) -> OffsetsIter<'a> {
+        match self {
+            OffsetsView::Packed(v) => OffsetsIter::Packed(v.values()),
+            OffsetsView::EliasFano(v) => OffsetsIter::EliasFano(v.values()),
+        }
+    }
+
+    /// True when the column is one Elias–Fano window.
+    pub fn is_elias_fano(self) -> bool {
+        matches!(self, OffsetsView::EliasFano(_))
+    }
+
+    /// Checks, in one decode, that the values never descend and that the
+    /// column is their canonical column in the encoding their size
+    /// chooses ([`OffsetsColumn::from_values`]'s image), or says why not,
+    /// naming `what`. What the values owe the column they cut is the
+    /// caller's.
+    pub fn check(self, what: &str) -> Result<(), String> {
+        let mut check = OffsetsCheck::new(self);
+        while check.next().is_some() {}
+        check.finish(Rule::Current, what)
+    }
+}
+
+/// The values of an [`OffsetsView`], in order.
+#[derive(Clone, Debug)]
+pub enum OffsetsIter<'a> {
+    /// A packed column's.
+    Packed(packed::Iter<'a>),
+    /// An Elias–Fano window's.
+    EliasFano(EfIter<'a>),
+}
+
+impl Iterator for OffsetsIter<'_> {
+    type Item = u32;
+
+    #[inline]
+    fn next(&mut self) -> Option<u32> {
+        match self {
+            OffsetsIter::Packed(it) => it.next(),
+            OffsetsIter::EliasFano(it) => it.next(),
+        }
+    }
+
+    #[inline]
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        match self {
+            OffsetsIter::Packed(it) => it.size_hint(),
+            OffsetsIter::EliasFano(it) => it.size_hint(),
+        }
+    }
+}
+
+/// A one-pass check of a cumulative offsets column, whose values the walk
+/// over the column it cuts reads in order ([`OffsetsCheck::next`]); then
+/// [`OffsetsCheck::finish`] checks its image: every value read, none
+/// below the one before, and the image the canonical one of those values
+/// in the encoding their size chooses under a [`Rule`]. The walk checks
+/// what the values owe the column they cut.
+pub(crate) struct OffsetsCheck<'a> {
+    view: OffsetsView<'a>,
+    values: OffsetsIter<'a>,
+    read: usize,
+    last: u32,
+    descends: bool,
+}
+
+impl<'a> OffsetsCheck<'a> {
+    /// Starts a check of `view`.
+    pub(crate) fn new(view: OffsetsView<'a>) -> Self {
+        OffsetsCheck { view, values: view.values(), read: 0, last: 0, descends: false }
+    }
+
+    /// The next value, `None` once the column (or a corrupt window of it)
+    /// has no more.
+    #[inline]
+    pub(crate) fn next(&mut self) -> Option<u32> {
+        let v = self.values.next()?;
+        self.descends |= v < self.last;
+        (self.read, self.last) = (self.read + 1, v);
+        Some(v)
+    }
+
+    /// Checks the image once every value is read, naming `what`.
+    pub(crate) fn finish(self, rule: Rule, what: &str) -> Result<(), String> {
+        if self.read != self.view.len() || self.descends {
+            return Err(format!("{what} does not hold its {} ascending values", self.view.len()));
+        }
+        let coded = OffsetsSize::new(self.read, self.last).elias_fano();
+        match self.view {
+            OffsetsView::Packed(v) if !coded || rule == Rule::Packed => {
+                v.validate().map_err(|e| format!("{what}: {e}"))
+            }
+            OffsetsView::EliasFano(v) if coded => v.check(self.read, self.last, what),
+            _ => Err(format!("{what} is not in the encoding its size chooses")),
+        }
+    }
 }
 
 // ---------------------------------------------------------------------
@@ -1382,10 +2335,10 @@ impl KeyColumn {
     /// The column of `keys` windowed by `offs` — a cumulative offsets
     /// column that tiles them into non-empty windows, each strictly
     /// ascending — in the encoding their sizes choose.
-    pub fn of_windows(keys: &[u32], offs: &PackedColumn) -> Self {
-        let mut column =
-            KeyColumn::with_capacity(KeySize::of_windows(keys, windows_of(offs.view())));
-        for w in windows_of(offs.view()) {
+    pub fn of_windows<'o>(keys: &[u32], offs: impl Into<OffsetsView<'o>>) -> Self {
+        let offs = offs.into();
+        let mut column = KeyColumn::with_capacity(KeySize::of_windows(keys, windows_of(offs)));
+        for w in windows_of(offs) {
             keys[w].iter().for_each(|&k| column.push(k));
             column.end_window();
         }
@@ -1457,57 +2410,161 @@ impl KeyColumn {
     /// to, in the encoding their sizes choose, or says why it is not,
     /// naming `what`: offsets that do not tile it, a window that decodes to
     /// fewer keys or keys that do not ascend, another encoding than the
-    /// sizes choose, or a part whose bytes differ (the packed image, or the
-    /// base, bit-offset, stream or rank column).
-    pub fn check(read: KeysView<'_>, offs: PackedView<'_>, what: &str) -> Result<(), String> {
-        let size = KeyColumn::checked_size(read, offs, what)?;
-        match read {
-            KeysView::Packed(view) if !size.elias_fano() => {
-                view.validate().map_err(|e| format!("{what}: {e}"))
-            }
-            KeysView::EliasFano(view) if size.elias_fano() => {
-                let mut column = EfColumn::with_capacity(size);
-                for (h, window) in windows_of(offs).enumerate() {
-                    read.iter(h, window).for_each(|k| column.push(k));
-                    column.end_window();
-                }
-                column.differs(view, what).map_or(Ok(()), Err)
-            }
-            _ => Err(format!("{what} is not in the encoding its sizes choose")),
+    /// sizes choose, or a part that is not the canonical one (the packed
+    /// image, or the base, bit-offset, stream or rank column). Each window
+    /// is decoded once (`KeyCheck`).
+    pub fn check<'o>(
+        read: KeysView<'_>,
+        offs: impl Into<OffsetsView<'o>>,
+        what: &str,
+    ) -> Result<(), String> {
+        let offs = offs.into();
+        let tiling = || format!("the offsets do not tile the {} {what}", read.len());
+        let mut cuts = offs.values();
+        if cuts.next() != Some(0) {
+            return Err(tiling());
         }
+        let mut keys = KeyCheck::new(read, what)?;
+        let (mut start, mut windows) = (0, 0);
+        for end in cuts {
+            let end = end as usize;
+            if end <= start || end > read.len() {
+                return Err(tiling());
+            }
+            keys.window(windows, start..end)?;
+            (start, windows) = (end, windows + 1);
+        }
+        if start != read.len() {
+            return Err(tiling());
+        }
+        keys.finish(windows, Rule::Current)
+    }
+}
+
+/// A one-pass check of a key column windowed by a cumulative offsets
+/// column, whose walk hands it each window in order
+/// ([`KeyCheck::window`]): every window is decoded once, into a buffer the
+/// walk reads the keys from, and checked to hold its length of strictly
+/// ascending keys — an Elias–Fano window, also to take the bits and the
+/// `l` its keys make, which leaves its bits no other image. Then
+/// [`KeyCheck::finish`] checks what the windows leave: the encoding the
+/// sizes choose, and the column's other parts canonical (the packed
+/// image; or the base column, the bit-offset column — read in order with
+/// the windows — the stream's length and tail, and its rank directory).
+pub(crate) struct KeyCheck<'a> {
+    read: KeysView<'a>,
+    what: &'a str,
+    size: KeySize,
+    keys: Vec<u32>,
+    /// An Elias–Fano column's bit offsets, and where the next window's
+    /// bits start.
+    bits: Option<(OffsetsCheck<'a>, usize)>,
+}
+
+impl<'a> KeyCheck<'a> {
+    /// Starts a check of `read`, naming it `what`.
+    pub(crate) fn new(read: KeysView<'a>, what: &'a str) -> Result<Self, String> {
+        let bits = match read {
+            KeysView::Packed(_) => None,
+            KeysView::EliasFano(ef) => {
+                let mut offs = OffsetsCheck::new(ef.offs);
+                if offs.next() != Some(0) {
+                    return Err(format!("{what}'s bit-offset column does not start at 0"));
+                }
+                Some((offs, 0))
+            }
+        };
+        Ok(KeyCheck { read, what, size: KeySize::default(), keys: Vec::new(), bits })
     }
 
-    /// The sizes of `read`'s windows, checking in one decode that `offs`
-    /// tiles it into non-empty windows and that each window decodes to its
-    /// length of strictly ascending keys.
-    fn checked_size(
-        read: KeysView<'_>,
-        offs: PackedView<'_>,
-        what: &str,
-    ) -> Result<KeySize, String> {
-        let tiles = offs.get(0) == 0
-            && offs.get(offs.len().saturating_sub(1)) as usize == read.len()
-            && windows_of(offs).all(|w| !w.is_empty());
-        if offs.is_empty() || !tiles {
-            return Err(format!("the offsets do not tile the {} {what}", read.len()));
+    /// Decodes window `h`, the keys `window` of the column, and checks it;
+    /// its keys, in order.
+    pub(crate) fn window(&mut self, h: usize, window: Range<usize>) -> Result<&[u32], String> {
+        let (what, n) = (self.what, window.len());
+        if n == 0 {
+            return Err(format!("{what}: window {h} is empty"));
         }
-        let mut size = KeySize::default();
-        for (h, window) in windows_of(offs).enumerate() {
-            let mut keys = read.iter(h, window.clone());
-            let first = keys.next().unwrap_or(0);
-            let (mut last, mut n) = (first, 1);
-            for k in keys {
-                if k <= last {
-                    return Err(format!("{what}: window {h} does not ascend"));
+        self.keys.clear();
+        // Keys are pushed as they decode, and the decode stops at the first
+        // that does not ascend: the buffer never outgrows what the bits
+        // hold, whatever length a corrupt count claims.
+        let descends = |keys: &mut Vec<u32>, decoded: &mut dyn Iterator<Item = u32>| {
+            for k in decoded {
+                if keys.last().is_some_and(|&last| k <= last) {
+                    return true;
                 }
-                (last, n) = (k, n + 1);
+                keys.push(k);
             }
-            if n != window.len() {
-                return Err(format!("{what}: window {h} decodes to fewer keys than it has"));
+            false
+        };
+        let descended = match self.read {
+            KeysView::Packed(v) => {
+                if window.end > v.len() {
+                    return Err(format!("the offsets do not tile the {} {what}", v.len()));
+                }
+                descends(&mut self.keys, &mut v.iter(window))
             }
-            size.add(n, Id(first), Id(last));
+            KeysView::EliasFano(ef) => {
+                let (offs, start) = self.bits.as_mut().expect("an Elias–Fano column's offsets");
+                let end = offs.next().map(|end| end as usize);
+                let end = end
+                    .filter(|&end| end >= *start)
+                    .ok_or_else(|| format!("{what}'s bit-offset column does not cut window {h}"))?;
+                let f = ef.frame_at(ef.base.get(h), n, *start..end);
+                let descended = descends(&mut self.keys, &mut ef.iter_frame(f, true));
+                let (first, last) = (f.first, self.keys.last().copied().unwrap_or(f.first));
+                let canonical = if n < 2 {
+                    end == *start
+                } else {
+                    f.m == n - 1
+                        && f.l == ef_l(f.m, last.wrapping_sub(first))
+                        && end - *start == ef_window_bits(n, Id(first), Id(last))
+                };
+                *start = end;
+                if !canonical && !descended && self.keys.len() == n {
+                    return Err(format!("{what}: window {h} is not the code of its keys"));
+                }
+                descended
+            }
+        };
+        if descended {
+            return Err(format!("{what}: window {h} does not ascend"));
         }
-        Ok(size)
+        if self.keys.len() != n {
+            return Err(format!("{what}: window {h} decodes to fewer keys than it has"));
+        }
+        let (first, last) = (self.keys[0], self.keys[n - 1]);
+        self.size.add(n, Id(first), Id(last));
+        Ok(&self.keys)
+    }
+
+    /// Checks what the `windows` windows, all read, leave: the encoding
+    /// the sizes choose under `rule`, and the column's other parts.
+    pub(crate) fn finish(self, windows: usize, rule: Rule) -> Result<(), String> {
+        let what = self.what;
+        if !self.size.allows(matches!(self.read, KeysView::EliasFano(_)), rule) {
+            return Err(format!("{what} is not in the encoding its sizes choose"));
+        }
+        match (self.read, self.bits) {
+            (KeysView::Packed(v), _) => v.validate().map_err(|e| format!("{what}: {e}")),
+            (KeysView::EliasFano(ef), Some((offs, end))) => {
+                if ef.base.len() != windows || ef.base.validate().is_err() {
+                    return Err(format!("{what}'s base column is not canonical"));
+                }
+                offs.finish(rule, &format!("{what}'s bit-offset column"))?;
+                let stream = ef.stream;
+                if stream.len() != end
+                    || stream.bits.width() != u32::from(end > 0)
+                    || stream.bits.validate_tail().is_err()
+                {
+                    return Err(format!(
+                        "{what}'s stream is not the canonical stream of what it decodes to"
+                    ));
+                }
+                stream.check_ranks(&format!("{what}'s stream"))
+            }
+            (KeysView::EliasFano(_), None) => unreachable!("an Elias–Fano check reads offsets"),
+        }
     }
 }
 
@@ -1539,36 +2596,6 @@ impl<'a> KeysRef<'a> {
         match self {
             KeysRef::Packed(v) => v.len(),
             KeysRef::EliasFano(column) => column.len(),
-        }
-    }
-
-    /// Key `i` of window `h`, whose leaves are `window`, or `None` past
-    /// the window: a packed window read in place, an Elias–Fano one out of
-    /// line ([`EfColumn::get`]), so that a list's packed path stays small
-    /// enough to inline into its caller.
-    #[inline]
-    pub fn get(self, h: usize, window: Range<usize>, i: usize) -> Option<u32> {
-        match self {
-            KeysRef::Packed(v) => (i < window.len()).then(|| v.get(window.start + i)),
-            KeysRef::EliasFano(column) => column.get(h, window, i),
-        }
-    }
-
-    /// [`KeysView::search`], as [`KeysRef::get`] reads.
-    #[inline]
-    pub fn search(self, h: usize, window: Range<usize>, x: u32) -> Result<usize, usize> {
-        match self {
-            KeysRef::Packed(v) => v.search(window, x),
-            KeysRef::EliasFano(column) => column.search(h, window, x),
-        }
-    }
-
-    /// [`KeysView::seek`], as [`KeysRef::get`] reads.
-    #[inline]
-    pub fn seek(self, h: usize, window: Range<usize>, from: usize, x: u32) -> usize {
-        match self {
-            KeysRef::Packed(v) => v.seek(window, from, x),
-            KeysRef::EliasFano(column) => column.seek(h, window, from, x),
         }
     }
 

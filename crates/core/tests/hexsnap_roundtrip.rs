@@ -365,7 +365,9 @@ fn a_live_directory_left_at_a_v2_generation_upgrades_on_compaction() {
 /// v12); in an Elias–Fano column the base column, the bit-offset column
 /// and the stream length (the stream), and the stream (its directory).
 fn packed_padding(file: &[u8]) -> Vec<usize> {
-    use hexsnap::{ArenaColumns, EfColumns, Headers, Ints, ListRefs, Packed, VectorKeys, Windows};
+    use hexsnap::{
+        ArenaColumns, EfColumns, Headers, Ints, ListRefs, Offsets, Packed, VectorKeys, Windows,
+    };
     let mut r = hexsnap::Reader::new(Cursor::new(file)).unwrap();
     let derived = r.version() >= 12;
     let columns = r.frozen_columns().unwrap();
@@ -382,11 +384,22 @@ fn packed_padding(file: &[u8]) -> Vec<usize> {
     // A column whose width the counts give: the padding starts where the
     // field before it ends.
     let width_field = if derived { 0 } else { 4 };
+    // A cumulative offsets column from where it starts: packed, behind its
+    // width field unless the counts give it; or (v14) one Elias–Fano
+    // window, its stream's length, the stream and its directory.
+    let offsets =
+        |pad: &mut dyn FnMut(usize, Packed) -> usize, at: usize, offs, given: bool| match offs {
+            Offsets::Packed(col) if given => pad(at - 4, col),
+            Offsets::Packed(col) => pad(at, col),
+            Offsets::EliasFano(window) => {
+                let at = pad(at + 4, window.stream);
+                pad(at + width_field - 4, window.ranks)
+            }
+        };
     let elias_fano = |pad: &mut dyn FnMut(usize, Packed) -> usize, at: usize, ef: EfColumns| {
-        let mut at = at;
-        for (gap, col) in [(0, ef.base), (0, ef.offs), (4, ef.stream)] {
-            at = pad(at + gap, col);
-        }
+        let at = pad(at, ef.base);
+        let at = offsets(pad, at, ef.offs, false);
+        let at = pad(at + 4, ef.stream);
         pad(at + width_field - 4, ef.ranks)
     };
     let mut counts_at = froz_at as usize + 8;
@@ -394,7 +407,7 @@ fn packed_padding(file: &[u8]) -> Vec<usize> {
         counts_at = match arena {
             ArenaColumns::Runs { slots, ends, keys, .. } => {
                 let slots_end = pad(counts_at + 16, slots);
-                let ends_end = pad(slots_end - 4, ends);
+                let ends_end = offsets(&mut pad, slots_end, ends, true);
                 match keys {
                     VectorKeys::Ints(keys) => pad(ends_end, packed(keys)),
                     VectorKeys::EliasFano(ef) => elias_fano(&mut pad, ends_end, ef),
@@ -414,22 +427,23 @@ fn packed_padding(file: &[u8]) -> Vec<usize> {
         };
     }
     for ix in columns.orderings {
-        let Windows::Offsets(offs) = ix.windows else { panic!("an offsets column") };
+        let offs = match ix.windows {
+            Windows::Offsets(offs) => Offsets::Packed(packed(offs)),
+            Windows::EliasFano(window) => Offsets::EliasFano(window),
+            Windows::Pairs(_) => panic!("an offsets column"),
+        };
         // v9: the header count and the encoding flags, then the bitmap's
         // length, the bitmap and its directory or an Elias–Fano window;
         // before: the `u32` header keys.
-        let offs_end = match ix.keys {
-            Headers::U32(keys) => pad(keys.offset + 4 * keys.len, packed(offs)),
+        let offs_at = match ix.keys {
+            Headers::U32(keys) => keys.offset + 4 * keys.len,
             Headers::Bitmap { bits, ranks, .. } => {
                 let ranks_at = pad(counts_at + 12, bits);
-                let offs_at = pad(ranks_at + width_field - 4, ranks);
-                pad(offs_at, packed(offs))
+                pad(ranks_at + width_field - 4, ranks)
             }
-            Headers::EliasFano { ef, .. } => {
-                let at = elias_fano(&mut pad, counts_at + 8, ef);
-                pad(at, packed(offs))
-            }
+            Headers::EliasFano { ef, .. } => elias_fano(&mut pad, counts_at + 8, ef),
         };
+        let offs_end = offsets(&mut pad, offs_at, offs, false);
         // The vector count, then the keys.
         let k2_end = match ix.k2 {
             VectorKeys::Ints(k2) => pad(offs_end + 4, packed(k2)),
@@ -712,16 +726,34 @@ fn every_byte_flip_of_a_v12_file_is_rejected_or_still_decodes() {
 
 #[test]
 fn every_byte_flip_of_a_v13_file_is_rejected_or_still_decodes() {
-    // The committed files — a delta-only dictionary, a frozen one, and a
-    // graph whose pso and osp references are Elias–Fano coded — a graph
-    // of singleton and longer lists, one whose property windows are long
-    // enough to be Elias–Fano coded, vector keys and references alike,
-    // one whose subject lists are Elias–Fano coded, and a bulk load of
-    // every kind of term whose frozen tier spans seven blocks.
+    // The committed files: a delta-only dictionary, a frozen one, and a
+    // graph whose pso and osp references are Elias–Fano coded.
     let files = [
         support::fixture_bytes("v13_small"),
         support::fixture_bytes("v13_bulk"),
         support::fixture_bytes("v13_coded_refs"),
+    ];
+    assert!(has_coded_refs(&files[2]), "some mirror's references are Elias–Fano coded");
+    let (accepted, rejected) = every_byte_flip_is_rejected_or_still_decodes(&files, 13);
+    eprintln!("v13 DICT byte flips: {accepted} accepted, {rejected} rejected");
+    assert!(rejected > 2 * accepted, "{accepted} accepted, {rejected} rejected");
+    dict_padding_flips_are_refused(&files);
+}
+
+#[test]
+fn every_byte_flip_of_a_v14_file_is_rejected_or_still_decodes() {
+    // The committed files — a delta-only dictionary, a frozen one, a graph
+    // whose pso and osp references are Elias–Fano coded and one whose
+    // offsets, bit offsets and run ends are coded too — a graph of
+    // singleton and longer lists, one whose property windows are long
+    // enough to be Elias–Fano coded, vector keys and references alike,
+    // one whose subject lists are Elias–Fano coded, and a bulk load of
+    // every kind of term whose frozen tier spans seven blocks.
+    let files = [
+        support::fixture_bytes("v14_small"),
+        support::fixture_bytes("v14_bulk"),
+        support::fixture_bytes("v14_coded_refs"),
+        support::fixture_bytes("v14_coded_offsets"),
         mixed_list_file(),
         elias_fano_file(),
         elias_fano_arena_file(),
@@ -729,26 +761,107 @@ fn every_byte_flip_of_a_v13_file_is_rejected_or_still_decodes() {
     ];
     let columns =
         |file: &[u8]| hexsnap::Reader::new(Cursor::new(file)).unwrap().frozen_columns().unwrap();
-    let coded = columns(&files[4])
+    let coded = columns(&files[5])
         .orderings
         .iter()
         .any(|ix| matches!(ix.k2, hexsnap::VectorKeys::EliasFano(_)));
     assert!(coded, "some ordering's vector keys are Elias–Fano coded");
-    let coded = columns(&files[5]).arenas.iter().any(|arena| {
+    let coded = columns(&files[6]).arenas.iter().any(|arena| {
         matches!(arena, hexsnap::ArenaColumns::Runs { keys: hexsnap::VectorKeys::EliasFano(_), .. })
     });
     assert!(coded, "some arena's run ids are Elias–Fano coded");
-    for file in [&files[2], &files[4]] {
+    for file in [&files[2], &files[5]] {
         assert!(has_coded_refs(file), "some mirror's references are Elias–Fano coded");
     }
-    let (accepted, rejected) = every_byte_flip_is_rejected_or_still_decodes(&files, 13);
-    eprintln!("v13 DICT byte flips: {accepted} accepted, {rejected} rejected");
+    assert!(!coded_offsets(&files[3]).is_empty(), "some offsets are one Elias–Fano window");
+    let (accepted, rejected) = every_byte_flip_is_rejected_or_still_decodes(&files, 14);
+    eprintln!("v14 DICT byte flips: {accepted} accepted, {rejected} rejected");
     assert!(rejected > 2 * accepted, "{accepted} accepted, {rejected} rejected");
     dict_padding_flips_are_refused(&files);
 }
 
-/// True when some mirror of a v13 file codes its list references as
-/// Elias–Fano windows.
+/// Every cumulative offsets column of a v14 file that is one Elias–Fano
+/// window — an ordering's offsets, an arena's run ends, an Elias–Fano
+/// column's bit offsets — as the packed columns it lies in: the stream
+/// and its rank directory.
+fn coded_offsets(file: &[u8]) -> Vec<[hexsnap::Packed; 2]> {
+    use hexsnap::{ArenaColumns, Headers, ListRefs, Offsets, VectorKeys, Windows};
+    let columns = hexsnap::Reader::new(Cursor::new(file)).unwrap().frozen_columns().unwrap();
+    let mut offsets = Vec::new();
+    let ef = |keys: VectorKeys| match keys {
+        VectorKeys::EliasFano(ef) => Some(ef.offs),
+        VectorKeys::Ints(_) => None,
+    };
+    for arena in columns.arenas {
+        let ArenaColumns::Runs { ends, keys, .. } = arena else { panic!("a v12 arena") };
+        offsets.extend([Some(ends), ef(keys)].into_iter().flatten());
+    }
+    for ix in columns.orderings {
+        if let Windows::EliasFano(window) = ix.windows {
+            offsets.push(Offsets::EliasFano(window));
+        }
+        if let Headers::EliasFano { ef, .. } = ix.keys {
+            offsets.push(ef.offs);
+        }
+        offsets.extend(ef(ix.k2));
+        if let Some(ListRefs::Windows(refs)) = ix.lists {
+            offsets.extend(ef(refs));
+        }
+    }
+    offsets
+        .into_iter()
+        .filter_map(|offs| match offs {
+            Offsets::EliasFano(window) => Some([window.stream, window.ranks]),
+            Offsets::Packed(_) => None,
+        })
+        .collect()
+}
+
+#[test]
+fn every_flipped_byte_of_an_offsets_column_is_corrupt_and_safe_to_map() {
+    // An offsets column coded as one Elias–Fano window: a flip of any
+    // byte of its stream or rank directory makes a store whose offsets
+    // are not the canonical window of their values, or do not tile the
+    // column they cut, or cut it into windows that disagree with the
+    // other ordering of the pair or the other arenas, so the eager reader
+    // refuses it as `Corrupt`; the unverified mapping opens it and reads
+    // every window, of whatever (possibly wrong) content, without a panic.
+    let path = support::temp_path("offsets-flips");
+    let mut flipped = 0;
+    for file in [file_of(&support::coded_offsets_graph()), elias_fano_file()] {
+        let columns = coded_offsets(&file);
+        assert!(!columns.is_empty());
+        let pats = {
+            let frozen = hexsnap::Reader::new(Cursor::new(&file)).unwrap().frozen().unwrap();
+            let mut pats = vec![IdPattern::ALL];
+            for t in frozen.matching(IdPattern::ALL).into_iter().step_by(7) {
+                pats.extend([IdPattern::sp(t.s, t.p), IdPattern::po(t.p, t.o), IdPattern::o(t.o)]);
+                pats.extend([IdPattern::so(t.s, t.o), IdPattern::s(t.s), IdPattern::p(t.p)]);
+            }
+            pats
+        };
+        for at in columns.iter().flatten().flat_map(|col| col.offset..col.offset + col.bytes()) {
+            let mut bytes = file.clone();
+            bytes[at] ^= 0xFF;
+            std::fs::write(&path, &bytes).unwrap();
+            match hexsnap::load_frozen(&path) {
+                Err(hexsnap::Error::Corrupt(_)) => {}
+                other => panic!("flip at {at}: {:?}", other.map(|_| ())),
+            }
+            let mapped = hex_disk::open_store(&path).expect("offsets are not read at open");
+            every_list_is_a_sorted_set(&mapped);
+            for &pat in &pats {
+                let _ = (mapped.count_matching(pat), mapped.iter_matching(pat).count());
+            }
+            flipped += 1;
+        }
+    }
+    assert!(flipped > 0);
+    std::fs::remove_file(&path).ok();
+}
+
+/// True when some mirror of a v13 or later file codes its list
+/// references as Elias–Fano windows.
 fn has_coded_refs(file: &[u8]) -> bool {
     use hexsnap::{ListRefs, VectorKeys};
     let columns = hexsnap::Reader::new(Cursor::new(file)).unwrap().frozen_columns().unwrap();
@@ -779,9 +892,10 @@ fn every_flipped_byte_of_a_reference_column_is_corrupt_and_safe_to_map() {
                     bytes_of_refs.push(refs.offset..refs.offset + refs.bytes());
                 }
                 Some(ListRefs::Windows(VectorKeys::EliasFano(ef))) => {
-                    let parts = [ef.base, ef.offs, ef.stream, ef.ranks];
+                    let mut parts = vec![ef.base, ef.stream, ef.ranks];
+                    parts.extend(offsets_parts(ef.offs));
                     coded_bytes += parts.iter().map(|p| p.bytes()).sum::<usize>();
-                    bytes_of_refs.extend(parts.map(|p| p.offset..p.offset + p.bytes()));
+                    bytes_of_refs.extend(parts.iter().map(|p| p.offset..p.offset + p.bytes()));
                 }
                 None => {}
                 other => panic!("v13 references: {other:?}"),
@@ -828,7 +942,7 @@ fn each_corrupt_v13_reference_column_is_refused_by_name() {
         panic!("pso's references are coded")
     };
     let l = value(&file, pso.stream, 0);
-    assert_eq!(value(&file, pso.offs, 0), 0);
+    assert_eq!(value(&file, pso.offs.packed().expect("three windows' bit offsets"), 0), 0);
     let bytes = with_value(&file, pso.stream, 0, l ^ 1);
     refused(&bytes, "ordering list references");
     std::fs::write(&path, &bytes).unwrap();
@@ -837,11 +951,12 @@ fn each_corrupt_v13_reference_column_is_refused_by_name() {
     else {
         panic!("osp's references are packed")
     };
-    // Two references of one window swapped.
-    let hexsnap::Windows::Offsets(Ints::Packed(offs)) = columns.orderings[4].windows else {
-        panic!("packed offsets")
-    };
-    let offs: Vec<u32> = (0..offs.len).map(|h| value(&file, offs, h)).collect();
+    // Two references of one window swapped: osp's windows, one an object,
+    // are cut by offsets the loaded store decodes, one Elias–Fano window.
+    let loaded = hexsnap::Reader::new(Cursor::new(&file)).unwrap().frozen().unwrap();
+    let cuts = hexastore::access::OrderedStore::ordering(&loaded, hexastore::IndexKind::Osp);
+    assert!(cuts.index.offs.is_elias_fano());
+    let offs: Vec<u32> = cuts.index.offs.values().collect();
     let i = offs.windows(2).find(|w| w[1] - w[0] >= 2).expect("a window of two")[0] as usize;
     let (a, b) = (value(&file, osp, i), value(&file, osp, i + 1));
     let swapped = with_value(&with_value(&file, osp, i, b), osp, i + 1, a);
@@ -858,6 +973,15 @@ fn each_corrupt_v13_reference_column_is_refused_by_name() {
     flagged[arenas_end + 4] |= 4;
     refused(&flagged, "unknown ordering encoding flags");
     std::fs::remove_file(&path).ok();
+}
+
+/// The packed columns a cumulative offsets column lies in: itself, or
+/// (v14) its window's stream and rank directory.
+fn offsets_parts(offs: hexsnap::Offsets) -> Vec<hexsnap::Packed> {
+    match offs {
+        hexsnap::Offsets::Packed(col) => vec![col],
+        hexsnap::Offsets::EliasFano(window) => vec![window.stream, window.ranks],
+    }
 }
 
 /// Value `i` of the packed column `col` in `file`.
@@ -905,6 +1029,7 @@ fn each_corrupt_v12_arena_is_refused_by_name() {
         let mut coded = false;
         for arena in columns.arenas {
             let ArenaColumns::Runs { slots, ends, keys, .. } = arena else { panic!("v12") };
+            let ends = ends.packed().expect("a few runs' ends, packed");
             if ends.len < 2 {
                 continue;
             }
@@ -925,7 +1050,8 @@ fn each_corrupt_v12_arena_is_refused_by_name() {
                 VectorKeys::EliasFano(ef) => {
                     coded = true;
                     let l = value(&file, ef.stream, 0);
-                    let start = value(&file, ef.offs, 0) as usize;
+                    let offs = ef.offs.packed().expect("a few runs' bit offsets, packed");
+                    let start = value(&file, offs, 0) as usize;
                     assert_eq!(start, 0);
                     let bytes = with_value(&file, ef.stream, 0, l ^ 1);
                     refused(bytes, "arena key column: run keys");

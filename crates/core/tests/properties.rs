@@ -9,8 +9,8 @@ use std::collections::BTreeSet;
 
 use hex_dict::{Id, IdTriple};
 use hexastore::access::{List, OrderedStore};
-use hexastore::packed::{bytes_for, width_of, PackedColumn};
-use hexastore::succinct::{KeyColumn, KeysRef};
+use hexastore::packed::{bytes_for, PackedColumn};
+use hexastore::succinct::{KeyColumn, KeysRef, OffsetsColumn};
 use hexastore::{bulk, sorted, FlatArena, IdPattern, IndexKind, OverlayHexastore, TripleStore};
 use proptest::prelude::*;
 
@@ -308,11 +308,9 @@ fn check_arena(arena: &FlatArena, lists: &[Vec<Id>]) {
         KeysRef::EliasFano(coded) => KeyColumn::EliasFano(coded.clone()),
     };
     let (key_bytes, key_count) = (keys.heap_bytes(), keys.len());
-    let rebuilt = FlatArena::from_columns(
-        PackedColumn::from_view(slots),
-        PackedColumn::from_view(ends),
-        keys,
-    );
+    let ends_column = OffsetsColumn::from_values(&ends.values().collect::<Vec<_>>());
+    let ends_bytes = ends_column.heap_bytes();
+    let rebuilt = FlatArena::from_columns(PackedColumn::from_view(slots), ends_column, keys);
     prop_assert_eq!(rebuilt.as_ref(), Ok(arena));
     // The slots — a singleton's id, or a run's index under the flag — the
     // cumulative run ends, and every run's ids, run after run.
@@ -339,9 +337,7 @@ fn check_arena(arena: &FlatArena, lists: &[Vec<Id>]) {
     prop_assert_eq!(key_count, ids.len());
     prop_assert_eq!(
         rebuilt.unwrap().heap_bytes(),
-        bytes_for(slots.len(), slots.width()).unwrap()
-            + bytes_for(ends.len(), width_of(ids.len() as u32)).unwrap()
-            + key_bytes
+        bytes_for(slots.len(), slots.width()).unwrap() + ends_bytes + key_bytes
     );
 }
 

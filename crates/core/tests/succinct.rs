@@ -1,12 +1,15 @@
-//! The two succinct index-level encodings against slice oracles: the
-//! header bitmap's rank and select iterator against `binary_search` and
-//! iteration of the sorted keys, and an Elias–Fano window's `iter`,
-//! `search` and `seek` against `partition_point` on the window's keys.
+//! The succinct index-level encodings against slice oracles: the header
+//! bitmap's rank and select iterator against `binary_search` and
+//! iteration of the sorted keys, an Elias–Fano window's `iter`, `search`
+//! and `seek` against `partition_point` on the window's keys and against
+//! the packed column's `seek`, and a cumulative offsets column, packed or
+//! one Elias–Fano window, against its values.
 
 use hex_dict::Id;
 use hexastore::packed::PackedColumn;
 use hexastore::succinct::{
-    EfColumn, HeaderColumn, HeadersView, KeyColumn, KeysView, RankBitmap, RANK_BLOCK,
+    EfColumn, HeaderColumn, HeadersView, KeyColumn, KeysView, OffsetsColumn, OffsetsView,
+    RankBitmap, RANK_BLOCK,
 };
 use proptest::prelude::*;
 
@@ -170,5 +173,97 @@ proptest! {
             })
             .collect();
         check_ef(&windows);
+    }
+}
+
+/// `values` — non-decreasing — as their offsets column, against them:
+/// decoded in order, value by value and pair by pair, in the encoding
+/// their size chooses (the smaller), canonical, and equal to the packed
+/// column of them wherever that is the smaller.
+fn check_offsets(values: &[u32]) {
+    let column = OffsetsColumn::from_values(values);
+    let view = column.view();
+    assert_eq!(view.len(), values.len());
+    assert_eq!(view.values().collect::<Vec<_>>(), values);
+    for (i, &v) in values.iter().enumerate() {
+        assert_eq!(view.get(i), v, "value {i}");
+        let pair = values.get(i + 1).map(|&next| (v, next));
+        assert_eq!(view.pair(i), pair, "pair {i}");
+    }
+    assert_eq!(view.check("offsets"), Ok(()));
+    let packed = PackedColumn::from_values(values);
+    assert!(column.heap_bytes() <= packed.heap_bytes());
+    if !column.is_elias_fano() {
+        assert_eq!(view, OffsetsView::from(&packed));
+    } else {
+        // The other encoding of the same values is not canonical.
+        assert!(OffsetsView::from(&packed).check("offsets").unwrap_err().contains("encoding"));
+    }
+}
+
+#[test]
+fn offsets_columns_decode_like_their_values() {
+    // No value, one, repeats (a bit-offset column's, where windows hold
+    // one key), consecutive values (l = 0), wide gaps, and a column long
+    // enough for its high region to cross rank blocks.
+    check_offsets(&[]);
+    check_offsets(&[0]);
+    check_offsets(&[0, 0, 0, 5, 5, 9]);
+    check_offsets(&(0..2000).collect::<Vec<u32>>());
+    check_offsets(&(0..700u32).map(|i| i * 3 + i / 7).collect::<Vec<u32>>());
+    check_offsets(&(0..900u32).map(|i| i / 3 * 40).collect::<Vec<u32>>());
+    check_offsets(&[0, 1, 1 << 20, u32::MAX]);
+    let coded = OffsetsColumn::from_values(&(0..2000).collect::<Vec<u32>>());
+    assert!(coded.is_elias_fano() && coded.heap_bytes() < 2001 * 11 / 8);
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    #[test]
+    fn arbitrary_offsets_decode_like_their_values(
+        steps in proptest::collection::vec(0u32..300, 0..600),
+        scale in 0u32..12,
+    ) {
+        let values: Vec<u32> = steps
+            .iter()
+            .scan(0u32, |at, &step| {
+                *at += step << scale;
+                Some(*at)
+            })
+            .collect();
+        check_offsets(&values);
+    }
+
+    /// NextGEQ from any start, on an Elias–Fano window, is what the packed
+    /// column's galloping seek returns on the same keys.
+    #[test]
+    fn elias_fano_seek_returns_what_packed_seek_returns(
+        raw in proptest::collection::vec(proptest::collection::vec(0u32..100_000, 1..400), 1..6),
+        probes in proptest::collection::vec((0usize..400, 0u32..100_100), 1..40),
+    ) {
+        let windows: Vec<Vec<u32>> = raw
+            .into_iter()
+            .map(|mut w| {
+                w.sort_unstable();
+                w.dedup();
+                w
+            })
+            .collect();
+        let keys: Vec<u32> = windows.concat();
+        let offs = offsets(&windows.iter().map(Vec::len).collect::<Vec<_>>());
+        let coded = EfColumn::from_windows(&keys, &offs);
+        let (ef, packed) = (coded.view(), PackedColumn::from_values(&keys));
+        let mut start = 0;
+        for (h, w) in windows.iter().enumerate() {
+            let window = start..start + w.len();
+            start = window.end;
+            for &(from, x) in &probes {
+                // A seek's keys before `from` are below `x`.
+                let from = from.min(w.partition_point(|&v| v < x));
+                let want = packed.view().seek(window.clone(), from, x);
+                prop_assert_eq!(ef.seek(h, window.clone(), from, x), want, "{} {} {}", h, from, x);
+            }
+        }
     }
 }

@@ -1,6 +1,6 @@
 //! Every hexsnap format version this build reads, over committed files:
 //! the one fixture table and the checks each version's suite
-//! (`v{1,…,13}_compat.rs`, and `hexsnap_roundtrip.rs` for a v2 live
+//! (`v{1,…,14}_compat.rs`, and `hexsnap_roundtrip.rs` for a v2 live
 //! directory) runs over its rows.
 //!
 //! `tests/data/` holds one small snapshot per version and slab encoding,
@@ -32,13 +32,15 @@ pub const FRZC: Compression = Compression::VarintDelta;
 /// references, a `TRPL` column), so the whole re-save is smaller by an
 /// amount no rule fixes. Where the file's slab section has the current
 /// layout — `FRZC` from v3, `FROZ` from v12, as v13 lays out a mirror's
-/// references as v12 did wherever they stay packed, and all of the
-/// fixture graph's do — the re-save's is the file's, byte for byte.
+/// references as v12 did wherever they stay packed, and v14 every
+/// cumulative offsets column as v13 did wherever it stays packed, and all
+/// of the fixture graph's do — the re-save's is the file's, byte for
+/// byte.
 /// Whatever the version, the re-save's `DICT` is the one a fresh encode of
 /// the graph writes.
 pub type Fixture = (&'static str, u32, Compression, Option<isize>);
 
-pub const FIXTURES: [Fixture; 25] = [
+pub const FIXTURES: [Fixture; 27] = [
     ("v1_small", 1, RAW, None),
     ("v2_small", 2, RAW, None),
     ("v2_small_frzc", 2, FRZC, None),
@@ -79,6 +81,10 @@ pub const FIXTURES: [Fixture; 25] = [
     // graph's stay packed, so every section is v12's.
     ("v13_small", 13, RAW, Some(0)),
     ("v13_small_frzc", 13, FRZC, Some(0)),
+    // v14 changed how FROZ may code a cumulative offsets column: the
+    // fixture graph's stay packed, so every section is v13's.
+    ("v14_small", 14, RAW, Some(0)),
+    ("v14_small_frzc", 14, FRZC, Some(0)),
 ];
 
 /// What v6's packed index levels save in the fixture graph's `FROZ` —
@@ -159,8 +165,8 @@ pub fn temp_path(tag: &str) -> PathBuf {
     std::env::temp_dir().join(format!("hexsnap-format-compat-{tag}-{}", std::process::id()))
 }
 
-/// The graph of `v11_bulk.hexsnap`, `v12_bulk.hexsnap` and
-/// `v13_bulk.hexsnap`: terms of every kind, 24 of them —
+/// The graph of `v11_bulk.hexsnap` to `v14_bulk.hexsnap`: terms of every
+/// kind, 24 of them —
 /// three blocks of the frozen tier — bulk loaded from N-Triples, so the
 /// dictionary is all frozen tier.
 pub fn bulk_graph() -> GraphStore {
@@ -177,16 +183,36 @@ pub fn bulk_graph() -> GraphStore {
     g
 }
 
-/// The graph of `v13_coded_refs.hexsnap`: 128 subjects of one property,
-/// each with one of four objects. The property's pso window references
-/// 128 consecutive object lists and each object's osp window every fourth
-/// property list, so both mirrors code their references as Elias–Fano
-/// windows; ops, one property per object, keeps them packed.
+/// The graph of `v13_coded_refs.hexsnap` and `v14_coded_refs.hexsnap`:
+/// 128 subjects of one property, each with one of four objects. The
+/// property's pso window references 128 consecutive object lists and each
+/// object's osp window every fourth property list, so both mirrors code
+/// their references as Elias–Fano windows; ops, one property per object,
+/// keeps them packed. From v14 the 129 offsets of spo and of sop, one
+/// leaf a subject, are one Elias–Fano window each.
 pub fn coded_refs_graph() -> GraphStore {
     let mut g = GraphStore::new();
     for i in 0..128 {
         let (s, o) = (format!("http://x/s{i}"), format!("http://x/o{}", i % 4));
         g.insert(&Triple::new(Term::iri(s), Term::iri("http://x/p"), Term::iri(o)));
+    }
+    g
+}
+
+/// The graph of `v14_coded_offsets.hexsnap`: 64 subjects, each with up to
+/// eight properties (every pair whose sum is a multiple of three left
+/// out), the object a function of both among 32. Four orderings' offsets
+/// — spo, sop, osp and ops, a window or two a header — the bit offsets of
+/// osp's Elias–Fano vector keys and the run ends of the subject lists are
+/// each one Elias–Fano window.
+pub fn coded_offsets_graph() -> GraphStore {
+    let mut g = GraphStore::new();
+    for i in 0..64u32 {
+        for j in (0..8u32).filter(|j| (i + j) % 3 != 0) {
+            let (s, p) = (format!("http://x/s{i}"), format!("http://x/p{j}"));
+            let o = format!("http://x/o{}", (i * 7 + j * 13) % 32);
+            g.insert(&Triple::new(Term::iri(s), Term::iri(p), Term::iri(o)));
+        }
     }
     g
 }

@@ -56,6 +56,7 @@ fn v12_changed_only_the_froz_section() {
         let ArenaColumns::Runs { slots, ends, keys: VectorKeys::Ints(keys), len } = arena else {
             panic!("a v12 arena of packed run ids: {arena:?}")
         };
+        let ends = ends.packed().expect("packed run ends");
         assert_eq!((slots.len, ends.len, keys.len(), len), (5, 2, 2, 2));
         // The run ends' width is the bit length of the run-id count, and
         // their words follow the slot column's without a width field.

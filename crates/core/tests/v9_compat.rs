@@ -84,7 +84,7 @@ fn v9_changed_only_the_header_and_vector_key_columns_of_froz() {
             .collect();
         let ef = |ef: hexsnap::EfColumns, len: usize| EfView {
             base: view(v9, ef.base),
-            offs: view(v9, ef.offs),
+            offs: view(v9, ef.offs.packed().expect("v9 packs bit offsets")).into(),
             stream: BitsView { bits: view(v9, ef.stream), ranks: view(v9, ef.ranks) },
             len,
         };

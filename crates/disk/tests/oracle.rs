@@ -447,8 +447,13 @@ struct AddressingWords {
     /// The base, bit-offset, stream and rank columns of each ordering
     /// whose header keys are one Elias–Fano window.
     header_windows: Vec<[PackedAt; 4]>,
-    /// The six orderings' packed cumulative offsets columns.
+    /// The packed cumulative offsets columns of the orderings that keep
+    /// them packed.
     offsets: Vec<PackedAt>,
+    /// The stream and rank columns of each offsets column — an
+    /// ordering's, or an Elias–Fano column's bit offsets — that is one
+    /// Elias–Fano window.
+    coded_offsets: Vec<[PackedAt; 2]>,
     /// The packed vector-key columns of the orderings that keep them
     /// packed.
     vector_keys: Vec<PackedAt>,
@@ -477,7 +482,8 @@ impl AddressingWords {
     /// Every packed column of the section.
     fn packed(&self) -> impl Iterator<Item = PackedAt> + '_ {
         let headers = self.header_bits.iter().chain(&self.header_ranks);
-        let levels = headers.chain(&self.offsets).chain(&self.vector_keys).chain(&self.list_refs);
+        let offsets = self.offsets.iter().chain(self.coded_offsets.iter().flatten());
+        let levels = headers.chain(offsets).chain(&self.vector_keys).chain(&self.list_refs);
         let vector_keys =
             self.elias_fano.iter().chain(&self.ref_windows).map(|(_, columns)| columns);
         let ef = vector_keys.chain(&self.header_windows).chain(&self.run_windows).flatten();
@@ -501,6 +507,7 @@ fn addressing_words(bytes: &[u8]) -> AddressingWords {
         header_ranks: vec![],
         header_windows: vec![],
         offsets: vec![],
+        coded_offsets: vec![],
         vector_keys: vec![],
         elias_fano: vec![],
         slots: vec![],
@@ -512,12 +519,22 @@ fn addressing_words(bytes: &[u8]) -> AddressingWords {
     };
     // An Elias–Fano column from its first width field: a base column, the
     // bit offsets, the stream length, the stream and its directory, whose
-    // width the stream length gives.
+    // width the stream length gives. These graphs keep every bit-offset
+    // column packed.
     let ef_at = |at: usize, ef: hexsnap::EfColumns| {
         let base = PackedAt { col: ef.base, width_at: Some(at) };
-        let offs = PackedAt { col: ef.offs, width_at: Some(end(base)) };
-        let stream = PackedAt { col: ef.stream, width_at: Some(end(offs) + 4) };
-        [base, offs, stream, PackedAt { col: ef.ranks, width_at: None }]
+        // Bit offsets packed, or (v14) one Elias–Fano window: its stream's
+        // length, the stream and its directory, which is returned apart.
+        let (offs, coded) = match ef.offs {
+            hexsnap::Offsets::Packed(col) => (PackedAt { col, width_at: Some(end(base)) }, None),
+            hexsnap::Offsets::EliasFano(window) => {
+                let stream = PackedAt { col: window.stream, width_at: Some(end(base) + 4) };
+                (stream, Some([stream, PackedAt { col: window.ranks, width_at: None }]))
+            }
+        };
+        let offs_end = coded.map_or(end(offs), |[_, ranks]| end(ranks));
+        let stream = PackedAt { col: ef.stream, width_at: Some(offs_end + 4) };
+        ([base, offs, stream, PackedAt { col: ef.ranks, width_at: None }], coded)
     };
     // An arena's slot width follows its list, run, run-id and flag counts,
     // the first arena's the triple count; its run ends follow its slots,
@@ -526,7 +543,7 @@ fn addressing_words(bytes: &[u8]) -> AddressingWords {
     for arena in columns.arenas {
         let ArenaColumns::Runs { slots, ends, keys, .. } = arena else { panic!("a v12 arena") };
         let slots = PackedAt { col: slots, width_at: Some(counts_at + 16) };
-        let ends = PackedAt { col: ends, width_at: None };
+        let ends = PackedAt { col: ends.packed().expect("packed run ends"), width_at: None };
         found.slots.push(slots);
         found.run_ends.push(ends);
         counts_at = match keys {
@@ -536,7 +553,8 @@ fn addressing_words(bytes: &[u8]) -> AddressingWords {
                 end(keys)
             }
             VectorKeys::EliasFano(ef) => {
-                let columns = ef_at(end(ends), ef);
+                let (columns, coded) = ef_at(end(ends), ef);
+                found.coded_offsets.extend(coded);
                 found.run_windows.push(columns);
                 end(columns[3])
             }
@@ -547,7 +565,6 @@ fn addressing_words(bytes: &[u8]) -> AddressingWords {
     // packed, or a base column, the bit offsets, the stream length, the
     // stream and its directory.
     for (which, ix) in columns.orderings.into_iter().enumerate() {
-        let Windows::Offsets(offs) = ix.windows else { panic!("v3 offsets") };
         // The header count and the encoding flags, then the bitmap's length,
         // the bitmap and its directory, or one Elias–Fano window.
         let headers_end = match ix.keys {
@@ -559,26 +576,42 @@ fn addressing_words(bytes: &[u8]) -> AddressingWords {
                 end(ranks)
             }
             hexsnap::Headers::EliasFano { ef, .. } => {
-                let window = ef_at(counts_at + 8, ef);
+                let (window, coded) = ef_at(counts_at + 8, ef);
+                found.coded_offsets.extend(coded);
                 found.header_windows.push(window);
                 end(window[3])
             }
             hexsnap::Headers::U32(_) => panic!("v9 header keys"),
         };
-        let offs = PackedAt { col: packed(offs), width_at: Some(headers_end) };
+        // The offsets: packed, or one Elias–Fano window — its stream's
+        // length, the stream and its directory.
+        let offsets_end = match ix.windows {
+            Windows::Offsets(offs) => {
+                let offs = PackedAt { col: packed(offs), width_at: Some(headers_end) };
+                found.offsets.push(offs);
+                end(offs)
+            }
+            Windows::EliasFano(window) => {
+                let stream = PackedAt { col: window.stream, width_at: Some(headers_end + 4) };
+                let ranks = PackedAt { col: window.ranks, width_at: None };
+                found.coded_offsets.push([stream, ranks]);
+                end(ranks)
+            }
+            Windows::Pairs(_) => panic!("v3 offsets"),
+        };
         let k2_end = match ix.k2 {
             hexsnap::VectorKeys::Ints(k2) => {
-                let k2 = PackedAt { col: packed(k2), width_at: Some(end(offs) + 4) };
+                let k2 = PackedAt { col: packed(k2), width_at: Some(offsets_end + 4) };
                 found.vector_keys.push(k2);
                 end(k2)
             }
             hexsnap::VectorKeys::EliasFano(ef) => {
-                let columns = ef_at(end(offs) + 4, ef);
+                let (columns, coded) = ef_at(offsets_end + 4, ef);
+                found.coded_offsets.extend(coded);
                 found.elias_fano.push((which, columns));
                 end(columns[3])
             }
         };
-        found.offsets.push(offs);
         // A mirror's list references follow its vector keys, coded as
         // they are.
         counts_at = match ix.lists {
@@ -589,7 +622,8 @@ fn addressing_words(bytes: &[u8]) -> AddressingWords {
                 end(refs)
             }
             Some(hexsnap::ListRefs::Windows(hexsnap::VectorKeys::EliasFano(ef))) => {
-                let columns = ef_at(k2_end, ef);
+                let (columns, coded) = ef_at(k2_end, ef);
+                found.coded_offsets.extend(coded);
                 found.ref_windows.push((which, columns));
                 end(columns[3])
             }

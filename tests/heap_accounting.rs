@@ -109,14 +109,16 @@ fn heap_bytes_is_what_the_allocator_gives_back() {
     // dropping it gives back is its shared block — the mapping lives on
     // in the dictionary that shares it.
     let breakdown = mapped_store.heap_breakdown();
-    let (elias_fano, elias_fano_arenas) = (breakdown.elias_fano, breakdown.elias_fano_arenas);
-    let elias_fano_refs = breakdown.elias_fano_refs;
-    let coded = (built.elias_fano, built.elias_fano_arenas, built.elias_fano_refs);
-    assert_eq!((elias_fano, elias_fano_arenas, elias_fano_refs), coded, "coded as built");
+    // Coded as built, and no column holds heap.
     let nothing = HeapBreakdown {
-        elias_fano,
-        elias_fano_arenas,
-        elias_fano_refs,
+        elias_fano: built.elias_fano,
+        elias_fano_arenas: built.elias_fano_arenas,
+        elias_fano_refs: built.elias_fano_refs,
+        elias_fano_offsets: built.elias_fano_offsets,
+        elias_fano_key_offsets: built.elias_fano_key_offsets,
+        elias_fano_ref_offsets: built.elias_fano_ref_offsets,
+        elias_fano_run_ends: built.elias_fano_run_ends,
+        elias_fano_run_key_offsets: built.elias_fano_run_key_offsets,
         ..HeapBreakdown::default()
     };
     assert_eq!(breakdown, nothing, "mapped columns hold no heap");

@@ -43,12 +43,16 @@
 //!   singleton `Id(0)`);
 //! - a mirror ordering's list references strictly ascend within each of
 //!   its windows and are the canonical key column of those windows,
-//!   packed or Elias–Fano coded ([`check_references`]).
+//!   packed or Elias–Fano coded ([`check_references`]);
+//! - every cumulative offsets column it reads decodes to the same values
+//!   whichever encoding it uses, and is their canonical column, packed or
+//!   one Elias–Fano window ([`check_offsets`]).
 
 use hex_baselines::{Covp1, Covp2, TriplesTable};
 use hex_dict::{Id, IdTriple};
-use hexastore::access::{project, route, IndexView, List, OrderedStore};
-use hexastore::succinct::KeyColumn;
+use hexastore::access::{project, route, IndexView, KeysView, List, OrderedStore, SlabOrdering};
+use hexastore::packed::PackedColumn;
+use hexastore::succinct::{KeyColumn, OffsetsColumn, OffsetsView};
 use hexastore::{
     bulk, FrozenHexastore, IdPattern, IndexKind, IndexSet, OverlayHexastore, PartialHexastore,
     TripleStore,
@@ -298,6 +302,41 @@ fn check_orderings<S: OrderedStore>(store: &S, model: &[IdTriple], what: &str) {
             assert!(ord.arena.get(past).is_empty(), "{ctx}: list {past} past the slot column");
         }
         check_references(ord.index, &ctx);
+        check_offsets(ord, &ctx);
+    }
+}
+
+/// Every cumulative offsets column an ordering reads — its offsets, its
+/// arena's run ends, and the bit offsets of each Elias–Fano key column
+/// among its vector keys, references and run ids — decodes to the same
+/// values whichever encoding it uses: in order, value by value, pair by
+/// pair, and as the packed column of those values. And it is their
+/// canonical column, packed or one Elias–Fano window as their size
+/// chooses.
+fn check_offsets(ord: SlabOrdering<'_>, ctx: &str) {
+    fn bit_offsets(keys: KeysView<'_>) -> Option<OffsetsView<'_>> {
+        match keys {
+            KeysView::EliasFano(ef) => Some(ef.offs),
+            KeysView::Packed(_) => None,
+        }
+    }
+    let mut columns = vec![("offsets", ord.index.offs), ("run ends", ord.arena.ends)];
+    columns.extend(bit_offsets(ord.index.k2).map(|offs| ("vector-key bit offsets", offs)));
+    let refs = ord.index.lists.and_then(bit_offsets);
+    columns.extend(refs.map(|offs| ("reference bit offsets", offs)));
+    columns.extend(bit_offsets(ord.arena.keys.view()).map(|offs| ("run-id bit offsets", offs)));
+    for (what, offs) in columns {
+        let values: Vec<u32> = offs.values().collect();
+        assert_eq!(values.len(), offs.len(), "{ctx}: {what}");
+        assert!(values.iter().enumerate().all(|(i, &v)| offs.get(i) == v), "{ctx}: {what}");
+        for (i, pair) in values.windows(2).enumerate() {
+            assert_eq!(offs.pair(i), Some((pair[0], pair[1])), "{ctx}: {what} pair {i}");
+        }
+        assert_eq!(offs.pair(values.len().saturating_sub(1)), None, "{ctx}: {what}");
+        let packed = PackedColumn::from_values(&values);
+        assert!(OffsetsView::from(&packed).values().eq(values.iter().copied()), "{ctx}: {what}");
+        assert_eq!(OffsetsColumn::from_values(&values).view(), offs, "{ctx}: {what}");
+        assert_eq!(offs.check(what), Ok(()), "{ctx}: {what}");
     }
 }
 
@@ -546,6 +585,36 @@ fn stores_of_either_run_encoding_obey_the_read_contract() {
         assert_eq!(arenas.contains(IndexKind::Pos), coded, "{arenas:?}");
         assert!(!arenas.contains(IndexKind::Spo) && !arenas.contains(IndexKind::Sop));
         let tag = if coded { "coded" } else { "packed" };
+        check_slab(&frozen, model, tag);
+        check_through_a_snapshot(&frozen, model, tag);
+    }
+}
+
+/// Stores whose data picks either encoding of their offsets columns: 64
+/// subjects each with up to eight properties over 32 objects, where four
+/// orderings' offsets, osp's vector-key bit offsets and the subject
+/// lists' run ends are each one Elias–Fano window, and the sample, which
+/// keeps every one packed. Both obey the read contract — every offsets
+/// column decoding alike however it is read ([`check_offsets`]) — built,
+/// frozen from writes, read back and mapped.
+#[test]
+fn stores_of_either_offsets_encoding_obey_the_read_contract() {
+    let grid: Vec<IdTriple> = (0..64u32)
+        .flat_map(|i| (0..8u32).filter(move |j| (i + j) % 3 != 0).map(move |j| (i, j)))
+        .map(|(i, j)| IdTriple::from((100 + i, 10 + j, 200 + (i * 7 + j * 13) % 32)))
+        .collect();
+    let coded = [IndexKind::Spo, IndexKind::Sop, IndexKind::Osp, IndexKind::Ops];
+    let coded = coded.into_iter().fold(IndexSet::EMPTY, IndexSet::with);
+    for (triples, offsets) in [(grid, coded), (sample(), IndexSet::EMPTY)] {
+        let model = &model_of(&triples);
+        let frozen = FrozenHexastore::from_triples(triples.iter().copied());
+        let heap = frozen.heap_breakdown();
+        assert_eq!(heap.elias_fano_offsets, offsets);
+        assert_eq!(heap.elias_fano_run_ends.is_empty(), offsets.is_empty());
+        let mut written = OverlayHexastore::default();
+        triples.iter().for_each(|&t| assert!(written.insert(t)));
+        assert_eq!(written.freeze(), frozen);
+        let tag = if offsets.is_empty() { "packed offsets" } else { "coded offsets" };
         check_slab(&frozen, model, tag);
         check_through_a_snapshot(&frozen, model, tag);
     }

@@ -101,9 +101,10 @@ fn incremental_and_bulk_agree_on_generated_data() {
 /// widths of the packed index levels and list slots — a bit per id up to
 /// the largest header key, `⌈n·w / 64⌉ + 1` words for a packed column of
 /// `n` values whose largest needs `w > 0` bits, the smaller encoding of
-/// each key column (vector keys, mirror references, run ids), nothing
-/// derivable stored, no slack capacity — however the
-/// slabs came to be.
+/// each key column (vector keys, mirror references, run ids) and of each
+/// cumulative offsets column (an ordering's offsets, an arena's run ends,
+/// an Elias–Fano column's bit offsets), nothing derivable stored, no slack
+/// capacity — however the slabs came to be.
 #[test]
 fn frozen_heap_breakdown_is_the_closed_form_of_the_space_stats() {
     use hex_dict::{Id, IdTriple};
@@ -134,6 +135,23 @@ fn frozen_heap_breakdown_is_the_closed_form_of_the_space_stats() {
             packed(samples, bits)
         }
     }
+    /// Heap bytes of a cumulative offsets column of `len` values, the last
+    /// `last`: packed, or one Elias–Fano window of them — a 5-bit `l =
+    /// ⌊log2(last / len)⌋`, a low part of `l` bits and a one a value,
+    /// `last >> l` zeros, and the stream's rank samples — whichever takes
+    /// fewer bytes; and whether that is the window.
+    fn offsets(len: usize, last: usize) -> (usize, bool) {
+        let as_packed = packed(len, last);
+        let q = (last / len.max(1)).max(1);
+        let l = (usize::BITS - 1 - q.leading_zeros()) as usize;
+        let bits = 5 + len * (l + 1) + (last >> l);
+        let window = stream(bits) + directory(bits);
+        if len > 0 && window < as_packed {
+            (window, true)
+        } else {
+            (as_packed, false)
+        }
+    }
     /// Stream bits of an Elias–Fano window: none for one key; else a
     /// 5-bit `l = ⌊log2(u / m)⌋` over the `m` keys after the first, which
     /// span `u`, then `m` low parts of `l` bits and the high parts in
@@ -150,22 +168,20 @@ fn frozen_heap_breakdown_is_the_closed_form_of_the_space_stats() {
     /// packed at the width of the largest key, or Elias–Fano coded window
     /// by window — each window's first key in a base column, the other
     /// keys' `l`, low and high parts in one stream, a bit offset per
-    /// window and the stream's rank samples — whichever takes fewer bytes.
-    /// `Err` holds the four Elias–Fano parts.
-    fn key_column(windows: &[&[u32]]) -> Result<usize, [usize; 4]> {
+    /// window (an offsets column) and the stream's rank samples —
+    /// whichever takes fewer bytes. `Err` holds the four Elias–Fano parts
+    /// and whether the bit offsets are one Elias–Fano window.
+    fn key_column(windows: &[&[u32]]) -> Result<usize, ([usize; 4], bool)> {
         let keys = windows.iter().map(|w| w.len()).sum();
         let max = windows.iter().flat_map(|w| w.iter()).copied().max().unwrap_or(0);
         let as_packed = packed(keys, max as usize);
         let max_first = windows.iter().map(|w| w[0]).max().unwrap_or(0);
         let bits: usize = windows.iter().map(|w| ef_window_bits(w)).sum();
-        let ef = [
-            packed(windows.len(), max_first as usize),
-            packed(windows.len() + 1, bits),
-            stream(bits),
-            directory(bits),
-        ];
+        let (bit_offsets, coded) = offsets(windows.len() + 1, bits);
+        let ef =
+            [packed(windows.len(), max_first as usize), bit_offsets, stream(bits), directory(bits)];
         if ef.iter().sum::<usize>() < as_packed {
-            Err(ef)
+            Err((ef, coded))
         } else {
             Ok(as_packed)
         }
@@ -221,16 +237,24 @@ fn frozen_heap_breakdown_is_the_closed_form_of_the_space_stats() {
                 base + offs + stream(k1_bits) + directory(k1_bits)
             });
             expected.header_keys += if window < bitmap { window } else { bitmap };
-            expected.header_offsets += packed(windows.len() + 1, leaves);
+            let (header_offsets, coded) = offsets(windows.len() + 1, leaves);
+            expected.header_offsets += header_offsets;
+            if coded {
+                expected.elias_fano_offsets = expected.elias_fano_offsets.with(kind);
+            }
             let vector_keys: Vec<&[u32]> = windows.values().map(Vec::as_slice).collect();
             match key_column(&vector_keys) {
                 Ok(as_packed) => expected.vector_keys_packed += as_packed,
-                Err(ef) => {
+                Err((ef, coded)) => {
                     expected.vector_key_bases += ef[0];
                     expected.vector_key_offsets += ef[1];
                     expected.vector_key_streams += ef[2];
                     expected.vector_key_ranks += ef[3];
                     expected.elias_fano = expected.elias_fano.with(kind);
+                    if coded {
+                        expected.elias_fano_key_offsets =
+                            expected.elias_fano_key_offsets.with(kind);
+                    }
                 }
             }
             if mirror {
@@ -248,8 +272,12 @@ fn frozen_heap_breakdown_is_the_closed_form_of_the_space_stats() {
                 let refs: Vec<&[u32]> = refs.iter().map(Vec::as_slice).collect();
                 expected.mirror_list_refs += match key_column(&refs) {
                     Ok(as_packed) => as_packed,
-                    Err(ef) => {
+                    Err((ef, coded)) => {
                         expected.elias_fano_refs = expected.elias_fano_refs.with(kind);
+                        if coded {
+                            expected.elias_fano_ref_offsets =
+                                expected.elias_fano_ref_offsets.with(kind);
+                        }
                         ef.iter().sum()
                     }
                 };
@@ -285,12 +313,20 @@ fn frozen_heap_breakdown_is_the_closed_form_of_the_space_stats() {
                 expected.list_slots += packed(lists.len(), 2 * max + 1);
             }
             let ids: usize = runs.iter().map(Vec::len).sum();
-            expected.run_ends += packed(runs.len() + 1, ids);
+            let (run_ends, coded) = offsets(runs.len() + 1, ids);
+            expected.run_ends += run_ends;
+            if coded {
+                expected.elias_fano_run_ends = expected.elias_fano_run_ends.with(primary);
+            }
             let runs: Vec<&[u32]> = runs.iter().map(Vec::as_slice).collect();
             expected.run_keys += match key_column(&runs) {
                 Ok(as_packed) => as_packed,
-                Err(ef) => {
+                Err((ef, coded)) => {
                     expected.elias_fano_arenas = expected.elias_fano_arenas.with(primary);
+                    if coded {
+                        expected.elias_fano_run_key_offsets =
+                            expected.elias_fano_run_key_offsets.with(primary);
+                    }
                     ef.iter().sum()
                 }
             };
