@@ -281,6 +281,19 @@ impl<'a> SlabOrdering<'a> {
         index.leaves(h, window).map(move |(k2, list)| (k2, arena.get(list)))
     }
 
+    /// The number of ids under header `k1`: the lengths of its lists,
+    /// read without handing a list out — a primary's, whose leaf `i` is
+    /// list `i`, all at once ([`ArenaView::len_of_lists`]), a mirror's one
+    /// by one.
+    pub fn division_len(self, k1: Id) -> usize {
+        let Self { index, arena } = self;
+        let (h, window) = index.window(k1);
+        match index.lists {
+            None => arena.len_of_lists(window),
+            Some(_) => index.leaves(h, window).map(|(_, list)| arena.len_of(list)).sum(),
+        }
+    }
+
     /// Every `(k1, k2, list)` leaf, ascending in `(k1, k2)`.
     pub fn scan(self) -> impl Iterator<Item = (Id, Id, List<'a>)> + 'a {
         let Self { index, arena } = self;
@@ -448,11 +461,27 @@ pub fn count<S: OrderedStore>(store: &S, pat: IdPattern) -> usize {
     routed!(store, pat, |O, ord, probe| match probe {
         Probe::Member(k1, k2, item) => usize::from(ord.list(k1, k2).contains(item)),
         Probe::List(k1, k2) => ord.list(k1, k2).len(),
-        Probe::Division(k1) => ord.division(k1).map(|(_, list)| list.len()).sum(),
+        Probe::Division(k1) => division_count(store, pat).unwrap_or_else(|| ord.division_len(k1)),
         Probe::Scan => store.len(),
         // The fallback walks anyway: keep its cursor out of line so the
         // served arms stay a small function.
         Probe::FilteredScan => iter(store, pat).count(),
+    })
+}
+
+/// The number of triples matching `pat`, a one-constant shape, read from
+/// a kept primary ordering that serves it, if any: every serving ordering
+/// holds the same triples under the constant, and a primary's lists are
+/// consecutive ([`SlabOrdering::division_len`]), where a mirror's are
+/// read one by one.
+fn division_count<S: OrderedStore>(store: &S, pat: IdPattern) -> Option<usize> {
+    let serving = serving_indices(pat.shape()).intersection(store.kept());
+    serving.iter().find_map(|kind| {
+        let ord = store.ordering(kind);
+        match probe_in(kind, pat, true) {
+            Probe::Division(k1) if ord.index.lists.is_none() => Some(ord.division_len(k1)),
+            _ => None,
+        }
     })
 }
 

@@ -544,12 +544,12 @@ mod tests {
             c.heap_bytes() == crate::packed::bytes_for(c.len(), c.width()).unwrap()
                 && c.view().validate().is_ok()
         };
-        // A coded one, its stream and rank directory.
+        // A coded one, its stream and select directory.
         let image = |offs: crate::succinct::OffsetsView<'_>| match offs {
             crate::succinct::OffsetsView::Packed(col) => {
                 crate::packed::bytes_for(col.len(), col.width()).unwrap()
             }
-            crate::succinct::OffsetsView::EliasFano(ef) => [ef.stream.bits, ef.stream.ranks]
+            crate::succinct::OffsetsView::EliasFano(ef) => [ef.stream, ef.selects]
                 .map(|col| crate::packed::bytes_for(col.len(), col.width()).unwrap())
                 .iter()
                 .sum(),

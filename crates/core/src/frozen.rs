@@ -54,7 +54,7 @@ use crate::sorted;
 use crate::store::SpaceStats;
 use crate::succinct::{
     windows_of, HeaderColumn, HeaderSize, KeyColumn, KeySize, OffsetsColumn, OffsetsSize,
-    OffsetsView, Rule,
+    OffsetsView,
 };
 use crate::traits::TripleStore;
 use hex_dict::{Id, IdTriple};
@@ -398,6 +398,7 @@ pub struct FrozenHexastore {
 /// The shared slab payload of a [`FrozenHexastore`]: six orderings over
 /// three paired terminal arenas. One allocation, arbitrarily many
 /// reader handles.
+#[derive(PartialEq, Eq)]
 struct FrozenInner {
     spo: FrozenIndex,
     sop: FrozenIndex,
@@ -412,27 +413,7 @@ struct FrozenInner {
     /// Terminal subject lists, shared by pos and ops.
     s_lists: FlatArena,
     len: usize,
-    /// The encodings the columns may take: [`Rule::Packed`] for a store
-    /// read from a file written before offsets were coded, whose columns
-    /// are taken as they are.
-    rule: Rule,
 }
-
-/// Equal columns: the rule only says which encodings a check allows.
-impl PartialEq for FrozenInner {
-    fn eq(&self, other: &Self) -> bool {
-        fn columns(f: &FrozenInner) -> ([&FrozenIndex; 6], [&FlatArena; 3], usize) {
-            (
-                [&f.spo, &f.sop, &f.pso, &f.pos, &f.osp, &f.ops],
-                [&f.o_lists, &f.p_lists, &f.s_lists],
-                f.len,
-            )
-        }
-        columns(self) == columns(other)
-    }
-}
-
-impl Eq for FrozenInner {}
 
 impl FrozenHexastore {
     /// Bulk-builds a frozen store from an arbitrary (unsorted, possibly
@@ -480,21 +461,8 @@ impl FrozenHexastore {
                 p_lists,
                 s_lists,
                 len,
-                rule: Rule::Current,
             }),
         }
-    }
-
-    /// The store, its columns checked under `rule` ([`Rule::Packed`] for
-    /// one read from a file written before offsets were coded).
-    pub(crate) fn under(mut self, rule: Rule) -> Self {
-        Arc::get_mut(&mut self.inner).expect("a store just built").rule = rule;
-        self
-    }
-
-    /// The encodings the store's columns may take.
-    pub(crate) fn rule(&self) -> Rule {
-        self.inner.rule
     }
 
     /// The largest id referenced anywhere in the slabs, if any — the

@@ -106,8 +106,10 @@
 //!   ordering's offsets, an arena's run ends, and the bit offsets of each
 //!   Elias–Fano column (vector keys, list references, run ids, a header
 //!   window) — is packed or one Elias–Fano window of its values
-//!   ([`crate::succinct::EfOffsets`]), whichever is smaller, a flag per
-//!   column saying which: ordering flags bit 3 (its offsets), bit 4 (its
+//!   ([`crate::succinct::EfOffsets`]: `u32 n_bits`, the stream, and a
+//!   select directory of every 64th value's one, whose length and width
+//!   the counts give), whichever is smaller, a flag per column saying
+//!   which: ordering flags bit 3 (its offsets), bit 4 (its
 //!   vector keys' bit offsets), bit 5 (a mirror's references' bit
 //!   offsets), bit 6 (its header window's bit offsets); arena flags bit 3
 //!   (its run ends) and bit 4 (its run ids' bit offsets). A bit-offset
@@ -138,15 +140,17 @@
 //! are packed, a v4–v11 arena's overflow runs, checked as that layout
 //! was, become the runs of a key column, and a v3–v12 mirror's list
 //! references, checked canonical and strictly ascending within each
-//! window, become a key column windowed by its offsets. A v9 to v13
-//! section's packed offsets columns are taken as they are, and its store
-//! is checked under [`Rule::Packed`], which allows the encodings an older
-//! writer chose. Every eager load
+//! window, become a key column windowed by its offsets. A v3 to v13
+//! section's packed offsets columns, checked canonical, take the encoding
+//! their sizes choose, and a v12 or v13 section's packed key column whose
+//! sizes now choose Elias–Fano (its writer sized Elias–Fano with packed
+//! bit offsets) is rebuilt coded, its windows checked to tile and ascend
+//! first. Every eager load
 //! of slabs — `FROZ` of any version, or the decoded `FRZC` payload — then
 //! ends in the same check of the built store. Only a v10 to v14 file has
 //! the index columns `hex-disk` maps (a v10 one with an empty frozen
-//! tier; a v10 or v11 one's arenas and a v10 to v12 one's list
-//! references are rebuilt, owned, on the way; [`mapping_refusal`] says
+//! tier; a v10 or v11 one's arenas, a v10 to v12 one's list references
+//! and a v10 to v13 one's offsets columns are rebuilt, owned, on the way; [`mapping_refusal`] says
 //! why an older one is refused); older files go through [`load_frozen`]
 //! and a re-save.
 //!
@@ -233,12 +237,16 @@
 //!   From v14 each cumulative offsets column — an ordering's offsets, an
 //!   arena's run ends, an Elias–Fano column's bit offsets — whose flag is
 //!   set is an **offsets window** in place of the packed column: `u32
-//!   n_bits`, the stream (packed, width 1) and its rank directory. The
+//!   n_bits`, the stream (packed, width 1) and its select directory. The
 //!   stream is a 5-bit `l = ⌊log2(last / n)⌋` for its `n` values, the last
 //!   `last`; then the high region, a one per value `v` at bit `(v >> l) +
 //!   i` of it, ending on the last value's one; then each value's low `l`
-//!   bits. Its value count is the packed column's; a window shorter than
-//!   its `l` and a one per value is refused by the walk.
+//!   bits. The select directory is a packed column of `⌊(n − 1) / 64⌋`
+//!   samples, sample `j` the stream position of value `64·(j + 1)`'s one,
+//!   at the bit length of `n_bits` (0 with no sample) and with no width
+//!   field; its words follow the stream's. Its value count is the packed
+//!   column's; a window shorter than its `l` and a one per value is
+//!   refused by the walk.
 //!   From v6 the offsets, vector keys and list references —
 //!   from v7 the list slots and from v8 the overflow words — are each a
 //!   packed column: a `u32` width `w` (at most 32), zero bytes up to the
@@ -270,9 +278,9 @@ use crate::packed::{bytes_for, width_of, Bytes, PackedColumn, PackedView, MAX_WI
 use crate::pattern::IdPattern;
 use crate::slab::{pack_u32_slots, FlatArena, MAX_IN_SLOT};
 use crate::succinct::{
-    check_stream_shape, sample_width, samples, EfColumn, EfOffsets, EfView, HeaderColumn,
-    HeadersView, KeyCheck, KeyColumn, KeysView, OffsetsCheck, OffsetsColumn, OffsetsView,
-    RankBitmap, Rule, L_BITS,
+    check_stream_shape, sample_width, samples, select_samples, select_width, windows_of, EfColumn,
+    EfOffsets, EfView, HeaderColumn, HeadersView, KeyCheck, KeyColumn, KeySize, KeysView,
+    OffsetsCheck, OffsetsColumn, OffsetsView, RankBitmap, L_BITS,
 };
 use crate::traits::TripleStore;
 use hex_dict::{ArenaImage, Dictionary, FrontImage, Id, IdTriple};
@@ -374,8 +382,8 @@ const REF_OFFSETS_CODED: u32 = 32;
 const HEADER_OFFSETS_CODED: u32 = 64;
 
 /// The first format version whose cumulative offsets columns may be
-/// Elias–Fano coded; a store read from an older file is checked under
-/// [`Rule::Packed`].
+/// Elias–Fano coded; an older file's are rebuilt in the encoding their
+/// sizes choose as they are read.
 const CODED_OFFSETS: u32 = 14;
 
 /// The flag of an Elias–Fano column whose bit offsets are coded; 0 for a
@@ -703,12 +711,18 @@ impl<W: Write + Seek> Writer<W> {
 
     /// Writes a cumulative offsets column: packed — with its width field,
     /// unless `derived` says the count fields give it — or one Elias–Fano
-    /// window, a bit stream.
+    /// window: its stream's length, the stream and its select directory.
     fn offsets(&mut self, offs: OffsetsView<'_>, derived: bool) -> Result<()> {
         match offs {
             OffsetsView::Packed(offs) if derived => self.words(offs),
             OffsetsView::Packed(offs) => self.packed(offs),
-            OffsetsView::EliasFano(offs) => self.stream(offs.stream),
+            OffsetsView::EliasFano(offs) => {
+                let bits = u32::try_from(offs.stream.len())
+                    .map_err(|_| Error::Corrupt("2^32 stream bits".into()))?;
+                w_u32(&mut self.w, bits)?;
+                self.packed(offs.stream)?;
+                self.words(offs.selects)
+            }
         }
     }
 
@@ -943,10 +957,11 @@ pub enum Windows {
 /// Elias–Fano window (v14; [`crate::succinct::EfOffsets`]).
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub struct OffsetsWindow {
-    /// The `l`, low parts and high region, width 1.
+    /// The `l`, high region and low parts, width 1.
     pub stream: Packed,
-    /// Set bits of the stream before each 512-bit block.
-    pub ranks: Packed,
+    /// The position of every 64th value's one after the first
+    /// ([`crate::succinct::SELECT_STEP`]).
+    pub selects: Packed,
     /// The number of values.
     pub len: usize,
 }
@@ -1286,8 +1301,8 @@ impl<R: Read + Seek> Walk<'_, R> {
 
     /// Steps over a cumulative offsets column of `len` values: one
     /// Elias–Fano window when `coded` — its stream's length, the stream
-    /// and its directory — else packed, with a width field unless the
-    /// count fields give the width (`derived`).
+    /// and its select directory — else packed, with a width field unless
+    /// the count fields give the width (`derived`).
     fn offsets(
         &mut self,
         coded: bool,
@@ -1302,13 +1317,18 @@ impl<R: Read + Seek> Walk<'_, R> {
             }));
         }
         let bits = self.count32(&format!("{what}'s stream length"))?;
-        let (stream, ranks) = self.stream(bits, what)?;
+        let stream = self.packed(bits, what)?;
         // Its `l` and a one a value at least.
         if bits < L_BITS as u64 + len {
             return corrupt(format!("{what} is shorter than its {len} values"));
         }
+        if stream.width != 1 {
+            return corrupt(format!("{what} has the widths of no bit stream"));
+        }
         let len = checked_len(len, what)?;
-        Ok(Offsets::EliasFano(OffsetsWindow { stream, ranks, len }))
+        let (samples, width) = (select_samples(len), select_width(len, stream.len));
+        let selects = self.derived(samples as u64, width, &format!("{what}'s select directory"))?;
+        Ok(Offsets::EliasFano(OffsetsWindow { stream, selects, len }))
     }
 
     /// Steps over a column of `len` elements, `width` bytes each.
@@ -1874,11 +1894,18 @@ impl<R: Read + Seek> Reader<R> {
 /// between the loaders: the eager reader reads each into an exact-sized
 /// owned buffer, a mapping returns a window of itself ([`Bytes::shared`]).
 /// A column of an older layout becomes the current one here.
-struct Source<F>(F);
+struct Source<F> {
+    /// Turns a file range into its bytes.
+    read: F,
+    /// True for a section written before offsets were coded (v13 and
+    /// older), whose offsets and key columns take the encodings their
+    /// sizes choose now.
+    recode: bool,
+}
 
 impl<F: FnMut(Range<usize>) -> Result<Bytes>> Source<F> {
     fn bytes(&mut self, offset: usize, len: usize) -> Result<Bytes> {
-        (self.0)(offset..offset + len)
+        (self.read)(offset..offset + len)
     }
 
     /// A packed column, checked only as far as [`PackedColumn::new`] goes.
@@ -1912,29 +1939,35 @@ impl<F: FnMut(Range<usize>) -> Result<Bytes>> Source<F> {
     }
 
     /// A level's windows as its cumulative offsets column, taken as it
-    /// is; a `u32` column packed, and pre-v3 `(offset, length)` pairs
-    /// made offsets if they tile.
+    /// is; an older section's packed or `u32` column, and pre-v3 `(offset,
+    /// length)` pairs made offsets if they tile, in the encoding their
+    /// size chooses.
     fn windows(&mut self, windows: Windows, what: &str) -> Result<OffsetsColumn> {
         match windows {
-            Windows::Offsets(ints) => Ok(OffsetsColumn::Packed(self.ints(ints, what)?)),
+            Windows::Offsets(Ints::Packed(col)) => self.offsets(Offsets::Packed(col), what),
+            Windows::Offsets(Ints::U32(col)) => Ok(OffsetsColumn::from_values(&self.u32s(col)?)),
             Windows::EliasFano(window) => self.offsets(Offsets::EliasFano(window), what),
             Windows::Pairs(col) => offsets_from_pairs(&self.u32s(col)?)
-                .map(|offs| OffsetsColumn::Packed(PackedColumn::from_values(&offs)))
+                .map(|offs| OffsetsColumn::from_values(&offs))
                 .ok_or_else(|| Error::Corrupt("spans do not tile their column".into())),
         }
     }
 
     /// A cumulative offsets column, packed or one Elias–Fano window,
-    /// taken as it is.
+    /// taken as it is; an older section's packed column, checked
+    /// canonical, in the encoding its size chooses.
     fn offsets(&mut self, offs: Offsets, what: &str) -> Result<OffsetsColumn> {
         match offs {
+            Offsets::Packed(col) if self.recode => {
+                Ok(OffsetsColumn::from_values(&self.values(Ints::Packed(col), what)?))
+            }
             Offsets::Packed(col) => Ok(OffsetsColumn::Packed(self.packed(col, what)?)),
-            Offsets::EliasFano(OffsetsWindow { stream, ranks, len }) => {
+            Offsets::EliasFano(OffsetsWindow { stream, selects, len }) => {
                 let len = u32::try_from(len)
                     .map_err(|_| Error::Corrupt(format!("{what}: {len} values")))?;
                 let stream = (self.bytes(stream.offset, stream.bytes())?, stream.len);
-                let ranks = self.packed(ranks, what)?;
-                Ok(OffsetsColumn::EliasFano(EfOffsets::unchecked(stream, ranks, len)))
+                let selects = self.packed(selects, what)?;
+                Ok(OffsetsColumn::EliasFano(EfOffsets::unchecked(stream, selects, len)))
             }
         }
     }
@@ -1949,7 +1982,7 @@ impl<F: FnMut(Range<usize>) -> Result<Bytes>> Source<F> {
             ArenaColumns::Runs { slots, ends, keys, len } => {
                 let slots = self.packed(slots, "arena slot column")?;
                 let ends = self.offsets(ends, "arena run-ends column")?;
-                let keys = self.keys(keys, len, "arena run keys")?;
+                let keys = self.keys(keys, len, ends.view(), "arena run keys")?;
                 Ok(FlatArena::unchecked(slots, ends, keys, items))
             }
             ArenaColumns::Slots { slots, over } => {
@@ -1971,10 +2004,20 @@ impl<F: FnMut(Range<usize>) -> Result<Bytes>> Source<F> {
         }
     }
 
-    /// A key column of `len` keys, packed or Elias–Fano coded, taken as
-    /// it is.
-    fn keys(&mut self, keys: VectorKeys, len: usize, what: &str) -> Result<KeyColumn> {
+    /// A key column of `len` keys windowed by `offs`, packed or
+    /// Elias–Fano coded, taken as it is; an older section's packed column
+    /// whose sizes now choose Elias–Fano ([`recoded_keys`]) rebuilt coded.
+    fn keys(
+        &mut self,
+        keys: VectorKeys,
+        len: usize,
+        offs: OffsetsView<'_>,
+        what: &str,
+    ) -> Result<KeyColumn> {
         Ok(match keys {
+            VectorKeys::Ints(keys) if self.recode => {
+                recoded_keys(self.ints(keys, what)?, offs, what).map_err(Error::Corrupt)?
+            }
             VectorKeys::Ints(keys) => KeyColumn::Packed(self.ints(keys, what)?),
             VectorKeys::EliasFano(ef) => KeyColumn::EliasFano(self.elias_fano(ef, len, what)?),
         })
@@ -1988,6 +2031,48 @@ impl<F: FnMut(Range<usize>) -> Result<Bytes>> Source<F> {
         let ranks = self.packed(ef.ranks, what)?;
         Ok(EfColumn::unchecked(base, offs, stream, ranks, len))
     }
+}
+
+/// A packed key column of a section written before offsets were coded,
+/// windowed by `offs`, in the encoding its sizes choose now. Such a writer
+/// sized an Elias–Fano column with its bit offsets packed, so it left
+/// packed some columns that are smaller coded; one of those is rebuilt
+/// coded, its image checked canonical and its windows checked to tile it
+/// and ascend first, and any other is taken as it is. (An Elias–Fano
+/// column it wrote is still the smaller: coding its bit offsets only
+/// shrinks it.)
+fn recoded_keys(
+    column: PackedColumn,
+    offs: OffsetsView<'_>,
+    what: &str,
+) -> std::result::Result<KeyColumn, String> {
+    let v = column.view();
+    let tiling =
+        || format!("the offsets do not tile the {} {what} into ascending windows", v.len());
+    let mut size = KeySize::default();
+    let mut end = 0;
+    for w in windows_of(offs) {
+        let n = w.len();
+        if w.start != end || n == 0 || w.end > v.len() {
+            return Err(tiling());
+        }
+        let (first, last) = (v.get(w.start), v.get(w.end - 1));
+        if n > 1 && first >= last {
+            return Err(tiling());
+        }
+        size.add(n, Id(first), Id(last));
+        end = w.end;
+    }
+    if !size.elias_fano() {
+        return Ok(KeyColumn::Packed(column));
+    }
+    v.validate().map_err(|e| format!("{what}: {e}"))?;
+    let keys: Vec<u32> = v.values().collect();
+    let ascends = windows_of(offs).all(|w| keys[w].windows(2).all(|p| p[0] < p[1]));
+    if end != keys.len() || !ascends {
+        return Err(tiling());
+    }
+    Ok(KeyColumn::of_windows(&keys, offs))
 }
 
 /// The arena a v4–v11 `FROZ` section lays down — every list that is not
@@ -2084,7 +2169,7 @@ pub fn frozen_from_columns(
     columns: &FrozenColumns,
     source: impl FnMut(Range<usize>) -> Result<Bytes>,
 ) -> Result<FrozenHexastore> {
-    let mut source = Source(source);
+    let mut source = Source { read: source, recode: columns.version < CODED_OFFSETS };
     let mut arenas = Vec::with_capacity(3);
     for arena in columns.arenas {
         arenas.push(source.arena(arena, columns.triples)?);
@@ -2118,10 +2203,10 @@ pub fn frozen_from_columns(
             }
         };
         // A key a leaf, and a reference a leaf.
-        let k2 = source.keys(ix.k2, ix.vector, "ordering vector keys")?;
+        let k2 = source.keys(ix.k2, ix.vector, offs.view(), "ordering vector keys")?;
         let lists = match (ix.lists, plain) {
             (Some(ListRefs::Windows(refs)), _) => {
-                Some(source.keys(refs, ix.vector, "ordering list references")?)
+                Some(source.keys(refs, ix.vector, offs.view(), "ordering list references")?)
             }
             // References before v13, checked as that layout was, become the
             // windowed column the current one keeps.
@@ -2133,13 +2218,11 @@ pub fn frozen_from_columns(
         };
         orderings.push(FrozenIndex { keys, offs, k2, lists });
     }
-    let rule = if columns.version < CODED_OFFSETS { Rule::Packed } else { Rule::Current };
     Ok(FrozenHexastore::from_raw_parts(
         orderings.try_into().expect("exactly six orderings"),
         arenas.try_into().expect("exactly three arenas"),
         columns.triples,
-    )
-    .under(rule))
+    ))
 }
 
 /// An ordering of the plain header and vector keys a pre-v9 `FROZ`
@@ -2175,7 +2258,7 @@ pub fn dictionary_from_columns(
     columns: DictColumns,
     source: impl FnMut(Range<usize>) -> Result<Bytes>,
 ) -> Result<Dictionary> {
-    let mut source = Source(source);
+    let mut source = Source { read: source, recode: false };
     let front = match front {
         Some(FrontColumns { block, terms, offsets, bytes, ids, ranks }) => FrontImage {
             block,
@@ -2209,16 +2292,13 @@ pub fn dictionary_from_columns(
 
 /// Checks in one pass over the three arenas' columns, `O(lists + run
 /// ids)`, that they are what a writer lays down
-/// ([`ArenaView::validate`](crate::slab::ArenaView::validate), under the
-/// encodings the store's format allows) and together hold one item per
+/// ([`ArenaView::validate`](crate::slab::ArenaView::validate)) and together hold one item per
 /// triple the store declares. [`load_frozen`] runs it on every `FROZ`
 /// store it reads; `hex-disk`'s `verify` runs it on a mapped one.
 pub fn check_arenas(store: &FrozenHexastore) -> Result<()> {
     for arena in store.arenas() {
-        let items = arena
-            .view()
-            .validate_with(store.rule())
-            .map_err(|e| Error::Corrupt(format!("arena columns: {e}")))?;
+        let items =
+            arena.view().validate().map_err(|e| Error::Corrupt(format!("arena columns: {e}")))?;
         if items != store.len() {
             return corrupt("declared triple count disagrees with slab columns");
         }
@@ -2247,9 +2327,9 @@ fn check_frozen(store: &FrozenHexastore) -> Result<()> {
     for (primary, mirror, arena) in PAIRS {
         let lists = arenas[arena].list_count();
         let mut owners = Vec::with_capacity(lists);
-        check_ordering(orderings[primary], lists, store.rule(), Leaves::Primary(&mut owners))?;
+        check_ordering(orderings[primary], lists, Leaves::Primary(&mut owners))?;
         let leaves = Leaves::Mirror { owners: &owners, seen: vec![false; lists] };
-        check_ordering(orderings[mirror], lists, store.rule(), leaves)?;
+        check_ordering(orderings[mirror], lists, leaves)?;
     }
     Ok(())
 }
@@ -2279,10 +2359,9 @@ enum Leaves<'p> {
 /// of vector keys and (a mirror's) list references is decoded once and
 /// checked ([`KeyCheck`]), and its leaves against the pair ([`Leaves`]):
 /// every reference is in range, and primary and mirror hold the same
-/// `(k1, k2) → list` associations, each exactly once. The columns' images
-/// are checked in the encodings `rule` allows. A corrupt column is
+/// `(k1, k2) → list` associations, each exactly once. A corrupt column is
 /// refused by name.
-fn check_ordering(ix: &FrozenIndex, lists: usize, rule: Rule, mut pair: Leaves<'_>) -> Result<()> {
+fn check_ordering(ix: &FrozenIndex, lists: usize, mut pair: Leaves<'_>) -> Result<()> {
     let inconsistent = || Error::Corrupt("ordering columns are inconsistent".into());
     let disagree = || Error::Corrupt("index pair orderings disagree".into());
     let mirror = matches!(pair, Leaves::Mirror { .. });
@@ -2324,10 +2403,10 @@ fn check_ordering(ix: &FrozenIndex, lists: usize, rule: Rule, mut pair: Leaves<'
     if start != leaves {
         return Err(inconsistent());
     }
-    offs.finish(rule, "ordering offsets column").map_err(Error::Corrupt)?;
-    k2.finish(keys.len(), rule).map_err(Error::Corrupt)?;
+    offs.finish("ordering offsets column").map_err(Error::Corrupt)?;
+    k2.finish(keys.len()).map_err(Error::Corrupt)?;
     if let Some(refs) = refs {
-        refs.finish(keys.len(), rule).map_err(Error::Corrupt)?;
+        refs.finish(keys.len()).map_err(Error::Corrupt)?;
     }
     if leaves != lists {
         return Err(if mirror { disagree() } else { inconsistent() });
@@ -2774,7 +2853,7 @@ mod tests {
                 // One Elias–Fano window: its stream and directory.
                 Windows::EliasFano(window) => {
                     assert_eq!(window.stream.offset % 8, 0, "{window:?}");
-                    assert_eq!(window.ranks.offset, window.stream.offset + window.stream.bytes());
+                    assert_eq!(window.selects.offset, window.stream.offset + window.stream.bytes());
                     None
                 }
                 Windows::Pairs(_) => panic!("v3 or later windows"),
@@ -2813,8 +2892,8 @@ mod tests {
                 }
                 Offsets::EliasFano(window) => {
                     assert_eq!(window.stream.offset, slots_end + 8);
-                    assert_eq!(window.ranks.offset, window.stream.offset + window.stream.bytes());
-                    window.ranks.offset + window.ranks.bytes()
+                    assert_eq!(window.selects.offset, window.stream.offset + window.stream.bytes());
+                    window.selects.offset + window.selects.bytes()
                 }
             };
             assert_eq!(keys.offset, ends_end + 8);
@@ -2914,10 +2993,9 @@ mod tests {
     /// `lists` lists.
     fn pair_consistent(primary: &FrozenIndex, mirror: &FrozenIndex, lists: usize) -> bool {
         let mut owners = Vec::new();
-        let rule = Rule::Current;
-        check_ordering(primary, lists, rule, Leaves::Primary(&mut owners)).is_ok() && {
+        check_ordering(primary, lists, Leaves::Primary(&mut owners)).is_ok() && {
             let leaves = Leaves::Mirror { owners: &owners, seen: vec![false; lists] };
-            check_ordering(mirror, lists, rule, leaves).is_ok()
+            check_ordering(mirror, lists, leaves).is_ok()
         }
     }
 

@@ -59,9 +59,10 @@ use crate::packed::{self, width_of, PackedColumn, PackedError, PackedView};
 use crate::sorted;
 use crate::succinct::{
     EfColumn, EfIter, KeyCheck, KeyColumn, KeySize, KeysRef, OffsetsCheck, OffsetsColumn,
-    OffsetsSize, OffsetsView, Rule,
+    OffsetsSize, OffsetsView,
 };
 use hex_dict::Id;
+use std::ops::Range;
 use std::sync::OnceLock;
 
 /// True when `offs` is a cumulative offsets column that tiles a column
@@ -502,6 +503,16 @@ pub struct ArenaView<'a> {
     pub copy: &'a ArenaCopy,
 }
 
+/// Where a list of an arena lies ([`ArenaView::get`]).
+enum Place {
+    /// A list past the slot column, or a run past the run ends.
+    Empty,
+    /// A singleton, its id in its slot.
+    One(Id),
+    /// Run `run`, the keys `start .. start + len` of the key column.
+    Run { run: usize, start: u32, len: u32 },
+}
+
 impl<'a> ArenaView<'a> {
     /// The items of list `idx`. Never panics: a list index past the slot
     /// column or a run past the run-ends column reads as the empty list,
@@ -510,19 +521,11 @@ impl<'a> ArenaView<'a> {
     /// columns can change under a reader.
     #[inline]
     pub fn get(self, idx: u32) -> List<'a> {
-        // A packed read past the end is 0, which would be the singleton
-        // `Id(0)`: a list past the column must read empty instead.
-        if idx as usize >= self.slots.len() {
-            return List::EMPTY;
-        }
-        let (slot, flag) = (self.slots.get(idx as usize), flag_of(self.slots.width()));
-        if slot & flag == 0 {
-            return List(Items::One(Id(slot)));
-        }
-        let run = (slot & !flag) as usize;
-        let Some((start, end)) = self.ends.pair(run) else { return List::EMPTY };
-        let end = end.min(self.keys.len() as u32);
-        let (start, len) = (start.min(end), end - start.min(end));
+        let (run, start, len) = match self.place(idx) {
+            Place::Empty => return List::EMPTY,
+            Place::One(id) => return List(Items::One(id)),
+            Place::Run { run, start, len } => (run, start, len),
+        };
         List(match self.keys {
             KeysRef::Packed(keys) => Items::Run { keys, start, len },
             KeysRef::EliasFano(keys) => {
@@ -531,6 +534,64 @@ impl<'a> ArenaView<'a> {
                 Items::Coded { keys, run: run as u32, start, len, bits }
             }
         })
+    }
+
+    /// The length of list `idx` — [`ArenaView::get`]'s — from the slot
+    /// and run-ends columns alone: no read of where a coded run's bits
+    /// lie.
+    #[inline]
+    pub fn len_of(self, idx: u32) -> usize {
+        match self.place(idx) {
+            Place::Empty => 0,
+            Place::One(_) => 1,
+            Place::Run { len, .. } => len as usize,
+        }
+    }
+
+    /// The summed lengths of `lists`: the singletons among their slots,
+    /// and the span of the run-ends column their runs cover — two run
+    /// ends, where [`ArenaView::len_of`] reads two a run. The flagged
+    /// slots of a canonical arena name its runs in order; where they do
+    /// not, each list's length is read.
+    pub fn len_of_lists(self, lists: Range<usize>) -> usize {
+        let lists = lists.start.min(self.slots.len())..lists.end.min(self.slots.len());
+        let flag = flag_of(self.slots.width());
+        let (mut singles, mut runs) = (0, None::<(usize, usize)>);
+        for slot in self.slots.iter(lists.clone()) {
+            if slot & flag == 0 {
+                singles += 1;
+                continue;
+            }
+            let run = (slot & !flag) as usize;
+            runs = match runs {
+                None => Some((run, run)),
+                Some((first, last)) if run == last + 1 => Some((first, run)),
+                Some(_) => return lists.map(|idx| self.len_of(idx as u32)).sum(),
+            };
+        }
+        let Some((first, last)) = runs else { return singles };
+        let keys = self.keys.len() as u32;
+        let (start, end) = (self.ends.get(first).min(keys), self.ends.get(last + 1).min(keys));
+        singles + end.saturating_sub(start) as usize
+    }
+
+    /// Where list `idx` lies: a slot's id, or a run's keys, clamped.
+    #[inline]
+    fn place(self, idx: u32) -> Place {
+        // A packed read past the end is 0, which would be the singleton
+        // `Id(0)`: a list past the column must read empty instead.
+        if idx as usize >= self.slots.len() {
+            return Place::Empty;
+        }
+        let (slot, flag) = (self.slots.get(idx as usize), flag_of(self.slots.width()));
+        if slot & flag == 0 {
+            return Place::One(Id(slot));
+        }
+        let run = (slot & !flag) as usize;
+        let Some((start, end)) = self.ends.pair(run) else { return Place::Empty };
+        let end = end.min(self.keys.len() as u32);
+        let (start, len) = (start.min(end), end - start.min(end));
+        Place::Run { run, start, len }
     }
 
     /// List `idx` as a slice of a `u32` copy of the column it lies in,
@@ -578,11 +639,6 @@ impl<'a> ArenaView<'a> {
     /// and no run holds a list that fits a slot (so equal lists are equal
     /// columns). One pass: the run ends and each run are decoded once.
     pub fn validate(self) -> Result<usize, ArenaError> {
-        self.validate_with(Rule::Current)
-    }
-
-    /// [`ArenaView::validate`] with the encodings `rule` allows.
-    pub fn validate_with(self, rule: Rule) -> Result<usize, ArenaError> {
         self.slots.validate_tail().map_err(ArenaError::Packed)?;
         if let OffsetsView::Packed(ends) = self.ends {
             ends.validate().map_err(ArenaError::Ends)?;
@@ -623,8 +679,8 @@ impl<'a> ArenaView<'a> {
         if start != keys.len() {
             return Err(ArenaError::EndsDoNotTile);
         }
-        ends.finish(rule, "arena run-ends column").map_err(ArenaError::EndsNotCanonical)?;
-        runs_read.finish(runs, rule).map_err(ArenaError::Keys)?;
+        ends.finish("arena run-ends column").map_err(ArenaError::EndsNotCanonical)?;
+        runs_read.finish(runs).map_err(ArenaError::Keys)?;
         let (width, needed) = (self.slots.width(), size.slot_width());
         if width != needed {
             return Err(ArenaError::SlotWidthNotTight { width, needed });

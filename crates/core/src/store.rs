@@ -269,7 +269,7 @@ mod tests {
         assert!(pending > empty + 1000 * 3 * 4, "pending writes exceed raw triple size");
         h.compact();
         let slabs = h.heap_bytes();
-        assert!(slabs > 6 * 1000 / 8, "six indices hold more than a bit a triple each");
+        assert!(slabs > 8 * 1000, "six indices hold more than 8 bytes a triple together");
         assert!(slabs < pending, "slabs take less than the same triples pending");
         for i in 0..500u32 {
             assert!(h.remove(t(i % 50, i % 7, i)));

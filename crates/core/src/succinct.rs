@@ -44,12 +44,13 @@
 //! its values ([`EfOffsets`]): a 5-bit `l = ⌊log2(last / n)⌋`, the high
 //! region (value `i`'s one at bit `(v >> l) + i`), then the low parts.
 //! Values may repeat — a bit-offset column's do, wherever a window holds
-//! one key — as two adjacent ones. A window's bounds, values `h` and `h +
-//! 1`, are one select and a scan to the next set bit
-//! ([`OffsetsView::pair`]); the high region comes first, so the select
-//! counts from the stream's first word. Its size follows from `n` and the
-//! last value alone (`OffsetsSize`), which the builders know before they
-//! write a value.
+//! one key — as two adjacent ones. Beside the stream, a select directory
+//! holds the position of every 64th value's one ([`SELECT_STEP`]). A
+//! window's bounds, values `h` and `h + 1`, are one select — a sample and
+//! a scan from it, towards the next sample — and a scan to the next set
+//! bit ([`OffsetsView::pair`]). Its size follows from `n` and the last
+//! value alone (`OffsetsSize`), which the builders know before they write
+//! a value.
 //!
 //! A writer chooses, per ordering, arena and column, the smaller encoding
 //! of its header keys, of its vector keys and of each offsets column from
@@ -390,14 +391,15 @@ fn low_mask_or_all(bits: usize) -> u64 {
     }
 }
 
-/// A bit stream with its rank directory, appended in order into room
-/// sized exactly up front — or a snapshot's image, read or a window of a
-/// mapped file's bytes, which an append copies to owned bytes first.
+/// A bit stream with its directory — a key column's rank samples, an
+/// offsets window's select samples — appended in order into room sized
+/// exactly up front, or a snapshot's image, read or a window of a mapped
+/// file's bytes, which an append copies to owned bytes first.
 #[derive(Clone, Default, PartialEq, Eq)]
 struct BitStream {
     bytes: Bytes,
     bits: usize,
-    ranks: PackedColumn,
+    directory: PackedColumn,
 }
 
 impl BitStream {
@@ -412,7 +414,7 @@ impl BitStream {
         BitStream {
             bytes: Vec::with_capacity(bytes).into(),
             bits: 0,
-            ranks: PackedColumn::with_width(samples(bits), sample_width(bits)),
+            directory: PackedColumn::with_width(samples(bits), sample_width(bits)),
         }
     }
 
@@ -445,10 +447,10 @@ impl BitStream {
     /// samples before whose are all written: the previous sample and the
     /// set bits of the block before.
     fn sample(&mut self, block: usize) {
-        let before = if block >= 2 { self.ranks.get(block - 2) as usize } else { 0 };
+        let before = if block >= 2 { self.directory.get(block - 2) as usize } else { 0 };
         let words = (block - 1) * (RANK_BLOCK / 64)..block * (RANK_BLOCK / 64);
         let ones = words.map(|w| word(&self.bytes, w).count_ones() as usize).sum::<usize>();
-        self.ranks.push((before + ones) as u32);
+        self.directory.push((before + ones) as u32);
     }
 
     /// Appends `n` clear bits.
@@ -466,9 +468,9 @@ impl BitStream {
         bytes[at..at + 8].copy_from_slice(&merged.to_le_bytes());
     }
 
-    /// A stream of `bits` clear bits, its words allocated in full and its
-    /// rank directory empty until [`BitStream::index`]: the room a column
-    /// written out of order ([`BitStream::write`]) is sized to.
+    /// A stream of `bits` clear bits, its words allocated in full and no
+    /// rank directory: the room a column written out of order
+    /// ([`BitStream::write`]) is sized to.
     ///
     /// # Panics
     ///
@@ -476,11 +478,7 @@ impl BitStream {
     fn zeroed(bits: usize) -> Self {
         u32::try_from(bits).expect("bit stream overflow: 2^32 bits");
         let bytes = if bits == 0 { 0 } else { bytes_for(bits, 1).expect("bounded") };
-        BitStream {
-            bytes: vec![0u8; bytes].into(),
-            bits,
-            ranks: PackedColumn::with_width(samples(bits), sample_width(bits)),
-        }
+        BitStream { bytes: vec![0u8; bytes].into(), bits, directory: PackedColumn::default() }
     }
 
     /// Sets the bits of the low `width` bits of `value` (`width` at most
@@ -501,23 +499,17 @@ impl BitStream {
         }
     }
 
-    /// Samples the rank directory of a [`BitStream::zeroed`] stream whose
-    /// bits are all written.
-    fn index(&mut self) {
-        (1..=samples(self.bits)).for_each(|block| self.sample(block));
-    }
-
     fn view(&self) -> BitsView<'_> {
         let width = u32::from(self.bits > 0);
         let bytes: &[u8] = if self.bits == 0 { &[] } else { &self.bytes };
         BitsView {
             bits: PackedView::new(bytes, width, self.bits).unwrap_or_default(),
-            ranks: self.ranks.view(),
+            ranks: self.directory.view(),
         }
     }
 
     fn heap_bytes(&self) -> usize {
-        self.bytes.heap_bytes() + self.ranks.heap_bytes()
+        self.bytes.heap_bytes() + self.directory.heap_bytes()
     }
 
     /// Why `read` is not this stream's image, naming `what`; `None` when
@@ -697,7 +689,7 @@ impl RankBitmap {
     /// or mapped, taken as they are. Reads clamp to them, so columns that
     /// are not the canonical ones give wrong answers, never a panic.
     pub(crate) fn unchecked(bits: Bytes, len: usize, ranks: PackedColumn, keys: usize) -> Self {
-        RankBitmap { stream: BitStream { bytes: bits, bits: len, ranks }, ones: keys }
+        RankBitmap { stream: BitStream { bytes: bits, bits: len, directory: ranks }, ones: keys }
     }
 
     /// The bitmap of strictly ascending `keys`.
@@ -776,7 +768,7 @@ impl HeaderSize {
     /// True when one Elias–Fano window is smaller than the bitmap: an id
     /// space the keys are sparse in.
     pub(crate) fn elias_fano(&self) -> bool {
-        self.bitmap_bytes().is_none_or(|bitmap| self.window().ef_bytes(Rule::Current) < bitmap)
+        self.bitmap_bytes().is_none_or(|bitmap| self.window().ef_bytes() < bitmap)
     }
 }
 
@@ -1056,15 +1048,14 @@ impl KeySize {
         bytes_for(self.keys, width_of(self.max_key)).unwrap_or(usize::MAX)
     }
 
-    /// The heap bytes of the Elias–Fano column under `rule`: base, bit
-    /// offsets (in the smaller of their encodings, or packed), stream and
-    /// its directory.
-    pub(crate) fn ef_bytes(&self, rule: Rule) -> usize {
+    /// The heap bytes of the Elias–Fano column: base, bit offsets (in the
+    /// smaller of their encodings), stream and its directory.
+    pub(crate) fn ef_bytes(&self) -> usize {
         let Ok(bits) = u32::try_from(self.bits) else { return usize::MAX };
         let stream = if bits == 0 { 0 } else { bytes_for(self.bits, 1).unwrap_or(usize::MAX) };
         let parts = [
             bytes_for(self.windows, width_of(self.max_first)),
-            Some(OffsetsSize::new(self.windows + 1, bits).bytes(rule)),
+            Some(OffsetsSize::new(self.windows + 1, bits).bytes()),
             Some(stream),
             bytes_for(samples(self.bits), sample_width(self.bits)),
         ];
@@ -1073,15 +1064,7 @@ impl KeySize {
 
     /// True when the Elias–Fano column is the smaller.
     pub(crate) fn elias_fano(&self) -> bool {
-        self.ef_bytes(Rule::Current) < self.packed_bytes()
-    }
-
-    /// True when `coded` — an Elias–Fano column, or a packed one — is an
-    /// encoding the sizes choose under `rule`: this build's choice, or
-    /// for [`Rule::Packed`] also the one made with packed bit offsets.
-    fn allows(&self, coded: bool, rule: Rule) -> bool {
-        coded == self.elias_fano()
-            || (rule == Rule::Packed && coded == (self.ef_bytes(rule) < self.packed_bytes()))
+        self.ef_bytes() < self.packed_bytes()
     }
 
     /// The sizes of the windows of `keys`, each range of `windows` one.
@@ -1587,7 +1570,8 @@ impl EfColumn {
         ranks: PackedColumn,
         len: u32,
     ) -> Self {
-        EfColumn { base, offs, stream: BitStream { bytes: stream, bits, ranks }, len, build: None }
+        let stream = BitStream { bytes: stream, bits, directory: ranks };
+        EfColumn { base, offs, stream, len, build: None }
     }
 
     /// The Elias–Fano column of `keys` windowed by `offs` — a tiling
@@ -1697,7 +1681,7 @@ impl EfColumn {
 
     /// Heap bytes of the stream's rank directory.
     pub fn rank_bytes(&self) -> usize {
-        self.stream.ranks.heap_bytes()
+        self.stream.directory.heap_bytes()
     }
 }
 
@@ -1757,22 +1741,6 @@ pub(crate) fn windows_of<'a>(
 // Cumulative offsets: packed, or one Elias–Fano window.
 // ---------------------------------------------------------------------
 
-/// How the canonical encoding of the columns a cumulative offsets column
-/// cuts is chosen: by this build's rule, or — for a store read from a
-/// file written before offsets were coded (`hexsnap` v13 and older) —
-/// by that rule or the older one, under which every offsets column is
-/// packed and a key column's Elias–Fano size counts its bit offsets
-/// packed.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum Rule {
-    /// Every offsets column in the smaller encoding.
-    #[default]
-    Current,
-    /// Offsets packed whatever their size, as older writers left them, or
-    /// as this build chooses.
-    Packed,
-}
-
 /// What a cumulative offsets column needs, known before it is built: its
 /// length and its last value, which is its largest. Enough to size either
 /// encoding exactly and to choose the smaller.
@@ -1809,14 +1777,14 @@ impl OffsetsSize {
         bytes_for(self.len, width_of(self.last)).unwrap_or(usize::MAX)
     }
 
-    /// The heap bytes of the Elias–Fano window: its stream and rank
+    /// The heap bytes of the Elias–Fano window: its stream and select
     /// directory.
     fn ef_bytes(self) -> usize {
         match self.ef_bits() {
             Some(bits) if self.len > 0 => {
                 let stream = bytes_for(bits, 1).unwrap_or(usize::MAX);
-                let ranks = bytes_for(samples(bits), sample_width(bits)).unwrap_or(usize::MAX);
-                stream.saturating_add(ranks)
+                let (samples, width) = (select_samples(self.len), select_width(self.len, bits));
+                stream.saturating_add(bytes_for(samples, width).unwrap_or(usize::MAX))
             }
             _ => usize::MAX,
         }
@@ -1827,33 +1795,55 @@ impl OffsetsSize {
         self.ef_bytes() < self.packed_bytes()
     }
 
-    /// The heap bytes of the column under `rule`.
-    pub(crate) fn bytes(self, rule: Rule) -> usize {
-        match rule {
-            Rule::Current => self.packed_bytes().min(self.ef_bytes()),
-            Rule::Packed => self.packed_bytes(),
-        }
+    /// The heap bytes of the column in the smaller encoding.
+    pub(crate) fn bytes(self) -> usize {
+        self.packed_bytes().min(self.ef_bytes())
+    }
+}
+
+/// Values of an offsets window per sample of its select directory.
+pub const SELECT_STEP: usize = 64;
+
+/// The select samples of an offsets window of `len` values: one for every
+/// [`SELECT_STEP`]-th value after the first.
+pub(crate) fn select_samples(len: usize) -> usize {
+    len.saturating_sub(1) / SELECT_STEP
+}
+
+/// The width of the select samples of a window of `len` values in a
+/// `bits`-bit stream: the bit length of the stream's length, or 0 when it
+/// has none.
+pub(crate) fn select_width(len: usize, bits: usize) -> u32 {
+    if select_samples(len) == 0 {
+        0
+    } else {
+        width_of(u32::try_from(bits).unwrap_or(u32::MAX))
     }
 }
 
 /// A cumulative offsets column as one Elias–Fano window, written value
 /// by value into a stream sized up front (`OffsetsSize`): the 5-bit `l`,
-/// then the high region — value `i`'s high part as a one at bit `(v >> l)
-/// + i` of it, the region ending on the last value's one — then value
-/// `i`'s low `l` bits at bit `i·l` of the low region. The values may
+/// then the high region — value `i`'s high part as a one at bit
+/// `(v >> l) + i` of it, the region ending on the last value's one — then
+/// value `i`'s low `l` bits at bit `i·l` of the low region. The values may
 /// repeat (a bit-offset column's do, wherever a window holds one key),
-/// which makes two ones adjacent. The high region comes first so that a
-/// select counts from the stream's first word, whose set bits before it
-/// are the `l` field's, with no rank of where the region starts.
+/// which makes two ones adjacent. Beside the stream, a select directory:
+/// the position of every [`SELECT_STEP`]-th value's one after the first,
+/// so finding value `i`'s one reads a sample and scans from it to the
+/// next — a word or two where the values spread evenly. The high region
+/// comes first so that value 0's one is the first set bit after the `l`
+/// field.
 #[derive(Clone, Debug, Default)]
 pub struct EfOffsets {
+    /// The stream, its directory the select samples.
     stream: BitStream,
     len: u32,
     /// Values written so far: the build's state.
     written: u32,
 }
 
-/// Equal streams of equal length: the build's state follows from them.
+/// Equal streams and directories of equal length: the build's state
+/// follows from them.
 impl PartialEq for EfOffsets {
     fn eq(&self, other: &Self) -> bool {
         (self.len, &self.stream) == (other.len, &other.stream)
@@ -1869,40 +1859,49 @@ impl EfOffsets {
         let l = size.l();
         let mut stream = BitStream::zeroed(bits);
         stream.write(0, u64::from(l), L_BITS);
+        let selects =
+            PackedColumn::with_width(select_samples(size.len), select_width(size.len, bits));
         let len = u32::try_from(size.len).expect("offsets overflow: 2^32 values");
+        stream.directory = selects;
         EfOffsets { stream, len, written: 0 }
     }
 
-    /// Writes the next value, at least the one before; the rank directory
-    /// is sampled with the last.
+    /// Writes the next value, at least the one before, and samples its
+    /// one when it is a [`SELECT_STEP`]-th.
     fn push(&mut self, v: u32) {
         let (i, len) = (self.written as usize, self.len as usize);
         assert!(i < len, "offsets overflow: a value past its room");
         let l = bits_at(&self.stream.bytes, 0, L_BITS as u32) as usize;
         let low_at = self.stream.bits - len * l;
         self.stream.write(low_at + i * l, u64::from(v) & low_mask(l), l);
-        self.stream.write(L_BITS + (v >> l) as usize + i, 1, 1);
-        self.written += 1;
-        if self.written == self.len {
-            self.stream.index();
+        let one = L_BITS + (v >> l) as usize + i;
+        self.stream.write(one, 1, 1);
+        if i > 0 && i % SELECT_STEP == 0 {
+            self.stream.directory.push(one as u32);
         }
+        self.written += 1;
     }
 
     /// The window of `len` values whose `bits`-bit stream's image and
-    /// rank directory are `stream` and `ranks`: a snapshot's columns, read
-    /// or mapped, taken as they are. Reads clamp to them.
-    pub(crate) fn unchecked((stream, bits): (Bytes, usize), ranks: PackedColumn, len: u32) -> Self {
-        let stream = BitStream { bytes: stream, bits, ranks };
+    /// select directory are `stream` and `selects`: a snapshot's columns,
+    /// read or mapped, taken as they are. Reads clamp to them.
+    pub(crate) fn unchecked(
+        (stream, bits): (Bytes, usize),
+        selects: PackedColumn,
+        len: u32,
+    ) -> Self {
+        let stream = BitStream { bytes: stream, bits, directory: selects };
         EfOffsets { stream, len, written: len }
     }
 
     /// The window as the view every read goes through.
     #[inline]
     pub fn view(&self) -> EfOffsetsView<'_> {
-        EfOffsetsView { stream: self.stream.view(), len: self.len as usize }
+        let stream = self.stream.view();
+        EfOffsetsView { stream: stream.bits, selects: stream.ranks, len: self.len as usize }
     }
 
-    /// Heap bytes: the stream and its rank directory.
+    /// Heap bytes: the stream and its select directory.
     pub fn heap_bytes(&self) -> usize {
         self.stream.heap_bytes()
     }
@@ -1911,8 +1910,11 @@ impl EfOffsets {
 /// A borrowed [`EfOffsets`]. `Copy`.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct EfOffsetsView<'a> {
-    /// The `l`, the low parts and the high region.
-    pub stream: BitsView<'a>,
+    /// The `l`, the high region and the low parts, one a value.
+    pub stream: PackedView<'a>,
+    /// The position of every [`SELECT_STEP`]-th value's one after the
+    /// first.
+    pub selects: PackedView<'a>,
     /// The number of values.
     pub len: usize,
 }
@@ -1925,15 +1927,14 @@ struct OffsetsFrame {
     end: usize,
 }
 
-impl OffsetsFrame {
-    /// Where value `i`'s one lies when the `len` values spread evenly.
-    #[inline]
-    fn near(&self, i: usize, len: usize) -> usize {
-        near(L_BITS, self.end, len, i, true)
-    }
-}
-
 impl<'a> EfOffsetsView<'a> {
+    /// The stream as a bit stream: no rank directory, which no read of an
+    /// offsets window uses.
+    #[inline(always)]
+    fn bits(self) -> BitsView<'a> {
+        BitsView { bits: self.stream, ranks: PackedView::EMPTY }
+    }
+
     /// The frame of the stream, `None` when its `l` and low parts overrun
     /// it: a corrupt column, every value of which is unreadable.
     #[inline]
@@ -1945,6 +1946,34 @@ impl<'a> EfOffsetsView<'a> {
         let l = bits_at(self.stream.bytes(), 0, L_BITS as u32);
         let end = bits.checked_sub(self.len.checked_mul(l as usize)?)?;
         (end >= L_BITS).then_some(OffsetsFrame { l, end })
+    }
+
+    /// Where value `i`'s one lies: a scan from the last sample at or
+    /// before it to the next sample, `None` when that range holds too few
+    /// ones — which only a corrupt column's does, so a corrupt sample
+    /// gives a wrong value or none, never a longer scan.
+    #[inline]
+    fn one(self, f: &OffsetsFrame, i: usize) -> Option<usize> {
+        let (j, need) = (i / SELECT_STEP, i % SELECT_STEP);
+        let from = match j.checked_sub(1) {
+            Some(sample) => (self.selects.get(sample) as usize).max(L_BITS),
+            None => L_BITS,
+        };
+        let stop = match j < self.selects.len() {
+            true => (self.selects.get(j) as usize).min(f.end),
+            false => f.end,
+        };
+        self.bits().scan(from, stop, need, true)
+    }
+
+    /// True when sample `i / SELECT_STEP − 1` of the directory is where
+    /// value `i` — `v`, read in order — has its one, or `i` is no
+    /// [`SELECT_STEP`]-th value after the first.
+    #[inline]
+    fn samples_at(self, f: &OffsetsFrame, i: usize, v: u32) -> bool {
+        i == 0
+            || i % SELECT_STEP != 0
+            || self.selects.get(i / SELECT_STEP - 1) as usize == L_BITS + (v >> f.l) as usize + i
     }
 
     /// Value `i`, whose one is at bit `one` of the stream.
@@ -1962,7 +1991,7 @@ impl<'a> EfOffsetsView<'a> {
             return None;
         }
         let f = self.frame()?;
-        let one = self.stream.select(L_BITS, f.end, i, true, f.near(i, self.len))?;
+        let one = self.one(&f, i)?;
         Some(self.value(&f, i, one))
     }
 
@@ -1975,8 +2004,8 @@ impl<'a> EfOffsetsView<'a> {
             return None;
         }
         let f = self.frame()?;
-        let one = self.stream.select(L_BITS, f.end, i, true, f.near(i, self.len))?;
-        let next = self.stream.next_one(one + 1, f.end)?;
+        let one = self.one(&f, i)?;
+        let next = self.bits().next_one(one + 1, f.end)?;
         Some((self.value(&f, i, one), self.value(&f, i + 1, next)))
     }
 
@@ -2001,22 +2030,32 @@ impl<'a> EfOffsetsView<'a> {
     }
 
     /// Checks that the stream is the canonical window of the `values` it
-    /// was read to, in order: its `l` and its length are the ones those
-    /// values make, and its rank directory samples its bits. With the
+    /// was read to, in order — its `l` and its length are the ones those
+    /// values make — and that its select directory is: as long and as
+    /// wide as they make, and `sampled`, every sample where the walk
+    /// found its value's one ([`EfOffsetsView::samples_at`]). With the
     /// values non-decreasing and all of them read, that leaves no other
     /// image.
-    fn check(self, values: usize, last: u32, what: &str) -> Result<(), String> {
+    fn check(self, values: usize, last: u32, sampled: bool, what: &str) -> Result<(), String> {
         let size = OffsetsSize::new(self.len, last);
         let l = self.frame().map(|f| f.l);
         if values != self.len
             || l != Some(size.l())
             || Some(self.stream.len()) != size.ef_bits()
-            || self.stream.bits.width() != 1
-            || self.stream.bits.validate_tail().is_err()
+            || self.stream.width() != 1
+            || self.stream.validate_tail().is_err()
         {
             return Err(format!("{what} is not the canonical window of what it decodes to"));
         }
-        self.stream.check_ranks(what)
+        let selects = self.selects;
+        if !sampled
+            || selects.len() != select_samples(self.len)
+            || selects.width() != select_width(self.len, self.stream.len())
+            || selects.validate_tail().is_err()
+        {
+            return Err(format!("{what}'s select directory disagrees with its bits"));
+        }
+        Ok(())
     }
 }
 
@@ -2154,11 +2193,7 @@ impl PartialEq for OffsetsView<'_> {
         match (self, other) {
             (OffsetsView::Packed(a), OffsetsView::Packed(b)) => a == b,
             (OffsetsView::EliasFano(a), OffsetsView::EliasFano(b)) => {
-                let (a_bits, b_bits) = (a.stream.bits, b.stream.bits);
-                (a.len, a_bits.bytes(), a_bits.width(), a_bits.len())
-                    == (b.len, b_bits.bytes(), b_bits.width(), b_bits.len())
-                    && (a.stream.ranks.bytes(), a.stream.ranks.width())
-                        == (b.stream.ranks.bytes(), b.stream.ranks.width())
+                (a.len, a.stream, a.selects) == (b.len, b.stream, b.selects)
             }
             _ => false,
         }
@@ -2223,7 +2258,7 @@ impl<'a> OffsetsView<'a> {
     pub fn check(self, what: &str) -> Result<(), String> {
         let mut check = OffsetsCheck::new(self);
         while check.next().is_some() {}
-        check.finish(Rule::Current, what)
+        check.finish(what)
     }
 }
 
@@ -2260,7 +2295,7 @@ impl Iterator for OffsetsIter<'_> {
 /// over the column it cuts reads in order ([`OffsetsCheck::next`]); then
 /// [`OffsetsCheck::finish`] checks its image: every value read, none
 /// below the one before, and the image the canonical one of those values
-/// in the encoding their size chooses under a [`Rule`]. The walk checks
+/// in the encoding their size chooses. The walk checks
 /// what the values owe the column they cut.
 pub(crate) struct OffsetsCheck<'a> {
     view: OffsetsView<'a>,
@@ -2268,12 +2303,21 @@ pub(crate) struct OffsetsCheck<'a> {
     read: usize,
     last: u32,
     descends: bool,
+    /// A coded column's frame, which places each value's one.
+    frame: Option<OffsetsFrame>,
+    /// No select sample of a coded column found off its value's one.
+    sampled: bool,
 }
 
 impl<'a> OffsetsCheck<'a> {
     /// Starts a check of `view`.
     pub(crate) fn new(view: OffsetsView<'a>) -> Self {
-        OffsetsCheck { view, values: view.values(), read: 0, last: 0, descends: false }
+        let frame = match view {
+            OffsetsView::EliasFano(ef) => ef.frame(),
+            OffsetsView::Packed(_) => None,
+        };
+        let values = view.values();
+        OffsetsCheck { view, values, read: 0, last: 0, descends: false, frame, sampled: true }
     }
 
     /// The next value, `None` once the column (or a corrupt window of it)
@@ -2282,21 +2326,22 @@ impl<'a> OffsetsCheck<'a> {
     pub(crate) fn next(&mut self) -> Option<u32> {
         let v = self.values.next()?;
         self.descends |= v < self.last;
+        if let (OffsetsView::EliasFano(ef), Some(f)) = (self.view, &self.frame) {
+            self.sampled &= ef.samples_at(f, self.read, v);
+        }
         (self.read, self.last) = (self.read + 1, v);
         Some(v)
     }
 
     /// Checks the image once every value is read, naming `what`.
-    pub(crate) fn finish(self, rule: Rule, what: &str) -> Result<(), String> {
+    pub(crate) fn finish(self, what: &str) -> Result<(), String> {
         if self.read != self.view.len() || self.descends {
             return Err(format!("{what} does not hold its {} ascending values", self.view.len()));
         }
         let coded = OffsetsSize::new(self.read, self.last).elias_fano();
         match self.view {
-            OffsetsView::Packed(v) if !coded || rule == Rule::Packed => {
-                v.validate().map_err(|e| format!("{what}: {e}"))
-            }
-            OffsetsView::EliasFano(v) if coded => v.check(self.read, self.last, what),
+            OffsetsView::Packed(v) if !coded => v.validate().map_err(|e| format!("{what}: {e}")),
+            OffsetsView::EliasFano(v) if coded => v.check(self.read, self.last, self.sampled, what),
             _ => Err(format!("{what} is not in the encoding its size chooses")),
         }
     }
@@ -2437,7 +2482,7 @@ impl KeyColumn {
         if start != read.len() {
             return Err(tiling());
         }
-        keys.finish(windows, Rule::Current)
+        keys.finish(windows)
     }
 }
 
@@ -2539,10 +2584,10 @@ impl<'a> KeyCheck<'a> {
     }
 
     /// Checks what the `windows` windows, all read, leave: the encoding
-    /// the sizes choose under `rule`, and the column's other parts.
-    pub(crate) fn finish(self, windows: usize, rule: Rule) -> Result<(), String> {
+    /// the sizes choose, and the column's other parts.
+    pub(crate) fn finish(self, windows: usize) -> Result<(), String> {
         let what = self.what;
-        if !self.size.allows(matches!(self.read, KeysView::EliasFano(_)), rule) {
+        if self.size.elias_fano() != matches!(self.read, KeysView::EliasFano(_)) {
             return Err(format!("{what} is not in the encoding its sizes choose"));
         }
         match (self.read, self.bits) {
@@ -2551,7 +2596,7 @@ impl<'a> KeyCheck<'a> {
                 if ef.base.len() != windows || ef.base.validate().is_err() {
                     return Err(format!("{what}'s base column is not canonical"));
                 }
-                offs.finish(rule, &format!("{what}'s bit-offset column"))?;
+                offs.finish(&format!("{what}'s bit-offset column"))?;
                 let stream = ef.stream;
                 if stream.len() != end
                     || stream.bits.width() != u32::from(end > 0)

@@ -10,6 +10,7 @@ mod support;
 use hexastore::hexsnap::{self, ListRefs, Reader, VectorKeys};
 use hexastore::{IdPattern, IndexKind, IndexSet, TripleStore};
 use std::io::Cursor;
+use support::temp_path;
 use support::{bulk_graph, coded_refs_graph, fixture_bytes, fixture_path, fixtures_of, section};
 
 #[test]
@@ -18,21 +19,44 @@ fn committed_v13_fixtures_open_through_every_reader_and_answer() {
         support::opens_through_the_reader(f);
         support::opens_through_the_loaders(f);
     }
-    // Every offsets column of a v13 file is packed, read as written: the
-    // store answers as the one this build makes of the graph, whose
-    // columns are the file's wherever this build keeps them packed too.
+    // Every offsets column of a v13 file is packed, and its writer sized
+    // Elias–Fano key columns with their bit offsets packed: read, eager or
+    // mapped, each column takes the encoding this build chooses, so the
+    // store is the one this build makes of the graph.
     for (name, g) in [("v13_bulk", bulk_graph()), ("v13_coded_refs", coded_refs_graph())] {
         let (dict, store) = hexsnap::load_frozen(fixture_path(name)).unwrap();
-        let built = g.store().freeze();
-        assert_eq!(dict.terms(), g.dict().terms(), "{name}");
-        assert_eq!(store.matching(IdPattern::ALL), built.matching(IdPattern::ALL), "{name}");
-        let packed = built.heap_breakdown().elias_fano_offsets.is_empty();
-        assert_eq!(store == built, packed, "{name}");
-        assert!(store.heap_breakdown().elias_fano_offsets.is_empty(), "{name}");
+        assert_eq!((dict.terms(), &store), (g.dict().terms(), &g.store().freeze()), "{name}");
         let (mapped_dict, mapped) = hex_disk::open(fixture_path(name)).unwrap();
         assert_eq!((mapped_dict.terms(), &mapped), (g.dict().terms(), &store), "{name}");
         support::assert_mirror_references_are_windowed(&store, name);
         support::assert_mirror_references_are_windowed(&mapped, name);
+    }
+    // The coded-references graph is one whose offsets this build codes.
+    let (_, store) = hexsnap::load_frozen(fixture_path("v13_coded_refs")).unwrap();
+    assert!(!store.heap_breakdown().elias_fano_offsets.is_empty());
+}
+
+#[test]
+fn a_resaved_v13_file_is_the_v14_file_of_its_graph_and_loads_back() {
+    // Saved again — as loaded, mapped, or thawed and frozen again, which
+    // shares the loaded columns — a v13 file is byte for byte the v14 file
+    // this build writes of its graph, which every loader reads back to
+    // the same store.
+    for (v13, v14) in [("v13_bulk", "v14_bulk"), ("v13_coded_refs", "v14_coded_refs")] {
+        let (dict, eager) = hexsnap::load_frozen(fixture_path(v13)).unwrap();
+        let (_, mapped) = hex_disk::open(fixture_path(v13)).unwrap();
+        let thawed = eager.clone().thaw().freeze();
+        let path = temp_path(&format!("resaved-{v13}"));
+        for store in [&eager, &mapped, &thawed] {
+            hexsnap::save_frozen(&path, &dict, store).unwrap();
+            assert_eq!(std::fs::read(&path).unwrap(), fixture_bytes(v14), "{v13}");
+            let (back_dict, back) = hexsnap::load_frozen(&path).unwrap();
+            assert_eq!((back_dict.terms(), &back), (dict.terms(), &eager), "{v13}");
+            let (_, back_mapped) = hex_disk::open(&path).unwrap();
+            assert_eq!(back_mapped, eager, "{v13}");
+            assert_eq!(back.matching(IdPattern::ALL), eager.matching(IdPattern::ALL), "{v13}");
+        }
+        std::fs::remove_file(&path).ok();
     }
 }
 
@@ -90,8 +114,13 @@ fn v13_changed_only_how_froz_may_code_a_mirrors_references() {
     let (_, eager) = hexsnap::load_frozen(fixture_path(name)).unwrap();
     let (_, mapped) = hex_disk::open(fixture_path(name)).unwrap();
     assert_eq!(eager.heap_breakdown().elias_fano_refs, coded);
-    let mapped_heap = mapped.heap_breakdown();
-    assert_eq!((mapped_heap.elias_fano_refs, mapped_heap.mirror_list_refs), (coded, 0));
+    // The mapped references stay in the file but for their bit offsets,
+    // which a v13 file packs and the read rebuilds, owned, as this build
+    // chooses.
+    let (mapped_heap, eager_heap) = (mapped.heap_breakdown(), eager.heap_breakdown());
+    assert_eq!(mapped_heap.elias_fano_refs, coded);
+    assert!(0 < mapped_heap.mirror_list_refs, "{mapped_heap:?}");
+    assert!(mapped_heap.mirror_list_refs < eager_heap.mirror_list_refs, "{mapped_heap:?}");
     assert_eq!(mapped.len(), 128);
     // A v12 file's packed references become the current column on the
     // way in, eager or mapped: the stores are equal.

@@ -9,7 +9,6 @@
 
 mod support;
 
-use hexastore::access::OrderedStore;
 use hexastore::hexsnap::{self, ArenaColumns, Offsets, Reader, VectorKeys, Windows};
 use hexastore::{IndexKind, IndexSet, TripleStore};
 use std::io::Cursor;
@@ -91,8 +90,8 @@ fn v14_changed_only_how_froz_may_code_a_cumulative_offsets_column() {
     }
     // The coded-references graph codes spo's and sop's offsets from v14
     // on: its dictionary is v13's and its slab section smaller, and the
-    // v13 file still loads and maps — its offsets packed, as written —
-    // answering alike.
+    // v13 file, its offsets packed, loads and maps as the v14 store — each
+    // column recoded as this build chooses on the way in.
     let (old, new) = (fixture_bytes("v13_coded_refs"), fixture_bytes("v14_coded_refs"));
     assert_eq!(section(&old, *b"DICT", "v13"), section(&new, *b"DICT", "v14"));
     assert!(section(&new, *b"FROZ", "v14").len() < section(&old, *b"FROZ", "v13").len());
@@ -102,16 +101,7 @@ fn v14_changed_only_how_froz_may_code_a_cumulative_offsets_column() {
     let path = fixture_path("v13_coded_refs");
     let (_, eager) = hexsnap::load_frozen(&path).unwrap();
     let (_, mapped) = hex_disk::open(&path).unwrap();
-    assert_eq!(eager, mapped);
-    assert_eq!(eager.heap_breakdown().elias_fano_offsets, IndexSet::EMPTY);
-    for kind in IndexKind::ALL {
-        let (a, b) = (eager.ordering(kind), current.ordering(kind));
-        assert!(a
-            .scan()
-            .map(|(k1, k2, l)| (k1, k2, l.to_vec()))
-            .eq(b.scan().map(|(k1, k2, l)| (k1, k2, l.to_vec()))));
-    }
-    assert!(current.heap_bytes() < eager.heap_bytes());
+    assert_eq!((&eager, &mapped), (&current, &current));
 }
 
 #[test]

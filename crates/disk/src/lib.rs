@@ -35,13 +35,15 @@
 //! Only uncompressed snapshots of the current format version
 //! ([`hexastore::hexsnap::VERSION`]) or of v10 to v13 are mappable (a
 //! v10 file lacks only the frozen dictionary tier, a v10 or v11 file's
-//! terminal-list arenas, laid out as overflow runs, and a v10 to v12
-//! file's mirror list references, one column no window cuts, are rebuilt
-//! into owned columns of the current layout while its other index columns
-//! stay mapped; a v13 or current file's references, packed or Elias–Fano
-//! coded, are mapped in place like its vector keys, and so is each
-//! cumulative offsets column of a current file, packed or one Elias–Fano
-//! window, whose reads select in the window's own rank directory):
+//! terminal-list arenas, laid out as overflow runs, a v10 to v12 file's
+//! mirror list references, one column no window cuts, and a v10 to v13
+//! file's cumulative offsets columns, always packed, with any key column
+//! whose encoding coding them moves, are rebuilt into owned columns of
+//! the current layout while its other index columns stay mapped; a v13
+//! or current file's references, packed or Elias–Fano coded, are mapped
+//! in place like its vector keys, and so is each cumulative offsets
+//! column of a current file, packed or one Elias–Fano window, whose reads
+//! select through the window's own select directory):
 //! compressed (`FRZC`)
 //! sections and files of older versions — each of which lays out some
 //! column differently ([`hexastore::hexsnap::mapping_refusal`] names

@@ -138,14 +138,16 @@ fn frozen_heap_breakdown_is_the_closed_form_of_the_space_stats() {
     /// Heap bytes of a cumulative offsets column of `len` values, the last
     /// `last`: packed, or one Elias–Fano window of them — a 5-bit `l =
     /// ⌊log2(last / len)⌋`, a low part of `l` bits and a one a value,
-    /// `last >> l` zeros, and the stream's rank samples — whichever takes
+    /// `last >> l` zeros, and a select sample, at the width of the bit
+    /// count, for every 64th value after the first — whichever takes
     /// fewer bytes; and whether that is the window.
     fn offsets(len: usize, last: usize) -> (usize, bool) {
         let as_packed = packed(len, last);
         let q = (last / len.max(1)).max(1);
         let l = (usize::BITS - 1 - q.leading_zeros()) as usize;
         let bits = 5 + len * (l + 1) + (last >> l);
-        let window = stream(bits) + directory(bits);
+        let selects = len.saturating_sub(1) / 64;
+        let window = stream(bits) + if selects == 0 { 0 } else { packed(selects, bits) };
         if len > 0 && window < as_packed {
             (window, true)
         } else {
