@@ -150,9 +150,9 @@
 //! ends in the same check of the built store. Only a v10 to v14 file has
 //! the index columns `hex-disk` maps (a v10 one with an empty frozen
 //! tier; a v10 or v11 one's arenas, a v10 to v12 one's list references
-//! and a v10 to v13 one's offsets columns are rebuilt, owned, on the way; [`mapping_refusal`] says
-//! why an older one is refused); older files go through [`load_frozen`]
-//! and a re-save.
+//! and a v10 to v13 one's offsets columns are rebuilt, owned, on the
+//! way; [`mapping_refusal`] says why an older one is refused); older
+//! files go through [`load_frozen`] and a re-save.
 //!
 //! Defined sections:
 //!
